@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import enum
 
+from repro.sim.kernel import ModelledFailure
+
 __all__ = ["ConsistencyLevel", "UnavailableError"]
 
 
-class UnavailableError(Exception):
+class UnavailableError(ModelledFailure):
     """Fewer live replicas than the consistency level requires."""
 
 

@@ -33,7 +33,7 @@ from repro.cluster.hedging import HedgePolicy
 from repro.cluster.topology import DeadlineExceeded, RpcTimeout
 from repro.keyspace import token_of
 from repro.sim.kernel import (AllOf, AnyOf, Environment, Event, Interrupt,
-                              Process, Timeout)
+                              ModelledFailure, Process, Timeout)
 from repro.sim.resources import Overloaded
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -51,11 +51,11 @@ _WRITES_KEY = {cl: f"writes_{cl.value}" for cl in ConsistencyLevel}
 _READS_KEY = {cl: f"reads_{cl.value}" for cl in ConsistencyLevel}
 
 
-class WriteTimeoutError(Exception):
+class WriteTimeoutError(ModelledFailure):
     """Not enough replica acks arrived before the write timeout."""
 
 
-class ReadTimeoutError(Exception):
+class ReadTimeoutError(ModelledFailure):
     """Not enough replica responses arrived before the read timeout."""
 
 

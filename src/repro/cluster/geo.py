@@ -19,6 +19,8 @@ from typing import Generator, Optional
 
 from repro.cluster.nic import NetworkSpec, Nic
 from repro.cluster.node import Node, NodeSpec
+from repro.cluster.topology import (_EXPIRED, _NO_RESPONSE, Cluster,
+                                    TimerWheel)
 from repro.sim.kernel import Environment, Timeout
 from repro.sim.rng import RngRegistry
 
@@ -160,9 +162,7 @@ class GeoCluster:
         #: Requests whose propagated deadline expired before the server
         #: started them (see :class:`repro.cluster.topology.Cluster`).
         self.abandoned_rpcs = 0
-        #: Shared RPC-timer pool (see :class:`Cluster`).
-        self._timers: dict[float, object] = {}
-        self._timer_prune_at = 256
+        self._wheel = TimerWheel(env)
 
     # -- Cluster API compatibility ----------------------------------------
 
@@ -236,7 +236,6 @@ class GeoCluster:
         actually idle.  The deferral costs one extra kernel event per
         WAN leg, noise against the propagation delay itself.
         """
-        from repro.cluster.topology import _EXPIRED, _NO_RESPONSE
         env = self.env
         spec = self.spec
         network = self.network
@@ -293,7 +292,6 @@ class GeoCluster:
     def call(self, src, dst, verb, payload=None, request_bytes=0,
              response_bytes=0, timeout: Optional[float] = None,
              deadline: Optional[float] = None, src_cpu_s: float = 0.0):
-        from repro.cluster.topology import Cluster
         return Cluster.call(self, src, dst, verb, payload, request_bytes,
                             response_bytes, timeout, deadline, src_cpu_s)
 
@@ -301,11 +299,6 @@ class GeoCluster:
                    response_bytes=0, timeout: Optional[float] = None,
                    deadline: Optional[float] = None,
                    src_cpu_s: float = 0.0):
-        from repro.cluster.topology import Cluster
         return Cluster.call_async(self, src, dst, verb, payload,
                                   request_bytes, response_bytes, timeout,
                                   deadline, src_cpu_s)
-
-    def _shared_timer(self, wait_s: float, exact: bool = False):
-        from repro.cluster.topology import Cluster
-        return Cluster._shared_timer(self, wait_s, exact=exact)

@@ -21,18 +21,20 @@ database models need:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import ceil
 from typing import Any, Generator, Optional
 
 from repro.cluster.nic import Network, NetworkSpec
 from repro.cluster.node import Node, NodeSpec
-from repro.sim.kernel import (URGENT, Environment, Event, Interrupt, Timeout,
-                              _PENDING)
+from repro.sim.kernel import (URGENT, Environment, Event, Interrupt,
+                              ModelledFailure, Timeout, _PENDING)
 from repro.sim.resources import Overloaded
 from repro.sim.rng import RngRegistry
 
 __all__ = ["AsyncCall", "Cluster", "ClusterSpec", "DeadNodeError",
-           "DeadlineExceeded", "DEFAULT_CLIENT_OVERHEAD_S", "RpcTimeout"]
+           "DeadlineExceeded", "DEFAULT_CLIENT_OVERHEAD_S", "RpcTimeout",
+           "TimerWheel"]
 
 #: Client-side CPU per operation (driver serialization, thread wake-up).
 #: The paper's methodology section is explicit that client-side latency
@@ -57,7 +59,7 @@ _EXPIRED = object()
 _TIMED_OUT = object()
 
 
-class RpcTimeout(Exception):
+class RpcTimeout(ModelledFailure):
     """An RPC did not complete within its deadline."""
 
 
@@ -71,7 +73,7 @@ class DeadlineExceeded(RpcTimeout):
     """
 
 
-class DeadNodeError(Exception):
+class DeadNodeError(ModelledFailure):
     """An RPC without a deadline targeted a dead node."""
 
 
@@ -92,9 +94,10 @@ class AsyncCall(Event):
     timer's) dispatch, so the result itself never costs a queue event.
     """
 
-    __slots__ = ("proc",)
+    __slots__ = ("proc", "_watchers")
 
-    def __init__(self, env: Environment, proc: Any) -> None:
+    def __init__(self, env: Environment, proc: Any,
+                 watchers: Optional[dict] = None) -> None:
         self.env = env
         self.callbacks = []
         self._value = _PENDING
@@ -103,6 +106,9 @@ class AsyncCall(Event):
         #: The underlying RPC body process (``None`` for a call that
         #: failed before send, e.g. a pre-spent deadline).
         self.proc = proc
+        #: The :class:`TimerWheel` table this call's expiry watch sits
+        #: in while the call is pending (``None``: no timeout).
+        self._watchers = watchers
 
     @property
     def is_alive(self) -> bool:
@@ -122,16 +128,79 @@ class AsyncCall(Event):
         if self.proc is not None:
             # Late body outcomes (including failures) are noise now.
             self.proc._defused = True
+        if self._watchers is not None:
+            del self._watchers[self]
         self._value = Interrupt(cause)
         self.env._schedule(self, URGENT, 0.0)
 
     def _settle(self, value: Any) -> None:
         """Complete inline with ``value`` (called from kernel dispatch)."""
+        if self._watchers is not None:
+            del self._watchers[self]
         self._value = value
         callbacks = self.callbacks
         self.callbacks = None
         for callback in callbacks:
             callback(self)
+
+
+class TimerWheel:
+    """Shared RPC timeouts: one kernel event per distinct expiry instant.
+
+    A replication fan-out issues R RPCs at the same instant with the
+    same timeout; batching them onto one timer event cuts R-1 timer
+    allocations *and* R-1 queue entries per fan-out.  An RPC racing an
+    expiry registers a zero-argument *watcher* in that timer's table
+    (:meth:`timer`; keyed by whatever the RPC settles through) and
+    deletes it the moment it settles, so a pending timer references
+    in-flight RPCs only — a finished RPC's state dies by reference
+    count, not when its timeout would have fired.  The timer itself
+    still fires, as an empty event, when every watcher has left.
+
+    Non-``exact`` expiries are rounded *up* onto a wheel whose tick is
+    1/32 of the requested wait — the hashed-timer-wheel scheme
+    production RPC stacks use (Netty/Cassandra tick every ~100 ms),
+    where a timeout is a failure detector, never a precision clock.
+    Rounding up means a timer is never early, at most ~3% late; in
+    exchange every RPC issued within the same tick shares one queue
+    entry instead of allocating its own never-to-fire timeout.
+    ``exact`` is for deadline-driven waits, where the remaining budget
+    must not be silently extended.
+    """
+
+    __slots__ = ("env", "_pending")
+
+    def __init__(self, env: Environment) -> None:
+        self.env = env
+        #: Absolute fire time -> (pending timeout, its watcher table);
+        #: dropped as the timeout fires.
+        self._pending: dict[float, tuple[Timeout, dict]] = {}
+
+    def timer(self, wait_s: float, exact: bool = False) -> tuple[Timeout, dict]:
+        """The timeout firing ``wait_s`` (or a hair later) from now and
+        its watcher table; insertion order is firing order."""
+        env = self.env
+        pending = self._pending
+        fire_at = env._now + wait_s
+        if not exact:
+            tick = wait_s * 0.03125
+            fire_at = ceil(fire_at / tick) * tick
+        entry = pending.get(fire_at)
+        if entry is None:
+            watchers: dict = {}
+
+            def _fire(_timer: Any) -> None:
+                del pending[fire_at]
+                # Walk a snapshot: an expiry can resume a process inline
+                # that settles or cancels other watched RPCs mid-walk
+                # (their watchers then find nothing left to do).
+                for expire in tuple(watchers.values()):
+                    expire()
+
+            timer = Timeout(env, fire_at - env._now)
+            timer.callbacks.append(_fire)
+            entry = pending[fire_at] = (timer, watchers)
+        return entry
 
 
 @dataclass(frozen=True)
@@ -165,47 +234,7 @@ class Cluster:
         #: Requests that arrived at the callee after their deadline and
         #: were abandoned before the handler ran.
         self.abandoned_rpcs = 0
-        #: Absolute fire time -> pending shared timeout.  A replication
-        #: fan-out issues R RPCs at the same instant with the same
-        #: timeout; batching them onto one timer event cuts R-1 timer
-        #: allocations *and* R-1 queue entries per fan-out.
-        self._timers: dict[float, Any] = {}
-        self._timer_prune_at = 256
-
-    def _shared_timer(self, wait_s: float, exact: bool = False):
-        """A timeout firing ``wait_s`` (or a hair later) from now.
-
-        Timeout events are multi-subscriber, so every RPC racing against
-        the same absolute expiry can watch one queue entry.  Entries are
-        pruned lazily once fired (the dict stays bounded by the number of
-        distinct in-flight expiry times).
-
-        Non-``exact`` expiries are rounded *up* onto a wheel whose tick
-        is 1/32 of the requested wait — the hashed-timer-wheel scheme
-        production RPC stacks use (Netty/Cassandra tick every ~100 ms),
-        where a timeout is a failure detector, never a precision clock.
-        Rounding up means a timer is never early, at most ~3% late; in
-        exchange every RPC issued within the same tick shares one queue
-        entry instead of allocating its own never-to-fire timeout.
-        ``exact`` is for deadline-driven waits, where the remaining
-        budget must not be silently extended.
-        """
-        fire_at = self.env.now + wait_s
-        if not exact:
-            tick = wait_s * 0.03125
-            fire_at = ceil(fire_at / tick) * tick
-        timer = self._timers.get(fire_at)
-        if timer is None or timer.callbacks is None:
-            timer = self.env.timeout(fire_at - self.env.now)
-            self._timers[fire_at] = timer
-            if len(self._timers) > self._timer_prune_at:
-                # Amortized O(1): double the threshold relative to the
-                # live set so the rebuild cost stays a vanishing
-                # fraction of inserts.
-                self._timers = {t: e for t, e in self._timers.items()
-                                if e.callbacks is not None}
-                self._timer_prune_at = max(256, 2 * len(self._timers))
-        return timer
+        self._wheel = TimerWheel(env)
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
@@ -327,13 +356,12 @@ class Cluster:
         # Instead of an AnyOf race (a condition allocation plus an extra
         # queue event on every RPC), wait on the body directly and let
         # the shared timer interrupt this process if it fires while the
-        # body is still the wait target.  The `_target is body` guard
-        # disarms the timer automatically the moment the caller moves on
-        # (completion, interruption or termination).
-        timer = self._shared_timer(wait_s, exact=deadline_first)
+        # body is still the wait target.  The watch is dropped the moment
+        # the caller moves on (completion, interruption or termination).
+        timer, watchers = self._wheel.timer(wait_s, exact=deadline_first)
         caller = env.active_process
 
-        def _expire(_timer: Any, caller: Any = caller, body: Any = body) -> None:
+        def _expire(caller: Any = caller, body: Any = body) -> None:
             if caller._target is body:
                 # Guarded delivery: with a propagated deadline the body
                 # can fail (server-side DeadlineExceeded) at the *same*
@@ -343,7 +371,7 @@ class Cluster:
                 # crash whatever it is doing now.
                 caller.interrupt(_TIMED_OUT, if_waiting_on=body)
 
-        timer.callbacks.append(_expire)
+        watchers[body] = _expire
         try:
             result = yield body
         except Interrupt as exc:
@@ -354,17 +382,21 @@ class Cluster:
             if exc.cause is not _TIMED_OUT:
                 # Hedge-loser cancellation: the caller abandoned this RPC.
                 raise
-            if deadline_first:
-                raise DeadlineExceeded(
-                    f"rpc {verb!r} to node {dst.node_id} exceeded its "
-                    f"deadline")
-            raise RpcTimeout(f"rpc {verb!r} to node {dst.node_id} timed "
-                             f"out after {timeout}s")
-        if result is not _NO_RESPONSE and result is not _EXPIRED:
+            result = _TIMED_OUT
+        finally:
+            del watchers[body]
+        if result is _NO_RESPONSE or result is _EXPIRED:
+            # Dead callee or server-side abandonment: the caller still
+            # waits out its own timer (unless that is firing right now) —
+            # as one more watcher, woken in registration order.
+            if timer.callbacks is not None:
+                expired = AsyncCall(env, None, watchers)
+                watchers[expired] = partial(expired._settle, None)
+                yield expired
+        elif result is not _TIMED_OUT:
             return result
-        # Dead callee or server-side abandonment: the caller still waits
-        # out its own timer before giving up.
-        yield timer
+        # Raised outside the ``except`` above: no implicit ``__context__``
+        # chaining the Interrupt (and this frame) to the timeout.
         if deadline_first:
             raise DeadlineExceeded(
                 f"rpc {verb!r} to node {dst.node_id} exceeded its deadline")
@@ -406,13 +438,13 @@ class Cluster:
                            response_bytes, deadline=deadline,
                            src_cpu_s=src_cpu_s),
             name=verb, eager=True)
-        result = AsyncCall(env, body)
-        if wait_s is not None:
-            timer = self._shared_timer(wait_s, exact=deadline_first)
-
-            def _expire(_timer: Any) -> None:
+        watchers = (self._wheel.timer(wait_s, exact=deadline_first)[1]
+                    if wait_s is not None else None)
+        result = AsyncCall(env, body, watchers)
+        if watchers is not None:
+            def _expire() -> None:
                 if result._value is not _PENDING:
-                    return
+                    return  # settled earlier in this very timer walk
                 body._defused = True
                 if deadline_first:
                     result._settle(DeadlineExceeded(
@@ -423,9 +455,7 @@ class Cluster:
                         f"rpc {verb!r} to node {dst.node_id} timed out "
                         f"after {timeout}s"))
 
-            timer.callbacks.append(_expire)
-        else:
-            timer = None
+            watchers[result] = _expire
 
         def _finish(_body: Any) -> None:
             if result._value is not _PENDING:
@@ -437,8 +467,9 @@ class Cluster:
             if _body._ok:
                 if value is _NO_RESPONSE or value is _EXPIRED:
                     # Dead callee or server-side abandonment: the caller
-                    # still waits out its own timer (matches call()).
-                    if timer is None:
+                    # still waits out its own timer (matches call()), so
+                    # the watch stays.
+                    if watchers is None:
                         result._settle(DeadNodeError(
                             f"rpc {verb!r} to dead node {dst.node_id} "
                             f"(no timeout set)"))

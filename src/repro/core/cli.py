@@ -380,8 +380,8 @@ def cmd_energy(args) -> int:
 
 def cmd_perf(args) -> int:
     """Kernel perf trajectory: run the microbenchmark suite + calibrated
-    stress cell, write ``BENCH_perf.json``, and (optionally) gate
-    against a committed baseline."""
+    stress cell, optionally write the JSON report (``--out``) and gate
+    against a committed baseline (``--baseline``)."""
     def progress(name: str, record: dict) -> None:
         print(f"perf: {name}: {record['per_s']:,.0f} {record['unit']}/s "
               f"({record['wall_s']:.3f}s)", file=sys.stderr, flush=True)
@@ -615,9 +615,10 @@ CAMPAIGNS: tuple[Campaign, ...] = (
              "trajectory artifact)",
              cmd_perf, options=("quick",),
              extra=(
-                 _opt("--out", metavar="PATH", default="BENCH_perf.json",
-                      help="write the JSON report to PATH (default "
-                           "BENCH_perf.json; '' disables)"),
+                 _opt("--out", metavar="PATH",
+                      help="also write the JSON report to PATH (default: "
+                           "no file, so the committed BENCH_perf.json is "
+                           "only ever replaced on purpose)"),
                  _opt("--baseline", metavar="PATH",
                       help="compare against a baseline BENCH_perf.json "
                            "and exit 1 on regression"),

@@ -10,7 +10,7 @@ from repro.hdfs.block import DfsFile
 from repro.hdfs.client import WAL_SEGMENT_BYTES, DfsClient
 from repro.hbase.region import Region
 from repro.keyspace import token_of
-from repro.sim.kernel import AnyOf, Environment, Event
+from repro.sim.kernel import AnyOf, Environment, Event, ModelledFailure
 from repro.sim.resources import BoundedResource, Resource
 
 __all__ = ["GroupCommitWal", "NotServingRegion", "RegionServer"]
@@ -19,7 +19,7 @@ __all__ = ["GroupCommitWal", "NotServingRegion", "RegionServer"]
 _HANDLER_CPU_S = 1.2e-5
 
 
-class NotServingRegion(Exception):
+class NotServingRegion(ModelledFailure):
     """The addressed region is not here, or no longer covers the key.
 
     HBase's ``NotServingRegionException``: the client's META cache is

@@ -17,6 +17,7 @@ from repro.sim.kernel import (
     Environment,
     Event,
     Interrupt,
+    ModelledFailure,
     Process,
     SimulationError,
     Timeout,
@@ -33,6 +34,7 @@ __all__ = [
     "Event",
     "Interrupt",
     "KernelTracer",
+    "ModelledFailure",
     "PriorityResource",
     "Process",
     "Resource",

@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Generator
 from heapq import heappush
+from types import GeneratorType
 from typing import Any, Callable, Optional
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
+    "ModelledFailure",
     "Process",
     "SimulationError",
     "Timeout",
@@ -52,7 +54,18 @@ class SimulationError(Exception):
     """Raised for kernel misuse (yielding non-events, double triggers...)."""
 
 
-class Interrupt(Exception):
+class ModelledFailure(Exception):
+    """Marker base for failures the simulation *models* (a timeout, a
+    shed request, a cancelled wait) rather than bugs.
+
+    They travel as values, so :meth:`Process._finalize` drops their
+    traceback once delivered: it names no defect, and it would keep every
+    frame it crossed — and through those the failed process itself —
+    alive until the cyclic collector runs.
+    """
+
+
+class Interrupt(ModelledFailure):
     """Raised inside a process that another process interrupted.
 
     The ``cause`` attribute carries the value passed to
@@ -236,7 +249,8 @@ class Process(Event):
 
     def __init__(self, env: "Environment", generator: Generator,
                  name: Optional[str] = None, eager: bool = False) -> None:
-        if not hasattr(generator, "throw"):
+        if generator.__class__ is not GeneratorType \
+                and not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
         self.env = env
         self.callbacks = []
@@ -327,6 +341,13 @@ class Process(Event):
             callback(self)
         if not self._ok and not self._defused:
             raise self._value
+        value = self._value
+        # Raised or returned (the fan-out convention), a delivered
+        # modelled failure is a plain value from here on; dropped after
+        # the waiters ran because throwing it into one adds that waiter's
+        # frames.  (``isinstance`` without the call: once per process.)
+        if ModelledFailure in value.__class__.__mro__:
+            value.__traceback__ = None
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value (or exception) of ``event``."""

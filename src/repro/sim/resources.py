@@ -31,13 +31,14 @@ from __future__ import annotations
 import heapq
 from typing import Any, Optional
 
-from repro.sim.kernel import Environment, Event, SimulationError, _PENDING
+from repro.sim.kernel import (Environment, Event, ModelledFailure,
+                              SimulationError, _PENDING)
 
 __all__ = ["BoundedResource", "Container", "Overloaded", "PriorityResource",
            "Request", "Resource", "Store"]
 
 
-class Overloaded(Exception):
+class Overloaded(ModelledFailure):
     """A bounded queue rejected a request (load shed, not a timeout).
 
     Raised synchronously by :meth:`BoundedResource.request` so the caller

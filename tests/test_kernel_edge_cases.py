@@ -91,6 +91,29 @@ class TestProcessEdgeCases:
 
         assert env.run(until=env.process(proc(env))) == "instant"
 
+    def test_non_generator_process_rejected(self, env):
+        for not_a_generator in (None, 42, [env.timeout(1)], lambda: None):
+            with pytest.raises(SimulationError, match="is not a generator"):
+                env.process(not_a_generator)
+
+    def test_generator_like_object_accepted(self, env):
+        """The plain-generator fast path falls back to duck typing."""
+        class Countdown:
+            def __init__(self, n):
+                self.n = n
+
+            def send(self, _value):
+                if self.n == 0:
+                    raise StopIteration("liftoff")
+                self.n -= 1
+                return env.timeout(1)
+
+            def throw(self, exc):  # pragma: no cover - never interrupted
+                raise exc
+
+        assert env.run(until=env.process(Countdown(3))) == "liftoff"
+        assert env.now == 3
+
     def test_deeply_chained_yield_from(self, env):
         def level(n):
             if n == 0:

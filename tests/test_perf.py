@@ -118,6 +118,11 @@ class TestPerfCli:
         assert args.baseline == "b.json"
         assert args.max_regression == pytest.approx(0.4)
 
+    def test_out_defaults_to_no_file(self):
+        """A bare ``repro-bench perf`` from the repo root must not
+        overwrite the committed ``BENCH_perf.json`` baseline."""
+        assert build_parser().parse_args(["perf", "--quick"]).out is None
+
     @pytest.fixture(scope="class")
     def tiny_report(self, tmp_path_factory):
         """One real ``perf`` CLI run at a tiny scale, reused across tests."""

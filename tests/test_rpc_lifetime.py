@@ -1,0 +1,301 @@
+"""Object lifetime of the RPC transport.
+
+An RPC owns its state until it *settles*, not until its timeout would
+have fired: the shared timer wheel holds watchers for in-flight RPCs
+only, and a modelled failure (timeout, shed, cancel) is a value without
+a traceback — so a finished RPC's object graph dies by reference count.
+
+Everything here is host-independent.  The cyclic collector is switched
+off for the duration of each test, so "gone" means "freed by reference
+count"; live objects are counted through ``gc.get_objects()`` (kernel
+events carry ``__slots__`` without ``__weakref__``).
+"""
+
+import gc
+import traceback
+from dataclasses import replace
+
+import pytest
+
+from repro.cassandra.coordinator import Coordinator
+from repro.cluster.topology import (AsyncCall, Cluster, ClusterSpec,
+                                    RpcTimeout)
+from repro.core.config import default_stress_config, scaled_stress_storage
+from repro.core.experiment import ExperimentSession
+from repro.sim.kernel import AllOf, Environment, Interrupt, Process
+from repro.sim.resources import Overloaded
+from repro.sim.rng import RngRegistry
+
+N = 25
+
+
+@pytest.fixture(autouse=True)
+def no_cyclic_gc():
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+def make(n_nodes=3):
+    env = Environment()
+    return env, Cluster(env, ClusterSpec(n_nodes=n_nodes), RngRegistry(5))
+
+
+def live(env, cls):
+    """Instances of exactly ``cls`` belonging to ``env`` still in memory
+    (each node's ``disk-flusher`` daemon is not counted)."""
+    return sum(1 for obj in gc.get_objects()
+               if type(obj) is cls and obj.env is env
+               and getattr(obj, "name", None) != "disk-flusher")
+
+
+def watching(cluster):
+    """(pending shared timers, watchers registered on them)."""
+    pending = cluster._wheel._pending
+    return len(pending), sum(len(table) for _, table in pending.values())
+
+
+def echo(payload):
+    return payload
+    yield  # pragma: no cover
+
+
+def shed(payload):
+    raise Overloaded("queue full")
+    yield  # pragma: no cover
+
+
+class TestSettledRpcsAreReleased:
+    def test_finished_calls_die_by_refcount(self):
+        env, cluster = make()
+        a, b, c = cluster.nodes
+        b.register("echo", echo)
+        c.register("echo", echo)
+
+        def client():
+            for i in range(N):
+                assert (yield from cluster.call(a, b, "echo", i,
+                                                timeout=10.0)) == i
+            calls = [cluster.call_async(a, (b, c)[i % 2], "echo", i,
+                                        timeout=10.0) for i in range(N)]
+            yield AllOf(env, calls)
+            return [call.value for call in calls]
+
+        assert env.run(until=env.process(client())) == list(range(N))
+        assert env.now < 1.0
+        # The 10 s timers are all still pending — and watch nothing.
+        timers, watchers = watching(cluster)
+        assert timers >= 1 and watchers == 0
+        assert live(env, Process) == 0
+        assert live(env, AsyncCall) == 0
+
+    def test_shed_calls_die_by_refcount_and_carry_no_traceback(self):
+        env, cluster = make()
+        a, b, _ = cluster.nodes
+        b.register("shed", shed)
+        seen = []
+
+        def client():
+            for _ in range(N):
+                try:
+                    yield from cluster.call(a, b, "shed", timeout=10.0)
+                except Overloaded as exc:
+                    seen.append(type(exc))
+            calls = [cluster.call_async(a, b, "shed", timeout=10.0)
+                     for _ in range(N)]
+            yield AllOf(env, calls)
+            return [call.value for call in calls]
+
+        values = env.run(until=env.process(client()))
+        assert seen == [Overloaded] * N
+        assert all(type(v) is Overloaded and v.__traceback__ is None
+                   for v in values)
+        assert watching(cluster)[1] == 0
+        del values
+        assert live(env, Process) == 0
+        assert live(env, AsyncCall) == 0
+
+    def test_local_catching_value_has_no_traceback(self):
+        env = Environment()
+
+        def local_read():
+            yield env.timeout(0.001)
+            raise Overloaded("local queue full")
+
+        # _local_catching reads nothing off the coordinator.
+        proc = env.process(Coordinator._local_catching(None, local_read()))
+        value = env.run(until=proc)
+        assert type(value) is Overloaded and value.__traceback__ is None
+        del proc, value
+        assert live(env, Process) == 0
+
+    def test_watchers_equal_rpcs_in_flight(self):
+        env, cluster = make(4)
+        a, b, c, d = cluster.nodes
+        cluster.kill(d.node_id)
+
+        def slow(payload):
+            yield env.timeout(0.5)
+            return payload
+
+        for node in (b, c, d):
+            node.register("echo", echo)
+            node.register("slow", slow)
+
+        def sync_client(dst, verb):
+            try:
+                yield from cluster.call(a, dst, verb, timeout=10.0)
+            except RpcTimeout:
+                pass
+
+        def fanout():
+            yield AllOf(env, [cluster.call_async(a, dst, verb, timeout=10.0)
+                              for dst in (b, c, d)
+                              for verb in ("echo", "slow")])
+
+        env.process(fanout())
+        for dst in (b, c, d):
+            env.process(sync_client(dst, "echo"))
+            env.process(sync_client(dst, "slow"))
+        env.run(until=0.1)
+        # In flight: the two slow handlers (x2: async + sync) and every
+        # call to the dead node, which waits out its timer (2 + 2).
+        assert watching(cluster)[1] == 8
+        # The pending AllOf holds all six fan-out calls, settled or not;
+        # the other two are the dead-node sync callers' timer waits.
+        assert live(env, AsyncCall) == 6 + 2
+        env.run(until=1.0)
+        assert watching(cluster)[1] == 4
+        env.run(until=12.0)
+        assert watching(cluster) == (0, 0)
+        assert live(env, Process) == 0
+        assert live(env, AsyncCall) == 0
+
+
+class TestCellsDoNotAccumulateRpcState:
+    @pytest.mark.parametrize("db", ["cassandra", "hbase"])
+    def test_live_processes_are_a_sliver_of_the_rpcs_issued(self, db):
+        config = replace(
+            default_stress_config(db, "read_update", seed=3),
+            record_count=300, operation_count=500, n_threads=8, n_nodes=5,
+            storage=scaled_stress_storage(300, 1000, 4), settle_s=0.5)
+        session = ExperimentSession(config)
+        session.load()
+        result = session.run_cell()
+        assert result.operations >= 400   # 500 issued, warm-up excluded
+        rpcs = session.cluster.rpc_count
+        assert rpcs >= 500
+        # Before the fix every RPC body of the run was still reachable
+        # from a pending 2-10 s timer (~100% of rpc_count).
+        gc.collect()
+        assert live(session.env, Process) < 0.05 * rpcs
+        assert watching(session.cluster)[1] < 0.05 * rpcs
+
+
+class TestNothingGotQuieter:
+    def test_unexpected_failure_still_crashes_with_its_traceback(self):
+        env, cluster = make()
+        a, b, _ = cluster.nodes
+
+        def handler(payload):
+            yield env.timeout(0.001)
+            raise ValueError("genuine bug")
+
+        b.register("bug", handler)
+        cluster.call_async(a, b, "bug", timeout=10.0)   # nobody waits
+        with pytest.raises(ValueError, match="genuine bug") as info:
+            env.run()
+        frames = traceback.extract_tb(info.value.__traceback__)
+        raising = handler.__code__.co_firstlineno + 2
+        assert (frames[-1].name, frames[-1].lineno) == ("handler", raising)
+
+    def test_unhandled_modelled_failure_keeps_its_traceback_too(self):
+        env = Environment()
+
+        def worker():
+            yield env.timeout(0.001)
+            raise Overloaded("nobody is listening")
+
+        env.process(worker())
+        with pytest.raises(Overloaded) as info:
+            env.run()
+        assert traceback.extract_tb(info.value.__traceback__)[-1].name \
+            == "worker"
+
+    def test_dead_node_timeouts_fire_at_the_same_instant(self):
+        """1 s timeout issued at t=0.01 rounds up onto the 1/32 s wheel."""
+        env, cluster = make()
+        a, b, _ = cluster.nodes
+        b.register("echo", echo)
+        cluster.kill(b.node_id)
+        outcome = {}
+
+        def sync_client():
+            yield env.timeout(0.01)
+            try:
+                yield from cluster.call(a, b, "echo", timeout=1.0)
+            except RpcTimeout as exc:
+                outcome["sync"] = (env.now, type(exc), exc.__context__)
+
+        def async_client():
+            yield env.timeout(0.01)
+            value = yield cluster.call_async(a, b, "echo", timeout=1.0)
+            outcome["async"] = (env.now, type(value), value.__traceback__)
+
+        env.process(sync_client())
+        env.process(async_client())
+        env.run()
+        assert outcome == {"sync": (1.03125, RpcTimeout, None),
+                           "async": (1.03125, RpcTimeout, None)}
+        # Woken in registration order: the async watch (t=0.01) precedes
+        # the sync caller's wait-out (registered once b's silence showed).
+        assert list(outcome) == ["async", "sync"]
+        assert watching(cluster) == (0, 0)
+
+    def test_slow_callee_times_out_without_exception_context(self):
+        env, cluster = make()
+        a, b, _ = cluster.nodes
+
+        def slow(payload):
+            yield env.timeout(5.0)
+
+        b.register("slow", slow)
+
+        def client():
+            try:
+                yield from cluster.call(a, b, "slow", timeout=1.0)
+            except RpcTimeout as exc:
+                return env.now, exc.__context__
+
+        assert env.run(until=env.process(client())) == (1.0, None)
+        assert watching(cluster)[1] == 0
+
+    def test_hedge_loser_interrupt_leaves_no_watcher(self):
+        env, cluster = make()
+        a, b, c = cluster.nodes
+        b.register("echo", echo)
+
+        def slow(payload):
+            yield env.timeout(0.5)
+            return "late"
+
+        c.register("echo", slow)
+
+        def client():
+            primary = cluster.call_async(a, b, "echo", "fast", timeout=10.0)
+            hedge = cluster.call_async(a, c, "echo", "slow", timeout=10.0)
+            assert watching(cluster)[1] == 2
+            first = yield primary
+            assert watching(cluster)[1] == 1
+            hedge.interrupt("lost the race")
+            assert watching(cluster)[1] == 0
+            hedge.interrupt("twice is harmless")
+            return first, (yield hedge)
+
+        first, lost = env.run(until=env.process(client()))
+        assert first == "fast"
+        assert type(lost) is Interrupt and lost.cause == "lost the race"
+        env.run(until=1.0)   # the loser drains server-side, quietly
+        assert watching(cluster)[1] == 0
+        assert live(env, AsyncCall) == 0
