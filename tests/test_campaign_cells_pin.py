@@ -1,0 +1,198 @@
+"""Cell-identity pin: every campaign builds exactly these cells.
+
+For every campaign x {full, quick} scale x database, the SHA-256 of the
+canonical JSON of every cell's ``(key, label, resolved config, runs,
+warm, collect_db_stats)``.  No simulation runs, so this is milliseconds;
+with the engine untouched, equal cells mean (by the determinism the
+replay pin proves) equal payloads — so a refactor of the campaign layer
+that keeps these digests has altered no result.
+
+The digests were recorded at commit 0277d37, before the campaign table
+replaced the per-campaign builders; re-record one only when a campaign's
+cells are *meant* to change.
+"""
+
+import hashlib
+import json
+from dataclasses import asdict
+
+import pytest
+
+from repro.cluster.failure import DC_FAULT_KINDS, FAULT_KINDS
+from repro.core.config import config_to_dict
+from repro.core.sweep import (ADAPTIVE_POLICIES, CHECK_CL_MODES,
+                              CONSISTENCY_MODES, ELASTIC_SCENARIOS,
+                              GEO_CL_MODES, GEO_SCENARIOS,
+                              QUICK_ADAPTIVE_SCALE, QUICK_CHECK_SCALE,
+                              QUICK_ELASTIC_SCALE, QUICK_ENERGY_SCALE,
+                              QUICK_FAILOVER_SCALE, QUICK_GEO_SCALE,
+                              QUICK_SCALE, QUICK_SURGE_SCALE,
+                              QUICK_TAIL_SCALE, SCALE_MODES,
+                              STRESS_WORKLOAD_ORDER, SURGE_MODES,
+                              SURGE_SCENARIOS, TAIL_MODES, TAIL_SCENARIOS,
+                              AdaptiveScale, CheckScale, ElasticScale,
+                              EnergyScale, FailoverScale, GeoScale,
+                              SurgeScale, SweepScale, TailScale,
+                              adaptive_cells, check_cells,
+                              consistency_sweep_cells, energy_cells,
+                              failover_cells, geo_cells, micro_sweep_cells,
+                              scale_cells, stress_sweep_cells, surge_cells,
+                              tail_cells)
+
+NODE_FAULT_KINDS = tuple(kind for kind in FAULT_KINDS
+                         if kind not in DC_FAULT_KINDS)
+BOTH = ("hbase", "cassandra")
+
+#: campaign -> (full scale, quick scale, databases, cells(db, scale)).
+#: Every axis is pinned at its full legal range (a superset of the CLI
+#: default), so no reachable cell escapes the digest.
+BUILDERS = {
+    "fig1": (SweepScale(), QUICK_SCALE, BOTH,
+             lambda db, scale: micro_sweep_cells(db, range(1, 7), scale)),
+    "fig2": (SweepScale(), QUICK_SCALE, BOTH,
+             lambda db, scale: stress_sweep_cells(db, range(1, 7), scale,
+                                                  STRESS_WORKLOAD_ORDER)),
+    "fig3": (SweepScale(), QUICK_SCALE, ("cassandra",),
+             lambda db, scale: consistency_sweep_cells(
+                 scale, STRESS_WORKLOAD_ORDER, 3, CONSISTENCY_MODES)),
+    "failover": (FailoverScale(), QUICK_FAILOVER_SCALE, BOTH,
+                 lambda db, scale: failover_cells(db, NODE_FAULT_KINDS,
+                                                  scale)),
+    "tail": (TailScale(), QUICK_TAIL_SCALE, BOTH,
+             lambda db, scale: tail_cells(
+                 db, scale, TAIL_MODES, TAIL_SCENARIOS + ("healthy",))),
+    "check": (CheckScale(), QUICK_CHECK_SCALE, BOTH,
+              lambda db, scale: [
+                  cell
+                  for mode in sorted(CHECK_CL_MODES)
+                  for fault in (None,) + NODE_FAULT_KINDS
+                  for no_repair in (False, True)
+                  for cell in check_cells(db, mode=mode, seeds=3,
+                                          fault=fault, no_repair=no_repair,
+                                          scale=scale)]),
+    "adaptive": (AdaptiveScale(), QUICK_ADAPTIVE_SCALE, ("cassandra",),
+                 lambda db, scale: adaptive_cells(ADAPTIVE_POLICIES, scale)),
+    "geo": (GeoScale(), QUICK_GEO_SCALE, ("cassandra",),
+            lambda db, scale: geo_cells(tuple(GEO_CL_MODES), GEO_SCENARIOS,
+                                        scale)),
+    "surge": (SurgeScale(), QUICK_SURGE_SCALE, BOTH,
+              lambda db, scale: surge_cells(db, scale, SURGE_MODES,
+                                            SURGE_SCENARIOS)),
+    "scale": (ElasticScale(), QUICK_ELASTIC_SCALE, BOTH,
+              lambda db, scale: scale_cells(db, scale, SCALE_MODES,
+                                            ELASTIC_SCENARIOS)),
+    "energy": (EnergyScale(), QUICK_ENERGY_SCALE, BOTH,
+               lambda db, scale: energy_cells(db, scale)),
+}
+
+PINS = {
+    "fig1/full/hbase":
+        "4b7ac6ed1d134b90dda851cb9a7fadab6e2da16a766057bec0f55b3879176999",
+    "fig1/full/cassandra":
+        "e78be144e399246d4e8a6ebdea7f169c3c3ea4f1b2444feec6f5c21df9770d76",
+    "fig1/quick/hbase":
+        "2fb0550ff8db7bf8c66034967023899953009ac68a52fc3f00a65a9882661c73",
+    "fig1/quick/cassandra":
+        "367c8635739cf0f4c506b55ba29bfb50b4bcc4efc5777a9697d20cd0da994eaf",
+    "fig2/full/hbase":
+        "543b37e8f0d2b219067e1cd610737d271b48109d8ea69d531334b9f1710b1bc4",
+    "fig2/full/cassandra":
+        "a2a8db2dc6942004780c7ddbbbb2b40d4d7015e72da427873fdfc2f14dc66faa",
+    "fig2/quick/hbase":
+        "542256ad6daffdc3492d7d2f45a4a79b30a4491877d4a86bceb90b15911998b6",
+    "fig2/quick/cassandra":
+        "4495535634ce17a7d62dc4588ce5045c149c9bdaa37a18193138b2a6603468ca",
+    "fig3/full/cassandra":
+        "954b6b0044bda625411b5e62f67266b36d64987c81e93660aec430d63b00d5a1",
+    "fig3/quick/cassandra":
+        "3e2987361a3d75fc8d76b96a0ce2535310a12068e4040ffa50f4c2d35ec5ad12",
+    "failover/full/hbase":
+        "0d24800882ec1098a196b7f8cd9d424df4f4aed248061e91355ab89f8354c5e5",
+    "failover/full/cassandra":
+        "868541f8a30d1fce5e1f91bc55622ca86f0f9232587d77c99dc7a2048757d50b",
+    "failover/quick/hbase":
+        "d97a181e0501aae6d44ef0551bbe1f03360cf81ef96f955c6c10c2955fdb2e06",
+    "failover/quick/cassandra":
+        "60cdbb642965104f053a1ea3d4c906e7131ca5467b1b81f6b01df0d5a38ef41f",
+    "tail/full/hbase":
+        "b88c5348430463b5c2d2c830fe030d9c3ab70081b6804a2b5ddc33bb2737daa6",
+    "tail/full/cassandra":
+        "d8483a234b19ef51ed5419d02b8c82d1afa95861072aae26180a8f23351128ec",
+    "tail/quick/hbase":
+        "38a29c85bd5e56f6c828d00bf636c94b67a9b0e988168260eff8d6b86fd91a4f",
+    "tail/quick/cassandra":
+        "cb541990680f41c81d77f3a9f0cb3b9abd81c3ba8ad2eb09d708ecede4ece1ac",
+    "check/full/hbase":
+        "c7cc047a723e800562f645081ffc32d78ca08c5b3aac5337948d1f239dcae36b",
+    "check/full/cassandra":
+        "1e622ffa988bedf0b396c30f646ab7fce34b5a3a9409844968b4339b8d3b7de6",
+    "check/quick/hbase":
+        "a2cb3410722245a3a7e86697e118de2d6a34db48ff1212fb6cd6728fa7e1215c",
+    "check/quick/cassandra":
+        "9115087cd2127ddff5cd49ecd1eb97ae2d18c7d989f1a9a8aa17f082c9ea7606",
+    "adaptive/full/cassandra":
+        "55d56a01d7de41e06ff6bfe12445aee8e7f93f4bab8233cfb3426c81d2122ae1",
+    "adaptive/quick/cassandra":
+        "5d7860d30d0e85fc4b6b65c59681666503e69e4f130d0f7c9e7ae832b3498e89",
+    "geo/full/cassandra":
+        "ff90e9f57164cf947fb965dd18b2ffffe6b03e436151b957c8e972875382fa0d",
+    "geo/quick/cassandra":
+        "3585e76af359d48d4f65019a617ecfd9fc13ebf881d91c249e20f54ad5bd151b",
+    "surge/full/hbase":
+        "fff1b9a7a4feaaea0ada233a6238b955a8464fb974c7da8004c5723f9e33f880",
+    "surge/full/cassandra":
+        "7782ef4c66b5f37758b8e8e277b544fc95ef4fa29dcd32bda894d202d133df7f",
+    "surge/quick/hbase":
+        "77f6a3177d1aa66c825906bb922944462da19054eaa16d95cb15f295edd9e9e4",
+    "surge/quick/cassandra":
+        "a9577c71f5c52aa2ce72e0b52efabc30af3147f9f3108949182095f2e51ae0a5",
+    "scale/full/hbase":
+        "9b16e69ac2f5b7b6e1ae7f87459d9ee0ce43eab9559ca72a8c2ebaeacfee5742",
+    "scale/full/cassandra":
+        "85a822cd7b70994860d1725cdbb5986c9492724c96a3906ce5224970a02ebdf5",
+    "scale/quick/hbase":
+        "3f2220527de1fa4ff7b2f5b66d20735172d31ca0695384cadfafc0e7393a4760",
+    "scale/quick/cassandra":
+        "03a2d3c1699c6dc177088c1f1bae377b3fecde7600ac2a8acde13ed454391409",
+    "energy/full/hbase":
+        "8436e059b6ec9c7e2358e69ab52f4ac9755815dcd397718570c9791f4575221d",
+    "energy/full/cassandra":
+        "92e36708225e13fe78ecfec6f49b3cd3199d002c5d5f528285823bd5bbb33ed4",
+    "energy/quick/hbase":
+        "b801d6159fc8653f1b5938cb32b7e98e09230309f0ee7af29df9aedc71e73e47",
+    "energy/quick/cassandra":
+        "fb843a8eee441466185b88937d956d90d81d1bbe0cf308a3b93e7a7554e0824c",
+}
+
+
+def cells_digest(cells) -> str:
+    identity = [
+        [cell.key, cell.label, config_to_dict(cell.config),
+         [asdict(run) for run in cell.runs],
+         asdict(cell.warm) if cell.warm is not None else None,
+         cell.collect_db_stats]
+        for cell in cells]
+    canonical = json.dumps(identity, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _cases():
+    for name, (full, quick, dbs, _build) in BUILDERS.items():
+        for scale_name, scale in (("full", full), ("quick", quick)):
+            for db in dbs:
+                yield f"{name}/{scale_name}/{db}", name, scale, db
+
+
+CASES = list(_cases())
+
+
+def test_every_case_is_pinned():
+    assert sorted(PINS) == sorted(case[0] for case in CASES)
+
+
+@pytest.mark.parametrize("case_id,name,scale,db", CASES,
+                         ids=[case[0] for case in CASES])
+def test_campaign_cells_unchanged(case_id, name, scale, db):
+    cells = BUILDERS[name][3](db, scale)
+    assert cells, "a campaign with no cells pins nothing"
+    assert cells_digest(cells) == PINS[case_id]
