@@ -18,9 +18,8 @@ Shape assertions (the subsystem's contract):
 import pytest
 from conftest import run_once
 
-from repro.core.report import render_adaptive_sweep
-from repro.core.sweep import (ADAPTIVE_POLICIES, QUICK_ADAPTIVE_SCALE,
-                              AdaptiveScale, adaptive_sweep)
+from repro.core.sweep import (QUICK_ADAPTIVE_SCALE, AdaptiveScale,
+                              render_campaign, run_campaign)
 
 
 def _adaptive_scale(bench_scale):
@@ -45,10 +44,10 @@ def _sweep(benchmark, bench_scale, bench_runner, sweeps):
 
     def compute():
         if "result" not in sweeps:
-            sweeps["result"] = adaptive_sweep(ADAPTIVE_POLICIES, scale,
-                                              runner=bench_runner)
+            sweeps["result"] = run_campaign("adaptive", scale=scale,
+                                            runner=bench_runner)
             print()
-            print(render_adaptive_sweep(sweeps["result"]))
+            print(render_campaign("adaptive", sweeps["result"]))
         return sweeps["result"]
 
     return run_once(benchmark, compute), scale

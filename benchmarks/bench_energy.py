@@ -21,9 +21,8 @@ import pytest
 from conftest import run_once
 
 from repro.consistency.oracle import unexpected_violations
-from repro.core.report import render_energy_sweep
 from repro.core.sweep import (QUICK_ENERGY_SCALE, EnergyScale,
-                              energy_sweep)
+                              render_campaign, run_campaign)
 
 
 def _energy_scale(bench_scale):
@@ -44,9 +43,10 @@ def _sweep(benchmark, bench_scale, bench_runner, sweeps, *dbs):
     def compute():
         for db in dbs:
             if db not in sweeps:
-                sweeps[db] = energy_sweep(db, scale, runner=bench_runner)
+                sweeps[db] = run_campaign("energy", db, scale,
+                                          runner=bench_runner)
                 print()
-                print(render_energy_sweep(db, sweeps[db]))
+                print(render_campaign("energy", sweeps[db], db))
         return {db: sweeps[db] for db in dbs}
 
     return run_once(benchmark, compute), scale

@@ -16,8 +16,7 @@ Shape assertions (the paper's findings):
 import pytest
 from conftest import run_once
 
-from repro.core.report import render_micro_sweep
-from repro.core.sweep import replication_micro_sweep
+from repro.core.sweep import render_campaign, run_campaign
 
 
 def curve(sweep, op):
@@ -30,12 +29,12 @@ def sweeps(bench_scale):
 
 
 def _run(db, bench_scale, bench_runner, benchmark, sweeps):
-    result = run_once(benchmark, lambda: replication_micro_sweep(
-        db, bench_scale.replication_factors, bench_scale.sweep,
-        runner=bench_runner))
+    result = run_once(benchmark, lambda: run_campaign(
+        "fig1", db, bench_scale.sweep, runner=bench_runner,
+        rfs=bench_scale.replication_factors))
     sweeps[db] = result
     print()
-    print(render_micro_sweep(db, result))
+    print(render_campaign("fig1", result, db))
     return result
 
 

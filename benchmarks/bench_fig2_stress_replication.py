@@ -17,8 +17,7 @@ import statistics
 import pytest
 from conftest import run_once
 
-from repro.core.report import render_stress_sweep
-from repro.core.sweep import replication_stress_sweep
+from repro.core.sweep import render_campaign, run_campaign
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +26,12 @@ def results(bench_scale):
 
 
 def _run(db, bench_scale, bench_runner, benchmark, results):
-    sweep = run_once(benchmark, lambda: replication_stress_sweep(
-        db, bench_scale.replication_factors, bench_scale.sweep,
-        runner=bench_runner))
+    sweep = run_once(benchmark, lambda: run_campaign(
+        "fig2", db, bench_scale.sweep, runner=bench_runner,
+        rfs=bench_scale.replication_factors))
     results[db] = sweep
     print()
-    print(render_stress_sweep(db, sweep))
+    print(render_campaign("fig2", sweep, db))
     return sweep
 
 

@@ -22,8 +22,7 @@ QUORUM-vs-ONE spreads.
 import pytest
 from conftest import run_once
 
-from repro.core.report import render_consistency_sweep
-from repro.core.sweep import consistency_stress_sweep
+from repro.core.sweep import render_campaign, run_campaign
 
 
 @pytest.fixture(scope="module")
@@ -38,11 +37,11 @@ def peaks(sweep, workload):
 def test_fig3_consistency_rounds(benchmark, bench_scale, bench_runner,
                                  sweep_result):
     sweep = run_once(benchmark,
-                     lambda: consistency_stress_sweep(bench_scale.sweep,
-                                                      runner=bench_runner))
+                     lambda: run_campaign("fig3", scale=bench_scale.sweep,
+                                          runner=bench_runner))
     sweep_result["sweep"] = sweep
     print()
-    print(render_consistency_sweep(sweep))
+    print(render_campaign("fig3", sweep))
 
     # F6b: scan workload is insensitive to the consistency level.
     scan = peaks(sweep, "scan_short_ranges")

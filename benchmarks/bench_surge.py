@@ -21,8 +21,8 @@ import pytest
 from conftest import run_once
 
 from repro.consistency.oracle import unexpected_violations
-from repro.core.report import render_surge_sweep
-from repro.core.sweep import QUICK_SURGE_SCALE, SurgeScale, surge_sweep
+from repro.core.sweep import (QUICK_SURGE_SCALE, SurgeScale,
+                              render_campaign, run_campaign)
 
 
 def _surge_scale(bench_scale):
@@ -35,11 +35,11 @@ def sweeps(bench_scale):
 
 
 def _run(db, bench_scale, bench_runner, benchmark, sweeps):
-    result = run_once(benchmark, lambda: surge_sweep(
-        db, _surge_scale(bench_scale), runner=bench_runner))
+    result = run_once(benchmark, lambda: run_campaign(
+        "surge", db, _surge_scale(bench_scale), runner=bench_runner))
     sweeps[db] = result
     print()
-    print(render_surge_sweep(db, result))
+    print(render_campaign("surge", result, db))
     return result
 
 

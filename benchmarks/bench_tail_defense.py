@@ -16,8 +16,8 @@ Shape assertions:
 import pytest
 from conftest import run_once
 
-from repro.core.report import render_tail_sweep
-from repro.core.sweep import QUICK_TAIL_SCALE, TailScale, tail_sweep
+from repro.core.sweep import (QUICK_TAIL_SCALE, TailScale, render_campaign,
+                              run_campaign)
 
 
 def _tail_scale(bench_scale):
@@ -30,11 +30,11 @@ def sweeps(bench_scale):
 
 
 def _run(db, bench_scale, bench_runner, benchmark, sweeps):
-    result = run_once(benchmark, lambda: tail_sweep(
-        db, _tail_scale(bench_scale), runner=bench_runner))
+    result = run_once(benchmark, lambda: run_campaign(
+        "tail", db, _tail_scale(bench_scale), runner=bench_runner))
     sweeps[db] = result
     print()
-    print(render_tail_sweep(db, result))
+    print(render_campaign("tail", result, db))
     return result
 
 

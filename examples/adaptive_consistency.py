@@ -18,11 +18,12 @@ Run:  python examples/adaptive_consistency.py
 from repro.core import ExperimentSession
 from repro.core.report import render_adaptive_timeline, render_table
 from repro.core.sweep import (ADAPTIVE_POLICIES, QUICK_ADAPTIVE_SCALE,
-                              adaptive_cells)
+                              campaign_cells)
 
 
 def run_policy(policy: str):
-    cell = adaptive_cells((policy,), QUICK_ADAPTIVE_SCALE)[0]
+    cell = campaign_cells("adaptive", scale=QUICK_ADAPTIVE_SCALE,
+                          policies=(policy,))[0]
     session = ExperimentSession(cell.config)
     session.load()
     run = cell.runs[0]

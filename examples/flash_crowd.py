@@ -24,7 +24,7 @@ Run:  python examples/flash_crowd.py
 """
 
 from repro.core.report import render_table
-from repro.core.sweep import SurgeScale, surge_sweep
+from repro.core.sweep import SurgeScale, run_campaign
 
 #: Small enough to finish in about a minute, large enough that the
 #: spike overwhelms the cluster's disk-bound capacity.
@@ -40,9 +40,9 @@ def main() -> None:
           f"op timeout {SCALE.op_timeout_s * 1e3:g} ms, "
           f"{SCALE.retries} retries")
     print()
-    sweep = surge_sweep("cassandra", SCALE,
-                        modes=("undefended", "full"),
-                        scenarios=("flash_crowd",))
+    sweep = run_campaign("surge", "cassandra", SCALE,
+                         modes=("undefended", "full"),
+                         scenarios=("flash_crowd",))
     rows = []
     for mode, summary in sweep["flash_crowd"].items():
         tier = summary["clienttier"]

@@ -10,14 +10,14 @@ Run:  python examples/replication_sweep.py
 """
 
 from repro.core.report import render_table
-from repro.core.sweep import SweepScale, replication_micro_sweep
+from repro.core.sweep import SweepScale, run_campaign
 
 SCALE = SweepScale(record_count=6_000, operation_count=1_000, n_nodes=12)
 REPLICATION_FACTORS = (1, 2, 3, 4, 5, 6)
 
 
 def main() -> None:
-    sweeps = {db: replication_micro_sweep(db, REPLICATION_FACTORS, SCALE)
+    sweeps = {db: run_campaign("fig1", db, SCALE, rfs=REPLICATION_FACTORS)
               for db in ("hbase", "cassandra")}
 
     rows = []

@@ -10,7 +10,7 @@ fitted curves.
 """
 
 from repro.cluster.disk import Disk, DiskSpec
-from repro.cluster.energy import EnergyMeter, EnergyReport, PowerSpec
+from repro.energy import EnergyMeter, EnergyReport, PowerSpec
 from repro.cluster.failure import (FAULT_KINDS, CrashEvent, CrashFault,
                                    DiskDegradeFault, FailureInjector,
                                    FaultSchedule, FaultSpec, FlapFault,

@@ -27,6 +27,7 @@ from repro.cluster.failure import FaultSpec
 from repro.consistency.oracle import (SESSION_KINDS, VIOLATION_KINDS,
                                       unexpected_violations)
 from repro.core.config import default_check_config, scaled_stress_storage
+from repro.core.report import energy_rollup, run_energy
 from repro.core.runner import CellRunner, CellSpec, RunSpec, execute_cell
 
 __all__ = [
@@ -155,20 +156,8 @@ def check_sweep(db: str, mode: str = "QUORUM",
     violating: list[int] = []
     unexpected = 0
     inconclusive = 0
-    total_j = total_usd = 0.0
-    total_ops = 0
-    metered = False
-    for cell, payload in zip(cells, payloads):
-        summary = payload["runs"][0]
-        # Energy rolls up across the matrix: joules add, so the
-        # aggregate is sum-of-joules over sum-of-ops.  ``.get`` keeps
-        # payloads cached before the energy meter renderable.
-        energy, cost = summary.get("energy"), summary.get("cost")
-        if energy is not None and cost is not None:
-            metered = True
-            total_j += energy["total_j"]
-            total_usd += cost["total_usd"]
-            total_ops += summary["ops"]
+    summaries = [payload["runs"][0] for payload in payloads]
+    for cell, summary in zip(cells, summaries):
         report = summary["consistency"]
         per_seed[cell.key] = report
         # Canonical kind order, not dict order: a payload that
@@ -208,8 +197,6 @@ def check_sweep(db: str, mode: str = "QUORUM",
         "replay_verified": replay_verified,
         "example_violations": (per_seed[min_repro]["examples"][:10]
                                if min_repro is not None else []),
-        "joules_per_op": (total_j / total_ops
-                          if metered and total_ops else None),
-        "usd_per_mops": (total_usd / (total_ops / 1e6)
-                         if metered and total_ops else None),
+        # Energy rolls up across the whole matrix.
+        **energy_rollup(map(run_energy, summaries)),
     }

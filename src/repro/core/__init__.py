@@ -1,7 +1,7 @@
 """Experiment orchestration: the repository's public face.
 
 Compose a cluster, a database, and a YCSB workload into one experiment
-cell (:mod:`repro.core.experiment`), sweep the paper's knobs
+cell (:mod:`repro.core.experiment`), run any campaign of the table
 (:mod:`repro.core.sweep`), and render paper-style tables
 (:mod:`repro.core.report`).
 """
@@ -22,20 +22,16 @@ from repro.core.experiment import (
 )
 from repro.core.failover import StalenessProbe, build_failover_report
 from repro.core.report import (
-    render_adaptive_sweep,
     render_adaptive_timeline,
     render_check_report,
-    render_consistency_sweep,
-    render_failover_sweep,
     render_failover_timeline,
-    render_micro_sweep,
     render_series,
-    render_stress_sweep,
     render_table,
 )
 from repro.core.sla import Sla, SlaReport, evaluate_sla, max_throughput_under_sla
 from repro.core.sweep import (
     ADAPTIVE_POLICIES,
+    CAMPAIGNS,
     CHECK_CL_MODES,
     CONSISTENCY_MODES,
     FAILOVER_CL_MODES,
@@ -44,23 +40,24 @@ from repro.core.sweep import (
     QUICK_FAILOVER_SCALE,
     QUICK_SCALE,
     AdaptiveScale,
+    Campaign,
     CheckScale,
     FailoverScale,
     SweepScale,
-    adaptive_sweep,
+    campaign_cells,
     check_sweep,
-    consistency_stress_sweep,
-    failover_sweep,
-    replication_micro_sweep,
-    replication_stress_sweep,
+    render_campaign,
+    run_campaign,
 )
 
 __all__ = [
     "ADAPTIVE_POLICIES",
+    "CAMPAIGNS",
     "CHECK_CL_MODES",
     "CONSISTENCY_MODES",
     "AdaptiveConfig",
     "AdaptiveScale",
+    "Campaign",
     "CassandraConfig",
     "CheckScale",
     "ExperimentConfig",
@@ -77,27 +74,20 @@ __all__ = [
     "SlaReport",
     "StalenessProbe",
     "SweepScale",
-    "adaptive_sweep",
     "build_failover_report",
+    "campaign_cells",
     "check_sweep",
-    "consistency_stress_sweep",
     "default_check_config",
     "default_micro_config",
     "default_stress_config",
     "evaluate_sla",
-    "failover_sweep",
     "max_throughput_under_sla",
-    "render_adaptive_sweep",
     "render_adaptive_timeline",
+    "render_campaign",
     "render_check_report",
-    "render_consistency_sweep",
-    "render_failover_sweep",
     "render_failover_timeline",
-    "render_micro_sweep",
     "render_series",
-    "render_stress_sweep",
     "render_table",
-    "replication_micro_sweep",
-    "replication_stress_sweep",
+    "run_campaign",
     "run_experiment",
 ]

@@ -1,38 +1,65 @@
-"""Paper-style text rendering of sweep results."""
+"""Paper-style text rendering of sweep results.
+
+The generic table renderer is :func:`repro.core.sweep.render_campaign`:
+it walks a sweep's leaves (:func:`walk_leaves`) and builds one row per
+leaf from the campaign's key columns plus a column list — a tuple of
+``(header, extractor(leaf))`` pairs.  This module holds those column
+lists, the per-leaf detail blocks behind ``--timeline``/``--digests``,
+and the two renderers that are not one-row-per-leaf tables (Figure 3's
+transposed panels and the ``check`` verdict).
+"""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
-__all__ = ["render_adaptive_sweep", "render_adaptive_timeline",
-           "render_energy_sweep", "render_geo_sweep",
-           "render_check_report", "render_consistency_sweep",
-           "render_failover_sweep", "render_failover_timeline",
-           "render_micro_sweep", "render_progress", "render_scale_sweep",
-           "render_series",
-           "render_stress_sweep", "render_surge_sweep", "render_table",
-           "render_tail_sweep"]
+__all__ = ["ADAPTIVE_COLUMNS", "ENERGY_CAMPAIGN_COLUMNS", "ENERGY_COLUMNS",
+           "FAILOVER_COLUMNS", "GEO_COLUMNS", "SCALE_COLUMNS",
+           "STRESS_COLUMNS", "SURGE_COLUMNS", "TAIL_COLUMNS",
+           "adaptive_digests", "adaptive_slo_line", "adaptive_timelines",
+           "energy_rollup", "failover_timelines", "micro_columns",
+           "render_adaptive_timeline", "render_check_report",
+           "render_consistency_panels", "render_failover_timeline",
+           "render_progress", "render_series", "render_table",
+           "run_energy", "walk_leaves"]
 
 
-def _energy_cell(summary: dict, key: str):
-    """One J/op or $/Mops table cell from a run summary.
+def walk_leaves(sweep: dict, depth: int,
+                key: tuple = ()) -> Iterator[tuple[tuple, dict]]:
+    """Yield ``(key, leaf)`` for every leaf ``depth`` levels into a
+    nested sweep dict, in insertion order."""
+    if depth == 0:
+        yield key, sweep
+        return
+    for part, child in sweep.items():
+        yield from walk_leaves(child, depth - 1, key + (part,))
 
-    Three cases: a number (normal), ``None`` stored under the key (an
-    all-errors run — the energy was real, the rate is unbounded, shown
-    as ``max``), or the key missing entirely (a payload cached before
-    the energy meter existed — shown as ``-``, never a KeyError).
+
+def run_energy(summary: dict) -> tuple[float, float, int]:
+    """One run summary's ``(joules, usd, ops)`` for :func:`energy_rollup`."""
+    return (summary["energy"]["total_j"], summary["cost"]["total_usd"],
+            summary["ops"])
+
+
+def energy_rollup(parts: Iterable[tuple[float, float, int]]) -> dict:
+    """Aggregate joules/op + $/Mops over ``(joules, usd, ops)`` triples.
+
+    Energy totals add, so the only correct multi-run aggregate is
+    sum-of-joules over sum-of-ops (averaging the per-run ratios would
+    overweight small runs).  Both keys are ``None`` — rendered as
+    ``max`` — when no operation completed.
     """
-    if key not in summary:
-        return "-"
-    value = summary[key]
-    return value if value is not None else None
-
-
-def _energy_cols(summary: dict) -> list:
-    """The ``J/op`` + ``$/Mops`` cell pair every campaign table carries."""
-    return [_energy_cell(summary, "joules_per_op"),
-            _energy_cell(summary, "usd_per_mops")]
-
+    total_j = usd = 0.0
+    ops = 0
+    for joules, dollars, count in parts:
+        total_j += joules
+        usd += dollars
+        ops += count
+    if not ops:
+        return {"joules_per_op": None, "usd_per_mops": None}
+    return {"joules_per_op": total_j / ops,
+            "usd_per_mops": usd / (ops / 1e6)}
 
 def render_progress(event, completed: Optional[int] = None) -> str:
     """One line per finished sweep cell (a :class:`CellProgress`).
@@ -80,57 +107,52 @@ def render_series(name: str, series: Sequence[tuple[float, float]],
     return render_table([x_label, y_label], rows, title=name)
 
 
-def _micro_energy_cols(per_op: dict, ops: Sequence[str]) -> list:
-    """Row-level J/op + $/Mops for one RF of the micro sweep.
+# -- column lists: (header, extractor(leaf)) ---------------------------------
 
-    Joules add across the op tests, so the row aggregate is recovered
-    as sum(J/op x ops) over sum(ops); rows from payloads that predate
-    the energy meter render as ``-``.
-    """
-    total_j = usd = 0.0
-    count = 0
-    for op in ops:
-        cell = per_op[op]
-        jop = cell.get("joules_per_op")
-        usd_m = cell.get("usd_per_mops")
-        n = cell.get("ops", 0)
-        if jop is None or usd_m is None or not n:
-            continue
-        total_j += jop * n
-        usd += usd_m * (n / 1e6)
-        count += n
-    if not count:
-        return ["-", "-"]
-    return [total_j / count, usd / (count / 1e6)]
+#: The ``J/op`` + ``$/Mops`` pair every campaign table carries.  A
+#: ``None`` (an all-errors run: the energy was real, the rate is
+#: unbounded) renders as ``max``.
+ENERGY_COLUMNS = (("J/op", itemgetter("joules_per_op")),
+                  ("$/Mops", itemgetter("usd_per_mops")))
+
+_LATENCY_COLUMNS = (("p50 ms", itemgetter("p50_ms")),
+                    ("p95 ms", itemgetter("p95_ms")),
+                    ("p99 ms", itemgetter("p99_ms")),
+                    ("p99.9 ms", itemgetter("p999_ms")))
 
 
-def render_micro_sweep(db: str, sweep: dict) -> str:
-    """Figure 1 panel: mean latency (ms) by op, one row per RF."""
-    ops = sorted({op for per_op in sweep.values() for op in per_op})
-    # Keep the paper's op order where present.
-    preferred = [op for op in ("update", "read", "insert", "scan") if op in ops]
-    ops = preferred + [op for op in ops if op not in preferred]
-    headers = ["RF"] + [f"{op} ms" for op in ops] + ["J/op", "$/Mops"]
-    rows = []
-    for rf in sorted(sweep):
-        rows.append([rf] + [sweep[rf][op]["mean_ms"] for op in ops]
-                    + _micro_energy_cols(sweep[rf], ops))
-    return render_table(headers, rows,
-                        title=f"Fig.1 ({db}): micro latency vs replication factor")
+def _at(section: str, field: str):
+    """Extractor for ``leaf[section][field]``."""
+    return lambda leaf: leaf[section][field]
 
 
-def render_stress_sweep(db: str, sweep: dict) -> str:
-    """Figure 2 panel: peak throughput and latency, one row per (RF, workload)."""
-    headers = ["RF", "workload", "peak ops/s", "latency ms", "J/op",
-               "$/Mops"]
-    rows = []
-    for rf in sorted(sweep):
-        for workload, cell in sweep[rf].items():
-            rows.append([rf, workload, cell["peak_throughput"],
-                         cell["latency_ms"]] + _energy_cols(cell))
-    return render_table(
-        headers, rows,
-        title=f"Fig.2 ({db}): stress peak throughput/latency vs replication factor")
+def _errors_of(summary: dict, *kinds: str) -> int:
+    """How many of a run's errors were of the named kinds."""
+    by_type = summary.get("errors_by_type", {})
+    return sum(by_type.get(kind, 0) for kind in kinds)
+
+
+def _row_energy(per_op: dict) -> dict:
+    # Joules add across the op tests, so a Figure 1 row's aggregate is
+    # recovered as sum(J/op x ops) over sum(ops).
+    return energy_rollup(
+        ((cell["joules_per_op"] or 0.0) * cell["ops"],
+         (cell["usd_per_mops"] or 0.0) * (cell["ops"] / 1e6), cell["ops"])
+        for cell in per_op.values())
+
+
+def micro_columns(ops: Sequence[str]) -> tuple:
+    """Figure 1: mean latency (ms) per op test, one row per RF."""
+    return (*((f"{op} ms", lambda per_op, op=op: per_op[op]["mean_ms"])
+              for op in ops),
+            ("J/op", lambda per_op: _row_energy(per_op)["joules_per_op"]),
+            ("$/Mops", lambda per_op: _row_energy(per_op)["usd_per_mops"]))
+
+
+#: Figure 2: peak throughput and its latency per (RF, workload).
+STRESS_COLUMNS = (("peak ops/s", itemgetter("peak_throughput")),
+                  ("latency ms", itemgetter("latency_ms")),
+                  *ENERGY_COLUMNS)
 
 
 def _opt_s(value) -> str:
@@ -138,29 +160,218 @@ def _opt_s(value) -> str:
     return "-" if value is None else f"{value:.1f}"
 
 
-def render_failover_sweep(db: str, sweep: dict) -> str:
-    """Availability report table, one row per (fault kind, CL mode).
+#: Availability report, one row per (fault kind, CL mode).
+FAILOVER_COLUMNS = (
+    ("ops", itemgetter("ops")),
+    ("errors", _at("failover", "errors")),
+    ("detect s", lambda s: _opt_s(s["failover"]["time_to_detection_s"])),
+    ("recover s", lambda s: _opt_s(s["failover"]["time_to_recovery_s"])),
+    ("err win s", lambda s: f"{s['failover']['error_window_s']:.1f}"),
+    ("stale", _at("failover", "stale_reads")),
+    *ENERGY_COLUMNS,
+    ("errors by type", lambda s: ", ".join(
+        f"{name}={count}" for name, count
+        in s["failover"]["errors_by_type"].items()) or "-"),
+)
 
-    ``sweep`` is :func:`repro.core.sweep.failover_sweep` output.
-    """
-    headers = ["fault", "CL", "ops", "errors", "detect s", "recover s",
-               "err win s", "stale", "J/op", "$/Mops", "errors by type"]
-    rows = []
-    for kind in sweep:
-        for mode, summary in sweep[kind].items():
-            report = summary["failover"]
-            by_type = ", ".join(f"{name}={count}" for name, count
-                                in report["errors_by_type"].items()) or "-"
-            rows.append([kind, mode, summary["ops"], report["errors"],
-                         _opt_s(report["time_to_detection_s"]),
-                         _opt_s(report["time_to_recovery_s"]),
-                         f"{report['error_window_s']:.1f}",
-                         report["stale_reads"]]
-                        + _energy_cols(summary) + [by_type])
-    return render_table(
-        headers, rows,
-        title=f"Failover campaign ({db}): availability under injected faults")
+#: ``errors_by_type`` names folded into the tail table's "timeout"
+#: column (a spent budget gets its own column; everything else is
+#: lumped under "other").
+_TAIL_TIMEOUT_KINDS = ("RpcTimeout", "ReadTimeoutError", "WriteTimeoutError")
 
+#: Tail-defense table, one row per (scenario, defense mode).  Besides
+#: the latency distribution up to p99.9 the table splits the error
+#: count into shed requests (``Overloaded`` — a bounded queue or the
+#: coordinator's admission control refusing work), spent end-to-end
+#: budgets (``DeadlineExceeded``) and plain timeouts.
+TAIL_COLUMNS = (
+    ("ops/s", itemgetter("throughput")),
+    *_LATENCY_COLUMNS,
+    ("errors", itemgetter("errors")),
+    ("shed", lambda s: _errors_of(s, "Overloaded")),
+    ("deadline", lambda s: _errors_of(s, "DeadlineExceeded")),
+    ("timeout", lambda s: _errors_of(s, *_TAIL_TIMEOUT_KINDS)),
+    ("other", lambda s: s["errors"] - _errors_of(
+        s, "Overloaded", "DeadlineExceeded", *_TAIL_TIMEOUT_KINDS)),
+    *ENERGY_COLUMNS,
+)
+
+
+def _checked(field: str):
+    """One ``consistency`` report field; ``-`` on an unchecked run (HBase
+    cells skip the oracle under surge — see its cell builder)."""
+    return lambda summary: (summary.get("consistency") or {}).get(field, "-")
+
+
+def _tier(summary: dict, part: str, field: str, default):
+    """One ``clienttier`` accounting field (absent on closed-loop runs)."""
+    return ((summary.get("clienttier") or {}).get(part) or {}).get(
+        field, default)
+
+
+def _cache_hit_rate(summary: dict):
+    rate = _tier(summary, "cache", "hit_rate", None)
+    return "-" if rate is None else rate
+
+
+#: Flash-crowd survival table, one row per (scenario, defense mode).
+#: The offered/goodput pair is the campaign's headline (open-loop
+#: arrivals make offered load an input, so collapse reads as goodput
+#: falling away from it); the refusal columns then say *where* the
+#: missing requests went — shed by the leveling queue, clipped by the
+#: rate limiter, fast-failed by an open breaker, or lost to store-side
+#: errors — and the cache hit rate plus max staleness lag price what
+#: the cache-aside tier traded for the surviving goodput.
+SURGE_COLUMNS = (
+    ("offered", lambda s: s.get("offered", s["ops"])),
+    ("goodput/s", itemgetter("throughput")),
+    *_LATENCY_COLUMNS,
+    ("shed", lambda s: _errors_of(s, "LoadShed")),
+    ("ratelim", lambda s: _errors_of(s, "RateLimited")),
+    ("breaker", lambda s: _errors_of(s, "BreakerOpen")),
+    ("retried", lambda s: _tier(s, "retry", "retried", 0)),
+    ("store err", lambda s: s["errors"] - _errors_of(
+        s, "LoadShed", "RateLimited", "BreakerOpen")),
+    ("cache hr", _cache_hit_rate),
+    ("max lag s", _checked("max_staleness_lag_s")),
+    *ENERGY_COLUMNS,
+)
+
+
+def _scale_report(field: str, default=0):
+    return lambda summary: (summary.get("scale") or {}).get(field, default)
+
+
+def _phase(name: str):
+    """``p95/ops`` for one transfer phase; ``-`` when it saw no traffic."""
+    def cell(summary: dict) -> str:
+        stats = _scale_report("phases", {})(summary).get(name) or {}
+        if not stats.get("ops"):
+            return "-"
+        return f"{stats['p95_ms']:.1f}/{stats['ops']}"
+    return cell
+
+
+#: Elasticity table, one row per (arrival scenario, scale mode).  The
+#: before/during/after columns cut each run's latency by the engine's
+#: transfer windows (``p95 ms/ops``), so the cost of the move itself
+#: and the payoff once the new node serves read side by side against
+#: the static control; the transfer columns say what the move was
+#: (bytes streamed into a Cassandra joiner, regions rebalanced onto an
+#: HBase server) and the stale/violation columns price its safety.
+SCALE_COLUMNS = (
+    ("offered", lambda s: s.get("offered", s["ops"])),
+    ("goodput/s", itemgetter("throughput")),
+    ("actions", _scale_report("actions")),
+    ("xfer s", lambda s: f"{_scale_report('transfer_s', 0.0)(s):.2f}"),
+    ("streamed B", _scale_report("streamed_bytes")),
+    ("moves", lambda s: (_scale_report("rebalances")(s)
+                         + _scale_report("splits")(s))),
+    ("before p95/ops", _phase("before")),
+    ("during p95/ops", _phase("during")),
+    ("after p95/ops", _phase("after")),
+    ("stale", _scale_report("stale_reads")),
+    ("viol", _checked("violations")),
+    *ENERGY_COLUMNS,
+)
+
+
+def _violations_of(kind: str):
+    return lambda summary: summary["consistency"][
+        "violations_by_kind"].get(kind, 0)
+
+
+#: Geo-replication table, one row per (CL mode, scenario, region).  It
+#: answers the campaign's three questions region by region: did the
+#: client keep serving (thr, errors), at what latency (p95/p99 — the
+#: WAN round trip shows up here when the CL has to leave the region),
+#: and what did correctness cost (unavailable = honest refusals, stale
+#: = provable staleness findings, max lag, conv = divergence that
+#: survived heal + hint replay — always a bug).
+GEO_COLUMNS = (
+    ("thr", itemgetter("throughput")),
+    ("p95 ms", itemgetter("p95_ms")),
+    ("p99 ms", itemgetter("p99_ms")),
+    ("errors", itemgetter("errors")),
+    ("unavail", lambda s: _errors_of(s, "UnavailableError")),
+    ("stale", _violations_of("stale_read")),
+    ("max lag s", _at("consistency", "max_staleness_lag_s")),
+    ("conv", _violations_of("convergence")),
+    ("strong", lambda s: "yes" if s["consistency"]["strong"] else "no"),
+    *ENERGY_COLUMNS,
+)
+
+
+def _read_cl_mix(summary: dict) -> str:
+    """Compact ``ONE 71% QUORUM 29%`` read-decision mix."""
+    by_cl = summary["decisions"]["by_cl"].get("read", {})
+    total = sum(by_cl.values())
+    if not total:
+        return "-"
+    return " ".join(f"{cl} {count / total:.0%}"
+                    for cl, count in by_cl.items())
+
+
+def _per_read(kind: str):
+    """Violations of one kind as a fraction of the run's reads."""
+    def rate(summary: dict) -> str:
+        reads = max(1, summary["consistency"]["reads"])
+        return f"{_violations_of(kind)(summary) / reads:.4f}"
+    return rate
+
+
+def _policy_counter(*names: str):
+    return lambda summary: sum(
+        summary["decisions"]["policy_counters"].get(name, 0)
+        for name in names)
+
+
+#: Adaptive-consistency table, one row per (policy, offered load).
+#: Each row pairs the latency half of the SLO (achieved read p95
+#: against the declared bound) with the staleness half (oracle-checked
+#: read-your-writes / stale-read rates and the worst provable lag),
+#: plus the controller's read-decision mix and ladder activity.
+ADAPTIVE_COLUMNS = (
+    ("ops/s", itemgetter("throughput")),
+    ("read p95 ms", _at("decisions", "read_p95_ms")),
+    ("RYW rate", _per_read("read_your_writes")),
+    ("stale rate", _per_read("stale_read")),
+    ("max lag s", _at("consistency", "max_staleness_lag_s")),
+    ("esc", _policy_counter("escalations")),
+    ("decay", _policy_counter("decays", "latency_steps")),
+    *ENERGY_COLUMNS,
+    ("read CL mix", _read_cl_mix),
+)
+
+
+def adaptive_slo_line(summary: dict) -> str:
+    """The declared SLO every run of an adaptive sweep steered by."""
+    slo = summary["decisions"]["slo"]
+    return (f"SLO: p95 <= {slo['p95_ms']:g} ms, staleness <= "
+            f"{slo['staleness_s']:g} s, risk rate <= {slo['risk_rate']:g}")
+
+
+#: Energy/cost table, one row per (RF, CL round, power mode).  The
+#: J/op + $/Mops pair is the headline; the idle/sleep split and wake
+#: columns explain *where* a power mode's savings came from and what
+#: they cost in wake transitions, and the p95/lag/violation columns
+#: price the savings in latency and staleness — power management that
+#: broke the consistency guarantee or the tail would not be a win.
+ENERGY_CAMPAIGN_COLUMNS = (
+    ("ops/s", itemgetter("throughput")),
+    ("p95 ms", itemgetter("p95_ms")),
+    ("p99 ms", itemgetter("p99_ms")),
+    *ENERGY_COLUMNS,
+    ("idle J", _at("energy", "idle_j")),
+    ("sleep J", _at("energy", "sleep_j")),
+    ("wakes", _at("energy", "wakes")),
+    ("wake s", _at("energy", "wake_latency_s")),
+    ("max lag s", _at("consistency", "max_staleness_lag_s")),
+    ("viol", _at("consistency", "violations")),
+)
+
+
+# -- per-leaf detail blocks (--timeline / --digests) --------------------------
 
 def render_failover_timeline(label: str, report: dict) -> str:
     """Per-second ops/latency/error timeline with injection markers."""
@@ -180,169 +391,78 @@ def render_failover_timeline(label: str, report: dict) -> str:
     return "\n".join(lines)
 
 
-#: ``errors_by_type`` names folded into the tail table's "timeout"
-#: column (a spent budget gets its own column; everything else is
-#: lumped under "other").
-_TAIL_TIMEOUT_KINDS = ("RpcTimeout", "ReadTimeoutError", "WriteTimeoutError")
+def render_adaptive_timeline(label: str, decisions: dict) -> str:
+    """Per-window CL decision timeline next to the latency timeline.
 
-
-def render_tail_sweep(db: str, sweep: dict) -> str:
-    """Tail-defense table, one row per (scenario, defense mode).
-
-    ``sweep`` is :func:`repro.core.sweep.tail_sweep` output.  Besides
-    the latency distribution up to p99.9 the table splits the error
-    count into shed requests (``Overloaded`` — a bounded queue or the
-    coordinator's admission control refusing work), spent end-to-end
-    budgets (``DeadlineExceeded``) and plain timeouts.
+    ``decisions`` is one summary's ``decisions`` dict.  Each row is one
+    monitoring window: its read p95/exposure (from the monitor) beside
+    the CL mix of the decisions taken during it (from the decision
+    log), so escalations line up visibly with the breaches that caused
+    them.
     """
-    headers = ["scenario", "defense", "ops/s", "p50 ms", "p95 ms",
-               "p99 ms", "p99.9 ms", "errors", "shed", "deadline",
-               "timeout", "other", "J/op", "$/Mops"]
-    rows = []
-    for scenario in sweep:
-        for mode, summary in sweep[scenario].items():
-            by_type = summary.get("errors_by_type", {})
-            shed = by_type.get("Overloaded", 0)
-            spent = by_type.get("DeadlineExceeded", 0)
-            timeout = sum(by_type.get(kind, 0)
-                          for kind in _TAIL_TIMEOUT_KINDS)
-            other = summary["errors"] - shed - spent - timeout
-            rows.append([scenario, mode, summary["throughput"],
-                         summary["p50_ms"], summary["p95_ms"],
-                         summary["p99_ms"], summary["p999_ms"],
-                         summary["errors"], shed, spent, timeout, other]
-                        + _energy_cols(summary))
-    return render_table(
-        headers, rows,
-        title=f"Tail-latency defenses ({db}): "
-              "latency distribution and error budget per defense stack")
+    windows = {w["start_s"]: w for w in decisions["windows"]}
+    buckets = {b["start_s"]: b["by_cl"] for b in decisions["timeline"]}
+    lines = [f"{label}  (window {decisions['slo']['window_s']:g}s)",
+             f"{'t(s)':>7}  {'reads':>5}  {'p95 ms':>7}  {'at-risk':>7}  "
+             f"{'exposed':>7}  decisions"]
+    for start in sorted(set(windows) | set(buckets)):
+        window = windows.get(start)
+        mix = " ".join(f"{cl}={count}"
+                       for cl, count in buckets.get(start, {}).items()) or "-"
+        if window is None:
+            lines.append(f"{start:7.1f}  {'-':>5}  {'-':>7}  {'-':>7}  "
+                         f"{'-':>7}  {mix}")
+            continue
+        lines.append(f"{start:7.1f}  {window['reads']:5d}  "
+                     f"{window['read_p95_ms']:7.2f}  "
+                     f"{window['at_risk_reads']:7d}  "
+                     f"{window['exposed_reads']:7d}  {mix}")
+    return "\n".join(lines)
 
 
-def render_surge_sweep(db: str, sweep: dict) -> str:
-    """Flash-crowd survival table, one row per (scenario, defense mode).
-
-    ``sweep`` is :func:`repro.core.sweep.surge_sweep` output.  The
-    offered/goodput pair is the campaign's headline (open-loop arrivals
-    make offered load an input, so collapse reads as goodput falling
-    away from it); the refusal columns then say *where* the missing
-    requests went — shed by the leveling queue, clipped by the rate
-    limiter, fast-failed by an open breaker, or lost to store-side
-    errors — and the cache hit rate plus max staleness lag price what
-    the cache-aside tier traded for the surviving goodput.
-    """
-    headers = ["scenario", "defense", "offered", "goodput/s", "p50 ms",
-               "p95 ms", "p99 ms", "p99.9 ms", "shed", "ratelim",
-               "breaker", "retried", "store err", "cache hr",
-               "max lag s", "J/op", "$/Mops"]
-    rows = []
-    for scenario in sweep:
-        for mode, summary in sweep[scenario].items():
-            by_type = summary.get("errors_by_type", {})
-            tier = summary.get("clienttier") or {}
-            cache = tier.get("cache") or {}
-            retry = tier.get("retry") or {}
-            shed = by_type.get("LoadShed", 0)
-            ratelimited = by_type.get("RateLimited", 0)
-            breaker = by_type.get("BreakerOpen", 0)
-            store = (summary["errors"] - shed - ratelimited - breaker)
-            cons = summary.get("consistency") or {}
-            hit_rate = cache.get("hit_rate")
-            rows.append([
-                scenario, mode, summary.get("offered", summary["ops"]),
-                summary["throughput"], summary["p50_ms"],
-                summary["p95_ms"], summary["p99_ms"], summary["p999_ms"],
-                shed, ratelimited, breaker, retry.get("retried", 0),
-                store, "-" if hit_rate is None else hit_rate,
-                cons.get("max_staleness_lag_s", "-")]
-                + _energy_cols(summary))
-    return render_table(
-        headers, rows,
-        title=f"Flash-crowd survival ({db}): offered vs goodput and "
-              "refusal breakdown per defense stack")
+def failover_timelines(db: Optional[str], leaves) -> str:
+    return "\n\n".join(
+        render_failover_timeline(f"{db}/{kind}/cl={mode}",
+                                 summary["failover"])
+        for (kind, mode), summary in leaves)
 
 
-def _phase_cell(phases: dict, name: str) -> str:
-    """``p95/ops`` for one transfer phase; ``-`` when it saw no traffic."""
-    stats = phases.get(name) or {}
-    if not stats.get("ops"):
-        return "-"
-    return f"{stats['p95_ms']:.1f}/{stats['ops']}"
+def adaptive_timelines(_db: Optional[str], leaves) -> str:
+    return "\n\n".join(
+        render_adaptive_timeline(f"adaptive/{policy}/target={target:g}",
+                                 summary["decisions"])
+        for (policy, target), summary in leaves)
 
 
-def render_scale_sweep(db: str, sweep: dict) -> str:
-    """Elasticity table, one row per (arrival scenario, scale mode).
-
-    ``sweep`` is :func:`repro.core.sweep.scale_sweep` output.  The
-    before/during/after columns cut each run's latency by the engine's
-    transfer windows (``p95 ms/ops``), so the cost of the move itself
-    and the payoff once the new node serves read side by side against
-    the static control; the transfer columns say what the move was
-    (bytes streamed into a Cassandra joiner, regions rebalanced onto an
-    HBase server) and the stale/violation columns price its safety.
-    """
-    headers = ["scenario", "mode", "offered", "goodput/s", "actions",
-               "xfer s", "streamed B", "moves",
-               "before p95/ops", "during p95/ops", "after p95/ops",
-               "stale", "viol", "J/op", "$/Mops"]
-    rows = []
-    for scenario in sweep:
-        for mode, summary in sweep[scenario].items():
-            report = summary.get("scale") or {}
-            phases = report.get("phases", {})
-            cons = summary.get("consistency")
-            moves = report.get("rebalances", 0) + report.get("splits", 0)
-            rows.append([
-                scenario, mode, summary.get("offered", summary["ops"]),
-                summary["throughput"],
-                report.get("actions", 0),
-                f"{report.get('transfer_s', 0.0):.2f}",
-                report.get("streamed_bytes", 0), moves,
-                _phase_cell(phases, "before"), _phase_cell(phases, "during"),
-                _phase_cell(phases, "after"),
-                report.get("stale_reads", 0),
-                "-" if cons is None else cons["violations"]]
-                + _energy_cols(summary))
-    return render_table(
-        headers, rows,
-        title=f"Elasticity ({db}): per-phase latency across live "
-              "scale-out/in, vs the static control")
+def adaptive_digests(_db: Optional[str], leaves) -> str:
+    """Each run's decision-log digest: the determinism witness CI diffs
+    across ``--jobs`` settings."""
+    return "\n".join(
+        f"digest {policy} target={target:g} {summary['decisions']['digest']}"
+        for (policy, target), summary in leaves)
 
 
-def render_geo_sweep(sweep: dict) -> str:
-    """Geo-replication table, one row per (CL mode, scenario, region).
+# -- renderers that are not one-row-per-leaf tables ---------------------------
 
-    ``sweep`` is :func:`repro.core.sweep.geo_sweep` output.  The table
-    answers the campaign's three questions region by region: did the
-    client keep serving (thr, errors), at what latency (p95/p99 — the
-    WAN round trip shows up here when the CL has to leave the region),
-    and what did correctness cost (unavailable = honest refusals, stale
-    = provable staleness findings, max lag, conv = divergence that
-    survived heal + hint replay — always a bug).
-    """
-    headers = ["CL mode", "scenario", "region", "thr", "p95 ms",
-               "p99 ms", "errors", "unavail", "stale", "max lag s",
-               "conv", "strong", "J/op", "$/Mops"]
-    rows = []
-    for mode in sweep:
-        for scenario, regions in sweep[mode].items():
-            for region, summary in regions.items():
-                cons = summary["consistency"]
-                by_kind = cons["violations_by_kind"]
-                unavailable = summary["errors_by_type"].get(
-                    "UnavailableError", 0)
-                rows.append([
-                    mode, scenario, region, summary["throughput"],
-                    summary["p95_ms"], summary["p99_ms"],
-                    summary["errors"], unavailable,
-                    by_kind.get("stale_read", 0),
-                    cons["max_staleness_lag_s"],
-                    by_kind.get("convergence", 0),
-                    "yes" if cons["strong"] else "no"]
-                    + _energy_cols(summary))
-    return render_table(
-        headers, rows,
-        title="Geo-replication campaign (cassandra): availability, tail "
-              "latency, and staleness per client region under WAN faults")
+def render_consistency_panels(sweep: dict, _db: Optional[str] = None) -> str:
+    """Figure 3: runtime vs target throughput per consistency level,
+    one panel per workload with the modes as columns."""
+    blocks = []
+    workloads = list(dict.fromkeys(
+        name for per_workload in sweep.values() for name in per_workload))
+    for workload in workloads:
+        cells = [sweep[mode][workload] for mode in sweep]
+        rows = [[target, *(cell["series"][i][1] for cell in cells)]
+                for i, (target, _) in enumerate(cells[0]["series"])]
+        # Whole-ramp energy per mode rides below the throughput series
+        # (this table is transposed: modes are columns, so the energy
+        # "columns" land as the bottom two rows).
+        rows += [[header, *(extract(cell) for cell in cells)]
+                 for header, extract in ENERGY_COLUMNS]
+        blocks.append(render_table(
+            ["target ops/s", *sweep], rows,
+            title=f"Fig.3 (cassandra, RF=3): runtime throughput — {workload}"))
+    return "\n\n".join(blocks)
 
 
 def render_check_report(db: str, sweep: dict) -> str:
@@ -385,148 +505,3 @@ def render_check_report(db: str, sweep: dict) -> str:
                      f"{sweep['joules_per_op']:.3f} J/op, "
                      f"${sweep['usd_per_mops']:.3f}/Mops")
     return "\n".join(lines)
-
-
-def _read_cl_mix(decisions: dict) -> str:
-    """Compact ``ONE 71% QUORUM 29%`` read-decision mix."""
-    by_cl = decisions["by_cl"].get("read", {})
-    total = sum(by_cl.values())
-    if not total:
-        return "-"
-    return " ".join(f"{cl} {count / total:.0%}"
-                    for cl, count in by_cl.items())
-
-
-def render_adaptive_sweep(sweep: dict) -> str:
-    """Adaptive-consistency table, one row per (policy, offered load).
-
-    ``sweep`` is :func:`repro.core.sweep.adaptive_sweep` output.  Each
-    row pairs the latency half of the SLO (achieved read p95 against
-    the declared bound) with the staleness half (oracle-checked
-    read-your-writes / stale-read rates and the worst provable lag),
-    plus the controller's read-decision mix and ladder activity.
-    """
-    headers = ["policy", "target", "ops/s", "read p95 ms", "RYW rate",
-               "stale rate", "max lag s", "esc", "decay", "J/op",
-               "$/Mops", "read CL mix"]
-    rows = []
-    slo = None
-    for policy in sweep:
-        for target, summary in sweep[policy].items():
-            decisions = summary["decisions"]
-            slo = decisions["slo"]
-            consistency = summary["consistency"]
-            reads = max(1, consistency["reads"])
-            by_kind = consistency["violations_by_kind"]
-            counters = decisions["policy_counters"]
-            rows.append([
-                policy, target, summary["throughput"],
-                decisions["read_p95_ms"],
-                f"{by_kind.get('read_your_writes', 0) / reads:.4f}",
-                f"{by_kind.get('stale_read', 0) / reads:.4f}",
-                consistency["max_staleness_lag_s"],
-                counters.get("escalations", 0),
-                counters.get("decays", 0) + counters.get("latency_steps", 0)]
-                + _energy_cols(summary) + [_read_cl_mix(decisions)])
-    title = "Adaptive consistency (cassandra, RF=3): policy vs offered load"
-    if slo is not None:
-        title += (f"\nSLO: p95 <= {slo['p95_ms']:g} ms, staleness <= "
-                  f"{slo['staleness_s']:g} s, risk rate <= "
-                  f"{slo['risk_rate']:g}")
-    return render_table(headers, rows, title=title)
-
-
-def render_adaptive_timeline(label: str, decisions: dict) -> str:
-    """Per-window CL decision timeline next to the latency timeline.
-
-    ``decisions`` is one summary's ``decisions`` dict.  Each row is one
-    monitoring window: its read p95/exposure (from the monitor) beside
-    the CL mix of the decisions taken during it (from the decision
-    log), so escalations line up visibly with the breaches that caused
-    them.
-    """
-    windows = {w["start_s"]: w for w in decisions["windows"]}
-    buckets = {b["start_s"]: b["by_cl"] for b in decisions["timeline"]}
-    lines = [f"{label}  (window {decisions['slo']['window_s']:g}s)",
-             f"{'t(s)':>7}  {'reads':>5}  {'p95 ms':>7}  {'at-risk':>7}  "
-             f"{'exposed':>7}  decisions"]
-    for start in sorted(set(windows) | set(buckets)):
-        window = windows.get(start)
-        mix = " ".join(f"{cl}={count}"
-                       for cl, count in buckets.get(start, {}).items()) or "-"
-        if window is None:
-            lines.append(f"{start:7.1f}  {'-':>5}  {'-':>7}  {'-':>7}  "
-                         f"{'-':>7}  {mix}")
-            continue
-        lines.append(f"{start:7.1f}  {window['reads']:5d}  "
-                     f"{window['read_p95_ms']:7.2f}  "
-                     f"{window['at_risk_reads']:7d}  "
-                     f"{window['exposed_reads']:7d}  {mix}")
-    return "\n".join(lines)
-
-
-def render_consistency_sweep(sweep: dict) -> str:
-    """Figure 3: runtime vs target throughput per consistency level."""
-    blocks = []
-    workloads: list[str] = []
-    for per_workload in sweep.values():
-        for name in per_workload:
-            if name not in workloads:
-                workloads.append(name)
-    for workload in workloads:
-        headers = ["target ops/s"] + list(sweep.keys())
-        targets = [t for t, _ in next(iter(sweep.values()))[workload]["series"]]
-        rows = []
-        for i, target in enumerate(targets):
-            row = [target]
-            for mode in sweep:
-                row.append(sweep[mode][workload]["series"][i][1])
-            rows.append(row)
-        # Whole-ramp energy per mode rides below the throughput series
-        # (this table is transposed: modes are columns, so the energy
-        # "columns" land as the bottom two rows).
-        rows.append(["J/op"] + [_energy_cell(sweep[mode][workload],
-                                             "joules_per_op")
-                                for mode in sweep])
-        rows.append(["$/Mops"] + [_energy_cell(sweep[mode][workload],
-                                               "usd_per_mops")
-                                  for mode in sweep])
-        blocks.append(render_table(
-            headers, rows,
-            title=f"Fig.3 (cassandra, RF=3): runtime throughput — {workload}"))
-    return "\n\n".join(blocks)
-
-
-def render_energy_sweep(db: str, sweep: dict) -> str:
-    """Energy/cost table, one row per (RF, CL round, power mode).
-
-    ``sweep`` is :func:`repro.core.sweep.energy_sweep` output.  The
-    J/op + $/Mops pair is the headline; the idle/sleep split and wake
-    columns explain *where* a power mode's savings came from and what
-    they cost in wake transitions, and the p95/lag/violation columns
-    price the savings in latency and staleness — power management that
-    broke the consistency guarantee or the tail would not be a win.
-    """
-    headers = ["RF", "CL", "power", "ops/s", "p95 ms", "p99 ms",
-               "J/op", "$/Mops", "idle J", "sleep J", "wakes",
-               "wake s", "max lag s", "viol"]
-    rows = []
-    for rf in sorted(sweep):
-        for cl, by_power in sweep[rf].items():
-            for power, summary in by_power.items():
-                energy = summary.get("energy") or {}
-                cons = summary.get("consistency") or {}
-                rows.append([
-                    rf, cl, power, summary["throughput"],
-                    summary["p95_ms"], summary["p99_ms"]]
-                    + _energy_cols(summary)
-                    + [energy.get("idle_j", "-"),
-                       energy.get("sleep_j", "-"),
-                       energy.get("wakes", "-"),
-                       energy.get("wake_latency_s", "-"),
-                       cons.get("max_staleness_lag_s", "-"),
-                       cons.get("violations", "-")])
-    return render_table(
-        headers, rows,
-        title=f"Energy & cost ({db}): joules/op and $/Mops per "
-              "RF x CL x power mode")

@@ -52,24 +52,6 @@ __all__ = [
     "execute_cell",
 ]
 
-#: Bump when the payload schema changes (invalidates every cached cell).
-#: "2": summaries grew p50/p95/p99.9 and the errors_by_type breakdown.
-#: "3": summaries may carry a ``consistency`` report (RunSpec.check).
-#: "4": summaries may carry a ``decisions`` log (RunSpec.adaptive) and
-#: consistency reports gained ``max_staleness_lag_s``.
-#: "5": payloads carry a ``kernel`` record (processed event count) so
-#: regressions in simulation cost are visible in cached artifacts.
-#: "6": geo campaigns — RunSpec gained ``client_dc``, consistency
-#: reports gained ``client_dc``, fault specs gained ``datacenter``.
-#: "7": open-loop client tier — RunSpec gained ``open_loop``, summaries
-#: may carry ``offered``/``goodput`` and a ``clienttier`` breakdown.
-#: "8": elasticity — RunSpec gained ``scale``, configs may carry an
-#: ``elasticity`` plan, summaries may carry a per-phase ``scale`` report.
-#: "9": energy/cost — configs carry an ``energy`` power/cost model,
-#: summaries carry ``energy``/``cost`` dicts plus ``joules_per_op`` and
-#: ``usd_per_mops``.
-RESULT_VERSION = "9"
-
 #: Environment override for the cell-cache directory.
 CACHE_ENV_VAR = "REPRO_CELL_CACHE"
 
@@ -244,7 +226,6 @@ def cell_fingerprint(spec: CellSpec) -> str:
         "runs": [asdict(run) for run in spec.runs],
         "warm": asdict(spec.warm) if spec.warm is not None else None,
         "collect_db_stats": spec.collect_db_stats,
-        "result_version": RESULT_VERSION,
         "code": code_version(),
     }
     canonical = json.dumps(identity, sort_keys=True, separators=(",", ":"))

@@ -1,31 +1,37 @@
-"""Parameter sweeps: the three experiments of the paper's §4.
+"""Campaigns: every experiment of the paper's §4, and every study added
+on top of it, declared once and run through one path.
 
-Every sweep returns plain nested dicts so benchmarks can both print
-paper-style tables (:mod:`repro.core.report`) and assert on shapes.
+A campaign is one :class:`Campaign` literal in :data:`CAMPAIGNS`: its
+name and help line, the ``(full, quick)`` scale pair, the axes a caller
+may narrow (with their legal values), the databases it runs on, a cell
+builder, how the runs inside a cell extend its key, and the columns of
+its table.  Three generic functions consume the table:
 
-Each sweep is expressed in two halves:
+- :func:`campaign_cells` validates the axes and turns the requested grid
+  into :class:`~repro.core.runner.CellSpec` values — one per independent
+  ``ExperimentSession``, carrying its ordered workload sequence (the
+  paper runs its workloads "one after another" on one loaded cluster);
+- :func:`run_campaign` executes them through a
+  :class:`~repro.core.runner.CellRunner` — serially (the default),
+  across CPU cores, or out of the on-disk cell cache, all bit-identical
+  by construction — and nests the JSON-safe payloads by cell key, so
+  benchmarks can assert on shapes and ``--report`` can dump them;
+- :func:`render_campaign` prints the nested result as the campaign's
+  paper-style table.
 
-- a *cell builder* that turns the requested grid into
-  :class:`~repro.core.runner.CellSpec` values — one per independent
-  ``ExperimentSession`` (one replication factor, or one consistency
-  mode), carrying its ordered workload sequence; and
-- an *assembler* that projects the runner's JSON-safe payloads back
-  into the legacy nested-dict shape.
-
-Execution goes through a :class:`~repro.core.runner.CellRunner`, so the
-same sweep can run serially (the default), across CPU cores, or out of
-the on-disk cell cache — all bit-identical by construction.
+The CLI (:mod:`repro.core.cli`) derives every subcommand from the same
+table.  Adding a campaign is one entry plus its shape test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from repro.adaptive.policy import ADAPTIVE_POLICIES
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.cluster.elasticity import SCALE_MODES
-from repro.cluster.failure import FaultSpec
+from repro.cluster.failure import DC_FAULT_KINDS, FAULT_KINDS, FaultSpec
 # Imported here (not in repro.consistency's package init) so the sweep
 # layer exposes every campaign entrypoint while the consistency package
 # stays importable from repro.core.experiment without a cycle.
@@ -34,7 +40,9 @@ from repro.consistency.explorer import (CHECK_CL_MODES,
                                         CheckScale,
                                         check_cells,
                                         check_sweep)
-from repro.core.config import (AdaptiveConfig,
+from repro.core import report
+from repro.core.config import (MICRO_STORAGE,
+                               AdaptiveConfig,
                                ArrivalConfig,
                                CassandraConfig,
                                ClientTierConfig,
@@ -49,6 +57,7 @@ from repro.core.config import (AdaptiveConfig,
                                default_scale_config,
                                default_stress_config,
                                default_surge_config,
+                               disk_exposed_storage,
                                scaled_stress_storage)
 from repro.core.runner import CellRunner, CellSpec, RunSpec, WarmSpec
 from repro.storage.lsm import StorageSpec
@@ -57,8 +66,12 @@ from repro.ycsb.workload import STRESS_WORKLOADS
 __all__ = [
     "ADAPTIVE_POLICIES",
     "AdaptiveScale",
+    "Arg",
+    "Axis",
+    "CAMPAIGNS",
     "CHECK_CL_MODES",
     "CONSISTENCY_MODES",
+    "Campaign",
     "CheckScale",
     "ELASTIC_SCENARIOS",
     "ENERGY_CL_MODES",
@@ -71,12 +84,14 @@ __all__ = [
     "GEO_SCENARIOS",
     "GeoScale",
     "MICRO_OP_ORDER",
+    "NODE_FAULT_KINDS",
     "QUICK_ADAPTIVE_SCALE",
     "QUICK_CHECK_SCALE",
     "QUICK_ELASTIC_SCALE",
     "QUICK_ENERGY_SCALE",
     "QUICK_FAILOVER_SCALE",
     "QUICK_GEO_SCALE",
+    "QUICK_SCALE",
     "QUICK_SURGE_SCALE",
     "QUICK_TAIL_SCALE",
     "SCALE_MODES",
@@ -88,31 +103,17 @@ __all__ = [
     "TAIL_MODES",
     "TAIL_SCENARIOS",
     "TailScale",
-    "adaptive_cells",
-    "adaptive_sweep",
+    "campaign_cells",
     "check_cells",
     "check_sweep",
-    "consistency_stress_sweep",
     "elastic_arrivals",
     "elasticity_for_mode",
-    "energy_cells",
     "energy_modes",
-    "energy_sweep",
-    "failover_cells",
-    "failover_sweep",
-    "geo_cells",
-    "geo_sweep",
-    "replication_micro_sweep",
-    "replication_stress_sweep",
-    "scale_cells",
-    "scale_sweep",
+    "render_campaign",
+    "run_campaign",
     "surge_arrivals",
-    "surge_cells",
-    "surge_sweep",
     "surge_tier_for_mode",
-    "tail_cells",
     "tail_defense_for_mode",
-    "tail_sweep",
 ]
 
 #: §4.1: "the update/read/insert/scan test is run one after another".
@@ -132,6 +133,11 @@ CONSISTENCY_MODES: dict[str, tuple[ConsistencyLevel, ConsistencyLevel]] = {
     "QUORUM": (ConsistencyLevel.QUORUM, ConsistencyLevel.QUORUM),
     "write ALL": (ConsistencyLevel.ONE, ConsistencyLevel.ALL),
 }
+
+#: Fault kinds that target one node id — what the single-rack campaigns
+#: (``failover``, ``check``) can inject; the rest need a geo cluster.
+NODE_FAULT_KINDS = tuple(kind for kind in FAULT_KINDS
+                         if kind not in DC_FAULT_KINDS)
 
 
 @dataclass(frozen=True)
@@ -157,63 +163,139 @@ QUICK_SCALE = SweepScale(record_count=5_000, operation_count=1_200,
                          n_threads=12, n_nodes=8,
                          targets=(2_000.0, 8_000.0, None))
 
-#: The projection of a run summary the micro sweep reports per op.
-_MICRO_KEYS = ("mean_ms", "p99_ms", "throughput", "ops", "errors")
 
-#: Energy/cost keys carried alongside; projected with ``.get`` so
-#: payloads cached before the energy meter existed stay renderable.
-_ENERGY_KEYS = ("joules_per_op", "usd_per_mops")
+# -- shared ingredients ------------------------------------------------------
 
-
-def _run(cells: Sequence[CellSpec],
-         runner: Optional[CellRunner]) -> list[dict]:
-    return (runner or CellRunner()).run(cells)
-
-
-def _energy_rollup(summaries: Sequence[dict]) -> dict:
-    """Aggregate joules/op + $/Mops across several run summaries.
-
-    Energy totals add, so the only correct multi-run aggregate is
-    sum-of-joules over sum-of-ops (averaging the per-run ratios would
-    overweight small runs).  Both keys are ``None`` when the payloads
-    predate the energy meter.
-    """
-    total_j = usd = 0.0
-    ops = 0
-    seen = False
-    for summary in summaries:
-        energy, cost = summary.get("energy"), summary.get("cost")
-        if energy is None or cost is None:
-            continue
-        seen = True
-        total_j += energy["total_j"]
-        usd += cost["total_usd"]
-        ops += summary["ops"]
-    if not seen or not ops:
-        return {"joules_per_op": None, "usd_per_mops": None}
-    return {"joules_per_op": total_j / ops,
-            "usd_per_mops": usd / (ops / 1e6)}
+def _sized(config: ExperimentConfig, scale, **overrides) -> ExperimentConfig:
+    """``config`` at the scale's population, run length, client threads
+    and cluster size."""
+    return replace(config, **{"record_count": scale.record_count,
+                              "operation_count": scale.operation_count,
+                              "n_threads": scale.n_threads,
+                              "n_nodes": scale.n_nodes, **overrides})
 
 
-# -- Figure 1: micro benchmark vs replication ------------------------------
+def _node0_fault(kind: str, at_s: float, duration_s: float,
+                 **shape) -> FaultSpec:
+    # Node 0 is a server in both deployments (the client — and HBase's
+    # master — live on the last node), so every node fault targets it.
+    return FaultSpec(kind=kind, node_id=0, at_s=at_s, duration_s=duration_s,
+                     **shape)
 
-def micro_sweep_cells(db: str, replication_factors: Sequence[int],
-                      scale: SweepScale) -> list[CellSpec]:
+
+def _cl_values(cls: Optional[tuple]) -> dict:
+    """``RunSpec`` CL overrides for one ``(read CL, write CL)`` round."""
+    if cls is None:
+        return {}
+    read_cl, write_cl = cls
+    return {"read_cl": read_cl.value, "write_cl": write_cl.value}
+
+
+def _slo(scale) -> AdaptiveConfig:
+    """The SLO an adaptive policy steers by, as the scale declares it."""
+    return AdaptiveConfig(p95_ms=scale.p95_ms,
+                          staleness_s=scale.staleness_s,
+                          risk_rate=scale.risk_rate,
+                          window_s=scale.window_s,
+                          decay_windows=scale.decay_windows)
+
+
+#: The shape fields each open-loop arrival process reads off a scale.
+_ARRIVAL_SHAPE = {
+    "poisson": (),
+    "diurnal": ("period_s", "peak_factor"),
+    "flash_crowd": ("spike_at_s", "spike_factor", "spike_duration_s"),
+}
+
+
+def _arrivals(process: str, scale) -> ArrivalConfig:
+    return ArrivalConfig(
+        process=process, rate=scale.base_rate,
+        max_arrivals=scale.max_arrivals, n_users=scale.n_users,
+        n_tenants=scale.n_tenants,
+        **{name: getattr(scale, name) for name in _ARRIVAL_SHAPE[process]})
+
+
+def _ramp_runs(workloads: Sequence[str], scale: SweepScale,
+               **cls) -> tuple:
+    """Every workload in order, sweeping the offered target inside each."""
+    return tuple(RunSpec(workload=name, target_throughput=target, **cls)
+                 for name in workloads for target in scale.targets)
+
+
+# -- how the runs inside a cell extend its key --------------------------------
+# A splitter returns ``[(subkey, leaf), ...]`` for one executed cell; the
+# leaf lands in the nested result at ``cell.key + subkey``.
+
+def _one_run(_cell: CellSpec, summaries: list) -> list:
+    return [((), summaries[0])]
+
+
+def _per_run(field: str) -> Callable:
+    """One leaf per run, keyed by a :class:`RunSpec` field."""
+    return lambda cell, summaries: [
+        ((getattr(run, field),), summary)
+        for run, summary in zip(cell.runs, summaries)]
+
+
+#: The projection of a run summary Figure 1 reports per op.
+_MICRO_KEYS = ("mean_ms", "p99_ms", "throughput", "ops", "errors",
+               "joules_per_op", "usd_per_mops")
+
+
+def _per_op(cell: CellSpec, summaries: list) -> list:
+    return [((run.workload,), {key: summary[key] for key in _MICRO_KEYS})
+            for run, summary in zip(cell.runs, summaries)]
+
+
+def _per_workload(reduce: Callable) -> Callable:
+    """One leaf per workload: ``reduce`` over its ``(target, summary)``
+    ramp — the paper's §4.2 method."""
+    def split(cell: CellSpec, summaries: list) -> list:
+        ramps: dict = {}
+        for run, summary in zip(cell.runs, summaries):
+            ramps.setdefault(run.workload, []).append(
+                (run.target_throughput, summary))
+        return [((name,), reduce(ramp)) for name, ramp in ramps.items()]
+    return split
+
+
+def _peak_point(ramp: list) -> dict:
+    """Figure 2: the peak achieved (runtime) throughput of a ramp, with
+    its latency and what that headline point costs in joules/dollars."""
+    _, peak = max(ramp, key=lambda point: point[1]["throughput"])
+    return {"peak_throughput": peak["throughput"],
+            "latency_ms": peak["mean_ms"],
+            "per_target": [(target, summary["throughput"],
+                            summary["mean_ms"])
+                           for target, summary in ramp],
+            "joules_per_op": peak["joules_per_op"],
+            "usd_per_mops": peak["usd_per_mops"]}
+
+
+def _ramp_series(ramp: list) -> dict:
+    """Figure 3: runtime vs target throughput, plus whole-ramp energy."""
+    series = [(target, summary["throughput"]) for target, summary in ramp]
+    return {"series": series,
+            "peak_throughput": max(runtime for _, runtime in series),
+            **report.energy_rollup(report.run_energy(summary)
+                                   for _, summary in ramp)}
+
+
+# -- Figures 1-3: micro and stress benchmarks vs replication / consistency ---
+
+def _micro_cells(db: str, scale: SweepScale,
+                 rfs: Sequence[int]) -> list[CellSpec]:
     """One cell per replication factor, each running §4.1's op order."""
     cells = []
-    for rf in replication_factors:
+    for rf in rfs:
         config = default_micro_config(db, "update", replication=rf,
                                       seed=scale.seed)
-        config = replace(config, record_count=scale.record_count,
-                         operation_count=scale.operation_count,
-                         n_threads=min(scale.n_threads, 8),
-                         n_nodes=scale.n_nodes)
-        if scale.storage is not None:
-            config = replace(config, storage=scale.storage)
         cells.append(CellSpec(
             key=rf,
             label=f"fig1/{db}/rf={rf}",
-            config=config,
+            config=_sized(config, scale, n_threads=min(scale.n_threads, 8),
+                          storage=scale.storage or config.storage),
             runs=tuple(RunSpec(workload=op, kind="micro")
                        for op in MICRO_OP_ORDER),
             warm=WarmSpec(workload="read", kind="micro",
@@ -221,86 +303,42 @@ def micro_sweep_cells(db: str, replication_factors: Sequence[int],
     return cells
 
 
-def replication_micro_sweep(db: str, replication_factors: Sequence[int],
-                            scale: Optional[SweepScale] = None,
-                            runner: Optional[CellRunner] = None) -> dict:
-    """Figure 1: atomic-operation latency vs replication factor.
-
-    Returns ``{rf: {op: {"mean_ms": ..., "p99_ms": ..., ...}}}``.
-    """
-    scale = scale or SweepScale()
-    cells = micro_sweep_cells(db, replication_factors, scale)
-    out: dict = {}
-    for cell, payload in zip(cells, _run(cells, runner)):
-        out[cell.key] = {
-            op: {**{key: summary[key] for key in _MICRO_KEYS},
-                 **{key: summary.get(key) for key in _ENERGY_KEYS}}
-            for op, summary in zip(MICRO_OP_ORDER, payload["runs"])}
-    return out
+def _stress_config(db: str, scale: SweepScale, replication: int,
+                   cache_units: float = 3.2) -> ExperimentConfig:
+    return _sized(
+        default_stress_config(db, "read_mostly", replication=replication,
+                              seed=scale.seed),
+        scale,
+        storage=scale.storage or scaled_stress_storage(
+            scale.record_count, 1000, scale.n_nodes - 1,
+            cache_units=cache_units))
 
 
-# -- Figure 2: stress benchmark vs replication ------------------------------
-
-def stress_sweep_cells(db: str, replication_factors: Sequence[int],
-                       scale: SweepScale,
-                       workloads: Sequence[str]) -> list[CellSpec]:
+def _stress_cells(db: str, scale: SweepScale, rfs: Sequence[int],
+                  workloads: Sequence[str]) -> list[CellSpec]:
     """One cell per replication factor; each runs every workload in the
     paper's order, sweeping the offered target inside each workload."""
-    cells = []
-    for rf in replication_factors:
-        config = default_stress_config(db, "read_mostly", replication=rf,
-                                       seed=scale.seed)
-        config = replace(config, record_count=scale.record_count,
-                         operation_count=scale.operation_count,
-                         n_threads=scale.n_threads, n_nodes=scale.n_nodes,
-                         storage=scale.storage or scaled_stress_storage(
-                             scale.record_count, 1000, scale.n_nodes - 1))
-        cells.append(CellSpec(
-            key=rf,
-            label=f"fig2/{db}/rf={rf}",
-            config=config,
-            runs=tuple(RunSpec(workload=name, target_throughput=target)
-                       for name in workloads for target in scale.targets),
-            warm=WarmSpec()))
-    return cells
+    return [CellSpec(key=rf,
+                     label=f"fig2/{db}/rf={rf}",
+                     config=_stress_config(db, scale, rf),
+                     runs=_ramp_runs(workloads, scale),
+                     warm=WarmSpec())
+            for rf in rfs]
 
 
-def replication_stress_sweep(db: str, replication_factors: Sequence[int],
-                             scale: Optional[SweepScale] = None,
-                             workloads: Sequence[str] = STRESS_WORKLOAD_ORDER,
-                             runner: Optional[CellRunner] = None) -> dict:
-    """Figure 2: peak runtime throughput + latency vs replication factor.
-
-    For each (rf, workload) the offered target throughput is swept and the
-    peak achieved (runtime) throughput is reported with its latency —
-    the paper's §4.2 method.
-
-    Returns ``{rf: {workload: {"peak_throughput": ..., "latency_ms": ...,
-    "per_target": [(target, runtime, mean_ms), ...]}}}``.
-    """
-    scale = scale or SweepScale()
-    cells = stress_sweep_cells(db, replication_factors, scale, workloads)
-    out: dict = {}
-    for cell, payload in zip(cells, _run(cells, runner)):
-        summaries = iter(payload["runs"])
-        per_workload: dict = {}
-        for name in workloads:
-            pairs = [(target, next(summaries)) for target in scale.targets]
-            per_target = [(target, summary["throughput"],
-                           summary["mean_ms"])
-                          for target, summary in pairs]
-            _, peak = max(pairs, key=lambda row: row[1]["throughput"])
-            per_workload[name] = {
-                "peak_throughput": peak["throughput"],
-                "latency_ms": peak["mean_ms"],
-                "per_target": per_target,
-                # Energy at the peak point: what the paper's headline
-                # throughput costs in joules and dollars.
-                "joules_per_op": peak.get("joules_per_op"),
-                "usd_per_mops": peak.get("usd_per_mops"),
-            }
-        out[cell.key] = per_workload
-    return out
+def _consistency_cells(db: str, scale: SweepScale, modes: Sequence[str],
+                       workloads: Sequence[str]) -> list[CellSpec]:
+    """One cell per consistency round (ONE, QUORUM, write-ALL), all at
+    replication factor 3 — the cache-resident side of the paper's
+    regime (hence the wider block cache), so the spreads reflect the
+    replication protocol (ack waits, digests, repairs), not disk spill."""
+    return [CellSpec(key=mode,
+                     label=f"fig3/{db}/{mode}",
+                     config=_stress_config(db, scale, 3, cache_units=8.0),
+                     runs=_ramp_runs(workloads, scale,
+                                     **_cl_values(CONSISTENCY_MODES[mode])),
+                     warm=WarmSpec())
+            for mode in modes]
 
 
 # -- Failover campaigns: db x fault type x consistency level ----------------
@@ -346,67 +384,37 @@ QUICK_FAILOVER_SCALE = FailoverScale(record_count=3_000,
                                      fault_at_s=2.0, fault_duration_s=5.0)
 
 
-def _failover_fault(kind: str, scale: FailoverScale) -> FaultSpec:
-    # Node 0 is a server in both deployments (the client — and HBase's
-    # master — live on the last node), so every fault kind targets it.
-    return FaultSpec(kind=kind, node_id=0, at_s=scale.fault_at_s,
-                     duration_s=scale.fault_duration_s,
-                     severity=scale.severity)
-
-
-def failover_cells(db: str, fault_kinds: Sequence[str],
-                   scale: FailoverScale,
-                   modes: Optional[dict] = None) -> list[CellSpec]:
-    """One cell per (fault kind, consistency mode)."""
-    if modes is None:
-        modes = FAILOVER_CL_MODES if db == "cassandra" else {"n/a": None}
+def _failover_cells(db: str, scale: FailoverScale, faults: Sequence[str],
+                    modes: Sequence[str]) -> list[CellSpec]:
+    """One degraded run per (fault kind, consistency mode); each
+    summary's ``failover`` entry is the availability report (time to
+    detection / recovery, errors by type, stale reads, timeline)."""
+    if db != "cassandra":
+        modes = ("n/a",)
     cells = []
-    for kind in fault_kinds:
-        for mode, cls in modes.items():
+    for kind in faults:
+        for mode in modes:
             config = default_stress_config(
                 db, "read_update", replication=3,
                 target_throughput=scale.target_throughput, seed=scale.seed)
-            config = replace(
-                config, record_count=scale.record_count,
-                operation_count=scale.operation_count,
-                n_threads=scale.n_threads, n_nodes=scale.n_nodes,
+            config = _sized(
+                config, scale,
                 storage=scaled_stress_storage(scale.record_count, 1000,
                                               scale.n_nodes - 1),
-                faults=(_failover_fault(kind, scale),))
-            read_cl = write_cl = None
-            if cls is not None:
-                read_cl, write_cl = (cl.value for cl in cls)
+                faults=(_node0_fault(kind, scale.fault_at_s,
+                                     scale.fault_duration_s,
+                                     severity=scale.severity),))
             cells.append(CellSpec(
                 key=(kind, mode),
                 label=f"failover/{db}/{kind}/cl={mode}",
                 config=config,
                 runs=(RunSpec(workload="read_update",
                               target_throughput=scale.target_throughput,
-                              read_cl=read_cl, write_cl=write_cl,
-                              faults=True),),
+                              faults=True,
+                              **_cl_values(FAILOVER_CL_MODES.get(mode))),),
                 warm=WarmSpec(operations=max(2_000,
                                              scale.operation_count // 6))))
     return cells
-
-
-def failover_sweep(db: str, fault_kinds: Sequence[str] = ("crash",),
-                   scale: Optional[FailoverScale] = None,
-                   modes: Optional[dict] = None,
-                   runner: Optional[CellRunner] = None) -> dict:
-    """Fault-injection campaign: one degraded run per (fault kind, CL).
-
-    Returns ``{fault_kind: {mode: summary}}`` where each summary is a
-    :func:`~repro.core.experiment.summarize_run` dict whose ``failover``
-    entry is the availability report (time to detection / recovery,
-    errors by type, stale reads, error-aware timeline).
-    """
-    scale = scale or FailoverScale()
-    cells = failover_cells(db, fault_kinds, scale, modes)
-    out: dict = {}
-    for cell, payload in zip(cells, _run(cells, runner)):
-        kind, mode = cell.key
-        out.setdefault(kind, {})[mode] = payload["runs"][0]
-    return out
 
 
 # -- Tail-latency defense campaigns: db x scenario x defense mode -----------
@@ -467,93 +475,49 @@ QUICK_TAIL_SCALE = TailScale(record_count=3_000, operation_count=8_000,
                              fault_at_s=1.5, fault_duration_s=5.0)
 
 
-def _tail_storage(db: str, record_count: int, n_servers: int,
-                  regions_per_server: int = 2,
-                  replication: int = 3) -> StorageSpec:
-    """Storage tuning that keeps the tail campaign's reads disk-exposed.
-
-    The stress default (:func:`~repro.core.config.scaled_stress_storage`)
-    makes RF = 3 cache-resident, which would hide a slow *disk* entirely;
-    here the block cache covers ~40% of one storage tree's resident data,
-    so a steady fraction of reads misses to the spindle — the population
-    whose tail the defenses act on.  The tree sizes differ per engine:
-    a Cassandra node's single tree holds RF x (data / nodes), while an
-    HBase region's tree holds data / (nodes x regions).
-    """
-    data = record_count * 1000
-    if db == "cassandra":
-        per_tree = data * replication // max(1, n_servers)
-    else:
-        per_tree = data // max(1, n_servers * regions_per_server)
-    return StorageSpec(
-        memtable_flush_bytes=max(32 * 1024, per_tree // 8),
-        block_bytes=8 * 1024,
-        block_cache_bytes=max(64 * 1024, int(per_tree * 0.4)),
-    )
-
-
 def tail_defense_for_mode(mode: str, scale: TailScale) -> TailDefenseConfig:
-    """The tail-defense stack a campaign mode enables."""
+    """The tail-defense stack a campaign mode enables ("hedge" is the
+    "deadline" stack plus hedged reads)."""
     if mode == "none":
         return TailDefenseConfig()
-    if mode == "deadline":
-        return TailDefenseConfig(deadline_s=scale.deadline_s,
-                                 handler_slots=scale.handler_slots,
-                                 max_handler_queue=scale.max_handler_queue,
-                                 max_inflight=scale.max_inflight)
-    if mode == "hedge":
-        return TailDefenseConfig(deadline_s=scale.deadline_s,
-                                 hedge=scale.hedge,
-                                 handler_slots=scale.handler_slots,
-                                 max_handler_queue=scale.max_handler_queue,
-                                 max_inflight=scale.max_inflight)
-    raise ValueError(f"unknown tail mode {mode!r}; "
-                     f"choose from {TAIL_MODES}")
+    return TailDefenseConfig(deadline_s=scale.deadline_s,
+                             hedge=scale.hedge if mode == "hedge" else None,
+                             handler_slots=scale.handler_slots,
+                             max_handler_queue=scale.max_handler_queue,
+                             max_inflight=scale.max_inflight)
 
 
-def tail_cells(db: str, scale: TailScale,
-               modes: Sequence[str] = TAIL_MODES,
-               scenarios: Sequence[str] = TAIL_SCENARIOS) -> list[CellSpec]:
-    """One cell per (scenario, defense mode)."""
+def _tail_cells(db: str, scale: TailScale, modes: Sequence[str],
+                scenarios: Sequence[str]) -> list[CellSpec]:
+    """One cell per (scenario, defense mode).  The block cache covers
+    ~40% of one storage tree, so a steady fraction of reads misses to
+    the spindle — the population whose tail the defenses act on."""
     cells = []
     for scenario in scenarios:
-        if scenario not in TAIL_SCENARIOS + ("healthy",):
-            raise ValueError(
-                f"unknown tail scenario {scenario!r}; choose from "
-                f"{TAIL_SCENARIOS + ('healthy',)}")
         for mode in modes:
             config = default_stress_config(
                 db, "read_mostly", replication=3,
                 target_throughput=scale.target_throughput, seed=scale.seed)
-            config = replace(
-                config, record_count=scale.record_count,
-                operation_count=scale.operation_count,
-                n_threads=scale.n_threads, n_nodes=scale.n_nodes,
-                storage=_tail_storage(
-                    db, scale.record_count, scale.n_nodes - 1,
-                    regions_per_server=config.hbase.regions_per_server,
-                    replication=config.replication),
+            config = _sized(
+                config, scale,
+                storage=disk_exposed_storage(db, scale.record_count,
+                                             scale.n_nodes - 1, 0.4),
                 # Keep every read hedgeable: a background repair pulls
                 # all replicas into the read path, which leaves no spare
                 # replica to hedge to for that request.
                 cassandra=replace(config.cassandra, read_repair_chance=0.0),
                 tail=tail_defense_for_mode(mode, scale))
+            run = RunSpec(workload="read_mostly",
+                          target_throughput=scale.target_throughput)
             if scenario == "slow_replica":
-                # Node 0 is a server in both deployments (the client —
-                # and HBase's master — live on the last node).
-                config = replace(config, faults=(FaultSpec(
-                    kind="slow_disk", node_id=0, at_s=scale.fault_at_s,
-                    duration_s=scale.fault_duration_s,
+                config = replace(config, faults=(_node0_fault(
+                    "slow_disk", scale.fault_at_s, scale.fault_duration_s,
                     severity=scale.slowdown),))
-                run = RunSpec(workload="read_mostly",
-                              target_throughput=scale.target_throughput,
-                              faults=True)
-            elif scenario == "healthy":
-                # Fault-free control at the same throttled load: what
-                # the latency profile looks like with nothing wrong.
-                run = RunSpec(workload="read_mostly",
-                              target_throughput=scale.target_throughput)
-            else:  # overload: unthrottled, far more closed-loop threads
+                run = replace(run, faults=True)
+            elif scenario == "overload":
+                # Unthrottled, far more closed-loop threads.  ("healthy"
+                # stays the fault-free control at the throttled load:
+                # what the latency profile looks like with nothing wrong.)
                 config = replace(config,
                                  operation_count=scale.overload_operations,
                                  n_threads=scale.overload_threads,
@@ -567,27 +531,6 @@ def tail_cells(db: str, scale: TailScale,
                 warm=WarmSpec(operations=max(2_000,
                                              scale.operation_count // 6))))
     return cells
-
-
-def tail_sweep(db: str, scale: Optional[TailScale] = None,
-               modes: Sequence[str] = TAIL_MODES,
-               scenarios: Sequence[str] = TAIL_SCENARIOS,
-               runner: Optional[CellRunner] = None) -> dict:
-    """Tail-latency defense campaign: db x scenario x defense stack.
-
-    Returns ``{scenario: {mode: summary}}`` where each summary is a
-    :func:`~repro.core.experiment.summarize_run` dict — the latency
-    percentiles up to p99.9 plus the ``errors_by_type`` breakdown that
-    separates shed requests (``Overloaded``) from spent budgets
-    (``DeadlineExceeded``) and plain timeouts.
-    """
-    scale = scale or TailScale()
-    cells = tail_cells(db, scale, modes, scenarios)
-    out: dict = {}
-    for cell, payload in zip(cells, _run(cells, runner)):
-        scenario, mode = cell.key
-        out.setdefault(scenario, {})[mode] = payload["runs"][0]
-    return out
 
 
 # -- Flash-crowd survival: the open-loop client tier ------------------------
@@ -677,20 +620,8 @@ QUICK_SURGE_SCALE = SurgeScale(n_nodes=6, max_arrivals=15_000,
 
 def surge_arrivals(scenario: str, scale: SurgeScale) -> ArrivalConfig:
     """The arrival process a surge scenario offers."""
-    if scenario not in SURGE_SCENARIOS:
-        raise ValueError(f"unknown surge scenario {scenario!r}; "
-                         f"choose from {SURGE_SCENARIOS}")
-    if scenario == "steady":
-        return ArrivalConfig(process="poisson", rate=scale.base_rate,
-                             max_arrivals=scale.max_arrivals,
-                             n_users=scale.n_users,
-                             n_tenants=scale.n_tenants)
-    return ArrivalConfig(process="flash_crowd", rate=scale.base_rate,
-                         max_arrivals=scale.max_arrivals,
-                         n_users=scale.n_users, n_tenants=scale.n_tenants,
-                         spike_at_s=scale.spike_at_s,
-                         spike_factor=scale.spike_factor,
-                         spike_duration_s=scale.spike_duration_s)
+    return _arrivals("poisson" if scenario == "steady" else "flash_crowd",
+                     scale)
 
 
 def surge_tier_for_mode(mode: str, scale: SurgeScale) -> ClientTierConfig:
@@ -700,49 +631,32 @@ def surge_tier_for_mode(mode: str, scale: SurgeScale) -> ClientTierConfig:
     deadline and retry count, so the modes differ only in defenses:
     the undefended stack retries without a budget and dispatches with
     unbounded concurrency — exactly the retry-storm anti-pattern.
+    Each later mode adds its defenses on top of the previous one's.
     """
-    if mode == "undefended":
-        return ClientTierConfig(retries=scale.retries,
-                                retry_backoff_s=scale.retry_backoff_s,
-                                op_timeout_s=scale.op_timeout_s)
-    if mode == "breaker":
-        return ClientTierConfig(retries=scale.retries,
-                                retry_backoff_s=scale.retry_backoff_s,
-                                breaker_failure_rate=scale.breaker_failure_rate,
-                                breaker_cooldown_s=scale.breaker_cooldown_s,
-                                op_timeout_s=scale.op_timeout_s)
-    if mode == "breaker+budget+leveling":
-        return ClientTierConfig(retries=scale.retries,
-                                retry_backoff_s=scale.retry_backoff_s,
-                                retry_budget_ratio=scale.budget_ratio,
-                                breaker_failure_rate=scale.breaker_failure_rate,
-                                breaker_cooldown_s=scale.breaker_cooldown_s,
-                                leveling_workers=scale.leveling_workers,
-                                leveling_queue=scale.leveling_queue,
-                                op_timeout_s=scale.op_timeout_s)
-    if mode == "full":
+    level = SURGE_MODES.index(mode)
+    tier = ClientTierConfig(retries=scale.retries,
+                            retry_backoff_s=scale.retry_backoff_s,
+                            op_timeout_s=scale.op_timeout_s)
+    if level >= 1:  # breaker
+        tier = replace(tier,
+                       breaker_failure_rate=scale.breaker_failure_rate,
+                       breaker_cooldown_s=scale.breaker_cooldown_s)
+    if level >= 2:  # + retry budget + queue-based load leveling
+        tier = replace(tier, retry_budget_ratio=scale.budget_ratio,
+                       leveling_workers=scale.leveling_workers,
+                       leveling_queue=scale.leveling_queue)
+    if level >= 3:  # full: + per-tenant rate limit + cache-aside
         per_tenant = scale.rate_limit_factor * (scale.base_rate
                                                 / scale.n_tenants)
-        return ClientTierConfig(retries=scale.retries,
-                                retry_backoff_s=scale.retry_backoff_s,
-                                retry_budget_ratio=scale.budget_ratio,
-                                breaker_failure_rate=scale.breaker_failure_rate,
-                                breaker_cooldown_s=scale.breaker_cooldown_s,
-                                rate_limit_per_tenant=per_tenant,
-                                rate_limit_burst=per_tenant,
-                                leveling_workers=scale.leveling_workers,
-                                leveling_queue=scale.leveling_queue,
-                                cache_ttl_s=scale.cache_ttl_s,
-                                cache_capacity=scale.cache_capacity,
-                                op_timeout_s=scale.op_timeout_s)
-    raise ValueError(f"unknown surge mode {mode!r}; "
-                     f"choose from {SURGE_MODES}")
+        tier = replace(tier, rate_limit_per_tenant=per_tenant,
+                       rate_limit_burst=per_tenant,
+                       cache_ttl_s=scale.cache_ttl_s,
+                       cache_capacity=scale.cache_capacity)
+    return tier
 
 
-def surge_cells(db: str, scale: SurgeScale,
-                modes: Sequence[str] = SURGE_MODES,
-                scenarios: Sequence[str] = SURGE_SCENARIOS
-                ) -> list[CellSpec]:
+def _surge_cells(db: str, scale: SurgeScale, modes: Sequence[str],
+                 scenarios: Sequence[str]) -> list[CellSpec]:
     """One open-loop cell per (scenario, defense mode).
 
     Cassandra cells run at CL ONE with the consistency oracle recording
@@ -774,9 +688,9 @@ def surge_cells(db: str, scale: SurgeScale,
                           write_cl="ONE" if check else None,
                           check=check)
             if scenario == "flash_crowd+slow_replica":
-                config = replace(config, faults=(FaultSpec(
-                    kind="slow_disk", node_id=0, at_s=scale.spike_at_s,
-                    duration_s=scale.spike_duration_s + 2.0,
+                config = replace(config, faults=(_node0_fault(
+                    "slow_disk", scale.spike_at_s,
+                    scale.spike_duration_s + 2.0,
                     severity=scale.slowdown),))
                 run = replace(run, faults=True)
             cells.append(CellSpec(
@@ -787,27 +701,6 @@ def surge_cells(db: str, scale: SurgeScale,
                 warm=WarmSpec(operations=max(1_000,
                                              scale.max_arrivals // 6))))
     return cells
-
-
-def surge_sweep(db: str, scale: Optional[SurgeScale] = None,
-                modes: Sequence[str] = SURGE_MODES,
-                scenarios: Sequence[str] = SURGE_SCENARIOS,
-                runner: Optional[CellRunner] = None) -> dict:
-    """Flash-crowd survival campaign: db x scenario x defense stack.
-
-    Returns ``{scenario: {mode: summary}}`` where each summary carries
-    the offered/goodput pair, latency percentiles up to p99.9 measured
-    from *arrival* (coordinated omission fixed), the per-kind error
-    breakdown (``RateLimited``/``LoadShed``/``BreakerOpen`` next to the
-    store-side timeouts), and the ``clienttier`` accounting.
-    """
-    scale = scale or SurgeScale()
-    cells = surge_cells(db, scale, modes, scenarios)
-    out: dict = {}
-    for cell, payload in zip(cells, _run(cells, runner)):
-        scenario, mode = cell.key
-        out.setdefault(scenario, {})[mode] = payload["runs"][0]
-    return out
 
 
 # -- Elasticity campaigns: db x scale mode x arrival shape ------------------
@@ -879,23 +772,7 @@ QUICK_ELASTIC_SCALE = ElasticScale(record_count=1_200, n_nodes=6,
 
 def elastic_arrivals(scenario: str, scale: ElasticScale) -> ArrivalConfig:
     """The arrival process an elasticity scenario offers."""
-    if scenario == "diurnal":
-        return ArrivalConfig(process="diurnal", rate=scale.base_rate,
-                             max_arrivals=scale.max_arrivals,
-                             n_users=scale.n_users,
-                             n_tenants=scale.n_tenants,
-                             period_s=scale.period_s,
-                             peak_factor=scale.peak_factor)
-    if scenario == "flash_crowd":
-        return ArrivalConfig(process="flash_crowd", rate=scale.base_rate,
-                             max_arrivals=scale.max_arrivals,
-                             n_users=scale.n_users,
-                             n_tenants=scale.n_tenants,
-                             spike_at_s=scale.spike_at_s,
-                             spike_factor=scale.spike_factor,
-                             spike_duration_s=scale.spike_duration_s)
-    raise ValueError(f"unknown elasticity scenario {scenario!r}; "
-                     f"choose from {ELASTIC_SCENARIOS}")
+    return _arrivals(scenario, scale)
 
 
 def elasticity_for_mode(mode: str, scale: ElasticScale) -> ElasticityConfig:
@@ -916,10 +793,8 @@ def elasticity_for_mode(mode: str, scale: ElasticScale) -> ElasticityConfig:
         cooldown_s=scale.cooldown_s)
 
 
-def scale_cells(db: str, scale: ElasticScale,
-                modes: Sequence[str] = SCALE_MODES,
-                scenarios: Sequence[str] = ELASTIC_SCENARIOS
-                ) -> list[CellSpec]:
+def _scale_cells(db: str, scale: ElasticScale, modes: Sequence[str],
+                 scenarios: Sequence[str]) -> list[CellSpec]:
     """One open-loop cell per (scenario, scale mode).
 
     Every cell records a Jepsen-style history for the oracle: the
@@ -933,9 +808,6 @@ def scale_cells(db: str, scale: ElasticScale,
     cells = []
     for scenario in scenarios:
         for mode in modes:
-            if mode not in SCALE_MODES:
-                raise ValueError(f"unknown scale mode {mode!r}; "
-                                 f"choose from {SCALE_MODES}")
             config = default_scale_config(
                 db, elasticity=elasticity_for_mode(mode, scale),
                 arrivals=elastic_arrivals(scenario, scale),
@@ -954,93 +826,6 @@ def scale_cells(db: str, scale: ElasticScale,
                 warm=WarmSpec(operations=max(1_000,
                                              scale.max_arrivals // 6))))
     return cells
-
-
-def scale_sweep(db: str, scale: Optional[ElasticScale] = None,
-                modes: Sequence[str] = SCALE_MODES,
-                scenarios: Sequence[str] = ELASTIC_SCENARIOS,
-                runner: Optional[CellRunner] = None) -> dict:
-    """Elasticity campaign: db x scale mode x arrival shape.
-
-    Returns ``{scenario: {mode: summary}}`` where each summary carries
-    the per-phase (before / during / after transfer) latency + staleness
-    ``scale`` report, the usual open-loop offered/goodput pair, and the
-    oracle's ``consistency`` verdict across the topology change.
-    """
-    scale = scale or ElasticScale()
-    cells = scale_cells(db, scale, modes, scenarios)
-    out: dict = {}
-    for cell, payload in zip(cells, _run(cells, runner)):
-        scenario, mode = cell.key
-        out.setdefault(scenario, {})[mode] = payload["runs"][0]
-    return out
-
-
-# -- Figure 3: stress benchmark vs consistency ------------------------------
-
-def consistency_sweep_cells(scale: SweepScale, workloads: Sequence[str],
-                            replication: int,
-                            modes: dict) -> list[CellSpec]:
-    """One cell per consistency mode, all at the same replication."""
-    cells = []
-    for mode, (read_cl, write_cl) in modes.items():
-        config = default_stress_config("cassandra", "read_mostly",
-                                       replication=replication,
-                                       seed=scale.seed)
-        # The consistency rounds run at RF = 3 — the cache-resident side
-        # of the paper's regime — so the spreads reflect the replication
-        # protocol (ack waits, digests, repairs), not disk spill.
-        config = replace(config, record_count=scale.record_count,
-                         operation_count=scale.operation_count,
-                         n_threads=scale.n_threads, n_nodes=scale.n_nodes,
-                         storage=scale.storage or scaled_stress_storage(
-                             scale.record_count, 1000, scale.n_nodes - 1,
-                             cache_units=8.0))
-        cells.append(CellSpec(
-            key=mode,
-            label=f"fig3/cassandra/{mode}",
-            config=config,
-            runs=tuple(RunSpec(workload=name, target_throughput=target,
-                               read_cl=read_cl.value,
-                               write_cl=write_cl.value)
-                       for name in workloads for target in scale.targets),
-            warm=WarmSpec()))
-    return cells
-
-
-def consistency_stress_sweep(scale: Optional[SweepScale] = None,
-                             workloads: Sequence[str] = STRESS_WORKLOAD_ORDER,
-                             replication: int = 3,
-                             modes: Optional[dict] = None,
-                             runner: Optional[CellRunner] = None) -> dict:
-    """Figure 3: Cassandra runtime vs target throughput per consistency level.
-
-    Three rounds (ONE, QUORUM, write-ALL) at replication factor 3; each
-    round runs the five stress workloads in the paper's order.
-
-    Returns ``{mode: {workload: {"series": [(target, runtime), ...],
-    "peak_throughput": ...}}}``.
-    """
-    scale = scale or SweepScale()
-    modes = modes if modes is not None else CONSISTENCY_MODES
-    cells = consistency_sweep_cells(scale, workloads, replication, modes)
-    out: dict = {}
-    for cell, payload in zip(cells, _run(cells, runner)):
-        summaries = iter(payload["runs"])
-        per_workload: dict = {}
-        for name in workloads:
-            pairs = [(target, next(summaries)) for target in scale.targets]
-            series = [(target, summary["throughput"])
-                      for target, summary in pairs]
-            per_workload[name] = {
-                "series": series,
-                "peak_throughput": max(r for _, r in series),
-                # Whole-ramp energy: joules add across targets, so the
-                # aggregate is sum-of-joules over sum-of-ops.
-                **_energy_rollup([summary for _, summary in pairs]),
-            }
-        out[cell.key] = per_workload
-    return out
 
 
 # -- Adaptive-consistency campaigns: policy x offered load ------------------
@@ -1104,18 +889,20 @@ QUICK_ADAPTIVE_SCALE = AdaptiveScale(targets=(1_200.0,),
                                      hint_replay_interval_s=3.5)
 
 
-def adaptive_cells(policies: Sequence[str] = ADAPTIVE_POLICIES,
-                   scale: Optional[AdaptiveScale] = None) -> list[CellSpec]:
+def _adaptive_cells(db: str, scale: AdaptiveScale,
+                    policies: Sequence[str]) -> list[CellSpec]:
     """One cell per policy; each runs the offered-load ramp at RF 3
-    with the crash schedule armed and the consistency oracle recording."""
-    scale = scale or AdaptiveScale()
+    with the crash schedule armed and the consistency oracle recording.
+
+    Each summary carries both the ``decisions`` log (per-window CL
+    timeline, policy counters, digest) and the oracle's ``consistency``
+    report (violation counts and the worst provable staleness lag) —
+    the two halves the SLO is judged against.
+    """
     cells = []
     for policy in policies:
-        if policy not in ADAPTIVE_POLICIES:
-            raise ValueError(f"unknown adaptive policy {policy!r}; "
-                             f"choose from {ADAPTIVE_POLICIES}")
         config = ExperimentConfig(
-            db="cassandra",
+            db=db,
             workload=STRESS_WORKLOADS["read_mostly"],
             record_count=scale.record_count,
             operation_count=int(scale.targets[0] * scale.duration_s),
@@ -1124,28 +911,19 @@ def adaptive_cells(policies: Sequence[str] = ADAPTIVE_POLICIES,
             n_nodes=scale.n_nodes,
             seed=scale.seed,
             # Micro storage tuning: disk-exposed reads (see class doc).
-            storage=StorageSpec(memtable_flush_bytes=32 * 1024,
-                                block_bytes=4 * 1024,
-                                block_cache_bytes=64 * 1024,
-                                compaction_min_batch=3,
-                                compaction_max_batch=8),
+            storage=MICRO_STORAGE,
             cassandra=CassandraConfig(
                 read_cl=ConsistencyLevel.ONE,
                 write_cl=ConsistencyLevel.ONE,
                 read_repair_chance=0.0,
                 blocking_read_repair=False,
                 hint_replay_interval_s=scale.hint_replay_interval_s),
-            adaptive=AdaptiveConfig(p95_ms=scale.p95_ms,
-                                    staleness_s=scale.staleness_s,
-                                    risk_rate=scale.risk_rate,
-                                    window_s=scale.window_s,
-                                    decay_windows=scale.decay_windows),
-            faults=(FaultSpec(kind="crash", node_id=0,
-                              at_s=scale.fault_at_s,
-                              duration_s=scale.fault_duration_s),))
+            adaptive=_slo(scale),
+            faults=(_node0_fault("crash", scale.fault_at_s,
+                                 scale.fault_duration_s),))
         cells.append(CellSpec(
             key=policy,
-            label=f"adaptive/cassandra/{policy}",
+            label=f"adaptive/{db}/{policy}",
             config=config,
             runs=tuple(RunSpec(workload="read_mostly",
                                operation_count=int(target * scale.duration_s),
@@ -1154,28 +932,6 @@ def adaptive_cells(policies: Sequence[str] = ADAPTIVE_POLICIES,
                        for target in scale.targets),
             warm=None))
     return cells
-
-
-def adaptive_sweep(policies: Sequence[str] = ADAPTIVE_POLICIES,
-                   scale: Optional[AdaptiveScale] = None,
-                   runner: Optional[CellRunner] = None) -> dict:
-    """Adaptive-consistency campaign: policy x offered-load ramp.
-
-    Returns ``{policy: {target: summary}}`` where each summary is a
-    :func:`~repro.core.experiment.summarize_run` dict carrying both the
-    ``decisions`` log (per-window CL timeline, policy counters, digest)
-    and the oracle's ``consistency`` report (violation counts and the
-    worst provable staleness lag) — the two halves the SLO is judged
-    against.
-    """
-    scale = scale or AdaptiveScale()
-    cells = adaptive_cells(policies, scale)
-    out: dict = {}
-    for cell, payload in zip(cells, _run(cells, runner)):
-        out[cell.key] = {target: summary
-                         for target, summary in zip(scale.targets,
-                                                    payload["runs"])}
-    return out
 
 
 # -- Geo-replication campaigns: CL mode x WAN scenario x client region ------
@@ -1234,8 +990,6 @@ QUICK_GEO_SCALE = GeoScale(record_count=400, operation_count=800,
 
 
 def _geo_fault(scenario: str, scale: GeoScale) -> tuple:
-    if scenario == "healthy":
-        return ()
     if scenario == "dc_partition":
         return (FaultSpec(kind="dc_partition",
                           datacenter=scale.partition_dc,
@@ -1246,24 +1000,19 @@ def _geo_fault(scenario: str, scale: GeoScale) -> tuple:
                           at_s=scale.fault_at_s,
                           duration_s=scale.fault_duration_s,
                           severity=scale.wan_factor),)
-    raise ValueError(f"unknown geo scenario {scenario!r}; "
-                     f"choose from {GEO_SCENARIOS}")
+    return ()
 
 
-def geo_cells(modes: Optional[Sequence[str]] = None,
-              scenarios: Optional[Sequence[str]] = None,
-              scale: Optional[GeoScale] = None) -> list[CellSpec]:
+def _geo_cells(db: str, scale: GeoScale, modes: Sequence[str],
+               scenarios: Sequence[str]) -> list[CellSpec]:
     """One cell per (CL mode, WAN scenario); each cell runs the same
     workload once per client region (the region's client node drives the
-    load through its local coordinators)."""
-    scale = scale or GeoScale()
-    modes = tuple(modes or GEO_CL_MODES)
-    scenarios = tuple(scenarios or GEO_SCENARIOS)
+    load through its local coordinators).  Each summary's
+    ``consistency`` entry carries the cross-DC oracle verdict (staleness
+    lag, convergence after heal, which guarantees held) and — for the
+    faulted scenarios — a ``failover`` availability report."""
     cells = []
     for mode in modes:
-        if mode not in GEO_CL_MODES:
-            raise ValueError(f"unknown geo CL mode {mode!r}; "
-                             f"choose from {tuple(GEO_CL_MODES)}")
         read_cl, write_cl = GEO_CL_MODES[mode]
         for scenario in scenarios:
             config = default_geo_config(
@@ -1275,43 +1024,18 @@ def geo_cells(modes: Optional[Sequence[str]] = None,
                 target_throughput=scale.target_throughput,
                 seed=scale.seed,
                 faults=_geo_fault(scenario, scale))
-            regions = config.geo.client_datacenters
             cells.append(CellSpec(
                 key=(mode, scenario),
-                label=f"geo/cassandra/{mode}/{scenario}",
+                label=f"geo/{db}/{mode}/{scenario}",
                 config=config,
                 runs=tuple(RunSpec(workload="read_update",
                                    target_throughput=scale.target_throughput,
                                    read_cl=read_cl, write_cl=write_cl,
                                    faults=scenario != "healthy",
                                    check=True, client_dc=region)
-                           for region in regions),
+                           for region in config.geo.client_datacenters),
                 warm=None))
     return cells
-
-
-def geo_sweep(modes: Optional[Sequence[str]] = None,
-              scenarios: Optional[Sequence[str]] = None,
-              scale: Optional[GeoScale] = None,
-              runner: Optional[CellRunner] = None) -> dict:
-    """Geo-replication campaign: CL mode x WAN scenario x client region.
-
-    Returns ``{mode: {scenario: {region: summary}}}`` where each summary
-    is a :func:`~repro.core.experiment.summarize_run` dict whose
-    ``consistency`` entry carries the cross-DC oracle verdict (staleness
-    lag, convergence after heal, which guarantees held) and — for the
-    faulted scenarios — a ``failover`` availability report.
-    """
-    scale = scale or GeoScale()
-    cells = geo_cells(modes, scenarios, scale)
-    out: dict = {}
-    for cell, payload in zip(cells, _run(cells, runner)):
-        mode, scenario = cell.key
-        regions = cell.config.geo.client_datacenters
-        out.setdefault(mode, {})[scenario] = {
-            region: summary
-            for region, summary in zip(regions, payload["runs"])}
-    return out
 
 
 # -- Energy & cost campaigns: db x RF x CL x power mode ---------------------
@@ -1396,11 +1120,11 @@ def energy_modes(db: str) -> list[tuple[str, str]]:
     return [("n/a", "always_on"), ("n/a", "race_to_sleep")]
 
 
-def energy_cells(db: str,
-                 scale: Optional[EnergyScale] = None) -> list[CellSpec]:
+def _energy_cells(db: str, scale: EnergyScale) -> list[CellSpec]:
     """One cell per (RF, CL round, power mode), each a healthy
-    oracle-checked run at the throttled target."""
-    scale = scale or EnergyScale()
+    oracle-checked run at the throttled target.  The energy-aware
+    contender's summary also carries the ``decisions`` log with its
+    park/unpark counters."""
     cells = []
     ops = int(scale.target * scale.duration_s)
     for rf in scale.rfs:
@@ -1413,9 +1137,8 @@ def energy_cells(db: str,
                 sleep_after_s=scale.sleep_after_s,
                 pstate_wake_s=scale.pstate_wake_s,
                 sleep_wake_s=scale.sleep_wake_s)
-            read_cl = write_cl = ConsistencyLevel.ONE
-            if cl == "QUORUM":
-                read_cl = write_cl = ConsistencyLevel.QUORUM
+            level = (ConsistencyLevel.QUORUM if cl == "QUORUM"
+                     else ConsistencyLevel.ONE)
             config = ExperimentConfig(
                 db=db,
                 workload=STRESS_WORKLOADS[scale.workload],
@@ -1425,16 +1148,13 @@ def energy_cells(db: str,
                 target_throughput=scale.target,
                 n_nodes=scale.n_nodes,
                 seed=scale.seed,
-                # Disk-exposed reads (tiny block cache) but a gentler
-                # flush threshold than the adaptive campaign's: a 50%
-                # update mix at 32 KiB flushes leaves a compaction
-                # backlog that drains for seconds after the load, all
-                # billed at fleet idle watts — pure tail noise.
-                storage=StorageSpec(memtable_flush_bytes=128 * 1024,
-                                    block_bytes=4 * 1024,
-                                    block_cache_bytes=64 * 1024,
-                                    compaction_min_batch=3,
-                                    compaction_max_batch=8),
+                # Disk-exposed reads (the micro tuning's tiny block
+                # cache) but a gentler flush threshold than the adaptive
+                # campaign's: a 50% update mix at 32 KiB flushes leaves a
+                # compaction backlog that drains for seconds after the
+                # load, all billed at fleet idle watts — pure tail noise.
+                storage=replace(MICRO_STORAGE,
+                                memtable_flush_bytes=128 * 1024),
                 # Durable WAL: energy is priced on the durable path, so
                 # every pipeline packet hits each replica's spindle and
                 # the HDFS replication factor shows up in the joules
@@ -1444,14 +1164,10 @@ def energy_cells(db: str,
                                   wal_sync=True),
                 cassandra=CassandraConfig(
                     replication=rf,
-                    read_cl=read_cl, write_cl=write_cl,
+                    read_cl=level, write_cl=level,
                     read_repair_chance=0.0,
                     blocking_read_repair=False),
-                adaptive=AdaptiveConfig(p95_ms=scale.p95_ms,
-                                        staleness_s=scale.staleness_s,
-                                        risk_rate=scale.risk_rate,
-                                        window_s=scale.window_s,
-                                        decay_windows=scale.decay_windows),
+                adaptive=_slo(scale),
                 energy=energy)
             cells.append(CellSpec(
                 key=(rf, cl, power),
@@ -1465,21 +1181,311 @@ def energy_cells(db: str,
     return cells
 
 
-def energy_sweep(db: str, scale: Optional[EnergyScale] = None,
-                 runner: Optional[CellRunner] = None) -> dict:
-    """Energy/cost campaign: RF x CL round x power mode, one database.
+# -- the campaign table ------------------------------------------------------
 
-    Returns ``{rf: {cl: {power: summary}}}`` where each summary is a
-    :func:`~repro.core.experiment.summarize_run` dict carrying the
-    ``energy``/``cost`` breakdowns, ``joules_per_op``/``usd_per_mops``,
-    the oracle's ``consistency`` verdict, and — for the energy-aware
-    contender — the ``decisions`` log with its park/unpark counters.
+@dataclass(frozen=True)
+class Arg:
+    """One CLI ``add_argument`` call, declaratively."""
+
+    flags: tuple
+    kwargs: dict
+
+    @property
+    def dest(self) -> str:
+        derived = self.flags[0].lstrip("-").replace("-", "_")
+        return self.kwargs.get("dest", derived)
+
+
+def _opt(*flags: str, **kwargs) -> Arg:
+    return Arg(flags, kwargs)
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One dimension of a campaign's grid a caller may narrow.
+
+    ``values`` is written once: it feeds the CLI flag's ``choices=`` and
+    the library-side check in :func:`campaign_cells`.
     """
-    scale = scale or EnergyScale()
-    cells = energy_cells(db, scale)
+
+    #: Keyword of :func:`run_campaign` and of the cell builder
+    #: (``"modes"``, ``"scenarios"``, ...).
+    name: str
+    #: Legal values, in the order the campaign compares them.
+    values: tuple
+    #: CLI flag (repeatable); ``None`` = library-only axis.
+    flag: Optional[str] = None
+    help: str = ""
+    #: What an unnarrowed run covers; ``None`` = every legal value.
+    default: Optional[tuple] = None
+
+
+@dataclass(frozen=True)
+class Campaign:
+    """One campaign — and one ``repro-bench`` subcommand — declaratively."""
+
+    name: str
+    help: str
+    #: ``(full, quick)`` scale pair; ``None`` = nothing to run (table1).
+    scales: Optional[tuple] = None
+    #: Databases it runs on; more than one adds ``--db`` and one table
+    #: (and one ``--report`` entry) per database.
+    dbs: tuple = ("hbase", "cassandra")
+    axes: tuple = ()
+    #: Non-axis flags; in the generic path each reaches the cell builder
+    #: as a keyword named after its ``dest``.
+    extra: tuple = ()
+    #: ``cells(db, scale, **axes) -> list[CellSpec]`` — the only
+    #: per-campaign code.  ``None`` = a bespoke CLI body (table1, check).
+    cells: Optional[Callable] = None
+    #: How the runs inside a cell extend its key (see the splitters).
+    split: Callable = _one_run
+    #: Names of the result's nesting levels = the table's key columns.
+    keys: tuple = ()
+    #: ``(header, extractor(leaf))`` pairs after the key columns.
+    columns: tuple = ()
+    #: Table title; ``{db}`` is filled in.
+    title: str = ""
+    #: Optional second title line, derived from one leaf.
+    subtitle: Optional[Callable] = None
+    #: Replaces the one-row-per-leaf table (Figure 3's transposed panels).
+    render: Optional[Callable] = None
+    #: ``(flag name, help, render(db, leaves))``: blocks printed after
+    #: the table when the on/off flag is given.
+    details: tuple = ()
+    #: Apply the oracle gate to every leaf (adds ``--strict``).
+    gate: bool = False
+    #: Offer ``--report PATH`` (the nested result as JSON).
+    report: bool = False
+
+
+def _rf_range(text: str) -> range:
+    return range(1, int(text) + 1)
+
+
+_MAX_RF = _opt("--max-rf", dest="rfs", type=_rf_range, default=range(1, 7),
+               metavar="N", help="sweep replication factors 1..N (default 6)")
+_WORKLOADS = Axis("workloads", STRESS_WORKLOAD_ORDER)
+_SWEEP_SCALES = (SweepScale(), QUICK_SCALE)
+
+CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in (
+    Campaign("table1", "print Table 1"),
+    Campaign(
+        "fig1", "micro benchmark for replication",
+        scales=_SWEEP_SCALES, extra=(_MAX_RF,),
+        cells=_micro_cells, split=_per_op,
+        keys=("RF",), columns=report.micro_columns(MICRO_OP_ORDER),
+        title="Fig.1 ({db}): micro latency vs replication factor"),
+    Campaign(
+        "fig2", "stress benchmark for replication",
+        scales=_SWEEP_SCALES, axes=(_WORKLOADS,), extra=(_MAX_RF,),
+        cells=_stress_cells, split=_per_workload(_peak_point),
+        keys=("RF", "workload"), columns=report.STRESS_COLUMNS,
+        title="Fig.2 ({db}): stress peak throughput/latency vs "
+              "replication factor"),
+    Campaign(
+        "fig3", "stress benchmark for consistency",
+        scales=_SWEEP_SCALES, dbs=("cassandra",),
+        axes=(Axis("modes", tuple(CONSISTENCY_MODES)), _WORKLOADS),
+        cells=_consistency_cells, split=_per_workload(_ramp_series),
+        keys=("mode", "workload"),
+        render=report.render_consistency_panels),
+    Campaign(
+        "failover", "fault-injection campaign (availability report)",
+        scales=(FailoverScale(), QUICK_FAILOVER_SCALE),
+        axes=(Axis("faults", NODE_FAULT_KINDS, "--fault",
+                   "fault kind(s) to inject (default: crash)",
+                   default=("crash",)),
+              Axis("modes", tuple(FAILOVER_CL_MODES))),
+        cells=_failover_cells,
+        keys=("fault", "CL"), columns=report.FAILOVER_COLUMNS,
+        title="Failover campaign ({db}): availability under injected "
+              "faults",
+        details=(("timeline", "print per-second timelines with injection "
+                  "markers", report.failover_timelines),)),
+    Campaign(
+        "tail",
+        "tail-latency defense campaign (deadlines, hedged reads, "
+        "bounded queues)",
+        scales=(TailScale(), QUICK_TAIL_SCALE),
+        axes=(Axis("modes", TAIL_MODES, "--mode",
+                   "defense stack(s) to compare (default: all)"),
+              Axis("scenarios", TAIL_SCENARIOS + ("healthy",), "--scenario",
+                   "stress scenario(s) to run (default: both stress "
+                   "scenarios; 'healthy' adds the fault-free control "
+                   "cell)", default=TAIL_SCENARIOS)),
+        cells=_tail_cells,
+        keys=("scenario", "defense"), columns=report.TAIL_COLUMNS,
+        title="Tail-latency defenses ({db}): latency distribution and "
+              "error budget per defense stack"),
+    Campaign(
+        "check",
+        "consistency oracle: explore seeds x fault schedules and verify "
+        "the configured guarantees",
+        scales=(CheckScale(), QUICK_CHECK_SCALE), gate=True, report=True,
+        extra=(
+            _opt("--cl", default="QUORUM", choices=sorted(CHECK_CL_MODES),
+                 help="Cassandra consistency round (default QUORUM; "
+                      "ignored for HBase)"),
+            _opt("--seeds", type=int, default=25, metavar="N",
+                 help="explore seeds 0..N-1 (default 25)"),
+            _opt("--fault", choices=list(NODE_FAULT_KINDS),
+                 help="fault-schedule template to inject per seed "
+                      "(default: healthy runs)"),
+            _opt("--no-repair", action="store_true",
+                 help="disable read repair so weak-CL staleness stays "
+                      "observable"))),
+    Campaign(
+        "adaptive",
+        "adaptive-consistency campaign: per-request CL policies under a "
+        "latency/staleness SLO",
+        scales=(AdaptiveScale(), QUICK_ADAPTIVE_SCALE), dbs=("cassandra",),
+        axes=(Axis("policies", ADAPTIVE_POLICIES, "--policy",
+                   "policy/policies to run (default: all)"),),
+        cells=_adaptive_cells, split=_per_run("target_throughput"),
+        keys=("policy", "target"), columns=report.ADAPTIVE_COLUMNS,
+        title="Adaptive consistency ({db}, RF=3): policy vs offered load",
+        subtitle=report.adaptive_slo_line, report=True,
+        details=(("timeline", "print per-window CL decision timelines next "
+                  "to the latency windows", report.adaptive_timelines),
+                 ("digests", "print each run's decision-log digest (the "
+                  "determinism witness)", report.adaptive_digests))),
+    Campaign(
+        "geo",
+        "geo-replication campaign: DC-aware consistency levels under WAN "
+        "faults and DC partitions",
+        scales=(GeoScale(), QUICK_GEO_SCALE), dbs=("cassandra",),
+        axes=(Axis("modes", tuple(GEO_CL_MODES), "--mode",
+                   "consistency mode(s) to compare (default: all)"),
+              Axis("scenarios", GEO_SCENARIOS, "--scenario",
+                   "WAN scenario(s) to run (default: all)")),
+        cells=_geo_cells, split=_per_run("client_dc"),
+        keys=("CL mode", "scenario", "region"), columns=report.GEO_COLUMNS,
+        title="Geo-replication campaign ({db}): availability, tail "
+              "latency, and staleness per client region under WAN faults",
+        gate=True, report=True),
+    Campaign(
+        "surge",
+        "flash-crowd survival campaign: open-loop arrivals vs client-tier "
+        "defense stacks",
+        scales=(SurgeScale(), QUICK_SURGE_SCALE),
+        axes=(Axis("modes", SURGE_MODES, "--mode",
+                   "defense stack(s) to compare (default: all)"),
+              Axis("scenarios", SURGE_SCENARIOS, "--scenario",
+                   "arrival scenario(s) to run (default: all)")),
+        cells=_surge_cells,
+        keys=("scenario", "defense"), columns=report.SURGE_COLUMNS,
+        title="Flash-crowd survival ({db}): offered vs goodput and "
+              "refusal breakdown per defense stack",
+        gate=True, report=True),
+    Campaign(
+        "scale",
+        "elasticity campaign: live scale-out/in while serving, "
+        "oracle-checked across every topology change",
+        scales=(ElasticScale(), QUICK_ELASTIC_SCALE),
+        axes=(Axis("modes", SCALE_MODES, "--mode",
+                   "scale mode(s) to compare: static control, manual "
+                   "schedule, autoscaler (default: all)"),
+              Axis("scenarios", ELASTIC_SCENARIOS, "--scenario",
+                   "arrival shape(s) to run (default: all)")),
+        cells=_scale_cells,
+        keys=("scenario", "mode"), columns=report.SCALE_COLUMNS,
+        title="Elasticity ({db}): per-phase latency across live "
+              "scale-out/in, vs the static control",
+        gate=True, report=True),
+    # --strict: a power mode that saved joules by serving staler reads
+    # than the guarantee allows is a bug, not a saving.
+    Campaign(
+        "energy",
+        "energy/cost campaign: joules per op and dollars per Mops across "
+        "RF x CL x power-management modes",
+        scales=(EnergyScale(), QUICK_ENERGY_SCALE),
+        cells=_energy_cells,
+        keys=("RF", "CL", "power"), columns=report.ENERGY_CAMPAIGN_COLUMNS,
+        title="Energy & cost ({db}): joules/op and $/Mops per RF x CL x "
+              "power mode",
+        gate=True, report=True),
+)}
+
+
+# -- the generic path --------------------------------------------------------
+
+def _campaign(campaign: Union[str, Campaign]) -> Campaign:
+    if isinstance(campaign, Campaign):
+        return campaign
+    if campaign not in CAMPAIGNS:
+        raise ValueError(f"unknown campaign {campaign!r}; "
+                         f"choose from {tuple(CAMPAIGNS)}")
+    return CAMPAIGNS[campaign]
+
+
+def campaign_cells(campaign: Union[str, Campaign], db: Optional[str] = None,
+                   scale=None, **axes) -> list[CellSpec]:
+    """The cells one campaign run executes on ``db``.
+
+    ``db`` may be omitted for single-database campaigns; ``scale``
+    defaults to the campaign's full scale; every axis defaults to its
+    declared range.  An illegal database or axis value is a
+    :class:`ValueError` naming the legal ones.
+    """
+    campaign = _campaign(campaign)
+    if campaign.cells is None:
+        raise ValueError(f"campaign {campaign.name!r} has no cells to run")
+    if db is None and len(campaign.dbs) == 1:
+        db = campaign.dbs[0]
+    if db not in campaign.dbs:
+        raise ValueError(f"unknown {campaign.name} db {db!r}; "
+                         f"choose from {campaign.dbs}")
+    for axis in campaign.axes:
+        chosen = tuple(axes.get(axis.name) or axis.default or axis.values)
+        for value in chosen:
+            if value not in axis.values:
+                raise ValueError(
+                    f"unknown {campaign.name} {axis.name} value {value!r}; "
+                    f"choose from {axis.values}")
+        axes[axis.name] = chosen
+    return campaign.cells(db, scale or campaign.scales[0], **axes)
+
+
+def run_campaign(campaign: Union[str, Campaign], db: Optional[str] = None,
+                 scale=None, runner: Optional[CellRunner] = None,
+                 **axes) -> dict:
+    """Run one campaign on ``db``; returns the nested result dict.
+
+    The nesting follows the campaign's ``keys`` — e.g. ``tail`` returns
+    ``{scenario: {mode: summary}}``, ``geo`` ``{mode: {scenario:
+    {region: summary}}}``, ``fig2`` ``{rf: {workload: {"peak_throughput":
+    ..., ...}}}`` — where a summary is a
+    :func:`~repro.core.experiment.summarize_run` dict.
+    """
+    campaign = _campaign(campaign)
+    cells = campaign_cells(campaign, db, scale, **axes)
     out: dict = {}
-    for cell, payload in zip(cells, _run(cells, runner)):
-        rf, cl, power = cell.key
-        out.setdefault(rf, {}).setdefault(cl, {})[power] = \
-            payload["runs"][0]
+    for cell, payload in zip(cells, (runner or CellRunner()).run(cells)):
+        key = cell.key if isinstance(cell.key, tuple) else (cell.key,)
+        for subkey, leaf in campaign.split(cell, payload["runs"]):
+            *path, last = key + subkey
+            level = out
+            for part in path:
+                level = level.setdefault(part, {})
+            level[last] = leaf
     return out
+
+
+def render_campaign(campaign: Union[str, Campaign], sweep: dict,
+                    db: Optional[str] = None) -> str:
+    """A :func:`run_campaign` result as the campaign's text table: one
+    row per leaf, the key columns then the campaign's column list."""
+    campaign = _campaign(campaign)
+    db = db or campaign.dbs[0]
+    if campaign.render is not None:
+        return campaign.render(sweep, db)
+    leaves = list(report.walk_leaves(sweep, len(campaign.keys)))
+    title = campaign.title.format(db=db)
+    if campaign.subtitle is not None and leaves:
+        title += "\n" + campaign.subtitle(leaves[-1][1])
+    return report.render_table(
+        [*campaign.keys, *(header for header, _ in campaign.columns)],
+        [[*key, *(extract(leaf) for _, extract in campaign.columns)]
+         for key, leaf in leaves],
+        title=title)

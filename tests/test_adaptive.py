@@ -18,7 +18,7 @@ from repro.adaptive.monitor import WindowStats
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.core.runner import CellRunner, cell_fingerprint, execute_cell
 from repro.core.sweep import (QUICK_ADAPTIVE_SCALE, AdaptiveScale,
-                              adaptive_cells, adaptive_sweep)
+                              campaign_cells, run_campaign)
 
 SLO = SloSpec(p95_ms=10.0, staleness_s=0.25, risk_rate=0.01, window_s=0.5)
 
@@ -237,7 +237,7 @@ class TestDecisionLog:
 @pytest.fixture(scope="module")
 def quick_sweep():
     """All four policies at the calibrated quick load point."""
-    return adaptive_sweep(ADAPTIVE_POLICIES, QUICK_ADAPTIVE_SCALE)
+    return run_campaign("adaptive", scale=QUICK_ADAPTIVE_SCALE)
 
 
 def _ryw_rate(summary):
@@ -301,7 +301,8 @@ class TestPaperShape:
 class TestDeterminismAndCacheability:
     def cell(self):
         scale = AdaptiveScale(targets=(1_200.0,), duration_s=1.0)
-        return adaptive_cells(("stepwise",), scale)[0]
+        return campaign_cells("adaptive", scale=scale,
+                              policies=("stepwise",))[0]
 
     def test_same_cell_twice_identical_digest(self):
         first = execute_cell(self.cell())
@@ -323,7 +324,8 @@ class TestDeterminismAndCacheability:
 
     def test_parallel_matches_serial(self, tmp_path):
         scale = AdaptiveScale(targets=(1_200.0,), duration_s=1.0)
-        cells = adaptive_cells(("static-one", "stepwise"), scale)
+        cells = campaign_cells("adaptive", scale=scale,
+                               policies=("static-one", "stepwise"))
         serial = CellRunner(jobs=1).run(cells)
         parallel = CellRunner(jobs=2).run(cells)
         assert serial == parallel

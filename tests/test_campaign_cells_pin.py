@@ -18,72 +18,31 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.cluster.failure import DC_FAULT_KINDS, FAULT_KINDS
 from repro.core.config import config_to_dict
-from repro.core.sweep import (ADAPTIVE_POLICIES, CHECK_CL_MODES,
-                              CONSISTENCY_MODES, ELASTIC_SCENARIOS,
-                              GEO_CL_MODES, GEO_SCENARIOS,
-                              QUICK_ADAPTIVE_SCALE, QUICK_CHECK_SCALE,
-                              QUICK_ELASTIC_SCALE, QUICK_ENERGY_SCALE,
-                              QUICK_FAILOVER_SCALE, QUICK_GEO_SCALE,
-                              QUICK_SCALE, QUICK_SURGE_SCALE,
-                              QUICK_TAIL_SCALE, SCALE_MODES,
-                              STRESS_WORKLOAD_ORDER, SURGE_MODES,
-                              SURGE_SCENARIOS, TAIL_MODES, TAIL_SCENARIOS,
-                              AdaptiveScale, CheckScale, ElasticScale,
-                              EnergyScale, FailoverScale, GeoScale,
-                              SurgeScale, SweepScale, TailScale,
-                              adaptive_cells, check_cells,
-                              consistency_sweep_cells, energy_cells,
-                              failover_cells, geo_cells, micro_sweep_cells,
-                              scale_cells, stress_sweep_cells, surge_cells,
-                              tail_cells)
+from repro.core.sweep import (CAMPAIGNS, CHECK_CL_MODES, NODE_FAULT_KINDS,
+                              campaign_cells, check_cells)
 
-NODE_FAULT_KINDS = tuple(kind for kind in FAULT_KINDS
-                         if kind not in DC_FAULT_KINDS)
-BOTH = ("hbase", "cassandra")
 
-#: campaign -> (full scale, quick scale, databases, cells(db, scale)).
-#: Every axis is pinned at its full legal range (a superset of the CLI
-#: default), so no reachable cell escapes the digest.
-BUILDERS = {
-    "fig1": (SweepScale(), QUICK_SCALE, BOTH,
-             lambda db, scale: micro_sweep_cells(db, range(1, 7), scale)),
-    "fig2": (SweepScale(), QUICK_SCALE, BOTH,
-             lambda db, scale: stress_sweep_cells(db, range(1, 7), scale,
-                                                  STRESS_WORKLOAD_ORDER)),
-    "fig3": (SweepScale(), QUICK_SCALE, ("cassandra",),
-             lambda db, scale: consistency_sweep_cells(
-                 scale, STRESS_WORKLOAD_ORDER, 3, CONSISTENCY_MODES)),
-    "failover": (FailoverScale(), QUICK_FAILOVER_SCALE, BOTH,
-                 lambda db, scale: failover_cells(db, NODE_FAULT_KINDS,
-                                                  scale)),
-    "tail": (TailScale(), QUICK_TAIL_SCALE, BOTH,
-             lambda db, scale: tail_cells(
-                 db, scale, TAIL_MODES, TAIL_SCENARIOS + ("healthy",))),
-    "check": (CheckScale(), QUICK_CHECK_SCALE, BOTH,
-              lambda db, scale: [
-                  cell
-                  for mode in sorted(CHECK_CL_MODES)
-                  for fault in (None,) + NODE_FAULT_KINDS
-                  for no_repair in (False, True)
-                  for cell in check_cells(db, mode=mode, seeds=3,
-                                          fault=fault, no_repair=no_repair,
-                                          scale=scale)]),
-    "adaptive": (AdaptiveScale(), QUICK_ADAPTIVE_SCALE, ("cassandra",),
-                 lambda db, scale: adaptive_cells(ADAPTIVE_POLICIES, scale)),
-    "geo": (GeoScale(), QUICK_GEO_SCALE, ("cassandra",),
-            lambda db, scale: geo_cells(tuple(GEO_CL_MODES), GEO_SCENARIOS,
-                                        scale)),
-    "surge": (SurgeScale(), QUICK_SURGE_SCALE, BOTH,
-              lambda db, scale: surge_cells(db, scale, SURGE_MODES,
-                                            SURGE_SCENARIOS)),
-    "scale": (ElasticScale(), QUICK_ELASTIC_SCALE, BOTH,
-              lambda db, scale: scale_cells(db, scale, SCALE_MODES,
-                                            ELASTIC_SCENARIOS)),
-    "energy": (EnergyScale(), QUICK_ENERGY_SCALE, BOTH,
-               lambda db, scale: energy_cells(db, scale)),
-}
+def _check_cells(db, scale):
+    return [cell
+            for mode in sorted(CHECK_CL_MODES)
+            for fault in (None,) + NODE_FAULT_KINDS
+            for no_repair in (False, True)
+            for cell in check_cells(db, mode=mode, seeds=3, fault=fault,
+                                    no_repair=no_repair, scale=scale)]
+
+
+def _cells(name, db, scale):
+    """Every axis at its full legal range (a superset of the CLI
+    default), so no reachable cell escapes the digest."""
+    campaign = CAMPAIGNS[name]
+    if campaign.cells is None:  # check: its own builder, not the table's
+        return _check_cells(db, scale)
+    return campaign_cells(
+        name, db, scale,
+        **{axis.name: axis.values for axis in campaign.axes},
+        **{arg.dest: arg.kwargs["default"] for arg in campaign.extra})
+
 
 PINS = {
     "fig1/full/hbase":
@@ -177,10 +136,13 @@ def cells_digest(cells) -> str:
 
 
 def _cases():
-    for name, (full, quick, dbs, _build) in BUILDERS.items():
-        for scale_name, scale in (("full", full), ("quick", quick)):
-            for db in dbs:
-                yield f"{name}/{scale_name}/{db}", name, scale, db
+    for campaign in CAMPAIGNS.values():
+        if campaign.scales is None:  # table1 runs nothing
+            continue
+        for scale_name, scale in zip(("full", "quick"), campaign.scales):
+            for db in campaign.dbs:
+                yield (f"{campaign.name}/{scale_name}/{db}", campaign.name,
+                       scale, db)
 
 
 CASES = list(_cases())
@@ -193,6 +155,6 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("case_id,name,scale,db", CASES,
                          ids=[case[0] for case in CASES])
 def test_campaign_cells_unchanged(case_id, name, scale, db):
-    cells = BUILDERS[name][3](db, scale)
+    cells = _cells(name, db, scale)
     assert cells, "a campaign with no cells pins nothing"
     assert cells_digest(cells) == PINS[case_id]

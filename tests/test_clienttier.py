@@ -514,12 +514,12 @@ def _traced_surge_run():
     """One checked open-loop flash-crowd cell with the kernel trace on;
     returns digest, processed-event count, canonical summary."""
     from repro.core.experiment import ExperimentSession, summarize_run
-    from repro.core.sweep import surge_cells
+    from repro.core.sweep import campaign_cells
     from repro.sim.trace import KernelTracer
     from repro.ycsb.db import ConsistencyLevel
 
-    cell = surge_cells("cassandra", _tiny_scale(), modes=("full",),
-                       scenarios=("flash_crowd",))[0]
+    cell = campaign_cells("surge", "cassandra", _tiny_scale(),
+                          modes=("full",), scenarios=("flash_crowd",))[0]
     session = ExperimentSession(cell.config)
     tracer = KernelTracer(session.env)
     session.load()
@@ -542,11 +542,11 @@ class TestSurgeReplayPin:
         serial run: arrivals, sessions, and every middleware decision
         derive from the cell's own seeded RNG registry."""
         from repro.core.runner import CellRunner
-        from repro.core.sweep import surge_cells
+        from repro.core.sweep import campaign_cells
 
-        cells = surge_cells("cassandra", _tiny_scale(),
-                            modes=("undefended", "full"),
-                            scenarios=("flash_crowd",))
+        cells = campaign_cells("surge", "cassandra", _tiny_scale(),
+                               modes=("undefended", "full"),
+                               scenarios=("flash_crowd",))
         serial = CellRunner(jobs=1, cache=False).run(cells)
         parallel = CellRunner(jobs=2, cache=False).run(cells)
         assert json.dumps(serial, sort_keys=True) \

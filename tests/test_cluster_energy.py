@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.energy import EnergyMeter, EnergyReport, PowerSpec
+from repro.energy import EnergyMeter, EnergyReport, PowerSpec
 
 
 class TestEnergyMeter:

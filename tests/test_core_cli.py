@@ -1,8 +1,19 @@
-"""Unit tests for the repro-bench CLI."""
+"""Unit tests for the repro-bench CLI and the campaign table behind it."""
+
+import json
+import re
+from dataclasses import replace
+from operator import itemgetter
+from pathlib import Path
 
 import pytest
 
-from repro.core.cli import build_parser, main
+from repro.core.cli import build_parser, campaign_args, main
+from repro.core.config import default_micro_config
+from repro.core.report import ENERGY_COLUMNS
+from repro.core.runner import CellSpec, RunSpec
+from repro.core.sweep import (CAMPAIGNS, Axis, Campaign, campaign_cells,
+                              render_campaign, run_campaign)
 
 
 class TestParser:
@@ -11,11 +22,19 @@ class TestParser:
         assert args.command == "table1"
 
     def test_fig_commands_parse(self):
-        for name in ("fig1", "fig2", "fig3"):
+        for name in ("fig1", "fig2"):
             args = build_parser().parse_args([name, "--quick", "--max-rf", "3"])
             assert args.command == name
             assert args.quick is True
-            assert args.max_rf == 3
+            assert list(args.rfs) == [1, 2, 3]
+        assert list(build_parser().parse_args(["fig2"]).rfs) \
+            == [1, 2, 3, 4, 5, 6]
+
+    def test_fig3_has_no_max_rf(self, capsys):
+        # It always ran at RF 3; the flag was accepted and ignored.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig3", "--max-rf", "3"])
+        assert "--max-rf" in capsys.readouterr().err
 
     def test_db_filter(self):
         args = build_parser().parse_args(["fig1", "--db", "hbase"])
@@ -40,20 +59,164 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_failover_parses(self):
+    def test_detail_and_gate_flags_parse(self):
         args = build_parser().parse_args(
             ["failover", "--quick", "--db", "cassandra",
              "--fault", "crash", "--fault", "slow_disk",
              "--timeline", "--jobs", "4"])
-        assert args.command == "failover"
         assert args.dbs == ["cassandra"]
         assert args.faults == ["crash", "slow_disk"]
-        assert args.timeline is True
-        assert args.jobs == 4
+        assert args.timeline is True and args.jobs == 4
+        args = build_parser().parse_args(
+            ["adaptive", "--timeline", "--digests", "--report", "a.json"])
+        assert args.timeline and args.digests and args.report == "a.json"
+        assert build_parser().parse_args(["surge", "--strict"]).strict
 
-    def test_failover_invalid_fault_rejected(self):
+    @pytest.mark.parametrize("name", ["failover", "check"])
+    def test_single_rack_campaigns_offer_node_faults_only(self, name,
+                                                          capsys):
+        """A DC-level fault can never run on a single-rack cluster: it
+        is an argparse error naming the legal kinds, not a traceback
+        from ``FaultSpec`` five frames down."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["failover", "--fault", "meteor"])
+            build_parser().parse_args([name, "--fault", "dc_partition"])
+        err = capsys.readouterr().err
+        assert "invalid choice: 'dc_partition'" in err
+        assert "crash" in err and "slow_disk" in err
+
+    def test_geo_still_accepts_dc_scenarios(self):
+        args = build_parser().parse_args(
+            ["geo", "--scenario", "dc_partition", "--scenario",
+             "wan_degrade"])
+        assert args.scenarios == ["dc_partition", "wan_degrade"]
+
+
+#: Every flag of every subcommand that restricts its values.
+CHOICE_FLAGS = [(campaign.name, arg) for campaign in CAMPAIGNS.values()
+                for arg in campaign_args(campaign)
+                if "choices" in arg.kwargs]
+#: Every axis of every campaign the generic path runs.
+AXES = [(campaign, axis) for campaign in CAMPAIGNS.values()
+        if campaign.cells is not None for axis in campaign.axes]
+
+
+def _cells(campaign, **axes):
+    """``campaign``'s quick cells on its first database, the extras
+    (``--max-rf``) at their CLI defaults."""
+    return campaign_cells(
+        campaign, campaign.dbs[0], campaign.scales[1], **axes,
+        **{arg.dest: arg.kwargs["default"] for arg in campaign.extra})
+
+
+class TestCampaignTable:
+    """One parse/reject/default/validate contract for every campaign,
+    read off the table — a new entry is covered without a new test."""
+
+    def test_twelve_subcommands(self):
+        assert list(CAMPAIGNS) == [
+            "table1", "fig1", "fig2", "fig3", "failover", "tail", "check",
+            "adaptive", "geo", "surge", "scale", "energy"]
+        assert campaign_args(CAMPAIGNS["table1"]) == []  # nothing to run
+
+    @pytest.mark.parametrize(
+        "name,arg", CHOICE_FLAGS,
+        ids=[f"{name}{arg.flags[0]}" for name, arg in CHOICE_FLAGS])
+    def test_every_legal_value_parses_unknown_rejected(self, name, arg):
+        parser = build_parser()
+        for value in arg.kwargs["choices"]:
+            parsed = getattr(parser.parse_args([name, arg.flags[0], value]),
+                             arg.dest)
+            assert parsed in (value, [value])
+        with pytest.raises(SystemExit):
+            parser.parse_args([name, arg.flags[0], "meteor"])
+
+    @pytest.mark.parametrize(
+        "campaign,axis", AXES,
+        ids=[f"{campaign.name}.{axis.name}" for campaign, axis in AXES])
+    def test_axis_defaults_and_validation(self, campaign, axis):
+        # The flag (if any) is repeatable and defaults to "not given"...
+        if axis.flag:
+            args = build_parser().parse_args([campaign.name])
+            assert getattr(args, axis.name) is None
+        # ...which the one generic path expands to the declared range...
+        declared = axis.default or axis.values
+        assert _cells(campaign) == _cells(campaign, **{axis.name: declared})
+        narrowed = _cells(campaign, **{axis.name: declared[:1]})
+        assert 0 < len(narrowed) <= len(_cells(campaign))
+        # ...and a bad library call gets the one ValueError, naming the
+        # same legal values the parser offers.
+        with pytest.raises(ValueError) as excinfo:
+            _cells(campaign, **{axis.name: ("meteor",)})
+        assert "'meteor'" in str(excinfo.value)
+        assert all(str(value) in str(excinfo.value)
+                   for value in axis.values)
+
+    def test_unknown_campaign_and_db_rejected(self):
+        with pytest.raises(ValueError, match="choose from"):
+            run_campaign("fig9")
+        with pytest.raises(ValueError, match="choose from"):
+            run_campaign("geo", "hbase")
+        with pytest.raises(ValueError, match="choose from"):
+            run_campaign("tail")  # two databases: name one
+        with pytest.raises(ValueError, match="no cells"):
+            run_campaign("table1")
+
+    def test_every_campaign_is_documented(self):
+        """README's subcommand table has one row per campaign — its help
+        line verbatim — linking to a heading EXPERIMENTS.md really has."""
+        root = Path(__file__).resolve().parents[1]
+        headings = {
+            re.sub(r"[^\w\- ]", "", line[3:].lower()).replace(" ", "-")
+            for line in (root / "EXPERIMENTS.md").read_text().splitlines()
+            if line.startswith("## ")}
+        rows = re.findall(
+            r"^\| `(\w+)` \| (.+?) \| \[[^\]]+\]\(EXPERIMENTS\.md#([^)]+)\) \|$",
+            (root / "README.md").read_text(), re.MULTILINE)
+        assert [(name, text) for name, text, _ in rows] \
+            == [(c.name, c.help) for c in CAMPAIGNS.values()]
+        assert {anchor for _, _, anchor in rows} <= headings
+
+    def test_throwaway_campaign_needs_no_other_code(self, tmp_path, capsys):
+        """A campaign literal defined right here runs, renders, parses,
+        gates and reports through the generic path — which therefore
+        has no per-name branches."""
+        def cells(db, scale, ops):
+            config = replace(default_micro_config(db, "read", seed=5),
+                             record_count=scale, operation_count=40,
+                             n_threads=2, n_nodes=4, settle_s=0.5)
+            return [CellSpec(key=op, label=f"toy/{db}/{op}", config=config,
+                             runs=(RunSpec(workload=op, kind="micro",
+                                           check=True),),
+                             warm=None)
+                    for op in ops]
+
+        toy = Campaign(
+            "toy", "a throwaway campaign", scales=(300, 200),
+            dbs=("cassandra",),
+            axes=(Axis("ops", ("read", "update"), "--op", "op test(s)",
+                       default=("read",)),),
+            cells=cells, keys=("op",),
+            columns=(("ops", itemgetter("ops")), *ENERGY_COLUMNS),
+            title="Toy ({db})", gate=True, report=True)
+
+        sweep = run_campaign(toy)
+        assert list(sweep) == ["read"] and sweep["read"]["ops"] > 0
+        lines = render_campaign(toy, sweep).splitlines()
+        assert lines[0] == "Toy (cassandra)"
+        assert lines[1].split() == ["op", "ops", "J/op", "$/Mops"]
+        assert len(lines) == 4
+        with pytest.raises(ValueError, match=r"\('read', 'update'\)"):
+            run_campaign(toy, ops=("scan",))
+
+        report = tmp_path / "toy.json"
+        args = build_parser([toy]).parse_args(
+            ["toy", "--quick", "--op", "update", "--no-cache", "--strict",
+             "--report", str(report)])
+        assert args.func(args) == 0
+        captured = capsys.readouterr()
+        assert "Toy (cassandra)" in captured.out
+        assert "[1/1] toy/cassandra/update" in captured.err
+        assert list(json.loads(report.read_text())) == ["update"]
 
 
 class TestCommands:
@@ -99,26 +262,6 @@ class TestCommands:
 
 
 class TestAdaptiveCommand:
-    def test_adaptive_parses(self):
-        args = build_parser().parse_args(
-            ["adaptive", "--quick", "--policy", "static-one",
-             "--policy", "stepwise", "--timeline", "--digests",
-             "--jobs", "4"])
-        assert args.command == "adaptive"
-        assert args.policies == ["static-one", "stepwise"]
-        assert args.timeline is True
-        assert args.digests is True
-        assert args.jobs == 4
-
-    def test_adaptive_defaults_all_policies(self):
-        args = build_parser().parse_args(["adaptive"])
-        assert args.policies is None  # cmd_adaptive expands to all
-        assert args.jobs == 1 and args.no_cache is False
-
-    def test_adaptive_invalid_policy_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["adaptive", "--policy", "prayer"])
-
     def test_adaptive_end_to_end_jobs_and_cache_identical(self, tmp_path,
                                                           monkeypatch,
                                                           capsys):
@@ -151,39 +294,12 @@ class TestAdaptiveCommand:
                 "--report", str(report)]
         assert main(argv) == 0
         capsys.readouterr()
-        import json as json_module
-        payload = json_module.loads(report.read_text())
+        payload = json.loads(report.read_text())
         summary = payload["static-one"]["1200.0"]
         assert "decisions" in summary and "consistency" in summary
 
 
 class TestTailCommand:
-    def test_tail_parses(self):
-        args = build_parser().parse_args(
-            ["tail", "--quick", "--db", "cassandra",
-             "--mode", "none", "--mode", "hedge",
-             "--scenario", "slow_replica", "--jobs", "4"])
-        assert args.command == "tail"
-        assert args.dbs == ["cassandra"]
-        assert args.modes == ["none", "hedge"]
-        assert args.scenarios == ["slow_replica"]
-        assert args.jobs == 4
-
-    def test_tail_defaults_cover_both_dbs_all_modes(self):
-        args = build_parser().parse_args(["tail"])
-        assert args.dbs is None  # main() expands this to both databases
-        assert args.modes is None  # cmd_tail falls back to TAIL_MODES
-        assert args.scenarios is None
-        assert args.jobs == 1 and args.no_cache is False
-
-    def test_tail_invalid_mode_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["tail", "--mode", "prayer"])
-
-    def test_tail_invalid_scenario_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["tail", "--scenario", "meteor"])
-
     def test_tail_end_to_end_jobs_and_cache_identical(self, tmp_path,
                                                       monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CELL_CACHE", str(tmp_path))
@@ -207,33 +323,6 @@ class TestTailCommand:
 
 
 class TestSurgeCommand:
-    def test_surge_parses(self):
-        args = build_parser().parse_args(
-            ["surge", "--quick", "--db", "cassandra",
-             "--mode", "undefended", "--mode", "full",
-             "--scenario", "flash_crowd", "--strict", "--jobs", "4"])
-        assert args.command == "surge"
-        assert args.dbs == ["cassandra"]
-        assert args.modes == ["undefended", "full"]
-        assert args.scenarios == ["flash_crowd"]
-        assert args.strict is True
-        assert args.jobs == 4
-
-    def test_surge_defaults_cover_both_dbs_full_matrix(self):
-        args = build_parser().parse_args(["surge"])
-        assert args.dbs is None  # main() expands this to both databases
-        assert args.modes is None  # cmd_surge falls back to SURGE_MODES
-        assert args.scenarios is None
-        assert args.jobs == 1 and args.no_cache is False
-
-    def test_surge_invalid_mode_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["surge", "--mode", "prayer"])
-
-    def test_surge_invalid_scenario_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["surge", "--scenario", "meteor"])
-
     def test_surge_end_to_end_jobs_and_cache_identical(self, tmp_path,
                                                        monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CELL_CACHE", str(tmp_path / "cache"))
@@ -257,8 +346,7 @@ class TestSurgeCommand:
         serial = capsys.readouterr()
         assert serial.out == first.out
         # The JSON report carries the open-loop accounting.
-        import json as json_module
-        payload = json_module.loads(report.read_text())
+        payload = json.loads(report.read_text())
         summary = payload["cassandra"]["steady"]["full"]
         assert summary["offered"] > 0
         assert "clienttier" in summary and "consistency" in summary

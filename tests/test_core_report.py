@@ -1,19 +1,7 @@
 """Unit tests for report rendering."""
 
-from repro.core.report import (
-    render_adaptive_sweep,
-    render_consistency_sweep,
-    render_energy_sweep,
-    render_failover_sweep,
-    render_geo_sweep,
-    render_micro_sweep,
-    render_scale_sweep,
-    render_series,
-    render_stress_sweep,
-    render_surge_sweep,
-    render_table,
-    render_tail_sweep,
-)
+from repro.core.report import render_series, render_table, walk_leaves
+from repro.core.sweep import render_campaign
 
 
 class TestRenderTable:
@@ -32,119 +20,64 @@ class TestRenderTable:
         assert "3.142" in text
         assert "123.5" in text
 
-
-class TestRenderSweeps:
-    def test_micro_sweep(self):
-        sweep = {1: {"read": {"mean_ms": 1.0, "p99_ms": 2.0},
-                     "update": {"mean_ms": 0.5, "p99_ms": 1.0}},
-                 3: {"read": {"mean_ms": 1.2, "p99_ms": 2.2},
-                     "update": {"mean_ms": 0.6, "p99_ms": 1.1}}}
-        text = render_micro_sweep("hbase", sweep)
-        assert "Fig.1" in text and "hbase" in text
-        assert "update ms" in text and "read ms" in text
-        assert len(text.splitlines()) == 5
-
-    def test_stress_sweep(self):
-        sweep = {1: {"read_mostly": {"peak_throughput": 1000.0,
-                                     "latency_ms": 2.0,
-                                     "per_target": []}}}
-        text = render_stress_sweep("cassandra", sweep)
-        assert "Fig.2" in text and "read_mostly" in text
-
-    def test_consistency_sweep(self):
-        sweep = {
-            "ONE": {"read_latest": {"series": [(100.0, 90.0), (200.0, 150.0)],
-                                    "peak_throughput": 150.0}},
-            "QUORUM": {"read_latest": {"series": [(100.0, 95.0),
-                                                  (200.0, 160.0)],
-                                       "peak_throughput": 160.0}},
-        }
-        text = render_consistency_sweep(sweep)
-        assert "Fig.3" in text
-        assert "ONE" in text and "QUORUM" in text
-
     def test_series(self):
         text = render_series("curve", [(1.0, 2.0), (3.0, 4.0)],
                              x_label="target", y_label="runtime")
         assert "curve" in text and "target" in text
 
 
-#: Latency keys most campaign summaries carry.
-_LATENCIES = {"p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": 3.0, "p999_ms": 4.0}
+def _op(mean_ms, joules_per_op=1.0, ops=100):
+    return {"mean_ms": mean_ms, "ops": ops, "joules_per_op": joules_per_op,
+            "usd_per_mops": 0.5}
 
 
-class TestEnergyColumnBackfill:
-    """Every campaign table grew J/op + $/Mops columns; payloads cached
-    before the energy meter existed must still render (as ``-``) and
-    post-bump payloads must show the numbers."""
+class TestRenderCampaigns:
+    def test_walk_leaves_depth(self):
+        sweep = {"a": {"x": 1, "y": 2}, "b": {"x": 3}}
+        assert list(walk_leaves(sweep, 2)) == [
+            (("a", "x"), 1), (("a", "y"), 2), (("b", "x"), 3)]
+        assert list(walk_leaves(sweep, 0)) == [((), sweep)]
 
-    def test_micro_sweep_prebump_and_postbump(self):
-        prebump = {1: {"read": {"mean_ms": 1.0, "ops": 100}}}
-        text = render_micro_sweep("hbase", prebump)
-        assert "J/op" in text and "$/Mops" in text
-        assert "-" in text.splitlines()[-1]
-        postbump = {1: {"read": {"mean_ms": 1.0, "ops": 100,
-                                 "joules_per_op": 1.25,
-                                 "usd_per_mops": 0.5}}}
-        assert "1.250" in render_micro_sweep("hbase", postbump)
+    def test_fig1_one_row_per_rf_in_paper_op_order(self):
+        sweep = {rf: {"read": _op(1.0), "update": _op(0.5),
+                      "insert": _op(0.7), "scan": _op(9.0)}
+                 for rf in (1, 3)}
+        text = render_campaign("fig1", sweep, "hbase")
+        lines = text.splitlines()
+        assert "Fig.1" in lines[0] and "hbase" in lines[0]
+        assert lines[1].split()[:9] == ["RF", "update", "ms", "read", "ms",
+                                       "insert", "ms", "scan", "ms"]
+        assert len(lines) == 5
 
-    def test_stress_sweep_prebump(self):
+    def test_fig1_row_energy_is_joules_over_ops(self):
+        # 100 ops at 1 J/op + 300 ops at 3 J/op = 1000 J / 400 ops.
+        sweep = {1: {"update": _op(1.0, 1.0, 100), "read": _op(1.0, 3.0, 300),
+                     "insert": _op(1.0, None, 0), "scan": _op(1.0, None, 0)}}
+        assert "2.500" in render_campaign("fig1", sweep, "hbase")
+
+    def test_fig2(self):
         sweep = {1: {"read_mostly": {"peak_throughput": 1000.0,
-                                     "latency_ms": 2.0, "per_target": []}}}
-        text = render_stress_sweep("cassandra", sweep)
-        assert "J/op" in text and "-" in text.splitlines()[-1]
+                                     "latency_ms": 2.0, "per_target": [],
+                                     "joules_per_op": 1.25,
+                                     "usd_per_mops": 0.5}}}
+        text = render_campaign("fig2", sweep, "cassandra")
+        assert "Fig.2" in text and "read_mostly" in text
+        assert "1.250" in text.splitlines()[-1]
 
-    def test_consistency_sweep_prebump(self):
-        sweep = {"ONE": {"read_latest": {"series": [(100.0, 90.0)],
-                                         "peak_throughput": 90.0}}}
-        text = render_consistency_sweep(sweep)
-        assert "J/op" in text and "$/Mops" in text
-
-    def test_failover_sweep_prebump(self):
-        summary = {"ops": 100, "failover": {
-            "errors": 1, "time_to_detection_s": None,
-            "time_to_recovery_s": None, "error_window_s": 0.0,
-            "stale_reads": 0, "errors_by_type": {}}}
-        text = render_failover_sweep("hbase", {"crash": {"n/a": summary}})
-        assert "J/op" in text and "-" in text
-
-    def test_tail_sweep_prebump(self):
-        summary = {"throughput": 10.0, "errors": 0, **_LATENCIES}
-        text = render_tail_sweep("hbase", {"healthy": {"none": summary}})
-        assert "J/op" in text and "-" in text
-
-    def test_surge_sweep_prebump(self):
-        summary = {"ops": 10, "throughput": 10.0, "errors": 0,
-                   **_LATENCIES}
-        text = render_surge_sweep("hbase", {"spike": {"none": summary}})
-        assert "J/op" in text and "-" in text
-
-    def test_scale_sweep_prebump(self):
-        summary = {"ops": 10, "throughput": 10.0}
-        text = render_scale_sweep("hbase", {"ramp": {"static": summary}})
-        assert "J/op" in text and "-" in text
-
-    def test_geo_sweep_prebump(self):
-        summary = {"throughput": 10.0, "errors": 0, "p95_ms": 1.0,
-                   "p99_ms": 2.0, "errors_by_type": {},
-                   "consistency": {"violations_by_kind": {},
-                                   "max_staleness_lag_s": 0.0,
-                                   "strong": False}}
-        text = render_geo_sweep(
-            {"LOCAL_QUORUM": {"healthy": {"eu-west": summary}}})
-        assert "J/op" in text and "-" in text
-
-    def test_adaptive_sweep_prebump(self):
-        summary = {"throughput": 10.0,
-                   "decisions": {"slo": {"p95_ms": 50.0, "staleness_s": 0.25,
-                                         "risk_rate": 0.002},
-                                 "read_p95_ms": 1.0,
-                                 "policy_counters": {},
-                                 "by_cl": {"read": {"ONE": 10}}},
-                   "consistency": {"reads": 10, "violations_by_kind": {},
-                                   "max_staleness_lag_s": 0.0}}
-        text = render_adaptive_sweep({"static-one": {600.0: summary}})
-        assert "J/op" in text and "-" in text
+    def test_fig3_panels_transpose_modes_into_columns(self):
+        def cell(series):
+            return {"series": series, "peak_throughput": series[-1][1],
+                    "joules_per_op": 2.0, "usd_per_mops": None}
+        sweep = {"ONE": {"read_latest": cell([(100.0, 90.0),
+                                              (200.0, 150.0)])},
+                 "QUORUM": {"read_latest": cell([(100.0, 95.0),
+                                                 (200.0, 160.0)])}}
+        lines = render_campaign("fig3", sweep).splitlines()
+        assert "Fig.3" in lines[0] and "read_latest" in lines[0]
+        assert lines[1].split() == ["target", "ops/s", "ONE", "QUORUM"]
+        # Two target rows, then the energy "columns" as the last two rows.
+        assert lines[-2].split() == ["J/op", "2.000", "2.000"]
+        assert lines[-1].split() == ["$/Mops", "max", "max"]
 
     def test_energy_sweep_zero_ops_renders_max(self):
         # An all-errors cell stores None under the key: rendered as
@@ -155,6 +88,19 @@ class TestEnergyColumnBackfill:
                               "wake_latency_s": 0.0},
                    "consistency": {"max_staleness_lag_s": 0.0,
                                    "violations": 0}}
-        text = render_energy_sweep(
-            "cassandra", {3: {"ONE": {"always_on": summary}}})
+        text = render_campaign("energy", {3: {"ONE": {"always_on": summary}}},
+                               "cassandra")
         assert "max" in text
+
+    def test_optional_keys_render_as_dash(self):
+        """``consistency`` (HBase surge cells), ``clienttier`` and
+        ``scale`` are genuinely optional in a summary."""
+        summary = {"ops": 10, "throughput": 10.0, "errors": 0,
+                   "p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": 3.0,
+                   "p999_ms": 4.0, "joules_per_op": 1.0, "usd_per_mops": 2.0}
+        surge = render_campaign("surge", {"spike": {"none": summary}},
+                                "hbase").splitlines()[-1].split()
+        assert surge.count("-") == 2  # cache hit rate, max lag
+        scale = render_campaign("scale", {"ramp": {"static": summary}},
+                                "hbase").splitlines()[-1].split()
+        assert scale.count("-") == 4  # three phases, violations

@@ -11,9 +11,7 @@ from repro.core.config import (config_to_dict, config_to_json,
                                default_micro_config, default_stress_config)
 from repro.core.runner import (CellRunner, CellSpec, RunSpec, WarmSpec,
                                cell_fingerprint, code_version, execute_cell)
-from repro.core.sweep import (QUICK_SCALE, consistency_stress_sweep,
-                              replication_micro_sweep,
-                              replication_stress_sweep)
+from repro.core.sweep import QUICK_SCALE, run_campaign
 
 #: Trimmed further below QUICK_SCALE so the always-on equivalence tests
 #: stay cheap; the full --quick scale runs in the opt-in speedup test.
@@ -100,32 +98,32 @@ class TestSerialParallelEquivalence:
     """The tentpole guarantee: N processes, bit-identical results."""
 
     def test_fig2_parallel_equals_serial(self):
-        serial = replication_stress_sweep("cassandra", [1, 2], TINY_SCALE)
-        par = replication_stress_sweep("cassandra", [1, 2], TINY_SCALE,
-                                       runner=CellRunner(jobs=4))
+        serial = run_campaign("fig2", "cassandra", TINY_SCALE, rfs=[1, 2])
+        par = run_campaign("fig2", "cassandra", TINY_SCALE, rfs=[1, 2],
+                           runner=CellRunner(jobs=4))
         assert serial == par
         assert (json.dumps(serial, sort_keys=True, default=repr)
                 == json.dumps(par, sort_keys=True, default=repr))
 
     def test_fig1_and_fig3_parallel_equal_serial(self):
         scale = replace(TINY_SCALE, record_count=800, operation_count=200)
-        assert (replication_micro_sweep("hbase", [1, 2], scale)
-                == replication_micro_sweep("hbase", [1, 2], scale,
-                                           runner=CellRunner(jobs=2)))
-        assert (consistency_stress_sweep(scale)
-                == consistency_stress_sweep(scale,
-                                            runner=CellRunner(jobs=3)))
+        assert (run_campaign("fig1", "hbase", scale, rfs=[1, 2])
+                == run_campaign("fig1", "hbase", scale, rfs=[1, 2],
+                                runner=CellRunner(jobs=2)))
+        assert (run_campaign("fig3", scale=scale)
+                == run_campaign("fig3", scale=scale,
+                                runner=CellRunner(jobs=3)))
 
     @pytest.mark.skipif(os.cpu_count() < 4,
                         reason="speedup needs >= 4 CPU cores")
     def test_quick_fig2_jobs4_identical_and_faster(self):
         started = time.perf_counter()
-        serial = replication_stress_sweep("cassandra", [1, 3, 6],
-                                          QUICK_SCALE)
+        serial = run_campaign("fig2", "cassandra", QUICK_SCALE,
+                              rfs=[1, 3, 6])
         serial_s = time.perf_counter() - started
         started = time.perf_counter()
-        par = replication_stress_sweep("cassandra", [1, 3, 6], QUICK_SCALE,
-                                       runner=CellRunner(jobs=4))
+        par = run_campaign("fig2", "cassandra", QUICK_SCALE, rfs=[1, 3, 6],
+                           runner=CellRunner(jobs=4))
         parallel_s = time.perf_counter() - started
         assert serial == par
         assert serial_s / parallel_s >= 1.5
@@ -137,8 +135,8 @@ class TestCellCache:
         runner = CellRunner(cache=True, cache_dir=tmp_path,
                             progress=events.append)
         started = time.perf_counter()
-        cold = replication_stress_sweep("cassandra", [1, 2], TINY_SCALE,
-                                        runner=runner)
+        cold = run_campaign("fig2", "cassandra", TINY_SCALE, rfs=[1, 2],
+                            runner=runner)
         cold_s = time.perf_counter() - started
         assert [e.cached for e in events] == [False, False]
 
@@ -146,8 +144,8 @@ class TestCellCache:
         runner = CellRunner(cache=True, cache_dir=tmp_path,
                             progress=events.append)
         started = time.perf_counter()
-        warm = replication_stress_sweep("cassandra", [1, 2], TINY_SCALE,
-                                        runner=runner)
+        warm = run_campaign("fig2", "cassandra", TINY_SCALE, rfs=[1, 2],
+                            runner=runner)
         warm_s = time.perf_counter() - started
         assert warm == cold
         assert [e.cached for e in events] == [True, True]

@@ -14,22 +14,21 @@ import json
 import pytest
 
 from repro.consistency.oracle import unexpected_violations
-from repro.core.report import render_energy_sweep
 from repro.core.sweep import (ENERGY_CL_MODES, ENERGY_POWER_MODES,
-                              QUICK_ENERGY_SCALE, energy_cells,
-                              energy_modes, energy_sweep)
+                              QUICK_ENERGY_SCALE, campaign_cells,
+                              energy_modes, render_campaign, run_campaign)
 
 
 @pytest.fixture(scope="module")
 def sweeps():
-    return {db: energy_sweep(db, QUICK_ENERGY_SCALE)
+    return {db: run_campaign("energy", db, QUICK_ENERGY_SCALE)
             for db in ("cassandra", "hbase")}
 
 
 class TestEnergyCells:
     def test_grid_covers_modes(self):
-        keys = {cell.key for cell in energy_cells("cassandra",
-                                                  QUICK_ENERGY_SCALE)}
+        keys = {cell.key for cell in campaign_cells(
+            "energy", "cassandra", QUICK_ENERGY_SCALE)}
         for rf in QUICK_ENERGY_SCALE.rfs:
             for cl in ENERGY_CL_MODES["cassandra"]:
                 assert (rf, cl, "always_on") in keys
@@ -134,7 +133,7 @@ class TestEnergyReportShape:
         json.dumps(sweeps)
 
     def test_render_energy_sweep(self, sweeps):
-        text = render_energy_sweep("cassandra", sweeps["cassandra"])
+        text = render_campaign("energy", sweeps["cassandra"], "cassandra")
         assert "J/op" in text and "$/Mops" in text
         assert "race_to_sleep" in text
         assert "energy_aware" in text

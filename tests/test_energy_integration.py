@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 
-from repro.cluster.energy import EnergyReport
+from repro.energy import EnergyReport
 from repro.core.config import default_stress_config
 from repro.core.experiment import ExperimentSession, summarize_run
 from repro.energy.cost import CostReport

@@ -12,10 +12,7 @@ from repro.cassandra.consistency import ConsistencyLevel
 from repro.core.sweep import (
     QUICK_FAILOVER_SCALE,
     SweepScale,
-    consistency_stress_sweep,
-    failover_sweep,
-    replication_micro_sweep,
-    replication_stress_sweep,
+    run_campaign,
 )
 
 SCALE = SweepScale(record_count=6_000, operation_count=1_200,
@@ -32,7 +29,7 @@ STRESS_SCALE = SweepScale(record_count=8_000, operation_count=1_500,
 
 @pytest.fixture(scope="module")
 def micro():
-    return {db: replication_micro_sweep(db, (1, 5), SCALE)
+    return {db: run_campaign("fig1", db, SCALE, rfs=(1, 5))
             for db in ("hbase", "cassandra")}
 
 
@@ -72,8 +69,8 @@ class TestFig2Shapes:
     @pytest.fixture(scope="class")
     def stress(self):
         workloads = ("read_mostly", "read_update")
-        return {db: replication_stress_sweep(db, (1, 6), STRESS_SCALE,
-                                             workloads=workloads)
+        return {db: run_campaign("fig2", db, STRESS_SCALE, rfs=(1, 6),
+                                 workloads=workloads)
                 for db in ("hbase", "cassandra")}
 
     def test_f5_cassandra_peak_falls_with_rf(self, stress):
@@ -102,9 +99,9 @@ class TestFig2Shapes:
 class TestFig3Shapes:
     @pytest.fixture(scope="class")
     def consistency(self):
-        return consistency_stress_sweep(
-            STRESS_SCALE, workloads=("read_latest", "scan_short_ranges",
-                                     "read_update"))
+        return run_campaign(
+            "fig3", scale=STRESS_SCALE,
+            workloads=("read_latest", "scan_short_ranges", "read_update"))
 
     def test_f6b_scan_insensitive_to_cl(self, consistency):
         peaks = [consistency[mode]["scan_short_ranges"]["peak_throughput"]
@@ -139,15 +136,14 @@ class TestFailoverShapes:
 
     @pytest.fixture(scope="class")
     def cassandra_crash(self):
-        sweep = failover_sweep("cassandra", ("crash",),
-                               QUICK_FAILOVER_SCALE, modes={
-                                   "ONE": (ConsistencyLevel.ONE,
-                                           ConsistencyLevel.ONE)})
+        sweep = run_campaign("failover", "cassandra", QUICK_FAILOVER_SCALE,
+                             faults=("crash",), modes=("ONE",))
         return sweep["crash"]["ONE"]
 
     @pytest.fixture(scope="class")
     def hbase_crash(self):
-        sweep = failover_sweep("hbase", ("crash",), QUICK_FAILOVER_SCALE)
+        sweep = run_campaign("failover", "hbase", QUICK_FAILOVER_SCALE,
+                             faults=("crash",))
         return sweep["crash"]["n/a"]
 
     def test_cassandra_one_rides_out_crash_without_errors(
@@ -217,24 +213,24 @@ class TestTailDefenseShapes:
 
     @pytest.fixture(scope="class")
     def slow_replica(self):
-        from repro.core.sweep import QUICK_TAIL_SCALE, tail_sweep
-        sweep = tail_sweep("cassandra", QUICK_TAIL_SCALE,
-                           modes=("none", "hedge"),
-                           scenarios=("slow_replica",))
+        from repro.core.sweep import QUICK_TAIL_SCALE
+        sweep = run_campaign("tail", "cassandra", QUICK_TAIL_SCALE,
+                             modes=("none", "hedge"),
+                             scenarios=("slow_replica",))
         return sweep["slow_replica"]
 
     @pytest.fixture(scope="class")
     def healthy(self):
-        from repro.core.sweep import QUICK_TAIL_SCALE, tail_sweep
-        sweep = tail_sweep("cassandra", QUICK_TAIL_SCALE, modes=("none",),
-                           scenarios=("healthy",))
+        from repro.core.sweep import QUICK_TAIL_SCALE
+        sweep = run_campaign("tail", "cassandra", QUICK_TAIL_SCALE,
+                             modes=("none",), scenarios=("healthy",))
         return sweep["healthy"]
 
     @pytest.fixture(scope="class")
     def overload(self):
-        from repro.core.sweep import QUICK_TAIL_SCALE, tail_sweep
-        sweep = tail_sweep("cassandra", QUICK_TAIL_SCALE,
-                           modes=("deadline",), scenarios=("overload",))
+        from repro.core.sweep import QUICK_TAIL_SCALE
+        sweep = run_campaign("tail", "cassandra", QUICK_TAIL_SCALE,
+                             modes=("deadline",), scenarios=("overload",))
         return sweep["overload"]
 
     def test_hedging_collapses_slow_replica_p99(self, slow_replica):
@@ -268,9 +264,9 @@ class TestGeoShapes:
 
     @pytest.fixture(scope="class")
     def geo(self):
-        from repro.core.sweep import QUICK_GEO_SCALE, geo_sweep
-        return geo_sweep(scenarios=("dc_partition",),
-                         scale=QUICK_GEO_SCALE)
+        from repro.core.sweep import QUICK_GEO_SCALE
+        return run_campaign("geo", scale=QUICK_GEO_SCALE,
+                            scenarios=("dc_partition",))
 
     def test_local_quorum_remote_regions_ride_out_dc_partition(self, geo):
         # The partition takes out ap-southeast; the other two regions
@@ -385,10 +381,10 @@ class TestFlashCrowdShapes:
 
     @pytest.fixture(scope="class")
     def surge(self):
-        from repro.core.sweep import QUICK_SURGE_SCALE, surge_sweep
-        return surge_sweep("cassandra", QUICK_SURGE_SCALE,
-                           modes=("undefended", "full"),
-                           scenarios=("steady", "flash_crowd"))
+        from repro.core.sweep import QUICK_SURGE_SCALE
+        return run_campaign("surge", "cassandra", QUICK_SURGE_SCALE,
+                            modes=("undefended", "full"),
+                            scenarios=("steady", "flash_crowd"))
 
     def test_steady_control_is_clean(self, surge):
         # At the base rate both stacks are invisible: every arrival is

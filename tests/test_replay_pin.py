@@ -111,13 +111,14 @@ class TestGeoReplayPin:
         """The campaign runner returns byte-identical payloads whether
         cells run serially in-process or across worker processes."""
         from repro.core.runner import CellRunner
-        from repro.core.sweep import GeoScale, geo_cells
+        from repro.core.sweep import GeoScale, campaign_cells
         scale = GeoScale(record_count=200, operation_count=400,
                          n_threads=4, servers_per_dc=2, replicas_per_dc=2,
                          target_throughput=600.0, fault_at_s=0.2,
                          fault_duration_s=0.4)
-        cells = geo_cells(modes=("LOCAL_ONE", "LOCAL_QUORUM"),
-                          scenarios=("dc_partition",), scale=scale)
+        cells = campaign_cells("geo", scale=scale,
+                               modes=("LOCAL_ONE", "LOCAL_QUORUM"),
+                               scenarios=("dc_partition",))
         serial = CellRunner(jobs=1, cache=False).run(cells)
         parallel = CellRunner(jobs=2, cache=False).run(cells)
         assert json.dumps(serial, sort_keys=True) \
@@ -172,12 +173,13 @@ class TestScaleReplayPin:
         """``repro-bench scale`` payloads are byte-identical whether the
         cells run serially in-process or across worker processes."""
         from repro.core.runner import CellRunner
-        from repro.core.sweep import ElasticScale, scale_cells
+        from repro.core.sweep import ElasticScale, campaign_cells
         scale = ElasticScale(record_count=600, n_nodes=5, base_rate=400.0,
                              max_arrivals=2_500, period_s=8.0,
                              manual_at_s=2.0, cooldown_s=3.0, seed=17)
-        cells = scale_cells("cassandra", scale, modes=("manual", "auto"),
-                            scenarios=("diurnal",))
+        cells = campaign_cells("scale", "cassandra", scale,
+                               modes=("manual", "auto"),
+                               scenarios=("diurnal",))
         serial = CellRunner(jobs=1, cache=False).run(cells)
         parallel = CellRunner(jobs=2, cache=False).run(cells)
         assert json.dumps(serial, sort_keys=True) \
