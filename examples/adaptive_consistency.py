@@ -43,8 +43,8 @@ def main() -> None:
     timelines = []
     for policy in ADAPTIVE_POLICIES:
         result = run_policy(policy)
-        decisions = result.decisions
-        consistency = result.consistency
+        decisions = result.reports["decisions"]
+        consistency = result.reports["consistency"]
         reads = max(1, consistency["reads"])
         by_kind = consistency["violations_by_kind"]
         rows.append([

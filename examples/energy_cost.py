@@ -52,20 +52,20 @@ def main() -> None:
     parked = None
     for key in SHOWCASE:
         result = run_cell(cells[key])
-        energy, cost = result.energy, result.cost
-        ops = result.operations
+        reports = result.reports
+        energy = reports["energy"]
         rows.append([
             f"{key[1]}/{key[2]}",
             f"{result.throughput:.0f}",
-            f"{energy.idle_j:.0f}",
-            f"{energy.cpu_j + energy.disk_j + energy.nic_j:.0f}",
-            f"{energy.sleep_j:.0f}",
-            f"{energy.wakes}",
-            f"{energy.joules_per_op(ops):.3f}",
-            f"{cost.usd_per_mops(ops):.3f}",
+            f"{energy['idle_j']:.0f}",
+            f"{energy['cpu_j'] + energy['disk_j'] + energy['nic_j']:.0f}",
+            f"{energy['sleep_j']:.0f}",
+            f"{energy['wakes']}",
+            f"{reports['joules_per_op']:.3f}",
+            f"{reports['usd_per_mops']:.3f}",
         ])
         if key[2] == "energy_aware":
-            parked = result.decisions["policy_counters"]
+            parked = reports["decisions"]["policy_counters"]
     print(render_table(
         ["cell", "ops/s", "idle J", "dynamic J", "sleep J", "wakes",
          "J/op", "$/Mops"],

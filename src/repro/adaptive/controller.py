@@ -123,12 +123,10 @@ class AdaptiveController:
     # -- DbBinding protocol ----------------------------------------------
 
     def insert(self, key: str, value: Any, size: int) -> Generator:
-        result = yield from self._write(self.inner.insert, key, value, size)
-        return result
+        return self._write(self.inner.insert, key, value, size)
 
     def update(self, key: str, value: Any, size: int) -> Generator:
-        result = yield from self._write(self.inner.update, key, value, size)
-        return result
+        return self._write(self.inner.update, key, value, size)
 
     def read(self, key: str, size: int) -> Generator:
         at_risk = self.monitor.at_risk(key)

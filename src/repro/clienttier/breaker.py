@@ -163,18 +163,13 @@ class BreakerBinding:
         return result
 
     def insert(self, key: str, value, size: int) -> Generator:
-        result = yield from self._guard(self.inner.insert, key, value, size)
-        return result
+        return self._guard(self.inner.insert, key, value, size)
 
     def update(self, key: str, value, size: int) -> Generator:
-        result = yield from self._guard(self.inner.update, key, value, size)
-        return result
+        return self._guard(self.inner.update, key, value, size)
 
     def read(self, key: str, size: int) -> Generator:
-        result = yield from self._guard(self.inner.read, key, size)
-        return result
+        return self._guard(self.inner.read, key, size)
 
     def scan(self, start_key: str, limit: int, record_bytes: int) -> Generator:
-        result = yield from self._guard(self.inner.scan, start_key, limit,
-                                        record_bytes)
-        return result
+        return self._guard(self.inner.scan, start_key, limit, record_bytes)

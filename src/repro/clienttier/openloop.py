@@ -39,7 +39,7 @@ from repro.clienttier.ratelimit import RateLimited, TenantRateLimiter
 from repro.clienttier.retry import RetryBinding, RetryBudget
 from repro.sim.kernel import Environment, Event
 from repro.ycsb.arrivals import ArrivalProcess, UserSessions
-from repro.ycsb.client import OPERATION_ERRORS, RunResult
+from repro.ycsb.client import OPERATION_ERRORS, RunResult, _execute
 from repro.ycsb.db import DbBinding
 from repro.ycsb.measurements import Measurements
 from repro.ycsb.workload import OperationType, Workload
@@ -142,10 +142,10 @@ class OpenLoopClient:
     """Drives one open-loop arrival stream against a binding stack.
 
     ``db`` is the (possibly recorder-wrapped) top of the binding stack;
-    ``tier`` supplies the limiter/leveler and the stats the result
-    carries.  ``run`` is a simulation process returning a
-    :class:`~repro.ycsb.client.RunResult` whose ``offered`` /
-    ``clienttier`` fields distinguish it from a closed-loop run.
+    ``tier`` supplies the limiter/leveler/cache consulted at dispatch.
+    ``run`` is a simulation process returning a
+    :class:`~repro.ycsb.client.RunResult` whose ``offered`` field
+    distinguishes it from a closed-loop run.
     """
 
     def __init__(self, env: Environment, db: DbBinding, workload: Workload,
@@ -233,18 +233,8 @@ class OpenLoopClient:
         elif state["outstanding"] > 0:
             yield state["drained"]
         measurements.finished_at = env.now
-        duration = measurements.duration
-        return RunResult(
-            workload=self.workload.spec.name,
-            operations=measurements.total_ops,
-            not_found=state["not_found"],
-            duration_s=duration,
-            throughput=measurements.throughput,
-            target_throughput=offered_rate,
-            measurements=measurements,
-            offered=measurements.offered_total,
-            clienttier=self.tier.stats() if self.tier is not None else None,
-        )
+        return RunResult.of(self.workload, measurements, state["not_found"],
+                            offered_rate, offered=measurements.offered_total)
 
     def _op_thunk(self, op: OperationType, arrived_at: float,
                   measurements: Measurements, state: dict,
@@ -260,7 +250,8 @@ class OpenLoopClient:
 
         def thunk() -> Generator:
             try:
-                found = yield from self._execute(op, read_key=read_key)
+                found = yield from _execute(self.db, self.workload, op,
+                                            read_key)
             except self._errors as exc:
                 measurements.record_error(op.value, kind=type(exc).__name__,
                                           at=env.now)
@@ -275,37 +266,3 @@ class OpenLoopClient:
                         state["drained"].succeed()
 
         return thunk
-
-    def _execute(self, op: OperationType,
-                 read_key: Optional[str] = None) -> Generator:
-        """Perform one operation; returns False for a not-found read.
-
-        ``read_key`` carries a key already drawn at dispatch (the edge
-        cache's freshness probe) so the read targets the key that was
-        actually probed.
-        """
-        workload = self.workload
-        size = workload.spec.record_bytes
-        if op is OperationType.INSERT:
-            payload, _ = workload.next_value()
-            yield from self.db.insert(workload.next_insert_key(), payload,
-                                      size)
-            return True
-        if op is OperationType.UPDATE:
-            payload, _ = workload.next_value()
-            yield from self.db.update(workload.next_read_key(), payload, size)
-            return True
-        if op is OperationType.READ:
-            key = read_key if read_key is not None \
-                else workload.next_read_key()
-            result = yield from self.db.read(key, size)
-            return result is not None
-        if op is OperationType.SCAN:
-            rows = yield from self.db.scan(workload.next_read_key(),
-                                           workload.next_scan_length(), size)
-            return bool(rows)
-        key = workload.next_read_key()
-        result = yield from self.db.read(key, size)
-        payload, _ = workload.next_value()
-        yield from self.db.update(key, payload, size)
-        return result is not None

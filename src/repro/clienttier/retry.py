@@ -125,18 +125,13 @@ class RetryBinding:
                 "exhausted": self.exhausted}
 
     def insert(self, key: str, value, size: int) -> Generator:
-        result = yield from self._call(self.inner.insert, key, value, size)
-        return result
+        return self._call(self.inner.insert, key, value, size)
 
     def update(self, key: str, value, size: int) -> Generator:
-        result = yield from self._call(self.inner.update, key, value, size)
-        return result
+        return self._call(self.inner.update, key, value, size)
 
     def read(self, key: str, size: int) -> Generator:
-        result = yield from self._call(self.inner.read, key, size)
-        return result
+        return self._call(self.inner.read, key, size)
 
     def scan(self, start_key: str, limit: int, record_bytes: int) -> Generator:
-        result = yield from self._call(self.inner.scan, start_key, limit,
-                                       record_bytes)
-        return result
+        return self._call(self.inner.scan, start_key, limit, record_bytes)

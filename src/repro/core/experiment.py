@@ -11,9 +11,9 @@ Two entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isfinite
-from typing import Optional
+from typing import Callable, Generator, Optional
 
 from repro.adaptive.controller import AdaptiveController
 from repro.adaptive.monitor import Monitor, SloSpec
@@ -39,7 +39,7 @@ from repro.ycsb.arrivals import UserSessions, make_arrivals
 from repro.ycsb.client import LoadResult, RunResult, YcsbClient
 from repro.ycsb.db import CassandraBinding, DbBinding, HBaseBinding
 from repro.ycsb.measurements import Measurements
-from repro.ycsb.workload import Workload, WorkloadSpec
+from repro.ycsb.workload import STRESS_WORKLOADS, Workload, WorkloadSpec
 
 __all__ = ["ExperimentResult", "ExperimentSession", "run_experiment",
            "summarize_run"]
@@ -68,12 +68,6 @@ def summarize_run(result: "RunResult") -> dict:
         "errors_by_type": dict(
             sorted(result.measurements.errors_by_type.items())),
     }
-    if result.failover is not None:
-        summary["failover"] = result.failover
-    if result.consistency is not None:
-        summary["consistency"] = result.consistency
-    if result.decisions is not None:
-        summary["decisions"] = result.decisions
     if result.offered is not None:
         # Open-loop runs: offered load is an input, goodput an output.
         # "throughput" above equals goodput; the explicit pair makes the
@@ -81,20 +75,7 @@ def summarize_run(result: "RunResult") -> dict:
         summary["offered"] = result.offered
         summary["offered_per_s"] = result.measurements.offered_throughput
         summary["goodput"] = result.throughput
-    if result.clienttier is not None:
-        summary["clienttier"] = result.clienttier
-    if result.scale is not None:
-        summary["scale"] = result.scale
-    if result.energy is not None:
-        summary["energy"] = result.energy.to_dict()
-        jop = result.energy.joules_per_op(overall.count)
-        # JSON has no inf: an all-errors window stores None (renderers
-        # show it as "max", never as free).
-        summary["joules_per_op"] = jop if isfinite(jop) else None
-    if result.cost is not None:
-        summary["cost"] = result.cost.to_dict()
-        upm = result.cost.usd_per_mops(overall.count)
-        summary["usd_per_mops"] = upm if isfinite(upm) else None
+    summary.update(result.reports)
     return summary
 
 
@@ -109,6 +90,234 @@ class ExperimentResult:
     db_stats: dict
 
 
+# -- the instruments of a measured run ------------------------------------
+#
+# An instrument is everything one observer of a run does, as a generator
+# of four segments that :meth:`ExperimentSession.run_cell` advances in
+# lockstep: **wrap** the binding stack (yielding the wrapped binding),
+# **arm** at the run's start, **stop** when the driver has finished, and
+# **report** — yield JSON-safe summary entries, built on the settled
+# cluster.  ``switch`` is the value of the keyword that turned it on.
+
+@dataclass
+class _Run:
+    """One run as its instruments see it."""
+
+    exp: "ExperimentSession"
+    #: The driving client: its key and entry in the session's client map.
+    dc: Optional[str]
+    node: object
+    session: Optional[CassandraSession]
+    binding: DbBinding
+    #: The live sample store, handed to the driver and to whoever polls
+    #: it mid-run (the autoscaler reads per-window p95 from it).
+    measurements: Measurements
+    #: Operations the driver will issue and its target rate, ops/s.
+    ops: int = 0
+    target: Optional[float] = None
+    #: An open-loop run's client tier, for its driver.
+    tier: Optional[ClientTier] = None
+    #: ``() -> (read CL, write CL)`` the oracle classifies the guarantee
+    #: by, when not the session's own.
+    classify_by: Optional[Callable[[], tuple]] = None
+    _probe: Optional[StalenessProbe] = None
+
+    def probe(self) -> StalenessProbe:
+        """The run's read-your-writes probe, started on first request
+        (the fault and scale reports both read it).  It uses the raw
+        binding — its measurements must not be cache-served, and an open
+        breaker must not kill the probe process."""
+        if self._probe is None:
+            self._probe = StalenessProbe(self.exp.env, self.binding)
+            self.exp.env.process(self._probe.run(), name="staleness-probe")
+        return self._probe
+
+
+def _client_tier(run: _Run, switch, binding: DbBinding) -> Generator:
+    """``open_loop``: ``config.arrivals`` drives the run through the
+    resilient client tier (:mod:`repro.clienttier`) built from
+    ``config.clienttier`` — arrivals dispatch at their scheduled times
+    regardless of in-flight work, latency is measured from intended
+    arrival, and the result carries the ``offered`` count.  Reports
+    ``clienttier`` (the tier's accounting)."""
+    exp = run.exp
+    if exp.config.arrivals is None:
+        raise ValueError("open_loop runs need config.arrivals")
+    run.tier = build_client_stack(binding, exp.env, exp.rngs,
+                                  exp.config.clienttier)
+    yield run.tier.binding
+    yield
+    yield
+    yield {"clienttier": run.tier.stats()}
+
+
+def _oracle(run: _Run, switch, binding: DbBinding) -> Generator:
+    """``check_consistency``: every database operation is recorded into
+    a Jepsen-style history (writes tagged with unique values).  Reports
+    ``consistency``, built after the post-run settle so the convergence
+    check sees a quiescent cluster."""
+    exp, session = run.exp, run.session
+    read_cl_of = write_cl_of = None
+    if session is not None:
+        read_cl_of = lambda: session.read_cl.value  # noqa: E731
+        write_cl_of = lambda: session.write_cl.value  # noqa: E731
+    exp._recorded_runs += 1
+    recorder = HistoryRecorder(binding, exp.env, read_cl=read_cl_of,
+                               write_cl=write_cl_of,
+                               tag_prefix=f"h{exp._recorded_runs}.")
+    yield recorder
+    yield
+    yield
+    read_cl = write_cl = None
+    if run.classify_by is not None:
+        read_cl, write_cl = run.classify_by()
+    elif session is not None:
+        read_cl, write_cl = session.read_cl, session.write_cl
+    yield {"consistency": build_consistency_report(
+        recorder.history, db=exp.config.db, read_cl=read_cl,
+        write_cl=write_cl, replication=exp.config.replication,
+        cassandra=exp.cassandra, client_dc=run.dc)}
+
+
+def _adaptive(run: _Run, switch, binding: DbBinding) -> Generator:
+    """``adaptive=<policy name>`` (Cassandra, closed loop): the named
+    :mod:`repro.adaptive` policy picks the consistency level per request
+    under ``config.adaptive``'s SLO.  Reports ``decisions`` (the
+    decision log); the session's own CLs are back in force afterwards."""
+    exp, session, cassandra = run.exp, run.session, run.exp.cassandra
+    if session is None or cassandra is None:
+        raise ValueError("adaptive consistency control requires Cassandra")
+    ac, env = exp.config.adaptive, exp.env
+    # Per-region staleness budget: the run measured from a region
+    # steers by its own declared bound.
+    staleness = dict(ac.staleness_by_region).get(run.dc, ac.staleness_s)
+    slo = SloSpec(p95_ms=ac.p95_ms, staleness_s=staleness,
+                  risk_rate=ac.risk_rate, window_s=ac.window_s)
+
+    def coordinator_signals() -> dict:
+        totals = cassandra.total_stats()
+        totals["hint_backlog"] = sum(
+            len(node.hints) for node in cassandra.nodes.values())
+        return totals
+
+    monitor = Monitor(slo, clock=lambda: env.now,
+                      signal_source=coordinator_signals)
+    policy = make_policy(switch, slo, decay_windows=ac.decay_windows)
+    if isinstance(policy, EnergyAwarePolicy):
+        managed = [n for n in exp.cluster.nodes if n.power is not None]
+
+        def set_parked(parked: bool) -> None:
+            mode = "race_to_sleep" if parked else "always_on"
+            for node in managed:
+                node.power.set_mode(mode, env.now)
+
+        policy.bind_actuator(set_parked)
+    # The oracle classifies the guarantee by the weakest CLs the policy
+    # may issue, not whatever the final request happened to use.
+    run.classify_by = policy.floor_cls
+    session_cls = (session.read_cl, session.write_cl)
+    # Outermost wrapper: the controller sets the session CL *before*
+    # delegating, so the history recorder (inside) records the CL each
+    # operation actually ran at.
+    controller = AdaptiveController(binding, session, policy, monitor)
+    yield controller
+    yield
+    yield
+    decisions = controller.summary()
+    read_stats = run.measurements.stats("read")
+    decisions["read_p95_ms"] = read_stats.p95 * 1000.0
+    decisions["read_p99_ms"] = read_stats.p99_ms
+    # Only now: a probe read still in flight when the driver finished
+    # ran during the settle, at the controller's last CL.
+    session.read_cl, session.write_cl = session_cls
+    yield {"decisions": decisions}
+
+
+def _faults(run: _Run, switch, binding: DbBinding) -> Generator:
+    """``inject_faults`` (and a non-empty ``config.faults``): the fault
+    schedule is armed relative to the run's start and a read-your-writes
+    probe runs alongside the workload.  Reports ``failover``."""
+    yield binding
+    started = run.exp.env.now
+    injector = FailureInjector(run.exp.cluster)
+    injector.inject(FaultSchedule.from_specs(switch, base_s=started))
+    probe = run.probe()
+    yield
+    probe.stop()
+    yield
+    # Built after settling so restarts/heals landing just past the
+    # run's end still make it into the report.
+    expected_end = started + run.ops / run.target if run.target else None
+    yield {"failover": build_failover_report(
+        run.measurements, injector.log, target_throughput=run.target,
+        expected_end=expected_end, probe=probe)}
+
+
+def _scale(run: _Run, switch, binding: DbBinding) -> Generator:
+    """``scale``: ``config.elasticity`` is armed relative to the run's
+    start — a :class:`~repro.cluster.elasticity.ScaleEngine` adds and
+    removes nodes mid-run (manual schedule or p95-driven autoscaler) —
+    and a read-your-writes probe runs alongside the workload.  Reports
+    ``scale``: per-phase (before/during/after transfer) latency and
+    staleness."""
+    exp, hbase, cassandra = run.exp, run.exp.hbase, run.exp.cassandra
+    if exp.config.elasticity is None:
+        raise ValueError("scale runs need config.elasticity")
+    yield binding
+    engine = ScaleEngine(exp.env, hbase if hbase is not None else cassandra,
+                         exp.config.elasticity,
+                         measurements=run.measurements)
+    engine.arm(exp.env.now)
+    # Scale runs always probe read-your-writes so the report can
+    # attribute staleness to the transfer windows.
+    probe = run.probe()
+    # Session-lifetime counters: snapshot so the report only covers
+    # this run's transfers.
+    pre_streams = pre_rebalances = pre_splits = 0
+    if cassandra is not None:
+        pre_streams = len(cassandra.streams)
+    if hbase is not None:
+        pre_rebalances = len(hbase.master.rebalances)
+        pre_splits = len(hbase.splits)
+    yield
+    probe.stop()
+    engine.stop()
+    yield
+    yield {"scale": build_scale_report(
+        run.measurements, engine.log, config=exp.config.elasticity,
+        streams=(cassandra.streams[pre_streams:]
+                 if cassandra is not None else ()),
+        rebalances=(len(hbase.master.rebalances) - pre_rebalances
+                    if hbase is not None else 0),
+        splits=(len(hbase.splits) - pre_splits if hbase is not None else 0),
+        probe=probe)}
+
+
+def _energy(run: _Run, switch, binding: DbBinding) -> Generator:
+    """Always on: meters the cluster's energy over the run and prices
+    it with the cell's ``CostSpec``.  Reports ``energy``, ``cost``,
+    ``joules_per_op`` and ``usd_per_mops``."""
+    exp = run.exp
+    yield binding
+    # Re-read the topology at stop so elasticity joins/leaves over the
+    # window bill correctly.
+    meter = EnergyMeter(spec=exp.power_spec,
+                        nodes_source=lambda: exp.cluster.nodes)
+    meter.start()
+    yield
+    energy = meter.stop()
+    yield
+    cost = exp.cost_spec.price(energy)
+    ops = run.measurements.total_ops
+    jop, upm = energy.joules_per_op(ops), cost.usd_per_mops(ops)
+    # JSON has no inf: an all-errors window stores None (renderers show
+    # it as "max", never as free).
+    yield {"energy": energy.to_dict(),
+           "joules_per_op": jop if isfinite(jop) else None,
+           "cost": cost.to_dict(),
+           "usd_per_mops": upm if isfinite(upm) else None}
+
+
 class ExperimentSession:
     """One deployed + loaded database, ready to run measured cells."""
 
@@ -116,9 +325,9 @@ class ExperimentSession:
         self.config = config
         self.env = Environment()
         self.rngs = RngRegistry(config.seed)
-        if config.geo is not None:
+        geo = config.geo
+        if geo is not None:
             from repro.cluster.geo import GeoCluster, GeoSpec
-            geo = config.geo
             region_latency = {frozenset({a, b}): s
                               for a, b, s in geo.region_rtt_s}
             self.cluster = GeoCluster(self.env, GeoSpec(
@@ -127,13 +336,14 @@ class ExperimentSession:
                 client_datacenters=tuple(geo.client_datacenters),
                 region_latency_s=region_latency,
                 wan_bandwidth_bps=geo.wan_bandwidth_bps), self.rngs)
-            self.client_node = self.cluster.client_in(
-                geo.client_datacenters[0])
+            client_nodes = {dc: self.cluster.client_in(dc)
+                            for dc in geo.client_datacenters}
         else:
             self.cluster = Cluster(self.env,
                                    ClusterSpec(n_nodes=config.n_nodes),
                                    self.rngs)
-            self.client_node = self.cluster.node(config.n_nodes - 1)
+            client_nodes = {None: self.cluster.node(config.n_nodes - 1)}
+        self.client_node = next(iter(client_nodes.values()))
         self.power_spec = config.energy.power_spec()
         self.cost_spec = config.energy.cost_spec()
         if config.energy.power_mode != "always_on":
@@ -145,13 +355,9 @@ class ExperimentSession:
             mode = ("race_to_sleep"
                     if config.energy.power_mode == "race_to_sleep"
                     else "always_on")
-            if config.geo is not None:
-                servers = [self.cluster.nodes[i]
-                           for i in self.cluster.server_ids]
-            else:
-                servers = [n for n in self.cluster.nodes
-                           if n is not self.client_node]
-            for node in servers:
+            for node in self.cluster.nodes:
+                if node in client_nodes.values():
+                    continue
                 manager = PowerManager(self.power_spec, mode=mode,
                                        now=self.env.now)
                 node.power = manager
@@ -159,25 +365,12 @@ class ExperimentSession:
         self._loaded = False
         self.hbase: Optional[HBaseCluster] = None
         self.cassandra: Optional[CassandraCluster] = None
-        self._session: Optional[CassandraSession] = None
-        #: Geo deployments: one driver session + binding per client
-        #: region, keyed by datacenter (``run_cell(client_dc=...)``
-        #: measures from that region's client node).
-        self._geo_sessions: dict[str, CassandraSession] = {}
-        self._geo_bindings: dict[str, DbBinding] = {}
         #: Recorded (``check_consistency``) runs so far — namespaces each
         #: run's write tags so values surviving in the store from an
         #: earlier run can never alias a later run's op ids.
         self._recorded_runs = 0
 
         tail = config.tail
-        #: Client-tier driver overrides: a short per-operation timeout
-        #: makes an overloaded store fail fast enough for client-side
-        #: defenses (breaker windows, retry budgets) to react within a
-        #: short surge campaign.
-        driver_kwargs: dict = {}
-        if config.clienttier.op_timeout_s is not None:
-            driver_kwargs["op_timeout_s"] = config.clienttier.op_timeout_s
         #: Trailing servers provisioned outside the serving set, the
         #: elasticity campaign's scale-out pool (0 = classic layout).
         spares = (config.elasticity.spare_nodes
@@ -196,11 +389,6 @@ class ExperimentSession:
                 max_handler_queue=tail.max_handler_queue,
                 spare_servers=spares,
             ))
-            self.binding: DbBinding = HBaseBinding(
-                HBaseClient(self.hbase, self.client_node,
-                            rng=self.rngs.stream("hbase.client.backoff"),
-                            speculative_retry=tail.hedge,
-                            deadline_s=tail.deadline_s, **driver_kwargs))
         else:
             cc = config.cassandra
             self.cassandra = CassandraCluster(self.cluster, CassandraSpec(
@@ -214,27 +402,36 @@ class ExperimentSession:
                 handler_slots=tail.handler_slots,
                 max_handler_queue=tail.max_handler_queue,
                 coordinator_max_inflight=tail.max_inflight,
-                replication_per_dc=(dict(config.geo.replication_per_dc)
-                                    if config.geo is not None else None),
+                replication_per_dc=geo and dict(geo.replication_per_dc),
                 spare_nodes=spares,
             ))
-            if config.geo is not None:
-                for dc in config.geo.client_datacenters:
-                    session = CassandraSession(
-                        self.cassandra, self.cluster.client_in(dc),
-                        read_cl=cc.read_cl, write_cl=cc.write_cl,
-                        deadline_s=tail.deadline_s, **driver_kwargs)
-                    self._geo_sessions[dc] = session
-                    self._geo_bindings[dc] = CassandraBinding(session)
-                home = config.geo.client_datacenters[0]
-                self._session = self._geo_sessions[home]
-                self.binding = self._geo_bindings[home]
-            else:
-                self._session = CassandraSession(
-                    self.cassandra, self.client_node,
-                    read_cl=cc.read_cl, write_cl=cc.write_cl,
-                    deadline_s=tail.deadline_s, **driver_kwargs)
-                self.binding = CassandraBinding(self._session)
+        #: Who can drive a run: ``{datacenter: (node, Cassandra session
+        #: or None, binding)}`` — one client per region on a geo
+        #: deployment (``run_cell(client_dc=...)`` measures from that
+        #: region's client node, the first being the default), else the
+        #: single key ``None``.
+        self._clients = {dc: self._new_client(node)
+                         for dc, node in client_nodes.items()}
+        _, self._session, self.binding = next(iter(self._clients.values()))
+
+    def _new_client(self, node) -> tuple:
+        config = self.config
+        driver_kwargs: dict = {"deadline_s": config.tail.deadline_s}
+        #: Client-tier driver override: a short per-operation timeout
+        #: makes an overloaded store fail fast enough for client-side
+        #: defenses (breaker windows, retry budgets) to react within a
+        #: short surge campaign.
+        if config.clienttier.op_timeout_s is not None:
+            driver_kwargs["op_timeout_s"] = config.clienttier.op_timeout_s
+        if self.hbase is not None:
+            return node, None, HBaseBinding(HBaseClient(
+                self.hbase, node,
+                rng=self.rngs.stream("hbase.client.backoff"),
+                speculative_retry=config.tail.hedge, **driver_kwargs))
+        session = CassandraSession(
+            self.cassandra, node, read_cl=config.cassandra.read_cl,
+            write_cl=config.cassandra.write_cl, **driver_kwargs)
+        return node, session, CassandraBinding(session)
 
     @property
     def cassandra_session(self) -> CassandraSession:
@@ -301,10 +498,40 @@ class ExperimentSession:
         countermeasure: "run the tests for a long time" before trusting
         latency numbers).  Uses a read-heavy mix by default so block
         caches reach steady state before the first measured cell."""
-        from repro.ycsb.workload import STRESS_WORKLOADS
         self.run_cell(workload=workload or STRESS_WORKLOADS["read_mostly"],
-                      operation_count=operations or self.config.operation_count,
-                      warmup_fraction=None)
+                      operation_count=operations)  # result discarded
+
+    def _new_run(self, client_dc: Optional[str]) -> _Run:
+        """A run driven by ``client_dc``'s client (default: the first)."""
+        if not self._loaded:
+            raise RuntimeError("call load() before run_cell()")
+        if self.config.geo is None and client_dc is not None:
+            raise ValueError("client_dc requires a geo deployment")
+        if client_dc is None:
+            client_dc = next(iter(self._clients))
+        if client_dc not in self._clients:
+            raise ValueError(
+                f"no client in datacenter {client_dc!r}; configured: "
+                f"{list(self._clients)}")
+        return _Run(self, client_dc, *self._clients[client_dc],
+                    Measurements())
+
+    def _open_driver(self, run: _Run, binding: DbBinding,
+                     workload: Workload) -> Generator:
+        cfg, now = self.config.arrivals, self.env.now
+        arrivals = make_arrivals(
+            cfg.process, cfg.rate, self.rngs.stream(f"arrivals.{now}"),
+            period_s=cfg.period_s, peak_factor=cfg.peak_factor,
+            spike_at_s=cfg.spike_at_s, spike_factor=cfg.spike_factor,
+            spike_duration_s=cfg.spike_duration_s)
+        sessions = UserSessions(cfg.n_users,
+                                self.rngs.stream(f"sessions.{now}"),
+                                n_tenants=cfg.n_tenants)
+        run.ops, run.target = cfg.max_arrivals, cfg.rate
+        client = OpenLoopClient(self.env, binding, workload, arrivals,
+                                sessions=sessions, tier=run.tier)
+        return client.run(run.ops, offered_rate=run.target,
+                          measurements=run.measurements)
 
     def run_cell(self, workload: Optional[WorkloadSpec] = None,
                  operation_count: Optional[int] = None,
@@ -312,7 +539,6 @@ class ExperimentSession:
                  n_threads: Optional[int] = None,
                  read_cl: Optional[ConsistencyLevel] = None,
                  write_cl: Optional[ConsistencyLevel] = None,
-                 warmup_fraction: Optional[float] = 0.0,
                  inject_faults: bool = False,
                  check_consistency: bool = False,
                  adaptive: Optional[str] = None,
@@ -321,294 +547,85 @@ class ExperimentSession:
                  scale: bool = False) -> RunResult:
         """Run one measured workload cell on the loaded deployment.
 
-        With ``inject_faults`` the config's fault schedule is armed
-        relative to the run's start, a read-your-writes probe runs
-        alongside the workload, and the result carries a
-        :func:`~repro.core.failover.build_failover_report` dict.
-
-        With ``check_consistency`` every database operation is recorded
-        into a Jepsen-style history (writes tagged with unique values)
-        and the result carries a
-        :func:`~repro.consistency.oracle.build_consistency_report` dict,
-        built after the post-run settle so the convergence check sees a
-        quiescent cluster.
-
-        With ``adaptive`` (a policy name, Cassandra only) the named
-        :mod:`repro.adaptive` policy picks the consistency level per
-        request under the config's SLO; the result carries the decision
-        log, and the consistency report (when also checking) classifies
-        the guarantee by the policy's *floor* CLs — the weakest it may
-        issue — rather than whatever the last request happened to use.
-
-        On a geo deployment ``client_dc`` selects which region's client
-        node drives (and measures) the run; the default is the first
-        configured client datacenter.  Per-region sweeps run the same
-        cell once per region.
-
-        With ``open_loop`` the run is driven by the config's
-        :class:`~repro.core.config.ArrivalConfig` through the resilient
-        client tier (:mod:`repro.clienttier`) built from the config's
-        :class:`~repro.core.config.ClientTierConfig`: arrivals dispatch
-        at their scheduled times regardless of in-flight work, latency
-        is measured from intended arrival, and the result carries the
-        offered count plus the tier's accounting.  When also checking
-        consistency, the history recorder wraps *outside* the tier so
-        cache-served (possibly stale) reads are recorded and priced by
-        the oracle.  ``n_threads``/``target_throughput``/
-        ``warmup_fraction`` do not apply; ``adaptive`` is unsupported.
-
-        With ``scale`` the config's
-        :class:`~repro.core.config.ElasticityConfig` is armed relative
-        to the run's start: a :class:`~repro.cluster.elasticity.ScaleEngine`
-        adds/removes nodes mid-run (manual schedule or p95-driven
-        autoscaler), a read-your-writes probe runs alongside the
-        workload, and the result carries a
-        :func:`~repro.cluster.elasticity.build_scale_report` dict with
-        per-phase (before/during/after transfer) latency and staleness.
+        - ``workload``: the mix to run (default ``config.workload``).
+        - ``operation_count``, ``target_throughput``, ``n_threads``:
+          closed-loop size, offered-load cap and client threads
+          (defaults from the config; refused on ``open_loop`` runs).
+        - ``read_cl``, ``write_cl``: set the session's consistency
+          levels from this run on (Cassandra only).
+        - ``client_dc``: on a geo deployment, the region whose client
+          node drives and measures the run (default: the first).
+        - ``open_loop``: see :func:`_client_tier`.
+        - ``check_consistency``: see :func:`_oracle`.
+        - ``adaptive``: see :func:`_adaptive`.
+        - ``inject_faults``: see :func:`_faults`.
+        - ``scale``: see :func:`_scale`.
+        - (always on) energy and cost: see :func:`_energy`.
         """
-        if not self._loaded:
-            raise RuntimeError("call load() before run_cell()")
-        active_session = self._session
-        active_binding: DbBinding = self.binding
-        client_node = self.client_node
-        active_dc: Optional[str] = None
-        if self.config.geo is not None:
-            active_dc = client_dc or self.config.geo.client_datacenters[0]
-            if active_dc not in self._geo_sessions:
-                raise ValueError(
-                    f"no client in datacenter {active_dc!r}; configured: "
-                    f"{list(self._geo_sessions)}")
-            active_session = self._geo_sessions[active_dc]
-            active_binding = self._geo_bindings[active_dc]
-            client_node = self.cluster.client_in(active_dc)
-        elif client_dc is not None:
-            raise ValueError("client_dc requires a geo deployment")
-        if (read_cl or write_cl) and active_session is None:
+        faults = inject_faults and self.config.faults
+        if open_loop:
+            for name, value in (("operation_count", operation_count),
+                                ("target_throughput", target_throughput),
+                                ("n_threads", n_threads),
+                                ("adaptive", adaptive)):
+                if value is not None:
+                    raise ValueError(
+                        f"{name} is closed-loop only: an open_loop run is "
+                        "sized and paced by config.arrivals")
+        run = self._new_run(client_dc)
+        if (read_cl or write_cl) and run.session is None:
             raise ValueError("consistency levels only apply to Cassandra")
-        if active_session is not None:
-            if read_cl is not None:
-                active_session.read_cl = read_cl
-            if write_cl is not None:
-                active_session.write_cl = write_cl
-        spec = workload or self.config.workload
-        runtime_workload = self._new_workload(spec)
-        tier: Optional[ClientTier] = None
+        if read_cl is not None:
+            run.session.read_cl = read_cl
+        if write_cl is not None:
+            run.session.write_cl = write_cl
+        runtime_workload = self._new_workload(workload or self.config.workload)
+        # Every observer a run can carry, in wrap order (innermost
+        # first), each switched by its keyword.  The recorder wraps
+        # *outside* the tier — a cache hit is an observation the oracle
+        # must price, not skip — and *inside* the controller, which sets
+        # the session CL before delegating.
+        instruments, binding = [], run.binding
+        for instrument, switch in ((_client_tier, open_loop),
+                                   (_oracle, check_consistency),
+                                   (_adaptive, adaptive),
+                                   (_faults, faults),
+                                   (_scale, scale),
+                                   (_energy, True)):
+            if switch:
+                instruments.append(instrument(run, switch, binding))
+                binding = next(instruments[-1])  # wrap
         if open_loop:
-            if self.config.arrivals is None:
-                raise ValueError("open_loop runs need config.arrivals")
-            if adaptive is not None:
-                raise ValueError(
-                    "adaptive consistency control is closed-loop only")
-            tier = build_client_stack(active_binding, self.env, self.rngs,
-                                      self.config.clienttier)
-        recorder: Optional[HistoryRecorder] = None
-        # The recorder wraps *outside* the tier: a cache hit is an
-        # observation the oracle must price, not skip.  The staleness
-        # probe (below) keeps using the raw ``active_binding`` — its
-        # read-your-writes measurements must not be cache-served, and
-        # an open breaker must not kill the probe process.
-        binding: DbBinding = tier.binding if tier is not None \
-            else active_binding
-        if check_consistency:
-            read_cl_of = write_cl_of = None
-            if active_session is not None:
-                session = active_session
-                read_cl_of = lambda: session.read_cl.value  # noqa: E731
-                write_cl_of = lambda: session.write_cl.value  # noqa: E731
-            self._recorded_runs += 1
-            recorder = HistoryRecorder(binding, self.env,
-                                       read_cl=read_cl_of,
-                                       write_cl=write_cl_of,
-                                       tag_prefix=f"h{self._recorded_runs}.")
-            binding = recorder
-        controller: Optional[AdaptiveController] = None
-        session_cls: Optional[tuple] = None
-        if adaptive is not None:
-            if active_session is None or self.cassandra is None:
-                raise ValueError(
-                    "adaptive consistency control requires Cassandra")
-            ac = self.config.adaptive
-            staleness = ac.staleness_s
-            if active_dc is not None:
-                # Per-region staleness budget: the run measured from this
-                # region steers by its own declared bound.
-                staleness = dict(ac.staleness_by_region).get(
-                    active_dc, ac.staleness_s)
-            slo = SloSpec(p95_ms=ac.p95_ms, staleness_s=staleness,
-                          risk_rate=ac.risk_rate, window_s=ac.window_s)
-            cassandra = self.cassandra
-
-            def coordinator_signals() -> dict:
-                totals = cassandra.total_stats()
-                totals["hint_backlog"] = sum(
-                    len(node.hints) for node in cassandra.nodes.values())
-                return totals
-
-            env = self.env
-            monitor = Monitor(slo, clock=lambda: env.now,
-                              signal_source=coordinator_signals)
-            policy = make_policy(adaptive, slo,
-                                 decay_windows=ac.decay_windows)
-            if isinstance(policy, EnergyAwarePolicy):
-                managed = [n for n in self.cluster.nodes
-                           if n.power is not None]
-
-                def set_parked(parked: bool) -> None:
-                    mode = "race_to_sleep" if parked else "always_on"
-                    at = env.now
-                    for node in managed:
-                        node.power.set_mode(mode, at)
-
-                policy.bind_actuator(set_parked)
-            # Outermost wrapper: the controller sets the session CL
-            # *before* delegating, so the history recorder (inside)
-            # records the CL each operation actually ran at.
-            controller = AdaptiveController(binding, active_session,
-                                            policy, monitor)
-            binding = controller
-            session_cls = (active_session.read_cl, active_session.write_cl)
-        shared: Optional[Measurements] = None
-        if scale:
-            if self.config.elasticity is None:
-                raise ValueError("scale runs need config.elasticity")
-            # The autoscaler polls per-window p95 mid-run, so the engine
-            # and the client must share one live sample store.
-            shared = Measurements()
-        if open_loop:
-            arrival_cfg = self.config.arrivals
-            assert arrival_cfg is not None  # checked above
-            arrivals = make_arrivals(
-                arrival_cfg.process, arrival_cfg.rate,
-                self.rngs.stream(f"arrivals.{self.env.now}"),
-                period_s=arrival_cfg.period_s,
-                peak_factor=arrival_cfg.peak_factor,
-                spike_at_s=arrival_cfg.spike_at_s,
-                spike_factor=arrival_cfg.spike_factor,
-                spike_duration_s=arrival_cfg.spike_duration_s)
-            sessions = UserSessions(
-                arrival_cfg.n_users,
-                self.rngs.stream(f"sessions.{self.env.now}"),
-                n_tenants=arrival_cfg.n_tenants)
-            open_client = OpenLoopClient(self.env, binding, runtime_workload,
-                                         arrivals, sessions=sessions,
-                                         tier=tier)
-            ops = arrival_cfg.max_arrivals
-            target = arrival_cfg.rate
-            run_coro = open_client.run(ops, offered_rate=target,
-                                       measurements=shared)
+            driver = self._open_driver(run, binding, runtime_workload)
         else:
-            client = YcsbClient(self.env, binding, runtime_workload,
-                                self.rngs.stream(f"client.run.{self.env.now}"),
-                                client_node=client_node)
-            ops = operation_count or self.config.operation_count
-            target = (target_throughput if target_throughput is not None
-                      else self.config.target_throughput)
-            run_coro = client.run(
-                ops,
-                n_threads=n_threads or self.config.n_threads,
-                target_throughput=target,
-                warmup_fraction=(1.0 if warmup_fraction is None
-                                 else (warmup_fraction
-                                       or self.config.warmup_fraction)),
-                measurements=shared)
-        injector = probe = None
-        run_started = self.env.now
-        if inject_faults and self.config.faults:
-            injector = FailureInjector(self.cluster)
-            injector.inject(FaultSchedule.from_specs(self.config.faults,
-                                                     base_s=run_started))
-            probe = StalenessProbe(self.env, active_binding)
-            self.env.process(probe.run(), name="staleness-probe")
-        engine: Optional[ScaleEngine] = None
-        pre_streams = pre_rebalances = pre_splits = 0
-        if scale:
-            deployment = self.hbase if self.hbase is not None \
-                else self.cassandra
-            engine = ScaleEngine(self.env, deployment,
-                                 self.config.elasticity,
-                                 measurements=shared)
-            engine.arm(run_started)
-            if probe is None:
-                # Scale runs always probe read-your-writes so the report
-                # can attribute staleness to the transfer windows.
-                probe = StalenessProbe(self.env, active_binding)
-                self.env.process(probe.run(), name="staleness-probe")
-            # Session-lifetime counters: snapshot so the report only
-            # covers this run's transfers.
-            if self.cassandra is not None:
-                pre_streams = len(self.cassandra.streams)
-            if self.hbase is not None:
-                pre_rebalances = len(self.hbase.master.rebalances)
-                pre_splits = len(self.hbase.splits)
-        # Re-read the topology at stop so elasticity joins/leaves over
-        # the window bill correctly.
-        meter = EnergyMeter(spec=self.power_spec,
-                            nodes_source=lambda: self.cluster.nodes)
-        meter.start()
-        process = self.env.process(run_coro, name="run")
+            run.ops = operation_count or self.config.operation_count
+            run.target = (target_throughput if target_throughput is not None
+                          else self.config.target_throughput)
+            client = YcsbClient(
+                self.env, binding, runtime_workload,
+                self.rngs.stream(f"client.run.{self.env.now}"),
+                client_node=run.node)
+            driver = client.run(run.ops,
+                                n_threads=n_threads or self.config.n_threads,
+                                target_throughput=run.target,
+                                warmup_fraction=self.config.warmup_fraction,
+                                measurements=run.measurements)
+        for instrument in instruments:
+            next(instrument)  # arm
+        process = self.env.process(driver, name="run")
         result: RunResult = self.env.run(until=process)
-        energy = meter.stop()
-        result = replace(result, energy=energy,
-                         cost=self.cost_spec.price(energy))
-        if probe is not None:
-            probe.stop()
-        if engine is not None:
-            engine.stop()
+        for instrument in instruments:
+            next(instrument)  # stop
         self._settle()
-        if recorder is not None and (injector is not None or open_loop
-                                     or engine is not None):
+        if check_consistency and (faults or open_loop or scale):
             # The convergence check needs a quiescent cluster; after a
             # fault campaign that includes waiting out hinted handoff
             # (see :meth:`_drain_hints`).  Open-loop overload manufactures
             # hints the same way a fault does — replica timeouts under
             # pressure — so checked surge runs wait them out too.
             self._drain_hints()
-        if injector is not None:
-            # Built after settling so restarts/heals landing just past
-            # the run's end still make it into the report.
-            expected_end = (run_started + ops / target) if target else None
-            result = replace(result, failover=build_failover_report(
-                result.measurements, injector.log,
-                target_throughput=target, expected_end=expected_end,
-                probe=probe))
-        if engine is not None:
-            streams = (self.cassandra.streams[pre_streams:]
-                       if self.cassandra is not None else ())
-            rebalances = (len(self.hbase.master.rebalances) - pre_rebalances
-                          if self.hbase is not None else 0)
-            splits = (len(self.hbase.splits) - pre_splits
-                      if self.hbase is not None else 0)
-            result = replace(result, scale=build_scale_report(
-                result.measurements, engine.log,
-                config=self.config.elasticity,
-                streams=streams, rebalances=rebalances, splits=splits,
-                probe=probe))
-        if controller is not None:
-            decisions = controller.summary()
-            read_stats = result.measurements.stats("read")
-            decisions["read_p95_ms"] = read_stats.p95 * 1000.0
-            decisions["read_p99_ms"] = read_stats.p99_ms
-            result = replace(result, decisions=decisions)
-        if recorder is not None:
-            report_read_cl = (active_session.read_cl
-                              if active_session is not None else None)
-            report_write_cl = (active_session.write_cl
-                               if active_session is not None else None)
-            if controller is not None:
-                # Classify the guarantee by the weakest CLs the policy may
-                # issue, not whatever the final request happened to use.
-                report_read_cl, report_write_cl = \
-                    controller.policy.floor_cls()
-            result = replace(result, consistency=build_consistency_report(
-                recorder.history,
-                db=self.config.db,
-                read_cl=report_read_cl,
-                write_cl=report_write_cl,
-                replication=self.config.replication,
-                cassandra=self.cassandra,
-                client_dc=active_dc))
-        if session_cls is not None and active_session is not None:
-            active_session.read_cl, active_session.write_cl = session_cls
+        for instrument in instruments:
+            result.reports.update(next(instrument))  # report
         return result
 
     def db_stats(self) -> dict:

@@ -14,7 +14,7 @@ The paper's methodology (§3.1, §4.2) maps onto three pieces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from repro.cassandra.consistency import UnavailableError
@@ -58,35 +58,24 @@ class RunResult:
     #: Requested target throughput (None = unthrottled full speed).
     target_throughput: Optional[float]
     measurements: Measurements
-    #: Cluster energy over the cell (an
-    #: :class:`repro.energy.EnergyReport`), when metering is on.
-    energy: Optional[object] = None
-    #: Dollars for that energy (a :class:`repro.energy.CostReport`):
-    #: electricity + instance-hours, priced by the cell's ``CostSpec``.
-    cost: Optional[object] = None
-    #: JSON-safe availability report (see
-    #: :func:`repro.core.failover.build_failover_report`) attached when
-    #: the cell ran with fault injection enabled.
-    failover: Optional[dict] = None
-    #: JSON-safe consistency report (see
-    #: :func:`repro.consistency.oracle.build_consistency_report`)
-    #: attached when the cell ran with history recording enabled.
-    consistency: Optional[dict] = None
-    #: JSON-safe adaptive-consistency decision log (see
-    #: :meth:`repro.adaptive.controller.AdaptiveController.summary`)
-    #: attached when the cell ran under an adaptive policy.
-    decisions: Optional[dict] = None
     #: Total arrivals offered by an open-loop run (``None`` marks a
     #: closed-loop run, where offered load is not an independent input).
     offered: Optional[int] = None
-    #: JSON-safe client-tier accounting (breaker/retry/limiter/leveler/
-    #: cache counters — see :meth:`repro.clienttier.ClientTier.stats`)
-    #: attached when the cell ran through the resilient client tier.
-    clienttier: Optional[dict] = None
-    #: JSON-safe elasticity report (see
-    #: :func:`repro.cluster.elasticity.build_scale_report`) attached when
-    #: the cell ran with a scale engine armed (``repro-bench scale``).
-    scale: Optional[dict] = None
+    #: JSON-safe reports contributed by whoever observed the run, keyed
+    #: as they appear in the run's summary.
+    reports: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, workload: Workload, measurements: Measurements,
+           not_found: int, target: Optional[float],
+           offered: Optional[int] = None) -> "RunResult":
+        """A finished run's result; counts and rates are the store's."""
+        return cls(workload=workload.spec.name,
+                   operations=measurements.total_ops, not_found=not_found,
+                   duration_s=measurements.duration,
+                   throughput=measurements.throughput,
+                   target_throughput=target, measurements=measurements,
+                   offered=offered)
 
     def stats(self, op: str):
         return self.measurements.stats(op)
@@ -155,8 +144,8 @@ class YcsbClient:
         """Execute the workload mix (a simulation process).
 
         ``measurements`` lets the caller share the live sample store with
-        an observer running alongside the workload (the elasticity
-        campaign's autoscaler polls per-window p95 from it mid-run).
+        an observer running alongside the workload (one that polls
+        per-window p95 from it mid-run, say).
         """
         if measurements is None:
             measurements = Measurements()
@@ -182,16 +171,8 @@ class YcsbClient:
             first = min(t - lat for samples in measurements.samples.values()
                         for t, lat in samples)
             measurements.started_at = first
-        duration = measurements.duration
-        return RunResult(
-            workload=self.workload.spec.name,
-            operations=measurements.total_ops,
-            not_found=state["not_found"],
-            duration_s=duration,
-            throughput=measurements.throughput,
-            target_throughput=target_throughput,
-            measurements=measurements,
-        )
+        return RunResult.of(self.workload, measurements, state["not_found"],
+                            target_throughput)
 
     def _run_worker(self, operation_count: int, state: dict,
                     measurements: Measurements,
@@ -213,7 +194,7 @@ class YcsbClient:
             t0 = env.now
             try:
                 yield from self._client_overhead()
-                found = yield from self._execute(op)
+                found = yield from _execute(self.db, self.workload, op)
             except OPERATION_ERRORS as exc:
                 if not warm:
                     measurements.record_error(op.value,
@@ -225,28 +206,32 @@ class YcsbClient:
             if not warm:
                 measurements.record(op.value, env.now, env.now - t0)
 
-    def _execute(self, op: OperationType) -> Generator:
-        """Perform one operation; returns False for a not-found read."""
-        workload = self.workload
-        size = workload.spec.record_bytes
-        if op is OperationType.INSERT:
-            payload, _ = workload.next_value()
-            yield from self.db.insert(workload.next_insert_key(), payload, size)
-            return True
-        if op is OperationType.UPDATE:
-            payload, _ = workload.next_value()
-            yield from self.db.update(workload.next_read_key(), payload, size)
-            return True
-        if op is OperationType.READ:
-            result = yield from self.db.read(workload.next_read_key(), size)
-            return result is not None
-        if op is OperationType.SCAN:
-            rows = yield from self.db.scan(workload.next_read_key(),
-                                           workload.next_scan_length(), size)
-            return bool(rows)
-        # Read-modify-write: both halves count as one operation (YCSB).
-        key = workload.next_read_key()
-        result = yield from self.db.read(key, size)
+
+def _execute(db: DbBinding, workload: Workload, op: OperationType,
+             read_key: Optional[str] = None) -> Generator:
+    """Perform one operation; returns False for a not-found read.
+    ``read_key`` is a key the caller already drew at dispatch (to probe
+    a cache for it, say), so the read targets that key."""
+    size = workload.spec.record_bytes
+    if op is OperationType.INSERT:
         payload, _ = workload.next_value()
-        yield from self.db.update(key, payload, size)
+        yield from db.insert(workload.next_insert_key(), payload, size)
+        return True
+    if op is OperationType.UPDATE:
+        payload, _ = workload.next_value()
+        yield from db.update(workload.next_read_key(), payload, size)
+        return True
+    if op is OperationType.READ:
+        key = read_key if read_key is not None else workload.next_read_key()
+        result = yield from db.read(key, size)
         return result is not None
+    if op is OperationType.SCAN:
+        rows = yield from db.scan(workload.next_read_key(),
+                                  workload.next_scan_length(), size)
+        return bool(rows)
+    # Read-modify-write: both halves count as one operation (YCSB).
+    key = workload.next_read_key()
+    result = yield from db.read(key, size)
+    payload, _ = workload.next_value()
+    yield from db.update(key, payload, size)
+    return result is not None

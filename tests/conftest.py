@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cluster.topology import Cluster, ClusterSpec
+from repro.core.experiment import ExperimentSession, summarize_run
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
+from repro.sim.trace import KernelTracer
 
 
 @pytest.fixture
@@ -23,6 +27,18 @@ def rngs() -> RngRegistry:
 def small_cluster(env, rngs) -> Cluster:
     """Four server nodes + nothing fancy."""
     return Cluster(env, ClusterSpec(n_nodes=4), rngs)
+
+
+def traced_run(config, **run_kwargs):
+    """Build, load and run one cell from scratch (``run_kwargs`` go to
+    ``run_cell``) with the kernel trace on; returns the trace digest,
+    the processed-event count and the canonical summary JSON."""
+    session = ExperimentSession(config)
+    tracer = KernelTracer(session.env)
+    session.load()
+    result = session.run_cell(**run_kwargs)
+    summary = json.dumps(summarize_run(result), sort_keys=True)
+    return tracer.digest(), tracer.events, summary
 
 
 def run_process(env: Environment, generator, until: float | None = None):

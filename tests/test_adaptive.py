@@ -351,7 +351,7 @@ class TestPerRegionStalenessBudget:
         session.load()
         result = session.run_cell(adaptive="staleness-bound",
                                   client_dc=client_dc)
-        return result.decisions["slo"]
+        return result.reports["decisions"]["slo"]
 
     def test_listed_region_gets_its_own_bound(self):
         assert self._run("ap-southeast")["staleness_s"] == 0.05

@@ -511,23 +511,16 @@ def _tiny_scale():
 
 
 def _traced_surge_run():
-    """One checked open-loop flash-crowd cell with the kernel trace on;
-    returns digest, processed-event count, canonical summary."""
-    from repro.core.experiment import ExperimentSession, summarize_run
+    """One checked open-loop flash-crowd cell, traced."""
     from repro.core.sweep import campaign_cells
-    from repro.sim.trace import KernelTracer
     from repro.ycsb.db import ConsistencyLevel
+    from tests.conftest import traced_run
 
     cell = campaign_cells("surge", "cassandra", _tiny_scale(),
                           modes=("full",), scenarios=("flash_crowd",))[0]
-    session = ExperimentSession(cell.config)
-    tracer = KernelTracer(session.env)
-    session.load()
-    result = session.run_cell(read_cl=ConsistencyLevel.ONE,
-                              write_cl=ConsistencyLevel.ONE,
-                              check_consistency=True, open_loop=True)
-    summary = json.dumps(summarize_run(result), sort_keys=True)
-    return tracer.digest(), tracer.events, summary
+    return traced_run(cell.config, read_cl=ConsistencyLevel.ONE,
+                      write_cl=ConsistencyLevel.ONE,
+                      check_consistency=True, open_loop=True)
 
 
 class TestSurgeReplayPin:

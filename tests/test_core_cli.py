@@ -176,6 +176,23 @@ class TestCampaignTable:
             == [(c.name, c.help) for c in CAMPAIGNS.values()]
         assert {anchor for _, _, anchor in rows} <= headings
 
+    def test_module_map_lists_every_package_and_core_module(self):
+        """DESIGN.md §3 names each package under ``src/repro`` and each
+        module of ``core/`` (the map went stale for five PRs once)."""
+        root = Path(__file__).resolve().parents[1]
+        design = (root / "DESIGN.md").read_text()
+        module_map = design[design.index("## 3. System inventory"):
+                            design.index("### Campaign table")]
+        package = root / "src" / "repro"
+        expected = [f"{path.name}/" for path in package.iterdir()
+                    if (path / "__init__.py").exists()]
+        expected += [path.name for path in (package / "core").glob("*.py")
+                     if path.name != "__init__.py"]
+        assert len(expected) > 15
+        assert [name for name in expected
+                if not re.search(rf"^\s+{re.escape(name)}\s", module_map,
+                                 re.MULTILINE)] == []
+
     def test_throwaway_campaign_needs_no_other_code(self, tmp_path, capsys):
         """A campaign literal defined right here runs, renders, parses,
         gates and reports through the generic path — which therefore

@@ -344,7 +344,7 @@ class TestGeoStalenessShapes:
             result = session.run_cell(inject_faults=True,
                                       check_consistency=True,
                                       client_dc=region)
-            reports[region] = result.consistency
+            reports[region] = result.reports["consistency"]
         return reports
 
     def test_local_one_no_repair_staleness_observable(self):

@@ -15,19 +15,7 @@ from dataclasses import replace
 from repro.cluster.failure import FaultSpec
 from repro.core.config import (default_check_config, default_micro_config,
                                scaled_stress_storage)
-from repro.core.experiment import ExperimentSession, summarize_run
-from repro.sim.trace import KernelTracer
-
-
-def _traced_run(config, inject_faults=False):
-    """Execute one cell with the kernel trace on; returns the trace
-    digest, the processed-event count, and the canonical summary."""
-    session = ExperimentSession(config)
-    tracer = KernelTracer(session.env)
-    session.load()
-    result = session.run_cell(inject_faults=inject_faults)
-    summary = json.dumps(summarize_run(result), sort_keys=True)
-    return tracer.digest(), tracer.events, summary
+from tests.conftest import traced_run
 
 
 def _micro_config():
@@ -48,14 +36,14 @@ def _failover_config():
 
 class TestReplayPin:
     def test_micro_cell_replays_bit_identically(self):
-        first = _traced_run(_micro_config())
-        second = _traced_run(_micro_config())
+        first = traced_run(_micro_config())
+        second = traced_run(_micro_config())
         assert first[1] > 0
         assert first == second
 
     def test_failover_cell_replays_bit_identically(self):
-        first = _traced_run(_failover_config(), inject_faults=True)
-        second = _traced_run(_failover_config(), inject_faults=True)
+        first = traced_run(_failover_config(), inject_faults=True)
+        second = traced_run(_failover_config(), inject_faults=True)
         assert first[1] > 0
         assert first == second
 
@@ -63,8 +51,8 @@ class TestReplayPin:
         """The trace is sensitive: a different seed means a different
         schedule, so matching digests are not vacuous."""
         base = _micro_config()
-        first = _traced_run(base)
-        other = _traced_run(replace(base, seed=8))
+        first = traced_run(base)
+        other = traced_run(replace(base, seed=8))
         assert first[0] != other[0]
 
 
@@ -79,15 +67,9 @@ def _geo_config():
 
 
 def _traced_geo_run(client_dc):
-    """One checked geo run (fault armed, oracle on) with the kernel
-    trace recording; returns digest, event count, canonical summary."""
-    session = ExperimentSession(_geo_config())
-    tracer = KernelTracer(session.env)
-    session.load()
-    result = session.run_cell(inject_faults=True, check_consistency=True,
-                              client_dc=client_dc)
-    summary = json.dumps(summarize_run(result), sort_keys=True)
-    return tracer.digest(), tracer.events, summary
+    """One checked geo run (fault armed, oracle on), traced."""
+    return traced_run(_geo_config(), inject_faults=True,
+                      check_consistency=True, client_dc=client_dc)
 
 
 class TestGeoReplayPin:
@@ -140,15 +122,9 @@ def _elastic_config(mode):
 
 
 def _traced_scale_run(mode):
-    """One oracle-checked elastic run (live bootstrap mid-run) with the
-    kernel trace recording; returns digest, event count, summary."""
-    session = ExperimentSession(_elastic_config(mode))
-    tracer = KernelTracer(session.env)
-    session.load()
-    result = session.run_cell(open_loop=True, scale=True,
-                              check_consistency=True)
-    summary = json.dumps(summarize_run(result), sort_keys=True)
-    return tracer.digest(), tracer.events, summary
+    """One oracle-checked elastic run (live bootstrap mid-run), traced."""
+    return traced_run(_elastic_config(mode), open_loop=True, scale=True,
+                      check_consistency=True)
 
 
 class TestScaleReplayPin:
