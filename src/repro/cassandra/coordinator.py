@@ -33,7 +33,7 @@ from repro.cluster.hedging import HedgePolicy
 from repro.cluster.topology import DeadlineExceeded, RpcTimeout
 from repro.keyspace import token_of
 from repro.sim.kernel import (AllOf, AnyOf, Environment, Event, Interrupt,
-                              ModelledFailure, Process, Timeout)
+                              ModelledFailure, Process)
 from repro.sim.resources import Overloaded
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -41,7 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["Coordinator", "ReadTimeoutError", "WriteTimeoutError", "wait_for_k"]
 
-#: CPU charged on the coordinator per request it coordinates.
+#: CPU charged on the coordinator per request it coordinates.  It rides
+#: the request leg's core reservation (``Node.register(cpu_s=...)``).
 _COORD_CPU_S = 1.2e-5
 
 #: Hot-path lookup tables (one enum construction / f-string per request
@@ -144,6 +145,10 @@ class Coordinator:
         self._hint_on_failure = bool(
             getattr(owner.placement, "replication_per_dc", None)
             or spec.max_handler_queue is not None)
+        node = owner.node
+        node.register("c.coord_write", self.handle_write, cpu_s=_COORD_CPU_S)
+        node.register("c.coord_read", self.handle_read, cpu_s=_COORD_CPU_S)
+        node.register("c.coord_scan", self.handle_scan, cpu_s=_COORD_CPU_S)
 
     # -- plumbing --------------------------------------------------------
 
@@ -320,11 +325,6 @@ class Coordinator:
         # levels, and the decision-log cross-check sums these.
         key_by_cl = _WRITES_KEY[cl]
         stats[key_by_cl] = stats.get(key_by_cl, 0) + 1
-        node = self.owner.node
-        end = node.reserve_cpu(_COORD_CPU_S)
-        env = node.env
-        if end > env._now:
-            yield Timeout(env, end - env._now)
         alive, replication = self._alive_replicas(key)
         groups = (self._each_quorum_groups(alive)
                   if cl is ConsistencyLevel.EACH_QUORUM else None)
@@ -422,11 +422,6 @@ class Coordinator:
         stats["reads"] += 1
         key_by_cl = _READS_KEY[cl]
         stats[key_by_cl] = stats.get(key_by_cl, 0) + 1
-        node = self.owner.node
-        end = node.reserve_cpu(_COORD_CPU_S)
-        env = node.env
-        if end > env._now:
-            yield Timeout(env, end - env._now)
         spec = self.owner.spec
         alive, replication = self._alive_replicas(key)
         required, ordered, _ack_pool = self._plan(cl, alive, replication)
@@ -612,7 +607,6 @@ class Coordinator:
         start_key, limit, _cl_name, expected_bytes, *rest = payload
         deadline = rest[0] if rest else None
         self.stats["scans"] += 1
-        yield from self.owner.node.cpu_work(_COORD_CPU_S)
         alive, _replication = self._alive_replicas(start_key)
         if not alive:
             raise UnavailableError("no live replica for scan start token")

@@ -274,8 +274,8 @@ class CassandraCluster:
             step = min(chunk, total - sent)
             yield from src_node.disk.read(step, sequential=True,
                                           priority=BACKGROUND)
-            yield from self.cluster.network.transit(src_node.nic,
-                                                    dst_node.nic, step)
+            yield self.cluster.leg(src_node, dst_node, step,
+                                   on_arrival=True)
             yield from dst_node.disk.write(step, sequential=True,
                                            priority=BACKGROUND)
             sent += step

@@ -54,9 +54,6 @@ class CassandraNode:
         node.register("c.read_data", self._handle_read_data)
         node.register("c.read_digest", self._handle_read_digest)
         node.register("c.scan", self._handle_scan)
-        node.register("c.coord_write", self.coordinator.handle_write)
-        node.register("c.coord_read", self.coordinator.handle_read)
-        node.register("c.coord_scan", self.coordinator.handle_scan)
 
     # -- replica-stage admission ---------------------------------------
 
@@ -146,8 +143,8 @@ class CassandraNode:
         self.ops["scan"] += 1
         slot = yield from self._acquire_slot(deadline)
         try:
-            yield from self.node.cpu_work(_VERB_CPU_S)
-            rows = yield from self.tree.scan(start_key, limit)
+            rows = yield from self.tree.scan(start_key, limit,
+                                             extra_cpu_s=_VERB_CPU_S)
         finally:
             self._release_slot(slot)
         return rows

@@ -15,13 +15,12 @@ Northern California, Singapore.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Optional
 
-from repro.cluster.nic import NetworkSpec, Nic
+from repro.cluster.nic import Nic
 from repro.cluster.node import Node, NodeSpec
-from repro.cluster.topology import (_EXPIRED, _NO_RESPONSE, Cluster,
-                                    TimerWheel)
-from repro.sim.kernel import Environment, Timeout
+from repro.cluster.topology import Cluster, TimerWheel
+from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 
 __all__ = ["GeoCluster", "GeoSpec", "DEFAULT_REGION_RTTS"]
@@ -98,20 +97,17 @@ class _GeoNetwork:
         factor = 0.7 + self._rng.expovariate(1.0 / 0.6)
         return base * factor + extra
 
-    def transit(self, src: Nic, dst: Nic, size: int) -> Generator:
-        self.messages += 1
-        yield from src.send(size)
-        yield self.env.timeout(self.sample_latency(src, dst, size))
-        yield from dst.receive(size)
 
-
-class GeoCluster:
-    """A multi-datacenter cluster, API-compatible with
-    :class:`repro.cluster.topology.Cluster`.
+class GeoCluster(Cluster):
+    """A :class:`~repro.cluster.topology.Cluster` spread over datacenters.
 
     Node ids are assigned datacenter by datacenter in the order of
     ``spec.datacenters``; the client node comes last (mirroring the
     single-rack layout, where the last node hosts the YCSB client).
+    It builds its own nodes and fabric (so ``Cluster.__init__`` does not
+    run) and inherits the transport unchanged: ``Cluster.leg`` books a
+    leg's receiving half on arrival wherever ``node_datacenter`` says it
+    crosses the WAN.
     """
 
     def __init__(self, env: Environment, spec: GeoSpec,
@@ -164,21 +160,6 @@ class GeoCluster:
         self.abandoned_rpcs = 0
         self._wheel = TimerWheel(env)
 
-    # -- Cluster API compatibility ----------------------------------------
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
-
-    def kill(self, node_id: int) -> None:
-        self.nodes[node_id].alive = False
-
-    def restart(self, node_id: int) -> None:
-        self.nodes[node_id].alive = True
-
     def partition_datacenter(self, dc_name: str) -> list[int]:
         """Cut a whole datacenter off (kill all its nodes); returns ids."""
         cut = [nid for nid, dc in self.node_datacenter.items()
@@ -218,87 +199,3 @@ class GeoCluster:
 
     def heal_wan(self) -> None:
         self.wan_factor = 1.0
-
-    # -- RPC (same protocol as Cluster) ---------------------------------
-
-    def _rpc_body(self, src, dst, verb, payload, request_bytes,
-                  response_bytes, deadline=None, src_cpu_s=0.0):
-        """One RPC round trip, WAN-aware (see ``Cluster._rpc_body``).
-
-        Same stage pipeline as the single-rack transport, with one
-        difference: a cross-datacenter leg books the receiver's ingress
-        NIC at the *arrival* instant, not optimistically at send time.
-        The busy-until approximation assumes reservation order tracks
-        arrival order, which holds in-rack (every hop is tens of
-        microseconds) but collapses across a WAN — a mutation booked
-        90 ms ahead would park the replica's ingress channel in the
-        future and queue every rack-local message behind a link that is
-        actually idle.  The deferral costs one extra kernel event per
-        WAN leg, noise against the propagation delay itself.
-        """
-        env = self.env
-        spec = self.spec
-        network = self.network
-        rpc_cpu = spec.rpc_cpu_s
-        node_dc = self.node_datacenter
-        cross = node_dc[src.node_id] != node_dc[dst.node_id]
-        size = request_bytes + spec.envelope_bytes
-        network.messages += 1
-        cpu_done = src.reserve_cpu(src_cpu_s + rpc_cpu)
-        arrival = (src.nic.reserve_egress(size, at=cpu_done)
-                   + network.sample_latency(src.nic, dst.nic, size))
-        if cross:
-            now = env._now
-            if arrival > now:
-                yield Timeout(env, arrival - now)
-            handler_at = dst.reserve_cpu(rpc_cpu,
-                                         at=dst.nic.reserve_ingress(size))
-        else:
-            handler_at = dst.reserve_cpu(
-                rpc_cpu, at=dst.nic.reserve_ingress(size, at=arrival))
-        now = env._now
-        if handler_at > now:
-            yield Timeout(env, handler_at - now)
-        if not dst.alive:
-            return _NO_RESPONSE
-        if deadline is not None and env._now >= deadline:
-            self.abandoned_rpcs += 1
-            return _EXPIRED
-        handler = dst.handlers.get(verb)
-        if handler is None:
-            raise LookupError(
-                f"node {dst.node_id} has no handler for {verb!r}")
-        result = yield from handler(payload)
-        if not dst.alive:
-            return _NO_RESPONSE
-        size = response_bytes + spec.envelope_bytes
-        network.messages += 1
-        back = (dst.nic.reserve_egress(size)
-                + network.sample_latency(dst.nic, src.nic, size))
-        if cross:
-            now = env._now
-            if back > now:
-                yield Timeout(env, back - now)
-            done = src.reserve_cpu(rpc_cpu,
-                                   at=src.nic.reserve_ingress(size))
-        else:
-            done = src.reserve_cpu(
-                rpc_cpu, at=src.nic.reserve_ingress(size, at=back))
-        now = env._now
-        if done > now:
-            yield Timeout(env, done - now)
-        return result
-
-    def call(self, src, dst, verb, payload=None, request_bytes=0,
-             response_bytes=0, timeout: Optional[float] = None,
-             deadline: Optional[float] = None, src_cpu_s: float = 0.0):
-        return Cluster.call(self, src, dst, verb, payload, request_bytes,
-                            response_bytes, timeout, deadline, src_cpu_s)
-
-    def call_async(self, src, dst, verb, payload=None, request_bytes=0,
-                   response_bytes=0, timeout: Optional[float] = None,
-                   deadline: Optional[float] = None,
-                   src_cpu_s: float = 0.0):
-        return Cluster.call_async(self, src, dst, verb, payload,
-                                  request_bytes, response_bytes, timeout,
-                                  deadline, src_cpu_s)

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log
-from typing import Generator, Optional
+from typing import Optional
 
-from repro.sim.kernel import Environment, Timeout
+from repro.sim.kernel import Environment
 
 __all__ = ["Network", "NetworkSpec", "Nic"]
 
@@ -50,7 +50,9 @@ class Nic:
     reproduces a wait queue exactly while costing a single timeout event
     instead of a resource round-trip — the NIC is on the path of every
     RPC byte, which made the old ``Resource`` machinery the single
-    biggest event source in stress-cell profiles.
+    biggest event source in stress-cell profiles.  Both channels are
+    booked by :meth:`repro.cluster.topology.Cluster.leg` and nowhere
+    else.
     """
 
     def __init__(self, env: Environment, spec: NetworkSpec) -> None:
@@ -103,16 +105,6 @@ class Nic:
         self._ingress_busy = done
         return done
 
-    def send(self, size: int) -> Generator:
-        done = self.reserve_egress(size)
-        if done > self.env.now:
-            yield self.env.timeout(done - self.env.now)
-
-    def receive(self, size: int) -> Generator:
-        done = self.reserve_ingress(size)
-        if done > self.env.now:
-            yield self.env.timeout(done - self.env.now)
-
 
 class Network:
     """The rack fabric: computes transit delay between two NICs."""
@@ -133,7 +125,7 @@ class Network:
         so topology-aware fabrics (the geo cluster) can price the hop by
         endpoint pair and message size.  The exponential draw is inlined
         (one uniform draw, same distribution as ``expovariate``): this
-        runs twice per RPC message.
+        runs once per message leg.
         """
         spec = self.spec
         factor = spec.latency_floor
@@ -141,24 +133,3 @@ class Network:
         if tail:
             factor -= log(1.0 - self._random()) * tail
         return spec.base_latency_s * factor
-
-    def transit(self, src: Nic, dst: Nic, size: int) -> Generator:
-        """Deliver ``size`` bytes from ``src`` to ``dst`` (a process).
-
-        Completes when the last byte has been received.  Egress
-        serialization and the switch hop are fused into one timeout (the
-        wire delay is a pure delay after the reserved egress slot, so
-        nothing can observe the intermediate instant); ingress is
-        reserved on arrival, preserving arrival-order queueing at the
-        receiver.
-        """
-        self.messages += 1
-        env = self.env
-        arrival = src.reserve_egress(size) + self.sample_latency()
-        now = env._now
-        if arrival > now:
-            yield Timeout(env, arrival - now)
-        done = dst.reserve_ingress(size)
-        now = env._now
-        if done > now:
-            yield Timeout(env, done - now)

@@ -59,6 +59,9 @@ class Node:
         #: ``handler(payload) -> Generator`` whose return value becomes the
         #: RPC response payload.
         self.handlers: dict[str, Callable[[object], Generator]] = {}
+        #: RPC verb -> fixed handler CPU seconds that ride the request
+        #: leg's callee reservation (only verbs that declared some).
+        self.verb_cpu: dict[str, float] = {}
         self.alive = True
         self.cpu_time = 0.0
         #: When this machine was provisioned (energy meters bill nodes
@@ -76,11 +79,21 @@ class Node:
         self._next_gc_at = (rng.expovariate(1.0 / spec.gc_interval_s)
                             if self._gc_enabled else float("inf"))
 
-    def register(self, verb: str, handler: Callable[[object], Generator]) -> None:
-        """Install the handler for RPC ``verb`` on this node."""
+    def register(self, verb: str, handler: Callable[[object], Generator],
+                 cpu_s: float = 0.0) -> None:
+        """Install the handler for RPC ``verb`` on this node.
+
+        ``cpu_s`` is CPU the verb costs on every request before the
+        handler can look at it.  The transport books it in the same core
+        reservation as the request's deserialization, so it costs no
+        kernel event of its own — and is charged even when the handler
+        then refuses the request.
+        """
         if verb in self.handlers:
             raise ValueError(f"verb {verb!r} already registered on node {self.node_id}")
         self.handlers[verb] = handler
+        if cpu_s:
+            self.verb_cpu[verb] = cpu_s
 
     def cpu_work(self, seconds: float) -> Generator:
         """Hold one core for ``seconds`` of computation (a process).

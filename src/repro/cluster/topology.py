@@ -220,6 +220,10 @@ class ClusterSpec:
 class Cluster:
     """Builds nodes and provides the RPC transport between them."""
 
+    #: node_id -> datacenter name on a multi-datacenter cluster; ``None``
+    #: on a single rack.  :meth:`leg` reads it to tell a WAN leg.
+    node_datacenter: Optional[dict] = None
+
     def __init__(self, env: Environment, spec: ClusterSpec,
                  rngs: RngRegistry) -> None:
         self.env = env
@@ -249,47 +253,89 @@ class Cluster:
 
     # -- RPC -----------------------------------------------------------
 
+    def leg(self, src: Node, dst: Node, size: int, src_cpu_s: float = 0.0,
+            dst_cpu_s: float = 0.0, on_arrival: bool = False) -> Event:
+        """Send one ``size``-byte message from ``src`` to ``dst``; returns
+        the event that fires when ``dst`` has it (``yield`` it).  This is
+        the only way bytes cross the network.
+
+        Five stages: ``src_cpu_s`` on a sender core, egress
+        serialization, the switch hop, ingress serialization,
+        ``dst_cpu_s`` on a receiver core.  All five are booked up front
+        against the busy-until accumulators, each starting where the one
+        before it ends, and waited out as ONE timeout: nothing can
+        observe the instants in between, so a chain of deterministic
+        stages is one delay.  Booking a downstream stage at the upstream
+        stage's completion time is *optimistic reservation*: a message
+        starting later but reaching a shared stage earlier keeps FIFO
+        order by reservation, not by arrival — exact whenever the stages
+        are uncontended and microseconds off otherwise.
+
+        **The look-ahead rule.**  A busy-until accumulator cannot
+        backfill: booking a stage at a future instant parks it for every
+        message that turns up in the gap.  So a reservation is made
+        ahead of "now" only (a) across the stages of *one* in-rack leg
+        of a message that fits one packet, where the gap is tens of
+        microseconds, and (b) on the multi-server CPU, where parking one
+        of 24 cores delays nobody.  Never across a second hop, and never
+        across anything that can refuse, reorder or time out a waiter
+        (bounded handler pools, the disk, a synchronous log append).
+        Where the gap is long, the receiving half is booked when the
+        message *arrives* instead, at the cost of a second timeout:
+        always on a cross-datacenter leg (``node_datacenter``: a WAN
+        mutation booked 90 ms ahead would queue every rack-local message
+        behind a link that is idle), and when the caller says
+        ``on_arrival`` — the chunks of a multi-chunk bulk transfer, each
+        of which holds the wire for half a millisecond.
+        """
+        env = self.env
+        network = self.network
+        network.messages += 1
+        sent = src.nic.reserve_egress(
+            size, at=src.reserve_cpu(src_cpu_s) if src_cpu_s else 0.0)
+        arrival = sent + network.sample_latency(src.nic, dst.nic, size)
+        datacenter = self.node_datacenter
+        if on_arrival or (datacenter is not None and
+                          datacenter[src.node_id] != datacenter[dst.node_id]):
+            return env.process(self._land(dst, size, dst_cpu_s, arrival),
+                               name="leg", eager=True)
+        done = dst.nic.reserve_ingress(size, at=arrival)
+        if dst_cpu_s:
+            done = dst.reserve_cpu(dst_cpu_s, at=done)
+        return Timeout(env, done - env._now)
+
+    def _land(self, dst: Node, size: int, cpu_s: float,
+              arrival: float) -> Generator:
+        """The receiving half of a :meth:`leg`, booked on arrival."""
+        env = self.env
+        yield Timeout(env, arrival - env._now)
+        done = dst.nic.reserve_ingress(size)
+        if cpu_s:
+            done = dst.reserve_cpu(cpu_s, at=done)
+        yield Timeout(env, done - env._now)
+
     def _rpc_body(self, src: Node, dst: Node, verb: str, payload: Any,
                   request_bytes: int, response_bytes: int,
                   deadline: Optional[float] = None,
                   src_cpu_s: float = 0.0) -> Generator:
-        """One RPC round trip, as a pipeline of stage reservations.
+        """One RPC round trip: request :meth:`leg`, handler, response leg.
 
-        Each leg (caller CPU, egress serialization, switch hop, ingress
-        serialization, callee CPU) is booked up front against the
-        busy-until accumulators and collapsed into ONE timeout per
-        direction — versus the seven queue events the step-by-step
-        version cost per message.  Booking a downstream stage at the
-        upstream stage's completion time is *optimistic reservation*: a
-        message starting later but reaching a shared stage earlier keeps
-        FIFO order by reservation, not by arrival — a standard
-        fast-simulator tradeoff that is exact whenever stages are
-        uncontended and microseconds off otherwise.  Liveness and
-        deadline checks happen when the request reaches the handler
-        (previously: on wire arrival, a few tens of microseconds
-        earlier).
+        Both sides pay ``rpc_cpu_s`` per message.  ``src_cpu_s`` (the
+        caller's own pre-request CPU, e.g. driver bookkeeping) and the
+        verb's registered ``cpu_s`` ride the request leg's two core
+        reservations, so neither costs a kernel event.  Liveness and the
+        deadline are checked when the request reaches the handler.
         """
-        env = self.env
         spec = self.spec
-        network = self.network
         rpc_cpu = spec.rpc_cpu_s
-        size = request_bytes + spec.envelope_bytes
-        network.messages += 1
-        # ``src_cpu_s`` folds the caller's own pre-request CPU charge
-        # (driver bookkeeping) into the same core reservation as the
-        # request serialization — one timeout instead of two on every
-        # client-issued operation.
-        cpu_done = src.reserve_cpu(src_cpu_s + rpc_cpu)
-        arrival = (src.nic.reserve_egress(size, at=cpu_done)
-                   + network.sample_latency(src.nic, dst.nic, size))
-        handler_at = dst.reserve_cpu(
-            rpc_cpu, at=dst.nic.reserve_ingress(size, at=arrival))
-        now = env._now
-        if handler_at > now:
-            yield Timeout(env, handler_at - now)
+        verb_cpu = dst.verb_cpu
+        yield self.leg(
+            src, dst, request_bytes + spec.envelope_bytes,
+            src_cpu_s + rpc_cpu,
+            rpc_cpu + verb_cpu[verb] if verb in verb_cpu else rpc_cpu)
         if not dst.alive:
             return _NO_RESPONSE
-        if deadline is not None and env._now >= deadline:
+        if deadline is not None and self.env._now >= deadline:
             # Deadline propagation: the budget is already spent when the
             # request arrives, so the callee drops it without computing a
             # result nobody will read (the caller's own timer fires).
@@ -301,15 +347,8 @@ class Cluster:
         result = yield from handler(payload)
         if not dst.alive:
             return _NO_RESPONSE
-        size = response_bytes + spec.envelope_bytes
-        network.messages += 1
-        back = (dst.nic.reserve_egress(size)
-                + network.sample_latency(dst.nic, src.nic, size))
-        done = src.reserve_cpu(rpc_cpu, at=src.nic.reserve_ingress(size,
-                                                                   at=back))
-        now = env._now
-        if done > now:
-            yield Timeout(env, done - now)
+        yield self.leg(dst, src, response_bytes + spec.envelope_bytes,
+                       0.0, rpc_cpu)
         return result
 
     def call(self, src: Node, dst: Node, verb: str, payload: Any = None,

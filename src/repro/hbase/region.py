@@ -60,6 +60,11 @@ class Region:
         self.region_id = region_id
         self.start_token = start_token
         self.end_token = end_token
+        #: The range again as record keys: keys are fixed-width decimal
+        #: tokens, so key order is token order and the per-request range
+        #: check (:meth:`covers`) needs no parse.
+        self._start_key = key_for_token(start_token)
+        self._end_key = key_for_token(end_token)
         #: Set when the region is opened on a server.
         self.tree: Optional[LsmTree] = None
         self.medium: Optional[RegionMedium] = None
@@ -70,6 +75,10 @@ class Region:
     def contains(self, token: int) -> bool:
         """True when ``token`` falls inside this region's key range."""
         return self.start_token <= token < self.end_token
+
+    def covers(self, key: str) -> bool:
+        """:meth:`contains` for a record key."""
+        return self._start_key <= key < self._end_key
 
     def open_on(self, server: "RegionServer", spec: StorageSpec) -> None:
         """First open: create the region's LSM tree on ``server``."""
@@ -93,9 +102,9 @@ class Region:
         mid = self.start_token + (self.end_token - self.start_token) // 2
         daughter = Region(daughter_id, mid, self.end_token)
         self.end_token = mid
+        self._end_key = split_key = key_for_token(mid)
         server = self.medium.server
         daughter.open_on(server, spec)
-        split_key = key_for_token(mid)
         top = [e for e in self.tree.snapshot_entries() if e[0] >= split_key]
         daughter.tree.ingest_run(top)
         self.tree.drop_range(split_key)

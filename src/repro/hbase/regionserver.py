@@ -9,7 +9,6 @@ from repro.cluster.topology import DeadlineExceeded
 from repro.hdfs.block import DfsFile
 from repro.hdfs.client import WAL_SEGMENT_BYTES, DfsClient
 from repro.hbase.region import Region
-from repro.keyspace import token_of
 from repro.sim.kernel import AnyOf, Environment, Event, ModelledFailure
 from repro.sim.resources import BoundedResource, Resource
 
@@ -120,7 +119,7 @@ class RegionServer:
         if region is None:
             raise NotServingRegion(
                 f"region {region_id} not on server {self.node.node_id}")
-        if key is not None and not region.contains(token_of(key)):
+        if key is not None and not region.covers(key):
             # A split shrank the region after the client resolved it —
             # applying the op here would strand the write outside the
             # range readers are routed to.
@@ -201,8 +200,8 @@ class RegionServer:
         slot = yield from self._acquire_slot(deadline)
         try:
             yield from self._wait_available(region)
-            yield from self.node.cpu_work(_HANDLER_CPU_S)
-            rows = yield from region.tree.scan(start_key, limit)
+            rows = yield from region.tree.scan(
+                start_key, limit, extra_cpu_s=_HANDLER_CPU_S)
             self.ops["scan"] += 1
         finally:
             self._release_slot(slot)

@@ -9,8 +9,9 @@ from repro.cluster.node import Node
 
 __all__ = ["DataNode"]
 
-#: CPU charged per packet a datanode receives/forwards.
-_PACKET_CPU_S = 8e-6
+#: CPU charged per packet a datanode receives/forwards.  The pipeline
+#: books it on the receiving end of the hop that delivers the packet.
+PACKET_CPU_S = 8e-6
 
 
 class DataNode:
@@ -25,13 +26,12 @@ class DataNode:
         self.node = node
         self.blocks_received = 0
         self.bytes_received = 0
-        node.register("dn.read", self._handle_read)
+        node.register("dn.read", self._handle_read, cpu_s=PACKET_CPU_S)
 
     def receive_packet(self, size: int, sync: bool) -> Generator:
         """Accept packet bytes into memory (hflush) or onto disk (hsync)."""
         self.blocks_received += 1
         self.bytes_received += size
-        yield from self.node.cpu_work(_PACKET_CPU_S)
         if sync:
             yield from self.node.disk.write(size, sequential=True,
                                             priority=FOREGROUND)
@@ -47,7 +47,6 @@ class DataNode:
     def _handle_read(self, payload) -> Generator:
         """Remote read RPC: ``payload`` is (size, sequential)."""
         size, sequential = payload
-        yield from self.node.cpu_work(_PACKET_CPU_S)
         yield from self.node.disk.read(size, sequential=sequential,
                                        priority=BACKGROUND if sequential
                                        else FOREGROUND)

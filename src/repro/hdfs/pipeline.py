@@ -16,7 +16,7 @@ from typing import Generator
 
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
-from repro.hdfs.datanode import DataNode
+from repro.hdfs.datanode import PACKET_CPU_S, DataNode
 
 __all__ = ["pipeline_write", "ACK_BYTES"]
 
@@ -42,16 +42,23 @@ def pipeline_write(cluster: Cluster, client_node: Node,
         raise ValueError("pipeline needs at least one datanode")
     n_packets = max(1, -(-size // PACKET_BYTES))
     chunks = _chunk_sizes(size, n_packets)
+    # Each hop is one message leg with the datanode's packet CPU on its
+    # receiving end.  A chunk of a multi-chunk transfer holds the wire
+    # for ~0.55 ms, so its receiver is booked on arrival (the look-ahead
+    # rule of ``Cluster.leg``); hops are never chained into one
+    # reservation, which would park every NIC down the pipeline.
+    bulk = len(chunks) > 1
     for chunk in chunks:
         prev = client_node
         for dn in datanodes:
-            yield from cluster.network.transit(prev.nic, dn.node.nic, chunk)
+            yield cluster.leg(prev, dn.node, chunk,
+                              dst_cpu_s=PACKET_CPU_S, on_arrival=bulk)
             yield from dn.receive_packet(chunk, sync)
             prev = dn.node
     # Ack cascade: DNr -> ... -> DN1 -> client (one small hop each).
     hops = [dn.node for dn in reversed(datanodes)] + [client_node]
     for src, dst in zip(hops, hops[1:]):
-        yield from cluster.network.transit(src.nic, dst.nic, ACK_BYTES)
+        yield cluster.leg(src, dst, ACK_BYTES)
 
 
 #: Bulk transfers are simulated in chunks of this size (the real HDFS

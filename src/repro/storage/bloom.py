@@ -1,7 +1,7 @@
 """Bloom filter over SSTable keys.
 
-A real bit-level implementation (backed by a Python integer used as a bit
-set).  SSTable lookups consult it before touching the disk, so its false
+A real bit-level implementation (a ``bytearray`` used as a bit set).
+SSTable lookups consult it before touching the disk, so its false
 positives translate into real (simulated) wasted block reads — the same
 trade-off the physical systems make.
 """
@@ -26,27 +26,23 @@ class BloomFilter:
         self.n_bits = max(8, int(-expected_items * math.log(fp_rate)
                                  / (math.log(2) ** 2)))
         self.n_hashes = max(1, round(self.n_bits / expected_items * math.log(2)))
-        self._bits = 0
+        #: Bit ``i`` lives at ``_bits[i >> 3] >> (i & 7) & 1`` — a probe
+        #: indexes one byte instead of shifting an n_bits-wide integer.
+        self._bits = bytearray(self.n_bits // 8 + 1)
         self.items_added = 0
 
-    def _indexes(self, key: str) -> list[int]:
-        data = key.encode()
-        h1 = zlib.crc32(data)
-        h2 = zlib.adler32(data) | 1  # odd, so strides cover the table
-        return [(h1 + i * h2) % self.n_bits for i in range(self.n_hashes)]
-
     def add(self, key: str) -> None:
-        # Hot path (every memtable flush rehashes every entry): same
-        # double-hashing scheme as _indexes, without the list.
+        # Hot path (every memtable flush rehashes every entry): double
+        # hashing, ``h1 + i * h2`` for the i-th probe.
         data = key.encode()
         h = zlib.crc32(data)
-        h2 = zlib.adler32(data) | 1
+        h2 = zlib.adler32(data) | 1  # odd, so strides cover the table
         n = self.n_bits
-        mask = 0
+        bits = self._bits
         for _ in range(self.n_hashes):
-            mask |= 1 << (h % n)
+            i = h % n
+            bits[i >> 3] |= 1 << (i & 7)
             h += h2
-        self._bits |= mask
         self.items_added += 1
 
     def might_contain(self, key: str) -> bool:
@@ -57,7 +53,8 @@ class BloomFilter:
         n = self.n_bits
         bits = self._bits
         for _ in range(self.n_hashes):
-            if not bits >> (h % n) & 1:
+            i = h % n
+            if not bits[i >> 3] >> (i & 7) & 1:
                 return False
             h += h2
         return True
@@ -65,4 +62,4 @@ class BloomFilter:
     @property
     def size_bytes(self) -> int:
         """In-memory footprint charged against the node's RAM budget."""
-        return self.n_bits // 8 + 1
+        return len(self._bits)

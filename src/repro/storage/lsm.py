@@ -132,7 +132,9 @@ class LsmTree:
         self.active = Memtable()
         #: Memtables frozen and waiting for (or in) flush, newest first.
         self.flushing: list[Memtable] = []
-        #: Immutable runs, newest first.
+        #: Immutable runs, newest first.  The list is replaced, never
+        #: changed in place, so a read that holds it across a block miss
+        #: keeps walking the version of the tree it started on.
         self.sstables: list[SSTable] = []
         self._compacting = False
         #: Keys >= this bound were handed to a split daughter: existing
@@ -188,7 +190,7 @@ class LsmTree:
             table = SSTable(entries, self.spec.block_bytes,
                             self.spec.bloom_fp_rate)
             table.file_handle = handle
-            self.sstables.insert(0, table)
+            self.sstables = [table, *self.sstables]
             self._cache_written_blocks(table)
         self.flushing.remove(frozen)
         if not self.flushing:
@@ -207,56 +209,74 @@ class LsmTree:
 
     # -- read path --------------------------------------------------------
 
-    def _fetch_block(self, table: SSTable, block_no: int,
-                     priority: int = FOREGROUND) -> Generator:
-        if not self.cache.contains(table.sstable_id, block_no):
-            yield from self.medium.read_block(self.spec.block_bytes, priority,
-                                              getattr(table, "file_handle", None))
-            self.cache.insert(table.sstable_id, block_no,
-                              self.spec.block_bytes)
-            self.stats["block_reads"] += 1
+    def _load_block(self, table: SSTable, block_no: int,
+                    priority: int = FOREGROUND) -> Generator:
+        """Read one block the cache does not hold (callers check first)."""
+        yield from self.medium.read_block(self.spec.block_bytes, priority,
+                                          getattr(table, "file_handle", None))
+        self.cache.insert(table.sstable_id, block_no, self.spec.block_bytes)
+        self.stats["block_reads"] += 1
 
     def get(self, key: str, priority: int = FOREGROUND,
             extra_cpu_s: float = 0.0) -> Generator:
         """Return the newest ``(value, timestamp)`` for ``key`` or None.
 
         ``extra_cpu_s`` folds the caller's per-request CPU charge into
-        the same core reservation (see :meth:`put`).
+        the same core reservation (see :meth:`put`).  The whole lookup —
+        the request, the memtable probe, one bloom check per run — is
+        one reservation and one wait; after it the read sees the tree as
+        of that instant (memtables, and the run list it holds on to) and
+        yields again only for blocks the cache does not hold.
         """
         self.stats["gets"] += 1
         if self._drop_from is not None and key >= self._drop_from:
             return None
-        yield from self.node.cpu_work(extra_cpu_s + self.spec.cpu_get_s)
+        spec = self.spec
+        env = self.env
+        end = self.node.reserve_cpu(
+            extra_cpu_s + spec.cpu_get_s
+            + spec.cpu_per_table_check_s * len(self.sstables))
+        now = env._now
+        if end > now:
+            yield Timeout(env, end - now)
         best: Optional[tuple[Any, float]] = None
         for memtable in [self.active, *self.flushing]:
             found = memtable.get(key)
             if found is not None and (best is None or found[1] > best[1]):
                 best = (found[0], found[1])
+        contains = self.cache.contains
         for table in self.sstables:
-            yield from self.node.cpu_work(self.spec.cpu_per_table_check_s)
             if not table.might_contain(key):
                 continue
-            yield from self._fetch_block(table, table.block_of(key), priority)
+            block_no = table.block_of(key)
+            if not contains(table.sstable_id, block_no):
+                yield from self._load_block(table, block_no, priority)
             found = table.get(key)
             if found is not None and (best is None or found[1] > best[1]):
                 best = (found[0], found[1])
         return best
 
-    def scan(self, start_key: str, limit: int,
-             priority: int = FOREGROUND) -> Generator:
-        """Return up to ``limit`` ``(key, value, timestamp)`` from ``start_key``."""
+    def scan(self, start_key: str, limit: int, priority: int = FOREGROUND,
+             extra_cpu_s: float = 0.0) -> Generator:
+        """Return up to ``limit`` ``(key, value, timestamp)`` from ``start_key``.
+
+        ``extra_cpu_s`` as in :meth:`get`; like a get, a scan reads one
+        version of the tree.
+        """
         self.stats["scans"] += 1
-        yield from self.node.cpu_work(self.spec.cpu_get_s)
+        yield from self.node.cpu_work(extra_cpu_s + self.spec.cpu_get_s)
         merged: dict[str, tuple[Any, float]] = {}
         for memtable in [self.active, *self.flushing]:
             for key, value, ts, _size in memtable.scan_from(start_key, limit):
                 existing = merged.get(key)
                 if existing is None or ts > existing[1]:
                     merged[key] = (value, ts)
+        contains = self.cache.contains
         for table in self.sstables:
             blocks, entries = table.blocks_for_range(start_key, limit)
             for block_no in blocks:
-                yield from self._fetch_block(table, block_no, priority)
+                if not contains(table.sstable_id, block_no):
+                    yield from self._load_block(table, block_no, priority)
             for key, value, ts, _size in entries:
                 existing = merged.get(key)
                 if existing is None or ts > existing[1]:
@@ -358,7 +378,7 @@ class LsmTree:
             return
         table = SSTable(entries, self.spec.block_bytes,
                         self.spec.bloom_fp_rate)
-        self.sstables.insert(0, table)
+        self.sstables = [table, *self.sstables]
         self._maybe_compact()
 
     def drop_range(self, from_key: str) -> None:

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from repro.cluster.nic import NetworkSpec
+from repro.cluster.node import NodeSpec
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.core.experiment import ExperimentSession, summarize_run
 from repro.sim.kernel import Environment
@@ -27,6 +29,14 @@ def rngs() -> RngRegistry:
 def small_cluster(env, rngs) -> Cluster:
     """Four server nodes + nothing fancy."""
     return Cluster(env, ClusterSpec(n_nodes=4), rngs)
+
+
+def flat_cluster(n_nodes: int = 2, seed: int = 3) -> Cluster:
+    """A rack on a fresh environment whose switch hop is exactly
+    ``base_latency_s`` (no tail), so leg times can be summed by hand."""
+    spec = ClusterSpec(n_nodes=n_nodes, node=NodeSpec(
+        network=NetworkSpec(latency_tail=0.0, latency_floor=1.0)))
+    return Cluster(Environment(), spec, RngRegistry(seed))
 
 
 def traced_run(config, **run_kwargs):

@@ -64,20 +64,21 @@ class TestEnergyMeter:
 
     def test_nic_busy_time_is_priced(self, small_cluster):
         env = small_cluster.env
-        nic = small_cluster.node(0).nic
+        src, dst = small_cluster.node(0), small_cluster.node(1)
+        nic = src.nic
         meter = EnergyMeter(small_cluster.nodes)
         meter.start()
 
         def chatter():
             for _ in range(50):
-                yield from nic.send(1 << 16)
+                yield small_cluster.leg(src, dst, 1 << 16)
 
         env.process(chatter())
         env.run()
         report = meter.stop()
         assert nic.busy_s > 0
         assert report.nic_j == pytest.approx(
-            meter.spec.nic_w * nic.busy_s)
+            meter.spec.nic_w * (nic.busy_s + dst.nic.busy_s))
         assert report.total_j == pytest.approx(
             report.idle_j + report.cpu_j + report.disk_j + report.nic_j
             + report.sleep_j)

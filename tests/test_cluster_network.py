@@ -2,68 +2,116 @@
 
 import pytest
 
-from repro.cluster.nic import Network, NetworkSpec, Nic
 from repro.cluster.topology import Cluster, ClusterSpec, DeadNodeError, RpcTimeout
 from repro.sim.kernel import AllOf, Environment
 from repro.sim.rng import RngRegistry
+from tests.conftest import flat_cluster
 
 
 class TestNic:
-    def test_transit_time_has_floor_and_bandwidth_term(self, env, rngs):
-        spec = NetworkSpec(latency_tail=0.0, latency_floor=1.0)
-        network = Network(env, spec, rngs.stream("net"))
-        a, b = Nic(env, spec), Nic(env, spec)
+    """The NIC and switch model, through ``Cluster.leg`` — the one way
+    bytes cross the network."""
 
-        def send(env, size):
+    def _elapsed(self, size, **leg_kwargs):
+        cluster = flat_cluster()
+        env = cluster.env
+        env.run()  # the nodes' own start-up events
+
+        def send(env):
             start = env.now
-            yield from network.transit(a, b, size)
+            yield cluster.leg(cluster.node(0), cluster.node(1), size,
+                                   **leg_kwargs)
             return env.now - start
 
-        small = env.run(until=env.process(send(env, 100)))
-        env2 = Environment()
-        network2 = Network(env2, spec, rngs.stream("net2"))
-        c, d = Nic(env2, spec), Nic(env2, spec)
+        return env.run(until=env.process(send(env))), cluster
 
-        def send2(env2, size):
-            start = env2.now
-            yield from network2.transit(c, d, size)
-            return env2.now - start
-
-        large = env2.run(until=env2.process(send2(env2, 1_000_000)))
-        assert small >= spec.base_latency_s
+    def test_transit_time_has_floor_and_bandwidth_term(self):
+        small, cluster = self._elapsed(100)
+        large, _ = self._elapsed(1_000_000)
+        assert small >= cluster.spec.node.network.base_latency_s
         assert large > small + 0.001  # 1 MB at ~117 MB/s dominates
 
-    def test_egress_serializes_fanout(self, env, rngs):
-        spec = NetworkSpec(latency_tail=0.0, latency_floor=1.0)
-        network = Network(env, spec, rngs.stream("net"))
-        src = Nic(env, spec)
-        sinks = [Nic(env, spec) for _ in range(4)]
+    @pytest.mark.parametrize("on_arrival", [False, True])
+    def test_leg_is_the_sum_of_its_stages(self, on_arrival):
+        size, src_cpu, dst_cpu = 5_000, 3e-5, 7e-5
+        elapsed, cluster = self._elapsed(size, src_cpu_s=src_cpu,
+                                         dst_cpu_s=dst_cpu,
+                                         on_arrival=on_arrival)
+        net = cluster.spec.node.network
+        wire = (size + net.header_bytes) / net.bandwidth_bps
+        assert elapsed == pytest.approx(
+            src_cpu + wire + net.base_latency_s + wire + dst_cpu, abs=1e-12)
+        # One timeout when booked ahead, two when the receiving half
+        # waits for the arrival.
+        reference = flat_cluster().env
+        reference.run()
+
+        def timeouts(env, n):
+            for _ in range(n):
+                yield env.timeout(1e-4)
+
+        reference.run(until=reference.process(
+            timeouts(reference, 2 if on_arrival else 1)))
+        assert cluster.env.processed_events == reference.processed_events
+        assert cluster.node(0).cpu_time == pytest.approx(src_cpu)
+        assert cluster.node(1).cpu_time == pytest.approx(dst_cpu)
+
+    def test_egress_serializes_fanout(self):
+        cluster = flat_cluster(n_nodes=5)
+        env = cluster.env
         finish = []
 
         def send(env, dst):
-            yield from network.transit(src, dst, 500_000)
+            yield cluster.leg(cluster.node(0), dst, 500_000)
             finish.append(env.now)
 
-        for sink in sinks:
-            env.process(send(env, sink))
+        for node_id in range(1, 5):
+            env.process(send(env, cluster.node(node_id)))
         env.run()
         # Four half-MB messages cannot leave a single NIC simultaneously.
         assert finish == sorted(finish)
         assert finish[-1] > finish[0] * 2
 
-    def test_byte_counters(self, env, rngs):
-        spec = NetworkSpec(latency_tail=0.0, latency_floor=1.0)
-        network = Network(env, spec, rngs.stream("net"))
-        a, b = Nic(env, spec), Nic(env, spec)
+    @pytest.mark.parametrize("on_arrival", [False, True])
+    def test_ingress_is_fifo_on_a_busy_nic(self, on_arrival):
+        cluster = flat_cluster(n_nodes=4)
+        env = cluster.env
+        finish = {}
+
+        def send(env, src_id):
+            yield cluster.leg(cluster.node(src_id), cluster.node(0),
+                                   500_000, on_arrival=on_arrival)
+            finish[src_id] = env.now
+
+        for src_id in (1, 2, 3):
+            env.process(send(env, src_id))
+        env.run()
+        net = cluster.spec.node.network
+        wire = (500_000 + net.header_bytes) / net.bandwidth_bps
+        # Three senders, one receiving channel: each waits for the one
+        # before it, in send order.
+        times = [finish[i] for i in (1, 2, 3)]
+        assert times == sorted(times)
+        assert times[2] == pytest.approx(
+            wire + net.base_latency_s + 3 * wire)
+
+    def test_byte_counters(self):
+        cluster = flat_cluster()
+        env = cluster.env
+        a, b = cluster.node(0), cluster.node(1)
 
         def send(env):
-            yield from network.transit(a, b, 1234)
+            yield cluster.leg(a, b, 1234)
 
         env.process(send(env))
         env.run()
-        assert a.bytes_sent == 1234
-        assert b.bytes_received == 1234
-        assert network.messages == 1
+        assert a.nic.bytes_sent == 1234
+        assert b.nic.bytes_received == 1234
+        assert cluster.network.messages == 1
+        net = cluster.spec.node.network
+        wire = (1234 + net.header_bytes) / net.bandwidth_bps
+        assert a.nic.busy_s == pytest.approx(wire)
+        assert b.nic.busy_s == pytest.approx(wire)
 
 
 class TestRpc:

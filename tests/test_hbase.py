@@ -37,6 +37,13 @@ class TestRegion:
         assert region.contains(100) and region.contains(199)
         assert not region.contains(99) and not region.contains(200)
 
+    def test_covers_is_contains_on_keys(self):
+        from repro.keyspace import KEY_DOMAIN, key_for_token
+        region = Region(0, 100, KEY_DOMAIN)
+        for token in (0, 99, 100, 10**18, KEY_DOMAIN - 1):
+            assert region.covers(key_for_token(token)) \
+                == region.contains(token), token
+
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             Region(0, 5, 5)

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
 import random
+import zlib
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +75,41 @@ class TestBloomProperty:
         for key in added:
             bloom.add(key)
         assert all(bloom.might_contain(k) for k in added)
+
+    @given(st.sets(keys, max_size=200), st.sets(keys, max_size=200),
+           st.sampled_from([0.001, 0.01, 0.2]))
+    def test_answers_equal_the_big_int_reference(self, added, probed, fp):
+        # The filter used to be one Python integer; the bytearray keeps
+        # the same hash positions, so every answer — each false positive
+        # included — is the one the integer gave.
+        bloom = BloomFilter(len(added), fp)
+        reference = _BigIntBloom(bloom.n_bits, bloom.n_hashes)
+        for key in added:
+            bloom.add(key)
+            reference.add(key)
+        for key in added | probed:
+            assert bloom.might_contain(key) == reference.might_contain(key)
+
+
+class _BigIntBloom:
+    """The previous implementation, kept as the reference: bit ``i`` of
+    one integer, probes at ``(crc32 + j * (adler32 | 1)) % n_bits``."""
+
+    def __init__(self, n_bits: int, n_hashes: int) -> None:
+        self.n_bits, self.n_hashes, self.bits = n_bits, n_hashes, 0
+
+    def _positions(self, key: str) -> list[int]:
+        data = key.encode()
+        h1, h2 = zlib.crc32(data), zlib.adler32(data) | 1
+        return [(h1 + j * h2) % self.n_bits for j in range(self.n_hashes)]
+
+    def add(self, key: str) -> None:
+        for position in self._positions(key):
+            self.bits |= 1 << position
+
+    def might_contain(self, key: str) -> bool:
+        return all(self.bits >> position & 1
+                   for position in self._positions(key))
 
 
 class TestCompactionProperty:

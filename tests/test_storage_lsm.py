@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
+from repro.storage.cache import BlockCache
 from repro.storage.lsm import LocalDiskMedium, LsmTree, StorageSpec
 
 
@@ -208,3 +209,114 @@ class TestWalSync:
             return env.run(until=env.process(scenario()))
 
         assert latency(True) > latency(False) * 5
+
+
+class _GatedMedium:
+    """A medium whose block reads wait for ``gate``; everything else is
+    free.  Lets a test hold a read on its first block miss, change the
+    tree underneath it, and let it go."""
+
+    def __init__(self, env):
+        self.gate = env.event()
+        self.block_reads = 0
+
+    def append_log(self, size, sync):
+        return
+        yield  # pragma: no cover
+
+    def read_block(self, size, priority, handle=None):
+        self.block_reads += 1
+        yield self.gate
+
+    def read_run(self, size, handle=None):
+        return
+        yield  # pragma: no cover
+
+    def write_run(self, size):
+        return None
+        yield  # pragma: no cover
+
+
+class TestReadSeesOneVersionOfTheTree:
+    """A flush or compaction landing while a read waits on a block miss
+    must not change which runs that read walks."""
+
+    def _tree(self, compaction_min_batch):
+        env = Environment()
+        node = Cluster(env, ClusterSpec(n_nodes=1), RngRegistry(5)).node(0)
+        medium = _GatedMedium(env)
+        tree = LsmTree(env, node, medium, StorageSpec(
+            memtable_flush_bytes=2048, block_bytes=512,
+            block_cache_bytes=1 << 20,
+            compaction_min_batch=compaction_min_batch))
+        return env, tree, medium
+
+    @staticmethod
+    def _write_run(tree, version):
+        """``k`` at ``version`` plus filler: exactly one memtable's worth,
+        so the last put rotates it into a flush."""
+        yield from tree.put("k", f"v{version}", 100, float(version))
+        for i in range(20):
+            yield from tree.put(f"k{version}-{i:02d}", i, 100, float(version))
+
+    def _parked_read(self, read, min_batch, monkeypatch, counted):
+        """Two runs holding ``k``; start ``read`` on a cold cache and park
+        it on its first block miss; land a third run (and, with
+        ``min_batch`` 3, the compaction it triggers); release the read."""
+        env, tree, medium = self._tree(min_batch)
+        for version in (1, 2):
+            drive(env, self._write_run(tree, version))
+        env.run(until=env.now + 1.0)
+        assert tree.n_sstables == 2
+        visits = {}
+        for table in tree.sstables:
+            monkeypatch.setattr(table, counted, self._counting(
+                getattr(table, counted), visits, table.sstable_id))
+        tree.cache = BlockCache(tree.spec.block_cache_bytes)
+        reads_before = tree.stats["block_reads"]
+
+        reader = env.process(read(tree))
+        env.run(until=env.now + 1e-3)
+        assert medium.block_reads == 1 and reader.is_alive
+        drive(env, self._write_run(tree, 3))
+        env.run(until=env.now + 1.0)
+        assert tree.stats["flushes"] == 3
+        if min_batch == 3:
+            assert tree.stats["compactions"] == 1 and tree.n_sstables == 1
+        else:
+            assert tree.stats["compactions"] == 0 and tree.n_sstables == 3
+        medium.gate.succeed()
+        result = env.run(until=reader)
+        # Each of the two runs the read started on: visited once, one
+        # miss each; the run that landed meanwhile: not at all.
+        assert sorted(visits.values()) == [1, 1]
+        assert tree.stats["block_reads"] - reads_before == 2
+        assert medium.block_reads == 2
+        return env, tree, result
+
+    @staticmethod
+    def _counting(method, visits, table_id):
+        def counted(*args):
+            visits[table_id] = visits.get(table_id, 0) + 1
+            return method(*args)
+        return counted
+
+    @pytest.mark.parametrize("min_batch", [10, 3],
+                             ids=["flush", "flush+compaction"])
+    def test_get(self, min_batch, monkeypatch):
+        env, tree, result = self._parked_read(
+            lambda tree: tree.get("k"), min_batch, monkeypatch,
+            "might_contain")
+        # The newest version as of the instant the read looked ...
+        assert result == ("v2", 2.0)
+        # ... and the next read sees the one that landed.
+        assert drive(env, tree.get("k")) == ("v3", 3.0)
+
+    @pytest.mark.parametrize("min_batch", [10, 3],
+                             ids=["flush", "flush+compaction"])
+    def test_scan(self, min_batch, monkeypatch):
+        env, tree, rows = self._parked_read(
+            lambda tree: tree.scan("k", 1), min_batch, monkeypatch,
+            "blocks_for_range")
+        assert rows == [("k", "v2", 2.0)]
+        assert drive(env, tree.scan("k", 1)) == [("k", "v3", 3.0)]
