@@ -16,15 +16,9 @@ Shape assertions (the subsystem's contract):
 """
 
 import pytest
-from conftest import run_once
+from conftest import campaign_scale, run_once
 
-from repro.core.sweep import (QUICK_ADAPTIVE_SCALE, AdaptiveScale,
-                              render_campaign, run_campaign)
-
-
-def _adaptive_scale(bench_scale):
-    return (QUICK_ADAPTIVE_SCALE if bench_scale.name == "quick"
-            else AdaptiveScale())
+from repro.core.sweep import render_campaign, run_campaign
 
 
 def _ryw_rate(summary):
@@ -40,7 +34,7 @@ def sweeps():
 
 def _sweep(benchmark, bench_scale, bench_runner, sweeps):
     """Run the campaign once per module; later tests time the cache hit."""
-    scale = _adaptive_scale(bench_scale)
+    scale = campaign_scale("adaptive", bench_scale)
 
     def compute():
         if "result" not in sweeps:
@@ -61,7 +55,7 @@ def test_adaptive_policies_beat_static_quorum(benchmark, bench_scale,
     for policy in ("stepwise", "staleness-bound"):
         summary = result[policy][target]
         assert summary["decisions"]["read_p95_ms"] < quorum_p95
-        assert _ryw_rate(summary) <= scale.risk_rate
+        assert _ryw_rate(summary) <= scale.slo.risk_rate
 
 
 def test_static_one_breaks_the_declared_bound(benchmark, bench_scale,
@@ -69,9 +63,9 @@ def test_static_one_breaks_the_declared_bound(benchmark, bench_scale,
     result, scale = _sweep(benchmark, bench_scale, bench_runner, sweeps)
     target = scale.targets[0]
     static_one = result["static-one"][target]
-    assert _ryw_rate(static_one) > scale.risk_rate
+    assert _ryw_rate(static_one) > scale.slo.risk_rate
     assert static_one["consistency"]["max_staleness_lag_s"] \
-        > scale.staleness_s
+        > scale.slo.staleness_s
 
 
 def test_staleness_bound_holds_its_contract(benchmark, bench_scale,
@@ -81,4 +75,5 @@ def test_staleness_bound_holds_its_contract(benchmark, bench_scale,
         consistency = summary["consistency"]
         assert consistency["violations_by_kind"]["read_your_writes"] == 0
         assert consistency["violations_by_kind"]["stale_read"] == 0
-        assert consistency["max_staleness_lag_s"] <= scale.staleness_s
+        assert consistency["max_staleness_lag_s"] \
+            <= scale.slo.staleness_s

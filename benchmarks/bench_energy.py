@@ -18,16 +18,10 @@ Shape assertions (the subsystem's contract):
 """
 
 import pytest
-from conftest import run_once
+from conftest import campaign_scale, run_once
 
 from repro.consistency.oracle import unexpected_violations
-from repro.core.sweep import (QUICK_ENERGY_SCALE, EnergyScale,
-                              render_campaign, run_campaign)
-
-
-def _energy_scale(bench_scale):
-    return (QUICK_ENERGY_SCALE if bench_scale.name == "quick"
-            else EnergyScale())
+from repro.core.sweep import render_campaign, run_campaign
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +32,7 @@ def sweeps():
 def _sweep(benchmark, bench_scale, bench_runner, sweeps, *dbs):
     """Run each store's campaign once per module; later tests time the
     cache hit.  One benchmark call covers every requested store."""
-    scale = _energy_scale(bench_scale)
+    scale = campaign_scale("energy", bench_scale)
 
     def compute():
         for db in dbs:
@@ -79,5 +73,6 @@ def test_energy_aware_beats_static_quorum_on_cost(benchmark, bench_scale,
     aware = result[3]["adaptive"]["energy_aware"]
     assert aware["usd_per_mops"] < quorum["usd_per_mops"]
     assert aware["joules_per_op"] < quorum["joules_per_op"]
-    assert aware["consistency"]["max_staleness_lag_s"] <= scale.staleness_s
+    assert aware["consistency"]["max_staleness_lag_s"] \
+        <= scale.slo.staleness_s
     assert unexpected_violations(aware["consistency"]) == 0

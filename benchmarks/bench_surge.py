@@ -18,15 +18,10 @@ Shape assertions:
 """
 
 import pytest
-from conftest import run_once
+from conftest import campaign_scale, run_once
 
 from repro.consistency.oracle import unexpected_violations
-from repro.core.sweep import (QUICK_SURGE_SCALE, SurgeScale,
-                              render_campaign, run_campaign)
-
-
-def _surge_scale(bench_scale):
-    return QUICK_SURGE_SCALE if bench_scale.name == "quick" else SurgeScale()
+from repro.core.sweep import render_campaign, run_campaign
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +31,8 @@ def sweeps(bench_scale):
 
 def _run(db, bench_scale, bench_runner, benchmark, sweeps):
     result = run_once(benchmark, lambda: run_campaign(
-        "surge", db, _surge_scale(bench_scale), runner=bench_runner))
+        "surge", db, campaign_scale("surge", bench_scale),
+        runner=bench_runner))
     sweeps[db] = result
     print()
     print(render_campaign("surge", result, db))

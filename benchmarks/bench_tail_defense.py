@@ -14,14 +14,9 @@ Shape assertions:
 """
 
 import pytest
-from conftest import run_once
+from conftest import campaign_scale, run_once
 
-from repro.core.sweep import (QUICK_TAIL_SCALE, TailScale, render_campaign,
-                              run_campaign)
-
-
-def _tail_scale(bench_scale):
-    return QUICK_TAIL_SCALE if bench_scale.name == "quick" else TailScale()
+from repro.core.sweep import render_campaign, run_campaign
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +26,8 @@ def sweeps(bench_scale):
 
 def _run(db, bench_scale, bench_runner, benchmark, sweeps):
     result = run_once(benchmark, lambda: run_campaign(
-        "tail", db, _tail_scale(bench_scale), runner=bench_runner))
+        "tail", db, campaign_scale("tail", bench_scale),
+        runner=bench_runner))
     sweeps[db] = result
     print()
     print(render_campaign("tail", result, db))

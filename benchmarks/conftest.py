@@ -13,36 +13,36 @@ Every bench honours ``REPRO_BENCH_SCALE``:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
 from repro.core.runner import CellRunner
-from repro.core.sweep import QUICK_SCALE, SweepScale
+from repro.core.sweep import CAMPAIGNS, Scale
+
+_FIGURES = CAMPAIGNS["fig1"]
 
 
 @dataclass(frozen=True)
 class BenchScale:
-    sweep: SweepScale
+    sweep: Scale
     replication_factors: tuple
     name: str
 
 
 _SCALES = {
     "quick": BenchScale(
-        sweep=QUICK_SCALE,
+        sweep=_FIGURES.quick,
         replication_factors=(1, 3, 6),
         name="quick"),
     "standard": BenchScale(
-        sweep=SweepScale(record_count=12_000, operation_count=2_500,
-                         n_threads=48, n_nodes=16,
-                         targets=(3_000.0, 9_000.0, 16_000.0, None)),
+        sweep=replace(_FIGURES.full, record_count=12_000,
+                      operation_count=2_500, n_threads=48,
+                      targets=(3_000.0, 9_000.0, 16_000.0, None)),
         replication_factors=(1, 2, 3, 6),
         name="standard"),
     "full": BenchScale(
-        sweep=SweepScale(record_count=30_000, operation_count=4_000,
-                         n_threads=48, n_nodes=16,
-                         targets=(2_000.0, 6_000.0, 12_000.0, 20_000.0, None)),
+        sweep=replace(_FIGURES.full, n_threads=48),
         replication_factors=(1, 2, 3, 4, 5, 6),
         name="full"),
 }
@@ -72,6 +72,13 @@ def bench_runner() -> CellRunner:
     cache = os.environ.get("REPRO_BENCH_CACHE", "").lower() in ("1", "true",
                                                                 "yes")
     return CellRunner(jobs=jobs, cache=cache)
+
+
+def campaign_scale(name: str, bench_scale: BenchScale) -> Scale:
+    """A non-figure campaign's own scale: its quick one under
+    ``REPRO_BENCH_SCALE=quick``, else its full one."""
+    campaign = CAMPAIGNS[name]
+    return campaign.quick if bench_scale.name == "quick" else campaign.full
 
 
 def run_once(benchmark, func):

@@ -17,13 +17,13 @@ Run:  python examples/adaptive_consistency.py
 
 from repro.core import ExperimentSession
 from repro.core.report import render_adaptive_timeline, render_table
-from repro.core.sweep import (ADAPTIVE_POLICIES, QUICK_ADAPTIVE_SCALE,
-                              campaign_cells)
+from repro.core.sweep import ADAPTIVE_POLICIES, CAMPAIGNS, campaign_cells
+
+SCALE = CAMPAIGNS["adaptive"].quick
 
 
 def run_policy(policy: str):
-    cell = campaign_cells("adaptive", scale=QUICK_ADAPTIVE_SCALE,
-                          policies=(policy,))[0]
+    cell = campaign_cells("adaptive", scale=SCALE, policies=(policy,))[0]
     session = ExperimentSession(cell.config)
     session.load()
     run = cell.runs[0]
@@ -34,10 +34,10 @@ def run_policy(policy: str):
 
 
 def main() -> None:
-    scale = QUICK_ADAPTIVE_SCALE
-    print(f"SLO: p95 <= {scale.p95_ms:g} ms, staleness <= "
-          f"{scale.staleness_s:g} s, risk rate <= {scale.risk_rate:g}; "
-          f"crash at {scale.fault_at_s:g}s for {scale.fault_duration_s:g}s")
+    slo, fault = SCALE.slo, SCALE.fault
+    print(f"SLO: p95 <= {slo.p95_ms:g} ms, staleness <= "
+          f"{slo.staleness_s:g} s, risk rate <= {slo.risk_rate:g}; "
+          f"crash at {fault.at_s:g}s for {fault.duration_s:g}s")
     print()
     rows = []
     timelines = []

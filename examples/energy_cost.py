@@ -20,7 +20,7 @@ Run:  python examples/energy_cost.py
 
 from repro.core import ExperimentSession
 from repro.core.report import render_table
-from repro.core.sweep import QUICK_ENERGY_SCALE, campaign_cells
+from repro.core.sweep import CAMPAIGNS, campaign_cells
 
 #: The three RF = 3 cells that tell the story, by (rf, cl, power) key.
 SHOWCASE = (
@@ -41,12 +41,12 @@ def run_cell(cell):
 
 
 def main() -> None:
-    scale = QUICK_ENERGY_SCALE
+    scale = CAMPAIGNS["energy"].quick
     cells = {cell.key: cell
              for cell in campaign_cells("energy", "cassandra", scale)}
-    print(f"cassandra, RF = 3, {scale.workload} at "
-          f"{scale.target:g} ops/s offered for {scale.duration_s:g}s; "
-          f"staleness budget {scale.staleness_s:g}s")
+    print(f"cassandra, RF = 3, {cells[SHOWCASE[0]].runs[0].workload} at "
+          f"{scale.targets[0]:g} ops/s offered for {scale.duration_s:g}s; "
+          f"staleness budget {scale.slo.staleness_s:g}s")
     print()
     rows = []
     parked = None

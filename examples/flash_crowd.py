@@ -23,22 +23,34 @@ The full campaign (db x scenario x stack, parallel, cached) is
 Run:  python examples/flash_crowd.py
 """
 
+from dataclasses import replace
+
 from repro.core.report import render_table
-from repro.core.sweep import SurgeScale, run_campaign
+from repro.core.sweep import CAMPAIGNS, run_campaign
+
+FULL = CAMPAIGNS["surge"].full
 
 #: Small enough to finish in about a minute, large enough that the
 #: spike overwhelms the cluster's disk-bound capacity.
-SCALE = SurgeScale(record_count=2_000, n_nodes=6, base_rate=400.0,
-                   max_arrivals=8_000, n_users=50_000, n_tenants=4,
-                   spike_at_s=2.0, spike_factor=10.0, spike_duration_s=3.0,
-                   leveling_workers=32, leveling_queue=128)
+SCALE = replace(
+    FULL, record_count=2_000, n_nodes=6,
+    arrivals=replace(FULL.arrivals, rate=400.0, max_arrivals=8_000,
+                     n_users=50_000, n_tenants=4, spike_at_s=2.0,
+                     spike_factor=10.0, spike_duration_s=3.0),
+    # Per-tenant rate limit: six times the fair steady share (400/s
+    # over 4 tenants).
+    clienttier=replace(FULL.clienttier, leveling_workers=32,
+                       leveling_queue=128, rate_limit_per_tenant=600.0,
+                       rate_limit_burst=600.0))
 
 
 def main() -> None:
-    print(f"arrivals: poisson {SCALE.base_rate:g}/s, x{SCALE.spike_factor:g} "
-          f"spike at t={SCALE.spike_at_s:g}s for {SCALE.spike_duration_s:g}s; "
-          f"op timeout {SCALE.op_timeout_s * 1e3:g} ms, "
-          f"{SCALE.retries} retries")
+    arrivals, client = SCALE.arrivals, SCALE.clienttier
+    print(f"arrivals: poisson {arrivals.rate:g}/s, x{arrivals.spike_factor:g} "
+          f"spike at t={arrivals.spike_at_s:g}s for "
+          f"{arrivals.spike_duration_s:g}s; "
+          f"op timeout {client.op_timeout_s * 1e3:g} ms, "
+          f"{client.retries} retries")
     print()
     sweep = run_campaign("surge", "cassandra", SCALE,
                          modes=("undefended", "full"),
@@ -75,7 +87,7 @@ def main() -> None:
     print(f"full stack: {full['goodput'] / undefended['goodput']:.1f}x "
           f"the undefended goodput through the same spike; max read "
           f"staleness {full['consistency']['max_staleness_lag_s']:.2f}s "
-          f"(cache TTL {SCALE.cache_ttl_s:g}s)")
+          f"(cache TTL {SCALE.clienttier.cache_ttl_s:g}s)")
 
 
 if __name__ == "__main__":

@@ -9,10 +9,13 @@ side by side.
 Run:  python examples/replication_sweep.py
 """
 
-from repro.core.report import render_table
-from repro.core.sweep import SweepScale, run_campaign
+from dataclasses import replace
 
-SCALE = SweepScale(record_count=6_000, operation_count=1_000, n_nodes=12)
+from repro.core.report import render_table
+from repro.core.sweep import CAMPAIGNS, run_campaign
+
+SCALE = replace(CAMPAIGNS["fig1"].full, record_count=6_000,
+                operation_count=1_000, n_nodes=12)
 REPLICATION_FACTORS = (1, 2, 3, 4, 5, 6)
 
 

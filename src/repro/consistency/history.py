@@ -172,12 +172,10 @@ class HistoryRecorder:
         return result
 
     def insert(self, key: str, value: Any, size: int) -> Generator:
-        result = yield from self._write(self.inner.insert, key, value, size)
-        return result
+        return self._write(self.inner.insert, key, value, size)
 
     def update(self, key: str, value: Any, size: int) -> Generator:
-        result = yield from self._write(self.inner.update, key, value, size)
-        return result
+        return self._write(self.inner.update, key, value, size)
 
     def read(self, key: str, size: int) -> Generator:
         self._next_id += 1

@@ -11,7 +11,6 @@ from repro.core.config import (
     CassandraConfig,
     ExperimentConfig,
     HBaseConfig,
-    default_check_config,
     default_micro_config,
     default_stress_config,
 )
@@ -35,15 +34,8 @@ from repro.core.sweep import (
     CHECK_CL_MODES,
     CONSISTENCY_MODES,
     FAILOVER_CL_MODES,
-    QUICK_ADAPTIVE_SCALE,
-    QUICK_CHECK_SCALE,
-    QUICK_FAILOVER_SCALE,
-    QUICK_SCALE,
-    AdaptiveScale,
     Campaign,
-    CheckScale,
-    FailoverScale,
-    SweepScale,
+    Scale,
     campaign_cells,
     check_sweep,
     render_campaign,
@@ -56,28 +48,20 @@ __all__ = [
     "CHECK_CL_MODES",
     "CONSISTENCY_MODES",
     "AdaptiveConfig",
-    "AdaptiveScale",
     "Campaign",
     "CassandraConfig",
-    "CheckScale",
     "ExperimentConfig",
     "ExperimentResult",
     "ExperimentSession",
     "FAILOVER_CL_MODES",
-    "FailoverScale",
     "HBaseConfig",
-    "QUICK_ADAPTIVE_SCALE",
-    "QUICK_CHECK_SCALE",
-    "QUICK_FAILOVER_SCALE",
-    "QUICK_SCALE",
+    "Scale",
     "Sla",
     "SlaReport",
     "StalenessProbe",
-    "SweepScale",
     "build_failover_report",
     "campaign_cells",
     "check_sweep",
-    "default_check_config",
     "default_micro_config",
     "default_stress_config",
     "evaluate_sla",

@@ -37,8 +37,7 @@ __all__ = ["CAMPAIGNS", "Campaign", "build_parser", "main"]
 
 
 def _scale(args):
-    full, quick = args.campaign.scales
-    return quick if args.quick else full
+    return args.campaign.quick if args.quick else args.campaign.full
 
 
 def _runner(args) -> CellRunner:
@@ -174,7 +173,7 @@ _NO_CACHE = _opt("--no-cache", action="store_true",
 def campaign_args(campaign: Campaign) -> list[Arg]:
     """Every flag of one campaign's subcommand, derived from its entry."""
     args = []
-    if campaign.scales:  # it runs cells
+    if campaign.full is not None:  # it runs cells
         args += [_QUICK, _JOBS, _NO_CACHE]
         if len(campaign.dbs) > 1:
             args.append(_opt("--db", dest="dbs", action="append",

@@ -28,7 +28,6 @@ __all__ = [
     "TailDefenseConfig",
     "config_to_dict",
     "config_to_json",
-    "default_check_config",
     "default_geo_config",
     "default_micro_config",
     "default_scale_config",
@@ -511,38 +510,6 @@ def disk_exposed_storage(db: str, record_count: int, n_servers: int,
         memtable_flush_bytes=max(32 * 1024, per_tree // 8),
         block_bytes=8 * 1024,
         block_cache_bytes=max(64 * 1024, int(per_tree * cache_fraction)),
-    )
-
-
-def default_check_config(db: str,
-                         read_cl: ConsistencyLevel = ConsistencyLevel.QUORUM,
-                         write_cl: ConsistencyLevel = ConsistencyLevel.QUORUM,
-                         seed: int = 0,
-                         no_repair: bool = False) -> ExperimentConfig:
-    """One consistency-check cell (``repro-bench check``): a small
-    read/update population under throttled load, sized so a 50-seed
-    exploration matrix stays cheap while every key still sees enough
-    operations for the per-key history checkers to bite.
-
-    ``no_repair`` disables read repair entirely (zero chance, no
-    blocking repair) so a weak CL's staleness window stays open for the
-    session checkers to observe instead of being quietly closed by the
-    anti-entropy path under test.
-    """
-    return ExperimentConfig(
-        db=db,
-        workload=STRESS_WORKLOADS["read_update"],
-        record_count=300,
-        operation_count=2_500,
-        n_threads=8,
-        target_throughput=1_200.0,
-        n_nodes=6,
-        seed=seed,
-        storage=scaled_stress_storage(300, 1000, 5),
-        cassandra=CassandraConfig(
-            read_cl=read_cl, write_cl=write_cl,
-            read_repair_chance=0.0 if no_repair else 0.1,
-            blocking_read_repair=not no_repair),
     )
 
 

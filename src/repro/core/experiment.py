@@ -451,8 +451,7 @@ class ExperimentSession:
             raise RuntimeError("session already loaded")
         workload = self._new_workload(self.config.workload)
         client = YcsbClient(self.env, self.binding, workload,
-                            self.rngs.stream("client.load"),
-                            client_node=self.client_node)
+                            self.rngs.stream("client.load"))
         process = self.env.process(
             client.load(self.config.record_count, self.config.load_threads),
             name="load")
@@ -603,8 +602,7 @@ class ExperimentSession:
                           else self.config.target_throughput)
             client = YcsbClient(
                 self.env, binding, runtime_workload,
-                self.rngs.stream(f"client.run.{self.env.now}"),
-                client_node=run.node)
+                self.rngs.stream(f"client.run.{self.env.now}"))
             driver = client.run(run.ops,
                                 n_threads=n_threads or self.config.n_threads,
                                 target_throughput=run.target,

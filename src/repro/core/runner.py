@@ -255,8 +255,15 @@ class CellCache:
                 entry = json.load(fh)
         except (OSError, ValueError):
             return None  # missing or corrupt: recompute
-        payload = entry.get("payload")
-        return payload if isinstance(payload, dict) else None
+        # So is an entry that parses but is not what ``put`` writes (a
+        # truncated rewrite, another tool's file): it is recomputed and
+        # overwritten, never served to fail later inside a campaign.
+        payload = entry.get("payload") if isinstance(entry, dict) else None
+        if (isinstance(payload, dict)
+                and isinstance(payload.get("runs"), list)
+                and isinstance(payload.get("kernel"), dict)):
+            return payload
+        return None
 
     def put(self, fingerprint: str, label: str, payload: dict) -> None:
         # Best-effort: an unwritable cache location must never abort a

@@ -2,10 +2,11 @@
 on top of it, declared once and run through one path.
 
 A campaign is one :class:`Campaign` literal in :data:`CAMPAIGNS`: its
-name and help line, the ``(full, quick)`` scale pair, the axes a caller
-may narrow (with their legal values), the databases it runs on, a cell
-builder, how the runs inside a cell extend its key, and the columns of
-its table.  Three generic functions consume the table:
+name and help line, the ``full`` and ``quick`` :class:`Scale` it runs
+at, the axes a caller may narrow (with their legal values), the
+databases it runs on, a cell builder, how the runs inside a cell extend
+its key, and the columns of its table.  Three generic functions consume
+the table:
 
 - :func:`campaign_cells` validates the axes and turns the requested grid
   into :class:`~repro.core.runner.CellSpec` values — one per independent
@@ -35,11 +36,7 @@ from repro.cluster.failure import DC_FAULT_KINDS, FAULT_KINDS, FaultSpec
 # Imported here (not in repro.consistency's package init) so the sweep
 # layer exposes every campaign entrypoint while the consistency package
 # stays importable from repro.core.experiment without a cycle.
-from repro.consistency.explorer import (CHECK_CL_MODES,
-                                        QUICK_CHECK_SCALE,
-                                        CheckScale,
-                                        check_cells,
-                                        check_sweep)
+from repro.consistency.explorer import check_sweep
 from repro.core import report
 from repro.core.config import (MICRO_STORAGE,
                                AdaptiveConfig,
@@ -61,59 +58,35 @@ from repro.core.config import (MICRO_STORAGE,
                                scaled_stress_storage)
 from repro.core.runner import CellRunner, CellSpec, RunSpec, WarmSpec
 from repro.storage.lsm import StorageSpec
-from repro.ycsb.workload import STRESS_WORKLOADS
 
 __all__ = [
     "ADAPTIVE_POLICIES",
-    "AdaptiveScale",
     "Arg",
     "Axis",
     "CAMPAIGNS",
     "CHECK_CL_MODES",
     "CONSISTENCY_MODES",
     "Campaign",
-    "CheckScale",
     "ELASTIC_SCENARIOS",
     "ENERGY_CL_MODES",
     "ENERGY_POWER_MODES",
-    "ElasticScale",
-    "EnergyScale",
     "FAILOVER_CL_MODES",
-    "FailoverScale",
     "GEO_CL_MODES",
     "GEO_SCENARIOS",
-    "GeoScale",
     "MICRO_OP_ORDER",
     "NODE_FAULT_KINDS",
-    "QUICK_ADAPTIVE_SCALE",
-    "QUICK_CHECK_SCALE",
-    "QUICK_ELASTIC_SCALE",
-    "QUICK_ENERGY_SCALE",
-    "QUICK_FAILOVER_SCALE",
-    "QUICK_GEO_SCALE",
-    "QUICK_SCALE",
-    "QUICK_SURGE_SCALE",
-    "QUICK_TAIL_SCALE",
     "SCALE_MODES",
     "STRESS_WORKLOAD_ORDER",
     "SURGE_MODES",
     "SURGE_SCENARIOS",
-    "SurgeScale",
-    "SweepScale",
+    "Scale",
     "TAIL_MODES",
     "TAIL_SCENARIOS",
-    "TailScale",
     "campaign_cells",
-    "check_cells",
     "check_sweep",
-    "elastic_arrivals",
-    "elasticity_for_mode",
     "energy_modes",
     "render_campaign",
     "run_campaign",
-    "surge_arrivals",
-    "surge_tier_for_mode",
-    "tail_defense_for_mode",
 ]
 
 #: §4.1: "the update/read/insert/scan test is run one after another".
@@ -141,32 +114,78 @@ NODE_FAULT_KINDS = tuple(kind for kind in FAULT_KINDS
 
 
 @dataclass(frozen=True)
-class SweepScale:
-    """Scale-down knobs shared by the sweeps (see DESIGN.md §6)."""
+class Scale:
+    """What a campaign runs at (DESIGN.md §6): sizing, offered load, and
+    one fragment per ingredient, typed by the config dataclass the cells
+    carry.  Each campaign's ``full`` and ``quick`` literals sit beside
+    its cell builder, which reads the fields its cells need and ignores
+    the rest.
 
-    record_count: int = 30_000
-    operation_count: int = 4_000
+    An ingredient fragment holds the campaign's *full stack*; the axis
+    tables (:data:`TAIL_MODES`, :data:`SURGE_MODES`,
+    :data:`GEO_SCENARIOS`, ``_ARRIVAL_SHAPE``) name the fields of it a
+    mode or scenario keeps.  A field the cell's code path never reads
+    stays at its class default, so a cell's identity (cache fingerprint,
+    pinned digest) carries only the knobs that shape it.
+    """
+
+    # -- sizing --------------------------------------------------------------
+    record_count: int
+    #: Machines including the client node.  ``None`` where the topology
+    #: sizes itself (geo: ``servers_per_dc`` plus one client per region).
+    n_nodes: Optional[int] = None
     n_threads: int = 16
-    n_nodes: int = 16
-    #: Target throughputs offered in stress sweeps (ops/s); ``None`` means
-    #: unthrottled full speed — the point that exposes the true peak.
-    targets: tuple = (2_000.0, 6_000.0, 12_000.0, 20_000.0, None)
+    #: Closed-loop run length.  ``None`` where the length follows from
+    #: the offered load: ``target x duration_s`` (adaptive, energy) or
+    #: ``arrivals.max_arrivals`` (surge, scale).
+    operation_count: Optional[int] = None
     seed: int = 42
     #: Override the per-config storage engine tuning (None = the
     #: micro/stress defaults).  Used to shrink memory budgets together
     #: with very small test populations so the disk still participates.
     storage: Optional[StorageSpec] = None
 
+    # -- offered load --------------------------------------------------------
+    #: Target throughputs offered (ops/s) — a ramp inside each cell
+    #: where there are several; ``None`` means unthrottled full speed.
+    targets: tuple = (None,)
+    #: Simulated seconds each run spans where ``operation_count`` is
+    #: derived from the target.
+    duration_s: Optional[float] = None
+    #: Replication factors, where the campaign sweeps them itself
+    #: (fig1/fig2 take theirs from ``--max-rf``).
+    rfs: tuple = ()
 
-#: Fast settings for tests and --quick benchmark runs.
-QUICK_SCALE = SweepScale(record_count=5_000, operation_count=1_200,
-                         n_threads=12, n_nodes=8,
-                         targets=(2_000.0, 8_000.0, None))
+    # -- ingredients: the campaign's full stack of each ----------------------
+    #: When the fault fires and how long it lasts, relative to the
+    #: measured run's start, plus its shape; the scenario names the kind
+    #: and which shape fields (severity / span / datacenter) apply.
+    fault: FaultSpec = FaultSpec()
+    #: The scenario names ``process``, the scale mode ``mode`` and the
+    #: power mode ``power_mode``.
+    arrivals: ArrivalConfig = ArrivalConfig()
+    clienttier: ClientTierConfig = ClientTierConfig()
+    tail: TailDefenseConfig = TailDefenseConfig()
+    slo: AdaptiveConfig = AdaptiveConfig()
+    elasticity: ElasticityConfig = ElasticityConfig()
+    energy: EnergyConfig = EnergyConfig()
+
+    # -- campaign-specific leftovers -----------------------------------------
+    #: tail, scenario ``overload``: closed-loop threads and run length
+    #: of the unthrottled cell.
+    overload_threads: Optional[int] = None
+    overload_operations: Optional[int] = None
+    #: geo: Cassandra servers / replicas in each of the three regions.
+    servers_per_dc: int = 3
+    replicas_per_dc: int = 3
+    #: adaptive: ``CassandraConfig.hint_replay_interval_s``.
+    hint_replay_interval_s: float = 1.0
 
 
 # -- shared ingredients ------------------------------------------------------
 
-def _sized(config: ExperimentConfig, scale, **overrides) -> ExperimentConfig:
+def _sized(config: ExperimentConfig, scale: Scale,
+           **overrides) -> ExperimentConfig:
     """``config`` at the scale's population, run length, client threads
     and cluster size."""
     return replace(config, **{"record_count": scale.record_count,
@@ -175,12 +194,34 @@ def _sized(config: ExperimentConfig, scale, **overrides) -> ExperimentConfig:
                               "n_nodes": scale.n_nodes, **overrides})
 
 
-def _node0_fault(kind: str, at_s: float, duration_s: float,
-                 **shape) -> FaultSpec:
-    # Node 0 is a server in both deployments (the client — and HBase's
-    # master — live on the last node), so every node fault targets it.
-    return FaultSpec(kind=kind, node_id=0, at_s=at_s, duration_s=duration_s,
-                     **shape)
+def _stress(db: str, scale: Scale, workload: str = "read_mostly",
+            replication: int = 3, **overrides) -> ExperimentConfig:
+    """The shared stress cell at the scale's sizing, seed and (first)
+    target; ``overrides`` replace whole config fields."""
+    config = default_stress_config(db, workload, replication=replication,
+                                   target_throughput=scale.targets[0],
+                                   seed=scale.seed)
+    return _sized(config, scale, **overrides)
+
+
+def _stress_storage(scale: Scale, cache_units: float = 3.2) -> StorageSpec:
+    return scaled_stress_storage(scale.record_count, 1000, scale.n_nodes - 1,
+                                 cache_units=cache_units)
+
+
+def _keep(full, *fields: str, **named):
+    """``full`` narrowed to ``fields`` (plus the ``named`` values); the
+    rest at their class defaults."""
+    return type(full)(**{name: getattr(full, name) for name in fields},
+                      **named)
+
+
+def _fault(scale: Scale, kind: str, *shape: str) -> tuple:
+    """One ``kind`` fault in the scale's window, keeping the ``shape``
+    fields that kind reads.  It hits ``FaultSpec``'s default node 0, a
+    server in both deployments (the client — and HBase's master — live
+    on the last node)."""
+    return (_keep(scale.fault, "at_s", "duration_s", *shape, kind=kind),)
 
 
 def _cl_values(cls: Optional[tuple]) -> dict:
@@ -191,15 +232,6 @@ def _cl_values(cls: Optional[tuple]) -> dict:
     return {"read_cl": read_cl.value, "write_cl": write_cl.value}
 
 
-def _slo(scale) -> AdaptiveConfig:
-    """The SLO an adaptive policy steers by, as the scale declares it."""
-    return AdaptiveConfig(p95_ms=scale.p95_ms,
-                          staleness_s=scale.staleness_s,
-                          risk_rate=scale.risk_rate,
-                          window_s=scale.window_s,
-                          decay_windows=scale.decay_windows)
-
-
 #: The shape fields each open-loop arrival process reads off a scale.
 _ARRIVAL_SHAPE = {
     "poisson": (),
@@ -208,16 +240,12 @@ _ARRIVAL_SHAPE = {
 }
 
 
-def _arrivals(process: str, scale) -> ArrivalConfig:
-    return ArrivalConfig(
-        process=process, rate=scale.base_rate,
-        max_arrivals=scale.max_arrivals, n_users=scale.n_users,
-        n_tenants=scale.n_tenants,
-        **{name: getattr(scale, name) for name in _ARRIVAL_SHAPE[process]})
+def _arrivals(process: str, scale: Scale) -> ArrivalConfig:
+    return _keep(scale.arrivals, "rate", "max_arrivals", "n_users",
+                 "n_tenants", *_ARRIVAL_SHAPE[process], process=process)
 
 
-def _ramp_runs(workloads: Sequence[str], scale: SweepScale,
-               **cls) -> tuple:
+def _ramp_runs(workloads: Sequence[str], scale: Scale, **cls) -> tuple:
     """Every workload in order, sweeping the offered target inside each."""
     return tuple(RunSpec(workload=name, target_throughput=target, **cls)
                  for name in workloads for target in scale.targets)
@@ -284,8 +312,18 @@ def _ramp_series(ramp: list) -> dict:
 
 # -- Figures 1-3: micro and stress benchmarks vs replication / consistency ---
 
-def _micro_cells(db: str, scale: SweepScale,
-                 rfs: Sequence[int]) -> list[CellSpec]:
+#: The scale-down Figures 1-3 share (see DESIGN.md §6).
+_PAPER = Scale(
+    record_count=30_000, operation_count=4_000, n_threads=16, n_nodes=16,
+    # ``None``, unthrottled, is the point that exposes the true peak.
+    targets=(2_000.0, 6_000.0, 12_000.0, 20_000.0, None))
+
+_PAPER_QUICK = replace(_PAPER, record_count=5_000, operation_count=1_200,
+                       n_threads=12, n_nodes=8,
+                       targets=(2_000.0, 8_000.0, None))
+
+
+def _micro_cells(db: str, scale: Scale, rfs: Sequence[int]) -> list[CellSpec]:
     """One cell per replication factor, each running §4.1's op order."""
     cells = []
     for rf in rfs:
@@ -303,30 +341,27 @@ def _micro_cells(db: str, scale: SweepScale,
     return cells
 
 
-def _stress_config(db: str, scale: SweepScale, replication: int,
-                   cache_units: float = 3.2) -> ExperimentConfig:
-    return _sized(
-        default_stress_config(db, "read_mostly", replication=replication,
-                              seed=scale.seed),
-        scale,
-        storage=scale.storage or scaled_stress_storage(
-            scale.record_count, 1000, scale.n_nodes - 1,
-            cache_units=cache_units))
+def _ramp_config(db: str, scale: Scale, replication: int,
+                 cache_units: float = 3.2) -> ExperimentConfig:
+    # The targets are offered run by run; the cell itself is unthrottled.
+    return _stress(db, scale, replication=replication, target_throughput=None,
+                   storage=scale.storage or _stress_storage(scale,
+                                                            cache_units))
 
 
-def _stress_cells(db: str, scale: SweepScale, rfs: Sequence[int],
+def _stress_cells(db: str, scale: Scale, rfs: Sequence[int],
                   workloads: Sequence[str]) -> list[CellSpec]:
     """One cell per replication factor; each runs every workload in the
     paper's order, sweeping the offered target inside each workload."""
     return [CellSpec(key=rf,
                      label=f"fig2/{db}/rf={rf}",
-                     config=_stress_config(db, scale, rf),
+                     config=_ramp_config(db, scale, rf),
                      runs=_ramp_runs(workloads, scale),
                      warm=WarmSpec())
             for rf in rfs]
 
 
-def _consistency_cells(db: str, scale: SweepScale, modes: Sequence[str],
+def _consistency_cells(db: str, scale: Scale, modes: Sequence[str],
                        workloads: Sequence[str]) -> list[CellSpec]:
     """One cell per consistency round (ONE, QUORUM, write-ALL), all at
     replication factor 3 — the cache-resident side of the paper's
@@ -334,7 +369,7 @@ def _consistency_cells(db: str, scale: SweepScale, modes: Sequence[str],
     replication protocol (ack waits, digests, repairs), not disk spill."""
     return [CellSpec(key=mode,
                      label=f"fig3/{db}/{mode}",
-                     config=_stress_config(db, scale, 3, cache_units=8.0),
+                     config=_ramp_config(db, scale, 3, cache_units=8.0),
                      runs=_ramp_runs(workloads, scale,
                                      **_cl_values(CONSISTENCY_MODES[mode])),
                      warm=WarmSpec())
@@ -347,44 +382,24 @@ def _consistency_cells(db: str, scale: SweepScale, modes: Sequence[str],
 #: (rides out the crash on hinted handoff) vs quorum (pays availability
 #: for consistency).  HBase has no per-request CL; its campaigns run a
 #: single ``n/a`` mode.
-FAILOVER_CL_MODES: dict[str, tuple[ConsistencyLevel, ConsistencyLevel]] = {
-    "ONE": (ConsistencyLevel.ONE, ConsistencyLevel.ONE),
-    "QUORUM": (ConsistencyLevel.QUORUM, ConsistencyLevel.QUORUM),
-}
+FAILOVER_CL_MODES = {mode: CONSISTENCY_MODES[mode]
+                     for mode in ("ONE", "QUORUM")}
+
+#: The run is throttled well below peak (the Pokluda et al. probe
+#: methodology): at an offered load the healthy cluster meets easily, a
+#: throughput dip or error burst is unambiguously the fault's doing.
+_FAILOVER = Scale(
+    record_count=6_000, operation_count=36_000, n_threads=24, n_nodes=10,
+    targets=(2_000.0,),
+    fault=FaultSpec(at_s=4.0, duration_s=10.0, severity=8.0))
+
+_FAILOVER_QUICK = replace(
+    _FAILOVER, record_count=3_000, operation_count=10_000, n_threads=16,
+    n_nodes=8, targets=(1_000.0,),
+    fault=replace(_FAILOVER.fault, at_s=2.0, duration_s=5.0))
 
 
-@dataclass(frozen=True)
-class FailoverScale:
-    """Scale knobs for fault-injection campaigns.
-
-    The run is throttled well below peak (the Pokluda et al. probe
-    methodology): at an offered load the healthy cluster meets easily, a
-    throughput dip or error burst is unambiguously the fault's doing.
-    """
-
-    record_count: int = 6_000
-    operation_count: int = 36_000
-    n_threads: int = 24
-    n_nodes: int = 10
-    target_throughput: float = 2_000.0
-    #: When the fault fires, seconds after the measured run starts.
-    fault_at_s: float = 4.0
-    #: How long it lasts (crash downtime, partition/degradation window).
-    fault_duration_s: float = 10.0
-    #: Service-time multiplier for the gray-failure kinds.
-    severity: float = 8.0
-    seed: int = 42
-
-
-#: Fast settings for tests, CI chaos smoke, and --quick campaigns.
-QUICK_FAILOVER_SCALE = FailoverScale(record_count=3_000,
-                                     operation_count=10_000,
-                                     n_threads=16, n_nodes=8,
-                                     target_throughput=1_000.0,
-                                     fault_at_s=2.0, fault_duration_s=5.0)
-
-
-def _failover_cells(db: str, scale: FailoverScale, faults: Sequence[str],
+def _failover_cells(db: str, scale: Scale, faults: Sequence[str],
                     modes: Sequence[str]) -> list[CellSpec]:
     """One degraded run per (fault kind, consistency mode); each
     summary's ``failover`` entry is the availability report (time to
@@ -394,22 +409,14 @@ def _failover_cells(db: str, scale: FailoverScale, faults: Sequence[str],
     cells = []
     for kind in faults:
         for mode in modes:
-            config = default_stress_config(
-                db, "read_update", replication=3,
-                target_throughput=scale.target_throughput, seed=scale.seed)
-            config = _sized(
-                config, scale,
-                storage=scaled_stress_storage(scale.record_count, 1000,
-                                              scale.n_nodes - 1),
-                faults=(_node0_fault(kind, scale.fault_at_s,
-                                     scale.fault_duration_s,
-                                     severity=scale.severity),))
             cells.append(CellSpec(
                 key=(kind, mode),
                 label=f"failover/{db}/{kind}/cl={mode}",
-                config=config,
+                config=_stress(db, scale, "read_update",
+                               storage=_stress_storage(scale),
+                               faults=_fault(scale, kind, "severity")),
                 runs=(RunSpec(workload="read_update",
-                              target_throughput=scale.target_throughput,
+                              target_throughput=scale.targets[0],
                               faults=True,
                               **_cl_values(FAILOVER_CL_MODES.get(mode))),),
                 warm=WarmSpec(operations=max(2_000,
@@ -419,10 +426,17 @@ def _failover_cells(db: str, scale: FailoverScale, faults: Sequence[str],
 
 # -- Tail-latency defense campaigns: db x scenario x defense mode -----------
 
-#: Defense stacks in the order the campaign compares them: no defense,
-#: deadline propagation + bounded queues + admission control, and the
-#: same plus hedged reads.
-TAIL_MODES = ("none", "deadline", "hedge")
+_DEADLINE_STACK = ("deadline_s", "handler_slots", "max_handler_queue",
+                   "max_inflight")
+
+#: Defense stacks in the order the campaign compares them, as the fields
+#: of the scale's ``tail`` each keeps: no defense, deadline propagation +
+#: bounded queues + admission control, and the same plus hedged reads.
+TAIL_MODES = {
+    "none": (),
+    "deadline": _DEADLINE_STACK,
+    "hedge": _DEADLINE_STACK + ("hedge",),
+}
 
 #: The two stress scenarios the defenses are judged under: one
 #: gray-degraded replica under throttled load (hedging's home turf) and
@@ -433,61 +447,30 @@ TAIL_MODES = ("none", "deadline", "hedge")
 #: not part of the default campaign.
 TAIL_SCENARIOS = ("slow_replica", "overload")
 
+_TAIL = Scale(
+    record_count=6_000, operation_count=24_000, n_threads=24, n_nodes=8,
+    # Throttled offered load for the gray-fault scenario — low enough
+    # that the healthy cluster meets it with slack, so the p99 spread
+    # is unambiguously the slow replica's doing.
+    targets=(2_000.0,),
+    # The overload scenario instead runs unthrottled with this many
+    # closed-loop threads — deliberately past the bounded queues' total
+    # capacity, so shedding (not hedging) is the operative defense.
+    overload_threads=96, overload_operations=12_000,
+    fault=FaultSpec(at_s=2.0, duration_s=8.0, severity=8.0),
+    # Modes "deadline" and "hedge".  The hedge trigger sits above the
+    # healthy cache-miss latency so speculation targets the gray
+    # replica's stragglers, not every disk read.
+    tail=TailDefenseConfig(deadline_s=0.25, hedge="p95", handler_slots=4,
+                           max_handler_queue=8, max_inflight=48))
 
-@dataclass(frozen=True)
-class TailScale:
-    """Scale knobs for tail-latency defense campaigns."""
-
-    record_count: int = 6_000
-    operation_count: int = 24_000
-    n_threads: int = 24
-    n_nodes: int = 8
-    #: Throttled offered load for the gray-fault scenario — low enough
-    #: that the healthy cluster meets it with slack, so the p99 spread
-    #: is unambiguously the slow replica's doing.
-    target_throughput: float = 2_000.0
-    #: The overload scenario instead runs unthrottled with this many
-    #: closed-loop threads — deliberately past the bounded queues' total
-    #: capacity, so shedding (not hedging) is the operative defense.
-    overload_threads: int = 96
-    overload_operations: int = 12_000
-    #: When the gray fault fires / how long it lasts, relative to the
-    #: measured run's start.
-    fault_at_s: float = 2.0
-    fault_duration_s: float = 8.0
-    #: Disk service-time multiplier for the gray-degraded replica.
-    slowdown: float = 8.0
-    # Defense parameters (modes "deadline" and "hedge").  The hedge
-    # trigger sits above the healthy cache-miss latency so speculation
-    # targets the gray replica's stragglers, not every disk read.
-    deadline_s: float = 0.25
-    hedge: str = "p95"
-    handler_slots: int = 4
-    max_handler_queue: int = 8
-    max_inflight: int = 48
-    seed: int = 42
+_TAIL_QUICK = replace(
+    _TAIL, record_count=3_000, operation_count=8_000, n_threads=16,
+    targets=(1_200.0,), overload_threads=64, overload_operations=5_000,
+    fault=replace(_TAIL.fault, at_s=1.5, duration_s=5.0))
 
 
-#: Fast settings for tests, CI chaos smoke, and --quick campaigns.
-QUICK_TAIL_SCALE = TailScale(record_count=3_000, operation_count=8_000,
-                             n_threads=16, target_throughput=1_200.0,
-                             overload_threads=64, overload_operations=5_000,
-                             fault_at_s=1.5, fault_duration_s=5.0)
-
-
-def tail_defense_for_mode(mode: str, scale: TailScale) -> TailDefenseConfig:
-    """The tail-defense stack a campaign mode enables ("hedge" is the
-    "deadline" stack plus hedged reads)."""
-    if mode == "none":
-        return TailDefenseConfig()
-    return TailDefenseConfig(deadline_s=scale.deadline_s,
-                             hedge=scale.hedge if mode == "hedge" else None,
-                             handler_slots=scale.handler_slots,
-                             max_handler_queue=scale.max_handler_queue,
-                             max_inflight=scale.max_inflight)
-
-
-def _tail_cells(db: str, scale: TailScale, modes: Sequence[str],
+def _tail_cells(db: str, scale: Scale, modes: Sequence[str],
                 scenarios: Sequence[str]) -> list[CellSpec]:
     """One cell per (scenario, defense mode).  The block cache covers
     ~40% of one storage tree, so a steady fraction of reads misses to
@@ -495,24 +478,20 @@ def _tail_cells(db: str, scale: TailScale, modes: Sequence[str],
     cells = []
     for scenario in scenarios:
         for mode in modes:
-            config = default_stress_config(
-                db, "read_mostly", replication=3,
-                target_throughput=scale.target_throughput, seed=scale.seed)
-            config = _sized(
-                config, scale,
+            config = _stress(
+                db, scale,
                 storage=disk_exposed_storage(db, scale.record_count,
                                              scale.n_nodes - 1, 0.4),
                 # Keep every read hedgeable: a background repair pulls
                 # all replicas into the read path, which leaves no spare
                 # replica to hedge to for that request.
-                cassandra=replace(config.cassandra, read_repair_chance=0.0),
-                tail=tail_defense_for_mode(mode, scale))
+                cassandra=CassandraConfig(read_repair_chance=0.0),
+                tail=_keep(scale.tail, *TAIL_MODES[mode]))
             run = RunSpec(workload="read_mostly",
-                          target_throughput=scale.target_throughput)
+                          target_throughput=scale.targets[0])
             if scenario == "slow_replica":
-                config = replace(config, faults=(_node0_fault(
-                    "slow_disk", scale.fault_at_s, scale.fault_duration_s,
-                    severity=scale.slowdown),))
+                config = replace(config, faults=_fault(scale, "slow_disk",
+                                                       "severity"))
                 run = replace(run, faults=True)
             elif scenario == "overload":
                 # Unthrottled, far more closed-loop threads.  ("healthy"
@@ -533,16 +512,98 @@ def _tail_cells(db: str, scale: TailScale, modes: Sequence[str],
     return cells
 
 
+# -- Consistency check: db x CL round x fault template x seeds --------------
+
+#: Consistency rounds the explorer can drive (read CL, write CL) —
+#: the paper's §4.3 modes.  QUORUM and ALL are strong (R+W > RF at
+#: RF 3); ONE is the eventually consistent round the session checkers
+#: target.  HBase has no per-request CL and always runs one "n/a" mode.
+CHECK_CL_MODES = {**FAILOVER_CL_MODES,
+                  "ALL": CONSISTENCY_MODES["write ALL"]}
+
+#: Deliberately small: the oracle needs operation interleavings, not
+#: statistical latency mass, and a 50-seed matrix must stay cheap while
+#: every key still sees enough operations for the per-key history
+#: checkers to bite.  The fault window ends well before the run does
+#: (a run lasts ~``operation_count / target`` s), so the history covers
+#: fault, heal, *and* the post-heal window where a weak CL serves stale
+#: replicas until hint replay / read repair catches up.
+_CHECK = Scale(
+    record_count=300, operation_count=2_500, n_threads=8, n_nodes=6,
+    targets=(1_200.0,),
+    fault=FaultSpec(at_s=0.5, duration_s=0.8, severity=6.0, span=1))
+
+_CHECK_QUICK = replace(
+    _CHECK, record_count=150, operation_count=1_000, n_threads=6, n_nodes=5,
+    targets=(1_000.0,),
+    fault=replace(_CHECK.fault, at_s=0.3, duration_s=0.5))
+
+
+def _check_cells(db: str, scale: Scale, cl: str = "QUORUM",
+                 seeds: Union[int, Sequence[int]] = 25,
+                 fault: Optional[str] = None,
+                 no_repair: bool = False) -> list[CellSpec]:
+    """One oracle-checked cell per seed: same template (CL round, fault
+    kind), different schedule.  :func:`check_sweep` turns their reports
+    into the verdict."""
+    if db != "cassandra":
+        cl = "n/a"
+    elif cl not in CHECK_CL_MODES:
+        raise ValueError(f"unknown consistency mode {cl!r}; "
+                         f"choose from {sorted(CHECK_CL_MODES)}")
+    levels = CHECK_CL_MODES.get(cl)
+    cassandra = CassandraConfig()
+    if levels is not None:
+        cassandra = replace(cassandra, read_cl=levels[0], write_cl=levels[1])
+    if no_repair:
+        # Zero chance and no blocking repair: a weak CL's staleness
+        # window stays open for the session checkers to observe instead
+        # of being quietly closed by the anti-entropy path under test.
+        cassandra = replace(cassandra, read_repair_chance=0.0,
+                            blocking_read_repair=False)
+    cells = []
+    for seed in range(seeds) if isinstance(seeds, int) else seeds:
+        cells.append(CellSpec(
+            key=seed,
+            label=f"check/{db}/cl={cl}/{fault or 'healthy'}/seed={seed}",
+            config=_stress(
+                db, replace(scale, seed=seed), "read_update",
+                storage=_stress_storage(scale), cassandra=cassandra,
+                faults=(_fault(scale, fault, "severity", "span")
+                        if fault else ())),
+            runs=(RunSpec(workload="read_update",
+                          target_throughput=scale.targets[0],
+                          faults=fault is not None, check=True,
+                          **_cl_values(levels)),),
+            warm=None))
+    return cells
+
+
 # -- Flash-crowd survival: the open-loop client tier ------------------------
 
-#: Defense stacks, weakest to strongest.  "undefended" is the classic
-#: anti-pattern: per-arrival unbounded concurrency plus uncapped
-#: client retries — the configuration that turns a transient overload
-#: into a metastable retry storm.  Each later mode adds defenses on
-#: top of the previous one; "full" also enables the PR-3 server-side
-#: tail stack (deadlines + bounded handler queues) so the client and
-#: server defenses are measured composed, not in isolation.
-SURGE_MODES = ("undefended", "breaker", "breaker+budget+leveling", "full")
+_RETRYING = ("retries", "retry_backoff_s", "op_timeout_s")
+_BREAKER = _RETRYING + ("breaker_failure_rate", "breaker_cooldown_s")
+_LEVELED = _BREAKER + ("retry_budget_ratio", "leveling_workers",
+                       "leveling_queue")
+
+#: Defense stacks, weakest to strongest, as the fields of the scale's
+#: ``clienttier`` each keeps.  Every mode shares the same operation
+#: deadline and retry count, so the modes differ only in defenses.
+#: "undefended" is the classic anti-pattern: per-arrival unbounded
+#: concurrency plus uncapped client retries — the configuration that
+#: turns a transient overload into a metastable retry storm.  Each later
+#: mode adds defenses on top of the previous one: a breaker; a retry
+#: budget and queue-based load leveling; per-tenant rate limits and
+#: cache-aside.  "full" also enables the PR-3 server-side tail stack
+#: (deadlines + bounded handler queues) so the client and server
+#: defenses are measured composed, not in isolation.
+SURGE_MODES = {
+    "undefended": _RETRYING,
+    "breaker": _BREAKER,
+    "breaker+budget+leveling": _LEVELED,
+    "full": _LEVELED + ("rate_limit_per_tenant", "rate_limit_burst",
+                        "cache_ttl_s", "cache_capacity"),
+}
 
 #: Arrival scenarios: a steady Poisson control, a 10x flash crowd, and
 #: the same flash crowd landing on a cluster with one gray-degraded
@@ -550,112 +611,60 @@ SURGE_MODES = ("undefended", "breaker", "breaker+budget+leveling", "full")
 #: leveler must shed).
 SURGE_SCENARIOS = ("steady", "flash_crowd", "flash_crowd+slow_replica")
 
+_SURGE = Scale(
+    record_count=8_000, n_nodes=8,
+    arrivals=ArrivalConfig(
+        # Steady offered rate — comfortably under the healthy cluster's
+        # capacity so the steady scenario is a clean control.
+        rate=600.0, max_arrivals=20_000,
+        # Per-arrival users are zipf-skewed, so a small hot set
+        # dominates (what makes the cache-aside tier pay).
+        n_users=1_000_000, n_tenants=8,
+        spike_at_s=4.0, spike_factor=10.0, spike_duration_s=6.0),
+    # Gray fault for the compound scenario — one replica's disk slowed
+    # from the spike's onset until 2 s after it ends, like the tail
+    # campaign's ``slow_replica``.
+    fault=FaultSpec(at_s=4.0, duration_s=8.0, severity=8.0),
+    clienttier=ClientTierConfig(
+        # Client-side operation deadline, applied in *every* mode so the
+        # comparison isolates the defenses, not the timeout.  Short
+        # enough that a spike's queueing delay exhausts patience
+        # (timed-out work still burns server capacity — the waste
+        # retries amplify), yet an order of magnitude above the healthy
+        # p99.9.
+        op_timeout_s=0.25, retries=3, retry_backoff_s=0.05,
+        retry_budget_ratio=0.2, breaker_failure_rate=0.5,
+        breaker_cooldown_s=1.0, leveling_workers=48, leveling_queue=256,
+        # Edge cache: a couple of spike-lengths of staleness tolerance
+        # on the zipf head absorbs most repeat reads during the surge
+        # (the oracle still prices every stale serve;
+        # ``max_staleness_lag_s`` vs this TTL is the campaign's QoD
+        # budget check).
+        cache_ttl_s=2.0, cache_capacity=4_096,
+        # Six times the fair steady share (``rate / n_tenants`` = 75/s):
+        # admits normal traffic with slack, clips the spike at the door.
+        rate_limit_per_tenant=450.0, rate_limit_burst=450.0),
+    tail=TailDefenseConfig(
+        # Server RPC threadpool, bounded in *every* mode (a real
+        # server's handler count is finite — this is what couples a
+        # disk-miss pileup to the cached fast path and lets overload
+        # collapse goodput rather than only stretch latency).
+        handler_slots=16, max_handler_queue=32,
+        # Mode "full" additionally propagates a deadline with each RPC
+        # (PR-3 composition): replica-side work is abandoned once the
+        # budget is spent, so a timed-out request stops wasting capacity.
+        deadline_s=0.5))
 
-@dataclass(frozen=True)
-class SurgeScale:
-    """Scale knobs for flash-crowd survival campaigns."""
-
-    record_count: int = 8_000
-    n_nodes: int = 8
-    #: Steady offered rate, arrivals/s — comfortably under the healthy
-    #: cluster's capacity so the steady scenario is a clean control.
-    base_rate: float = 600.0
-    max_arrivals: int = 20_000
-    #: Simulated user population; per-arrival users are zipf-skewed, so
-    #: a small hot set dominates (what makes the cache-aside tier pay).
-    n_users: int = 1_000_000
-    n_tenants: int = 8
-    #: Flash crowd: offered rate multiplies by ``spike_factor`` for
-    #: ``spike_duration_s`` starting at ``spike_at_s``.
-    spike_at_s: float = 4.0
-    spike_factor: float = 10.0
-    spike_duration_s: float = 6.0
-    #: Gray fault for the compound scenario — one replica's disk slowed
-    #: under the spike, like the tail campaign's ``slow_replica``.
-    slowdown: float = 8.0
-    #: Client-side operation deadline, applied in *every* mode so the
-    #: comparison isolates the defenses, not the timeout.  Short enough
-    #: that a spike's queueing delay exhausts patience (timed-out work
-    #: still burns server capacity — the waste retries amplify), yet an
-    #: order of magnitude above the healthy p99.9.
-    op_timeout_s: float = 0.25
-    retries: int = 3
-    retry_backoff_s: float = 0.05
-    #: Finagle-style retry budget: retries may add at most this
-    #: fraction on top of first attempts (modes with "budget").
-    budget_ratio: float = 0.2
-    breaker_failure_rate: float = 0.5
-    breaker_cooldown_s: float = 1.0
-    leveling_workers: int = 48
-    leveling_queue: int = 256
-    #: Edge cache: a couple of spike-lengths of staleness tolerance on
-    #: the zipf head absorbs most repeat reads during the surge (the
-    #: oracle still prices every stale serve; ``max_staleness_lag_s``
-    #: vs this TTL is the campaign's QoD budget check).
-    cache_ttl_s: float = 2.0
-    cache_capacity: int = 4_096
-    #: Per-tenant rate limit as a multiple of the fair steady share
-    #: (``base_rate / n_tenants``) — admits normal traffic with slack,
-    #: clips the spike at the door.
-    rate_limit_factor: float = 6.0
-    #: Server RPC threadpool, bounded in *every* mode (a real server's
-    #: handler count is finite — this is what couples a disk-miss
-    #: pileup to the cached fast path and lets overload collapse
-    #: goodput rather than only stretch latency).
-    handler_slots: int = 16
-    max_handler_queue: int = 32
-    #: Mode "full" additionally propagates a deadline with each RPC
-    #: (PR-3 composition): replica-side work is abandoned once the
-    #: budget is spent, so a timed-out request stops wasting capacity.
-    deadline_s: float = 0.5
-    seed: int = 42
+_SURGE_QUICK = replace(
+    _SURGE, n_nodes=6,
+    arrivals=replace(_SURGE.arrivals, max_arrivals=15_000, n_users=100_000,
+                     spike_at_s=3.0, spike_duration_s=4.0),
+    fault=replace(_SURGE.fault, at_s=3.0, duration_s=6.0),
+    clienttier=replace(_SURGE.clienttier, leveling_workers=32,
+                       leveling_queue=128))
 
 
-#: Fast settings for tests, CI surge smoke, and --quick campaigns.
-QUICK_SURGE_SCALE = SurgeScale(n_nodes=6, max_arrivals=15_000,
-                               n_users=100_000, spike_at_s=3.0,
-                               spike_duration_s=4.0,
-                               leveling_workers=32, leveling_queue=128)
-
-
-def surge_arrivals(scenario: str, scale: SurgeScale) -> ArrivalConfig:
-    """The arrival process a surge scenario offers."""
-    return _arrivals("poisson" if scenario == "steady" else "flash_crowd",
-                     scale)
-
-
-def surge_tier_for_mode(mode: str, scale: SurgeScale) -> ClientTierConfig:
-    """The client-tier defense stack a campaign mode enables.
-
-    Every mode (including "undefended") shares the same operation
-    deadline and retry count, so the modes differ only in defenses:
-    the undefended stack retries without a budget and dispatches with
-    unbounded concurrency — exactly the retry-storm anti-pattern.
-    Each later mode adds its defenses on top of the previous one's.
-    """
-    level = SURGE_MODES.index(mode)
-    tier = ClientTierConfig(retries=scale.retries,
-                            retry_backoff_s=scale.retry_backoff_s,
-                            op_timeout_s=scale.op_timeout_s)
-    if level >= 1:  # breaker
-        tier = replace(tier,
-                       breaker_failure_rate=scale.breaker_failure_rate,
-                       breaker_cooldown_s=scale.breaker_cooldown_s)
-    if level >= 2:  # + retry budget + queue-based load leveling
-        tier = replace(tier, retry_budget_ratio=scale.budget_ratio,
-                       leveling_workers=scale.leveling_workers,
-                       leveling_queue=scale.leveling_queue)
-    if level >= 3:  # full: + per-tenant rate limit + cache-aside
-        per_tenant = scale.rate_limit_factor * (scale.base_rate
-                                                / scale.n_tenants)
-        tier = replace(tier, rate_limit_per_tenant=per_tenant,
-                       rate_limit_burst=per_tenant,
-                       cache_ttl_s=scale.cache_ttl_s,
-                       cache_capacity=scale.cache_capacity)
-    return tier
-
-
-def _surge_cells(db: str, scale: SurgeScale, modes: Sequence[str],
+def _surge_cells(db: str, scale: Scale, modes: Sequence[str],
                  scenarios: Sequence[str]) -> list[CellSpec]:
     """One open-loop cell per (scenario, defense mode).
 
@@ -670,36 +679,32 @@ def _surge_cells(db: str, scale: SurgeScale, modes: Sequence[str],
     for scenario in scenarios:
         for mode in modes:
             config = default_surge_config(
-                db, arrivals=surge_arrivals(scenario, scale),
-                clienttier=surge_tier_for_mode(mode, scale),
+                db,
+                arrivals=_arrivals(
+                    "poisson" if scenario == "steady" else "flash_crowd",
+                    scale),
+                clienttier=_keep(scale.clienttier, *SURGE_MODES[mode]),
                 record_count=scale.record_count, n_nodes=scale.n_nodes,
                 seed=scale.seed)
-            # Every mode runs against the same bounded server threadpool
-            # (a real server's handler count is finite); only "full"
-            # adds deadline propagation, which abandons replica-side
-            # work once a request's budget is spent.
-            config = replace(config, tail=TailDefenseConfig(
-                deadline_s=scale.deadline_s if mode == "full" else None,
-                handler_slots=scale.handler_slots,
-                max_handler_queue=scale.max_handler_queue))
+            config = replace(config, tail=_keep(
+                scale.tail, "handler_slots", "max_handler_queue",
+                *(("deadline_s",) if mode == "full" else ())))
             check = db == "cassandra"
             run = RunSpec(workload="read_mostly", open_loop=True,
                           read_cl="ONE" if check else None,
                           write_cl="ONE" if check else None,
                           check=check)
             if scenario == "flash_crowd+slow_replica":
-                config = replace(config, faults=(_node0_fault(
-                    "slow_disk", scale.spike_at_s,
-                    scale.spike_duration_s + 2.0,
-                    severity=scale.slowdown),))
+                config = replace(config, faults=_fault(scale, "slow_disk",
+                                                       "severity"))
                 run = replace(run, faults=True)
             cells.append(CellSpec(
                 key=(scenario, mode),
                 label=f"surge/{db}/{scenario}/{mode}",
                 config=config,
                 runs=(run,),
-                warm=WarmSpec(operations=max(1_000,
-                                             scale.max_arrivals // 6))))
+                warm=WarmSpec(operations=max(
+                    1_000, scale.arrivals.max_arrivals // 6))))
     return cells
 
 
@@ -712,92 +717,50 @@ def _surge_cells(db: str, scale: SurgeScale, modes: Sequence[str],
 #: already be over).
 ELASTIC_SCENARIOS = ("diurnal", "flash_crowd")
 
+#: Every mode — ``static`` (the control), ``manual`` (operator-scheduled
+#: scale-out) and ``auto`` (p95-driven policy loop) — runs on identical
+#: hardware: the spares are provisioned in all three, so a latency
+#: difference is the scaling *decision's* doing, never the fleet size's;
+#: the modes differ only in who (if anyone) decides to use them.
+_ELASTIC = Scale(
+    record_count=3_000, n_nodes=8,
+    arrivals=ArrivalConfig(
+        rate=700.0, max_arrivals=12_000, n_users=100_000, n_tenants=8,
+        # Diurnal shape: one full cycle, trough -> peak -> trough.  The
+        # process starts at the trough (near-silent for peak factors
+        # >= 2), so the busy period lands mid-run.
+        period_s=16.0, peak_factor=3.0,
+        spike_at_s=4.0, spike_factor=6.0, spike_duration_s=6.0),
+    elasticity=ElasticityConfig(
+        spare_nodes=1,
+        # Manual mode: when the operator scales out, relative to the
+        # run's start — inside the busy window for both shapes.
+        events=(ScaleEventSpec(action="out", at_s=5.0),),
+        window_s=0.5, p95_breach_ms=60.0, breach_windows=2,
+        # Scale-in threshold.  Campaign cells serve from a bimodal
+        # latency mix (sub-ms cache hits vs ~10 ms disk reads), so the
+        # relax bar sits below the cache-hit floor: a window only counts
+        # as idle when *everything* in it was trivial — a lull, not a
+        # healthy mix.
+        p95_relax_ms=0.5, idle_windows=8, cooldown_s=6.0))
 
-@dataclass(frozen=True)
-class ElasticScale:
-    """Scale knobs for elasticity campaigns (``repro-bench scale``).
-
-    Every mode — ``static`` (the control), ``manual`` (operator-
-    scheduled scale-out) and ``auto`` (p95-driven policy loop) — runs
-    on identical hardware: the spares are provisioned in all three, so
-    a latency difference is the scaling *decision's* doing, never the
-    fleet size's.
-    """
-
-    record_count: int = 3_000
-    #: Machines including the client; ``spare_nodes`` of the servers
-    #: start outside the serving set.
-    n_nodes: int = 8
-    spare_nodes: int = 1
-    #: Steady (base) arrival rate, arrivals/s.
-    base_rate: float = 700.0
-    max_arrivals: int = 12_000
-    n_users: int = 100_000
-    n_tenants: int = 8
-    #: Diurnal shape: one full cycle, trough -> peak -> trough.  The
-    #: process starts at the trough (near-silent for peak factors >= 2),
-    #: so the busy period lands mid-run.
-    period_s: float = 16.0
-    peak_factor: float = 3.0
-    #: Flash-crowd shape.
-    spike_at_s: float = 4.0
-    spike_factor: float = 6.0
-    spike_duration_s: float = 6.0
-    #: Manual mode: when the operator scales out, relative to the run's
-    #: start — inside the busy window for both shapes.
-    manual_at_s: float = 5.0
-    #: Autoscaler policy (see :class:`repro.core.config.ElasticityConfig`).
-    window_s: float = 0.5
-    p95_breach_ms: float = 60.0
-    breach_windows: int = 2
-    #: Scale-in threshold.  Campaign cells serve from a bimodal latency
-    #: mix (sub-ms cache hits vs ~10 ms disk reads), so the relax bar
-    #: sits below the cache-hit floor: a window only counts as idle when
-    #: *everything* in it was trivial — a lull, not a healthy mix.
-    p95_relax_ms: float = 0.5
-    idle_windows: int = 8
-    cooldown_s: float = 6.0
-    seed: int = 42
-
-
-#: Fast settings for tests, the CI scale smoke, and --quick campaigns.
 #: Arrivals are sized so several seconds of traffic land *after* the
 #: transfer finishes — the "after" phase the recovery claim is read from.
 #: The diurnal peak is 4x the base rate (2,000/s): that carries the
 #: static HBase cluster's p95 to 5-10x the breach bar at every seed
 #: tried; at 3x it crossed the bar only when a compaction happened to
 #: collide with the peak.
-QUICK_ELASTIC_SCALE = ElasticScale(record_count=1_200, n_nodes=6,
-                                   base_rate=500.0, max_arrivals=6_000,
-                                   period_s=10.0, peak_factor=4.0,
-                                   spike_at_s=2.5, spike_duration_s=4.0,
-                                   manual_at_s=4.0, cooldown_s=4.0)
+_ELASTIC_QUICK = replace(
+    _ELASTIC, record_count=1_200, n_nodes=6,
+    arrivals=replace(_ELASTIC.arrivals, rate=500.0, max_arrivals=6_000,
+                     period_s=10.0, peak_factor=4.0,
+                     spike_at_s=2.5, spike_duration_s=4.0),
+    elasticity=replace(_ELASTIC.elasticity,
+                       events=(ScaleEventSpec(action="out", at_s=4.0),),
+                       cooldown_s=4.0))
 
 
-def elastic_arrivals(scenario: str, scale: ElasticScale) -> ArrivalConfig:
-    """The arrival process an elasticity scenario offers."""
-    return _arrivals(scenario, scale)
-
-
-def elasticity_for_mode(mode: str, scale: ElasticScale) -> ElasticityConfig:
-    """The elasticity plan a campaign mode arms.
-
-    All three modes provision the same spares; they differ only in who
-    (if anyone) decides to use them.
-    """
-    return ElasticityConfig(
-        mode=mode,
-        spare_nodes=scale.spare_nodes,
-        events=(ScaleEventSpec(action="out", at_s=scale.manual_at_s),),
-        window_s=scale.window_s,
-        p95_breach_ms=scale.p95_breach_ms,
-        breach_windows=scale.breach_windows,
-        p95_relax_ms=scale.p95_relax_ms,
-        idle_windows=scale.idle_windows,
-        cooldown_s=scale.cooldown_s)
-
-
-def _scale_cells(db: str, scale: ElasticScale, modes: Sequence[str],
+def _scale_cells(db: str, scale: Scale, modes: Sequence[str],
                  scenarios: Sequence[str]) -> list[CellSpec]:
     """One open-loop cell per (scenario, scale mode).
 
@@ -813,8 +776,8 @@ def _scale_cells(db: str, scale: ElasticScale, modes: Sequence[str],
     for scenario in scenarios:
         for mode in modes:
             config = default_scale_config(
-                db, elasticity=elasticity_for_mode(mode, scale),
-                arrivals=elastic_arrivals(scenario, scale),
+                db, elasticity=replace(scale.elasticity, mode=mode),
+                arrivals=_arrivals(scenario, scale),
                 record_count=scale.record_count, n_nodes=scale.n_nodes,
                 seed=scale.seed)
             cassandra = db == "cassandra"
@@ -827,73 +790,56 @@ def _scale_cells(db: str, scale: ElasticScale, modes: Sequence[str],
                 label=f"scale/{db}/{scenario}/{mode}",
                 config=config,
                 runs=(run,),
-                warm=WarmSpec(operations=max(1_000,
-                                             scale.max_arrivals // 6))))
+                warm=WarmSpec(operations=max(
+                    1_000, scale.arrivals.max_arrivals // 6))))
     return cells
 
 
 # -- Adaptive-consistency campaigns: policy x offered load ------------------
 
-@dataclass(frozen=True)
-class AdaptiveScale:
-    """Scale knobs for adaptive-consistency campaigns.
+#: The SLO the adaptive and energy campaigns declare.  Its ``p95_ms``
+#: sits *between* the disk-exposed p95 of CL ONE and of QUORUM (~35 vs
+#: ~105 ms at the adaptive campaign's default load).
+_SLO = AdaptiveConfig(p95_ms=50.0, staleness_s=0.25, risk_rate=0.002,
+                      window_s=0.5, decay_windows=3)
 
-    The scenario is calibrated so the three SLO forces all actively
-    pull on the controller:
+#: The scenario is calibrated so the three SLO forces all actively pull
+#: on the controller:
+#:
+#: - Storage runs at the micro tuning (tiny memtables, a 64 KB block
+#:   cache) so reads are disk-exposed and the latency gap between CL
+#:   ONE and QUORUM is wide — the latency half of the SLO genuinely
+#:   fights the staleness half.
+#: - A replica crash early in each run makes weak reads *provably*
+#:   stale: the restarted node serves its pre-crash state until
+#:   hinted handoff replays, and ``hint_replay_interval_s`` throttles
+#:   that replay so the stale window is long enough for the oracle to
+#:   catch static-ONE breaking the declared bound.  (Healthy runs
+#:   show zero provable staleness here — FIFO per-node delivery means
+#:   fan-out mutations always beat later reads — which is exactly why
+#:   the campaign, like ``repro-bench check``, studies faults.)
+#: - Read repair is disabled so the staleness window under test stays
+#:   open instead of being quietly closed by the anti-entropy path.
+_ADAPTIVE = Scale(
+    record_count=300, n_threads=8, n_nodes=6, seed=0,
+    # Offered-load ramp.  Operation counts scale with the target
+    # (``target x duration_s``) so every run spans the same simulated
+    # time — and therefore the same fault schedule.
+    targets=(600.0, 1_200.0, 2_400.0), duration_s=4.0,
+    slo=_SLO, hint_replay_interval_s=3.0,
+    fault=FaultSpec(at_s=0.5, duration_s=1.5))
 
-    - Storage runs at the micro tuning (tiny memtables, a 64 KB block
-      cache) so reads are disk-exposed and the latency gap between CL
-      ONE and QUORUM is wide (~35 vs ~105 ms p95 at the default load)
-      — the ``p95_ms`` SLO sits *between* them, so the latency half of
-      the SLO genuinely fights the staleness half.
-    - A replica crash early in each run makes weak reads *provably*
-      stale: the restarted node serves its pre-crash state until
-      hinted handoff replays, and ``hint_replay_interval_s`` throttles
-      that replay so the stale window is long enough for the oracle to
-      catch static-ONE breaking the declared bound.  (Healthy runs
-      show zero provable staleness here — FIFO per-node delivery means
-      fan-out mutations always beat later reads — which is exactly why
-      the campaign, like ``repro-bench check``, studies faults.)
-    - Read repair is disabled so the staleness window under test stays
-      open instead of being quietly closed by the anti-entropy path.
-    """
-
-    record_count: int = 300
-    n_threads: int = 8
-    n_nodes: int = 6
-    #: Offered-load ramp (ops/s).  Operation counts scale with the
-    #: target (``target x duration_s``) so every run spans the same
-    #: simulated time — and therefore the same fault schedule.
-    targets: tuple = (600.0, 1_200.0, 2_400.0)
-    duration_s: float = 4.0
-    #: The declared SLO (see :class:`repro.core.config.AdaptiveConfig`).
-    p95_ms: float = 50.0
-    staleness_s: float = 0.25
-    risk_rate: float = 0.002
-    window_s: float = 0.5
-    decay_windows: int = 3
-    #: Throttled hinted handoff: a restarted replica stays stale for up
-    #: to one interval.
-    hint_replay_interval_s: float = 3.0
-    #: Replica crash injected into every measured run (relative to the
-    #: run's start).
-    fault_at_s: float = 0.5
-    fault_duration_s: float = 1.5
-    seed: int = 0
-
-
-#: Fast settings for tests, CI smoke, and --quick campaigns: the one
-#: calibrated load point where the ONE/QUORUM p95 gap brackets the SLO.
+#: The one calibrated load point where the ONE/QUORUM p95 gap brackets the SLO.
 #: The replay interval is stretched half a second past the default so the
 #: restarted replica's stale window (restart at t=2.0 until replay) is
 #: wide enough that static ONE breaks the declared bound with margin —
 #: the short quick runs leave only a handful of provably stale reads, and
 #: the calibrated point must not sit within schedule-jitter of the bound.
-QUICK_ADAPTIVE_SCALE = AdaptiveScale(targets=(1_200.0,),
-                                     hint_replay_interval_s=3.5)
+_ADAPTIVE_QUICK = replace(_ADAPTIVE, targets=(1_200.0,),
+                          hint_replay_interval_s=3.5)
 
 
-def _adaptive_cells(db: str, scale: AdaptiveScale,
+def _adaptive_cells(db: str, scale: Scale,
                     policies: Sequence[str]) -> list[CellSpec]:
     """One cell per policy; each runs the offered-load ramp at RF 3
     with the crash schedule armed and the consistency oracle recording.
@@ -903,28 +849,17 @@ def _adaptive_cells(db: str, scale: AdaptiveScale,
     report (violation counts and the worst provable staleness lag) —
     the two halves the SLO is judged against.
     """
+    config = _stress(
+        db, scale,
+        operation_count=int(scale.targets[0] * scale.duration_s),
+        storage=MICRO_STORAGE,  # disk-exposed reads (see _ADAPTIVE)
+        cassandra=CassandraConfig(
+            read_repair_chance=0.0, blocking_read_repair=False,
+            hint_replay_interval_s=scale.hint_replay_interval_s),
+        adaptive=scale.slo,
+        faults=_fault(scale, "crash"))
     cells = []
     for policy in policies:
-        config = ExperimentConfig(
-            db=db,
-            workload=STRESS_WORKLOADS["read_mostly"],
-            record_count=scale.record_count,
-            operation_count=int(scale.targets[0] * scale.duration_s),
-            n_threads=scale.n_threads,
-            target_throughput=scale.targets[0],
-            n_nodes=scale.n_nodes,
-            seed=scale.seed,
-            # Micro storage tuning: disk-exposed reads (see class doc).
-            storage=MICRO_STORAGE,
-            cassandra=CassandraConfig(
-                read_cl=ConsistencyLevel.ONE,
-                write_cl=ConsistencyLevel.ONE,
-                read_repair_chance=0.0,
-                blocking_read_repair=False,
-                hint_replay_interval_s=scale.hint_replay_interval_s),
-            adaptive=_slo(scale),
-            faults=(_node0_fault("crash", scale.fault_at_s,
-                                 scale.fault_duration_s),))
         cells.append(CellSpec(
             key=policy,
             label=f"adaptive/{db}/{policy}",
@@ -955,59 +890,32 @@ GEO_CL_MODES = {
 
 #: WAN scenarios: an untouched baseline, one region cut off (the
 #: partition heals inside the run, so hinted handoff and convergence
-#: are both exercised), and every cross-DC link stretched.
-GEO_SCENARIOS = ("healthy", "dc_partition", "wan_degrade")
+#: are both exercised), and every cross-DC link stretched.  Each fault
+#: scenario is named after its fault kind and lists the shape fields of
+#: the scale's ``fault`` that kind reads.
+GEO_SCENARIOS = {
+    "healthy": None,
+    "dc_partition": ("datacenter",),
+    "wan_degrade": ("severity",),
+}
+
+#: Like failover, the run is throttled well below peak so availability
+#: loss is unambiguously the WAN fault's doing.  The fault window ends
+#: inside the measured run: the remaining tail is the healed period the
+#: convergence check judges.
+_GEO = Scale(
+    record_count=3_000, operation_count=6_000, n_threads=16,
+    servers_per_dc=3, replicas_per_dc=3, targets=(1_200.0,),
+    fault=FaultSpec(at_s=1.0, duration_s=2.0, severity=6.0,
+                    datacenter="ap-southeast"))
+
+_GEO_QUICK = replace(
+    _GEO, record_count=400, operation_count=800, n_threads=6,
+    servers_per_dc=2, replicas_per_dc=2, targets=(600.0,),
+    fault=replace(_GEO.fault, at_s=0.4, duration_s=0.8))
 
 
-@dataclass(frozen=True)
-class GeoScale:
-    """Scale knobs for geo-replication campaigns.
-
-    Like :class:`FailoverScale`, the run is throttled well below peak so
-    availability loss is unambiguously the WAN fault's doing.  The fault
-    window ends inside the measured run: the remaining tail is the
-    healed period the convergence check judges.
-    """
-
-    record_count: int = 3_000
-    operation_count: int = 6_000
-    n_threads: int = 16
-    servers_per_dc: int = 3
-    replicas_per_dc: int = 3
-    target_throughput: float = 1_200.0
-    #: When the WAN fault fires, seconds after the measured run starts.
-    fault_at_s: float = 1.0
-    #: Partition / degradation window.
-    fault_duration_s: float = 2.0
-    #: wan_degrade: cross-DC latency + serialization multiplier.
-    wan_factor: float = 6.0
-    #: dc_partition: which region drops off the WAN.
-    partition_dc: str = "ap-southeast"
-    seed: int = 42
-
-
-#: Fast settings for tests, the CI geo smoke, and --quick campaigns.
-QUICK_GEO_SCALE = GeoScale(record_count=400, operation_count=800,
-                           n_threads=6, servers_per_dc=2,
-                           replicas_per_dc=2, target_throughput=600.0,
-                           fault_at_s=0.4, fault_duration_s=0.8)
-
-
-def _geo_fault(scenario: str, scale: GeoScale) -> tuple:
-    if scenario == "dc_partition":
-        return (FaultSpec(kind="dc_partition",
-                          datacenter=scale.partition_dc,
-                          at_s=scale.fault_at_s,
-                          duration_s=scale.fault_duration_s),)
-    if scenario == "wan_degrade":
-        return (FaultSpec(kind="wan_degrade",
-                          at_s=scale.fault_at_s,
-                          duration_s=scale.fault_duration_s,
-                          severity=scale.wan_factor),)
-    return ()
-
-
-def _geo_cells(db: str, scale: GeoScale, modes: Sequence[str],
+def _geo_cells(db: str, scale: Scale, modes: Sequence[str],
                scenarios: Sequence[str]) -> list[CellSpec]:
     """One cell per (CL mode, WAN scenario); each cell runs the same
     workload once per client region (the region's client node drives the
@@ -1015,27 +923,30 @@ def _geo_cells(db: str, scale: GeoScale, modes: Sequence[str],
     ``consistency`` entry carries the cross-DC oracle verdict (staleness
     lag, convergence after heal, which guarantees held) and — for the
     faulted scenarios — a ``failover`` availability report."""
+    target = scale.targets[0]
     cells = []
     for mode in modes:
         read_cl, write_cl = GEO_CL_MODES[mode]
         for scenario in scenarios:
+            shape = GEO_SCENARIOS[scenario]
             config = default_geo_config(
                 servers_per_dc=scale.servers_per_dc,
                 replicas_per_dc=scale.replicas_per_dc,
                 record_count=scale.record_count,
                 operation_count=scale.operation_count,
                 n_threads=scale.n_threads,
-                target_throughput=scale.target_throughput,
+                target_throughput=target,
                 seed=scale.seed,
-                faults=_geo_fault(scenario, scale))
+                faults=(() if shape is None
+                        else _fault(scale, scenario, *shape)))
             cells.append(CellSpec(
                 key=(mode, scenario),
                 label=f"geo/{db}/{mode}/{scenario}",
                 config=config,
                 runs=tuple(RunSpec(workload="read_update",
-                                   target_throughput=scale.target_throughput,
+                                   target_throughput=target,
                                    read_cl=read_cl, write_cl=write_cl,
-                                   faults=scenario != "healthy",
+                                   faults=shape is not None,
                                    check=True, client_dc=region)
                            for region in config.geo.client_datacenters),
                 warm=None))
@@ -1060,59 +971,42 @@ ENERGY_CL_MODES = {
     "hbase": ("n/a",),
 }
 
+#: 50/50 read/update: writes fan out RF-ways on both stores, so the
+#: replication axis moves the dynamic (CPU/disk/NIC) joules instead
+#: of drowning in idle draw the way a read-mostly mix would.
+_ENERGY_WORKLOAD = "read_update"
 
-@dataclass(frozen=True)
-class EnergyScale:
-    """Scale knobs for the energy/cost campaign.
+#: The load is throttled well below peak on purpose: energy efficiency
+#: is about what the *idle* capacity costs, so the interesting regime is
+#: the one where power management has slack to harvest.  Storage runs at
+#: the micro tuning so reads reach the disk and the spindle term
+#: participates.
+_ENERGY = Scale(
+    record_count=300, n_nodes=6,
+    # Weak CLs sustain the offered target with room to spare; QUORUM's
+    # disk-exposed reads saturate the thread pool and stretch wall-clock
+    # — which is itself part of the energy story (a slower CL burns
+    # fleet idle watts for longer per op).
+    n_threads=16,
+    # The paper-shape axis: more replicas, more fan-out work, more
+    # joules per op.
+    rfs=(1, 3),
+    # Closed-loop throttled.  Kept well under the knee on purpose: past
+    # it, RF 1's single-replica hotspots collapse throughput and the run
+    # measures queueing, not power.
+    targets=(600.0,), duration_s=12.0, slo=_SLO,
+    # The parking thresholds are shrunk to the campaign's time scale
+    # (sub-second windows instead of a datacenter's seconds-to-minutes)
+    # so race-to-sleep visibly trades wake latency for joules within a
+    # few-second run.
+    energy=EnergyConfig(idle_after_s=0.005, sleep_after_s=0.25,
+                        pstate_wake_s=0.002, sleep_wake_s=0.2),
+    # Seed 3 + runs long enough that the replication-axis energy delta
+    # clears the closed-loop drain-tail jitter (the last op's latency
+    # times the fleet's idle watts, ~±15 J either way).
+    seed=3)
 
-    The load is throttled well below peak on purpose: energy
-    efficiency is about what the *idle* capacity costs, so the
-    interesting regime is the one where power management has slack to
-    harvest.  Storage runs at the micro tuning so reads reach the disk
-    and the spindle term participates.  The parking thresholds are
-    shrunk to the campaign's time scale (sub-second windows instead of
-    a datacenter's seconds-to-minutes) so race-to-sleep visibly trades
-    wake latency for joules within a four-second run.
-    """
-
-    record_count: int = 300
-    #: Client threads.  Weak CLs sustain the offered target with room
-    #: to spare; QUORUM's disk-exposed reads saturate the thread pool
-    #: and stretch wall-clock — which is itself part of the energy
-    #: story (a slower CL burns fleet idle watts for longer per op).
-    n_threads: int = 16
-    n_nodes: int = 6
-    #: Replication factors swept (the paper-shape axis: more replicas,
-    #: more fan-out work, more joules per op).
-    rfs: tuple = (1, 3)
-    #: 50/50 read/update: writes fan out RF-ways on both stores, so the
-    #: replication axis moves the dynamic (CPU/disk/NIC) joules instead
-    #: of drowning in idle draw the way a read-mostly mix would.
-    workload: str = "read_update"
-    #: Offered load, ops/s (closed-loop throttled).  Kept well under
-    #: the knee on purpose: past it, RF 1's single-replica hotspots
-    #: collapse throughput and the run measures queueing, not power.
-    target: float = 600.0
-    duration_s: float = 12.0
-    #: SLO the energy-aware contender steers by.
-    p95_ms: float = 50.0
-    staleness_s: float = 0.25
-    risk_rate: float = 0.002
-    window_s: float = 0.5
-    decay_windows: int = 3
-    #: Power-state machine timing (see :class:`repro.energy.PowerSpec`).
-    idle_after_s: float = 0.005
-    sleep_after_s: float = 0.25
-    pstate_wake_s: float = 0.002
-    sleep_wake_s: float = 0.2
-    #: Seed 3 + runs long enough that the replication-axis energy delta
-    #: clears the closed-loop drain-tail jitter (the last op's latency
-    #: times the fleet's idle watts, ~±15 J either way).
-    seed: int = 3
-
-
-#: Fast settings for tests, the CI energy smoke, and --quick campaigns.
-QUICK_ENERGY_SCALE = EnergyScale(target=600.0, duration_s=6.0)
+_ENERGY_QUICK = replace(_ENERGY, duration_s=6.0)
 
 
 def energy_modes(db: str) -> list[tuple[str, str]]:
@@ -1124,34 +1018,21 @@ def energy_modes(db: str) -> list[tuple[str, str]]:
     return [("n/a", "always_on"), ("n/a", "race_to_sleep")]
 
 
-def _energy_cells(db: str, scale: EnergyScale) -> list[CellSpec]:
+def _energy_cells(db: str, scale: Scale) -> list[CellSpec]:
     """One cell per (RF, CL round, power mode), each a healthy
     oracle-checked run at the throttled target.  The energy-aware
     contender's summary also carries the ``decisions`` log with its
     park/unpark counters."""
     cells = []
-    ops = int(scale.target * scale.duration_s)
+    target = scale.targets[0]
+    ops = int(target * scale.duration_s)
     for rf in scale.rfs:
         for cl, power in energy_modes(db):
             adaptive = "energy-aware" if power == "energy_aware" else None
-            energy = EnergyConfig(
-                power_mode=("policy" if power == "energy_aware"
-                            else power),
-                idle_after_s=scale.idle_after_s,
-                sleep_after_s=scale.sleep_after_s,
-                pstate_wake_s=scale.pstate_wake_s,
-                sleep_wake_s=scale.sleep_wake_s)
             level = (ConsistencyLevel.QUORUM if cl == "QUORUM"
                      else ConsistencyLevel.ONE)
-            config = ExperimentConfig(
-                db=db,
-                workload=STRESS_WORKLOADS[scale.workload],
-                record_count=scale.record_count,
-                operation_count=ops,
-                n_threads=scale.n_threads,
-                target_throughput=scale.target,
-                n_nodes=scale.n_nodes,
-                seed=scale.seed,
+            config = _stress(
+                db, scale, _ENERGY_WORKLOAD, rf, operation_count=ops,
                 # Disk-exposed reads (the micro tuning's tiny block
                 # cache) but a gentler flush threshold than the adaptive
                 # campaign's: a 50% update mix at 32 KiB flushes leaves a
@@ -1171,15 +1052,17 @@ def _energy_cells(db: str, scale: EnergyScale) -> list[CellSpec]:
                     read_cl=level, write_cl=level,
                     read_repair_chance=0.0,
                     blocking_read_repair=False),
-                adaptive=_slo(scale),
-                energy=energy)
+                adaptive=scale.slo,
+                energy=replace(scale.energy,
+                               power_mode=("policy" if power == "energy_aware"
+                                           else power)))
             cells.append(CellSpec(
                 key=(rf, cl, power),
                 label=f"energy/{db}/rf={rf}/{cl}/{power}",
                 config=config,
-                runs=(RunSpec(workload=scale.workload,
+                runs=(RunSpec(workload=_ENERGY_WORKLOAD,
                               operation_count=ops,
-                              target_throughput=scale.target,
+                              target_throughput=target,
                               check=True, adaptive=adaptive),),
                 warm=None))
     return cells
@@ -1230,8 +1113,10 @@ class Campaign:
 
     name: str
     help: str
-    #: ``(full, quick)`` scale pair; ``None`` = nothing to run (table1).
-    scales: Optional[tuple] = None
+    #: The scale an unnarrowed run uses, and its ``--quick`` twin;
+    #: ``None`` = nothing to run (table1).
+    full: Optional[Scale] = None
+    quick: Optional[Scale] = None
     #: Databases it runs on; more than one adds ``--db`` and one table
     #: (and one ``--report`` entry) per database.
     dbs: tuple = ("hbase", "cassandra")
@@ -1240,7 +1125,7 @@ class Campaign:
     #: as a keyword named after its ``dest``.
     extra: tuple = ()
     #: ``cells(db, scale, **axes) -> list[CellSpec]`` — the only
-    #: per-campaign code.  ``None`` = a bespoke CLI body (table1, check).
+    #: per-campaign code.  ``None`` = nothing to run (table1).
     cells: Optional[Callable] = None
     #: How the runs inside a cell extend its key (see the splitters).
     split: Callable = _one_run
@@ -1270,33 +1155,32 @@ def _rf_range(text: str) -> range:
 _MAX_RF = _opt("--max-rf", dest="rfs", type=_rf_range, default=range(1, 7),
                metavar="N", help="sweep replication factors 1..N (default 6)")
 _WORKLOADS = Axis("workloads", STRESS_WORKLOAD_ORDER)
-_SWEEP_SCALES = (SweepScale(), QUICK_SCALE)
 
 CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in (
     Campaign("table1", "print Table 1"),
     Campaign(
         "fig1", "micro benchmark for replication",
-        scales=_SWEEP_SCALES, extra=(_MAX_RF,),
+        full=_PAPER, quick=_PAPER_QUICK, extra=(_MAX_RF,),
         cells=_micro_cells, split=_per_op,
         keys=("RF",), columns=report.micro_columns(MICRO_OP_ORDER),
         title="Fig.1 ({db}): micro latency vs replication factor"),
     Campaign(
         "fig2", "stress benchmark for replication",
-        scales=_SWEEP_SCALES, axes=(_WORKLOADS,), extra=(_MAX_RF,),
+        full=_PAPER, quick=_PAPER_QUICK, axes=(_WORKLOADS,), extra=(_MAX_RF,),
         cells=_stress_cells, split=_per_workload(_peak_point),
         keys=("RF", "workload"), columns=report.STRESS_COLUMNS,
         title="Fig.2 ({db}): stress peak throughput/latency vs "
               "replication factor"),
     Campaign(
         "fig3", "stress benchmark for consistency",
-        scales=_SWEEP_SCALES, dbs=("cassandra",),
+        full=_PAPER, quick=_PAPER_QUICK, dbs=("cassandra",),
         axes=(Axis("modes", tuple(CONSISTENCY_MODES)), _WORKLOADS),
         cells=_consistency_cells, split=_per_workload(_ramp_series),
         keys=("mode", "workload"),
         render=report.render_consistency_panels),
     Campaign(
         "failover", "fault-injection campaign (availability report)",
-        scales=(FailoverScale(), QUICK_FAILOVER_SCALE),
+        full=_FAILOVER, quick=_FAILOVER_QUICK,
         axes=(Axis("faults", NODE_FAULT_KINDS, "--fault",
                    "fault kind(s) to inject (default: crash)",
                    default=("crash",)),
@@ -1311,8 +1195,8 @@ CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in (
         "tail",
         "tail-latency defense campaign (deadlines, hedged reads, "
         "bounded queues)",
-        scales=(TailScale(), QUICK_TAIL_SCALE),
-        axes=(Axis("modes", TAIL_MODES, "--mode",
+        full=_TAIL, quick=_TAIL_QUICK,
+        axes=(Axis("modes", tuple(TAIL_MODES), "--mode",
                    "defense stack(s) to compare (default: all)"),
               Axis("scenarios", TAIL_SCENARIOS + ("healthy",), "--scenario",
                    "stress scenario(s) to run (default: both stress "
@@ -1326,7 +1210,8 @@ CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in (
         "check",
         "consistency oracle: explore seeds x fault schedules and verify "
         "the configured guarantees",
-        scales=(CheckScale(), QUICK_CHECK_SCALE), gate=True, report=True,
+        full=_CHECK, quick=_CHECK_QUICK, cells=_check_cells,
+        gate=True, report=True,
         extra=(
             _opt("--cl", default="QUORUM", choices=sorted(CHECK_CL_MODES),
                  help="Cassandra consistency round (default QUORUM; "
@@ -1343,7 +1228,7 @@ CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in (
         "adaptive",
         "adaptive-consistency campaign: per-request CL policies under a "
         "latency/staleness SLO",
-        scales=(AdaptiveScale(), QUICK_ADAPTIVE_SCALE), dbs=("cassandra",),
+        full=_ADAPTIVE, quick=_ADAPTIVE_QUICK, dbs=("cassandra",),
         axes=(Axis("policies", ADAPTIVE_POLICIES, "--policy",
                    "policy/policies to run (default: all)"),),
         cells=_adaptive_cells, split=_per_run("target_throughput"),
@@ -1358,10 +1243,10 @@ CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in (
         "geo",
         "geo-replication campaign: DC-aware consistency levels under WAN "
         "faults and DC partitions",
-        scales=(GeoScale(), QUICK_GEO_SCALE), dbs=("cassandra",),
+        full=_GEO, quick=_GEO_QUICK, dbs=("cassandra",),
         axes=(Axis("modes", tuple(GEO_CL_MODES), "--mode",
                    "consistency mode(s) to compare (default: all)"),
-              Axis("scenarios", GEO_SCENARIOS, "--scenario",
+              Axis("scenarios", tuple(GEO_SCENARIOS), "--scenario",
                    "WAN scenario(s) to run (default: all)")),
         cells=_geo_cells, split=_per_run("client_dc"),
         keys=("CL mode", "scenario", "region"), columns=report.GEO_COLUMNS,
@@ -1372,8 +1257,8 @@ CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in (
         "surge",
         "flash-crowd survival campaign: open-loop arrivals vs client-tier "
         "defense stacks",
-        scales=(SurgeScale(), QUICK_SURGE_SCALE),
-        axes=(Axis("modes", SURGE_MODES, "--mode",
+        full=_SURGE, quick=_SURGE_QUICK,
+        axes=(Axis("modes", tuple(SURGE_MODES), "--mode",
                    "defense stack(s) to compare (default: all)"),
               Axis("scenarios", SURGE_SCENARIOS, "--scenario",
                    "arrival scenario(s) to run (default: all)")),
@@ -1386,7 +1271,7 @@ CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in (
         "scale",
         "elasticity campaign: live scale-out/in while serving, "
         "oracle-checked across every topology change",
-        scales=(ElasticScale(), QUICK_ELASTIC_SCALE),
+        full=_ELASTIC, quick=_ELASTIC_QUICK,
         axes=(Axis("modes", SCALE_MODES, "--mode",
                    "scale mode(s) to compare: static control, manual "
                    "schedule, autoscaler (default: all)"),
@@ -1403,7 +1288,7 @@ CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in (
         "energy",
         "energy/cost campaign: joules per op and dollars per Mops across "
         "RF x CL x power-management modes",
-        scales=(EnergyScale(), QUICK_ENERGY_SCALE),
+        full=_ENERGY, quick=_ENERGY_QUICK,
         cells=_energy_cells,
         keys=("RF", "CL", "power"), columns=report.ENERGY_CAMPAIGN_COLUMNS,
         title="Energy & cost ({db}): joules/op and $/Mops per RF x CL x "
@@ -1424,7 +1309,7 @@ def _campaign(campaign: Union[str, Campaign]) -> Campaign:
 
 
 def campaign_cells(campaign: Union[str, Campaign], db: Optional[str] = None,
-                   scale=None, **axes) -> list[CellSpec]:
+                   scale: Optional[Scale] = None, **axes) -> list[CellSpec]:
     """The cells one campaign run executes on ``db``.
 
     ``db`` may be omitted for single-database campaigns; ``scale``
@@ -1448,11 +1333,12 @@ def campaign_cells(campaign: Union[str, Campaign], db: Optional[str] = None,
                     f"unknown {campaign.name} {axis.name} value {value!r}; "
                     f"choose from {axis.values}")
         axes[axis.name] = chosen
-    return campaign.cells(db, scale or campaign.scales[0], **axes)
+    return campaign.cells(db, scale or campaign.full, **axes)
 
 
 def run_campaign(campaign: Union[str, Campaign], db: Optional[str] = None,
-                 scale=None, runner: Optional[CellRunner] = None,
+                 scale: Optional[Scale] = None,
+                 runner: Optional[CellRunner] = None,
                  **axes) -> dict:
     """Run one campaign on ``db``; returns the nested result dict.
 

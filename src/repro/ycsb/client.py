@@ -19,8 +19,7 @@ from typing import Generator, Optional
 
 from repro.cassandra.consistency import UnavailableError
 from repro.cassandra.coordinator import ReadTimeoutError, WriteTimeoutError
-from repro.cluster.topology import (DEFAULT_CLIENT_OVERHEAD_S, DeadNodeError,
-                                    RpcTimeout)
+from repro.cluster.topology import DeadNodeError, RpcTimeout
 from repro.keyspace import key_for_index
 from repro.sim.kernel import AllOf, Environment
 from repro.sim.resources import Overloaded
@@ -28,8 +27,7 @@ from repro.ycsb.db import DbBinding
 from repro.ycsb.measurements import Measurements
 from repro.ycsb.workload import OperationType, Workload
 
-__all__ = ["DEFAULT_CLIENT_OVERHEAD_S", "LoadResult", "RunResult",
-           "YcsbClient"]
+__all__ = ["LoadResult", "RunResult", "YcsbClient"]
 
 #: Exceptions recorded as failed operations rather than crashing the run.
 #: ``Overloaded`` is a bounded queue shedding load — an explicit error in
@@ -85,24 +83,14 @@ class RunResult:
 
 
 class YcsbClient:
-    """Drives one workload against one database binding.
-
-    ``client_overhead_s`` defaults to 0 because the database driver
-    sessions charge :data:`DEFAULT_CLIENT_OVERHEAD_S` themselves, fused
-    into each operation's first RPC (``Cluster.call(..., src_cpu_s=...)``)
-    so the charge costs no extra kernel event.  Pass a non-zero value
-    only to model *additional* workload-generator CPU on top of that.
-    """
+    """Drives one workload against one database binding."""
 
     def __init__(self, env: Environment, db: DbBinding, workload: Workload,
-                 rng, client_node=None,
-                 client_overhead_s: float = 0.0) -> None:
+                 rng) -> None:
         self.env = env
         self.db = db
         self.workload = workload
         self._rng = rng
-        self.client_node = client_node
-        self.client_overhead_s = client_overhead_s
 
     # -- load phase ------------------------------------------------------
 
@@ -121,16 +109,11 @@ class YcsbClient:
                           throughput=record_count / duration
                           if duration > 0 else 0.0)
 
-    def _client_overhead(self) -> Generator:
-        if self.client_node is not None and self.client_overhead_s > 0:
-            yield from self.client_node.cpu_work(self.client_overhead_s)
-
     def _load_worker(self, indexes: list[int]) -> Generator:
         size = self.workload.spec.record_bytes
         for index in indexes:
             payload, _ = self.workload.next_value()
             try:
-                yield from self._client_overhead()
                 yield from self.db.insert(key_for_index(index), payload, size)
             except OPERATION_ERRORS:
                 continue
@@ -193,7 +176,6 @@ class YcsbClient:
             op = self.workload.next_operation()
             t0 = env.now
             try:
-                yield from self._client_overhead()
                 found = yield from _execute(self.db, self.workload, op)
             except OPERATION_ERRORS as exc:
                 if not warm:

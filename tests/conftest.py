@@ -49,9 +49,3 @@ def traced_run(config, **run_kwargs):
     result = session.run_cell(**run_kwargs)
     summary = json.dumps(summarize_run(result), sort_keys=True)
     return tracer.digest(), tracer.events, summary
-
-
-def run_process(env: Environment, generator, until: float | None = None):
-    """Drive one generator to completion and return its value."""
-    process = env.process(generator)
-    return env.run(until=process if until is None else until)

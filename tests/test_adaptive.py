@@ -8,6 +8,8 @@ read-your-writes violation rate stays within the declared bound —
 which static ONE breaks.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.adaptive.controller import DecisionLog
@@ -17,8 +19,9 @@ from repro.adaptive.policy import (ADAPTIVE_POLICIES, StalenessBoundPolicy,
 from repro.adaptive.monitor import WindowStats
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.core.runner import CellRunner, cell_fingerprint, execute_cell
-from repro.core.sweep import (QUICK_ADAPTIVE_SCALE, AdaptiveScale,
-                              campaign_cells, run_campaign)
+from repro.core.sweep import CAMPAIGNS, campaign_cells, run_campaign
+
+QUICK = CAMPAIGNS["adaptive"].quick
 
 SLO = SloSpec(p95_ms=10.0, staleness_s=0.25, risk_rate=0.01, window_s=0.5)
 
@@ -237,7 +240,7 @@ class TestDecisionLog:
 @pytest.fixture(scope="module")
 def quick_sweep():
     """All four policies at the calibrated quick load point."""
-    return run_campaign("adaptive", scale=QUICK_ADAPTIVE_SCALE)
+    return run_campaign("adaptive", scale=QUICK)
 
 
 def _ryw_rate(summary):
@@ -249,14 +252,14 @@ def _ryw_rate(summary):
 class TestPaperShape:
     """The acceptance contract (read-mostly, RF 3, replica crash)."""
 
-    TARGET = QUICK_ADAPTIVE_SCALE.targets[0]
+    TARGET = QUICK.targets[0]
 
     def test_stepwise_beats_quorum_p95_within_bound(self, quick_sweep):
         stepwise = quick_sweep["stepwise"][self.TARGET]
         quorum = quick_sweep["static-quorum"][self.TARGET]
         assert stepwise["decisions"]["read_p95_ms"] \
             < quorum["decisions"]["read_p95_ms"]
-        assert _ryw_rate(stepwise) <= QUICK_ADAPTIVE_SCALE.risk_rate
+        assert _ryw_rate(stepwise) <= QUICK.slo.risk_rate
         # The ladder actually moved: escalations under the crash, steps
         # back down once the latency half of the SLO took over.
         counters = stepwise["decisions"]["policy_counters"]
@@ -265,11 +268,11 @@ class TestPaperShape:
 
     def test_static_one_violates_declared_bound(self, quick_sweep):
         static_one = quick_sweep["static-one"][self.TARGET]
-        assert _ryw_rate(static_one) > QUICK_ADAPTIVE_SCALE.risk_rate
+        assert _ryw_rate(static_one) > QUICK.slo.risk_rate
         # ...and the violations are deep: the restarted replica served
         # state far staler than the declared bound.
         assert static_one["consistency"]["max_staleness_lag_s"] \
-            > QUICK_ADAPTIVE_SCALE.staleness_s
+            > QUICK.slo.staleness_s
 
     def test_staleness_bound_zero_violations_beats_quorum(self, quick_sweep):
         bounded = quick_sweep["staleness-bound"][self.TARGET]
@@ -278,7 +281,7 @@ class TestPaperShape:
         assert consistency["violations_by_kind"]["read_your_writes"] == 0
         assert consistency["violations_by_kind"]["stale_read"] == 0
         assert consistency["max_staleness_lag_s"] \
-            <= QUICK_ADAPTIVE_SCALE.staleness_s
+            <= QUICK.slo.staleness_s
         assert bounded["decisions"]["read_p95_ms"] \
             < quorum["decisions"]["read_p95_ms"]
         # Only risk-free reads took the weak fast path.
@@ -299,9 +302,11 @@ class TestPaperShape:
 
 
 class TestDeterminismAndCacheability:
+    SCALE = replace(CAMPAIGNS["adaptive"].full, targets=(1_200.0,),
+                    duration_s=1.0)
+
     def cell(self):
-        scale = AdaptiveScale(targets=(1_200.0,), duration_s=1.0)
-        return campaign_cells("adaptive", scale=scale,
+        return campaign_cells("adaptive", scale=self.SCALE,
                               policies=("stepwise",))[0]
 
     def test_same_cell_twice_identical_digest(self):
@@ -323,8 +328,7 @@ class TestDeterminismAndCacheability:
         assert [e.cached for e in events] == [False, True]
 
     def test_parallel_matches_serial(self, tmp_path):
-        scale = AdaptiveScale(targets=(1_200.0,), duration_s=1.0)
-        cells = campaign_cells("adaptive", scale=scale,
+        cells = campaign_cells("adaptive", scale=self.SCALE,
                                policies=("static-one", "stepwise"))
         serial = CellRunner(jobs=1).run(cells)
         parallel = CellRunner(jobs=2).run(cells)

@@ -10,7 +10,7 @@ that keeps these digests has altered no result.
 The digests were recorded at commit 0277d37, before the campaign table
 replaced the per-campaign builders; re-record one only when a campaign's
 cells are *meant* to change.  Re-recorded since: ``scale/quick/*`` when
-``QUICK_ELASTIC_SCALE``'s diurnal peak went from 3x to 4x the base rate.
+the quick elasticity scale's diurnal peak went from 3x to 4x the base rate.
 """
 
 import hashlib
@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.config import config_to_dict
 from repro.core.sweep import (CAMPAIGNS, CHECK_CL_MODES, NODE_FAULT_KINDS,
-                              campaign_cells, check_cells)
+                              campaign_cells)
 
 
 def _check_cells(db, scale):
@@ -29,15 +29,15 @@ def _check_cells(db, scale):
             for mode in sorted(CHECK_CL_MODES)
             for fault in (None,) + NODE_FAULT_KINDS
             for no_repair in (False, True)
-            for cell in check_cells(db, mode=mode, seeds=3, fault=fault,
-                                    no_repair=no_repair, scale=scale)]
+            for cell in campaign_cells("check", db, scale, cl=mode, seeds=3,
+                                       fault=fault, no_repair=no_repair)]
 
 
 def _cells(name, db, scale):
     """Every axis at its full legal range (a superset of the CLI
     default), so no reachable cell escapes the digest."""
     campaign = CAMPAIGNS[name]
-    if campaign.cells is None:  # check: its own builder, not the table's
+    if name == "check":  # its flags pick one template; pin all of them
         return _check_cells(db, scale)
     return campaign_cells(
         name, db, scale,
@@ -138,9 +138,10 @@ def cells_digest(cells) -> str:
 
 def _cases():
     for campaign in CAMPAIGNS.values():
-        if campaign.scales is None:  # table1 runs nothing
+        if campaign.cells is None:  # table1 runs nothing
             continue
-        for scale_name, scale in zip(("full", "quick"), campaign.scales):
+        for scale_name in ("full", "quick"):
+            scale = getattr(campaign, scale_name)
             for db in campaign.dbs:
                 yield (f"{campaign.name}/{scale_name}/{db}", campaign.name,
                        scale, db)

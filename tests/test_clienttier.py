@@ -503,11 +503,18 @@ class TestBreakerBinding:
 # -- Integration pins: the open-loop cell is deterministic -------------------
 
 def _tiny_scale():
-    from repro.core.sweep import SurgeScale
-    return SurgeScale(record_count=400, n_nodes=5, base_rate=300.0,
-                      max_arrivals=1_500, n_users=10_000, n_tenants=4,
-                      spike_at_s=1.0, spike_duration_s=1.5,
-                      leveling_workers=16, leveling_queue=64)
+    from dataclasses import replace
+    from repro.core.sweep import CAMPAIGNS
+    full = CAMPAIGNS["surge"].full
+    # The per-tenant rate limit stays at full's 450/s: six times this
+    # scale's fair share (300/s over 4 tenants) as well.
+    return replace(
+        full, record_count=400, n_nodes=5,
+        arrivals=replace(full.arrivals, rate=300.0, max_arrivals=1_500,
+                         n_users=10_000, n_tenants=4, spike_at_s=1.0,
+                         spike_duration_s=1.5),
+        clienttier=replace(full.clienttier, leveling_workers=16,
+                           leveling_queue=64))
 
 
 def _traced_surge_run():

@@ -16,14 +16,14 @@ Two layers:
 
 from dataclasses import replace
 
-from repro.cassandra.consistency import ConsistencyLevel
 from repro.cluster.failure import FailureInjector, FaultSchedule, FaultSpec
 from repro.consistency import HistoryOp, check_history, check_linearizable_key
 from repro.consistency.history import HistoryRecorder
-from repro.core.config import default_check_config
 from repro.core.experiment import ExperimentSession
 from repro.core.failover import StalenessProbe
-from repro.core.sweep import QUICK_CHECK_SCALE, check_sweep
+from repro.core.sweep import CAMPAIGNS, campaign_cells, check_sweep
+
+QUICK = CAMPAIGNS["check"].quick
 
 
 def _op(op_id, kind, invoke, response, *, value=None, ts=None,
@@ -145,20 +145,20 @@ class TestPaperShapes:
 
     def test_quorum_is_linearizable_across_seeds(self):
         sweep = check_sweep("cassandra", mode="QUORUM", seeds=30,
-                            scale=QUICK_CHECK_SCALE, verify_replay=False)
+                            scale=QUICK, verify_replay=False)
         assert sweep["violations_by_kind"]["linearizability"] == 0
         assert sweep["unexpected_violations"] == 0
         assert sweep["inconclusive_keys"] == 0
 
     def test_write_all_read_one_is_linearizable_across_seeds(self):
         sweep = check_sweep("cassandra", mode="ALL", seeds=20,
-                            scale=QUICK_CHECK_SCALE, verify_replay=False)
+                            scale=QUICK, verify_replay=False)
         assert sweep["violations_by_kind"]["linearizability"] == 0
         assert sweep["unexpected_violations"] == 0
 
     def test_hbase_is_strong_under_crash(self):
         sweep = check_sweep("hbase", seeds=10, fault="crash",
-                            scale=QUICK_CHECK_SCALE, verify_replay=False)
+                            scale=QUICK, verify_replay=False)
         assert sweep["unexpected_violations"] == 0
 
     def test_one_under_partition_violates_sessions_reproducibly(self):
@@ -166,7 +166,7 @@ class TestPaperShapes:
         attributable to a minimal seed, and replay deterministically."""
         sweep = check_sweep("cassandra", mode="ONE", seeds=8,
                             fault="partition", no_repair=True,
-                            scale=QUICK_CHECK_SCALE)
+                            scale=QUICK)
         assert sweep["session_violations"] >= 1
         assert sweep["min_repro_seed"] is not None
         assert sweep["replay_verified"] is True
@@ -179,7 +179,7 @@ class TestPaperShapes:
         hint replay + read repair close every divergence by settle."""
         sweep = check_sweep("cassandra", mode="ONE", seeds=6,
                             fault="partition", no_repair=False,
-                            scale=QUICK_CHECK_SCALE, verify_replay=False)
+                            scale=QUICK, verify_replay=False)
         assert sweep["violations_by_kind"]["convergence"] == 0
         assert sweep["unexpected_violations"] == 0
 
@@ -239,9 +239,8 @@ class TestProbeCheckerAgreement:
         """Real deployment under a partition of the probe key's own
         first replica: whatever staleness the schedule produces, the two
         counters agree."""
-        config = default_check_config(
-            "cassandra", read_cl=ConsistencyLevel.ONE,
-            write_cl=ConsistencyLevel.ONE, seed=3, no_repair=True)
+        config = campaign_cells("check", "cassandra", cl="ONE", seeds=(3,),
+                                no_repair=True)[0].config
         config = replace(config, record_count=150, n_nodes=5)
         session = ExperimentSession(config)
         session.load()

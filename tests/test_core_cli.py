@@ -2,18 +2,21 @@
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from operator import itemgetter
 from pathlib import Path
 
 import pytest
 
+from repro.cluster.failure import FaultSpec
 from repro.core.cli import build_parser, campaign_args, main
-from repro.core.config import default_micro_config
+from repro.core.config import (ArrivalConfig, ClientTierConfig,
+                               TailDefenseConfig, default_micro_config)
 from repro.core.report import ENERGY_COLUMNS
 from repro.core.runner import CellSpec, RunSpec
-from repro.core.sweep import (CAMPAIGNS, Axis, Campaign, campaign_cells,
-                              render_campaign, run_campaign)
+from repro.core.sweep import (_ARRIVAL_SHAPE, CAMPAIGNS, GEO_SCENARIOS,
+                              SURGE_MODES, TAIL_MODES, Axis, Campaign, Scale,
+                              campaign_cells, render_campaign, run_campaign)
 
 
 class TestParser:
@@ -95,17 +98,21 @@ class TestParser:
 CHOICE_FLAGS = [(campaign.name, arg) for campaign in CAMPAIGNS.values()
                 for arg in campaign_args(campaign)
                 if "choices" in arg.kwargs]
+#: Every campaign that runs cells (all but table1).
+RUNNABLE = [campaign for campaign in CAMPAIGNS.values()
+            if campaign.cells is not None]
 #: Every axis of every campaign the generic path runs.
-AXES = [(campaign, axis) for campaign in CAMPAIGNS.values()
-        if campaign.cells is not None for axis in campaign.axes]
+AXES = [(campaign, axis) for campaign in RUNNABLE for axis in campaign.axes]
 
 
-def _cells(campaign, **axes):
-    """``campaign``'s quick cells on its first database, the extras
-    (``--max-rf``) at their CLI defaults."""
+def _cells(campaign, scale=None, **axes):
+    """``campaign``'s cells on its first database at ``scale`` (default:
+    its quick one), the extras (``--max-rf``, ``--seeds``) at their CLI
+    defaults."""
     return campaign_cells(
-        campaign, campaign.dbs[0], campaign.scales[1], **axes,
-        **{arg.dest: arg.kwargs["default"] for arg in campaign.extra})
+        campaign, campaign.dbs[0], scale or campaign.quick, **axes,
+        **{arg.dest: arg.kwargs["default"] for arg in campaign.extra
+           if "default" in arg.kwargs})
 
 
 class TestCampaignTable:
@@ -199,7 +206,8 @@ class TestCampaignTable:
         has no per-name branches."""
         def cells(db, scale, ops):
             config = replace(default_micro_config(db, "read", seed=5),
-                             record_count=scale, operation_count=40,
+                             record_count=scale.record_count,
+                             operation_count=40,
                              n_threads=2, n_nodes=4, settle_s=0.5)
             return [CellSpec(key=op, label=f"toy/{db}/{op}", config=config,
                              runs=(RunSpec(workload=op, kind="micro",
@@ -208,8 +216,8 @@ class TestCampaignTable:
                     for op in ops]
 
         toy = Campaign(
-            "toy", "a throwaway campaign", scales=(300, 200),
-            dbs=("cassandra",),
+            "toy", "a throwaway campaign", full=Scale(record_count=300),
+            quick=Scale(record_count=200), dbs=("cassandra",),
             axes=(Axis("ops", ("read", "update"), "--op", "op test(s)",
                        default=("read",)),),
             cells=cells, keys=("op",),
@@ -234,6 +242,62 @@ class TestCampaignTable:
         assert "Toy (cassandra)" in captured.out
         assert "[1/1] toy/cassandra/update" in captured.err
         assert list(json.loads(report.read_text())) == ["update"]
+
+
+class TestOneScale:
+    """Every campaign speaks one sizing vocabulary: a :class:`Scale`
+    whose ingredient fields are the config dataclasses the cells carry,
+    narrowed per mode / scenario by the axis tables."""
+
+    def test_every_campaign_runs_at_a_scale(self):
+        assert len(fields(Scale)) <= 22
+        for campaign in RUNNABLE:
+            assert isinstance(campaign.full, Scale), campaign.name
+            assert isinstance(campaign.quick, Scale), campaign.name
+
+    @pytest.mark.parametrize("campaign", RUNNABLE,
+                             ids=[campaign.name for campaign in RUNNABLE])
+    def test_sizing_override_reaches_every_cell(self, campaign):
+        full = campaign.full
+        cells = _cells(campaign, replace(full,
+                                         record_count=full.record_count + 1))
+        assert cells
+        assert {cell.config.record_count for cell in cells} \
+            == {full.record_count + 1}
+
+    def test_surge_mode_keeps_only_its_fields_of_the_client_tier(self):
+        surge = CAMPAIGNS["surge"]
+        quick = surge.quick
+        changed = replace(quick, clienttier=replace(
+            quick.clienttier, breaker_cooldown_s=7.5))
+        cooldowns = {cell.key[1]: cell.config.clienttier.breaker_cooldown_s
+                     for cell in _cells(surge, changed,
+                                        scenarios=("steady",))}
+        assert cooldowns == {
+            "undefended": ClientTierConfig().breaker_cooldown_s,
+            "breaker": 7.5, "breaker+budget+leveling": 7.5, "full": 7.5}
+
+    def test_arrival_shape_a_process_never_reads_stays_at_class_default(
+            self):
+        """The masking rule the cell pins rely on: a flash-crowd cell's
+        identity does not move with the scale's diurnal knobs."""
+        elastic = CAMPAIGNS["scale"]
+        quick = elastic.quick
+        changed = replace(quick, arrivals=replace(quick.arrivals,
+                                                  peak_factor=9.0))
+        peaks = {cell.key[0]: cell.config.arrivals.peak_factor
+                 for cell in _cells(elastic, changed, modes=("static",))}
+        assert peaks == {"diurnal": 9.0,
+                         "flash_crowd": ArrivalConfig().peak_factor}
+
+    @pytest.mark.parametrize("table,config_class", [
+        (TAIL_MODES, TailDefenseConfig), (SURGE_MODES, ClientTierConfig),
+        (GEO_SCENARIOS, FaultSpec), (_ARRIVAL_SHAPE, ArrivalConfig)],
+        ids=["TAIL_MODES", "SURGE_MODES", "GEO_SCENARIOS", "_ARRIVAL_SHAPE"])
+    def test_axis_tables_name_real_fields(self, table, config_class):
+        legal = {field.name for field in fields(config_class)}
+        for value, kept in table.items():
+            assert set(kept or ()) <= legal, value
 
 
 class TestCommands:

@@ -7,7 +7,7 @@ import pytest
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.core.config import default_micro_config, default_stress_config
 from repro.core.experiment import ExperimentSession, run_experiment
-from repro.core.sweep import SweepScale, run_campaign
+from repro.core.sweep import CAMPAIGNS, run_campaign
 from repro.storage.lsm import StorageSpec
 from repro.ycsb.workload import MICRO_WORKLOADS, STRESS_WORKLOADS
 
@@ -103,8 +103,8 @@ class TestExperimentSession:
 
 class TestSweepPlumbing:
     def test_micro_sweep_structure(self):
-        scale = SweepScale(record_count=1200, operation_count=250,
-                           n_threads=4, n_nodes=5, seed=3)
+        scale = replace(CAMPAIGNS["fig1"].full, record_count=1200,
+                        operation_count=250, n_threads=4, n_nodes=5, seed=3)
         sweep = run_campaign("fig1", "hbase", scale, rfs=[1, 2])
         assert set(sweep) == {1, 2}
         for per_op in sweep.values():

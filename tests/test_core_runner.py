@@ -11,11 +11,13 @@ from repro.core.config import (config_to_dict, config_to_json,
                                default_micro_config, default_stress_config)
 from repro.core.runner import (CellRunner, CellSpec, RunSpec, WarmSpec,
                                cell_fingerprint, code_version, execute_cell)
-from repro.core.sweep import QUICK_SCALE, run_campaign
+from repro.core.sweep import CAMPAIGNS, run_campaign
 
-#: Trimmed further below QUICK_SCALE so the always-on equivalence tests
+QUICK = CAMPAIGNS["fig2"].quick
+
+#: Trimmed further below --quick so the always-on equivalence tests
 #: stay cheap; the full --quick scale runs in the opt-in speedup test.
-TINY_SCALE = replace(QUICK_SCALE, record_count=1_500, operation_count=300,
+TINY_SCALE = replace(QUICK, record_count=1_500, operation_count=300,
                      targets=(500.0, None))
 
 
@@ -118,11 +120,11 @@ class TestSerialParallelEquivalence:
                         reason="speedup needs >= 4 CPU cores")
     def test_quick_fig2_jobs4_identical_and_faster(self):
         started = time.perf_counter()
-        serial = run_campaign("fig2", "cassandra", QUICK_SCALE,
+        serial = run_campaign("fig2", "cassandra", QUICK,
                               rfs=[1, 3, 6])
         serial_s = time.perf_counter() - started
         started = time.perf_counter()
-        par = run_campaign("fig2", "cassandra", QUICK_SCALE, rfs=[1, 3, 6],
+        par = run_campaign("fig2", "cassandra", QUICK, rfs=[1, 3, 6],
                            runner=CellRunner(jobs=4))
         parallel_s = time.perf_counter() - started
         assert serial == par
@@ -168,6 +170,27 @@ class TestCellCache:
         entry.write_text("{not json", encoding="utf-8")
         (again,) = CellRunner(cache=True, cache_dir=tmp_path).run([cell])
         assert again == fresh
+
+    @pytest.mark.parametrize("malformed", [
+        [], "x", {"payload": []}, {"payload": {}},
+        {"payload": {"runs": 3}}])
+    def test_malformed_entry_recomputed_and_overwritten(self, tmp_path,
+                                                        malformed):
+        """An entry that parses but is not a cell payload is neither
+        raised on nor served: the cell recomputes and the good result
+        replaces the bad file."""
+        cell = small_cell()
+        (uncached,) = CellRunner().run([cell])
+        entry = tmp_path / f"{cell_fingerprint(cell)}.json"
+        entry.write_text(json.dumps(malformed), encoding="utf-8")
+        events = []
+        runner = CellRunner(cache=True, cache_dir=tmp_path,
+                            progress=events.append)
+        assert runner.run([cell]) == [uncached]
+        assert [e.cached for e in events] == [False]
+        assert json.loads(entry.read_text())["payload"] == uncached
+        assert runner.run([cell]) == [uncached]
+        assert [e.cached for e in events] == [False, True]
 
     def test_cache_off_means_no_files(self, tmp_path):
         CellRunner(cache=False, cache_dir=tmp_path).run([small_cell()])

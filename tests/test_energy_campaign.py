@@ -14,22 +14,24 @@ import json
 import pytest
 
 from repro.consistency.oracle import unexpected_violations
-from repro.core.sweep import (ENERGY_CL_MODES, ENERGY_POWER_MODES,
-                              QUICK_ENERGY_SCALE, campaign_cells,
-                              energy_modes, render_campaign, run_campaign)
+from repro.core.sweep import (CAMPAIGNS, ENERGY_CL_MODES, ENERGY_POWER_MODES,
+                              campaign_cells, energy_modes, render_campaign,
+                              run_campaign)
+
+QUICK = CAMPAIGNS["energy"].quick
 
 
 @pytest.fixture(scope="module")
 def sweeps():
-    return {db: run_campaign("energy", db, QUICK_ENERGY_SCALE)
+    return {db: run_campaign("energy", db, QUICK)
             for db in ("cassandra", "hbase")}
 
 
 class TestEnergyCells:
     def test_grid_covers_modes(self):
         keys = {cell.key for cell in campaign_cells(
-            "energy", "cassandra", QUICK_ENERGY_SCALE)}
-        for rf in QUICK_ENERGY_SCALE.rfs:
+            "energy", "cassandra", QUICK)}
+        for rf in QUICK.rfs:
             for cl in ENERGY_CL_MODES["cassandra"]:
                 assert (rf, cl, "always_on") in keys
                 assert (rf, cl, "race_to_sleep") in keys
@@ -107,7 +109,7 @@ class TestPaperShapes:
         assert aware["usd_per_mops"] < quorum["usd_per_mops"]
         assert aware["joules_per_op"] < quorum["joules_per_op"]
         lag = aware["consistency"]["max_staleness_lag_s"]
-        assert lag <= QUICK_ENERGY_SCALE.staleness_s
+        assert lag <= QUICK.slo.staleness_s
         assert unexpected_violations(aware["consistency"]) == 0
 
     def test_energy_aware_actually_parked(self, sweeps):

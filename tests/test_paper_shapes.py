@@ -6,25 +6,27 @@ The full-scale versions live in ``benchmarks/``; here the populations are
 small enough for the unit-test budget, so tolerances are generous.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.core.sweep import (
-    QUICK_FAILOVER_SCALE,
-    SweepScale,
-    run_campaign,
-)
+from repro.core.sweep import CAMPAIGNS, campaign_cells, run_campaign
 
-SCALE = SweepScale(record_count=6_000, operation_count=1_200,
-                   n_threads=24, n_nodes=10,
-                   targets=(3_000.0, None), seed=99)
+SCALE = replace(CAMPAIGNS["fig1"].full, record_count=6_000,
+                operation_count=1_200, n_threads=24, n_nodes=10,
+                targets=(3_000.0, None), seed=99)
 
 #: The stress shapes need the population/memory ratio of the real
 #: experiment (see ``scaled_stress_storage``), which the sweeps derive
 #: automatically; a slightly larger population keeps it stable.
-STRESS_SCALE = SweepScale(record_count=8_000, operation_count=1_500,
-                          n_threads=32, n_nodes=12,
-                          targets=(3_000.0, None), seed=99)
+STRESS_SCALE = replace(SCALE, record_count=8_000, operation_count=1_500,
+                       n_threads=32, n_nodes=12)
+
+QUICK_FAILOVER = CAMPAIGNS["failover"].quick
+QUICK_TAIL = CAMPAIGNS["tail"].quick
+QUICK_SURGE = CAMPAIGNS["surge"].quick
+QUICK_ELASTIC = CAMPAIGNS["scale"].quick
 
 
 @pytest.fixture(scope="module")
@@ -136,13 +138,13 @@ class TestFailoverShapes:
 
     @pytest.fixture(scope="class")
     def cassandra_crash(self):
-        sweep = run_campaign("failover", "cassandra", QUICK_FAILOVER_SCALE,
+        sweep = run_campaign("failover", "cassandra", QUICK_FAILOVER,
                              faults=("crash",), modes=("ONE",))
         return sweep["crash"]["ONE"]
 
     @pytest.fixture(scope="class")
     def hbase_crash(self):
-        sweep = run_campaign("failover", "hbase", QUICK_FAILOVER_SCALE,
+        sweep = run_campaign("failover", "hbase", QUICK_FAILOVER,
                              faults=("crash",))
         return sweep["crash"]["n/a"]
 
@@ -190,13 +192,12 @@ class TestFailoverShapes:
         # ...but bounded: well before the node's restart, reassignment
         # has already restored service.
         assert report["time_to_recovery_s"] < \
-            QUICK_FAILOVER_SCALE.fault_duration_s + 3.0
+            QUICK_FAILOVER.fault.duration_s + 3.0
 
     def test_hbase_recovers_before_run_ends(self, hbase_crash):
         report = hbase_crash["failover"]
         timeline = report["timeline"]
-        expected = (QUICK_FAILOVER_SCALE.target_throughput
-                    * report["bucket_s"])
+        expected = QUICK_FAILOVER.targets[0] * report["bucket_s"]
         recovered = [ops for start, ops, _, _ in timeline
                      if start >= (report["fault_at_s"]
                                   + report["time_to_recovery_s"])]
@@ -213,23 +214,20 @@ class TestTailDefenseShapes:
 
     @pytest.fixture(scope="class")
     def slow_replica(self):
-        from repro.core.sweep import QUICK_TAIL_SCALE
-        sweep = run_campaign("tail", "cassandra", QUICK_TAIL_SCALE,
+        sweep = run_campaign("tail", "cassandra", QUICK_TAIL,
                              modes=("none", "hedge"),
                              scenarios=("slow_replica",))
         return sweep["slow_replica"]
 
     @pytest.fixture(scope="class")
     def healthy(self):
-        from repro.core.sweep import QUICK_TAIL_SCALE
-        sweep = run_campaign("tail", "cassandra", QUICK_TAIL_SCALE,
+        sweep = run_campaign("tail", "cassandra", QUICK_TAIL,
                              modes=("none",), scenarios=("healthy",))
         return sweep["healthy"]
 
     @pytest.fixture(scope="class")
     def overload(self):
-        from repro.core.sweep import QUICK_TAIL_SCALE
-        sweep = run_campaign("tail", "cassandra", QUICK_TAIL_SCALE,
+        sweep = run_campaign("tail", "cassandra", QUICK_TAIL,
                              modes=("deadline",), scenarios=("overload",))
         return sweep["overload"]
 
@@ -264,8 +262,7 @@ class TestGeoShapes:
 
     @pytest.fixture(scope="class")
     def geo(self):
-        from repro.core.sweep import QUICK_GEO_SCALE
-        return run_campaign("geo", scale=QUICK_GEO_SCALE,
+        return run_campaign("geo", scale=CAMPAIGNS["geo"].quick,
                             scenarios=("dc_partition",))
 
     def test_local_quorum_remote_regions_ride_out_dc_partition(self, geo):
@@ -375,8 +372,7 @@ class TestFlashCrowdShapes:
 
     @pytest.fixture(scope="class")
     def surge(self):
-        from repro.core.sweep import QUICK_SURGE_SCALE
-        return run_campaign("surge", "cassandra", QUICK_SURGE_SCALE,
+        return run_campaign("surge", "cassandra", QUICK_SURGE,
                             modes=("undefended", "full"),
                             scenarios=("steady", "flash_crowd"))
 
@@ -427,7 +423,6 @@ class TestFlashCrowdShapes:
         # by the TTL (plus the replication staleness CL ONE always
         # allows), and never accompanied by lost acknowledged writes.
         from repro.consistency.oracle import unexpected_violations
-        from repro.core.sweep import QUICK_SURGE_SCALE
         for scenario, modes in surge.items():
             for mode, summary in modes.items():
                 cons = summary["consistency"]
@@ -436,7 +431,7 @@ class TestFlashCrowdShapes:
                     (scenario, mode)
         full = surge["flash_crowd"]["full"]["consistency"]
         assert full["max_staleness_lag_s"] <= \
-            QUICK_SURGE_SCALE.cache_ttl_s + 0.5
+            QUICK_SURGE.clienttier.cache_ttl_s + 0.5
 
 
 class TestElasticityShapes:
@@ -455,22 +450,16 @@ class TestElasticityShapes:
 
     @staticmethod
     def _session(db, mode, events=None, seed=None):
-        from repro.core.config import default_scale_config
         from repro.core.experiment import ExperimentSession
-        from repro.core.sweep import (QUICK_ELASTIC_SCALE, elastic_arrivals,
-                                      elasticity_for_mode)
         from repro.cluster.elasticity import ElasticityConfig
-        scale = QUICK_ELASTIC_SCALE
-        elasticity = elasticity_for_mode(mode, scale)
+        scale = QUICK_ELASTIC
+        if seed is not None:
+            scale = replace(scale, seed=seed)
         if events is not None:
-            elasticity = ElasticityConfig(mode="manual",
-                                          spare_nodes=scale.spare_nodes,
-                                          events=events)
-        config = default_scale_config(
-            db, elasticity=elasticity,
-            arrivals=elastic_arrivals("diurnal", scale),
-            record_count=scale.record_count, n_nodes=scale.n_nodes,
-            seed=scale.seed if seed is None else seed)
+            scale = replace(scale, elasticity=ElasticityConfig(
+                spare_nodes=scale.elasticity.spare_nodes, events=events))
+        config = campaign_cells("scale", db, scale, modes=(mode,),
+                                scenarios=("diurnal",))[0].config
         session = ExperimentSession(config)
         session.load()
         return session
@@ -499,13 +488,12 @@ class TestElasticityShapes:
         return cells
 
     def test_static_diurnal_breaches_the_bar_at_every_seed(self, diurnal):
-        from repro.core.sweep import QUICK_ELASTIC_SCALE
         for seed in self.SEEDS:
             static = diurnal[("hbase", "static", seed)]
             # The ramp saturates the static cluster far past the breach
             # bar — five to ten times, not by one unlucky compaction.
-            assert static["p95_ms"] > 3 * QUICK_ELASTIC_SCALE.p95_breach_ms, \
-                seed
+            assert static["p95_ms"] \
+                > 3 * QUICK_ELASTIC.elasticity.p95_breach_ms, seed
 
     def test_elastic_restores_goodput(self, diurnal):
         # An HBase scale-out moves one region of eight, picked by count

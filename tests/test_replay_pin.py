@@ -13,8 +13,9 @@ import json
 from dataclasses import replace
 
 from repro.cluster.failure import FaultSpec
-from repro.core.config import (default_check_config, default_micro_config,
+from repro.core.config import (ScaleEventSpec, default_micro_config,
                                scaled_stress_storage)
+from repro.core.sweep import CAMPAIGNS, campaign_cells
 from tests.conftest import traced_run
 
 
@@ -25,7 +26,7 @@ def _micro_config():
 
 
 def _failover_config():
-    config = default_check_config("hbase", seed=11)
+    config = campaign_cells("check", "hbase", seeds=(11,))[0].config
     return replace(
         config, record_count=200, operation_count=800,
         target_throughput=1_000.0, n_nodes=5,
@@ -93,11 +94,11 @@ class TestGeoReplayPin:
         """The campaign runner returns byte-identical payloads whether
         cells run serially in-process or across worker processes."""
         from repro.core.runner import CellRunner
-        from repro.core.sweep import GeoScale, campaign_cells
-        scale = GeoScale(record_count=200, operation_count=400,
-                         n_threads=4, servers_per_dc=2, replicas_per_dc=2,
-                         target_throughput=600.0, fault_at_s=0.2,
-                         fault_duration_s=0.4)
+        full = CAMPAIGNS["geo"].full
+        scale = replace(full, record_count=200, operation_count=400,
+                        n_threads=4, servers_per_dc=2, replicas_per_dc=2,
+                        targets=(600.0,),
+                        fault=replace(full.fault, at_s=0.2, duration_s=0.4))
         cells = campaign_cells("geo", scale=scale,
                                modes=("LOCAL_ONE", "LOCAL_QUORUM"),
                                scenarios=("dc_partition",))
@@ -107,18 +108,19 @@ class TestGeoReplayPin:
             == json.dumps(parallel, sort_keys=True)
 
 
+def _elastic_scale():
+    full = CAMPAIGNS["scale"].full
+    return replace(
+        full, record_count=600, n_nodes=5, seed=17,
+        arrivals=replace(full.arrivals, rate=400.0, max_arrivals=2_500,
+                         period_s=8.0),
+        elasticity=replace(full.elasticity, cooldown_s=3.0,
+                           events=(ScaleEventSpec(action="out", at_s=2.0),)))
+
+
 def _elastic_config(mode):
-    from repro.core.config import default_scale_config
-    from repro.core.sweep import (ElasticScale, elastic_arrivals,
-                                  elasticity_for_mode)
-    scale = ElasticScale(record_count=600, n_nodes=5, base_rate=400.0,
-                         max_arrivals=2_500, period_s=8.0,
-                         manual_at_s=2.0, cooldown_s=3.0, seed=17)
-    return default_scale_config(
-        "cassandra", elasticity=elasticity_for_mode(mode, scale),
-        arrivals=elastic_arrivals("diurnal", scale),
-        record_count=scale.record_count, n_nodes=scale.n_nodes,
-        seed=scale.seed)
+    return campaign_cells("scale", "cassandra", _elastic_scale(),
+                          modes=(mode,), scenarios=("diurnal",))[0].config
 
 
 def _traced_scale_run(mode):
@@ -149,11 +151,7 @@ class TestScaleReplayPin:
         """``repro-bench scale`` payloads are byte-identical whether the
         cells run serially in-process or across worker processes."""
         from repro.core.runner import CellRunner
-        from repro.core.sweep import ElasticScale, campaign_cells
-        scale = ElasticScale(record_count=600, n_nodes=5, base_rate=400.0,
-                             max_arrivals=2_500, period_s=8.0,
-                             manual_at_s=2.0, cooldown_s=3.0, seed=17)
-        cells = campaign_cells("scale", "cassandra", scale,
+        cells = campaign_cells("scale", "cassandra", _elastic_scale(),
                                modes=("manual", "auto"),
                                scenarios=("diurnal",))
         serial = CellRunner(jobs=1, cache=False).run(cells)

@@ -17,10 +17,10 @@ from repro.cassandra.consistency import ConsistencyLevel
 from repro.cluster.failure import FaultSpec
 from repro.core.config import (ArrivalConfig, ClientTierConfig,
                                ElasticityConfig, ScaleEventSpec,
-                               default_check_config, default_geo_config,
-                               default_scale_config, default_surge_config,
-                               scaled_stress_storage)
+                               default_geo_config, default_scale_config,
+                               default_surge_config, scaled_stress_storage)
 from repro.core.experiment import ExperimentSession, summarize_run
+from repro.core.sweep import campaign_cells
 from tests.conftest import traced_run
 
 CRASH = (FaultSpec(kind="crash", node_id=0, at_s=0.3, duration_s=0.5),)
@@ -30,7 +30,7 @@ ARRIVALS = ArrivalConfig(process="flash_crowd", rate=300.0, max_arrivals=600,
 
 
 def _closed(db):
-    config = default_check_config(db, seed=11)
+    config = campaign_cells("check", db, seeds=(11,))[0].config
     return replace(config, record_count=300, operation_count=800,
                    target_throughput=1_000.0, n_nodes=5, settle_s=1.0,
                    storage=scaled_stress_storage(300, 1000, 4), faults=CRASH)

@@ -25,8 +25,7 @@ def build_client(workload_spec=None, records=500, seed=3):
     binding = HBaseBinding(HBaseClient(hbase, hbase.master_node))
     spec = workload_spec or STRESS_WORKLOADS["read_update"]
     workload = Workload(spec, records, rngs.stream("wl"))
-    client = YcsbClient(env, binding, workload, rngs.stream("cl"),
-                        client_node=hbase.master_node)
+    client = YcsbClient(env, binding, workload, rngs.stream("cl"))
     return env, client, workload
 
 
