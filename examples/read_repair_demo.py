@@ -53,7 +53,7 @@ def show_divergence_and_repair() -> None:
         # Inject divergence: a newer version lands on the main replica
         # only (as if an earlier coordinator died mid-write).
         main = cassandra.nodes[replicas[0]]
-        yield env.process(main.local_mutate(key, "v2", 1000, env.now))
+        yield main._handle_mutate((key, "v2", 1000, env.now))
         before = [cassandra.nodes[r].newest_timestamp(key) for r in replicas]
         result = yield from session.read(key, 1000)
         yield env.timeout(1)

@@ -63,7 +63,7 @@ class CassandraSession:
         #: Driver-side CPU per operation (serialization, bookkeeping),
         #: charged on the client node ahead of the first attempt's request
         #: serialization — fused into the RPC's own core reservation so it
-        #: costs no extra kernel event (see ``Cluster._rpc_body``).
+        #: costs no extra kernel event (see ``cluster.topology._RoundTrip``).
         self.client_overhead_s = client_overhead_s
         self._rr_index = 0
         #: On geo clusters, prefer coordinators in the client's own

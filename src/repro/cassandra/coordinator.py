@@ -30,10 +30,10 @@ from typing import TYPE_CHECKING, Generator, Optional
 from repro.cassandra.consistency import ConsistencyLevel, UnavailableError
 from repro.cassandra.hints import Hint
 from repro.cluster.hedging import HedgePolicy
-from repro.cluster.topology import DeadlineExceeded, RpcTimeout
+from repro.cluster.topology import DeadlineExceeded
 from repro.keyspace import token_of
-from repro.sim.kernel import (AllOf, AnyOf, Environment, Event, Interrupt,
-                              ModelledFailure, Process)
+from repro.sim.kernel import (AllOf, AnyOf, Environment, Event,
+                              ModelledFailure)
 from repro.sim.resources import Overloaded
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -60,22 +60,24 @@ class ReadTimeoutError(ModelledFailure):
     """Not enough replica responses arrived before the read timeout."""
 
 
-def wait_for_k(env: Environment, procs: list[Process], k: int,
+def wait_for_k(env: Environment, events: list[Event], k: int,
                failure: Exception) -> Generator:
-    """Wait until ``k`` of ``procs`` complete successfully (a process).
+    """Wait until ``k`` of ``events`` complete successfully (a process).
 
-    A proc "fails" when it terminated with an Exception *value* (the RPC
-    fan-out helpers convert timeouts into values) or when it *raised*
-    (e.g. a replica process killed mid-request).  Raised failures are
-    defused here: once ``done`` triggers early, the losing procs must not
-    crash the whole simulation through
-    :meth:`~repro.sim.kernel.Environment.step`'s unhandled-failure check.
-    If completion of all procs cannot reach ``k`` successes, ``failure``
-    is raised.
+    Any events will do — replica operations are :class:`AsyncCall`s,
+    bare storage-engine events when the replica is this node, processes
+    in tests; only the :class:`Event` surface is used.  One "fails" when
+    it completed with an Exception *value* (the RPC transport converts
+    timeouts and sheds into values) or when it *failed* (e.g. a replica
+    handler crashing mid-request).  Failures are defused here: once
+    ``done`` triggers early, the losers must not crash the whole
+    simulation through :meth:`~repro.sim.kernel.Environment.step`'s
+    unhandled-failure check.  If completion of all events cannot reach
+    ``k`` successes, ``failure`` is raised.
     """
     if k <= 0:
         return
-    n = len(procs)
+    n = len(events)
     if k > n:
         raise failure
     done = env.event()
@@ -106,11 +108,11 @@ def wait_for_k(env: Environment, procs: list[Process], k: int,
         elif state[1] == n:
             settle(False, failure)
 
-    for proc in procs:
-        if proc.callbacks is None:
-            check(proc)
+    for event in events:
+        if event.callbacks is None:
+            check(event)
         else:
-            proc.callbacks.append(check)
+            event.callbacks.append(check)
     yield done
 
 
@@ -165,45 +167,41 @@ class Coordinator:
                 f"coordinator {self.owner.node.node_id} at max in-flight "
                 f"({self.max_inflight})")
 
-    def _local_catching(self, gen) -> Generator:
-        # Local fast-path procs follow the same convention as the RPC
-        # fan-out helpers: failures (shed queue, expired deadline, hedge
-        # cancellation) become values, never kernel-crashing raises.
-        try:
-            result = yield from gen
-            return result
-        except (RpcTimeout, Overloaded, Interrupt) as exc:
-            return exc
-
     def _replica_mutate(self, replica_id: int, key: str, value, size: int,
                         timestamp: float,
-                        deadline: Optional[float] = None) -> Process:
-        """Send a mutation to one replica (local fast path when self)."""
+                        deadline: Optional[float] = None) -> Event:
+        """Send a mutation to one replica (no wire when it is this node);
+        the event's value is an exception when the replica failed."""
         owner = self.owner
         if replica_id == owner.node.node_id:
-            return self.env.process(
-                self._local_catching(
-                    owner.local_mutate(key, value, size, timestamp,
-                                       deadline)),
-                name="local-mutate", eager=True)
+            return owner.cluster.call_local(
+                owner._handle_mutate((key, value, size, timestamp, deadline)),
+                "local-mutate")
         return owner.cluster.call_async(
-            owner.node, owner.cluster.node(replica_id), "c.mutate",
+            owner.node, owner.cluster.nodes[replica_id], "c.mutate",
             (key, value, size, timestamp, deadline), request_bytes=size + 60,
             response_bytes=20, timeout=owner.spec.replica_timeout_s,
             deadline=deadline)
 
     def _replica_read(self, replica_id: int, key: str, expected_bytes: int,
                       digest: bool,
-                      deadline: Optional[float] = None) -> Process:
+                      deadline: Optional[float] = None) -> Event:
+        """Read (or digest-read) one replica; as :meth:`_replica_mutate`.
+
+        With a hedge policy configured every data read is an
+        :class:`~repro.cluster.topology.AsyncCall` — this node's own
+        included — because :meth:`_await_data` may have to cancel it.
+        """
         owner = self.owner
         if replica_id == owner.node.node_id:
-            gen = (owner.local_read_digest(key, deadline) if digest
-                   else owner.local_read_data(key, deadline))
-            return self.env.process(self._local_catching(gen),
-                                    name="local-read", eager=True)
+            return owner.cluster.call_local(
+                owner._handle_read_digest((key, deadline)) if digest
+                else owner._handle_read_data((key, deadline),
+                                             self.hedge is not None),
+                "local-read")
         verb = "c.read_digest" if digest else "c.read_data"
         return owner.cluster.call_async(
-            owner.node, owner.cluster.node(replica_id), verb,
+            owner.node, owner.cluster.nodes[replica_id], verb,
             (key, deadline), request_bytes=60,
             response_bytes=16 if digest else expected_bytes + 30,
             timeout=owner.spec.replica_timeout_s, deadline=deadline)
@@ -211,8 +209,8 @@ class Coordinator:
     def _alive_replicas(self, key: str) -> tuple[list[int], int]:
         """(alive replica ids in placement order, configured replication)."""
         replicas = self.owner.placement.replicas_for_key(key)
-        alive = [r for r in replicas
-                 if self.owner.cluster.node(r).alive]
+        nodes = self.owner.cluster.nodes
+        alive = [r for r in replicas if nodes[r].alive]
         return alive, len(replicas)
 
     def _plan(self, cl: ConsistencyLevel, alive: list[int],
@@ -263,7 +261,7 @@ class Coordinator:
             groups.append((dc, rf // 2 + 1, members))
         return groups
 
-    def _arm_failure_hints(self, ordered: list[int], acks: list,
+    def _arm_failure_hints(self, ordered: list[int], acks: list[Event],
                            key: str, value, size: int,
                            timestamp: float) -> None:
         """Store a hint for any replica mutation that ultimately fails.
@@ -271,11 +269,11 @@ class Coordinator:
         Covers the WAN in-flight window: a replica alive at fan-out time
         that dies before the mutation lands drops it without a trace,
         and at geo propagation delays that window holds tens of
-        acknowledged writes.  The hint is written when the fan-out proc
-        settles with an exception value (mid-flight death, timeout,
-        shed), long after the client ack — replay after heal then
-        restores convergence.  Redelivery is safe: mutations are
-        timestamped upserts.
+        acknowledged writes.  The hint is written when the mutation's
+        event (``acks``, parallel to ``ordered``) completes with an
+        exception value (mid-flight death, timeout, shed), long after
+        the client ack — replay after heal then restores convergence.
+        Redelivery is safe: mutations are timestamped upserts.
 
         The coordinator's *own* mutation is covered too: with a bounded
         replica stage, the local apply can be shed while remote acks
@@ -286,22 +284,19 @@ class Coordinator:
         store = self.owner.hints
         stats = self.stats
 
-        def arm(replica_id: int, proc) -> None:
-            def on_settle(event) -> None:
+        def arm(replica_id: int, ack: Event) -> None:
+            def on_settle(event: Event) -> None:
                 if isinstance(event._value, Exception):
                     store.store(Hint(replica_id, key, value, size,
                                      timestamp))
                     stats["hints_stored"] += 1
-            if proc.callbacks is None:
-                if isinstance(proc.value, Exception):
-                    store.store(Hint(replica_id, key, value, size,
-                                     timestamp))
-                    stats["hints_stored"] += 1
+            if ack.callbacks is None:
+                on_settle(ack)
             else:
-                proc.callbacks.append(on_settle)
+                ack.callbacks.append(on_settle)
 
-        for replica_id, proc in zip(ordered, acks):
-            arm(replica_id, proc)
+        for replica_id, ack in zip(ordered, acks):
+            arm(replica_id, ack)
 
     # -- write path -------------------------------------------------------
 
@@ -496,7 +491,7 @@ class Coordinator:
             [r for r, _ in digests], blocking=spec.blocking_read_repair)
         return result
 
-    def _await_data(self, proc: Process, replica: int, key: str,
+    def _await_data(self, proc: Event, replica: int, key: str,
                     expected_bytes: int, spares: list[int],
                     deadline: Optional[float]) -> Generator:
         """Wait for the full data read, hedging to a spare when slow.
@@ -509,6 +504,16 @@ class Coordinator:
         server-side, where an attached deadline reclaims its queue slot).
         Returns ``(response, replica_id)``; the response is an Exception
         value when every attempt failed.
+
+        A contender (``proc``, and the spare's read) is whatever
+        :meth:`_replica_read` returned, and racing two of them needs the
+        :class:`Event` surface only.  Cancelling the loser needs more —
+        ``is_alive`` and ``interrupt``, a wait that can be abandoned —
+        which an :class:`~repro.cluster.topology.AsyncCall` has: a
+        remote read's caller-side wait, or the process of this node's
+        own read.  That is what :meth:`_replica_read` hands out whenever
+        there is a hedge policy, so whenever this method gets as far as
+        speculating.
         """
         start = self.env.now
         hedge = self.hedge

@@ -102,26 +102,27 @@ class HintStore:
                     break  # owner crashed mid-replay
                 batch = deliverable[index:index + self.replay_batch]
                 index += self.replay_batch
-                procs = [cluster.call_async(
+                calls = [cluster.call_async(
                     self.owner.node, cluster.node(h.target_node_id),
                     "c.mutate", (h.key, h.value, h.size, h.timestamp),
                     request_bytes=h.size + 60, response_bytes=20,
                     timeout=2.0) for h in batch]
                 try:
-                    # k == len(procs): completes once every delivery in
+                    # k == len(calls): completes once every delivery in
                     # the wave has finished (successes early-exit, the
                     # failure path settles when all are processed).
-                    yield from wait_for_k(env, procs, len(procs),
+                    yield from wait_for_k(env, calls, len(calls),
                                           _BatchIncomplete())
                 except _BatchIncomplete:
                     pass
-                for hint, proc in zip(batch, procs):
+                delivered = set()
+                for hint, call in zip(batch, calls):
                     self.attempts += 1
-                    ok = (proc.processed
-                          and not isinstance(proc.value, Exception))
+                    ok = (call.processed
+                          and not isinstance(call.value, Exception))
                     target = hint.target_node_id
                     if ok:
-                        self._hints.remove(hint)
+                        delivered.add(id(hint))
                         self.delivered += 1
                         self._not_before.pop(target, None)
                         self._backoff.pop(target, None)
@@ -134,3 +135,10 @@ class HintStore:
                         self._not_before[target] = env.now + backoff
                         self._backoff[target] = min(
                             backoff * 2.0, self.max_backoff_s)
+                if delivered:
+                    # One pass, by identity: ``list.remove`` per hint is
+                    # a scan through the dataclass ``__eq__``, quadratic
+                    # in the backlog.  Hints stored during the wave's
+                    # wait are not in the batch and stay, in order.
+                    self._hints = [h for h in self._hints
+                                   if id(h) not in delivered]

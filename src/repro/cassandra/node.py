@@ -11,9 +11,10 @@ from typing import TYPE_CHECKING, Generator, Optional
 from repro.cassandra.coordinator import Coordinator
 from repro.cassandra.hints import HintStore
 from repro.cassandra.partitioner import TokenRing
+from repro.cluster.disk import FOREGROUND
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster, DeadlineExceeded
-from repro.sim.kernel import AnyOf
+from repro.sim.kernel import AnyOf, Event
 from repro.sim.resources import BoundedResource
 from repro.storage.lsm import LocalDiskMedium, LsmTree
 
@@ -24,6 +25,13 @@ __all__ = ["CassandraNode"]
 
 #: CPU charged per replica-verb invocation (StorageProxy bookkeeping).
 _VERB_CPU_S = 1.0e-5
+
+
+def _as_digest(read: Event) -> None:
+    """Turn a completed row read into the digest read it stands for."""
+    found = read._value
+    if read._ok and found is not None:
+        read._value = found[1]
 
 
 class CassandraNode:
@@ -92,35 +100,54 @@ class CassandraNode:
 
     # -- replica verbs -------------------------------------------------
 
-    def _handle_mutate(self, payload) -> Generator:
-        """Apply one mutation: commit log + memtable."""
-        key, value, size, timestamp, *rest = payload
-        deadline = rest[0] if rest else None
-        self.ops["mutate"] += 1
+    def _pooled(self, deadline: Optional[float], op, *args) -> Generator:
+        """Slot, then operate: every verb's path when the replica stage
+        is bounded (a scan's and a cancellable read's always).  The
+        slot is claimed — or the request shed — before the engine books
+        any CPU.  A read's steps (``op``: the tree's generator form) run
+        inside this process, so a cancelled hedged read is interrupted
+        as one unit, slot, disk queue and all."""
         slot = yield from self._acquire_slot(deadline)
         try:
-            # The verb's CPU charge rides the same core reservation as
-            # the storage-engine put (one timeout event, same total
-            # service time).
-            yield from self.tree.put(key, value, size, timestamp,
-                                     extra_cpu_s=_VERB_CPU_S)
-        finally:
-            self._release_slot(slot)
-        return True
-
-    def _handle_read_data(self, payload) -> Generator:
-        """Full read: returns ``(value, timestamp)`` or None."""
-        key, deadline = (payload if isinstance(payload, tuple)
-                         else (payload, None))
-        self.ops["read_data"] += 1
-        slot = yield from self._acquire_slot(deadline)
-        try:
-            result = yield from self.tree.get(key, extra_cpu_s=_VERB_CPU_S)
+            result = yield from op(*args)
         finally:
             self._release_slot(slot)
         return result
 
-    def _handle_read_digest(self, payload) -> Generator:
+    # A verb handler returns the storage engine's completion event when
+    # the replica stage is unbounded — the request then costs no process
+    # anywhere — and the ``_pooled`` generator when it is not.  The
+    # verb's CPU charge rides the same core reservation as the engine
+    # operation (one timeout event, same total service time).
+
+    def _handle_mutate(self, payload):
+        """Apply one mutation: commit log + memtable.  The ack carries
+        no payload."""
+        key, value, size, timestamp, *rest = payload
+        self.ops["mutate"] += 1
+        if self.replica_pool is None:
+            return self.tree.put(key, value, size, timestamp, _VERB_CPU_S)
+        return self._pooled(rest[0] if rest else None, self.tree.put,
+                            key, value, size, timestamp, _VERB_CPU_S)
+
+    def _handle_read_data(self, payload, cancellable: bool = False):
+        """Full read: answers ``(value, timestamp)`` or None.
+
+        ``cancellable`` is the coordinator asking for its *own* hedged
+        read as a process even with no pool to queue in: losing the
+        hedge interrupts it, and the interrupt has to reach the disk
+        queue the lookup may be standing in.  (A remote read needs no
+        such thing — cancellation does not cross the wire.)
+        """
+        key, deadline = (payload if isinstance(payload, tuple)
+                         else (payload, None))
+        self.ops["read_data"] += 1
+        if self.replica_pool is None and not cancellable:
+            return self.tree.get(key, FOREGROUND, _VERB_CPU_S)
+        return self._pooled(deadline, self.tree.get_inline, key, FOREGROUND,
+                            _VERB_CPU_S)
+
+    def _handle_read_digest(self, payload):
         """Digest read: same local I/O as a data read, tiny response.
 
         The digest is modelled as the newest local timestamp — two
@@ -129,43 +156,26 @@ class CassandraNode:
         key, deadline = (payload if isinstance(payload, tuple)
                          else (payload, None))
         self.ops["read_digest"] += 1
-        slot = yield from self._acquire_slot(deadline)
-        try:
-            result = yield from self.tree.get(key, extra_cpu_s=_VERB_CPU_S)
-        finally:
-            self._release_slot(slot)
-        return None if result is None else result[1]
+        if self.replica_pool is not None:
+            return self._pooled(deadline, self._digest_inline, key)
+        read = self.tree.get(key, FOREGROUND, _VERB_CPU_S)
+        # First subscriber: whoever waits for the read sees the digest.
+        if read.callbacks is None:
+            _as_digest(read)
+        else:
+            read.callbacks.append(_as_digest)
+        return read
+
+    def _digest_inline(self, key: str) -> Generator:
+        found = yield from self.tree.get_inline(key, FOREGROUND, _VERB_CPU_S)
+        return None if found is None else found[1]
 
     def _handle_scan(self, payload) -> Generator:
         """Token-order scan over this node's local range."""
         start_key, limit, *rest = payload
-        deadline = rest[0] if rest else None
         self.ops["scan"] += 1
-        slot = yield from self._acquire_slot(deadline)
-        try:
-            rows = yield from self.tree.scan(start_key, limit,
-                                             extra_cpu_s=_VERB_CPU_S)
-        finally:
-            self._release_slot(slot)
-        return rows
-
-    # -- local fast paths (coordinator == replica) -----------------------
-
-    def local_mutate(self, key: str, value, size: int, timestamp: float,
-                     deadline: Optional[float] = None) -> Generator:
-        result = yield from self._handle_mutate(
-            (key, value, size, timestamp, deadline))
-        return result
-
-    def local_read_data(self, key: str,
-                        deadline: Optional[float] = None) -> Generator:
-        result = yield from self._handle_read_data((key, deadline))
-        return result
-
-    def local_read_digest(self, key: str,
-                          deadline: Optional[float] = None) -> Generator:
-        result = yield from self._handle_read_digest((key, deadline))
-        return result
+        return self._pooled(rest[0] if rest else None, self.tree.scan,
+                            start_key, limit, FOREGROUND, _VERB_CPU_S)
 
     def newest_timestamp(self, key: str) -> Optional[float]:
         """Zero-cost inspection for tests/probes (no simulated I/O)."""

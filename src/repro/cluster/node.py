@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapreplace
-from typing import Callable, Generator
+from typing import Callable, Generator, Union
 
 from repro.cluster.disk import Disk, DiskSpec
 from repro.cluster.nic import NetworkSpec, Nic
-from repro.sim.kernel import Environment, Timeout
+from repro.sim.kernel import Environment, Event, Timeout
 
 __all__ = ["Node", "NodeSpec"]
 
@@ -55,10 +55,12 @@ class Node:
         self._core_free = [0.0] * spec.cores
         self.disk = Disk(env, spec.disk, rng)
         self.nic = Nic(env, spec.network)
-        #: RPC verb -> handler.  A handler is a callable
-        #: ``handler(payload) -> Generator`` whose return value becomes the
-        #: RPC response payload.
-        self.handlers: dict[str, Callable[[object], Generator]] = {}
+        #: RPC verb -> handler.  A handler is a callable ``handler(payload)``
+        #: returning the :class:`~repro.sim.kernel.Event` that completes
+        #: with the RPC response payload, or a generator returning it —
+        #: only a generator costs the request a process.
+        self.handlers: dict[str, Callable[[object], Union[Event,
+                                                          Generator]]] = {}
         #: RPC verb -> fixed handler CPU seconds that ride the request
         #: leg's callee reservation (only verbs that declared some).
         self.verb_cpu: dict[str, float] = {}
@@ -79,7 +81,8 @@ class Node:
         self._next_gc_at = (rng.expovariate(1.0 / spec.gc_interval_s)
                             if self._gc_enabled else float("inf"))
 
-    def register(self, verb: str, handler: Callable[[object], Generator],
+    def register(self, verb: str,
+                 handler: Callable[[object], Union[Event, Generator]],
                  cpu_s: float = 0.0) -> None:
         """Install the handler for RPC ``verb`` on this node.
 

@@ -1,8 +1,9 @@
 """Cluster wiring and the RPC transport.
 
 The paper's testbed is 16 machines in one rack; the cluster builds the
-nodes, the shared rack fabric, and an RPC layer with the semantics the
-database models need:
+nodes, the shared rack fabric, and an RPC layer — one callback chain
+per round trip (:class:`_RoundTrip`), no process of its own — with the
+semantics the database models need:
 
 - request and response each pay NIC serialization + switch latency,
 - both sides pay a small fixed CPU cost (kernel + (de)serialization),
@@ -28,7 +29,7 @@ from typing import Any, Generator, Optional
 from repro.cluster.nic import Network, NetworkSpec
 from repro.cluster.node import Node, NodeSpec
 from repro.sim.kernel import (URGENT, Environment, Event, Interrupt,
-                              ModelledFailure, Timeout, _PENDING)
+                              ModelledFailure, Process, Timeout, _PENDING)
 from repro.sim.resources import Overloaded
 from repro.sim.rng import RngRegistry
 
@@ -77,7 +78,157 @@ class DeadNodeError(ModelledFailure):
     """An RPC without a deadline targeted a dead node."""
 
 
-class AsyncCall(Event):
+class _RoundTrip(Event):
+    """One RPC in flight: the transport, as a chain of callbacks.
+
+    Request :meth:`Cluster.leg` fires → liveness and deadline check →
+    handler → response leg fires → the round trip completes, inline,
+    with the handler's result.  No process: each step is a callback on
+    the event the step before produced, and this object is the state
+    they share.  A handler returns its completion :class:`Event`, or a
+    generator — only that is wrapped in a :class:`Process`.
+
+    The bare round trip reports what happened as it is — the result,
+    :data:`_NO_RESPONSE` / :data:`_EXPIRED` when no response will come,
+    or the handler's exception as a *failure* — which is what
+    :meth:`Cluster.call` waits on; :class:`AsyncCall` turns the same
+    outcomes into :meth:`Cluster.call_async`'s failure-as-value contract.
+    """
+
+    #: ``_watchers``: the :class:`TimerWheel` table this call's expiry
+    #: watch sits in while the call is pending (``None``: none of its
+    #: own).
+    __slots__ = ("cluster", "src", "dst", "verb", "payload",
+                 "response_bytes", "deadline", "_watchers")
+
+    def __init__(self, cluster: "Cluster", src: Node, dst: Node, verb: str,
+                 payload: Any, request_bytes: int, response_bytes: int,
+                 deadline: Optional[float], src_cpu_s: float) -> None:
+        """Put the request on the wire.
+
+        Both sides pay ``rpc_cpu_s`` per message.  ``src_cpu_s`` (the
+        caller's own pre-request CPU, e.g. driver bookkeeping) and the
+        verb's registered ``cpu_s`` ride the request leg's two core
+        reservations, so neither costs a kernel event.
+        """
+        self.env = cluster.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self._watchers = None
+        self.cluster = cluster
+        self.src = src
+        self.dst = dst
+        self.verb = verb
+        self.payload = payload
+        self.response_bytes = response_bytes
+        self.deadline = deadline
+        spec = cluster.spec
+        rpc_cpu = spec.rpc_cpu_s
+        verb_cpu = dst.verb_cpu
+        cluster.leg(
+            src, dst, request_bytes + spec.envelope_bytes,
+            src_cpu_s + rpc_cpu,
+            rpc_cpu + verb_cpu[verb] if verb in verb_cpu else rpc_cpu
+        ).callbacks.append(self._arrived)
+
+    @classmethod
+    def _unsent(cls, env: Environment) -> "_RoundTrip":
+        """An inert stand-in for a round trip that is never sent — a
+        deadline spent before send, a caller waiting out its timer: the
+        event surface and the watch, none of the transport's state."""
+        self = cls.__new__(cls)
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self._watchers = None
+        return self
+
+    def _arrived(self, _leg: Event) -> None:
+        """The request reached the callee: check, then hand it over."""
+        dst = self.dst
+        if not dst.alive:
+            self._outcome(True, _NO_RESPONSE)
+            return
+        deadline = self.deadline
+        if deadline is not None and self.env._now >= deadline:
+            # Deadline propagation: the budget is already spent when the
+            # request arrives, so the callee drops it without computing a
+            # result nobody will read (the caller's own timer fires).
+            self.cluster.abandoned_rpcs += 1
+            self._outcome(True, _EXPIRED)
+            return
+        verb = self.verb
+        handlers = dst.handlers
+        try:
+            if verb not in handlers:
+                raise LookupError(
+                    f"node {dst.node_id} has no handler for {verb!r}")
+            work = handlers[verb](self.payload)
+        except Exception as exc:
+            # A handler that refuses before it has anything to wait for
+            # (a stale region map) failed like one that refuses later.
+            if not self._outcome(False, exc):
+                raise
+            if ModelledFailure in exc.__class__.__mro__:
+                exc.__traceback__ = None  # as Process._finalize does
+            return
+        # An event is waited for as it is; anything else is the body of
+        # a process (which refuses non-generators).  The process runs its
+        # first segment right here and may fail in it — a full bounded
+        # queue — so :meth:`_handled` subscribes before it starts.
+        if Event not in work.__class__.__mro__:
+            Process(self.env, work, verb, True, self._handled)
+        elif work.callbacks is None:
+            self._handled(work)
+        else:
+            work.callbacks.append(self._handled)
+
+    def _handled(self, work: Event) -> None:
+        """The handler finished: send the response, or report why not."""
+        if not work._ok:
+            # No response leg for a failure: the caller learns of a shed
+            # or a refusal the instant it happens.
+            if self._outcome(False, work._value):
+                work._defused = True
+            return
+        if not self.dst.alive:
+            self._outcome(True, _NO_RESPONSE)
+            return
+        self.payload = work._value  # the request is spent; keep the reply
+        cluster = self.cluster
+        spec = cluster.spec
+        cluster.leg(self.dst, self.src,
+                    self.response_bytes + spec.envelope_bytes, 0.0,
+                    spec.rpc_cpu_s).callbacks.append(self._responded)
+
+    def _responded(self, _leg: Event) -> None:
+        self._settle(self.payload)
+
+    def _outcome(self, ok: bool, value: Any) -> bool:
+        """The round trip is over.  Returns whether a failure was taken
+        off the handler's hands (always, here: it becomes this event's)."""
+        self._ok = ok
+        self._settle(value)
+        if not ok and not self._defused:
+            raise value
+        return True
+
+    def _settle(self, value: Any) -> None:
+        """Complete inline with ``value`` (called from kernel dispatch)."""
+        if self._watchers is not None:
+            del self._watchers[self]
+        self._value = value
+        callbacks = self.callbacks
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
+
+
+class AsyncCall(_RoundTrip):
     """Completion event of a fire-and-forget RPC (:meth:`Cluster.call_async`).
 
     Always *succeeds*; failures arrive as exception **values** — the
@@ -85,30 +236,16 @@ class AsyncCall(Event):
     on one slow callee: :class:`RpcTimeout`/:class:`DeadlineExceeded`
     when the timer wins, :class:`~repro.sim.resources.Overloaded` when
     the callee shed the request, :class:`~repro.sim.kernel.Interrupt`
-    when the caller cancelled (hedge loser).  The body process keeps
-    running server-side in every case — cancellation does not reach over
-    the wire — which is what lets late replica writes land and keep the
+    when the caller cancelled (hedge loser).  The round trip goes on
+    server-side in every case — cancellation does not reach over the
+    wire — which is what lets late replica writes land and keep the
     staleness/hinted-handoff semantics honest.
 
-    Completion is settled *inline* from the body's (or the shared
+    Completion is settled *inline* from the transport's (or the shared
     timer's) dispatch, so the result itself never costs a queue event.
     """
 
-    __slots__ = ("proc", "_watchers")
-
-    def __init__(self, env: Environment, proc: Any,
-                 watchers: Optional[dict] = None) -> None:
-        self.env = env
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = True
-        self._defused = False
-        #: The underlying RPC body process (``None`` for a call that
-        #: failed before send, e.g. a pre-spent deadline).
-        self.proc = proc
-        #: The :class:`TimerWheel` table this call's expiry watch sits
-        #: in while the call is pending (``None``: no timeout).
-        self._watchers = watchers
+    __slots__ = ("_timeout", "_deadline_first")
 
     @property
     def is_alive(self) -> bool:
@@ -125,23 +262,85 @@ class AsyncCall(Event):
         """
         if self._value is not _PENDING:
             return
-        if self.proc is not None:
-            # Late body outcomes (including failures) are noise now.
-            self.proc._defused = True
         if self._watchers is not None:
             del self._watchers[self]
         self._value = Interrupt(cause)
         self.env._schedule(self, URGENT, 0.0)
 
-    def _settle(self, value: Any) -> None:
-        """Complete inline with ``value`` (called from kernel dispatch)."""
-        if self._watchers is not None:
-            del self._watchers[self]
-        self._value = value
-        callbacks = self.callbacks
-        self.callbacks = None
-        for callback in callbacks:
-            callback(self)
+    def _outcome(self, ok: bool, value: Any) -> bool:
+        if self._value is not _PENDING:
+            return True  # timed out or cancelled; the late outcome is noise
+        if ok:
+            if value is not _NO_RESPONSE and value is not _EXPIRED:
+                self._settle(value)
+            elif self._watchers is None:
+                self._settle(DeadNodeError(
+                    f"rpc {self.verb!r} to dead node {self.dst.node_id} "
+                    f"(no timeout set)"))
+            # else: dead callee or server-side abandonment — the caller
+            # still waits out its own timer (matches call()), so the
+            # watch stays.
+        elif isinstance(value, (RpcTimeout, DeadNodeError, Overloaded,
+                                Interrupt)):
+            self._settle(value)
+        elif self.callbacks:
+            # Unexpected failure (e.g. a replica process crashing
+            # mid-request): propagate as a *failure* of the result, so
+            # waiters re-raise it and fan-out conditions defuse it.
+            self._ok = False
+            self._settle(value)
+        else:
+            # No waiters: stay armed so the kernel's unhandled-failure
+            # check crashes loudly on genuine bugs.
+            return False
+        return True
+
+    def _responded(self, _leg: Event) -> None:
+        if self._value is _PENDING:  # else timed out or cancelled
+            self._settle(self.payload)
+
+    def _expire(self) -> None:
+        """This call's watcher on the shared timer."""
+        if self._value is not _PENDING:
+            return  # settled earlier in this very timer walk
+        if self._deadline_first:
+            self._settle(DeadlineExceeded(
+                f"rpc {self.verb!r} to node {self.dst.node_id} exceeded "
+                f"its deadline"))
+        else:
+            self._settle(RpcTimeout(
+                f"rpc {self.verb!r} to node {self.dst.node_id} timed out "
+                f"after {self._timeout}s"))
+
+
+class _LocalCall(AsyncCall):
+    """:meth:`Cluster.call_local`'s result for a generator handler: the
+    failure-as-value contract of an :class:`AsyncCall` with no wire
+    under it — the handler's process is all there is, so its outcome is
+    this call's, and a cancellation does reach it."""
+
+    __slots__ = ("_work",)
+
+    def __init__(self, env: Environment, work: Generator, name: str) -> None:
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self._watchers = None
+        self._work = Process(env, work, name, True, self._handled)
+
+    def _handled(self, work: Event) -> None:
+        if work._ok:
+            self._outcome(True, work._value)
+        elif self._outcome(False, work._value):
+            work._defused = True
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Interrupt the handler's process — slot queue, disk queue and
+        all; its :class:`Interrupt` comes back as this call's value."""
+        if self._value is _PENDING:
+            self._work.interrupt(cause)
 
 
 class TimerWheel:
@@ -314,43 +513,6 @@ class Cluster:
             done = dst.reserve_cpu(cpu_s, at=done)
         yield Timeout(env, done - env._now)
 
-    def _rpc_body(self, src: Node, dst: Node, verb: str, payload: Any,
-                  request_bytes: int, response_bytes: int,
-                  deadline: Optional[float] = None,
-                  src_cpu_s: float = 0.0) -> Generator:
-        """One RPC round trip: request :meth:`leg`, handler, response leg.
-
-        Both sides pay ``rpc_cpu_s`` per message.  ``src_cpu_s`` (the
-        caller's own pre-request CPU, e.g. driver bookkeeping) and the
-        verb's registered ``cpu_s`` ride the request leg's two core
-        reservations, so neither costs a kernel event.  Liveness and the
-        deadline are checked when the request reaches the handler.
-        """
-        spec = self.spec
-        rpc_cpu = spec.rpc_cpu_s
-        verb_cpu = dst.verb_cpu
-        yield self.leg(
-            src, dst, request_bytes + spec.envelope_bytes,
-            src_cpu_s + rpc_cpu,
-            rpc_cpu + verb_cpu[verb] if verb in verb_cpu else rpc_cpu)
-        if not dst.alive:
-            return _NO_RESPONSE
-        if deadline is not None and self.env._now >= deadline:
-            # Deadline propagation: the budget is already spent when the
-            # request arrives, so the callee drops it without computing a
-            # result nobody will read (the caller's own timer fires).
-            self.abandoned_rpcs += 1
-            return _EXPIRED
-        handler = dst.handlers.get(verb)
-        if handler is None:
-            raise LookupError(f"node {dst.node_id} has no handler for {verb!r}")
-        result = yield from handler(payload)
-        if not dst.alive:
-            return _NO_RESPONSE
-        yield self.leg(dst, src, response_bytes + spec.envelope_bytes,
-                       0.0, rpc_cpu)
-        return result
-
     def call(self, src: Node, dst: Node, verb: str, payload: Any = None,
              request_bytes: int = 0, response_bytes: int = 0,
              timeout: Optional[float] = None,
@@ -363,73 +525,69 @@ class Cluster:
         absolute ``deadline`` passes first, or :class:`DeadNodeError`
         when the callee is dead and neither bound was given.
         ``src_cpu_s`` is extra caller-side CPU charged ahead of the
-        request serialization (see :meth:`_rpc_body`).
+        request serialization (see :class:`_RoundTrip`).
         """
         self.rpc_count += 1
-        if deadline is not None and self.env.now >= deadline:
+        env = self.env
+        if deadline is not None and env._now >= deadline:
             raise DeadlineExceeded(
                 f"rpc {verb!r} to node {dst.node_id}: deadline already "
                 f"passed before send")
         wait_s = timeout
         deadline_first = False
         if deadline is not None:
-            remaining = deadline - self.env.now
+            remaining = deadline - env._now
             if wait_s is None or remaining < wait_s:
                 wait_s = remaining
                 deadline_first = True
+        trip = _RoundTrip(self, src, dst, verb, payload, request_bytes,
+                          response_bytes, deadline, src_cpu_s)
         if wait_s is None:
-            result = yield from self._rpc_body(
-                src, dst, verb, payload, request_bytes, response_bytes,
-                src_cpu_s=src_cpu_s)
+            result = yield trip
             if result is _NO_RESPONSE:
                 raise DeadNodeError(
                     f"rpc {verb!r} to dead node {dst.node_id} (no timeout set)")
             return result
-        # Static name: an f-string per RPC is measurable at stress scale.
-        env = self.env
-        body = env.process(
-            self._rpc_body(src, dst, verb, payload, request_bytes,
-                           response_bytes, deadline=deadline,
-                           src_cpu_s=src_cpu_s),
-            name=verb, eager=True)
         # Instead of an AnyOf race (a condition allocation plus an extra
-        # queue event on every RPC), wait on the body directly and let
-        # the shared timer interrupt this process if it fires while the
-        # body is still the wait target.  The watch is dropped the moment
-        # the caller moves on (completion, interruption or termination).
+        # queue event on every RPC), wait on the round trip directly and
+        # let the shared timer interrupt this process if it fires while
+        # the trip is still the wait target.  The watch is dropped the
+        # moment the caller moves on (completion, interruption or
+        # termination).
         timer, watchers = self._wheel.timer(wait_s, exact=deadline_first)
         caller = env.active_process
 
-        def _expire(caller: Any = caller, body: Any = body) -> None:
-            if caller._target is body:
-                # Guarded delivery: with a propagated deadline the body
-                # can fail (server-side DeadlineExceeded) at the *same*
-                # timestamp this timer fires — the caller then moves on
-                # (e.g. into a retry backoff) before the urgent
+        def _expire(caller: Any = caller, trip: Any = trip) -> None:
+            if caller._target is trip:
+                # Guarded delivery: with a propagated deadline the
+                # handler can fail (server-side DeadlineExceeded) at the
+                # *same* timestamp this timer fires — the caller then
+                # moves on (e.g. into a retry backoff) before the urgent
                 # interrupt lands, and an unconditional interrupt would
                 # crash whatever it is doing now.
-                caller.interrupt(_TIMED_OUT, if_waiting_on=body)
+                caller.interrupt(_TIMED_OUT, if_waiting_on=trip)
 
-        watchers[body] = _expire
+        watchers[trip] = _expire
         try:
-            result = yield body
+            result = yield trip
         except Interrupt as exc:
-            # The body keeps running server-side either way (cancellation
+            # The round trip goes on server-side either way (cancellation
             # does not reach over the wire), so defuse it lest a late
             # handler failure crash the kernel.
-            body.defuse()
+            trip._defused = True
             if exc.cause is not _TIMED_OUT:
                 # Hedge-loser cancellation: the caller abandoned this RPC.
                 raise
             result = _TIMED_OUT
         finally:
-            del watchers[body]
+            del watchers[trip]
         if result is _NO_RESPONSE or result is _EXPIRED:
             # Dead callee or server-side abandonment: the caller still
             # waits out its own timer (unless that is firing right now) —
             # as one more watcher, woken in registration order.
             if timer.callbacks is not None:
-                expired = AsyncCall(env, None, watchers)
+                expired = _RoundTrip._unsent(env)
+                expired._watchers = watchers
                 watchers[expired] = partial(expired._settle, None)
                 yield expired
         elif result is not _TIMED_OUT:
@@ -452,18 +610,18 @@ class Cluster:
         Use for fan-out: fire several calls, then ``yield AllOf(...)`` /
         ``AnyOf(...)`` over the returned events.  Failures become
         exception *values*, never raises, so one dead or shedding callee
-        cannot crash the whole condition.  Costs a single process (the
-        RPC body) per call — the timeout race and the failure-to-value
-        conversion live in callbacks, not in a wrapper process.
+        cannot crash the whole condition.  Costs no process of its own —
+        the round trip, the timeout race and the failure-to-value
+        conversion are callbacks on one object — unless the handler is a
+        generator.
         """
         self.rpc_count += 1
-        env = self.env
         wait_s = timeout
         deadline_first = False
         if deadline is not None:
-            remaining = deadline - env._now
+            remaining = deadline - self.env._now
             if remaining <= 0:
-                result = AsyncCall(env, None)
+                result = AsyncCall._unsent(self.env)
                 result._value = DeadlineExceeded(
                     f"rpc {verb!r} to node {dst.node_id}: deadline already "
                     f"passed before send")
@@ -472,62 +630,28 @@ class Cluster:
             if wait_s is None or remaining < wait_s:
                 wait_s = remaining
                 deadline_first = True
-        body = env.process(
-            self._rpc_body(src, dst, verb, payload, request_bytes,
-                           response_bytes, deadline=deadline,
-                           src_cpu_s=src_cpu_s),
-            name=verb, eager=True)
-        watchers = (self._wheel.timer(wait_s, exact=deadline_first)[1]
-                    if wait_s is not None else None)
-        result = AsyncCall(env, body, watchers)
-        if watchers is not None:
-            def _expire() -> None:
-                if result._value is not _PENDING:
-                    return  # settled earlier in this very timer walk
-                body._defused = True
-                if deadline_first:
-                    result._settle(DeadlineExceeded(
-                        f"rpc {verb!r} to node {dst.node_id} exceeded its "
-                        f"deadline"))
-                else:
-                    result._settle(RpcTimeout(
-                        f"rpc {verb!r} to node {dst.node_id} timed out "
-                        f"after {timeout}s"))
-
-            watchers[result] = _expire
-
-        def _finish(_body: Any) -> None:
-            if result._value is not _PENDING:
-                # Timed out or cancelled; the late outcome is noise.
-                if not _body._ok:
-                    _body._defused = True
-                return
-            value = _body._value
-            if _body._ok:
-                if value is _NO_RESPONSE or value is _EXPIRED:
-                    # Dead callee or server-side abandonment: the caller
-                    # still waits out its own timer (matches call()), so
-                    # the watch stays.
-                    if watchers is None:
-                        result._settle(DeadNodeError(
-                            f"rpc {verb!r} to dead node {dst.node_id} "
-                            f"(no timeout set)"))
-                    return
-                result._settle(value)
-            elif isinstance(value, (RpcTimeout, DeadNodeError, Overloaded,
-                                    Interrupt)):
-                _body._defused = True
-                result._settle(value)
-            elif result.callbacks:
-                # Unexpected failure (e.g. a replica process crashing
-                # mid-request): propagate as a *failure* of the result,
-                # so waiters re-raise it and fan-out conditions defuse
-                # it — exactly what the old wrapper process did.
-                _body._defused = True
-                result._ok = False
-                result._settle(value)
-            # No watchers: stay armed so the kernel's unhandled-failure
-            # check crashes loudly on genuine bugs.
-
-        body.callbacks.append(_finish)
+        result = AsyncCall(self, src, dst, verb, payload, request_bytes,
+                           response_bytes, deadline, src_cpu_s)
+        if wait_s is not None:
+            result._timeout = timeout
+            result._deadline_first = deadline_first
+            watchers = result._watchers = self._wheel.timer(
+                wait_s, exact=deadline_first)[1]
+            watchers[result] = result._expire
         return result
+
+    def call_local(self, work: Any, name: str = "local") -> Event:
+        """Wait for ``work`` — what a verb's handler returned to a caller
+        on the handler's own node — like :meth:`call_async`'s result: no
+        wire, no RPC CPU, no timeout, and not counted as an RPC.
+
+        An event comes back as it is — there is no failure to convert
+        and nothing to cancel.  A generator (a bounded pool is
+        configured, or the caller needs to be able to cancel) runs as a
+        process behind an :class:`AsyncCall`, so a shed, a deadline
+        spent in the queue or a cancellation arrive as values, exactly
+        as they would from a remote replica.
+        """
+        if Event in work.__class__.__mro__:
+            return work
+        return _LocalCall(self.env, work, name)

@@ -72,7 +72,7 @@ class HBaseClient:
         #: Client-side CPU per operation (serialization, bookkeeping),
         #: charged ahead of the first attempt's request serialization —
         #: fused into the RPC's own core reservation so it costs no extra
-        #: kernel event (see ``Cluster._rpc_body``).
+        #: kernel event (see ``cluster.topology._RoundTrip``).
         self.client_overhead_s = client_overhead_s
         #: region_id -> node_id (META cache).
         self._assignment = dict(hbase.master.assignment)

@@ -172,22 +172,40 @@ class RegionServer:
             yield from self._wait_available(region)
             # Handler CPU rides the same core reservation as the engine
             # put (one timeout event, same total service time).
-            yield from region.tree.put(key, value, size, timestamp,
-                                       extra_cpu_s=_HANDLER_CPU_S)
+            yield from region.tree.put_inline(key, value, size, timestamp,
+                                              extra_cpu_s=_HANDLER_CPU_S)
             self.ops["put"] += 1
         finally:
             self._release_slot(slot)
         return True
 
-    def _handle_get(self, payload) -> Generator:
+    def _handle_get(self, payload):
+        """Serve one get: the engine's completion event when nothing can
+        make the request wait first — no bounded pool, region open — so
+        it costs no process; the slot-then-operate generator otherwise."""
         region_id, key, *rest = payload
-        deadline = rest[0] if rest else None
         region = self._region(region_id, key)
+        if self.handler_pool is not None \
+                or region.available_at > self.env._now:
+            return self._get_queued(region, key, rest[0] if rest else None)
+        read = region.tree.get(key, extra_cpu_s=_HANDLER_CPU_S)
+        if read.callbacks is None:
+            self._count_get(read)
+        else:
+            read.callbacks.append(self._count_get)
+        return read
+
+    def _count_get(self, read: Event) -> None:
+        if read._ok:
+            self.ops["get"] += 1
+
+    def _get_queued(self, region: Region, key: str,
+                    deadline: Optional[float]) -> Generator:
         slot = yield from self._acquire_slot(deadline)
         try:
             yield from self._wait_available(region)
-            result = yield from region.tree.get(key,
-                                                extra_cpu_s=_HANDLER_CPU_S)
+            result = yield from region.tree.get_inline(
+                key, extra_cpu_s=_HANDLER_CPU_S)
             self.ops["get"] += 1
         finally:
             self._release_slot(slot)

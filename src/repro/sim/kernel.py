@@ -166,6 +166,16 @@ class Event:
         """Mark a failed event as handled so it does not crash the run."""
         self._defused = True
 
+    def __iter__(self) -> Generator:
+        """``yield from event`` means ``yield event``.
+
+        An operation that used to be a generator and now returns its
+        completion event keeps working at every ``yield from op(...)``
+        call site; new code yields the event itself and saves this
+        frame.
+        """
+        return (yield self)
+
     # -- composition -------------------------------------------------
 
     def __and__(self, other: "Event") -> "Condition":
@@ -248,12 +258,17 @@ class Process(Event):
     __slots__ = ("_generator", "_target", "name")
 
     def __init__(self, env: "Environment", generator: Generator,
-                 name: Optional[str] = None, eager: bool = False) -> None:
+                 name: Optional[str] = None, eager: bool = False,
+                 callback: Optional[Callable[[Event], None]] = None) -> None:
         if generator.__class__ is not GeneratorType \
                 and not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
         self.env = env
-        self.callbacks = []
+        # ``callback`` subscribes to the completion before the body runs:
+        # an eager process can terminate — or fail — inside its first
+        # segment, and whoever turns that failure into a value must be
+        # listening by then (:meth:`_finalize` raises what nobody took).
+        self.callbacks = [] if callback is None else [callback]
         self._value = _PENDING
         self._ok = True
         self._defused = False
@@ -272,14 +287,8 @@ class Process(Event):
         # this is opt-in for hot spawn sites that tolerate that drift —
         # it removes one heap event + one dispatch per spawn on paths
         # that create a process per RPC.
-        start = Event.__new__(Event)
-        start.env = env
-        start.callbacks = None
-        start._value = None
-        start._ok = True
-        start._defused = False
         prev = env._active_process
-        self._resume(start)
+        self._resume(env._started)
         env._active_process = prev
 
     @property
@@ -498,6 +507,12 @@ class Environment:
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
+        #: What every eager process is "resumed" with to run its first
+        #: segment: one processed, successful, valueless event, shared —
+        #: nothing ever writes to it.
+        self._started = Event(self)
+        self._started.callbacks = None
+        self._started._value = None
         #: Events actually dispatched (stale queue entries excluded) —
         #: the denominator of every events/sec figure ``repro-bench
         #: perf`` reports.  Deterministic: two replica runs agree.

@@ -18,7 +18,7 @@ from typing import Any, Generator, Optional, Protocol
 
 from repro.cluster.disk import BACKGROUND, FOREGROUND
 from repro.cluster.node import Node
-from repro.sim.kernel import Environment, Timeout
+from repro.sim.kernel import Environment, Event, Process, Timeout
 from repro.storage.cache import BlockCache
 from repro.storage.compaction import (merge_tables, pick_compaction,
                                       pick_leveled_compaction)
@@ -32,8 +32,13 @@ __all__ = ["LocalDiskMedium", "LsmTree", "StorageMedium", "StorageSpec"]
 class StorageMedium(Protocol):
     """Physical placement of a tree's log, runs and blocks."""
 
-    def append_log(self, size: int, sync: bool) -> Generator:
-        """Append ``size`` bytes to the write-ahead/commit log."""
+    def append_log(self, size: int, sync: bool) -> Optional[Generator]:
+        """Append ``size`` bytes to the write-ahead/commit log.
+
+        ``None`` when the bytes are buffered and there is nothing to wait
+        for; otherwise the generator that returns once they are
+        acknowledged.
+        """
         ...
 
     def read_block(self, size: int, priority: int, handle=None) -> Generator:
@@ -60,14 +65,12 @@ class LocalDiskMedium:
     def __init__(self, node: Node) -> None:
         self.node = node
 
-    def append_log(self, size: int, sync: bool) -> Generator:
+    def append_log(self, size: int, sync: bool) -> Optional[Generator]:
         if sync:
-            yield from self.node.disk.write(size, sequential=True,
-                                            priority=FOREGROUND)
-        else:
-            self.node.disk.append_buffered(size)
-            return
-            yield  # pragma: no cover - keeps this a generator
+            return self.node.disk.write(size, sequential=True,
+                                        priority=FOREGROUND)
+        self.node.disk.append_buffered(size)
+        return None
 
     def read_block(self, size: int, priority: int = FOREGROUND,
                    handle=None) -> Generator:
@@ -117,6 +120,27 @@ class StorageSpec:
     cpu_compact_per_entry_s: float = 8e-7
 
 
+def _settled(env: Environment, value: Any = None) -> Event:
+    """An event that has already happened (nothing was waited for)."""
+    event = Event(env)
+    event.callbacks = None
+    event._value = value
+    return event
+
+
+def _finish(done: Event, ok: bool, value: Any) -> None:
+    """Complete ``done`` inline: its waiters run now, inside the kernel
+    dispatch that produced ``value``, the way a terminating process
+    settles — no queue event of its own."""
+    done._ok = ok
+    done._value = value
+    callbacks, done.callbacks = done.callbacks, None
+    for callback in callbacks:
+        callback(done)
+    if not ok and not done._defused:
+        raise value
+
+
 class LsmTree:
     """Log-structured merge tree over a :class:`StorageMedium`."""
 
@@ -148,27 +172,67 @@ class LsmTree:
     # -- write path -----------------------------------------------------
 
     def put(self, key: str, value: Any, size: int, timestamp: float,
-            extra_cpu_s: float = 0.0) -> Generator:
-        """Durably buffer one mutation (a simulation process).
+            extra_cpu_s: float = 0.0) -> Event:
+        """Durably buffer one mutation; the returned event fires once
+        readers can see it.
 
         ``extra_cpu_s`` lets the caller fold its own per-request CPU
         charge (RPC-verb handling) into the same core reservation — one
         timeout event instead of two on a path every replica write takes.
+
+        With a buffered log append — every Cassandra commit log outside
+        the durability ablation — the put costs no process: the event is
+        the CPU timeout itself (see :meth:`_apply`).  A log append that
+        has to be waited for runs :meth:`put_inline` as a small process.
         """
-        yield from self.wal.append(size)
-        node = self.node
-        end = node.reserve_cpu(extra_cpu_s + self.spec.cpu_put_s)
+        logging = self.wal.append(size)
+        if logging is None:
+            return self._apply(key, value, size, timestamp, extra_cpu_s)
+        return Process(
+            self.env, self.put_inline(key, value, size, timestamp,
+                                      extra_cpu_s, logging),
+            f"{self.name}-put", True)
+
+    def put_inline(self, key: str, value: Any, size: int, timestamp: float,
+                   extra_cpu_s: float = 0.0,
+                   logging: Optional[Generator] = None) -> Generator:
+        """:meth:`put` as steps of the calling process (``yield from``):
+        for the caller that is a process already and waits on the log
+        every time — HBase's put handler, whose WAL lives in HDFS — and
+        should not pay for a second one.  ``logging`` is the log append
+        already under way (how :meth:`put` gets here)."""
+        if logging is None:
+            logging = self.wal.append(size)
+        if logging is not None:
+            yield from logging
+        yield self._apply(key, value, size, timestamp, extra_cpu_s)
+
+    def _apply(self, key: str, value: Any, size: int, timestamp: float,
+               extra_cpu_s: float) -> Event:
+        """Book the put's CPU; the returned timeout's *first* callback
+        inserts into the memtable, so every later subscriber — a waiting
+        process, the RPC transport about to book the response — finds
+        the mutation applied (and the memtable rotated, if it was due).
+
+        The insert happens when the CPU work completes, not when the
+        core was booked — visibility timing is what the staleness oracle
+        measures.
+        """
+        def insert(_wait: Optional[Event] = None) -> None:
+            self.active.put(key, value, size, timestamp)
+            self.stats["puts"] += 1
+            if self.active.size_bytes >= self.spec.memtable_flush_bytes:
+                self._rotate()
+
         env = self.env
+        end = self.node.reserve_cpu(extra_cpu_s + self.spec.cpu_put_s)
         now = env._now
-        if end > now:
-            yield Timeout(env, end - now)
-        # Insert after the CPU wait: the mutation becomes visible to
-        # readers when the work completes, not when the core was booked —
-        # visibility timing is what the staleness oracle measures.
-        self.active.put(key, value, size, timestamp)
-        self.stats["puts"] += 1
-        if self.active.size_bytes >= self.spec.memtable_flush_bytes:
-            self._rotate()
+        if end <= now:
+            insert()
+            return _settled(env)
+        wait = Timeout(env, end - now)
+        wait.callbacks.append(insert)
+        return wait
 
     def _rotate(self) -> None:
         frozen, self.active = self.active, Memtable()
@@ -218,42 +282,114 @@ class LsmTree:
         self.stats["block_reads"] += 1
 
     def get(self, key: str, priority: int = FOREGROUND,
-            extra_cpu_s: float = 0.0) -> Generator:
-        """Return the newest ``(value, timestamp)`` for ``key`` or None.
+            extra_cpu_s: float = 0.0) -> Event:
+        """Look up the newest ``(value, timestamp)`` for ``key`` (or
+        None); the returned event fires with it.
 
         ``extra_cpu_s`` folds the caller's per-request CPU charge into
         the same core reservation (see :meth:`put`).  The whole lookup —
         the request, the memtable probe, one bloom check per run — is
-        one reservation and one wait; after it the read sees the tree as
-        of that instant (memtables, and the run list it holds on to) and
-        yields again only for blocks the cache does not hold.
+        one reservation and one wait; when it ends the read sees the
+        tree as of that instant (memtables, and the run list it holds on
+        to).  While every block it needs is cached that is all there is:
+        the timeout's callback walks the tree and completes the event
+        inline.  From the first block the cache does not hold, the rest
+        of the walk runs as a small process.
         """
+        env = self.env
+        delay = self._start_get(key, extra_cpu_s)
+        if delay is None:
+            return _settled(env)
+        done = Event(env)
+
+        def walk(_wait: Optional[Event] = None) -> None:
+            best, missed = self._probe(key)
+            if missed is None:
+                _finish(done, True, best)
+            else:
+                Process(env, self._probe_loading(key, priority, best, missed),
+                        f"{self.name}-get", True, loaded)
+
+        def loaded(loader: Event) -> None:
+            loader._defused = True  # a failed load is done's to report
+            _finish(done, loader._ok, loader._value)
+
+        if delay > 0:
+            Timeout(env, delay).callbacks.append(walk)
+        else:
+            walk()
+        return done
+
+    def get_inline(self, key: str, priority: int = FOREGROUND,
+                   extra_cpu_s: float = 0.0) -> Generator:
+        """:meth:`get` as steps of the calling process (``yield from``).
+
+        For a caller that is a process already and must stay one unit: a
+        handler holding a pool slot is interrupted as a whole when its
+        hedged read loses, and the interrupt has to reach the disk queue
+        the lookup may be standing in.
+        """
+        delay = self._start_get(key, extra_cpu_s)
+        if delay is None:
+            return None
+        if delay > 0:
+            yield Timeout(self.env, delay)
+        best, missed = self._probe(key)
+        if missed is not None:
+            best = yield from self._probe_loading(key, priority, best, missed)
+        return best
+
+    def _start_get(self, key: str, extra_cpu_s: float) -> Optional[float]:
+        """Count one lookup and book its CPU; returns how long until the
+        tree may be walked, or None for a key handed to a split daughter
+        (nothing to read, nothing charged)."""
         self.stats["gets"] += 1
         if self._drop_from is not None and key >= self._drop_from:
             return None
         spec = self.spec
-        env = self.env
-        end = self.node.reserve_cpu(
+        return self.node.reserve_cpu(
             extra_cpu_s + spec.cpu_get_s
-            + spec.cpu_per_table_check_s * len(self.sstables))
-        now = env._now
-        if end > now:
-            yield Timeout(env, end - now)
-        best: Optional[tuple[Any, float]] = None
-        for memtable in [self.active, *self.flushing]:
-            found = memtable.get(key)
-            if found is not None and (best is None or found[1] > best[1]):
-                best = (found[0], found[1])
+            + spec.cpu_per_table_check_s * len(self.sstables)) - self.env._now
+
+    def _probe(self, key: str, best: Optional[tuple[Any, float]] = None,
+               tables: Optional[list[SSTable]] = None
+               ) -> tuple[Optional[tuple[Any, float]], Optional[list[SSTable]]]:
+        """Walk the tree for ``key`` as far as memory goes.
+
+        Returns ``(best, None)`` — the newest version found — or, on
+        reaching a block the cache does not hold, ``(best so far, the
+        runs still to visit)``, that block's run first.  Called without
+        ``tables`` it starts a lookup: memtables, then the current runs.
+        """
+        if tables is None:
+            for memtable in [self.active, *self.flushing]:
+                found = memtable.get(key)
+                if found is not None and (best is None or found[1] > best[1]):
+                    best = (found[0], found[1])
+            tables = self.sstables
         contains = self.cache.contains
-        for table in self.sstables:
+        for table in tables:
             if not table.might_contain(key):
                 continue
-            block_no = table.block_of(key)
-            if not contains(table.sstable_id, block_no):
-                yield from self._load_block(table, block_no, priority)
+            if not contains(table.sstable_id, table.block_of(key)):
+                return best, tables[tables.index(table):]
             found = table.get(key)
             if found is not None and (best is None or found[1] > best[1]):
                 best = (found[0], found[1])
+        return best, None
+
+    def _probe_loading(self, key: str, priority: int,
+                       best: Optional[tuple[Any, float]],
+                       tables: Optional[list[SSTable]]) -> Generator:
+        """The rest of a lookup from its first block-cache miss on:
+        ``tables[0]``'s block has to come from the medium."""
+        while tables:
+            table = tables[0]
+            yield from self._load_block(table, table.block_of(key), priority)
+            found = table.get(key)
+            if found is not None and (best is None or found[1] > best[1]):
+                best = (found[0], found[1])
+            best, tables = self._probe(key, best, tables[1:])
         return best
 
     def scan(self, start_key: str, limit: int, priority: int = FOREGROUND,

@@ -15,7 +15,7 @@ two systems place it differently:
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Optional
 
 __all__ = ["WriteAheadLog"]
 
@@ -29,19 +29,18 @@ class WriteAheadLog:
         self.appended_bytes = 0
         self.appends = 0
 
-    def append(self, size: int) -> Generator:
-        """Append one record of ``size`` bytes (a simulation process).
+    def append(self, size: int) -> Optional[Generator]:
+        """Append one record of ``size`` bytes.
 
-        With ``sync_every_append`` the append does not return until the
-        medium reports the bytes durable (used by the durability ablation
-        benchmark); otherwise the medium buffers them.
+        Returns ``None`` when the medium buffered the record and the
+        caller may go on at once, otherwise the generator to run
+        (``yield from``) until the record is acknowledged: always with
+        ``sync_every_append`` (the durability ablation benchmark), and
+        on media whose log lives across the network.
         """
         self.appends += 1
         self.appended_bytes += size
-        if self.sync_every_append:
-            yield from self.medium.append_log(size, sync=True)
-        else:
-            yield from self.medium.append_log(size, sync=False)
+        return self.medium.append_log(size, sync=self.sync_every_append)
 
     def truncate(self) -> None:
         """Discard log segments covered by a completed flush."""

@@ -7,6 +7,7 @@ experiments stay reproducible (see :class:`repro.sim.rng.RngRegistry`).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 from repro.keyspace import fnv64
@@ -82,7 +83,16 @@ class ZipfianGenerator:
                          / (1 - self._zeta2 / self._zeta))
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def _zeta_static(n: int, theta: float) -> float:
+        """O(n) — once per size.
+
+        Every open-loop run builds a generator over its whole user
+        population and every workload one over its records; the sizes
+        repeat.  The expression is the one every earlier run drew from:
+        ``sum()`` over floats is compensated from Python 3.12, so a
+        hand-written accumulation would not give the same float there.
+        """
         return sum(1.0 / (i ** theta) for i in range(1, n + 1))
 
     def next(self) -> int:

@@ -315,7 +315,7 @@ class TestReadRepairLatencyPath:
             yield env.timeout(1.0)
             replicas = cassandra.replicas_of(key)
             owner = cassandra.nodes[replicas[1]]
-            yield from owner.local_mutate(key, "v1", 100, env.now)
+            yield owner._handle_mutate((key, "v1", 100, env.now))
             return owner
 
         return drive(env, setup())

@@ -186,7 +186,7 @@ class TestReadRepair:
             # Manufacture staleness: write v2 directly to the main replica
             # only (bypassing the coordinator).
             main = cassandra.nodes[replicas[0]]
-            yield env.process(main.local_mutate(key, "v2", 100, env.now))
+            yield main._handle_mutate((key, "v2", 100, env.now))
             # A read with repair chance 1.0 must detect and repair.
             result = yield from session.read(key, 100)
             yield env.timeout(1)
@@ -210,7 +210,7 @@ class TestReadRepair:
             yield from session.insert(key, "v1", 100)
             yield env.timeout(1)
             main = cassandra.nodes[replicas[0]]
-            yield env.process(main.local_mutate(key, "v2", 100, env.now))
+            yield main._handle_mutate((key, "v2", 100, env.now))
             yield from session.read(key, 100)
             yield env.timeout(2)  # background reconcile completes
 
@@ -231,8 +231,7 @@ class TestReadRepair:
                                       cl=ConsistencyLevel.ALL)
             yield env.timeout(1)
             blocking = cassandra.nodes[replicas[1]]
-            yield env.process(blocking.local_mutate(key, "v2", 100,
-                                                    env.now))
+            yield blocking._handle_mutate((key, "v2", 100, env.now))
             result = yield from session.read(key, 100,
                                              cl=ConsistencyLevel.QUORUM)
             return result
@@ -265,7 +264,7 @@ class TestReadRepair:
             yield from session.insert(key, "v1", 100)
             yield env.timeout(1)
             main = cassandra.nodes[replicas[0]]
-            yield env.process(main.local_mutate(key, "v2", 100, env.now))
+            yield main._handle_mutate((key, "v2", 100, env.now))
             yield from session.read(key, 100)
             yield env.timeout(2)  # background reconcile completes
             return {cassandra.nodes[r].newest_timestamp(key)

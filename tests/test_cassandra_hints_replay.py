@@ -2,6 +2,7 @@
 
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.deployment import CassandraCluster, CassandraSpec
+from repro.cassandra.hints import Hint
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.keyspace import key_for_index
 from repro.sim.kernel import Environment
@@ -127,3 +128,48 @@ class TestHintReplay:
 
         drive(env, scenario())
         assert cassandra.total_stats()["hints_stored"] == 0
+
+
+class TestBacklogRemoval:
+    """Delivered hints leave the store in one pass per wave, by identity
+    — ``list.remove`` per hint was a scan through ``Hint.__eq__``,
+    quadratic in exactly the backlog a partition builds."""
+
+    def test_large_backlog_drains_without_comparing_hints(self, monkeypatch):
+        env, cluster, cassandra, _ = build()
+        owner = cassandra.server_nodes[0].node_id
+        alive, dead = [n.node_id for n in cassandra.server_nodes
+                       if n.node_id != owner][:2]
+        store = cassandra.nodes[owner].hints
+        cluster.kill(dead)
+        compared = []
+        plain_eq = Hint.__eq__
+        monkeypatch.setattr(Hint, "__eq__", lambda a, b: (
+            compared.append(1), plain_eq(a, b))[1])
+
+        n = 3_000
+        hints = [Hint(alive if i % 3 else dead, key_for_index(i), i, 100,
+                      float(i)) for i in range(n)]
+        twin = Hint(alive, key_for_index(1), 1, 100, 1.0)   # == hints[1]
+        for hint in hints + [twin]:
+            store.store(hint)
+        held = [h for h in hints if h.target_node_id == dead]
+        late = Hint(dead, key_for_index(n), n, 100, float(n))
+
+        def scenario():
+            # A few waves into the round: a hint stored now is not part
+            # of it and must survive it, after the others.
+            yield env.timeout(store.replay_interval_s + 3e-3)
+            assert 0 < store.delivered < n - len(held) + 1
+            store.store(late)
+            yield env.timeout(10.0)
+
+        drive(env, scenario())
+        assert not compared
+        # Everything for the live target went, the equal twins both;
+        # what is held back kept its order, the late one last.
+        assert store.delivered == n - len(held) + 1
+        assert len(store) == len(held) + 1
+        assert all(a is b for a, b in zip(store._hints, held + [late]))
+        assert store.stored == n + 2
+        assert store.attempts == store.delivered + store.failures

@@ -17,12 +17,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cassandra.coordinator import Coordinator
 from repro.cluster.topology import (AsyncCall, Cluster, ClusterSpec,
-                                    RpcTimeout)
+                                    RpcTimeout, _LocalCall, _RoundTrip)
 from repro.core.config import default_stress_config, scaled_stress_storage
 from repro.core.experiment import ExperimentSession
-from repro.sim.kernel import AllOf, Environment, Interrupt, Process
+from repro.sim.kernel import (AllOf, Environment, Interrupt, Process,
+                              Timeout)
 from repro.sim.resources import Overloaded
 from repro.sim.rng import RngRegistry
 
@@ -116,19 +116,20 @@ class TestSettledRpcsAreReleased:
         assert live(env, Process) == 0
         assert live(env, AsyncCall) == 0
 
-    def test_local_catching_value_has_no_traceback(self):
-        env = Environment()
+    def test_local_shed_value_has_no_traceback(self):
+        env, cluster = make()
 
-        def local_read():
+        def local_read(payload):
             yield env.timeout(0.001)
             raise Overloaded("local queue full")
 
-        # _local_catching reads nothing off the coordinator.
-        proc = env.process(Coordinator._local_catching(None, local_read()))
-        value = env.run(until=proc)
+        call = cluster.call_local(local_read(None))
+        assert live(env, _LocalCall) == live(env, Process) == 1
+        value = env.run(until=call)
         assert type(value) is Overloaded and value.__traceback__ is None
-        del proc, value
+        del call, value
         assert live(env, Process) == 0
+        assert live(env, _LocalCall) == 0
 
     def test_watchers_equal_rpcs_in_flight(self):
         env, cluster = make(4)
@@ -162,15 +163,108 @@ class TestSettledRpcsAreReleased:
         # In flight: the two slow handlers (x2: async + sync) and every
         # call to the dead node, which waits out its timer (2 + 2).
         assert watching(cluster)[1] == 8
-        # The pending AllOf holds all six fan-out calls, settled or not;
-        # the other two are the dead-node sync callers' timer waits.
-        assert live(env, AsyncCall) == 6 + 2
+        # The pending AllOf holds all six fan-out calls, settled or not.
+        assert live(env, AsyncCall) == 6
+        # Sync callers hold a bare round trip each while inside call():
+        # the two slow ones in flight, and per dead-node caller the
+        # silent trip plus the timer wait that replaced it.
+        assert live(env, _RoundTrip) == 2 + 2 * 2
         env.run(until=1.0)
         assert watching(cluster)[1] == 4
+        assert live(env, _RoundTrip) == 2 * 2
         env.run(until=12.0)
         assert watching(cluster) == (0, 0)
         assert live(env, Process) == 0
         assert live(env, AsyncCall) == 0
+        assert live(env, _RoundTrip) == 0
+
+
+class TestProcessFreeRpcsAreReleased:
+    """A handler that returns an event costs no process; what is left to
+    own the RPC's state is the round-trip object, reachable only from
+    the leg or handler event it is subscribed to and from its waiter."""
+
+    @staticmethod
+    def serve(env, delay_s):
+        def handler(payload):
+            return env.timeout(delay_s, value=payload)
+        return handler
+
+    @staticmethod
+    def refuse(payload):
+        raise Overloaded("queue full")
+
+    def test_after_settle(self):
+        env, cluster = make()
+        a, b, _ = cluster.nodes
+        b.register("echo", self.serve(env, 0.001))
+
+        def client():
+            for i in range(N):
+                assert (yield from cluster.call(a, b, "echo", i,
+                                                timeout=10.0)) == i
+            calls = [cluster.call_async(a, b, "echo", i, timeout=10.0)
+                     for i in range(N)]
+            assert live(env, Process) == 1   # this client, nothing else
+            yield AllOf(env, calls)
+            return [call.value for call in calls]
+
+        assert env.run(until=env.process(client())) == list(range(N))
+        timers, watchers = watching(cluster)
+        assert timers >= 1 and watchers == 0
+        assert live(env, Process) == 0
+        assert live(env, AsyncCall) == live(env, _RoundTrip) == 0
+        # Only the shared 10 s timers are still to fire: no leg, no
+        # handler event.
+        assert live(env, Timeout) == timers
+
+    def test_after_timeout(self):
+        env, cluster = make()
+        a, b, _ = cluster.nodes
+        b.register("slow", self.serve(env, 5.0))
+
+        def client():
+            call = cluster.call_async(a, b, "slow", timeout=1.0)
+            with pytest.raises(RpcTimeout):
+                yield from cluster.call(a, b, "slow", timeout=1.0)
+            return type((yield call))
+
+        assert env.run(until=env.process(client())) is RpcTimeout
+        assert env.now == 1.0
+        assert watching(cluster) == (0, 0)
+        # Both requests are still being served (cancellation does not
+        # reach over the wire); each round trip lives exactly as long
+        # as its handler event and response leg.
+        assert live(env, AsyncCall) == live(env, _RoundTrip) == 1
+        env.run()
+        assert live(env, AsyncCall) == live(env, _RoundTrip) == 0
+        assert live(env, Timeout) == live(env, Process) == 0
+
+    def test_after_a_shed(self):
+        env, cluster = make()
+        a, b, _ = cluster.nodes
+        b.register("shed", self.refuse)
+        seen = []
+
+        def client():
+            for _ in range(N):
+                try:
+                    yield from cluster.call(a, b, "shed", timeout=10.0)
+                except Overloaded as exc:
+                    seen.append(type(exc))
+            calls = [cluster.call_async(a, b, "shed", timeout=10.0)
+                     for _ in range(N)]
+            yield AllOf(env, calls)
+            return [call.value for call in calls]
+
+        values = env.run(until=env.process(client()))
+        assert seen == [Overloaded] * N
+        assert all(type(v) is Overloaded and v.__traceback__ is None
+                   for v in values)
+        assert watching(cluster)[1] == 0
+        del values
+        assert live(env, Process) == 0
+        assert live(env, AsyncCall) == live(env, _RoundTrip) == 0
 
 
 class TestCellsDoNotAccumulateRpcState:

@@ -153,7 +153,7 @@ class TestBoundedPoolWiring:
 
         def reader():
             try:
-                yield from cnode.local_read_data("nope")
+                yield from cnode._handle_read_data(("nope", None))
                 outcomes.append("ok")
             except Overloaded:
                 outcomes.append("shed")
@@ -223,8 +223,8 @@ class TestBoundedPoolWiring:
 
         def impatient():
             try:
-                yield from cnode.local_read_data(
-                    "nope", deadline=env.now + 0.01)
+                yield from cnode._handle_read_data(
+                    ("nope", env.now + 0.01))
                 outcomes.append("ok")
             except DeadlineExceeded:
                 outcomes.append("expired")

@@ -67,6 +67,27 @@ class TestZipfianGenerator:
         with pytest.raises(ValueError):
             ZipfianGenerator(0, random.Random(0))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 400, 4_000, 100_000])
+    def test_memoized_zeta_is_the_same_float(self, n):
+        theta = ZipfianGenerator.ZIPFIAN_CONSTANT
+        reference = sum(1.0 / (i ** theta) for i in range(1, n + 1))
+        uncached = ZipfianGenerator._zeta_static.__wrapped__(n, theta)
+        # ``==``, not approx: every draw is ``u * zeta`` compared against
+        # fixed thresholds, so one ulp would move a replay digest.
+        assert uncached == reference
+        assert ZipfianGenerator._zeta_static(n, theta) == reference
+
+    def test_generators_of_one_size_share_one_zeta_sum(self):
+        zeta = ZipfianGenerator._zeta_static
+        zeta.cache_clear()
+        first = ZipfianGenerator(12_345, random.Random(1))
+        misses = zeta.cache_info().misses   # n = 12_345 and n = 2
+        second = ScrambledZipfianGenerator(12_345, random.Random(2))
+        assert zeta.cache_info().misses == misses
+        assert second._zipf._zeta == first._zeta
+        ZipfianGenerator(12_346, random.Random(3))
+        assert zeta.cache_info().misses == misses + 1
+
 
 class TestScrambledZipfian:
     def test_values_in_range(self):
