@@ -106,7 +106,7 @@ class CassandraSession:
         """Absolute deadline for an operation starting now (incl. retries)."""
         if self.deadline_s is None:
             return None
-        return self.cluster.env.now + self.deadline_s
+        return self.cluster.env._now + self.deadline_s
 
     def _call(self, handler: str, make_payload, request_bytes: int,
               response_bytes: int,
@@ -144,7 +144,7 @@ class CassandraSession:
         deadline = self._op_deadline()
         result = yield from self._call(
             "c.coord_write",
-            lambda: (key, value, size, self.cluster.env.now, cl.value,
+            lambda: (key, value, size, self.cluster.env._now, cl.value,
                      deadline),
             request_bytes=size + 80, response_bytes=20, deadline=deadline)
         return result

@@ -515,18 +515,18 @@ class Coordinator:
         there is a hedge policy, so whenever this method gets as far as
         speculating.
         """
-        start = self.env.now
+        start = self.env._now
         hedge = self.hedge
         delay = hedge.delay() if hedge is not None else None
         if delay is None or not spares:
             yield proc
             if not isinstance(proc.value, Exception) and hedge is not None:
-                hedge.observe(self.env.now - start)
+                hedge.observe(self.env._now - start)
             return proc.value, replica
         timer = self.env.timeout(delay)
         yield AnyOf(self.env, [proc, timer])
         if proc.processed and not isinstance(proc.value, Exception):
-            hedge.observe(self.env.now - start)
+            hedge.observe(self.env._now - start)
             return proc.value, replica
         # Primary is straggling (or already failed): speculate.
         hedge.hedges += 1
@@ -550,7 +550,7 @@ class Coordinator:
                 loser = next(p for p, _ in contenders if p is not win_proc)
                 if loser.is_alive:
                     loser.interrupt("hedge lost")
-                hedge.observe(self.env.now - start)
+                hedge.observe(self.env._now - start)
                 return win_proc.value, win_replica
             if not pending:
                 # Both attempts failed; surface the primary's error.

@@ -81,7 +81,7 @@ class HBaseClient:
         self.hedge_wins = 0
 
     def _server_node(self, region_id: int) -> Node:
-        return self.cluster.node(self._assignment[region_id])
+        return self.cluster.nodes[self._assignment[region_id]]
 
     def _refresh_assignment(self) -> Generator:
         self._assignment = yield from self.cluster.call(
@@ -93,7 +93,7 @@ class HBaseClient:
                      request_bytes: int, response_bytes: int,
                      token: Optional[int] = None) -> Generator:
         env = self.cluster.env
-        deadline = (env.now + self.deadline_s
+        deadline = (env._now + self.deadline_s
                     if self.deadline_s is not None else None)
         base = payload
         if deadline is not None:
@@ -105,7 +105,7 @@ class HBaseClient:
                 delay = backoff_delay(self.retry_backoff_s, attempt,
                                       self.backoff_cap_s, self._rng)
                 if deadline is not None:
-                    remaining = deadline - env.now
+                    remaining = deadline - env._now
                     if remaining <= 0:
                         raise DeadlineExceeded(
                             f"{verb} on region {region_id}: budget spent "
@@ -152,7 +152,7 @@ class HBaseClient:
         is interrupted.
         """
         env = self.cluster.env
-        start = env.now
+        start = env._now
         hedge = self.hedge if verb != "rs.put" else None
         delay = hedge.delay() if hedge is not None else None
         primary = self.cluster.call_async(
@@ -163,13 +163,11 @@ class HBaseClient:
             yield AnyOf(env, [primary, env.timeout(delay)])
         if delay is None or (primary.processed
                              and not isinstance(primary.value, Exception)):
-            if not primary.processed:
-                yield primary
-            result = primary.value
+            result = yield primary  # at once, when it has answered
             if isinstance(result, Exception):
                 raise result
             if hedge is not None:
-                hedge.observe(env.now - start)
+                hedge.observe(env._now - start)
             return result
         # Primary is straggling (or already failed): re-locate the region
         # (it may have failed over) and race a duplicate read against it.
@@ -196,7 +194,7 @@ class HBaseClient:
                 loser = next(p for p in contenders if p is not winner)
                 if loser.is_alive:
                     loser.interrupt("hedge lost")
-                hedge.observe(env.now - start)
+                hedge.observe(env._now - start)
                 return winner.value
             if not pending:
                 raise primary.value
@@ -209,7 +207,7 @@ class HBaseClient:
         token = token_of(key)
         region = self.hbase.region_for_token(token)
         payload = (region.region_id, key, value, size,
-                   self.cluster.env.now)
+                   self.cluster.env._now)
         result = yield from self._call_region(
             region.region_id, "rs.put", payload,
             request_bytes=size + 60, response_bytes=20, token=token)

@@ -6,6 +6,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.cluster.disk import BACKGROUND, FOREGROUND
 from repro.keyspace import key_for_token
+from repro.sim.kernel import Event
 from repro.storage.lsm import LsmTree, StorageSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -29,9 +30,11 @@ class RegionMedium:
     def __init__(self, server: "RegionServer") -> None:
         self.server = server
 
-    def append_log(self, size: int, sync: bool) -> Generator:
-        """Route the region's WAL record into the server-wide group commit."""
-        yield from self.server.wal.append(size)
+    def append_log(self, size: int, sync: bool) -> Event:
+        """Route the region's WAL record into the server-wide group
+        commit (whose own ``sync`` mode decides hflush or hsync); the
+        returned event fires once the record is pipeline-acked."""
+        return self.server.wal.append(size)
 
     def read_block(self, size: int, priority: int = FOREGROUND,
                    handle=None) -> Generator:
@@ -47,7 +50,7 @@ class RegionMedium:
     def write_run(self, size: int) -> Generator:
         """Create a new HFile through the HDFS pipeline; returns its handle."""
         file = yield from self.server.dfs.create("hfile", size)
-        yield from self.server.dfs.append(file, size, sync=False)
+        yield self.server.dfs.append(file, size, sync=False)
         return file
 
 

@@ -9,7 +9,8 @@ from repro.cluster.topology import DeadlineExceeded
 from repro.hdfs.block import DfsFile
 from repro.hdfs.client import WAL_SEGMENT_BYTES, DfsClient
 from repro.hbase.region import Region
-from repro.sim.kernel import AnyOf, Environment, Event, ModelledFailure
+from repro.sim.kernel import (_PENDING, AnyOf, Environment, Event, Initialize,
+                              ModelledFailure, Process, Timeout)
 from repro.sim.resources import BoundedResource, Resource
 
 __all__ = ["GroupCommitWal", "NotServingRegion", "RegionServer"]
@@ -30,7 +31,7 @@ class NotServingRegion(ModelledFailure):
 class GroupCommitWal:
     """One WAL per RegionServer, written through the HDFS pipeline.
 
-    Appends from concurrent handlers are batched: a writer loop drains
+    Appends from concurrent handlers are batched: the writer drains
     everything that accumulated since the last round and pushes it as one
     append (HBase's FSHLog ring-buffer sync batching), and up to
     ``pipeline_depth`` rounds travel the HDFS pipeline concurrently (the
@@ -38,6 +39,13 @@ class GroupCommitWal:
     Batching plus in-flight overlap is why HBase's *throughput* stays flat
     as the replication factor grows even though each individual ack chain
     gets longer.
+
+    The writer is a pump, not a process: :meth:`_pump` runs whenever the
+    writer has nothing to wait for, and each thing it waits for — the
+    kick of the first append after an idle spell, a contended in-flight
+    slot, a round's start — is a queue event with a callback on it.
+    Only the once-per-segment roll, an RPC to the NameNode, runs as a
+    small process (:meth:`_roll`).
     """
 
     def __init__(self, env: Environment, dfs: DfsClient, name: str,
@@ -46,48 +54,109 @@ class GroupCommitWal:
         self.dfs = dfs
         self.name = name
         self.sync = sync
-        self._pending: list[tuple[int, Event]] = []
+        #: Ack events of the appends no round has taken yet, in arrival
+        #: order, and the bytes they add up to.
+        self._pending: list[Event] = []
+        self._pending_bytes = 0
         self._kick: Optional[Event] = None
         self._wal_file: Optional[DfsFile] = None
         self._in_flight = Resource(env, capacity=pipeline_depth)
         self.batches = 0
         self.appends = 0
-        env.process(self._writer(), name=f"wal-{name}")
+        # The writer starts like the process it used to be: urgently,
+        # "now", and not before — an append made ahead of that waits.
+        Initialize(env, self._pump)
 
-    def append(self, size: int) -> Generator:
-        """Enqueue ``size`` bytes; returns once they are pipeline-acked."""
-        done = self.env.event()
-        self._pending.append((size, done))
-        if self._kick is not None and not self._kick.triggered:
-            self._kick.succeed()
-        yield done
+    def append(self, size: int) -> Event:
+        """Enqueue ``size`` bytes; the returned event fires once they
+        are pipeline-acked (``yield`` it)."""
+        done = Event(self.env)
+        self._pending.append(done)
+        self._pending_bytes += size
+        kick = self._kick
+        if kick is not None and kick._value is _PENDING:
+            kick.succeed()
+        return done
 
-    def _writer(self) -> Generator:
-        while True:
-            if not self._pending:
-                self._kick = self.env.event()
-                yield self._kick
-                self._kick = None
-            batch, self._pending = self._pending, []
-            if self._wal_file is None or \
-                    self._wal_file.size_bytes >= WAL_SEGMENT_BYTES:
-                self._wal_file = yield from self.dfs.create(f"wal/{self.name}")
-            slot = self._in_flight.request()
-            yield slot
-            self.env.process(self._round(batch, self._wal_file, slot),
-                             name=f"wal-round-{self.name}")
+    def _pump(self, _event: Optional[Event] = None) -> None:
+        """The writer's loop body: send every batch that can go now,
+        then wait — for a kick when nothing is pending, otherwise for
+        whatever the batch in hand needs (a new segment, a slot)."""
+        self._kick = None
+        while self._pending:
+            batch = _Round(self, self._pending, self._pending_bytes)
+            self._pending = []
+            self._pending_bytes = 0
+            file = self._wal_file
+            if file is None or file.size_bytes >= WAL_SEGMENT_BYTES:
+                Process(self.env, self._roll(batch), f"wal-roll-{self.name}",
+                        True)
+                return
+            if not batch.claim_slot(file):
+                return
+        self._kick = kick = Event(self.env)
+        kick.callbacks.append(self._pump)
 
-    def _round(self, batch: list[tuple[int, Event]], wal_file: DfsFile,
-               slot) -> Generator:
+    def _roll(self, batch: "_Round") -> Generator:
+        """Open the next segment for ``batch``; appends that arrive
+        meanwhile join the batch after it.  A failed ``nn.create`` fails
+        this process, which nobody waits on: the run stops."""
+        self._wal_file = yield from self.dfs.create(f"wal/{self.name}")
+        if batch.claim_slot(self._wal_file):
+            self._pump()
+
+
+class _Round:
+    """One batch of appends on its way through the pipeline: claim an
+    in-flight slot, start (an ``Initialize`` event, as when a round was a
+    process — its place in the schedule is part of the model), append,
+    and on the ack wake every put of the batch, in order, *then* free
+    the slot (whose grant may wake the writer)."""
+
+    __slots__ = ("wal", "acks", "size", "file", "slot")
+
+    def __init__(self, wal: GroupCommitWal, acks: list[Event],
+                 size: int) -> None:
+        self.wal = wal
+        self.acks = acks
+        self.size = size
+
+    def claim_slot(self, file: DfsFile) -> bool:
+        """Returns whether the slot was free (the round is on its way);
+        if not, the writer goes on when it is granted."""
+        self.file = file
+        wal = self.wal
+        self.slot = slot = wal._in_flight.request()
+        if slot.callbacks is None:
+            Initialize(wal.env, self._start)
+            return True
+        slot.callbacks.append(self._granted)
+        return False
+
+    def _granted(self, _slot: Event) -> None:
+        Initialize(self.wal.env, self._start)
+        self.wal._pump()
+
+    def _start(self, _init: Event) -> None:
+        wal = self.wal
         try:
-            total = sum(size for size, _ in batch)
-            yield from self.dfs.append(wal_file, total, sync=self.sync)
-            self.batches += 1
-            self.appends += len(batch)
-            for _, done in batch:
+            write = wal.dfs.append(self.file, self.size, wal.sync)
+        except BaseException:
+            # No live replica: the slot goes back, and the error stops
+            # the run from inside this dispatch.
+            wal._in_flight.release(self.slot)
+            raise
+        write.callbacks.append(self._acked)
+
+    def _acked(self, write: Event) -> None:
+        wal = self.wal
+        if write._ok:
+            acks = self.acks
+            wal.batches += 1
+            wal.appends += len(acks)
+            for done in acks:
                 done.succeed()
-        finally:
-            self._in_flight.release(slot)
+        wal._in_flight.release(self.slot)
 
 
 class RegionServer:
@@ -128,8 +197,9 @@ class RegionServer:
         return region
 
     def _wait_available(self, region: Region) -> Generator:
-        if region.available_at > self.env.now:
-            yield self.env.timeout(region.available_at - self.env.now)
+        now = self.env._now
+        if region.available_at > now:
+            yield Timeout(self.env, region.available_at - now)
 
     def _acquire_slot(self, deadline: Optional[float]) -> Generator:
         """Claim a handler slot (``None`` when pools are unbounded).
@@ -148,11 +218,11 @@ class RegionServer:
         if deadline is None:
             yield req
             return req
-        remaining = deadline - self.env.now
+        remaining = deadline - self.env._now
         if remaining <= 0:
             req.cancel()
             raise DeadlineExceeded("deadline spent before handler queue")
-        timer = self.env.timeout(remaining)
+        timer = Timeout(self.env, remaining)
         outcome = yield AnyOf(self.env, [req, timer])
         if req in outcome:
             return req
@@ -163,31 +233,60 @@ class RegionServer:
         if slot is not None:
             self.handler_pool.release(slot)
 
-    def _handle_put(self, payload) -> Generator:
-        region_id, key, value, size, timestamp, *rest = payload
-        deadline = rest[0] if rest else None
-        region = self._region(region_id, key)
+    # -- verbs ---------------------------------------------------------
+    #
+    # A get or a put that nothing can make wait before the engine — no
+    # bounded pool, region open — is the engine's completion event with
+    # the verb's counter as its first callback: by the time the
+    # transport books the response leg the operation is counted (and the
+    # mutation applied, the memtable rotated).  It costs no process.
+    # Everything else goes through :meth:`_queued`.
+
+    def _queued(self, region: Region, deadline: Optional[float], verb: str,
+                operate, *args) -> Generator:
+        """Slot, then region, then ``operate(*args)`` — an engine verb
+        returning a generator or an event — as one process: a request in
+        the call queue can be refused, expire or be cancelled."""
         slot = yield from self._acquire_slot(deadline)
         try:
             yield from self._wait_available(region)
             # Handler CPU rides the same core reservation as the engine
-            # put (one timeout event, same total service time).
-            yield from region.tree.put_inline(key, value, size, timestamp,
-                                              extra_cpu_s=_HANDLER_CPU_S)
-            self.ops["put"] += 1
+            # operation (one timeout event, same total service time).
+            result = yield from operate(*args, extra_cpu_s=_HANDLER_CPU_S)
+            self.ops[verb] += 1
         finally:
             self._release_slot(slot)
-        return True
+        # A put's reply is the bare acknowledgement.
+        return True if verb == "put" else result
+
+    def _handle_put(self, payload):
+        region_id, key, value, size, timestamp, *rest = payload
+        region = self._region(region_id, key)
+        if self.handler_pool is not None \
+                or region.available_at > self.env._now:
+            return self._queued(region, rest[0] if rest else None, "put",
+                                region.tree.put, key, value, size, timestamp)
+        put = region.tree.put(key, value, size, timestamp, _HANDLER_CPU_S)
+        if put.callbacks is None:
+            self._count_put(put)
+        else:
+            put.callbacks.append(self._count_put)
+        return put
+
+    def _count_put(self, put: Event) -> None:
+        if put._ok:
+            self.ops["put"] += 1
+            put._value = True  # the reply: the engine's event is ours alone
 
     def _handle_get(self, payload):
-        """Serve one get: the engine's completion event when nothing can
-        make the request wait first — no bounded pool, region open — so
-        it costs no process; the slot-then-operate generator otherwise."""
         region_id, key, *rest = payload
         region = self._region(region_id, key)
         if self.handler_pool is not None \
                 or region.available_at > self.env._now:
-            return self._get_queued(region, key, rest[0] if rest else None)
+            # ``get_inline``: a hedge loser's interrupt has to reach the
+            # disk queue the lookup may be standing in.
+            return self._queued(region, rest[0] if rest else None, "get",
+                                region.tree.get_inline, key)
         read = region.tree.get(key, extra_cpu_s=_HANDLER_CPU_S)
         if read.callbacks is None:
             self._count_get(read)
@@ -199,28 +298,8 @@ class RegionServer:
         if read._ok:
             self.ops["get"] += 1
 
-    def _get_queued(self, region: Region, key: str,
-                    deadline: Optional[float]) -> Generator:
-        slot = yield from self._acquire_slot(deadline)
-        try:
-            yield from self._wait_available(region)
-            result = yield from region.tree.get_inline(
-                key, extra_cpu_s=_HANDLER_CPU_S)
-            self.ops["get"] += 1
-        finally:
-            self._release_slot(slot)
-        return result
-
     def _handle_scan(self, payload) -> Generator:
         region_id, start_key, limit, *rest = payload
-        deadline = rest[0] if rest else None
         region = self._region(region_id, start_key)
-        slot = yield from self._acquire_slot(deadline)
-        try:
-            yield from self._wait_available(region)
-            rows = yield from region.tree.scan(
-                start_key, limit, extra_cpu_s=_HANDLER_CPU_S)
-            self.ops["scan"] += 1
-        finally:
-            self._release_slot(slot)
-        return rows
+        return self._queued(region, rest[0] if rest else None, "scan",
+                            region.tree.scan, start_key, limit)

@@ -12,13 +12,14 @@ package models the pieces that matter to that experiment:
   acknowledges once every datanode has the bytes *in memory* (hflush
   semantics).  The asynchronous page-cache flush is what makes HBase's
   write latency insensitive to the replication factor (paper finding F2),
-- a **DFSClient** facade plus an ``HdfsMedium`` adapter so an
-  :class:`~repro.storage.lsm.LsmTree` can place its WAL and HFiles on
-  HDFS, with short-circuit local reads when a replica is co-located.
+- a **DFSClient** facade through which HBase's storage medium
+  (:class:`repro.hbase.region.RegionMedium`) places an
+  :class:`~repro.storage.lsm.LsmTree`'s WAL and HFiles on HDFS, with
+  short-circuit local reads when a replica is co-located.
 """
 
 from repro.hdfs.block import BlockReplicaMap, DfsFile
-from repro.hdfs.client import DfsClient, HdfsMedium
+from repro.hdfs.client import DfsClient
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
 from repro.hdfs.pipeline import pipeline_write
@@ -28,7 +29,6 @@ __all__ = [
     "DataNode",
     "DfsClient",
     "DfsFile",
-    "HdfsMedium",
     "NameNode",
     "pipeline_write",
 ]

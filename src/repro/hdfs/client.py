@@ -1,25 +1,27 @@
-"""DFSClient facade and the storage-medium adapter for HBase.
+"""DFSClient facade: create, append, read.
 
-``HdfsMedium`` lets an :class:`~repro.storage.lsm.LsmTree` place its WAL
-and HFiles on HDFS: log appends travel the replication pipeline, flushes
-create pipelined files, and block reads short-circuit to the local disk
-whenever a replica lives on the reader's node (the normal case, since the
-pipeline puts the first replica on the writer).
+HBase's storage medium (:class:`repro.hbase.region.RegionMedium`) places
+an :class:`~repro.storage.lsm.LsmTree`'s WAL and HFiles on HDFS through
+this client: log appends travel the replication pipeline, flushes create
+pipelined files, and block reads short-circuit to the local disk
+whenever a replica lives on the reader's node (the normal case, since
+the pipeline puts the first replica on the writer).
 """
 
 from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.cluster.disk import BACKGROUND, FOREGROUND
+from repro.cluster.disk import FOREGROUND
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.hdfs.block import DfsFile
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
 from repro.hdfs.pipeline import pipeline_write
+from repro.sim.kernel import Event
 
-__all__ = ["DfsClient", "HdfsMedium"]
+__all__ = ["DfsClient"]
 
 #: WAL segments roll after this many bytes (scaled-down HDFS block).
 WAL_SEGMENT_BYTES = 8 * 1024 * 1024
@@ -39,8 +41,11 @@ class DfsClient:
         self._rng = rng
 
     def _pipeline_nodes(self, file: DfsFile) -> list[DataNode]:
-        return [self.datanodes[i] for i in file.locations
-                if self.cluster.node(i).alive]
+        # Every location is a key of ``datanodes``: the NameNode places
+        # replicas on those ids only, and no topology change removes one.
+        datanodes = self.datanodes
+        return [datanodes[i] for i in file.locations
+                if datanodes[i].node.alive]
 
     def create(self, prefix: str, size_hint: int = 0) -> Generator:
         """Create a file; returns its :class:`DfsFile` descriptor."""
@@ -50,14 +55,27 @@ class DfsClient:
             request_bytes=80, response_bytes=120)
         return file
 
-    def append(self, file: DfsFile, size: int, sync: bool = False) -> Generator:
-        """Append ``size`` bytes through the file's pipeline."""
+    def append(self, file: DfsFile, size: int, sync: bool = False) -> Event:
+        """Append ``size`` bytes through the file's pipeline; the
+        returned event fires once they are acknowledged (``yield`` it).
+
+        The file grows as the first thing that happens on the last ack —
+        before any waiter of the event runs — and only if the write
+        succeeded.  Raises ``RuntimeError`` at once when no replica of
+        the file is alive.
+        """
         targets = self._pipeline_nodes(file)
         if not targets:
             raise RuntimeError(f"no live replicas for {file.path}")
-        yield from pipeline_write(self.cluster, self.client_node, targets,
-                                  size, sync)
-        file.size_bytes += size
+        write = pipeline_write(self.cluster, self.client_node, targets,
+                               size, sync)
+
+        def grow(write: Event) -> None:
+            if write._ok:
+                file.size_bytes += size
+
+        write.callbacks.append(grow)
+        return write
 
     def read(self, file: Optional[DfsFile], size: int,
              sequential: bool = False, priority: int = FOREGROUND) -> Generator:
@@ -69,7 +87,7 @@ class DfsClient:
                 yield from dn.read_local(size, sequential, priority)
                 return
         candidates = [i for i in (file.locations if file else [])
-                      if self.cluster.node(i).alive]
+                      if self.datanodes[i].node.alive]
         if not candidates:
             raise RuntimeError(
                 f"no live replicas to read {file.path if file else '<anon>'}")
@@ -77,34 +95,3 @@ class DfsClient:
         yield from self.cluster.call(
             self.client_node, target.node, "dn.read", (size, sequential),
             request_bytes=60, response_bytes=size)
-
-
-class HdfsMedium:
-    """:class:`~repro.storage.lsm.StorageMedium` implementation over HDFS."""
-
-    def __init__(self, dfs: DfsClient, name: str) -> None:
-        self.dfs = dfs
-        self.name = name
-        self._wal_file: Optional[DfsFile] = None
-        self.wal_segments = 0
-
-    def append_log(self, size: int, sync: bool) -> Generator:
-        if self._wal_file is None or \
-                self._wal_file.size_bytes >= WAL_SEGMENT_BYTES:
-            self._wal_file = yield from self.dfs.create(f"wal/{self.name}")
-            self.wal_segments += 1
-        yield from self.dfs.append(self._wal_file, size, sync)
-
-    def read_block(self, size: int, priority: int = FOREGROUND,
-                   handle: Optional[DfsFile] = None) -> Generator:
-        yield from self.dfs.read(handle, size, sequential=False,
-                                 priority=priority)
-
-    def read_run(self, size: int, handle: Optional[DfsFile] = None) -> Generator:
-        yield from self.dfs.read(handle, size, sequential=True,
-                                 priority=BACKGROUND)
-
-    def write_run(self, size: int) -> Generator:
-        file = yield from self.dfs.create(f"hfile/{self.name}", size)
-        yield from self.dfs.append(file, size, sync=False)
-        return file

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Optional
 
 from repro.cluster.disk import BACKGROUND, FOREGROUND
 from repro.cluster.node import Node
@@ -28,15 +28,20 @@ class DataNode:
         self.bytes_received = 0
         node.register("dn.read", self._handle_read, cpu_s=PACKET_CPU_S)
 
-    def receive_packet(self, size: int, sync: bool) -> Generator:
-        """Accept packet bytes into memory (hflush) or onto disk (hsync)."""
+    def receive_packet(self, size: int, sync: bool) -> Optional[Generator]:
+        """Accept packet bytes into memory (hflush) or onto disk (hsync).
+
+        Returns ``None`` when the bytes are buffered and the packet may
+        travel on at once, otherwise the disk write to run until they
+        are on the platter.
+        """
         self.blocks_received += 1
         self.bytes_received += size
         if sync:
-            yield from self.node.disk.write(size, sequential=True,
-                                            priority=FOREGROUND)
-        else:
-            self.node.disk.append_buffered(size)
+            return self.node.disk.write(size, sequential=True,
+                                        priority=FOREGROUND)
+        self.node.disk.append_buffered(size)
+        return None
 
     def read_local(self, size: int, sequential: bool = False,
                    priority: int = FOREGROUND) -> Generator:

@@ -233,13 +233,17 @@ class Timeout(Event):
 
 
 class Initialize(Event):
-    """Internal event that kicks off a freshly created process."""
+    """Internal event that starts something "now", ahead of every normal
+    event of this instant: a freshly created process (``start`` is its
+    ``_resume``), or a callback chain that begins where a process used
+    to (a WAL round) and so keeps its place in the schedule."""
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", process: "Process") -> None:
+    def __init__(self, env: "Environment",
+                 start: Callable[[Event], None]) -> None:
         self.env = env
-        self.callbacks = [process._resume]
+        self.callbacks = [start]
         self._value = None
         self._ok = True
         self._defused = False
@@ -278,7 +282,7 @@ class Process(Event):
         #: or terminated).
         self._target: Optional[Event] = None
         if not eager:
-            Initialize(env, self)
+            Initialize(env, self._resume)
             return
         # Eager start: run the body's first segment inside the creator's
         # frame instead of through an Initialize queue event.  Semantics

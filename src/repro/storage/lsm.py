@@ -6,19 +6,19 @@ the same engine serves both systems:
 
 - ``LocalDiskMedium`` — Cassandra: commit log and SSTables on the node's
   own disk.
-- ``repro.hdfs.client.HdfsMedium`` — HBase: WAL appends travel the HDFS
-  pipeline (this is where the replication factor touches HBase writes);
-  HFile block reads are short-circuit local reads.
+- ``repro.hbase.region.RegionMedium`` — HBase: WAL appends travel the
+  HDFS pipeline (this is where the replication factor touches HBase
+  writes); HFile block reads are short-circuit local reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional, Protocol
+from typing import Any, Generator, Optional, Protocol, Union
 
 from repro.cluster.disk import BACKGROUND, FOREGROUND
 from repro.cluster.node import Node
-from repro.sim.kernel import Environment, Event, Process, Timeout
+from repro.sim.kernel import _PENDING, Environment, Event, Process, Timeout
 from repro.storage.cache import BlockCache
 from repro.storage.compaction import (merge_tables, pick_compaction,
                                       pick_leveled_compaction)
@@ -32,12 +32,13 @@ __all__ = ["LocalDiskMedium", "LsmTree", "StorageMedium", "StorageSpec"]
 class StorageMedium(Protocol):
     """Physical placement of a tree's log, runs and blocks."""
 
-    def append_log(self, size: int, sync: bool) -> Optional[Generator]:
+    def append_log(self, size: int,
+                   sync: bool) -> Union[None, Event, Generator]:
         """Append ``size`` bytes to the write-ahead/commit log.
 
         ``None`` when the bytes are buffered and there is nothing to wait
-        for; otherwise the generator that returns once they are
-        acknowledged.
+        for; otherwise the event that fires — or the generator that
+        returns — once they are acknowledged.
         """
         ...
 
@@ -141,6 +142,53 @@ def _finish(done: Event, ok: bool, value: Any) -> None:
         raise value
 
 
+class _LoggedPut(Event):
+    """A put that has to wait for its log append: the event
+    :meth:`LsmTree.put` hands out, and the mutation until it is applied.
+
+    Log acknowledged → :meth:`LsmTree._apply` → CPU done → complete,
+    inline; each step a callback on the event the step before produced.
+    """
+
+    __slots__ = ("tree", "mutation")
+
+    def __init__(self, tree: "LsmTree", logging: Union[Event, Generator],
+                 *mutation: Any) -> None:
+        self.env = tree.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self.tree = tree
+        self.mutation = mutation
+        # An event is waited for as it is; a generator (the synchronous
+        # local log's disk write) is the body of a small process.
+        if Event not in logging.__class__.__mro__:
+            Process(tree.env, logging, f"{tree.name}-log", True, self._logged)
+        elif logging.callbacks is None:
+            self._logged(logging)
+        else:
+            logging.callbacks.append(self._logged)
+
+    def _logged(self, logging: Event) -> None:
+        if not logging._ok:
+            logging._defused = True  # a failed append is the put's to report
+            _finish(self, False, logging._value)
+            return
+        applied = self.tree._apply(*self.mutation)
+        if applied.callbacks is None:
+            _finish(self, True, None)
+        else:
+            applied.callbacks.append(self._applied)
+
+    def _applied(self, _wait: Event) -> None:
+        # ``_finish(self, True, None)``, minus the call: once per put.
+        self._value = None
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            callback(self)
+
+
 class LsmTree:
     """Log-structured merge tree over a :class:`StorageMedium`."""
 
@@ -181,31 +229,17 @@ class LsmTree:
         timeout event instead of two on a path every replica write takes.
 
         With a buffered log append — every Cassandra commit log outside
-        the durability ablation — the put costs no process: the event is
-        the CPU timeout itself (see :meth:`_apply`).  A log append that
-        has to be waited for runs :meth:`put_inline` as a small process.
+        the durability ablation — the event is the CPU timeout itself
+        (see :meth:`_apply`).  A log append that has to be waited for —
+        HBase's WAL, in HDFS; the synchronous local log — is followed by
+        the same :meth:`_apply` as a callback (:class:`_LoggedPut`).
+        Neither costs a process, except the local disk write.
         """
         logging = self.wal.append(size)
         if logging is None:
             return self._apply(key, value, size, timestamp, extra_cpu_s)
-        return Process(
-            self.env, self.put_inline(key, value, size, timestamp,
-                                      extra_cpu_s, logging),
-            f"{self.name}-put", True)
-
-    def put_inline(self, key: str, value: Any, size: int, timestamp: float,
-                   extra_cpu_s: float = 0.0,
-                   logging: Optional[Generator] = None) -> Generator:
-        """:meth:`put` as steps of the calling process (``yield from``):
-        for the caller that is a process already and waits on the log
-        every time — HBase's put handler, whose WAL lives in HDFS — and
-        should not pay for a second one.  ``logging`` is the log append
-        already under way (how :meth:`put` gets here)."""
-        if logging is None:
-            logging = self.wal.append(size)
-        if logging is not None:
-            yield from logging
-        yield self._apply(key, value, size, timestamp, extra_cpu_s)
+        return _LoggedPut(self, logging, key, value, size, timestamp,
+                          extra_cpu_s)
 
     def _apply(self, key: str, value: Any, size: int, timestamp: float,
                extra_cpu_s: float) -> Event:

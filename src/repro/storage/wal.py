@@ -9,13 +9,15 @@ two systems place it differently:
 - Cassandra's commit log is a local file — appends hit the local page
   cache (``LocalDiskMedium``).
 - HBase's WAL is an HDFS file — appends travel the replication pipeline
-  (``HdfsMedium``), which is where the replication factor enters HBase's
-  write path.
+  (``repro.hbase.region.RegionMedium``), which is where the replication
+  factor enters HBase's write path.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator, Union
+
+from repro.sim.kernel import Event
 
 __all__ = ["WriteAheadLog"]
 
@@ -29,14 +31,15 @@ class WriteAheadLog:
         self.appended_bytes = 0
         self.appends = 0
 
-    def append(self, size: int) -> Optional[Generator]:
+    def append(self, size: int) -> Union[None, Event, Generator]:
         """Append one record of ``size`` bytes.
 
-        Returns ``None`` when the medium buffered the record and the
-        caller may go on at once, otherwise the generator to run
-        (``yield from``) until the record is acknowledged: always with
-        ``sync_every_append`` (the durability ablation benchmark), and
-        on media whose log lives across the network.
+        Returns what the medium's ``append_log`` did: ``None`` when it
+        buffered the record and the caller may go on at once; the event
+        that fires once the record is acknowledged, on media whose log
+        lives across the network; or the generator to run until it is
+        on the local platter (``sync_every_append``, the durability
+        ablation benchmark).
         """
         self.appends += 1
         self.appended_bytes += size

@@ -161,32 +161,34 @@ class YcsbClient:
                     measurements: Measurements,
                     per_thread_rate: Optional[float]) -> Generator:
         env = self.env
-        next_deadline = env.now
+        # ``env._now``: the ``now`` property is a call, on every operation.
+        next_deadline = env._now
         interval = 1.0 / per_thread_rate if per_thread_rate else 0.0
         while state["issued"] < operation_count:
             state["issued"] += 1
             if interval:
-                if env.now < next_deadline:
-                    yield env.timeout(next_deadline - env.now)
+                if env._now < next_deadline:
+                    yield env.timeout(next_deadline - env._now)
                 next_deadline = max(next_deadline + interval,
-                                    env.now - 5 * interval)
+                                    env._now - 5 * interval)
             warm = state["warmup_remaining"] > 0
             if warm:
                 state["warmup_remaining"] -= 1
             op = self.workload.next_operation()
-            t0 = env.now
+            t0 = env._now
             try:
                 found = yield from _execute(self.db, self.workload, op)
             except OPERATION_ERRORS as exc:
                 if not warm:
                     measurements.record_error(op.value,
                                               kind=type(exc).__name__,
-                                              at=env.now)
+                                              at=env._now)
                 continue
             if not found:
                 state["not_found"] += 1
             if not warm:
-                measurements.record(op.value, env.now, env.now - t0)
+                now = env._now
+                measurements.record(op.value, now, now - t0)
 
 
 def _execute(db: DbBinding, workload: Workload, op: OperationType,

@@ -15,6 +15,10 @@ The second half replays the paths that still need a process — block
 misses, a synchronous log, bounded pools, a reopening region, silent
 callees — against the values and simulated instants the same scripts
 produced at ``353f292``, where every RPC was a generator process.
+
+The third does the same for HBase's write path — WAL group commit, the
+HDFS pipeline, the put handler — against ``805ebb2``, where a put, the
+WAL writer, every WAL round and every pipeline write was a process.
 """
 
 from dataclasses import replace
@@ -36,9 +40,10 @@ from repro.keyspace import key_for_index, token_of
 from repro.sim.kernel import Environment, Interrupt, Process, Timeout
 from repro.sim.resources import Overloaded
 from repro.sim.rng import RngRegistry
+from repro.sim.trace import KernelTracer
 from repro.storage.cache import BlockCache
 from repro.storage.lsm import LocalDiskMedium, LsmTree, StorageSpec
-from tests.conftest import flat_cluster
+from tests.conftest import build_wal, flat_cluster, schedule_appends
 
 
 def _small_cell(db: str, storage: StorageSpec):
@@ -48,14 +53,14 @@ def _small_cell(db: str, storage: StorageSpec):
                    n_threads=8, n_nodes=5, settle_s=1.0, storage=storage)
 
 
-def _run(config, warm_ops=0, spawned=None):
+def _run(config, warm_ops=0, counted=None):
     session = ExperimentSession(config)
     session.load()
     if warm_ops:
         session.warm(operations=warm_ops)
     before = session.env.processed_events
-    if spawned is not None:
-        spawned.clear()   # count the measured run, not the load
+    if counted is not None:
+        counted.clear()   # count the measured run, not the load
     result = session.run_cell()
     summary = summarize_run(result)
     assert summary["errors"] == 0
@@ -75,28 +80,49 @@ def test_events_per_op_stay_under_the_ceiling(db):
     assert events_per_op <= 1.05 * LANDED_EVENTS_PER_OP[db]
 
 
-#: ``Process`` constructions per operation of the same two cells when
-#: RPCs stopped being processes (3.181 and 1.513 at ``353f292``): one per
-#: coordinated client operation (Cassandra) or per put (HBase — a get
-#: costs none), plus WAL rounds, flushes and compactions; the ceiling is
-#: 5 % above.
-LANDED_PROCESSES_PER_OP = {"cassandra": 1.067, "hbase": 1.019}
+def _counting(monkeypatch, method):
+    """Count the calls of ``Process.<method>`` from here on."""
+    calls = []
+    plain = getattr(Process, method)
+
+    def counting(process, *args, **kwargs):
+        calls.append(1)
+        return plain(process, *args, **kwargs)
+
+    monkeypatch.setattr(Process, method, counting)
+    return calls
+
+
+#: ``Process`` constructions per operation of the same two cells: one per
+#: coordinated client operation on Cassandra, where RPCs stopped being
+#: processes (3.181 at ``353f292``); on HBase nothing per operation since
+#: its put path stopped too (1.513 at ``353f292``, 1.019 at ``805ebb2``)
+#: — what is left is flushes and compactions.  The ceiling is 5 % above.
+LANDED_PROCESSES_PER_OP = {"cassandra": 1.067, "hbase": 0.006}
 
 
 @pytest.mark.parametrize("db", sorted(LANDED_PROCESSES_PER_OP))
 def test_processes_per_op_stay_under_the_ceiling(db, monkeypatch):
-    spawned = []
-    plain_init = Process.__init__
-
-    def counting_init(process, *args, **kwargs):
-        spawned.append(1)
-        plain_init(process, *args, **kwargs)
-
-    monkeypatch.setattr(Process, "__init__", counting_init)
+    spawned = _counting(monkeypatch, "__init__")
     config = _small_cell(db, scaled_stress_storage(400, 1000, 4))
-    _run(config, spawned=spawned)
+    _run(config, counted=spawned)
     assert len(spawned) / config.operation_count \
         <= 1.05 * LANDED_PROCESSES_PER_OP[db]
+
+
+#: Generator resumes per operation of the same two cells (3.143 and
+#: 6.586 at ``805ebb2``).  On HBase only the client thread is left: one
+#: resume per operation, when its RPC completes.
+LANDED_RESUMES_PER_OP = {"cassandra": 3.144, "hbase": 1.012}
+
+
+@pytest.mark.parametrize("db", sorted(LANDED_RESUMES_PER_OP))
+def test_resumes_per_op_stay_under_the_ceiling(db, monkeypatch):
+    resumed = _counting(monkeypatch, "_resume")
+    config = _small_cell(db, scaled_stress_storage(400, 1000, 4))
+    _run(config, counted=resumed)
+    assert len(resumed) / config.operation_count \
+        <= 1.05 * LANDED_RESUMES_PER_OP[db]
 
 
 def test_cache_resident_cell_did_not_move():
@@ -120,7 +146,7 @@ def test_cache_resident_cell_did_not_move():
 # -- one pipeline write, stage by stage -----------------------------------
 
 @pytest.mark.parametrize("replication", [1, 2, 3])
-def test_pipeline_write_is_one_event_per_hop(replication):
+def test_pipeline_write_is_one_event_per_hop(replication, monkeypatch):
     cluster = flat_cluster(n_nodes=4)
     env, net = cluster.env, cluster.spec.node.network
     client = cluster.node(0)
@@ -132,8 +158,8 @@ def test_pipeline_write_is_one_event_per_hop(replication):
     env.run(until=1e-6)  # start-up events and the kicks
     start, before = env.now, env.processed_events
     size = 3_000
-    env.run(until=env.process(
-        pipeline_write(cluster, client, datanodes, size), eager=True))
+    spawned = _counting(monkeypatch, "__init__")
+    env.run(until=pipeline_write(cluster, client, datanodes, size))
 
     def wire(n_bytes):
         return (n_bytes + net.header_bytes) / net.bandwidth_bps
@@ -145,6 +171,13 @@ def test_pipeline_write_is_one_event_per_hop(replication):
     assert env.now - start == pytest.approx(
         replication * (data_hop + ack_hop), abs=1e-12)
     assert [dn.bytes_received for dn in datanodes] == [size] * replication
+    # Buffered packets cost no process; an hsync costs each datanode's
+    # disk write, and nothing else.
+    assert not spawned
+    env.run(until=pipeline_write(cluster, client, datanodes, size, sync=True))
+    assert len(spawned) == replication
+    assert [dn.node.disk.bytes_written for dn in datanodes] \
+        == [size] * replication
 
 
 # -- same work, whenever it is booked -------------------------------------
@@ -235,7 +268,7 @@ _SMALL_STORE = StorageSpec(memtable_flush_bytes=2048, block_bytes=512,
 
 
 @pytest.mark.parametrize("get, put", [("get", "put"),
-                                      ("get_inline", "put_inline")])
+                                      ("get_inline", "put")])
 def test_block_misses_and_a_synchronous_log(get, put):
     env, cluster = _rack(1)
     node = cluster.node(0)
@@ -674,3 +707,348 @@ def test_put_applies_before_the_response_leg_is_booked():
     assert [(puts, flushing, "Initialize" in queued)
             for puts, flushing, queued in booked] \
         == [(1, 0, False), (2, 0, False), (3, 1, True)]
+
+
+# -- HBase's write path, against 805ebb2 ----------------------------------
+#
+# Each script below ran at ``805ebb2`` (with ``yield from wal.append`` /
+# ``dfs.append``, which drove generators there and would drive
+# ``Event.__iter__`` here) and printed the values, simulated instants and
+# kernel-trace digests pinned beside it.
+
+def test_hsync_wal_put():
+    env, cluster = _rack(4)
+    hbase = HBaseCluster(cluster, HBaseSpec(replication=2,
+                                            regions_per_server=1,
+                                            wal_sync=True))
+    client = HBaseClient(hbase, hbase.master_node)
+    key = key_for_index(3)
+    region, rs = _region_of(hbase, key)
+    log = []
+
+    def script():
+        for i in range(3):
+            reply = yield from client.put(key, f"v{i}", 100)
+            log.append((reply, env.now, rs.ops["put"], rs.wal.batches,
+                        region.tree.active.get(key)))
+        log.append(((yield from client.get(key, 100)), env.now))
+
+    env.run(until=env.process(script()))
+    assert log == [
+        (True, 0.00124619331541687, 1, 1, ("v0", 0.0, 100)),
+        (True, 0.0023415178794137445, 2, 2,
+         ("v1", 0.00124619331541687, 100)),
+        (True, 0.0034686189715827636, 3, 3,
+         ("v2", 0.0023415178794137445, 100)),
+        (("v2", 0.0023415178794137445), 0.0038631817437611558)]
+    # Every record is on both replicas' platters, none in a page cache.
+    assert [(n.disk.bytes_written, n.disk.dirty_bytes, n.disk.busy_time)
+            for n in cluster.nodes] == [
+        (0, 0, 0.0), (300, 0, 0.000880353646128433),
+        (300, 0, 0.0008946571444313244), (0, 0, 0.0)]
+
+
+def test_multi_chunk_flush_among_wal_rounds():
+    """Big records, small memtables: every seven puts a region sends a
+    112 KB flush down the pipeline chunk by chunk (each chunk's receiver
+    booked on arrival) while WAL rounds of all three servers overtake
+    it on the same NICs."""
+    env, cluster = _rack(4)
+    hbase = HBaseCluster(cluster, HBaseSpec(
+        replication=2, regions_per_server=1,
+        storage=StorageSpec(memtable_flush_bytes=96 * 1024,
+                            block_bytes=8 * 1024,
+                            block_cache_bytes=256 * 1024)))
+    client = HBaseClient(hbase, hbase.master_node)
+    tracer = KernelTracer(env)
+    acked = []
+
+    def writer(w):
+        for i in range(12):
+            yield from client.put(key_for_index(w * 100 + i), i, 16_000)
+            acked.append((w, i, env.now))
+
+    for w in range(4):
+        env.process(writer(w))
+    env.run(until=2.0)
+    assert len(acked) == 48
+    assert acked[:3] == [(2, 0, 0.0018055756157688448),
+                         (0, 0, 0.0020822138839294503),
+                         (1, 0, 0.002886331153260641)]
+    assert acked[-3:] == [(0, 11, 0.02500904766347159),
+                          (3, 11, 0.02600009875665437),
+                          (1, 11, 0.02626768250421159)]
+    trees = [r.tree for r in hbase.regions]
+    assert [t.stats["flushes"] for t in trees] == [2, 2, 2]
+    assert [[s.file_handle.size_bytes for s in t.sstables] for t in trees] \
+        == [[112000, 112000]] * 3
+    assert [(s.wal.batches, s.wal.appends)
+            for s in hbase.regionservers.values()] \
+        == [(15, 16), (15, 15), (17, 17)]
+    assert [(d.blocks_received, d.bytes_received)
+            for d in hbase.datanodes.values()] \
+        == [(21, 592000), (38, 848000), (59, 1440000)]
+    assert (cluster.network.messages, env.processed_events) == (338, 593)
+    assert tracer.digest() == ("f8ac1bc52e6215cee009387c1967bf28"
+                               "5de4fbf7548945c9026043917a597522")
+
+
+def test_wal_segment_roll_in_the_middle_of_a_burst():
+    env, cluster, wal = build_wal()
+    tracer = KernelTracer(env)
+    mb = 1024 * 1024
+    # 3 x 3 MB fill the first segment past 8 MB.  The append at 0.4 s
+    # finds it full and rolls; the two that arrive during the roll's
+    # round trip to the NameNode join the batch *after* it.
+    log = schedule_appends(env, wal, [
+        (0.0, 3 * mb), (0.1, 3 * mb), (0.2, 3 * mb),
+        (0.4, 500), (0.40002, 600), (0.40005, 700), (0.5, 800)])
+    env.run()
+    assert log == [
+        (0, 0.11210588036205872, 1, "wal/test/00000001", 3145728),
+        (1, 0.2120768295451242, 2, "wal/test/00000001", 6291456),
+        (2, 0.3106202198849263, 3, "wal/test/00000001", 9437184),
+        (3, 0.40036291047602585, 4, "wal/test/00000002", 500),
+        (4, 0.4003715098012388, 5, "wal/test/00000002", 1800),
+        (5, 0.4003715098012388, 5, "wal/test/00000002", 1800),
+        (6, 0.5002624763380703, 6, "wal/test/00000002", 2600)]
+    assert (wal.batches, wal.appends, cluster.rpc_count,
+            env.processed_events) == (6, 7, 2, 451)
+    assert tracer.digest() == ("cd5b07589b10055337c7dbbaca764ec1"
+                               "f8188d1020517cd1b17408ab60726761")
+
+
+def test_pipeline_depth_saturated():
+    env, _, wal = build_wal(rf=3, pipeline_depth=4)
+    tracer = KernelTracer(env)
+    # The segment open, one append every 20 us: the first four each
+    # start a round at once; the fifth round waits for a slot, and
+    # appends six to eight arrive while it waits and share one batch.
+    log = schedule_appends(
+        env, wal, [(0.0, 50)]
+        + [(0.001 + 2e-5 * i, 100 + i) for i in range(8)] + [(0.01, 900)])
+    claims = []
+    plain_request = wal._in_flight.request
+
+    def spying_request():
+        slot = plain_request()
+        claims.append((env.now, wal._in_flight.count,
+                       wal._in_flight.queue_len))
+        return slot
+
+    wal._in_flight.request = spying_request
+    env.run()
+    assert log == [
+        (0, 0.00041754053379072326, 1, "wal/test/00000001", 50),
+        (1, 0.001274316871975142, 2, "wal/test/00000001", 150),
+        (2, 0.001275222854881125, 3, "wal/test/00000001", 251),
+        (3, 0.001282763144719847, 4, "wal/test/00000001", 353),
+        (4, 0.00128366912762583, 5, "wal/test/00000001", 456),
+        (5, 0.0015504450650508594, 6, "wal/test/00000001", 560),
+        (6, 0.0015513510479568423, 7, "wal/test/00000001", 878),
+        (7, 0.0015513510479568423, 7, "wal/test/00000001", 878),
+        (8, 0.0015513510479568423, 7, "wal/test/00000001", 878),
+        (9, 0.010408554287653216, 8, "wal/test/00000001", 1778)]
+    # (instant, slots held, rounds queued) after each claim: the fifth
+    # round queues; the batch after it claims the moment the fifth is
+    # granted — the instant the first of the four is acked.
+    assert claims == [
+        (0.000185486962369425, 1, 0), (0.001, 1, 0), (0.00102, 2, 0),
+        (0.0010400000000000001, 3, 0), (0.00106, 4, 0), (0.00108, 4, 1),
+        (0.001274316871975142, 4, 1), (0.01, 1, 0)]
+    assert (wal.batches, wal.appends, env.processed_events) == (8, 10, 112)
+    # Sequence numbers included: a batch's acks are triggered, in append
+    # order, before the slot release that may grant — trigger — a waiter.
+    assert tracer.digest() == ("724a76ba98c42df4c747898746197ca0"
+                               "28c4c86c5f3d9d4a105bd32821cd0f5c")
+
+
+def test_acks_precede_the_slot_grant():
+    """The same trap, spelled out: one slot, and a round waiting for it.
+    When the round ahead is acked, the waiting round's grant is scheduled
+    after that batch's acks — by sequence number, all at one instant."""
+    env, _, wal = build_wal(pipeline_depth=1)
+    tracer = KernelTracer(env, keep_lines=True)
+    log = schedule_appends(env, wal, [(0.0, 50), (0.001, 100), (0.001, 101),
+                                      (0.00102, 102)])
+    env.run()
+    acked_at = 0.00113657465367978
+    assert [(index, at) for index, at, *_ in log[1:3]] \
+        == [(1, acked_at), (2, acked_at)]
+    # (priority, sequence number, event): the last ack leg; both puts of
+    # the batch; the slot's grant; then — urgent, but scheduled by the
+    # grant's dispatch — the waiting round's start.
+    assert [tuple(line.split("|")[1:4]) for line in tracer.lines
+            if line.startswith(f"{acked_at!r}|")] == [
+        ("1", "34", "Timeout"), ("1", "35", "Event"), ("1", "36", "Event"),
+        ("1", "37", "Request"), ("0", "38", "Initialize")]
+
+
+def test_pooled_region_server_puts():
+    env, cluster = _rack(4)
+    hbase = HBaseCluster(cluster, HBaseSpec(
+        replication=2, regions_per_server=1, handler_slots=1,
+        max_handler_queue=2, storage=_SMALL_STORE))
+    client = HBaseClient(hbase, hbase.master_node)
+    key = key_for_index(3)
+    region, rs = _region_of(hbase, key)
+    log = []
+
+    def put(label, deadline=None):
+        payload = (region.region_id, key, label, 100, env.now)
+        if deadline is not None:
+            payload = (*payload, deadline)
+        _note(env, log, label, cluster.call_async(
+            hbase.master_node, rs.node, "rs.put", payload, request_bytes=160,
+            response_bytes=20, timeout=2.0, deadline=deadline))
+
+    def script():
+        yield from client.put(key, "first", 100)   # opens the WAL segment
+        yield env.timeout(1.0)
+        put("slot free")
+        put("expires queued", deadline=env.now + 0.0004)
+        put("queued")
+        put("shed")
+        yield env.timeout(1.0)
+        put("spent before queue", deadline=env.now)
+        yield env.timeout(1.0)
+        pool = rs.handler_pool
+        log.append(("pool", pool.shed, pool.count, pool.queue_len,
+                    rs.ops["put"], rs.wal.appends, cluster.abandoned_rpcs,
+                    region.tree.active.get(key)))
+
+    env.run(until=env.process(script()))
+    assert log == [
+        ("shed", 1.0007821111049702, "Overloaded"),
+        ("slot free", 1.0009944730373277, True),
+        ("expires queued", 1.0010719634524616, "DeadlineExceeded"),
+        ("queued", 1.0014093074466948, True),
+        # Pre-spent: never sent, so never counted by the server.
+        ("spent before queue", 2.0006719634524615, "DeadlineExceeded"),
+        ("pool", 1, 0, 0, 4, 4, 0, ("queued", 1.0006719634524617, 100))]
+
+
+def test_put_to_a_reopening_region():
+    env, cluster = _rack(4)
+    hbase = HBaseCluster(cluster, HBaseSpec(replication=2,
+                                            regions_per_server=1))
+    client = HBaseClient(hbase, hbase.master_node)
+    key = key_for_index(3)
+    region, rs = _region_of(hbase, key)
+    log = []
+
+    def script():
+        yield from client.put(key, "v0", 100)
+        region.available_at = env.now + 0.05
+        for label in ("reopening", "open"):
+            reply = yield from client.put(key, label, 100)
+            log.append((label, reply, env.now, rs.ops["put"],
+                        region.tree.active.get(key)))
+
+    env.run(until=env.process(script()))
+    assert log == [
+        ("reopening", True, 0.05086618335360333, 2,
+         ("reopening", 0.0006719634524615898, 100)),
+        ("open", True, 0.05139217847723286, 3,
+         ("open", 0.05086618335360333, 100))]
+
+
+def test_datanode_dying_between_two_rounds_is_skipped():
+    env, cluster, wal = build_wal(rf=3)
+    log = schedule_appends(env, wal,
+                           [(0.0, 1000), (0.01, 2000), (0.02, 3000)])
+
+    def killer():
+        yield env.timeout(0.005)
+        cluster.kill(wal._wal_file.locations[1])
+        yield env.timeout(0.01)
+        cluster.kill(wal._wal_file.locations[2])
+
+    env.process(killer())
+    env.run()
+    assert log == [
+        (0, 0.0004662584825086721, 1, "wal/test/00000001", 1000),
+        (1, 0.010198686474968804, 2, "wal/test/00000001", 3000),
+        (2, 0.02011490546411444, 3, "wal/test/00000001", 6000)]
+    assert wal._wal_file.locations == [0, 2, 1]
+    assert {i: d.bytes_received for i, d in wal.dfs.datanodes.items()} \
+        == {0: 6000, 1: 3000, 2: 1000}
+
+
+def test_every_replica_dead_stops_the_run():
+    """No live replica is not a modelled failure: the round's
+    ``RuntimeError`` comes out of ``env.run`` — from a callback as it did
+    from a process — and the in-flight slot is back."""
+    env, cluster, wal = build_wal(rf=1)
+    log = schedule_appends(env, wal, [(0.0, 1000), (0.01, 2000)])
+
+    def killer():
+        yield env.timeout(0.005)
+        cluster.kill(wal._wal_file.locations[0])
+
+    env.process(killer())
+    with pytest.raises(RuntimeError, match="no live replicas for wal/test"):
+        env.run()
+    assert log == [(0, 0.00029990015232869954, 1, "wal/test/00000001", 1000)]
+    assert env.now == 0.01
+    assert (wal._in_flight.count, wal.batches, wal.appends) == (0, 1, 1)
+
+
+def test_file_grows_before_the_ack_and_only_on_success():
+    """``schedule_appends`` pins the first half on every WAL scenario (the
+    ack's waiter reads the grown size); here an hsync that fails on the
+    second datanode fails the append, and the file keeps its size."""
+    env, cluster, wal = build_wal(sync=True)
+    dfs = wal.dfs
+    log = []
+
+    def broken_write(size, sequential=True, priority=0):
+        yield env.timeout(0.001)
+        raise OSError("platter fault")
+
+    def script():
+        file = yield from dfs.create("data")
+        yield from dfs.append(file, 100, sync=True)
+        log.append((env.now, file.size_bytes))
+        cluster.node(file.locations[1]).disk.write = broken_write
+        with pytest.raises(OSError, match="platter fault"):
+            yield from dfs.append(file, 50, sync=True)
+        log.append((env.now, file.size_bytes))
+
+    env.run(until=env.process(script()))
+    assert log == [(0.0009270940525870654, 100), (0.002320968569142088, 100)]
+
+
+def test_hbase_put_is_counted_and_applied_before_the_response_leg():
+    env, cluster = _rack(4)
+    hbase = HBaseCluster(cluster, HBaseSpec(
+        replication=2, regions_per_server=1,
+        storage=replace(_SMALL_STORE, memtable_flush_bytes=300)))
+    client_node = hbase.master_node
+    key = key_for_index(3)
+    region, rs = _region_of(hbase, key)
+    tree = region.tree
+    booked = []
+    plain_leg = cluster.leg
+    reply_bytes = 20 + cluster.spec.envelope_bytes
+
+    def spying_leg(src, dst, size, *args, **kwargs):
+        if src is rs.node and dst is client_node and size == reply_bytes:
+            booked.append((env.now, rs.ops["put"], tree.stats["puts"],
+                           len(tree.flushing),
+                           sorted({type(e).__name__ for *_, e in env._queue})))
+        return plain_leg(src, dst, size, *args, **kwargs)
+
+    cluster.leg = spying_leg
+    calls = [cluster.call_async(client_node, rs.node, "rs.put",
+                                (region.region_id, key, i, 100, 1.0),
+                                request_bytes=160, response_bytes=20,
+                                timeout=1.0) for i in range(3)]
+    env.run(until=0.5)
+    assert [c.value for c in calls] == [True] * 3
+    # Third put fills the 300-byte memtable: rotated, its flush process
+    # on the queue, when the third response is booked.
+    assert booked == [
+        (0.00041728128820029114, 1, 1, 0, ["Timeout"]),
+        (0.0004214003766205591, 2, 2, 0, ["Timeout"]),
+        (0.0004214003766205591, 3, 3, 1, ["Initialize", "Timeout"])]

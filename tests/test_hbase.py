@@ -227,6 +227,45 @@ class TestReplicationBehaviour:
         assert dirty_nodes >= 2  # rf=2 WAL replicas spread over servers
 
 
+class TestRegionMedium:
+    """What the engine's storage calls turn into on HDFS."""
+
+    def test_wal_appends_travel_the_pipeline_to_every_replica(self, hbase):
+        env, cluster, deployment, _ = hbase
+        medium = deployment.regions[0].medium
+        server = medium.server
+
+        def scenario():
+            yield medium.append_log(200, sync=False)
+            yield medium.append_log(200, sync=False)
+
+        drive(env, scenario())
+        wal_file = server.wal._wal_file
+        assert (server.wal.appends, server.wal.batches) == (2, 2)
+        assert wal_file.size_bytes == 400
+        # One segment, writer-local first replica, RF 2: 400 bytes in
+        # exactly those two page caches.
+        assert wal_file.path == "wal/rs0/00000001"
+        assert wal_file.locations[0] == server.node.node_id
+        assert len(set(wal_file.locations)) == 2
+        assert {node.node_id: node.disk.dirty_bytes
+                for node in cluster.nodes if node.disk.dirty_bytes} \
+            == {node_id: 400 for node_id in wal_file.locations}
+
+    def test_write_run_returns_handle_with_local_replica(self, hbase):
+        env, _, deployment, _ = hbase
+        medium = deployment.regions[1].medium
+
+        def scenario():
+            handle = yield from medium.write_run(10_000)
+            return handle
+
+        handle = drive(env, scenario())
+        assert handle.held_by(medium.server.node.node_id)
+        assert handle.size_bytes == 10_000
+        assert len(handle.locations) == 2
+
+
 class TestFailover:
     def test_regions_move_after_crash(self):
         env = Environment()

@@ -1,28 +1,18 @@
 """Unit tests for the group-commit WAL and node hiccup model."""
 
+import hashlib
+import random
+from itertools import accumulate
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.node import NodeSpec
 from repro.cluster.topology import Cluster, ClusterSpec
-from repro.hbase.regionserver import GroupCommitWal
-from repro.hdfs.client import DfsClient
-from repro.hdfs.datanode import DataNode
-from repro.hdfs.namenode import NameNode
 from repro.sim.kernel import AllOf, Environment
 from repro.sim.rng import RngRegistry
-
-
-def build_wal(n_dns=3, rf=2, pipeline_depth=4):
-    env = Environment()
-    rngs = RngRegistry(55)
-    cluster = Cluster(env, ClusterSpec(n_nodes=n_dns + 1), rngs)
-    datanodes = {i: DataNode(cluster.node(i)) for i in range(n_dns)}
-    namenode = NameNode(cluster.node(n_dns), list(datanodes),
-                        rngs.stream("nn"))
-    dfs = DfsClient(cluster, namenode, datanodes, cluster.node(0), rf,
-                    rngs.stream("dfs"))
-    wal = GroupCommitWal(env, dfs, "test", pipeline_depth=pipeline_depth)
-    return env, cluster, wal
+from tests.conftest import build_wal, schedule_appends
 
 
 def drive(env, generator):
@@ -150,3 +140,97 @@ class TestGcHiccups:
 
         # At most one residual pause can straddle the wake-up moment.
         assert drive(env, scenario()) < 1.0
+
+
+# -- group commit semantics as properties ----------------------------------
+
+def run_appends(arrivals, rf=2, pipeline_depth=4):
+    """Run ``(gap_s, size)`` arrivals — each ``gap_s`` after the one
+    before — to quiescence.  Returns the WAL, the ack log ``[(append
+    index, ack instant)]`` in ack order, the arrival instants by index,
+    the sizes of the pipeline rounds in start order, and the most rounds
+    that were ever in flight at once."""
+    env, _, wal = build_wal(rf=rf, pipeline_depth=pipeline_depth)
+    rounds, in_flight = [], [0]
+    plain_append = wal.dfs.append
+
+    def spying_append(file, size, sync=False):
+        write = plain_append(file, size, sync)
+        rounds.append(size)
+        in_flight.append(in_flight[-1] + 1)
+        write.callbacks.append(
+            lambda _write: in_flight.append(in_flight[-1] - 1))
+        return write
+
+    wal.dfs.append = spying_append
+    arrived = list(accumulate(gap_s for gap_s, _ in arrivals))
+    log = schedule_appends(
+        env, wal, [(at, size) for at, (_, size) in zip(arrived, arrivals)])
+    env.run()
+    assert in_flight[-1] == 0
+    return (wal, [(index, at) for index, at, *_ in log], arrived, rounds,
+            max(in_flight))
+
+
+def recorded_arrivals(seed):
+    """Bursts and lulls; a few appends big enough to travel in chunks
+    and, together, to roll the segment."""
+    rng = random.Random(seed)
+    return [(rng.choice((0.0, 2e-5, 1e-3, 5e-2)),
+             rng.choice((200, 1_000, 30_000, 1_500_000)))
+            for _ in range(60)]
+
+
+class TestGroupCommitProperties:
+    @given(st.lists(st.tuples(st.integers(0, 400), st.integers(1, 3_000_000)),
+                    min_size=1, max_size=25),
+           st.integers(1, 3), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_every_append_is_acked_once_within_the_depth(
+            self, arrivals, rf, pipeline_depth):
+        """Any sizes — multi-chunk rounds, segment rolls — at any pace."""
+        arrivals = [(gap_us * 1e-6, size) for gap_us, size in arrivals]
+        wal, acks, arrived, rounds, peak = run_appends(
+            arrivals, rf, pipeline_depth)
+        assert sorted(index for index, _ in acks) \
+            == list(range(len(arrivals)))
+        assert all(at > arrived[index] for index, at in acks)
+        assert 1 <= peak <= pipeline_depth
+        assert wal._in_flight.count == 0 and not wal._pending
+        assert (wal.batches, wal.appends) == (len(rounds), len(acks))
+        assert sum(rounds) == sum(size for _, size in arrivals)
+
+    @given(st.lists(st.tuples(st.integers(0, 400), st.integers(1, 2_000)),
+                    min_size=1, max_size=30),
+           st.integers(1, 3), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_acks_are_fifo(self, arrivals, rf, pipeline_depth):
+        """One-packet rounds down one pipeline cannot overtake each other
+        (every channel they share is booked first come, first served), so
+        appends are acked in arrival order, batch by batch."""
+        arrivals = [(gap_us * 1e-6, size) for gap_us, size in arrivals]
+        wal, acks, _, rounds, peak = run_appends(arrivals, rf, pipeline_depth)
+        assert [index for index, _ in acks] == list(range(len(arrivals)))
+        assert [at for _, at in acks] == sorted(at for _, at in acks)
+        assert peak <= pipeline_depth
+        # One ack instant per round: a batch is acked as a whole.
+        assert len({at for _, at in acks}) == len(rounds) == wal.batches
+
+    #: seed -> (appends, rounds, last ack instant, sha256 of the ack log)
+    #: as ``805ebb2`` ran the same arrivals, where the writer and every
+    #: round were processes.
+    RECORDED = {
+        1: (60, 42, 0.9843477095908084, "46dd62338fa471147545f7a7d1c1e5b4"
+                                        "6d9fa183bfbae61a994c71ace80fb0fa"),
+        2: (60, 35, 0.6958136552761085, "27c771f4ab04e490465731c4eb279487"
+                                        "bf74c1bd4cd440f854e792fc7bd32992"),
+        3: (60, 45, 1.0199490918844933, "baae06eef180499c54df2bb47062739d"
+                                        "fe502dfd1ae6e1c7191bc1a506d0a917"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(RECORDED))
+    def test_ack_instants_equal_the_recorded_ones(self, seed):
+        wal, acks, _, rounds, _ = run_appends(recorded_arrivals(seed), rf=3)
+        digest = hashlib.sha256(repr(acks).encode()).hexdigest()
+        assert (len(acks), len(rounds), acks[-1][1], digest) \
+            == self.RECORDED[seed]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.hdfs.block import BlockReplicaMap, DfsFile
-from repro.hdfs.client import DfsClient, HdfsMedium
+from repro.hdfs.client import DfsClient
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
 from repro.hdfs.pipeline import pipeline_write
@@ -190,35 +190,3 @@ class TestDfsClient:
                 return "failed"
 
         assert drive(env, scenario()) == "failed"
-
-
-class TestHdfsMedium:
-    def test_wal_appends_travel_pipeline(self, hdfs):
-        env, cluster, namenode, datanodes = hdfs
-        dfs = DfsClient(cluster, namenode, datanodes, cluster.node(0), 3,
-                        RngRegistry(1).stream("dfs"))
-        medium = HdfsMedium(dfs, "rs0")
-
-        def scenario():
-            yield from medium.append_log(200, sync=False)
-            yield from medium.append_log(200, sync=False)
-
-        drive(env, scenario())
-        assert medium.wal_segments == 1
-        # Replicated to 3 datanodes -> 400 bytes on three page caches.
-        dirty = [cluster.node(i).disk.dirty_bytes for i in range(4)]
-        assert sorted(dirty, reverse=True)[:3] == [400, 400, 400]
-
-    def test_write_run_returns_handle_with_local_replica(self, hdfs):
-        env, cluster, namenode, datanodes = hdfs
-        dfs = DfsClient(cluster, namenode, datanodes, cluster.node(1), 2,
-                        RngRegistry(1).stream("dfs"))
-        medium = HdfsMedium(dfs, "rs1")
-
-        def scenario():
-            handle = yield from medium.write_run(10_000)
-            return handle
-
-        handle = drive(env, scenario())
-        assert handle.held_by(1)
-        assert handle.size_bytes == 10_000

@@ -21,10 +21,13 @@ from repro.cluster.topology import (AsyncCall, Cluster, ClusterSpec,
                                     RpcTimeout, _LocalCall, _RoundTrip)
 from repro.core.config import default_stress_config, scaled_stress_storage
 from repro.core.experiment import ExperimentSession
+from repro.hbase.regionserver import _Round
+from repro.hdfs.pipeline import _PipelineWrite
 from repro.sim.kernel import (AllOf, Environment, Interrupt, Process,
                               Timeout)
 from repro.sim.resources import Overloaded
 from repro.sim.rng import RngRegistry
+from repro.storage.lsm import _LoggedPut
 
 N = 25
 
@@ -285,6 +288,51 @@ class TestCellsDoNotAccumulateRpcState:
         gc.collect()
         assert live(session.env, Process) < 0.05 * rpcs
         assert watching(session.cluster)[1] < 0.05 * rpcs
+
+
+class TestHBaseWritePathIsReleased:
+    """A put, a WAL round and a pipeline write are callback chains: each
+    one's state is an object reachable only from the event it waits on
+    and from its waiter, so it dies — by reference count — the moment
+    its last callback has run."""
+
+    def test_after_settle_no_write_path_object_survives(self):
+        config = replace(
+            default_stress_config("hbase", "read_update", seed=3),
+            record_count=300, operation_count=500, n_threads=8, n_nodes=5,
+            storage=scaled_stress_storage(300, 1000, 4), settle_s=0.5)
+        session = ExperimentSession(config)
+        born = {cls: 0 for cls in (_LoggedPut, _Round, _PipelineWrite)}
+
+        def counting(cls):
+            plain_init = cls.__init__
+
+            def init(self, *args, **kwargs):
+                born[cls] += 1
+                plain_init(self, *args, **kwargs)
+
+            return init
+
+        with pytest.MonkeyPatch.context() as patch:
+            for cls in born:
+                patch.setattr(cls, "__init__", counting(cls))
+            session.load()
+            session.run_cell()
+        wals = [rs.wal for rs in session.hbase.regionservers.values()]
+        assert born[_LoggedPut] == sum(wal.appends for wal in wals) >= 500
+        assert born[_Round] == sum(wal.batches for wal in wals) >= 100
+        assert born[_PipelineWrite] >= born[_Round]   # + the flushes
+        alive = {cls.__name__: sum(1 for obj in gc.get_objects()
+                                   if type(obj) is cls) for cls in born}
+        assert alive == {"_LoggedPut": 0, "_Round": 0, "_PipelineWrite": 0}
+        # Nor a process, the daemons apart: the client threads are done,
+        # and each writer is an event with a callback on it, waiting for
+        # its next kick.
+        assert {obj.name for obj in gc.get_objects()
+                if type(obj) is Process and obj.env is session.env} \
+            == {"disk-flusher", "hmaster-monitor"}
+        assert all(wal._kick is not None and not wal._pending
+                   for wal in wals)
 
 
 class TestNothingGotQuieter:
