@@ -14,8 +14,8 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
-__all__ = ["ADAPTIVE_COLUMNS", "ENERGY_CAMPAIGN_COLUMNS", "ENERGY_COLUMNS",
-           "FAILOVER_COLUMNS", "GEO_COLUMNS", "SCALE_COLUMNS",
+__all__ = ["ABLATION_COLUMNS", "ADAPTIVE_COLUMNS", "ENERGY_CAMPAIGN_COLUMNS",
+           "ENERGY_COLUMNS", "FAILOVER_COLUMNS", "GEO_COLUMNS", "SCALE_COLUMNS",
            "STRESS_COLUMNS", "SURGE_COLUMNS", "TAIL_COLUMNS",
            "adaptive_digests", "adaptive_slo_line", "adaptive_timelines",
            "energy_rollup", "failover_timelines", "micro_columns",
@@ -153,6 +153,11 @@ def micro_columns(ops: Sequence[str]) -> tuple:
 STRESS_COLUMNS = (("peak ops/s", itemgetter("peak_throughput")),
                   ("latency ms", itemgetter("latency_ms")),
                   *ENERGY_COLUMNS)
+
+#: Ablations: the measured op test's latency per (RF, setting).
+ABLATION_COLUMNS = (("mean ms", itemgetter("mean_ms")),
+                    ("p99 ms", itemgetter("p99_ms")),
+                    *ENERGY_COLUMNS)
 
 
 def _opt_s(value) -> str:

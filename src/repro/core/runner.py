@@ -20,7 +20,7 @@ session level.  This module makes that structure explicit:
 - :class:`CellRunner` — executes a batch of cells, optionally across CPU
   cores (``ProcessPoolExecutor``) and backed by a content-addressed
   on-disk cache keyed by the resolved config + code version, so repeated
-  benchmark invocations skip already-computed cells.
+  invocations skip already-computed cells.
 """
 
 from __future__ import annotations
@@ -122,8 +122,6 @@ class CellSpec:
     config: ExperimentConfig
     runs: tuple[RunSpec, ...]
     warm: Optional[WarmSpec] = WarmSpec(kind="stress")
-    #: Include engine-internal counters in the payload (ablations).
-    collect_db_stats: bool = False
 
 
 @dataclass(frozen=True)
@@ -181,8 +179,6 @@ def execute_cell(spec: CellSpec) -> dict:
     # code change that silently doubles the event count shows up in the
     # cached payload diff even when every summary number is unchanged.
     payload["kernel"] = {"events": session.env.processed_events}
-    if spec.collect_db_stats:
-        payload["db_stats"] = session.db_stats()
     return payload
 
 
@@ -225,7 +221,6 @@ def cell_fingerprint(spec: CellSpec) -> str:
         "config": config_to_dict(spec.config),
         "runs": [asdict(run) for run in spec.runs],
         "warm": asdict(spec.warm) if spec.warm is not None else None,
-        "collect_db_stats": spec.collect_db_stats,
         "code": code_version(),
     }
     canonical = json.dumps(identity, sort_keys=True, separators=(",", ":"))
@@ -301,7 +296,7 @@ class CellRunner:
     cache:
         Reuse / populate the on-disk cell cache.  Off by default so
         library callers (tests, notebooks) always compute fresh; the CLI
-        and the benchmark drivers turn it on.
+        turns it on.
     cache_dir:
         Cache root; defaults to :func:`default_cache_dir`.
     progress:

@@ -16,7 +16,7 @@ the table:
   :class:`~repro.core.runner.CellRunner` — serially (the default),
   across CPU cores, or out of the on-disk cell cache, all bit-identical
   by construction — and nests the JSON-safe payloads by cell key, so
-  benchmarks can assert on shapes and ``--report`` can dump them;
+  tests can assert on shapes and ``--report`` can dump them;
 - :func:`render_campaign` prints the nested result as the campaign's
   paper-style table.
 
@@ -68,8 +68,7 @@ __all__ = [
     "CONSISTENCY_MODES",
     "Campaign",
     "ELASTIC_SCENARIOS",
-    "ENERGY_CL_MODES",
-    "ENERGY_POWER_MODES",
+    "ENERGY_MODES",
     "FAILOVER_CL_MODES",
     "GEO_CL_MODES",
     "GEO_SCENARIOS",
@@ -84,7 +83,6 @@ __all__ = [
     "TAIL_SCENARIOS",
     "campaign_cells",
     "check_sweep",
-    "energy_modes",
     "render_campaign",
     "run_campaign",
 ]
@@ -312,28 +310,36 @@ def _ramp_series(ramp: list) -> dict:
 
 # -- Figures 1-3: micro and stress benchmarks vs replication / consistency ---
 
-#: The scale-down Figures 1-3 share (see DESIGN.md §6).
+#: The scale-down Figures 1-3 and the ablations share (see DESIGN.md
+#: §6) — the one every number of theirs in EXPERIMENTS.md comes from.
 _PAPER = Scale(
-    record_count=30_000, operation_count=4_000, n_threads=16, n_nodes=16,
+    record_count=12_000, operation_count=2_500, n_threads=48, n_nodes=16,
     # ``None``, unthrottled, is the point that exposes the true peak.
-    targets=(2_000.0, 6_000.0, 12_000.0, 20_000.0, None))
+    targets=(3_000.0, 9_000.0, 16_000.0, None))
 
 _PAPER_QUICK = replace(_PAPER, record_count=5_000, operation_count=1_200,
                        n_threads=12, n_nodes=8,
                        targets=(2_000.0, 8_000.0, None))
 
 
+def _micro(db: str, scale: Scale, op: str, replication: int,
+           **overrides) -> ExperimentConfig:
+    """The shared micro cell (§4.1's unsaturated testbed: at most eight
+    client threads) at the scale's sizing and seed."""
+    config = default_micro_config(db, op, replication=replication,
+                                  seed=scale.seed)
+    return _sized(config, scale, n_threads=min(scale.n_threads, 8),
+                  storage=scale.storage or config.storage, **overrides)
+
+
 def _micro_cells(db: str, scale: Scale, rfs: Sequence[int]) -> list[CellSpec]:
     """One cell per replication factor, each running §4.1's op order."""
     cells = []
     for rf in rfs:
-        config = default_micro_config(db, "update", replication=rf,
-                                      seed=scale.seed)
         cells.append(CellSpec(
             key=rf,
             label=f"fig1/{db}/rf={rf}",
-            config=_sized(config, scale, n_threads=min(scale.n_threads, 8),
-                          storage=scale.storage or config.storage),
+            config=_micro(db, scale, "update", rf),
             runs=tuple(RunSpec(workload=op, kind="micro")
                        for op in MICRO_OP_ORDER),
             warm=WarmSpec(workload="read", kind="micro",
@@ -374,6 +380,47 @@ def _consistency_cells(db: str, scale: Scale, modes: Sequence[str],
                                      **_cl_values(CONSISTENCY_MODES[mode])),
                      warm=WarmSpec())
             for mode in modes]
+
+
+# -- Ablations: the mechanism behind F2 and behind F4, one knob each --------
+
+def _ablation_cells(db: str, scale: Scale) -> list[CellSpec]:
+    """HBase: the micro insert with the WAL pipeline acking from memory
+    (hflush) or from the platter (hsync) at RF 1 and 6 — F2's flatness
+    requires in-memory replication.  Cassandra: the micro read at RF 5
+    with ``read_repair_chance`` off, at the 2.0 default the paper cites,
+    and on every read — F4's climb is the digest fan-out (the replicas
+    agree at this load: no mismatch and no repair write at any chance)."""
+    cells = []
+    if db == "hbase":
+        for rf in (1, 6):
+            config = _micro(
+                db, scale, "insert", rf,
+                record_count=max(2_000, scale.record_count // 4),
+                operation_count=max(600, scale.operation_count // 4))
+            for mode, sync in (("hflush", False), ("hsync", True)):
+                cells.append(CellSpec(
+                    key=(rf, f"wal={mode}"),
+                    label=f"ablation/{db}/rf={rf}/{mode}",
+                    config=replace(config, hbase=replace(config.hbase,
+                                                         wal_sync=sync)),
+                    runs=(RunSpec(workload="insert", kind="micro"),),
+                    warm=None))
+        return cells
+    config = _micro(db, scale, "read", 5)
+    for chance in (0.0, 0.1, 1.0):
+        cells.append(CellSpec(
+            key=(5, f"read_repair_chance={chance}"),
+            label=f"ablation/{db}/rf=5/chance={chance}",
+            config=replace(config, cassandra=replace(
+                config.cassandra, read_repair_chance=chance)),
+            # The measured reads follow an unmeasured round of updates.
+            runs=(RunSpec(workload="update", kind="micro", measured=False,
+                          operation_count=scale.operation_count // 2),
+                  RunSpec(workload="read", kind="micro")),
+            warm=WarmSpec(workload="read", kind="micro",
+                          operations=scale.operation_count // 2)))
+    return cells
 
 
 # -- Failover campaigns: db x fault type x consistency level ----------------
@@ -955,20 +1002,18 @@ def _geo_cells(db: str, scale: Scale, modes: Sequence[str],
 
 # -- Energy & cost campaigns: db x RF x CL x power mode ---------------------
 
-#: Power-management contenders the energy campaign compares:
-#: ``always_on`` (the historical baseline), ``race_to_sleep``
+#: The (CL round, power mode) grid each database compares.  Power
+#: modes: ``always_on`` (the historical baseline), ``race_to_sleep``
 #: (unconditional parking after the idle thresholds) and
 #: ``energy_aware`` (Cassandra only: the
 #: :class:`~repro.adaptive.policy.EnergyAwarePolicy` routes CLs by the
-#: staleness budget and parks replicas per monitoring window).
-ENERGY_POWER_MODES = ("always_on", "race_to_sleep", "energy_aware")
-
-#: Consistency rounds priced per database.  HBase has no per-request
-#: CL; the adaptive contender routes CLs itself and is keyed
-#: ``"adaptive"`` in the sweep.
-ENERGY_CL_MODES = {
-    "cassandra": ("ONE", "QUORUM"),
-    "hbase": ("n/a",),
+#: staleness budget and parks replicas per monitoring window — it is
+#: keyed ``"adaptive"`` on the CL axis).  HBase has no per-request CL.
+ENERGY_MODES = {
+    "cassandra": (("ONE", "always_on"), ("QUORUM", "always_on"),
+                  ("ONE", "race_to_sleep"), ("QUORUM", "race_to_sleep"),
+                  ("adaptive", "energy_aware")),
+    "hbase": (("n/a", "always_on"), ("n/a", "race_to_sleep")),
 }
 
 #: 50/50 read/update: writes fan out RF-ways on both stores, so the
@@ -1009,15 +1054,6 @@ _ENERGY = Scale(
 _ENERGY_QUICK = replace(_ENERGY, duration_s=6.0)
 
 
-def energy_modes(db: str) -> list[tuple[str, str]]:
-    """The (CL round, power mode) grid one database compares."""
-    if db == "cassandra":
-        return [("ONE", "always_on"), ("QUORUM", "always_on"),
-                ("ONE", "race_to_sleep"), ("QUORUM", "race_to_sleep"),
-                ("adaptive", "energy_aware")]
-    return [("n/a", "always_on"), ("n/a", "race_to_sleep")]
-
-
 def _energy_cells(db: str, scale: Scale) -> list[CellSpec]:
     """One cell per (RF, CL round, power mode), each a healthy
     oracle-checked run at the throttled target.  The energy-aware
@@ -1027,7 +1063,7 @@ def _energy_cells(db: str, scale: Scale) -> list[CellSpec]:
     target = scale.targets[0]
     ops = int(target * scale.duration_s)
     for rf in scale.rfs:
-        for cl, power in energy_modes(db):
+        for cl, power in ENERGY_MODES[db]:
             adaptive = "energy-aware" if power == "energy_aware" else None
             level = (ConsistencyLevel.QUORUM if cl == "QUORUM"
                      else ConsistencyLevel.ONE)
@@ -1178,6 +1214,15 @@ CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in (
         cells=_consistency_cells, split=_per_workload(_ramp_series),
         keys=("mode", "workload"),
         render=report.render_consistency_panels),
+    Campaign(
+        "ablation",
+        "ablations on the micro benchmark: HBase WAL ack mode (behind F2), "
+        "Cassandra read_repair_chance (behind F4)",
+        full=_PAPER, quick=_PAPER_QUICK,
+        cells=_ablation_cells,
+        keys=("RF", "setting"), columns=report.ABLATION_COLUMNS,
+        title="Ablation ({db}): micro insert vs HBase WAL ack mode / micro "
+              "read vs Cassandra read_repair_chance"),
     Campaign(
         "failover", "fault-injection campaign (availability report)",
         full=_FAILOVER, quick=_FAILOVER_QUICK,

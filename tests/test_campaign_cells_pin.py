@@ -2,7 +2,7 @@
 
 For every campaign x {full, quick} scale x database, the SHA-256 of the
 canonical JSON of every cell's ``(key, label, resolved config, runs,
-warm, collect_db_stats)``.  No simulation runs, so this is milliseconds;
+warm)``.  No simulation runs, so this is milliseconds;
 with the engine untouched, equal cells mean (by the determinism the
 replay pin proves) equal payloads — so a refactor of the campaign layer
 that keeps these digests has altered no result.
@@ -10,7 +10,12 @@ that keeps these digests has altered no result.
 The digests were recorded at commit 0277d37, before the campaign table
 replaced the per-campaign builders; re-record one only when a campaign's
 cells are *meant* to change.  Re-recorded since: ``scale/quick/*`` when
-the quick elasticity scale's diurnal peak went from 3x to 4x the base rate.
+the quick elasticity scale's diurnal peak went from 3x to 4x the base rate;
+``fig1/full/*``, ``fig2/full/*`` and ``fig3/full/cassandra`` when the
+figures' ``full`` scale became the 12 k-record one EXPERIMENTS.md is
+generated from — until then the ``standard`` scale of a separate pytest
+harness, whose cells at 6fd607e had exactly these digests.
+``ablation/*`` was added with its campaign.
 """
 
 import hashlib
@@ -47,25 +52,33 @@ def _cells(name, db, scale):
 
 PINS = {
     "fig1/full/hbase":
-        "4b7ac6ed1d134b90dda851cb9a7fadab6e2da16a766057bec0f55b3879176999",
+        "1a3eb44be0d8ebeead675a7d3a07ae93f9e30a6717c7593bfc315a5bea484cba",
     "fig1/full/cassandra":
-        "e78be144e399246d4e8a6ebdea7f169c3c3ea4f1b2444feec6f5c21df9770d76",
+        "d3732626653410efb3510ee7274b568ac7f57745403a71f41b7c0016fcd40e2a",
     "fig1/quick/hbase":
         "2fb0550ff8db7bf8c66034967023899953009ac68a52fc3f00a65a9882661c73",
     "fig1/quick/cassandra":
         "367c8635739cf0f4c506b55ba29bfb50b4bcc4efc5777a9697d20cd0da994eaf",
     "fig2/full/hbase":
-        "543b37e8f0d2b219067e1cd610737d271b48109d8ea69d531334b9f1710b1bc4",
+        "bdc2a1ea8b0255359358c939c19a828bc85bb97c22f184e7c690297c5848684f",
     "fig2/full/cassandra":
-        "a2a8db2dc6942004780c7ddbbbb2b40d4d7015e72da427873fdfc2f14dc66faa",
+        "d370c15e2e30dab66f80bb73de42d99856fdfece4576255940ec7477db7ed11e",
     "fig2/quick/hbase":
         "542256ad6daffdc3492d7d2f45a4a79b30a4491877d4a86bceb90b15911998b6",
     "fig2/quick/cassandra":
         "4495535634ce17a7d62dc4588ce5045c149c9bdaa37a18193138b2a6603468ca",
     "fig3/full/cassandra":
-        "954b6b0044bda625411b5e62f67266b36d64987c81e93660aec430d63b00d5a1",
+        "1ebeb8f5ad22433e294ba13b6b008a4cd5db04c5bfe956b8f0ead26683da1607",
     "fig3/quick/cassandra":
         "3e2987361a3d75fc8d76b96a0ce2535310a12068e4040ffa50f4c2d35ec5ad12",
+    "ablation/full/hbase":
+        "6be2858772d61a080b1e7e7b1abb74d4bd2b8896a8141edacd9579188c6c9e3d",
+    "ablation/full/cassandra":
+        "d054a94515d9b62cc74bbb01bd9e7bb78827d85711c2d0c5d431784078b96848",
+    "ablation/quick/hbase":
+        "f4d1d01c2b37905c518e17bfaf946d786777446ef989207e374a82b027bcc771",
+    "ablation/quick/cassandra":
+        "0079c9a6f62831af9f7887a3d6134805a87fab4521136aaf418f4737c4fb76fe",
     "failover/full/hbase":
         "0d24800882ec1098a196b7f8cd9d424df4f4aed248061e91355ab89f8354c5e5",
     "failover/full/cassandra":
@@ -130,7 +143,7 @@ def cells_digest(cells) -> str:
         [cell.key, cell.label, config_to_dict(cell.config),
          [asdict(run) for run in cell.runs],
          asdict(cell.warm) if cell.warm is not None else None,
-         cell.collect_db_stats]
+         False]  # the slot ``CellSpec.collect_db_stats`` held
         for cell in cells]
     canonical = json.dumps(identity, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

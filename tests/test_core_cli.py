@@ -119,11 +119,13 @@ class TestCampaignTable:
     """One parse/reject/default/validate contract for every campaign,
     read off the table — a new entry is covered without a new test."""
 
-    def test_twelve_subcommands(self):
+    def test_subcommands(self):
         assert list(CAMPAIGNS) == [
-            "table1", "fig1", "fig2", "fig3", "failover", "tail", "check",
-            "adaptive", "geo", "surge", "scale", "energy"]
+            "table1", "fig1", "fig2", "fig3", "ablation", "failover", "tail",
+            "check", "adaptive", "geo", "surge", "scale", "energy"]
         assert campaign_args(CAMPAIGNS["table1"]) == []  # nothing to run
+        assert [arg.flags[0] for arg in campaign_args(CAMPAIGNS["ablation"])
+                ] == ["--quick", "--jobs", "--no-cache", "--db"]
 
     @pytest.mark.parametrize(
         "name,arg", CHOICE_FLAGS,
@@ -258,12 +260,16 @@ class TestOneScale:
     @pytest.mark.parametrize("campaign", RUNNABLE,
                              ids=[campaign.name for campaign in RUNNABLE])
     def test_sizing_override_reaches_every_cell(self, campaign):
+        # A cell loads the scale's population or one derived from it
+        # (the ablation's WAL cells load a quarter): double the one and
+        # every cell's doubles.
         full = campaign.full
-        cells = _cells(campaign, replace(full,
-                                         record_count=full.record_count + 1))
+        cells = _cells(campaign, full)
+        doubled = _cells(campaign, replace(full,
+                                           record_count=2 * full.record_count))
         assert cells
-        assert {cell.config.record_count for cell in cells} \
-            == {full.record_count + 1}
+        assert [cell.config.record_count for cell in doubled] \
+            == [2 * cell.config.record_count for cell in cells]
 
     def test_surge_mode_keeps_only_its_fields_of_the_client_tier(self):
         surge = CAMPAIGNS["surge"]

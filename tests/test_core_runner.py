@@ -91,10 +91,6 @@ class TestExecuteCell:
         with pytest.raises(ValueError, match="nope"):
             execute_cell(bad)
 
-    def test_db_stats_collected_on_request(self):
-        payload = execute_cell(replace(small_cell(), collect_db_stats=True))
-        assert payload["db_stats"]["rpc_count"] > 0
-
 
 class TestSerialParallelEquivalence:
     """The tentpole guarantee: N processes, bit-identical results."""

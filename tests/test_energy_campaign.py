@@ -14,9 +14,8 @@ import json
 import pytest
 
 from repro.consistency.oracle import unexpected_violations
-from repro.core.sweep import (CAMPAIGNS, ENERGY_CL_MODES, ENERGY_POWER_MODES,
-                              campaign_cells, energy_modes, render_campaign,
-                              run_campaign)
+from repro.core.sweep import (CAMPAIGNS, ENERGY_MODES, campaign_cells,
+                              render_campaign, run_campaign)
 
 QUICK = CAMPAIGNS["energy"].quick
 
@@ -32,16 +31,16 @@ class TestEnergyCells:
         keys = {cell.key for cell in campaign_cells(
             "energy", "cassandra", QUICK)}
         for rf in QUICK.rfs:
-            for cl in ENERGY_CL_MODES["cassandra"]:
+            for cl in ("ONE", "QUORUM"):
                 assert (rf, cl, "always_on") in keys
                 assert (rf, cl, "race_to_sleep") in keys
             assert (rf, "adaptive", "energy_aware") in keys
-        assert all(power in ENERGY_POWER_MODES
-                   for _, _, power in keys)
+        assert keys == {(rf, cl, power) for rf in QUICK.rfs
+                        for cl, power in ENERGY_MODES["cassandra"]}
 
     def test_hbase_has_no_cl_axis(self):
-        assert energy_modes("hbase") == [("n/a", "always_on"),
-                                         ("n/a", "race_to_sleep")]
+        assert ENERGY_MODES["hbase"] == (("n/a", "always_on"),
+                                         ("n/a", "race_to_sleep"))
 
 
 class TestPaperShapes:

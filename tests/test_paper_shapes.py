@@ -2,8 +2,9 @@
 
 These are the repository's contract with the paper: each test runs a
 miniature version of one experiment and asserts the qualitative shape.
-The full-scale versions live in ``benchmarks/``; here the populations are
-small enough for the unit-test budget, so tolerances are generous.
+The published tables come from ``repro-bench <campaign>`` at its full
+scale (EXPERIMENTS.md); here the populations are small enough for the
+unit-test budget, so tolerances are generous.
 """
 
 from dataclasses import replace
@@ -23,6 +24,7 @@ SCALE = replace(CAMPAIGNS["fig1"].full, record_count=6_000,
 STRESS_SCALE = replace(SCALE, record_count=8_000, operation_count=1_500,
                        n_threads=32, n_nodes=12)
 
+QUICK_ABLATION = CAMPAIGNS["ablation"].quick
 QUICK_FAILOVER = CAMPAIGNS["failover"].quick
 QUICK_TAIL = CAMPAIGNS["tail"].quick
 QUICK_SURGE = CAMPAIGNS["surge"].quick
@@ -67,6 +69,30 @@ class TestFig1Shapes:
         assert cassandra_growth > hbase_growth
 
 
+class TestAblationShapes:
+    """F2 and F4 each rest on one mechanism; switch it and the shape goes."""
+
+    def test_f2_flatness_requires_memory_acks(self):
+        sweep = run_campaign("ablation", "hbase", QUICK_ABLATION)
+        flush_growth = (sweep[6]["wal=hflush"]["mean_ms"]
+                        - sweep[1]["wal=hflush"]["mean_ms"])
+        sync_growth = (sweep[6]["wal=hsync"]["mean_ms"]
+                       - sweep[1]["wal=hsync"]["mean_ms"])
+        # Disk-acked pipelines pay far more per extra replica...
+        assert sync_growth > 2 * flush_growth
+        # ...and hsync is categorically slower at any RF.
+        assert sweep[1]["wal=hsync"]["mean_ms"] > \
+            1.4 * sweep[1]["wal=hflush"]["mean_ms"]
+
+    def test_f4_read_latency_grows_with_the_repair_chance(self):
+        by_chance = run_campaign("ablation", "cassandra", QUICK_ABLATION)[5]
+        off, default, always = (
+            by_chance[f"read_repair_chance={chance}"]["mean_ms"]
+            for chance in (0.0, 0.1, 1.0))
+        assert default > 1.02 * off
+        assert always > default
+
+
 class TestFig2Shapes:
     @pytest.fixture(scope="class")
     def stress(self):
@@ -88,14 +114,26 @@ class TestFig2Shapes:
         assert retention(stress["hbase"], "read_mostly") > \
             retention(stress["cassandra"], "read_mostly")
 
+    def test_f5_cassandra_latency_at_peak_rises_with_rf(self, stress):
+        sweep = stress["cassandra"]
+        assert sweep[6]["read_mostly"]["latency_ms"] > \
+            sweep[1]["read_mostly"]["latency_ms"]
+
     def test_f5_closed_loop_littles_law(self, stress):
+        saturated = 0
         for sweep in stress.values():
             for per_workload in sweep.values():
                 for cell in per_workload.values():
-                    for _target, runtime, mean_ms in cell["per_target"]:
+                    for target, runtime, mean_ms in cell["per_target"]:
                         if mean_ms > 0:
                             cap = STRESS_SCALE.n_threads / (mean_ms / 1000.0)
                             assert runtime <= cap * 1.3
+                            # A point that misses its target (or has
+                            # none) sits on the curve, not just under it.
+                            if target is None or runtime < 0.9 * target:
+                                assert runtime > cap * 0.5
+                                saturated += 1
+        assert saturated > 0
 
 
 class TestFig3Shapes:
@@ -119,6 +157,14 @@ class TestFig3Shapes:
         peaks = {mode: consistency[mode]["read_update"]["peak_throughput"]
                  for mode in consistency}
         assert peaks["write ALL"] < peaks["ONE"]
+
+    def test_runtime_capped_by_target(self, consistency):
+        # The YCSB throttle is a cap, not a hint.
+        for per_workload in consistency.values():
+            for cell in per_workload.values():
+                for target, runtime in cell["series"]:
+                    if target is not None:
+                        assert runtime <= target * 1.15
 
 
 class TestConsistencyCorrectness:
@@ -228,8 +274,16 @@ class TestTailDefenseShapes:
     @pytest.fixture(scope="class")
     def overload(self):
         sweep = run_campaign("tail", "cassandra", QUICK_TAIL,
-                             modes=("deadline",), scenarios=("overload",))
+                             modes=("none", "deadline"),
+                             scenarios=("overload",))
         return sweep["overload"]
+
+    @pytest.fixture(scope="class")
+    def hbase_slow_server(self):
+        sweep = run_campaign("tail", "hbase", QUICK_TAIL,
+                             modes=("none", "deadline"),
+                             scenarios=("slow_replica",))
+        return sweep["slow_replica"]
 
     def test_hedging_collapses_slow_replica_p99(self, slow_replica):
         # The issue's acceptance bar: hedged p99 at most half the
@@ -252,6 +306,17 @@ class TestTailDefenseShapes:
     def test_overload_sheds_are_explicit(self, overload):
         errors = overload["deadline"]["errors_by_type"]
         assert errors.get("Overloaded", 0) > 0
+        # Shedding is what bounds the tail of the requests that are served.
+        assert overload["deadline"]["p99_ms"] < overload["none"]["p99_ms"]
+
+    def test_hbase_tail_is_defended_by_deadlines(self, hbase_slow_server):
+        # Single-owner regions leave hedging no alternate replica: the
+        # defended p99 sits well under the undefended one, paid for with
+        # explicit DeadlineExceeded errors.
+        none, deadline = (hbase_slow_server[mode]
+                          for mode in ("none", "deadline"))
+        assert deadline["p99_ms"] < 0.7 * none["p99_ms"]
+        assert deadline["errors_by_type"].get("DeadlineExceeded", 0) > 0
 
 
 class TestGeoShapes:
@@ -432,6 +497,25 @@ class TestFlashCrowdShapes:
         full = surge["flash_crowd"]["full"]["consistency"]
         assert full["max_staleness_lag_s"] <= \
             QUICK_SURGE.clienttier.cache_ttl_s + 0.5
+
+    def test_hbase_stack_earns_its_keep_under_the_compound_failure(self):
+        sweep = run_campaign(
+            "surge", "hbase", QUICK_SURGE, modes=("undefended", "full"),
+            scenarios=("flash_crowd", "flash_crowd+slow_replica"))
+        # A healthy HBase deployment rides out the plain spike (its
+        # driver masks timeouts behind internal retries), so the
+        # defenses must not cost goodput there.
+        crowd = sweep["flash_crowd"]
+        assert crowd["full"]["goodput"] >= \
+            0.95 * crowd["undefended"]["goodput"]
+        # Spike + slow region server: the naive client's p99.9 runs away
+        # while the full stack bounds the tail and sustains a multiple
+        # of the undefended goodput.
+        compound = sweep["flash_crowd+slow_replica"]
+        assert compound["full"]["goodput"] >= \
+            1.3 * compound["undefended"]["goodput"]
+        assert compound["full"]["p999_ms"] < \
+            0.5 * compound["undefended"]["p999_ms"]
 
 
 class TestElasticityShapes:

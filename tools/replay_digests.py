@@ -43,6 +43,7 @@ DEFAULT_INVOCATIONS = [
     "adaptive --quick --timeline --digests",
     "geo --quick --strict", "surge --quick --strict",
     "scale --quick --strict", "energy --quick --strict",
+    "ablation --quick",
 ]
 
 
