@@ -80,19 +80,23 @@ class CassandraNode:
         req = pool.request()
         if req.triggered:
             return req
-        if deadline is None:
-            yield req
-            return req
-        remaining = deadline - self.node.env.now
-        if remaining <= 0:
+        try:
+            if deadline is None:
+                yield req
+                return req
+            remaining = deadline - self.node.env.now
+            if remaining <= 0:
+                raise DeadlineExceeded("deadline spent before replica queue")
+            timer = self.node.env.timeout(remaining)
+            outcome = yield AnyOf(self.node.env, [req, timer])
+            if req in outcome:
+                return req
+            raise DeadlineExceeded("deadline expired in replica queue")
+        except BaseException:
+            # Expired — or interrupted while queued (a hedge loser on the
+            # coordinator's own node): the claim goes, granted or not.
             req.cancel()
-            raise DeadlineExceeded("deadline spent before replica queue")
-        timer = self.node.env.timeout(remaining)
-        outcome = yield AnyOf(self.node.env, [req, timer])
-        if req in outcome:
-            return req
-        req.cancel()
-        raise DeadlineExceeded("deadline expired in replica queue")
+            raise
 
     def _release_slot(self, slot) -> None:
         if slot is not None:

@@ -215,19 +215,21 @@ class RegionServer:
         req = pool.request()
         if req.triggered:
             return req
-        if deadline is None:
-            yield req
-            return req
-        remaining = deadline - self.env._now
-        if remaining <= 0:
-            req.cancel()
-            raise DeadlineExceeded("deadline spent before handler queue")
-        timer = Timeout(self.env, remaining)
-        outcome = yield AnyOf(self.env, [req, timer])
-        if req in outcome:
-            return req
-        req.cancel()
-        raise DeadlineExceeded("deadline expired in handler call queue")
+        try:
+            if deadline is None:
+                yield req
+                return req
+            remaining = deadline - self.env._now
+            if remaining <= 0:
+                raise DeadlineExceeded("deadline spent before handler queue")
+            timer = Timeout(self.env, remaining)
+            outcome = yield AnyOf(self.env, [req, timer])
+            if req in outcome:
+                return req
+            raise DeadlineExceeded("deadline expired in handler call queue")
+        except BaseException:
+            req.cancel()  # expired or interrupted: granted or not, it goes
+            raise
 
     def _release_slot(self, slot) -> None:
         if slot is not None:

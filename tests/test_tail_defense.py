@@ -12,12 +12,15 @@ from repro.cassandra.client import CassandraSession
 from repro.cassandra.deployment import CassandraCluster, CassandraSpec
 from repro.cluster.topology import (Cluster, ClusterSpec, DeadlineExceeded,
                                     RpcTimeout)
+from repro.core.experiment import ExperimentSession
+from repro.core.sweep import CAMPAIGNS, TAIL_SCENARIOS, campaign_cells
 from repro.hbase.deployment import HBaseCluster, HBaseSpec
 from repro.keyspace import key_for_index
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, Interrupt
 from repro.sim.resources import Overloaded
 from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec
+from repro.ycsb.workload import STRESS_WORKLOADS
 
 
 def small_storage():
@@ -268,3 +271,50 @@ class TestCoordinatorAdmission:
             replication=3, storage=small_storage()))
         cnode = cassandra.nodes[cassandra.server_nodes[0].node_id]
         assert cnode.coordinator.max_inflight is None
+
+
+class TestNoSlotLeaks:
+    """A claim on a bounded stage is withdrawn or released on every way
+    out — also for the coordinator's own hedge contender, interrupted
+    while it is still queued."""
+
+    @pytest.mark.parametrize("deadline", [None, 5.0])
+    def test_hedge_loser_interrupted_in_the_queue_withdraws(self, deadline):
+        env = Environment()
+        cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(7))
+        cassandra = CassandraCluster(cluster, CassandraSpec(
+            replication=2, handler_slots=1, max_handler_queue=4,
+            storage=small_storage()))
+        cnode = cassandra.nodes[cassandra.server_nodes[0].node_id]
+        pool = cnode.replica_pool
+        hold = pool.request()
+        call = cluster.call_local(
+            cnode._handle_read_data(("k", deadline), True))
+        assert pool.queue_len == 1
+        call.interrupt("hedge lost")
+        env.run(until=0.001)
+        assert isinstance(call.value, Interrupt)
+        assert pool.queue_len == 0
+        pool.release(hold)
+        env.run(until=10.0)
+        # At 52185b9 the abandoned claim was granted here and never
+        # released: the node ran one slot short from then on.
+        assert (pool.count, pool.queue_len, pool._ghosts) == (0, 0, 0)
+
+    @pytest.mark.parametrize("scenario", TAIL_SCENARIOS)
+    def test_tail_hedge_cells_end_with_every_pool_empty(self, scenario):
+        (cell,) = campaign_cells("tail", "cassandra", CAMPAIGNS["tail"].quick,
+                                 modes=("hedge",), scenarios=(scenario,))
+        session = ExperimentSession(cell.config)
+        session.load()
+        session.warm(operations=cell.warm.operations)
+        (run,) = cell.runs
+        session.run_cell(workload=STRESS_WORKLOADS[run.workload],
+                         target_throughput=run.target_throughput,
+                         inject_faults=run.faults)
+        session.env.run(until=session.env.now + 2.0)
+        assert any(cnode.coordinator.stats["hedged_reads"]
+                   for cnode in session.cassandra.nodes.values())
+        for cnode in session.cassandra.nodes.values():
+            pool = cnode.replica_pool
+            assert (pool.count, pool.queue_len) == (0, 0), cnode.node.node_id
