@@ -175,8 +175,7 @@ class Coordinator:
         owner = self.owner
         if replica_id == owner.node.node_id:
             return owner.cluster.call_local(
-                owner._handle_mutate((key, value, size, timestamp, deadline)),
-                "local-mutate")
+                owner._handle_mutate, (key, value, size, timestamp, deadline))
         return owner.cluster.call_async(
             owner.node, owner.cluster.nodes[replica_id], "c.mutate",
             (key, value, size, timestamp, deadline), request_bytes=size + 60,
@@ -194,11 +193,12 @@ class Coordinator:
         """
         owner = self.owner
         if replica_id == owner.node.node_id:
-            return owner.cluster.call_local(
-                owner._handle_read_digest((key, deadline)) if digest
-                else owner._handle_read_data((key, deadline),
-                                             self.hedge is not None),
-                "local-read")
+            if digest:
+                return owner.cluster.call_local(owner._handle_read_digest,
+                                                (key, deadline))
+            return owner.cluster.call_local(owner._handle_read_data,
+                                            (key, deadline),
+                                            self.hedge is not None)
         verb = "c.read_digest" if digest else "c.read_data"
         return owner.cluster.call_async(
             owner.node, owner.cluster.nodes[replica_id], verb,

@@ -14,8 +14,8 @@ from repro.cassandra.partitioner import TokenRing
 from repro.cluster.disk import FOREGROUND
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster, DeadlineExceeded
-from repro.sim.kernel import AnyOf, Event
-from repro.sim.resources import BoundedResource
+from repro.sim.kernel import Event
+from repro.sim.resources import Admission, BoundedResource, Served
 from repro.storage.lsm import LocalDiskMedium, LsmTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -63,64 +63,13 @@ class CassandraNode:
         node.register("c.read_digest", self._handle_read_digest)
         node.register("c.scan", self._handle_scan)
 
-    # -- replica-stage admission ---------------------------------------
-
-    def _acquire_slot(self, deadline: Optional[float]) -> Generator:
-        """Claim a replica-stage slot (or ``None`` when pools are off).
-
-        Raises :class:`~repro.sim.resources.Overloaded` synchronously when
-        the bounded queue is full; when the request's propagated deadline
-        expires while still queued, the slot claim is withdrawn (lazy
-        deletion) and :class:`DeadlineExceeded` is raised — the queued
-        work never runs.
-        """
-        pool = self.replica_pool
-        if pool is None:
-            return None
-        req = pool.request()
-        if req.triggered:
-            return req
-        try:
-            if deadline is None:
-                yield req
-                return req
-            remaining = deadline - self.node.env.now
-            if remaining <= 0:
-                raise DeadlineExceeded("deadline spent before replica queue")
-            timer = self.node.env.timeout(remaining)
-            outcome = yield AnyOf(self.node.env, [req, timer])
-            if req in outcome:
-                return req
-            raise DeadlineExceeded("deadline expired in replica queue")
-        except BaseException:
-            # Expired — or interrupted while queued (a hedge loser on the
-            # coordinator's own node): the claim goes, granted or not.
-            req.cancel()
-            raise
-
-    def _release_slot(self, slot) -> None:
-        if slot is not None:
-            self.replica_pool.release(slot)
-
     # -- replica verbs -------------------------------------------------
-
-    def _pooled(self, deadline: Optional[float], op, *args) -> Generator:
-        """Slot, then operate: every verb's path when the replica stage
-        is bounded (a scan's and a cancellable read's always).  The
-        slot is claimed — or the request shed — before the engine books
-        any CPU.  A read's steps (``op``: the tree's generator form) run
-        inside this process, so a cancelled hedged read is interrupted
-        as one unit, slot, disk queue and all."""
-        slot = yield from self._acquire_slot(deadline)
-        try:
-            result = yield from op(*args)
-        finally:
-            self._release_slot(slot)
-        return result
-
+    #
     # A verb handler returns the storage engine's completion event when
-    # the replica stage is unbounded — the request then costs no process
-    # anywhere — and the ``_pooled`` generator when it is not.  The
+    # the replica stage is unbounded, and that operation behind the
+    # stage's admission (:class:`~repro.sim.resources.Served`) when it
+    # is bounded: the slot is claimed — or the request shed, right here —
+    # before the engine books any CPU.  Neither costs a process.  The
     # verb's CPU charge rides the same core reservation as the engine
     # operation (one timeout event, same total service time).
 
@@ -129,27 +78,49 @@ class CassandraNode:
         no payload."""
         key, value, size, timestamp, *rest = payload
         self.ops["mutate"] += 1
-        if self.replica_pool is None:
+        pool = self.replica_pool
+        if pool is None:
             return self.tree.put(key, value, size, timestamp, _VERB_CPU_S)
-        return self._pooled(rest[0] if rest else None, self.tree.put,
-                            key, value, size, timestamp, _VERB_CPU_S)
+        return Served(
+            self.node.env,
+            Admission(pool, rest[0] if rest else None, DeadlineExceeded),
+            self.tree.put, (key, value, size, timestamp, _VERB_CPU_S))
 
     def _handle_read_data(self, payload, cancellable: bool = False):
         """Full read: answers ``(value, timestamp)`` or None.
 
         ``cancellable`` is the coordinator asking for its *own* hedged
-        read as a process even with no pool to queue in: losing the
-        hedge interrupts it, and the interrupt has to reach the disk
-        queue the lookup may be standing in.  (A remote read needs no
-        such thing — cancellation does not cross the wire.)
+        read as a generator (a process, behind ``call_local``): losing
+        the hedge interrupts it, and the interrupt has to reach the slot
+        queue or the disk queue the lookup may be standing in.  (A
+        remote read needs no such thing — cancellation does not cross
+        the wire.)
         """
         key, deadline = (payload if isinstance(payload, tuple)
                          else (payload, None))
         self.ops["read_data"] += 1
-        if self.replica_pool is None and not cancellable:
+        if cancellable:
+            return self._read_cancellable(key, deadline)
+        pool = self.replica_pool
+        if pool is None:
             return self.tree.get(key, FOREGROUND, _VERB_CPU_S)
-        return self._pooled(deadline, self.tree.get_inline, key, FOREGROUND,
-                            _VERB_CPU_S)
+        return Served(self.node.env,
+                      Admission(pool, deadline, DeadlineExceeded),
+                      self.tree.get, (key, FOREGROUND, _VERB_CPU_S))
+
+    def _read_cancellable(self, key: str,
+                          deadline: Optional[float]) -> Generator:
+        pool = self.replica_pool
+        claim = (None if pool is None
+                 else Admission(pool, deadline, DeadlineExceeded))
+        try:
+            if claim is not None:
+                yield claim
+            return (yield from self.tree.get_inline(key, FOREGROUND,
+                                                    _VERB_CPU_S))
+        finally:
+            if claim is not None:
+                pool.release(claim.slot)  # held, queued or withdrawn
 
     def _handle_read_digest(self, payload):
         """Digest read: same local I/O as a data read, tiny response.
@@ -160,8 +131,12 @@ class CassandraNode:
         key, deadline = (payload if isinstance(payload, tuple)
                          else (payload, None))
         self.ops["read_digest"] += 1
-        if self.replica_pool is not None:
-            return self._pooled(deadline, self._digest_inline, key)
+        pool = self.replica_pool
+        if pool is not None:
+            return Served(self.node.env,
+                          Admission(pool, deadline, DeadlineExceeded),
+                          self.tree.get, (key, FOREGROUND, _VERB_CPU_S),
+                          _as_digest)
         read = self.tree.get(key, FOREGROUND, _VERB_CPU_S)
         # First subscriber: whoever waits for the read sees the digest.
         if read.callbacks is None:
@@ -170,16 +145,17 @@ class CassandraNode:
             read.callbacks.append(_as_digest)
         return read
 
-    def _digest_inline(self, key: str) -> Generator:
-        found = yield from self.tree.get_inline(key, FOREGROUND, _VERB_CPU_S)
-        return None if found is None else found[1]
-
-    def _handle_scan(self, payload) -> Generator:
+    def _handle_scan(self, payload):
         """Token-order scan over this node's local range."""
         start_key, limit, *rest = payload
         self.ops["scan"] += 1
-        return self._pooled(rest[0] if rest else None, self.tree.scan,
-                            start_key, limit, FOREGROUND, _VERB_CPU_S)
+        pool = self.replica_pool
+        if pool is None:
+            return self.tree.scan(start_key, limit, FOREGROUND, _VERB_CPU_S)
+        return Served(
+            self.node.env,
+            Admission(pool, rest[0] if rest else None, DeadlineExceeded),
+            self.tree.scan, (start_key, limit, FOREGROUND, _VERB_CPU_S))
 
     def newest_timestamp(self, key: str) -> Optional[float]:
         """Zero-cost inspection for tests/probes (no simulated I/O)."""

@@ -29,8 +29,9 @@ from typing import Any, Generator, Optional
 from repro.cluster.nic import Network, NetworkSpec
 from repro.cluster.node import Node, NodeSpec
 from repro.sim.kernel import (URGENT, Environment, Event, Interrupt,
-                              ModelledFailure, Process, Timeout, _PENDING)
-from repro.sim.resources import Overloaded
+                              ModelledFailure, Process, Timeout, _PENDING,
+                              _settled)
+from repro.sim.resources import Overloaded, Served
 from repro.sim.rng import RngRegistry
 
 __all__ = ["AsyncCall", "Cluster", "ClusterSpec", "DeadNodeError",
@@ -321,14 +322,14 @@ class _LocalCall(AsyncCall):
 
     __slots__ = ("_work",)
 
-    def __init__(self, env: Environment, work: Generator, name: str) -> None:
+    def __init__(self, env: Environment, work: Generator) -> None:
         self.env = env
         self.callbacks = []
         self._value = _PENDING
         self._ok = True
         self._defused = False
         self._watchers = None
-        self._work = Process(env, work, name, True, self._handled)
+        self._work = Process(env, work, None, True, self._handled)
 
     def _handled(self, work: Event) -> None:
         if work._ok:
@@ -640,18 +641,25 @@ class Cluster:
             watchers[result] = result._expire
         return result
 
-    def call_local(self, work: Any, name: str = "local") -> Event:
-        """Wait for ``work`` — what a verb's handler returned to a caller
-        on the handler's own node — like :meth:`call_async`'s result: no
-        wire, no RPC CPU, no timeout, and not counted as an RPC.
+    def call_local(self, handler: Any, *args: Any) -> Event:
+        """Call a verb's ``handler`` on its own node and wait for it like
+        :meth:`call_async`'s result: no wire, no RPC CPU, no timeout, and
+        not counted as an RPC.
 
-        An event comes back as it is — there is no failure to convert
-        and nothing to cancel.  A generator (a bounded pool is
-        configured, or the caller needs to be able to cancel) runs as a
-        process behind an :class:`AsyncCall`, so a shed, a deadline
-        spent in the queue or a cancellation arrive as values, exactly
-        as they would from a remote replica.
+        The event a handler returns comes back as it is — no process,
+        nothing to cancel — with the fan-out convention kept where a
+        bounded stage can refuse: a shed, and a deadline spent before or
+        in the stage's queue, arrive as *values*, exactly as they would
+        from a remote replica.  A generator (the caller needs to be able
+        to cancel) runs as a process behind an :class:`AsyncCall`.
         """
-        if Event in work.__class__.__mro__:
-            return work
-        return _LocalCall(self.env, work, name)
+        try:
+            work = handler(*args)
+        except (Overloaded, DeadlineExceeded) as refusal:
+            refusal.__traceback__ = None  # as Process._finalize does
+            return _settled(self.env, refusal)
+        if Event not in work.__class__.__mro__:
+            return _LocalCall(self.env, work)
+        if work.__class__ is Served:
+            work.failure_as_value = True
+        return work

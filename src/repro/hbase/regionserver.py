@@ -4,14 +4,16 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
+from repro.cluster.disk import FOREGROUND
 from repro.cluster.node import Node
 from repro.cluster.topology import DeadlineExceeded
 from repro.hdfs.block import DfsFile
 from repro.hdfs.client import WAL_SEGMENT_BYTES, DfsClient
 from repro.hbase.region import Region
-from repro.sim.kernel import (_PENDING, AnyOf, Environment, Event, Initialize,
-                              ModelledFailure, Process, Timeout)
-from repro.sim.resources import BoundedResource, Resource
+from repro.sim.kernel import (_PENDING, Environment, Event, Initialize,
+                              ModelledFailure, Process)
+from repro.sim.resources import (Admission, BoundedResource, Resource,
+                                 Served)
 
 __all__ = ["GroupCommitWal", "NotServingRegion", "RegionServer"]
 
@@ -196,78 +198,36 @@ class RegionServer:
                 f"region {region_id} no longer covers key {key!r}")
         return region
 
-    def _wait_available(self, region: Region) -> Generator:
-        now = self.env._now
-        if region.available_at > now:
-            yield Timeout(self.env, region.available_at - now)
-
-    def _acquire_slot(self, deadline: Optional[float]) -> Generator:
-        """Claim a handler slot (``None`` when pools are unbounded).
-
-        Raises :class:`~repro.sim.resources.Overloaded` synchronously on a
-        full call queue; a request whose propagated deadline expires while
-        queued withdraws its claim (lazy deletion) and fails with
-        :class:`DeadlineExceeded` without ever running.
-        """
-        pool = self.handler_pool
-        if pool is None:
-            return None
-        req = pool.request()
-        if req.triggered:
-            return req
-        try:
-            if deadline is None:
-                yield req
-                return req
-            remaining = deadline - self.env._now
-            if remaining <= 0:
-                raise DeadlineExceeded("deadline spent before handler queue")
-            timer = Timeout(self.env, remaining)
-            outcome = yield AnyOf(self.env, [req, timer])
-            if req in outcome:
-                return req
-            raise DeadlineExceeded("deadline expired in handler call queue")
-        except BaseException:
-            req.cancel()  # expired or interrupted: granted or not, it goes
-            raise
-
-    def _release_slot(self, slot) -> None:
-        if slot is not None:
-            self.handler_pool.release(slot)
-
     # -- verbs ---------------------------------------------------------
     #
-    # A get or a put that nothing can make wait before the engine — no
-    # bounded pool, region open — is the engine's completion event with
-    # the verb's counter as its first callback: by the time the
-    # transport books the response leg the operation is counted (and the
-    # mutation applied, the memtable rotated).  It costs no process.
-    # Everything else goes through :meth:`_queued`.
+    # A request that nothing can make wait before the engine — no bounded
+    # pool, region open — is the engine's own operation: a get's or a
+    # put's completion event with the verb's counter as its first
+    # callback (by the time the transport books the response leg the
+    # operation is counted, the mutation applied, the memtable rotated),
+    # a scan's generator.  Everything else is the same operation and the
+    # same counter behind :meth:`_served`.  Only a scan, a loop over
+    # block loads, costs a process.
 
-    def _queued(self, region: Region, deadline: Optional[float], verb: str,
-                operate, *args) -> Generator:
-        """Slot, then region, then ``operate(*args)`` — an engine verb
-        returning a generator or an event — as one process: a request in
-        the call queue can be refused, expire or be cancelled."""
-        slot = yield from self._acquire_slot(deadline)
-        try:
-            yield from self._wait_available(region)
-            # Handler CPU rides the same core reservation as the engine
-            # operation (one timeout event, same total service time).
-            result = yield from operate(*args, extra_cpu_s=_HANDLER_CPU_S)
-            self.ops[verb] += 1
-        finally:
-            self._release_slot(slot)
-        # A put's reply is the bare acknowledgement.
-        return True if verb == "put" else result
+    def _served(self, region: Region, deadline: Optional[float], count,
+                operate, *args) -> Served:
+        """Slot (a request in the call queue can be refused or expire —
+        a refusal is raised right here), then region, then the engine.
+        Handler CPU rides the same core reservation as the operation
+        (one timeout event, same total service time)."""
+        pool = self.handler_pool
+        claim = (None if pool is None
+                 else Admission(pool, deadline, DeadlineExceeded))
+        return Served(self.env, claim, operate, args, count, region)
 
     def _handle_put(self, payload):
         region_id, key, value, size, timestamp, *rest = payload
         region = self._region(region_id, key)
         if self.handler_pool is not None \
                 or region.available_at > self.env._now:
-            return self._queued(region, rest[0] if rest else None, "put",
-                                region.tree.put, key, value, size, timestamp)
+            return self._served(region, rest[0] if rest else None,
+                                self._count_put, region.tree.put,
+                                key, value, size, timestamp, _HANDLER_CPU_S)
         put = region.tree.put(key, value, size, timestamp, _HANDLER_CPU_S)
         if put.callbacks is None:
             self._count_put(put)
@@ -285,10 +245,9 @@ class RegionServer:
         region = self._region(region_id, key)
         if self.handler_pool is not None \
                 or region.available_at > self.env._now:
-            # ``get_inline``: a hedge loser's interrupt has to reach the
-            # disk queue the lookup may be standing in.
-            return self._queued(region, rest[0] if rest else None, "get",
-                                region.tree.get_inline, key)
+            return self._served(region, rest[0] if rest else None,
+                                self._count_get, region.tree.get,
+                                key, FOREGROUND, _HANDLER_CPU_S)
         read = region.tree.get(key, extra_cpu_s=_HANDLER_CPU_S)
         if read.callbacks is None:
             self._count_get(read)
@@ -300,8 +259,17 @@ class RegionServer:
         if read._ok:
             self.ops["get"] += 1
 
-    def _handle_scan(self, payload) -> Generator:
+    def _handle_scan(self, payload):
         region_id, start_key, limit, *rest = payload
         region = self._region(region_id, start_key)
-        return self._queued(region, rest[0] if rest else None, "scan",
-                            region.tree.scan, start_key, limit)
+        if self.handler_pool is not None \
+                or region.available_at > self.env._now:
+            return self._served(region, rest[0] if rest else None, None,
+                                self._scan, region, start_key, limit)
+        return self._scan(region, start_key, limit)
+
+    def _scan(self, region: Region, start_key: str, limit: int) -> Generator:
+        rows = yield from region.tree.scan(start_key, limit,
+                                           extra_cpu_s=_HANDLER_CPU_S)
+        self.ops["scan"] += 1
+        return rows

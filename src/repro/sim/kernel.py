@@ -190,6 +190,27 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
+def _settled(env: "Environment", value: Any = None) -> Event:
+    """An event that has already happened (nothing was waited for)."""
+    event = Event(env)
+    event.callbacks = None
+    event._value = value
+    return event
+
+
+def _finish(done: Event, ok: bool, value: Any) -> None:
+    """Complete ``done`` inline: its waiters run now, inside the kernel
+    dispatch that produced ``value``, the way a terminating process
+    settles — no queue event of its own."""
+    done._ok = ok
+    done._value = value
+    callbacks, done.callbacks = done.callbacks, None
+    for callback in callbacks:
+        callback(done)
+    if not ok and not done._defused:
+        raise value
+
+
 class Timeout(Event):
     """An event that triggers ``delay`` time units after creation.
 

@@ -7,6 +7,9 @@
 - :class:`BoundedResource` — a :class:`Resource` whose wait queue has a
   maximum depth; requests beyond it are rejected immediately with
   :class:`Overloaded` (models bounded server queues + load shedding).
+  :class:`Admission` is a claim on such a stage — granted, shed, or
+  expired in the queue — and :class:`Served` one request's whole passage
+  through it, as callbacks.
 - :class:`Store` — an unbounded-or-bounded FIFO buffer of items (models
   mailboxes and RPC channels).
 - :class:`Container` — a continuous level with put/get amounts (models
@@ -29,13 +32,14 @@ and queue statistics only ever see live waiters.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
-from repro.sim.kernel import (Environment, Event, ModelledFailure,
-                              SimulationError, _PENDING)
+from repro.sim.kernel import (AnyOf, Environment, Event, ModelledFailure,
+                              Process, SimulationError, Timeout, _PENDING,
+                              _finish)
 
-__all__ = ["BoundedResource", "Container", "Overloaded", "PriorityResource",
-           "Request", "Resource", "Store"]
+__all__ = ["Admission", "BoundedResource", "Container", "Overloaded",
+           "PriorityResource", "Request", "Resource", "Served", "Store"]
 
 
 class Overloaded(ModelledFailure):
@@ -190,13 +194,143 @@ class BoundedResource(Resource):
 
     def request(self, priority: int = 0) -> Request:
         """Claim a slot, or raise :class:`Overloaded` if the queue is full."""
-        if len(self.users) >= self.capacity \
-                and self.queue_len >= self.max_queue:
-            self.shed += 1
-            raise Overloaded(
-                f"queue full ({self.queue_len} waiting, "
-                f"{self.capacity} slots busy)")
+        if len(self.users) >= self.capacity:
+            waiting = len(self._waiting) - self._ghosts
+            if waiting >= self.max_queue:
+                self.shed += 1
+                raise Overloaded(f"queue full ({waiting} waiting, "
+                                 f"{self.capacity} slots busy)")
         return super().request(priority=priority)
+
+
+class Admission(Event):
+    """A claim on a :class:`BoundedResource` slot by a request that may
+    be refused or may give up waiting.  Three outcomes: *shed* —
+    :class:`Overloaded` raised from the constructor, nothing queued;
+    *granted* — succeeds with ``slot`` (a :class:`Request`, to release),
+    already processed when a slot was free, whatever the deadline;
+    *expired in the queue* — ``deadline`` (absolute, or ``None``) passed
+    first: the claim is withdrawn and the event fails with
+    ``expired(...)``, which a deadline already spent on arrival at a busy
+    stage raises at once.  Releasing ``slot`` is right whether it is
+    held, queued or withdrawn — what an interrupted waiter does.
+
+    The slot-versus-deadline race is a queued ``AnyOf`` over the claim
+    and a ``Timeout``, as when a process waited for it (those events are
+    part of the model's schedule); the verdict is delivered inline.
+    """
+
+    __slots__ = ("slot", "_expired")
+
+    def __init__(self, pool: BoundedResource, deadline: Optional[float],
+                 expired: type) -> None:
+        self.slot = slot = pool.request()
+        self.env = env = pool.env
+        self._ok = True
+        self._defused = False
+        if slot.callbacks is None:
+            self.callbacks = None
+            self._value = slot
+            return
+        self.callbacks = []
+        self._value = _PENDING
+        self._expired = expired
+        if deadline is None:
+            slot.callbacks.append(self._decided)
+        elif deadline <= env._now:
+            slot.cancel()
+            raise expired("deadline spent before the queue")
+        else:
+            AnyOf(env, [slot, Timeout(env, deadline - env._now)]
+                  ).callbacks.append(self._decided)
+
+    def _decided(self, _race: Event) -> None:
+        slot = self.slot
+        if slot.callbacks is None:
+            _finish(self, True, slot)
+        else:
+            slot.cancel()
+            _finish(self, False, self._expired("deadline expired in the queue"))
+
+
+class Served(Event):
+    """One request's passage through a bounded stage, as callbacks:
+    admitted → ``gate`` open → ``operate(*args)`` → slot released →
+    complete, inline, with the operation's outcome.
+
+    ``claim`` is the request's :class:`Admission`, or ``None`` where
+    nothing bounds the stage; ``gate`` anything whose ``available_at``
+    the operation must not start before (a reopening region), looked at
+    once the slot is held.  ``operate`` returns its completion event or a
+    generator — only that becomes a process, and only now.  ``then`` sees
+    the finished operation first, as a first subscriber would, to count
+    it or rewrite its value.  The slot goes back before the waiters
+    hear, so the next grant is scheduled ahead of whatever they schedule.
+    ``failure_as_value`` is the fan-out convention, for a coordinator
+    waiting on its own node: an expiry *succeeds*, the exception its value.
+    """
+
+    __slots__ = ("claim", "gate", "operate", "args", "then",
+                 "failure_as_value")
+
+    def __init__(self, env: Environment, claim: Optional[Admission],
+                 operate: Callable[..., Any], args: tuple,
+                 then: Optional[Callable[[Event], None]] = None,
+                 gate: Any = None) -> None:
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self.claim = claim
+        self.gate = gate
+        self.operate = operate
+        self.args = args
+        self.then = then
+        self.failure_as_value = False
+        if claim is None or claim.callbacks is None:
+            self._admitted(claim)
+        else:
+            claim.callbacks.append(self._admitted)
+
+    def _admitted(self, claim: Optional[Admission]) -> None:
+        if claim is not None and not claim._ok:
+            claim._defused = True  # expired in the queue: ours to report
+            _finish(self, self.failure_as_value, claim._value)
+            return
+        gate = self.gate
+        env = self.env
+        if gate is not None and gate.available_at > env._now:
+            Timeout(env, gate.available_at - env._now
+                    ).callbacks.append(self._operate)
+        else:
+            self._operate()
+
+    def _operate(self, _opened: Optional[Event] = None) -> None:
+        try:
+            work = self.operate(*self.args)
+        except BaseException:
+            self._release()
+            raise
+        if Event not in work.__class__.__mro__:
+            Process(self.env, work, None, True, self._operated)
+        elif work.callbacks is None:
+            self._operated(work)
+        else:
+            work.callbacks.append(self._operated)
+
+    def _operated(self, work: Event) -> None:
+        self._release()
+        if self.then is not None:
+            self.then(work)
+        if not work._ok:
+            work._defused = True  # the operation's failure is this event's
+        _finish(self, work._ok, work._value)
+
+    def _release(self) -> None:
+        if self.claim is not None:
+            slot = self.claim.slot
+            slot.resource.release(slot)
 
 
 class StorePut(Event):

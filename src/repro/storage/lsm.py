@@ -18,7 +18,8 @@ from typing import Any, Generator, Optional, Protocol, Union
 
 from repro.cluster.disk import BACKGROUND, FOREGROUND
 from repro.cluster.node import Node
-from repro.sim.kernel import _PENDING, Environment, Event, Process, Timeout
+from repro.sim.kernel import (_PENDING, Environment, Event, Process, Timeout,
+                              _finish, _settled)
 from repro.storage.cache import BlockCache
 from repro.storage.compaction import (merge_tables, pick_compaction,
                                       pick_leveled_compaction)
@@ -119,27 +120,6 @@ class StorageSpec:
     cpu_scan_per_entry_s: float = 4e-7
     cpu_flush_per_entry_s: float = 1e-6
     cpu_compact_per_entry_s: float = 8e-7
-
-
-def _settled(env: Environment, value: Any = None) -> Event:
-    """An event that has already happened (nothing was waited for)."""
-    event = Event(env)
-    event.callbacks = None
-    event._value = value
-    return event
-
-
-def _finish(done: Event, ok: bool, value: Any) -> None:
-    """Complete ``done`` inline: its waiters run now, inside the kernel
-    dispatch that produced ``value``, the way a terminating process
-    settles — no queue event of its own."""
-    done._ok = ok
-    done._value = value
-    callbacks, done.callbacks = done.callbacks, None
-    for callback in callbacks:
-        callback(done)
-    if not ok and not done._defused:
-        raise value
 
 
 class _LoggedPut(Event):

@@ -19,6 +19,10 @@ produced at ``353f292``, where every RPC was a generator process.
 The third does the same for HBase's write path — WAL group commit, the
 HDFS pipeline, the put handler — against ``805ebb2``, where a put, the
 WAL writer, every WAL round and every pipeline write was a process.
+
+The budgets also cover a small open-loop overloaded cell per engine,
+bounded pools on (``_overloaded_cell``), against ``52185b9``, where
+every request behind a pool — a refused one included — was a process.
 """
 
 from dataclasses import replace
@@ -29,7 +33,9 @@ from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.cassandra.deployment import CassandraCluster, CassandraSpec
 from repro.cluster.topology import AsyncCall, Cluster, ClusterSpec
-from repro.core.config import default_stress_config, scaled_stress_storage
+from repro.core.config import (ArrivalConfig, ClientTierConfig,
+                               TailDefenseConfig, default_stress_config,
+                               default_surge_config, scaled_stress_storage)
 from repro.core.experiment import ExperimentSession, summarize_run
 from repro.hbase.client import HBaseClient
 from repro.hbase.deployment import HBaseCluster, HBaseSpec
@@ -43,6 +49,7 @@ from repro.sim.rng import RngRegistry
 from repro.sim.trace import KernelTracer
 from repro.storage.cache import BlockCache
 from repro.storage.lsm import LocalDiskMedium, LsmTree, StorageSpec
+from repro.ycsb.workload import STRESS_WORKLOADS
 from tests.conftest import build_wal, flat_cluster, schedule_appends
 
 
@@ -123,6 +130,68 @@ def test_resumes_per_op_stay_under_the_ceiling(db, monkeypatch):
     _run(config, counted=resumed)
     assert len(resumed) / config.operation_count \
         <= 1.05 * LANDED_RESUMES_PER_OP[db]
+
+
+def _overloaded_cell(db: str):
+    """A small open-loop flash crowd (200/s, 20x for a second) onto two
+    handler slots and four queue places per server, 100 ms budgets riding
+    every request, a client tier that retries twice, no hedging: most of
+    what the servers see they refuse, queue or let expire."""
+    config = default_surge_config(
+        db,
+        arrivals=ArrivalConfig(process="flash_crowd", rate=200.0,
+                               max_arrivals=600, n_users=10_000, n_tenants=4,
+                               spike_at_s=0.5, spike_factor=20.0,
+                               spike_duration_s=1.0),
+        clienttier=ClientTierConfig(retries=2, retry_backoff_s=0.05,
+                                    op_timeout_s=0.25),
+        record_count=1_500, n_nodes=5, seed=7)
+    return replace(config, tail=TailDefenseConfig(
+        deadline_s=0.1, handler_slots=2, max_handler_queue=4))
+
+
+#: The overloaded cell when admission became an event: ``Process``
+#: constructions and resumes per arrival (11.517 / 24.122 and 2.063 /
+#: 5.362 at ``52185b9``, where every request behind a pool was a
+#: process, a refused one included), and what must not move — the
+#: kernel-trace digest over load, warm-up and run, the measured run's
+#: events, the client-visible errors and the servers' sheds, all recorded
+#: at ``52185b9``.
+OVERLOADED = {
+    "cassandra": {
+        "processes": 5.780, "resumes": 16.757, "events": 11_761,
+        "errors": {"Overloaded": 310}, "shed": 3_669,
+        "digest": "e45fde28a23391552ecf9dbc788cddee"
+                  "77314c112733239413767392e7a38d2b"},
+    "hbase": {
+        "processes": 1.127, "resumes": 3.417, "events": 4_103,
+        "errors": {"DeadlineExceeded": 37}, "shed": 83,
+        "digest": "1d91e051fc94cf8f877571014b7022b7"
+                  "9beb461554223629d6a815f35ec446a6"},
+}
+
+
+@pytest.mark.parametrize("db", sorted(OVERLOADED))
+def test_overloaded_cell_stays_under_the_ceilings(db, monkeypatch):
+    landed = OVERLOADED[db]
+    session = ExperimentSession(_overloaded_cell(db))
+    tracer = KernelTracer(session.env)
+    session.load()
+    session.warm(operations=300)
+    spawned = _counting(monkeypatch, "__init__")
+    resumed = _counting(monkeypatch, "_resume")
+    before = session.env.processed_events
+    summary = summarize_run(session.run_cell(
+        workload=STRESS_WORKLOADS["read_mostly"], open_loop=True))
+    arrivals = session.config.arrivals.max_arrivals
+    assert len(spawned) / arrivals <= 1.05 * landed["processes"]
+    assert len(resumed) / arrivals <= 1.05 * landed["resumes"]
+    pools = ([node.replica_pool for node in session.cassandra.nodes.values()]
+             if db == "cassandra" else
+             [rs.handler_pool for rs in session.hbase.regionservers.values()])
+    assert (session.env.processed_events - before, summary["errors_by_type"],
+            sum(pool.shed for pool in pools), tracer.digest()) == (
+        landed["events"], landed["errors"], landed["shed"], landed["digest"])
 
 
 def test_cache_resident_cell_did_not_move():
@@ -322,18 +391,23 @@ def test_pooled_replica(local):
         storage=_SMALL_STORE))
     src = cassandra.client_node
     cnode = cassandra.nodes[cassandra.server_nodes[0].node_id]
-    log = []
+    log, calls = [], []
 
     def read(label, deadline=None):
         if local:
-            call = cluster.call_local(
-                cnode._handle_read_data(("k007", deadline)))
+            call = cluster.call_local(cnode._handle_read_data,
+                                      ("k007", deadline))
         else:
             call = cluster.call_async(
                 src, cnode.node, "c.read_data", ("k007", deadline),
                 request_bytes=60, response_bytes=130, timeout=2.0,
                 deadline=deadline)
-        assert isinstance(call, AsyncCall)
+        # What the coordinator uses of a replica operation — has it
+        # happened, and with what: it always *succeeds*, a failure is
+        # its value.  (``is_alive`` and ``interrupt`` exist only where
+        # it asked for a cancellable read.)
+        assert not call.processed or call.ok
+        calls.append(call)
         _note(env, log, label, call)
 
     def script():
@@ -357,6 +431,7 @@ def test_pooled_replica(local):
                     cnode.ops["read_data"], cluster.abandoned_rpcs))
 
     env.run(until=env.process(script()))
+    assert len(calls) == 6 and all(c.processed and c.ok for c in calls)
     assert log == ([
         ("shed", 1.0051525315818306, "Overloaded"),
         ("shed with deadline", 1.0051525315818306, "Overloaded"),
@@ -536,7 +611,7 @@ def test_generator_handler_failing_in_its_first_segment_is_a_value():
 
     b.register("full", full)
     remote = cluster.call_async(a, b, "full", timeout=1.0)
-    local = cluster.call_local(full(None))
+    local = cluster.call_local(full, None)
     assert local.processed and type(local.value) is Overloaded
     env.run(until=remote)
     assert type(remote.value) is Overloaded

@@ -126,7 +126,7 @@ class TestSettledRpcsAreReleased:
             yield env.timeout(0.001)
             raise Overloaded("local queue full")
 
-        call = cluster.call_local(local_read(None))
+        call = cluster.call_local(local_read, None)
         assert live(env, _LocalCall) == live(env, Process) == 1
         value = env.run(until=call)
         assert type(value) is Overloaded and value.__traceback__ is None

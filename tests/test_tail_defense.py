@@ -288,8 +288,8 @@ class TestNoSlotLeaks:
         cnode = cassandra.nodes[cassandra.server_nodes[0].node_id]
         pool = cnode.replica_pool
         hold = pool.request()
-        call = cluster.call_local(
-            cnode._handle_read_data(("k", deadline), True))
+        call = cluster.call_local(cnode._handle_read_data, ("k", deadline),
+                                  True)
         assert pool.queue_len == 1
         call.interrupt("hedge lost")
         env.run(until=0.001)
