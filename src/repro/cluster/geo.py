@@ -65,7 +65,9 @@ class GeoSpec:
 class _GeoNetwork:
     """Latency/bandwidth lookup across datacenters.
 
-    Duck-type compatible with :class:`repro.cluster.nic.Network` so the
+    Stands where the rack's :class:`repro.cluster.nic.Network` does (the
+    message counter), and prices the hop itself: ``Cluster.leg`` calls
+    :meth:`sample_latency` wherever ``node_datacenter`` is set, so the
     RPC layer and the databases work unmodified on a geo cluster.
     """
 

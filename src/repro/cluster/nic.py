@@ -15,10 +15,6 @@ replication-factor sweeps exercise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
-from typing import Optional
-
-from repro.sim.kernel import Environment
 
 __all__ = ["Network", "NetworkSpec", "Nic"]
 
@@ -45,21 +41,22 @@ class NetworkSpec:
 class Nic:
     """A full-duplex NIC: independent egress and ingress channels.
 
-    Each channel is a *busy-until reservation*: serializations are FIFO,
+    Each channel is a *busy-until accumulator*: serializations are FIFO,
     capacity one, and never cancelled, so ``start = max(now, busy_until)``
     reproduces a wait queue exactly while costing a single timeout event
     instead of a resource round-trip — the NIC is on the path of every
     RPC byte, which made the old ``Resource`` machinery the single
-    biggest event source in stress-cell profiles.  Both channels are
-    booked by :meth:`repro.cluster.topology.Cluster.leg` and nowhere
-    else.
+    biggest event source in stress-cell profiles.  This is the record
+    only: the booking is written out in
+    :meth:`repro.cluster.topology.Cluster.leg` (both channels) and in
+    ``Cluster._land`` (ingress, on arrival), and nowhere else.
     """
 
-    def __init__(self, env: Environment, spec: NetworkSpec) -> None:
-        self.env = env
+    def __init__(self, spec: NetworkSpec) -> None:
         self.spec = spec
-        self._egress_busy = 0.0
-        self._ingress_busy = 0.0
+        #: Absolute instants until which each channel is booked.
+        self.egress_busy = 0.0
+        self.ingress_busy = 0.0
         self.bytes_sent = 0
         self.bytes_received = 0
         #: Cumulative channel-busy seconds (egress + ingress), the NIC
@@ -69,67 +66,20 @@ class Nic:
         #: Packet loss and added latency both surface to flows as a lower
         #: effective bandwidth, so a degraded NIC is modelled as a slower
         #: one (see :class:`repro.cluster.failure.NicDegradeFault`).
-        #: Read at reservation time: messages already queued keep the
-        #: rate they reserved under.
+        #: Read at booking time: messages already queued keep the rate
+        #: they were booked under.
         self.slowdown = 1.0
-
-    def reserve_egress(self, size: int, at: float = 0.0) -> float:
-        """Book the egress channel for ``size`` bytes starting no earlier
-        than ``at``; returns the completion time (absolute)."""
-        self.bytes_sent += size
-        spec = self.spec
-        start = self.env._now
-        if at > start:
-            start = at
-        if self._egress_busy > start:
-            start = self._egress_busy
-        done = start + (self.slowdown * (size + spec.header_bytes)
-                        / spec.bandwidth_bps)
-        self.busy_s += done - start
-        self._egress_busy = done
-        return done
-
-    def reserve_ingress(self, size: int, at: float = 0.0) -> float:
-        """Book the ingress channel for ``size`` bytes starting no earlier
-        than ``at``; returns the completion time (absolute)."""
-        self.bytes_received += size
-        spec = self.spec
-        start = self.env._now
-        if at > start:
-            start = at
-        if self._ingress_busy > start:
-            start = self._ingress_busy
-        done = start + (self.slowdown * (size + spec.header_bytes)
-                        / spec.bandwidth_bps)
-        self.busy_s += done - start
-        self._ingress_busy = done
-        return done
 
 
 class Network:
-    """The rack fabric: computes transit delay between two NICs."""
+    """The rack fabric: every hop crosses the same switch, so it is the
+    spec, the ``network`` stream's uniform draw and the message counter;
+    :meth:`repro.cluster.topology.Cluster.leg` draws the hop's delay,
+    ``base * (floor + Exp(tail))`` (the exponential as one uniform draw).
+    The geo fabric prices a hop by endpoints in its ``sample_latency``.
+    """
 
-    def __init__(self, env: Environment, spec: NetworkSpec, rng) -> None:
-        self.env = env
+    def __init__(self, spec: NetworkSpec, rng) -> None:
         self.spec = spec
-        self._rng = rng
-        self._random = rng.random
+        self.random = rng.random
         self.messages = 0
-
-    def sample_latency(self, src: Optional[Nic] = None,
-                       dst: Optional[Nic] = None, size: int = 0) -> float:
-        """One switch-hop delay draw (floor plus exponential tail).
-
-        ``src``/``dst``/``size`` are ignored on the single-rack fabric —
-        every hop crosses the same switch — but belong to the signature
-        so topology-aware fabrics (the geo cluster) can price the hop by
-        endpoint pair and message size.  The exponential draw is inlined
-        (one uniform draw, same distribution as ``expovariate``): this
-        runs once per message leg.
-        """
-        spec = self.spec
-        factor = spec.latency_floor
-        tail = spec.latency_tail
-        if tail:
-            factor -= log(1.0 - self._random()) * tail
-        return spec.base_latency_s * factor

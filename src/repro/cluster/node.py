@@ -54,7 +54,7 @@ class Node:
         #: several times per RPC.
         self._core_free = [0.0] * spec.cores
         self.disk = Disk(env, spec.disk, rng)
-        self.nic = Nic(env, spec.network)
+        self.nic = Nic(spec.network)
         #: RPC verb -> handler.  A handler is a callable ``handler(payload)``
         #: returning the :class:`~repro.sim.kernel.Event` that completes
         #: with the RPC response payload, or a generator returning it —

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from math import ceil
-from typing import Any, Generator, Optional
+from math import ceil, log
+from typing import Any, Callable, Generator, Optional
 
 from repro.cluster.nic import Network, NetworkSpec
 from repro.cluster.node import Node, NodeSpec
 from repro.sim.kernel import (URGENT, Environment, Event, Interrupt,
                               ModelledFailure, Process, Timeout, _PENDING,
-                              _settled)
+                              _finish, _settled)
 from repro.sim.resources import Overloaded, Served
 from repro.sim.rng import RngRegistry
 
@@ -131,8 +131,8 @@ class _RoundTrip(Event):
         cluster.leg(
             src, dst, request_bytes + spec.envelope_bytes,
             src_cpu_s + rpc_cpu,
-            rpc_cpu + verb_cpu[verb] if verb in verb_cpu else rpc_cpu
-        ).callbacks.append(self._arrived)
+            rpc_cpu + verb_cpu[verb] if verb in verb_cpu else rpc_cpu,
+            callback=self._arrived)
 
     @classmethod
     def _unsent(cls, env: Environment) -> "_RoundTrip":
@@ -204,7 +204,7 @@ class _RoundTrip(Event):
         spec = cluster.spec
         cluster.leg(self.dst, self.src,
                     self.response_bytes + spec.envelope_bytes, 0.0,
-                    spec.rpc_cpu_s).callbacks.append(self._responded)
+                    spec.rpc_cpu_s, callback=self._responded)
 
     def _responded(self, _leg: Event) -> None:
         self._settle(self.payload)
@@ -397,9 +397,8 @@ class TimerWheel:
                 for expire in tuple(watchers.values()):
                     expire()
 
-            timer = Timeout(env, fire_at - env._now)
-            timer.callbacks.append(_fire)
-            entry = pending[fire_at] = (timer, watchers)
+            entry = pending[fire_at] = (
+                Timeout(env, fire_at - env._now, None, _fire), watchers)
         return entry
 
 
@@ -429,7 +428,7 @@ class Cluster:
         self.env = env
         self.spec = spec
         self.rngs = rngs
-        self.network = Network(env, spec.node.network, rngs.stream("network"))
+        self.network = Network(spec.node.network, rngs.stream("network"))
         self.nodes: list[Node] = [
             Node(env, i, spec.node, rngs.stream(f"disk.{i}"))
             for i in range(spec.n_nodes)
@@ -454,10 +453,13 @@ class Cluster:
     # -- RPC -----------------------------------------------------------
 
     def leg(self, src: Node, dst: Node, size: int, src_cpu_s: float = 0.0,
-            dst_cpu_s: float = 0.0, on_arrival: bool = False) -> Event:
+            dst_cpu_s: float = 0.0, on_arrival: bool = False,
+            callback: Optional[Callable[[Event], None]] = None) -> Event:
         """Send one ``size``-byte message from ``src`` to ``dst``; returns
-        the event that fires when ``dst`` has it (``yield`` it).  This is
-        the only way bytes cross the network.
+        the event that fires when ``dst`` has it (``yield`` it; or pass
+        the next stage as ``callback``, its first subscriber).  This is
+        the only way bytes cross the network, and the only place a
+        channel is booked.
 
         Five stages: ``src_cpu_s`` on a sender core, egress
         serialization, the switch hop, ingress serialization,
@@ -481,38 +483,83 @@ class Cluster:
         across anything that can refuse, reorder or time out a waiter
         (bounded handler pools, the disk, a synchronous log append).
         Where the gap is long, the receiving half is booked when the
-        message *arrives* instead, at the cost of a second timeout:
-        always on a cross-datacenter leg (``node_datacenter``: a WAN
-        mutation booked 90 ms ahead would queue every rack-local message
-        behind a link that is idle), and when the caller says
-        ``on_arrival`` — the chunks of a multi-chunk bulk transfer, each
-        of which holds the wire for half a millisecond.
+        message *arrives* instead (:meth:`_land`), at the cost of a
+        second timeout — never of a process: always on a
+        cross-datacenter leg (``node_datacenter``: a WAN mutation booked
+        90 ms ahead would queue every rack-local message behind a link
+        that is idle), and when the caller says ``on_arrival`` — the
+        chunks of a multi-chunk bulk transfer, each of which holds the
+        wire for half a millisecond.
         """
         env = self.env
+        now = env._now
         network = self.network
         network.messages += 1
-        sent = src.nic.reserve_egress(
-            size, at=src.reserve_cpu(src_cpu_s) if src_cpu_s else 0.0)
-        arrival = sent + network.sample_latency(src.nic, dst.nic, size)
+        # Written out, once per message: these float operations, in this
+        # order, are the contract every replay digest hangs on.  Egress
+        # starts at the later of now, the sender's CPU and the channel.
+        start = src.reserve_cpu(src_cpu_s) if src_cpu_s else now
+        nic = src.nic
+        nic.bytes_sent += size
+        if nic.egress_busy > start:
+            start = nic.egress_busy
+        wire = nic.spec
+        sent = start + (nic.slowdown * (size + wire.header_bytes)
+                        / wire.bandwidth_bps)
+        nic.busy_s += sent - start
+        nic.egress_busy = sent
+        # The switch hop: floor plus an exponential tail, one draw.
         datacenter = self.node_datacenter
-        if on_arrival or (datacenter is not None and
-                          datacenter[src.node_id] != datacenter[dst.node_id]):
-            return env.process(self._land(dst, size, dst_cpu_s, arrival),
-                               name="leg", eager=True)
-        done = dst.nic.reserve_ingress(size, at=arrival)
+        if datacenter is None:
+            fabric = network.spec
+            factor = fabric.latency_floor
+            if fabric.latency_tail:
+                factor -= log(1.0 - network.random()) * fabric.latency_tail
+            start = sent + fabric.base_latency_s * factor
+        else:
+            start = sent + network.sample_latency(nic, dst.nic, size)
+            if datacenter[src.node_id] != datacenter[dst.node_id]:
+                on_arrival = True
+        if on_arrival:
+            landed = Event(env)
+            if callback is not None:
+                landed.callbacks.append(callback)
+            Timeout(env, start - now, None,
+                    partial(self._land, dst, size, dst_cpu_s, landed))
+            return landed
+        # Ingress, then the receiver's CPU.
+        nic = dst.nic
+        nic.bytes_received += size
+        if nic.ingress_busy > start:
+            start = nic.ingress_busy
+        wire = nic.spec
+        done = start + (nic.slowdown * (size + wire.header_bytes)
+                        / wire.bandwidth_bps)
+        nic.busy_s += done - start
+        nic.ingress_busy = done
         if dst_cpu_s:
             done = dst.reserve_cpu(dst_cpu_s, at=done)
-        return Timeout(env, done - env._now)
+        return Timeout(env, done - now, None, callback)
 
-    def _land(self, dst: Node, size: int, cpu_s: float,
-              arrival: float) -> Generator:
-        """The receiving half of a :meth:`leg`, booked on arrival."""
+    def _land(self, dst: Node, size: int, cpu_s: float, landed: Event,
+              _arrival: Event) -> None:
+        """A deferred :meth:`leg` arrived: book its receiving half (the
+        one booking outside ``leg``), then complete ``landed`` inline."""
         env = self.env
-        yield Timeout(env, arrival - env._now)
-        done = dst.nic.reserve_ingress(size)
+        start = env._now
+        nic = dst.nic
+        nic.bytes_received += size
+        if nic.ingress_busy > start:
+            start = nic.ingress_busy
+        wire = nic.spec
+        done = start + (nic.slowdown * (size + wire.header_bytes)
+                        / wire.bandwidth_bps)
+        nic.busy_s += done - start
+        nic.ingress_busy = done
         if cpu_s:
             done = dst.reserve_cpu(cpu_s, at=done)
-        yield Timeout(env, done - env._now)
+        Timeout(env, done - env._now, None,
+                lambda _timer: _finish(landed, True, None))
 
     def call(self, src: Node, dst: Node, verb: str, payload: Any = None,
              request_bytes: int = 0, response_bytes: int = 0,

@@ -446,7 +446,7 @@ class ExperimentSession:
                         self.rngs.stream(f"workload.{spec.name}.{self.env.now}"))
 
     def load(self) -> LoadResult:
-        """Insert the record population (idempotent)."""
+        """Insert the record population, once: a second call raises."""
         if self._loaded:
             raise RuntimeError("session already loaded")
         workload = self._new_workload(self.config.workload)

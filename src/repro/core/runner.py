@@ -32,6 +32,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -302,6 +303,10 @@ class CellRunner:
     progress:
         Called with a :class:`CellProgress` after each cell completes
         (cache hits report immediately with ``cached=True``).
+
+    A cell that raises ends :meth:`run` with ``RuntimeError("cell
+    '<label>' failed")`` chained from it; cells finished by then are
+    cached, cells not yet started are cancelled.
     """
 
     def __init__(self, jobs: int = 1, cache: bool = False,
@@ -339,13 +344,18 @@ class CellRunner:
                     continue
             pending.append(index)
 
-        def finish(index: int, payload: dict, elapsed: float) -> None:
+        def finish(index: int,
+                   outcome: Callable[[], tuple[dict, float]]) -> None:
+            spec = cells[index]
+            try:
+                payload, elapsed = outcome()
+            except Exception as exc:
+                # The traceback alone does not say which cell it was.
+                raise RuntimeError(f"cell {spec.label!r} failed") from exc
             payloads[index] = payload
             if self.cache is not None:
-                self.cache.put(fingerprints[index], cells[index].label,
-                               payload)
-            self._emit(index, total, cells[index], cached=False,
-                       duration_s=elapsed)
+                self.cache.put(fingerprints[index], spec.label, payload)
+            self._emit(index, total, spec, cached=False, duration_s=elapsed)
 
         if self.jobs > 1 and len(pending) > 1:
             workers = min(self.jobs, len(pending))
@@ -353,11 +363,15 @@ class CellRunner:
                                      mp_context=_pool_context()) as pool:
                 futures = {pool.submit(_execute_cell_timed, cells[i]): i
                            for i in pending}
-                for future in as_completed(futures):
-                    payload, elapsed = future.result()
-                    finish(futures[future], payload, elapsed)
+                try:
+                    for future in as_completed(futures):
+                        finish(futures[future], future.result)
+                except BaseException:
+                    # The sweep is lost: do not start what is left.
+                    for future in futures:
+                        future.cancel()
+                    raise
         else:
             for index in pending:
-                payload, elapsed = _execute_cell_timed(cells[index])
-                finish(index, payload, elapsed)
+                finish(index, partial(_execute_cell_timed, cells[index]))
         return payloads  # type: ignore[return-value]

@@ -87,21 +87,20 @@ class _PipelineWrite(Event):
             # never chained into one reservation, which would park every
             # NIC down the pipeline.
             at = hop % depth
-            leg = self.cluster.leg(nodes[at], nodes[at + 1],
-                                   self.chunks[hop // depth], 0.0,
-                                   PACKET_CPU_S,
-                                   data_hops > depth)  # more than one chunk
+            self.cluster.leg(nodes[at], nodes[at + 1],
+                             self.chunks[hop // depth], 0.0, PACKET_CPU_S,
+                             data_hops > depth,  # more than one chunk
+                             callback=self._step)
         elif hop < data_hops + depth:
             # Ack cascade: DNr -> ... -> DN1 -> client, one small hop each.
             at = data_hops + depth - hop
-            leg = self.cluster.leg(nodes[at], nodes[at - 1], ACK_BYTES)
+            self.cluster.leg(nodes[at], nodes[at - 1], ACK_BYTES,
+                             callback=self._step)
         else:
             self._value = None
             callbacks, self.callbacks = self.callbacks, None
             for callback in callbacks:
                 callback(self)
-            return
-        leg.callbacks.append(self._step)
 
     def _stored(self, write: Event) -> None:
         """The hsync of the packet that landed last finished."""

@@ -224,14 +224,16 @@ class Timeout(Event):
 
     __slots__ = ("delay", "_delayed_value")
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
+    def __init__(self, env: "Environment", delay: float, value: Any = None,
+                 callback: Optional[Callable[[Event], None]] = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
         # Timeouts are the most-allocated event by far (every RPC, every
         # think-time, every retry backoff), so skip the super() chain and
-        # write the slots directly.
+        # write the slots directly.  ``callback`` is the first subscriber,
+        # taken at construction the way :class:`Process` takes its own.
         self.env = env
-        self.callbacks = []
+        self.callbacks = [] if callback is None else [callback]
         self._value = _PENDING
         self._ok = True
         self._defused = False
@@ -567,9 +569,10 @@ class Environment:
         """A fresh untriggered event owned by this environment."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float, value: Any = None,
+                callback: Optional[Callable[[Event], None]] = None) -> Timeout:
         """An event that triggers ``delay`` time units from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay, value, callback)
 
     def process(self, generator: Generator, name: Optional[str] = None,
                 eager: bool = False) -> Process:

@@ -193,6 +193,34 @@ class TestCellCache:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestFailingCell:
+    """A sweep that dies says which cell killed it."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_the_error_names_the_cell(self, jobs, tmp_path):
+        bad = replace(small_cell(seed=2), label="sweep/the-bad-one",
+                      runs=(RunSpec(workload="nope", kind="micro"),))
+        cells = [small_cell(seed=1), bad, small_cell(seed=3)]
+        events = []
+        runner = CellRunner(jobs=jobs, cache=True, cache_dir=tmp_path,
+                            progress=events.append)
+        with pytest.raises(RuntimeError,
+                           match="cell 'sweep/the-bad-one' failed") as info:
+            runner.run(cells)
+        cause = info.value.__cause__
+        assert type(cause) is ValueError and "nope" in str(cause)
+        assert "sweep/the-bad-one" not in {e.label for e in events}
+        if jobs == 1:
+            # What finished first was reported, and is kept: a rerun
+            # finds it in the cache.  (Across processes the bad cell may
+            # well fail before any other finishes.)
+            assert [e.label for e in events] == ["cell/seed=1"]
+            events.clear()
+            CellRunner(cache=True, cache_dir=tmp_path,
+                       progress=events.append).run([cells[0]])
+            assert [e.cached for e in events] == [True]
+
+
 class TestProgress:
     def test_events_cover_all_cells_with_totals(self):
         cells = [small_cell(seed=s) for s in (1, 2, 3)]

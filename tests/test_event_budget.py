@@ -23,8 +23,12 @@ WAL writer, every WAL round and every pipeline write was a process.
 The budgets also cover a small open-loop overloaded cell per engine,
 bounded pools on (``_overloaded_cell``), against ``52185b9``, where
 every request behind a pool — a refused one included — was a process.
+
+And the leg itself has a *call* budget, counted under ``sys.setprofile``:
+the frames one ``Cluster.leg`` enters.
 """
 
+import sys
 from dataclasses import replace
 
 import pytest
@@ -32,6 +36,7 @@ import pytest
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.cassandra.deployment import CassandraCluster, CassandraSpec
+from repro.cluster.node import Node
 from repro.cluster.topology import AsyncCall, Cluster, ClusterSpec
 from repro.core.config import (ArrivalConfig, ClientTierConfig,
                                TailDefenseConfig, default_stress_config,
@@ -43,7 +48,8 @@ from repro.hbase.regionserver import NotServingRegion
 from repro.hdfs.datanode import PACKET_CPU_S, DataNode
 from repro.hdfs.pipeline import ACK_BYTES, pipeline_write
 from repro.keyspace import key_for_index, token_of
-from repro.sim.kernel import Environment, Interrupt, Process, Timeout
+from repro.sim.kernel import (Environment, Event, Interrupt, Process,
+                              Timeout)
 from repro.sim.resources import Overloaded
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import KernelTracer
@@ -247,6 +253,54 @@ def test_pipeline_write_is_one_event_per_hop(replication, monkeypatch):
     assert len(spawned) == replication
     assert [dn.node.disk.bytes_written for dn in datanodes] \
         == [size] * replication
+
+
+# -- one leg, frame by frame ----------------------------------------------
+
+def _frames_entered(call, *args):
+    """The code object of every Python frame ``call(*args)`` enters, in
+    order, and what it returned."""
+    entered = []
+
+    def profiler(frame, event, _arg):
+        if event == "call":
+            entered.append(frame.f_code)
+
+    sys.setprofile(profiler)
+    try:
+        result = call(*args)
+    finally:
+        sys.setprofile(None)
+    return entered, result
+
+
+def test_a_leg_is_one_function_and_never_a_process(monkeypatch):
+    """The five stages are written out in ``Cluster.leg``: besides the
+    core reservations (``Node.reserve_cpu`` owns GC pauses and power
+    wake-ups) and the one ``Timeout`` it returns, a leg calls no Python
+    function — no per-stage helper, none to subscribe the caller — and
+    one booked on arrival is two timeouts behind a plain event."""
+    cluster = flat_cluster(n_nodes=2)
+    env, a, b = cluster.env, cluster.node(0), cluster.node(1)
+    leg, cpu = Cluster.leg.__code__, Node.reserve_cpu.__code__
+    timeout = Timeout.__init__.__code__
+    heard = []
+    assert _frames_entered(cluster.leg, a, b, 1_000, 2.5e-5, 2.5e-5)[0] \
+        == [leg, cpu, cpu, timeout]
+    assert _frames_entered(cluster.leg, a, b, 1_000)[0] == [leg, timeout]
+    assert _frames_entered(cluster.leg, a, b, 1_000, 0.0, 0.0, False,
+                           heard.append)[0] == [leg, timeout]
+    env.run()
+    assert len(heard) == 1
+    spawned = _counting(monkeypatch, "__init__")
+    before = env.processed_events
+    entered, landed = _frames_entered(cluster.leg, a, b, 1_000, 2.5e-5,
+                                      2.5e-5, True, heard.append)
+    assert entered == [leg, cpu, Event.__init__.__code__, timeout]
+    assert type(landed) is Event
+    env.run()
+    assert heard[1] is landed and landed.processed
+    assert env.processed_events - before == 2 and not spawned
 
 
 # -- same work, whenever it is booked -------------------------------------

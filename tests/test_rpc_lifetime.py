@@ -14,6 +14,7 @@ events carry ``__slots__`` without ``__weakref__``).
 import gc
 import traceback
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -22,8 +23,9 @@ from repro.cluster.topology import (AsyncCall, Cluster, ClusterSpec,
 from repro.core.config import default_stress_config, scaled_stress_storage
 from repro.core.experiment import ExperimentSession
 from repro.hbase.regionserver import _Round
-from repro.hdfs.pipeline import _PipelineWrite
-from repro.sim.kernel import (AllOf, Environment, Interrupt, Process,
+from repro.hdfs.datanode import DataNode
+from repro.hdfs.pipeline import _PipelineWrite, pipeline_write
+from repro.sim.kernel import (AllOf, Environment, Event, Interrupt, Process,
                               Timeout)
 from repro.sim.resources import Overloaded
 from repro.sim.rng import RngRegistry
@@ -333,6 +335,33 @@ class TestHBaseWritePathIsReleased:
             == {"disk-flusher", "hmaster-monitor"}
         assert all(wal._kick is not None and not wal._pending
                    for wal in wals)
+
+
+    def test_a_leg_booked_on_arrival_leaves_nothing_behind(self):
+        """The chunks of a bulk transfer — and every cross-datacenter
+        leg — land through a plain event behind two timeouts, the first
+        holding a ``partial``; neither outlives the landing."""
+        env, cluster = make(4)
+        datanodes = [DataNode(cluster.node(i)) for i in (1, 2, 3)]
+
+        def landings():
+            return sum(1 for obj in gc.get_objects() if type(obj) is partial
+                       and obj.func.__name__ == "_land")
+
+        env.run(until=0.01)
+        events, timeouts = live(env, Event), live(env, Timeout)
+        write = pipeline_write(cluster, cluster.node(0), datanodes, 300_000)
+        assert landings() == 1 and live(env, Event) == events + 1
+        env.run(until=write)
+        env.run(until=env.now + 1.0)
+        assert [dn.bytes_received for dn in datanodes] == [300_000] * 3
+        assert landings() == 0
+        assert not [cb for *_, event in env._queue
+                    for cb in event.callbacks or ()
+                    if type(cb) is partial]
+        del write
+        assert live(env, _PipelineWrite) == 0
+        assert (live(env, Event), live(env, Timeout)) == (events, timeouts)
 
 
 class TestNothingGotQuieter:
