@@ -32,8 +32,7 @@ from repro.cassandra.hints import Hint
 from repro.cluster.hedging import HedgePolicy
 from repro.cluster.topology import DeadlineExceeded
 from repro.keyspace import token_of
-from repro.sim.kernel import (AllOf, AnyOf, Environment, Event,
-                              ModelledFailure)
+from repro.sim.kernel import AllOf, Environment, Event, ModelledFailure
 from repro.sim.resources import Overloaded
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -496,66 +495,37 @@ class Coordinator:
                     deadline: Optional[float]) -> Generator:
         """Wait for the full data read, hedging to a spare when slow.
 
-        Models Cassandra 2.0.2's rapid read protection: once the
-        configured delay elapses without a primary response, the data
-        read is duplicated to the next-fastest alive replica and the
-        first *successful* response wins; the loser is interrupted (its
-        caller-side wait is cancelled — the in-flight work drains
-        server-side, where an attached deadline reclaims its queue slot).
-        Returns ``(response, replica_id)``; the response is an Exception
-        value when every attempt failed.
+        Models Cassandra 2.0.2's rapid read protection
+        (:meth:`HedgePolicy.race`): once the configured delay elapses
+        without a primary response, the data read is duplicated to the
+        next-fastest alive replica and the first *successful* response
+        wins.  Returns ``(response, replica_id)``; the response is an
+        Exception value when every attempt failed.
 
-        A contender (``proc``, and the spare's read) is whatever
-        :meth:`_replica_read` returned, and racing two of them needs the
-        :class:`Event` surface only.  Cancelling the loser needs more —
-        ``is_alive`` and ``interrupt``, a wait that can be abandoned —
-        which an :class:`~repro.cluster.topology.AsyncCall` has: a
-        remote read's caller-side wait, or the process of this node's
-        own read.  That is what :meth:`_replica_read` hands out whenever
-        there is a hedge policy, so whenever this method gets as far as
-        speculating.
+        Cancelling the loser needs ``is_alive`` and ``interrupt`` — a
+        wait that can be abandoned — which an
+        :class:`~repro.cluster.topology.AsyncCall` has: a remote read's
+        caller-side wait, or the process of this node's own read.  That
+        is what :meth:`_replica_read` hands out whenever there is a hedge
+        policy.
         """
-        start = self.env._now
         hedge = self.hedge
-        delay = hedge.delay() if hedge is not None else None
-        if delay is None or not spares:
-            yield proc
-            if not isinstance(proc.value, Exception) and hedge is not None:
-                hedge.observe(self.env._now - start)
-            return proc.value, replica
-        timer = self.env.timeout(delay)
-        yield AnyOf(self.env, [proc, timer])
-        if proc.processed and not isinstance(proc.value, Exception):
-            hedge.observe(self.env._now - start)
-            return proc.value, replica
-        # Primary is straggling (or already failed): speculate.
-        hedge.hedges += 1
-        self.stats["hedged_reads"] += 1
-        spare = spares[0]
-        spare_proc = self._replica_read(spare, key, expected_bytes,
-                                        digest=False, deadline=deadline)
-        contenders = [(proc, replica), (spare_proc, spare)]
-        while True:
-            pending = [p for p, _ in contenders if not p.processed]
-            if len(pending) == len(contenders):
-                yield AnyOf(self.env, pending)
-                continue
-            winners = [(p, r) for p, r in contenders
-                       if p.processed and not isinstance(p.value, Exception)]
-            if winners:
-                win_proc, win_replica = winners[0]
-                if win_proc is spare_proc:
-                    hedge.wins += 1
-                    self.stats["hedge_wins"] += 1
-                loser = next(p for p, _ in contenders if p is not win_proc)
-                if loser.is_alive:
-                    loser.interrupt("hedge lost")
-                hedge.observe(self.env._now - start)
-                return win_proc.value, win_replica
-            if not pending:
-                # Both attempts failed; surface the primary's error.
-                return proc.value, replica
-            yield pending[0]
+        if hedge is None:
+            response = yield proc
+            return response, replica
+
+        def read_spare() -> Generator:
+            self.stats["hedged_reads"] += 1
+            return self._replica_read(spares[0], key, expected_bytes,
+                                      digest=False, deadline=deadline)
+            yield  # pragma: no cover - a spare launcher is a generator
+
+        response, spare_won = yield from hedge.race(
+            self.env, proc, read_spare if spares else None)
+        if spare_won:
+            self.stats["hedge_wins"] += 1
+            return response, spares[0]
+        return response, replica
 
     def _reconcile(self, key: str, expected_bytes: int, data_replica: int,
                    data_resp, digest_replicas: list[int],

@@ -11,7 +11,7 @@ fitted curves.
 
 from repro.cluster.disk import Disk, DiskSpec
 from repro.energy import EnergyMeter, EnergyReport, PowerSpec
-from repro.cluster.failure import (FAULT_KINDS, CrashEvent, CrashFault,
+from repro.cluster.failure import (FAULT_KINDS, CrashFault,
                                    DiskDegradeFault, FailureInjector,
                                    FaultSchedule, FaultSpec, FlapFault,
                                    NicDegradeFault, PartitionFault)
@@ -23,7 +23,6 @@ from repro.cluster.topology import Cluster, ClusterSpec, DeadNodeError, RpcTimeo
 __all__ = [
     "Cluster",
     "ClusterSpec",
-    "CrashEvent",
     "CrashFault",
     "DeadNodeError",
     "Disk",

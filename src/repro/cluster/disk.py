@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Generator
 
 from repro.sim.kernel import Environment
-from repro.sim.resources import PriorityResource
+from repro.sim.resources import Resource
 
 __all__ = ["Disk", "DiskSpec", "FOREGROUND", "BACKGROUND"]
 
@@ -66,7 +66,7 @@ class Disk:
         self.env = env
         self.spec = spec
         self._rng = rng
-        self._spindle = PriorityResource(env, capacity=1)
+        self._spindle = Resource(env, capacity=1)
         #: Bytes appended through :meth:`append_buffered` not yet on platter.
         self.dirty_bytes = 0
         #: Lifetime counters (for tests and utilization reports).

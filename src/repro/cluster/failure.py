@@ -38,7 +38,6 @@ from repro.cluster.topology import Cluster
 
 __all__ = [
     "FAULT_KINDS",
-    "CrashEvent",
     "CrashFault",
     "DcPartitionFault",
     "DcSlowNicFault",
@@ -92,10 +91,6 @@ class CrashFault:
         if self.down_s is not None:
             yield env.timeout(self.down_s)
             injector._revive(self.node_id, "restart")
-
-
-#: Back-compat alias: the pre-campaign injector exposed crash-only events.
-CrashEvent = CrashFault
 
 
 @dataclass(frozen=True)

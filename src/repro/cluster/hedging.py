@@ -9,7 +9,8 @@ percentile of the table's recent read latency ("99percentile").
 :class:`HedgePolicy` models both forms and is shared by the Cassandra
 coordinator and the HBase client: callers feed completed-request
 latencies into :meth:`observe` and ask :meth:`delay` when to fire the
-hedge.  Percentile policies warm up — before ``min_samples``
+hedge; :meth:`race` is the hedged wait itself, written once for both.
+Percentile policies warm up — before ``min_samples``
 observations they return ``None`` (no hedging), matching how a fresh
 table has no latency history to speculate from.
 """
@@ -17,7 +18,9 @@ table has no latency history to speculate from.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, Generator, Optional
+
+from repro.sim.kernel import AnyOf, Environment, Event, Timeout
 
 __all__ = ["HedgePolicy", "parse_hedge_spec"]
 
@@ -82,6 +85,7 @@ class HedgePolicy:
         else:
             self._latencies[self._next] = latency_s
             self._next = (self._next + 1) % self.window
+
     def delay(self) -> Optional[float]:
         """Seconds to wait before hedging; ``None`` = do not hedge yet."""
         if self.kind == "fixed":
@@ -93,3 +97,52 @@ class HedgePolicy:
         rank = max(0, min(len(ordered) - 1,
                           math.ceil(self.value * len(ordered)) - 1))
         return ordered[rank]
+
+    def race(self, env: Environment, primary: Event,
+             launch_spare: Optional[Callable[[], Generator]]) -> Generator:
+        """Wait for ``primary``, duplicating it when it straggles
+        (``yield from`` this); returns ``(value, spare_won)``.
+
+        Once :meth:`delay` passes without a successful ``primary`` — or
+        as soon as it has failed — ``launch_spare()`` sends the duplicate
+        (a generator: the HBase client re-locates the region through the
+        HMaster first) and the first contender to complete with a
+        non-exception value wins; the loser's caller-side wait is
+        interrupted (the work drains server-side).  When both fail the
+        value is the primary's exception.  No delay yet (a percentile
+        policy warming up) or no ``launch_spare`` (no spare replica)
+        means a plain wait.  Every success feeds the latency history.
+        """
+        start = env._now
+        delay = self.delay()
+        if delay is None or launch_spare is None:
+            value = yield primary
+            if not isinstance(value, Exception):
+                self.observe(env._now - start)
+            return value, False
+        yield AnyOf(env, [primary, Timeout(env, delay)])
+        if primary.callbacks is None \
+                and not isinstance(primary._value, Exception):
+            self.observe(env._now - start)
+            return primary._value, False
+        self.hedges += 1
+        spare = yield from launch_spare()
+        contenders = (primary, spare)
+        while True:
+            pending = [c for c in contenders if c.callbacks is not None]
+            if len(pending) == 2:
+                yield AnyOf(env, pending)
+                continue
+            for winner in contenders:
+                if winner.callbacks is None \
+                        and not isinstance(winner._value, Exception):
+                    loser = spare if winner is primary else primary
+                    if loser.is_alive:
+                        loser.interrupt("hedge lost")
+                    if winner is spare:
+                        self.wins += 1
+                    self.observe(env._now - start)
+                    return winner._value, winner is spare
+            if not pending:
+                return primary._value, False
+            yield pending[0]

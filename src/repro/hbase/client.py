@@ -12,7 +12,6 @@ from repro.cluster.topology import (Cluster, DEFAULT_CLIENT_OVERHEAD_S,
 from repro.keyspace import KEY_DOMAIN, key_for_token, token_of
 from repro.hbase.deployment import HBaseCluster
 from repro.hbase.regionserver import NotServingRegion
-from repro.sim.kernel import AnyOf
 from repro.sim.resources import Overloaded
 
 __all__ = ["HBaseClient", "backoff_delay"]
@@ -77,8 +76,6 @@ class HBaseClient:
         #: region_id -> node_id (META cache).
         self._assignment = dict(hbase.master.assignment)
         self.retries = 0
-        self.hedges = 0
-        self.hedge_wins = 0
 
     def _server_node(self, region_id: int) -> Node:
         return self.cluster.nodes[self._assignment[region_id]]
@@ -148,57 +145,29 @@ class HBaseClient:
         With a hedge policy configured, a read (never a put — only reads
         are latency-critical and side-effect-free here) that has not
         answered after the policy's delay is re-located via the HMaster
-        and duplicated; the first successful response wins and the loser
-        is interrupted.
+        and duplicated (:meth:`HedgePolicy.race`).
         """
-        env = self.cluster.env
-        start = env._now
-        hedge = self.hedge if verb != "rs.put" else None
-        delay = hedge.delay() if hedge is not None else None
         primary = self.cluster.call_async(
             self.client_node, self._server_node(region_id), verb, payload,
             request_bytes, response_bytes, timeout=self.op_timeout_s,
             deadline=deadline, src_cpu_s=src_cpu_s)
-        if delay is not None:
-            yield AnyOf(env, [primary, env.timeout(delay)])
-        if delay is None or (primary.processed
-                             and not isinstance(primary.value, Exception)):
-            result = yield primary  # at once, when it has answered
-            if isinstance(result, Exception):
-                raise result
-            if hedge is not None:
-                hedge.observe(env._now - start)
-            return result
-        # Primary is straggling (or already failed): re-locate the region
-        # (it may have failed over) and race a duplicate read against it.
-        hedge.hedges += 1
-        self.hedges += 1
-        yield from self._refresh_assignment()
-        spare = self.cluster.call_async(
-            self.client_node, self._server_node(region_id), verb, payload,
-            request_bytes, response_bytes, timeout=self.op_timeout_s,
-            deadline=deadline)
-        contenders = [primary, spare]
-        while True:
-            pending = [p for p in contenders if not p.processed]
-            if len(pending) == len(contenders):
-                yield AnyOf(env, pending)
-                continue
-            winners = [p for p in contenders
-                       if p.processed and not isinstance(p.value, Exception)]
-            if winners:
-                winner = winners[0]
-                if winner is spare:
-                    hedge.wins += 1
-                    self.hedge_wins += 1
-                loser = next(p for p in contenders if p is not winner)
-                if loser.is_alive:
-                    loser.interrupt("hedge lost")
-                hedge.observe(env._now - start)
-                return winner.value
-            if not pending:
-                raise primary.value
-            yield pending[0]
+        hedge = self.hedge if verb != "rs.put" else None
+        if hedge is None:
+            result = yield primary
+        else:
+            def relocate_and_duplicate() -> Generator:
+                # The region may have failed over since the primary left.
+                yield from self._refresh_assignment()
+                return self.cluster.call_async(
+                    self.client_node, self._server_node(region_id), verb,
+                    payload, request_bytes, response_bytes,
+                    timeout=self.op_timeout_s, deadline=deadline)
+
+            result, _ = yield from hedge.race(
+                self.cluster.env, primary, relocate_and_duplicate)
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     # -- operations -----------------------------------------------------
 

@@ -22,24 +22,21 @@ from repro.sim.kernel import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import KernelTracer
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
     "KernelTracer",
     "ModelledFailure",
-    "PriorityResource",
     "Process",
     "Resource",
     "RngRegistry",
     "SimulationError",
-    "Store",
     "Timeout",
 ]

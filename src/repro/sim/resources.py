@@ -1,19 +1,15 @@
 """Shared-resource primitives for the simulation kernel.
 
-- :class:`Resource` — ``capacity`` identical slots with a FIFO wait queue
-  (models disk queues, CPU cores, RPC handler pools).
-- :class:`PriorityResource` — like :class:`Resource` but the wait queue is
-  ordered by priority (models foreground vs background I/O).
+- :class:`Resource` — ``capacity`` identical slots with a wait queue
+  served lowest ``priority`` first, FIFO among equals (models the disk,
+  where foreground reads go ahead of background I/O, and the WAL's
+  in-flight window).
 - :class:`BoundedResource` — a :class:`Resource` whose wait queue has a
   maximum depth; requests beyond it are rejected immediately with
   :class:`Overloaded` (models bounded server queues + load shedding).
   :class:`Admission` is a claim on such a stage — granted, shed, or
   expired in the queue — and :class:`Served` one request's whole passage
   through it, as callbacks.
-- :class:`Store` — an unbounded-or-bounded FIFO buffer of items (models
-  mailboxes and RPC channels).
-- :class:`Container` — a continuous level with put/get amounts (models
-  memory budgets such as memtable thresholds).
 
 All waiting is expressed through events, so processes simply ``yield`` the
 returned request:
@@ -38,8 +34,8 @@ from repro.sim.kernel import (AnyOf, Environment, Event, ModelledFailure,
                               Process, SimulationError, Timeout, _PENDING,
                               _finish)
 
-__all__ = ["Admission", "BoundedResource", "Container", "Overloaded",
-           "PriorityResource", "Request", "Resource", "Served", "Store"]
+__all__ = ["Admission", "BoundedResource", "Overloaded", "Request",
+           "Resource", "Served"]
 
 
 class Overloaded(ModelledFailure):
@@ -90,7 +86,8 @@ class Request(Event):
 
 
 class Resource:
-    """``capacity`` identical slots with a FIFO wait queue."""
+    """``capacity`` identical slots; waiters are served lowest
+    ``priority`` first, FIFO among equals."""
 
     def __init__(self, env: Environment, capacity: int = 1) -> None:
         if capacity < 1:
@@ -125,9 +122,10 @@ class Resource:
 
         An uncontended claim is granted *synchronously*: the returned
         request is already processed, so a process yielding it resumes
-        inline instead of paying a queue round-trip (the dominant cost
-        of ``cpu_work``/NIC claims at stress-cell scale).  Contended
-        claims still trigger through the queue when a slot frees up.
+        inline instead of paying a queue round-trip (the common case of
+        a spindle or a handler slot).  Contended claims still trigger
+        through the queue when a slot frees up; lower ``priority``
+        values are served first.
         """
         granted = len(self.users) < self.capacity
         req = Request(self, priority, granted)
@@ -160,17 +158,6 @@ class Resource:
                 continue
             self.users.append(req)
             req.succeed()
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose wait queue is ordered by priority.
-
-    Lower ``priority`` values are served first; ties are FIFO.
-    """
-
-    def request(self, priority: int = 0) -> Request:
-        """Claim a slot; lower ``priority`` values are served first."""
-        return super().request(priority=priority)
 
 
 class BoundedResource(Resource):
@@ -331,146 +318,3 @@ class Served(Event):
         if self.claim is not None:
             slot = self.claim.slot
             slot.resource.release(slot)
-
-
-class StorePut(Event):
-    """A pending put: triggers once its item is accepted by the store."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, env: Environment, item: Any) -> None:
-        super().__init__(env)
-        self.item = item
-
-
-class Store:
-    """A FIFO buffer of items with optional capacity.
-
-    ``put(item)`` returns an event that triggers once the item is in the
-    buffer (immediately unless the store is full); ``get()`` returns an
-    event that triggers with the oldest item once one is available.
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise SimulationError(f"capacity must be positive, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self.items: list[Any] = []
-        self._getters: list[Event] = []
-        self._putters: list[StorePut] = []
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> Event:
-        """Offer ``item``; triggers once buffered (immediately unless full).
-
-        Like :meth:`Resource.request`, the uncontended path completes
-        synchronously (the returned event is already processed).
-        """
-        event = StorePut(self.env, item)
-        if len(self.items) < self.capacity:
-            self.items.append(item)
-            event._value = None
-            event.callbacks = None
-            self._serve_getters()
-        else:
-            self._putters.append(event)
-        return event
-
-    def get(self) -> Event:
-        """Take the oldest item; triggers once one is available.
-
-        The non-empty path completes synchronously (see :meth:`put`).
-        """
-        event = Event(self.env)
-        if self.items:
-            event._value = self.items.pop(0)
-            event.callbacks = None
-            self._serve_putters()
-        else:
-            self._getters.append(event)
-        return event
-
-    def _serve_getters(self) -> None:
-        while self._getters and self.items:
-            getter = self._getters.pop(0)
-            if getter.triggered:
-                continue
-            getter.succeed(self.items.pop(0))
-
-    def _serve_putters(self) -> None:
-        while self._putters and len(self.items) < self.capacity:
-            putter = self._putters.pop(0)
-            if putter.triggered:
-                continue
-            self.items.append(putter.item)
-            putter.succeed()
-            self._serve_getters()
-
-
-class Container:
-    """A continuous level (e.g. bytes of memory) with blocking put/get."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf"),
-                 init: float = 0.0) -> None:
-        if capacity <= 0:
-            raise SimulationError(f"capacity must be positive, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise SimulationError(f"init {init} outside [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._putters: list[tuple[float, Event]] = []
-        self._getters: list[tuple[float, Event]] = []
-
-    @property
-    def level(self) -> float:
-        """Current amount held by the container."""
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; triggers once it fits under the capacity."""
-        if amount <= 0:
-            raise SimulationError(f"put amount must be positive, got {amount}")
-        if amount > self.capacity:
-            raise SimulationError(f"put amount {amount} exceeds capacity")
-        event = Event(self.env)
-        self._putters.append((amount, event))
-        self._settle()
-        return event
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; triggers once the level covers it."""
-        if amount <= 0:
-            raise SimulationError(f"get amount must be positive, got {amount}")
-        event = Event(self.env)
-        self._getters.append((amount, event))
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                amount, event = self._putters[0]
-                if self._level + amount <= self.capacity and not event.triggered:
-                    self._putters.pop(0)
-                    self._level += amount
-                    event.succeed()
-                    progressed = True
-                elif event.triggered:
-                    self._putters.pop(0)
-                    progressed = True
-            if self._getters:
-                amount, event = self._getters[0]
-                if amount <= self._level and not event.triggered:
-                    self._getters.pop(0)
-                    self._level -= amount
-                    event.succeed()
-                    progressed = True
-                elif event.triggered:
-                    self._getters.pop(0)
-                    progressed = True

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.failure import (CrashEvent, CrashFault, DiskDegradeFault,
+from repro.cluster.failure import (CrashFault, DiskDegradeFault,
                                    FailureInjector, FaultSchedule, FaultSpec,
                                    FlapFault, NicDegradeFault, PartitionFault,
                                    UnknownFaultTargetError)
@@ -12,7 +12,7 @@ class TestFailureInjector:
     def test_crash_at_scheduled_time(self, small_cluster):
         env = small_cluster.env
         injector = FailureInjector(small_cluster)
-        injector.schedule(CrashEvent(node_id=2, at_s=5.0))
+        injector.schedule(CrashFault(node_id=2, at_s=5.0))
         env.run(until=4.9)
         assert small_cluster.node(2).alive
         env.run(until=5.1)
@@ -22,7 +22,7 @@ class TestFailureInjector:
     def test_restart_after_downtime(self, small_cluster):
         env = small_cluster.env
         injector = FailureInjector(small_cluster)
-        injector.schedule(CrashEvent(node_id=1, at_s=2.0, down_s=3.0))
+        injector.schedule(CrashFault(node_id=1, at_s=2.0, down_s=3.0))
         env.run(until=4.0)
         assert not small_cluster.node(1).alive
         env.run(until=6.0)
@@ -32,15 +32,15 @@ class TestFailureInjector:
     def test_permanent_crash_never_restarts(self, small_cluster):
         env = small_cluster.env
         injector = FailureInjector(small_cluster)
-        injector.schedule(CrashEvent(node_id=0, at_s=1.0, down_s=None))
+        injector.schedule(CrashFault(node_id=0, at_s=1.0, down_s=None))
         env.run(until=100.0)
         assert not small_cluster.node(0).alive
 
     def test_schedule_all(self, small_cluster):
         env = small_cluster.env
         injector = FailureInjector(small_cluster)
-        injector.schedule_all([CrashEvent(0, 1.0, 1.0),
-                               CrashEvent(1, 2.0, 1.0)])
+        injector.schedule_all([CrashFault(0, 1.0, 1.0),
+                               CrashFault(1, 2.0, 1.0)])
         env.run(until=10.0)
         assert len(injector.log) == 4
 
@@ -48,27 +48,27 @@ class TestFailureInjector:
         env = small_cluster.env
         injector = FailureInjector(small_cluster)
         small_cluster.kill(2)  # already dead when the fault fires
-        injector.schedule(CrashEvent(node_id=2, at_s=1.0, down_s=2.0))
+        injector.schedule(CrashFault(node_id=2, at_s=1.0, down_s=2.0))
         env.run(until=5.0)
         assert injector.log == [(1.0, 2, "crash-noop"), (3.0, 2, "restart")]
 
     def test_unknown_node_rejected_before_arming(self, small_cluster):
         injector = FailureInjector(small_cluster)
         with pytest.raises(ValueError, match="unknown node"):
-            injector.schedule(CrashEvent(node_id=99, at_s=1.0))
+            injector.schedule(CrashFault(node_id=99, at_s=1.0))
         assert injector.log == []
 
     def test_overlapping_faults_on_one_node_rejected(self, small_cluster):
         injector = FailureInjector(small_cluster)
         with pytest.raises(ValueError, match="overlapping"):
-            injector.schedule_all([CrashEvent(1, 1.0, 5.0),
-                                   CrashEvent(1, 3.0, 1.0)])
+            injector.schedule_all([CrashFault(1, 1.0, 5.0),
+                                   CrashFault(1, 3.0, 1.0)])
 
     def test_sequential_faults_on_one_node_allowed(self, small_cluster):
         env = small_cluster.env
         injector = FailureInjector(small_cluster)
-        injector.schedule_all([CrashEvent(1, 1.0, 1.0),
-                               CrashEvent(1, 3.0, 1.0)])
+        injector.schedule_all([CrashFault(1, 1.0, 1.0),
+                               CrashFault(1, 3.0, 1.0)])
         env.run(until=10.0)
         assert len(injector.log) == 4
 

@@ -1,10 +1,9 @@
-"""Unit tests for Resource / PriorityResource / Store / Container."""
+"""Unit tests for Resource / BoundedResource."""
 
 import pytest
 
 from repro.sim.kernel import SimulationError
-from repro.sim.resources import (BoundedResource, Container, Overloaded,
-                                 PriorityResource, Resource, Store)
+from repro.sim.resources import BoundedResource, Overloaded, Resource
 
 
 class TestResource:
@@ -188,8 +187,11 @@ class TestBoundedResource:
 
 
 class TestPriorityResource:
+    """The wait queue's order: lowest ``priority`` first (a disk's
+    foreground reads ahead of its background work), FIFO among equals."""
+
     def test_lower_priority_value_served_first(self, env):
-        res = PriorityResource(env, capacity=1)
+        res = Resource(env, capacity=1)
         order = []
 
         def holder(env):
@@ -215,7 +217,7 @@ class TestPriorityResource:
         assert order == ["foreground", "background"]
 
     def test_fifo_within_same_priority(self, env):
-        res = PriorityResource(env, capacity=1)
+        res = Resource(env, capacity=1)
         order = []
 
         def worker(env, name):
@@ -228,117 +230,3 @@ class TestPriorityResource:
             env.process(worker(env, name))
         env.run()
         assert order == ["first", "second", "third"]
-
-
-class TestStore:
-    def test_fifo_order(self, env):
-        store = Store(env)
-        got = []
-
-        def producer(env):
-            for item in ("x", "y", "z"):
-                yield store.put(item)
-
-        def consumer(env):
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert got == ["x", "y", "z"]
-
-    def test_get_blocks_until_put(self, env):
-        store = Store(env)
-
-        def consumer(env):
-            item = yield store.get()
-            return item, env.now
-
-        def producer(env):
-            yield env.timeout(3)
-            yield store.put("late")
-
-        consumer_proc = env.process(consumer(env))
-        env.process(producer(env))
-        assert env.run(until=consumer_proc) == ("late", 3.0)
-
-    def test_put_blocks_when_full(self, env):
-        store = Store(env, capacity=1)
-        times = []
-
-        def producer(env):
-            yield store.put(1)
-            times.append(env.now)
-            yield store.put(2)
-            times.append(env.now)
-
-        def consumer(env):
-            yield env.timeout(5)
-            yield store.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert times == [0.0, 5.0]
-
-    def test_invalid_capacity_rejected(self, env):
-        with pytest.raises(SimulationError):
-            Store(env, capacity=0)
-
-
-class TestContainer:
-    def test_put_then_get(self, env):
-        box = Container(env, capacity=10)
-
-        def proc(env):
-            yield box.put(4)
-            yield box.get(3)
-            return box.level
-
-        assert env.run(until=env.process(proc(env))) == 1.0
-
-    def test_get_blocks_until_level_sufficient(self, env):
-        box = Container(env, capacity=10)
-
-        def consumer(env):
-            yield box.get(5)
-            return env.now
-
-        def producer(env):
-            for _ in range(5):
-                yield env.timeout(1)
-                yield box.put(1)
-
-        consumer_proc = env.process(consumer(env))
-        env.process(producer(env))
-        assert env.run(until=consumer_proc) == 5.0
-
-    def test_put_blocks_at_capacity(self, env):
-        box = Container(env, capacity=5, init=5)
-
-        def producer(env):
-            yield box.put(2)
-            return env.now
-
-        def consumer(env):
-            yield env.timeout(2)
-            yield box.get(3)
-
-        producer_proc = env.process(producer(env))
-        env.process(consumer(env))
-        assert env.run(until=producer_proc) == 2.0
-
-    def test_invalid_amounts_rejected(self, env):
-        box = Container(env, capacity=5)
-        with pytest.raises(SimulationError):
-            box.put(0)
-        with pytest.raises(SimulationError):
-            box.get(-1)
-        with pytest.raises(SimulationError):
-            box.put(6)
-
-    def test_invalid_init_rejected(self, env):
-        with pytest.raises(SimulationError):
-            Container(env, capacity=5, init=6)
