@@ -63,7 +63,7 @@ class CassandraSession:
         #: Driver-side CPU per operation (serialization, bookkeeping),
         #: charged on the client node ahead of the first attempt's request
         #: serialization — fused into the RPC's own core reservation so it
-        #: costs no extra kernel event (see ``cluster.topology._RoundTrip``).
+        #: costs no extra kernel event (see ``cluster.topology.AsyncCall``).
         self.client_overhead_s = client_overhead_s
         self._rr_index = 0
         #: On geo clusters, prefer coordinators in the client's own
@@ -119,12 +119,14 @@ class CassandraSession:
         for attempt in range(self.retries + 1):
             coordinator = self._next_coordinator()
             try:
-                result = yield from self.cluster.call(
+                result = yield self.cluster.call_async(
                     self.client_node, coordinator, handler, make_payload(),
                     request_bytes=request_bytes,
                     response_bytes=response_bytes,
                     timeout=self.op_timeout_s, deadline=deadline,
                     src_cpu_s=self.client_overhead_s if attempt == 0 else 0.0)
+                if isinstance(result, Exception):
+                    raise result
             except DeadlineExceeded:
                 # The op's end-to-end budget is spent; retrying cannot
                 # help (the deadline covers all attempts).

@@ -590,9 +590,11 @@ class Coordinator:
         if main == owner.node.node_id:
             rows = yield from owner._handle_scan((start_key, limit, deadline))
             return rows
-        rows = yield from owner.cluster.call(
+        rows = yield owner.cluster.call_async(
             owner.node, owner.cluster.node(main), "c.scan",
             (start_key, limit, deadline), request_bytes=70,
             response_bytes=expected_bytes * limit,
             timeout=owner.spec.replica_timeout_s, deadline=deadline)
+        if isinstance(rows, Exception):
+            raise rows
         return rows

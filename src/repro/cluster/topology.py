@@ -2,7 +2,7 @@
 
 The paper's testbed is 16 machines in one rack; the cluster builds the
 nodes, the shared rack fabric, and an RPC layer — one callback chain
-per round trip (:class:`_RoundTrip`), no process of its own — with the
+per round trip (:class:`AsyncCall`), no process of its own — with the
 semantics the database models need:
 
 - request and response each pay NIC serialization + switch latency,
@@ -14,7 +14,9 @@ semantics the database models need:
   envelope: a request that *arrives* after its deadline is abandoned
   before the handler runs (the callee computes nothing a caller will
   never read), and the caller observes :class:`DeadlineExceeded` the
-  moment the budget runs out.  Handlers that queue behind bounded
+  moment the budget runs out,
+- every failure is the call's *value*, never a raise: a caller raises
+  it itself (:meth:`Cluster.call` does just that).  Handlers that queue behind bounded
   resources receive the deadline too (see the database models) and
   withdraw their queue slot when it expires.
 """
@@ -44,21 +46,14 @@ __all__ = ["AsyncCall", "Cluster", "ClusterSpec", "DeadNodeError",
 #: the client node makes the single client machine a realistic, shared
 #: resource (the paper dedicates one of the 16 machines to YCSB).  The
 #: database clients fold it into the request leg's core reservation via
-#: ``call(..., src_cpu_s=...)`` so it costs no extra kernel event.
+#: ``call_async(..., src_cpu_s=...)`` so it costs no extra kernel event.
 #: Defined here (not in ``repro.ycsb.client``) because both database
 #: driver packages need it and importing from ycsb would be circular.
 DEFAULT_CLIENT_OVERHEAD_S = 2e-4
 
-#: Sentinel response meaning "the callee was dead; no response will come".
+#: Sentinel outcome meaning "no response will come": the callee is dead,
+#: or it abandoned a request that arrived after its deadline.
 _NO_RESPONSE = object()
-
-#: Sentinel response meaning "the request arrived after its deadline and
-#: was abandoned server-side; no useful response exists".
-_EXPIRED = object()
-
-#: Interrupt cause used by the shared RPC timer to distinguish its own
-#: expiry from an external (hedge-loser) cancellation.
-_TIMED_OUT = object()
 
 
 class RpcTimeout(ModelledFailure):
@@ -79,28 +74,39 @@ class DeadNodeError(ModelledFailure):
     """An RPC without a deadline targeted a dead node."""
 
 
-class _RoundTrip(Event):
-    """One RPC in flight: the transport, as a chain of callbacks.
+class AsyncCall(Event):
+    """One RPC in flight (:meth:`Cluster.call_async`): the transport, as
+    a chain of callbacks, and the caller's wait for its outcome.
 
     Request :meth:`Cluster.leg` fires → liveness and deadline check →
-    handler → response leg fires → the round trip completes, inline,
-    with the handler's result.  No process: each step is a callback on
-    the event the step before produced, and this object is the state
-    they share.  A handler returns its completion :class:`Event`, or a
-    generator — only that is wrapped in a :class:`Process`.
+    handler → response leg fires → the call completes, inline, with the
+    handler's result.  No process: each step is a callback on the event
+    the step before produced, and this object is the state they share.
+    A handler returns its completion :class:`Event`, or a generator —
+    only that is wrapped in a :class:`Process`.
 
-    The bare round trip reports what happened as it is — the result,
-    :data:`_NO_RESPONSE` / :data:`_EXPIRED` when no response will come,
-    or the handler's exception as a *failure* — which is what
-    :meth:`Cluster.call` waits on; :class:`AsyncCall` turns the same
-    outcomes into :meth:`Cluster.call_async`'s failure-as-value contract.
+    Always *succeeds*; failures arrive as exception **values** — so a
+    condition over many replicas never crashes on one slow callee:
+    :class:`RpcTimeout`/:class:`DeadlineExceeded` when the timer wins,
+    :class:`DeadNodeError` when a dead callee has no timer to wait out,
+    :class:`~repro.sim.resources.Overloaded` when the callee shed the
+    request, :class:`~repro.sim.kernel.Interrupt` when the caller
+    cancelled (hedge loser).  The round trip goes on server-side in
+    every case — cancellation does not reach over the wire — which is
+    what lets late replica writes land and keep the staleness/hinted-
+    handoff semantics honest.
+
+    Completion is settled *inline* from the transport's (or the shared
+    timer's) dispatch, so the result itself never costs a queue event;
+    a caller whose RPC times out resumes inside the timer's dispatch, in
+    the order the calls were registered on it.
     """
 
     #: ``_watchers``: the :class:`TimerWheel` table this call's expiry
-    #: watch sits in while the call is pending (``None``: none of its
-    #: own).
+    #: watch sits in while the call is pending (``None``: no timer).
     __slots__ = ("cluster", "src", "dst", "verb", "payload",
-                 "response_bytes", "deadline", "_watchers")
+                 "response_bytes", "deadline", "_watchers", "_timeout",
+                 "_deadline_first")
 
     def __init__(self, cluster: "Cluster", src: Node, dst: Node, verb: str,
                  payload: Any, request_bytes: int, response_bytes: int,
@@ -135,18 +141,37 @@ class _RoundTrip(Event):
             callback=self._arrived)
 
     @classmethod
-    def _unsent(cls, env: Environment) -> "_RoundTrip":
-        """An inert stand-in for a round trip that is never sent — a
-        deadline spent before send, a caller waiting out its timer: the
-        event surface and the watch, none of the transport's state."""
+    def _unsent(cls, env: Environment, failure: Exception) -> "AsyncCall":
+        """A call that never left the caller: settled, ``failure`` its
+        value."""
         self = cls.__new__(cls)
         self.env = env
-        self.callbacks = []
-        self._value = _PENDING
+        self.callbacks = None
+        self._value = failure
         self._ok = True
         self._defused = False
         self._watchers = None
         return self
+
+    @property
+    def is_alive(self) -> bool:
+        """True while the caller-side wait is still undecided."""
+        return self._value is _PENDING
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Cancel the caller-side wait; the RPC drains server-side.
+
+        Mirrors :meth:`~repro.sim.kernel.Process.interrupt` delivery:
+        the result triggers through the queue (urgently), never inline —
+        the interrupter is mid-execution and its waiters must not run
+        inside its frame.
+        """
+        if self._value is not _PENDING:
+            return
+        if self._watchers is not None:
+            del self._watchers[self]
+        self._value = Interrupt(cause)
+        self.env._schedule(self, URGENT, 0.0)
 
     def _arrived(self, _leg: Event) -> None:
         """The request reached the callee: check, then hand it over."""
@@ -160,7 +185,7 @@ class _RoundTrip(Event):
             # request arrives, so the callee drops it without computing a
             # result nobody will read (the caller's own timer fires).
             self.cluster.abandoned_rpcs += 1
-            self._outcome(True, _EXPIRED)
+            self._outcome(True, _NO_RESPONSE)
             return
         verb = self.verb
         handlers = dst.handlers
@@ -207,80 +232,23 @@ class _RoundTrip(Event):
                     spec.rpc_cpu_s, callback=self._responded)
 
     def _responded(self, _leg: Event) -> None:
-        self._settle(self.payload)
+        if self._value is _PENDING:  # else timed out or cancelled
+            self._settle(self.payload)
 
     def _outcome(self, ok: bool, value: Any) -> bool:
-        """The round trip is over.  Returns whether a failure was taken
-        off the handler's hands (always, here: it becomes this event's)."""
-        self._ok = ok
-        self._settle(value)
-        if not ok and not self._defused:
-            raise value
-        return True
-
-    def _settle(self, value: Any) -> None:
-        """Complete inline with ``value`` (called from kernel dispatch)."""
-        if self._watchers is not None:
-            del self._watchers[self]
-        self._value = value
-        callbacks = self.callbacks
-        self.callbacks = None
-        for callback in callbacks:
-            callback(self)
-
-
-class AsyncCall(_RoundTrip):
-    """Completion event of a fire-and-forget RPC (:meth:`Cluster.call_async`).
-
-    Always *succeeds*; failures arrive as exception **values** — the
-    fan-out convention, so a condition over many replicas never crashes
-    on one slow callee: :class:`RpcTimeout`/:class:`DeadlineExceeded`
-    when the timer wins, :class:`~repro.sim.resources.Overloaded` when
-    the callee shed the request, :class:`~repro.sim.kernel.Interrupt`
-    when the caller cancelled (hedge loser).  The round trip goes on
-    server-side in every case — cancellation does not reach over the
-    wire — which is what lets late replica writes land and keep the
-    staleness/hinted-handoff semantics honest.
-
-    Completion is settled *inline* from the transport's (or the shared
-    timer's) dispatch, so the result itself never costs a queue event.
-    """
-
-    __slots__ = ("_timeout", "_deadline_first")
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the caller-side wait is still undecided."""
-        return self._value is _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Cancel the caller-side wait; the RPC drains server-side.
-
-        Mirrors :meth:`~repro.sim.kernel.Process.interrupt` delivery:
-        the result triggers through the queue (urgently), never inline —
-        the interrupter is mid-execution and its waiters must not run
-        inside its frame.
-        """
-        if self._value is not _PENDING:
-            return
-        if self._watchers is not None:
-            del self._watchers[self]
-        self._value = Interrupt(cause)
-        self.env._schedule(self, URGENT, 0.0)
-
-    def _outcome(self, ok: bool, value: Any) -> bool:
+        """The callee is done with the request, one way or another.
+        Returns whether a failure was taken off the handler's hands."""
         if self._value is not _PENDING:
             return True  # timed out or cancelled; the late outcome is noise
         if ok:
-            if value is not _NO_RESPONSE and value is not _EXPIRED:
+            if value is not _NO_RESPONSE:
                 self._settle(value)
             elif self._watchers is None:
                 self._settle(DeadNodeError(
                     f"rpc {self.verb!r} to dead node {self.dst.node_id} "
                     f"(no timeout set)"))
             # else: dead callee or server-side abandonment — the caller
-            # still waits out its own timer (matches call()), so the
-            # watch stays.
+            # still waits out its own timer, so the watch stays.
         elif isinstance(value, (RpcTimeout, DeadNodeError, Overloaded,
                                 Interrupt)):
             self._settle(value)
@@ -296,9 +264,15 @@ class AsyncCall(_RoundTrip):
             return False
         return True
 
-    def _responded(self, _leg: Event) -> None:
-        if self._value is _PENDING:  # else timed out or cancelled
-            self._settle(self.payload)
+    def _settle(self, value: Any) -> None:
+        """Complete inline with ``value`` (called from kernel dispatch)."""
+        if self._watchers is not None:
+            del self._watchers[self]
+        self._value = value
+        callbacks = self.callbacks
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
 
     def _expire(self) -> None:
         """This call's watcher on the shared timer."""
@@ -561,107 +535,37 @@ class Cluster:
         Timeout(env, done - env._now, None,
                 lambda _timer: _finish(landed, True, None))
 
-    def call(self, src: Node, dst: Node, verb: str, payload: Any = None,
-             request_bytes: int = 0, response_bytes: int = 0,
-             timeout: Optional[float] = None,
-             deadline: Optional[float] = None,
-             src_cpu_s: float = 0.0) -> Generator:
-        """Perform an RPC from the calling process (``yield from`` this).
-
-        Returns the handler's return value.  Raises :class:`RpcTimeout`
-        when ``timeout`` elapses first, :class:`DeadlineExceeded` when the
-        absolute ``deadline`` passes first, or :class:`DeadNodeError`
-        when the callee is dead and neither bound was given.
-        ``src_cpu_s`` is extra caller-side CPU charged ahead of the
-        request serialization (see :class:`_RoundTrip`).
-        """
-        self.rpc_count += 1
-        env = self.env
-        if deadline is not None and env._now >= deadline:
-            raise DeadlineExceeded(
-                f"rpc {verb!r} to node {dst.node_id}: deadline already "
-                f"passed before send")
-        wait_s = timeout
-        deadline_first = False
-        if deadline is not None:
-            remaining = deadline - env._now
-            if wait_s is None or remaining < wait_s:
-                wait_s = remaining
-                deadline_first = True
-        trip = _RoundTrip(self, src, dst, verb, payload, request_bytes,
-                          response_bytes, deadline, src_cpu_s)
-        if wait_s is None:
-            result = yield trip
-            if result is _NO_RESPONSE:
-                raise DeadNodeError(
-                    f"rpc {verb!r} to dead node {dst.node_id} (no timeout set)")
-            return result
-        # Instead of an AnyOf race (a condition allocation plus an extra
-        # queue event on every RPC), wait on the round trip directly and
-        # let the shared timer interrupt this process if it fires while
-        # the trip is still the wait target.  The watch is dropped the
-        # moment the caller moves on (completion, interruption or
-        # termination).
-        timer, watchers = self._wheel.timer(wait_s, exact=deadline_first)
-        caller = env.active_process
-
-        def _expire(caller: Any = caller, trip: Any = trip) -> None:
-            if caller._target is trip:
-                # Guarded delivery: with a propagated deadline the
-                # handler can fail (server-side DeadlineExceeded) at the
-                # *same* timestamp this timer fires — the caller then
-                # moves on (e.g. into a retry backoff) before the urgent
-                # interrupt lands, and an unconditional interrupt would
-                # crash whatever it is doing now.
-                caller.interrupt(_TIMED_OUT, if_waiting_on=trip)
-
-        watchers[trip] = _expire
-        try:
-            result = yield trip
-        except Interrupt as exc:
-            # The round trip goes on server-side either way (cancellation
-            # does not reach over the wire), so defuse it lest a late
-            # handler failure crash the kernel.
-            trip._defused = True
-            if exc.cause is not _TIMED_OUT:
-                # Hedge-loser cancellation: the caller abandoned this RPC.
-                raise
-            result = _TIMED_OUT
-        finally:
-            del watchers[trip]
-        if result is _NO_RESPONSE or result is _EXPIRED:
-            # Dead callee or server-side abandonment: the caller still
-            # waits out its own timer (unless that is firing right now) —
-            # as one more watcher, woken in registration order.
-            if timer.callbacks is not None:
-                expired = _RoundTrip._unsent(env)
-                expired._watchers = watchers
-                watchers[expired] = partial(expired._settle, None)
-                yield expired
-        elif result is not _TIMED_OUT:
-            return result
-        # Raised outside the ``except`` above: no implicit ``__context__``
-        # chaining the Interrupt (and this frame) to the timeout.
-        if deadline_first:
-            raise DeadlineExceeded(
-                f"rpc {verb!r} to node {dst.node_id} exceeded its deadline")
-        raise RpcTimeout(f"rpc {verb!r} to node {dst.node_id} timed out "
-                         f"after {timeout}s")
+    def call(self, *args: Any, **kwargs: Any) -> Generator:
+        """:meth:`call_async`, raising its failure value (``yield from``
+        this): returns the handler's result, or raises the
+        :class:`RpcTimeout` / :class:`DeadlineExceeded` /
+        :class:`DeadNodeError` / shed the call settled with."""
+        result = yield self.call_async(*args, **kwargs)
+        if isinstance(result, Exception):
+            try:
+                raise result
+            finally:
+                del result  # no cycle through this frame's traceback
+        return result
 
     def call_async(self, src: Node, dst: Node, verb: str, payload: Any = None,
                    request_bytes: int = 0, response_bytes: int = 0,
                    timeout: Optional[float] = None,
                    deadline: Optional[float] = None,
                    src_cpu_s: float = 0.0) -> AsyncCall:
-        """Like :meth:`call` but returns an :class:`AsyncCall` to wait on.
+        """Send an RPC; returns the :class:`AsyncCall` to wait on.
 
-        Use for fan-out: fire several calls, then ``yield AllOf(...)`` /
-        ``AnyOf(...)`` over the returned events.  Failures become
-        exception *values*, never raises, so one dead or shedding callee
-        cannot crash the whole condition.  Costs no process of its own —
-        the round trip, the timeout race and the failure-to-value
-        conversion are callbacks on one object — unless the handler is a
-        generator.
+        Its value is the handler's result or, when ``timeout`` elapses
+        first, the absolute ``deadline`` passes first or the callee is
+        dead and neither bound was given, an :class:`RpcTimeout`,
+        :class:`DeadlineExceeded` or :class:`DeadNodeError` *value* — a
+        failure never raises, so one dead or shedding callee cannot crash
+        a fan-out condition (``yield AllOf(...)`` / ``AnyOf(...)`` over
+        several calls), and a single caller raises it itself.
+        ``src_cpu_s`` is extra caller-side CPU charged ahead of the
+        request serialization.  Costs no process of its own — the round
+        trip, the timeout race and the failure-to-value conversion are
+        callbacks on one object — unless the handler is a generator.
         """
         self.rpc_count += 1
         wait_s = timeout
@@ -669,12 +573,9 @@ class Cluster:
         if deadline is not None:
             remaining = deadline - self.env._now
             if remaining <= 0:
-                result = AsyncCall._unsent(self.env)
-                result._value = DeadlineExceeded(
+                return AsyncCall._unsent(self.env, DeadlineExceeded(
                     f"rpc {verb!r} to node {dst.node_id}: deadline already "
-                    f"passed before send")
-                result.callbacks = None
-                return result
+                    f"passed before send"))
             if wait_s is None or remaining < wait_s:
                 wait_s = remaining
                 deadline_first = True

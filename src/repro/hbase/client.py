@@ -71,7 +71,7 @@ class HBaseClient:
         #: Client-side CPU per operation (serialization, bookkeeping),
         #: charged ahead of the first attempt's request serialization —
         #: fused into the RPC's own core reservation so it costs no extra
-        #: kernel event (see ``cluster.topology._RoundTrip``).
+        #: kernel event (see ``cluster.topology.AsyncCall``).
         self.client_overhead_s = client_overhead_s
         #: region_id -> node_id (META cache).
         self._assignment = dict(hbase.master.assignment)
@@ -81,10 +81,13 @@ class HBaseClient:
         return self.cluster.nodes[self._assignment[region_id]]
 
     def _refresh_assignment(self) -> Generator:
-        self._assignment = yield from self.cluster.call(
+        assignment = yield self.cluster.call_async(
             self.client_node, self.hbase.master_node, "master.locate",
             request_bytes=30, response_bytes=20 * len(self._assignment),
             timeout=self.op_timeout_s)
+        if isinstance(assignment, Exception):
+            raise assignment
+        self._assignment = assignment
 
     def _call_region(self, region_id: int, verb: str, payload: Any,
                      request_bytes: int, response_bytes: int,

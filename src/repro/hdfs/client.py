@@ -49,10 +49,12 @@ class DfsClient:
 
     def create(self, prefix: str, size_hint: int = 0) -> Generator:
         """Create a file; returns its :class:`DfsFile` descriptor."""
-        file = yield from self.cluster.call(
+        file = yield self.cluster.call_async(
             self.client_node, self.namenode.node, "nn.create",
             (prefix, self.replication, self.client_node.node_id, size_hint),
             request_bytes=80, response_bytes=120)
+        if isinstance(file, Exception):
+            raise file
         return file
 
     def append(self, file: DfsFile, size: int, sync: bool = False) -> Event:
@@ -92,6 +94,8 @@ class DfsClient:
             raise RuntimeError(
                 f"no live replicas to read {file.path if file else '<anon>'}")
         target = self.datanodes[self._rng.choice(candidates)]
-        yield from self.cluster.call(
+        result = yield self.cluster.call_async(
             self.client_node, target.node, "dn.read", (size, sequential),
             request_bytes=60, response_bytes=size)
+        if isinstance(result, Exception):
+            raise result

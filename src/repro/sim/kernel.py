@@ -17,7 +17,8 @@ The design follows the classic simpy architecture:
 Only the pieces the database models actually need are implemented, but
 those pieces are implemented completely (failure propagation, interrupts,
 condition events) because the replication protocols rely on them — e.g. a
-Cassandra coordinator waits on ``AnyOf(AllOf(acks), timeout)``.
+hedged read waits on ``AnyOf(primary, timeout)`` and interrupts the
+loser of the race that follows.
 """
 
 from __future__ import annotations
@@ -323,22 +324,12 @@ class Process(Event):
         """True while the generator has not terminated."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None,
-                  if_waiting_on: Optional["Event"] = None) -> None:
+    def interrupt(self, cause: Any = None) -> None:
         """Raise :class:`Interrupt` inside the process at its current yield.
 
         Interrupting a terminated process is an error; interrupting a
         process that is about to resume anyway is allowed (the interrupt
         wins).
-
-        ``if_waiting_on`` makes delivery conditional: the interrupt is
-        dropped silently unless, *at delivery time*, the process is
-        still waiting on that exact event (and still alive).  Timeout
-        watchdogs need this — between scheduling the interrupt and its
-        urgent delivery, the watched event can complete (or fail) at the
-        same timestamp and the process move on to an unrelated wait;
-        an unconditional interrupt would then land mid-whatever-came-
-        next.
         """
         if self.triggered:
             raise SimulationError(f"cannot interrupt dead {self!r}")
@@ -350,15 +341,7 @@ class Process(Event):
         interrupt_event._ok = False
         interrupt_event._value = Interrupt(cause)
         interrupt_event._defused = True
-        if if_waiting_on is None:
-            interrupt_event.callbacks.append(self._resume)
-        else:
-            def _deliver(event: "Event", proc: "Process" = self,
-                         target: "Event" = if_waiting_on) -> None:
-                if not proc.triggered and proc._target is target:
-                    proc._resume(event)
-
-            interrupt_event.callbacks.append(_deliver)
+        interrupt_event.callbacks.append(self._resume)
         self.env._schedule(interrupt_event, URGENT, 0.0)
 
     def _finalize(self) -> None:

@@ -582,8 +582,10 @@ def test_unpooled_region_server_waits_for_a_reopening_region():
 
 
 def test_dead_callees_and_spent_deadlines():
-    """Every way a response can fail to come, on ``call()`` and on
-    ``call_async()`` at once: same instants, same kinds, in this order."""
+    """Every way a response can fail to come, each an ``AsyncCall``
+    settled with a failure value: these instants, these kinds, in this
+    order, as at ``4791ec4`` (``call()`` raises the same value at the
+    same instant)."""
     env, cluster = _rack(3)
     a, b, c = cluster.nodes
     log = []
@@ -596,20 +598,10 @@ def test_dead_callees_and_spent_deadlines():
         node.register("echo", echo)
     cluster.kill(c.node_id)
 
-    def sync(label, dst, **bounds):
-        try:
-            value = yield from cluster.call(
-                a, dst, "echo", label, request_bytes=100, response_bytes=100,
-                **bounds)
-            log.append((label, "sync", env.now, value))
-        except Exception as exc:
-            log.append((label, "sync", env.now, type(exc).__name__))
-
     def fire(label, dst, **bounds):
-        _note(env, log, (label, "async"), cluster.call_async(
+        _note(env, log, label, cluster.call_async(
             a, dst, "echo", label, request_bytes=100, response_bytes=100,
             **bounds))
-        env.process(sync(label, dst, **bounds))
 
     def script():
         yield env.timeout(0.01)
@@ -630,23 +622,15 @@ def test_dead_callees_and_spent_deadlines():
     env.run(until=env.process(script()))
     env.run()
     assert log == [
-        (("spent before send", "async"), 0.01, "DeadlineExceeded"),
-        ("spent before send", "sync", 0.01, "DeadlineExceeded"),
-        (("spent in flight", "async"), 0.01001, "DeadlineExceeded"),
-        (("spent in flight, timeout", "async"), 0.01001, "DeadlineExceeded"),
-        ("spent in flight", "sync", 0.01001, "DeadlineExceeded"),
-        ("spent in flight, timeout", "sync", 0.01001, "DeadlineExceeded"),
-        (("dead, no bound", "async"), 0.010077401102095308, "DeadNodeError"),
-        ("dead, no bound", "sync", 0.010146387857939023, "DeadNodeError"),
-        (("alive", "async"), 0.01014751451824609, "alive"),
-        ("alive", "sync", 0.01018244184040173, "alive"),
-        (("dead, both", "async"), 0.26, "DeadlineExceeded"),
-        ("dead, both", "sync", 0.26, "DeadlineExceeded"),
-        (("dead, deadline", "async"), 0.51, "DeadlineExceeded"),
-        ("dead, deadline", "sync", 0.51, "DeadlineExceeded"),
-        (("dead, timeout", "async"), 1.03125, "RpcTimeout"),
-        ("dead, timeout", "sync", 1.03125, "RpcTimeout"),
-        ("abandoned", 4, 16)]
+        ("spent before send", 0.01, "DeadlineExceeded"),
+        ("spent in flight", 0.01001, "DeadlineExceeded"),
+        ("spent in flight, timeout", 0.01001, "DeadlineExceeded"),
+        ("dead, no bound", 0.010077401102095308, "DeadNodeError"),
+        ("alive", 0.010200808995753851, "alive"),
+        ("dead, both", 0.26, "DeadlineExceeded"),
+        ("dead, deadline", 0.51, "DeadlineExceeded"),
+        ("dead, timeout", 1.03125, "RpcTimeout"),
+        ("abandoned", 2, 8)]
     assert cluster._wheel._pending == {}
 
 

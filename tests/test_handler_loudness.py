@@ -1,6 +1,6 @@
 """A bug in a callback is as loud as a bug in a process.
 
-Replica verbs are chains of callbacks (the transport's ``_RoundTrip``,
+Replica verbs are chains of callbacks (the transport's ``AsyncCall``,
 the bounded stage's ``Served``), and a chain decides for itself what to
 do with an exception.  For every registered verb, behind a bounded pool
 and without one, over the wire and through ``call_local``: an exception
@@ -11,18 +11,29 @@ that names the raising line — and leaves the pool with no holder.
 The same holds for the chains that hang on a message leg, whose
 subscriber runs from the leg's timeout dispatch: an HDFS pipeline hop
 (``_PipelineWrite._step``), a WAL round's ack (``_Round._acked``), an
-RPC's response (``_RoundTrip._responded``), and the receive half of a
+RPC's response (``AsyncCall._responded``), and the receive half of a
 leg booked on arrival (``Cluster._land``).
+
+And for the callers that wait on one ``AsyncCall`` and raise its
+failure themselves — the Cassandra session's coordinator call, the HBase
+client's region lookup, the DFS client: a bug in the handler they wait
+on reaches ``env.run()`` through them, once, and no retry loop takes it
+for a modelled failure.
 """
 
 import traceback
 
 import pytest
 
+from repro.cassandra.client import CassandraSession
 from repro.cassandra.deployment import CassandraCluster, CassandraSpec
 from repro.cluster.topology import Cluster, ClusterSpec
+from repro.hbase.client import HBaseClient
 from repro.hbase.deployment import HBaseCluster, HBaseSpec
+from repro.hdfs.block import DfsFile
+from repro.hdfs.client import DfsClient
 from repro.hdfs.datanode import DataNode
+from repro.hdfs.namenode import NameNode
 from repro.hdfs.pipeline import pipeline_write
 from repro.keyspace import key_for_index, token_of
 from repro.sim.kernel import Environment, Timeout
@@ -48,6 +59,17 @@ def _broken(env, verb):
         raise EngineBug(verb)
 
     return raising_scan if verb == "scan" else raising
+
+
+def _counted(verb):
+    """A stand-in raising on every call, and the list of its calls."""
+    calls = []
+
+    def raising(*args, **kwargs):
+        calls.append(args)
+        raise EngineBug(verb)
+
+    return raising, calls
 
 
 def _cassandra(pooled):
@@ -188,3 +210,77 @@ def test_round_trip_response():
     call = cluster.call_async(a, b, "echo", 7, timeout=0.5)
     call.callbacks.append(_broken(env, "waiter"))
     assert "_responded" in _stops_at_the_bug(env)
+
+
+# -- callers that raise their call's failure themselves --------------------
+
+SESSION_OPS = {
+    "c.coord_write": lambda session: session.insert(KEY, "v", 100),
+    "c.coord_read": lambda session: session.read(KEY),
+    "c.coord_scan": lambda session: session.scan(KEY, 5),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(SESSION_OPS))
+def test_coordinator_verb_through_the_session(verb):
+    env = Environment()
+    cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(5))
+    cassandra = CassandraCluster(cluster, CassandraSpec(replication=2))
+    session = CassandraSession(cassandra, cassandra.client_node, retries=1)
+    raising, calls = _counted(verb)
+    for cnode in cassandra.nodes.values():
+        # Every coordinated operation looks its replicas up first.
+        cnode.coordinator._alive_replicas = raising
+
+    def script():
+        yield Timeout(env, 1e-3)
+        yield from SESSION_OPS[verb](session)
+
+    env.process(script())
+    assert "_call" in _stops_at_the_bug(env)
+    assert len(calls) == 1   # not retried on the next coordinator
+
+
+def test_master_locate_through_the_client():
+    env, cluster = _rack()
+    hbase = HBaseCluster(cluster, HBaseSpec(replication=2,
+                                            regions_per_server=1))
+    client = HBaseClient(hbase, hbase.master_node)
+    raising, calls = _counted("master.locate")
+    hbase.master.node.cpu_work = raising
+    client._assignment.clear()   # the next operation must look it up
+
+    def script():
+        yield Timeout(env, 1e-3)
+        yield from client.get(KEY)
+
+    env.process(script())
+    assert "_refresh_assignment" in _stops_at_the_bug(env)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("verb", ["nn.create", "dn.read"])
+def test_hdfs_verb_through_the_client(verb):
+    env, cluster = _rack(5)
+    rngs = RngRegistry(9)
+    datanodes = {i: DataNode(cluster.node(i)) for i in range(3)}
+    namenode = NameNode(cluster.node(4), list(datanodes), rngs.stream("nn"))
+    # The client's node holds no replica: every read crosses the wire.
+    dfs = DfsClient(cluster, namenode, datanodes, cluster.node(3), 2,
+                    rngs.stream("dfs"))
+    raising, calls = _counted(verb)
+    if verb == "nn.create":
+        namenode.create_file = raising
+        operation, caller = dfs.create("wal"), "create"
+    else:
+        for datanode in datanodes.values():
+            datanode.node.disk.read = raising
+        operation, caller = dfs.read(DfsFile("f", 2, [0, 1]), 4096), "read"
+
+    def script():
+        yield Timeout(env, 1e-3)
+        yield from operation
+
+    env.process(script())
+    assert caller in _stops_at_the_bug(env)
+    assert len(calls) == 1

@@ -12,6 +12,7 @@ events carry ``__slots__`` without ``__weakref__``).
 """
 
 import gc
+import sys
 import traceback
 from dataclasses import replace
 from functools import partial
@@ -19,7 +20,8 @@ from functools import partial
 import pytest
 
 from repro.cluster.topology import (AsyncCall, Cluster, ClusterSpec,
-                                    RpcTimeout, _LocalCall, _RoundTrip)
+                                    DeadlineExceeded, DeadNodeError,
+                                    RpcTimeout, _LocalCall)
 from repro.core.config import default_stress_config, scaled_stress_storage
 from repro.core.experiment import ExperimentSession
 from repro.hbase.regionserver import _Round
@@ -59,6 +61,36 @@ def watching(cluster):
     """(pending shared timers, watchers registered on them)."""
     pending = cluster._wheel._pending
     return len(pending), sum(len(table) for _, table in pending.values())
+
+
+def in_flight(cluster):
+    """The calls the shared timers watch, and the calls still pending:
+    the same set, when every watch belongs to an RPC in flight."""
+    env = cluster.env
+    watched = [call for _, table in cluster._wheel._pending.values()
+               for call in table]
+    pending = [obj for obj in gc.get_objects()
+               if type(obj) is AsyncCall and obj.env is env and obj.is_alive]
+    assert len(set(map(id, watched))) == len(watched)
+    return set(map(id, watched)), set(map(id, pending))
+
+
+def interrupts_during(run):
+    """``run()``'s result, and how many ``Process.interrupt`` calls it
+    made (counted under ``sys.setprofile``)."""
+    code = Process.interrupt.__code__
+    made = []
+
+    def profiler(frame, event, _arg):
+        if event == "call" and frame.f_code is code:
+            made.append(1)
+
+    sys.setprofile(profiler)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, len(made)
 
 
 def echo(payload):
@@ -137,6 +169,10 @@ class TestSettledRpcsAreReleased:
         assert live(env, _LocalCall) == 0
 
     def test_watchers_equal_rpcs_in_flight(self):
+        """One ``AsyncCall`` per RPC, whether a process waits on it
+        through ``call()`` or a fan-out holds it, and one watch for each
+        still in flight — a call to a dead node included, which waits out
+        its timer in the place it registered."""
         env, cluster = make(4)
         a, b, c, d = cluster.nodes
         cluster.kill(d.node_id)
@@ -167,21 +203,19 @@ class TestSettledRpcsAreReleased:
         env.run(until=0.1)
         # In flight: the two slow handlers (x2: async + sync) and every
         # call to the dead node, which waits out its timer (2 + 2).
-        assert watching(cluster)[1] == 8
-        # The pending AllOf holds all six fan-out calls, settled or not.
-        assert live(env, AsyncCall) == 6
-        # Sync callers hold a bare round trip each while inside call():
-        # the two slow ones in flight, and per dead-node caller the
-        # silent trip plus the timer wait that replaced it.
-        assert live(env, _RoundTrip) == 2 + 2 * 2
+        watched, pending = in_flight(cluster)
+        assert watched == pending and len(watched) == 8
+        # The pending AllOf holds all six fan-out calls, settled or not;
+        # each sync caller the one call it waits on, until it moves on.
+        assert live(env, AsyncCall) == 6 + 4
         env.run(until=1.0)
-        assert watching(cluster)[1] == 4
-        assert live(env, _RoundTrip) == 2 * 2
+        watched, pending = in_flight(cluster)
+        assert watched == pending and len(watched) == 4
+        assert live(env, AsyncCall) == 6 + 2
         env.run(until=12.0)
         assert watching(cluster) == (0, 0)
         assert live(env, Process) == 0
         assert live(env, AsyncCall) == 0
-        assert live(env, _RoundTrip) == 0
 
 
 class TestProcessFreeRpcsAreReleased:
@@ -218,7 +252,7 @@ class TestProcessFreeRpcsAreReleased:
         timers, watchers = watching(cluster)
         assert timers >= 1 and watchers == 0
         assert live(env, Process) == 0
-        assert live(env, AsyncCall) == live(env, _RoundTrip) == 0
+        assert live(env, AsyncCall) == 0
         # Only the shared 10 s timers are still to fire: no leg, no
         # handler event.
         assert live(env, Timeout) == timers
@@ -234,15 +268,17 @@ class TestProcessFreeRpcsAreReleased:
                 yield from cluster.call(a, b, "slow", timeout=1.0)
             return type((yield call))
 
-        assert env.run(until=env.process(client())) is RpcTimeout
+        kind, interrupts = interrupts_during(
+            lambda: env.run(until=env.process(client())))
+        assert kind is RpcTimeout and interrupts == 0
         assert env.now == 1.0
         assert watching(cluster) == (0, 0)
         # Both requests are still being served (cancellation does not
-        # reach over the wire); each round trip lives exactly as long
-        # as its handler event and response leg.
-        assert live(env, AsyncCall) == live(env, _RoundTrip) == 1
+        # reach over the wire); each call lives exactly as long as its
+        # handler event and response leg.
+        assert live(env, AsyncCall) == 2
         env.run()
-        assert live(env, AsyncCall) == live(env, _RoundTrip) == 0
+        assert live(env, AsyncCall) == 0
         assert live(env, Timeout) == live(env, Process) == 0
 
     def test_after_a_shed(self):
@@ -269,7 +305,7 @@ class TestProcessFreeRpcsAreReleased:
         assert watching(cluster)[1] == 0
         del values
         assert live(env, Process) == 0
-        assert live(env, AsyncCall) == live(env, _RoundTrip) == 0
+        assert live(env, AsyncCall) == 0
 
 
 class TestCellsDoNotAccumulateRpcState:
@@ -395,7 +431,9 @@ class TestNothingGotQuieter:
             == "worker"
 
     def test_dead_node_timeouts_fire_at_the_same_instant(self):
-        """1 s timeout issued at t=0.01 rounds up onto the 1/32 s wheel."""
+        """1 s timeout issued at t=0.01 rounds up onto the 1/32 s wheel,
+        and the timer resumes its callers itself, in the order they
+        registered — no interrupt, no event of their own."""
         env, cluster = make()
         a, b, _ = cluster.nodes
         b.register("echo", echo)
@@ -416,13 +454,50 @@ class TestNothingGotQuieter:
 
         env.process(sync_client())
         env.process(async_client())
-        env.run()
+        _, interrupts = interrupts_during(env.run)
         assert outcome == {"sync": (1.03125, RpcTimeout, None),
                            "async": (1.03125, RpcTimeout, None)}
-        # Woken in registration order: the async watch (t=0.01) precedes
-        # the sync caller's wait-out (registered once b's silence showed).
-        assert list(outcome) == ["async", "sync"]
+        # Woken in registration order: the sync caller's process started
+        # first, so its call took the first place in the timer's table
+        # and kept it through b's silence.
+        assert list(outcome) == ["sync", "async"]
+        assert interrupts == 0
         assert watching(cluster) == (0, 0)
+
+    @pytest.mark.parametrize("kind, bounds, dead", [
+        (RpcTimeout, {"timeout": 1.0}, False),
+        (DeadlineExceeded, {"timeout": 1.0, "deadline": 0.5}, False),
+        (DeadNodeError, {}, True)])
+    def test_the_facade_raises_a_fresh_failure(self, kind, bounds, dead):
+        """``call()`` raises the value its call settled with: created by
+        the transport, never raised before — so its traceback starts at
+        the facade and it chains to nothing — and dropped once the
+        catching process has delivered it."""
+        env, cluster = make()
+        a, b, _ = cluster.nodes
+
+        def slow(payload):
+            yield env.timeout(5.0)
+
+        b.register("slow", slow)
+        if dead:
+            cluster.kill(b.node_id)
+
+        seen = {}
+
+        def client():
+            try:
+                yield from cluster.call(a, b, "slow", **bounds)
+            except Exception as exc:
+                seen["frames"] = [frame.name for frame in
+                                  traceback.extract_tb(exc.__traceback__)]
+                seen["chained"] = (exc.__context__, exc.__cause__)
+                return exc
+
+        exc = env.run(until=env.process(client()))
+        assert type(exc) is kind
+        assert seen == {"frames": ["client", "call"], "chained": (None, None)}
+        assert exc.__traceback__ is None
 
     def test_slow_callee_times_out_without_exception_context(self):
         env, cluster = make()
