@@ -559,9 +559,10 @@ class Cluster:
         first, the absolute ``deadline`` passes first or the callee is
         dead and neither bound was given, an :class:`RpcTimeout`,
         :class:`DeadlineExceeded` or :class:`DeadNodeError` *value* — a
-        failure never raises, so one dead or shedding callee cannot crash
-        a fan-out condition (``yield AllOf(...)`` / ``AnyOf(...)`` over
-        several calls), and a single caller raises it itself.
+        modelled failure never raises (a bug in the handler still fails
+        the call), so one dead or shedding callee cannot crash a fan-out
+        condition (``yield AllOf(...)`` / ``AnyOf(...)`` over several
+        calls), and a single caller raises it itself.
         ``src_cpu_s`` is extra caller-side CPU charged ahead of the
         request serialization.  Costs no process of its own — the round
         trip, the timeout race and the failure-to-value conversion are

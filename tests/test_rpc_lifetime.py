@@ -66,13 +66,12 @@ def watching(cluster):
 def in_flight(cluster):
     """The calls the shared timers watch, and the calls still pending:
     the same set, when every watch belongs to an RPC in flight."""
-    env = cluster.env
-    watched = [call for _, table in cluster._wheel._pending.values()
-               for call in table]
-    pending = [obj for obj in gc.get_objects()
-               if type(obj) is AsyncCall and obj.env is env and obj.is_alive]
-    assert len(set(map(id, watched))) == len(watched)
-    return set(map(id, watched)), set(map(id, pending))
+    watched = {id(call) for _, table in cluster._wheel._pending.values()
+               for call in table}
+    pending = {id(obj) for obj in gc.get_objects()
+               if type(obj) is AsyncCall and obj.env is cluster.env
+               and obj.is_alive}
+    return watched, pending
 
 
 def interrupts_during(run):
