@@ -21,18 +21,25 @@ Read-repair semantics (Cassandra 2.0, the version the paper benchmarks):
 
 ``blocking_read_repair=False`` (ablation) moves even the CL-set
 reconcile off the latency path.
+
+A verb plans inside the handler call and returns an :class:`Event` that
+callbacks on the replica calls complete: a request is no process, except
+where a generator is still needed — the hedged race, a reconcile,
+EACH_QUORUM's per-datacenter waits and the storage engine's scan.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.cassandra.consistency import ConsistencyLevel, UnavailableError
 from repro.cassandra.hints import Hint
+from repro.cassandra.read_repair import background_reconcile
 from repro.cluster.hedging import HedgePolicy
 from repro.cluster.topology import DeadlineExceeded
 from repro.keyspace import token_of
-from repro.sim.kernel import AllOf, Environment, Event, ModelledFailure
+from repro.sim.kernel import (AllOf, Environment, Event, ModelledFailure,
+                              Process, _finish, _settled)
 from repro.sim.resources import Overloaded
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -59,9 +66,18 @@ class ReadTimeoutError(ModelledFailure):
     """Not enough replica responses arrived before the read timeout."""
 
 
+def _then(event: Event, callback: Callable[[Event], None]) -> None:
+    """Run ``callback(event)`` once ``event`` has happened, as a
+    ``yield`` would resume: now if it has, else as its next subscriber."""
+    if event.callbacks is None:
+        callback(event)
+    else:
+        event.callbacks.append(callback)
+
+
 def wait_for_k(env: Environment, events: list[Event], k: int,
-               failure: Exception) -> Generator:
-    """Wait until ``k`` of ``events`` complete successfully (a process).
+               failure: Exception) -> Event:
+    """The event that completes once ``k`` of ``events`` have succeeded.
 
     Any events will do — replica operations are :class:`AsyncCall`s,
     bare storage-engine events when the replica is this node, processes
@@ -72,27 +88,15 @@ def wait_for_k(env: Environment, events: list[Event], k: int,
     ``done`` triggers early, the losers must not crash the whole
     simulation through :meth:`~repro.sim.kernel.Environment.step`'s
     unhandled-failure check.  If completion of all events cannot reach
-    ``k`` successes, ``failure`` is raised.
+    ``k`` successes, the event fails with ``failure``.
     """
     if k <= 0:
-        return
+        return _settled(env)
     n = len(events)
     if k > n:
         raise failure
     done = env.event()
     state = [0, 0]  # successes, finished
-
-    def settle(ok: bool, value) -> None:
-        # Inline completion (no queue round-trip): either nobody has
-        # subscribed yet (the caller checks the fast path below before
-        # yielding) or the subscribers are waiting processes, which the
-        # kernel would invoke with exactly this call.
-        done._ok = ok
-        done._value = value
-        callbacks = done.callbacks
-        done.callbacks = None
-        for callback in callbacks:
-            callback(done)
 
     def check(event: Event) -> None:
         state[1] += 1
@@ -103,16 +107,17 @@ def wait_for_k(env: Environment, events: list[Event], k: int,
         if done.callbacks is None:
             return
         if state[0] >= k:
-            settle(True, None)
+            _finish(done, True, None)
         elif state[1] == n:
-            settle(False, failure)
+            done._defused = True  # the waiter's to take, even a late one
+            _finish(done, False, failure)
 
     for event in events:
         if event.callbacks is None:
             check(event)
         else:
             event.callbacks.append(check)
-    yield done
+    return done
 
 
 class Coordinator:
@@ -120,6 +125,7 @@ class Coordinator:
 
     def __init__(self, owner: "CassandraNode", rng) -> None:
         self.owner = owner
+        self.env: Environment = owner.node.env
         self._rng = rng
         self.stats = {"writes": 0, "reads": 0, "scans": 0,
                       "read_repairs": 0, "repair_mutations": 0,
@@ -153,10 +159,6 @@ class Coordinator:
 
     # -- plumbing --------------------------------------------------------
 
-    @property
-    def env(self) -> Environment:
-        return self.owner.node.env
-
     def _admit(self) -> None:
         """Coordinator-side admission control (raises before any work)."""
         if self.max_inflight is not None \
@@ -165,6 +167,45 @@ class Coordinator:
             raise Overloaded(
                 f"coordinator {self.owner.node.node_id} at max in-flight "
                 f"({self.max_inflight})")
+
+    def _coordinate(self, plan: Callable, payload: tuple) -> Event:
+        """Admit a request; ``plan(payload, done)`` fans it out and hangs
+        the callbacks that complete ``done`` on the replica calls.  What
+        ends it before this returns (a refusal, a shed on this node's own
+        stage) raises, as a process failing in its first segment did."""
+        self._admit()
+        self.inflight += 1
+        done = Event(self.env)
+        try:
+            plan(payload, done)
+        except BaseException:
+            if done.callbacks is not None:
+                self.inflight -= 1
+            raise
+        if not done._ok:
+            raise done._value
+        return done
+
+    def _complete(self, done: Event, ok: bool, value) -> None:
+        """End a request: out of flight (where ``finally`` ran), then its
+        waiters hear, inline — unless it is still in the verb call."""
+        self.inflight -= 1
+        if not done.callbacks:
+            done._defused = True  # :meth:`_coordinate` raises it
+        _finish(done, ok, value)
+
+    def _resume(self, done: Event, step: Optional[Callable] = None):
+        """A callback going on with ``done`` after a wait: ``step(value)``,
+        else answer with the value; a failed event fails ``done``."""
+        def resume(event: Event) -> None:
+            if not event._ok:
+                event._defused = True
+                self._complete(done, False, event._value)
+            elif step is None:
+                self._complete(done, True, event._value)
+            else:
+                step(event._value)
+        return resume
 
     def _replica_mutate(self, replica_id: int, key: str, value, size: int,
                         timestamp: float,
@@ -289,27 +330,18 @@ class Coordinator:
                     store.store(Hint(replica_id, key, value, size,
                                      timestamp))
                     stats["hints_stored"] += 1
-            if ack.callbacks is None:
-                on_settle(ack)
-            else:
-                ack.callbacks.append(on_settle)
+            _then(ack, on_settle)
 
         for replica_id, ack in zip(ordered, acks):
             arm(replica_id, ack)
 
     # -- write path -------------------------------------------------------
 
-    def handle_write(self, payload) -> Generator:
+    def handle_write(self, payload) -> Event:
         """Coordinate one write: fan out, wait for CL acks."""
-        self._admit()
-        self.inflight += 1
-        try:
-            result = yield from self._write(payload)
-            return result
-        finally:
-            self.inflight -= 1
+        return self._coordinate(self._write, payload)
 
-    def _write(self, payload) -> Generator:
+    def _write(self, payload, done: Event) -> None:
         key, value, size, timestamp, cl_name, *rest = payload
         deadline = rest[0] if rest else None
         cl = _CL_BY_VALUE.get(cl_name) or ConsistencyLevel(cl_name)
@@ -354,57 +386,58 @@ class Coordinator:
         acks = [self._replica_mutate(r, key, value, size, timestamp,
                                      deadline=deadline)
                 for r in ordered]
-        dead = [r for r in self.owner.placement.replicas_for_key(key)
-                if r not in alive]
-        for replica_id in dead:
-            self.owner.hints.store(Hint(replica_id, key, value, size,
-                                        timestamp))
-            self.stats["hints_stored"] += 1
+        if len(alive) < replication:  # hint every replica that is down
+            for replica_id in self.owner.placement.replicas_for_key(key):
+                if replica_id not in alive:
+                    self.owner.hints.store(Hint(replica_id, key, value, size,
+                                                timestamp))
+                    self.stats["hints_stored"] += 1
         if self._hint_on_failure:
             self._arm_failure_hints(ordered, acks, key, value, size,
                                     timestamp)
         if groups is not None:
-            # All fan-out procs are already in flight, so waiting on the
-            # groups one after another completes when the *slowest*
-            # datacenter reaches its quorum — exactly the EACH_QUORUM
-            # ack rule.
-            proc_of = dict(zip(ordered, acks))
-            for dc, quorum, members in groups:
-                yield from wait_for_k(
-                    self.env, [proc_of[r] for r in members], quorum,
-                    WriteTimeoutError(
-                        f"write EACH_QUORUM got < {quorum} acks in "
-                        f"datacenter {dc!r}"))
-            return True
-        try:
-            yield from wait_for_k(
-                self.env, acks[:ack_pool], required,
-                WriteTimeoutError(f"write {cl.value} got < {required} acks"))
-        except WriteTimeoutError:
+            Process(self.env, self._each_quorum(groups, dict(zip(
+                ordered, acks))), None, True, self._resume(done))
+            return
+
+        def acked(wait: Event) -> None:
+            if wait._ok:
+                self._complete(done, True, True)
+                return
+            wait._defused = True
             # Keep the failure kind honest: when shed replicas alone made
             # the level unreachable, the client sees the shed, not a
             # generic timeout.
             sheds = sum(1 for p in acks[:ack_pool]
                         if p.processed and isinstance(p.value, Overloaded))
-            if sheds > ack_pool - required:
-                raise Overloaded(
-                    f"write {cl.value}: {sheds} replicas shed") from None
-            raise
+            self._complete(done, False, Overloaded(
+                f"write {cl.value}: {sheds} replicas shed")
+                if sheds > ack_pool - required else wait._value)
+
+        _then(wait_for_k(
+            self.env, acks[:ack_pool], required,
+            WriteTimeoutError(f"write {cl.value} got < {required} acks")),
+            acked)
+
+    def _each_quorum(self, groups: list[tuple[str, int, list[int]]],
+                     ack_of: dict[int, Event]) -> Generator:
+        """EACH_QUORUM's ack wait, as a process: with every mutation in
+        flight, it ends when the *slowest* datacenter has its quorum."""
+        for dc, quorum, members in groups:
+            yield wait_for_k(
+                self.env, [ack_of[r] for r in members], quorum,
+                WriteTimeoutError(
+                    f"write EACH_QUORUM got < {quorum} acks in "
+                    f"datacenter {dc!r}"))
         return True
 
     # -- read path -----------------------------------------------------
 
-    def handle_read(self, payload) -> Generator:
+    def handle_read(self, payload) -> Event:
         """Coordinate one read: data + digests, then maybe read repair."""
-        self._admit()
-        self.inflight += 1
-        try:
-            result = yield from self._read(payload)
-            return result
-        finally:
-            self.inflight -= 1
+        return self._coordinate(self._read, payload)
 
-    def _read(self, payload) -> Generator:
+    def _read(self, payload, done: Event) -> None:
         key, cl_name, expected_bytes, *rest = payload
         deadline = rest[0] if rest else None
         cl = _CL_BY_VALUE.get(cl_name) or ConsistencyLevel(cl_name)
@@ -444,83 +477,96 @@ class Coordinator:
         # client sees an answer.  ``blocking_read_repair=False`` (the
         # ablation) moves even that reconcile off the latency path.
         blocking_digests = required - 1
-        data_resp, data_replica = yield from self._await_data(
-            data_proc, involved[0], key, expected_bytes, spares, deadline)
-        if isinstance(data_resp, Exception):
-            # Sheds and spent budgets keep their kind; anything else
-            # (replica timeout, cancelled wait) is a read timeout.
-            if isinstance(data_resp, (Overloaded, DeadlineExceeded)):
-                raise data_resp
-            raise ReadTimeoutError(f"data read on {data_replica} failed")
-        if blocking_digests:
-            yield from wait_for_k(
-                self.env, digest_procs[:blocking_digests], blocking_digests,
-                ReadTimeoutError(
-                    f"read {cl.value} got < {blocking_digests} digests"))
 
-        # Only the CL-blocking digests may force a foreground reconcile;
-        # the beyond-CL digests exist solely because ``read_repair_chance``
-        # fired and are reconciled off the latency path even when they
-        # happen to have completed already (e.g. the coordinator-local
-        # fast path) — otherwise the chance-triggered global repair leaks
-        # into client latency and overstates the RF-driven read climb.
-        data_ts = data_resp[1] if data_resp is not None else None
-        digests: list[tuple[int, Optional[float]]] = []
-        for replica_id, proc in zip(involved[1:1 + blocking_digests],
-                                    digest_procs[:blocking_digests]):
-            if proc.processed and not isinstance(proc.value, Exception):
-                digests.append((replica_id, proc.value))
-        async_replicas = list(involved[1 + blocking_digests:])
-        async_procs = digest_procs[blocking_digests:]
-        if async_procs:
-            from repro.cassandra.read_repair import background_reconcile
-            self.env.process(
-                background_reconcile(self, key, expected_bytes, data_replica,
-                                     data_resp, async_replicas, async_procs),
-                name="background-read-repair")
+        def data_arrived(data: Event) -> None:
+            if not data._ok:
+                data._defused = True
+                self._complete(done, False, data._value)
+                return
+            if data is data_proc:
+                data_resp, data_replica = data._value, involved[0]
+            else:  # the hedged race
+                data_resp, data_replica = data._value
+            if isinstance(data_resp, Exception):
+                # Sheds and spent budgets keep their kind; anything else
+                # (replica timeout, cancelled wait) is a read timeout.
+                if not isinstance(data_resp, (Overloaded, DeadlineExceeded)):
+                    data_resp = ReadTimeoutError(
+                        f"data read on {data_replica} failed")
+                self._complete(done, False, data_resp)
+            elif blocking_digests:
+                _then(wait_for_k(
+                    self.env, digest_procs[:blocking_digests],
+                    blocking_digests, ReadTimeoutError(
+                        f"read {cl.value} got < {blocking_digests} digests")),
+                    self._resume(done, lambda _: answer(data_resp,
+                                                        data_replica)))
+            elif digest_procs:  # the repair chance fired
+                answer(data_resp, data_replica)
+            else:
+                self._complete(done, True, data_resp)
 
-        mismatch = any(d != data_ts for _, d in digests)
-        if not mismatch:
-            return data_resp
+        def answer(data_resp, data_replica: int) -> None:
+            # Only the CL-blocking digests may force a foreground
+            # reconcile; the beyond-CL digests exist solely because
+            # ``read_repair_chance`` fired and are reconciled off the
+            # latency path even when they happen to have completed already
+            # (e.g. the coordinator-local fast path) — otherwise the
+            # chance-triggered global repair leaks into client latency and
+            # overstates the RF-driven read climb.
+            data_ts = data_resp[1] if data_resp is not None else None
+            digests: list[tuple[int, Optional[float]]] = []
+            for replica_id, proc in zip(involved[1:1 + blocking_digests],
+                                        digest_procs[:blocking_digests]):
+                if proc.processed and not isinstance(proc.value, Exception):
+                    digests.append((replica_id, proc.value))
+            async_replicas = list(involved[1 + blocking_digests:])
+            async_procs = digest_procs[blocking_digests:]
+            if async_procs:
+                self.env.process(
+                    background_reconcile(self, key, expected_bytes,
+                                         data_replica, data_resp,
+                                         async_replicas, async_procs),
+                    name="background-read-repair")
+            mismatch = any(d != data_ts for _, d in digests)
+            if not mismatch:
+                self._complete(done, True, data_resp)
+                return
+            # Reconcile: full reads from the digest replicas, newest wins.
+            stats["read_repairs"] += 1
+            Process(self.env, self._reconcile(
+                key, expected_bytes, data_replica, data_resp,
+                [r for r, _ in digests], blocking=spec.blocking_read_repair),
+                None, True, self._resume(done))
 
-        # Reconcile: full reads from the digest replicas, newest wins.
-        self.stats["read_repairs"] += 1
-        result = yield from self._reconcile(
-            key, expected_bytes, data_replica, data_resp,
-            [r for r, _ in digests], blocking=spec.blocking_read_repair)
-        return result
+        if self.hedge is None:
+            _then(data_proc, data_arrived)
+        else:
+            Process(self.env, self._await_data(
+                data_proc, involved[0], key, expected_bytes, spares,
+                deadline), None, True, data_arrived)
 
     def _await_data(self, proc: Event, replica: int, key: str,
                     expected_bytes: int, spares: list[int],
                     deadline: Optional[float]) -> Generator:
-        """Wait for the full data read, hedging to a spare when slow.
+        """Wait for the full data read, hedging to a spare when slow (the
+        process a hedge policy costs).
 
         Models Cassandra 2.0.2's rapid read protection
         (:meth:`HedgePolicy.race`): once the configured delay elapses
         without a primary response, the data read is duplicated to the
         next-fastest alive replica and the first *successful* response
-        wins.  Returns ``(response, replica_id)``; the response is an
-        Exception value when every attempt failed.
-
-        Cancelling the loser needs ``is_alive`` and ``interrupt`` — a
-        wait that can be abandoned — which an
-        :class:`~repro.cluster.topology.AsyncCall` has: a remote read's
-        caller-side wait, or the process of this node's own read.  That
-        is what :meth:`_replica_read` hands out whenever there is a hedge
-        policy.
+        wins; the loser's wait is cancelled (:meth:`_replica_read`).
+        Returns ``(response, replica_id)``; the response is an Exception
+        value when every attempt failed.
         """
-        hedge = self.hedge
-        if hedge is None:
-            response = yield proc
-            return response, replica
-
         def read_spare() -> Generator:
             self.stats["hedged_reads"] += 1
             return self._replica_read(spares[0], key, expected_bytes,
                                       digest=False, deadline=deadline)
             yield  # pragma: no cover - a spare launcher is a generator
 
-        response, spare_won = yield from hedge.race(
+        response, spare_won = yield from self.hedge.race(
             self.env, proc, read_spare if spares else None)
         if spare_won:
             self.stats["hedge_wins"] += 1
@@ -555,14 +601,14 @@ class Coordinator:
             for r in stale]
         self.stats["repair_mutations"] += len(repair_acks)
         if blocking and repair_acks:
-            yield from wait_for_k(
+            yield wait_for_k(
                 self.env, repair_acks, len(repair_acks),
                 ReadTimeoutError("read repair mutations timed out"))
         return (newest_value, newest_ts)
 
     # -- scan path ----------------------------------------------------
 
-    def handle_scan(self, payload) -> Generator:
+    def handle_scan(self, payload) -> Event:
         """Token-order scan served by the start token's main replica.
 
         Range scans read contiguous token ranges, so regardless of the
@@ -570,15 +616,9 @@ class Coordinator:
         which is why the paper finds all consistency levels performing
         closely on the scan workload (§4.3).
         """
-        self._admit()
-        self.inflight += 1
-        try:
-            result = yield from self._scan(payload)
-            return result
-        finally:
-            self.inflight -= 1
+        return self._coordinate(self._scan, payload)
 
-    def _scan(self, payload) -> Generator:
+    def _scan(self, payload, done: Event) -> None:
         start_key, limit, _cl_name, expected_bytes, *rest = payload
         deadline = rest[0] if rest else None
         self.stats["scans"] += 1
@@ -588,13 +628,13 @@ class Coordinator:
         owner = self.owner
         main = alive[0]
         if main == owner.node.node_id:
-            rows = yield from owner._handle_scan((start_key, limit, deadline))
-            return rows
-        rows = yield owner.cluster.call_async(
-            owner.node, owner.cluster.node(main), "c.scan",
-            (start_key, limit, deadline), request_bytes=70,
-            response_bytes=expected_bytes * limit,
-            timeout=owner.spec.replica_timeout_s, deadline=deadline)
-        if isinstance(rows, Exception):
-            raise rows
-        return rows
+            rows = owner.cluster.call_local(owner._handle_scan,
+                                            (start_key, limit, deadline))
+        else:
+            rows = owner.cluster.call_async(
+                owner.node, owner.cluster.node(main), "c.scan",
+                (start_key, limit, deadline), request_bytes=70,
+                response_bytes=expected_bytes * limit,
+                timeout=owner.spec.replica_timeout_s, deadline=deadline)
+        _then(rows, self._resume(done, lambda value: self._complete(
+            done, not isinstance(value, Exception), value)))

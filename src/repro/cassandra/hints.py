@@ -111,8 +111,8 @@ class HintStore:
                     # k == len(calls): completes once every delivery in
                     # the wave has finished (successes early-exit, the
                     # failure path settles when all are processed).
-                    yield from wait_for_k(env, calls, len(calls),
-                                          _BatchIncomplete())
+                    yield wait_for_k(env, calls, len(calls),
+                                     _BatchIncomplete())
                 except _BatchIncomplete:
                     pass
                 delivered = set()

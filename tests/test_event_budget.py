@@ -106,12 +106,13 @@ def _counting(monkeypatch, method):
     return calls
 
 
-#: ``Process`` constructions per operation of the same two cells: one per
-#: coordinated client operation on Cassandra, where RPCs stopped being
-#: processes (3.181 at ``353f292``); on HBase nothing per operation since
-#: its put path stopped too (1.513 at ``353f292``, 1.019 at ``805ebb2``)
-#: — what is left is flushes and compactions.  The ceiling is 5 % above.
-LANDED_PROCESSES_PER_OP = {"cassandra": 1.067, "hbase": 0.006}
+#: ``Process`` constructions per operation of the same two cells: nothing
+#: per operation on either engine — Cassandra's RPCs stopped being
+#: processes (3.181 at ``353f292``), then its coordinated requests (1.067
+#: at ``2a2fa1a``); HBase's put path too (1.513 at ``353f292``, 1.019 at
+#: ``805ebb2``).  What is left is background repairs, flushes and
+#: compactions.  The ceiling is 5 % above.
+LANDED_PROCESSES_PER_OP = {"cassandra": 0.067, "hbase": 0.006}
 
 
 @pytest.mark.parametrize("db", sorted(LANDED_PROCESSES_PER_OP))
@@ -177,6 +178,13 @@ OVERLOADED = {
 }
 
 
+#: ``Process`` constructions per arrival of the Cassandra overloaded cell
+#: once a coordinated request stopped being one (5.780 at ``52185b9`` and
+#: at ``2a2fa1a``): the arrival's own process, block-miss lookups and
+#: background repairs.  The ceiling is 5 % above.
+LANDED_OVERLOADED_PROCESSES = {"cassandra": 1.387}
+
+
 @pytest.mark.parametrize("db", sorted(OVERLOADED))
 def test_overloaded_cell_stays_under_the_ceilings(db, monkeypatch):
     landed = OVERLOADED[db]
@@ -190,7 +198,8 @@ def test_overloaded_cell_stays_under_the_ceilings(db, monkeypatch):
     summary = summarize_run(session.run_cell(
         workload=STRESS_WORKLOADS["read_mostly"], open_loop=True))
     arrivals = session.config.arrivals.max_arrivals
-    assert len(spawned) / arrivals <= 1.05 * landed["processes"]
+    assert len(spawned) / arrivals <= 1.05 * LANDED_OVERLOADED_PROCESSES.get(
+        db, landed["processes"])
     assert len(resumed) / arrivals <= 1.05 * landed["resumes"]
     pools = ([node.replica_pool for node in session.cassandra.nodes.values()]
              if db == "cassandra" else

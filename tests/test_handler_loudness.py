@@ -19,14 +19,22 @@ failure themselves — the Cassandra session's coordinator call, the HBase
 client's region lookup, the DFS client: a bug in the handler they wait
 on reaches ``env.run()`` through them, once, and no retry loop takes it
 for a modelled failure.
+
+And for a coordinated Cassandra request, which is callbacks on its
+replica calls: a bug where it goes on after a wait, a failure settled
+inside the verb call with nobody waiting for the answer, and a replica
+breaking before anyone subscribed to its call all stop the run.
 """
 
 import traceback
 
 import pytest
 
+from repro.cassandra import coordinator
 from repro.cassandra.client import CassandraSession
+from repro.cassandra.consistency import ConsistencyLevel
 from repro.cassandra.deployment import CassandraCluster, CassandraSpec
+from repro.cluster.geo import GeoCluster, GeoSpec
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.hbase.client import HBaseClient
 from repro.hbase.deployment import HBaseCluster, HBaseSpec
@@ -239,6 +247,97 @@ def test_coordinator_verb_through_the_session(verb):
     env.process(script())
     assert "_call" in _stops_at_the_bug(env)
     assert len(calls) == 1   # not retried on the next coordinator
+
+
+# -- the coordinator's own callbacks --------------------------------------
+
+COORDINATED = {
+    "ONE read": ({}, lambda session: session.read(KEY)),
+    "QUORUM read, reconciled": (
+        {"read_repair_chance": 0.0},
+        lambda session: session.read(KEY, cl=ConsistencyLevel.QUORUM)),
+    "read, repair chance": ({"read_repair_chance": 1.0},
+                            lambda session: session.read(KEY)),
+    "hedged read": ({"read_repair_chance": 0.0, "speculative_retry": "0ms"},
+                    lambda session: session.read(KEY)),
+    "ONE write": ({}, lambda session: session.insert(KEY, "w", 100)),
+    "scan": ({}, lambda session: session.scan(KEY, 5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COORDINATED))
+def test_coordinator_callback(case):
+    """A bug raised where a coordinated request goes on after a wait —
+    answering it, or spawning the background repair — stops the run from
+    that callback's dispatch, once, whichever replica answered first."""
+    spec, operation = COORDINATED[case]
+    env = Environment()
+    cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(5))
+    cassandra = CassandraCluster(cluster, CassandraSpec(replication=2,
+                                                        **spec))
+    session = CassandraSession(cassandra, cassandra.client_node, retries=1)
+    raising, calls = _counted(case)
+    newer = cassandra.nodes[cassandra.replicas_of(KEY)[1]]
+
+    def script():
+        yield from session.insert(KEY, "v", 100, cl=ConsistencyLevel.ALL)
+        yield newer._handle_mutate((KEY, "v1", 100, env.now))  # a digest
+        for cnode in cassandra.nodes.values():                 # mismatch
+            cnode.coordinator._complete = raising
+        if case == "read, repair chance":
+            coordinator.background_reconcile = raising
+        yield from operation(session)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coordinator, "background_reconcile",
+                      coordinator.background_reconcile)
+        env.process(script())
+        frames = _stops_at_the_bug(env)
+    assert "_call" not in frames   # raised from the callback, not a waiter
+    assert len(calls) == 1
+
+
+def test_request_ending_in_the_verb_call_with_nobody_waiting():
+    """An EACH_QUORUM write whose first datacenter's one replica is its
+    coordinator, shedding the mutation inside the verb call: the request
+    fails right there, and with nobody waiting for the coordinator's
+    answer the failure stops the run, as the request's process did."""
+    env = Environment()
+    geo = GeoCluster(env, GeoSpec(datacenters={"eu-west": 2, "us-west": 2},
+                                  client_datacenter="eu-west"),
+                     RngRegistry(5))
+    cassandra = CassandraCluster(geo, CassandraSpec(
+        replication=2, replication_per_dc={"eu-west": 1, "us-west": 1},
+        handler_slots=1, max_handler_queue=0))
+    local = next(r for r in cassandra.replicas_of(KEY)
+                 if geo.node_datacenter[r] == "eu-west")
+    cassandra.nodes[local].replica_pool.request()
+    geo.call_async(cassandra.client_node, geo.node(local), "c.coord_write",
+                   (KEY, "v", 100, 0.0, "EACH_QUORUM"), timeout=1.0)
+    with pytest.raises(coordinator.WriteTimeoutError):
+        env.run(until=1.0)
+
+
+def test_replica_failing_with_nobody_waiting():
+    """A QUORUM read's digest replica breaking before the data read has
+    answered — nobody subscribed to its call yet — stops the run from the
+    request leg's dispatch."""
+    env = Environment()
+    cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(5))
+    cassandra = CassandraCluster(cluster, CassandraSpec(
+        replication=2, read_repair_chance=0.0))
+    session = CassandraSession(cassandra, cassandra.client_node, retries=1)
+    raising, calls = _counted("c.read_digest")
+    digest_node = cassandra.nodes[cassandra.replicas_of(KEY)[1]].node
+
+    def script():
+        yield from session.insert(KEY, "v", 100, cl=ConsistencyLevel.ALL)
+        digest_node.handlers["c.read_digest"] = raising
+        yield from session.read(KEY, cl=ConsistencyLevel.QUORUM)
+
+    env.process(script())
+    assert "_arrived" in _stops_at_the_bug(env)
+    assert len(calls) == 1
 
 
 def test_master_locate_through_the_client():

@@ -16,9 +16,13 @@ import sys
 import traceback
 from dataclasses import replace
 from functools import partial
+from types import FunctionType
 
 import pytest
 
+from repro.cassandra.client import CassandraSession
+from repro.cassandra.consistency import ConsistencyLevel
+from repro.cassandra.deployment import CassandraCluster, CassandraSpec
 from repro.cluster.topology import (AsyncCall, Cluster, ClusterSpec,
                                     DeadlineExceeded, DeadNodeError,
                                     RpcTimeout, _LocalCall)
@@ -27,6 +31,7 @@ from repro.core.experiment import ExperimentSession
 from repro.hbase.regionserver import _Round
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.pipeline import _PipelineWrite, pipeline_write
+from repro.keyspace import key_for_index
 from repro.sim.kernel import (AllOf, Environment, Event, Interrupt, Process,
                               Timeout)
 from repro.sim.resources import Overloaded
@@ -305,6 +310,58 @@ class TestProcessFreeRpcsAreReleased:
         del values
         assert live(env, Process) == 0
         assert live(env, AsyncCall) == 0
+
+
+class TestCoordinatedRequestsAreReleased:
+    """A coordinated request is callbacks on its replica calls, sharing
+    the request's state as closures: once it has answered and its replica
+    calls have drained, none of them is left, nor any call."""
+
+    @staticmethod
+    def closures():
+        return sum(1 for obj in gc.get_objects()
+                   if type(obj) is FunctionType
+                   and obj.__module__ == "repro.cassandra.coordinator"
+                   and "<locals>" in obj.__qualname__)
+
+    @pytest.mark.parametrize("hedged", [False, True],
+                             ids=["plain", "hedged"])
+    def test_after_settle(self, hedged):
+        env, cluster = make(6)
+        cassandra = CassandraCluster(cluster, CassandraSpec(
+            replication=3, read_repair_chance=0.5,
+            speculative_retry="0ms" if hedged else None))
+        session = CassandraSession(cassandra, cassandra.client_node)
+        keys = [key_for_index(i) for i in range(N)]
+        assert self.closures() == 0
+
+        def client():
+            for key in keys:
+                yield from session.insert(key, "v0", 100)
+            stale = cassandra.nodes[cassandra.replicas_of(keys[0])[1]]
+            yield stale._handle_mutate((keys[0], "v1", 100, env.now))
+            for key in keys:
+                yield from session.read(key, cl=ConsistencyLevel.QUORUM)
+                yield from session.read(key)
+                yield from session.insert(key, "v2", 100,
+                                          cl=ConsistencyLevel.QUORUM)
+            yield from session.scan(keys[0], 5)
+
+        process = env.process(client())
+        env.run(until=1e-3)
+        assert self.closures() > 0   # a request in flight holds some
+        env.run(until=process)
+        del process
+        assert cassandra.total_stats()["read_repairs"] >= 1
+        env.run(until=env.now + 5.0)
+        assert self.closures() == 0
+        assert live(env, AsyncCall) == live(env, _LocalCall) == 0
+        assert {obj.name for obj in gc.get_objects()
+                if type(obj) is Process and obj.env is env} \
+            <= {"disk-flusher"} | {f"hints-{n.node_id}"
+                                   for n in cassandra.server_nodes}
+        assert all(cnode.coordinator.inflight == 0
+                   for cnode in cassandra.nodes.values())
 
 
 class TestCellsDoNotAccumulateRpcState:

@@ -6,7 +6,7 @@ with a :class:`repro.sim.trace.KernelTracer` attached to every
 invocation: argv, exit code, environments created, total kernel events,
 SHA-256 over the per-environment trace digests (creation order), SHA-256
 of stdout, and SHA-256 of the ``--report`` JSON where the subcommand has
-that flag.  Dependency-free, like ``tools/measure_coverage.py``::
+that flag.  Dependency-free::
 
     PYTHONHASHSEED=0 python tools/replay_digests.py > /tmp/after.txt
     diff /tmp/before.txt /tmp/after.txt     # before: same command, other checkout
