@@ -12,16 +12,14 @@ Two probes on the same Cassandra ring (RF = 3):
 Run:  python examples/consistency_levels.py
 """
 
-from repro.cassandra import (
-    CassandraCluster,
-    CassandraSession,
-    CassandraSpec,
-    ConsistencyLevel,
-)
-from repro.cluster import Cluster, ClusterSpec
-from repro.keyspace import key_for_index
+from repro.cassandra.client import CassandraSession
+from repro.cassandra.consistency import ConsistencyLevel
+from repro.cassandra.deployment import CassandraCluster, CassandraSpec
+from repro.cluster.topology import Cluster, ClusterSpec
 from repro.core.report import render_table
-from repro.sim import Environment, RngRegistry
+from repro.keyspace import key_for_index
+from repro.sim.kernel import Environment
+from repro.sim.rng import RngRegistry
 
 RF = 3
 RECORDS = 3_000

@@ -18,7 +18,7 @@ The full campaign (db x CL x RF x power mode, parallel, cached) is
 Run:  python examples/energy_cost.py
 """
 
-from repro.core import ExperimentSession
+from repro.core.experiment import ExperimentSession
 from repro.core.report import render_table
 from repro.core.sweep import CAMPAIGNS, campaign_cells
 
@@ -28,6 +28,8 @@ SHOWCASE = (
     (3, "ONE", "race_to_sleep"),
     (3, "adaptive", "energy_aware"),
 )
+
+SCALE = CAMPAIGNS["energy"].quick
 
 
 def run_cell(cell):
@@ -41,12 +43,11 @@ def run_cell(cell):
 
 
 def main() -> None:
-    scale = CAMPAIGNS["energy"].quick
     cells = {cell.key: cell
-             for cell in campaign_cells("energy", "cassandra", scale)}
+             for cell in campaign_cells("energy", "cassandra", SCALE)}
     print(f"cassandra, RF = 3, {cells[SHOWCASE[0]].runs[0].workload} at "
-          f"{scale.targets[0]:g} ops/s offered for {scale.duration_s:g}s; "
-          f"staleness budget {scale.slo.staleness_s:g}s")
+          f"{SCALE.targets[0]:g} ops/s offered for {SCALE.duration_s:g}s; "
+          f"staleness budget {SCALE.slo.staleness_s:g}s")
     print()
     rows = []
     parked = None

@@ -17,17 +17,14 @@ three tests on the simulated geo testbed:
 Run:  python examples/geo_replication.py
 """
 
-from repro.cassandra import (
-    CassandraCluster,
-    CassandraSession,
-    CassandraSpec,
-    ConsistencyLevel,
-)
-from repro.cassandra.consistency import UnavailableError
+from repro.cassandra.client import CassandraSession
+from repro.cassandra.consistency import ConsistencyLevel, UnavailableError
+from repro.cassandra.deployment import CassandraCluster, CassandraSpec
 from repro.cluster.geo import GeoCluster, GeoSpec
-from repro.keyspace import key_for_index
 from repro.core.report import render_table
-from repro.sim import Environment, RngRegistry
+from repro.keyspace import key_for_index
+from repro.sim.kernel import Environment
+from repro.sim.rng import RngRegistry
 
 
 def build():

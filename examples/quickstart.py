@@ -10,16 +10,22 @@ Run:  python examples/quickstart.py
 
 from dataclasses import replace
 
-from repro.core import default_stress_config, run_experiment
+from repro.core.config import default_stress_config
+from repro.core.experiment import run_experiment
 from repro.core.report import render_table
+
+#: Keep the quickstart snappy; the stress default is 40 k records and
+#: 6 k operations.
+RECORDS = 8_000
+OPERATIONS = 2_000
 
 
 def main() -> None:
     rows = []
     for db in ("hbase", "cassandra"):
         config = default_stress_config(db, "read_mostly", replication=3)
-        # Keep the quickstart snappy; drop this line for full scale.
-        config = replace(config, record_count=8_000, operation_count=2_000)
+        config = replace(config, record_count=RECORDS,
+                         operation_count=OPERATIONS)
 
         result = run_experiment(config)
 

@@ -17,13 +17,11 @@ Run:  python examples/read_repair_demo.py
 
 from dataclasses import replace
 
-from repro.core import (
-    CassandraConfig,
-    ExperimentConfig,
-    ExperimentSession,
-)
-from repro.keyspace import key_for_index
+from repro.cassandra.consistency import ConsistencyLevel
+from repro.core.config import CassandraConfig, ExperimentConfig
+from repro.core.experiment import ExperimentSession
 from repro.core.report import render_table
+from repro.keyspace import key_for_index
 from repro.ycsb.workload import STRESS_WORKLOADS
 
 
@@ -80,7 +78,6 @@ def compare_repair_cost() -> None:
     the chance-triggered comparison runs in the background and shows up
     as load + background-repair counters instead.
     """
-    from repro.cassandra import ConsistencyLevel
     rows = []
     for label, chance, read_cl in [
         ("ONE, repair off", 0.0, ConsistencyLevel.ONE),

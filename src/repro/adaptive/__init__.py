@@ -17,29 +17,3 @@ Wired end-to-end as ``repro-bench adaptive`` (policy x offered-load
 ramp at RF 3, with the consistency oracle checking what staleness each
 policy actually delivered).
 """
-
-from repro.adaptive.controller import AdaptiveController, DecisionLog
-from repro.adaptive.monitor import Monitor, RecentWrites, SloSpec, WindowStats
-from repro.adaptive.policy import (
-    ADAPTIVE_POLICIES,
-    Policy,
-    StalenessBoundPolicy,
-    StaticPolicy,
-    StepwisePolicy,
-    make_policy,
-)
-
-__all__ = [
-    "ADAPTIVE_POLICIES",
-    "AdaptiveController",
-    "DecisionLog",
-    "Monitor",
-    "Policy",
-    "RecentWrites",
-    "SloSpec",
-    "StalenessBoundPolicy",
-    "StaticPolicy",
-    "StepwisePolicy",
-    "WindowStats",
-    "make_policy",
-]

@@ -132,10 +132,6 @@ class WindowStats:
         return self.reads + self.writes
 
     @property
-    def at_risk_fraction(self) -> float:
-        return self.at_risk_reads / self.reads if self.reads else 0.0
-
-    @property
     def exposed_fraction(self) -> float:
         return self.exposed_reads / self.reads if self.reads else 0.0
 
@@ -172,9 +168,8 @@ class Monitor:
     Window rolling is lazy: :meth:`roll` closes every window boundary
     the clock has passed, so windows align to multiples of
     ``slo.window_s`` regardless of when operations complete.  Empty
-    windows are not materialized (an idle gap produces no windows, the
-    same stance :func:`repro.core.sla.evaluate_sla` takes for idle
-    windows: nothing to decide on).
+    windows are not materialized (an idle gap produces no windows:
+    nothing to decide on).
     """
 
     def __init__(self, slo: SloSpec, clock: Callable[[], float],
@@ -272,11 +267,3 @@ class Monitor:
         """Close the in-progress window (end of run)."""
         if self._current is not None:
             self._close_current()
-
-    # -- summaries -------------------------------------------------------
-
-    def worst_read_p95_ms(self) -> float:
-        """Max per-window read p95 across closed windows (raw latencies
-        are cleared on window close to bound memory, so this is the
-        conservative roll-up — used for rendering, never for control)."""
-        return max((w.read_p95_ms for w in self.windows), default=0.0)

@@ -20,22 +20,3 @@ Key behaviours reproduced:
 - **NetworkTopologyStrategy + LOCAL_ONE/LOCAL_QUORUM** for the
   geo-distributed deployments of the paper's §6 future work.
 """
-
-from repro.cassandra.client import CassandraSession
-from repro.cassandra.consistency import ConsistencyLevel, UnavailableError
-from repro.cassandra.deployment import CassandraCluster, CassandraSpec
-from repro.cassandra.multidc import NetworkTopologyStrategy, SimpleStrategy
-from repro.cassandra.node import CassandraNode
-from repro.cassandra.partitioner import TokenRing
-
-__all__ = [
-    "CassandraCluster",
-    "CassandraNode",
-    "CassandraSession",
-    "CassandraSpec",
-    "ConsistencyLevel",
-    "NetworkTopologyStrategy",
-    "SimpleStrategy",
-    "TokenRing",
-    "UnavailableError",
-]

@@ -26,29 +26,3 @@ or amplified, each composable around any
   stack, measuring latency from *intended arrival* so queueing delay is
   charged instead of hidden (the coordinated-omission fix).
 """
-
-from repro.clienttier.breaker import BreakerBinding, BreakerOpen, CircuitBreaker
-from repro.clienttier.cache import CacheAsideBinding
-from repro.clienttier.leveling import LoadLeveler, LoadShed
-from repro.clienttier.ratelimit import RateLimited, TenantRateLimiter
-from repro.clienttier.retry import RetryBinding, RetryBudget
-from repro.clienttier.openloop import (CLIENT_TIER_ERRORS, OpenLoopClient,
-                                       build_client_stack)
-from repro.clienttier.tokens import TokenBucket
-
-__all__ = [
-    "BreakerBinding",
-    "BreakerOpen",
-    "CLIENT_TIER_ERRORS",
-    "CacheAsideBinding",
-    "CircuitBreaker",
-    "LoadLeveler",
-    "LoadShed",
-    "OpenLoopClient",
-    "RateLimited",
-    "RetryBinding",
-    "RetryBudget",
-    "TenantRateLimiter",
-    "TokenBucket",
-    "build_client_stack",
-]

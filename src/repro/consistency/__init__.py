@@ -2,8 +2,8 @@
 
 The paper's consistency findings (F4/F6) are *correctness* claims — CL
 ONE leaves stale replicas that repair must catch; QUORUM/ALL reads see
-the latest write.  This package verifies them instead of inferring them
-from latency shapes:
+the latest write.  This package verifies them instead of inferring
+them from latency shapes:
 
 - :mod:`repro.consistency.history` — a :class:`~repro.ycsb.db.DbBinding`
   wrapper that records every operation's invocation/response interval
@@ -18,30 +18,5 @@ from latency shapes:
   recorded run;
 - :mod:`repro.consistency.explorer` — fans N seeds x fault templates
   through the parallel cell runner and reports violations with the
-  minimal reproducing seed.  (Imported explicitly, not re-exported here:
-  it pulls in :mod:`repro.core`, which itself records histories through
-  this package.)
+  minimal reproducing seed.
 """
-
-from repro.consistency.checkers import (
-    CheckOutcome,
-    Violation,
-    check_convergence,
-    check_history,
-    check_linearizable_key,
-)
-from repro.consistency.history import History, HistoryOp, HistoryRecorder
-from repro.consistency.oracle import SESSION_KINDS, build_consistency_report
-
-__all__ = [
-    "CheckOutcome",
-    "History",
-    "HistoryOp",
-    "HistoryRecorder",
-    "SESSION_KINDS",
-    "Violation",
-    "build_consistency_report",
-    "check_convergence",
-    "check_history",
-    "check_linearizable_key",
-]

@@ -25,6 +25,7 @@ from repro.consistency.oracle import (SESSION_KINDS, VIOLATION_KINDS,
                                       unexpected_violations)
 from repro.core.report import energy_rollup, run_energy
 from repro.core.runner import CellRunner, execute_cell
+from repro.core.sweep import campaign_cells
 
 __all__ = ["check_sweep"]
 
@@ -43,9 +44,6 @@ def check_sweep(db: str, mode: str = "QUORUM",
     from scratch (no cache, in-process) and ``replay_verified`` records
     whether the fresh report matched the sweep's bit for bit.
     """
-    # The campaign table imports this module, so its cell path is
-    # looked up at call time.
-    from repro.core.sweep import campaign_cells
     cells = campaign_cells("check", db, scale, cl=mode, seeds=seeds,
                            fault=fault, no_repair=no_repair)
     payloads = (runner or CellRunner()).run(cells)

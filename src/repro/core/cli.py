@@ -25,11 +25,12 @@ import json
 import sys
 from typing import Iterable, Optional, Sequence
 
+from repro.consistency.explorer import check_sweep
 from repro.consistency.oracle import unexpected_violations
 from repro.core.report import (render_check_report, render_progress,
                                render_table, walk_leaves)
 from repro.core.runner import CellRunner, default_cache_dir
-from repro.core.sweep import (CAMPAIGNS, Arg, Campaign, _opt, check_sweep,
+from repro.core.sweep import (CAMPAIGNS, Arg, Campaign, _opt,
                               render_campaign, run_campaign)
 from repro.ycsb.workload import STRESS_WORKLOADS
 

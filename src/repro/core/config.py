@@ -10,7 +10,8 @@ from typing import Optional
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.cluster.elasticity import ElasticityConfig, ScaleEventSpec
 from repro.cluster.failure import FaultSpec
-from repro.energy import POWER_MODES, CostSpec, PowerSpec
+from repro.energy.cost import CostSpec
+from repro.energy.power import POWER_MODES, PowerSpec
 from repro.storage.lsm import StorageSpec
 from repro.ycsb.workload import MICRO_WORKLOADS, STRESS_WORKLOADS, WorkloadSpec
 
@@ -186,37 +187,16 @@ class EnergyConfig:
     """
 
     power_mode: str = "always_on"
-    idle_w: float = 120.0
-    cpu_w: float = 80.0
-    disk_w: float = 10.0
-    nic_w: float = 5.0
-    pstate_idle_w: float = 70.0
-    sleep_w: float = 12.0
-    idle_after_s: float = 0.01
-    sleep_after_s: float = 0.5
-    pstate_wake_s: float = 0.002
-    sleep_wake_s: float = 0.3
-    usd_per_kwh: float = 0.12
-    usd_per_node_hour: float = 0.10
+    #: Wattages and power-state thresholds (defaults: the testbed's).
+    power: PowerSpec = field(default_factory=PowerSpec)
+    #: $/kWh and $/instance-hour the meter's joules are priced at.
+    cost: CostSpec = field(default_factory=CostSpec)
 
     def __post_init__(self) -> None:
         if self.power_mode not in POWER_MODES + ("policy",):
             raise ValueError(
                 f"unknown power mode {self.power_mode!r}; choose from "
                 f"{POWER_MODES + ('policy',)}")
-
-    def power_spec(self) -> PowerSpec:
-        return PowerSpec(
-            idle_w=self.idle_w, cpu_w=self.cpu_w, disk_w=self.disk_w,
-            nic_w=self.nic_w, pstate_idle_w=self.pstate_idle_w,
-            sleep_w=self.sleep_w, idle_after_s=self.idle_after_s,
-            sleep_after_s=self.sleep_after_s,
-            pstate_wake_s=self.pstate_wake_s,
-            sleep_wake_s=self.sleep_wake_s)
-
-    def cost_spec(self) -> CostSpec:
-        return CostSpec(usd_per_kwh=self.usd_per_kwh,
-                        usd_per_node_hour=self.usd_per_node_hour)
 
 
 @dataclass(frozen=True)

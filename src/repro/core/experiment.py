@@ -30,7 +30,8 @@ from repro.consistency.history import HistoryRecorder
 from repro.consistency.oracle import build_consistency_report
 from repro.core.config import ExperimentConfig
 from repro.core.failover import StalenessProbe, build_failover_report
-from repro.energy import EnergyMeter, PowerManager
+from repro.energy.meter import EnergyMeter
+from repro.energy.power import PowerManager
 from repro.hbase.client import HBaseClient
 from repro.hbase.deployment import HBaseCluster, HBaseSpec
 from repro.sim.kernel import Environment
@@ -301,13 +302,13 @@ def _energy(run: _Run, switch, binding: DbBinding) -> Generator:
     yield binding
     # Re-read the topology at stop so elasticity joins/leaves over the
     # window bill correctly.
-    meter = EnergyMeter(spec=exp.power_spec,
+    meter = EnergyMeter(spec=exp.config.energy.power,
                         nodes_source=lambda: exp.cluster.nodes)
     meter.start()
     yield
     energy = meter.stop()
     yield
-    cost = exp.cost_spec.price(energy)
+    cost = exp.config.energy.cost.price(energy)
     ops = run.measurements.total_ops
     jop, upm = energy.joules_per_op(ops), cost.usd_per_mops(ops)
     # JSON has no inf: an all-errors window stores None (renderers show
@@ -344,8 +345,6 @@ class ExperimentSession:
                                    self.rngs)
             client_nodes = {None: self.cluster.node(config.n_nodes - 1)}
         self.client_node = next(iter(client_nodes.values()))
-        self.power_spec = config.energy.power_spec()
-        self.cost_spec = config.energy.cost_spec()
         if config.energy.power_mode != "always_on":
             # Power management covers the servers only — the client
             # machine is the workload generator, not part of the system
@@ -358,7 +357,7 @@ class ExperimentSession:
             for node in self.cluster.nodes:
                 if node in client_nodes.values():
                     continue
-                manager = PowerManager(self.power_spec, mode=mode,
+                manager = PowerManager(config.energy.power, mode=mode,
                                        now=self.env.now)
                 node.power = manager
                 node.disk.power = manager

@@ -31,6 +31,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -306,7 +307,9 @@ class CellRunner:
 
     A cell that raises ends :meth:`run` with ``RuntimeError("cell
     '<label>' failed")`` chained from it; cells finished by then are
-    cached, cells not yet started are cancelled.
+    cached, cells not yet started are cancelled.  A worker process that
+    dies fails every cell still in the pool, so that ``RuntimeError``
+    names all of them, chained from the ``BrokenProcessPool``.
     """
 
     def __init__(self, jobs: int = 1, cache: bool = False,
@@ -349,6 +352,8 @@ class CellRunner:
             spec = cells[index]
             try:
                 payload, elapsed = outcome()
+            except BrokenProcessPool:
+                raise  # not this cell's fault: see the pool loop below
             except Exception as exc:
                 # The traceback alone does not say which cell it was.
                 raise RuntimeError(f"cell {spec.label!r} failed") from exc
@@ -366,6 +371,14 @@ class CellRunner:
                 try:
                     for future in as_completed(futures):
                         finish(futures[future], future.result)
+                except BrokenProcessPool as exc:
+                    # Whichever future as_completed yields first may be a
+                    # cell that never started: name every one in flight.
+                    unfinished = ", ".join(repr(cells[i].label)
+                                           for i in pending
+                                           if payloads[i] is None)
+                    raise RuntimeError(f"a worker process died; cells not "
+                                       f"finished: {unfinished}") from exc
                 except BaseException:
                     # The sweep is lost: do not start what is left.
                     for future in futures:

@@ -33,10 +33,6 @@ from repro.adaptive.policy import ADAPTIVE_POLICIES
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.cluster.elasticity import SCALE_MODES
 from repro.cluster.failure import DC_FAULT_KINDS, FAULT_KINDS, FaultSpec
-# Imported here (not in repro.consistency's package init) so the sweep
-# layer exposes every campaign entrypoint while the consistency package
-# stays importable from repro.core.experiment without a cycle.
-from repro.consistency.explorer import check_sweep
 from repro.core import report
 from repro.core.config import (MICRO_STORAGE,
                                AdaptiveConfig,
@@ -57,6 +53,7 @@ from repro.core.config import (MICRO_STORAGE,
                                disk_exposed_storage,
                                scaled_stress_storage)
 from repro.core.runner import CellRunner, CellSpec, RunSpec, WarmSpec
+from repro.energy.power import PowerSpec
 from repro.storage.lsm import StorageSpec
 
 __all__ = [
@@ -82,7 +79,6 @@ __all__ = [
     "TAIL_MODES",
     "TAIL_SCENARIOS",
     "campaign_cells",
-    "check_sweep",
     "render_campaign",
     "run_campaign",
 ]
@@ -1044,8 +1040,10 @@ _ENERGY = Scale(
     # (sub-second windows instead of a datacenter's seconds-to-minutes)
     # so race-to-sleep visibly trades wake latency for joules within a
     # few-second run.
-    energy=EnergyConfig(idle_after_s=0.005, sleep_after_s=0.25,
-                        pstate_wake_s=0.002, sleep_wake_s=0.2),
+    energy=EnergyConfig(power=PowerSpec(idle_after_s=0.005,
+                                        sleep_after_s=0.25,
+                                        pstate_wake_s=0.002,
+                                        sleep_wake_s=0.2)),
     # Seed 3 + runs long enough that the replication-axis energy delta
     # clears the closed-loop drain-tail jitter (the last op's latency
     # times the fleet's idle watts, ~±15 J either way).

@@ -16,10 +16,3 @@ same way:
 - :mod:`repro.energy.cost` — :class:`CostSpec` prices a report in
   dollars ($/kWh + per-instance-hour), yielding $/Mops.
 """
-
-from repro.energy.cost import CostReport, CostSpec
-from repro.energy.meter import EnergyMeter, EnergyReport
-from repro.energy.power import POWER_MODES, PowerManager, PowerSpec
-
-__all__ = ["CostReport", "CostSpec", "EnergyMeter", "EnergyReport",
-           "POWER_MODES", "PowerManager", "PowerSpec"]

@@ -17,20 +17,3 @@ Key behaviours reproduced:
 - the HMaster reassigns regions on RegionServer failure, costing a
   visible availability gap and a loss of HFile locality (failover probe).
 """
-
-from repro.hbase.client import HBaseClient
-from repro.hbase.deployment import HBaseCluster, HBaseSpec
-from repro.hbase.master import HMaster
-from repro.hbase.region import Region, RegionMedium
-from repro.hbase.regionserver import GroupCommitWal, RegionServer
-
-__all__ = [
-    "GroupCommitWal",
-    "HBaseClient",
-    "HBaseCluster",
-    "HBaseSpec",
-    "HMaster",
-    "Region",
-    "RegionMedium",
-    "RegionServer",
-]

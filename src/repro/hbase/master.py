@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, Optional
+from typing import Generator, Iterable
 
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
@@ -156,15 +156,6 @@ class HMaster:
                 counts[nid] += 1
                 moves += 1
         return moves
-
-    def most_loaded_server(self) -> Optional[RegionServer]:
-        """The in-service server with the most regions (ties by node id)."""
-        alive = self._alive_servers()
-        if not alive:
-            return None
-        counts = self._region_counts(alive)
-        return max(alive, key=lambda s: (counts[s.node.node_id],
-                                         -s.node.node_id))
 
     def activate(self, node_id: int) -> int:
         """Bring a standby server into service; rebalance onto it."""

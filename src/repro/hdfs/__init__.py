@@ -17,18 +17,3 @@ package models the pieces that matter to that experiment:
   :class:`~repro.storage.lsm.LsmTree`'s WAL and HFiles on HDFS, with
   short-circuit local reads when a replica is co-located.
 """
-
-from repro.hdfs.block import BlockReplicaMap, DfsFile
-from repro.hdfs.client import DfsClient
-from repro.hdfs.datanode import DataNode
-from repro.hdfs.namenode import NameNode
-from repro.hdfs.pipeline import pipeline_write
-
-__all__ = [
-    "BlockReplicaMap",
-    "DataNode",
-    "DfsClient",
-    "DfsFile",
-    "NameNode",
-    "pipeline_write",
-]

@@ -10,33 +10,3 @@ The kernel is fully deterministic: given the same seed streams
 (:mod:`repro.sim.rng`) and the same process creation order, two runs
 produce identical schedules.
 """
-
-from repro.sim.kernel import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    ModelledFailure,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from repro.sim.resources import Resource
-from repro.sim.rng import RngRegistry
-from repro.sim.trace import KernelTracer
-
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Environment",
-    "Event",
-    "Interrupt",
-    "KernelTracer",
-    "ModelledFailure",
-    "Process",
-    "Resource",
-    "RngRegistry",
-    "SimulationError",
-    "Timeout",
-]

@@ -567,14 +567,6 @@ class Environment:
         """
         return Process(self, generator, name=name, eager=eager)
 
-    def all_of(self, events: list[Event]) -> AllOf:
-        """Condition that triggers when every event has succeeded."""
-        return AllOf(self, events)
-
-    def any_of(self, events: list[Event]) -> AnyOf:
-        """Condition that triggers on the first success."""
-        return AnyOf(self, events)
-
     # -- scheduling / stepping ---------------------------------------
 
     def _schedule(self, event: Event, priority: int, delay: float) -> None:

@@ -57,8 +57,3 @@ class KernelTracer:
     def digest(self) -> str:
         """Hex digest of the schedule traced so far (callable repeatedly)."""
         return self._sha.hexdigest()
-
-    def detach(self) -> None:
-        """Stop tracing (the digest keeps its current value)."""
-        if self.env.trace is self._record:
-            self.env.trace = None

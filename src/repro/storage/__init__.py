@@ -13,22 +13,3 @@ The engine tracks *real* keys and versions (so correctness is testable)
 while charging *simulated* time for every block read, flush and
 compaction.
 """
-
-from repro.storage.bloom import BloomFilter
-from repro.storage.cache import BlockCache
-from repro.storage.lsm import LocalDiskMedium, LsmTree, StorageMedium, StorageSpec
-from repro.storage.memtable import Memtable
-from repro.storage.sstable import SSTable
-from repro.storage.wal import WriteAheadLog
-
-__all__ = [
-    "BlockCache",
-    "BloomFilter",
-    "LocalDiskMedium",
-    "LsmTree",
-    "Memtable",
-    "SSTable",
-    "StorageMedium",
-    "StorageSpec",
-    "WriteAheadLog",
-]

@@ -546,9 +546,3 @@ class LsmTree:
     @property
     def n_sstables(self) -> int:
         return len(self.sstables)
-
-    @property
-    def data_bytes(self) -> int:
-        return (self.active.size_bytes
-                + sum(m.size_bytes for m in self.flushing)
-                + sum(t.size_bytes for t in self.sstables))

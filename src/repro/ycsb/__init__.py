@@ -8,46 +8,3 @@ closed-loop client threads with a target-throughput throttle
 (:mod:`repro.ycsb.client`), and latency/throughput measurement
 (:mod:`repro.ycsb.measurements`).
 """
-
-from repro.ycsb.client import LoadResult, RunResult, YcsbClient
-from repro.ycsb.db import CassandraBinding, DbBinding, HBaseBinding
-from repro.ycsb.generators import (
-    CounterGenerator,
-    DiscreteGenerator,
-    HotspotGenerator,
-    LatestGenerator,
-    ScrambledZipfianGenerator,
-    UniformGenerator,
-    ZipfianGenerator,
-)
-from repro.ycsb.measurements import LatencyStats, Measurements
-from repro.ycsb.workload import (
-    MICRO_WORKLOADS,
-    STRESS_WORKLOADS,
-    OperationType,
-    Workload,
-    WorkloadSpec,
-)
-
-__all__ = [
-    "CassandraBinding",
-    "CounterGenerator",
-    "DbBinding",
-    "DiscreteGenerator",
-    "HBaseBinding",
-    "HotspotGenerator",
-    "LatencyStats",
-    "LatestGenerator",
-    "LoadResult",
-    "MICRO_WORKLOADS",
-    "Measurements",
-    "OperationType",
-    "RunResult",
-    "STRESS_WORKLOADS",
-    "ScrambledZipfianGenerator",
-    "UniformGenerator",
-    "Workload",
-    "WorkloadSpec",
-    "YcsbClient",
-    "ZipfianGenerator",
-]

@@ -15,7 +15,11 @@ the quick elasticity scale's diurnal peak went from 3x to 4x the base rate;
 figures' ``full`` scale became the 12 k-record one EXPERIMENTS.md is
 generated from — until then the ``standard`` scale of a separate pytest
 harness, whose cells at 6fd607e had exactly these digests.
-``ablation/*`` was added with its campaign.
+``ablation/*`` was added with its campaign.  All 42 were re-recorded
+once when ``EnergyConfig`` came to hold a ``PowerSpec`` and a
+``CostSpec`` instead of copies of their fields: with ``energy.power``
+and ``energy.cost`` flattened back into ``energy``, every cell hashed to
+its old digest.
 """
 
 import hashlib
@@ -52,89 +56,89 @@ def _cells(name, db, scale):
 
 PINS = {
     "fig1/full/hbase":
-        "1a3eb44be0d8ebeead675a7d3a07ae93f9e30a6717c7593bfc315a5bea484cba",
+        "68deb217473d7e527e595c7f38e6c15eda53ebe57a8cca55eca213eca430df01",
     "fig1/full/cassandra":
-        "d3732626653410efb3510ee7274b568ac7f57745403a71f41b7c0016fcd40e2a",
+        "cc3b1ba60f1f6a78fe40a0d95d23e4a6b11f118e645a55f90b7eee1415a3047c",
     "fig1/quick/hbase":
-        "2fb0550ff8db7bf8c66034967023899953009ac68a52fc3f00a65a9882661c73",
+        "744ee5001623220c92d96f5fbb33af60cfdce9779a955a090af2404b9a492155",
     "fig1/quick/cassandra":
-        "367c8635739cf0f4c506b55ba29bfb50b4bcc4efc5777a9697d20cd0da994eaf",
+        "758547b3aee9861c040b892d1c836f2f28eb6b4a62b0fa1e5e7117fbf71b906e",
     "fig2/full/hbase":
-        "bdc2a1ea8b0255359358c939c19a828bc85bb97c22f184e7c690297c5848684f",
+        "f71cd2013f4c6c3305584c6a1521f7af9a34be7b7d131d5bff3438b08af0495c",
     "fig2/full/cassandra":
-        "d370c15e2e30dab66f80bb73de42d99856fdfece4576255940ec7477db7ed11e",
+        "7240c1b1bd9bc8db0e60681b1354ee2aa322273d0245ef7bdbcc1ffd644b23af",
     "fig2/quick/hbase":
-        "542256ad6daffdc3492d7d2f45a4a79b30a4491877d4a86bceb90b15911998b6",
+        "d5b053d6d5741a077b45715f23e667a5abc7520a0566a79d922d500953c7fd98",
     "fig2/quick/cassandra":
-        "4495535634ce17a7d62dc4588ce5045c149c9bdaa37a18193138b2a6603468ca",
+        "030a251e5d558850575401b5f5d5a910e59d8f0ecdde56579401cd8e7d188e1f",
     "fig3/full/cassandra":
-        "1ebeb8f5ad22433e294ba13b6b008a4cd5db04c5bfe956b8f0ead26683da1607",
+        "3c6f5a942a0aa08d5afc2e04aded2333f356416325d8ec1bccbc1ecb77e7b520",
     "fig3/quick/cassandra":
-        "3e2987361a3d75fc8d76b96a0ce2535310a12068e4040ffa50f4c2d35ec5ad12",
+        "84d211dae49e9b9517a8b7b56911de87b1bf659f99a67c7f676faa1f82c45341",
     "ablation/full/hbase":
-        "6be2858772d61a080b1e7e7b1abb74d4bd2b8896a8141edacd9579188c6c9e3d",
+        "f3af919dc4b77111127cda388fce26887bc62f48143cd5dd00fcd99f121d6015",
     "ablation/full/cassandra":
-        "d054a94515d9b62cc74bbb01bd9e7bb78827d85711c2d0c5d431784078b96848",
+        "813a47b5c60c77cd2e5887d5338a113ce14bded0730aeaf4cb51c6c4a7b71dcf",
     "ablation/quick/hbase":
-        "f4d1d01c2b37905c518e17bfaf946d786777446ef989207e374a82b027bcc771",
+        "4ff6b1fecaad9b313deccc95f10757585fac5dfbb25dd08eeb06c91a0e8b80f5",
     "ablation/quick/cassandra":
-        "0079c9a6f62831af9f7887a3d6134805a87fab4521136aaf418f4737c4fb76fe",
+        "1e8ef2b80623f0465eaefbf09a17f28f5a2f72e244a57e9d11469d193b517eb0",
     "failover/full/hbase":
-        "0d24800882ec1098a196b7f8cd9d424df4f4aed248061e91355ab89f8354c5e5",
+        "9b43ed5405d8f6b60a048c71e415fccb7ea71d9f9f1bde88c202c22e1e9d9308",
     "failover/full/cassandra":
-        "868541f8a30d1fce5e1f91bc55622ca86f0f9232587d77c99dc7a2048757d50b",
+        "bd03c820d2907f536d7a910c11ab9837002835412f1fea2b587ee30f8ba08b6b",
     "failover/quick/hbase":
-        "d97a181e0501aae6d44ef0551bbe1f03360cf81ef96f955c6c10c2955fdb2e06",
+        "78b69c61aa0bcf2d32f478bef4271a2e19647ccdb0a958181ac80def95ef2fa0",
     "failover/quick/cassandra":
-        "60cdbb642965104f053a1ea3d4c906e7131ca5467b1b81f6b01df0d5a38ef41f",
+        "57ef4648475cb4a191857c122b31ed77134f8d9ab0135ab89dd8df7f727455cb",
     "tail/full/hbase":
-        "b88c5348430463b5c2d2c830fe030d9c3ab70081b6804a2b5ddc33bb2737daa6",
+        "2b7a74dfbdc54ac91701997a22237681fa8b9fc20f0694973137132904f5fe22",
     "tail/full/cassandra":
-        "d8483a234b19ef51ed5419d02b8c82d1afa95861072aae26180a8f23351128ec",
+        "6e34d4ec1102de8d9c56877855ac92b104353495df63f92498e94a640200faa4",
     "tail/quick/hbase":
-        "38a29c85bd5e56f6c828d00bf636c94b67a9b0e988168260eff8d6b86fd91a4f",
+        "899b21fbd782705cd385fc03ba734c405dbbc8eeaf2f3066b1dc330bc6669229",
     "tail/quick/cassandra":
-        "cb541990680f41c81d77f3a9f0cb3b9abd81c3ba8ad2eb09d708ecede4ece1ac",
+        "3f01065cbf24c40d55a4b9eedaa127a421e80f97f9fe180a0d2719adacbfcab9",
     "check/full/hbase":
-        "c7cc047a723e800562f645081ffc32d78ca08c5b3aac5337948d1f239dcae36b",
+        "c4ed979268c7fffd7f8bbb339c523867817d6637d31c692069388913592a1a81",
     "check/full/cassandra":
-        "1e622ffa988bedf0b396c30f646ab7fce34b5a3a9409844968b4339b8d3b7de6",
+        "871e3b7a0f7d01c3907278e3c7b809dba7063a8c687076673cee7620ed3c69a6",
     "check/quick/hbase":
-        "a2cb3410722245a3a7e86697e118de2d6a34db48ff1212fb6cd6728fa7e1215c",
+        "cca2673eb04210d9ec7d5d85e23fb3785dee00751b2e713dd48ba1b372954137",
     "check/quick/cassandra":
-        "9115087cd2127ddff5cd49ecd1eb97ae2d18c7d989f1a9a8aa17f082c9ea7606",
+        "46afb7c89e795b815af10ce17643c139306b4c21706966b0076967d1e437b011",
     "adaptive/full/cassandra":
-        "55d56a01d7de41e06ff6bfe12445aee8e7f93f4bab8233cfb3426c81d2122ae1",
+        "77d866e7eb0d1fef2beb6ee322af72b40f07c76880536c612decf4b289450c55",
     "adaptive/quick/cassandra":
-        "5d7860d30d0e85fc4b6b65c59681666503e69e4f130d0f7c9e7ae832b3498e89",
+        "2d5a4e7c93929a5fae20fb9f0bab27cb5a9fdf81ef0930fb7eaaf8af77150fbb",
     "geo/full/cassandra":
-        "ff90e9f57164cf947fb965dd18b2ffffe6b03e436151b957c8e972875382fa0d",
+        "a704cd1349cd0613e51b26d37ca66cdf52c04394e83bcb1ed1bd8082d2b6f56b",
     "geo/quick/cassandra":
-        "3585e76af359d48d4f65019a617ecfd9fc13ebf881d91c249e20f54ad5bd151b",
+        "36932dd356162c4dccd41294e72e5db0a8c274d46b04f73a335c20b7eba195f3",
     "surge/full/hbase":
-        "fff1b9a7a4feaaea0ada233a6238b955a8464fb974c7da8004c5723f9e33f880",
+        "8827dc989e9e080ff0829928b0b62f1d831f05eab8a3ba268799aa89f00708cb",
     "surge/full/cassandra":
-        "7782ef4c66b5f37758b8e8e277b544fc95ef4fa29dcd32bda894d202d133df7f",
+        "792d874290cd72aac377c7ecb6147f18b8bc9558a9f2363fa4246c76016dcb09",
     "surge/quick/hbase":
-        "77f6a3177d1aa66c825906bb922944462da19054eaa16d95cb15f295edd9e9e4",
+        "b225e9b7d1650476c485e701d919a82342b2f68f053c943e6d834a574849a33d",
     "surge/quick/cassandra":
-        "a9577c71f5c52aa2ce72e0b52efabc30af3147f9f3108949182095f2e51ae0a5",
+        "2bcbef0126ffa3e761293a22d4d42c95f841cc105b9c9cad757097a5dcd7ee82",
     "scale/full/hbase":
-        "9b16e69ac2f5b7b6e1ae7f87459d9ee0ce43eab9559ca72a8c2ebaeacfee5742",
+        "a28a4d82f33cb7605cfd239e989030a250321ad2364fdc769d6834c9fe6b4852",
     "scale/full/cassandra":
-        "85a822cd7b70994860d1725cdbb5986c9492724c96a3906ce5224970a02ebdf5",
+        "5a0d905ad254a1d59992ce178de34783a440c45c2a7485dd96b0dffd7baa1341",
     "scale/quick/hbase":
-        "b1710c285e0df2cc3521287be80fa5928ff2d45ff47c41d95a98264bb882e1a3",
+        "7c007834fcf53921eb7bc24cb9e28bf3d8ab1e8d2f747570a64c387d63a16fa9",
     "scale/quick/cassandra":
-        "41a870a9a795f14265fccb3a79f180463b90ea38a840bf34003f251a62f595a5",
+        "9ec8f13dcccb34f6811df6247a43ba925d426da095d6d72cf32e832cb5a45cc9",
     "energy/full/hbase":
-        "8436e059b6ec9c7e2358e69ab52f4ac9755815dcd397718570c9791f4575221d",
+        "e04cddff0646fbe15b705c04ee197495d7343380db1fabb36da8259822c4678b",
     "energy/full/cassandra":
-        "92e36708225e13fe78ecfec6f49b3cd3199d002c5d5f528285823bd5bbb33ed4",
+        "7729109fe09a35d4d8ac9bfdd70da3f2d19a21a32cad9cd54239419a9e007239",
     "energy/quick/hbase":
-        "b801d6159fc8653f1b5938cb32b7e98e09230309f0ee7af29df9aedc71e73e47",
+        "c517efb726182494fc221e163056142544cca49d0f405f8f1d0ea229b326a7bd",
     "energy/quick/cassandra":
-        "fb843a8eee441466185b88937d956d90d81d1bbe0cf308a3b93e7a7554e0824c",
+        "7002328d6ff7402d0382723d14c4da46e5aed4926ddb1c5eef0b3bdbb7307b91",
 }
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.energy import EnergyMeter, EnergyReport, PowerSpec
+from repro.energy.meter import EnergyMeter, EnergyReport
+from repro.energy.power import PowerSpec
 
 
 class TestEnergyMeter:

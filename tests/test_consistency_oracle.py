@@ -17,11 +17,12 @@ Two layers:
 from dataclasses import replace
 
 from repro.cluster.failure import FailureInjector, FaultSchedule, FaultSpec
-from repro.consistency import HistoryOp, check_history, check_linearizable_key
-from repro.consistency.history import HistoryRecorder
+from repro.consistency.checkers import check_history, check_linearizable_key
+from repro.consistency.explorer import check_sweep
+from repro.consistency.history import History, HistoryOp, HistoryRecorder
 from repro.core.experiment import ExperimentSession
 from repro.core.failover import StalenessProbe
-from repro.core.sweep import CAMPAIGNS, campaign_cells, check_sweep
+from repro.core.sweep import CAMPAIGNS, campaign_cells
 
 QUICK = CAMPAIGNS["check"].quick
 
@@ -34,7 +35,6 @@ def _op(op_id, kind, invoke, response, *, value=None, ts=None,
 
 
 def _history(*ops):
-    from repro.consistency import History
     history = History()
     for op in ops:
         history.add(op)

@@ -3,15 +3,28 @@
 import json
 import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import pytest
 
+from repro.core import runner as runner_module
 from repro.core.config import (config_to_dict, config_to_json,
                                default_micro_config, default_stress_config)
 from repro.core.runner import (CellRunner, CellSpec, RunSpec, WarmSpec,
                                cell_fingerprint, code_version, execute_cell)
 from repro.core.sweep import CAMPAIGNS, run_campaign
+
+DYING_LABEL = "sweep/worker-dies"
+
+
+def _die_on_dying_label(spec):
+    """Stands in for the runner's cell entrypoint in a forked worker
+    (module-level, so the pool can pickle it by name): the worker
+    running ``DYING_LABEL`` exits hard, the others return at once."""
+    if spec.label == DYING_LABEL:
+        os._exit(1)
+    return {"runs": [], "kernel": {}}, 0.0
 
 QUICK = CAMPAIGNS["fig2"].quick
 
@@ -219,6 +232,23 @@ class TestFailingCell:
             CellRunner(cache=True, cache_dir=tmp_path,
                        progress=events.append).run([cells[0]])
             assert [e.cached for e in events] == [True]
+
+    def test_a_dead_worker_names_every_unfinished_cell(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "_execute_cell_timed",
+                            _die_on_dying_label)
+        cells = [replace(small_cell(seed=s), label=label)
+                 for s, label in ((1, "sweep/a"), (2, DYING_LABEL),
+                                  (3, "sweep/c"))]
+        events = []
+        with pytest.raises(RuntimeError, match="a worker process died") \
+                as info:
+            CellRunner(jobs=2, progress=events.append).run(cells)
+        assert type(info.value.__cause__) is BrokenProcessPool
+        finished = {e.label for e in events}
+        named = {cell.label for cell in cells
+                 if repr(cell.label) in str(info.value)}
+        assert DYING_LABEL in named
+        assert named == {cell.label for cell in cells} - finished
 
 
 class TestProgress:

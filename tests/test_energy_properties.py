@@ -11,8 +11,8 @@ are the invariants this file drives with generated schedules.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.energy import EnergyMeter, EnergyReport, PowerSpec
-from repro.energy.power import PowerManager
+from repro.energy.meter import EnergyMeter, EnergyReport
+from repro.energy.power import PowerManager, PowerSpec
 
 #: Inter-arrival gaps: from sub-threshold busy bursts to deep-sleep
 #: stretches, all well-behaved floats.

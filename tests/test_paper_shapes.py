@@ -208,7 +208,8 @@ class TestFailoverShapes:
         from dataclasses import replace as dc_replace
 
         from repro.cluster.failure import FaultSpec
-        from repro.core import ExperimentSession, default_stress_config
+        from repro.core.config import default_stress_config
+        from repro.core.experiment import ExperimentSession
 
         config = default_stress_config("cassandra", "read_update",
                                        replication=3,

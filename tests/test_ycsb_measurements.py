@@ -1,8 +1,7 @@
-"""Unit tests for latency measurement and the SLA evaluator."""
+"""Unit tests for latency measurement."""
 
 import pytest
 
-from repro.core.sla import Sla, evaluate_sla, max_throughput_under_sla
 from repro.ycsb.measurements import LatencyStats, Measurements, percentile
 
 
@@ -184,98 +183,6 @@ class TestErrorAttribution:
 
     def test_timeline_with_errors_empty(self):
         assert Measurements().timeline_with_errors(1.0) == []
-
-
-class TestSla:
-    def make_measurements(self, latencies, spacing=0.1):
-        m = Measurements()
-        for i, latency in enumerate(latencies):
-            m.record("read", i * spacing, latency)
-        return m
-
-    def test_satisfied_when_all_fast(self):
-        m = self.make_measurements([0.001] * 100)
-        report = evaluate_sla(m, Sla(percentile=0.95, latency_ms=10))
-        assert report.satisfied
-        assert report.overall_fraction == 1.0
-
-    def test_violated_when_too_slow(self):
-        m = self.make_measurements([0.5] * 100)
-        report = evaluate_sla(m, Sla(percentile=0.95, latency_ms=10))
-        assert not report.satisfied
-
-    def test_tolerates_slow_tail_within_percentile(self):
-        latencies = [0.001] * 97 + [0.5] * 3
-        m = self.make_measurements(latencies)
-        report = evaluate_sla(m, Sla(percentile=0.95, latency_ms=10,
-                                     window_s=100))
-        assert report.satisfied
-
-    def test_windows_split_correctly(self):
-        # 1 window of fast, then 1 of slow -> half the windows compliant.
-        latencies = [0.001] * 10 + [0.5] * 10
-        m = self.make_measurements(latencies, spacing=1.0)
-        report = evaluate_sla(m, Sla(percentile=0.95, latency_ms=10,
-                                     window_s=10))
-        assert report.windows == 2
-        assert report.compliant_windows == 1
-
-    def test_violation_names_window_and_percentile(self):
-        # Window 0 fast, window 1 slow: the report must say *which*
-        # window failed and what p95 it actually achieved.
-        latencies = [0.001] * 10 + [0.5] * 10
-        m = self.make_measurements(latencies, spacing=1.0)
-        report = evaluate_sla(m, Sla(percentile=0.95, latency_ms=10,
-                                     window_s=10))
-        assert len(report.violations) == 1
-        v = report.first_violation
-        assert v.window_index == 1
-        assert v.window_start_s == pytest.approx(10.0)
-        assert v.samples == 10
-        assert v.within_fraction == 0.0
-        assert v.achieved_ms == pytest.approx(500.0)
-
-    def test_satisfied_report_has_no_violations(self):
-        m = self.make_measurements([0.001] * 100)
-        report = evaluate_sla(m, Sla(percentile=0.95, latency_ms=10))
-        assert report.violations == ()
-        assert report.first_violation is None
-
-    def test_zero_sample_window_is_compliant_and_counted(self):
-        # Samples in windows 0 and 2 only; window 1 is idle.  The idle
-        # window cannot violate a latency SLA but must be surfaced.
-        m = Measurements()
-        m.record("read", 0.5, 0.001)
-        m.record("read", 25.0, 0.001)
-        report = evaluate_sla(m, Sla(percentile=0.95, latency_ms=10,
-                                     window_s=10))
-        assert report.windows == 3
-        assert report.compliant_windows == 3
-        assert report.empty_windows == 1
-        assert report.satisfied
-        assert report.violations == ()
-
-    def test_empty_measurements(self):
-        report = evaluate_sla(Measurements(),
-                              Sla(percentile=0.9, latency_ms=1))
-        assert not report.satisfied and report.windows == 0
-
-    def test_invalid_sla_rejected(self):
-        with pytest.raises(ValueError):
-            Sla(percentile=0.0, latency_ms=10)
-        with pytest.raises(ValueError):
-            Sla(percentile=0.5, latency_ms=-1)
-
-    def test_max_throughput_search(self):
-        def run_at(target):
-            latency = 0.001 if target <= 100 else 0.5
-            return self.make_measurements([latency] * 20)
-
-        best, reports = max_throughput_under_sla(
-            run_at, targets=[50, 100, 200, 400],
-            sla=Sla(percentile=0.95, latency_ms=10))
-        assert best == 100
-        assert len(reports) == 3  # stops at first violation
 
 
 class TestOpenLoopAccounting:
