@@ -79,7 +79,8 @@ class Disk:
         self.power = None
         #: Fault-injection hook: service-time multiplier (>= 1).  A
         #: gray-failing disk serves every access, just ``slowdown``-times
-        #: slower (see :class:`repro.cluster.failure.DiskDegradeFault`).
+        #: slower (the ``slow_disk`` kind of
+        #: :class:`repro.cluster.failure.FaultSpec`).
         self.slowdown = 1.0
         self._flush_interval_s = flush_interval_s
         self._flush_kick = None

@@ -49,8 +49,8 @@ class ScaleEventSpec:
     """One declarative scale step (manual mode), JSON-safe.
 
     ``at_s`` is relative to the measured run's start — the engine
-    resolves it against the run's base time when armed, exactly like
-    :meth:`repro.cluster.failure.FaultSpec.resolve`.
+    offsets it by the run's base time when armed, exactly like
+    :meth:`repro.cluster.failure.FailureInjector.inject`.
     """
 
     action: str = "out"

@@ -65,7 +65,8 @@ class Nic:
         #: Fault-injection hook: serialization-time multiplier (>= 1).
         #: Packet loss and added latency both surface to flows as a lower
         #: effective bandwidth, so a degraded NIC is modelled as a slower
-        #: one (see :class:`repro.cluster.failure.NicDegradeFault`).
+        #: one (the ``slow_nic`` / ``dc_slow_nic`` kinds of
+        #: :class:`repro.cluster.failure.FaultSpec`).
         #: Read at booking time: messages already queued keep the rate
         #: they were booked under.
         self.slowdown = 1.0

@@ -24,7 +24,7 @@ from repro.cassandra.deployment import CassandraCluster, CassandraSpec
 from repro.clienttier.openloop import (ClientTier, OpenLoopClient,
                                        build_client_stack)
 from repro.cluster.elasticity import ScaleEngine, build_scale_report
-from repro.cluster.failure import FailureInjector, FaultSchedule
+from repro.cluster.failure import FailureInjector
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.consistency.history import HistoryRecorder
 from repro.consistency.oracle import build_consistency_report
@@ -236,12 +236,12 @@ def _adaptive(run: _Run, switch, binding: DbBinding) -> Generator:
 
 def _faults(run: _Run, switch, binding: DbBinding) -> Generator:
     """``inject_faults`` (and a non-empty ``config.faults``): the fault
-    schedule is armed relative to the run's start and a read-your-writes
+    specs are armed relative to the run's start and a read-your-writes
     probe runs alongside the workload.  Reports ``failover``."""
     yield binding
     started = run.exp.env.now
     injector = FailureInjector(run.exp.cluster)
-    injector.inject(FaultSchedule.from_specs(switch, base_s=started))
+    injector.inject(switch, base_s=started)
     probe = run.probe()
     yield
     probe.stop()

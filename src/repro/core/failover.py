@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional, Sequence
 
+from repro.cluster.failure import FAULT_ACTIONS
 from repro.keyspace import key_for_token
 from repro.ycsb.measurements import Measurements
 
@@ -34,6 +35,9 @@ __all__ = ["StalenessProbe", "build_failover_report"]
 #: A bucket whose throughput falls below this fraction of the expected
 #: rate counts as degraded (the dip detector's threshold).
 DIP_FRACTION = 0.5
+
+#: The log actions that end a fault on a target rather than start it.
+_HEAL_ACTIONS = frozenset(heal for _, heal in FAULT_ACTIONS.values())
 
 
 class StalenessProbe:
@@ -143,12 +147,10 @@ def build_failover_report(
     probe:
         The run's staleness probe, if one was attached.
     """
-    heal_actions = ("restart", "heal", "nic_heal", "disk_heal",
-                    "dc_heal", "wan_heal")
     effective = [(t, n, a) for t, n, a in injector_log
                  if not a.endswith("-noop")]
-    fault_times = [t for t, _, a in effective if a not in heal_actions]
-    heal_times = [t for t, _, a in effective if a in heal_actions]
+    fault_times = [t for t, _, a in effective if a not in _HEAL_ACTIONS]
+    heal_times = [t for t, _, a in effective if a in _HEAL_ACTIONS]
     fault_at = min(fault_times) if fault_times else None
     cleared_at = max(heal_times) if heal_times else None
 

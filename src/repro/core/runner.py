@@ -27,11 +27,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -283,6 +280,7 @@ def _pool_context():
     # fork keeps the warm interpreter (and is what the seed-derivation
     # guarantees assume nothing about); fall back to the platform default
     # where fork does not exist.
+    import multiprocessing
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
@@ -352,8 +350,6 @@ class CellRunner:
             spec = cells[index]
             try:
                 payload, elapsed = outcome()
-            except BrokenProcessPool:
-                raise  # not this cell's fault: see the pool loop below
             except Exception as exc:
                 # The traceback alone does not say which cell it was.
                 raise RuntimeError(f"cell {spec.label!r} failed") from exc
@@ -363,6 +359,10 @@ class CellRunner:
             self._emit(index, total, spec, cached=False, duration_s=elapsed)
 
         if self.jobs > 1 and len(pending) > 1:
+            # Imported here: a serial run (the default) never pays for
+            # the pool machinery.
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+            from concurrent.futures.process import BrokenProcessPool
             workers = min(self.jobs, len(pending))
             with ProcessPoolExecutor(max_workers=workers,
                                      mp_context=_pool_context()) as pool:
@@ -370,6 +370,9 @@ class CellRunner:
                            for i in pending}
                 try:
                     for future in as_completed(futures):
+                        if isinstance(future.exception(), BrokenProcessPool):
+                            # Not this cell's fault: see just below.
+                            raise future.exception()
                         finish(futures[future], future.result)
                 except BrokenProcessPool as exc:
                     # Whichever future as_completed yields first may be a

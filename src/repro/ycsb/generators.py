@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import repeat
+from operator import truediv
 from typing import Sequence
 
 from repro.keyspace import fnv64
@@ -89,11 +91,14 @@ class ZipfianGenerator:
 
         Every open-loop run builds a generator over its whole user
         population and every workload one over its records; the sizes
-        repeat.  The expression is the one every earlier run drew from:
-        ``sum()`` over floats is compensated from Python 3.12, so a
-        hand-written accumulation would not give the same float there.
+        repeat.  The terms are ``1.0 / (i ** theta)`` in rank order,
+        added by ``sum()``: it is compensated over floats from Python
+        3.12, so a hand-written accumulation would give another float
+        there and move every pinned digest.  ``map`` feeds the terms
+        without a Python frame per term.
         """
-        return sum(1.0 / (i ** theta) for i in range(1, n + 1))
+        return sum(map(truediv, repeat(1.0),
+                       map(pow, range(1, n + 1), repeat(theta))))
 
     def next(self) -> int:
         u = self._rng.random()

@@ -216,63 +216,17 @@ class Measurements:
             p999=percentile(merged, 0.999),
         )
 
-    def timeline(self, bucket_s: float, by: str = "completion"
-                 ) -> list[tuple[float, int, float, float, float]]:
-        """(bucket start, ops, mean, p95, p99 latency) per time bucket.
-
-        Used by the failover probe to plot throughput/latency around a
-        crash, the way Pokluda et al. (paper §5) present theirs, and by
-        the adaptive monitor / SLA reports, which need per-window
-        percentiles rather than means.  The percentiles use the same
-        nearest-rank definition as :func:`percentile`.
-
-        ``by="arrival"`` keys each sample by when its request *arrived*
-        (completion minus latency) instead of when it completed.  For
-        open-loop runs that is the honest axis: a flash-crowd bucket
-        should show the latency of the requests that arrived during the
-        spike, not dilute them across whenever they finally finished.
-        """
-        if bucket_s <= 0:
-            raise ValueError("bucket_s must be positive")
-        if by not in ("completion", "arrival"):
-            raise ValueError(f"unknown timeline key {by!r}; "
-                             f"choose 'completion' or 'arrival'")
-        all_samples = sorted(
-            (t - lat if by == "arrival" else t, lat)
-            for op_samples in self.samples.values()
-            for t, lat in op_samples)
-        if not all_samples:
-            return []
-
-        def bucket(start: float, acc: list[float]
-                   ) -> tuple[float, int, float, float, float]:
-            if not acc:
-                return (start, 0, 0.0, 0.0, 0.0)
-            acc = sorted(acc)
-            return (start, len(acc), sum(acc) / len(acc),
-                    percentile(acc, 0.95), percentile(acc, 0.99))
-
-        out: list[tuple[float, int, float, float, float]] = []
-        bucket_start = (all_samples[0][0] // bucket_s) * bucket_s
-        acc: list[float] = []
-        for t, lat in all_samples:
-            while t >= bucket_start + bucket_s:
-                out.append(bucket(bucket_start, acc))
-                bucket_start += bucket_s
-                acc = []
-            acc.append(lat)
-        out.append(bucket(bucket_start, acc))
-        return out
-
     def timeline_with_errors(
             self, bucket_s: float) -> list[tuple[float, int, float, int]]:
         """(bucket start, ops, mean latency, errors) per time bucket.
 
-        Unlike :meth:`timeline`, buckets are laid out over the union of
-        success *and* error timestamps (an outage window where nothing
-        completes but everything errors still shows up), and the run is
-        zero-filled out to ``finished_at`` so a throughput dip at the end
-        of the recording is visible rather than truncated.
+        Buckets are laid out over the union of success *and* error
+        timestamps (an outage window where nothing completes but
+        everything errors still shows up), and the run is zero-filled out
+        to ``finished_at`` so a throughput dip at the end of the
+        recording is visible rather than truncated.  The failover report
+        plots throughput around a fault from it, the way Pokluda et al.
+        (paper §5) present theirs.
         """
         if bucket_s <= 0:
             raise ValueError("bucket_s must be positive")

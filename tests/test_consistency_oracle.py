@@ -16,7 +16,7 @@ Two layers:
 
 from dataclasses import replace
 
-from repro.cluster.failure import FailureInjector, FaultSchedule, FaultSpec
+from repro.cluster.failure import FailureInjector, FaultSpec
 from repro.consistency.checkers import check_history, check_linearizable_key
 from repro.consistency.explorer import check_sweep
 from repro.consistency.history import History, HistoryOp, HistoryRecorder
@@ -250,9 +250,9 @@ class TestProbeCheckerAgreement:
         probe = StalenessProbe(env, recorder)
         target = session.cassandra.replicas_of(probe.key)[0]
         injector = FailureInjector(session.cluster)
-        injector.inject(FaultSchedule.from_specs(
-            (FaultSpec(kind="partition", node_id=target, at_s=0.5,
-                       duration_s=2.0, span=1),), base_s=env.now))
+        injector.inject([FaultSpec(kind="partition", node_id=target,
+                                   at_s=0.5, duration_s=2.0, span=1)],
+                        base_s=env.now)
         env.process(probe.run(), name="staleness-probe")
         env.run(until=env.now + 8.0)
         probe.stop()

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +252,19 @@ class TestFailingCell:
                  if repr(cell.label) in str(info.value)}
         assert DYING_LABEL in named
         assert named == {cell.label for cell in cells} - finished
+
+
+class TestPoolImport:
+    def test_the_cli_imports_no_process_pool(self):
+        """Only a run with ``jobs > 1`` imports the pool machinery: a
+        fresh interpreter that imports the CLI has none of it."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = ("import sys, repro.core.cli; "
+                 "print('concurrent.futures.process' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
 
 
 class TestProgress:

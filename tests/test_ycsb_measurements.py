@@ -95,37 +95,6 @@ class TestMeasurements:
         assert overall.count == 2
         assert overall.mean == pytest.approx(0.002)
 
-    def test_timeline_buckets(self):
-        m = Measurements()
-        for t in (0.1, 0.2, 1.5, 2.9):
-            m.record("read", t, 0.01)
-        timeline = m.timeline(1.0)
-        assert [ops for _, ops, _, _, _ in timeline] == [2, 1, 1]
-
-    def test_timeline_bucket_percentiles_nearest_rank(self):
-        m = Measurements()
-        # One bucket of 100 samples: 99 fast, 1 slow outlier.
-        for i in range(99):
-            m.record("read", i * 0.001, 0.001)
-        m.record("read", 0.099, 1.0)
-        ((_, ops, mean, p95, p99),) = m.timeline(1.0)
-        assert ops == 100
-        latencies = sorted([0.001] * 99 + [1.0])
-        assert p95 == percentile(latencies, 0.95) == 0.001
-        assert p99 == percentile(latencies, 0.99) == 0.001
-        assert mean == pytest.approx(sum(latencies) / 100)
-
-    def test_timeline_empty_bucket_zero_percentiles(self):
-        m = Measurements()
-        m.record("read", 0.5, 0.01)
-        m.record("read", 2.5, 0.03)  # bucket [1, 2) is empty
-        timeline = m.timeline(1.0)
-        assert timeline[1] == (1.0, 0, 0.0, 0.0, 0.0)
-
-    def test_timeline_invalid_bucket(self):
-        with pytest.raises(ValueError):
-            Measurements().timeline(0)
-
     def test_empty_latency_stats(self):
         stats = LatencyStats.empty()
         assert stats.count == 0 and stats.p99_ms == 0.0
@@ -173,8 +142,9 @@ class TestErrorAttribution:
         for t in (0.1, 0.2, 1.5, 2.9):
             m.record("read", t, 0.01)
         with_errors = m.timeline_with_errors(1.0)
+        # Completions at 0.1 and 0.2, 1.5, 2.9: buckets [0,1), [1,2), [2,3).
         assert [(start, ops) for start, ops, _, _ in with_errors] == \
-            [(start, ops) for start, ops, _, _, _ in m.timeline(1.0)]
+            [(0.0, 2), (1.0, 1), (2.0, 1)]
         assert all(errors == 0 for _, _, _, errors in with_errors)
 
     def test_timeline_with_errors_invalid_bucket(self):
@@ -220,19 +190,3 @@ class TestOpenLoopAccounting:
             m.record_arrival("read", at=at)
         assert m.first_arrival_at == 1.0
         assert m.last_arrival_at == 3.0
-
-    def test_timeline_by_arrival_charges_the_spike_bucket(self):
-        # A request that arrives at t=0.5 and completes at t=9.5 after
-        # 9 s of queueing belongs to the t=0 bucket on the arrival axis
-        # (the honest one for open-loop runs), but to the t=9 bucket on
-        # the completion axis.
-        m = Measurements()
-        m.record("read", completed_at=9.5, latency=9.0)
-        by_arrival = m.timeline(1.0, by="arrival")
-        assert by_arrival[0][:2] == (0.0, 1)
-        by_completion = m.timeline(1.0)
-        assert by_completion[0][:2] == (9.0, 1)
-
-    def test_timeline_rejects_unknown_axis(self):
-        with pytest.raises(ValueError):
-            Measurements().timeline(1.0, by="dequeue")
