@@ -30,8 +30,8 @@ from repro.sim.rng import RngRegistry
 def build():
     env = Environment()
     geo = GeoCluster(env, GeoSpec(
-        datacenters={"eu-west": 5, "us-west": 5, "ap-southeast": 5},
-        client_datacenter="eu-west"), RngRegistry(7))
+        datacenters={"eu-west": 5, "us-west": 5, "ap-southeast": 5}),
+        RngRegistry(7))
     cassandra = CassandraCluster(geo, CassandraSpec(
         replication=3,
         replication_per_dc={"eu-west": 2, "us-west": 2, "ap-southeast": 2}))

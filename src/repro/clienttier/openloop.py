@@ -103,24 +103,18 @@ def build_client_stack(inner: DbBinding, env: Environment, rngs,
     if cfg.breaker_failure_rate is not None:
         breaker = CircuitBreaker(
             clock, failure_rate=cfg.breaker_failure_rate,
-            window_s=cfg.breaker_window_s,
-            min_volume=cfg.breaker_min_volume,
-            cooldown_s=cfg.breaker_cooldown_s,
-            half_open_probes=cfg.breaker_half_open_probes)
+            cooldown_s=cfg.breaker_cooldown_s)
         binding = BreakerBinding(binding, breaker,
                                  failure_errors=OPERATION_ERRORS)
     if cfg.retries > 0:
         budget = None
         if cfg.retry_budget_ratio is not None:
-            budget = RetryBudget(clock, ratio=cfg.retry_budget_ratio,
-                                 min_retries_per_s=cfg.retry_budget_min_per_s,
-                                 burst=cfg.retry_budget_burst)
+            budget = RetryBudget(clock, ratio=cfg.retry_budget_ratio)
         retry = RetryBinding(binding, env,
                              rngs.stream("clienttier.retry.backoff"),
                              retry_errors=OPERATION_ERRORS,
                              retries=cfg.retries,
                              backoff_s=cfg.retry_backoff_s,
-                             backoff_cap_s=cfg.retry_backoff_cap_s,
                              budget=budget)
         binding = retry
     if cfg.cache_ttl_s is not None:

@@ -240,7 +240,6 @@ def build_scale_report(measurements: Measurements,
                        config: ElasticityConfig,
                        streams: Sequence[tuple[float, int, int, int]] = (),
                        rebalances: int = 0,
-                       splits: int = 0,
                        probe=None) -> dict:
     """JSON-safe elasticity report for one run.
 
@@ -296,7 +295,6 @@ def build_scale_report(measurements: Measurements,
         "streamed_bytes": sum(b for _, _, _, b in streams),
         "stream_count": len(streams),
         "rebalances": rebalances,
-        "splits": splits,
         "probe_reads": probe_reads,
         "stale_reads": sum(stale.values()),
     }

@@ -15,7 +15,6 @@ Northern California, Singapore.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.cluster.nic import Nic
 from repro.cluster.node import Node, NodeSpec
@@ -42,12 +41,9 @@ class GeoSpec:
     #: Datacenter name -> number of server nodes in it.
     datacenters: dict = field(default_factory=lambda: {
         "eu-west": 5, "us-west": 5, "ap-southeast": 5})
-    #: Which datacenter hosts the (single) client node.
-    client_datacenter: str = "eu-west"
-    #: Optional multi-region client layout: one client node per listed
-    #: datacenter, appended after the servers in this order.  ``None``
-    #: keeps the legacy single-client layout in ``client_datacenter``.
-    client_datacenters: Optional[tuple] = None
+    #: One client node per listed datacenter, appended after the
+    #: servers in this order.
+    client_datacenters: tuple = ("eu-west",)
     #: One-way inter-DC latency (seconds), keyed by frozenset of DC names.
     region_latency_s: dict = field(
         default_factory=lambda: dict(DEFAULT_REGION_RTTS))
@@ -57,9 +53,6 @@ class GeoSpec:
     #: thinner than the in-rack GigE.
     wan_bandwidth_bps: float = 30e6
     node: NodeSpec = field(default_factory=NodeSpec)
-    #: Fixed CPU per RPC message (matches ClusterSpec.rpc_cpu_s).
-    rpc_cpu_s: float = 0.000025
-    envelope_bytes: int = 120
 
 
 class _GeoNetwork:
@@ -134,10 +127,7 @@ class GeoCluster(Cluster):
         self.client_ids: list[int] = []
         #: Datacenter name -> its client node id (multi-region layouts).
         self._client_by_dc: dict[str, int] = {}
-        client_dcs = (spec.client_datacenters
-                      if spec.client_datacenters is not None
-                      else (spec.client_datacenter,))
-        for dc_name in client_dcs:
+        for dc_name in spec.client_datacenters:
             if dc_name not in spec.datacenters:
                 raise ValueError(f"client datacenter {dc_name!r} is not a "
                                  f"configured datacenter")

@@ -37,8 +37,8 @@ from repro.sim.resources import Overloaded, Served
 from repro.sim.rng import RngRegistry
 
 __all__ = ["AsyncCall", "Cluster", "ClusterSpec", "DeadNodeError",
-           "DeadlineExceeded", "DEFAULT_CLIENT_OVERHEAD_S", "RpcTimeout",
-           "TimerWheel"]
+           "DeadlineExceeded", "DEFAULT_CLIENT_OVERHEAD_S", "ENVELOPE_BYTES",
+           "RPC_CPU_S", "RpcTimeout", "TimerWheel"]
 
 #: Client-side CPU per operation (driver serialization, thread wake-up).
 #: The paper's methodology section is explicit that client-side latency
@@ -50,6 +50,12 @@ __all__ = ["AsyncCall", "Cluster", "ClusterSpec", "DeadNodeError",
 #: Defined here (not in ``repro.ycsb.client``) because both database
 #: driver packages need it and importing from ycsb would be circular.
 DEFAULT_CLIENT_OVERHEAD_S = 2e-4
+
+#: Fixed CPU time charged per RPC message on each side (request
+#: handling, serialization, kernel crossings).
+RPC_CPU_S = 0.000025
+#: RPC sizes are payload + this request/response envelope.
+ENVELOPE_BYTES = 120
 
 #: Sentinel outcome meaning "no response will come": the callee is dead,
 #: or it abandoned a request that arrived after its deadline.
@@ -113,7 +119,7 @@ class AsyncCall(Event):
                  deadline: Optional[float], src_cpu_s: float) -> None:
         """Put the request on the wire.
 
-        Both sides pay ``rpc_cpu_s`` per message.  ``src_cpu_s`` (the
+        Both sides pay :data:`RPC_CPU_S` per message.  ``src_cpu_s`` (the
         caller's own pre-request CPU, e.g. driver bookkeeping) and the
         verb's registered ``cpu_s`` ride the request leg's two core
         reservations, so neither costs a kernel event.
@@ -131,13 +137,11 @@ class AsyncCall(Event):
         self.payload = payload
         self.response_bytes = response_bytes
         self.deadline = deadline
-        spec = cluster.spec
-        rpc_cpu = spec.rpc_cpu_s
         verb_cpu = dst.verb_cpu
         cluster.leg(
-            src, dst, request_bytes + spec.envelope_bytes,
-            src_cpu_s + rpc_cpu,
-            rpc_cpu + verb_cpu[verb] if verb in verb_cpu else rpc_cpu,
+            src, dst, request_bytes + ENVELOPE_BYTES,
+            src_cpu_s + RPC_CPU_S,
+            RPC_CPU_S + verb_cpu[verb] if verb in verb_cpu else RPC_CPU_S,
             callback=self._arrived)
 
     @classmethod
@@ -225,11 +229,9 @@ class AsyncCall(Event):
             self._outcome(True, _NO_RESPONSE)
             return
         self.payload = work._value  # the request is spent; keep the reply
-        cluster = self.cluster
-        spec = cluster.spec
-        cluster.leg(self.dst, self.src,
-                    self.response_bytes + spec.envelope_bytes, 0.0,
-                    spec.rpc_cpu_s, callback=self._responded)
+        self.cluster.leg(self.dst, self.src,
+                         self.response_bytes + ENVELOPE_BYTES, 0.0,
+                         RPC_CPU_S, callback=self._responded)
 
     def _responded(self, _leg: Event) -> None:
         if self._value is _PENDING:  # else timed out or cancelled
@@ -383,11 +385,6 @@ class ClusterSpec:
     #: Total machines, including the one reserved for the YCSB client.
     n_nodes: int = 16
     node: NodeSpec = field(default_factory=NodeSpec)
-    #: Fixed CPU time charged per RPC message on each side (request
-    #: handling, serialization, kernel crossings).
-    rpc_cpu_s: float = 0.000025
-    #: RPC sizes are payload + this request/response envelope.
-    envelope_bytes: int = 120
 
 
 class Cluster:

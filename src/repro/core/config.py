@@ -79,20 +79,14 @@ class ClientTierConfig:
     #: layer is off; the drivers' own internal retries still apply).
     retries: int = 0
     retry_backoff_s: float = 0.05
-    retry_backoff_cap_s: float = 1.0
     #: Retry-budget earn ratio (Finagle-style): each first attempt earns
     #: this fraction of a retry token.  ``None`` = uncapped retries —
     #: the naive client whose amplification the surge campaign measures.
     retry_budget_ratio: Optional[float] = None
-    retry_budget_min_per_s: float = 1.0
-    retry_budget_burst: float = 20.0
     #: Circuit breaker trip threshold (failure fraction in the sliding
     #: window).  ``None`` = no breaker.
     breaker_failure_rate: Optional[float] = None
-    breaker_window_s: float = 1.0
-    breaker_min_volume: int = 10
     breaker_cooldown_s: float = 1.0
-    breaker_half_open_probes: int = 3
     #: Per-tenant admission rate (requests/s).  ``None`` = no limiter.
     rate_limit_per_tenant: Optional[float] = None
     rate_limit_burst: float = 10.0
@@ -134,10 +128,15 @@ class ArrivalConfig:
     spike_duration_s: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.process not in ("poisson", "diurnal", "flash_crowd"):
-            raise ValueError(f"unknown arrival process {self.process!r}")
-        if self.rate <= 0 or self.max_arrivals < 1:
-            raise ValueError("rate must be positive, max_arrivals >= 1")
+        processes = ("poisson", "diurnal", "flash_crowd")
+        if self.process not in processes:
+            raise ValueError(f"unknown arrival process {self.process!r}; "
+                             f"choose from {processes}")
+        if self.rate <= 0:
+            raise ValueError(f"ArrivalConfig.rate={self.rate}: must be > 0")
+        if self.max_arrivals < 1:
+            raise ValueError(f"ArrivalConfig.max_arrivals="
+                             f"{self.max_arrivals}: must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -162,11 +161,6 @@ class AdaptiveConfig:
     window_s: float = 0.5
     #: StepwisePolicy hysteresis: clean windows before decaying a level.
     decay_windows: int = 3
-    #: Geo deployments: per-region staleness budgets as ``(datacenter,
-    #: bound_s)`` pairs.  A run measured from a listed region steers by
-    #: its own bound (a far region may tolerate more staleness than the
-    #: write-home region); unlisted regions fall back to ``staleness_s``.
-    staleness_by_region: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -206,9 +200,6 @@ class HBaseConfig:
     replication: int = 3
     regions_per_server: int = 2
     wal_sync: bool = False
-    failure_detection_s: float = 3.0
-    region_recovery_s: float = 2.0
-    region_move_s: float = 0.25
 
 
 @dataclass(frozen=True)
@@ -220,7 +211,6 @@ class CassandraConfig:
     write_cl: ConsistencyLevel = ConsistencyLevel.ONE
     read_repair_chance: float = 0.1
     blocking_read_repair: bool = True
-    vnodes: int = 16
     #: How often each coordinator's hint replayer wakes (seconds).  A
     #: larger interval models throttled hinted handoff: a restarted
     #: replica stays stale for up to one interval, which is the window
@@ -346,10 +336,15 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.db not in ("hbase", "cassandra"):
             raise ValueError(f"unknown db {self.db!r}")
-        if self.record_count < 1 or self.operation_count < 1:
-            raise ValueError("record_count and operation_count must be >= 1")
+        for name in ("record_count", "operation_count"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"ExperimentConfig.{name}={value}: "
+                                 f"must be >= 1")
         if self.n_nodes < 2:
-            raise ValueError("need at least one server node plus the client")
+            raise ValueError(f"ExperimentConfig.n_nodes={self.n_nodes}: "
+                             f"need at least one server node plus the "
+                             f"client (>= 2)")
         if self.elasticity is not None:
             if self.geo is not None:
                 raise ValueError("elasticity and geo are mutually "

@@ -189,10 +189,7 @@ def _adaptive(run: _Run, switch, binding: DbBinding) -> Generator:
     if session is None or cassandra is None:
         raise ValueError("adaptive consistency control requires Cassandra")
     ac, env = exp.config.adaptive, exp.env
-    # Per-region staleness budget: the run measured from a region
-    # steers by its own declared bound.
-    staleness = dict(ac.staleness_by_region).get(run.dc, ac.staleness_s)
-    slo = SloSpec(p95_ms=ac.p95_ms, staleness_s=staleness,
+    slo = SloSpec(p95_ms=ac.p95_ms, staleness_s=ac.staleness_s,
                   risk_rate=ac.risk_rate, window_s=ac.window_s)
 
     def coordinator_signals() -> dict:
@@ -274,12 +271,11 @@ def _scale(run: _Run, switch, binding: DbBinding) -> Generator:
     probe = run.probe()
     # Session-lifetime counters: snapshot so the report only covers
     # this run's transfers.
-    pre_streams = pre_rebalances = pre_splits = 0
+    pre_streams = pre_rebalances = 0
     if cassandra is not None:
         pre_streams = len(cassandra.streams)
     if hbase is not None:
         pre_rebalances = len(hbase.master.rebalances)
-        pre_splits = len(hbase.splits)
     yield
     probe.stop()
     engine.stop()
@@ -290,7 +286,6 @@ def _scale(run: _Run, switch, binding: DbBinding) -> Generator:
                  if cassandra is not None else ()),
         rebalances=(len(hbase.master.rebalances) - pre_rebalances
                     if hbase is not None else 0),
-        splits=(len(hbase.splits) - pre_splits if hbase is not None else 0),
         probe=probe)}
 
 
@@ -333,7 +328,6 @@ class ExperimentSession:
                               for a, b, s in geo.region_rtt_s}
             self.cluster = GeoCluster(self.env, GeoSpec(
                 datacenters=dict(geo.datacenters),
-                client_datacenter=geo.client_datacenters[0],
                 client_datacenters=tuple(geo.client_datacenters),
                 region_latency_s=region_latency,
                 wan_bandwidth_bps=geo.wan_bandwidth_bps), self.rngs)
@@ -381,9 +375,6 @@ class ExperimentSession:
                 regions_per_server=hc.regions_per_server,
                 storage=config.storage,
                 wal_sync=hc.wal_sync,
-                failure_detection_s=hc.failure_detection_s,
-                region_recovery_s=hc.region_recovery_s,
-                region_move_s=hc.region_move_s,
                 handler_slots=tail.handler_slots,
                 max_handler_queue=tail.max_handler_queue,
                 spare_servers=spares,
@@ -392,7 +383,6 @@ class ExperimentSession:
             cc = config.cassandra
             self.cassandra = CassandraCluster(self.cluster, CassandraSpec(
                 replication=cc.replication,
-                vnodes=cc.vnodes,
                 read_repair_chance=cc.read_repair_chance,
                 blocking_read_repair=cc.blocking_read_repair,
                 hint_replay_interval_s=cc.hint_replay_interval_s,

@@ -270,8 +270,7 @@ SCALE_COLUMNS = (
     ("actions", _scale_report("actions")),
     ("xfer s", lambda s: f"{_scale_report('transfer_s', 0.0)(s):.2f}"),
     ("streamed B", _scale_report("streamed_bytes")),
-    ("moves", lambda s: (_scale_report("rebalances")(s)
-                         + _scale_report("splits")(s))),
+    ("moves", _scale_report("rebalances")),
     ("before p95/ops", _phase("before")),
     ("during p95/ops", _phase("during")),
     ("after p95/ops", _phase("after")),

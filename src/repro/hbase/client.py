@@ -90,12 +90,10 @@ class HBaseClient:
         self._assignment = assignment
 
     def _call_region(self, region_id: int, verb: str, payload: Any,
-                     request_bytes: int, response_bytes: int,
-                     token: Optional[int] = None) -> Generator:
+                     request_bytes: int, response_bytes: int) -> Generator:
         env = self.cluster.env
         deadline = (env._now + self.deadline_s
                     if self.deadline_s is not None else None)
-        base = payload
         if deadline is not None:
             payload = (*payload, deadline)
         last_error: Optional[Exception] = None
@@ -112,17 +110,6 @@ class HBaseClient:
                             f"after {attempt - 1} retries") from last_error
                     delay = min(delay, remaining)
                 yield env.timeout(delay)
-                yield from self._refresh_assignment()
-                if token is not None:
-                    # The region may have split since the last attempt
-                    # (NotServingRegion): re-resolve and re-address.
-                    region_id = self.hbase.region_for_token(token).region_id
-                    payload = (region_id, *base[1:])
-                    if deadline is not None:
-                        payload = (*payload, deadline)
-            if region_id not in self._assignment:
-                # A region born after our last META refresh (split
-                # daughter / newly activated server).
                 yield from self._refresh_assignment()
             try:
                 result = yield from self._attempt(
@@ -176,31 +163,26 @@ class HBaseClient:
 
     def put(self, key: str, value: Any, size: int) -> Generator:
         """Insert or update one row."""
-        token = token_of(key)
-        region = self.hbase.region_for_token(token)
+        region = self.hbase.region_for_token(token_of(key))
         payload = (region.region_id, key, value, size,
                    self.cluster.env._now)
         result = yield from self._call_region(
             region.region_id, "rs.put", payload,
-            request_bytes=size + 60, response_bytes=20, token=token)
+            request_bytes=size + 60, response_bytes=20)
         return result
 
     def get(self, key: str, expected_bytes: int = 1024) -> Generator:
         """Read one row; returns ``(value, timestamp)`` or None."""
-        token = token_of(key)
-        region = self.hbase.region_for_token(token)
+        region = self.hbase.region_for_token(token_of(key))
         result = yield from self._call_region(
             region.region_id, "rs.get", (region.region_id, key),
-            request_bytes=60, response_bytes=expected_bytes, token=token)
+            request_bytes=60, response_bytes=expected_bytes)
         return result
 
     def scan(self, start_key: str, limit: int,
              record_bytes: int = 1024) -> Generator:
-        """Range scan from ``start_key``, possibly spanning regions.
-
-        Walks regions in *token* order (a split inserts its daughter
-        mid-list, so region-id order no longer matches key order).
-        """
+        """Range scan from ``start_key``, possibly spanning regions
+        (walked in token order)."""
         rows: list[tuple[str, Any, float]] = []
         cursor_token = token_of(start_key)
         cursor = start_key
@@ -210,17 +192,8 @@ class HBaseClient:
             batch = yield from self._call_region(
                 region.region_id, "rs.scan",
                 (region.region_id, cursor, remaining),
-                request_bytes=70, response_bytes=record_bytes * remaining,
-                token=cursor_token)
-            if rows and batch:
-                # A split between batches can shrink the previous
-                # region after it answered; never re-emit keys already
-                # returned by the earlier (wider) batch.
-                last = rows[-1][0]
-                batch = [r for r in batch if r[0] > last]
+                request_bytes=70, response_bytes=record_bytes * remaining)
             rows.extend(batch)
-            # The region object's bounds are live (a concurrent split
-            # shrinks them), so its current end is the exact resume point.
             next_token = region.end_token
             if len(rows) >= limit or next_token >= KEY_DOMAIN:
                 break

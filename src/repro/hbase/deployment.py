@@ -37,7 +37,7 @@ class HBaseSpec:
     failure_detection_s: float = 3.0
     region_recovery_s: float = 2.0
     #: Unavailability per *planned* region move (rebalance, activate,
-    #: decommission, split): a graceful close flushes the MemStore and
+    #: decommission): a graceful close flushes the MemStore and
     #: reopens on the target, so there is no WAL to replay — a
     #: sub-second window where crash failover pays ``region_recovery_s``.
     region_move_s: float = 0.25
@@ -86,12 +86,9 @@ class HBaseCluster:
                                        - spec.spare_servers:]]
 
         self.regions = self._presplit()
-        #: Region start tokens, parallel to ``regions`` (kept sorted by
-        #: ``_reindex`` as splits add daughters).
-        self._starts: list[int] = []
-        self._reindex()
-        #: (time, parent_region_id, daughter_region_id) per split.
-        self.splits: list[tuple[float, int, int]] = []
+        #: Region start tokens, parallel to ``regions`` (which
+        #: ``_presplit`` builds in token order).
+        self._starts = [r.start_token for r in self.regions]
         self.master = HMaster(cluster, self.master_node, self.regionservers,
                               self.regions,
                               detection_s=spec.failure_detection_s,
@@ -115,10 +112,6 @@ class HBaseCluster:
             end = (i + 1) * step if i < n_regions - 1 else KEY_DOMAIN
             regions.append(Region(i, start, end))
         return regions
-
-    def _reindex(self) -> None:
-        self.regions.sort(key=lambda r: r.start_token)
-        self._starts = [r.start_token for r in self.regions]
 
     def region_for_token(self, token: int) -> Region:
         """The region owning ``token`` (bisect over the sorted starts)."""
@@ -152,24 +145,3 @@ class HBaseCluster:
         """Drain a server back to standby (same move accounting)."""
         self.master.decommission(node_id)
         yield self.cluster.env.timeout(self.spec.region_move_s)
-
-    def split_region(self, region: Region) -> Region:
-        """Split ``region`` at its midpoint token; returns the daughter.
-
-        The daughter opens on the same server (real HBase moves it only
-        when the balancer later decides to) and both halves pay the
-        graceful close/reopen window (``region_move_s``).
-        """
-        daughter_id = max(r.region_id for r in self.regions) + 1
-        daughter = region.split(daughter_id, self.spec.storage)
-        self.regions.append(daughter)
-        self._reindex()
-        server = self.regionservers[region.medium.server.node.node_id]
-        self.master.regions[daughter.region_id] = daughter
-        self.master.assign(daughter, server)
-        now = self.cluster.env.now
-        until = now + self.spec.region_move_s
-        region.available_at = max(region.available_at, until)
-        daughter.available_at = max(daughter.available_at, until)
-        self.splits.append((now, region.region_id, daughter.region_id))
-        return daughter

@@ -1,4 +1,4 @@
-"""HMaster: region assignment, failover, splits and rebalancing."""
+"""HMaster: region assignment, failover and rebalancing."""
 
 from __future__ import annotations
 

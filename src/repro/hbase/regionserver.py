@@ -22,11 +22,11 @@ _HANDLER_CPU_S = 1.2e-5
 
 
 class NotServingRegion(ModelledFailure):
-    """The addressed region is not here, or no longer covers the key.
+    """The addressed region is not on this server.
 
     HBase's ``NotServingRegionException``: the client's META cache is
-    stale (the region moved, or a split shrank it); the client refreshes
-    its region map and retries against the current owner.
+    stale (the region moved); the client refreshes its region map and
+    retries against the current owner.
     """
 
 
@@ -185,17 +185,11 @@ class RegionServer:
         node.register("rs.get", self._handle_get)
         node.register("rs.scan", self._handle_scan)
 
-    def _region(self, region_id: int, key: Optional[str] = None) -> Region:
+    def _region(self, region_id: int) -> Region:
         region = self.regions.get(region_id)
         if region is None:
             raise NotServingRegion(
                 f"region {region_id} not on server {self.node.node_id}")
-        if key is not None and not region.covers(key):
-            # A split shrank the region after the client resolved it —
-            # applying the op here would strand the write outside the
-            # range readers are routed to.
-            raise NotServingRegion(
-                f"region {region_id} no longer covers key {key!r}")
         return region
 
     # -- verbs ---------------------------------------------------------
@@ -222,7 +216,7 @@ class RegionServer:
 
     def _handle_put(self, payload):
         region_id, key, value, size, timestamp, *rest = payload
-        region = self._region(region_id, key)
+        region = self._region(region_id)
         if self.handler_pool is not None \
                 or region.available_at > self.env._now:
             return self._served(region, rest[0] if rest else None,
@@ -242,7 +236,7 @@ class RegionServer:
 
     def _handle_get(self, payload):
         region_id, key, *rest = payload
-        region = self._region(region_id, key)
+        region = self._region(region_id)
         if self.handler_pool is not None \
                 or region.available_at > self.env._now:
             return self._served(region, rest[0] if rest else None,
@@ -261,7 +255,7 @@ class RegionServer:
 
     def _handle_scan(self, payload):
         region_id, start_key, limit, *rest = payload
-        region = self._region(region_id, start_key)
+        region = self._region(region_id)
         if self.handler_pool is not None \
                 or region.available_at > self.env._now:
             return self._served(region, rest[0] if rest else None, None,

@@ -1,4 +1,4 @@
-"""Compaction policies (Cassandra STCS/LCS, HBase minor compaction).
+"""Compaction policy (Cassandra STCS, HBase minor compaction).
 
 Pure policy + merge logic; the I/O charging lives in
 :class:`~repro.storage.lsm.LsmTree`, which drives the merge as a
@@ -11,7 +11,7 @@ from typing import Any, Optional
 
 from repro.storage.sstable import SSTable
 
-__all__ = ["merge_tables", "pick_compaction", "pick_leveled_compaction"]
+__all__ = ["merge_tables", "pick_compaction"]
 
 
 def pick_compaction(sstables: list[SSTable], min_batch: int = 4,
@@ -41,36 +41,6 @@ def pick_compaction(sstables: list[SSTable], min_batch: int = 4,
                 return bucket
             bucket = [table]
     return bucket if len(bucket) >= min_batch else None
-
-
-def _overlaps(a: SSTable, b: SSTable) -> bool:
-    ra, rb = a.key_range, b.key_range
-    if ra is None or rb is None:
-        return False
-    return ra[0] <= rb[1] and rb[0] <= ra[1]
-
-
-def pick_leveled_compaction(sstables: list[SSTable],
-                            max_batch: int = 10) -> Optional[list[SSTable]]:
-    """Leveled selection: merge the newest run into every older run it
-    overlaps, or None when the newest run overlaps nothing.
-
-    The flat-list analogue of LCS: new runs are promptly merged down
-    into the overlapping older data, which keeps runs-per-key near one
-    (read-optimized) at the price of compacting on nearly every flush —
-    higher, steadier write amplification than size-tiered batching.
-    That trade is what the elasticity campaign's disk-contention
-    comparison measures: streamed ranges land as fresh runs, and
-    leveled rewrites them immediately while size-tiered waits for a
-    full bucket.
-    """
-    if len(sstables) < 2:
-        return None
-    newest = sstables[0]
-    overlapping = [t for t in sstables[1:] if _overlaps(newest, t)]
-    if not overlapping:
-        return None
-    return [newest, *overlapping][:max_batch]
 
 
 def merge_tables(tables: list[SSTable]) -> list[tuple[str, Any, float, int]]:

@@ -14,32 +14,36 @@ the same engine serves both systems:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional, Protocol, Union
+from typing import Any, Generator, Optional, Protocol
 
 from repro.cluster.disk import BACKGROUND, FOREGROUND
 from repro.cluster.node import Node
 from repro.sim.kernel import (_PENDING, Environment, Event, Process, Timeout,
                               _finish, _settled)
 from repro.storage.cache import BlockCache
-from repro.storage.compaction import (merge_tables, pick_compaction,
-                                      pick_leveled_compaction)
+from repro.storage.compaction import merge_tables, pick_compaction
 from repro.storage.memtable import Memtable
 from repro.storage.sstable import SSTable
-from repro.storage.wal import WriteAheadLog
 
 __all__ = ["LocalDiskMedium", "LsmTree", "StorageMedium", "StorageSpec"]
+
+# -- CPU costs (seconds) ---------------------------------------------------
+CPU_PUT_S = 3e-6
+CPU_GET_S = 4e-6
+CPU_PER_TABLE_CHECK_S = 1e-6
+CPU_SCAN_PER_ENTRY_S = 4e-7
+CPU_FLUSH_PER_ENTRY_S = 1e-6
+CPU_COMPACT_PER_ENTRY_S = 8e-7
 
 
 class StorageMedium(Protocol):
     """Physical placement of a tree's log, runs and blocks."""
 
-    def append_log(self, size: int,
-                   sync: bool) -> Union[None, Event, Generator]:
+    def append_log(self, size: int) -> Optional[Event]:
         """Append ``size`` bytes to the write-ahead/commit log.
 
         ``None`` when the bytes are buffered and there is nothing to wait
-        for; otherwise the event that fires — or the generator that
-        returns — once they are acknowledged.
+        for; otherwise the event that fires once they are acknowledged.
         """
         ...
 
@@ -67,12 +71,8 @@ class LocalDiskMedium:
     def __init__(self, node: Node) -> None:
         self.node = node
 
-    def append_log(self, size: int, sync: bool) -> Optional[Generator]:
-        if sync:
-            return self.node.disk.write(size, sequential=True,
-                                        priority=FOREGROUND)
+    def append_log(self, size: int) -> None:
         self.node.disk.append_buffered(size)
-        return None
 
     def read_block(self, size: int, priority: int = FOREGROUND,
                    handle=None) -> Generator:
@@ -102,24 +102,23 @@ class StorageSpec:
     memtable_flush_bytes: int = 512 * 1024
     block_bytes: int = 8 * 1024
     block_cache_bytes: int = 1024 * 1024
-    bloom_fp_rate: float = 0.01
     #: Size-tiered compaction: trigger threshold and batch bounds.
     compaction_min_batch: int = 4
     compaction_max_batch: int = 10
-    #: "size_tiered" (STCS: batch similar-sized runs) or "leveled"
-    #: (LCS analogue: merge each new run into the older runs it
-    #: overlaps — fewer runs per read, more write amplification).
-    compaction_strategy: str = "size_tiered"
-    #: Synchronous log appends (durability ablation; both systems default
-    #: to buffered appends with periodic sync).
-    wal_sync_each_append: bool = False
-    # -- CPU costs (seconds) -----------------------------------------
-    cpu_put_s: float = 3e-6
-    cpu_get_s: float = 4e-6
-    cpu_per_table_check_s: float = 1e-6
-    cpu_scan_per_entry_s: float = 4e-7
-    cpu_flush_per_entry_s: float = 1e-6
-    cpu_compact_per_entry_s: float = 8e-7
+
+    def __post_init__(self) -> None:
+        for name, low in (("memtable_flush_bytes", 1), ("block_bytes", 1),
+                          ("block_cache_bytes", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"StorageSpec.{name}={value}: must be "
+                                 f">= {low}")
+        low, high = self.compaction_min_batch, self.compaction_max_batch
+        if not 2 <= low <= high:
+            raise ValueError(
+                f"StorageSpec.compaction_min_batch={low}, "
+                f"compaction_max_batch={high}: need 2 <= "
+                f"compaction_min_batch <= compaction_max_batch")
 
 
 class _LoggedPut(Event):
@@ -132,7 +131,7 @@ class _LoggedPut(Event):
 
     __slots__ = ("tree", "mutation")
 
-    def __init__(self, tree: "LsmTree", logging: Union[Event, Generator],
+    def __init__(self, tree: "LsmTree", logging: Event,
                  *mutation: Any) -> None:
         self.env = tree.env
         self.callbacks = []
@@ -141,11 +140,7 @@ class _LoggedPut(Event):
         self._defused = False
         self.tree = tree
         self.mutation = mutation
-        # An event is waited for as it is; a generator (the synchronous
-        # local log's disk write) is the body of a small process.
-        if Event not in logging.__class__.__mro__:
-            Process(tree.env, logging, f"{tree.name}-log", True, self._logged)
-        elif logging.callbacks is None:
+        if logging.callbacks is None:
             self._logged(logging)
         else:
             logging.callbacks.append(self._logged)
@@ -179,7 +174,6 @@ class LsmTree:
         self.medium = medium
         self.spec = spec
         self.name = name
-        self.wal = WriteAheadLog(medium, sync_every_append=spec.wal_sync_each_append)
         self.cache = BlockCache(spec.block_cache_bytes)
         self.active = Memtable()
         #: Memtables frozen and waiting for (or in) flush, newest first.
@@ -189,11 +183,6 @@ class LsmTree:
         #: keeps walking the version of the tree it started on.
         self.sstables: list[SSTable] = []
         self._compacting = False
-        #: Keys >= this bound were handed to a split daughter: existing
-        #: runs keep them physically (HBase reference-file semantics)
-        #: but every logical view filters them out, and the next
-        #: flush/compaction rewrites without them.
-        self._drop_from: Optional[str] = None
         self.stats = {"puts": 0, "gets": 0, "scans": 0, "flushes": 0,
                       "compactions": 0, "block_reads": 0}
 
@@ -208,14 +197,13 @@ class LsmTree:
         charge (RPC-verb handling) into the same core reservation — one
         timeout event instead of two on a path every replica write takes.
 
-        With a buffered log append — every Cassandra commit log outside
-        the durability ablation — the event is the CPU timeout itself
-        (see :meth:`_apply`).  A log append that has to be waited for —
-        HBase's WAL, in HDFS; the synchronous local log — is followed by
-        the same :meth:`_apply` as a callback (:class:`_LoggedPut`).
-        Neither costs a process, except the local disk write.
+        With a buffered log append — every Cassandra commit log — the
+        event is the CPU timeout itself (see :meth:`_apply`).  A log
+        append that has to be waited for — HBase's WAL, in HDFS — is
+        followed by the same :meth:`_apply` as a callback
+        (:class:`_LoggedPut`).  Neither costs a process.
         """
-        logging = self.wal.append(size)
+        logging = self.medium.append_log(size)
         if logging is None:
             return self._apply(key, value, size, timestamp, extra_cpu_s)
         return _LoggedPut(self, logging, key, value, size, timestamp,
@@ -239,7 +227,7 @@ class LsmTree:
                 self._rotate()
 
         env = self.env
-        end = self.node.reserve_cpu(extra_cpu_s + self.spec.cpu_put_s)
+        end = self.node.reserve_cpu(extra_cpu_s + CPU_PUT_S)
         now = env._now
         if end <= now:
             insert()
@@ -257,22 +245,14 @@ class LsmTree:
         entries = list(frozen.items_sorted())
         if entries:
             yield from self.node.cpu_work(
-                self.spec.cpu_flush_per_entry_s * len(entries))
+                CPU_FLUSH_PER_ENTRY_S * len(entries))
             total = sum(e[3] for e in entries)
             handle = yield from self.medium.write_run(total)
-            # A split may have landed between freeze and here; the run
-            # is written (the bytes moved) but handed-off keys stay out
-            # of the logical table.
-            entries = self._live_entries(entries)
-        if entries:
-            table = SSTable(entries, self.spec.block_bytes,
-                            self.spec.bloom_fp_rate)
+            table = SSTable(entries, self.spec.block_bytes)
             table.file_handle = handle
             self.sstables = [table, *self.sstables]
             self._cache_written_blocks(table)
         self.flushing.remove(frozen)
-        if not self.flushing:
-            self.wal.truncate()
         self.stats["flushes"] += 1
         self._maybe_compact()
 
@@ -312,8 +292,6 @@ class LsmTree:
         """
         env = self.env
         delay = self._start_get(key, extra_cpu_s)
-        if delay is None:
-            return _settled(env)
         done = Event(env)
 
         def walk(_wait: Optional[Event] = None) -> None:
@@ -344,8 +322,6 @@ class LsmTree:
         the lookup may be standing in.
         """
         delay = self._start_get(key, extra_cpu_s)
-        if delay is None:
-            return None
         if delay > 0:
             yield Timeout(self.env, delay)
         best, missed = self._probe(key)
@@ -353,17 +329,13 @@ class LsmTree:
             best = yield from self._probe_loading(key, priority, best, missed)
         return best
 
-    def _start_get(self, key: str, extra_cpu_s: float) -> Optional[float]:
+    def _start_get(self, key: str, extra_cpu_s: float) -> float:
         """Count one lookup and book its CPU; returns how long until the
-        tree may be walked, or None for a key handed to a split daughter
-        (nothing to read, nothing charged)."""
+        tree may be walked."""
         self.stats["gets"] += 1
-        if self._drop_from is not None and key >= self._drop_from:
-            return None
-        spec = self.spec
         return self.node.reserve_cpu(
-            extra_cpu_s + spec.cpu_get_s
-            + spec.cpu_per_table_check_s * len(self.sstables)) - self.env._now
+            extra_cpu_s + CPU_GET_S
+            + CPU_PER_TABLE_CHECK_S * len(self.sstables)) - self.env._now
 
     def _probe(self, key: str, best: Optional[tuple[Any, float]] = None,
                tables: Optional[list[SSTable]] = None
@@ -414,7 +386,7 @@ class LsmTree:
         version of the tree.
         """
         self.stats["scans"] += 1
-        yield from self.node.cpu_work(extra_cpu_s + self.spec.cpu_get_s)
+        yield from self.node.cpu_work(extra_cpu_s + CPU_GET_S)
         merged: dict[str, tuple[Any, float]] = {}
         for memtable in [self.active, *self.flushing]:
             for key, value, ts, _size in memtable.scan_from(start_key, limit):
@@ -431,11 +403,9 @@ class LsmTree:
                 existing = merged.get(key)
                 if existing is None or ts > existing[1]:
                     merged[key] = (value, ts)
-        live = (merged if self._drop_from is None
-                else [k for k in merged if k < self._drop_from])
-        picked = sorted(live)[:limit]
+        picked = sorted(merged)[:limit]
         yield from self.node.cpu_work(
-            self.spec.cpu_scan_per_entry_s * max(len(merged), 1))
+            CPU_SCAN_PER_ENTRY_S * max(len(merged), 1))
         return [(k, merged[k][0], merged[k][1]) for k in picked]
 
     # -- compaction ---------------------------------------------------
@@ -443,16 +413,9 @@ class LsmTree:
     def _maybe_compact(self) -> None:
         if self._compacting:
             return
-        if self.spec.compaction_strategy == "leveled":
-            batch = pick_leveled_compaction(self.sstables,
-                                            self.spec.compaction_max_batch)
-        elif self.spec.compaction_strategy == "size_tiered":
-            batch = pick_compaction(self.sstables,
-                                    self.spec.compaction_min_batch,
-                                    self.spec.compaction_max_batch)
-        else:
-            raise ValueError("unknown compaction strategy "
-                             f"{self.spec.compaction_strategy!r}")
+        batch = pick_compaction(self.sstables,
+                                self.spec.compaction_min_batch,
+                                self.spec.compaction_max_batch)
         if batch:
             self._compacting = True
             self.env.process(self._compact(batch), name=f"{self.name}-compact")
@@ -463,15 +426,14 @@ class LsmTree:
         for t in oldest_first:
             yield from self.medium.read_run(
                 t.size_bytes, getattr(t, "file_handle", None))
-        entries = self._live_entries(merge_tables(oldest_first))
+        entries = merge_tables(oldest_first)
         yield from self.node.cpu_work(
-            self.spec.cpu_compact_per_entry_s * max(len(entries), 1))
+            CPU_COMPACT_PER_ENTRY_S * max(len(entries), 1))
         merged: Optional[SSTable] = None
         if entries:
             total_out = sum(e[3] for e in entries)
             handle = yield from self.medium.write_run(total_out)
-            merged = SSTable(entries, self.spec.block_bytes,
-                             self.spec.bloom_fp_rate)
+            merged = SSTable(entries, self.spec.block_bytes)
             merged.file_handle = handle
             self._cache_written_blocks(merged)
         # Replace the batch at the position of its newest member.
@@ -487,21 +449,13 @@ class LsmTree:
         self._compacting = False
         self._maybe_compact()
 
-    # -- elasticity (split hand-off and streamed ingest) -----------------
-
-    def _live_entries(self, entries):
-        """Filter out keys handed to a split daughter (see ``drop_range``)."""
-        if self._drop_from is None:
-            return entries
-        bound = self._drop_from
-        return [e for e in entries if e[0] < bound]
+    # -- elasticity (streamed ingest) -------------------------------------
 
     def snapshot_entries(self) -> list[tuple[str, Any, float, int]]:
-        """Newest live version of every entry, in key order.
+        """Newest version of every entry, in key order.
 
-        Logical (no I/O charged): callers model the physical transfer
-        themselves — region splits hand references over for free, range
-        streaming charges bulk disk/NIC I/O for the bytes it ships.
+        Logical (no I/O charged): range streaming charges the bulk
+        disk/NIC I/O for the bytes it ships itself.
         """
         merged: dict[str, tuple[Any, float, int]] = {}
         for table in reversed(self.sstables):  # oldest first: LWW ties
@@ -514,10 +468,10 @@ class LsmTree:
                 existing = merged.get(key)
                 if existing is None or ts >= existing[1]:
                     merged[key] = (value, ts, size)
-        return self._live_entries([(k, *merged[k]) for k in sorted(merged)])
+        return [(k, *merged[k]) for k in sorted(merged)]
 
     def ingest_run(self, entries: list[tuple[str, Any, float, int]]) -> None:
-        """Adopt a pre-sorted run (streamed range / split reference file).
+        """Adopt a pre-sorted run (a streamed range).
 
         No I/O is charged here — the caller models the physical bytes.
         The new run still participates in compaction, which is where the
@@ -526,20 +480,9 @@ class LsmTree:
         """
         if not entries:
             return
-        table = SSTable(entries, self.spec.block_bytes,
-                        self.spec.bloom_fp_rate)
+        table = SSTable(entries, self.spec.block_bytes)
         self.sstables = [table, *self.sstables]
         self._maybe_compact()
-
-    def drop_range(self, from_key: str) -> None:
-        """Logically drop every key >= ``from_key`` (split hand-off).
-
-        Existing runs keep the bytes — like HBase reference files, the
-        physical rewrite happens at the next flush/compaction — but
-        reads, scans and future runs no longer see the dropped keys.
-        """
-        if self._drop_from is None or from_key < self._drop_from:
-            self._drop_from = from_key
 
     # -- introspection ---------------------------------------------------
 

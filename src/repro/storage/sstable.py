@@ -18,6 +18,9 @@ from repro.storage.bloom import BloomFilter
 
 __all__ = ["SSTable"]
 
+#: Bloom filter false-positive rate of every run.
+BLOOM_FP_RATE = 0.01
+
 
 class SSTable:
     """One immutable sorted run, split into fixed-size blocks."""
@@ -25,7 +28,7 @@ class SSTable:
     _next_id = 0
 
     def __init__(self, entries: list[tuple[str, Any, float, int]],
-                 block_bytes: int, bloom_fp_rate: float = 0.01) -> None:
+                 block_bytes: int) -> None:
         """Build from flush/compaction output (``entries`` sorted by key)."""
         SSTable._next_id += 1
         self.sstable_id = SSTable._next_id
@@ -34,7 +37,7 @@ class SSTable:
         self._values: dict[str, tuple[Any, float, int]] = {}
         #: block number for each key position (parallel to ``_keys``).
         self._key_block: list[int] = []
-        self.bloom = BloomFilter(max(1, len(entries)), bloom_fp_rate)
+        self.bloom = BloomFilter(max(1, len(entries)), BLOOM_FP_RATE)
         self.size_bytes = 0
 
         block_no = 0
@@ -57,12 +60,6 @@ class SSTable:
 
     def __len__(self) -> int:
         return len(self._keys)
-
-    @property
-    def key_range(self) -> Optional[tuple[str, str]]:
-        if not self._keys:
-            return None
-        return self._keys[0], self._keys[-1]
 
     def might_contain(self, key: str) -> bool:
         """Bloom-filter + key-range check — no I/O."""

@@ -333,32 +333,3 @@ class TestDeterminismAndCacheability:
         serial = CellRunner(jobs=1).run(cells)
         parallel = CellRunner(jobs=2).run(cells)
         assert serial == parallel
-
-
-class TestPerRegionStalenessBudget:
-    """Geo runs steer by their own region's declared staleness bound:
-    ``AdaptiveConfig.staleness_by_region`` overrides the global
-    ``staleness_s`` for the client region being measured."""
-
-    def _run(self, client_dc):
-        from dataclasses import replace as dc_replace
-        from repro.core.config import default_geo_config
-        from repro.core.experiment import ExperimentSession
-        config = default_geo_config(
-            servers_per_dc=2, replicas_per_dc=2, record_count=100,
-            operation_count=150, n_threads=2, target_throughput=300.0,
-            seed=7)
-        config = dc_replace(config, adaptive=dc_replace(
-            config.adaptive,
-            staleness_by_region=(("ap-southeast", 0.05),)))
-        session = ExperimentSession(config)
-        session.load()
-        result = session.run_cell(adaptive="staleness-bound",
-                                  client_dc=client_dc)
-        return result.reports["decisions"]["slo"]
-
-    def test_listed_region_gets_its_own_bound(self):
-        assert self._run("ap-southeast")["staleness_s"] == 0.05
-
-    def test_unlisted_region_falls_back_to_global_bound(self):
-        assert self._run("eu-west")["staleness_s"] == 0.25

@@ -19,6 +19,12 @@ harness, whose cells at 6fd607e had exactly these digests.
 once when ``EnergyConfig`` came to hold a ``PowerSpec`` and a
 ``CostSpec`` instead of copies of their fields: with ``energy.power``
 and ``energy.cost`` flattened back into ``energy``, every cell hashed to
+its old digest.  All 42 were re-recorded again when twenty settings that
+only ever took one value (the storage engine's CPU costs, bloom rate,
+compaction strategy and synchronous-log switch, six client-tier retry and
+breaker knobs, HBase's failure-detection / recovery / move windows,
+Cassandra's vnodes, the per-region staleness budgets) left the config:
+with those leaves put back at their old defaults, every cell hashed to
 its old digest.
 """
 
@@ -56,89 +62,89 @@ def _cells(name, db, scale):
 
 PINS = {
     "fig1/full/hbase":
-        "68deb217473d7e527e595c7f38e6c15eda53ebe57a8cca55eca213eca430df01",
+        "6ecd4e4d0e5317b7e00975bdb18717cf0169fb234b8907987b4bf3eaf1030436",
     "fig1/full/cassandra":
-        "cc3b1ba60f1f6a78fe40a0d95d23e4a6b11f118e645a55f90b7eee1415a3047c",
+        "3bdf758202499ea50607069e40fed0d61c0d7fecc03554b2728504247d567ee8",
     "fig1/quick/hbase":
-        "744ee5001623220c92d96f5fbb33af60cfdce9779a955a090af2404b9a492155",
+        "bdb41f4dcafc375734e92b21676852c525d7607e90d94dea22525d11d4d40f15",
     "fig1/quick/cassandra":
-        "758547b3aee9861c040b892d1c836f2f28eb6b4a62b0fa1e5e7117fbf71b906e",
+        "d284456cb7d2d03b8031c1c21d9fd04ed961e5a8e2c59fa1ea04000b9b138e8d",
     "fig2/full/hbase":
-        "f71cd2013f4c6c3305584c6a1521f7af9a34be7b7d131d5bff3438b08af0495c",
+        "842adc298884741d26ffb22f2c218baf81796de751707514cbcfd44d13ff69a0",
     "fig2/full/cassandra":
-        "7240c1b1bd9bc8db0e60681b1354ee2aa322273d0245ef7bdbcc1ffd644b23af",
+        "0421cf1e73dacfb3e3bd828032ef1cb3a30ee3714a4e3f9831638fba9ff5e41c",
     "fig2/quick/hbase":
-        "d5b053d6d5741a077b45715f23e667a5abc7520a0566a79d922d500953c7fd98",
+        "844dda450d9fc6a9d6c57543d38dbfcb581ad623ccc3388890025b07b4e4ca65",
     "fig2/quick/cassandra":
-        "030a251e5d558850575401b5f5d5a910e59d8f0ecdde56579401cd8e7d188e1f",
+        "edec260ab6f1776f6f3672be13934d8183cac6a20b2d69bc9a9cba84499cff82",
     "fig3/full/cassandra":
-        "3c6f5a942a0aa08d5afc2e04aded2333f356416325d8ec1bccbc1ecb77e7b520",
+        "804fb00e6729eb5eacb386658a6620975972d650aa3a10542717497d2df1f90a",
     "fig3/quick/cassandra":
-        "84d211dae49e9b9517a8b7b56911de87b1bf659f99a67c7f676faa1f82c45341",
+        "93f1ed38876978da9d96d5d3f6a7dfbe8441ff1eedd92aabee1e15febdb1bce5",
     "ablation/full/hbase":
-        "f3af919dc4b77111127cda388fce26887bc62f48143cd5dd00fcd99f121d6015",
+        "043fe4b98ca9dfc85d740c33c437b71b0f7c7d0a3c5d700e9b94a27b8b80bb61",
     "ablation/full/cassandra":
-        "813a47b5c60c77cd2e5887d5338a113ce14bded0730aeaf4cb51c6c4a7b71dcf",
+        "8b4168e096cce41ab325f88b6a5853af84ed26024f695096be110b80c6675d01",
     "ablation/quick/hbase":
-        "4ff6b1fecaad9b313deccc95f10757585fac5dfbb25dd08eeb06c91a0e8b80f5",
+        "ecad8085e68f2656caadb58decdfda53e7de6a4dcf81b823c3fd91777612534e",
     "ablation/quick/cassandra":
-        "1e8ef2b80623f0465eaefbf09a17f28f5a2f72e244a57e9d11469d193b517eb0",
+        "37afd790e7afcbe146a6a13be6e0c511892ba511170ca2d672b7410f239b3595",
     "failover/full/hbase":
-        "9b43ed5405d8f6b60a048c71e415fccb7ea71d9f9f1bde88c202c22e1e9d9308",
+        "151c87e9834f232da4a49d38f2a3e9e6fcb32e6ac3486cc4bb3fc0bed1ff4cba",
     "failover/full/cassandra":
-        "bd03c820d2907f536d7a910c11ab9837002835412f1fea2b587ee30f8ba08b6b",
+        "f22db7fd828ab622d8fd8e9915d2afd71be26286d42d75202c0242262dcaa363",
     "failover/quick/hbase":
-        "78b69c61aa0bcf2d32f478bef4271a2e19647ccdb0a958181ac80def95ef2fa0",
+        "8584f953ebfa18339eaf9d5fda6e8639f31a3969f12af9f750d254e3aed9b8cd",
     "failover/quick/cassandra":
-        "57ef4648475cb4a191857c122b31ed77134f8d9ab0135ab89dd8df7f727455cb",
+        "4d16d839ca04c8ff714241cbc6334a29110c1269551ff28291b3dffe56457b7b",
     "tail/full/hbase":
-        "2b7a74dfbdc54ac91701997a22237681fa8b9fc20f0694973137132904f5fe22",
+        "eac484b1faba5c5907f2c3fcdf24aa7dd4b21fa918abfc0be3fb25b3d1b8cf06",
     "tail/full/cassandra":
-        "6e34d4ec1102de8d9c56877855ac92b104353495df63f92498e94a640200faa4",
+        "8cad0453de532f57137351df2800419a34dcf2696dedf89e3e408f00baf1b7c1",
     "tail/quick/hbase":
-        "899b21fbd782705cd385fc03ba734c405dbbc8eeaf2f3066b1dc330bc6669229",
+        "b235f0e4e83508616bc956bdcab228765abde58b9e79a18ed1451bff46148a85",
     "tail/quick/cassandra":
-        "3f01065cbf24c40d55a4b9eedaa127a421e80f97f9fe180a0d2719adacbfcab9",
+        "976500084a52a96d0f7afe5c0fbbfd6b4c858e6547ab00bf48bcf73d32c4323b",
     "check/full/hbase":
-        "c4ed979268c7fffd7f8bbb339c523867817d6637d31c692069388913592a1a81",
+        "965913f92ca2060575b21b44513cefdc75ba2fff1db72c4c9a0d1b5a6bb2f62a",
     "check/full/cassandra":
-        "871e3b7a0f7d01c3907278e3c7b809dba7063a8c687076673cee7620ed3c69a6",
+        "638e39254db159c60191580f253866b3fc5af0c53c89a1a218a055730b428d6e",
     "check/quick/hbase":
-        "cca2673eb04210d9ec7d5d85e23fb3785dee00751b2e713dd48ba1b372954137",
+        "ba12bffb79ee500c3738d3a6d7c41332bb5e5c2b61611eeafefb028da87c4147",
     "check/quick/cassandra":
-        "46afb7c89e795b815af10ce17643c139306b4c21706966b0076967d1e437b011",
+        "ff728bf03d83b0b52330bdd2f4a5472cdfb96fa11bbf5872f3cfcbae29c44e28",
     "adaptive/full/cassandra":
-        "77d866e7eb0d1fef2beb6ee322af72b40f07c76880536c612decf4b289450c55",
+        "cdc85dba9da8571f2c066fd47b8c6e908a62b8a8bddf79d6205f6b4f98be9946",
     "adaptive/quick/cassandra":
-        "2d5a4e7c93929a5fae20fb9f0bab27cb5a9fdf81ef0930fb7eaaf8af77150fbb",
+        "e0132eb182fa4c99e331d44f9b02d58e0f3f1d4252c76cd7da8a580b1c11dec7",
     "geo/full/cassandra":
-        "a704cd1349cd0613e51b26d37ca66cdf52c04394e83bcb1ed1bd8082d2b6f56b",
+        "bde04e1e71a78027c451566114a3923d82757b4cebc4563cd3193b229fcf9a34",
     "geo/quick/cassandra":
-        "36932dd356162c4dccd41294e72e5db0a8c274d46b04f73a335c20b7eba195f3",
+        "e92f085ea2fb3eaf6bfa1a49e319436beb8d397d90ae5848d6a7c29b4a5283ab",
     "surge/full/hbase":
-        "8827dc989e9e080ff0829928b0b62f1d831f05eab8a3ba268799aa89f00708cb",
+        "2e09c4e3a49560f872877b678d0907b65374611abcc5cd0f4e2652ae30ce7387",
     "surge/full/cassandra":
-        "792d874290cd72aac377c7ecb6147f18b8bc9558a9f2363fa4246c76016dcb09",
+        "fce9af7adeec5154827393566b0b16708fafb4ae110ae546b10d36fca66fe1e7",
     "surge/quick/hbase":
-        "b225e9b7d1650476c485e701d919a82342b2f68f053c943e6d834a574849a33d",
+        "c8fb30ba99f52ba6b1ba15e133097ca33125c0b81eba182889721891cb1b63c2",
     "surge/quick/cassandra":
-        "2bcbef0126ffa3e761293a22d4d42c95f841cc105b9c9cad757097a5dcd7ee82",
+        "3dc02bc522fb935f3f496e96b96b0245a27a3cda721715a1a9a1f6d90999a4ae",
     "scale/full/hbase":
-        "a28a4d82f33cb7605cfd239e989030a250321ad2364fdc769d6834c9fe6b4852",
+        "50ad23d3da55976223431f968eb74c9862fffbcf3339b3002ef27897abee7daa",
     "scale/full/cassandra":
-        "5a0d905ad254a1d59992ce178de34783a440c45c2a7485dd96b0dffd7baa1341",
+        "6dcf2fb48a504d83f8316aa20645347fa48f58d95f5d2421622a03759236320f",
     "scale/quick/hbase":
-        "7c007834fcf53921eb7bc24cb9e28bf3d8ab1e8d2f747570a64c387d63a16fa9",
+        "b7ba2fb1caf8a76242cf3a16c8eccad4a1b575a0021498824d302fae68238339",
     "scale/quick/cassandra":
-        "9ec8f13dcccb34f6811df6247a43ba925d426da095d6d72cf32e832cb5a45cc9",
+        "ee5622a70ca8455c529b621134cd72596664e670e8451a3ebf59ba8fcfd62c68",
     "energy/full/hbase":
-        "e04cddff0646fbe15b705c04ee197495d7343380db1fabb36da8259822c4678b",
+        "4fa02a9f547e19a019d266e62d25fae92bec6035d48c4b5152ee3d45c3686961",
     "energy/full/cassandra":
-        "7729109fe09a35d4d8ac9bfdd70da3f2d19a21a32cad9cd54239419a9e007239",
+        "94260abbf0b71e4be0125d51546f4c9a9bab5503bd63359ad8d7258ac5c1627a",
     "energy/quick/hbase":
-        "c517efb726182494fc221e163056142544cca49d0f405f8f1d0ea229b326a7bd",
+        "b7e13095c907eb9bd7aac01fa0b8d21191041b430c03a799784389efb7708291",
     "energy/quick/cassandra":
-        "7002328d6ff7402d0382723d14c4da46e5aed4926ddb1c5eef0b3bdbb7307b91",
+        "85c42d1e80675c548acc88feb6827aec0a830232d6073a7d1e0f889f8f351a94",
 }
 
 

@@ -204,8 +204,7 @@ class TestDcFaultValidation:
         from repro.cluster.geo import GeoCluster, GeoSpec
         env = Environment()
         return GeoCluster(env, GeoSpec(datacenters={"eu-west": 2,
-                                                    "us-west": 2},
-                                       client_datacenter="eu-west"),
+                                                    "us-west": 2}),
                           RngRegistry(3))
 
     def test_dc_fault_spec_requires_a_datacenter(self):

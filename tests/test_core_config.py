@@ -1,15 +1,71 @@
 """Unit tests for experiment configuration."""
 
+import dataclasses
+import typing
+
 import pytest
 
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.core.config import (
+    ArrivalConfig,
     CassandraConfig,
     ExperimentConfig,
     default_micro_config,
     default_stress_config,
 )
+from repro.storage.lsm import StorageSpec
 from repro.ycsb.workload import STRESS_WORKLOADS
+
+
+def _leaves(cls, prefix=""):
+    """Dotted paths of every settable value under dataclass ``cls``:
+    nested (and ``Optional``) dataclass fields are walked, anything else
+    — a number, a string, a tuple of fault or scale specs — is a leaf."""
+    hints = typing.get_type_hints(cls)
+    for field in dataclasses.fields(cls):
+        kind = hints[field.name]
+        inner = [a for a in typing.get_args(kind) if a is not type(None)]
+        if typing.get_origin(kind) is typing.Union and len(inner) == 1:
+            kind = inner[0]
+        if dataclasses.is_dataclass(kind):
+            yield from _leaves(kind, f"{prefix}{field.name}.")
+        else:
+            yield prefix + field.name
+
+
+def test_settable_value_count():
+    """A new setting is a deliberate edit of this number: one a campaign
+    never varies is a constant, not a field."""
+    leaves = list(_leaves(ExperimentConfig))
+    assert len(leaves) == 94, "\n".join(leaves)
+
+
+_WORKLOAD = STRESS_WORKLOADS["read_mostly"]
+
+
+@pytest.mark.parametrize("build, names", [
+    (lambda: StorageSpec(memtable_flush_bytes=0), "memtable_flush_bytes=0"),
+    (lambda: StorageSpec(block_bytes=0), "block_bytes=0"),
+    (lambda: StorageSpec(block_cache_bytes=-1), "block_cache_bytes=-1"),
+    (lambda: StorageSpec(compaction_min_batch=1), "compaction_min_batch=1"),
+    (lambda: StorageSpec(compaction_max_batch=2), "compaction_max_batch=2"),
+    (lambda: ExperimentConfig(db="hbase", workload=_WORKLOAD,
+                              record_count=0, operation_count=10),
+     "record_count=0"),
+    (lambda: ExperimentConfig(db="hbase", workload=_WORKLOAD,
+                              record_count=10, operation_count=0),
+     "operation_count=0"),
+    (lambda: ExperimentConfig(db="hbase", workload=_WORKLOAD,
+                              record_count=10, operation_count=10,
+                              n_nodes=1), "n_nodes=1"),
+    (lambda: ArrivalConfig(rate=0.0), "rate=0.0"),
+    (lambda: ArrivalConfig(max_arrivals=0), "max_arrivals=0"),
+    (lambda: ArrivalConfig(process="bursty"), "flash_crowd"),
+], ids=["memtable", "block", "cache", "min_batch", "max_batch", "records",
+        "operations", "nodes", "rate", "arrivals", "process"])
+def test_config_errors_name_the_field_and_value(build, names):
+    with pytest.raises(ValueError, match=names):
+        build()
 
 
 class TestExperimentConfig:

@@ -276,7 +276,7 @@ class TestScaleReport:
         m = self._measurements([1.0])
         streams = [(2.0, 0, 4, 1000), (2.5, 1, 4, 500)]
         report = build_scale_report(m, [], config=ElasticityConfig(),
-                                    streams=streams, rebalances=2, splits=1)
+                                    streams=streams, rebalances=2)
         assert report["streamed_bytes"] == 1500
         assert report["stream_count"] == 2
-        assert report["rebalances"] == 2 and report["splits"] == 1
+        assert report["rebalances"] == 2

@@ -33,8 +33,7 @@ def rack() -> Cluster:
 
 def geo() -> GeoCluster:
     return GeoCluster(Environment(),
-                      GeoSpec(datacenters={dc: 3 for dc in DATACENTERS},
-                              client_datacenter="eu-west"),
+                      GeoSpec(datacenters={dc: 3 for dc in DATACENTERS}),
                       RngRegistry(5))
 
 

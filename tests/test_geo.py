@@ -42,7 +42,7 @@ class TestGeoCluster:
     def test_node_layout(self):
         env = Environment()
         geo = GeoCluster(env, GeoSpec(datacenters={"a": 2, "b": 3},
-                                      client_datacenter="a"),
+                                      client_datacenters=("a",)),
                          RngRegistry(1))
         assert len(geo.nodes) == 6  # 5 servers + client
         assert geo.datacenter_of(0) == "a"
@@ -52,8 +52,7 @@ class TestGeoCluster:
 
     def test_cross_dc_latency_dominates(self):
         env = Environment()
-        spec = GeoSpec(datacenters={"eu-west": 2, "us-west": 2},
-                       client_datacenter="eu-west")
+        spec = GeoSpec(datacenters={"eu-west": 2, "us-west": 2})
         geo = GeoCluster(env, spec, RngRegistry(2))
 
         def echo(payload):
@@ -78,7 +77,7 @@ class TestGeoCluster:
     def test_partition_and_heal(self):
         env = Environment()
         geo = GeoCluster(env, GeoSpec(datacenters={"a": 2, "b": 2},
-                                      client_datacenter="a"),
+                                      client_datacenters=("a",)),
                          RngRegistry(3))
         cut = geo.partition_datacenter("b")
         assert cut == [2, 3]

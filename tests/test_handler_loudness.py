@@ -303,8 +303,7 @@ def test_request_ending_in_the_verb_call_with_nobody_waiting():
     fails right there, and with nobody waiting for the coordinator's
     answer the failure stops the run, as the request's process did."""
     env = Environment()
-    geo = GeoCluster(env, GeoSpec(datacenters={"eu-west": 2, "us-west": 2},
-                                  client_datacenter="eu-west"),
+    geo = GeoCluster(env, GeoSpec(datacenters={"eu-west": 2, "us-west": 2}),
                      RngRegistry(5))
     cassandra = CassandraCluster(geo, CassandraSpec(
         replication=2, replication_per_dc={"eu-west": 1, "us-west": 1},
@@ -347,7 +346,11 @@ def test_master_locate_through_the_client():
     client = HBaseClient(hbase, hbase.master_node)
     raising, calls = _counted("master.locate")
     hbase.master.node.cpu_work = raising
-    client._assignment.clear()   # the next operation must look it up
+    # A stale map, every region at another server's address: the first
+    # attempt is refused and the retry must look the region up.
+    owners = list(client._assignment.values())
+    client._assignment = dict(zip(client._assignment,
+                                  owners[1:] + owners[:1]))
 
     def script():
         yield Timeout(env, 1e-3)

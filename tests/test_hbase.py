@@ -37,13 +37,6 @@ class TestRegion:
         assert region.contains(100) and region.contains(199)
         assert not region.contains(99) and not region.contains(200)
 
-    def test_covers_is_contains_on_keys(self):
-        from repro.keyspace import KEY_DOMAIN, key_for_token
-        region = Region(0, 100, KEY_DOMAIN)
-        for token in (0, 99, 100, 10**18, KEY_DOMAIN - 1):
-            assert region.covers(key_for_token(token)) \
-                == region.contains(token), token
-
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             Region(0, 5, 5)
@@ -236,8 +229,8 @@ class TestRegionMedium:
         server = medium.server
 
         def scenario():
-            yield medium.append_log(200, sync=False)
-            yield medium.append_log(200, sync=False)
+            yield medium.append_log(200)
+            yield medium.append_log(200)
 
         drive(env, scenario())
         wal_file = server.wal._wal_file

@@ -156,60 +156,6 @@ class TestFailureMonitor:
         assert region.available_at > 0
 
 
-class TestRegionSplit:
-    def test_split_halves_range_and_reroutes(self):
-        env, cluster, deployment = build()
-        region = deployment.regions[0]
-        start, end = region.start_token, region.end_token
-        daughter = deployment.split_region(region)
-        mid = start + (end - start) // 2
-        assert (region.start_token, region.end_token) == (start, mid)
-        assert (daughter.start_token, daughter.end_token) == (mid, end)
-        assert deployment.region_for_token(start) is region
-        assert deployment.region_for_token(mid) is daughter
-        assert deployment.region_for_token(end - 1) is daughter
-        # Daughter opens on the parent's server and META knows it.
-        assert deployment.master.assignment[daughter.region_id] \
-            == region.medium.server.node.node_id
-        assert deployment.splits == [(0.0, region.region_id,
-                                      daughter.region_id)]
-        assert region.available_at > 0 and daughter.available_at > 0
-
-    def test_split_partitions_data(self):
-        from repro.keyspace import key_for_token
-
-        env, cluster, deployment = build()
-        region = deployment.regions[0]
-        width = region.end_token - region.start_token
-        keys = [key_for_token(region.start_token + i * width // 8)
-                for i in range(8)]
-
-        def load():
-            for i, key in enumerate(keys):
-                yield from region.tree.put(key, i, 100, float(i))
-
-        env.run(until=env.process(load()))
-        daughter = deployment.split_region(region)
-        split_key = key_for_token(region.end_token)
-
-        def check():
-            for i, key in enumerate(keys):
-                owner = daughter if key >= split_key else region
-                other = region if owner is daughter else daughter
-                found = yield from owner.tree.get(key)
-                assert found is not None and found[0] == i
-                missing = yield from other.tree.get(key)
-                assert missing is None
-
-        env.run(until=env.process(check()))
-        assert any(k >= split_key for k in keys)  # both sides exercised
-
-    def test_tiny_region_refuses_split(self):
-        from repro.hbase.region import Region
-        with pytest.raises(ValueError):
-            Region(0, 5, 6).split(1, StorageSpec())
-
-
 class TestStandbyAndDecommission:
     def test_spare_servers_start_empty(self):
         _, _, deployment = build(n_nodes=6, spare_servers=1)

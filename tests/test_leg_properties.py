@@ -157,7 +157,7 @@ def test_rack_legs_match_the_five_stage_definition(script, seed, slow):
 @given(script=LEGS, seed=st.integers(0, 2**16))
 @settings(max_examples=100, deadline=None)
 def test_geo_legs_defer_exactly_the_cross_datacenter_ones(script, seed):
-    spec = GeoSpec(datacenters={"a": 2, "b": 1}, client_datacenter="b",
+    spec = GeoSpec(datacenters={"a": 2, "b": 1}, client_datacenters=("b",),
                    region_latency_s={frozenset({"a", "b"}): 0.04}, node=NODE)
     cluster = GeoCluster(Environment(), spec, RngRegistry(seed))
     assert len(cluster.nodes) == N_NODES

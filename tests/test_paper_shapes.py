@@ -522,7 +522,7 @@ class TestFlashCrowdShapes:
 class TestElasticityShapes:
     """The elasticity story: scaling while serving is *safe* (the
     oracle certifies no acknowledged write is lost to a bootstrap,
-    decommission or region split) and the autoscaler *decides from what
+    decommission or region rebalance) and the autoscaler *decides from what
     it observes* (a diurnal ramp breaches the static cluster's p95 at
     every seed, and the policy loop answers each breach with the
     scale-out an operator would have scheduled).  Cells run without a
@@ -635,26 +635,4 @@ class TestElasticityShapes:
         assert [e for _, e, _ in report["events"]] == \
             ["in_start", "in_done"]
         assert report["streamed_bytes"] > 0
-        assert unexpected_violations(summary["consistency"]) == 0
-
-    def test_split_under_load_is_safe(self):
-        """A region split mid-run (both halves pay the close/reopen
-        window) loses nothing: HBase's single-master model keeps every
-        acknowledged write readable through the cutover."""
-        from repro.consistency.oracle import unexpected_violations
-        from repro.core.experiment import summarize_run
-        session = self._session("hbase", "static")
-        deployment = session.hbase
-
-        def splitter():
-            yield session.env.timeout(4.0)
-            region = max(deployment.regions,
-                         key=lambda r: r.end_token - r.start_token)
-            deployment.split_region(region)
-
-        session.env.process(splitter(), name="mid-run-split")
-        result = session.run_cell(open_loop=True, scale=True,
-                                  check_consistency=True)
-        summary = summarize_run(result)
-        assert summary["scale"]["splits"] == 1
         assert unexpected_violations(summary["consistency"]) == 0

@@ -158,15 +158,23 @@ class TestLsmMechanics:
         drive(env, scenario())
         assert tree.cache.hits > 0
 
-    def test_wal_records_appends(self, tree_env):
+    def test_wal_records_appends(self, tree_env, monkeypatch):
         env, tree = tree_env
+        appended = []
+        append_log = tree.medium.append_log
+
+        def recording(size):
+            appended.append(size)
+            return append_log(size)
+
+        monkeypatch.setattr(tree.medium, "append_log", recording)
 
         def scenario():
             yield from tree.put("a", 1, 123, 1.0)
             yield from tree.put("b", 2, 456, 1.0)
 
         drive(env, scenario())
-        assert tree.wal.appends == 2
+        assert appended == [123, 456]
 
     def test_put_charges_simulated_time(self, tree_env):
         env, tree = tree_env
@@ -191,26 +199,6 @@ class TestLsmMechanics:
         assert tree.node.disk.bytes_read > 0
 
 
-class TestWalSync:
-    def test_sync_wal_is_slower(self):
-        def latency(sync):
-            env = Environment()
-            cluster = Cluster(env, ClusterSpec(n_nodes=1), RngRegistry(5))
-            node = cluster.node(0)
-            spec = StorageSpec(wal_sync_each_append=sync)
-            tree = LsmTree(env, node, LocalDiskMedium(node), spec)
-
-            def scenario():
-                start = env.now
-                for i in range(20):
-                    yield from tree.put(f"k{i}", i, 100, 1.0)
-                return env.now - start
-
-            return env.run(until=env.process(scenario()))
-
-        assert latency(True) > latency(False) * 5
-
-
 class _GatedMedium:
     """A medium whose block reads wait for ``gate``; everything else is
     free.  Lets a test hold a read on its first block miss, change the
@@ -220,9 +208,8 @@ class _GatedMedium:
         self.gate = env.event()
         self.block_reads = 0
 
-    def append_log(self, size, sync):
-        return
-        yield  # pragma: no cover
+    def append_log(self, size):
+        return None
 
     def read_block(self, size, priority, handle=None):
         self.block_reads += 1

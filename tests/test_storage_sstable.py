@@ -21,12 +21,6 @@ class TestSSTable:
         assert len(table) == 50
         assert table.size_bytes == 5000
 
-    def test_key_range(self):
-        table = build(10)
-        assert table.key_range == ("k00000", "k00009")
-        empty = SSTable([], block_bytes=1024)
-        assert empty.key_range is None
-
     def test_unsorted_entries_rejected(self):
         with pytest.raises(ValueError):
             SSTable([("b", 1, 1.0, 10), ("a", 2, 1.0, 10)], block_bytes=1024)
