@@ -22,6 +22,7 @@ from repro.core.config import CassandraConfig, ExperimentConfig
 from repro.core.experiment import ExperimentSession
 from repro.core.report import render_table
 from repro.keyspace import key_for_index
+from repro.sim.kernel import AllOf
 from repro.ycsb.workload import STRESS_WORKLOADS
 
 
@@ -102,7 +103,7 @@ def compare_repair_cost() -> None:
 
         writer_proc = env.process(writer())
         reader_proc = env.process(reader())
-        env.run(until=writer_proc & reader_proc)
+        env.run(until=AllOf(env, [writer_proc, reader_proc]))
         env.run(until=env.now + 2)  # drain background repairs
         stats = cassandra.total_stats()
         rows.append([label, sum(latencies) / len(latencies) * 1000,

@@ -107,26 +107,20 @@ class AdaptiveController:
         self.log.record(self.monitor.clock(), kind, key, cl)
         return cl
 
-    def _write(self, method, key: str, value: Any, size: int) -> Generator:
+    # -- DbBinding protocol ----------------------------------------------
+
+    def write(self, key: str, value: Any, size: int) -> Generator:
         self._decide_write(key)
         invoked = self.monitor.clock()
         # The sketch learns the write at *invocation*: a read racing the
         # in-flight fan-out is exactly the at-risk population.
         self.monitor.observe_write(key, invoked)
         try:
-            result = yield from method(key, value, size)
+            result = yield from self.inner.write(key, value, size)
         except Exception:
             self.monitor.observe_error()
             raise
         return result
-
-    # -- DbBinding protocol ----------------------------------------------
-
-    def insert(self, key: str, value: Any, size: int) -> Generator:
-        return self._write(self.inner.insert, key, value, size)
-
-    def update(self, key: str, value: Any, size: int) -> Generator:
-        return self._write(self.inner.update, key, value, size)
 
     def read(self, key: str, size: int) -> Generator:
         at_risk = self.monitor.at_risk(key)

@@ -17,13 +17,10 @@ class ConsistencyLevel(enum.Enum):
     """How many replicas must respond before the coordinator answers.
 
     The paper benchmarks ONE, QUORUM and "write ALL" (write at ALL, read
-    at ONE); TWO/THREE exist in Cassandra and are included for
-    completeness.
+    at ONE).
     """
 
     ONE = "ONE"
-    TWO = "TWO"
-    THREE = "THREE"
     QUORUM = "QUORUM"
     ALL = "ALL"
     #: Datacenter-local levels (geo deployments, the paper's §6 future
@@ -47,29 +44,21 @@ class ConsistencyLevel(enum.Enum):
         For the LOCAL_* levels ``replication`` should be the number of
         replicas *in the coordinator's datacenter* (the coordinator passes
         that); on single-datacenter clusters it is simply the total.
+        No level asks for more than ``replication``, so the answer is
+        always between 1 and ``replication``.
         """
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
         if self in (ConsistencyLevel.ONE, ConsistencyLevel.LOCAL_ONE):
-            needed = 1
-        elif self is ConsistencyLevel.TWO:
-            needed = 2
-        elif self is ConsistencyLevel.THREE:
-            needed = 3
-        elif self in (ConsistencyLevel.QUORUM,
-                      ConsistencyLevel.LOCAL_QUORUM,
-                      ConsistencyLevel.EACH_QUORUM):
+            return 1
+        if self in (ConsistencyLevel.QUORUM,
+                    ConsistencyLevel.LOCAL_QUORUM,
+                    ConsistencyLevel.EACH_QUORUM):
             # EACH_QUORUM counts per datacenter on geo clusters (the
             # coordinator handles that); here it degrades to a plain
             # quorum of whatever replica pool the caller passed.
-            needed = replication // 2 + 1
-        else:
-            needed = replication
-        if needed > replication:
-            raise UnavailableError(
-                f"consistency {self.value} needs {needed} replicas but the "
-                f"replication factor is only {replication}")
-        return needed
+            return replication // 2 + 1
+        return replication
 
     def is_strong_with(self, other: "ConsistencyLevel",
                        replication: int) -> bool:

@@ -86,7 +86,7 @@ def wait_for_k(env: Environment, events: list[Event], k: int,
     timeouts and sheds into values) or when it *failed* (e.g. a replica
     handler crashing mid-request).  Failures are defused here: once
     ``done`` triggers early, the losers must not crash the whole
-    simulation through :meth:`~repro.sim.kernel.Environment.step`'s
+    simulation through :meth:`~repro.sim.kernel.Environment.run`'s
     unhandled-failure check.  If completion of all events cannot reach
     ``k`` successes, the event fails with ``failure``.
     """

@@ -162,11 +162,8 @@ class BreakerBinding:
         self.breaker.record_success()
         return result
 
-    def insert(self, key: str, value, size: int) -> Generator:
-        return self._guard(self.inner.insert, key, value, size)
-
-    def update(self, key: str, value, size: int) -> Generator:
-        return self._guard(self.inner.update, key, value, size)
+    def write(self, key: str, value, size: int) -> Generator:
+        return self._guard(self.inner.write, key, value, size)
 
     def read(self, key: str, size: int) -> Generator:
         return self._guard(self.inner.read, key, size)

@@ -102,13 +102,8 @@ class CacheAsideBinding:
             self._store(key, result)
         return result
 
-    def insert(self, key: str, value: Any, size: int) -> Generator:
-        result = yield from self.inner.insert(key, value, size)
-        self._invalidate(key)
-        return result
-
-    def update(self, key: str, value: Any, size: int) -> Generator:
-        result = yield from self.inner.update(key, value, size)
+    def write(self, key: str, value: Any, size: int) -> Generator:
+        result = yield from self.inner.write(key, value, size)
         self._invalidate(key)
         return result
 

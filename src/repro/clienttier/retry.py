@@ -124,11 +124,8 @@ class RetryBinding:
                 "budget_denied": self.budget_denied,
                 "exhausted": self.exhausted}
 
-    def insert(self, key: str, value, size: int) -> Generator:
-        return self._call(self.inner.insert, key, value, size)
-
-    def update(self, key: str, value, size: int) -> Generator:
-        return self._call(self.inner.update, key, value, size)
+    def write(self, key: str, value, size: int) -> Generator:
+        return self._call(self.inner.write, key, value, size)
 
     def read(self, key: str, size: int) -> Generator:
         return self._call(self.inner.read, key, size)

@@ -72,9 +72,6 @@ class HedgePolicy:
         self.min_samples = min_samples
         self._latencies: list[float] = []
         self._next = 0  # ring-buffer cursor once the window is full
-        #: Hedges issued / hedges whose duplicate answered first.
-        self.hedges = 0
-        self.wins = 0
 
     def observe(self, latency_s: float) -> None:
         """Record one completed request's latency (percentile history)."""
@@ -125,7 +122,6 @@ class HedgePolicy:
                 and not isinstance(primary._value, Exception):
             self.observe(env._now - start)
             return primary._value, False
-        self.hedges += 1
         spare = yield from launch_spare()
         contenders = (primary, spare)
         while True:
@@ -139,8 +135,6 @@ class HedgePolicy:
                     loser = spare if winner is primary else primary
                     if loser.is_alive:
                         loser.interrupt("hedge lost")
-                    if winner is spare:
-                        self.wins += 1
                     self.observe(env._now - start)
                     return winner._value, winner is spare
             if not pending:

@@ -29,14 +29,6 @@ class NodeSpec:
     ram_bytes: int = 32 * 1024**3
     disk: DiskSpec = DiskSpec()
     network: NetworkSpec = NetworkSpec()
-    #: JVM stop-the-world hiccups (mean seconds between pauses and mean
-    #: pause length, both exponential; 0 disables).  Off by default: the
-    #: per-message exponential latency tail already gives
-    #: wait-for-every-replica operations their straggler tax *smoothly*,
-    #: whereas rare multi-millisecond pauses make short benchmark cells
-    #: statistically unstable.  Enable for tail-latency studies.
-    gc_interval_s: float = 0.0
-    gc_pause_s: float = 0.0
 
 
 class Node:
@@ -73,13 +65,6 @@ class Node:
         #: when power management is enabled; ``None`` keeps the hot path
         #: free for always-on clusters.
         self.power = None
-        #: Handlers stall until this time while a GC pause is in effect.
-        self.paused_until = 0.0
-        self.gc_pauses = 0
-        self._rng = rng
-        self._gc_enabled = spec.gc_interval_s > 0 and spec.gc_pause_s > 0
-        self._next_gc_at = (rng.expovariate(1.0 / spec.gc_interval_s)
-                            if self._gc_enabled else float("inf"))
 
     def register(self, verb: str,
                  handler: Callable[[object], Union[Event, Generator]],
@@ -99,11 +84,7 @@ class Node:
             self.verb_cpu[verb] = cpu_s
 
     def cpu_work(self, seconds: float) -> Generator:
-        """Hold one core for ``seconds`` of computation (a process).
-
-        Stalls first if a GC pause is in effect — application threads do
-        not run during a stop-the-world collection.
-        """
+        """Hold one core for ``seconds`` of computation (a process)."""
         if seconds <= 0:
             return
         end = self.reserve_cpu(seconds)
@@ -116,19 +97,13 @@ class Node:
         (and no earlier than now); returns the absolute completion time.
 
         CPU claims are FIFO and never cancelled, so ``start = max(at,
-        now, earliest free core, GC pause end)`` reproduces a
+        now, earliest free core)`` reproduces a
         ``Resource(capacity=cores)`` wait queue exactly, at a single
         timeout event instead of a request round-trip.
         """
         start = self.env._now
         if at > start:
             start = at
-        if self._gc_enabled:
-            # paused_until only ever advances from the schedule, so a
-            # node with GC disabled can skip both checks entirely.
-            self._advance_gc_schedule()
-            if self.paused_until > start:
-                start = self.paused_until
         earliest = self._core_free[0]
         if earliest > start:
             start = earliest
@@ -142,22 +117,6 @@ class Node:
         if self.power is not None:
             self.power.note_busy(end)
         return end
-
-    def _advance_gc_schedule(self) -> None:
-        """Materialize the GC pause schedule up to "now".
-
-        The schedule is evaluated lazily (no background process), so an
-        idle simulation terminates; pauses that ended unobserved have no
-        effect, exactly as in reality.
-        """
-        while self._next_gc_at <= self.env.now:
-            pause = self._rng.expovariate(1.0 / self.spec.gc_pause_s)
-            end = self._next_gc_at + pause
-            if end > self.env.now:
-                self.paused_until = max(self.paused_until, end)
-            self.gc_pauses += 1
-            self._next_gc_at = end + self._rng.expovariate(
-                1.0 / self.spec.gc_interval_s)
 
     def __repr__(self) -> str:
         state = "up" if self.alive else "down"

@@ -147,7 +147,7 @@ class HistoryRecorder:
     def _record(self, **kwargs) -> None:
         self.history.add(HistoryOp(response_s=self.env.now, **kwargs))
 
-    def _write(self, method, key: str, value: Any, size: int) -> Generator:
+    def write(self, key: str, value: Any, size: int) -> Generator:
         self._next_id += 1
         op_id = self._next_id
         tag = f"{self.tag_prefix}{op_id}" if self.tag_writes else value
@@ -155,7 +155,7 @@ class HistoryRecorder:
         cl = self._write_cl() if self._write_cl is not None else None
         invoke = self.env.now
         try:
-            result = yield from method(key, tag, size)
+            result = yield from self.inner.write(key, tag, size)
         except OPERATION_ERRORS as exc:
             # UnavailableError is raised before any replica mutation is
             # issued — a definitive no.  Every other failure leaves the
@@ -170,12 +170,6 @@ class HistoryRecorder:
         self._record(op_id=op_id, session=session, kind="write", key=key,
                      invoke_s=invoke, outcome="ok", value=tag, cl=cl)
         return result
-
-    def insert(self, key: str, value: Any, size: int) -> Generator:
-        return self._write(self.inner.insert, key, value, size)
-
-    def update(self, key: str, value: Any, size: int) -> Generator:
-        return self._write(self.inner.update, key, value, size)
 
     def read(self, key: str, size: int) -> Generator:
         self._next_id += 1

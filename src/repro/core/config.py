@@ -10,6 +10,7 @@ from typing import Optional
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.cluster.elasticity import ElasticityConfig, ScaleEventSpec
 from repro.cluster.failure import FaultSpec
+from repro.cluster.geo import DEFAULT_REGION_RTTS
 from repro.energy.cost import CostSpec
 from repro.energy.power import POWER_MODES, PowerSpec
 from repro.storage.lsm import StorageSpec
@@ -222,41 +223,35 @@ class CassandraConfig:
 class GeoConfig:
     """Multi-datacenter deployment description for one cell.
 
-    JSON-safe mirror of :class:`repro.cluster.geo.GeoSpec`: dict-like
-    fields are ``(key, value)`` pair tuples and the WAN latency matrix
-    is ``(dc_a, dc_b, one_way_s)`` triples, so the whole config hashes
-    into the cell-cache fingerprint unchanged.  Cassandra-only — the
-    geo campaign exercises per-DC replica placement and the DC-aware
+    JSON-safe mirror of the variable part of
+    :class:`repro.cluster.geo.GeoSpec`: dict-like fields are ``(key,
+    value)`` pair tuples, so the whole config hashes into the cell-cache
+    fingerprint unchanged.  The rest of the layout is fixed: the WAN
+    latencies are :data:`repro.cluster.geo.DEFAULT_REGION_RTTS`, the WAN
+    bandwidth is ``GeoSpec``'s, and every datacenter hosts one client
+    node (appended after the servers, in datacenter order; runs pick
+    their region via ``RunSpec.client_dc``).  Cassandra-only — the geo
+    campaign exercises per-DC replica placement and the DC-aware
     consistency levels, which are Cassandra concepts.
     """
 
     #: ``(datacenter, server_count)`` pairs, in node-id order.
     datacenters: tuple = (("eu-west", 3), ("us-west", 3),
                           ("ap-southeast", 3))
-    #: Which datacenters host a client node (one per region, appended
-    #: after the servers in this order); runs pick their region via
-    #: ``RunSpec.client_dc``.
-    client_datacenters: tuple = ("eu-west", "us-west", "ap-southeast")
     #: ``(datacenter, replicas)`` pairs (NetworkTopologyStrategy).
     replication_per_dc: tuple = (("eu-west", 3), ("us-west", 3),
                                  ("ap-southeast", 3))
-    #: One-way cross-DC latencies as ``(dc_a, dc_b, seconds)`` triples
-    #: (defaults mirror :data:`repro.cluster.geo.DEFAULT_REGION_RTTS`).
-    region_rtt_s: tuple = (("eu-west", "us-west", 0.075),
-                           ("eu-west", "ap-southeast", 0.090),
-                           ("us-west", "ap-southeast", 0.085))
-    #: Inter-DC usable bandwidth per flow (bytes/s).
-    wan_bandwidth_bps: float = 30e6
 
     def __post_init__(self) -> None:
         names = [dc for dc, _ in self.datacenters]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate datacenters in {names}")
+        legal = sorted(set().union(*DEFAULT_REGION_RTTS))
+        for dc in names:
+            if dc not in legal:
+                raise ValueError(f"GeoConfig.datacenters: {dc!r} has no WAN "
+                                 f"latencies; choose from {legal}")
         counts = dict(self.datacenters)
-        for dc in self.client_datacenters:
-            if dc not in counts:
-                raise ValueError(f"client datacenter {dc!r} is not a "
-                                 f"configured datacenter")
         for dc, rf in self.replication_per_dc:
             if dc not in counts:
                 raise ValueError(f"replication configured for unknown "
@@ -264,18 +259,24 @@ class GeoConfig:
             if rf > counts[dc]:
                 raise ValueError(f"datacenter {dc!r} has {counts[dc]} "
                                  f"servers but replication {rf} requested")
-        covered = {frozenset({a, b}) for a, b, _ in self.region_rtt_s}
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                if frozenset({a, b}) not in covered:
-                    raise ValueError(f"no WAN latency configured between "
-                                     f"{a!r} and {b!r}")
 
     @property
     def total_nodes(self) -> int:
-        """Servers plus one client node per client datacenter."""
+        """Servers plus one client node per datacenter."""
         return (sum(count for _, count in self.datacenters)
-                + len(self.client_datacenters))
+                + len(self.datacenters))
+
+
+def check_run_pacing(owner: str, target_throughput: Optional[float],
+                     n_threads: Optional[int]) -> None:
+    """Reject a closed-loop pacing that would silently run another
+    experiment: a target of 0 runs unthrottled, zero threads measure
+    nothing.  ``None`` means "not given" for both."""
+    if target_throughput is not None and not target_throughput > 0:
+        raise ValueError(f"{owner}.target_throughput={target_throughput}: "
+                         f"must be None (full speed) or > 0")
+    if n_threads is not None and n_threads < 1:
+        raise ValueError(f"{owner}.n_threads={n_threads}: must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -336,11 +337,19 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.db not in ("hbase", "cassandra"):
             raise ValueError(f"unknown db {self.db!r}")
-        for name in ("record_count", "operation_count"):
+        for name in ("record_count", "operation_count", "load_threads"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"ExperimentConfig.{name}={value}: "
                                  f"must be >= 1")
+        check_run_pacing("ExperimentConfig", self.target_throughput,
+                         self.n_threads)
+        if not 0 <= self.warmup_fraction < 1:
+            raise ValueError(f"ExperimentConfig.warmup_fraction="
+                             f"{self.warmup_fraction}: must be in [0, 1)")
+        if not self.settle_s >= 0:
+            raise ValueError(f"ExperimentConfig.settle_s={self.settle_s}: "
+                             f"must be >= 0")
         if self.n_nodes < 2:
             raise ValueError(f"ExperimentConfig.n_nodes={self.n_nodes}: "
                              f"need at least one server node plus the "
@@ -364,7 +373,7 @@ class ExperimentConfig:
                 raise ValueError(
                     f"n_nodes={self.n_nodes} does not match the geo "
                     f"layout's {self.geo.total_nodes} nodes "
-                    f"(servers + one client per client datacenter)")
+                    f"(servers + one client per datacenter)")
 
     @property
     def replication(self) -> int:
@@ -511,7 +520,6 @@ def default_geo_config(read_cl: ConsistencyLevel = ConsistencyLevel.LOCAL_QUORUM
     regions = ("eu-west", "us-west", "ap-southeast")
     geo = GeoConfig(
         datacenters=tuple((dc, servers_per_dc) for dc in regions),
-        client_datacenters=regions,
         replication_per_dc=tuple((dc, replicas_per_dc) for dc in regions))
     return ExperimentConfig(
         db="cassandra",

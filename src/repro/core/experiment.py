@@ -28,7 +28,7 @@ from repro.cluster.failure import FailureInjector
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.consistency.history import HistoryRecorder
 from repro.consistency.oracle import build_consistency_report
-from repro.core.config import ExperimentConfig
+from repro.core.config import ExperimentConfig, check_run_pacing
 from repro.core.failover import StalenessProbe, build_failover_report
 from repro.energy.meter import EnergyMeter
 from repro.energy.power import PowerManager
@@ -324,15 +324,11 @@ class ExperimentSession:
         geo = config.geo
         if geo is not None:
             from repro.cluster.geo import GeoCluster, GeoSpec
-            region_latency = {frozenset({a, b}): s
-                              for a, b, s in geo.region_rtt_s}
+            regions = tuple(dc for dc, _ in geo.datacenters)
             self.cluster = GeoCluster(self.env, GeoSpec(
                 datacenters=dict(geo.datacenters),
-                client_datacenters=tuple(geo.client_datacenters),
-                region_latency_s=region_latency,
-                wan_bandwidth_bps=geo.wan_bandwidth_bps), self.rngs)
-            client_nodes = {dc: self.cluster.client_in(dc)
-                            for dc in geo.client_datacenters}
+                client_datacenters=regions), self.rngs)
+            client_nodes = {dc: self.cluster.client_in(dc) for dc in regions}
         else:
             self.cluster = Cluster(self.env,
                                    ClusterSpec(n_nodes=config.n_nodes),
@@ -560,6 +556,7 @@ class ExperimentSession:
                     raise ValueError(
                         f"{name} is closed-loop only: an open_loop run is "
                         "sized and paced by config.arrivals")
+        check_run_pacing("run_cell", target_throughput, n_threads)
         run = self._new_run(client_dc)
         if (read_cl or write_cl) and run.session is None:
             raise ValueError("consistency levels only apply to Cassandra")

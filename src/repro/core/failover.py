@@ -86,7 +86,7 @@ class StalenessProbe:
             self._seq += 1
             seq = self._seq
             try:
-                yield from self.db.update(self.key, seq, self.record_bytes)
+                yield from self.db.write(self.key, seq, self.record_bytes)
                 self._acked = max(self._acked, seq)
             except OPERATION_ERRORS:
                 pass

@@ -21,7 +21,7 @@ __all__ = ["ABLATION_COLUMNS", "ADAPTIVE_COLUMNS", "ENERGY_CAMPAIGN_COLUMNS",
            "energy_rollup", "failover_timelines", "micro_columns",
            "render_adaptive_timeline", "render_check_report",
            "render_consistency_panels", "render_failover_timeline",
-           "render_progress", "render_series", "render_table",
+           "render_progress", "render_table",
            "run_energy", "walk_leaves"]
 
 
@@ -98,13 +98,6 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence],
     for row in text_rows:
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def render_series(name: str, series: Sequence[tuple[float, float]],
-                  x_label: str = "x", y_label: str = "y") -> str:
-    """One figure series as aligned (x, y) rows."""
-    rows = [(x, y) for x, y in series]
-    return render_table([x_label, y_label], rows, title=name)
 
 
 # -- column lists: (header, extractor(leaf)) ---------------------------------

@@ -991,7 +991,7 @@ def _geo_cells(db: str, scale: Scale, modes: Sequence[str],
                                    read_cl=read_cl, write_cl=write_cl,
                                    faults=shape is not None,
                                    check=True, client_dc=region)
-                           for region in config.geo.client_datacenters),
+                           for region, _ in config.geo.datacenters),
                 warm=None))
     return cells
 

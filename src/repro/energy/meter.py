@@ -74,19 +74,11 @@ class EnergyReport:
 class EnergyMeter:
     """Snapshots node counters and integrates power between them.
 
-    ``nodes`` fixes the billed set up front (the historical API);
-    ``nodes_source`` re-reads it at every snapshot instead, which is
-    what campaign cells use so elasticity topology changes bill
-    correctly.  Exactly one of the two must be provided.
+    ``nodes_source`` returns the cluster's current nodes; it is re-read
+    at every snapshot so elasticity topology changes bill correctly.
     """
 
-    def __init__(self, nodes=None, spec: PowerSpec = PowerSpec(), *,
-                 nodes_source=None) -> None:
-        if nodes_source is None:
-            if not nodes:
-                raise ValueError("meter needs at least one node")
-            fixed = list(nodes)
-            nodes_source = lambda: fixed
+    def __init__(self, nodes_source, spec: PowerSpec = PowerSpec()) -> None:
         self._nodes_source = nodes_source
         self.spec = spec
         self._start_time: float | None = None

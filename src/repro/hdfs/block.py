@@ -1,10 +1,10 @@
-"""Files, blocks and replica bookkeeping."""
+"""A DFS file and its replica set."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["BlockReplicaMap", "DfsFile"]
+__all__ = ["DfsFile"]
 
 
 @dataclass
@@ -25,31 +25,3 @@ class DfsFile:
 
     def held_by(self, node_id: int) -> bool:
         return node_id in self.locations
-
-
-class BlockReplicaMap:
-    """NameNode-side registry: path -> :class:`DfsFile`."""
-
-    def __init__(self) -> None:
-        self._files: dict[str, DfsFile] = {}
-
-    def __len__(self) -> int:
-        return len(self._files)
-
-    def __contains__(self, path: str) -> bool:
-        return path in self._files
-
-    def add(self, file: DfsFile) -> None:
-        if file.path in self._files:
-            raise ValueError(f"file {file.path!r} already exists")
-        self._files[file.path] = file
-
-    def get(self, path: str) -> DfsFile:
-        return self._files[path]
-
-    def remove(self, path: str) -> DfsFile:
-        return self._files.pop(path)
-
-    def files_on(self, node_id: int) -> list[DfsFile]:
-        """All files with a replica on ``node_id`` (used by failover logic)."""
-        return [f for f in self._files.values() if f.held_by(node_id)]

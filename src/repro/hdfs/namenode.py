@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.cluster.node import Node
-from repro.hdfs.block import BlockReplicaMap, DfsFile
+from repro.hdfs.block import DfsFile
 
 __all__ = ["NameNode"]
 
@@ -25,10 +25,10 @@ class NameNode:
         self.node = node
         self.datanode_ids = list(datanode_ids)
         self._rng = rng
-        self.namespace = BlockReplicaMap()
+        #: path -> file.
+        self.namespace: dict[str, DfsFile] = {}
         self._next_file_id = 0
         node.register("nn.create", self._handle_create)
-        node.register("nn.delete", self._handle_delete)
 
     def choose_targets(self, replication: int,
                        writer_id: Optional[int]) -> list[int]:
@@ -53,7 +53,7 @@ class NameNode:
                        replication=replication,
                        locations=self.choose_targets(replication, writer_id),
                        size_bytes=0)
-        self.namespace.add(file)
+        self.namespace[file.path] = file
         return file
 
     # -- RPC handlers --------------------------------------------------
@@ -62,11 +62,3 @@ class NameNode:
         prefix, replication, writer_id, size = payload
         yield from self.node.cpu_work(_NS_OP_CPU_S)
         return self.create_file(prefix, replication, writer_id, size)
-
-    def _handle_delete(self, payload) -> Generator:
-        path = payload
-        yield from self.node.cpu_work(_NS_OP_CPU_S)
-        if path in self.namespace:
-            self.namespace.remove(path)
-            return True
-        return False

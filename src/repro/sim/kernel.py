@@ -153,16 +153,6 @@ class Event:
         heappush(env._queue, (env._now, NORMAL, env._seq, self))
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event (chaining)."""
-        if self._value is not _PENDING:
-            return
-        self._ok = event._ok
-        self._value = event._value
-        env = self.env
-        env._seq += 1
-        heappush(env._queue, (env._now, NORMAL, env._seq, self))
-
     def defuse(self) -> None:
         """Mark a failed event as handled so it does not crash the run."""
         self._defused = True
@@ -176,14 +166,6 @@ class Event:
         frame.
         """
         return (yield self)
-
-    # -- composition -------------------------------------------------
-
-    def __and__(self, other: "Event") -> "Condition":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return AnyOf(self.env, [self, other])
 
     def __repr__(self) -> str:
         state = "processed" if self.processed else (
@@ -250,10 +232,6 @@ class Timeout(Event):
     def fail(self, exception: BaseException) -> "Event":
         raise SimulationError("a Timeout fires by itself; it cannot be "
                               "failed manually")
-
-    def trigger(self, event: "Event") -> None:
-        raise SimulationError("a Timeout fires by itself; it cannot be "
-                              "chain-triggered")
 
 
 class Initialize(Event):
@@ -377,7 +355,7 @@ class Process(Event):
         # An ignored *failure* must still be defused: this process was a
         # legitimate subscriber, and if it was the only one, an abandoned
         # event that later fail()s would otherwise crash the whole run
-        # through :meth:`Environment.step`'s unhandled-failure check.
+        # through :meth:`Environment.run`'s unhandled-failure check.
         if self._target is not None and event is not self._target \
                 and not isinstance(event._value, Interrupt):
             if not event._ok:
@@ -567,36 +545,11 @@ class Environment:
         """
         return Process(self, generator, name=name, eager=eager)
 
-    # -- scheduling / stepping ---------------------------------------
+    # -- scheduling --------------------------------------------------
 
     def _schedule(self, event: Event, priority: int, delay: float) -> None:
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process the single next event."""
-        if not self._queue:
-            raise SimulationError("no scheduled events")
-        self._now, priority, seq, event = heapq.heappop(self._queue)
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:
-            return  # event was already processed (e.g. condition re-push)
-        if event._value is _PENDING:
-            # A timeout fires now: materialize its delayed value (pending
-            # timeouts are the only untriggered events on the queue).
-            event._value = event._delayed_value
-        self.processed_events += 1
-        if self.trace is not None:
-            self.trace(self._now, priority, seq, event)
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            # Unhandled failure: surface it instead of losing it.
-            raise event._value
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
@@ -604,11 +557,10 @@ class Environment:
         ``until`` may be ``None`` (run to queue exhaustion), a time, or an
         :class:`Event` (run until the event triggers; returns its value).
 
-        The dispatch loop is deliberately flat: :meth:`step` is inlined
-        (it remains available for single-stepping) because at stress-cell
-        scale the loop runs hundreds of thousands of iterations and the
-        method call plus re-reads of ``self._queue``/``self.trace``
-        dominate the profile.
+        This is the kernel's one dispatch loop.  It is deliberately flat
+        (no per-event method call, ``self._queue`` / ``self.trace``
+        hoisted into locals) because at stress-cell scale it runs
+        hundreds of thousands of iterations.
         """
         stop_event: Optional[Event] = None
         stop_time = float("inf")
@@ -636,7 +588,6 @@ class Environment:
                 if queue[0][0] > stop_time:
                     self._now = stop_time
                     return None
-                # -- inlined step() ------------------------------------
                 self._now, priority, seq, event = pop(queue)
                 callbacks = event.callbacks
                 if callbacks is None:

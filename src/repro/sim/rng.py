@@ -38,9 +38,3 @@ class RngRegistry:
             rng = random.Random(derived)
             self._streams[name] = rng
         return rng
-
-    def fork(self, salt: str) -> "RngRegistry":
-        """Derive a child registry (e.g. one per experiment repetition)."""
-        derived = (self.seed * 0x9E3779B97F4A7C15 + zlib.crc32(salt.encode())) \
-            & 0xFFFFFFFFFFFFFFFF
-        return RngRegistry(derived)

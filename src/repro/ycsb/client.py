@@ -114,7 +114,7 @@ class YcsbClient:
         for index in indexes:
             payload, _ = self.workload.next_value()
             try:
-                yield from self.db.insert(key_for_index(index), payload, size)
+                yield from self.db.write(key_for_index(index), payload, size)
             except OPERATION_ERRORS:
                 continue
 
@@ -199,11 +199,11 @@ def _execute(db: DbBinding, workload: Workload, op: OperationType,
     size = workload.spec.record_bytes
     if op is OperationType.INSERT:
         payload, _ = workload.next_value()
-        yield from db.insert(workload.next_insert_key(), payload, size)
+        yield from db.write(workload.next_insert_key(), payload, size)
         return True
     if op is OperationType.UPDATE:
         payload, _ = workload.next_value()
-        yield from db.update(workload.next_read_key(), payload, size)
+        yield from db.write(workload.next_read_key(), payload, size)
         return True
     if op is OperationType.READ:
         key = read_key if read_key is not None else workload.next_read_key()
@@ -217,5 +217,5 @@ def _execute(db: DbBinding, workload: Workload, op: OperationType,
     key = workload.next_read_key()
     result = yield from db.read(key, size)
     payload, _ = workload.next_value()
-    yield from db.update(key, payload, size)
+    yield from db.write(key, payload, size)
     return result is not None

@@ -12,12 +12,13 @@ __all__ = ["CassandraBinding", "DbBinding", "HBaseBinding"]
 
 
 class DbBinding(Protocol):
-    """What a workload thread needs from a database."""
+    """What a workload thread needs from a database.
 
-    def insert(self, key: str, value: Any, size: int) -> Generator:
-        ...
+    Inserts and updates are one verb: both stores upsert, so a YCSB
+    insert differs from an update only in how its key was chosen.
+    """
 
-    def update(self, key: str, value: Any, size: int) -> Generator:
+    def write(self, key: str, value: Any, size: int) -> Generator:
         ...
 
     def read(self, key: str, size: int) -> Generator:
@@ -40,10 +41,7 @@ class HBaseBinding:
     def __init__(self, client: HBaseClient) -> None:
         self.client = client
 
-    def insert(self, key: str, value: Any, size: int) -> Generator:
-        return self.client.put(key, value, size)
-
-    def update(self, key: str, value: Any, size: int) -> Generator:
+    def write(self, key: str, value: Any, size: int) -> Generator:
         return self.client.put(key, value, size)
 
     def read(self, key: str, size: int) -> Generator:
@@ -72,10 +70,7 @@ class CassandraBinding:
         if write_cl is not None:
             session.write_cl = write_cl
 
-    def insert(self, key: str, value: Any, size: int) -> Generator:
-        return self.session.insert(key, value, size)
-
-    def update(self, key: str, value: Any, size: int) -> Generator:
+    def write(self, key: str, value: Any, size: int) -> Generator:
         return self.session.insert(key, value, size)
 
     def read(self, key: str, size: int) -> Generator:

@@ -17,7 +17,6 @@ from repro.keyspace import fnv64
 __all__ = [
     "CounterGenerator",
     "DiscreteGenerator",
-    "HotspotGenerator",
     "LatestGenerator",
     "ScrambledZipfianGenerator",
     "UniformGenerator",
@@ -164,30 +163,6 @@ class LatestGenerator:
         return max(0, last - min(offset, last))
 
 
-class HotspotGenerator:
-    """A fraction of operations hit a small hot set (YCSB hotspot)."""
-
-    def __init__(self, lo: int, hi: int, hot_set_fraction: float,
-                 hot_op_fraction: float, rng) -> None:
-        if not 0 <= hot_set_fraction <= 1 or not 0 <= hot_op_fraction <= 1:
-            raise ValueError("fractions must be in [0, 1]")
-        self.lo = lo
-        self.hi = hi
-        self.hot_set_fraction = hot_set_fraction
-        self.hot_op_fraction = hot_op_fraction
-        self._rng = rng
-        interval = hi - lo + 1
-        self._hot_items = max(1, int(hot_set_fraction * interval))
-
-    def next(self) -> int:
-        if self._rng.random() < self.hot_op_fraction:
-            return self.lo + self._rng.randrange(self._hot_items)
-        cold = (self.hi - self.lo + 1) - self._hot_items
-        if cold <= 0:
-            return self.lo + self._rng.randrange(self._hot_items)
-        return self.lo + self._hot_items + self._rng.randrange(cold)
-
-
 class DiscreteGenerator:
     """Weighted choice over labelled outcomes (YCSB operation chooser)."""
 
@@ -212,10 +187,6 @@ class DiscreteGenerator:
             if u <= edge:
                 return label
         return self._labels[-1]  # pragma: no cover - float guard
-
-    @property
-    def labels(self) -> list[str]:
-        return list(self._labels)
 
 
 def zipfian_pmf(n_items: int, theta: float = ZipfianGenerator.ZIPFIAN_CONSTANT) \

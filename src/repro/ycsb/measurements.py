@@ -43,10 +43,6 @@ class LatencyStats:
     def p999_ms(self) -> float:
         return self.p999 * 1000.0
 
-    @staticmethod
-    def empty() -> "LatencyStats":
-        return LatencyStats(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
 
 def percentile(sorted_values: list[float], fraction: float) -> float:
     """Nearest-rank percentile over pre-sorted samples.
@@ -62,6 +58,24 @@ def percentile(sorted_values: list[float], fraction: float) -> float:
     rank = max(0, min(len(sorted_values) - 1,
                       math.ceil(fraction * len(sorted_values)) - 1))
     return sorted_values[rank]
+
+
+def _summarize(latencies: list[float], errors: int) -> LatencyStats:
+    """:class:`LatencyStats` of pre-sorted ``latencies`` (all zeros when
+    there are none)."""
+    if not latencies:
+        return LatencyStats(0, errors, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    return LatencyStats(
+        count=len(latencies),
+        errors=errors,
+        mean=sum(latencies) / len(latencies),
+        minimum=latencies[0],
+        maximum=latencies[-1],
+        p50=percentile(latencies, 0.50),
+        p95=percentile(latencies, 0.95),
+        p99=percentile(latencies, 0.99),
+        p999=percentile(latencies, 0.999),
+    )
 
 
 class Measurements:
@@ -177,22 +191,7 @@ class Measurements:
         return offered / (self.last_arrival_at - self.first_arrival_at)
 
     def stats(self, op: str) -> LatencyStats:
-        samples = self.samples.get(op, [])
-        errors = self.errors.get(op, 0)
-        if not samples:
-            return LatencyStats(0, errors, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        latencies = self._sorted_latencies(op)
-        return LatencyStats(
-            count=len(latencies),
-            errors=errors,
-            mean=sum(latencies) / len(latencies),
-            minimum=latencies[0],
-            maximum=latencies[-1],
-            p50=percentile(latencies, 0.50),
-            p95=percentile(latencies, 0.95),
-            p99=percentile(latencies, 0.99),
-            p999=percentile(latencies, 0.999),
-        )
+        return _summarize(self._sorted_latencies(op), self.errors.get(op, 0))
 
     def overall_stats(self) -> LatencyStats:
         merged: list[float] = []
@@ -200,21 +199,8 @@ class Measurements:
             # Reuse the per-op sorted caches; concatenated sorted runs
             # re-sort in near-linear time (timsort run detection).
             merged.extend(self._sorted_latencies(op))
-        if not merged:
-            return LatencyStats(0, self.total_errors,
-                                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         merged.sort()
-        return LatencyStats(
-            count=len(merged),
-            errors=self.total_errors,
-            mean=sum(merged) / len(merged),
-            minimum=merged[0],
-            maximum=merged[-1],
-            p50=percentile(merged, 0.50),
-            p95=percentile(merged, 0.95),
-            p99=percentile(merged, 0.99),
-            p999=percentile(merged, 0.999),
-        )
+        return _summarize(merged, self.total_errors)
 
     def timeline_with_errors(
             self, bucket_s: float) -> list[tuple[float, int, float, int]]:

@@ -54,7 +54,7 @@ class WorkloadSpec:
     insert_proportion: float = 0.0
     scan_proportion: float = 0.0
     read_modify_write_proportion: float = 0.0
-    #: "zipfian" | "latest" | "uniform" — how read/update keys are chosen.
+    #: "zipfian" | "latest" — how read/update keys are chosen.
     request_distribution: str = "zipfian"
     #: Value payload size (paper: 1000 B stress, tiny micro records).
     record_bytes: int = 1000
@@ -68,7 +68,7 @@ class WorkloadSpec:
                  + self.read_modify_write_proportion)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"{self.name}: proportions sum to {total}, not 1")
-        if self.request_distribution not in ("zipfian", "latest", "uniform"):
+        if self.request_distribution not in ("zipfian", "latest"):
             raise ValueError(
                 f"unknown request distribution {self.request_distribution!r}")
 
@@ -87,7 +87,6 @@ class Workload:
             raise ValueError("record_count must be >= 1")
         self.spec = spec
         self.record_count = record_count
-        self._rng = rng
         self.insert_counter = CounterGenerator(start=record_count)
         self._op_chooser = DiscreteGenerator(
             [(OperationType.READ.value, spec.read_proportion),
@@ -98,7 +97,6 @@ class Workload:
               spec.read_modify_write_proportion)],
             rng)
         self._zipfian = ScrambledZipfianGenerator(record_count, rng)
-        self._uniform = UniformGenerator(0, record_count - 1, rng)
         self._latest = LatestGenerator(self.insert_counter, rng)
         self._scan_len = UniformGenerator(1, spec.max_scan_length, rng)
         self._op_sequence = 0
@@ -113,11 +111,6 @@ class Workload:
         dist = self.spec.request_distribution
         if dist == "latest":
             return self._latest.next()
-        if dist == "uniform":
-            hi = self.insert_counter.last()
-            if hi < self.record_count:
-                hi = self.record_count - 1
-            return self._rng.randint(0, hi)
         # Zipfian over everything inserted so far (hot heads scrambled).
         total = max(self.record_count, self.insert_counter.last() + 1)
         return self._zipfian.next_below(total)

@@ -25,7 +25,11 @@ compaction strategy and synchronous-log switch, six client-tier retry and
 breaker knobs, HBase's failure-detection / recovery / move windows,
 Cassandra's vnodes, the per-region staleness budgets) left the config:
 with those leaves put back at their old defaults, every cell hashed to
-its old digest.
+its old digest.  ``geo/*`` were re-recorded when ``GeoConfig`` lost its
+WAN latencies, WAN bandwidth and client-datacenter list (every cell used
+the geo layout's defaults and a client in every datacenter): with those
+three leaves put back at their old values, every cell hashed to its old
+digest.
 """
 
 import hashlib
@@ -118,9 +122,9 @@ PINS = {
     "adaptive/quick/cassandra":
         "e0132eb182fa4c99e331d44f9b02d58e0f3f1d4252c76cd7da8a580b1c11dec7",
     "geo/full/cassandra":
-        "bde04e1e71a78027c451566114a3923d82757b4cebc4563cd3193b229fcf9a34",
+        "a9b16101bbf55960dfd9479c350baefa2c66b4df790e5947967c2242839e292c",
     "geo/quick/cassandra":
-        "e92f085ea2fb3eaf6bfa1a49e319436beb8d397d90ae5848d6a7c29b4a5283ab",
+        "c40fb2f1fd87209d0ef08c5ac09416ccaf9bbbda7a07a3dafd5b492a8a6a8caf",
     "surge/full/hbase":
         "2e09c4e3a49560f872877b678d0907b65374611abcc5cd0f4e2652ae30ce7387",
     "surge/full/cassandra":

@@ -97,7 +97,7 @@ class TestWaitForK:
 
     def test_raised_failure_after_done_is_defused(self, env):
         # The losing proc fails AFTER done triggered early; its failure
-        # must not crash the simulation via step()'s unhandled check.
+        # must not crash the simulation via run()'s unhandled check.
         procs = [self.make_proc(env, 1.0), self.make_raising_proc(env, 2.0)]
 
         def waiter():

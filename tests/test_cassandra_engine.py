@@ -7,7 +7,7 @@ from repro.cassandra.consistency import ConsistencyLevel, UnavailableError
 from repro.cassandra.deployment import CassandraCluster, CassandraSpec
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.keyspace import key_for_index
-from repro.sim.kernel import Environment
+from repro.sim.kernel import AllOf, Environment
 from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec
 
@@ -326,7 +326,7 @@ class TestEventualConsistency:
             outputs = []
             writer_proc = env.process(writer(30))
             reader_proc = env.process(reader(outputs))
-            yield writer_proc & reader_proc
+            yield AllOf(env, [writer_proc, reader_proc])
             yield env.timeout(2)
             replicas = cassandra.replicas_of(key)
             timestamps = {cassandra.nodes[r].newest_timestamp(key)

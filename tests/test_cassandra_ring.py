@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.cassandra.consistency import ConsistencyLevel, UnavailableError
+from repro.cassandra.consistency import ConsistencyLevel
 from repro.cassandra.partitioner import TokenRing
 from repro.keyspace import KEY_DOMAIN, key_for_index
 
@@ -67,8 +67,6 @@ class TestTokenRing:
 class TestConsistencyLevel:
     @pytest.mark.parametrize("cl,rf,expected", [
         (ConsistencyLevel.ONE, 3, 1),
-        (ConsistencyLevel.TWO, 3, 2),
-        (ConsistencyLevel.THREE, 3, 3),
         (ConsistencyLevel.QUORUM, 1, 1),
         (ConsistencyLevel.QUORUM, 2, 2),
         (ConsistencyLevel.QUORUM, 3, 2),
@@ -81,9 +79,11 @@ class TestConsistencyLevel:
     def test_required(self, cl, rf, expected):
         assert cl.required(rf) == expected
 
-    def test_level_above_rf_unavailable(self):
-        with pytest.raises(UnavailableError):
-            ConsistencyLevel.THREE.required(2)
+    def test_required_is_between_one_and_rf(self):
+        # Why ``required`` has no "needs more replicas than RF" refusal.
+        for cl in ConsistencyLevel:
+            for rf in range(1, 7):
+                assert 1 <= cl.required(rf) <= rf
 
     def test_invalid_rf_rejected(self):
         with pytest.raises(ValueError):

@@ -379,11 +379,9 @@ class CountingBinding:
             return None
         return (f"v:{key}", 0.0)
 
-    def insert(self, key, value, size):
+    def write(self, key, value, size):
         yield self.env.timeout(0.01)
         return None
-
-    update = insert
 
     def scan(self, start_key, limit, record_bytes):
         yield self.env.timeout(0.01)
@@ -425,7 +423,7 @@ class TestCacheAside:
 
         def scenario():
             yield from cache.read("a", 100)
-            yield from cache.update("a", "new", 100)
+            yield from cache.write("a", "new", 100)
             yield from cache.read("a", 100)  # must go to the store
 
         _drive(env, scenario())

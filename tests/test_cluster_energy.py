@@ -9,7 +9,7 @@ from repro.energy.power import PowerSpec
 class TestEnergyMeter:
     def test_idle_cluster_draws_idle_power(self, small_cluster):
         env = small_cluster.env
-        meter = EnergyMeter(small_cluster.nodes)
+        meter = EnergyMeter(lambda: small_cluster.nodes)
         meter.start()
         env.timeout(10.0)
         env.run()
@@ -22,7 +22,7 @@ class TestEnergyMeter:
     def test_busy_cpu_adds_energy(self, small_cluster):
         env = small_cluster.env
         node = small_cluster.node(0)
-        meter = EnergyMeter(small_cluster.nodes)
+        meter = EnergyMeter(lambda: small_cluster.nodes)
         meter.start()
 
         def burn():
@@ -37,7 +37,7 @@ class TestEnergyMeter:
     def test_disk_adds_energy(self, small_cluster):
         env = small_cluster.env
         node = small_cluster.node(0)
-        meter = EnergyMeter(small_cluster.nodes)
+        meter = EnergyMeter(lambda: small_cluster.nodes)
         meter.start()
 
         def churn():
@@ -67,7 +67,7 @@ class TestEnergyMeter:
         env = small_cluster.env
         src, dst = small_cluster.node(0), small_cluster.node(1)
         nic = src.nic
-        meter = EnergyMeter(small_cluster.nodes)
+        meter = EnergyMeter(lambda: small_cluster.nodes)
         meter.start()
 
         def chatter():
@@ -88,7 +88,7 @@ class TestEnergyMeter:
         from repro.cluster.node import Node, NodeSpec
         env = small_cluster.env
         nodes = list(small_cluster.nodes)
-        meter = EnergyMeter(nodes_source=lambda: nodes)
+        meter = EnergyMeter(lambda: nodes)
         meter.start()
         env.run(until=6.0)
         # A node provisioned mid-window bills from its creation time,
@@ -113,17 +113,17 @@ class TestEnergyMeter:
         json.dumps(data)
 
     def test_stop_before_start_rejected(self, small_cluster):
-        meter = EnergyMeter(small_cluster.nodes)
+        meter = EnergyMeter(lambda: small_cluster.nodes)
         with pytest.raises(RuntimeError):
             meter.stop()
 
     def test_empty_nodes_rejected(self):
         with pytest.raises(ValueError):
-            EnergyMeter([])
+            EnergyMeter(lambda: []).start()
 
     def test_custom_power_spec(self, small_cluster):
         env = small_cluster.env
-        meter = EnergyMeter(small_cluster.nodes,
+        meter = EnergyMeter(lambda: small_cluster.nodes,
                             PowerSpec(idle_w=10.0, cpu_w=1.0, disk_w=1.0))
         meter.start()
         env.timeout(1.0)

@@ -194,11 +194,9 @@ class _StaleEveryThirdStore:
         self.versions: list[tuple] = []
         self._reads = 0
 
-    def update(self, key, value, size):
+    def write(self, key, value, size):
         yield self.env.timeout(0.01)
         self.versions.append((value, self.env.now))
-
-    insert = update
 
     def read(self, key, size):
         yield self.env.timeout(0.01)

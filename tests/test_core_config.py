@@ -10,9 +10,11 @@ from repro.core.config import (
     ArrivalConfig,
     CassandraConfig,
     ExperimentConfig,
+    GeoConfig,
     default_micro_config,
     default_stress_config,
 )
+from repro.core.experiment import ExperimentSession
 from repro.storage.lsm import StorageSpec
 from repro.ycsb.workload import STRESS_WORKLOADS
 
@@ -37,10 +39,15 @@ def test_settable_value_count():
     """A new setting is a deliberate edit of this number: one a campaign
     never varies is a constant, not a field."""
     leaves = list(_leaves(ExperimentConfig))
-    assert len(leaves) == 94, "\n".join(leaves)
+    assert len(leaves) == 91, "\n".join(leaves)
 
 
 _WORKLOAD = STRESS_WORKLOADS["read_mostly"]
+
+
+def _cell(**overrides):
+    return ExperimentConfig(db="hbase", workload=_WORKLOAD, record_count=10,
+                            operation_count=10, **overrides)
 
 
 @pytest.mark.parametrize("build, names", [
@@ -61,8 +68,27 @@ _WORKLOAD = STRESS_WORKLOADS["read_mostly"]
     (lambda: ArrivalConfig(rate=0.0), "rate=0.0"),
     (lambda: ArrivalConfig(max_arrivals=0), "max_arrivals=0"),
     (lambda: ArrivalConfig(process="bursty"), "flash_crowd"),
+    (lambda: _cell(n_threads=0), r"n_threads=0: must be >= 1"),
+    (lambda: _cell(load_threads=0), r"load_threads=0: must be >= 1"),
+    (lambda: _cell(warmup_fraction=1.0),
+     r"warmup_fraction=1.0: must be in \[0, 1\)"),
+    (lambda: _cell(warmup_fraction=-0.1),
+     r"warmup_fraction=-0.1: must be in \[0, 1\)"),
+    (lambda: _cell(settle_s=-1.0), r"settle_s=-1.0: must be >= 0"),
+    (lambda: _cell(target_throughput=0.0),
+     r"target_throughput=0.0: must be None \(full speed\) or > 0"),
+    (lambda: GeoConfig(datacenters=(("eu-west", 3), ("mars", 3)),
+                       replication_per_dc=()),
+     r"'mars' has no WAN latencies; choose from \['ap-southeast', "
+     r"'eu-west', 'us-west'\]"),
+    (lambda: ExperimentSession(_cell()).run_cell(target_throughput=0.0),
+     r"run_cell.target_throughput=0.0: must be None \(full speed\) or > 0"),
+    (lambda: ExperimentSession(_cell()).run_cell(n_threads=0),
+     r"run_cell.n_threads=0: must be >= 1"),
 ], ids=["memtable", "block", "cache", "min_batch", "max_batch", "records",
-        "operations", "nodes", "rate", "arrivals", "process"])
+        "operations", "nodes", "rate", "arrivals", "process", "threads",
+        "load_threads", "warmup", "warmup_negative", "settle", "target",
+        "geo_datacenter", "run_target", "run_threads"])
 def test_config_errors_name_the_field_and_value(build, names):
     with pytest.raises(ValueError, match=names):
         build()

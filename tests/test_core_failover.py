@@ -122,7 +122,7 @@ class FakeDb:
         self.stored = 0
         self.lag = 0  # read returns ``stored - lag`` (stale when > 0)
 
-    def update(self, key, value, size):
+    def write(self, key, value, size):
         yield self.env.timeout(0.001)
         self.stored = value
 

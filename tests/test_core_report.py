@@ -1,6 +1,6 @@
 """Unit tests for report rendering."""
 
-from repro.core.report import render_series, render_table, walk_leaves
+from repro.core.report import render_table, walk_leaves
 from repro.core.sweep import render_campaign
 
 
@@ -19,11 +19,6 @@ class TestRenderTable:
         text = render_table(["v"], [[3.14159], [123.456]])
         assert "3.142" in text
         assert "123.5" in text
-
-    def test_series(self):
-        text = render_series("curve", [(1.0, 2.0), (3.0, 4.0)],
-                             x_label="target", y_label="runtime")
-        assert "curve" in text and "target" in text
 
 
 def _op(mean_ms, joules_per_op=1.0, ops=100):

@@ -286,8 +286,7 @@ def _frames_entered(call, *args):
 
 def test_a_leg_is_one_function_and_never_a_process(monkeypatch):
     """The five stages are written out in ``Cluster.leg``: besides the
-    core reservations (``Node.reserve_cpu`` owns GC pauses and power
-    wake-ups) and the one ``Timeout`` it returns, a leg calls no Python
+    core reservations (``Node.reserve_cpu`` owns power wake-ups) and the one ``Timeout`` it returns, a leg calls no Python
     function — no per-stage helper, none to subscribe the caller — and
     one booked on arrival is two timeouts behind a plain event."""
     cluster = flat_cluster(n_nodes=2)
@@ -331,9 +330,9 @@ def _scripted_work(db: str) -> dict:
         for i in range(200):
             key = key_for_index((i * 37) % 100)
             if i < 100:
-                yield from binding.insert(key_for_index(i), i, size)
+                yield from binding.write(key_for_index(i), i, size)
             elif i % 4 == 0:
-                yield from binding.update(key, i, size)
+                yield from binding.write(key, i, size)
             elif i % 4 == 3 and i % 8 == 3:
                 yield from binding.scan(key, 5, size)
             else:

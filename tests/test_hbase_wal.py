@@ -1,4 +1,4 @@
-"""Unit tests for the group-commit WAL and node hiccup model."""
+"""Unit tests for the group-commit WAL."""
 
 import hashlib
 import random
@@ -8,10 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.node import NodeSpec
-from repro.cluster.topology import Cluster, ClusterSpec
-from repro.sim.kernel import AllOf, Environment
-from repro.sim.rng import RngRegistry
+from repro.sim.kernel import AllOf
 from tests.conftest import build_wal, schedule_appends
 
 
@@ -90,56 +87,6 @@ class TestGroupCommitWal:
         drive(env, scenario())
         assert wal._wal_file is not None
         assert wal._wal_file.size_bytes <= 9 * 1024 * 1024
-
-
-class TestGcHiccups:
-    def test_pauses_stall_cpu_work(self):
-        env = Environment()
-        spec = NodeSpec(gc_interval_s=0.5, gc_pause_s=0.05)
-        cluster = Cluster(env, ClusterSpec(n_nodes=1, node=spec),
-                          RngRegistry(7))
-        node = cluster.node(0)
-
-        def scenario():
-            total_pauses = 0
-            for _ in range(2000):
-                yield from node.cpu_work(1e-5)
-                yield env.timeout(1e-3)
-            return node.gc_pauses
-
-        pauses = drive(env, scenario())
-        assert pauses > 0
-
-    def test_disabled_by_zero_interval(self):
-        env = Environment()
-        spec = NodeSpec(gc_interval_s=0, gc_pause_s=0)
-        cluster = Cluster(env, ClusterSpec(n_nodes=1, node=spec),
-                          RngRegistry(7))
-        node = cluster.node(0)
-
-        def scenario():
-            for _ in range(500):
-                yield from node.cpu_work(1e-5)
-            return node.gc_pauses
-
-        assert drive(env, scenario()) == 0
-
-    def test_unobserved_pauses_cost_nothing(self):
-        """A node idle through a pause window resumes instantly."""
-        env = Environment()
-        spec = NodeSpec(gc_interval_s=0.1, gc_pause_s=0.05)
-        cluster = Cluster(env, ClusterSpec(n_nodes=1, node=spec),
-                          RngRegistry(7))
-        node = cluster.node(0)
-
-        def scenario():
-            yield env.timeout(100.0)  # many pauses come and go
-            start = env.now
-            yield from node.cpu_work(1e-6)
-            return env.now - start
-
-        # At most one residual pause can straddle the wake-up moment.
-        assert drive(env, scenario()) < 1.0
 
 
 # -- group commit semantics as properties ----------------------------------

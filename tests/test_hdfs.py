@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster.topology import Cluster, ClusterSpec
-from repro.hdfs.block import BlockReplicaMap, DfsFile
 from repro.hdfs.client import DfsClient
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
@@ -26,29 +25,6 @@ def drive(env, generator):
     return env.run(until=env.process(generator))
 
 
-class TestBlockMap:
-    def test_add_get_remove(self):
-        replicas = BlockReplicaMap()
-        file = DfsFile("a/1", 3, [0, 1, 2])
-        replicas.add(file)
-        assert "a/1" in replicas and replicas.get("a/1") is file
-        replicas.remove("a/1")
-        assert "a/1" not in replicas
-
-    def test_duplicate_path_rejected(self):
-        replicas = BlockReplicaMap()
-        replicas.add(DfsFile("p", 1, [0]))
-        with pytest.raises(ValueError):
-            replicas.add(DfsFile("p", 1, [1]))
-
-    def test_files_on_node(self):
-        replicas = BlockReplicaMap()
-        replicas.add(DfsFile("a", 2, [0, 1]))
-        replicas.add(DfsFile("b", 2, [1, 2]))
-        assert {f.path for f in replicas.files_on(1)} == {"a", "b"}
-        assert {f.path for f in replicas.files_on(0)} == {"a"}
-
-
 class TestNameNode:
     def test_first_replica_on_writer(self, hdfs):
         _, _, namenode, _ = hdfs
@@ -69,7 +45,7 @@ class TestNameNode:
     def test_create_registers_file(self, hdfs):
         _, _, namenode, _ = hdfs
         file = namenode.create_file("wal", 3, 1, 0)
-        assert file.path in namenode.namespace
+        assert namenode.namespace[file.path] is file
         assert file.replication == 3
 
 

@@ -174,12 +174,6 @@ class TestResourceEdgeCases:
         env.run()
         assert order == ["high", "low"]
 
-    def test_peek_reports_next_event_time(self, env):
-        env.timeout(7)
-        assert env.peek() == 7.0
-        env.run()
-        assert env.peek() == float("inf")
-
 
 class TestDeterminismUnderLoad:
     def test_complex_scenario_is_bit_reproducible(self):
@@ -207,7 +201,7 @@ class TestAbandonedEventFailure:
     """Regression: a process interrupted away from a pending event left a
     stale ``_resume`` callback on it; when the abandoned event later
     ``fail()``ed, the stale-callback guard returned early *without
-    defusing*, so ``Environment.step()`` re-raised and killed the run."""
+    defusing*, so ``Environment.run()`` re-raised and killed the run."""
 
     def test_interrupted_waiter_defuses_later_failure(self, env):
         from repro.sim.kernel import Interrupt
@@ -332,8 +326,6 @@ class TestPendingTimeoutState:
             timer.succeed()
         with pytest.raises(SimulationError):
             timer.fail(RuntimeError("no"))
-        with pytest.raises(SimulationError):
-            timer.trigger(env.event())
 
     def test_anyof_acks_or_timeout_semantics(self, env):
         """The guard-rail the ISSUE names: AnyOf(acks | timeout) must

@@ -403,7 +403,7 @@ class TestGeoStalenessShapes:
         session = ExperimentSession(config)
         session.load()
         reports = {}
-        for region in config.geo.client_datacenters:
+        for region, _ in config.geo.datacenters:
             result = session.run_cell(inject_faults=True,
                                       check_consistency=True,
                                       client_dc=region)

@@ -218,15 +218,6 @@ class TestConditions:
 
         assert env.run(until=env.process(proc(env))) == 0.0
 
-    def test_operators_compose(self, env):
-        def proc(env):
-            yield env.timeout(1) & env.timeout(2)
-            first = env.now
-            yield env.timeout(10) | env.timeout(1)
-            return first, env.now
-
-        assert env.run(until=env.process(proc(env))) == (2.0, 3.0)
-
     def test_condition_value_excludes_pending_events(self, env):
         def proc(env):
             slow = env.timeout(9, "slow")
@@ -272,16 +263,12 @@ class TestRun:
         env.timeout(7)
         env.run()
         assert env.now == 7.0
-        assert env.peek() == float("inf")
+        assert not env._queue
 
     def test_run_until_never_triggering_event_raises(self, env):
         env.timeout(1)
         with pytest.raises(SimulationError):
             env.run(until=env.event())
-
-    def test_step_without_events_raises(self, env):
-        with pytest.raises(SimulationError):
-            env.step()
 
     def test_determinism(self):
         def build():

@@ -30,12 +30,3 @@ class TestRngRegistry:
     def test_different_names_differ(self):
         rngs = RngRegistry(1)
         assert rngs.stream("x").random() != rngs.stream("y").random()
-
-    def test_fork_is_deterministic_and_distinct(self):
-        base = RngRegistry(5)
-        fork_a = base.fork("rep1").stream("s").random()
-        fork_a2 = RngRegistry(5).fork("rep1").stream("s").random()
-        fork_b = RngRegistry(5).fork("rep2").stream("s").random()
-        assert fork_a == fork_a2
-        assert fork_a != fork_b
-        assert fork_a != base.stream("s").random()

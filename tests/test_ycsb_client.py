@@ -158,11 +158,7 @@ class StubBinding:
         yield self.env.timeout(latency)
         self.completions.append(self.env.now)
 
-    def insert(self, key, value, size):
-        yield from self._serve()
-        return True
-
-    def update(self, key, value, size):
+    def write(self, key, value, size):
         yield from self._serve()
         return True
 

@@ -8,7 +8,6 @@ import pytest
 from repro.ycsb.generators import (
     CounterGenerator,
     DiscreteGenerator,
-    HotspotGenerator,
     LatestGenerator,
     ScrambledZipfianGenerator,
     UniformGenerator,
@@ -143,23 +142,6 @@ class TestLatestGenerator:
         assert all(gen.next() >= 0 for _ in range(100))
 
 
-class TestHotspotGenerator:
-    def test_hot_fraction_respected(self):
-        gen = HotspotGenerator(0, 999, hot_set_fraction=0.1,
-                               hot_op_fraction=0.9, rng=random.Random(12))
-        values = [gen.next() for _ in range(10_000)]
-        hot = sum(1 for v in values if v < 100)
-        assert 0.85 < hot / len(values) < 0.95
-
-    def test_bounds(self):
-        gen = HotspotGenerator(10, 19, 0.5, 0.5, random.Random(13))
-        assert all(10 <= gen.next() <= 19 for _ in range(500))
-
-    def test_invalid_fractions_rejected(self):
-        with pytest.raises(ValueError):
-            HotspotGenerator(0, 9, 1.5, 0.5, random.Random(0))
-
-
 class TestDiscreteGenerator:
     def test_proportions_respected(self):
         gen = DiscreteGenerator([("a", 0.8), ("b", 0.2)], random.Random(14))
@@ -175,10 +157,6 @@ class TestDiscreteGenerator:
             DiscreteGenerator([], random.Random(0))
         with pytest.raises(ValueError):
             DiscreteGenerator([("a", -1.0), ("b", 2.0)], random.Random(0))
-
-    def test_labels(self):
-        gen = DiscreteGenerator([("x", 1), ("y", 1)], random.Random(16))
-        assert gen.labels == ["x", "y"]
 
 
 class TestZipfianFloatEdges:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ycsb.measurements import LatencyStats, Measurements, percentile
+from repro.ycsb.measurements import Measurements, percentile
 
 
 class TestPercentile:
@@ -96,7 +96,7 @@ class TestMeasurements:
         assert overall.mean == pytest.approx(0.002)
 
     def test_empty_latency_stats(self):
-        stats = LatencyStats.empty()
+        stats = Measurements().overall_stats()
         assert stats.count == 0 and stats.p99_ms == 0.0
 
 

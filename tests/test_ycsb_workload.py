@@ -21,9 +21,11 @@ class TestWorkloadSpec:
             WorkloadSpec(name="bad", read_proportion=0.5)
 
     def test_unknown_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            WorkloadSpec(name="bad", read_proportion=1.0,
-                         request_distribution="gaussian")
+        # Table 1 and the micro workloads choose keys zipfian or latest.
+        for dist in ("gaussian", "uniform", "hotspot"):
+            with pytest.raises(ValueError):
+                WorkloadSpec(name="bad", read_proportion=1.0,
+                             request_distribution=dist)
 
     def test_write_fraction(self):
         spec = STRESS_WORKLOADS["read_latest"]
@@ -129,10 +131,3 @@ class TestWorkloadRuntime:
     def test_zero_records_rejected(self):
         with pytest.raises(ValueError):
             Workload(STRESS_WORKLOADS["read_mostly"], 0, random.Random(0))
-
-    def test_uniform_distribution_covers_population(self):
-        spec = WorkloadSpec(name="uniform_reads", read_proportion=1.0,
-                            request_distribution="uniform")
-        workload = Workload(spec, 50, random.Random(2))
-        seen = {workload.next_read_index() for _ in range(2000)}
-        assert len(seen) == 50
