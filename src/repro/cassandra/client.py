@@ -141,35 +141,35 @@ class CassandraSession:
 
     def insert(self, key: str, value: Any, size: int,
                cl: Optional[ConsistencyLevel] = None) -> Generator:
-        """Write one row at the session's (or given) write CL."""
+        """Write one row at the session's (or given) write CL.
+
+        Like :meth:`read` and :meth:`scan`, returns :meth:`_call`'s
+        generator (callers ``yield from`` it)."""
         cl = cl or self.write_cl
         deadline = self._op_deadline()
-        result = yield from self._call(
+        return self._call(
             "c.coord_write",
             lambda: (key, value, size, self.cluster.env._now, cl.value,
                      deadline),
             request_bytes=size + 80, response_bytes=20, deadline=deadline)
-        return result
 
     def read(self, key: str, expected_bytes: int = 1024,
              cl: Optional[ConsistencyLevel] = None) -> Generator:
         """Read one row; returns ``(value, timestamp)`` or None."""
         cl = cl or self.read_cl
         deadline = self._op_deadline()
-        result = yield from self._call(
+        return self._call(
             "c.coord_read", lambda: (key, cl.value, expected_bytes, deadline),
             request_bytes=70, response_bytes=expected_bytes + 30,
             deadline=deadline)
-        return result
 
     def scan(self, start_key: str, limit: int, record_bytes: int = 1024,
              cl: Optional[ConsistencyLevel] = None) -> Generator:
         """Token-order scan from ``start_key``."""
         cl = cl or self.read_cl
         deadline = self._op_deadline()
-        rows = yield from self._call(
+        return self._call(
             "c.coord_scan",
             lambda: (start_key, limit, cl.value, record_bytes, deadline),
             request_bytes=80, response_bytes=record_bytes * limit,
             deadline=deadline)
-        return rows

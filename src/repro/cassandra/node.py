@@ -146,16 +146,26 @@ class CassandraNode:
         return read
 
     def _handle_scan(self, payload):
-        """Token-order scan over this node's local range."""
+        """Token-order scan over this node's local range, counted once
+        it has its rows (the counter is the scan's first subscriber)."""
         start_key, limit, *rest = payload
-        self.ops["scan"] += 1
         pool = self.replica_pool
-        if pool is None:
-            return self.tree.scan(start_key, limit, FOREGROUND, _VERB_CPU_S)
-        return Served(
-            self.node.env,
-            Admission(pool, rest[0] if rest else None, DeadlineExceeded),
-            self.tree.scan, (start_key, limit, FOREGROUND, _VERB_CPU_S))
+        if pool is not None:
+            return Served(
+                self.node.env,
+                Admission(pool, rest[0] if rest else None, DeadlineExceeded),
+                self.tree.scan, (start_key, limit, FOREGROUND, _VERB_CPU_S),
+                self._count_scan)
+        scan = self.tree.scan(start_key, limit, FOREGROUND, _VERB_CPU_S)
+        if scan.callbacks is None:
+            self._count_scan(scan)
+        else:
+            scan.callbacks.append(self._count_scan)
+        return scan
+
+    def _count_scan(self, scan: Event) -> None:
+        if scan._ok:
+            self.ops["scan"] += 1
 
     def newest_timestamp(self, key: str) -> Optional[float]:
         """Zero-cost inspection for tests/probes (no simulated I/O)."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Generator, Optional
 
 from repro.cluster.hedging import HedgePolicy
@@ -91,11 +92,20 @@ class HBaseClient:
 
     def _call_region(self, region_id: int, verb: str, payload: Any,
                      request_bytes: int, response_bytes: int) -> Generator:
+        """One region RPC, retried with backoff against a refreshed
+        region map (the operations return this generator).
+
+        With a hedge policy configured, a read (never a put — only reads
+        are latency-critical and side-effect-free here) that has not
+        answered after the policy's delay is re-located via the HMaster
+        and duplicated (:meth:`HedgePolicy.race`).
+        """
         env = self.cluster.env
         deadline = (env._now + self.deadline_s
                     if self.deadline_s is not None else None)
         if deadline is not None:
             payload = (*payload, deadline)
+        hedge = self.hedge if verb != "rs.put" else None
         last_error: Optional[Exception] = None
         for attempt in range(self.max_retries + 1):
             if attempt:
@@ -112,10 +122,20 @@ class HBaseClient:
                 yield env.timeout(delay)
                 yield from self._refresh_assignment()
             try:
-                result = yield from self._attempt(
-                    region_id, verb, payload, request_bytes, response_bytes,
-                    deadline,
+                call = self.cluster.call_async(
+                    self.client_node, self._server_node(region_id), verb,
+                    payload, request_bytes, response_bytes,
+                    timeout=self.op_timeout_s, deadline=deadline,
                     src_cpu_s=self.client_overhead_s if attempt == 0 else 0.0)
+                if hedge is None:
+                    result = yield call
+                else:
+                    result, _ = yield from hedge.race(
+                        env, call, partial(self._duplicate, region_id, verb,
+                                           payload, request_bytes,
+                                           response_bytes, deadline))
+                if isinstance(result, Exception):
+                    raise result
                 return result
             except DeadlineExceeded:
                 # The end-to-end budget covers retries; it is spent.
@@ -126,58 +146,34 @@ class HBaseClient:
         raise RpcTimeout(f"{verb} on region {region_id} failed after "
                          f"{self.max_retries} retries") from last_error
 
-    def _attempt(self, region_id: int, verb: str, payload: Any,
-                 request_bytes: int, response_bytes: int,
-                 deadline: Optional[float],
-                 src_cpu_s: float = 0.0) -> Generator:
-        """One RPC attempt, speculatively duplicated for straggling reads.
-
-        With a hedge policy configured, a read (never a put — only reads
-        are latency-critical and side-effect-free here) that has not
-        answered after the policy's delay is re-located via the HMaster
-        and duplicated (:meth:`HedgePolicy.race`).
-        """
-        primary = self.cluster.call_async(
+    def _duplicate(self, region_id: int, verb: str, payload: Any,
+                   request_bytes: int, response_bytes: int,
+                   deadline: Optional[float]) -> Generator:
+        """A hedged read's spare: the region may have failed over since
+        the primary left, so look it up again, then send the same
+        request there."""
+        yield from self._refresh_assignment()
+        return self.cluster.call_async(
             self.client_node, self._server_node(region_id), verb, payload,
             request_bytes, response_bytes, timeout=self.op_timeout_s,
-            deadline=deadline, src_cpu_s=src_cpu_s)
-        hedge = self.hedge if verb != "rs.put" else None
-        if hedge is None:
-            result = yield primary
-        else:
-            def relocate_and_duplicate() -> Generator:
-                # The region may have failed over since the primary left.
-                yield from self._refresh_assignment()
-                return self.cluster.call_async(
-                    self.client_node, self._server_node(region_id), verb,
-                    payload, request_bytes, response_bytes,
-                    timeout=self.op_timeout_s, deadline=deadline)
-
-            result, _ = yield from hedge.race(
-                self.cluster.env, primary, relocate_and_duplicate)
-        if isinstance(result, Exception):
-            raise result
-        return result
+            deadline=deadline)
 
     # -- operations -----------------------------------------------------
 
     def put(self, key: str, value: Any, size: int) -> Generator:
-        """Insert or update one row."""
+        """Insert or update one row (the retry loop's own generator)."""
         region = self.hbase.region_for_token(token_of(key))
         payload = (region.region_id, key, value, size,
                    self.cluster.env._now)
-        result = yield from self._call_region(
-            region.region_id, "rs.put", payload,
-            request_bytes=size + 60, response_bytes=20)
-        return result
+        return self._call_region(region.region_id, "rs.put", payload,
+                                 request_bytes=size + 60, response_bytes=20)
 
     def get(self, key: str, expected_bytes: int = 1024) -> Generator:
         """Read one row; returns ``(value, timestamp)`` or None."""
         region = self.hbase.region_for_token(token_of(key))
-        result = yield from self._call_region(
-            region.region_id, "rs.get", (region.region_id, key),
-            request_bytes=60, response_bytes=expected_bytes)
-        return result
+        return self._call_region(region.region_id, "rs.get",
+                                 (region.region_id, key), request_bytes=60,
+                                 response_bytes=expected_bytes)
 
     def scan(self, start_key: str, limit: int,
              record_bytes: int = 1024) -> Generator:

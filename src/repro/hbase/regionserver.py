@@ -195,13 +195,13 @@ class RegionServer:
     # -- verbs ---------------------------------------------------------
     #
     # A request that nothing can make wait before the engine — no bounded
-    # pool, region open — is the engine's own operation: a get's or a
-    # put's completion event with the verb's counter as its first
-    # callback (by the time the transport books the response leg the
-    # operation is counted, the mutation applied, the memtable rotated),
-    # a scan's generator.  Everything else is the same operation and the
-    # same counter behind :meth:`_served`.  Only a scan, a loop over
-    # block loads, costs a process.
+    # pool, region open — is the engine's own operation: its completion
+    # event with the verb's counter as its first callback (by the time
+    # the transport books the response leg the operation is counted, the
+    # mutation applied, the memtable rotated).  Everything else is the
+    # same operation and the same counter behind :meth:`_served`.  No
+    # verb costs a process; a get or a scan that misses the block cache
+    # finishes its walk as one.
 
     def _served(self, region: Region, deadline: Optional[float], count,
                 operate, *args) -> Served:
@@ -258,12 +258,16 @@ class RegionServer:
         region = self._region(region_id)
         if self.handler_pool is not None \
                 or region.available_at > self.env._now:
-            return self._served(region, rest[0] if rest else None, None,
-                                self._scan, region, start_key, limit)
-        return self._scan(region, start_key, limit)
+            return self._served(region, rest[0] if rest else None,
+                                self._count_scan, region.tree.scan,
+                                start_key, limit, FOREGROUND, _HANDLER_CPU_S)
+        scan = region.tree.scan(start_key, limit, FOREGROUND, _HANDLER_CPU_S)
+        if scan.callbacks is None:
+            self._count_scan(scan)
+        else:
+            scan.callbacks.append(self._count_scan)
+        return scan
 
-    def _scan(self, region: Region, start_key: str, limit: int) -> Generator:
-        rows = yield from region.tree.scan(start_key, limit,
-                                           extra_cpu_s=_HANDLER_CPU_S)
-        self.ops["scan"] += 1
-        return rows
+    def _count_scan(self, scan: Event) -> None:
+        if scan._ok:
+            self.ops["scan"] += 1

@@ -58,8 +58,3 @@ class BloomFilter:
                 return False
             h += h2
         return True
-
-    @property
-    def size_bytes(self) -> int:
-        """In-memory footprint charged against the node's RAM budget."""
-        return len(self._bits)

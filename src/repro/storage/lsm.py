@@ -379,34 +379,110 @@ class LsmTree:
         return best
 
     def scan(self, start_key: str, limit: int, priority: int = FOREGROUND,
-             extra_cpu_s: float = 0.0) -> Generator:
-        """Return up to ``limit`` ``(key, value, timestamp)`` from ``start_key``.
+             extra_cpu_s: float = 0.0) -> Event:
+        """Up to ``limit`` ``(key, value, timestamp)`` from ``start_key``;
+        the returned event fires with them.
 
-        ``extra_cpu_s`` as in :meth:`get`; like a get, a scan reads one
-        version of the tree.
+        ``extra_cpu_s`` as in :meth:`get`, and like a get the scan is one
+        reservation and one wait, after which it reads the tree as of
+        that instant (memtables, and the run list it holds on to).
+        While every block it needs is cached the rest is callbacks too:
+        collect, book the per-entry CPU, complete when that is done.
+        From the first block the cache does not hold, the rest of the
+        collect runs as a small process.  A bug on the way fails the
+        scan, as it failed the process a scan used to be.
         """
+        env = self.env
         self.stats["scans"] += 1
-        yield from self.node.cpu_work(extra_cpu_s + CPU_GET_S)
-        merged: dict[str, tuple[Any, float]] = {}
-        for memtable in [self.active, *self.flushing]:
-            for key, value, ts, _size in memtable.scan_from(start_key, limit):
-                existing = merged.get(key)
-                if existing is None or ts > existing[1]:
-                    merged[key] = (value, ts)
+        done = Event(env)
+
+        def collect(_wait: Event) -> None:
+            try:
+                rows = self.active.scan_from(start_key, limit)
+                for memtable in self.flushing:
+                    rows = rows + memtable.scan_from(start_key, limit)
+                merged: dict[str, tuple[Any, float]] = {}
+                missed = self._collect_runs(start_key, limit, merged, rows,
+                                            self.sstables)
+                if missed is None:
+                    collected(merged)
+                else:
+                    Process(env, self._collect_loading(
+                        start_key, limit, priority, merged, missed),
+                        f"{self.name}-scan", True, loaded)
+            except BaseException as bug:
+                if done.callbacks is None:
+                    raise  # settled already, by its first block load
+                _finish(done, False, bug)
+
+        def loaded(loader: Event) -> None:
+            loader._defused = True  # a failed load is done's to report
+            if loader._ok:
+                collected(loader._value)
+            else:
+                _finish(done, False, loader._value)
+
+        def collected(merged: dict[str, tuple[Any, float]]) -> None:
+            rows = [(key, *merged[key]) for key in sorted(merged)[:limit]]
+            end = self.node.reserve_cpu(
+                CPU_SCAN_PER_ENTRY_S * max(len(merged), 1))
+            Timeout(env, end - env._now, rows, finished)
+
+        def finished(wait: Event) -> None:
+            # ``_finish(done, True, rows)``, minus the call: once per scan.
+            done._value = wait._value
+            callbacks, done.callbacks = done.callbacks, None
+            for callback in callbacks:
+                callback(done)
+
+        end = self.node.reserve_cpu(extra_cpu_s + CPU_GET_S)
+        Timeout(env, end - env._now, None, collect)
+        return done
+
+    def _collect_runs(self, start_key: str, limit: int,
+                      merged: dict[str, tuple[Any, float]], rows: list,
+                      tables: list[SSTable]
+                      ) -> Optional[tuple[list[SSTable], list[int], list]]:
+        """Merge ``rows`` (memtable rows, newest memtable first, or the
+        rows of a run whose blocks are in hand) into ``merged``, then the
+        range's rows of each of ``tables`` as far as memory goes.
+
+        Returns ``None``, or on reaching a block the cache does not hold
+        ``(the runs still to merge, that block's run first; its blocks
+        still to check, that block first; its rows)``.
+        """
         contains = self.cache.contains
-        for table in self.sstables:
-            blocks, entries = table.blocks_for_range(start_key, limit)
-            for block_no in blocks:
-                if not contains(table.sstable_id, block_no):
-                    yield from self._load_block(table, block_no, priority)
-            for key, value, ts, _size in entries:
+        position, last = 0, len(tables)
+        while True:
+            for key, value, ts, _size in rows:
                 existing = merged.get(key)
                 if existing is None or ts > existing[1]:
                     merged[key] = (value, ts)
-        picked = sorted(merged)[:limit]
-        yield from self.node.cpu_work(
-            CPU_SCAN_PER_ENTRY_S * max(len(merged), 1))
-        return [(k, merged[k][0], merged[k][1]) for k in picked]
+            if position == last:
+                return None
+            table = tables[position]
+            blocks, rows = table.blocks_for_range(start_key, limit)
+            for index, block_no in enumerate(blocks):
+                if not contains(table.sstable_id, block_no):
+                    return tables[position:], blocks[index:], rows
+            position += 1
+
+    def _collect_loading(self, start_key: str, limit: int, priority: int,
+                         merged: dict[str, tuple[Any, float]],
+                         missed: tuple[list[SSTable], list[int], list]
+                         ) -> Generator:
+        """The rest of a scan's collect from its first block-cache miss
+        on: ``missed`` as :meth:`_collect_runs` returned it."""
+        while missed is not None:
+            tables, blocks, rows = missed
+            table = tables[0]
+            yield from self._load_block(table, blocks[0], priority)
+            for block_no in blocks[1:]:
+                if not self.cache.contains(table.sstable_id, block_no):
+                    yield from self._load_block(table, block_no, priority)
+            missed = self._collect_runs(start_key, limit, merged, rows,
+                                        tables[1:])
+        return merged
 
     # -- compaction ---------------------------------------------------
 

@@ -58,9 +58,6 @@ class SSTable:
             self.size_bytes += size
         self.n_blocks = block_no + 1 if entries else 0
 
-    def __len__(self) -> int:
-        return len(self._keys)
-
     def might_contain(self, key: str) -> bool:
         """Bloom-filter + key-range check — no I/O."""
         if not self._keys:

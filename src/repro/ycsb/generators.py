@@ -10,7 +10,7 @@ import math
 from functools import lru_cache
 from itertools import repeat
 from operator import truediv
-from typing import Sequence
+from typing import Generic, Sequence, TypeVar
 
 from repro.keyspace import fnv64
 
@@ -163,10 +163,16 @@ class LatestGenerator:
         return max(0, last - min(offset, last))
 
 
-class DiscreteGenerator:
-    """Weighted choice over labelled outcomes (YCSB operation chooser)."""
+_Outcome = TypeVar("_Outcome")
 
-    def __init__(self, weighted: Sequence[tuple[str, float]], rng) -> None:
+
+class DiscreteGenerator(Generic[_Outcome]):
+    """Weighted choice over outcomes (YCSB operation chooser): each draw
+    returns one of the outcomes it was built with, itself — the workload
+    holds ``OperationType`` members, so a draw costs no lookup."""
+
+    def __init__(self, weighted: Sequence[tuple[_Outcome, float]],
+                 rng) -> None:
         if not weighted:
             raise ValueError("need at least one outcome")
         total = sum(w for _, w in weighted)
@@ -181,7 +187,7 @@ class DiscreteGenerator:
         self._cumulative[-1] = 1.0  # guard against float drift
         self._rng = rng
 
-    def next(self) -> str:
+    def next(self) -> _Outcome:
         u = self._rng.random()
         for label, edge in zip(self._labels, self._cumulative):
             if u <= edge:

@@ -89,11 +89,11 @@ class Workload:
         self.record_count = record_count
         self.insert_counter = CounterGenerator(start=record_count)
         self._op_chooser = DiscreteGenerator(
-            [(OperationType.READ.value, spec.read_proportion),
-             (OperationType.UPDATE.value, spec.update_proportion),
-             (OperationType.INSERT.value, spec.insert_proportion),
-             (OperationType.SCAN.value, spec.scan_proportion),
-             (OperationType.READ_MODIFY_WRITE.value,
+            [(OperationType.READ, spec.read_proportion),
+             (OperationType.UPDATE, spec.update_proportion),
+             (OperationType.INSERT, spec.insert_proportion),
+             (OperationType.SCAN, spec.scan_proportion),
+             (OperationType.READ_MODIFY_WRITE,
               spec.read_modify_write_proportion)],
             rng)
         self._zipfian = ScrambledZipfianGenerator(record_count, rng)
@@ -104,7 +104,7 @@ class Workload:
     # -- choices ---------------------------------------------------------
 
     def next_operation(self) -> OperationType:
-        return OperationType(self._op_chooser.next())
+        return self._op_chooser.next()
 
     def next_read_index(self) -> int:
         """Record index for a read/update/scan-start/RMW target."""

@@ -5,7 +5,7 @@ replaced.
 an event built from callbacks on the replica calls.  A process is left
 only where a generator still is: the hedged race, a foreground
 reconcile, the background one, EACH_QUORUM's per-datacenter waits, and
-the storage engine's own scan.  Each scenario below ran unchanged at
+a storage read from its first block-cache miss.  Each scenario below ran unchanged at
 ``2a2fa1a``, where every coordinated request was a process, and printed
 the completion instants, outcomes, counters and kernel-trace digest
 pinned beside it.  A callback that subscribes where the generator's

@@ -22,7 +22,9 @@ WAL writer, every WAL round and every pipeline write was a process.
 
 The budgets also cover a small open-loop overloaded cell per engine,
 bounded pools on (``_overloaded_cell``), against ``52185b9``, where
-every request behind a pool — a refused one included — was a process.
+every request behind a pool — a refused one included — was a process;
+and a cache-resident scan cell per engine, against ``cc58367``, where
+every scan was.
 
 And the leg itself has a *call* budget, counted under ``sys.setprofile``:
 the frames one ``Cluster.leg`` enters.
@@ -138,6 +140,53 @@ def test_resumes_per_op_stay_under_the_ceiling(db, monkeypatch):
     _run(config, counted=resumed)
     assert len(resumed) / config.operation_count \
         <= 1.05 * LANDED_RESUMES_PER_OP[db]
+
+
+def _storage_trees(session):
+    if session.cassandra is not None:
+        return [cnode.tree for cnode in session.cassandra.nodes.values()]
+    return [region.tree for region in session.hbase.regions]
+
+
+#: ``Process`` constructions per engine scan of a cache-resident
+#: ``scan_short_ranges`` cell, the run's own process, its worker threads
+#: and the trees' flushes and compactions aside: 1.000 on either engine
+#: at ``cc58367`` (567 Cassandra scans, 413 of them ``c.scan`` verbs and
+#: 154 through ``call_local``; 699 HBase ``rs.scan`` verbs), where every
+#: scan was a process.  A scan whose blocks are all cached is callbacks.
+LANDED_PROCESSES_PER_SCAN = 0
+
+
+@pytest.mark.parametrize("db", ["cassandra", "hbase"])
+def test_cache_resident_scans_cost_no_process(db, monkeypatch):
+    config = default_stress_config(db, "scan_short_ranges", replication=3,
+                                   seed=7)
+    config = replace(
+        config, record_count=400, operation_count=600, n_threads=8,
+        n_nodes=5, settle_s=1.0,
+        storage=replace(scaled_stress_storage(400, 1000, 4),
+                        block_cache_bytes=64 << 20))
+    session = ExperimentSession(config)
+    session.load()
+    trees = _storage_trees(session)
+    scans = -sum(tree.stats["scans"] for tree in trees)
+    misses = -sum(tree.cache.misses for tree in trees)
+    names = []
+    plain = Process.__init__
+
+    def naming(process, *args, **kwargs):
+        plain(process, *args, **kwargs)
+        names.append(process.name)
+
+    monkeypatch.setattr(Process, "__init__", naming)
+    assert summarize_run(session.run_cell())["errors"] == 0
+    scans += sum(tree.stats["scans"] for tree in trees)
+    misses += sum(tree.cache.misses for tree in trees)
+    assert scans > 500 and misses == 0
+    per_scan = [name for name in names
+                if name != "run" and not name.startswith("ycsb-")
+                and not name.endswith(("-flush", "-compact"))]
+    assert len(per_scan) / scans <= LANDED_PROCESSES_PER_SCAN, per_scan[:3]
 
 
 def _overloaded_cell(db: str):

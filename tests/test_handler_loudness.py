@@ -6,7 +6,9 @@ do with an exception.  For every registered verb, behind a bounded pool
 and without one, over the wire and through ``call_local``: an exception
 that is not a :class:`ModelledFailure`, raised by the storage engine
 once the request is past admission, stops ``env.run()`` with a traceback
-that names the raising line — and leaves the pool with no holder.
+that names the raising line — and leaves the pool with no holder.  So
+does one raised inside the engine's scan itself, where it collects its
+rows from a callback.
 
 The same holds for the chains that hang on a message leg, whose
 subscriber runs from the leg's timeout dispatch: an HDFS pipeline hop
@@ -44,8 +46,9 @@ from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
 from repro.hdfs.pipeline import pipeline_write
 from repro.keyspace import key_for_index, token_of
-from repro.sim.kernel import Environment, Timeout
+from repro.sim.kernel import Environment, Event, Timeout, _finish
 from repro.sim.rng import RngRegistry
+from repro.storage.sstable import SSTable
 from tests.conftest import build_wal
 
 KEY = key_for_index(3)
@@ -58,15 +61,24 @@ class EngineBug(Exception):
 
 def _broken(env, verb):
     """Stand-in for ``LsmTree.<verb>``: a put or a get raises when
-    called, a scan in the middle of its walk."""
+    called; a scan returns its event and fails it from the callback that
+    would have collected its rows, as the engine's scan does."""
     def raising(*args, **kwargs):
         raise EngineBug(verb)
 
-    def raising_scan(*args, **kwargs):
-        yield Timeout(env, 1e-4)
-        raise EngineBug(verb)
+    def failing_scan(*args, **kwargs):
+        scan = Event(env)
 
-    return raising_scan if verb == "scan" else raising
+        def collect(_wait):
+            try:
+                raising()
+            except EngineBug as bug:
+                _finish(scan, False, bug)
+
+        Timeout(env, 1e-4, None, collect)
+        return scan
+
+    return failing_scan if verb == "scan" else raising
 
 
 def _counted(verb):
@@ -123,7 +135,7 @@ def _stops_at_the_bug(env):
     with pytest.raises(EngineBug) as caught:
         env.run(until=1.0)
     frames = traceback.extract_tb(caught.value.__traceback__)
-    assert frames[-1].name in ("raising", "raising_scan")
+    assert frames[-1].name == "raising"
     assert frames[-1].line == "raise EngineBug(verb)"
     return [frame.name for frame in frames]
 
@@ -166,6 +178,37 @@ def test_hbase_verb(verb, pooled):
                            timeout=0.5)
 
     _run_to_the_bug(env, rs.handler_pool, issue)
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["unpooled", "pooled"])
+@pytest.mark.parametrize("db", ["cassandra", "hbase"])
+def test_scan_collect_step(db, pooled, monkeypatch):
+    """The engine's own scan, with a bug where it walks the runs — the
+    callback that runs once the scan's CPU is done: loud, raised once,
+    and the pool left with no holder."""
+    raising, calls = _counted("blocks_for_range")
+    monkeypatch.setattr(SSTable, "blocks_for_range", raising)
+    if db == "cassandra":
+        env, cluster, client, cnode = _cassandra(pooled)
+        tree, node, pool = cnode.tree, cnode.node, cnode.replica_pool
+        verb, payload = "c.scan", (KEY, 5)
+    else:
+        env = Environment()
+        cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(5))
+        hbase = HBaseCluster(cluster, HBaseSpec(
+            replication=2, regions_per_server=1, **(POOL if pooled else {})))
+        region = hbase.region_for_token(token_of(KEY))
+        rs = hbase.regionservers[hbase.master.assignment[region.region_id]]
+        tree, node, pool = region.tree, rs.node, rs.handler_pool
+        client = hbase.master_node
+        verb, payload = "rs.scan", (region.region_id, KEY, 5)
+    tree.ingest_run([(KEY, "v", 1.0, 100)])   # one run to walk
+
+    def issue():
+        cluster.call_async(client, node, verb, payload, timeout=0.5)
+
+    _run_to_the_bug(env, pool, issue)
+    assert len(calls) == 1
 
 
 # -- chains that hang on a message leg ------------------------------------

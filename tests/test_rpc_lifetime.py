@@ -28,6 +28,8 @@ from repro.cluster.topology import (AsyncCall, Cluster, ClusterSpec,
                                     RpcTimeout, _LocalCall)
 from repro.core.config import default_stress_config, scaled_stress_storage
 from repro.core.experiment import ExperimentSession
+from repro.hbase.client import HBaseClient
+from repro.hbase.deployment import HBaseCluster, HBaseSpec
 from repro.hbase.regionserver import _Round
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.pipeline import _PipelineWrite, pipeline_write
@@ -36,7 +38,7 @@ from repro.sim.kernel import (AllOf, Environment, Event, Interrupt, Process,
                               Timeout)
 from repro.sim.resources import Overloaded
 from repro.sim.rng import RngRegistry
-from repro.storage.lsm import _LoggedPut
+from repro.storage.lsm import StorageSpec, _LoggedPut
 
 N = 25
 
@@ -454,6 +456,61 @@ class TestHBaseWritePathIsReleased:
         del write
         assert live(env, _PipelineWrite) == 0
         assert (live(env, Event), live(env, Timeout)) == (events, timeouts)
+
+
+class TestScansAreReleased:
+    """An engine scan is an event and the callbacks that complete it,
+    plus a process only from its first block-cache miss: once every scan
+    has answered, no scan event, none of its callbacks and no scan
+    process is left — cache-resident or not, on either engine."""
+
+    @pytest.mark.parametrize("cached", [True, False],
+                             ids=["resident", "block-misses"])
+    @pytest.mark.parametrize("db", ["cassandra", "hbase"])
+    def test_after_settle(self, db, cached):
+        env, cluster = make(5)
+        storage = StorageSpec(memtable_flush_bytes=2048, block_bytes=512,
+                              block_cache_bytes=(1 << 20) if cached else 0)
+        if db == "cassandra":
+            cassandra = CassandraCluster(cluster, CassandraSpec(
+                replication=2, storage=storage))
+            trees = [cnode.tree for cnode in cassandra.nodes.values()]
+            driver = CassandraSession(cassandra, cassandra.client_node)
+            write = driver.insert
+        else:
+            hbase = HBaseCluster(cluster, HBaseSpec(
+                replication=2, regions_per_server=2, storage=storage))
+            trees = [region.tree for region in hbase.regions]
+            driver = HBaseClient(hbase, hbase.master_node)
+            write = driver.put
+        keys = [key_for_index(i) for i in range(N)]
+
+        def load():
+            for key in keys:
+                yield from write(key, "v", 1000)
+
+        def scan():
+            for key in keys:
+                yield from driver.scan(key, 5)
+
+        env.run(until=env.process(load()))
+        env.run(until=env.now + 11.0)   # flushes land, RPC timers fire
+        events, timeouts = live(env, Event), live(env, Timeout)
+        process = env.process(scan())
+        env.run(until=process)
+        del process
+        env.run(until=env.now + 11.0)
+        assert sum(tree.stats["scans"] for tree in trees) >= N
+        assert (sum(tree.stats["block_reads"] for tree in trees) > 0) \
+            is not cached
+        assert (live(env, Event), live(env, Timeout)) == (events, timeouts)
+        assert live(env, AsyncCall) == 0
+        assert not [obj for obj in gc.get_objects()
+                    if type(obj) is FunctionType
+                    and obj.__qualname__.startswith("LsmTree.scan.<locals>")]
+        assert not [obj for obj in gc.get_objects()
+                    if type(obj) is Process and obj.env is env
+                    and obj.name.endswith("-scan")]
 
 
 class TestNothingGotQuieter:

@@ -35,7 +35,6 @@ class TestBloomFilter:
         small = BloomFilter(100, 0.01)
         large = BloomFilter(10_000, 0.01)
         assert large.n_bits > small.n_bits
-        assert large.size_bytes > small.size_bytes
 
     def test_tighter_fp_rate_uses_more_bits(self):
         loose = BloomFilter(1000, 0.1)

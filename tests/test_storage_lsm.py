@@ -262,7 +262,7 @@ class TestReadSeesOneVersionOfTheTree:
         tree.cache = BlockCache(tree.spec.block_cache_bytes)
         reads_before = tree.stats["block_reads"]
 
-        reader = read(tree)   # get: an event; get_inline, scan: steps
+        reader = read(tree)   # get, scan: an event; get_inline: steps
         if not isinstance(reader, Event):
             reader = env.process(reader)
         env.run(until=env.now + 1e-3)
@@ -313,4 +313,4 @@ class TestReadSeesOneVersionOfTheTree:
             lambda tree: tree.scan("k", 1), min_batch, monkeypatch,
             "blocks_for_range")
         assert rows == [("k", "v2", 2.0)]
-        assert drive(env, tree.scan("k", 1)) == [("k", "v3", 3.0)]
+        assert env.run(until=tree.scan("k", 1)) == [("k", "v3", 3.0)]

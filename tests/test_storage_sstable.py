@@ -18,7 +18,7 @@ class TestSSTable:
 
     def test_len_and_size(self):
         table = build(50, size=100)
-        assert len(table) == 50
+        assert len(table.items_sorted()) == 50
         assert table.size_bytes == 5000
 
     def test_unsorted_entries_rejected(self):
