@@ -184,7 +184,8 @@ class OpenLoopClient:
                 yield env.timeout(at - env.now)
             issued += 1
             op = self.workload.next_operation()
-            measurements.record_arrival(op.value, at)
+            # ``op._value_``: ``op.value`` is two property frames.
+            measurements.record_arrival(op._value_, at)
             tenant = None
             if self.sessions is not None:
                 tenant = self.sessions.tenant_of(self.sessions.next_user())
@@ -208,15 +209,15 @@ class OpenLoopClient:
                 try:
                     limiter.admit(tenant)
                 except RateLimited:
-                    measurements.record_error(op.value, kind="RateLimited",
-                                              at=at)
+                    measurements.record_error(op._value_,
+                                              kind="RateLimited", at=at)
                     continue
             thunk = self._op_thunk(op, at, measurements, state,
                                    read_key=read_key)
             if leveler is not None:
                 if not leveler.try_submit(thunk):
-                    measurements.record_error(op.value, kind="LoadShed",
-                                              at=at)
+                    measurements.record_error(op._value_,
+                                              kind="LoadShed", at=at)
             else:
                 state["outstanding"] += 1
                 env.process(thunk(), name=f"arrival-{issued}")
@@ -244,15 +245,21 @@ class OpenLoopClient:
 
         def thunk() -> Generator:
             try:
-                found = yield from _execute(self.db, self.workload, op,
-                                            read_key)
+                result = yield from _execute(self.db, self.workload, op,
+                                             read_key)
             except self._errors as exc:
-                measurements.record_error(op.value, kind=type(exc).__name__,
+                measurements.record_error(op._value_,
+                                          kind=type(exc).__name__,
                                           at=env.now)
             else:
-                if not found:
+                # Found-ness as in ``YcsbClient._run_worker``.
+                if (op is OperationType.READ and result is None
+                        or (op is OperationType.SCAN
+                            or op is OperationType.READ_MODIFY_WRITE)
+                        and not result):
                     state["not_found"] += 1
-                measurements.record(op.value, env.now, env.now - arrived_at)
+                measurements.record(op._value_, env.now,
+                                    env.now - arrived_at)
             finally:
                 if state["outstanding"]:
                     state["outstanding"] -= 1

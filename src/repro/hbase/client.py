@@ -78,9 +78,6 @@ class HBaseClient:
         self._assignment = dict(hbase.master.assignment)
         self.retries = 0
 
-    def _server_node(self, region_id: int) -> Node:
-        return self.cluster.nodes[self._assignment[region_id]]
-
     def _refresh_assignment(self) -> Generator:
         assignment = yield self.cluster.call_async(
             self.client_node, self.hbase.master_node, "master.locate",
@@ -123,7 +120,8 @@ class HBaseClient:
                 yield from self._refresh_assignment()
             try:
                 call = self.cluster.call_async(
-                    self.client_node, self._server_node(region_id), verb,
+                    self.client_node,
+                    self.cluster.nodes[self._assignment[region_id]], verb,
                     payload, request_bytes, response_bytes,
                     timeout=self.op_timeout_s, deadline=deadline,
                     src_cpu_s=self.client_overhead_s if attempt == 0 else 0.0)
@@ -154,15 +152,15 @@ class HBaseClient:
         request there."""
         yield from self._refresh_assignment()
         return self.cluster.call_async(
-            self.client_node, self._server_node(region_id), verb, payload,
-            request_bytes, response_bytes, timeout=self.op_timeout_s,
-            deadline=deadline)
+            self.client_node, self.cluster.nodes[self._assignment[region_id]],
+            verb, payload, request_bytes, response_bytes,
+            timeout=self.op_timeout_s, deadline=deadline)
 
     # -- operations -----------------------------------------------------
 
     def put(self, key: str, value: Any, size: int) -> Generator:
         """Insert or update one row (the retry loop's own generator)."""
-        region = self.hbase.region_for_token(token_of(key))
+        region = self.hbase.region_of(key)
         payload = (region.region_id, key, value, size,
                    self.cluster.env._now)
         return self._call_region(region.region_id, "rs.put", payload,
@@ -170,7 +168,7 @@ class HBaseClient:
 
     def get(self, key: str, expected_bytes: int = 1024) -> Generator:
         """Read one row; returns ``(value, timestamp)`` or None."""
-        region = self.hbase.region_for_token(token_of(key))
+        region = self.hbase.region_of(key)
         return self._call_region(region.region_id, "rs.get",
                                  (region.region_id, key), request_bytes=60,
                                  response_bytes=expected_bytes)

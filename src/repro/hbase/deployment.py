@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from repro.cluster.topology import Cluster
-from repro.keyspace import KEY_DOMAIN
+from repro.keyspace import KEY_DOMAIN, token_of
 from repro.hbase.master import HMaster
 from repro.hbase.region import Region
 from repro.hbase.regionserver import RegionServer
@@ -89,6 +89,10 @@ class HBaseCluster:
         #: Region start tokens, parallel to ``regions`` (which
         #: ``_presplit`` builds in token order).
         self._starts = [r.start_token for r in self.regions]
+        #: key -> owning Region, filled by :meth:`region_of`.  Regions
+        #: never split or merge, so a key's region never changes (a
+        #: failover or rebalance moves the region, not its range).
+        self._region_of_key: dict[str, Region] = {}
         self.master = HMaster(cluster, self.master_node, self.regionservers,
                               self.regions,
                               detection_s=spec.failure_detection_s,
@@ -112,6 +116,14 @@ class HBaseCluster:
             end = (i + 1) * step if i < n_regions - 1 else KEY_DOMAIN
             regions.append(Region(i, start, end))
         return regions
+
+    def region_of(self, key: str) -> Region:
+        """The region owning ``key``; looked up once per key."""
+        region = self._region_of_key.get(key)
+        if region is None:
+            region = self._region_of_key[key] = \
+                self.region_for_token(token_of(key))
+        return region
 
     def region_for_token(self, token: int) -> Region:
         """The region owning ``token`` (bisect over the sorted starts)."""

@@ -216,7 +216,7 @@ class RegionServer:
 
     def _handle_put(self, payload):
         region_id, key, value, size, timestamp, *rest = payload
-        region = self._region(region_id)
+        region = self.regions.get(region_id) or self._region(region_id)
         if self.handler_pool is not None \
                 or region.available_at > self.env._now:
             return self._served(region, rest[0] if rest else None,
@@ -236,7 +236,7 @@ class RegionServer:
 
     def _handle_get(self, payload):
         region_id, key, *rest = payload
-        region = self._region(region_id)
+        region = self.regions.get(region_id) or self._region(region_id)
         if self.handler_pool is not None \
                 or region.available_at > self.env._now:
             return self._served(region, rest[0] if rest else None,

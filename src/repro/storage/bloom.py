@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import zlib
+from typing import Iterable
 
 __all__ = ["BloomFilter"]
 
@@ -32,18 +33,31 @@ class BloomFilter:
         self.items_added = 0
 
     def add(self, key: str) -> None:
-        # Hot path (every memtable flush rehashes every entry): double
-        # hashing, ``h1 + i * h2`` for the i-th probe.
-        data = key.encode()
-        h = zlib.crc32(data)
-        h2 = zlib.adler32(data) | 1  # odd, so strides cover the table
+        self.add_all((key,))
+
+    def add_all(self, keys: Iterable[str]) -> None:
+        """:meth:`add` each of ``keys``: the same bits, one call.
+
+        Hot path (every memtable flush and compaction hashes every entry
+        of the run it writes): double hashing, ``h1 + i * h2`` for the
+        i-th probe.
+        """
         n = self.n_bits
         bits = self._bits
-        for _ in range(self.n_hashes):
-            i = h % n
-            bits[i >> 3] |= 1 << (i & 7)
-            h += h2
-        self.items_added += 1
+        probes = range(self.n_hashes)
+        crc32 = zlib.crc32
+        adler32 = zlib.adler32
+        added = 0
+        for key in keys:
+            data = key.encode()
+            h = crc32(data)
+            h2 = adler32(data) | 1  # odd, so strides cover the table
+            for _ in probes:
+                i = h % n
+                bits[i >> 3] |= 1 << (i & 7)
+                h += h2
+            added += 1
+        self.items_added += added
 
     def might_contain(self, key: str) -> bool:
         """False means *definitely absent*; True means *probably present*."""

@@ -25,9 +25,6 @@ class BlockCache:
         self.hits = 0
         self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def contains(self, sstable_id: int, block_no: int) -> bool:
         """Check + touch: a hit refreshes the block's recency."""
         key = (sstable_id, block_no)

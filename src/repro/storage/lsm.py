@@ -242,11 +242,11 @@ class LsmTree:
         self.env.process(self._flush(frozen), name=f"{self.name}-flush")
 
     def _flush(self, frozen: Memtable) -> Generator:
-        entries = list(frozen.items_sorted())
+        entries = frozen.items_sorted()
         if entries:
             yield from self.node.cpu_work(
                 CPU_FLUSH_PER_ENTRY_S * len(entries))
-            total = sum(e[3] for e in entries)
+            total = sum([e[3] for e in entries])
             handle = yield from self.medium.write_run(total)
             table = SSTable(entries, self.spec.block_bytes)
             table.file_handle = handle
@@ -455,8 +455,7 @@ class LsmTree:
         position, last = 0, len(tables)
         while True:
             for key, value, ts, _size in rows:
-                existing = merged.get(key)
-                if existing is None or ts > existing[1]:
+                if key not in merged or ts > merged[key][1]:
                     merged[key] = (value, ts)
             if position == last:
                 return None
@@ -507,7 +506,7 @@ class LsmTree:
             CPU_COMPACT_PER_ENTRY_S * max(len(entries), 1))
         merged: Optional[SSTable] = None
         if entries:
-            total_out = sum(e[3] for e in entries)
+            total_out = sum([e[3] for e in entries])
             handle = yield from self.medium.write_run(total_out)
             merged = SSTable(entries, self.spec.block_bytes)
             merged.file_handle = handle

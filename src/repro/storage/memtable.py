@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 __all__ = ["Memtable"]
 
@@ -24,12 +24,6 @@ class Memtable:
         #: accounting.
         self.size_bytes = 0
 
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._data
-
     def put(self, key: str, value: Any, size: int, timestamp: float) -> None:
         """Insert/overwrite ``key``; stale timestamps lose (LWW)."""
         existing = self._data.get(key)
@@ -47,14 +41,11 @@ class Memtable:
     def scan_from(self, start_key: str, limit: int) -> list[tuple[str, Any, float, int]]:
         """Up to ``limit`` entries with key >= ``start_key``, in key order."""
         idx = bisect.bisect_left(self._sorted_keys, start_key)
-        out = []
-        for key in self._sorted_keys[idx:idx + limit]:
-            value, ts, size = self._data[key]
-            out.append((key, value, ts, size))
-        return out
+        data = self._data
+        return [(key, *data[key])
+                for key in self._sorted_keys[idx:idx + limit]]
 
-    def items_sorted(self) -> Iterator[tuple[str, Any, float, int]]:
+    def items_sorted(self) -> list[tuple[str, Any, float, int]]:
         """All live entries in key order (used by flush)."""
-        for key in self._sorted_keys:
-            value, ts, size = self._data[key]
-            yield key, value, ts, size
+        data = self._data
+        return [(key, *data[key]) for key in self._sorted_keys]

@@ -12,6 +12,7 @@ size)`` tuples; ``size`` is the entry's on-disk footprint in bytes.
 from __future__ import annotations
 
 import bisect
+from operator import lt
 from typing import Any, Optional
 
 from repro.storage.bloom import BloomFilter
@@ -33,30 +34,35 @@ class SSTable:
         SSTable._next_id += 1
         self.sstable_id = SSTable._next_id
         self.block_bytes = block_bytes
-        self._keys: list[str] = []
-        self._values: dict[str, tuple[Any, float, int]] = {}
-        #: block number for each key position (parallel to ``_keys``).
-        self._key_block: list[int] = []
-        self.bloom = BloomFilter(max(1, len(entries)), BLOOM_FP_RATE)
-        self.size_bytes = 0
-
+        # Built in bulk: a flush or compaction hands over thousands of
+        # entries, so nothing below calls a method per entry.
+        keys = [entry[0] for entry in entries]
+        if not all(map(lt, keys, keys[1:])):
+            for prev_key, key in zip(keys, keys[1:]):
+                if key <= prev_key:
+                    raise ValueError(
+                        f"entries not strictly sorted at {key!r}")
+        self._keys: list[str] = keys
+        self._values: dict[str, tuple[Any, float, int]] = {
+            key: (value, ts, size) for key, value, ts, size in entries}
+        #: block number for each key position (parallel to ``_keys``):
+        #: an entry opens a new block when it would overflow a non-empty
+        #: one.
+        sizes = [entry[3] for entry in entries]
+        self._key_block: list[int] = [0] * len(sizes)
+        key_block = self._key_block
         block_no = 0
         block_fill = 0
-        prev_key: Optional[str] = None
-        for key, value, ts, size in entries:
-            if prev_key is not None and key <= prev_key:
-                raise ValueError(f"entries not strictly sorted at {key!r}")
-            prev_key = key
+        for position, size in enumerate(sizes):
             if block_fill + size > block_bytes and block_fill > 0:
                 block_no += 1
                 block_fill = 0
-            self._keys.append(key)
-            self._key_block.append(block_no)
-            self._values[key] = (value, ts, size)
-            self.bloom.add(key)
+            key_block[position] = block_no
             block_fill += size
-            self.size_bytes += size
         self.n_blocks = block_no + 1 if entries else 0
+        self.size_bytes = sum(sizes)
+        self.bloom = BloomFilter(max(1, len(entries)), BLOOM_FP_RATE)
+        self.bloom.add_all(keys)
 
     def might_contain(self, key: str) -> bool:
         """Bloom-filter + key-range check — no I/O."""

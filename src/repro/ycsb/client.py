@@ -151,9 +151,9 @@ class YcsbClient:
         yield AllOf(self.env, workers)
         measurements.finished_at = self.env.now
         if measurements.samples:
-            first = min(t - lat for samples in measurements.samples.values()
-                        for t, lat in samples)
-            measurements.started_at = first
+            measurements.started_at = min([
+                t - lat for samples in measurements.samples.values()
+                for t, lat in samples])
         return RunResult.of(self.workload, measurements, state["not_found"],
                             target_throughput)
 
@@ -177,43 +177,57 @@ class YcsbClient:
             op = self.workload.next_operation()
             t0 = env._now
             try:
-                found = yield from _execute(self.db, self.workload, op)
+                result = yield from _execute(self.db, self.workload, op)
             except OPERATION_ERRORS as exc:
                 if not warm:
-                    measurements.record_error(op.value,
+                    # ``op._value_``: ``op.value`` is two property frames.
+                    measurements.record_error(op._value_,
                                               kind=type(exc).__name__,
                                               at=env._now)
                 continue
-            if not found:
+            if (op is OperationType.READ and result is None
+                    or (op is OperationType.SCAN
+                        or op is OperationType.READ_MODIFY_WRITE)
+                    and not result):
                 state["not_found"] += 1
             if not warm:
                 now = env._now
-                measurements.record(op.value, now, now - t0)
+                measurements.record(op._value_, now, now - t0)
 
 
 def _execute(db: DbBinding, workload: Workload, op: OperationType,
              read_key: Optional[str] = None) -> Generator:
-    """Perform one operation; returns False for a not-found read.
+    """Draw one operation's key and payload, then hand back the
+    generator that performs it: the driver's own, so the operation
+    costs no generator frame here (read-modify-write alone has one).
     ``read_key`` is a key the caller already drew at dispatch (to probe
-    a cache for it, say), so the read targets that key."""
+    a cache for it, say), so the read targets that key.
+
+    The caller judges found-ness from ``op`` and what the generator
+    returned: a write always found its record, a read unless it returned
+    ``None``, a scan if it returned rows; a read-modify-write returns
+    whether its read found the record.
+    """
     size = workload.spec.record_bytes
-    if op is OperationType.INSERT:
-        payload, _ = workload.next_value()
-        yield from db.write(workload.next_insert_key(), payload, size)
-        return True
+    if op is OperationType.READ:
+        return db.read(read_key if read_key is not None
+                       else workload.next_read_key(), size)
     if op is OperationType.UPDATE:
         payload, _ = workload.next_value()
-        yield from db.write(workload.next_read_key(), payload, size)
-        return True
-    if op is OperationType.READ:
-        key = read_key if read_key is not None else workload.next_read_key()
-        result = yield from db.read(key, size)
-        return result is not None
+        return db.write(workload.next_read_key(), payload, size)
+    if op is OperationType.INSERT:
+        payload, _ = workload.next_value()
+        return db.write(workload.next_insert_key(), payload, size)
     if op is OperationType.SCAN:
-        rows = yield from db.scan(workload.next_read_key(),
-                                  workload.next_scan_length(), size)
-        return bool(rows)
-    # Read-modify-write: both halves count as one operation (YCSB).
+        return db.scan(workload.next_read_key(), workload.next_scan_length(),
+                       size)
+    return _read_modify_write(db, workload, size)
+
+
+def _read_modify_write(db: DbBinding, workload: Workload,
+                       size: int) -> Generator:
+    """Both halves count as one operation (YCSB); returns whether the
+    read found the record."""
     key = workload.next_read_key()
     result = yield from db.read(key, size)
     payload, _ = workload.next_value()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import merge
 from typing import Optional
 
 __all__ = ["LatencyStats", "Measurements"]
@@ -103,10 +102,8 @@ class Measurements:
         self.finished_at: Optional[float] = None
         #: op -> (sample count covered, sorted latencies).  ``samples``
         #: is append-only, so a cache entry stays valid as long as the
-        #: count matches; on a miss only the new tail is sorted and
-        #: merged.  This is what keeps repeated :meth:`stats` calls (the
-        #: adaptive monitor polls every window) from re-sorting the full
-        #: history each time.
+        #: count matches: a run's report asks for the same op's
+        #: statistics more than once, after the run.
         self._sorted_cache: dict[str, tuple[int, list[float]]] = {}
 
     def record(self, op: str, completed_at: float, latency: float) -> None:
@@ -130,17 +127,11 @@ class Measurements:
         samples = self.samples.get(op)
         if not samples:
             return []
-        n = len(samples)
         cached = self._sorted_cache.get(op)
-        if cached is not None and cached[0] == n:
-            return cached[1]
-        if cached is not None and cached[0] < n:
-            tail = sorted(lat for _, lat in samples[cached[0]:])
-            latencies = list(merge(cached[1], tail))
-        else:
-            latencies = sorted(lat for _, lat in samples)
-        self._sorted_cache[op] = (n, latencies)
-        return latencies
+        if cached is None or cached[0] != len(samples):
+            cached = (len(samples), sorted([lat for _, lat in samples]))
+            self._sorted_cache[op] = cached
+        return cached[1]
 
     def record_error(self, op: str, kind: str = "error",
                      at: Optional[float] = None) -> None:

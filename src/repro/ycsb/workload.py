@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable
 
 from repro.keyspace import key_for_index
 from repro.ycsb.generators import (
@@ -100,19 +100,21 @@ class Workload:
         self._latest = LatestGenerator(self.insert_counter, rng)
         self._scan_len = UniformGenerator(1, spec.max_scan_length, rng)
         self._op_sequence = 0
+        #: Draws the next operation type (the chooser's own ``next``).
+        self.next_operation: Callable[[], OperationType] = \
+            self._op_chooser.next
 
     # -- choices ---------------------------------------------------------
 
-    def next_operation(self) -> OperationType:
-        return self._op_chooser.next()
-
     def next_read_index(self) -> int:
         """Record index for a read/update/scan-start/RMW target."""
-        dist = self.spec.request_distribution
-        if dist == "latest":
+        if self.spec.request_distribution == "latest":
             return self._latest.next()
-        # Zipfian over everything inserted so far (hot heads scrambled).
-        total = max(self.record_count, self.insert_counter.last() + 1)
+        # Zipfian over everything inserted so far (hot heads scrambled):
+        # up to the counter's next value, never below the loaded records.
+        total = self.insert_counter._next
+        if total < self.record_count:
+            total = self.record_count
         return self._zipfian.next_below(total)
 
     def next_read_key(self) -> str:

@@ -27,9 +27,13 @@ and a cache-resident scan cell per engine, against ``cc58367``, where
 every scan was.
 
 And the leg itself has a *call* budget, counted under ``sys.setprofile``:
-the frames one ``Cluster.leg`` enters.
+the frames one ``Cluster.leg`` enters.  So does one YCSB operation on
+HBase: a warm-key get or put enters no region lookup and no generator
+between the worker and the driver, and a cache-resident scan makes no
+call per row (all three failed at ``3712163``).
 """
 
+import inspect
 import sys
 from dataclasses import replace
 
@@ -50,7 +54,7 @@ from repro.hbase.deployment import HBaseCluster, HBaseSpec
 from repro.hbase.regionserver import NotServingRegion
 from repro.hdfs.datanode import PACKET_CPU_S, DataNode
 from repro.hdfs.pipeline import ACK_BYTES, pipeline_write
-from repro.keyspace import key_for_index, token_of
+from repro.keyspace import key_for_index, key_for_token, token_of
 from repro.sim.kernel import (Environment, Event, Interrupt, Process,
                               Timeout)
 from repro.sim.resources import Overloaded
@@ -58,7 +62,10 @@ from repro.sim.rng import RngRegistry
 from repro.sim.trace import KernelTracer
 from repro.storage.cache import BlockCache
 from repro.storage.lsm import LocalDiskMedium, LsmTree, StorageSpec
-from repro.ycsb.workload import STRESS_WORKLOADS
+from repro.ycsb import client as ycsb_client
+from repro.ycsb.client import YcsbClient
+from repro.ycsb.db import HBaseBinding
+from repro.ycsb.workload import STRESS_WORKLOADS, OperationType
 from tests.conftest import build_wal, flat_cluster, schedule_appends
 
 
@@ -316,14 +323,17 @@ def test_pipeline_write_is_one_event_per_hop(replication, monkeypatch):
 
 # -- one leg, frame by frame ----------------------------------------------
 
-def _frames_entered(call, *args):
+def _frames_entered(call, *args, c_calls=False):
     """The code object of every Python frame ``call(*args)`` enters, in
-    order, and what it returned."""
+    order, and what it returned; with ``c_calls``, every builtin it
+    calls too (as the builtin)."""
     entered = []
 
-    def profiler(frame, event, _arg):
+    def profiler(frame, event, arg):
         if event == "call":
             entered.append(frame.f_code)
+        elif c_calls and event == "c_call":
+            entered.append(arg)
 
     sys.setprofile(profiler)
     try:
@@ -359,6 +369,100 @@ def test_a_leg_is_one_function_and_never_a_process(monkeypatch):
     env.run()
     assert heard[1] is landed and landed.processed
     assert env.processed_events - before == 2 and not spawned
+
+
+# -- one YCSB operation, frame by frame -----------------------------------
+
+class _Scripted:
+    """A workload whose every draw is fixed: ``op`` on ``key``."""
+
+    spec = STRESS_WORKLOADS["read_update"]
+
+    def __init__(self, op: OperationType, key: str, scan_length: int = 1):
+        self.op, self.key, self.scan_length = op, key, scan_length
+
+    def next_operation(self) -> OperationType:
+        return self.op
+
+    def next_read_key(self) -> str:
+        return self.key
+
+    def next_value(self) -> tuple:
+        return 1, self.spec.record_bytes
+
+    def next_scan_length(self) -> int:
+        return self.scan_length
+
+
+def _hbase_rows():
+    """HBase holding 60 rows at the bottom of region 0, written through
+    the YCSB binding (so every key has been addressed once): three runs
+    of one block each, all in the block cache, plus the memtable."""
+    env = Environment()
+    cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(5))
+    hbase = HBaseCluster(cluster, HBaseSpec(replication=2, storage=StorageSpec(
+        memtable_flush_bytes=20_000, block_bytes=1 << 20,
+        block_cache_bytes=16 << 20)))
+    binding = HBaseBinding(HBaseClient(hbase, hbase.master_node))
+    keys = [key_for_token(token) for token in range(1, 61)]
+
+    def write_all():
+        for key in keys:
+            yield from binding.write(key, 0, 1_000)
+
+    env.run(until=env.process(write_all()))
+    env.run(until=env.now + 1.0)  # the flushes land
+    tree = hbase.region_for_token(1).tree
+    assert len(tree.sstables) == 3
+    assert all(table.n_blocks == 1 for table in tree.sstables)
+    return env, binding, keys, tree
+
+
+def _one_operation(env, binding, workload):
+    """One operation of ``workload``, run by a YCSB worker."""
+    client = YcsbClient(env, binding, workload, None)
+    return env.run(until=env.process(client.run(1, n_threads=1,
+                                                warmup_fraction=0.0)))
+
+
+@pytest.mark.parametrize("op", [OperationType.READ, OperationType.UPDATE])
+def test_a_warm_key_costs_one_frame_per_operation(op):
+    """On a key already addressed, an HBase get or put finds its region
+    in ``HBaseCluster.region_of``'s memo — no ``token_of``, no region
+    bisect — and the YCSB layer hands the driver's generator straight to
+    the worker: ``_execute`` is one plain call, not a generator frame
+    entered again on every resume."""
+    env, binding, keys, _tree = _hbase_rows()
+    entered, result = _frames_entered(_one_operation, env, binding,
+                                      _Scripted(op, keys[7]))
+    assert result.operations == 1 and result.not_found == 0
+    assert token_of.__code__ not in entered
+    assert HBaseCluster.region_for_token.__code__ not in entered
+    assert entered.count(ycsb_client._execute.__code__) == 1
+    generators = {code.co_name for code in entered
+                  if code.co_filename == ycsb_client.__file__
+                  and code.co_flags & inspect.CO_GENERATOR}
+    assert generators == {"run", "_run_worker"}
+
+
+def test_a_cache_resident_scan_makes_no_call_per_row():
+    """A scan that finds every block cached (three runs and the
+    memtable) makes as many calls — Python frames and builtins alike —
+    for 20 rows as for 5: rows move as lists, never one by one."""
+    env, binding, keys, tree = _hbase_rows()
+    block_reads = tree.stats["block_reads"]
+    calls = {}
+    for length in (5, 20):
+        rows = env.run(until=env.process(binding.scan(keys[0], length,
+                                                      1_000)))
+        assert [key for key, *_ in rows] == keys[:length]
+        entered, result = _frames_entered(
+            _one_operation, env, binding,
+            _Scripted(OperationType.SCAN, keys[0], length), c_calls=True)
+        assert result.operations == 1 and result.not_found == 0
+        calls[length] = len(entered)
+    assert tree.stats["block_reads"] == block_reads
+    assert calls[5] == calls[20]
 
 
 # -- same work, whenever it is booked -------------------------------------

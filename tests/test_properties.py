@@ -3,18 +3,23 @@
 import random
 import zlib
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.cassandra.multidc import NetworkTopologyStrategy
 from repro.cassandra.partitioner import TokenRing
-from repro.keyspace import KEY_DOMAIN, key_for_token, token_of
+from repro.cluster.topology import Cluster, ClusterSpec
+from repro.hbase.deployment import HBaseCluster, HBaseSpec
+from repro.keyspace import KEY_DOMAIN, key_for_index, key_for_token, token_of
+from repro.sim.kernel import Environment
+from repro.sim.rng import RngRegistry
 from repro.storage.bloom import BloomFilter
 from repro.storage.cache import BlockCache
 from repro.storage.compaction import merge_tables
 from repro.storage.memtable import Memtable
-from repro.storage.sstable import SSTable
+from repro.storage.sstable import BLOOM_FP_RATE, SSTable
 from repro.ycsb.generators import DiscreteGenerator, ZipfianGenerator
 from repro.ycsb.measurements import percentile
 
@@ -37,7 +42,7 @@ class TestMemtableModel:
             got = table.get(key)
             assert got is not None
             assert got[1] == ts
-        assert len(table) == len(model)
+        assert len(table.items_sorted()) == len(model)
 
     @given(st.lists(st.tuples(keys, st.integers()), min_size=1, max_size=100))
     def test_items_sorted(self, operations):
@@ -66,6 +71,92 @@ class TestSSTableModel:
         _, got = table.blocks_for_range(start, limit)
         expected = [k for k in sorted(data) if k >= start][:limit]
         assert [k for k, *_ in got] == expected
+
+
+class TestSSTableBulkBuild:
+    """The run is built in bulk; it equals the entry-at-a-time build."""
+
+    @given(st.dictionaries(keys, st.integers(min_value=1, max_value=3000),
+                           max_size=120),
+           st.integers(min_value=64, max_value=2048))
+    @example({}, 512)
+    @example({"a": 4096, "b": 10, "c": 4096}, 1024)
+    @example({"a": 512, "b": 512, "c": 512}, 1024)
+    def test_equals_per_entry_reference(self, sizes, block_bytes):
+        entries = [(key, index, float(index), size) for index, (key, size)
+                   in enumerate(sorted(sizes.items()))]
+        table = SSTable(entries, block_bytes)
+        reference = _PerEntrySSTable(entries, block_bytes)
+        assert table._keys == reference.keys
+        assert table._values == reference.values
+        assert table._key_block == reference.key_block
+        assert table.n_blocks == reference.n_blocks
+        assert table.size_bytes == reference.size_bytes
+        assert table.bloom.items_added == len(entries)
+        assert bytes(table.bloom._bits) == reference.bloom_bytes(
+            len(table.bloom._bits))
+
+    @given(st.lists(keys, min_size=2, max_size=40))
+    def test_unsorted_or_duplicate_input_raises(self, key_list):
+        pairs = list(zip(key_list, key_list[1:]))
+        assume(any(key <= prev for prev, key in pairs))
+        first_bad = next(key for prev, key in pairs if key <= prev)
+        with pytest.raises(ValueError) as raised:
+            SSTable([(key, 0, 1.0, 10) for key in key_list], 256)
+        assert str(raised.value) == \
+            f"entries not strictly sorted at {first_bad!r}"
+
+
+class _PerEntrySSTable:
+    """What ``SSTable.__init__`` computed entry by entry before it
+    built in bulk; the bloom bits come from :class:`_BigIntBloom`."""
+
+    def __init__(self, entries, block_bytes: int) -> None:
+        self.keys, self.values, self.key_block = [], {}, []
+        probe = BloomFilter(max(1, len(entries)), BLOOM_FP_RATE)
+        self.bloom = _BigIntBloom(probe.n_bits, probe.n_hashes)
+        self.size_bytes = block_no = block_fill = 0
+        for key, value, ts, size in entries:
+            if block_fill + size > block_bytes and block_fill > 0:
+                block_no += 1
+                block_fill = 0
+            self.keys.append(key)
+            self.key_block.append(block_no)
+            self.values[key] = (value, ts, size)
+            self.bloom.add(key)
+            block_fill += size
+            self.size_bytes += size
+        self.n_blocks = block_no + 1 if entries else 0
+
+    def bloom_bytes(self, length: int) -> bytes:
+        # Bit ``i`` of the integer is bit ``i & 7`` of byte ``i >> 3``.
+        return self.bloom.bits.to_bytes(length, "little")
+
+
+class TestRegionMemo:
+    """``region_of`` remembers each key's region; regions never split,
+    so the answer is the token lookup's, also after a region moved."""
+
+    @given(st.lists(st.one_of(
+        st.integers(min_value=0, max_value=KEY_DOMAIN - 1).map(key_for_token),
+        st.integers(min_value=0, max_value=50_000).map(key_for_index)),
+        min_size=1, max_size=40))
+    @settings(max_examples=40)
+    def test_equals_token_lookup_across_a_move(self, addressed):
+        env = Environment()
+        cluster = Cluster(env, ClusterSpec(n_nodes=5), RngRegistry(3))
+        hbase = HBaseCluster(cluster, HBaseSpec(replication=2,
+                                                spare_servers=1))
+
+        def lookups():
+            return [hbase.region_for_token(token_of(key))
+                    for key in addressed]
+
+        assert [hbase.region_of(key) for key in addressed] == lookups()
+        spare = hbase.scale_out_candidate()
+        assert hbase.master.activate(spare) > 0
+        assert [hbase.region_of(key) for key in addressed] == lookups()
+        assert len(hbase._region_of_key) == len(set(addressed))
 
 
 class TestBloomProperty:
@@ -153,13 +244,12 @@ class TestLsmMergeModel:
             if op == "put":
                 table.put(key, value, 8, float(ts))
                 model[key] = (value, float(ts))
-            elif len(table):
-                sstables.append(SSTable(list(table.items_sorted()),
+            elif table.items_sorted():
+                sstables.append(SSTable(table.items_sorted(),
                                         block_bytes=256))
                 table = Memtable()
-        if len(table):
-            sstables.append(SSTable(list(table.items_sorted()),
-                                    block_bytes=256))
+        if table.items_sorted():
+            sstables.append(SSTable(table.items_sorted(), block_bytes=256))
         merged = merge_tables(sstables) if sstables else []
         assert [k for k, *_ in merged] == sorted(model)
         for key, value, ts, _size in merged:

@@ -27,7 +27,7 @@ class TestBlockCache:
         for block in range(10):
             cache.insert(1, block, 1024)
         assert cache.used_bytes <= 4096
-        assert len(cache) <= 4
+        assert len(cache._entries) <= 4
 
     def test_zero_capacity_caches_nothing(self):
         cache = BlockCache(0)
@@ -39,7 +39,7 @@ class TestBlockCache:
         cache.insert(1, 0, 1000)
         cache.insert(1, 0, 2000)
         assert cache.used_bytes == 2000
-        assert len(cache) == 1
+        assert len(cache._entries) == 1
 
     def test_evict_sstable_drops_all_its_blocks(self):
         cache = BlockCache(100_000)

@@ -27,7 +27,7 @@ class TestMemtable:
         table.put("k", "a", 100, 1.0)
         table.put("k", "b", 100, 2.0)
         assert table.size_bytes == 200
-        assert len(table) == 1
+        assert table.items_sorted() == [("k", "b", 2.0, 100)]
 
     def test_items_sorted_by_key(self):
         table = Memtable()
@@ -48,8 +48,3 @@ class TestMemtable:
         table.put("d", 2, 1, 1.0)
         rows = table.scan_from("c", 5)
         assert [k for k, *_ in rows] == ["d"]
-
-    def test_contains(self):
-        table = Memtable()
-        table.put("x", 1, 1, 1.0)
-        assert "x" in table and "y" not in table

@@ -95,6 +95,17 @@ class TestMeasurements:
         assert overall.count == 2
         assert overall.mean == pytest.approx(0.002)
 
+    def test_stats_see_samples_recorded_after_an_earlier_call(self):
+        m = Measurements()
+        for latency in (0.004, 0.001):
+            m.record("read", 1.0, latency)
+        assert m.stats("read").maximum == 0.004
+        for latency in (0.002, 0.009):
+            m.record("read", 2.0, latency)
+        stats = m.stats("read")
+        assert (stats.count, stats.minimum, stats.p50, stats.maximum) == \
+            (4, 0.001, 0.002, 0.009)
+
     def test_empty_latency_stats(self):
         stats = Measurements().overall_stats()
         assert stats.count == 0 and stats.p99_ms == 0.0
