@@ -69,11 +69,16 @@ class CassandraSession:
         #: On geo clusters, prefer coordinators in the client's own
         #: datacenter (the driver's DCAwareRoundRobinPolicy default).
         self.dc_aware = dc_aware
+        #: Node id -> datacenter name on a geo cluster (fixed per
+        #: cluster); ``None`` on a single rack, where every ring member
+        #: is a candidate coordinator.
+        self._datacenters = getattr(self.cluster, "node_datacenter", None)
 
     def _coordinator_pool(self) -> list[Node]:
+        """Candidate coordinators on a geo cluster."""
         members = self.cassandra.coordinator_nodes
-        datacenters = getattr(self.cluster, "node_datacenter", None)
-        if not self.dc_aware or datacenters is None:
+        datacenters = self._datacenters
+        if not self.dc_aware:
             return members
         my_dc = datacenters.get(self.client_node.node_id)
         local = [n for n in members
@@ -94,7 +99,8 @@ class CassandraSession:
         return members
 
     def _next_coordinator(self) -> Node:
-        members = self._coordinator_pool()
+        members = (self.cassandra.coordinator_nodes
+                   if self._datacenters is None else self._coordinator_pool())
         for _ in range(len(members)):
             node = members[self._rr_index % len(members)]
             self._rr_index += 1
@@ -102,25 +108,23 @@ class CassandraSession:
                 return node
         raise DeadNodeError("no live Cassandra coordinator")
 
-    def _op_deadline(self) -> Optional[float]:
-        """Absolute deadline for an operation starting now (incl. retries)."""
-        if self.deadline_s is None:
-            return None
-        return self.cluster.env._now + self.deadline_s
-
-    def _call(self, handler: str, make_payload, request_bytes: int,
-              response_bytes: int,
-              deadline: Optional[float] = None) -> Generator:
+    def _call(self, handler: str, payload: tuple, request_bytes: int,
+              response_bytes: int, deadline: Optional[float],
+              stamped: bool = False) -> Generator:
         """One coordinator RPC, retried per the session's retry policy.
 
-        ``make_payload`` is re-evaluated per attempt so write timestamps
-        stay fresh across retries.
+        A ``stamped`` payload is a write's ``(key, value, size, cl,
+        deadline)``: each attempt sends it with the time it is sent as
+        the write timestamp (after ``size``), so a retry is newer.
         """
+        env = self.cluster.env
         for attempt in range(self.retries + 1):
             coordinator = self._next_coordinator()
             try:
                 result = yield self.cluster.call_async(
-                    self.client_node, coordinator, handler, make_payload(),
+                    self.client_node, coordinator, handler,
+                    (*payload[:3], env._now, *payload[3:]) if stamped
+                    else payload,
                     request_bytes=request_bytes,
                     response_bytes=response_bytes,
                     timeout=self.op_timeout_s, deadline=deadline,
@@ -144,22 +148,25 @@ class CassandraSession:
         """Write one row at the session's (or given) write CL.
 
         Like :meth:`read` and :meth:`scan`, returns :meth:`_call`'s
-        generator (callers ``yield from`` it)."""
+        generator (callers ``yield from`` it).  The level goes on the
+        wire by name; ``cl._value_`` because ``cl.value`` is two
+        property frames."""
         cl = cl or self.write_cl
-        deadline = self._op_deadline()
+        deadline = (None if self.deadline_s is None
+                    else self.cluster.env._now + self.deadline_s)
         return self._call(
-            "c.coord_write",
-            lambda: (key, value, size, self.cluster.env._now, cl.value,
-                     deadline),
-            request_bytes=size + 80, response_bytes=20, deadline=deadline)
+            "c.coord_write", (key, value, size, cl._value_, deadline),
+            request_bytes=size + 80, response_bytes=20, deadline=deadline,
+            stamped=True)
 
     def read(self, key: str, expected_bytes: int = 1024,
              cl: Optional[ConsistencyLevel] = None) -> Generator:
         """Read one row; returns ``(value, timestamp)`` or None."""
         cl = cl or self.read_cl
-        deadline = self._op_deadline()
+        deadline = (None if self.deadline_s is None
+                    else self.cluster.env._now + self.deadline_s)
         return self._call(
-            "c.coord_read", lambda: (key, cl.value, expected_bytes, deadline),
+            "c.coord_read", (key, cl._value_, expected_bytes, deadline),
             request_bytes=70, response_bytes=expected_bytes + 30,
             deadline=deadline)
 
@@ -167,9 +174,10 @@ class CassandraSession:
              cl: Optional[ConsistencyLevel] = None) -> Generator:
         """Token-order scan from ``start_key``."""
         cl = cl or self.read_cl
-        deadline = self._op_deadline()
+        deadline = (None if self.deadline_s is None
+                    else self.cluster.env._now + self.deadline_s)
         return self._call(
             "c.coord_scan",
-            lambda: (start_key, limit, cl.value, record_bytes, deadline),
+            (start_key, limit, cl._value_, record_bytes, deadline),
             request_bytes=80, response_bytes=record_bytes * limit,
             deadline=deadline)

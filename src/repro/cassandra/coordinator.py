@@ -30,6 +30,7 @@ EACH_QUORUM's per-datacenter waits and the storage engine's scan.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.cassandra.consistency import ConsistencyLevel, UnavailableError
@@ -52,10 +53,12 @@ __all__ = ["Coordinator", "ReadTimeoutError", "WriteTimeoutError", "wait_for_k"]
 _COORD_CPU_S = 1.2e-5
 
 #: Hot-path lookup tables (one enum construction / f-string per request
-#: is measurable at stress-cell scale).
+#: is measurable at stress-cell scale).  The per-CL stats keys are looked
+#: up by the level's name, as the payload carries it: hashing a member is
+#: a Python frame (``Enum.__hash__``).
 _CL_BY_VALUE = {cl.value: cl for cl in ConsistencyLevel}
-_WRITES_KEY = {cl: f"writes_{cl.value}" for cl in ConsistencyLevel}
-_READS_KEY = {cl: f"reads_{cl.value}" for cl in ConsistencyLevel}
+_WRITES_KEY = {cl.value: f"writes_{cl.value}" for cl in ConsistencyLevel}
+_READS_KEY = {cl.value: f"reads_{cl.value}" for cl in ConsistencyLevel}
 
 
 class WriteTimeoutError(ModelledFailure):
@@ -152,6 +155,10 @@ class Coordinator:
         self._hint_on_failure = bool(
             getattr(owner.placement, "replication_per_dc", None)
             or spec.max_handler_queue is not None)
+        #: Node id -> datacenter name on a geo cluster, fixed per
+        #: cluster; ``None`` on a single rack, where every level is
+        #: planned without the datacenter machinery (:meth:`_plan`).
+        self._datacenters = getattr(owner.cluster, "node_datacenter", None)
         node = owner.node
         node.register("c.coord_write", self.handle_write, cpu_s=_COORD_CPU_S)
         node.register("c.coord_read", self.handle_read, cpu_s=_COORD_CPU_S)
@@ -159,21 +166,18 @@ class Coordinator:
 
     # -- plumbing --------------------------------------------------------
 
-    def _admit(self) -> None:
-        """Coordinator-side admission control (raises before any work)."""
-        if self.max_inflight is not None \
-                and self.inflight >= self.max_inflight:
-            self.stats["admission_sheds"] += 1
-            raise Overloaded(
-                f"coordinator {self.owner.node.node_id} at max in-flight "
-                f"({self.max_inflight})")
-
     def _coordinate(self, plan: Callable, payload: tuple) -> Event:
         """Admit a request; ``plan(payload, done)`` fans it out and hangs
         the callbacks that complete ``done`` on the replica calls.  What
         ends it before this returns (a refusal, a shed on this node's own
         stage) raises, as a process failing in its first segment did."""
-        self._admit()
+        if self.max_inflight is not None \
+                and self.inflight >= self.max_inflight:
+            # Coordinator-side admission control: shed before any work.
+            self.stats["admission_sheds"] += 1
+            raise Overloaded(
+                f"coordinator {self.owner.node.node_id} at max in-flight "
+                f"({self.max_inflight})")
         self.inflight += 1
         done = Event(self.env)
         try:
@@ -255,17 +259,19 @@ class Coordinator:
 
     def _plan(self, cl: ConsistencyLevel, alive: list[int],
               replication: int) -> tuple[int, list[int], int]:
-        """(required acks, read-ordered candidates, ack-pool size).
+        """(required acks, read-ordered candidates, ack-pool size) on a
+        geo cluster.
 
         For datacenter-local levels the ack count is a quorum/one of the
         *coordinator's datacenter* replicas — only the first
         ``ack_pool`` candidates (the local ones) may satisfy it — and
         local replicas are preferred as read targets, which is what keeps
-        geo-reads off the WAN.  On single-DC clusters this degrades to
-        the plain levels.
+        geo-reads off the WAN.  On a single rack the verbs do not call
+        this: every level is the plain one, ``cl.required(replication)``
+        of the alive replicas in placement order.
         """
-        datacenters = getattr(self.owner.cluster, "node_datacenter", None)
-        if not cl.is_datacenter_local or datacenters is None:
+        datacenters = self._datacenters
+        if not cl.is_datacenter_local:
             return cl.required(replication), alive, len(alive)
         my_dc = datacenters[self.owner.node.node_id]
         local = [r for r in alive if datacenters.get(r) == my_dc]
@@ -321,19 +327,21 @@ class Coordinator:
         replica.  A self-targeted hint replays through the same loop
         once the stage has room.
         """
-        store = self.owner.hints
-        stats = self.stats
-
-        def arm(replica_id: int, ack: Event) -> None:
-            def on_settle(event: Event) -> None:
-                if isinstance(event._value, Exception):
-                    store.store(Hint(replica_id, key, value, size,
-                                     timestamp))
-                    stats["hints_stored"] += 1
-            _then(ack, on_settle)
-
         for replica_id, ack in zip(ordered, acks):
-            arm(replica_id, ack)
+            on_settle = partial(self._hint_if_failed, replica_id, key, value,
+                                size, timestamp)
+            if ack.callbacks is None:
+                on_settle(ack)
+            else:
+                ack.callbacks.append(on_settle)
+
+    def _hint_if_failed(self, replica_id: int, key: str, value, size: int,
+                        timestamp: float, ack: Event) -> None:
+        """One replica's subscriber from :meth:`_arm_failure_hints`."""
+        if isinstance(ack._value, Exception):
+            self.owner.hints.store(Hint(replica_id, key, value, size,
+                                        timestamp))
+            self.stats["hints_stored"] += 1
 
     # -- write path -------------------------------------------------------
 
@@ -349,7 +357,7 @@ class Coordinator:
         stats["writes"] += 1
         # Per-CL breakdown: under an adaptive policy a single run mixes
         # levels, and the decision-log cross-check sums these.
-        key_by_cl = _WRITES_KEY[cl]
+        key_by_cl = _WRITES_KEY[cl_name]
         stats[key_by_cl] = stats.get(key_by_cl, 0) + 1
         alive, replication = self._alive_replicas(key)
         groups = (self._each_quorum_groups(alive)
@@ -366,10 +374,15 @@ class Coordinator:
                         f"datacenter {dc!r}, {len(members)} alive")
             required, ordered, ack_pool = 0, alive, len(alive)
         else:
-            required, ordered, ack_pool = self._plan(cl, alive, replication)
+            if self._datacenters is None:
+                required, ordered, ack_pool = (cl.required(replication),
+                                               alive, len(alive))
+            else:
+                required, ordered, ack_pool = self._plan(cl, alive,
+                                                         replication)
             if len(alive) < required:
                 raise UnavailableError(
-                    f"write {cl.value} needs {required} replicas, "
+                    f"write {cl_name} needs {required} replicas, "
                     f"{len(alive)} alive")
         # Mutations go to every live replica; only the ack wait differs.
         # For LOCAL_* levels only acks from the coordinator's datacenter
@@ -411,12 +424,12 @@ class Coordinator:
             sheds = sum(1 for p in acks[:ack_pool]
                         if p.processed and isinstance(p.value, Overloaded))
             self._complete(done, False, Overloaded(
-                f"write {cl.value}: {sheds} replicas shed")
+                f"write {cl_name}: {sheds} replicas shed")
                 if sheds > ack_pool - required else wait._value)
 
         _then(wait_for_k(
             self.env, acks[:ack_pool], required,
-            WriteTimeoutError(f"write {cl.value} got < {required} acks")),
+            WriteTimeoutError(f"write {cl_name} got < {required} acks")),
             acked)
 
     def _each_quorum(self, groups: list[tuple[str, int, list[int]]],
@@ -447,22 +460,21 @@ class Coordinator:
             raise ValueError("EACH_QUORUM is a write-only consistency level")
         stats = self.stats
         stats["reads"] += 1
-        key_by_cl = _READS_KEY[cl]
+        key_by_cl = _READS_KEY[cl_name]
         stats[key_by_cl] = stats.get(key_by_cl, 0) + 1
         spec = self.owner.spec
         alive, replication = self._alive_replicas(key)
-        required, ordered, _ack_pool = self._plan(cl, alive, replication)
+        if self._datacenters is None:
+            required, ordered = cl.required(replication), alive
+        else:
+            required, ordered, _ack_pool = self._plan(cl, alive, replication)
         if len(alive) < required:
             raise UnavailableError(
-                f"read {cl.value} needs {required} replicas, "
+                f"read {cl_name} needs {required} replicas, "
                 f"{len(alive)} alive")
         repair_fires = (len(ordered) > required
                         and self._rng.random() < spec.read_repair_chance)
         involved = ordered if repair_fires else ordered[:required]
-        # Replicas not involved in this read are speculative-retry
-        # candidates — the "next-fastest" targets a hedge may duplicate
-        # the data read to.
-        spares = [r for r in ordered if r not in involved]
 
         data_proc = self._replica_read(involved[0], key, expected_bytes,
                                        digest=False, deadline=deadline)
@@ -498,7 +510,7 @@ class Coordinator:
                 _then(wait_for_k(
                     self.env, digest_procs[:blocking_digests],
                     blocking_digests, ReadTimeoutError(
-                        f"read {cl.value} got < {blocking_digests} digests")),
+                        f"read {cl_name} got < {blocking_digests} digests")),
                     self._resume(done, lambda _: answer(data_resp,
                                                         data_replica)))
             elif digest_procs:  # the repair chance fired
@@ -542,6 +554,10 @@ class Coordinator:
         if self.hedge is None:
             _then(data_proc, data_arrived)
         else:
+            # Replicas not involved in this read are speculative-retry
+            # candidates — the "next-fastest" targets a hedge may
+            # duplicate the data read to.
+            spares = [r for r in ordered if r not in involved]
             Process(self.env, self._await_data(
                 data_proc, involved[0], key, expected_bytes, spares,
                 deadline), None, True, data_arrived)

@@ -20,7 +20,12 @@ __all__ = ["NetworkTopologyStrategy", "SimpleStrategy"]
 
 
 class PlacementStrategy(Protocol):
-    """What the coordinator needs from a replica-placement policy."""
+    """What the coordinator needs from a replica-placement policy.
+
+    Both strategies here answer a key they have placed before from their
+    :meth:`TokenRing.key_memo`: callers treat the list as read-only, and
+    the ring empties the memo wherever placement changes.
+    """
 
     def replicas_for_key(self, key: str) -> list[int]:
         ...
@@ -39,9 +44,14 @@ class SimpleStrategy:
         #: Armed during bootstrap/decommission streaming: extra write
         #: targets that never count toward the consistency level.
         self.pending = PendingRanges()
+        self._memo = ring.key_memo()
 
     def replicas_for_key(self, key: str) -> list[int]:
-        return self.ring.replicas_for_key(key, self.replication)
+        replicas = self._memo.get(key)
+        if replicas is None:
+            replicas = self._memo[key] = self.ring.replicas_for_key(
+                key, self.replication)
+        return replicas
 
     @property
     def total_replicas(self) -> int:
@@ -69,6 +79,7 @@ class NetworkTopologyStrategy:
         self.replication_per_dc = dict(replication_per_dc)
         #: See :class:`SimpleStrategy` — same double-write contract.
         self.pending = PendingRanges()
+        self._memo = ring.key_memo()
         for dc, count in replication_per_dc.items():
             available = sum(1 for d in node_datacenter.values() if d == dc)
             if count > available:
@@ -77,6 +88,12 @@ class NetworkTopologyStrategy:
                     f"replication {count} requested")
 
     def replicas_for_key(self, key: str) -> list[int]:
+        replicas = self._memo.get(key)
+        if replicas is None:
+            replicas = self._memo[key] = self._walk(key)
+        return replicas
+
+    def _walk(self, key: str) -> list[int]:
         token = token_of(key)
         wanted = dict(self.replication_per_dc)
         replicas: list[int] = []
@@ -97,6 +114,3 @@ class NetworkTopologyStrategy:
     @property
     def total_replicas(self) -> int:
         return sum(self.replication_per_dc.values())
-
-    def replicas_in_dc(self, replicas: list[int], dc: str) -> list[int]:
-        return [r for r in replicas if self.node_datacenter.get(r) == dc]

@@ -110,11 +110,29 @@ class TokenRing:
         self._owners = [o for _, o in pairs]
         #: (primary ring index, replication) -> replica list.  Placement
         #: per segment only changes on :meth:`add_node` /
-        #: :meth:`remove_node`, which clear the cache; between topology
+        #: :meth:`remove_node` / :meth:`adopt`, which clear the cache
+        #: (:meth:`_placement_changed`); between topology
         #: changes it is bounded by vnode count x distinct RFs.  Callers
         #: treat the returned list as read-only (they copy or comprehend,
         #: never mutate).
         self._replica_cache: dict[tuple[int, int], list[int]] = {}
+        #: The placement strategies' key -> replica-list memos
+        #: (:meth:`key_memo`), emptied wherever ``_replica_cache`` is.
+        self._key_memos: list[dict[str, list[int]]] = []
+
+    def key_memo(self) -> dict[str, list[int]]:
+        """A key -> replica-list memo for one placement strategy on this
+        ring: valid until placement changes, i.e. until :meth:`add_node`,
+        :meth:`remove_node` or :meth:`adopt`, which empty it together with
+        the segment cache.  At most one entry per key ever addressed."""
+        memo: dict[str, list[int]] = {}
+        self._key_memos.append(memo)
+        return memo
+
+    def _placement_changed(self) -> None:
+        self._replica_cache.clear()
+        for memo in self._key_memos:
+            memo.clear()
 
     def primary_index(self, token: int) -> int:
         """Ring position owning ``token`` (first vnode clockwise)."""
@@ -170,6 +188,7 @@ class TokenRing:
         twin._tokens = list(self._tokens)
         twin._owners = list(self._owners)
         twin._replica_cache = {}
+        twin._key_memos = []
         return twin
 
     def adopt(self, other: "TokenRing") -> None:
@@ -183,7 +202,7 @@ class TokenRing:
         self.node_ids = list(other.node_ids)
         self._tokens = list(other._tokens)
         self._owners = list(other._owners)
-        self._replica_cache.clear()
+        self._placement_changed()
 
     def range_replicas(self, replication: int,
                        boundaries: list[int] | None = None,
@@ -239,7 +258,7 @@ class TokenRing:
             self._tokens.insert(idx, token)
             self._owners.insert(idx, node_id)
         self.node_ids.append(node_id)
-        self._replica_cache.clear()
+        self._placement_changed()
         return self._moved(before,
                            self.range_replicas(replication, boundaries))
 
@@ -262,6 +281,6 @@ class TokenRing:
         self._tokens = [t for t, _ in kept]
         self._owners = [o for _, o in kept]
         self.node_ids.remove(node_id)
-        self._replica_cache.clear()
+        self._placement_changed()
         return self._moved(before,
                            self.range_replicas(replication, boundaries))

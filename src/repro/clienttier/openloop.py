@@ -180,8 +180,8 @@ class OpenLoopClient:
         while issued < max_arrivals:
             offset = next(times)
             at = epoch + offset
-            if at > env.now:
-                yield env.timeout(at - env.now)
+            if at > env._now:  # ``env.now`` is a property frame
+                yield env.timeout(at - env._now)
             issued += 1
             op = self.workload.next_operation()
             # ``op._value_``: ``op.value`` is two property frames.
@@ -244,13 +244,14 @@ class OpenLoopClient:
         env = self.env
 
         def thunk() -> Generator:
+            # ``env._now``: ``env.now`` is a property frame per read.
             try:
                 result = yield from _execute(self.db, self.workload, op,
                                              read_key)
             except self._errors as exc:
                 measurements.record_error(op._value_,
                                           kind=type(exc).__name__,
-                                          at=env.now)
+                                          at=env._now)
             else:
                 # Found-ness as in ``YcsbClient._run_worker``.
                 if (op is OperationType.READ and result is None
@@ -258,8 +259,8 @@ class OpenLoopClient:
                             or op is OperationType.READ_MODIFY_WRITE)
                         and not result):
                     state["not_found"] += 1
-                measurements.record(op._value_, env.now,
-                                    env.now - arrived_at)
+                measurements.record(op._value_, env._now,
+                                    env._now - arrived_at)
             finally:
                 if state["outstanding"]:
                     state["outstanding"] -= 1

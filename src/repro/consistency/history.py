@@ -140,12 +140,15 @@ class HistoryRecorder:
         self._write_cl = write_cl
         self._next_id = 0
 
+    # ``env._active_process`` / ``env._now`` here and below: the public
+    # names are property frames, paid on every recorded operation.
+
     def _session(self) -> str:
-        process = self.env.active_process
+        process = self.env._active_process
         return process.name if process is not None else "main"
 
     def _record(self, **kwargs) -> None:
-        self.history.add(HistoryOp(response_s=self.env.now, **kwargs))
+        self.history.add(HistoryOp(response_s=self.env._now, **kwargs))
 
     def write(self, key: str, value: Any, size: int) -> Generator:
         self._next_id += 1
@@ -153,7 +156,7 @@ class HistoryRecorder:
         tag = f"{self.tag_prefix}{op_id}" if self.tag_writes else value
         session = self._session()
         cl = self._write_cl() if self._write_cl is not None else None
-        invoke = self.env.now
+        invoke = self.env._now
         try:
             result = yield from self.inner.write(key, tag, size)
         except OPERATION_ERRORS as exc:
@@ -176,7 +179,7 @@ class HistoryRecorder:
         op_id = self._next_id
         session = self._session()
         cl = self._read_cl() if self._read_cl is not None else None
-        invoke = self.env.now
+        invoke = self.env._now
         try:
             result = yield from self.inner.read(key, size)
         except OPERATION_ERRORS as exc:
@@ -196,7 +199,7 @@ class HistoryRecorder:
         op_id = self._next_id
         session = self._session()
         cl = self._read_cl() if self._read_cl is not None else None
-        invoke = self.env.now
+        invoke = self.env._now
         try:
             rows = yield from self.inner.scan(start_key, limit, record_bytes)
         except OPERATION_ERRORS as exc:

@@ -160,8 +160,9 @@ def _oracle(run: _Run, switch, binding: DbBinding) -> Generator:
     exp, session = run.exp, run.session
     read_cl_of = write_cl_of = None
     if session is not None:
-        read_cl_of = lambda: session.read_cl.value  # noqa: E731
-        write_cl_of = lambda: session.write_cl.value  # noqa: E731
+        # ``cl._value_``: ``cl.value`` is two property frames.
+        read_cl_of = lambda: session.read_cl._value_  # noqa: E731
+        write_cl_of = lambda: session.write_cl._value_  # noqa: E731
     exp._recorded_runs += 1
     recorder = HistoryRecorder(binding, exp.env, read_cl=read_cl_of,
                                write_cl=write_cl_of,

@@ -103,11 +103,6 @@ class Resource:
         self._seq = 0
 
     @property
-    def count(self) -> int:
-        """Number of slots currently in use."""
-        return len(self.users)
-
-    @property
     def queue_len(self) -> int:
         """Number of *live* requests waiting for a slot.
 
@@ -143,7 +138,8 @@ class Resource:
         """
         if request in self.users:
             self.users.remove(request)
-            self._grant_next()
+            if self._waiting:
+                self._grant_next()
         elif not request.cancelled and not request.triggered:
             request.cancelled = True
             self._ghosts += 1
@@ -180,14 +176,21 @@ class BoundedResource(Resource):
         self.shed = 0
 
     def request(self, priority: int = 0) -> Request:
-        """Claim a slot, or raise :class:`Overloaded` if the queue is full."""
-        if len(self.users) >= self.capacity:
-            waiting = len(self._waiting) - self._ghosts
-            if waiting >= self.max_queue:
-                self.shed += 1
-                raise Overloaded(f"queue full ({waiting} waiting, "
-                                 f"{self.capacity} slots busy)")
-        return super().request(priority=priority)
+        """Claim a slot, or raise :class:`Overloaded` if the queue is full.
+
+        :meth:`Resource.request` written out, behind the shed check."""
+        if len(self.users) < self.capacity:
+            req = Request(self, priority, True)
+            self.users.append(req)
+            return req
+        waiting = len(self._waiting) - self._ghosts
+        if waiting >= self.max_queue:
+            self.shed += 1
+            raise Overloaded(f"queue full ({waiting} waiting, "
+                             f"{self.capacity} slots busy)")
+        req = Request(self, priority, False)
+        heapq.heappush(self._waiting, (req.key, req))
+        return req
 
 
 class Admission(Event):
@@ -275,10 +278,12 @@ class Served(Event):
         self.args = args
         self.then = then
         self.failure_as_value = False
-        if claim is None or claim.callbacks is None:
-            self._admitted(claim)
-        else:
+        if claim is not None and claim.callbacks is not None:
             claim.callbacks.append(self._admitted)
+        elif gate is None:
+            self._operate()  # a free slot, nothing to wait for
+        else:
+            self._admitted(claim)
 
     def _admitted(self, claim: Optional[Admission]) -> None:
         if claim is not None and not claim._ok:

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Protocol
+from typing import Any, Generator, Protocol
 
 from repro.cassandra.client import CassandraSession
-from repro.cassandra.consistency import ConsistencyLevel
 from repro.hbase.client import HBaseClient
 
 __all__ = ["CassandraBinding", "DbBinding", "HBaseBinding"]
@@ -32,49 +31,33 @@ class DbBinding(Protocol):
 class HBaseBinding:
     """YCSB binding for the HBase model (puts are upserts).
 
-    The methods hand back the driver's own generator (callers ``yield
-    from`` it), so the binding costs no generator frame per operation.
+    The verbs *are* the driver's bound methods, whose positional
+    signatures match :class:`DbBinding`: an operation enters no binding
+    frame, and callers ``yield from`` the driver's own generator.
     """
 
     name = "hbase"
 
     def __init__(self, client: HBaseClient) -> None:
         self.client = client
-
-    def write(self, key: str, value: Any, size: int) -> Generator:
-        return self.client.put(key, value, size)
-
-    def read(self, key: str, size: int) -> Generator:
-        return self.client.get(key, expected_bytes=size)
-
-    def scan(self, start_key: str, limit: int, record_bytes: int) -> Generator:
-        return self.client.scan(start_key, limit, record_bytes=record_bytes)
+        self.write = client.put
+        self.read = client.get
+        self.scan = client.scan
 
 
 class CassandraBinding:
-    """YCSB binding for the Cassandra model.
+    """YCSB binding for the Cassandra model; its verbs are the session's
+    bound methods, as :class:`HBaseBinding`'s are the client's.
 
-    Consistency levels ride on the session; per-run overrides mirror the
-    paper's §4.3 method ("Cassandra allows specifying the consistency
-    level in request time").
+    Consistency levels ride on the session (the paper's §4.3 method:
+    "Cassandra allows specifying the consistency level in request
+    time"), which callers set there.
     """
 
     name = "cassandra"
 
-    def __init__(self, session: CassandraSession,
-                 read_cl: Optional[ConsistencyLevel] = None,
-                 write_cl: Optional[ConsistencyLevel] = None) -> None:
+    def __init__(self, session: CassandraSession) -> None:
         self.session = session
-        if read_cl is not None:
-            session.read_cl = read_cl
-        if write_cl is not None:
-            session.write_cl = write_cl
-
-    def write(self, key: str, value: Any, size: int) -> Generator:
-        return self.session.insert(key, value, size)
-
-    def read(self, key: str, size: int) -> Generator:
-        return self.session.read(key, expected_bytes=size)
-
-    def scan(self, start_key: str, limit: int, record_bytes: int) -> Generator:
-        return self.session.scan(start_key, limit, record_bytes=record_bytes)
+        self.write = session.insert
+        self.read = session.read
+        self.scan = session.scan

@@ -1,12 +1,18 @@
-"""Unit tests for the token ring and consistency arithmetic."""
+"""Unit tests for the token ring and consistency arithmetic, and a
+property: the placement strategies' key memos answer what a fresh walk of
+the ring does, across topology changes."""
 
+import bisect
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cassandra.consistency import ConsistencyLevel
+from repro.cassandra.multidc import NetworkTopologyStrategy, SimpleStrategy
 from repro.cassandra.partitioner import TokenRing
-from repro.keyspace import KEY_DOMAIN, key_for_index
+from repro.keyspace import KEY_DOMAIN, key_for_index, key_for_token, token_of
 
 
 @pytest.fixture
@@ -62,6 +68,84 @@ class TestTokenRing:
     def test_empty_ring_rejected(self):
         with pytest.raises(ValueError):
             TokenRing([], 8, random.Random(0))
+
+
+def _walked(ring, strategy, key):
+    """``key``'s replicas walked from the ring's token list as it is now —
+    no segment cache, no memo: every node clockwise from the key's
+    token, kept while the strategy still wants one of its kind."""
+    n = len(ring._tokens)
+    start = bisect.bisect_right(ring._tokens, token_of(key))
+    replicas = []
+    if isinstance(strategy, SimpleStrategy):
+        for step in range(n):
+            owner = ring._owners[(start + step) % n]
+            if owner not in replicas \
+                    and len(replicas) < strategy.replication:
+                replicas.append(owner)
+        return replicas
+    wanted = dict(strategy.replication_per_dc)
+    for step in range(n):
+        owner = ring._owners[(start + step) % n]
+        dc = strategy.node_datacenter.get(owner)
+        if owner not in replicas and wanted.get(dc, 0) > 0:
+            replicas.append(owner)
+            wanted[dc] -= 1
+    return replicas
+
+
+#: A topology change: ``(kind, through_clone, pick)`` — bootstrap a fresh
+#: node id or decommission the ``pick``-th member, on the ring itself or
+#: on a ``clone()`` the ring then ``adopt``s.
+_changes = st.lists(st.tuples(st.sampled_from(["add", "remove"]),
+                              st.booleans(), st.integers(0, 63)),
+                    min_size=1, max_size=4)
+
+
+class TestPlacementMemo:
+    """``SimpleStrategy`` and ``NetworkTopologyStrategy`` answer a key
+    they have placed before from the ring's key memo; the ring empties
+    it wherever it clears its segment cache (``add_node``,
+    ``remove_node``, ``adopt``), so the answer is always the walk's."""
+
+    @given(simple=st.booleans(), n_nodes=st.integers(1, 7),
+           replication=st.integers(1, 4), vnodes=st.integers(1, 6),
+           seed=st.integers(0, 2**16),
+           tokens=st.lists(st.integers(0, KEY_DOMAIN - 1), min_size=1,
+                           max_size=12),
+           changes=_changes)
+    @settings(max_examples=80, deadline=None)
+    def test_memo_answers_the_walk_across_topology_changes(
+            self, simple, n_nodes, replication, vnodes, seed, tokens,
+            changes):
+        ring = TokenRing(list(range(n_nodes)), vnodes, random.Random(seed))
+        if simple:
+            strategy = SimpleStrategy(ring, replication)
+        else:  # datacenters of alternating members, each wanting one
+            node_datacenter = {n: f"dc{n % 2}" for n in range(n_nodes)}
+            strategy = NetworkTopologyStrategy(
+                ring, node_datacenter,
+                {dc: 1 for dc in set(node_datacenter.values())})
+        keys = [key_for_token(token) for token in tokens]
+        rng = random.Random(seed + 1)
+
+        def check():
+            for key in keys:
+                assert strategy.replicas_for_key(key) \
+                    == _walked(ring, strategy, key), key
+
+        check()
+        check()  # now every key is answered from the memo
+        for kind, through_clone, pick in changes:
+            target = ring.clone() if through_clone else ring
+            if kind == "add":
+                target.add_node(max(ring.node_ids) + 1, rng, replication)
+            elif len(ring.node_ids) > 1:
+                target.remove_node(
+                    ring.node_ids[pick % len(ring.node_ids)], replication)
+            if through_clone:
+                ring.adopt(target)
+            check()
 
 
 class TestConsistencyLevel:

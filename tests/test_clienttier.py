@@ -518,7 +518,7 @@ def _tiny_scale():
 def _traced_surge_run():
     """One checked open-loop flash-crowd cell, traced."""
     from repro.core.sweep import campaign_cells
-    from repro.ycsb.db import ConsistencyLevel
+    from repro.cassandra.consistency import ConsistencyLevel
     from tests.conftest import traced_run
 
     cell = campaign_cells("surge", "cassandra", _tiny_scale(),

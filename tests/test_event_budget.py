@@ -30,10 +30,16 @@ And the leg itself has a *call* budget, counted under ``sys.setprofile``:
 the frames one ``Cluster.leg`` enters.  So does one YCSB operation on
 HBase: a warm-key get or put enters no region lookup and no generator
 between the worker and the driver, and a cache-resident scan makes no
-call per row (all three failed at ``3712163``).
+call per row (all three failed at ``3712163``).  And one coordinated
+Cassandra read or update on a single rack, bounded replica stage or
+not: no placement walk for a warm key, no datacenter plan, no ``Enum``
+frame for its consistency level and no binding frame (all four failed
+at ``5806376``).
 """
 
+import enum
 import inspect
+import os
 import sys
 from dataclasses import replace
 
@@ -41,7 +47,9 @@ import pytest
 
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel
+from repro.cassandra.coordinator import Coordinator
 from repro.cassandra.deployment import CassandraCluster, CassandraSpec
+from repro.cassandra.partitioner import TokenRing
 from repro.cluster.node import Node
 from repro.cluster.topology import (ENVELOPE_BYTES, AsyncCall, Cluster,
                                     ClusterSpec)
@@ -63,8 +71,9 @@ from repro.sim.trace import KernelTracer
 from repro.storage.cache import BlockCache
 from repro.storage.lsm import LocalDiskMedium, LsmTree, StorageSpec
 from repro.ycsb import client as ycsb_client
+from repro.ycsb import db as ycsb_db
 from repro.ycsb.client import YcsbClient
-from repro.ycsb.db import HBaseBinding
+from repro.ycsb.db import CassandraBinding, HBaseBinding
 from repro.ycsb.workload import STRESS_WORKLOADS, OperationType
 from tests.conftest import build_wal, flat_cluster, schedule_appends
 
@@ -465,6 +474,59 @@ def test_a_cache_resident_scan_makes_no_call_per_row():
     assert calls[5] == calls[20]
 
 
+def _cassandra_rows(max_handler_queue):
+    """Cassandra on one rack (five servers, RF 3, ONE / ONE) holding 60
+    rows written through the YCSB binding, so every key has been
+    addressed once; ``max_handler_queue`` bounds the replica stage."""
+    env = Environment()
+    cluster = Cluster(env, ClusterSpec(n_nodes=6), RngRegistry(5))
+    cassandra = CassandraCluster(cluster, CassandraSpec(
+        replication=3, max_handler_queue=max_handler_queue,
+        storage=StorageSpec(memtable_flush_bytes=20_000, block_bytes=1 << 20,
+                            block_cache_bytes=16 << 20)))
+    binding = CassandraBinding(CassandraSession(cassandra,
+                                                cassandra.client_node))
+    keys = [key_for_index(index) for index in range(60)]
+
+    def write_all():
+        for key in keys:
+            yield from binding.write(key, 0, 1_000)
+
+    env.run(until=env.process(write_all()))
+    env.run(until=env.now + 1.0)  # the flushes land
+    return env, binding, keys
+
+
+#: What a coordinated operation on a single rack must not pay for: a
+#: placement walk (the strategy's key memo answers a warm key), the
+#: datacenter plan and pool, the consistency level's ``Enum`` frames
+#: (hashing, ``.value``).  No frame in ``repro/ycsb/db.py`` either: the
+#: binding's verbs are the session's own methods.
+_LOOKUPS = {token_of.__code__, TokenRing.replicas_for_key.__code__,
+            TokenRing.replicas_for_token.__code__,
+            TokenRing.primary_index.__code__, Coordinator._plan.__code__,
+            CassandraSession._coordinator_pool.__code__,
+            vars(ConsistencyLevel)["is_datacenter_local"].fget.__code__}
+
+
+@pytest.mark.parametrize("max_handler_queue", [None, 4])
+@pytest.mark.parametrize("op", [OperationType.READ, OperationType.UPDATE])
+def test_a_coordinated_operation_pays_for_no_lookup(op, max_handler_queue):
+    """A warm-key read or update at ONE, coordinated off a single rack,
+    enters the protocol's frames only."""
+    env, binding, keys = _cassandra_rows(max_handler_queue)
+    entered, result = _frames_entered(_one_operation, env, binding,
+                                      _Scripted(op, keys[7]))
+    assert result.operations == 1 and result.not_found == 0
+    assert Coordinator._write.__code__ in entered \
+        or Coordinator._read.__code__ in entered
+    paid = {(os.path.basename(code.co_filename), code.co_name)
+            for code in entered
+            if code in _LOOKUPS
+            or code.co_filename in (enum.__file__, ycsb_db.__file__)}
+    assert not paid
+
+
 # -- same work, whenever it is booked -------------------------------------
 
 def _scripted_work(db: str) -> dict:
@@ -635,7 +697,7 @@ def test_pooled_replica(local):
         read("spent before queue", deadline=env.now)
         yield env.timeout(1.0)
         pool = cnode.replica_pool
-        log.append(("pool", pool.shed, pool.count, pool.queue_len,
+        log.append(("pool", pool.shed, len(pool.users), pool.queue_len,
                     cnode.ops["read_data"], cluster.abandoned_rpcs))
 
     env.run(until=env.process(script()))
@@ -700,7 +762,7 @@ def test_pooled_region_server():
         read("not serving", region_id=10_000)
         yield env.timeout(1.0)
         pool = rs.handler_pool
-        log.append(("pool", pool.shed, pool.count, pool.queue_len,
+        log.append(("pool", pool.shed, len(pool.users), pool.queue_len,
                     rs.ops["get"]))
 
     env.run(until=env.process(script()))
@@ -1099,7 +1161,7 @@ def test_pipeline_depth_saturated():
 
     def spying_request():
         slot = plain_request()
-        claims.append((env.now, wal._in_flight.count,
+        claims.append((env.now, len(wal._in_flight.users),
                        wal._in_flight.queue_len))
         return slot
 
@@ -1180,7 +1242,7 @@ def test_pooled_region_server_puts():
         put("spent before queue", deadline=env.now)
         yield env.timeout(1.0)
         pool = rs.handler_pool
-        log.append(("pool", pool.shed, pool.count, pool.queue_len,
+        log.append(("pool", pool.shed, len(pool.users), pool.queue_len,
                     rs.ops["put"], rs.wal.appends, cluster.abandoned_rpcs,
                     region.tree.active.get(key)))
 
@@ -1258,7 +1320,7 @@ def test_every_replica_dead_stops_the_run():
         env.run()
     assert log == [(0, 0.00029990015232869954, 1, "wal/test/00000001", 1000)]
     assert env.now == 0.01
-    assert (wal._in_flight.count, wal.batches, wal.appends) == (0, 1, 1)
+    assert (len(wal._in_flight.users), wal.batches, wal.appends) == (0, 1, 1)
 
 
 def test_file_grows_before_the_ack_and_only_on_success():

@@ -143,7 +143,7 @@ class TestGroupCommitProperties:
             == list(range(len(arrivals)))
         assert all(at > arrived[index] for index, at in acks)
         assert 1 <= peak <= pipeline_depth
-        assert wal._in_flight.count == 0 and not wal._pending
+        assert len(wal._in_flight.users) == 0 and not wal._pending
         assert (wal.batches, wal.appends) == (len(rounds), len(acks))
         assert sum(rounds) == sum(size for _, size in arrivals)
 

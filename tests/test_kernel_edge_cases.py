@@ -138,7 +138,7 @@ class TestResourceEdgeCases:
             yield req
             res.release(req)
             res.release(req)  # double release must not corrupt state
-            return res.count
+            return len(res.users)
 
         assert env.run(until=env.process(proc(env))) == 0
 

@@ -354,7 +354,8 @@ class TestNetworkTopologyProperties:
         assert len(replicas) == len(set(replicas))
         assert len(replicas) == strategy.total_replicas
         for dc, rf in strategy.replication_per_dc.items():
-            assert len(strategy.replicas_in_dc(replicas, dc)) == rf
+            assert sum(strategy.node_datacenter[r] == dc
+                       for r in replicas) == rf
 
     @given(_dc_shapes, st.integers(min_value=1, max_value=8),
            st.integers(),
@@ -364,7 +365,7 @@ class TestNetworkTopologyProperties:
                                                token):
         _, strategy = _build_topology(shapes, vnodes, seed)
         replicas = strategy.replicas_for_key(key_for_token(token))
-        groups = [strategy.replicas_in_dc(replicas, dc)
+        groups = [[r for r in replicas if strategy.node_datacenter[r] == dc]
                   for dc in strategy.replication_per_dc]
         flat = [r for group in groups for r in group]
         assert sorted(flat) == sorted(replicas)

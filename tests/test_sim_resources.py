@@ -49,7 +49,7 @@ class TestResource:
             with res.request() as req:
                 yield req
                 yield env.timeout(1)
-            return res.count
+            return len(res.users)
 
         assert env.run(until=env.process(worker(env))) == 0
 
@@ -96,7 +96,7 @@ class TestResource:
         env.process(waiter(env))
         env.process(waiter(env))
         env.run(until=1.0)
-        assert res.queue_len == 2 and res.count == 1
+        assert res.queue_len == 2 and len(res.users) == 1
 
 
     def test_queue_len_excludes_cancelled_waiters(self, env):

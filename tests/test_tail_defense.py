@@ -299,7 +299,7 @@ class TestNoSlotLeaks:
         env.run(until=10.0)
         # At 52185b9 the abandoned claim was granted here and never
         # released: the node ran one slot short from then on.
-        assert (pool.count, pool.queue_len, pool._ghosts) == (0, 0, 0)
+        assert (len(pool.users), pool.queue_len, pool._ghosts) == (0, 0, 0)
 
     @pytest.mark.parametrize("scenario", TAIL_SCENARIOS)
     def test_tail_hedge_cells_end_with_every_pool_empty(self, scenario):
@@ -317,4 +317,4 @@ class TestNoSlotLeaks:
                    for cnode in session.cassandra.nodes.values())
         for cnode in session.cassandra.nodes.values():
             pool = cnode.replica_pool
-            assert (pool.count, pool.queue_len) == (0, 0), cnode.node.node_id
+            assert (len(pool.users), pool.queue_len) == (0, 0), cnode.node.node_id
