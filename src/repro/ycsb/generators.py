@@ -91,13 +91,13 @@ class ZipfianGenerator:
         Every open-loop run builds a generator over its whole user
         population and every workload one over its records; the sizes
         repeat.  The terms are ``1.0 / (i ** theta)`` in rank order,
-        added by ``sum()``: it is compensated over floats from Python
-        3.12, so a hand-written accumulation would give another float
-        there and move every pinned digest.  ``map`` feeds the terms
-        without a Python frame per term.
+        added by ``math.fsum``: the correctly rounded sum, so the same
+        float on every interpreter (``sum()`` is compensated from Python
+        3.12 and naive before).  ``map`` feeds the terms without a Python
+        frame per term.
         """
-        return sum(map(truediv, repeat(1.0),
-                       map(pow, range(1, n + 1), repeat(theta))))
+        return math.fsum(map(truediv, repeat(1.0),
+                             map(pow, range(1, n + 1), repeat(theta))))
 
     def next(self) -> int:
         u = self._rng.random()

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -88,3 +90,93 @@ def traced_run(config, **run_kwargs):
     result = session.run_cell(**run_kwargs)
     summary = json.dumps(summarize_run(result), sort_keys=True)
     return tracer.digest(), tracer.events, summary
+
+
+# -- golden values --------------------------------------------------------
+#
+# What a test compares against "what the code produced before" lives in
+# ``tests/golden/pins/<test module>.txt``, one ``name = <Python literal>``
+# per line, never in test code.  A name is the test's id inside its module
+# (``Class::test[param]``), plus ``/<key>`` for each further value one test
+# pins.  ``tools/replay_digests.py --update`` runs the pinned modules with
+# ``--update-golden``: every ``golden(...)`` then records its value instead
+# of comparing it, and every other assertion still runs.
+
+PINS = Path(__file__).parent / "golden" / "pins"
+_STORE = pytest.StashKey[dict]()
+
+
+def pytest_addoption(parser):
+    parser.addoption("--update-golden", action="store_true",
+                     help="record every golden(...) value in "
+                          "tests/golden/pins instead of comparing it")
+
+
+def read_pins(path: Path) -> dict:
+    """``name -> value`` of one pins file."""
+    entries = {}
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, 1):
+        if line and not line.startswith("#"):
+            name, _, literal = line.partition(" = ")
+            try:
+                entries[name] = ast.literal_eval(literal)
+            except (SyntaxError, ValueError) as exc:
+                raise ValueError(f"{path}:{number}: {name}: "
+                                 f"not a Python literal ({exc})") from None
+    return entries
+
+
+def _module_pins(config, module: str) -> dict:
+    store = config.stash.setdefault(_STORE, {})
+    if module not in store:
+        path = PINS / f"{module}.txt"
+        store[module] = read_pins(path) if path.exists() else {}
+    return store[module]
+
+
+@pytest.fixture
+def golden(request):
+    """``golden(value, key=None, rel=None)``: ``value`` equals this test's
+    golden entry (within ``rel`` when given).  A missing entry fails;
+    under ``--update-golden`` a value that does not match is recorded."""
+    module = request.module.__name__.rpartition(".")[2]
+    test = request.node.nodeid.partition("::")[2]
+    entries = _module_pins(request.config, module)
+    updating = request.config.getoption("--update-golden")
+
+    def check(value, key=None, rel=None):
+        name = test if key is None else f"{test}/{key}"
+        assert updating or name in entries, (
+            f"no golden entry {name!r} in tests/golden/pins/{module}.txt; "
+            "record it with tools/replay_digests.py --update")
+        if name in entries:
+            expected = entries[name]
+            if rel is not None:
+                expected = pytest.approx(expected, rel=rel)
+            if not updating:
+                assert value == expected, name
+            if value == expected:
+                return
+        assert ast.literal_eval(repr(value)) == value, \
+            f"{name}: {value!r} is not a Python literal"
+        entries[name] = value
+
+    return check
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Under ``--update-golden``, write every pins file a test read back
+    — only if every test passed, so a failing gate records nothing."""
+    if not session.config.getoption("--update-golden"):
+        return
+    if exitstatus != 0:
+        print("\ngolden values NOT written: the update run failed")
+        return
+    for module, entries in session.config.stash.get(_STORE, {}).items():
+        lines = [f"# tests/{module}.py; re-record with: PYTHONHASHSEED=0 "
+                 "python tools/replay_digests.py --update"]
+        lines += [f"{name} = {entries[name]!r}" for name in sorted(entries)]
+        PINS.mkdir(parents=True, exist_ok=True)
+        (PINS / f"{module}.txt").write_text("\n".join(lines) + "\n",
+                                            encoding="utf-8")

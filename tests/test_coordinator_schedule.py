@@ -8,7 +8,7 @@ reconcile, the background one, EACH_QUORUM's per-datacenter waits, and
 a storage read from its first block-cache miss.  Each scenario below ran unchanged at
 ``2a2fa1a``, where every coordinated request was a process, and printed
 the completion instants, outcomes, counters and kernel-trace digest
-pinned beside it.  A callback that subscribes where the generator's
+that are its golden entry.  A callback that subscribes where the generator's
 ``yield`` subscribed keeps the schedule, sequence numbers included.
 
 Then ``Coordinator.inflight`` after every way a request can end: an
@@ -230,81 +230,11 @@ SCENARIOS = {
     "hedged-reads": _hedged_reads,
 }
 
-#: The rows every successful scan answers with.
-ROWS = [("user3232700585171816769", "v0", 0.0023616737956341323),
-        ("user4582684765186151662", "v0", 0.006206026207425558),
-        ("user5465015992139406178", "v0", 0.003939625000477823),
-        ("user7697331399106995587", "v0", 0.0034158573153036595)]
-
-#: What each scenario printed at ``2a2fa1a``: the log, the counters
-#: named in ``_COUNTERS``, events dispatched, the kernel-trace digest.
-PINNED = {
-    "each-quorum-write": (
-        [("w0", 1.7689981962848, True),
-         ("w1", 1.776072666676867, True)],
-        (0, 3, 0, 0, 0, 0, 0, 0, 0, 0), 198,
-        "0908f68f00c65a56db90f9220c090962"
-        "73077daf3d79d8141aad1dde1b340aa4"),
-    "hedged-reads": (
-        [("local", 1.0057075213603375, ("v0", 0.0)),
-         ("remote", 1.0059158337414624, ("v0", 0.0))],
-        (2, 1, 0, 0, 0, 0, 0, 2, 2, 0), 87,
-        "6670ea7f5984497101e9964be4bfb481"
-        "d78e8e648b17cac9fb65352e1689f16d"),
-    "one-read": (
-        [("local", 1.0007442094824004, ("v0", 0.0)),
-         ("remote", 1.0008813765941127, ("v0", 0.0))],
-        (2, 1, 0, 0, 0, 0, 0, 0, 0, 0), 74,
-        "dba42e505b380299f17e6cff23ebcf32"
-        "75635a78841035a5d0551dcc532c13f8"),
-    "one-read-repair-chance": (
-        [("local", 1.0007533622258882, ("v0", 0.0)),
-         ("remote", 1.000853081778736, ("v0", 0.0))],
-        (2, 1, 0, 0, 2, 4, 0, 0, 0, 0), 120,
-        "e9839a6763a124b99b8a0a2bb03e89d7"
-        "d894c844bebf602cbbc13df3698d9303"),
-    "one-write": (
-        [("w2", 1.0006899054141212, True),
-         ("w1", 1.0007334701983353, True),
-         ("w0", 1.0008924527143312, True)],
-        (0, 4, 0, 0, 0, 0, 0, 0, 0, 0), 100,
-        "4160170f809ca9ec273bec4dc8ee6179"
-        "9424805b9c4f7a03b3e5aad85c7bd67b"),
-    "pooled-scans": (
-        [("local again", 1.0069558290977612, "Overloaded"),
-         ("remote", 1.0069624179920635, "Overloaded"),
-         ("remote again", 1.007015237715243, "Overloaded"),
-         ("local", 1.0078642153353208, ROWS)],
-        (0, 12, 4, 0, 0, 0, 0, 0, 0, 0), 190,
-        "2722bad87d54ae8086b8b378c7a7f06c"
-        "dc3bdcfff08ff74f4297b4f7d967e81e"),
-    "quorum-read-reconciles": (
-        [("local", 1.001193828699662, ("v1", 1.000510939134286)),
-         ("remote", 1.0012373239214096, ("v1", 1.000510939134286))],
-        (2, 1, 0, 2, 0, 2, 0, 0, 0, 0), 95,
-        "3080b0005740e4f663bdc6d4e59017d6"
-        "6d991670ff54bb0cb3dcc72b4566876f"),
-    "quorum-write": (
-        [("w2", 1.000868845017195, True),
-         ("w0", 1.0008714945898445, True),
-         ("w1", 1.0009214371792665, True)],
-        (0, 4, 0, 0, 0, 0, 0, 0, 0, 0), 100,
-        "496f339bd8b6ef30e17cfbb042b0ad9a"
-        "f90972e8a2260ef86d71988730b34b1c"),
-    "scans": (
-        [("local", 1.0069595208712767, ROWS),
-         ("local again", 1.0070502010390718, ROWS),
-         ("remote", 1.0071094829142058, ROWS),
-         ("remote again", 1.0071740534813547, ROWS)],
-        (0, 12, 4, 0, 0, 0, 0, 0, 0, 0), 200,
-        "e9f59a936d3bd34831cfa2d6790061fb"
-        "6690170271336f0d0d1c632512e934e4"),
-}
-
-
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_schedule_is_the_parents(name):
-    assert SCENARIOS[name]() == PINNED[name]
+def test_schedule_is_the_parents(name, golden):
+    """The log, the counters named in ``_COUNTERS``, events dispatched,
+    the kernel-trace digest."""
+    golden(SCENARIOS[name]())
 
 
 # -- in flight until the outcome, whatever it is --------------------------
@@ -363,38 +293,17 @@ def _ending(case):
     return _settled(env, cassandra, tracer, log)[0]
 
 
-#: Each case's log at ``2a2fa1a``: (label, instant, outcome).  The
-#: second read of "admission shed" finds the coordinator at its one
-#: in-flight request; "own read" sheds on its coordinator's own stage,
-#: inside the handler call.
-ENDINGS = {
-    "admission shed": [
-        ("second", 1.000639475711211, "Overloaded"),
-        ("first", 1.0008920647161754, ("v0", 0.0))],
-    "each-quorum read": [
-        ("read", 1.0006276135107455, "ValueError")],
-    "ok": [
-        ("read", 1.0008635761028846, ("v0", 0.0)),
-        ("write", 1.0008709322766693, True)],
-    "replica shed": [
-        ("own read", 1.000639475711211, "Overloaded"),
-        ("read", 1.0007291507007385, "Overloaded"),
-        ("write", 1.0007507436476113, "Overloaded")],
-    "sole replica shed": [
-        ("read", 1.000597770446811, "Overloaded"),
-        ("write", 1.000601063592294, "Overloaded")],
-    "replica timeout": [
-        ("read", 3.0625, "ReadTimeoutError"),
-        ("write", 3.0625, "WriteTimeoutError")],
-    "unavailable": [
-        ("read", 1.0006276135107455, "UnavailableError"),
-        ("write", 1.000639475711211, "UnavailableError")],
-}
+#: The ways a request can end.  The second read of "admission shed"
+#: finds the coordinator at its one in-flight request; "own read" sheds
+#: on its coordinator's own stage, inside the handler call.
+ENDINGS = ["admission shed", "each-quorum read", "ok", "replica shed",
+           "sole replica shed", "replica timeout", "unavailable"]
 
 
 @pytest.mark.parametrize("case", sorted(ENDINGS))
-def test_inflight_returns_to_zero(case):
-    assert _ending(case) == ENDINGS[case]
+def test_inflight_returns_to_zero(case, golden):
+    """Each case's log: (label, instant, outcome)."""
+    golden(_ending(case))
 
 
 def test_a_waiter_may_send_the_next_request_at_once():

@@ -9,7 +9,7 @@ the HBase client races a hedge from inside that loop.  Each scenario
 below ran unchanged at ``cc58367``, where every scan was a process (and
 an HBase attempt a generator of its own), and printed the completion
 instants, the rows, the serving tree's counters, the events dispatched
-and the kernel-trace digest pinned beside it.  A callback that
+and the kernel-trace digest that are its golden entry.  A callback that
 subscribes where the generator's ``yield`` subscribed keeps the
 schedule, sequence numbers included.
 
@@ -279,68 +279,9 @@ SCENARIOS = {
     "hbase-hedged": _hedged,
 }
 
-#: What each scenario printed at ``cc58367``: the log, the serving
-#: tree's scans / block reads / flushes / compactions, events
-#: dispatched, the kernel-trace digest.
-PINNED = {
-    "cassandra-parked": (
-        [("gate", 2.001188999999999, None),
-         ("parked", 2.0103689626945753, (5, "a6181f8f767fc6f0"))],
-        (1, 1, 3, 1), 121,
-        "7ba422ce22ac267f8de26459a2d4e15d"
-        "8b4bdf174a9b58f9460e3853cdc97479"),
-    "cassandra-pooled": (
-        [("shed", 1.0288857110694678, "Overloaded"),
-         ("expires", 1.0307527476379696, "DeadlineExceeded"),
-         ("served", 1.0338415392416316, (5, "d5ce77d26808a415"))],
-        (1, 0, 3, 1), 545,
-        "e4ec08bd221f03ed964f0d29c5488b66"
-        "847e291416b0df4c45679d28207ccdbe"),
-    "cassandra-resident": (
-        [("c", 1.0291569282482886, (3, "cc06a972599a4863")),
-         ("a", 1.0291872522992902, (5, "d5ce77d26808a415")),
-         ("b", 1.0293428532871072, (1, "72d40e1e9ab9b002"))],
-        (1, 0, 3, 1), 551,
-        "7551e3279043fd435a1d6ecb08882809"
-        "4b85b6afd900abbd0fc4180a01bcea3d"),
-    "hbase-hedged": (
-        [("hedged", 1.0403179479317086, (5, "3bb0b4ed5dff2e45"))],
-        (2, 0, 1, 0), 723,
-        "311f1ba6a18e276a79bf1089823596c9"
-        "4013ddaa4734fbb9d58d1da7a9afd141"),
-    "hbase-parked": (
-        [("gate", 2.0125259006854748, None),
-         ("parked", 2.0203313654339397, (5, "2ff5224130dafa51"))],
-        (1, 1, 3, 1), 588,
-        "b6c47b046fbb5d032c88ffcba4977c2a"
-        "aa1fd60dd47866a7244a14f77cdd5579"),
-    "hbase-pooled": (
-        [("shed", 1.0347219119542421, "Overloaded"),
-         ("expires", 1.0366296536775739, "DeadlineExceeded"),
-         ("served", 1.0397295722697777, (3, "a5445e2332098e0c"))],
-        (1, 0, 1, 0), 711,
-        "8b3efb9a445c2268301c52c5649d4a64"
-        "678e7cde1c296dce0b9afcda850d9eff"),
-    "hbase-region-boundary": (
-        [("across", 1.0353771900873439, (6, "d89a1a4347ca165b"))],
-        (1, 0, 1, 0), 709,
-        "7add4029d435cc2ab4dda25af9575916"
-        "0cfc656853b0dae1e602c5aed452cea3"),
-    "hbase-resident": (
-        [("c", 1.0350122928307297, (3, "27de17a46d780ab4")),
-         ("b", 1.0350223783008152, (4, "f91a0898d8831b04")),
-         ("a", 1.0353601309853209, (5, "3bb0b4ed5dff2e45"))],
-        (2, 0, 1, 0), 719,
-        "85c2dc58e9fdf70853b483ceb4ef4e86"
-        "e0e4b046e6e5e67f5d4dd03308d281e4"),
-}
-
-
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_schedule_is_the_parents(name):
-    assert SCENARIOS[name]() == PINNED[name]
+def test_schedule_is_the_parents(name, golden):
+    """The log, the serving tree's scans / block reads / flushes /
+    compactions, events dispatched, the kernel-trace digest."""
+    golden(SCENARIOS[name]())
 
-
-if __name__ == "__main__":
-    for name in sorted(SCENARIOS):
-        print(f"    {name!r}: {SCENARIOS[name]()!r},")

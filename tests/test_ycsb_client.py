@@ -171,40 +171,17 @@ def stress_outcomes(db: str) -> dict:
     return outcomes
 
 
-#: ``stress_outcomes`` as the client counted before found-ness moved
-#: out of the per-operation generator (``python -m
-#: tests.test_ycsb_client`` prints them).  No report carries
-#: ``not_found``, so no digest would notice a change to it.
-NOT_FOUND_PINS = {
-    "hbase": {
-        "read_mostly": (0, {"read": 845, "update": 55}, {}),
-        "read_latest": (85, {"insert": 183, "read": 717}, {}),
-        "read_update": (0, {"read": 442, "update": 458}, {}),
-        "read_modify_write": (0, {"read": 466, "read_modify_write": 434},
-                              {}),
-        "scan_short_ranges": (0, {"insert": 42, "scan": 858}, {}),
-    },
-    "cassandra": {
-        "read_mostly": (0, {"read": 863, "update": 37}, {}),
-        "read_latest": (3, {"insert": 177, "read": 723}, {}),
-        "read_update": (0, {"read": 452, "update": 448}, {}),
-        "read_modify_write": (0, {"read": 437, "read_modify_write": 463},
-                              {}),
-        "scan_short_ranges": (0, {"insert": 43, "scan": 529},
-                              {"scan": 328}),
-    },
-}
-
-
 class TestNotFoundPinned:
     """A write is always found, a read unless it returned ``None``, a
     scan if it returned rows, a read-modify-write if its read found the
-    record: the per-workload miss counts stay as pinned."""
+    record: the per-workload miss counts stay as pinned.  No report
+    carries ``not_found``, so no replay digest would notice a change to
+    it."""
 
     @pytest.mark.parametrize("db", ["hbase", "cassandra"])
-    def test_stress_workloads(self, db):
+    def test_stress_workloads(self, db, golden):
         outcomes = stress_outcomes(db)
-        assert outcomes == NOT_FOUND_PINS[db]
+        golden(outcomes)
         # Reads of just-inserted records are the ones that miss.
         assert outcomes["read_latest"][0] > 0
 
@@ -309,8 +286,3 @@ class TestTargetThrottle:
         assert result.throughput == pytest.approx(40 / 5.2, rel=0.02)
         assert result.throughput < 10.0
 
-
-if __name__ == "__main__":
-    for engine in ("hbase", "cassandra"):
-        for workload_name, outcome in stress_outcomes(engine).items():
-            print(engine, workload_name, outcome)
