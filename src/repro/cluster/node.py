@@ -100,6 +100,9 @@ class Node:
         now, earliest free core)`` reproduces a
         ``Resource(capacity=cores)`` wait queue exactly, at a single
         timeout event instead of a request round-trip.
+        :meth:`Cluster.leg <repro.cluster.topology.Cluster.leg>` writes
+        these steps out for a node with no power manager: a change here
+        is a change there.
         """
         start = self.env._now
         if at > start:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from heapq import heapreplace
 from math import ceil, log
 from typing import Any, Callable, Generator, Optional
 
@@ -60,6 +61,10 @@ ENVELOPE_BYTES = 120
 #: Sentinel outcome meaning "no response will come": the callee is dead,
 #: or it abandoned a request that arrived after its deadline.
 _NO_RESPONSE = object()
+
+#: Allocates an :class:`AsyncCall` with no ``__init__`` frame;
+#: :meth:`Cluster.call_async` fills its slots.
+_new = object.__new__
 
 
 class RpcTimeout(ModelledFailure):
@@ -105,7 +110,9 @@ class AsyncCall(Event):
     Completion is settled *inline* from the transport's (or the shared
     timer's) dispatch, so the result itself never costs a queue event;
     a caller whose RPC times out resumes inside the timer's dispatch, in
-    the order the calls were registered on it.
+    the order the calls were registered on it.  There is no
+    ``__init__``: :meth:`Cluster.call_async` builds the call and puts
+    it on the wire.
     """
 
     #: ``_watchers``: the :class:`TimerWheel` table this call's expiry
@@ -113,36 +120,6 @@ class AsyncCall(Event):
     __slots__ = ("cluster", "src", "dst", "verb", "payload",
                  "response_bytes", "deadline", "_watchers", "_timeout",
                  "_deadline_first")
-
-    def __init__(self, cluster: "Cluster", src: Node, dst: Node, verb: str,
-                 payload: Any, request_bytes: int, response_bytes: int,
-                 deadline: Optional[float], src_cpu_s: float) -> None:
-        """Put the request on the wire.
-
-        Both sides pay :data:`RPC_CPU_S` per message.  ``src_cpu_s`` (the
-        caller's own pre-request CPU, e.g. driver bookkeeping) and the
-        verb's registered ``cpu_s`` ride the request leg's two core
-        reservations, so neither costs a kernel event.
-        """
-        self.env = cluster.env
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = True
-        self._defused = False
-        self._watchers = None
-        self.cluster = cluster
-        self.src = src
-        self.dst = dst
-        self.verb = verb
-        self.payload = payload
-        self.response_bytes = response_bytes
-        self.deadline = deadline
-        verb_cpu = dst.verb_cpu
-        cluster.leg(
-            src, dst, request_bytes + ENVELOPE_BYTES,
-            src_cpu_s + RPC_CPU_S,
-            RPC_CPU_S + verb_cpu[verb] if verb in verb_cpu else RPC_CPU_S,
-            callback=self._arrived)
 
     @classmethod
     def _unsent(cls, env: Environment, failure: Exception) -> "AsyncCall":
@@ -234,8 +211,17 @@ class AsyncCall(Event):
                          RPC_CPU_S, callback=self._responded)
 
     def _responded(self, _leg: Event) -> None:
-        if self._value is _PENDING:  # else timed out or cancelled
-            self._settle(self.payload)
+        """The response arrived: settle with it, written out as
+        :meth:`_settle` (which the failure and expiry paths call)."""
+        if self._value is not _PENDING:
+            return  # timed out or cancelled
+        if self._watchers is not None:
+            del self._watchers[self]
+        self._value = self.payload
+        callbacks = self.callbacks
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
 
     def _outcome(self, ok: bool, value: Any) -> bool:
         """The callee is done with the request, one way or another.
@@ -333,15 +319,16 @@ class TimerWheel:
     count, not when its timeout would have fired.  The timer itself
     still fires, as an empty event, when every watcher has left.
 
-    Non-``exact`` expiries are rounded *up* onto a wheel whose tick is
-    1/32 of the requested wait — the hashed-timer-wheel scheme
-    production RPC stacks use (Netty/Cassandra tick every ~100 ms),
-    where a timeout is a failure detector, never a precision clock.
-    Rounding up means a timer is never early, at most ~3% late; in
-    exchange every RPC issued within the same tick shares one queue
-    entry instead of allocating its own never-to-fire timeout.
-    ``exact`` is for deadline-driven waits, where the remaining budget
-    must not be silently extended.
+    A timeout's expiry is rounded *up* onto a wheel whose tick is 1/32
+    of the requested wait — the hashed-timer-wheel scheme production
+    RPC stacks use (Netty/Cassandra tick every ~100 ms), where a timeout
+    is a failure detector, never a precision clock.  Rounding up means
+    a timer is never early, at most ~3% late; in exchange every RPC
+    issued within the same tick shares one queue entry instead of
+    allocating its own never-to-fire timeout.  A deadline's expiry is
+    exact: the remaining budget must not be silently extended.  The
+    rounding and the lookup of a pending slot are written out in
+    :meth:`Cluster.call_async`, the one caller.
     """
 
     __slots__ = ("env", "_pending")
@@ -352,30 +339,26 @@ class TimerWheel:
         #: dropped as the timeout fires.
         self._pending: dict[float, tuple[Timeout, dict]] = {}
 
-    def timer(self, wait_s: float, exact: bool = False) -> tuple[Timeout, dict]:
-        """The timeout firing ``wait_s`` (or a hair later) from now and
-        its watcher table; insertion order is firing order."""
+    def timer(self, fire_at: float) -> dict:
+        """Create the timeout firing at ``fire_at``, where none is
+        pending yet, and return its watcher table; insertion order is
+        firing order.  :meth:`Cluster.call_async` rounds the instant and
+        finds a pending one itself: this is called on a miss only."""
         env = self.env
         pending = self._pending
-        fire_at = env._now + wait_s
-        if not exact:
-            tick = wait_s * 0.03125
-            fire_at = ceil(fire_at / tick) * tick
-        entry = pending.get(fire_at)
-        if entry is None:
-            watchers: dict = {}
+        watchers: dict = {}
 
-            def _fire(_timer: Any) -> None:
-                del pending[fire_at]
-                # Walk a snapshot: an expiry can resume a process inline
-                # that settles or cancels other watched RPCs mid-walk
-                # (their watchers then find nothing left to do).
-                for expire in tuple(watchers.values()):
-                    expire()
+        def _fire(_timer: Any) -> None:
+            del pending[fire_at]
+            # Walk a snapshot: an expiry can resume a process inline
+            # that settles or cancels other watched RPCs mid-walk
+            # (their watchers then find nothing left to do).
+            for expire in tuple(watchers.values()):
+                expire()
 
-            entry = pending[fire_at] = (
-                Timeout(env, fire_at - env._now, None, _fire), watchers)
-        return entry
+        pending[fire_at] = (Timeout(env, fire_at - env._now, None, _fire),
+                            watchers)
+        return watchers
 
 
 @dataclass(frozen=True)
@@ -469,7 +452,22 @@ class Cluster:
         # Written out, once per message: these float operations, in this
         # order, are the contract every replay digest hangs on.  Egress
         # starts at the later of now, the sender's CPU and the channel.
-        start = src.reserve_cpu(src_cpu_s) if src_cpu_s else now
+        # A CPU stage books the earliest free core as Node.reserve_cpu
+        # does — start at the later of the stage before and that core,
+        # end = start + s, heapreplace, cpu_time += s — and leaves a
+        # power-managed node to that method, which owns wake-ups.
+        if not src_cpu_s:
+            start = now
+        elif src.power is None:
+            cores = src._core_free
+            start = cores[0]
+            if now > start:
+                start = now
+            start += src_cpu_s
+            heapreplace(cores, start)
+            src.cpu_time += src_cpu_s
+        else:
+            start = src.reserve_cpu(src_cpu_s)
         nic = src.nic
         nic.bytes_sent += size
         if nic.egress_busy > start:
@@ -509,7 +507,16 @@ class Cluster:
         nic.busy_s += done - start
         nic.ingress_busy = done
         if dst_cpu_s:
-            done = dst.reserve_cpu(dst_cpu_s, at=done)
+            if dst.power is None:
+                # ``done`` is never before now: every stage only adds.
+                cores = dst._core_free
+                if cores[0] > done:
+                    done = cores[0]
+                done += dst_cpu_s
+                heapreplace(cores, done)
+                dst.cpu_time += dst_cpu_s
+            else:
+                done = dst.reserve_cpu(dst_cpu_s, at=done)
         return Timeout(env, done - now, None, callback)
 
     def _land(self, dst: Node, size: int, cpu_s: float, landed: Event,
@@ -566,24 +573,56 @@ class Cluster:
         callbacks on one object — unless the handler is a generator.
         """
         self.rpc_count += 1
+        env = self.env
         wait_s = timeout
         deadline_first = False
         if deadline is not None:
-            remaining = deadline - self.env._now
+            remaining = deadline - env._now
             if remaining <= 0:
-                return AsyncCall._unsent(self.env, DeadlineExceeded(
+                return AsyncCall._unsent(env, DeadlineExceeded(
                     f"rpc {verb!r} to node {dst.node_id}: deadline already "
                     f"passed before send"))
             if wait_s is None or remaining < wait_s:
                 wait_s = remaining
                 deadline_first = True
-        result = AsyncCall(self, src, dst, verb, payload, request_bytes,
-                           response_bytes, deadline, src_cpu_s)
+        # Built here, slot by slot, and put on the wire: both sides pay
+        # RPC_CPU_S per message, and ``src_cpu_s`` and the verb's
+        # registered ``cpu_s`` ride the request leg's two core
+        # reservations, so neither costs a kernel event.
+        result = _new(AsyncCall)
+        result.env = env
+        result.callbacks = []
+        result._value = _PENDING
+        result._ok = True
+        result._defused = False
+        result._watchers = None
+        result.cluster = self
+        result.src = src
+        result.dst = dst
+        result.verb = verb
+        result.payload = payload
+        result.response_bytes = response_bytes
+        result.deadline = deadline
+        verb_cpu = dst.verb_cpu
+        self.leg(src, dst, request_bytes + ENVELOPE_BYTES,
+                 src_cpu_s + RPC_CPU_S,
+                 RPC_CPU_S + verb_cpu[verb] if verb in verb_cpu else RPC_CPU_S,
+                 callback=result._arrived)
         if wait_s is not None:
             result._timeout = timeout
             result._deadline_first = deadline_first
-            watchers = result._watchers = self._wheel.timer(
-                wait_s, exact=deadline_first)[1]
+            # The expiry on the wheel (see TimerWheel): a deadline is
+            # exact, a timeout rounds up to a tick of 1/32 of the wait.
+            fire_at = env._now + wait_s
+            if not deadline_first:
+                tick = wait_s * 0.03125
+                fire_at = ceil(fire_at / tick) * tick
+            pending = self._wheel._pending
+            if fire_at in pending:
+                watchers = pending[fire_at][1]
+            else:
+                watchers = self._wheel.timer(fire_at)
+            result._watchers = watchers
             watchers[result] = result._expire
         return result
 

@@ -90,12 +90,6 @@ class CheckOutcome:
     def count(self, kind: str) -> int:
         return sum(1 for v in self.violations if v.kind == kind)
 
-    def by_kind(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for violation in self.violations:
-            counts[violation.kind] = counts.get(violation.kind, 0) + 1
-        return counts
-
 
 # -- linearizability (Wing & Gong interval search) -------------------------
 

@@ -61,10 +61,6 @@ class HistoryOp:
     #: Exception type name for non-ok outcomes.
     error: Optional[str] = None
 
-    @property
-    def ok(self) -> bool:
-        return self.outcome == "ok"
-
 
 @dataclass
 class History:

@@ -62,13 +62,19 @@ class BloomFilter:
     def might_contain(self, key: str) -> bool:
         """False means *definitely absent*; True means *probably present*."""
         data = key.encode()
-        h = zlib.crc32(data)
-        h2 = zlib.adler32(data) | 1
+        return self.might_contain_hashed(zlib.crc32(data),
+                                         zlib.adler32(data) | 1)
+
+    def might_contain_hashed(self, h1: int, h2: int) -> bool:
+        """:meth:`might_contain` for a key whose two hashes the caller
+        has already taken — ``crc32`` of its UTF-8 bytes, and ``adler32``
+        of them with the low bit set — so a lookup that asks many
+        filters hashes once."""
         n = self.n_bits
         bits = self._bits
         for _ in range(self.n_hashes):
-            i = h % n
+            i = h1 % n
             if not bits[i >> 3] >> (i & 7) & 1:
                 return False
-            h += h2
+            h1 += h2
         return True

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Generator, Optional, Protocol
+from zlib import adler32, crc32
 
 from repro.cluster.disk import BACKGROUND, FOREGROUND
 from repro.cluster.node import Node
@@ -354,12 +355,25 @@ class LsmTree:
                     best = (found[0], found[1])
             tables = self.sstables
         contains = self.cache.contains
+        h1 = None
         for table in tables:
-            if not table.might_contain(key):
-                continue
+            # SSTable.might_contain, cheapest test first: a run holding
+            # the key passes its bloom filter (no false negatives), so
+            # only an absent key inside a run's range is hashed — once
+            # per walk — and meets the filter's false positives.
+            found = table._values.get(key)
+            if found is None:
+                keys = table._keys
+                if not keys or key < keys[0] or key > keys[-1]:
+                    continue
+                if h1 is None:
+                    data = key.encode()
+                    h1 = crc32(data)
+                    h2 = adler32(data) | 1
+                if not table.bloom.might_contain_hashed(h1, h2):
+                    continue
             if not contains(table.sstable_id, table.block_of(key)):
                 return best, tables[tables.index(table):]
-            found = table.get(key)
             if found is not None and (best is None or found[1] > best[1]):
                 best = (found[0], found[1])
         return best, None

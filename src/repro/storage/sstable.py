@@ -65,7 +65,11 @@ class SSTable:
         self.bloom.add_all(keys)
 
     def might_contain(self, key: str) -> bool:
-        """Bloom-filter + key-range check — no I/O."""
+        """Bloom-filter + key-range check — no I/O.
+
+        :meth:`LsmTree._probe <repro.storage.lsm.LsmTree._probe>` writes
+        these tests out, with a membership test of the run's own keys
+        first (which a bloom filter never contradicts)."""
         if not self._keys:
             return False
         if key < self._keys[0] or key > self._keys[-1]:

@@ -58,6 +58,7 @@ from repro.core.config import (ArrivalConfig, ClientTierConfig,
                                TailDefenseConfig, default_stress_config,
                                default_surge_config, scaled_stress_storage)
 from repro.core.experiment import ExperimentSession, summarize_run
+from repro.energy.power import PowerManager, PowerSpec
 from repro.hbase.client import HBaseClient
 from repro.hbase.deployment import HBaseCluster, HBaseSpec
 from repro.hbase.regionserver import NotServingRegion
@@ -345,17 +346,17 @@ def _frames_entered(call, *args, c_calls=False):
 
 
 def test_a_leg_is_one_function_and_never_a_process(monkeypatch):
-    """The five stages are written out in ``Cluster.leg``: besides the
-    core reservations (``Node.reserve_cpu`` owns power wake-ups) and the one ``Timeout`` it returns, a leg calls no Python
-    function — no per-stage helper, none to subscribe the caller — and
-    one booked on arrival is two timeouts behind a plain event."""
+    """The five stages are written out in ``Cluster.leg``, the two core
+    reservations too: besides the one ``Timeout`` it returns, a leg on
+    an always-on node calls no Python function — no per-stage helper,
+    none to subscribe the caller — and one booked on arrival is two
+    timeouts behind a plain event."""
     cluster = flat_cluster(n_nodes=2)
     env, a, b = cluster.env, cluster.node(0), cluster.node(1)
-    leg, cpu = Cluster.leg.__code__, Node.reserve_cpu.__code__
-    timeout = Timeout.__init__.__code__
+    leg, timeout = Cluster.leg.__code__, Timeout.__init__.__code__
     heard = []
     assert _frames_entered(cluster.leg, a, b, 1_000, 2.5e-5, 2.5e-5)[0] \
-        == [leg, cpu, cpu, timeout]
+        == [leg, timeout]
     assert _frames_entered(cluster.leg, a, b, 1_000)[0] == [leg, timeout]
     assert _frames_entered(cluster.leg, a, b, 1_000, 0.0, 0.0, False,
                            heard.append)[0] == [leg, timeout]
@@ -365,11 +366,38 @@ def test_a_leg_is_one_function_and_never_a_process(monkeypatch):
     before = env.processed_events
     entered, landed = _frames_entered(cluster.leg, a, b, 1_000, 2.5e-5,
                                       2.5e-5, True, heard.append)
-    assert entered == [leg, cpu, Event.__init__.__code__, timeout]
+    assert entered == [leg, Event.__init__.__code__, timeout]
     assert type(landed) is Event
     env.run()
     assert heard[1] is landed and landed.processed
     assert env.processed_events - before == 2 and not spawned
+    # A power-managed receiver is booked by Node.reserve_cpu, which owns
+    # wake-ups (tests/test_leg_properties.py checks the wake it charges);
+    # the sender, with no power manager, is still booked inline.
+    b.power = PowerManager(PowerSpec(), mode="race_to_sleep")
+    entered = _frames_entered(cluster.leg, a, b, 1_000, 2.5e-5, 2.5e-5)[0]
+    assert entered[0] == leg and entered[-1] == timeout
+    assert entered.count(Node.reserve_cpu.__code__) == 1
+
+
+def test_an_rpc_is_one_frame_to_send_and_none_to_settle():
+    """On a warm wheel slot ``call_async`` enters ``leg`` and the leg's
+    ``Timeout`` and nothing else — no constructor, no wheel method —
+    and the response settles the call inline, without ``_settle``."""
+    cluster = flat_cluster(n_nodes=2)
+    env, a, b = cluster.env, cluster.node(0), cluster.node(1)
+    b.register("echo", lambda payload: Timeout(env, 1e-5, payload))
+    cluster.call_async(a, b, "echo", 6, timeout=0.5)  # the wheel slot
+    entered, call = _frames_entered(cluster.call_async, a, b, "echo", 7,
+                                    0, 0, 0.5)
+    assert entered == [Cluster.call_async.__code__, Cluster.leg.__code__,
+                       Timeout.__init__.__code__]
+    assert len(cluster._wheel._pending) == 1
+    entered, _ = _frames_entered(env.run, call)
+    assert AsyncCall._responded.__code__ in entered
+    assert AsyncCall._settle.__code__ not in entered
+    (_, watchers), = cluster._wheel._pending.values()
+    assert call.value == 7 and not watchers  # both calls left the slot
 
 
 # -- one YCSB operation, frame by frame -----------------------------------

@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.geo import GeoCluster, GeoSpec
-from repro.cluster.node import NodeSpec
+from repro.cluster.node import Node, NodeSpec
 from repro.cluster.topology import Cluster, ClusterSpec
+from repro.energy.power import PowerManager, PowerSpec
 from repro.sim.kernel import Environment, Event, Timeout
 from repro.sim.rng import RngRegistry
 
@@ -181,3 +182,66 @@ def test_geo_legs_defer_exactly_the_cross_datacenter_ones(script, seed):
         deferred = leg[6] or crosses(leg[1], leg[2])
         assert type(event) is (Event if deferred else Timeout)
     check_totals(cluster, nodes, script)
+
+
+# -- the CPU stages, against Node.reserve_cpu ------------------------------
+
+#: Per node, what each core is already booked until, relative to the
+#: first leg's send: idle, just busy, or busy well past the traffic.
+BACKLOG = st.lists(st.lists(st.sampled_from([0.0, 1e-5, 4e-4, 0.05]),
+                            min_size=NODE.cores, max_size=NODE.cores),
+                   min_size=N_NODES, max_size=N_NODES)
+
+
+def _booked(backlog, seed, through_reserve_cpu):
+    """A rack whose cores start with ``backlog``; with
+    ``through_reserve_cpu`` every node carries an always-on power
+    manager, which sends ``leg`` through ``Node.reserve_cpu`` and changes
+    no instant (it wakes nothing)."""
+    cluster = Cluster(Environment(), ClusterSpec(n_nodes=N_NODES, node=NODE),
+                      RngRegistry(seed))
+    for node, cores in zip(cluster.nodes, backlog):
+        node._core_free = sorted(cores)
+        if through_reserve_cpu:
+            node.power = PowerManager(PowerSpec(), mode="always_on")
+    return cluster
+
+
+@given(script=LEGS, backlog=BACKLOG, seed=st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_cpu_stages_book_as_reserve_cpu_does(script, backlog, seed):
+    inline = _booked(backlog, seed, through_reserve_cpu=False)
+    called = _booked(backlog, seed, through_reserve_cpu=True)
+    _, done = drive(inline, script)
+    _, expected = drive(called, script)
+    assert done == expected
+    for node, twin in zip(inline.nodes, called.nodes):
+        assert node.cpu_time == twin.cpu_time
+        assert sorted(node._core_free) == sorted(twin._core_free)
+
+
+def test_a_power_managed_node_pays_its_wake_through_reserve_cpu(monkeypatch):
+    """A parked receiver wakes before its core runs: ``leg`` hands its
+    CPU stage to ``Node.reserve_cpu``, which charges the wake latency,
+    while the sender (no power manager) is booked inline."""
+    booked = []
+    reserve_cpu = Node.reserve_cpu
+
+    def spy(node, seconds, at=0.0):
+        booked.append((node.node_id, seconds, at))
+        return reserve_cpu(node, seconds, at)
+
+    monkeypatch.setattr(Node, "reserve_cpu", spy)
+    cluster = Cluster(Environment(), ClusterSpec(n_nodes=2, node=NODE),
+                      RngRegistry(3))
+    env, a, b = cluster.env, cluster.node(0), cluster.node(1)
+    spec = PowerSpec()
+    b.power = PowerManager(spec, mode="race_to_sleep")
+    env.run(until=spec.sleep_after_s + 1.0)
+    leg = cluster.leg(a, b, 1_000, 2.5e-5, 3e-5)
+    start = env.now
+    env.run(until=leg)
+    (node_id, seconds, arrival), = booked
+    assert (node_id, seconds) == (1, 3e-5)
+    assert env.now == start + ((arrival + spec.sleep_wake_s + 3e-5) - start)
+    assert b.power.wakes == 1 and a.cpu_time == 2.5e-5

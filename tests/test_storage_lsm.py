@@ -7,6 +7,7 @@ from repro.sim.kernel import Environment, Event
 from repro.sim.rng import RngRegistry
 from repro.storage.cache import BlockCache
 from repro.storage.lsm import LocalDiskMedium, LsmTree, StorageSpec
+from repro.storage.sstable import SSTable
 
 
 @pytest.fixture
@@ -246,7 +247,8 @@ class TestReadSeesOneVersionOfTheTree:
         for i in range(20):
             yield from tree.put(f"k{version}-{i:02d}", i, 100, float(version))
 
-    def _parked_read(self, read, min_batch, monkeypatch, counted):
+    def _parked_read(self, read, min_batch, monkeypatch, counted,
+                     calls_per_run):
         """Two runs holding ``k``; start ``read`` on a cold cache and park
         it on its first block miss; land a third run (and, with
         ``min_batch`` 3, the compaction it triggers); release the read."""
@@ -256,9 +258,9 @@ class TestReadSeesOneVersionOfTheTree:
         env.run(until=env.now + 1.0)
         assert tree.n_sstables == 2
         visits = {}
-        for table in tree.sstables:
-            monkeypatch.setattr(table, counted, self._counting(
-                getattr(table, counted), visits, table.sstable_id))
+        started_on = [table.sstable_id for table in tree.sstables]
+        monkeypatch.setattr(SSTable, counted, self._counting(
+            getattr(SSTable, counted), visits))
         tree.cache = BlockCache(tree.spec.block_cache_bytes)
         reads_before = tree.stats["block_reads"]
 
@@ -276,18 +278,19 @@ class TestReadSeesOneVersionOfTheTree:
             assert tree.stats["compactions"] == 0 and tree.n_sstables == 3
         medium.gate.succeed()
         result = env.run(until=reader)
-        # Each of the two runs the read started on: visited once, one
-        # miss each; the run that landed meanwhile: not at all.
-        assert sorted(visits.values()) == [1, 1]
+        # Each of the two runs the read started on: visited, one miss
+        # each; the run that landed meanwhile (and any compaction's
+        # output): not at all.
+        assert visits == {table_id: calls_per_run for table_id in started_on}
         assert tree.stats["block_reads"] - reads_before == 2
         assert medium.block_reads == 2
         return env, tree, result
 
     @staticmethod
-    def _counting(method, visits, table_id):
-        def counted(*args):
-            visits[table_id] = visits.get(table_id, 0) + 1
-            return method(*args)
+    def _counting(method, visits):
+        def counted(table, *args):
+            visits[table.sstable_id] = visits.get(table.sstable_id, 0) + 1
+            return method(table, *args)
         return counted
 
     @pytest.mark.parametrize("min_batch", [10, 3],
@@ -295,7 +298,7 @@ class TestReadSeesOneVersionOfTheTree:
     def test_get(self, min_batch, monkeypatch, form="get"):
         env, tree, result = self._parked_read(
             lambda tree: getattr(tree, form)("k"), min_batch, monkeypatch,
-            "might_contain")
+            "block_of", 2)  # one to find the miss, one to load the block
         # The newest version as of the instant the read looked ...
         assert result == ("v2", 2.0)
         # ... and the next read sees the one that landed.
@@ -311,6 +314,6 @@ class TestReadSeesOneVersionOfTheTree:
     def test_scan(self, min_batch, monkeypatch):
         env, tree, rows = self._parked_read(
             lambda tree: tree.scan("k", 1), min_batch, monkeypatch,
-            "blocks_for_range")
+            "blocks_for_range", 1)
         assert rows == [("k", "v2", 2.0)]
         assert env.run(until=tree.scan("k", 1)) == [("k", "v3", 3.0)]
