@@ -10,7 +10,7 @@ them from latency shapes:
   (op, key, value, CL, outcome — timeouts as *indeterminate*) into a
   per-run :class:`History`;
 - :mod:`repro.consistency.checkers` — per-key linearizability
-  (Wing & Gong interval search) for R+W > RF configurations, session
+  (Gibbons & Korach zone check) for R+W > RF configurations, session
   guarantees (read-your-writes, monotonic reads) and global staleness
   for weak CLs, and eventual convergence (replica agreement after
   quiescence + repair);

@@ -1,21 +1,35 @@
 """Per-key consistency checkers over recorded histories.
 
 Every record key is an independent last-write-wins register, so each
-checker works on one key's sub-history (short — hundreds of ops at
-most), which is what makes the Wing & Gong linearizability search
-feasible here.
+checker works on one key's sub-history.
 
 Soundness notes (why a reported violation is real, never a model
 artefact):
 
-- **Linearizability** (strong configs, R+W > RF): interval search over
-  unique-valued writes.  An ``indeterminate`` write's effect window
-  extends to infinity and the write is *optional* — it may linearize
-  anywhere after its invocation or never have happened (Jepsen's "info"
-  ops).  Reads returning a value outside the tracked write set (a
-  pre-run row, or no row) map to one *untracked* initial state; such a
-  read must linearize before any tracked write to its key, which is
-  sound because nothing else writes workload keys while recording.
+- **Linearizability** (strong configs, R+W > RF): the recorder tags
+  every write with a unique value, so each read names the one write it
+  returned, and a register history with a known reads-from map is
+  decided in one sorted pass (Gibbons & Korach, "Testing shared
+  memories", SIAM J. Comput. 1997).  A write and the reads that
+  returned it form a *cluster*; ``lo`` is the cluster's earliest
+  response and ``hi`` its latest invocation.  A cluster with
+  ``lo < hi`` is a *forward zone*: its value must hold throughout
+  ``(lo, hi)``.  Otherwise its ops share an instant in ``[hi, lo]`` (a
+  *backward zone*) where the write and its reads can all take effect.
+  The key linearizes unless a read responded before its own write was
+  invoked, two forward zones overlap, or a backward zone sits inside a
+  forward one.  Every comparison is strict: op *a* precedes op *b* only
+  if ``a.end < b.start``, so ops touching at an instant are concurrent.
+  An ``indeterminate`` write's response is at infinity — it may take
+  effect anywhere after its invocation or never (Jepsen's "info" ops);
+  unread, its zone ``[start, inf]`` fits inside no forward zone, which
+  is the same as dropping it.  Reads returning a value outside the
+  tracked write set (a pre-run row, no row, a failed write's tag) form
+  one *untracked* cluster around a virtual write at minus infinity:
+  such a read must take effect before any tracked write to its key,
+  which is sound because nothing else writes workload keys while
+  recording.  The rule needs unique write values per key; a duplicate
+  is an error, not a verdict.
 - **Staleness / session guarantees** (weak CLs): reads return the
   server-side write timestamp with the value, and a write's timestamp
   is assigned inside its invocation/response interval.  So for a write
@@ -31,6 +45,7 @@ artefact):
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -61,7 +76,8 @@ class Violation:
     key: str
     detail: str
     session: Optional[str] = None
-    #: Simulation time of the violating observation.
+    #: Simulation time of the violating observation (linearizability:
+    #: the instant two ops' demands collide).
     at_s: Optional[float] = None
     #: Staleness lag of the observation (seconds): how long before the
     #: read's invocation the freshest missed write had already completed.
@@ -80,22 +96,17 @@ class CheckOutcome:
     """Everything one history check produced."""
 
     violations: list[Violation] = field(default_factory=list)
-    #: Keys whose linearizability search exhausted its state budget
-    #: (neither proven nor refuted).
-    inconclusive_keys: list[str] = field(default_factory=list)
     keys_checked: int = 0
-    #: Total states the linearizability searches explored.
-    states_explored: int = 0
 
     def count(self, kind: str) -> int:
         return sum(1 for v in self.violations if v.kind == kind)
 
 
-# -- linearizability (Wing & Gong interval search) -------------------------
+# -- linearizability (Gibbons & Korach zone check) -------------------------
 
 @dataclass(frozen=True)
 class _Item:
-    """One searchable op: interval + register transition."""
+    """One register op: interval + the value it wrote or returned."""
 
     op_id: int
     kind: str  # "write" | "read"
@@ -125,96 +136,92 @@ def _items_for_key(ops: list[HistoryOp]) -> list[_Item]:
     return items
 
 
-def _search(items: list[_Item], max_states: int) -> tuple[Optional[bool], int]:
-    """(linearizable?, states explored); ``None`` = budget exhausted."""
-    n = len(items)
-    required = [item.required for item in items]
-
-    def done(remaining: frozenset) -> bool:
-        return not any(required[i] for i in remaining)
-
-    def candidates(remaining: frozenset) -> list[int]:
-        # An op can linearize first only if no other pending op's whole
-        # interval precedes it (Wing & Gong's minimal-op rule).
-        min_end = min(items[i].end for i in remaining)
-        cands = [i for i in remaining if items[i].start <= min_end]
-        cands.sort(key=lambda i: (items[i].start, items[i].end))
-        return cands
-
-    all_ids = frozenset(range(n))
-    if done(all_ids):
-        return True, 0
-    states = 0
-    seen = {(all_ids, UNTRACKED)}
-    # Each stack frame: (remaining, register value, candidate list, next
-    # candidate index) — an explicit DFS, immune to recursion limits.
-    stack = [(all_ids, UNTRACKED, candidates(all_ids), 0)]
-    while stack:
-        remaining, current, cands, at = stack.pop()
-        for j in range(at, len(cands)):
-            i = cands[j]
-            item = items[i]
-            if item.kind == "read" and item.value != current \
-                    and not (item.value is UNTRACKED
-                             and current is UNTRACKED):
-                continue
-            new_remaining = remaining - {i}
-            new_current = current if item.kind == "read" else item.value
-            state = (new_remaining, new_current)
-            if state in seen:
-                continue
-            states += 1
-            if states > max_states:
-                return None, states
-            seen.add(state)
-            if done(new_remaining):
-                return True, states
-            stack.append((remaining, current, cands, j + 1))
-            stack.append((new_remaining, new_current,
-                          candidates(new_remaining), 0))
-            break
-    return False, states
+#: The write every UNTRACKED read returned: it precedes every op.
+_PRE_RUN = _Item(0, "write", UNTRACKED, -math.inf, -math.inf, required=False)
 
 
-def check_linearizable_key(key: str, ops: list[HistoryOp],
-                           max_states: int = 200_000
-                           ) -> tuple[Optional[Violation], bool, int]:
-    """Check one key's register history for linearizability.
+@dataclass
+class _Zone:
+    """One write's cluster — the write and every read that returned its
+    value — reduced to the op that responded first (``lo``) and the op
+    invoked last (``hi``)."""
 
-    Returns ``(violation, inconclusive, states_explored)``; at most one
-    of the first two is truthy.  On refutation the violation pins the
-    shortest invocation-order prefix that already has no linearization,
-    naming the op that tipped it (best effort — skipped for very long
-    histories).
-    """
-    items = _items_for_key(ops)
-    verdict, states = _search(items, max_states)
-    if verdict is None:
-        return None, True, states
-    if verdict:
-        return None, False, states
+    write: _Item
+    lo: _Item
+    hi: _Item
 
-    writes = sum(1 for item in items if item.kind == "write")
-    reads = len(items) - writes
-    detail = (f"no linearization of {len(items)} ops "
-              f"({writes} writes, {reads} reads)")
-    at_s: Optional[float] = None
-    if len(items) <= 200:
-        ordered = sorted(items, key=lambda item: (item.start, item.op_id))
-        for k in range(1, len(ordered) + 1):
-            prefix_verdict, prefix_states = _search(ordered[:k], max_states)
-            states += prefix_states
-            if prefix_verdict is False:
-                culprit = ordered[k - 1]
-                detail += (f"; first refuted by {culprit.kind} op "
-                           f"#{culprit.op_id} invoked at "
-                           f"{culprit.start:.4f}s")
-                at_s = culprit.start
-                break
-            if prefix_verdict is None:
-                break  # prefix budget exhausted; keep the summary detail
-    return Violation(kind="linearizability", key=key, detail=detail,
-                     at_s=at_s), False, states
+    @property
+    def forward(self) -> bool:
+        """Some op of the cluster responded before another was invoked,
+        so the value must hold throughout ``(lo.end, hi.start)``."""
+        return self.lo.end < self.hi.start
+
+    def describe(self) -> str:
+        """What the zone demands, naming the two ops that bound it."""
+        lo, hi = self.lo, self.hi
+        if self.write is _PRE_RUN:
+            return (f"the pre-run value must hold until op #{hi.op_id} is "
+                    f"invoked at {hi.start:.4f}s")
+        value = f"write op #{self.write.op_id}'s value"
+        if self.forward:
+            return (f"{value} must hold from op #{lo.op_id}'s response at "
+                    f"{lo.end:.4f}s until op #{hi.op_id} is invoked at "
+                    f"{hi.start:.4f}s")
+        return (f"{value} takes effect between op #{hi.op_id}'s invocation "
+                f"at {hi.start:.4f}s and op #{lo.op_id}'s response at "
+                f"{lo.end:.4f}s")
+
+
+def check_linearizable_key(key: str,
+                           ops: list[HistoryOp]) -> Optional[Violation]:
+    """Check one key's register history for linearizability: ``None``
+    when it linearizes, else the violation naming the two conflicting
+    zones' ops, ``at_s`` the instant they collide (the zone rule in the
+    module docstring).  Raises ``ValueError`` when two writes to the key
+    carry the same value."""
+    # Unread, the pre-run zone is the point minus infinity: it fits
+    # inside no forward zone.
+    zones = {UNTRACKED: _Zone(_PRE_RUN, _PRE_RUN, _PRE_RUN)}
+    for item in _items_for_key(ops):  # writes first, then reads
+        if item.kind == "write":
+            if item.value in zones:
+                raise ValueError(
+                    f"key {key!r}: two writes of value {item.value!r}; the "
+                    f"linearizability check needs unique write values "
+                    f"(HistoryRecorder tags them)")
+            zones[item.value] = _Zone(item, item, item)
+            continue
+        zone = zones[item.value]
+        if item.end < zone.write.start:
+            return Violation(
+                kind="linearizability", key=key, at_s=item.end,
+                detail=f"read op #{item.op_id} responded at {item.end:.4f}s "
+                       f"with the value of write op #{zone.write.op_id}, "
+                       f"invoked only at {zone.write.start:.4f}s")
+        if item.end < zone.lo.end:
+            zone.lo = item
+        if item.start > zone.hi.start:
+            zone.hi = item
+
+    forward = sorted((zone for zone in zones.values() if zone.forward),
+                     key=lambda zone: (zone.lo.end, zone.write.op_id))
+    for first, second in zip(forward, forward[1:]):
+        if second.lo.end < first.hi.start:
+            return Violation(
+                kind="linearizability", key=key, at_s=second.lo.end,
+                detail=f"{first.describe()}, but {second.describe()}")
+    # The forward zones are disjoint now: one bisect finds the only one
+    # a backward zone could sit inside.
+    starts = [zone.lo.end for zone in forward]
+    for zone in zones.values():
+        if zone.forward:
+            continue
+        at = bisect_left(starts, zone.hi.start) - 1
+        if at >= 0 and zone.lo.end < forward[at].hi.start:
+            return Violation(
+                kind="linearizability", key=key, at_s=zone.lo.end,
+                detail=f"{forward[at].describe()}, but {zone.describe()}")
+    return None
 
 
 # -- staleness + session guarantees ----------------------------------------
@@ -298,8 +305,7 @@ def _monotonic_violations(key: str,
 
 # -- the per-history driver ------------------------------------------------
 
-def check_history(history: History, *, strong: bool,
-                  max_states: int = 200_000) -> CheckOutcome:
+def check_history(history: History, *, strong: bool) -> CheckOutcome:
     """Run every applicable checker over one recorded history.
 
     ``strong`` selects the guarantee under test: linearizability for
@@ -321,13 +327,9 @@ def check_history(history: History, *, strong: bool,
                 kind="read_your_writes"))
             outcome.violations.extend(_monotonic_violations(key, own_reads))
         if strong:
-            violation, inconclusive, states = check_linearizable_key(
-                key, ops, max_states=max_states)
-            outcome.states_explored += states
+            violation = check_linearizable_key(key, ops)
             if violation is not None:
                 outcome.violations.append(violation)
-            if inconclusive:
-                outcome.inconclusive_keys.append(key)
     return outcome
 
 

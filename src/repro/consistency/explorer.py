@@ -51,7 +51,6 @@ def check_sweep(db: str, mode: str = "QUORUM",
     by_kind: dict[str, int] = {}
     violating: list[int] = []
     unexpected = 0
-    inconclusive = 0
     summaries = [payload["runs"][0] for payload in payloads]
     for cell, summary in zip(cells, summaries):
         report = summary["consistency"]
@@ -63,7 +62,6 @@ def check_sweep(db: str, mode: str = "QUORUM",
             by_kind[kind] = (by_kind.get(kind, 0)
                              + report["violations_by_kind"].get(kind, 0))
         unexpected += unexpected_violations(report)
-        inconclusive += report["inconclusive_keys"]
         if report["violations"]:
             violating.append(cell.key)
 
@@ -87,7 +85,6 @@ def check_sweep(db: str, mode: str = "QUORUM",
         "total_violations": sum(by_kind.values()),
         "session_violations": session_total,
         "unexpected_violations": unexpected,
-        "inconclusive_keys": inconclusive,
         "violating_seeds": violating,
         "min_repro_seed": min_repro,
         "replay_verified": replay_verified,

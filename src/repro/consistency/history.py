@@ -23,8 +23,8 @@ Write tagging: with ``tag_writes`` (the default) every recorded write
 replaces its payload with a unique tag (``h<op_id>``).  Record values
 are opaque to the simulation — the byte size travels separately — so
 tagging changes no timing, but it makes the register history *unique
-write values*, which the linearizability search requires to map a read
-back to the write it observed.
+write values*, which the linearizability check requires to map a read
+back to the write it observed (it refuses a key with duplicates).
 """
 
 from __future__ import annotations

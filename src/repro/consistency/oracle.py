@@ -82,8 +82,7 @@ def build_consistency_report(history: History, *, db: str,
                              write_cl: Optional[ConsistencyLevel] = None,
                              replication: int = 3,
                              cassandra=None,
-                             client_dc: Optional[str] = None,
-                             max_states: int = 200_000) -> dict:
+                             client_dc: Optional[str] = None) -> dict:
     """Check one recorded run and summarize the verdict.
 
     ``cassandra`` (the deployment, when there is one) enables the
@@ -112,7 +111,7 @@ def build_consistency_report(history: History, *, db: str,
         strong = (read_cl or ConsistencyLevel.ONE).is_strong_with(
             write_cl or ConsistencyLevel.ONE, replication)
 
-    outcome = check_history(history, strong=strong, max_states=max_states)
+    outcome = check_history(history, strong=strong)
     violations = list(outcome.violations)
     if cassandra is not None:
         written_keys = {op.key for op in history.ops
@@ -144,8 +143,6 @@ def build_consistency_report(history: History, *, db: str,
         "violations": len(violations),
         "violations_by_kind": by_kind,
         "max_staleness_lag_s": max_lag,
-        "inconclusive_keys": len(outcome.inconclusive_keys),
-        "states_explored": outcome.states_explored,
         "examples": [v.to_dict() for v in violations[:20]],
     })
     return report

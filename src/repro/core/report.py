@@ -491,9 +491,6 @@ def render_check_report(db: str, sweep: dict) -> str:
                          f"at {example['at_s']:.3f}s: {example['detail']}")
     else:
         lines.append("no violations across the matrix")
-    if sweep["inconclusive_keys"]:
-        lines.append(f"inconclusive keys (state budget exhausted): "
-                     f"{sweep['inconclusive_keys']}")
     if sweep["unexpected_violations"]:
         lines.append(f"UNEXPECTED violations (guarantee broken): "
                      f"{sweep['unexpected_violations']}")
