@@ -72,7 +72,7 @@ class CassandraSession:
         #: Node id -> datacenter name on a geo cluster (fixed per
         #: cluster); ``None`` on a single rack, where every ring member
         #: is a candidate coordinator.
-        self._datacenters = getattr(self.cluster, "node_datacenter", None)
+        self._datacenters = self.cluster.node_datacenter
 
     def _coordinator_pool(self) -> list[Node]:
         """Candidate coordinators on a geo cluster."""

@@ -137,9 +137,9 @@ class Coordinator:
                       "admission_sheds": 0}
         spec = owner.spec
         #: Admission control: max coordinated ops in flight on this node.
-        self.max_inflight = getattr(spec, "coordinator_max_inflight", None)
+        self.max_inflight = spec.coordinator_max_inflight
         self.inflight = 0
-        retry = getattr(spec, "speculative_retry", None)
+        retry = spec.speculative_retry
         #: Rapid read protection (speculative_retry); ``None`` = off.
         self.hedge = HedgePolicy(retry) if retry else None
         #: Geo deployments hint on *failed* remote mutations too: a
@@ -158,7 +158,7 @@ class Coordinator:
         #: Node id -> datacenter name on a geo cluster, fixed per
         #: cluster; ``None`` on a single rack, where every level is
         #: planned without the datacenter machinery (:meth:`_plan`).
-        self._datacenters = getattr(owner.cluster, "node_datacenter", None)
+        self._datacenters = owner.cluster.node_datacenter
         node = owner.node
         node.register("c.coord_write", self.handle_write, cpu_s=_COORD_CPU_S)
         node.register("c.coord_read", self.handle_read, cpu_s=_COORD_CPU_S)
@@ -387,7 +387,7 @@ class Coordinator:
         # Mutations go to every live replica; only the ack wait differs.
         # For LOCAL_* levels only acks from the coordinator's datacenter
         # (the first ``ack_pool`` candidates) satisfy the level.
-        pending = getattr(self.owner.placement, "pending", None)
+        pending = self.owner.placement.pending
         if pending:
             # A topology change is streaming: double-write to the moved
             # arcs' gainers.  Appended *after* the first ``ack_pool``

@@ -95,7 +95,7 @@ class CassandraCluster:
         self.ring = TokenRing([n.node_id for n in members],
                               spec.vnodes, cluster.rngs.stream("ring"))
         if spec.replication_per_dc is not None:
-            datacenter_of = getattr(cluster, "node_datacenter", None)
+            datacenter_of = cluster.node_datacenter
             if datacenter_of is None:
                 raise ValueError("replication_per_dc needs a geo cluster "
                                  "(one that maps nodes to datacenters)")
@@ -228,9 +228,8 @@ class CassandraCluster:
         replica set.  On a mid-stream failure the change is abandoned:
         the old ring stays in force and the pending window closes.
         """
-        pending = getattr(self.placement, "pending", None)
-        if pending is not None:
-            pending.begin(moved)
+        pending = self.placement.pending
+        pending.begin(moved)
         try:
             for arc in sorted(moved, key=lambda a: (a.start, a.end)):
                 for gainer in arc.gainers:
@@ -240,8 +239,7 @@ class CassandraCluster:
                     yield from self._stream_range(source, gainer, arc)
             self.ring.adopt(target)
         finally:
-            if pending is not None:
-                pending.end()
+            pending.end()
 
     def _stream_source(self, arc: TokenRange,
                        gainer: int) -> Optional[int]:

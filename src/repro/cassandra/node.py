@@ -96,8 +96,7 @@ class CassandraNode:
         remote read needs no such thing — cancellation does not cross
         the wire.)
         """
-        key, deadline = (payload if isinstance(payload, tuple)
-                         else (payload, None))
+        key, deadline = payload
         self.ops["read_data"] += 1
         if cancellable:
             return self._read_cancellable(key, deadline)
@@ -128,8 +127,7 @@ class CassandraNode:
         The digest is modelled as the newest local timestamp — two
         replicas' digests match exactly when their newest versions match.
         """
-        key, deadline = (payload if isinstance(payload, tuple)
-                         else (payload, None))
+        key, deadline = payload
         self.ops["read_digest"] += 1
         pool = self.replica_pool
         if pool is not None:

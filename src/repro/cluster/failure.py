@@ -166,7 +166,7 @@ class FailureInjector:
         silently no-opping mid-run.
         """
         n_nodes = len(self.cluster.nodes)
-        node_dc = getattr(self.cluster, "node_datacenter", None)
+        node_dc = self.cluster.node_datacenter
         datacenters = set(node_dc.values()) if node_dc is not None else None
         windows: dict[str, list] = {}
         names = []

@@ -24,9 +24,6 @@ class NodeSpec:
 
     #: Logical cores (hyper-threads) usable by request handlers.
     cores: int = 24
-    #: RAM available to caches (bytes).  The storage layer draws its block
-    #: cache and memtable budgets from this.
-    ram_bytes: int = 32 * 1024**3
     disk: DiskSpec = DiskSpec()
     network: NetworkSpec = NetworkSpec()
 

@@ -73,7 +73,8 @@ class ClientTierConfig:
     The all-defaults instance is inert: no retries, no breaker, no rate
     limiter, no leveler, no cache — the raw driver behaviour every
     closed-loop sweep keeps.  Only consulted when a run goes through
-    the open-loop client (:attr:`repro.core.runner.RunSpec.open_loop`).
+    the open-loop client (``run_cell(open_loop=True)``: every measured
+    run of a cell whose config sets ``arrivals``).
     """
 
     #: Extra client-tier attempts per operation (0 = the tier's retry
@@ -309,18 +310,18 @@ class ExperimentConfig:
     adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
     #: Resilient client tier (breaker / retry budget / rate limiter /
     #: leveling / cache-aside); inert by default, consulted by open-loop
-    #: runs (``RunSpec.open_loop``).
+    #: runs.
     clienttier: ClientTierConfig = field(default_factory=ClientTierConfig)
     #: Power/cost model (joules/op and $/Mops on every report);
     #: defaults to always-on with the standard testbed wattages.
     energy: EnergyConfig = field(default_factory=EnergyConfig)
-    #: Open-loop arrival stream for ``RunSpec.open_loop`` runs.  ``None``
-    #: means the cell is closed-loop only.
+    #: Open-loop arrival stream.  A campaign cell drives every measured
+    #: run open-loop when it is set; ``None`` means closed-loop only.
     arrivals: Optional[ArrivalConfig] = None
     #: Declarative fault schedule for this cell (``at_s`` relative to the
     #: start of each measured run).  Only armed when the caller runs the
-    #: cell with fault injection enabled, so the same config can serve
-    #: both a healthy baseline and a chaos campaign.
+    #: cell with fault injection enabled, as a campaign cell does for
+    #: every measured run (never for a warm-up).
     faults: tuple[FaultSpec, ...] = ()
     #: Multi-datacenter deployment (Cassandra only).  ``None`` = the
     #: usual single-rack cluster.  When set, ``n_nodes`` must equal
@@ -330,8 +331,8 @@ class ExperimentConfig:
     #: ``elasticity.spare_nodes`` trailing servers outside the serving
     #: set and describes how (if at all) a run scales the cluster.
     #: ``None`` = the usual fixed-size deployment.  Only armed when the
-    #: caller runs the cell with scaling enabled, so one config serves
-    #: both the static control and the elastic runs.
+    #: caller runs the cell with scaling enabled, as a campaign cell does
+    #: for every measured run (never for a warm-up).
     elasticity: Optional[ElasticityConfig] = None
 
     def __post_init__(self) -> None:

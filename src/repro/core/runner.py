@@ -8,15 +8,16 @@ session level.  This module makes that structure explicit:
 
 - :class:`CellSpec` — a self-describing, picklable unit of work: one
   resolved :class:`~repro.core.config.ExperimentConfig` (which carries
-  the cell's seed), a warm-up prescription, and the *ordered* workload
-  runs to execute on the loaded session.  The order is part of the spec
-  because the paper runs its workloads back-to-back on one cluster and
-  explains later cells by the state earlier ones left behind.
+  the cell's seed), the unmeasured warm-up runs, and the measured runs,
+  each an *ordered* tuple of :class:`RunSpec` executed on the loaded
+  session.  The order is part of the spec because the paper runs its
+  workloads back-to-back on one cluster and explains later cells by the
+  state earlier ones left behind.
 - :func:`execute_cell` — the fork-safe entrypoint: builds the session,
-  loads, warms, runs, and returns a JSON-safe payload.  Serial and
-  parallel execution share this single code path, and every cell seeds
-  its own RNG registry from its config, so an ``N``-process run is
-  bit-identical to a serial one.
+  loads, runs the warm-ups and then the measured runs, and returns a
+  JSON-safe payload.  Serial and parallel execution share this single
+  code path, and every cell seeds its own RNG registry from its config,
+  so an ``N``-process run is bit-identical to a serial one.
 - :class:`CellRunner` — executes a batch of cells, optionally across CPU
   cores (``ProcessPoolExecutor``) and backed by a content-addressed
   on-disk cache keyed by the resolved config + code version, so repeated
@@ -44,8 +45,8 @@ __all__ = [
     "CellRunner",
     "CellSpec",
     "RunSpec",
-    "WarmSpec",
     "cell_fingerprint",
+    "cell_identity",
     "code_version",
     "default_cache_dir",
     "execute_cell",
@@ -59,12 +60,12 @@ CACHE_ENV_VAR = "REPRO_CELL_CACHE"
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One measured (or warm-up) workload run on a loaded session."""
+    """One workload run on a loaded session: a warm-up or a measured run,
+    by which tuple of :class:`CellSpec` holds it."""
 
-    #: Workload name inside the ``kind`` registry.
+    #: Workload name, in :data:`MICRO_WORKLOADS` or :data:`STRESS_WORKLOADS`
+    #: (the two share no name).
     workload: str
-    #: "micro" or "stress" — which workload registry to resolve from.
-    kind: str = "stress"
     operation_count: Optional[int] = None
     #: Offered load cap, ops/s (None = unthrottled full speed).
     target_throughput: Optional[float] = None
@@ -72,12 +73,6 @@ class RunSpec:
     #: the spec stays trivially picklable and JSON-describable.
     read_cl: Optional[str] = None
     write_cl: Optional[str] = None
-    #: Unmeasured runs execute (they move the cluster's state — e.g. the
-    #: ablation's interleaved updates) but produce no summary.
-    measured: bool = True
-    #: Arm the config's fault schedule for this run and attach a
-    #: failover report to its summary (chaos campaigns).
-    faults: bool = False
     #: Record a Jepsen-style operation history for this run and attach a
     #: consistency report to its summary (``repro-bench check``).
     check: bool = False
@@ -89,30 +84,18 @@ class RunSpec:
     #: Geo deployments: which region's client drives this run
     #: (``repro-bench geo`` runs the same cell once per region).
     client_dc: Optional[str] = None
-    #: Drive this run open-loop through the resilient client tier
-    #: (``repro-bench surge``): arrivals come from the config's
-    #: :class:`~repro.core.config.ArrivalConfig`, defenses from its
-    #: :class:`~repro.core.config.ClientTierConfig`.
-    open_loop: bool = False
-    #: Arm the config's :class:`~repro.core.config.ElasticityConfig` for
-    #: this run and attach a per-phase scale report to its summary
-    #: (``repro-bench scale``).
-    scale: bool = False
-
-
-@dataclass(frozen=True)
-class WarmSpec:
-    """Cache warm-up before the measured runs (paper §6 countermeasure)."""
-
-    #: ``None`` keeps the session default (a read-heavy stress mix).
-    workload: Optional[str] = None
-    kind: str = "micro"
-    operations: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class CellSpec:
-    """Config + seed + workload sequence: one independent sweep cell."""
+    """Config + seed + workload sequence: one independent sweep cell.
+
+    ``warm`` runs first and is not measured: the paper's §6 cold-start
+    countermeasure, or state a later measured run is explained by (the
+    ablation's update round).  Each of ``runs`` returns one summary and
+    arms what the config declares — its fault schedule, its open-loop
+    arrivals, its elasticity — which a warm run never does.
+    """
 
     #: Result-dict key the caller assembles under (rf, mode name, ...).
     key: Any
@@ -120,7 +103,7 @@ class CellSpec:
     label: str
     config: ExperimentConfig
     runs: tuple[RunSpec, ...]
-    warm: Optional[WarmSpec] = WarmSpec(kind="stress")
+    warm: tuple[RunSpec, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -136,12 +119,34 @@ class CellProgress:
 
 # -- execution (the fork-safe entrypoint) ---------------------------------
 
-def _resolve_workload(kind: str, name: str):
-    registry = MICRO_WORKLOADS if kind == "micro" else STRESS_WORKLOADS
-    if name not in registry:
-        raise ValueError(f"unknown {kind} workload {name!r}; "
-                         f"choose from {sorted(registry)}")
-    return registry[name]
+#: Every workload a run can name: the micro and stress registries share
+#: no name, so one lookup resolves either.
+_WORKLOADS = {**MICRO_WORKLOADS, **STRESS_WORKLOADS}
+
+
+def _resolve_workload(name: str):
+    if name not in _WORKLOADS:
+        raise ValueError(f"unknown workload {name!r}; "
+                         f"choose from {sorted(_WORKLOADS)}")
+    return _WORKLOADS[name]
+
+
+def _run(session: ExperimentSession, run: RunSpec, measured: bool):
+    """``run`` on the loaded ``session``.  A measured run arms what the
+    config declares; a warm one arms none of it."""
+    config = session.config
+    return session.run_cell(
+        workload=_resolve_workload(run.workload),
+        operation_count=run.operation_count,
+        target_throughput=run.target_throughput,
+        read_cl=ConsistencyLevel(run.read_cl) if run.read_cl else None,
+        write_cl=ConsistencyLevel(run.write_cl) if run.write_cl else None,
+        inject_faults=measured and bool(config.faults),
+        check_consistency=run.check,
+        adaptive=run.adaptive,
+        client_dc=run.client_dc,
+        open_loop=measured and config.arrivals is not None,
+        scale=measured and config.elasticity is not None)
 
 
 def execute_cell(spec: CellSpec) -> dict:
@@ -153,27 +158,10 @@ def execute_cell(spec: CellSpec) -> dict:
     """
     session = ExperimentSession(spec.config)
     session.load()
-    if spec.warm is not None:
-        workload = (_resolve_workload(spec.warm.kind, spec.warm.workload)
-                    if spec.warm.workload else None)
-        session.warm(operations=spec.warm.operations, workload=workload)
-    runs = []
-    for run in spec.runs:
-        result = session.run_cell(
-            workload=_resolve_workload(run.kind, run.workload),
-            operation_count=run.operation_count,
-            target_throughput=run.target_throughput,
-            read_cl=ConsistencyLevel(run.read_cl) if run.read_cl else None,
-            write_cl=ConsistencyLevel(run.write_cl) if run.write_cl else None,
-            inject_faults=run.faults,
-            check_consistency=run.check,
-            adaptive=run.adaptive,
-            client_dc=run.client_dc,
-            open_loop=run.open_loop,
-            scale=run.scale)
-        if run.measured:
-            runs.append(summarize_run(result))
-    payload: dict = {"runs": runs}
+    for run in spec.warm:
+        _run(session, run, measured=False)  # result discarded
+    payload: dict = {"runs": [summarize_run(_run(session, run, measured=True))
+                              for run in spec.runs]}
     # Deterministic per-seed: how much kernel work the cell cost.  A
     # code change that silently doubles the event count shows up in the
     # cached payload diff even when every summary number is unchanged.
@@ -210,18 +198,19 @@ def code_version() -> str:
     return _code_version
 
 
-def cell_fingerprint(spec: CellSpec) -> str:
-    """Content address of a cell: resolved config + runs + code version.
+def cell_identity(spec: CellSpec) -> dict:
+    """The canonical form of what a cell runs: resolved config, warm
+    runs, measured runs.  ``key`` and ``label`` are presentation, not
+    identity."""
+    return {"config": config_to_dict(spec.config),
+            "warm": [asdict(run) for run in spec.warm],
+            "runs": [asdict(run) for run in spec.runs]}
 
-    ``key`` and ``label`` are presentation, not identity — two sweeps
-    asking for the same physical cell share one cache entry.
-    """
-    identity = {
-        "config": config_to_dict(spec.config),
-        "runs": [asdict(run) for run in spec.runs],
-        "warm": asdict(spec.warm) if spec.warm is not None else None,
-        "code": code_version(),
-    }
+
+def cell_fingerprint(spec: CellSpec) -> str:
+    """Content address of a cell: its identity + code version, so two
+    sweeps asking for the same physical cell share one cache entry."""
+    identity = {**cell_identity(spec), "code": code_version()}
     canonical = json.dumps(identity, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 

@@ -52,7 +52,7 @@ from repro.core.config import (MICRO_STORAGE,
                                default_surge_config,
                                disk_exposed_storage,
                                scaled_stress_storage)
-from repro.core.runner import CellRunner, CellSpec, RunSpec, WarmSpec
+from repro.core.runner import CellRunner, CellSpec, RunSpec
 from repro.energy.power import PowerSpec
 from repro.storage.lsm import StorageSpec
 
@@ -134,10 +134,6 @@ class Scale:
     #: ``arrivals.max_arrivals`` (surge, scale).
     operation_count: Optional[int] = None
     seed: int = 42
-    #: Override the per-config storage engine tuning (None = the
-    #: micro/stress defaults).  Used to shrink memory budgets together
-    #: with very small test populations so the disk still participates.
-    storage: Optional[StorageSpec] = None
 
     # -- offered load --------------------------------------------------------
     #: Target throughputs offered (ops/s) — a ramp inside each cell
@@ -239,6 +235,12 @@ def _arrivals(process: str, scale: Scale) -> ArrivalConfig:
                  "n_tenants", *_ARRIVAL_SHAPE[process], process=process)
 
 
+def _warm(operations: Optional[int] = None) -> tuple:
+    """The §6 cold-start countermeasure: one unmeasured read-heavy run
+    (``None``: the config's run length)."""
+    return (RunSpec(workload="read_mostly", operation_count=operations),)
+
+
 def _ramp_runs(workloads: Sequence[str], scale: Scale, **cls) -> tuple:
     """Every workload in order, sweeping the offered target inside each."""
     return tuple(RunSpec(workload=name, target_throughput=target, **cls)
@@ -325,7 +327,7 @@ def _micro(db: str, scale: Scale, op: str, replication: int,
     config = default_micro_config(db, op, replication=replication,
                                   seed=scale.seed)
     return _sized(config, scale, n_threads=min(scale.n_threads, 8),
-                  storage=scale.storage or config.storage, **overrides)
+                  **overrides)
 
 
 def _micro_cells(db: str, scale: Scale, rfs: Sequence[int]) -> list[CellSpec]:
@@ -336,10 +338,9 @@ def _micro_cells(db: str, scale: Scale, rfs: Sequence[int]) -> list[CellSpec]:
             key=rf,
             label=f"fig1/{db}/rf={rf}",
             config=_micro(db, scale, "update", rf),
-            runs=tuple(RunSpec(workload=op, kind="micro")
-                       for op in MICRO_OP_ORDER),
-            warm=WarmSpec(workload="read", kind="micro",
-                          operations=scale.operation_count // 2)))
+            runs=tuple(RunSpec(workload=op) for op in MICRO_OP_ORDER),
+            warm=(RunSpec(workload="read",
+                          operation_count=scale.operation_count // 2),)))
     return cells
 
 
@@ -347,8 +348,7 @@ def _ramp_config(db: str, scale: Scale, replication: int,
                  cache_units: float = 3.2) -> ExperimentConfig:
     # The targets are offered run by run; the cell itself is unthrottled.
     return _stress(db, scale, replication=replication, target_throughput=None,
-                   storage=scale.storage or _stress_storage(scale,
-                                                            cache_units))
+                   storage=_stress_storage(scale, cache_units))
 
 
 def _stress_cells(db: str, scale: Scale, rfs: Sequence[int],
@@ -359,7 +359,7 @@ def _stress_cells(db: str, scale: Scale, rfs: Sequence[int],
                      label=f"fig2/{db}/rf={rf}",
                      config=_ramp_config(db, scale, rf),
                      runs=_ramp_runs(workloads, scale),
-                     warm=WarmSpec())
+                     warm=_warm())
             for rf in rfs]
 
 
@@ -374,7 +374,7 @@ def _consistency_cells(db: str, scale: Scale, modes: Sequence[str],
                      config=_ramp_config(db, scale, 3, cache_units=8.0),
                      runs=_ramp_runs(workloads, scale,
                                      **_cl_values(CONSISTENCY_MODES[mode])),
-                     warm=WarmSpec())
+                     warm=_warm())
             for mode in modes]
 
 
@@ -400,8 +400,7 @@ def _ablation_cells(db: str, scale: Scale) -> list[CellSpec]:
                     label=f"ablation/{db}/rf={rf}/{mode}",
                     config=replace(config, hbase=replace(config.hbase,
                                                          wal_sync=sync)),
-                    runs=(RunSpec(workload="insert", kind="micro"),),
-                    warm=None))
+                    runs=(RunSpec(workload="insert"),)))
         return cells
     config = _micro(db, scale, "read", 5)
     for chance in (0.0, 0.1, 1.0):
@@ -410,12 +409,13 @@ def _ablation_cells(db: str, scale: Scale) -> list[CellSpec]:
             label=f"ablation/{db}/rf=5/chance={chance}",
             config=replace(config, cassandra=replace(
                 config.cassandra, read_repair_chance=chance)),
-            # The measured reads follow an unmeasured round of updates.
-            runs=(RunSpec(workload="update", kind="micro", measured=False,
+            # The measured reads follow the warm reads and an unmeasured
+            # round of updates.
+            warm=(RunSpec(workload="read",
                           operation_count=scale.operation_count // 2),
-                  RunSpec(workload="read", kind="micro")),
-            warm=WarmSpec(workload="read", kind="micro",
-                          operations=scale.operation_count // 2)))
+                  RunSpec(workload="update",
+                          operation_count=scale.operation_count // 2)),
+            runs=(RunSpec(workload="read"),)))
     return cells
 
 
@@ -460,10 +460,8 @@ def _failover_cells(db: str, scale: Scale, faults: Sequence[str],
                                faults=_fault(scale, kind, "severity")),
                 runs=(RunSpec(workload="read_update",
                               target_throughput=scale.targets[0],
-                              faults=True,
                               **_cl_values(FAILOVER_CL_MODES.get(mode))),),
-                warm=WarmSpec(operations=max(2_000,
-                                             scale.operation_count // 6))))
+                warm=_warm(max(2_000, scale.operation_count // 6))))
     return cells
 
 
@@ -535,7 +533,6 @@ def _tail_cells(db: str, scale: Scale, modes: Sequence[str],
             if scenario == "slow_replica":
                 config = replace(config, faults=_fault(scale, "slow_disk",
                                                        "severity"))
-                run = replace(run, faults=True)
             elif scenario == "overload":
                 # Unthrottled, far more closed-loop threads.  ("healthy"
                 # stays the fault-free control at the throttled load:
@@ -550,8 +547,7 @@ def _tail_cells(db: str, scale: Scale, modes: Sequence[str],
                 label=f"tail/{db}/{scenario}/{mode}",
                 config=config,
                 runs=(run,),
-                warm=WarmSpec(operations=max(2_000,
-                                             scale.operation_count // 6))))
+                warm=_warm(max(2_000, scale.operation_count // 6))))
     return cells
 
 
@@ -615,10 +611,8 @@ def _check_cells(db: str, scale: Scale, cl: str = "QUORUM",
                 faults=(_fault(scale, fault, "severity", "span")
                         if fault else ())),
             runs=(RunSpec(workload="read_update",
-                          target_throughput=scale.targets[0],
-                          faults=fault is not None, check=True,
-                          **_cl_values(levels)),),
-            warm=None))
+                          target_throughput=scale.targets[0], check=True,
+                          **_cl_values(levels)),)))
     return cells
 
 
@@ -733,21 +727,18 @@ def _surge_cells(db: str, scale: Scale, modes: Sequence[str],
                 scale.tail, "handler_slots", "max_handler_queue",
                 *(("deadline_s",) if mode == "full" else ())))
             check = db == "cassandra"
-            run = RunSpec(workload="read_mostly", open_loop=True,
-                          read_cl="ONE" if check else None,
-                          write_cl="ONE" if check else None,
-                          check=check)
             if scenario == "flash_crowd+slow_replica":
                 config = replace(config, faults=_fault(scale, "slow_disk",
                                                        "severity"))
-                run = replace(run, faults=True)
             cells.append(CellSpec(
                 key=(scenario, mode),
                 label=f"surge/{db}/{scenario}/{mode}",
                 config=config,
-                runs=(run,),
-                warm=WarmSpec(operations=max(
-                    1_000, scale.arrivals.max_arrivals // 6))))
+                runs=(RunSpec(workload="read_mostly",
+                              read_cl="ONE" if check else None,
+                              write_cl="ONE" if check else None,
+                              check=check),),
+                warm=_warm(max(1_000, scale.arrivals.max_arrivals // 6))))
     return cells
 
 
@@ -824,17 +815,15 @@ def _scale_cells(db: str, scale: Scale, modes: Sequence[str],
                 record_count=scale.record_count, n_nodes=scale.n_nodes,
                 seed=scale.seed)
             cassandra = db == "cassandra"
-            run = RunSpec(workload="read_mostly", open_loop=True,
-                          read_cl="QUORUM" if cassandra else None,
-                          write_cl="QUORUM" if cassandra else None,
-                          check=True, scale=True)
             cells.append(CellSpec(
                 key=(scenario, mode),
                 label=f"scale/{db}/{scenario}/{mode}",
                 config=config,
-                runs=(run,),
-                warm=WarmSpec(operations=max(
-                    1_000, scale.arrivals.max_arrivals // 6))))
+                runs=(RunSpec(workload="read_mostly",
+                              read_cl="QUORUM" if cassandra else None,
+                              write_cl="QUORUM" if cassandra else None,
+                              check=True),),
+                warm=_warm(max(1_000, scale.arrivals.max_arrivals // 6))))
     return cells
 
 
@@ -910,9 +899,8 @@ def _adaptive_cells(db: str, scale: Scale,
             runs=tuple(RunSpec(workload="read_mostly",
                                operation_count=int(target * scale.duration_s),
                                target_throughput=target,
-                               faults=True, check=True, adaptive=policy)
-                       for target in scale.targets),
-            warm=None))
+                               check=True, adaptive=policy)
+                       for target in scale.targets)))
     return cells
 
 
@@ -989,10 +977,8 @@ def _geo_cells(db: str, scale: Scale, modes: Sequence[str],
                 runs=tuple(RunSpec(workload="read_update",
                                    target_throughput=target,
                                    read_cl=read_cl, write_cl=write_cl,
-                                   faults=shape is not None,
                                    check=True, client_dc=region)
-                           for region, _ in config.geo.datacenters),
-                warm=None))
+                           for region, _ in config.geo.datacenters)))
     return cells
 
 
@@ -1097,8 +1083,7 @@ def _energy_cells(db: str, scale: Scale) -> list[CellSpec]:
                 runs=(RunSpec(workload=_ENERGY_WORKLOAD,
                               operation_count=ops,
                               target_throughput=target,
-                              check=True, adaptive=adaptive),),
-                warm=None))
+                              check=True, adaptive=adaptive),)))
     return cells
 
 

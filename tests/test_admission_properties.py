@@ -8,12 +8,15 @@ traffic has drained nothing is left behind — no holder, no ghost.
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.kernel import Environment, ModelledFailure, Timeout
 from repro.sim.resources import (Admission, BoundedResource, Overloaded,
                                  Served)
+
+pytestmark = pytest.mark.hashseed
 
 MS = 1e-3
 

@@ -1,8 +1,10 @@
 """Cell-identity pin: every campaign builds exactly these cells.
 
 For every campaign x {full, quick} scale x database, the SHA-256 of the
-canonical JSON of every cell's ``(key, label, resolved config, runs,
-warm)``.  No simulation runs, so this is milliseconds;
+canonical JSON of every cell's key, label and
+:func:`~repro.core.runner.cell_identity` (resolved config, warm runs,
+measured runs — the form the cell cache is keyed by).  No simulation
+runs, so this is milliseconds;
 with the engine untouched, equal cells mean (by the determinism the
 replay pin proves) equal payloads — so a refactor of the campaign layer
 that keeps these digests has altered no result.
@@ -13,14 +15,15 @@ The digests are ``tests/golden/pins/test_campaign_cells_pin.txt``;
 
 import hashlib
 import json
-from dataclasses import asdict
 
 import pytest
 
-from repro.core.config import config_to_dict
+from repro.core.runner import cell_identity
 from repro.core.sweep import (CAMPAIGNS, CHECK_CL_MODES, NODE_FAULT_KINDS,
                               campaign_cells)
 from tests.conftest import PINS, read_pins
+
+pytestmark = pytest.mark.hashseed
 
 
 def _check_cells(db, scale):
@@ -45,12 +48,8 @@ def _cells(name, db, scale):
 
 
 def cells_digest(cells) -> str:
-    identity = [
-        [cell.key, cell.label, config_to_dict(cell.config),
-         [asdict(run) for run in cell.runs],
-         asdict(cell.warm) if cell.warm is not None else None,
-         False]  # the slot ``CellSpec.collect_db_stats`` held
-        for cell in cells]
+    identity = [[cell.key, cell.label, cell_identity(cell)]
+                for cell in cells]
     canonical = json.dumps(identity, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 

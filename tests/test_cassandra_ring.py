@@ -14,6 +14,8 @@ from repro.cassandra.multidc import NetworkTopologyStrategy, SimpleStrategy
 from repro.cassandra.partitioner import TokenRing
 from repro.keyspace import KEY_DOMAIN, key_for_index, key_for_token, token_of
 
+pytestmark = pytest.mark.hashseed
+
 
 @pytest.fixture
 def ring():

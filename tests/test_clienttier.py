@@ -21,6 +21,8 @@ from repro.clienttier.retry import RetryBinding, RetryBudget
 from repro.clienttier.tokens import TokenBucket
 from repro.cluster.topology import DeadlineExceeded, RpcTimeout
 
+pytestmark = pytest.mark.hashseed
+
 
 class FakeClock:
     def __init__(self) -> None:

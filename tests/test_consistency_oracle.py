@@ -16,6 +16,8 @@ Two layers:
 
 from dataclasses import replace
 
+import pytest
+
 from repro.cluster.failure import FailureInjector, FaultSpec
 from repro.consistency.checkers import check_history, check_linearizable_key
 from repro.consistency.explorer import check_sweep
@@ -23,6 +25,8 @@ from repro.consistency.history import History, HistoryOp, HistoryRecorder
 from repro.core.experiment import ExperimentSession
 from repro.core.failover import StalenessProbe
 from repro.core.sweep import CAMPAIGNS, campaign_cells
+
+pytestmark = pytest.mark.hashseed
 
 QUICK = CAMPAIGNS["check"].quick
 

@@ -32,6 +32,8 @@ from repro.sim.rng import RngRegistry
 from repro.sim.trace import KernelTracer
 from repro.storage.lsm import StorageSpec
 
+pytestmark = pytest.mark.hashseed
+
 KEY = key_for_index(4)
 _STORE = StorageSpec(memtable_flush_bytes=64 * 1024, block_bytes=512,
                      block_cache_bytes=1 << 20)

@@ -212,9 +212,7 @@ class TestCampaignTable:
                              operation_count=40,
                              n_threads=2, n_nodes=4, settle_s=0.5)
             return [CellSpec(key=op, label=f"toy/{db}/{op}", config=config,
-                             runs=(RunSpec(workload=op, kind="micro",
-                                           check=True),),
-                             warm=None)
+                             runs=(RunSpec(workload=op, check=True),))
                     for op in ops]
 
         toy = Campaign(

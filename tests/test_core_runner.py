@@ -11,12 +11,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster.failure import FailureInjector, FaultSpec
 from repro.core import runner as runner_module
 from repro.core.config import (config_to_dict, config_to_json,
                                default_micro_config, default_stress_config)
-from repro.core.runner import (CellRunner, CellSpec, RunSpec, WarmSpec,
-                               cell_fingerprint, code_version, execute_cell)
+from repro.core.runner import (CellRunner, CellSpec, RunSpec, cell_fingerprint,
+                               code_version, execute_cell)
+from repro.core.experiment import ExperimentSession
 from repro.core.sweep import CAMPAIGNS, run_campaign
+from repro.ycsb.workload import MICRO_WORKLOADS, STRESS_WORKLOADS
 
 DYING_LABEL = "sweep/worker-dies"
 
@@ -42,10 +45,8 @@ def small_cell(seed=42, workloads=("read",)):
     config = replace(config, record_count=400, operation_count=120,
                      n_nodes=5, n_threads=4)
     return CellSpec(key=seed, label=f"cell/seed={seed}", config=config,
-                    runs=tuple(RunSpec(workload=w, kind="micro")
-                               for w in workloads),
-                    warm=WarmSpec(workload="read", kind="micro",
-                                  operations=60))
+                    runs=tuple(RunSpec(workload=w) for w in workloads),
+                    warm=(RunSpec(workload="read", operation_count=60),))
 
 
 class TestConfigSerialization:
@@ -103,9 +104,44 @@ class TestExecuteCell:
 
     def test_unknown_workload_rejected(self):
         cell = small_cell()
-        bad = replace(cell, runs=(RunSpec(workload="nope", kind="micro"),))
+        bad = replace(cell, runs=(RunSpec(workload="nope"),))
         with pytest.raises(ValueError, match="nope"):
             execute_cell(bad)
+
+    def test_one_lookup_resolves_every_workload(self):
+        # The two registries share no name, so a run names one workload.
+        assert not set(MICRO_WORKLOADS) & set(STRESS_WORKLOADS)
+        bad = replace(small_cell(), runs=(RunSpec(workload="nope"),))
+        with pytest.raises(ValueError) as info:
+            execute_cell(bad)
+        for name in (*MICRO_WORKLOADS, *STRESS_WORKLOADS):
+            assert repr(name) in str(info.value)
+
+    def test_a_warm_run_arms_nothing(self, monkeypatch):
+        """The config's crash fault is armed once, at the start of the
+        measured run, although the warm run outlasts its ``at_s``."""
+        fault = FaultSpec(kind="crash", at_s=0.01, duration_s=0.05)
+        cell = small_cell()
+        cell = replace(cell, config=replace(cell.config, faults=(fault,)))
+        starts, armed = [], []
+        run_cell = ExperimentSession.run_cell
+        inject = FailureInjector.inject
+
+        def record_start(session, *args, **kwargs):
+            starts.append(session.env.now)
+            return run_cell(session, *args, **kwargs)
+
+        def record_base(injector, specs, base_s=0.0):
+            armed.append(base_s)
+            return inject(injector, specs, base_s)
+
+        monkeypatch.setattr(ExperimentSession, "run_cell", record_start)
+        monkeypatch.setattr(FailureInjector, "inject", record_base)
+        payload = execute_cell(cell)
+        warm_start, measured_start = starts
+        assert measured_start - warm_start > fault.at_s
+        assert armed == [measured_start]
+        assert "failover" in payload["runs"][0]
 
 
 class TestSerialParallelEquivalence:
@@ -215,7 +251,7 @@ class TestFailingCell:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_the_error_names_the_cell(self, jobs, tmp_path):
         bad = replace(small_cell(seed=2), label="sweep/the-bad-one",
-                      runs=(RunSpec(workload="nope", kind="micro"),))
+                      runs=(RunSpec(workload="nope"),))
         cells = [small_cell(seed=1), bad, small_cell(seed=3)]
         events = []
         runner = CellRunner(jobs=jobs, cache=True, cache_dir=tmp_path,

@@ -79,6 +79,8 @@ from repro.ycsb.db import CassandraBinding, HBaseBinding
 from repro.ycsb.workload import STRESS_WORKLOADS, OperationType
 from tests.conftest import build_wal, flat_cluster, schedule_appends
 
+pytestmark = pytest.mark.hashseed
+
 
 def _small_cell(db: str, storage: StorageSpec):
     """RF 3 (Cassandra at ONE/ONE), ``read_update``, fault-free."""

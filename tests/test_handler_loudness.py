@@ -51,6 +51,8 @@ from repro.sim.rng import RngRegistry
 from repro.storage.sstable import SSTable
 from tests.conftest import build_wal
 
+pytestmark = pytest.mark.hashseed
+
 KEY = key_for_index(3)
 POOL = {"handler_slots": 1, "max_handler_queue": 2}
 

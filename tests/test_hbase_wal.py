@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from repro.sim.kernel import AllOf
 from tests.conftest import build_wal, schedule_appends
 
+pytestmark = pytest.mark.hashseed
+
 
 def drive(env, generator):
     return env.run(until=env.process(generator))

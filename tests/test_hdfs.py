@@ -10,6 +10,8 @@ from repro.hdfs.pipeline import pipeline_write
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 
+pytestmark = pytest.mark.hashseed
+
 
 @pytest.fixture
 def hdfs():

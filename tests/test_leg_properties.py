@@ -14,6 +14,7 @@ made).
 from heapq import heappop, heappush
 from math import inf, log
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,8 @@ from repro.cluster.topology import Cluster, ClusterSpec
 from repro.energy.power import PowerManager, PowerSpec
 from repro.sim.kernel import Environment, Event, Timeout
 from repro.sim.rng import RngRegistry
+
+pytestmark = pytest.mark.hashseed
 
 #: Two cores, so CPU reservations contend as the channels do.
 NODE = NodeSpec(cores=2)

@@ -36,6 +36,8 @@ from repro.core.runner import execute_cell
 from repro.core.sweep import CAMPAIGNS, campaign_cells
 from repro.sim.kernel import Environment
 
+pytestmark = pytest.mark.hashseed
+
 
 # Wing & Gong's interval search, unchanged from the checker the zone check
 # replaced: the reference verdict.

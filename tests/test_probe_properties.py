@@ -14,6 +14,7 @@ walk meeting at least one.
 from itertools import cycle
 from zlib import adler32, crc32
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,8 @@ from repro.storage.bloom import BloomFilter
 from repro.storage.cache import BlockCache
 from repro.storage.lsm import LocalDiskMedium, LsmTree, StorageSpec
 from repro.storage.sstable import SSTable
+
+pytestmark = pytest.mark.hashseed
 
 #: Every key a run may hold; probes also try keys below and above them.
 UNIVERSE = [f"k{i:04d}" for i in range(400)]

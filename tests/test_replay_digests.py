@@ -15,6 +15,8 @@ import pytest
 from repro.sim.kernel import Environment
 from tests.conftest import PINS, read_pins
 
+pytestmark = pytest.mark.hashseed
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
     "replay_digests", ROOT / "tools" / "replay_digests.py")

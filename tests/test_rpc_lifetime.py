@@ -40,6 +40,8 @@ from repro.sim.resources import Overloaded
 from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec, _LoggedPut
 
+pytestmark = pytest.mark.hashseed
+
 N = 25
 
 

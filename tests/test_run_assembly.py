@@ -23,6 +23,8 @@ from repro.core.experiment import ExperimentSession, summarize_run
 from repro.core.sweep import campaign_cells
 from tests.conftest import traced_run
 
+pytestmark = pytest.mark.hashseed
+
 CRASH = (FaultSpec(kind="crash", node_id=0, at_s=0.3, duration_s=0.5),)
 ARRIVALS = ArrivalConfig(process="flash_crowd", rate=300.0, max_arrivals=600,
                          n_users=1_000, n_tenants=4, spike_at_s=0.5,

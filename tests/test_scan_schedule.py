@@ -35,6 +35,8 @@ from repro.sim.trace import KernelTracer
 from repro.storage.lsm import StorageSpec
 from repro.ycsb.db import CassandraBinding, HBaseBinding
 
+pytestmark = pytest.mark.hashseed
+
 KEY = key_for_index(4)
 #: Small memtables and blocks, a cache that holds everything, and a
 #: compaction once three runs exist.

@@ -4,6 +4,8 @@ import pytest
 
 from repro.storage.bloom import BloomFilter
 
+pytestmark = pytest.mark.hashseed
+
 
 class TestBloomFilter:
     def test_no_false_negatives(self):

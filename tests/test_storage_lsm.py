@@ -9,6 +9,8 @@ from repro.storage.cache import BlockCache
 from repro.storage.lsm import LocalDiskMedium, LsmTree, StorageSpec
 from repro.storage.sstable import SSTable
 
+pytestmark = pytest.mark.hashseed
+
 
 @pytest.fixture
 def tree_env():

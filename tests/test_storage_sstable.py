@@ -4,6 +4,8 @@ import pytest
 
 from repro.storage.sstable import SSTable
 
+pytestmark = pytest.mark.hashseed
+
 
 def build(n=100, size=100, block_bytes=1024, prefix="k"):
     entries = [(f"{prefix}{i:05d}", i, 1.0, size) for i in range(n)]

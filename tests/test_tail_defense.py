@@ -22,6 +22,8 @@ from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec
 from repro.ycsb.workload import STRESS_WORKLOADS
 
+pytestmark = pytest.mark.hashseed
+
 
 def small_storage():
     return StorageSpec(memtable_flush_bytes=8192, block_bytes=1024,
@@ -307,11 +309,12 @@ class TestNoSlotLeaks:
                                  modes=("hedge",), scenarios=(scenario,))
         session = ExperimentSession(cell.config)
         session.load()
-        session.warm(operations=cell.warm.operations)
+        (warm,) = cell.warm
+        session.warm(operations=warm.operation_count)
         (run,) = cell.runs
         session.run_cell(workload=STRESS_WORKLOADS[run.workload],
                          target_throughput=run.target_throughput,
-                         inject_faults=run.faults)
+                         inject_faults=True)
         session.env.run(until=session.env.now + 2.0)
         assert any(cnode.coordinator.stats["hedged_reads"]
                    for cnode in session.cassandra.nodes.values())

@@ -17,6 +17,8 @@ from repro.ycsb.client import YcsbClient
 from repro.ycsb.db import HBaseBinding
 from repro.ycsb.workload import STRESS_WORKLOADS, Workload, WorkloadSpec
 
+pytestmark = pytest.mark.hashseed
+
 
 def build_client(workload_spec=None, records=500, seed=3):
     env = Environment()
