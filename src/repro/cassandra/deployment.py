@@ -36,7 +36,7 @@ class CassandraSpec:
     replica_timeout_s: float = 2.0
     hint_replay_interval_s: float = 1.0
     #: Cassandra 2.0.2 rapid read protection (``speculative_retry``):
-    #: ``"NNms"`` or ``"pNN"``/``"NNpercentile"``; ``None`` disables it.
+    #: ``"NNms"`` or ``"pNN"``; ``None`` disables it.
     speculative_retry: Optional[str] = None
     #: Concurrent replica-stage executions per node (concurrent_reads/
     #: concurrent_writes analogue).  Only enforced when

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional, Sequence
 
-from repro.ycsb.measurements import Measurements, percentile
+from repro.ycsb.measurements import Measurements, mean, percentile
 
 __all__ = ["ElasticityConfig", "SCALE_ACTIONS", "SCALE_MODES",
            "ScaleEngine", "ScaleEventSpec", "build_scale_report"]
@@ -229,7 +229,7 @@ def _phase_stats(latencies: list[float]) -> dict:
     ordered = sorted(latencies)
     return {
         "ops": len(ordered),
-        "mean_ms": sum(ordered) / len(ordered) * 1000.0,
+        "mean_ms": mean(ordered) * 1000.0,
         "p95_ms": percentile(ordered, 0.95) * 1000.0,
         "p99_ms": percentile(ordered, 0.99) * 1000.0,
     }

@@ -4,7 +4,7 @@ Cassandra 2.0.2 introduced *rapid read protection* (``speculative_retry``
 per table): when the primary replica has not answered after a delay, the
 coordinator duplicates the read to the next-fastest replica and takes
 whichever response lands first.  The delay is either fixed ("50ms") or a
-percentile of the table's recent read latency ("99percentile").
+percentile of the table's recent read latency ("p99").
 
 :class:`HedgePolicy` models both forms and is shared by the Cassandra
 coordinator and the HBase client: callers feed completed-request
@@ -31,23 +31,21 @@ def parse_hedge_spec(spec: str) -> tuple[str, float]:
     Accepted forms (case-insensitive):
 
     - ``"50ms"`` — fixed delay in milliseconds → ``("fixed", 0.05)``
-    - ``"p99"`` / ``"99percentile"`` — latency percentile →
+    - ``"p99"`` — latency percentile in (0, 100) →
       ``("percentile", 0.99)``
     """
     text = spec.strip().lower()
-    if text.endswith("ms"):
-        return ("fixed", float(text[:-2]) / 1000.0)
-    if text.startswith("p"):
-        value = float(text[1:])
-    elif text.endswith("percentile"):
-        value = float(text[:-len("percentile")])
-    else:
-        raise ValueError(
-            f"unknown speculative-retry spec {spec!r}; use e.g. "
-            f"'50ms', 'p99' or '99percentile'")
-    if not 0 < value < 100:
-        raise ValueError(f"percentile must be in (0, 100), got {value}")
-    return ("percentile", value / 100.0)
+    try:
+        if text.endswith("ms"):
+            return ("fixed", float(text[:-2]) / 1000.0)
+        if text.startswith("p") and 0 < float(text[1:]) < 100:
+            return ("percentile", float(text[1:]) / 100.0)
+    except ValueError:
+        pass
+    raise ValueError(
+        f"unknown speculative-retry spec {spec!r}; use 'NNms' (a fixed "
+        f"delay, e.g. '50ms') or 'pNN' (a latency percentile in (0, 100), "
+        f"e.g. 'p99')")
 
 
 class HedgePolicy:
@@ -56,7 +54,7 @@ class HedgePolicy:
     Parameters
     ----------
     spec:
-        ``"NNms"`` (fixed) or ``"pNN"`` / ``"NNpercentile"``.
+        ``"NNms"`` (fixed) or ``"pNN"`` (percentile).
     window:
         How many recent latencies the percentile form remembers.
     min_samples:

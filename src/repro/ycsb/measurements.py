@@ -8,7 +8,9 @@ YCSB reports: mean, min, max, and the 50th/95th/99th/99.9th percentiles.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 __all__ = ["LatencyStats", "Measurements"]
@@ -59,6 +61,13 @@ def percentile(sorted_values: list[float], fraction: float) -> float:
     return sorted_values[rank]
 
 
+def mean(values: list[float]) -> float:
+    """Mean of non-empty ``values``, added left to right: ``sum()``
+    compensates float additions from Python 3.12 on, which would move a
+    mean's last bits with the interpreter."""
+    return reduce(operator.add, values, 0.0) / len(values)
+
+
 def _summarize(latencies: list[float], errors: int) -> LatencyStats:
     """:class:`LatencyStats` of pre-sorted ``latencies`` (all zeros when
     there are none)."""
@@ -67,7 +76,7 @@ def _summarize(latencies: list[float], errors: int) -> LatencyStats:
     return LatencyStats(
         count=len(latencies),
         errors=errors,
-        mean=sum(latencies) / len(latencies),
+        mean=mean(latencies),
         minimum=latencies[0],
         maximum=latencies[-1],
         p50=percentile(latencies, 0.50),
@@ -240,7 +249,7 @@ class Measurements:
             while ei < len(error_times) and error_times[ei] < bucket_end:
                 errors += 1
                 ei += 1
-            mean = sum(lats) / len(lats) if lats else 0.0
-            out.append((bucket_start, len(lats), mean, errors))
+            average = mean(lats) if lats else 0.0
+            out.append((bucket_start, len(lats), average, errors))
             bucket_start = bucket_end
         return out

@@ -1,0 +1,97 @@
+"""Neutral ingredients leave the kernel schedule byte-identical.
+
+Each row pairs two runs of one tiny cell where one side only adds an
+ingredient that must change nothing: any consistency level at RF 1
+(R = W = 1 there), the oracle that only records, a static adaptive
+policy against the levels it pins, and power management that never
+parks.  Both sides must give the same kernel trace digest, the same
+event count and the same measurement fields of the run summary.  A row
+that fails is an observer effect or a wrong equivalence, not a number
+to re-pin.
+"""
+
+import json
+from dataclasses import replace
+from functools import lru_cache
+
+import pytest
+
+from repro.cassandra.consistency import ConsistencyLevel
+from repro.core.config import EnergyConfig
+from repro.ycsb.workload import STRESS_WORKLOADS
+from tests.conftest import traced_run
+from tests.test_run_assembly import BASE_KEYS, _closed
+
+pytestmark = pytest.mark.hashseed
+
+ONE, QUORUM, ALL = (ConsistencyLevel.ONE, ConsistencyLevel.QUORUM,
+                    ConsistencyLevel.ALL)
+
+
+def _cell(db, workload="read_update", rf=3, read_cl=ONE, write_cl=ONE,
+          power_mode="always_on"):
+    config = _closed(db)
+    return replace(
+        config, workload=STRESS_WORKLOADS[workload], operation_count=1_500,
+        faults=(), energy=EnergyConfig(power_mode=power_mode),
+        hbase=replace(config.hbase, replication=rf),
+        cassandra=replace(config.cassandra, replication=rf, read_cl=read_cl,
+                          write_cl=write_cl))
+
+
+@lru_cache(maxsize=None)
+def _run(cell, run_kwargs=()):
+    """Trace digest, event count and measurement fields of one run."""
+    digest, events, summary = traced_run(cell, **dict(run_kwargs))
+    measured = {key: value for key, value in json.loads(summary).items()
+                if key in BASE_KEYS}
+    return digest, events, measured
+
+
+def _row(name, plain, plain_kwargs, neutral, neutral_kwargs):
+    return pytest.param(plain, tuple(plain_kwargs.items()), neutral,
+                        tuple(neutral_kwargs.items()), id=name)
+
+
+ROWS = [
+    *(_row(f"rf1-{workload}-{read.value}/{write.value}",
+           _cell("cassandra", workload, rf=1), {},
+           _cell("cassandra", workload, rf=1, read_cl=read, write_cl=write),
+           {})
+      for workload in ("read_update", "read_latest")
+      for read, write in ((QUORUM, QUORUM), (ALL, ALL), (ONE, ALL))),
+    *(_row(f"{db}-oracle-armed", _cell(db), {},
+           _cell(db), {"check_consistency": True})
+      for db in ("hbase", "cassandra")),
+    _row("static-one", _cell("cassandra"), {},
+         _cell("cassandra"), {"adaptive": "static-one"}),
+    _row("static-quorum", _cell("cassandra"),
+         {"read_cl": QUORUM, "write_cl": QUORUM},
+         _cell("cassandra"), {"adaptive": "static-quorum"}),
+    *(_row(f"{db}-power-policy-unparked", _cell(db), {},
+           _cell(db, power_mode="policy"), {})
+      for db in ("hbase", "cassandra")),
+]
+
+
+@pytest.mark.parametrize("plain, plain_kwargs, neutral, neutral_kwargs",
+                         ROWS)
+def test_neutral_ingredient_changes_nothing(plain, plain_kwargs, neutral,
+                                            neutral_kwargs):
+    digest, events, measured = _run(plain, plain_kwargs)
+    assert events > 0
+    assert _run(neutral, neutral_kwargs) == (digest, events, measured)
+
+
+@pytest.mark.parametrize("plain, changed", [
+    pytest.param(_cell("cassandra"),
+                 _cell("cassandra", read_cl=QUORUM, write_cl=QUORUM),
+                 id="quorum-at-rf3"),
+    pytest.param(_cell("hbase"), _cell("hbase", power_mode="race_to_sleep"),
+                 id="hbase-race-to-sleep"),
+])
+def test_a_non_neutral_ingredient_shows(plain, changed):
+    """The comparison sees a real change: the rows above are equal
+    because their ingredient is neutral, not because it never reached
+    the run."""
+    assert _run(plain)[0] != _run(changed)[0]

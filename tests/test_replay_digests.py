@@ -3,11 +3,13 @@
 ``tests/golden/replay.txt`` holds one line per ``tools/replay_digests.py``
 invocation, in the tool's order, and ``replay/`` each one's stdout;
 ``pins/<module>.txt`` holds what the ``golden`` fixture compares against.
-Nothing here runs a simulation.
+EXPERIMENTS.md embeds stdouts of the store, verbatim, and README.md links
+into its headings.  Nothing here runs a simulation.
 """
 
 import hashlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,72 @@ def test_each_stdout_hashes_to_its_line():
                     for path in Path(replay_digests.STDOUTS).iterdir())
     assert stored == sorted(replay_digests.stdout_name(index, invocation)
                             for invocation, (index, *_) in store.items())
+
+
+# -- EXPERIMENTS.md is rendered from the store -----------------------------
+
+EXPERIMENTS = Path(replay_digests.EXPERIMENTS)
+#: The invocations whose stdouts are the paper-facing tables.
+FULL_SCALE = ["table1", "fig1", "fig2", "fig3", "ablation"]
+
+
+def test_every_block_is_its_stored_stdout_byte_for_byte():
+    document = EXPERIMENTS.read_text(encoding="utf-8")
+    assert replay_digests.BLOCK.search(document)
+    assert replay_digests.render(document) == document
+
+
+def test_a_marker_naming_no_stored_stdout_fails():
+    with pytest.raises(replay_digests.ReplayError,
+                       match="no tests/golden/replay/99-fig9.stdout.txt"):
+        replay_digests.render(
+            "<!-- golden 99-fig9 -->\n```text\n```\n<!-- /golden -->\n")
+
+
+@pytest.mark.parametrize("document", [
+    "<!-- golden 00-fig1 -->\n```text\n",
+    "<!-- golden 00-fig1 -->\n```text\n\n"
+    "<!-- golden 01-fig2 -->\n```text\n```\n<!-- /golden -->\n",
+], ids=["unclosed", "swallows-the-next-block"])
+def test_a_marker_without_its_block_fails(document):
+    with pytest.raises(replay_digests.ReplayError, match="opens no"):
+        replay_digests.render(document)
+
+
+def test_each_full_scale_stdout_is_embedded():
+    embedded = {match[2] for match in replay_digests.BLOCK.finditer(
+        EXPERIMENTS.read_text(encoding="utf-8"))}
+    store = replay_digests.read_store()
+    for invocation in FULL_SCALE:
+        name = replay_digests.stdout_name(store[invocation][0], invocation)
+        assert name.removesuffix(".stdout.txt") in embedded, invocation
+
+
+def _anchors(markdown: str) -> set:
+    """The heading anchors GitHub gives ``markdown``: lower case, every
+    character but letters, digits, ``_``, ``-`` and spaces dropped,
+    spaces to hyphens, and ``-1``, ``-2`` ... on repeats."""
+    anchors, fenced = set(), False
+    for line in markdown.splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif not fenced and re.match(r"#{1,6} ", line):
+            slug = re.sub(r"[^\w\- ]", "", line.lstrip("#").strip().lower())
+            slug = base = slug.replace(" ", "-")
+            repeat = 0
+            while slug in anchors:
+                repeat += 1
+                slug = f"{base}-{repeat}"
+            anchors.add(slug)
+    return anchors
+
+
+def test_every_readme_link_into_experiments_resolves():
+    links = re.findall(r"\(EXPERIMENTS\.md#([^)\s]+)\)",
+                       (ROOT / "README.md").read_text(encoding="utf-8"))
+    assert links
+    anchors = _anchors(EXPERIMENTS.read_text(encoding="utf-8"))
+    assert [link for link in links if link not in anchors] == []
 
 
 # -- the pins ---------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.deployment import CassandraCluster, CassandraSpec
+from repro.cluster.hedging import parse_hedge_spec
 from repro.cluster.topology import (Cluster, ClusterSpec, DeadlineExceeded,
                                     RpcTimeout)
 from repro.core.experiment import ExperimentSession
@@ -32,6 +33,17 @@ def small_storage():
 
 def drive(env, generator):
     return env.run(until=env.process(generator))
+
+
+class TestHedgeSpec:
+    def test_fixed_and_percentile_forms(self):
+        assert parse_hedge_spec("50ms") == ("fixed", 0.05)
+        assert parse_hedge_spec("p99") == ("percentile", 0.99)
+
+    @pytest.mark.parametrize("spec", ["99percentile", "p0", "p100", "pxx"])
+    def test_other_forms_are_refused_naming_the_accepted_ones(self, spec):
+        with pytest.raises(ValueError, match=r"use 'NNms' .* or 'pNN' "):
+            parse_hedge_spec(spec)
 
 
 class TestDeadlinePropagation:

@@ -14,12 +14,14 @@ that flag.  Dependency-free::
     PYTHONHASHSEED=0 python tools/replay_digests.py "geo --quick --strict"
 
 With no invocation, every line of ``tests/golden/replay.txt`` runs
-(~10 min) and is compared with the store, each stdout with its
+(~15 min) and is compared with the store, each stdout with its
 ``tests/golden/replay/NN-<campaign>.stdout.txt``; any difference exits 1
 with a unified diff.  Each positional argument is one invocation, quoted;
 those in the store are compared too.  ``--update`` re-records every line
-and stdout, then runs the pinned test modules with ``--update-golden``,
-so ``git diff tests/golden`` shows everything that moved.
+and stdout, renders each stdout into the ``<!-- golden NN-<campaign> -->``
+blocks of EXPERIMENTS.md, then runs the pinned test modules with
+``--update-golden``, so ``git diff tests/golden EXPERIMENTS.md`` shows
+everything that moved.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import difflib
 import hashlib
 import io
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -41,6 +44,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
 REPLAY = os.path.join(GOLDEN, "replay.txt")
 STDOUTS = os.path.join(GOLDEN, "replay")
+EXPERIMENTS = os.path.join(ROOT, "EXPERIMENTS.md")
+
+#: A rendered block of EXPERIMENTS.md: the marker names a stored stdout,
+#: and the fenced block between the markers holds that file verbatim.
+BLOCK = re.compile(r"(<!-- golden (\S+) -->\n```text\n)(.*?)"
+                   r"(```\n<!-- /golden -->)", re.S)
 
 #: The refactor-acceptance invocations: every campaign at ``--quick``,
 #: every node fault kind alone and three of them in one run, both oracle
@@ -59,6 +68,9 @@ INVOCATIONS = [
     "ablation --quick",
     "failover --quick --timeline --fault flap --fault partition "
     "--fault slow_nic",
+    # The paper's table and figures at full scale, and the ablations:
+    # the numbers EXPERIMENTS.md publishes.
+    "table1", "fig1", "fig2", "fig3", "ablation",
 ]
 
 
@@ -137,6 +149,24 @@ def read_store() -> dict[str, tuple[int, str, str]]:
     return store
 
 
+def render(document: str) -> str:
+    """``document`` with every marked block holding its stored stdout."""
+    def stdout(match: re.Match) -> str:
+        path = os.path.join(STDOUTS, f"{match[2]}.stdout.txt")
+        if not os.path.exists(path):
+            raise ReplayError(f"<!-- golden {match[2]} -->: no "
+                              f"tests/golden/replay/{match[2]}.stdout.txt")
+        with open(path, encoding="utf-8") as fh:
+            return match[1] + fh.read() + match[4]
+
+    # A marker whose block is missing would otherwise swallow the next
+    # block: every marker must start a match of its own.
+    if document.count("<!-- golden ") != len(BLOCK.findall(document)):
+        raise ReplayError("a <!-- golden NN-name --> marker opens no "
+                          "```text block closed by <!-- /golden -->")
+    return BLOCK.sub(stdout, document)
+
+
 def pinned_test_modules() -> list[str]:
     """Every test module with a test that takes the ``golden`` fixture."""
     tests = os.path.join(ROOT, "tests")
@@ -174,6 +204,10 @@ def _update(lines: list[str], texts: list[str]) -> int:
         with open(os.path.join(STDOUTS, stdout_name(index, invocation)), "w",
                   encoding="utf-8") as fh:
             fh.write(text)
+    with open(EXPERIMENTS, encoding="utf-8") as fh:
+        document = render(fh.read())
+    with open(EXPERIMENTS, "w", encoding="utf-8") as fh:
+        fh.write(document)
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
