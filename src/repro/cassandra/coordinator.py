@@ -153,7 +153,7 @@ class Coordinator:
         #: hints any replica that misses the write timeout — so the
         #: bookkeeping is also on whenever mutations can be shed.
         self._hint_on_failure = bool(
-            getattr(owner.placement, "replication_per_dc", None)
+            owner.placement.replication_per_dc
             or spec.max_handler_queue is not None)
         #: Node id -> datacenter name on a geo cluster, fixed per
         #: cluster; ``None`` on a single rack, where every level is
@@ -229,20 +229,14 @@ class Coordinator:
     def _replica_read(self, replica_id: int, key: str, expected_bytes: int,
                       digest: bool,
                       deadline: Optional[float] = None) -> Event:
-        """Read (or digest-read) one replica; as :meth:`_replica_mutate`.
-
-        With a hedge policy configured every data read is an
-        :class:`~repro.cluster.topology.AsyncCall` — this node's own
-        included — because :meth:`_await_data` may have to cancel it.
-        """
+        """Read (or digest-read) one replica; as :meth:`_replica_mutate`."""
         owner = self.owner
         if replica_id == owner.node.node_id:
             if digest:
                 return owner.cluster.call_local(owner._handle_read_digest,
                                                 (key, deadline))
             return owner.cluster.call_local(owner._handle_read_data,
-                                            (key, deadline),
-                                            self.hedge is not None)
+                                            (key, deadline))
         verb = "c.read_digest" if digest else "c.read_data"
         return owner.cluster.call_async(
             owner.node, owner.cluster.nodes[replica_id], verb,
@@ -295,7 +289,7 @@ class Coordinator:
         whole write unavailable.
         """
         placement = self.owner.placement
-        per_dc = getattr(placement, "replication_per_dc", None)
+        per_dc = placement.replication_per_dc
         if not per_dc:
             return None
         node_dc = placement.node_datacenter
@@ -501,7 +495,7 @@ class Coordinator:
                 data_resp, data_replica = data._value
             if isinstance(data_resp, Exception):
                 # Sheds and spent budgets keep their kind; anything else
-                # (replica timeout, cancelled wait) is a read timeout.
+                # (a replica timeout, a dead replica) is a read timeout.
                 if not isinstance(data_resp, (Overloaded, DeadlineExceeded)):
                     data_resp = ReadTimeoutError(
                         f"data read on {data_replica} failed")
@@ -572,7 +566,7 @@ class Coordinator:
         (:meth:`HedgePolicy.race`): once the configured delay elapses
         without a primary response, the data read is duplicated to the
         next-fastest alive replica and the first *successful* response
-        wins; the loser's wait is cancelled (:meth:`_replica_read`).
+        wins; the loser, this node's own read included, drains.
         Returns ``(response, replica_id)``; the response is an Exception
         value when every attempt failed.
         """

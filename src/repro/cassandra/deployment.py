@@ -76,9 +76,9 @@ class CassandraCluster:
         # Geo clusters may host several client nodes (one per region);
         # they report the split explicitly.  Single-rack clusters keep
         # the last-node-is-client convention.
-        server_ids = getattr(cluster, "server_ids", None)
-        if server_ids is not None:
-            self.server_nodes = [cluster.node(nid) for nid in server_ids]
+        if cluster.server_ids is not None:
+            self.server_nodes = [cluster.node(nid)
+                                 for nid in cluster.server_ids]
             self.client_node = cluster.node(cluster.client_ids[0])
         else:
             self.client_node = cluster.node(len(cluster.nodes) - 1)
@@ -122,6 +122,9 @@ class CassandraCluster:
         #: (time, source_node_id, dest_node_id, bytes) per completed
         #: range stream (bootstrap/decommission transfers).
         self.streams: list[tuple[float, int, int, int]] = []
+        #: The elasticity RNG stream, created on first use
+        #: (:meth:`_elastic_rng`).
+        self._elastic_rng_stream = None
 
     def replicas_of(self, key: str) -> list[int]:
         """Replica node ids for ``key`` under the configured placement."""
@@ -138,7 +141,7 @@ class CassandraCluster:
     # -- elasticity --------------------------------------------------------
 
     def _elastic_rng(self):
-        rng = getattr(self, "_elastic_rng_stream", None)
+        rng = self._elastic_rng_stream
         if rng is None:
             # Created on first use so pre-elasticity cells draw exactly
             # the same stream set as before this feature existed.

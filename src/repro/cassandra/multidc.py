@@ -38,6 +38,10 @@ class PlacementStrategy(Protocol):
 class SimpleStrategy:
     """Single-ring placement: first RF distinct nodes clockwise."""
 
+    #: No per-datacenter replication (see
+    #: :class:`NetworkTopologyStrategy`).
+    replication_per_dc = None
+
     def __init__(self, ring: TokenRing, replication: int) -> None:
         self.ring = ring
         self.replication = replication

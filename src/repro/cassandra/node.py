@@ -6,7 +6,7 @@ in :mod:`repro.cassandra.coordinator`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cassandra.coordinator import Coordinator
 from repro.cassandra.hints import HintStore
@@ -86,40 +86,16 @@ class CassandraNode:
             Admission(pool, rest[0] if rest else None, DeadlineExceeded),
             self.tree.put, (key, value, size, timestamp, _VERB_CPU_S))
 
-    def _handle_read_data(self, payload, cancellable: bool = False):
-        """Full read: answers ``(value, timestamp)`` or None.
-
-        ``cancellable`` is the coordinator asking for its *own* hedged
-        read as a generator (a process, behind ``call_local``): losing
-        the hedge interrupts it, and the interrupt has to reach the slot
-        queue or the disk queue the lookup may be standing in.  (A
-        remote read needs no such thing — cancellation does not cross
-        the wire.)
-        """
+    def _handle_read_data(self, payload):
+        """Full read: answers ``(value, timestamp)`` or None."""
         key, deadline = payload
         self.ops["read_data"] += 1
-        if cancellable:
-            return self._read_cancellable(key, deadline)
         pool = self.replica_pool
         if pool is None:
             return self.tree.get(key, FOREGROUND, _VERB_CPU_S)
         return Served(self.node.env,
                       Admission(pool, deadline, DeadlineExceeded),
                       self.tree.get, (key, FOREGROUND, _VERB_CPU_S))
-
-    def _read_cancellable(self, key: str,
-                          deadline: Optional[float]) -> Generator:
-        pool = self.replica_pool
-        claim = (None if pool is None
-                 else Admission(pool, deadline, DeadlineExceeded))
-        try:
-            if claim is not None:
-                yield claim
-            return (yield from self.tree.get_inline(key, FOREGROUND,
-                                                    _VERB_CPU_S))
-        finally:
-            if claim is not None:
-                pool.release(claim.slot)  # held, queued or withdrawn
 
     def _handle_read_digest(self, payload):
         """Digest read: same local I/O as a data read, tiny response.

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional, Sequence
 
-from repro.ycsb.measurements import Measurements, mean, percentile
+from repro.ycsb.measurements import Measurements, mean, percentile, total
 
 __all__ = ["ElasticityConfig", "SCALE_ACTIONS", "SCALE_MODES",
            "ScaleEngine", "ScaleEventSpec", "build_scale_report"]
@@ -290,7 +290,7 @@ def build_scale_report(measurements: Measurements,
         "skipped": sum(1 for _, event, _ in log
                        if event.endswith("_skipped")),
         "transfer_windows": [[s, e] for s, e in windows],
-        "transfer_s": sum(e - s for s, e in windows),
+        "transfer_s": total(e - s for s, e in windows),
         "phases": phases,
         "streamed_bytes": sum(b for _, _, _, b in streams),
         "stream_count": len(streams),

@@ -17,10 +17,10 @@ table has no latency history to speculate from.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Generator, Optional
 
 from repro.sim.kernel import AnyOf, Environment, Event, Timeout
+from repro.ycsb.measurements import percentile
 
 __all__ = ["HedgePolicy", "parse_hedge_spec"]
 
@@ -87,11 +87,7 @@ class HedgePolicy:
             return self.value
         if len(self._latencies) < self.min_samples:
             return None
-        ordered = sorted(self._latencies)
-        # Nearest-rank percentile, the same definition Measurements uses.
-        rank = max(0, min(len(ordered) - 1,
-                          math.ceil(self.value * len(ordered)) - 1))
-        return ordered[rank]
+        return percentile(sorted(self._latencies), self.value)
 
     def race(self, env: Environment, primary: Event,
              launch_spare: Optional[Callable[[], Generator]]) -> Generator:
@@ -102,11 +98,12 @@ class HedgePolicy:
         as soon as it has failed — ``launch_spare()`` sends the duplicate
         (a generator: the HBase client re-locates the region through the
         HMaster first) and the first contender to complete with a
-        non-exception value wins; the loser's caller-side wait is
-        interrupted (the work drains server-side).  When both fail the
-        value is the primary's exception.  No delay yet (a percentile
-        policy warming up) or no ``launch_spare`` (no spare replica)
-        means a plain wait.  Every success feeds the latency history.
+        non-exception value wins.  Nothing cancels the loser: it goes on
+        to its end and settles unobserved, as any abandoned request
+        does.  When both fail the value is the primary's exception.  No
+        delay yet (a percentile policy warming up) or no
+        ``launch_spare`` (no spare replica) means a plain wait.  Every
+        success feeds the latency history.
         """
         start = env._now
         delay = self.delay()
@@ -130,9 +127,6 @@ class HedgePolicy:
             for winner in contenders:
                 if winner.callbacks is None \
                         and not isinstance(winner._value, Exception):
-                    loser = spare if winner is primary else primary
-                    if loser.is_alive:
-                        loser.interrupt("hedge lost")
                     self.observe(env._now - start)
                     return winner._value, winner is spare
             if not pending:

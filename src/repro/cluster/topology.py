@@ -31,9 +31,8 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.cluster.nic import Network, NetworkSpec
 from repro.cluster.node import Node, NodeSpec
-from repro.sim.kernel import (URGENT, Environment, Event, Interrupt,
-                              ModelledFailure, Process, Timeout, _PENDING,
-                              _finish, _settled)
+from repro.sim.kernel import (Environment, Event, ModelledFailure, Process,
+                              Timeout, _PENDING, _finish, _settled)
 from repro.sim.resources import Overloaded, Served
 from repro.sim.rng import RngRegistry
 
@@ -101,11 +100,10 @@ class AsyncCall(Event):
     :class:`RpcTimeout`/:class:`DeadlineExceeded` when the timer wins,
     :class:`DeadNodeError` when a dead callee has no timer to wait out,
     :class:`~repro.sim.resources.Overloaded` when the callee shed the
-    request, :class:`~repro.sim.kernel.Interrupt` when the caller
-    cancelled (hedge loser).  The round trip goes on server-side in
-    every case — cancellation does not reach over the wire — which is
-    what lets late replica writes land and keep the staleness/hinted-
-    handoff semantics honest.
+    request.  A caller that stops waiting (a timeout, the loser of a
+    hedge) cancels nothing: the round trip goes on server-side to its
+    end, which is what lets late replica writes land and keep the
+    staleness/hinted-handoff semantics honest.
 
     Completion is settled *inline* from the transport's (or the shared
     timer's) dispatch, so the result itself never costs a queue event;
@@ -133,26 +131,6 @@ class AsyncCall(Event):
         self._defused = False
         self._watchers = None
         return self
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the caller-side wait is still undecided."""
-        return self._value is _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Cancel the caller-side wait; the RPC drains server-side.
-
-        Mirrors :meth:`~repro.sim.kernel.Process.interrupt` delivery:
-        the result triggers through the queue (urgently), never inline —
-        the interrupter is mid-execution and its waiters must not run
-        inside its frame.
-        """
-        if self._value is not _PENDING:
-            return
-        if self._watchers is not None:
-            del self._watchers[self]
-        self._value = Interrupt(cause)
-        self.env._schedule(self, URGENT, 0.0)
 
     def _arrived(self, _leg: Event) -> None:
         """The request reached the callee: check, then hand it over."""
@@ -214,7 +192,7 @@ class AsyncCall(Event):
         """The response arrived: settle with it, written out as
         :meth:`_settle` (which the failure and expiry paths call)."""
         if self._value is not _PENDING:
-            return  # timed out or cancelled
+            return  # timed out
         if self._watchers is not None:
             del self._watchers[self]
         self._value = self.payload
@@ -227,7 +205,7 @@ class AsyncCall(Event):
         """The callee is done with the request, one way or another.
         Returns whether a failure was taken off the handler's hands."""
         if self._value is not _PENDING:
-            return True  # timed out or cancelled; the late outcome is noise
+            return True  # timed out; the late outcome is noise
         if ok:
             if value is not _NO_RESPONSE:
                 self._settle(value)
@@ -237,8 +215,7 @@ class AsyncCall(Event):
                     f"(no timeout set)"))
             # else: dead callee or server-side abandonment — the caller
             # still waits out its own timer, so the watch stays.
-        elif isinstance(value, (RpcTimeout, DeadNodeError, Overloaded,
-                                Interrupt)):
+        elif isinstance(value, (RpcTimeout, DeadNodeError, Overloaded)):
             self._settle(value)
         elif self.callbacks:
             # Unexpected failure (e.g. a replica process crashing
@@ -274,36 +251,6 @@ class AsyncCall(Event):
             self._settle(RpcTimeout(
                 f"rpc {self.verb!r} to node {self.dst.node_id} timed out "
                 f"after {self._timeout}s"))
-
-
-class _LocalCall(AsyncCall):
-    """:meth:`Cluster.call_local`'s result for a generator handler: the
-    failure-as-value contract of an :class:`AsyncCall` with no wire
-    under it — the handler's process is all there is, so its outcome is
-    this call's, and a cancellation does reach it."""
-
-    __slots__ = ("_work",)
-
-    def __init__(self, env: Environment, work: Generator) -> None:
-        self.env = env
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = True
-        self._defused = False
-        self._watchers = None
-        self._work = Process(env, work, None, True, self._handled)
-
-    def _handled(self, work: Event) -> None:
-        if work._ok:
-            self._outcome(True, work._value)
-        elif self._outcome(False, work._value):
-            work._defused = True
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Interrupt the handler's process — slot queue, disk queue and
-        all; its :class:`Interrupt` comes back as this call's value."""
-        if self._value is _PENDING:
-            self._work.interrupt(cause)
 
 
 class TimerWheel:
@@ -351,7 +298,7 @@ class TimerWheel:
         def _fire(_timer: Any) -> None:
             del pending[fire_at]
             # Walk a snapshot: an expiry can resume a process inline
-            # that settles or cancels other watched RPCs mid-walk
+            # that settles other watched RPCs mid-walk
             # (their watchers then find nothing left to do).
             for expire in tuple(watchers.values()):
                 expire()
@@ -376,6 +323,10 @@ class Cluster:
     #: node_id -> datacenter name on a multi-datacenter cluster; ``None``
     #: on a single rack.  :meth:`leg` reads it to tell a WAN leg.
     node_datacenter: Optional[dict] = None
+    #: The server node ids where the cluster names its client nodes
+    #: (``client_ids``) itself, as a geo cluster does; ``None`` on a
+    #: single rack, whose last node is the client.
+    server_ids: Optional[list] = None
 
     def __init__(self, env: Environment, spec: ClusterSpec,
                  rngs: RngRegistry) -> None:
@@ -631,20 +582,17 @@ class Cluster:
         :meth:`call_async`'s result: no wire, no RPC CPU, no timeout, and
         not counted as an RPC.
 
-        The event a handler returns comes back as it is — no process,
-        nothing to cancel — with the fan-out convention kept where a
-        bounded stage can refuse: a shed, and a deadline spent before or
-        in the stage's queue, arrive as *values*, exactly as they would
-        from a remote replica.  A generator (the caller needs to be able
-        to cancel) runs as a process behind an :class:`AsyncCall`.
+        Every local handler returns an event, and it comes back as it is
+        — no process — with the fan-out convention kept where a bounded
+        stage can refuse: a shed, and a deadline spent before or in the
+        stage's queue, arrive as *values*, exactly as they would from a
+        remote replica.
         """
         try:
             work = handler(*args)
         except (Overloaded, DeadlineExceeded) as refusal:
             refusal.__traceback__ = None  # as Process._finalize does
             return _settled(self.env, refusal)
-        if Event not in work.__class__.__mro__:
-            return _LocalCall(self.env, work)
         if work.__class__ is Served:
             work.failure_as_value = True
         return work

@@ -98,8 +98,7 @@ def build_consistency_report(history: History, *, db: str,
     region is strong, LOCAL_ONE never is, and EACH_QUORUM writes make
     LOCAL_QUORUM reads strong from *any* region.
     """
-    per_dc = (getattr(getattr(cassandra, "placement", None),
-                      "replication_per_dc", None)
+    per_dc = (cassandra.placement.replication_per_dc
               if cassandra is not None else None)
     if db == "hbase":
         strong = True

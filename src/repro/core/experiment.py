@@ -39,7 +39,7 @@ from repro.sim.rng import RngRegistry
 from repro.ycsb.arrivals import UserSessions, make_arrivals
 from repro.ycsb.client import LoadResult, RunResult, YcsbClient
 from repro.ycsb.db import CassandraBinding, DbBinding, HBaseBinding
-from repro.ycsb.measurements import Measurements
+from repro.ycsb.measurements import Measurements, mean
 from repro.ycsb.workload import STRESS_WORKLOADS, Workload, WorkloadSpec
 
 __all__ = ["ExperimentResult", "ExperimentSession", "run_experiment",
@@ -640,7 +640,7 @@ class ExperimentSession:
 
 def _mean(values) -> float:
     items = list(values)
-    return sum(items) / len(items) if items else 0.0
+    return mean(items) if items else 0.0
 
 
 def run_experiment(config: ExperimentConfig,

@@ -100,7 +100,7 @@ class EnergyMeter:
         self._start_time = now
         self._base = {}
         for node in nodes:
-            power = getattr(node, "power", None)
+            power = node.power
             if power is not None:
                 power.settle(now)
             self._base[node.node_id] = (
@@ -128,7 +128,7 @@ class EnergyMeter:
         wakes = 0
         wake_latency_s = 0.0
         for node, cpu0, disk0, nic0, ledger0 in billed.values():
-            joined = max(start_t, getattr(node, "created_at", start_t))
+            joined = max(start_t, node.created_at)
             node_duration = now - joined
             if node_duration <= 0:
                 continue
@@ -138,7 +138,7 @@ class EnergyMeter:
                       / node.spec.cores)
             disk_j += spec.disk_w * max(0.0, node.disk.busy_time - disk0)
             nic_j += spec.nic_w * max(0.0, node.nic.busy_s - nic0)
-            power = getattr(node, "power", None)
+            power = node.power
             if power is None:
                 idle_j += spec.idle_w * node_duration
                 continue

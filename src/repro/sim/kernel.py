@@ -15,10 +15,11 @@ The design follows the classic simpy architecture:
 - :class:`Environment` — owns simulated time and the event queue.
 
 Only the pieces the database models actually need are implemented, but
-those pieces are implemented completely (failure propagation, interrupts,
-condition events) because the replication protocols rely on them — e.g. a
-hedged read waits on ``AnyOf(primary, timeout)`` and interrupts the
-loser of the race that follows.
+those pieces are implemented completely (failure propagation, condition
+events) because the replication protocols rely on them — e.g. a hedged
+read waits on ``AnyOf(primary, timeout)`` and then on the first of two
+contenders, and the loser goes on to its end unobserved.  Nothing stops
+a process from outside: one is resumed only by the event it waits on.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "Condition",
     "Environment",
     "Event",
-    "Interrupt",
     "ModelledFailure",
     "Process",
     "SimulationError",
@@ -57,26 +57,13 @@ class SimulationError(Exception):
 
 class ModelledFailure(Exception):
     """Marker base for failures the simulation *models* (a timeout, a
-    shed request, a cancelled wait) rather than bugs.
+    shed request, a withdrawn wait) rather than bugs.
 
     They travel as values, so :meth:`Process._finalize` drops their
     traceback once delivered: it names no defect, and it would keep every
     frame it crossed — and through those the failed process itself —
     alive until the cyclic collector runs.
     """
-
-
-class Interrupt(ModelledFailure):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    @property
-    def cause(self) -> Any:
-        """The value passed to :meth:`Process.interrupt`."""
-        return self.args[0] if self.args else None
 
 
 class Event:
@@ -261,7 +248,7 @@ class Process(Event):
     exception).
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator,
                  name: Optional[str] = None, eager: bool = False,
@@ -280,9 +267,6 @@ class Process(Event):
         self._defused = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process currently waits on (None when running
-        #: or terminated).
-        self._target: Optional[Event] = None
         if not eager:
             Initialize(env, self._resume)
             return
@@ -296,31 +280,6 @@ class Process(Event):
         prev = env._active_process
         self._resume(env._started)
         env._active_process = prev
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not terminated."""
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the process at its current yield.
-
-        Interrupting a terminated process is an error; interrupting a
-        process that is about to resume anyway is allowed (the interrupt
-        wins).
-        """
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt dead {self!r}")
-        if self is self.env.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        # Deliver via a broken urgent event so the interrupt arrives
-        # before the target event's own callbacks.
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
-        self.env._schedule(interrupt_event, URGENT, 0.0)
 
     def _finalize(self) -> None:
         """Settle this terminated process inline (no queue round-trip).
@@ -349,27 +308,10 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value (or exception) of ``event``."""
         env = self.env
-        # If an interrupt already resumed us and we since started waiting
-        # on a different event, a stale callback may fire; ignore events
-        # that are no longer our target (interrupt events never were).
-        # An ignored *failure* must still be defused: this process was a
-        # legitimate subscriber, and if it was the only one, an abandoned
-        # event that later fail()s would otherwise crash the whole run
-        # through :meth:`Environment.run`'s unhandled-failure check.
-        if self._target is not None and event is not self._target \
-                and not isinstance(event._value, Interrupt):
-            if not event._ok:
-                event._defused = True
-            return
-        if self._value is not _PENDING:
-            if not event._ok:
-                event._defused = True
-            return
         env._active_process = self
         generator = self._generator
         send = generator.send
         while True:
-            self._target = None
             try:
                 if event._ok:
                     next_event = send(event._value)
@@ -410,12 +352,12 @@ class Process(Event):
                 event = next_event
                 continue
             next_event.callbacks.append(self._resume)
-            self._target = next_event
             break
         env._active_process = None
 
     def __repr__(self) -> str:
-        return f"<Process {self.name!r} {'alive' if self.is_alive else 'dead'}>"
+        state = "alive" if self._value is _PENDING else "dead"
+        return f"<Process {self.name!r} {state}>"
 
 
 class Condition(Event):

@@ -18,8 +18,8 @@ returned request:
         yield req
         yield env.timeout(service_time)
 
-Cancelling a queued request (deadline expiry, hedged-request loser) is a
-*lazy* withdrawal: the request is flagged and skipped when it surfaces
+Cancelling a queued request (a deadline expiring in the queue, a ``with``
+block left before its grant) is a *lazy* withdrawal: the request is flagged and skipped when it surfaces
 from the heap, so cancellation is O(1) no matter how deep the queue —
 and :attr:`Resource.queue_len` excludes those ghosts so shed decisions
 and queue statistics only ever see live waiters.
@@ -203,7 +203,7 @@ class Admission(Event):
     first: the claim is withdrawn and the event fails with
     ``expired(...)``, which a deadline already spent on arrival at a busy
     stage raises at once.  Releasing ``slot`` is right whether it is
-    held, queued or withdrawn — what an interrupted waiter does.
+    held, queued or withdrawn, as leaving a ``with`` block does.
 
     The slot-versus-deadline race is a queued ``AnyOf`` over the claim
     and a ``Timeout``, as when a process waited for it (those events are

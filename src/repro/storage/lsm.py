@@ -272,7 +272,7 @@ class LsmTree:
                     priority: int = FOREGROUND) -> Generator:
         """Read one block the cache does not hold (callers check first)."""
         yield from self.medium.read_block(self.spec.block_bytes, priority,
-                                          getattr(table, "file_handle", None))
+                                          table.file_handle)
         self.cache.insert(table.sstable_id, block_no, self.spec.block_bytes)
         self.stats["block_reads"] += 1
 
@@ -292,7 +292,10 @@ class LsmTree:
         of the walk runs as a small process.
         """
         env = self.env
-        delay = self._start_get(key, extra_cpu_s)
+        self.stats["gets"] += 1
+        delay = self.node.reserve_cpu(
+            extra_cpu_s + CPU_GET_S
+            + CPU_PER_TABLE_CHECK_S * len(self.sstables)) - env._now
         done = Event(env)
 
         def walk(_wait: Optional[Event] = None) -> None:
@@ -312,31 +315,6 @@ class LsmTree:
         else:
             walk()
         return done
-
-    def get_inline(self, key: str, priority: int = FOREGROUND,
-                   extra_cpu_s: float = 0.0) -> Generator:
-        """:meth:`get` as steps of the calling process (``yield from``).
-
-        For a caller that is a process already and must stay one unit: a
-        handler holding a pool slot is interrupted as a whole when its
-        hedged read loses, and the interrupt has to reach the disk queue
-        the lookup may be standing in.
-        """
-        delay = self._start_get(key, extra_cpu_s)
-        if delay > 0:
-            yield Timeout(self.env, delay)
-        best, missed = self._probe(key)
-        if missed is not None:
-            best = yield from self._probe_loading(key, priority, best, missed)
-        return best
-
-    def _start_get(self, key: str, extra_cpu_s: float) -> float:
-        """Count one lookup and book its CPU; returns how long until the
-        tree may be walked."""
-        self.stats["gets"] += 1
-        return self.node.reserve_cpu(
-            extra_cpu_s + CPU_GET_S
-            + CPU_PER_TABLE_CHECK_S * len(self.sstables)) - self.env._now
 
     def _probe(self, key: str, best: Optional[tuple[Any, float]] = None,
                tables: Optional[list[SSTable]] = None
@@ -514,7 +492,7 @@ class LsmTree:
         oldest_first = [t for t in reversed(self.sstables) if t in batch]
         for t in oldest_first:
             yield from self.medium.read_run(
-                t.size_bytes, getattr(t, "file_handle", None))
+                t.size_bytes, t.file_handle)
         entries = merge_tables(oldest_first)
         yield from self.node.cpu_work(
             CPU_COMPACT_PER_ENTRY_S * max(len(entries), 1))

@@ -27,6 +27,10 @@ class SSTable:
     """One immutable sorted run, split into fixed-size blocks."""
 
     _next_id = 0
+    #: The medium's handle for the written run
+    #: (:meth:`~repro.storage.lsm.StorageMedium.write_run`); ``None``
+    #: until a flush or compaction writes it, and for an ingested run.
+    file_handle = None
 
     def __init__(self, entries: list[tuple[str, Any, float, int]],
                  block_bytes: int) -> None:

@@ -13,6 +13,7 @@ from operator import truediv
 from typing import Generic, Sequence, TypeVar
 
 from repro.keyspace import fnv64
+from repro.ycsb.measurements import total
 
 __all__ = [
     "CounterGenerator",
@@ -175,14 +176,14 @@ class DiscreteGenerator(Generic[_Outcome]):
                  rng) -> None:
         if not weighted:
             raise ValueError("need at least one outcome")
-        total = sum(w for _, w in weighted)
-        if total <= 0 or any(w < 0 for _, w in weighted):
+        weight_sum = total(w for _, w in weighted)
+        if weight_sum <= 0 or any(w < 0 for _, w in weighted):
             raise ValueError("weights must be non-negative and sum > 0")
         self._labels = [label for label, _ in weighted]
         self._cumulative: list[float] = []
         acc = 0.0
         for _, weight in weighted:
-            acc += weight / total
+            acc += weight / weight_sum
             self._cumulative.append(acc)
         self._cumulative[-1] = 1.0  # guard against float drift
         self._rng = rng

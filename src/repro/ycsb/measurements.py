@@ -11,7 +11,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional
+from typing import Iterable, Optional
 
 __all__ = ["LatencyStats", "Measurements"]
 
@@ -66,6 +66,12 @@ def mean(values: list[float]) -> float:
     compensates float additions from Python 3.12 on, which would move a
     mean's last bits with the interpreter."""
     return reduce(operator.add, values, 0.0) / len(values)
+
+
+def total(values: Iterable[float]) -> float:
+    """``sum(values)`` added left to right on every Python (see
+    :func:`mean`); from int 0, as ``sum()`` starts."""
+    return reduce(operator.add, values, 0)
 
 
 def _summarize(latencies: list[float], errors: int) -> LatencyStats:

@@ -65,8 +65,7 @@ from repro.hbase.regionserver import NotServingRegion
 from repro.hdfs.datanode import PACKET_CPU_S, DataNode
 from repro.hdfs.pipeline import ACK_BYTES, pipeline_write
 from repro.keyspace import key_for_index, key_for_token, token_of
-from repro.sim.kernel import (Environment, Event, Interrupt, Process,
-                              Timeout)
+from repro.sim.kernel import Environment, Event, Process, Timeout
 from repro.sim.resources import Overloaded
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import KernelTracer
@@ -621,8 +620,7 @@ _SMALL_STORE = StorageSpec(memtable_flush_bytes=2048, block_bytes=512,
                            block_cache_bytes=1 << 20)
 
 
-@pytest.mark.parametrize("get, put", [("get", "put"),
-                                      ("get_inline", "put")])
+@pytest.mark.parametrize("get, put", [("get", "put")])
 def test_block_misses_and_a_synchronous_log(get, put, golden):
     env, cluster = _rack(1)
     node = cluster.node(0)
@@ -680,8 +678,7 @@ def test_pooled_replica(local, golden):
                 deadline=deadline)
         # What the coordinator uses of a replica operation — has it
         # happened, and with what: it always *succeeds*, a failure is
-        # its value.  (``is_alive`` and ``interrupt`` exist only where
-        # it asked for a cancellable read.)
+        # its value.
         assert not call.processed or call.ok
         calls.append(call)
         _note(env, log, label, call)
@@ -837,12 +834,9 @@ def test_generator_handler_failing_in_its_first_segment_is_a_value():
 
     b.register("full", full)
     remote = cluster.call_async(a, b, "full", timeout=1.0)
-    local = cluster.call_local(full, None)
-    assert local.processed and type(local.value) is Overloaded
     env.run(until=remote)
     assert type(remote.value) is Overloaded
     assert remote.value.__traceback__ is None
-    assert local.value.__traceback__ is None
 
     def caller():
         with pytest.raises(Overloaded):
@@ -886,10 +880,10 @@ def test_plain_function_handler_raising_is_a_failed_outcome():
 @pytest.mark.parametrize("slow", ["remote", "local"])
 def test_hedged_read_with_a_coordinator_local_contender(slow, golden):
     """(c) With a hedge policy and no replica pool the coordinator's own
-    data read still runs as a process, behind ``call_local``: it can win
-    a hedge, and when it loses one the interrupt reaches the disk queue
-    it stands in — the block is never read and the spindle never held
-    (instants, event counts and disk time are golden)."""
+    data read is the ``call_local`` event it is without one: it can win
+    a hedge, and when it loses one it drains — queued for the spindle,
+    it reads its block once the disk frees (instants, event counts and
+    disk time are golden)."""
     env, cluster = _rack(6, seed=99)
     cassandra = CassandraCluster(cluster, CassandraSpec(
         replication=3, read_repair_chance=0.0, speculative_retry="5ms"))
@@ -900,23 +894,21 @@ def test_hedged_read_with_a_coordinator_local_contender(slow, golden):
     disk = tree.node.disk
 
     def stall(node_id, delay_s):
-        cnode = cassandra.nodes[node_id]
-        plain = cnode._handle_read_data
+        node = cassandra.nodes[node_id].node
+        plain = node.handlers["c.read_data"]
 
-        def slow_read(payload, *cancellable):
+        def slow_read(payload):
             yield env.timeout(delay_s)
-            return (yield from plain(payload, *cancellable))
+            return (yield plain(payload))
 
-        # Both routes: the verb table (remote) and the method (local).
-        cnode.node.handlers["c.read_data"] = slow_read
-        cnode._handle_read_data = slow_read
+        node.handlers["c.read_data"] = slow_read
 
     def scenario():
         yield from session.insert(key, "value", 100)
         yield env.timeout(1.0)
         if slow == "remote":
             # Coordinator = the spare: its local read wins the hedge and
-            # the remote primary's caller-side wait is cancelled.
+            # the remote primary drains.
             coordinator = cassandra.nodes[second].coordinator
             stall(first, 1.0)
         else:
@@ -951,16 +943,19 @@ def test_hedged_read_with_a_coordinator_local_contender(slow, golden):
     assert value == "value"
     assert coordinator.stats["hedged_reads"] == 1
     assert coordinator.stats["hedge_wins"] == 1
-    # Every contender can be cancelled, this node's own read included.
-    assert all(isinstance(c, AsyncCall) for c in contenders)
+    # Only the remote contender is an RPC; this node's own read is the
+    # engine's event, as it is without a hedge policy.
     primary, spare = contenders
-    assert type(primary.value) is Interrupt and spare.value == ("value", 0.0)
+    assert isinstance(primary, AsyncCall) is (slow == "remote")
+    assert isinstance(spare, AsyncCall) is (slow == "local")
+    assert not primary.triggered and spare.value == ("value", 0.0)
     before_drain = env.processed_events
     env.run(until=env.now + 10.0)
     golden((answered, before_drain, env.processed_events), "schedule")
-    # The cancelled lookup left the spindle's queue without reading:
-    # the disk's time is the commit log's (and the flush's) alone.
-    assert tree.stats["block_reads"] == 0
+    # The loser was not cancelled: it answered, late, and the local
+    # lookup read its cold block once the spindle was free.
+    assert primary.value == ("value", 0.0)
+    assert tree.stats["block_reads"] == (1 if slow == "local" else 0)
     golden(disk.busy_time, "disk_busy_s")
 
 

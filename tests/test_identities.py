@@ -2,7 +2,8 @@
 
 Each row pairs two runs of one tiny cell where one side only adds an
 ingredient that must change nothing: any consistency level at RF 1
-(R = W = 1 there), the oracle that only records, a static adaptive
+(R = W = 1 there), a hedge policy at RF 1 (no spare replica, so the
+race is a plain wait), the oracle that only records, a static adaptive
 policy against the levels it pins, and power management that never
 parks.  Both sides must give the same kernel trace digest, the same
 event count and the same measurement fields of the run summary.  A row
@@ -17,7 +18,7 @@ from functools import lru_cache
 import pytest
 
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.core.config import EnergyConfig
+from repro.core.config import EnergyConfig, TailDefenseConfig
 from repro.ycsb.workload import STRESS_WORKLOADS
 from tests.conftest import traced_run
 from tests.test_run_assembly import BASE_KEYS, _closed
@@ -29,11 +30,11 @@ ONE, QUORUM, ALL = (ConsistencyLevel.ONE, ConsistencyLevel.QUORUM,
 
 
 def _cell(db, workload="read_update", rf=3, read_cl=ONE, write_cl=ONE,
-          power_mode="always_on"):
+          power_mode="always_on", tail=TailDefenseConfig()):
     config = _closed(db)
     return replace(
         config, workload=STRESS_WORKLOADS[workload], operation_count=1_500,
-        faults=(), energy=EnergyConfig(power_mode=power_mode),
+        faults=(), energy=EnergyConfig(power_mode=power_mode), tail=tail,
         hbase=replace(config.hbase, replication=rf),
         cassandra=replace(config.cassandra, replication=rf, read_cl=read_cl,
                           write_cl=write_cl))
@@ -60,6 +61,11 @@ ROWS = [
            {})
       for workload in ("read_update", "read_latest")
       for read, write in ((QUORUM, QUORUM), (ALL, ALL), (ONE, ALL))),
+    *(_row(f"rf1-{workload}-hedge-p95",
+           _cell("cassandra", workload, rf=1), {},
+           _cell("cassandra", workload, rf=1,
+                 tail=TailDefenseConfig(hedge="p95")), {})
+      for workload in ("read_update", "read_latest")),
     *(_row(f"{db}-oracle-armed", _cell(db), {},
            _cell(db), {"check_consistency": True})
       for db in ("hbase", "cassandra")),

@@ -198,58 +198,24 @@ class TestDeterminismUnderLoad:
 
 
 class TestAbandonedEventFailure:
-    """Regression: a process interrupted away from a pending event left a
-    stale ``_resume`` callback on it; when the abandoned event later
-    ``fail()``ed, the stale-callback guard returned early *without
-    defusing*, so ``Environment.run()`` re-raised and killed the run."""
-
-    def test_interrupted_waiter_defuses_later_failure(self, env):
-        from repro.sim.kernel import Interrupt
-
-        shared = env.event()
-
-        def waiter(env):
-            try:
-                yield shared
-            except Interrupt:
-                yield env.timeout(10)  # moved on to a different event
-                return "survived"
-
-        def interrupter(env, victim):
-            yield env.timeout(0.1)
-            victim.interrupt()
-
-        def failer(env):
-            yield env.timeout(0.5)
-            shared.fail(RuntimeError("boom"))
-
-        victim = env.process(waiter(env))
-        env.process(interrupter(env, victim))
-        env.process(failer(env))
-        assert env.run(until=victim) == "survived"
-        env.run()  # the failed event must not resurface afterwards
+    """A waiter stops waiting on a pending event when an ``AnyOf`` over
+    it is decided by another event — how a hedged read leaves its loser.
+    Its subscription stays on the abandoned event; when that event later
+    ``fail()``s, the run must go on, and a process genuinely waiting on
+    the event must still see the failure."""
 
     def test_terminated_waiter_defuses_later_failure(self, env):
-        from repro.sim.kernel import Interrupt
-
         shared = env.event()
 
         def waiter(env):
-            try:
-                yield shared
-            except Interrupt:
-                return "done early"  # terminates; the subscription stays
-
-        def interrupter(env, victim):
-            yield env.timeout(0.1)
-            victim.interrupt()
+            yield AnyOf(env, [shared, env.timeout(0.1)])
+            return "done early"  # terminates; the subscription stays
 
         def failer(env):
             yield env.timeout(0.5)
             shared.fail(RuntimeError("boom"))
 
         victim = env.process(waiter(env))
-        env.process(interrupter(env, victim))
         env.process(failer(env))
         assert env.run(until=victim) == "done early"
         env.run()
@@ -257,16 +223,12 @@ class TestAbandonedEventFailure:
     def test_live_second_waiter_still_sees_failure(self, env):
         """Defusing on behalf of a stale waiter must not swallow the
         exception for a process genuinely waiting on the event."""
-        from repro.sim.kernel import Interrupt
-
         shared = env.event()
         outcomes = []
 
         def abandoner(env):
-            try:
-                yield shared
-            except Interrupt:
-                yield env.timeout(10)
+            yield AnyOf(env, [shared, env.timeout(0.1)])
+            yield env.timeout(10)  # moved on to a different event
 
         def live_waiter(env):
             try:
@@ -274,17 +236,12 @@ class TestAbandonedEventFailure:
             except RuntimeError:
                 outcomes.append("caught")
 
-        def interrupter(env, victim):
-            yield env.timeout(0.1)
-            victim.interrupt()
-
         def failer(env):
             yield env.timeout(0.5)
             shared.fail(RuntimeError("boom"))
 
-        victim = env.process(abandoner(env))
+        env.process(abandoner(env))
         env.process(live_waiter(env))
-        env.process(interrupter(env, victim))
         env.process(failer(env))
         env.run()
         assert outcomes == ["caught"]

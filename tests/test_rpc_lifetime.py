@@ -2,8 +2,8 @@
 
 An RPC owns its state until it *settles*, not until its timeout would
 have fired: the shared timer wheel holds watchers for in-flight RPCs
-only, and a modelled failure (timeout, shed, cancel) is a value without
-a traceback — so a finished RPC's object graph dies by reference count.
+only, and a modelled failure (timeout, shed) is a value without a
+traceback — so a finished RPC's object graph dies by reference count.
 
 Everything here is host-independent.  The cyclic collector is switched
 off for the duration of each test, so "gone" means "freed by reference
@@ -12,7 +12,6 @@ events carry ``__slots__`` without ``__weakref__``).
 """
 
 import gc
-import sys
 import traceback
 from dataclasses import replace
 from functools import partial
@@ -25,7 +24,7 @@ from repro.cassandra.consistency import ConsistencyLevel
 from repro.cassandra.deployment import CassandraCluster, CassandraSpec
 from repro.cluster.topology import (AsyncCall, Cluster, ClusterSpec,
                                     DeadlineExceeded, DeadNodeError,
-                                    RpcTimeout, _LocalCall)
+                                    RpcTimeout)
 from repro.core.config import default_stress_config, scaled_stress_storage
 from repro.core.experiment import ExperimentSession
 from repro.hbase.client import HBaseClient
@@ -34,8 +33,7 @@ from repro.hbase.regionserver import _Round
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.pipeline import _PipelineWrite, pipeline_write
 from repro.keyspace import key_for_index
-from repro.sim.kernel import (AllOf, Environment, Event, Interrupt, Process,
-                              Timeout)
+from repro.sim.kernel import AllOf, Environment, Event, Process, Timeout
 from repro.sim.resources import Overloaded
 from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec, _LoggedPut
@@ -79,26 +77,8 @@ def in_flight(cluster):
                for call in table}
     pending = {id(obj) for obj in gc.get_objects()
                if type(obj) is AsyncCall and obj.env is cluster.env
-               and obj.is_alive}
+               and not obj.triggered}
     return watched, pending
-
-
-def interrupts_during(run):
-    """``run()``'s result, and how many ``Process.interrupt`` calls it
-    made (counted under ``sys.setprofile``)."""
-    code = Process.interrupt.__code__
-    made = []
-
-    def profiler(frame, event, _arg):
-        if event == "call" and frame.f_code is code:
-            made.append(1)
-
-    sys.setprofile(profiler)
-    try:
-        result = run()
-    finally:
-        sys.setprofile(None)
-    return result, len(made)
 
 
 def echo(payload):
@@ -165,16 +145,12 @@ class TestSettledRpcsAreReleased:
         env, cluster = make()
 
         def local_read(payload):
-            yield env.timeout(0.001)
             raise Overloaded("local queue full")
 
         call = cluster.call_local(local_read, None)
-        assert live(env, _LocalCall) == live(env, Process) == 1
+        assert call.processed and live(env, Process) == 0
         value = env.run(until=call)
         assert type(value) is Overloaded and value.__traceback__ is None
-        del call, value
-        assert live(env, Process) == 0
-        assert live(env, _LocalCall) == 0
 
     def test_watchers_equal_rpcs_in_flight(self):
         """One ``AsyncCall`` per RPC, whether a process waits on it
@@ -276,9 +252,7 @@ class TestProcessFreeRpcsAreReleased:
                 yield from cluster.call(a, b, "slow", timeout=1.0)
             return type((yield call))
 
-        kind, interrupts = interrupts_during(
-            lambda: env.run(until=env.process(client())))
-        assert kind is RpcTimeout and interrupts == 0
+        assert env.run(until=env.process(client())) is RpcTimeout
         assert env.now == 1.0
         assert watching(cluster) == (0, 0)
         # Both requests are still being served (cancellation does not
@@ -359,7 +333,7 @@ class TestCoordinatedRequestsAreReleased:
         assert cassandra.total_stats()["read_repairs"] >= 1
         env.run(until=env.now + 5.0)
         assert self.closures() == 0
-        assert live(env, AsyncCall) == live(env, _LocalCall) == 0
+        assert live(env, AsyncCall) == 0
         assert {obj.name for obj in gc.get_objects()
                 if type(obj) is Process and obj.env is env} \
             <= {"disk-flusher"} | {f"hints-{n.node_id}"
@@ -548,7 +522,7 @@ class TestNothingGotQuieter:
     def test_dead_node_timeouts_fire_at_the_same_instant(self):
         """1 s timeout issued at t=0.01 rounds up onto the 1/32 s wheel,
         and the timer resumes its callers itself, in the order they
-        registered — no interrupt, no event of their own."""
+        registered — no event of their own."""
         env, cluster = make()
         a, b, _ = cluster.nodes
         b.register("echo", echo)
@@ -569,14 +543,13 @@ class TestNothingGotQuieter:
 
         env.process(sync_client())
         env.process(async_client())
-        _, interrupts = interrupts_during(env.run)
+        env.run()
         assert outcome == {"sync": (1.03125, RpcTimeout, None),
                            "async": (1.03125, RpcTimeout, None)}
         # Woken in registration order: the sync caller's process started
         # first, so its call took the first place in the timer's table
         # and kept it through b's silence.
         assert list(outcome) == ["sync", "async"]
-        assert interrupts == 0
         assert watching(cluster) == (0, 0)
 
     @pytest.mark.parametrize("kind, bounds, dead", [
@@ -632,7 +605,9 @@ class TestNothingGotQuieter:
         assert env.run(until=env.process(client())) == (1.0, None)
         assert watching(cluster)[1] == 0
 
-    def test_hedge_loser_interrupt_leaves_no_watcher(self):
+    def test_hedge_loser_drains_and_leaves_no_watcher(self):
+        """Nobody cancels the loser of a race: its watch stays until it
+        settles with its own response, and then it is gone."""
         env, cluster = make()
         a, b, c = cluster.nodes
         b.register("echo", echo)
@@ -649,14 +624,12 @@ class TestNothingGotQuieter:
             assert watching(cluster)[1] == 2
             first = yield primary
             assert watching(cluster)[1] == 1
-            hedge.interrupt("lost the race")
-            assert watching(cluster)[1] == 0
-            hedge.interrupt("twice is harmless")
-            return first, (yield hedge)
+            return first, hedge
 
-        first, lost = env.run(until=env.process(client()))
-        assert first == "fast"
-        assert type(lost) is Interrupt and lost.cause == "lost the race"
+        first, hedge = env.run(until=env.process(client()))
+        assert first == "fast" and not hedge.triggered
         env.run(until=1.0)   # the loser drains server-side, quietly
+        assert hedge.value == "late"
         assert watching(cluster)[1] == 0
+        del hedge
         assert live(env, AsyncCall) == 0

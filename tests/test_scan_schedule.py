@@ -249,8 +249,8 @@ def _region_boundary():
 def _hedged():
     """A hedged HBase scan whose primary stalls a second at the region
     server: after 5 ms the client looks the region up again and sends the
-    spare, which wins; the primary's wait is cancelled and its scan
-    drains server-side."""
+    spare, which wins; the primary's scan drains server-side and its
+    call settles with its own late answer."""
     dep = _deploy("hbase", speculative_retry="5ms")
     _load(dep)
     handlers = dep.node.handlers

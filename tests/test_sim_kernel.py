@@ -7,7 +7,6 @@ from repro.sim.kernel import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     SimulationError,
     Timeout,
 )
@@ -142,57 +141,6 @@ class TestProcess:
             return value, env.now
 
         assert env.run(until=env.process(proc(env))) == ("early", 1.0)
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, env):
-        def sleeper(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt as interrupt:
-                return interrupt.cause, env.now
-
-        def killer(env, victim):
-            yield env.timeout(5)
-            victim.interrupt("stop")
-
-        victim = env.process(sleeper(env))
-        env.process(killer(env, victim))
-        assert env.run(until=victim) == ("stop", 5.0)
-
-    def test_interrupted_process_can_rewait(self, env):
-        def sleeper(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                yield env.timeout(1)
-                return env.now
-
-        def killer(env, victim):
-            yield env.timeout(2)
-            victim.interrupt()
-
-        victim = env.process(sleeper(env))
-        env.process(killer(env, victim))
-        assert env.run(until=victim) == 3.0
-
-    def test_interrupt_dead_process_rejected(self, env):
-        def quick(env):
-            yield env.timeout(1)
-
-        victim = env.process(quick(env))
-        env.run(until=victim)
-        with pytest.raises(SimulationError):
-            victim.interrupt()
-
-    def test_self_interrupt_rejected(self, env):
-        def proc(env):
-            yield env.timeout(0)
-            env.active_process.interrupt()
-
-        process = env.process(proc(env))
-        with pytest.raises(SimulationError):
-            env.run(until=process)
 
 
 class TestConditions:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.topology import Cluster, ClusterSpec
-from repro.sim.kernel import Environment, Event
+from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.storage.cache import BlockCache
 from repro.storage.lsm import LocalDiskMedium, LsmTree, StorageSpec
@@ -266,9 +266,7 @@ class TestReadSeesOneVersionOfTheTree:
         tree.cache = BlockCache(tree.spec.block_cache_bytes)
         reads_before = tree.stats["block_reads"]
 
-        reader = read(tree)   # get, scan: an event; get_inline: steps
-        if not isinstance(reader, Event):
-            reader = env.process(reader)
+        reader = read(tree)
         env.run(until=env.now + 1e-3)
         assert medium.block_reads == 1 and not reader.triggered
         drive(env, self._write_run(tree, 3))
@@ -297,19 +295,14 @@ class TestReadSeesOneVersionOfTheTree:
 
     @pytest.mark.parametrize("min_batch", [10, 3],
                              ids=["flush", "flush+compaction"])
-    def test_get(self, min_batch, monkeypatch, form="get"):
+    def test_get(self, min_batch, monkeypatch):
         env, tree, result = self._parked_read(
-            lambda tree: getattr(tree, form)("k"), min_batch, monkeypatch,
+            lambda tree: tree.get("k"), min_batch, monkeypatch,
             "block_of", 2)  # one to find the miss, one to load the block
         # The newest version as of the instant the read looked ...
         assert result == ("v2", 2.0)
         # ... and the next read sees the one that landed.
         assert env.run(until=tree.get("k")) == ("v3", 3.0)
-
-    @pytest.mark.parametrize("min_batch", [10, 3],
-                             ids=["flush", "flush+compaction"])
-    def test_get_inline(self, min_batch, monkeypatch):
-        self.test_get(min_batch, monkeypatch, form="get_inline")
 
     @pytest.mark.parametrize("min_batch", [10, 3],
                              ids=["flush", "flush+compaction"])

@@ -17,7 +17,7 @@ from repro.core.experiment import ExperimentSession
 from repro.core.sweep import CAMPAIGNS, TAIL_SCENARIOS, campaign_cells
 from repro.hbase.deployment import HBaseCluster, HBaseSpec
 from repro.keyspace import key_for_index
-from repro.sim.kernel import Environment, Interrupt
+from repro.sim.kernel import Environment
 from repro.sim.resources import Overloaded
 from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec
@@ -289,31 +289,7 @@ class TestCoordinatorAdmission:
 
 class TestNoSlotLeaks:
     """A claim on a bounded stage is withdrawn or released on every way
-    out — also for the coordinator's own hedge contender, interrupted
-    while it is still queued."""
-
-    @pytest.mark.parametrize("deadline", [None, 5.0])
-    def test_hedge_loser_interrupted_in_the_queue_withdraws(self, deadline):
-        env = Environment()
-        cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(7))
-        cassandra = CassandraCluster(cluster, CassandraSpec(
-            replication=2, handler_slots=1, max_handler_queue=4,
-            storage=small_storage()))
-        cnode = cassandra.nodes[cassandra.server_nodes[0].node_id]
-        pool = cnode.replica_pool
-        hold = pool.request()
-        call = cluster.call_local(cnode._handle_read_data, ("k", deadline),
-                                  True)
-        assert pool.queue_len == 1
-        call.interrupt("hedge lost")
-        env.run(until=0.001)
-        assert isinstance(call.value, Interrupt)
-        assert pool.queue_len == 0
-        pool.release(hold)
-        env.run(until=10.0)
-        # At 52185b9 the abandoned claim was granted here and never
-        # released: the node ran one slot short from then on.
-        assert (len(pool.users), pool.queue_len, pool._ghosts) == (0, 0, 0)
+    out."""
 
     @pytest.mark.parametrize("scenario", TAIL_SCENARIOS)
     def test_tail_hedge_cells_end_with_every_pool_empty(self, scenario):
