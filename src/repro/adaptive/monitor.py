@@ -43,7 +43,12 @@ GAUGE_KEYS = ("hint_backlog",)
 
 @dataclass(frozen=True)
 class SloSpec:
-    """The declared service-level objective the controller steers by."""
+    """The declared service-level objective the controller steers by:
+    "p95 read latency <= ``p95_ms`` AND staleness <= ``staleness_s`` /
+    exposed-read rate <= ``risk_rate``".  An experiment's
+    ``config.adaptive``; only consulted when a run names a policy
+    (:attr:`repro.core.runner.RunSpec.adaptive`), otherwise inert.
+    """
 
     #: Latency half: p95 read latency must stay at or below this.
     p95_ms: float = 10.0
@@ -54,6 +59,8 @@ class SloSpec:
     risk_rate: float = 0.01
     #: Monitoring window length, simulated seconds.
     window_s: float = 0.5
+    #: StepwisePolicy hysteresis: clean windows before decaying a level.
+    decay_windows: int = 3
 
     def __post_init__(self) -> None:
         if self.p95_ms <= 0 or self.staleness_s <= 0 or self.window_s <= 0:
@@ -61,6 +68,8 @@ class SloSpec:
                              "positive")
         if not 0 <= self.risk_rate <= 1:
             raise ValueError("risk_rate must be in [0, 1]")
+        if self.decay_windows < 1:
+            raise ValueError("decay_windows must be >= 1")
 
 
 class RecentWrites:
@@ -81,9 +90,6 @@ class RecentWrites:
         self.capacity = capacity
         #: insertion-ordered (dict) key -> last write invocation time.
         self._writes: dict[str, float] = {}
-
-    def __len__(self) -> int:
-        return len(self._writes)
 
     def note_write(self, key: str, at_s: float) -> None:
         # Re-inserting moves the key to the newest position, keeping the

@@ -28,8 +28,6 @@ a run's decision sequence is reproducible bit for bit — the property
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.adaptive.monitor import SloSpec, WindowStats
 
@@ -110,7 +108,7 @@ class StepwisePolicy(Policy):
     a weak CL exceeds ``slo.risk_rate``, or when the window's
     anti-entropy signals show the cluster actively repairing divergence
     (foreground read repairs, stored hints).  Breach -> one step up.
-    ``decay_windows`` consecutive clean windows -> one step down (the
+    ``slo.decay_windows`` consecutive clean windows -> one step down (the
     hysteresis that keeps the ladder from thrashing).  A latency-only
     breach (window p95 above the SLO with staleness clean) also steps
     down — Zhu et al.'s trade of consistency for latency.
@@ -126,12 +124,9 @@ class StepwisePolicy(Policy):
 
     name = "stepwise"
 
-    def __init__(self, slo: SloSpec, decay_windows: int = 3,
+    def __init__(self, slo: SloSpec,
                  start: ConsistencyLevel = ConsistencyLevel.ONE) -> None:
         super().__init__(slo)
-        if decay_windows < 1:
-            raise ValueError("decay_windows must be >= 1")
-        self.decay_windows = decay_windows
         self.level_index = LADDER.index(start)
         self._clean_streak = 0
 
@@ -184,7 +179,8 @@ class StepwisePolicy(Policy):
             self.latency_steps += 1
             return
         self._clean_streak += 1
-        if self._clean_streak >= self.decay_windows and self.level_index > 0:
+        if self._clean_streak >= self.slo.decay_windows \
+                and self.level_index > 0:
             self.level_index -= 1
             self.decays += 1
             self._clean_streak = 0
@@ -325,8 +321,7 @@ ADAPTIVE_POLICIES = ("static-one", "static-quorum", "stepwise",
 ALL_POLICIES = ADAPTIVE_POLICIES + ("energy-aware",)
 
 
-def make_policy(name: str, slo: SloSpec,
-                decay_windows: Optional[int] = None) -> Policy:
+def make_policy(name: str, slo: SloSpec) -> Policy:
     """Instantiate a policy by registry name (the RunSpec-level handle,
     so cell specs stay picklable and JSON-describable)."""
     if name == "static-one":
@@ -335,7 +330,7 @@ def make_policy(name: str, slo: SloSpec,
         return StaticPolicy(slo, ConsistencyLevel.QUORUM,
                             ConsistencyLevel.QUORUM)
     if name == "stepwise":
-        return StepwisePolicy(slo, decay_windows=decay_windows or 3)
+        return StepwisePolicy(slo)
     if name == "staleness-bound":
         return StalenessBoundPolicy(slo)
     if name == "energy-aware":

@@ -211,37 +211,20 @@ class Coordinator:
                 step(event._value)
         return resume
 
-    def _replica_mutate(self, replica_id: int, key: str, value, size: int,
-                        timestamp: float,
-                        deadline: Optional[float] = None) -> Event:
-        """Send a mutation to one replica (no wire when it is this node);
-        the event's value is an exception when the replica failed."""
+    def _replica(self, replica_id: int, verb: str, payload: tuple,
+                 request_bytes: int, response_bytes: int,
+                 deadline: Optional[float] = None) -> Event:
+        """Run ``verb`` on one replica: the handler registered for it on
+        this node when the replica is this node (no wire), else over the
+        transport; the event's value is an exception when the replica
+        failed."""
         owner = self.owner
-        if replica_id == owner.node.node_id:
-            return owner.cluster.call_local(
-                owner._handle_mutate, (key, value, size, timestamp, deadline))
+        node = owner.node
+        if replica_id == node.node_id:
+            return owner.cluster.call_local(node.handlers[verb], payload)
         return owner.cluster.call_async(
-            owner.node, owner.cluster.nodes[replica_id], "c.mutate",
-            (key, value, size, timestamp, deadline), request_bytes=size + 60,
-            response_bytes=20, timeout=owner.spec.replica_timeout_s,
-            deadline=deadline)
-
-    def _replica_read(self, replica_id: int, key: str, expected_bytes: int,
-                      digest: bool,
-                      deadline: Optional[float] = None) -> Event:
-        """Read (or digest-read) one replica; as :meth:`_replica_mutate`."""
-        owner = self.owner
-        if replica_id == owner.node.node_id:
-            if digest:
-                return owner.cluster.call_local(owner._handle_read_digest,
-                                                (key, deadline))
-            return owner.cluster.call_local(owner._handle_read_data,
-                                            (key, deadline))
-        verb = "c.read_digest" if digest else "c.read_data"
-        return owner.cluster.call_async(
-            owner.node, owner.cluster.nodes[replica_id], verb,
-            (key, deadline), request_bytes=60,
-            response_bytes=16 if digest else expected_bytes + 30,
+            node, owner.cluster.nodes[replica_id], verb, payload,
+            request_bytes=request_bytes, response_bytes=response_bytes,
             timeout=owner.spec.replica_timeout_s, deadline=deadline)
 
     def _alive_replicas(self, key: str) -> tuple[list[int], int]:
@@ -390,8 +373,8 @@ class Coordinator:
             ordered = ordered + [
                 r for r in pending.targets_for_token(token_of(key))
                 if r not in ordered and self.owner.cluster.node(r).alive]
-        acks = [self._replica_mutate(r, key, value, size, timestamp,
-                                     deadline=deadline)
+        mutation = (key, value, size, timestamp, deadline)
+        acks = [self._replica(r, "c.mutate", mutation, size + 60, 20, deadline)
                 for r in ordered]
         if len(alive) < replication:  # hint every replica that is down
             for replica_id in self.owner.placement.replicas_for_key(key):
@@ -470,10 +453,11 @@ class Coordinator:
                         and self._rng.random() < spec.read_repair_chance)
         involved = ordered if repair_fires else ordered[:required]
 
-        data_proc = self._replica_read(involved[0], key, expected_bytes,
-                                       digest=False, deadline=deadline)
-        digest_procs = [self._replica_read(r, key, expected_bytes,
-                                           digest=True, deadline=deadline)
+        read = (key, deadline)
+        data_proc = self._replica(involved[0], "c.read_data", read, 60,
+                                  expected_bytes + 30, deadline)
+        digest_procs = [self._replica(r, "c.read_digest", read, 60, 16,
+                                      deadline)
                         for r in involved[1:]]
 
         # Cassandra 2.0 semantics: the response blocks on the consistency
@@ -572,8 +556,8 @@ class Coordinator:
         """
         def read_spare() -> Generator:
             self.stats["hedged_reads"] += 1
-            return self._replica_read(spares[0], key, expected_bytes,
-                                      digest=False, deadline=deadline)
+            return self._replica(spares[0], "c.read_data", (key, deadline),
+                                 60, expected_bytes + 30, deadline)
             yield  # pragma: no cover - a spare launcher is a generator
 
         response, spare_won = yield from self.hedge.race(
@@ -587,7 +571,8 @@ class Coordinator:
                    data_resp, digest_replicas: list[int],
                    blocking: bool) -> Generator:
         """Full-data reads + repair mutations; returns the newest version."""
-        full_procs = [self._replica_read(r, key, expected_bytes, digest=False)
+        full_procs = [self._replica(r, "c.read_data", (key, None), 60,
+                                    expected_bytes + 30)
                       for r in digest_replicas]
         if full_procs:
             yield AllOf(self.env, full_procs)
@@ -605,10 +590,10 @@ class Coordinator:
         if newest_ts is None:
             return None
         stale = [v[0] for v in versions if v[2] != newest_ts]
-        repair_acks = [
-            self._replica_mutate(r, key, newest_value, expected_bytes,
-                                 newest_ts)
-            for r in stale]
+        repair = (key, newest_value, expected_bytes, newest_ts, None)
+        repair_acks = [self._replica(r, "c.mutate", repair,
+                                     expected_bytes + 60, 20)
+                       for r in stale]
         self.stats["repair_mutations"] += len(repair_acks)
         if blocking and repair_acks:
             yield wait_for_k(
@@ -635,16 +620,7 @@ class Coordinator:
         alive, _replication = self._alive_replicas(start_key)
         if not alive:
             raise UnavailableError("no live replica for scan start token")
-        owner = self.owner
-        main = alive[0]
-        if main == owner.node.node_id:
-            rows = owner.cluster.call_local(owner._handle_scan,
-                                            (start_key, limit, deadline))
-        else:
-            rows = owner.cluster.call_async(
-                owner.node, owner.cluster.node(main), "c.scan",
-                (start_key, limit, deadline), request_bytes=70,
-                response_bytes=expected_bytes * limit,
-                timeout=owner.spec.replica_timeout_s, deadline=deadline)
+        rows = self._replica(alive[0], "c.scan", (start_key, limit, deadline),
+                             70, expected_bytes * limit, deadline)
         _then(rows, self._resume(done, lambda value: self._complete(
             done, not isinstance(value, Exception), value)))

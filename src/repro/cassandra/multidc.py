@@ -11,28 +11,10 @@ latency with tunable cross-DC consistency.
 
 from __future__ import annotations
 
-from typing import Protocol
-
 from repro.cassandra.partitioner import PendingRanges, TokenRing
 from repro.keyspace import token_of
 
 __all__ = ["NetworkTopologyStrategy", "SimpleStrategy"]
-
-
-class PlacementStrategy(Protocol):
-    """What the coordinator needs from a replica-placement policy.
-
-    Both strategies here answer a key they have placed before from their
-    :meth:`TokenRing.key_memo`: callers treat the list as read-only, and
-    the ring empties the memo wherever placement changes.
-    """
-
-    def replicas_for_key(self, key: str) -> list[int]:
-        ...
-
-    @property
-    def total_replicas(self) -> int:
-        ...
 
 
 class SimpleStrategy:
@@ -56,10 +38,6 @@ class SimpleStrategy:
             replicas = self._memo[key] = self.ring.replicas_for_key(
                 key, self.replication)
         return replicas
-
-    @property
-    def total_replicas(self) -> int:
-        return min(self.replication, len(self.ring.node_ids))
 
 
 class NetworkTopologyStrategy:
@@ -114,7 +92,3 @@ class NetworkTopologyStrategy:
             if all(count == 0 for count in wanted.values()):
                 break
         return replicas
-
-    @property
-    def total_replicas(self) -> int:
-        return sum(self.replication_per_dc.values())

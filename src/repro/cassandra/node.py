@@ -15,7 +15,7 @@ from repro.cluster.disk import FOREGROUND
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster, DeadlineExceeded
 from repro.sim.kernel import Event
-from repro.sim.resources import Admission, BoundedResource, Served
+from repro.sim.resources import BoundedResource, serve
 from repro.storage.lsm import LocalDiskMedium, LsmTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -65,10 +65,10 @@ class CassandraNode:
 
     # -- replica verbs -------------------------------------------------
     #
-    # A verb handler returns the storage engine's completion event when
-    # the replica stage is unbounded, and that operation behind the
-    # stage's admission (:class:`~repro.sim.resources.Served`) when it
-    # is bounded: the slot is claimed — or the request shed, right here —
+    # Every verb is one :func:`~repro.sim.resources.serve` call through
+    # the replica stage: the storage engine's completion event where the
+    # stage is unbounded, that operation behind the stage's admission
+    # where it is bounded — the slot is claimed, or the request shed,
     # before the engine books any CPU.  Neither costs a process.  The
     # verb's CPU charge rides the same core reservation as the engine
     # operation (one timeout event, same total service time).
@@ -78,24 +78,17 @@ class CassandraNode:
         no payload."""
         key, value, size, timestamp, *rest = payload
         self.ops["mutate"] += 1
-        pool = self.replica_pool
-        if pool is None:
-            return self.tree.put(key, value, size, timestamp, _VERB_CPU_S)
-        return Served(
-            self.node.env,
-            Admission(pool, rest[0] if rest else None, DeadlineExceeded),
-            self.tree.put, (key, value, size, timestamp, _VERB_CPU_S))
+        return serve(self.node.env, self.replica_pool,
+                     rest[0] if rest else None, DeadlineExceeded,
+                     self.tree.put, (key, value, size, timestamp, _VERB_CPU_S))
 
     def _handle_read_data(self, payload):
         """Full read: answers ``(value, timestamp)`` or None."""
         key, deadline = payload
         self.ops["read_data"] += 1
-        pool = self.replica_pool
-        if pool is None:
-            return self.tree.get(key, FOREGROUND, _VERB_CPU_S)
-        return Served(self.node.env,
-                      Admission(pool, deadline, DeadlineExceeded),
-                      self.tree.get, (key, FOREGROUND, _VERB_CPU_S))
+        return serve(self.node.env, self.replica_pool, deadline,
+                     DeadlineExceeded, self.tree.get,
+                     (key, FOREGROUND, _VERB_CPU_S))
 
     def _handle_read_digest(self, payload):
         """Digest read: same local I/O as a data read, tiny response.
@@ -105,37 +98,19 @@ class CassandraNode:
         """
         key, deadline = payload
         self.ops["read_digest"] += 1
-        pool = self.replica_pool
-        if pool is not None:
-            return Served(self.node.env,
-                          Admission(pool, deadline, DeadlineExceeded),
-                          self.tree.get, (key, FOREGROUND, _VERB_CPU_S),
-                          _as_digest)
-        read = self.tree.get(key, FOREGROUND, _VERB_CPU_S)
-        # First subscriber: whoever waits for the read sees the digest.
-        if read.callbacks is None:
-            _as_digest(read)
-        else:
-            read.callbacks.append(_as_digest)
-        return read
+        return serve(self.node.env, self.replica_pool, deadline,
+                     DeadlineExceeded, self.tree.get,
+                     (key, FOREGROUND, _VERB_CPU_S), _as_digest)
 
     def _handle_scan(self, payload):
         """Token-order scan over this node's local range, counted once
-        it has its rows (the counter is the scan's first subscriber)."""
+        it has its rows."""
         start_key, limit, *rest = payload
-        pool = self.replica_pool
-        if pool is not None:
-            return Served(
-                self.node.env,
-                Admission(pool, rest[0] if rest else None, DeadlineExceeded),
-                self.tree.scan, (start_key, limit, FOREGROUND, _VERB_CPU_S),
-                self._count_scan)
-        scan = self.tree.scan(start_key, limit, FOREGROUND, _VERB_CPU_S)
-        if scan.callbacks is None:
-            self._count_scan(scan)
-        else:
-            scan.callbacks.append(self._count_scan)
-        return scan
+        return serve(self.node.env, self.replica_pool,
+                     rest[0] if rest else None, DeadlineExceeded,
+                     self.tree.scan,
+                     (start_key, limit, FOREGROUND, _VERB_CPU_S),
+                     self._count_scan)
 
     def _count_scan(self, scan: Event) -> None:
         if scan._ok:

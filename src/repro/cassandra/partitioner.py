@@ -163,15 +163,6 @@ class TokenRing:
     def replicas_for_key(self, key: str, replication: int) -> list[int]:
         return self.replicas_for_token(token_of(key), replication)
 
-    def ownership_fractions(self) -> dict[int, float]:
-        """Fraction of the token space each node primarily owns."""
-        totals = {n: 0 for n in self.node_ids}
-        n = len(self._tokens)
-        for i, owner in enumerate(self._owners):
-            start = self._tokens[i - 1] if i else self._tokens[-1] - KEY_DOMAIN
-            totals[owner] += self._tokens[i] - start
-        return {n: t / KEY_DOMAIN for n, t in totals.items()}
-
     # -- elasticity --------------------------------------------------------
 
     def clone(self) -> "TokenRing":

@@ -49,14 +49,6 @@ class RetryBudget:
         """Withdraw permission for one retry; False = budget exhausted."""
         return self._bucket.try_take(1.0)
 
-    @property
-    def denied(self) -> int:
-        return self._bucket.denied
-
-    @property
-    def granted(self) -> int:
-        return self._bucket.granted
-
 
 class RetryBinding:
     """A :class:`~repro.ycsb.db.DbBinding` that retries failures.

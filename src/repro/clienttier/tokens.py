@@ -45,12 +45,6 @@ class TokenBucket:
                                self._tokens + (now - self._updated) * self.rate)
             self._updated = now
 
-    @property
-    def tokens(self) -> float:
-        """Current level (refilled to now)."""
-        self._refill()
-        return self._tokens
-
     def try_take(self, n: float = 1.0) -> bool:
         """Withdraw ``n`` tokens if available; False means denied."""
         self._refill()

@@ -136,10 +136,6 @@ class Disk:
         if self._flush_kick is not None and not self._flush_kick.triggered:
             self._flush_kick.succeed()
 
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` the spindle spent busy."""
-        return self.busy_time / elapsed if elapsed > 0 else 0.0
-
     def _flusher(self) -> Generator:
         from repro.sim.kernel import Event
         while True:

@@ -47,7 +47,12 @@ class Node:
         #: RPC verb -> handler.  A handler is a callable ``handler(payload)``
         #: returning the :class:`~repro.sim.kernel.Event` that completes
         #: with the RPC response payload, or a generator returning it —
-        #: only a generator costs the request a process.
+        #: only a generator costs the request a process.  A verb that a
+        #: coordinator also calls on its own node (through
+        #: :meth:`~repro.cluster.topology.Cluster.call_local`: Cassandra's
+        #: ``c.mutate``, ``c.read_data``, ``c.read_digest``, ``c.scan``)
+        #: must return an event, on that path and in any wrapper that
+        #: replaces it here; only a remote caller can take a generator.
         self.handlers: dict[str, Callable[[object], Union[Event,
                                                           Generator]]] = {}
         #: RPC verb -> fixed handler CPU seconds that ride the request
@@ -72,7 +77,9 @@ class Node:
         handler can look at it.  The transport books it in the same core
         reservation as the request's deserialization, so it costs no
         kernel event of its own — and is charged even when the handler
-        then refuses the request.
+        then refuses the request.  ``handler`` returns an event or a
+        generator; a verb also called locally returns an event (see
+        ``handlers``).
         """
         if verb in self.handlers:
             raise ValueError(f"verb {verb!r} already registered on node {self.node_id}")

@@ -582,11 +582,13 @@ class Cluster:
         :meth:`call_async`'s result: no wire, no RPC CPU, no timeout, and
         not counted as an RPC.
 
-        Every local handler returns an event, and it comes back as it is
-        — no process — with the fan-out convention kept where a bounded
-        stage can refuse: a shed, and a deadline spent before or in the
-        stage's queue, arrive as *values*, exactly as they would from a
-        remote replica.
+        ``handler`` is the one registered for the verb in the node's
+        ``handlers``, the one the transport runs for a remote caller, and
+        must return an event (a :func:`~repro.sim.resources.serve`
+        result does).  It comes back as it is — no process — with the
+        fan-out convention kept where a bounded stage can refuse: a shed,
+        and a deadline spent before or in the stage's queue, arrive as
+        *values*, exactly as they would from a remote replica.
         """
         try:
             work = handler(*args)

@@ -136,8 +136,9 @@ class HistoryRecorder:
         self._write_cl = write_cl
         self._next_id = 0
 
-    # ``env._active_process`` / ``env._now`` here and below: the public
-    # names are property frames, paid on every recorded operation.
+    # ``env._active_process`` (the running process, if any) and
+    # ``env._now`` here and below: ``env.now`` is a property frame, paid
+    # on every recorded operation.
 
     def _session(self) -> str:
         process = self.env._active_process

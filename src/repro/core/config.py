@@ -7,6 +7,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
+from repro.adaptive.monitor import SloSpec
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.cluster.elasticity import ElasticityConfig, ScaleEventSpec
 from repro.cluster.failure import FaultSpec
@@ -17,7 +18,6 @@ from repro.storage.lsm import StorageSpec
 from repro.ycsb.workload import MICRO_WORKLOADS, STRESS_WORKLOADS, WorkloadSpec
 
 __all__ = [
-    "AdaptiveConfig",
     "ArrivalConfig",
     "CassandraConfig",
     "ClientTierConfig",
@@ -27,6 +27,7 @@ __all__ = [
     "GeoConfig",
     "HBaseConfig",
     "ScaleEventSpec",
+    "SloSpec",
     "TailDefenseConfig",
     "config_to_dict",
     "config_to_json",
@@ -139,30 +140,6 @@ class ArrivalConfig:
         if self.max_arrivals < 1:
             raise ValueError(f"ArrivalConfig.max_arrivals="
                              f"{self.max_arrivals}: must be >= 1")
-
-
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """The declared SLO an adaptive-consistency run steers by
-    (see :mod:`repro.adaptive`): "p95 read latency <= ``p95_ms`` AND
-    staleness <= ``staleness_s`` / exposed-read rate <= ``risk_rate``".
-
-    Only consulted when a run asks for a policy
-    (:attr:`repro.core.runner.RunSpec.adaptive`); otherwise inert.
-    """
-
-    #: Latency half of the SLO: per-window p95 read latency bound (ms).
-    p95_ms: float = 10.0
-    #: Staleness half: the declared freshness bound S (seconds) — keys
-    #: written more recently than this are "at risk" for weak reads.
-    staleness_s: float = 0.25
-    #: Tolerated fraction of a window's reads that may be exposed to
-    #: staleness risk (at-risk key served at a weak CL).
-    risk_rate: float = 0.01
-    #: Monitoring window length (simulated seconds).
-    window_s: float = 0.5
-    #: StepwisePolicy hysteresis: clean windows before decaying a level.
-    decay_windows: int = 3
 
 
 @dataclass(frozen=True)
@@ -307,7 +284,7 @@ class ExperimentConfig:
     tail: TailDefenseConfig = field(default_factory=TailDefenseConfig)
     #: Adaptive-consistency SLO (only consulted when a run names a
     #: policy via ``RunSpec.adaptive``).
-    adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
+    adaptive: SloSpec = field(default_factory=SloSpec)
     #: Resilient client tier (breaker / retry budget / rate limiter /
     #: leveling / cache-aside); inert by default, consulted by open-loop
     #: runs.

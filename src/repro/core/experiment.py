@@ -16,7 +16,7 @@ from math import isfinite
 from typing import Callable, Generator, Optional
 
 from repro.adaptive.controller import AdaptiveController
-from repro.adaptive.monitor import Monitor, SloSpec
+from repro.adaptive.monitor import Monitor
 from repro.adaptive.policy import EnergyAwarePolicy, make_policy
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel
@@ -189,9 +189,7 @@ def _adaptive(run: _Run, switch, binding: DbBinding) -> Generator:
     exp, session, cassandra = run.exp, run.session, run.exp.cassandra
     if session is None or cassandra is None:
         raise ValueError("adaptive consistency control requires Cassandra")
-    ac, env = exp.config.adaptive, exp.env
-    slo = SloSpec(p95_ms=ac.p95_ms, staleness_s=ac.staleness_s,
-                  risk_rate=ac.risk_rate, window_s=ac.window_s)
+    slo, env = exp.config.adaptive, exp.env
 
     def coordinator_signals() -> dict:
         totals = cassandra.total_stats()
@@ -201,7 +199,7 @@ def _adaptive(run: _Run, switch, binding: DbBinding) -> Generator:
 
     monitor = Monitor(slo, clock=lambda: env.now,
                       signal_source=coordinator_signals)
-    policy = make_policy(switch, slo, decay_windows=ac.decay_windows)
+    policy = make_policy(switch, slo)
     if isinstance(policy, EnergyAwarePolicy):
         managed = [n for n in exp.cluster.nodes if n.power is not None]
 

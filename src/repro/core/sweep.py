@@ -35,7 +35,6 @@ from repro.cluster.elasticity import SCALE_MODES
 from repro.cluster.failure import DC_FAULT_KINDS, FAULT_KINDS, FaultSpec
 from repro.core import report
 from repro.core.config import (MICRO_STORAGE,
-                               AdaptiveConfig,
                                ArrivalConfig,
                                CassandraConfig,
                                ClientTierConfig,
@@ -44,6 +43,7 @@ from repro.core.config import (MICRO_STORAGE,
                                ExperimentConfig,
                                HBaseConfig,
                                ScaleEventSpec,
+                               SloSpec,
                                TailDefenseConfig,
                                default_geo_config,
                                default_micro_config,
@@ -156,7 +156,7 @@ class Scale:
     arrivals: ArrivalConfig = ArrivalConfig()
     clienttier: ClientTierConfig = ClientTierConfig()
     tail: TailDefenseConfig = TailDefenseConfig()
-    slo: AdaptiveConfig = AdaptiveConfig()
+    slo: SloSpec = SloSpec()
     elasticity: ElasticityConfig = ElasticityConfig()
     energy: EnergyConfig = EnergyConfig()
 
@@ -832,8 +832,8 @@ def _scale_cells(db: str, scale: Scale, modes: Sequence[str],
 #: The SLO the adaptive and energy campaigns declare.  Its ``p95_ms``
 #: sits *between* the disk-exposed p95 of CL ONE and of QUORUM (~35 vs
 #: ~105 ms at the adaptive campaign's default load).
-_SLO = AdaptiveConfig(p95_ms=50.0, staleness_s=0.25, risk_rate=0.002,
-                      window_s=0.5, decay_windows=3)
+_SLO = SloSpec(p95_ms=50.0, staleness_s=0.25, risk_rate=0.002,
+               window_s=0.5, decay_windows=3)
 
 #: The scenario is calibrated so the three SLO forces all actively pull
 #: on the controller:

@@ -12,8 +12,7 @@ from repro.hdfs.client import WAL_SEGMENT_BYTES, DfsClient
 from repro.hbase.region import Region
 from repro.sim.kernel import (_PENDING, Environment, Event, Initialize,
                               ModelledFailure, Process)
-from repro.sim.resources import (Admission, BoundedResource, Resource,
-                                 Served)
+from repro.sim.resources import BoundedResource, Resource, serve
 
 __all__ = ["GroupCommitWal", "NotServingRegion", "RegionServer"]
 
@@ -186,48 +185,34 @@ class RegionServer:
         node.register("rs.scan", self._handle_scan)
 
     def _region(self, region_id: int) -> Region:
-        region = self.regions.get(region_id)
-        if region is None:
+        try:
+            return self.regions[region_id]
+        except KeyError:
             raise NotServingRegion(
-                f"region {region_id} not on server {self.node.node_id}")
-        return region
+                f"region {region_id} not on server {self.node.node_id}"
+            ) from None
 
     # -- verbs ---------------------------------------------------------
     #
-    # A request that nothing can make wait before the engine — no bounded
-    # pool, region open — is the engine's own operation: its completion
-    # event with the verb's counter as its first callback (by the time
-    # the transport books the response leg the operation is counted, the
-    # mutation applied, the memtable rotated).  Everything else is the
-    # same operation and the same counter behind :meth:`_served`.  No
-    # verb costs a process; a get or a scan that misses the block cache
-    # finishes its walk as one.
-
-    def _served(self, region: Region, deadline: Optional[float], count,
-                operate, *args) -> Served:
-        """Slot (a request in the call queue can be refused or expire —
-        a refusal is raised right here), then region, then the engine.
-        Handler CPU rides the same core reservation as the operation
-        (one timeout event, same total service time)."""
-        pool = self.handler_pool
-        claim = (None if pool is None
-                 else Admission(pool, deadline, DeadlineExceeded))
-        return Served(self.env, claim, operate, args, count, region)
+    # Every verb is one :func:`~repro.sim.resources.serve` call: the
+    # handler slot (a request in the call queue can be refused — right
+    # here — or expire), then the region (a reopening one holds the
+    # operation back), then the engine, with the verb's counter as the
+    # operation's first subscriber (by the time the transport books the
+    # response leg the operation is counted, the mutation applied, the
+    # memtable rotated).  A request nothing can make wait — no bounded
+    # pool, region open — is the engine's own event.  No verb costs a
+    # process; a get or a scan that misses the block cache finishes its
+    # walk as one.  Handler CPU rides the same core reservation as the
+    # operation (one timeout event, same total service time).
 
     def _handle_put(self, payload):
         region_id, key, value, size, timestamp, *rest = payload
-        region = self.regions.get(region_id) or self._region(region_id)
-        if self.handler_pool is not None \
-                or region.available_at > self.env._now:
-            return self._served(region, rest[0] if rest else None,
-                                self._count_put, region.tree.put,
-                                key, value, size, timestamp, _HANDLER_CPU_S)
-        put = region.tree.put(key, value, size, timestamp, _HANDLER_CPU_S)
-        if put.callbacks is None:
-            self._count_put(put)
-        else:
-            put.callbacks.append(self._count_put)
-        return put
+        region = self._region(region_id)
+        return serve(self.env, self.handler_pool, rest[0] if rest else None,
+                     DeadlineExceeded, region.tree.put,
+                     (key, value, size, timestamp, _HANDLER_CPU_S),
+                     self._count_put, region)
 
     def _count_put(self, put: Event) -> None:
         if put._ok:
@@ -236,18 +221,11 @@ class RegionServer:
 
     def _handle_get(self, payload):
         region_id, key, *rest = payload
-        region = self.regions.get(region_id) or self._region(region_id)
-        if self.handler_pool is not None \
-                or region.available_at > self.env._now:
-            return self._served(region, rest[0] if rest else None,
-                                self._count_get, region.tree.get,
-                                key, FOREGROUND, _HANDLER_CPU_S)
-        read = region.tree.get(key, extra_cpu_s=_HANDLER_CPU_S)
-        if read.callbacks is None:
-            self._count_get(read)
-        else:
-            read.callbacks.append(self._count_get)
-        return read
+        region = self._region(region_id)
+        return serve(self.env, self.handler_pool, rest[0] if rest else None,
+                     DeadlineExceeded, region.tree.get,
+                     (key, FOREGROUND, _HANDLER_CPU_S), self._count_get,
+                     region)
 
     def _count_get(self, read: Event) -> None:
         if read._ok:
@@ -256,17 +234,10 @@ class RegionServer:
     def _handle_scan(self, payload):
         region_id, start_key, limit, *rest = payload
         region = self._region(region_id)
-        if self.handler_pool is not None \
-                or region.available_at > self.env._now:
-            return self._served(region, rest[0] if rest else None,
-                                self._count_scan, region.tree.scan,
-                                start_key, limit, FOREGROUND, _HANDLER_CPU_S)
-        scan = region.tree.scan(start_key, limit, FOREGROUND, _HANDLER_CPU_S)
-        if scan.callbacks is None:
-            self._count_scan(scan)
-        else:
-            scan.callbacks.append(self._count_scan)
-        return scan
+        return serve(self.env, self.handler_pool, rest[0] if rest else None,
+                     DeadlineExceeded, region.tree.scan,
+                     (start_key, limit, FOREGROUND, _HANDLER_CPU_S),
+                     self._count_scan, region)
 
     def _count_scan(self, scan: Event) -> None:
         if scan._ok:

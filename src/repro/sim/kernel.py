@@ -331,20 +331,11 @@ class Process(Event):
 
             if next_event.__class__ is not Event \
                     and not isinstance(next_event, Event):
-                exc = SimulationError(
-                    f"process {self.name!r} yielded non-event {next_event!r}")
-                try:
-                    generator.throw(exc)
-                except StopIteration as stop:
-                    self._ok = True
-                    self._value = stop.value
-                    self._finalize()
-                    break
-                except BaseException as exc2:
-                    self._ok = False
-                    self._value = exc2
-                    self._finalize()
-                    break
+                # Thrown in as a processed, failed event: whatever the
+                # process yields after catching it is checked like this.
+                event = _settled(env, SimulationError(
+                    f"process {self.name!r} yielded non-event {next_event!r}"))
+                event._ok = False
                 continue
 
             if next_event.callbacks is None:
@@ -436,6 +427,8 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
+        #: The process running now, if any: what the consistency
+        #: history recorder names an operation's session after.
         self._active_process: Optional[Process] = None
         #: What every eager process is "resumed" with to run its first
         #: segment: one processed, successful, valueless event, shared —
@@ -460,11 +453,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time (seconds by convention)."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- event factories ---------------------------------------------
 

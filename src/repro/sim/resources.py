@@ -10,6 +10,9 @@
   :class:`Admission` is a claim on such a stage — granted, shed, or
   expired in the queue — and :class:`Served` one request's whole passage
   through it, as callbacks.
+- :func:`serve` — how a verb handler reaches its storage engine through
+  its stage: the engine's own event where nothing can make the request
+  wait, a :class:`Served` behind an :class:`Admission` everywhere else.
 
 All waiting is expressed through events, so processes simply ``yield`` the
 returned request:
@@ -35,7 +38,7 @@ from repro.sim.kernel import (AnyOf, Environment, Event, ModelledFailure,
                               _finish)
 
 __all__ = ["Admission", "BoundedResource", "Overloaded", "Request",
-           "Resource", "Served"]
+           "Resource", "Served", "serve"]
 
 
 class Overloaded(ModelledFailure):
@@ -244,9 +247,10 @@ class Admission(Event):
 
 
 class Served(Event):
-    """One request's passage through a bounded stage, as callbacks:
-    admitted → ``gate`` open → ``operate(*args)`` → slot released →
-    complete, inline, with the operation's outcome.
+    """One request's passage through a stage that can make it wait, as
+    callbacks: admitted → ``gate`` open → ``operate(*args)`` → slot
+    released → complete, inline, with the operation's outcome.  Built by
+    :func:`serve`, which skips it where nothing can make the request wait.
 
     ``claim`` is the request's :class:`Admission`, or ``None`` where
     nothing bounds the stage; ``gate`` anything whose ``available_at``
@@ -323,3 +327,31 @@ class Served(Event):
         if self.claim is not None:
             slot = self.claim.slot
             slot.resource.release(slot)
+
+
+def serve(env: Environment, pool: Optional[BoundedResource],
+          deadline: Optional[float], expired: type,
+          operate: Callable[..., Event], args: tuple,
+          then: Optional[Callable[[Event], None]] = None,
+          gate: Any = None) -> Event:
+    """One request through a verb's stage to its storage engine.
+
+    Where no ``pool`` bounds the stage and ``gate`` (a reopening region,
+    or ``None``) is open, nothing can make the request wait: the result
+    is the engine's own event, ``operate(*args)``, with ``then`` as its
+    first subscriber.  Everywhere else it is that operation as a
+    :class:`Served` behind the request's :class:`Admission` — claimed,
+    or shed by raising :class:`Overloaded`, right here, before the
+    engine books any CPU; ``deadline`` and ``expired`` are the claim's.
+    """
+    if pool is None and (gate is None or gate.available_at <= env._now):
+        work = operate(*args)
+        if then is not None:
+            if work.callbacks is None:
+                then(work)
+            else:
+                work.callbacks.append(then)
+        return work
+    return Served(env, None if pool is None
+                  else Admission(pool, deadline, expired),
+                  operate, args, then, gate)

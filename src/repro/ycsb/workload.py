@@ -72,12 +72,6 @@ class WorkloadSpec:
             raise ValueError(
                 f"unknown request distribution {self.request_distribution!r}")
 
-    @property
-    def write_fraction(self) -> float:
-        """Fraction of operations that mutate data (RMW counts once)."""
-        return (self.update_proportion + self.insert_proportion
-                + self.read_modify_write_proportion)
-
 
 class Workload:
     """Runtime state: key generators bound to a record population."""

@@ -16,6 +16,7 @@ from repro.hbase.regionserver import GroupCommitWal
 from repro.hdfs.client import DfsClient
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
+from repro.keyspace import KEY_DOMAIN
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import KernelTracer
@@ -78,6 +79,17 @@ def schedule_appends(env, wal, arrivals):
     for index, (at, size) in enumerate(arrivals):
         env.process(one(index, at, size))
     return log
+
+
+def ownership_fractions(ring) -> dict[int, float]:
+    """Fraction of the token space each node of ``ring`` primarily
+    owns: the arc from the previous token up to each of its tokens."""
+    tokens = ring._tokens
+    totals = {node_id: 0 for node_id in ring.node_ids}
+    for i, owner in enumerate(ring._owners):
+        start = tokens[i - 1] if i else tokens[-1] - KEY_DOMAIN
+        totals[owner] += tokens[i] - start
+    return {node_id: t / KEY_DOMAIN for node_id, t in totals.items()}
 
 
 def traced_run(config, **run_kwargs):

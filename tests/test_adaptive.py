@@ -44,7 +44,7 @@ class TestRecentWrites:
         sketch = RecentWrites(bound_s=10.0, capacity=3)
         for i, at in enumerate((1.0, 2.0, 3.0, 4.0)):
             sketch.note_write(f"k{i}", at)
-        assert len(sketch) == 3
+        assert len(sketch._writes) == 3
         # The oldest fresh entry was evicted, the newest survive.
         assert not sketch.written_within("k0", 4.0)
         assert sketch.written_within("k3", 4.0)
@@ -146,7 +146,7 @@ class TestStepwisePolicy:
         assert policy.latency_steps == 1
 
     def test_decay_after_clean_windows(self):
-        policy = StepwisePolicy(SLO, decay_windows=2,
+        policy = StepwisePolicy(replace(SLO, decay_windows=2),
                                 start=ConsistencyLevel.QUORUM)
         policy.on_window(window())
         assert policy.level is ConsistencyLevel.QUORUM  # streak 1 of 2
@@ -155,7 +155,7 @@ class TestStepwisePolicy:
         assert policy.decays == 1
 
     def test_breach_resets_clean_streak(self):
-        policy = StepwisePolicy(SLO, decay_windows=2)
+        policy = StepwisePolicy(replace(SLO, decay_windows=2))
         policy.on_window(window(exposed=5))  # -> QUORUM
         policy.on_window(window())
         policy.on_window(window(exposed=5))  # breach: exposure at QUORUM?
@@ -208,6 +208,16 @@ class TestPolicyRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown adaptive policy"):
             make_policy("vibes", SLO)
+
+    def test_stepwise_decays_after_the_slos_clean_windows(self):
+        policy = make_policy("stepwise", replace(SLO, decay_windows=1))
+        policy.on_window(window(exposed=5))  # -> QUORUM
+        policy.on_window(window())
+        assert policy.level is ConsistencyLevel.ONE
+
+    def test_slo_rejects_no_decay_window(self):
+        with pytest.raises(ValueError, match="decay_windows"):
+            replace(SLO, decay_windows=0)
 
 
 class TestDecisionLog:

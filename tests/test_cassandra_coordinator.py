@@ -471,7 +471,8 @@ class TestHedgedReads:
         return env, cluster, cassandra, session
 
     def delay_handler(self, env, node, verb, delay_s):
-        """Wrap a replica verb so it stalls ``delay_s`` before serving."""
+        """Wrap a replica verb so it stalls ``delay_s`` before serving
+        (a generator handler: remote callers only)."""
         orig = node.handlers[verb]
 
         def slow(payload):

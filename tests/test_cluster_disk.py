@@ -110,7 +110,7 @@ class TestDisk:
 
         env.process(proc(env))
         env.run()
-        assert 0.9 < disk.utilization(env.now) <= 1.0
+        assert 0.9 < disk.busy_time / env.now <= 1.0
 
     def test_jitter_spreads_service_times(self):
         env = Environment()

@@ -94,7 +94,9 @@ def _coordinate(cassandra, log, label, node_id, verb, payload):
 
 
 def _stall(env, cassandra, node_id, verb, delay_s):
-    """Hold every ``verb`` request on ``node_id`` for ``delay_s`` first."""
+    """Hold every ``verb`` request on ``node_id`` for ``delay_s`` first
+    (a generator handler: it serves remote callers only, so the stalled
+    node must not coordinate the request)."""
     handlers = cassandra.nodes[node_id].node.handlers
     plain = handlers[verb]
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.cassandra.partitioner import TokenRange, TokenRing
 from repro.keyspace import KEY_DOMAIN
+from tests.conftest import ownership_fractions
 
 import pytest
 
@@ -64,7 +65,7 @@ class TestElasticityOwnership:
         next_id = n_nodes
         for op in ops:
             _, next_id, _, _ = _apply(ring, op, next_id, rng, rf, chooser)
-            fractions = ring.ownership_fractions()
+            fractions = ownership_fractions(ring)
             assert set(fractions) == set(ring.node_ids)
             assert all(f >= 0.0 for f in fractions.values())
             assert abs(sum(fractions.values()) - 1.0) < 1e-9

@@ -923,13 +923,13 @@ def test_hedged_read_with_a_coordinator_local_contender(slow, golden):
             hold = disk._spindle.request()
             assert hold.triggered
         contenders = []
-        plain_read = coordinator._replica_read
+        plain_read = coordinator._replica
 
         def spying_read(*args, **kwargs):
             contenders.append(plain_read(*args, **kwargs))
             return contenders[-1]
 
-        coordinator._replica_read = spying_read
+        coordinator._replica = spying_read
         found = yield from coordinator.handle_read(
             (key, ConsistencyLevel.ONE.value, 100))
         answered = env.now

@@ -50,7 +50,7 @@ def test_local_primary_loses_and_drains(pooled):
     cnode = cassandra.nodes[first]
     coordinator, tree, disk = cnode.coordinator, cnode.tree, cnode.node.disk
     contenders = []
-    plain_read = coordinator._replica_read
+    plain_read = coordinator._replica
 
     def spying_read(*args, **kwargs):
         contenders.append(plain_read(*args, **kwargs))
@@ -65,7 +65,7 @@ def test_local_primary_loses_and_drains(pooled):
         tree.cache = BlockCache(1 << 20)   # the local read goes to disk
         hold = disk._spindle.request()
         assert hold.triggered
-        coordinator._replica_read = spying_read
+        coordinator._replica = spying_read
         gets = tree.stats["gets"]
         found = yield coordinator.handle_read(
             (KEY, ConsistencyLevel.ONE.value, 100))
@@ -119,7 +119,7 @@ def test_remote_primary_loses_and_drains():
 
     node.handlers["c.read_data"] = slow_read
     contenders = []
-    plain_read = coordinator._replica_read
+    plain_read = coordinator._replica
 
     def spying_read(*args, **kwargs):
         contenders.append(plain_read(*args, **kwargs))
@@ -129,7 +129,7 @@ def test_remote_primary_loses_and_drains():
         yield coordinator.handle_write(
             (KEY, "value", 100, env.now, ConsistencyLevel.ALL.value))
         yield env.timeout(0.5)
-        coordinator._replica_read = spying_read
+        coordinator._replica = spying_read
         return (yield coordinator.handle_read(
             (KEY, ConsistencyLevel.ONE.value, 100)))
 

@@ -128,6 +128,33 @@ class TestProcessEdgeCases:
 
         assert env.run(until=env.process(proc(env))) == 50
 
+    def test_event_yielded_after_a_caught_non_event_is_waited_for(self, env):
+        """The error for a yielded non-event is thrown in like a failed
+        event: what the process yields after catching it is what it
+        waits for, not a replay of the event before."""
+        def proc(env):
+            first = yield env.timeout(1, "first")
+            assert first == "first"
+            try:
+                yield 42
+            except SimulationError:
+                pass
+            second = yield env.timeout(5, "second")
+            return second, env.now
+
+        assert env.run(until=env.process(proc(env))) == ("second", 6.0)
+
+    def test_non_event_yielded_again_after_catching_is_refused(self, env):
+        def proc(env):
+            try:
+                yield "not an event"
+            except SimulationError:
+                pass
+            yield "still not an event"
+
+        with pytest.raises(SimulationError, match="still not an event"):
+            env.run(until=env.process(proc(env)))
+
 
 class TestResourceEdgeCases:
     def test_release_is_idempotent(self, env):

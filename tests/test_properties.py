@@ -22,6 +22,7 @@ from repro.storage.memtable import Memtable
 from repro.storage.sstable import BLOOM_FP_RATE, SSTable
 from repro.ycsb.generators import DiscreteGenerator, ZipfianGenerator
 from repro.ycsb.measurements import percentile
+from tests.conftest import ownership_fractions
 
 keys = st.text(alphabet="abcdefghij", min_size=1, max_size=8)
 
@@ -295,7 +296,7 @@ class TestRingOwnershipPartition:
     def test_fractions_partition_the_ring(self, n_nodes, vnodes, seed):
         ring = TokenRing(list(range(n_nodes)), vnodes=vnodes,
                          rng=random.Random(seed))
-        fractions = ring.ownership_fractions()
+        fractions = ownership_fractions(ring)
         assert set(fractions) == set(range(n_nodes))
         assert all(f >= 0.0 for f in fractions.values())
         assert abs(sum(fractions.values()) - 1.0) < 1e-9
@@ -352,7 +353,7 @@ class TestNetworkTopologyProperties:
         _, strategy = _build_topology(shapes, vnodes, seed)
         replicas = strategy.replicas_for_key(key_for_token(token))
         assert len(replicas) == len(set(replicas))
-        assert len(replicas) == strategy.total_replicas
+        assert len(replicas) == sum(strategy.replication_per_dc.values())
         for dc, rf in strategy.replication_per_dc.items():
             assert sum(strategy.node_datacenter[r] == dc
                        for r in replicas) == rf

@@ -132,6 +132,8 @@ class TestSessionDeadlineBudget:
                                    retries=2, deadline_s=0.05)
 
         def delay(node, verb):
+            # A generator handler serves remote callers only; the client
+            # node, never a replica, coordinates every read here.
             orig = node.handlers[verb]
 
             def slow(payload):

@@ -27,12 +27,6 @@ class TestWorkloadSpec:
                 WorkloadSpec(name="bad", read_proportion=1.0,
                              request_distribution=dist)
 
-    def test_write_fraction(self):
-        spec = STRESS_WORKLOADS["read_latest"]
-        assert spec.write_fraction == pytest.approx(0.20)
-        assert STRESS_WORKLOADS["read_update"].write_fraction == \
-            pytest.approx(0.50)
-
 
 class TestTable1Definitions:
     """Pin the paper's Table 1 exactly."""
