@@ -14,12 +14,13 @@ Run:  python examples/consistency_levels.py
 
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cassandra.deployment import CassandraCluster, CassandraSpec
-from repro.cluster.topology import Cluster, ClusterSpec
+from repro.cassandra.deployment import CassandraCluster, CassandraConfig
+from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.core.report import render_table
 from repro.keyspace import key_for_index
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
+from repro.storage.lsm import StorageSpec
 
 RF = 3
 RECORDS = 3_000
@@ -29,7 +30,9 @@ PROBES = 400
 def build():
     env = Environment()
     cluster = Cluster(env, ClusterSpec(n_nodes=10), RngRegistry(2024))
-    cassandra = CassandraCluster(cluster, CassandraSpec(replication=RF))
+    cassandra = CassandraCluster(
+        cluster, CassandraConfig(replication=RF), StorageSpec(),
+        TailDefenseConfig())
     session = CassandraSession(cassandra, cassandra.client_node)
     return env, cassandra, session
 

@@ -19,12 +19,14 @@ Run:  python examples/geo_replication.py
 
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel, UnavailableError
-from repro.cassandra.deployment import CassandraCluster, CassandraSpec
+from repro.cassandra.deployment import CassandraCluster, CassandraConfig
 from repro.cluster.geo import GeoCluster, GeoSpec
+from repro.cluster.topology import TailDefenseConfig
 from repro.core.report import render_table
 from repro.keyspace import key_for_index
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
+from repro.storage.lsm import StorageSpec
 
 
 def build():
@@ -32,9 +34,10 @@ def build():
     geo = GeoCluster(env, GeoSpec(
         datacenters={"eu-west": 5, "us-west": 5, "ap-southeast": 5}),
         RngRegistry(7))
-    cassandra = CassandraCluster(geo, CassandraSpec(
-        replication=3,
-        replication_per_dc={"eu-west": 2, "us-west": 2, "ap-southeast": 2}))
+    cassandra = CassandraCluster(
+        geo, CassandraConfig(replication=3), StorageSpec(),
+        TailDefenseConfig(),
+        replication_per_dc={"eu-west": 2, "us-west": 2, "ap-southeast": 2})
     session = CassandraSession(cassandra, cassandra.client_node)
     return env, geo, cassandra, session
 
@@ -68,7 +71,9 @@ def geo_read_latency(env, session) -> None:
 
 def partition_test(env, geo, session) -> None:
     def scenario():
-        geo.partition_datacenter("ap-southeast")
+        singapore = geo.servers_in("ap-southeast")
+        for node_id in singapore:
+            geo.kill(node_id)
         key = key_for_index(1000)
         outcomes = []
         try:
@@ -85,7 +90,8 @@ def partition_test(env, geo, session) -> None:
             outcomes.append(["ALL write", "OK", ""])
         except UnavailableError:
             outcomes.append(["ALL write", "UNAVAILABLE", ""])
-        geo.heal_datacenter("ap-southeast")
+        for node_id in singapore:
+            geo.restart(node_id)
         return outcomes
 
     outcomes = env.run(until=env.process(scenario()))

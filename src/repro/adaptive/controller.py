@@ -125,7 +125,7 @@ class AdaptiveController:
     def read(self, key: str, size: int) -> Generator:
         at_risk = self.monitor.at_risk(key)
         cl = self._decide_read("read", key, at_risk)
-        exposed = at_risk and cl.required(self.session.cassandra.spec
+        exposed = at_risk and cl.required(self.session.cassandra.config
                                           .replication) <= 1
         self.monitor.observe_read_decision(at_risk=at_risk, exposed=exposed)
         invoked = self.monitor.clock()

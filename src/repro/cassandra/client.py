@@ -33,29 +33,28 @@ class CassandraSession:
 
     Requests round-robin over the live ring members, as the paper's YCSB
     client did; read and write consistency levels are set separately
-    (paper §2) and can be overridden per request.
+    (paper §2): they start at the deployment's ``CassandraConfig``, and
+    can be set on the session or overridden per request.
     """
 
     def __init__(self, cassandra: CassandraCluster, client_node: Node,
-                 read_cl: ConsistencyLevel = ConsistencyLevel.ONE,
-                 write_cl: ConsistencyLevel = ConsistencyLevel.ONE,
                  op_timeout_s: float = 10.0,
                  dc_aware: bool = True,
                  retries: int = 1,
-                 deadline_s: Optional[float] = None,
                  client_overhead_s: float = DEFAULT_CLIENT_OVERHEAD_S) -> None:
         self.cassandra = cassandra
         self.cluster = cassandra.cluster
         self.client_node = client_node
-        self.read_cl = read_cl
-        self.write_cl = write_cl
+        self.read_cl = cassandra.config.read_cl
+        self.write_cl = cassandra.config.write_cl
         self.op_timeout_s = op_timeout_s
-        #: End-to-end per-operation budget.  The absolute deadline rides
-        #: the request envelope to the coordinator and its replica RPCs;
-        #: once spent, queued replica work is withdrawn and the op fails
-        #: with :class:`DeadlineExceeded` (never retried — the budget
-        #: covers retries too).  ``None`` = no deadline propagation.
-        self.deadline_s = deadline_s
+        #: End-to-end per-operation budget (the deployment's
+        #: ``tail.deadline_s``).  The absolute deadline rides the request
+        #: envelope to the coordinator and its replica RPCs; once spent,
+        #: queued replica work is withdrawn and the op fails with
+        #: :class:`DeadlineExceeded` (never retried — the budget covers
+        #: retries too).  ``None`` = no deadline propagation.
+        self.deadline_s = cassandra.tail.deadline_s
         #: Extra attempts on :data:`RETRYABLE_ERRORS`, each against the
         #: next round-robin coordinator (the DataStax driver's default
         #: RetryPolicy next-host behaviour).

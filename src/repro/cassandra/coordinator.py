@@ -19,8 +19,9 @@ Read-repair semantics (Cassandra 2.0, the version the paper benchmarks):
   CPU and network — the background burden the paper's §4.1 blames for
   Cassandra's read-latency climb with the replication factor.
 
-``blocking_read_repair=False`` (ablation) moves even the CL-set
-reconcile off the latency path.
+``blocking_read_repair=False`` (ablation) still waits for the CL-set
+reconcile's full-data reads; only its repair mutations' acks leave the
+latency path.
 
 A verb plans inside the handler call and returns an :class:`Event` that
 callbacks on the replica calls complete: a request is no process, except
@@ -37,7 +38,7 @@ from repro.cassandra.consistency import ConsistencyLevel, UnavailableError
 from repro.cassandra.hints import Hint
 from repro.cassandra.read_repair import background_reconcile
 from repro.cluster.hedging import HedgePolicy
-from repro.cluster.topology import DeadlineExceeded
+from repro.cluster.topology import DeadlineExceeded, TailDefenseConfig
 from repro.keyspace import token_of
 from repro.sim.kernel import (AllOf, Environment, Event, ModelledFailure,
                               Process, _finish, _settled)
@@ -46,11 +47,17 @@ from repro.sim.resources import Overloaded
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cassandra.node import CassandraNode
 
-__all__ = ["Coordinator", "ReadTimeoutError", "WriteTimeoutError", "wait_for_k"]
+__all__ = ["Coordinator", "REPLICA_TIMEOUT_S", "ReadTimeoutError",
+           "WriteTimeoutError", "wait_for_k"]
 
 #: CPU charged on the coordinator per request it coordinates.  It rides
 #: the request leg's core reservation (``Node.register(cpu_s=...)``).
 _COORD_CPU_S = 1.2e-5
+
+#: How long a coordinator waits for one replica's answer (seconds).
+#: Defined here rather than beside the deployment's other knobs because
+#: the deployment imports this module.
+REPLICA_TIMEOUT_S = 2.0
 
 #: Hot-path lookup tables (one enum construction / f-string per request
 #: is measurable at stress-cell scale).  The per-CL stats keys are looked
@@ -126,7 +133,8 @@ def wait_for_k(env: Environment, events: list[Event], k: int,
 class Coordinator:
     """Coordination logic bound to one :class:`CassandraNode`."""
 
-    def __init__(self, owner: "CassandraNode", rng) -> None:
+    def __init__(self, owner: "CassandraNode", tail: TailDefenseConfig,
+                 rng) -> None:
         self.owner = owner
         self.env: Environment = owner.node.env
         self._rng = rng
@@ -135,13 +143,11 @@ class Coordinator:
                       "hints_stored": 0, "background_repairs": 0,
                       "hedged_reads": 0, "hedge_wins": 0,
                       "admission_sheds": 0}
-        spec = owner.spec
         #: Admission control: max coordinated ops in flight on this node.
-        self.max_inflight = spec.coordinator_max_inflight
+        self.max_inflight = tail.max_inflight
         self.inflight = 0
-        retry = spec.speculative_retry
         #: Rapid read protection (speculative_retry); ``None`` = off.
-        self.hedge = HedgePolicy(retry) if retry else None
+        self.hedge = HedgePolicy(tail.hedge) if tail.hedge else None
         #: Geo deployments hint on *failed* remote mutations too: a
         #: replica that dies while the mutation is on the wire loses it
         #: silently, and over a WAN that in-flight window is tens of
@@ -154,7 +160,7 @@ class Coordinator:
         #: bookkeeping is also on whenever mutations can be shed.
         self._hint_on_failure = bool(
             owner.placement.replication_per_dc
-            or spec.max_handler_queue is not None)
+            or tail.max_handler_queue is not None)
         #: Node id -> datacenter name on a geo cluster, fixed per
         #: cluster; ``None`` on a single rack, where every level is
         #: planned without the datacenter machinery (:meth:`_plan`).
@@ -225,7 +231,7 @@ class Coordinator:
         return owner.cluster.call_async(
             node, owner.cluster.nodes[replica_id], verb, payload,
             request_bytes=request_bytes, response_bytes=response_bytes,
-            timeout=owner.spec.replica_timeout_s, deadline=deadline)
+            timeout=REPLICA_TIMEOUT_S, deadline=deadline)
 
     def _alive_replicas(self, key: str) -> tuple[list[int], int]:
         """(alive replica ids in placement order, configured replication)."""
@@ -439,7 +445,7 @@ class Coordinator:
         stats["reads"] += 1
         key_by_cl = _READS_KEY[cl_name]
         stats[key_by_cl] = stats.get(key_by_cl, 0) + 1
-        spec = self.owner.spec
+        config = self.owner.config
         alive, replication = self._alive_replicas(key)
         if self._datacenters is None:
             required, ordered = cl.required(replication), alive
@@ -450,7 +456,7 @@ class Coordinator:
                 f"read {cl_name} needs {required} replicas, "
                 f"{len(alive)} alive")
         repair_fires = (len(ordered) > required
-                        and self._rng.random() < spec.read_repair_chance)
+                        and self._rng.random() < config.read_repair_chance)
         involved = ordered if repair_fires else ordered[:required]
 
         read = (key, deadline)
@@ -465,7 +471,8 @@ class Coordinator:
         # read repair) are compared asynchronously; a mismatch *within*
         # the CL-blocking set forces a foreground reconcile before the
         # client sees an answer.  ``blocking_read_repair=False`` (the
-        # ablation) moves even that reconcile off the latency path.
+        # ablation) still waits for that reconcile's full-data reads;
+        # only its repair mutations' acks leave the latency path.
         blocking_digests = required - 1
 
         def data_arrived(data: Event) -> None:
@@ -526,7 +533,7 @@ class Coordinator:
             stats["read_repairs"] += 1
             Process(self.env, self._reconcile(
                 key, expected_bytes, data_replica, data_resp,
-                [r for r, _ in digests], blocking=spec.blocking_read_repair),
+                [r for r, _ in digests], blocking=config.blocking_read_repair),
                 None, True, self._resume(done))
 
         if self.hedge is None:

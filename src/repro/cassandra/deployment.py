@@ -2,63 +2,50 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from dataclasses import dataclass
 from typing import Generator, Optional
 
+from repro.cassandra.consistency import ConsistencyLevel
 from repro.cassandra.multidc import NetworkTopologyStrategy, SimpleStrategy
 from repro.cassandra.node import CassandraNode
 from repro.cassandra.partitioner import TokenRange, TokenRing
 from repro.cluster.disk import BACKGROUND
-from repro.cluster.topology import Cluster
+from repro.cluster.topology import Cluster, TailDefenseConfig
 from repro.keyspace import token_of
 from repro.storage.lsm import StorageSpec
 
-__all__ = ["CassandraCluster", "CassandraSpec"]
+__all__ = ["CassandraCluster", "CassandraConfig"]
+
+#: Virtual nodes per physical node (Cassandra 2.0 defaults to 256;
+#: scaled down with everything else — placement statistics are already
+#: uniform at 16).
+VNODES = 16
+#: Streaming granularity for bootstrap/decommission transfers.
+STREAM_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
-class CassandraSpec:
-    """Deployment knobs for one experiment cell."""
+class CassandraConfig:
+    """Cassandra-side knobs of one experiment cell."""
 
     #: SimpleStrategy replication factor — the paper's replication knob.
     replication: int = 3
-    #: Virtual nodes per physical node (Cassandra 2.0 defaults to 256;
-    #: scaled down with everything else — placement statistics are
-    #: already uniform at 16).
-    vnodes: int = 16
+    #: The driver's default consistency levels.
+    read_cl: ConsistencyLevel = ConsistencyLevel.ONE
+    write_cl: ConsistencyLevel = ConsistencyLevel.ONE
     #: Probability that a read involves all replicas for repair
     #: (Cassandra 2.0's table default, cited by the paper §4.1).
     read_repair_chance: float = 0.1
-    #: Paper-faithful foreground reconciliation; False = async ablation.
+    #: Whether a digest mismatch within the CL-blocking set holds the
+    #: response until the repair mutations are acknowledged (the
+    #: paper-faithful default); False lets the response go once the
+    #: full-data reads have answered (ablation).
     blocking_read_repair: bool = True
-    storage: StorageSpec = field(default_factory=StorageSpec)
-    replica_timeout_s: float = 2.0
+    #: How often each coordinator's hint replayer wakes (seconds).  A
+    #: larger interval models throttled hinted handoff: a restarted
+    #: replica stays stale for up to one interval, which is the window
+    #: the adaptive-consistency campaigns study.
     hint_replay_interval_s: float = 1.0
-    #: Cassandra 2.0.2 rapid read protection (``speculative_retry``):
-    #: ``"NNms"`` or ``"pNN"``; ``None`` disables it.
-    speculative_retry: Optional[str] = None
-    #: Concurrent replica-stage executions per node (concurrent_reads/
-    #: concurrent_writes analogue).  Only enforced when
-    #: ``max_handler_queue`` is set.
-    handler_slots: int = 16
-    #: Bounded replica-stage queue depth; requests beyond it are shed
-    #: with :class:`~repro.sim.resources.Overloaded`.  ``None`` =
-    #: unbounded (the pre-defense behaviour).
-    max_handler_queue: Optional[int] = None
-    #: Coordinator admission control: max in-flight coordinated ops per
-    #: node; ``None`` = unlimited.
-    coordinator_max_inflight: Optional[int] = None
-    #: Geo deployments: datacenter name -> replicas in that datacenter
-    #: (NetworkTopologyStrategy).  ``None`` = SimpleStrategy with
-    #: ``replication`` over the whole ring.  Requires a cluster that
-    #: reports node datacenters (see :class:`repro.cluster.geo.GeoCluster`).
-    replication_per_dc: Optional[dict] = None
-    #: Trailing server nodes provisioned but outside the initial ring;
-    #: the elasticity campaign bootstraps them at runtime.
-    spare_nodes: int = 0
-    #: Streaming granularity for bootstrap/decommission transfers.
-    stream_chunk_bytes: int = 1 << 20
 
 
 class CassandraCluster:
@@ -68,11 +55,22 @@ class CassandraCluster:
     paper's 15-server + 1-client layout); every other node joins the ring.
     """
 
-    def __init__(self, cluster: Cluster, spec: CassandraSpec) -> None:
+    def __init__(self, cluster: Cluster, config: CassandraConfig,
+                 storage: StorageSpec, tail: TailDefenseConfig,
+                 replication_per_dc: Optional[dict] = None,
+                 spare_nodes: int = 0) -> None:
         if len(cluster.nodes) < 2:
             raise ValueError("Cassandra needs at least one server + client node")
         self.cluster = cluster
-        self.spec = spec
+        self.config = config
+        self.storage = storage
+        self.tail = tail
+        #: Geo deployments: datacenter name -> replicas in that datacenter
+        #: (NetworkTopologyStrategy).  ``None`` = SimpleStrategy with
+        #: ``config.replication`` over the whole ring.  Requires a cluster
+        #: that reports node datacenters (see
+        #: :class:`repro.cluster.geo.GeoCluster`).
+        self.replication_per_dc = replication_per_dc
         # Geo clusters may host several client nodes (one per region);
         # they report the split explicitly.  Single-rack clusters keep
         # the last-node-is-client convention.
@@ -83,18 +81,19 @@ class CassandraCluster:
         else:
             self.client_node = cluster.node(len(cluster.nodes) - 1)
             self.server_nodes = cluster.nodes[:-1]
-        if not 0 <= spec.spare_nodes < len(self.server_nodes):
+        # Trailing servers provisioned outside the initial ring: the
+        # elasticity campaign bootstraps them at runtime.
+        if not 0 <= spare_nodes < len(self.server_nodes):
             raise ValueError("spare_nodes must leave at least one "
                              "in-service server")
-        if spec.spare_nodes and spec.replication_per_dc is not None:
+        if spare_nodes and replication_per_dc is not None:
             raise ValueError("spare nodes require SimpleStrategy "
                              "(elasticity is single-ring)")
-        members = (self.server_nodes[:len(self.server_nodes)
-                                     - spec.spare_nodes]
-                   if spec.spare_nodes else self.server_nodes)
-        self.ring = TokenRing([n.node_id for n in members],
-                              spec.vnodes, cluster.rngs.stream("ring"))
-        if spec.replication_per_dc is not None:
+        members = (self.server_nodes[:len(self.server_nodes) - spare_nodes]
+                   if spare_nodes else self.server_nodes)
+        self.ring = TokenRing([n.node_id for n in members], VNODES,
+                              cluster.rngs.stream("ring"))
+        if replication_per_dc is not None:
             datacenter_of = cluster.node_datacenter
             if datacenter_of is None:
                 raise ValueError("replication_per_dc needs a geo cluster "
@@ -102,17 +101,15 @@ class CassandraCluster:
             server_dcs = {n.node_id: datacenter_of[n.node_id]
                           for n in self.server_nodes}
             self.placement = NetworkTopologyStrategy(
-                self.ring, server_dcs, spec.replication_per_dc)
+                self.ring, server_dcs, replication_per_dc)
         else:
-            self.placement = SimpleStrategy(self.ring, spec.replication)
+            self.placement = SimpleStrategy(self.ring, config.replication)
         # Spare nodes get no CassandraNode yet: verb handlers register
         # once per node, so the instance is created lazily on first
         # bootstrap and reused across later re-bootstraps.
         self.nodes: dict[int, CassandraNode] = {
             n.node_id: CassandraNode(
-                cluster, n, self.ring, spec,
-                cluster.rngs.stream(f"cassandra.coord.{n.node_id}"),
-                placement=self.placement)
+                self, n, cluster.rngs.stream(f"cassandra.coord.{n.node_id}"))
             for n in members
         }
         #: Nodes clients may coordinate through: the ring members.
@@ -158,7 +155,7 @@ class CassandraCluster:
     def scale_in_candidate(self) -> Optional[int]:
         """The node a scale-in would decommission (highest live id), or
         ``None`` when removing one would drop the ring to (or below) RF."""
-        if len(self.ring.node_ids) <= self.spec.replication:
+        if len(self.ring.node_ids) <= self.config.replication:
             return None
         members = sorted(nid for nid in self.ring.node_ids
                          if self.cluster.node(nid).alive)
@@ -181,7 +178,7 @@ class CassandraCluster:
         replicas — which still hold everything — so no acknowledged
         write is lost across the topology change.
         """
-        if self.spec.replication_per_dc is not None:
+        if self.replication_per_dc is not None:
             raise ValueError("bootstrap requires SimpleStrategy")
         if node_id in self.ring.node_ids:
             raise ValueError(f"node {node_id} is already in the ring")
@@ -192,12 +189,11 @@ class CassandraCluster:
             raise ValueError(f"cannot bootstrap dead node {node_id}")
         if node_id not in self.nodes:
             self.nodes[node_id] = CassandraNode(
-                self.cluster, node, self.ring, self.spec,
-                self.cluster.rngs.stream(f"cassandra.coord.{node_id}"),
-                placement=self.placement)
+                self, node, self.cluster.rngs.stream(
+                    f"cassandra.coord.{node_id}"))
         target = self.ring.clone()
         moved = target.add_node(node_id, self._elastic_rng(),
-                                self.spec.replication)
+                                self.config.replication)
         yield from self._stream_and_commit(target, moved)
         if all(n.node_id != node_id for n in self.coordinator_nodes):
             self.coordinator_nodes.append(node)
@@ -207,15 +203,15 @@ class CassandraCluster:
         """Gracefully remove ``node_id`` (a sim process): survivors
         inheriting its arcs double-receive writes while the data streams
         off the leaving node, then the ring commits without it."""
-        if self.spec.replication_per_dc is not None:
+        if self.replication_per_dc is not None:
             raise ValueError("decommission requires SimpleStrategy")
         if node_id not in self.ring.node_ids:
             raise ValueError(f"node {node_id} is not in the ring")
-        if len(self.ring.node_ids) <= self.spec.replication:
+        if len(self.ring.node_ids) <= self.config.replication:
             raise ValueError("decommission would drop the ring below the "
                              "replication factor")
         target = self.ring.clone()
-        moved = target.remove_node(node_id, self.spec.replication)
+        moved = target.remove_node(node_id, self.config.replication)
         yield from self._stream_and_commit(target, moved)
         self.coordinator_nodes = [n for n in self.coordinator_nodes
                                   if n.node_id != node_id]
@@ -268,7 +264,7 @@ class CassandraCluster:
         if not entries:
             return
         total = sum(e[3] for e in entries)
-        chunk = self.spec.stream_chunk_bytes
+        chunk = STREAM_CHUNK_BYTES
         src_node, dst_node = source.node, dest.node
         sent = 0
         while sent < total:

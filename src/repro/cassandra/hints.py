@@ -42,8 +42,7 @@ class Hint:
 class HintStore:
     """Per-coordinator hint queue with a periodic delivery loop."""
 
-    def __init__(self, owner: "CassandraNode",
-                 replay_interval_s: float = 1.0,
+    def __init__(self, owner: "CassandraNode", replay_interval_s: float,
                  replay_batch: int = 32,
                  base_backoff_s: float = 0.5,
                  max_backoff_s: float = 8.0) -> None:

@@ -10,16 +10,15 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.cassandra.coordinator import Coordinator
 from repro.cassandra.hints import HintStore
-from repro.cassandra.partitioner import TokenRing
 from repro.cluster.disk import FOREGROUND
 from repro.cluster.node import Node
-from repro.cluster.topology import Cluster, DeadlineExceeded
+from repro.cluster.topology import DeadlineExceeded
 from repro.sim.kernel import Event
 from repro.sim.resources import BoundedResource, serve
 from repro.storage.lsm import LocalDiskMedium, LsmTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cassandra.deployment import CassandraSpec
+    from repro.cassandra.deployment import CassandraCluster
 
 __all__ = ["CassandraNode"]
 
@@ -37,26 +36,26 @@ def _as_digest(read: Event) -> None:
 class CassandraNode:
     """One ring member: replica storage + request coordination."""
 
-    def __init__(self, cluster: Cluster, node: Node, ring: TokenRing,
-                 spec: "CassandraSpec", rng, placement=None) -> None:
-        from repro.cassandra.multidc import SimpleStrategy
-        self.cluster = cluster
+    def __init__(self, deployment: "CassandraCluster", node: Node,
+                 rng) -> None:
+        self.cluster = deployment.cluster
         self.node = node
-        self.ring = ring
-        self.spec = spec
-        self.placement = placement or SimpleStrategy(ring, spec.replication)
+        self.config = deployment.config
+        self.placement = deployment.placement
         self.tree = LsmTree(node.env, node, LocalDiskMedium(node),
-                            spec.storage, name=f"cassandra{node.node_id}")
-        self.hints = HintStore(self, spec.hint_replay_interval_s)
-        self.coordinator = Coordinator(self, rng)
+                            deployment.storage,
+                            name=f"cassandra{node.node_id}")
+        self.hints = HintStore(self, self.config.hint_replay_interval_s)
+        self.coordinator = Coordinator(self, deployment.tail, rng)
         #: Bounded replica-stage pool (concurrent_reads/writes analogue).
         #: ``None`` when ``max_handler_queue`` is unset — the pre-defense
         #: unbounded behaviour, so existing experiments are unchanged.
         self.replica_pool: Optional[BoundedResource] = None
-        if spec.max_handler_queue is not None:
+        tail = deployment.tail
+        if tail.max_handler_queue is not None:
             self.replica_pool = BoundedResource(
-                node.env, capacity=spec.handler_slots,
-                max_queue=spec.max_handler_queue)
+                node.env, capacity=tail.handler_slots,
+                max_queue=tail.max_handler_queue)
         self.ops = {"mutate": 0, "read_data": 0, "read_digest": 0, "scan": 0}
         node.register("c.mutate", self._handle_mutate)
         node.register("c.read_data", self._handle_read_data)

@@ -1,11 +1,12 @@
 """Background (asynchronous) read-repair tail.
 
-Used when ``blocking_read_repair=False`` (the ablation configuration):
-the coordinator answers the client at its consistency level and this
-process finishes the digest comparison and pushes repair mutations off
-the latency path.  The work still consumes replica CPU/disk/NIC time, so
-the throughput cost of repair remains visible even in async mode — only
-the per-request latency coupling disappears.
+Used whenever the global ``read_repair_chance`` fires, whatever
+``blocking_read_repair`` says: the coordinator answers the client at its
+consistency level, and this process compares the digests of the
+replicas beyond the CL once they arrive, then reads and repairs the
+stale ones off the latency path.  The work still consumes replica
+CPU/disk/NIC time, so the throughput cost of repair remains visible —
+only the per-request latency coupling disappears.
 """
 
 from __future__ import annotations

@@ -34,9 +34,6 @@ class TokenBucket:
         self._clock = clock
         self._tokens = burst
         self._updated = clock()
-        #: Granted / denied withdrawal counts (for stats breakdowns).
-        self.granted = 0
-        self.denied = 0
 
     def _refill(self) -> None:
         now = self._clock()
@@ -50,9 +47,7 @@ class TokenBucket:
         self._refill()
         if self._tokens >= n:
             self._tokens -= n
-            self.granted += 1
             return True
-        self.denied += 1
         return False
 
     def deposit(self, n: float) -> None:

@@ -4,9 +4,8 @@ The paper's related-work section (Pokluda et al.) benchmarks failover by
 killing a node mid-run and watching latency/throughput.  This module
 generalizes that probe into eight fault kinds, each one a
 :class:`FaultSpec`: crash/restart, node flapping, network partitions
-(the single-rack analogue of
-:meth:`repro.cluster.geo.GeoCluster.partition_datacenter`), NIC
-degradation (packet loss / latency, modelled as an effective-bandwidth
+(the single-rack analogue of ``dc_partition`` below), NIC degradation
+(packet loss / latency, modelled as an effective-bandwidth
 multiplier), slow-disk gray failures (a throttled
 :class:`~repro.cluster.disk.Disk` service-time multiplier) and the three
 datacenter kinds below.

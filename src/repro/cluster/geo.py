@@ -152,19 +152,6 @@ class GeoCluster(Cluster):
         self.abandoned_rpcs = 0
         self._wheel = TimerWheel(env)
 
-    def partition_datacenter(self, dc_name: str) -> list[int]:
-        """Cut a whole datacenter off (kill all its nodes); returns ids."""
-        cut = [nid for nid, dc in self.node_datacenter.items()
-               if dc == dc_name]
-        for node_id in cut:
-            self.kill(node_id)
-        return cut
-
-    def heal_datacenter(self, dc_name: str) -> None:
-        for node_id, dc in self.node_datacenter.items():
-            if dc == dc_name:
-                self.restart(node_id)
-
     def datacenter_of(self, node_id: int) -> str:
         return self.node_datacenter[node_id]
 

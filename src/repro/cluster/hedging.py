@@ -100,10 +100,11 @@ class HedgePolicy:
         HMaster first) and the first contender to complete with a
         non-exception value wins.  Nothing cancels the loser: it goes on
         to its end and settles unobserved, as any abandoned request
-        does.  When both fail the value is the primary's exception.  No
-        delay yet (a percentile policy warming up) or no
-        ``launch_spare`` (no spare replica) means a plain wait.  Every
-        success feeds the latency history.
+        does — unless it fails outright, which raises out of the run
+        (:func:`_raise_failure`).  When both fail the value is the
+        primary's exception.  No delay yet (a percentile policy warming
+        up) or no ``launch_spare`` (no spare replica) means a plain
+        wait.  Every success feeds the latency history.
         """
         start = env._now
         delay = self.delay()
@@ -128,7 +129,18 @@ class HedgePolicy:
                 if winner.callbacks is None \
                         and not isinstance(winner._value, Exception):
                     self.observe(env._now - start)
+                    for loser in pending:
+                        loser.callbacks.append(_raise_failure)
                     return winner._value, winner is spare
             if not pending:
                 return primary._value, False
             yield pending[0]
+
+
+def _raise_failure(loser: Event) -> None:
+    """A contender the race left behind that completes *failed* — a bug
+    in its handler, since a modelled failure arrives as a value —
+    raises out of the run: the decided race's ``AnyOf`` has defused it
+    by now, and nothing else waits for it."""
+    if not loser._ok:
+        raise loser._value

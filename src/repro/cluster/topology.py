@@ -38,7 +38,7 @@ from repro.sim.rng import RngRegistry
 
 __all__ = ["AsyncCall", "Cluster", "ClusterSpec", "DeadNodeError",
            "DeadlineExceeded", "DEFAULT_CLIENT_OVERHEAD_S", "ENVELOPE_BYTES",
-           "RPC_CPU_S", "RpcTimeout", "TimerWheel"]
+           "RPC_CPU_S", "RpcTimeout", "TailDefenseConfig", "TimerWheel"]
 
 #: Client-side CPU per operation (driver serialization, thread wake-up).
 #: The paper's methodology section is explicit that client-side latency
@@ -56,6 +56,35 @@ DEFAULT_CLIENT_OVERHEAD_S = 2e-4
 RPC_CPU_S = 0.000025
 #: RPC sizes are payload + this request/response envelope.
 ENVELOPE_BYTES = 120
+
+
+@dataclass(frozen=True)
+class TailDefenseConfig:
+    """Tail-latency defense knobs, shared by both database models.
+
+    The all-defaults instance is a no-op (no deadline, no hedging,
+    unbounded queues) — the pre-defense behaviour every other sweep runs
+    with.
+    """
+
+    #: End-to-end per-operation budget in seconds (covers client
+    #: retries); the absolute deadline rides every RPC so replica-side
+    #: work is abandoned once the budget is spent.  ``None`` = off.
+    deadline_s: Optional[float] = None
+    #: Speculative retry (hedged reads): ``"NNms"`` fixed delay or
+    #: ``"pNN"`` latency percentile.  ``None`` = off.
+    hedge: Optional[str] = None
+    #: Concurrent server-side handler executions per node (Cassandra's
+    #: replica stage, an HBase RegionServer's handlers); only enforced
+    #: when ``max_handler_queue`` is set.
+    handler_slots: int = 16
+    #: Bounded server-side queue depth — beyond it requests are shed
+    #: with an explicit ``Overloaded`` error.  ``None`` = unbounded.
+    max_handler_queue: Optional[int] = None
+    #: Coordinator admission control (Cassandra): max in-flight
+    #: coordinated ops per node.  ``None`` = unlimited.
+    max_inflight: Optional[int] = None
+
 
 #: Sentinel outcome meaning "no response will come": the callee is dead,
 #: or it abandoned a request that arrived after its deadline.

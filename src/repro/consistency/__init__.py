@@ -15,8 +15,9 @@ them from latency shapes:
   for weak CLs, and eventual convergence (replica agreement after
   quiescence + repair);
 - :mod:`repro.consistency.oracle` — one JSON-safe consistency report per
-  recorded run;
-- :mod:`repro.consistency.explorer` — fans N seeds x fault templates
-  through the parallel cell runner and reports violations with the
-  minimal reproducing seed.
+  recorded run.
+
+The seed explorer that fans N seeds x fault templates through the cell
+runner is a campaign, so it lives with the harness
+(:mod:`repro.core.explorer`).
 """

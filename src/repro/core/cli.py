@@ -25,7 +25,7 @@ import json
 import sys
 from typing import Iterable, Optional, Sequence
 
-from repro.consistency.explorer import check_sweep
+from repro.core.explorer import check_sweep
 from repro.consistency.oracle import unexpected_violations
 from repro.core.report import (render_check_report, render_progress,
                                render_table, walk_leaves)

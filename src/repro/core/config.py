@@ -1,4 +1,10 @@
-"""Experiment configuration: one object per benchmark cell."""
+"""Experiment configuration: one object per benchmark cell.
+
+An ingredient a component takes whole (an engine's knobs, the tail
+defenses, the arrival stream, the SLO, a fault, an elasticity plan) is
+defined beside that component and re-exported here, so the component
+receives the very record the cell carries.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +15,16 @@ from typing import Optional
 
 from repro.adaptive.monitor import SloSpec
 from repro.cassandra.consistency import ConsistencyLevel
+from repro.cassandra.deployment import CassandraConfig
 from repro.cluster.elasticity import ElasticityConfig, ScaleEventSpec
 from repro.cluster.failure import FaultSpec
 from repro.cluster.geo import DEFAULT_REGION_RTTS
+from repro.cluster.topology import TailDefenseConfig
 from repro.energy.cost import CostSpec
 from repro.energy.power import POWER_MODES, PowerSpec
+from repro.hbase.deployment import HBaseConfig
 from repro.storage.lsm import StorageSpec
+from repro.ycsb.arrivals import ArrivalConfig
 from repro.ycsb.workload import MICRO_WORKLOADS, STRESS_WORKLOADS, WorkloadSpec
 
 __all__ = [
@@ -38,33 +48,6 @@ __all__ = [
     "default_surge_config",
     "disk_exposed_storage",
 ]
-
-
-@dataclass(frozen=True)
-class TailDefenseConfig:
-    """Tail-latency defense knobs, shared by both database models.
-
-    The all-defaults instance is a no-op (no deadline, no hedging,
-    unbounded queues) — the pre-defense behaviour every other sweep runs
-    with.
-    """
-
-    #: End-to-end per-operation budget in seconds (covers client
-    #: retries); the absolute deadline rides every RPC so replica-side
-    #: work is abandoned once the budget is spent.  ``None`` = off.
-    deadline_s: Optional[float] = None
-    #: Speculative retry (hedged reads): ``"NNms"`` fixed delay or
-    #: ``"pNN"`` latency percentile.  ``None`` = off.
-    hedge: Optional[str] = None
-    #: Concurrent server-side handler executions per node; only enforced
-    #: when ``max_handler_queue`` is set.
-    handler_slots: int = 16
-    #: Bounded server-side queue depth — beyond it requests are shed
-    #: with an explicit ``Overloaded`` error.  ``None`` = unbounded.
-    max_handler_queue: Optional[int] = None
-    #: Coordinator admission control (Cassandra): max in-flight
-    #: coordinated ops per node.  ``None`` = unlimited.
-    max_inflight: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -108,41 +91,6 @@ class ClientTierConfig:
 
 
 @dataclass(frozen=True)
-class ArrivalConfig:
-    """Open-loop arrival stream for one measured run
-    (see :mod:`repro.ycsb.arrivals`)."""
-
-    #: "poisson", "diurnal" or "flash_crowd".
-    process: str = "poisson"
-    #: Steady (base) arrival rate, requests/s.
-    rate: float = 1_000.0
-    #: How many arrivals one measured run dispatches.
-    max_arrivals: int = 10_000
-    #: Simulated-user population behind the arrivals (zipf-skewed).
-    n_users: int = 100_000
-    #: Tenants the users map onto (the rate limiter's metering unit).
-    n_tenants: int = 8
-    # Diurnal shape.
-    period_s: float = 60.0
-    peak_factor: float = 2.0
-    # Flash-crowd shape.
-    spike_at_s: float = 5.0
-    spike_factor: float = 10.0
-    spike_duration_s: float = 5.0
-
-    def __post_init__(self) -> None:
-        processes = ("poisson", "diurnal", "flash_crowd")
-        if self.process not in processes:
-            raise ValueError(f"unknown arrival process {self.process!r}; "
-                             f"choose from {processes}")
-        if self.rate <= 0:
-            raise ValueError(f"ArrivalConfig.rate={self.rate}: must be > 0")
-        if self.max_arrivals < 1:
-            raise ValueError(f"ArrivalConfig.max_arrivals="
-                             f"{self.max_arrivals}: must be >= 1")
-
-
-@dataclass(frozen=True)
 class EnergyConfig:
     """Power/cost model for one cell (see :mod:`repro.energy`).
 
@@ -170,31 +118,6 @@ class EnergyConfig:
             raise ValueError(
                 f"unknown power mode {self.power_mode!r}; choose from "
                 f"{POWER_MODES + ('policy',)}")
-
-
-@dataclass(frozen=True)
-class HBaseConfig:
-    """HBase-side knobs (see :class:`repro.hbase.deployment.HBaseSpec`)."""
-
-    replication: int = 3
-    regions_per_server: int = 2
-    wal_sync: bool = False
-
-
-@dataclass(frozen=True)
-class CassandraConfig:
-    """Cassandra-side knobs (see :class:`repro.cassandra.deployment.CassandraSpec`)."""
-
-    replication: int = 3
-    read_cl: ConsistencyLevel = ConsistencyLevel.ONE
-    write_cl: ConsistencyLevel = ConsistencyLevel.ONE
-    read_repair_chance: float = 0.1
-    blocking_read_repair: bool = True
-    #: How often each coordinator's hint replayer wakes (seconds).  A
-    #: larger interval models throttled hinted handoff: a restarted
-    #: replica stays stale for up to one interval, which is the window
-    #: the adaptive-consistency campaigns study.
-    hint_replay_interval_s: float = 1.0
 
 
 @dataclass(frozen=True)

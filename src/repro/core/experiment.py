@@ -20,7 +20,8 @@ from repro.adaptive.monitor import Monitor
 from repro.adaptive.policy import EnergyAwarePolicy, make_policy
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cassandra.deployment import CassandraCluster, CassandraSpec
+from repro.cassandra.coordinator import REPLICA_TIMEOUT_S
+from repro.cassandra.deployment import CassandraCluster
 from repro.clienttier.openloop import (ClientTier, OpenLoopClient,
                                        build_client_stack)
 from repro.cluster.elasticity import ScaleEngine, build_scale_report
@@ -33,7 +34,7 @@ from repro.core.failover import StalenessProbe, build_failover_report
 from repro.energy.meter import EnergyMeter
 from repro.energy.power import PowerManager
 from repro.hbase.client import HBaseClient
-from repro.hbase.deployment import HBaseCluster, HBaseSpec
+from repro.hbase.deployment import HBaseCluster
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.ycsb.arrivals import UserSessions, make_arrivals
@@ -358,37 +359,19 @@ class ExperimentSession:
         #: earlier run can never alias a later run's op ids.
         self._recorded_runs = 0
 
-        tail = config.tail
         #: Trailing servers provisioned outside the serving set, the
         #: elasticity campaign's scale-out pool (0 = classic layout).
         spares = (config.elasticity.spare_nodes
                   if config.elasticity is not None else 0)
         if config.db == "hbase":
-            hc = config.hbase
-            self.hbase = HBaseCluster(self.cluster, HBaseSpec(
-                replication=hc.replication,
-                regions_per_server=hc.regions_per_server,
-                storage=config.storage,
-                wal_sync=hc.wal_sync,
-                handler_slots=tail.handler_slots,
-                max_handler_queue=tail.max_handler_queue,
-                spare_servers=spares,
-            ))
+            self.hbase = HBaseCluster(self.cluster, config.hbase,
+                                      config.storage, config.tail,
+                                      spare_servers=spares)
         else:
-            cc = config.cassandra
-            self.cassandra = CassandraCluster(self.cluster, CassandraSpec(
-                replication=cc.replication,
-                read_repair_chance=cc.read_repair_chance,
-                blocking_read_repair=cc.blocking_read_repair,
-                hint_replay_interval_s=cc.hint_replay_interval_s,
-                storage=config.storage,
-                speculative_retry=tail.hedge,
-                handler_slots=tail.handler_slots,
-                max_handler_queue=tail.max_handler_queue,
-                coordinator_max_inflight=tail.max_inflight,
+            self.cassandra = CassandraCluster(
+                self.cluster, config.cassandra, config.storage, config.tail,
                 replication_per_dc=geo and dict(geo.replication_per_dc),
-                spare_nodes=spares,
-            ))
+                spare_nodes=spares)
         #: Who can drive a run: ``{datacenter: (node, Cassandra session
         #: or None, binding)}`` — one client per region on a geo
         #: deployment (``run_cell(client_dc=...)`` measures from that
@@ -399,22 +382,22 @@ class ExperimentSession:
         _, self._session, self.binding = next(iter(self._clients.values()))
 
     def _new_client(self, node) -> tuple:
-        config = self.config
-        driver_kwargs: dict = {"deadline_s": config.tail.deadline_s}
+        """A driver on ``node``; it takes its consistency levels, hedge
+        and deadline from the deployment's records."""
+        driver_kwargs: dict = {}
         #: Client-tier driver override: a short per-operation timeout
         #: makes an overloaded store fail fast enough for client-side
         #: defenses (breaker windows, retry budgets) to react within a
         #: short surge campaign.
-        if config.clienttier.op_timeout_s is not None:
-            driver_kwargs["op_timeout_s"] = config.clienttier.op_timeout_s
+        op_timeout_s = self.config.clienttier.op_timeout_s
+        if op_timeout_s is not None:
+            driver_kwargs["op_timeout_s"] = op_timeout_s
         if self.hbase is not None:
             return node, None, HBaseBinding(HBaseClient(
                 self.hbase, node,
                 rng=self.rngs.stream("hbase.client.backoff"),
-                speculative_retry=config.tail.hedge, **driver_kwargs))
-        session = CassandraSession(
-            self.cassandra, node, read_cl=config.cassandra.read_cl,
-            write_cl=config.cassandra.write_cl, **driver_kwargs)
+                **driver_kwargs))
+        session = CassandraSession(self.cassandra, node, **driver_kwargs)
         return node, session, CassandraBinding(session)
 
     @property
@@ -434,8 +417,7 @@ class ExperimentSession:
         if self._loaded:
             raise RuntimeError("session already loaded")
         workload = self._new_workload(self.config.workload)
-        client = YcsbClient(self.env, self.binding, workload,
-                            self.rngs.stream("client.load"))
+        client = YcsbClient(self.env, self.binding, workload)
         process = self.env.process(
             client.load(self.config.record_count, self.config.load_threads),
             name="load")
@@ -464,12 +446,11 @@ class ExperimentSession:
         if cassandra is None:
             return
         env = self.env
-        spec = cassandra.spec
-        env.run(until=env.now + spec.replica_timeout_s
-                + spec.hint_replay_interval_s + 0.1)
+        replay_s = cassandra.config.hint_replay_interval_s
+        env.run(until=env.now + REPLICA_TIMEOUT_S + replay_s + 0.1)
         deadline = env.now + max_wait_s
         nodes = list(cassandra.nodes.values())
-        step = max(0.25, spec.hint_replay_interval_s / 2.0)
+        step = max(0.25, replay_s / 2.0)
         while env.now < deadline and any(
                 n.node.alive and n.hints.pending_for(self.cluster)
                 for n in nodes):
@@ -502,11 +483,7 @@ class ExperimentSession:
     def _open_driver(self, run: _Run, binding: DbBinding,
                      workload: Workload) -> Generator:
         cfg, now = self.config.arrivals, self.env.now
-        arrivals = make_arrivals(
-            cfg.process, cfg.rate, self.rngs.stream(f"arrivals.{now}"),
-            period_s=cfg.period_s, peak_factor=cfg.peak_factor,
-            spike_at_s=cfg.spike_at_s, spike_factor=cfg.spike_factor,
-            spike_duration_s=cfg.spike_duration_s)
+        arrivals = make_arrivals(cfg, self.rngs.stream(f"arrivals.{now}"))
         sessions = UserSessions(cfg.n_users,
                                 self.rngs.stream(f"sessions.{now}"),
                                 n_tenants=cfg.n_tenants)
@@ -585,9 +562,7 @@ class ExperimentSession:
             run.ops = operation_count or self.config.operation_count
             run.target = (target_throughput if target_throughput is not None
                           else self.config.target_throughput)
-            client = YcsbClient(
-                self.env, binding, runtime_workload,
-                self.rngs.stream(f"client.run.{self.env.now}"))
+            client = YcsbClient(self.env, binding, runtime_workload)
             driver = client.run(run.ops,
                                 n_threads=n_threads or self.config.n_threads,
                                 target_throughput=run.target,

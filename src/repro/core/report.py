@@ -465,7 +465,7 @@ def render_consistency_panels(sweep: dict, _db: Optional[str] = None) -> str:
 def render_check_report(db: str, sweep: dict) -> str:
     """Consistency-oracle verdict table for one ``check`` sweep.
 
-    ``sweep`` is :func:`repro.consistency.explorer.check_sweep` output:
+    ``sweep`` is :func:`repro.core.explorer.check_sweep` output:
     violation counts by kind across the seed matrix, the violating
     seeds, and whether the minimal reproducing seed replayed to a
     bit-identical report.

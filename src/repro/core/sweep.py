@@ -159,6 +159,8 @@ class Scale:
     slo: SloSpec = SloSpec()
     elasticity: ElasticityConfig = ElasticityConfig()
     energy: EnergyConfig = EnergyConfig()
+    #: adaptive: the engine knobs its cells run with.
+    cassandra: CassandraConfig = CassandraConfig()
 
     # -- campaign-specific leftovers -----------------------------------------
     #: tail, scenario ``overload``: closed-loop threads and run length
@@ -168,8 +170,6 @@ class Scale:
     #: geo: Cassandra servers / replicas in each of the three regions.
     servers_per_dc: int = 3
     replicas_per_dc: int = 3
-    #: adaptive: ``CassandraConfig.hint_replay_interval_s``.
-    hint_replay_interval_s: float = 1.0
 
 
 # -- shared ingredients ------------------------------------------------------
@@ -858,8 +858,10 @@ _ADAPTIVE = Scale(
     # (``target x duration_s``) so every run spans the same simulated
     # time — and therefore the same fault schedule.
     targets=(600.0, 1_200.0, 2_400.0), duration_s=4.0,
-    slo=_SLO, hint_replay_interval_s=3.0,
-    fault=FaultSpec(at_s=0.5, duration_s=1.5))
+    slo=_SLO, fault=FaultSpec(at_s=0.5, duration_s=1.5),
+    cassandra=CassandraConfig(read_repair_chance=0.0,
+                              blocking_read_repair=False,
+                              hint_replay_interval_s=3.0))
 
 #: The one calibrated load point where the ONE/QUORUM p95 gap brackets the SLO.
 #: The replay interval is stretched half a second past the default so the
@@ -868,7 +870,8 @@ _ADAPTIVE = Scale(
 #: the short quick runs leave only a handful of provably stale reads, and
 #: the calibrated point must not sit within schedule-jitter of the bound.
 _ADAPTIVE_QUICK = replace(_ADAPTIVE, targets=(1_200.0,),
-                          hint_replay_interval_s=3.5)
+                          cassandra=replace(_ADAPTIVE.cassandra,
+                                            hint_replay_interval_s=3.5))
 
 
 def _adaptive_cells(db: str, scale: Scale,
@@ -885,10 +888,7 @@ def _adaptive_cells(db: str, scale: Scale,
         db, scale,
         operation_count=int(scale.targets[0] * scale.duration_s),
         storage=MICRO_STORAGE,  # disk-exposed reads (see _ADAPTIVE)
-        cassandra=CassandraConfig(
-            read_repair_chance=0.0, blocking_read_repair=False,
-            hint_replay_interval_s=scale.hint_replay_interval_s),
-        adaptive=scale.slo,
+        cassandra=scale.cassandra, adaptive=scale.slo,
         faults=_fault(scale, "crash"))
     cells = []
     for policy in policies:

@@ -40,10 +40,11 @@ class HBaseClient:
     The region map is cached client-side (as the real client caches META)
     and refreshed from the HMaster when an operation times out — which is
     how clients ride out a RegionServer failover.  Retries back off
-    exponentially with deterministic jitter; reads can be hedged
-    (speculatively duplicated after ``speculative_retry``'s delay) and
-    every operation can carry an end-to-end deadline that replica-side
-    work honours.
+    exponentially with deterministic jitter.  The deployment's tail
+    defenses reach the client too: reads are hedged (speculatively
+    duplicated after ``tail.hedge``'s delay) and every operation carries
+    ``tail.deadline_s``, an end-to-end deadline that replica-side work
+    honours.
     """
 
     def __init__(self, hbase: HBaseCluster, client_node: Node,
@@ -51,8 +52,6 @@ class HBaseClient:
                  retry_backoff_s: float = 0.5,
                  backoff_cap_s: float = 5.0,
                  rng=None,
-                 speculative_retry: Optional[str] = None,
-                 deadline_s: Optional[float] = None,
                  client_overhead_s: float = DEFAULT_CLIENT_OVERHEAD_S) -> None:
         self.hbase = hbase
         self.cluster: Cluster = hbase.cluster
@@ -63,12 +62,12 @@ class HBaseClient:
         self.backoff_cap_s = backoff_cap_s
         #: Sim RNG stream for backoff jitter (``None`` = no jitter).
         self._rng = rng
+        tail = hbase.tail
         #: Speculative read retry; ``None`` disables hedging.
-        self.hedge = (HedgePolicy(speculative_retry)
-                      if speculative_retry else None)
+        self.hedge = HedgePolicy(tail.hedge) if tail.hedge else None
         #: End-to-end per-operation budget (covers retries); ``None`` =
         #: no deadline propagation.
-        self.deadline_s = deadline_s
+        self.deadline_s = tail.deadline_s
         #: Client-side CPU per operation (serialization, bookkeeping),
         #: charged ahead of the first attempt's request serialization —
         #: fused into the RPC's own core reservation so it costs no extra

@@ -8,10 +8,10 @@ DataNode.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional
 
-from repro.cluster.topology import Cluster
+from repro.cluster.topology import Cluster, TailDefenseConfig
 from repro.keyspace import KEY_DOMAIN, token_of
 from repro.hbase.master import HMaster
 from repro.hbase.region import Region
@@ -21,47 +21,31 @@ from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
 from repro.storage.lsm import StorageSpec
 
-__all__ = ["HBaseCluster", "HBaseSpec"]
+__all__ = ["HBaseCluster", "HBaseConfig"]
 
 
 @dataclass(frozen=True)
-class HBaseSpec:
-    """Deployment knobs for one experiment cell."""
+class HBaseConfig:
+    """HBase-side knobs of one experiment cell."""
 
     #: HDFS replication factor — the paper's replication knob for HBase.
     replication: int = 3
     regions_per_server: int = 2
-    storage: StorageSpec = field(default_factory=StorageSpec)
     #: Durability ablation: ack WAL pipeline packets from disk, not memory.
     wal_sync: bool = False
-    failure_detection_s: float = 3.0
-    region_recovery_s: float = 2.0
-    #: Unavailability per *planned* region move (rebalance, activate,
-    #: decommission): a graceful close flushes the MemStore and
-    #: reopens on the target, so there is no WAL to replay — a
-    #: sub-second window where crash failover pays ``region_recovery_s``.
-    region_move_s: float = 0.25
-    #: Concurrent RPC handlers per RegionServer (hbase.regionserver
-    #: .handler.count analogue).  Only enforced when
-    #: ``max_handler_queue`` is set.
-    handler_slots: int = 16
-    #: Bounded handler call-queue depth; requests beyond it are shed with
-    #: :class:`~repro.sim.resources.Overloaded`.  ``None`` = unbounded
-    #: (the pre-defense behaviour).
-    max_handler_queue: Optional[int] = None
-    #: Trailing server nodes provisioned but out of service (no initial
-    #: regions); the elasticity campaign activates them at runtime.
-    spare_servers: int = 0
 
 
 class HBaseCluster:
     """An HBase instance deployed over a :class:`~repro.cluster.topology.Cluster`."""
 
-    def __init__(self, cluster: Cluster, spec: HBaseSpec) -> None:
+    def __init__(self, cluster: Cluster, config: HBaseConfig,
+                 storage: StorageSpec, tail: TailDefenseConfig,
+                 spare_servers: int = 0) -> None:
         if cluster.spec.n_nodes < 2:
             raise ValueError("HBase needs at least one server + one master node")
         self.cluster = cluster
-        self.spec = spec
+        self.config = config
+        self.tail = tail
         self.master_node = cluster.node(cluster.spec.n_nodes - 1)
         self.server_nodes = cluster.nodes[:-1]
 
@@ -71,21 +55,23 @@ class HBaseCluster:
         self.regionservers: dict[int, RegionServer] = {}
         for n in self.server_nodes:
             dfs = DfsClient(cluster, self.namenode, self.datanodes, n,
-                            spec.replication,
+                            config.replication,
                             cluster.rngs.stream(f"hdfs.client.{n.node_id}"))
             self.regionservers[n.node_id] = RegionServer(
-                cluster.env, n, dfs, wal_sync=spec.wal_sync,
-                handler_slots=spec.handler_slots,
-                max_handler_queue=spec.max_handler_queue)
+                cluster.env, n, dfs, wal_sync=config.wal_sync,
+                handler_slots=tail.handler_slots,
+                max_handler_queue=tail.max_handler_queue)
 
-        if not 0 <= spec.spare_servers < len(self.server_nodes):
+        # Trailing servers provisioned but out of service (no initial
+        # regions); the elasticity campaign activates them at runtime.
+        if not 0 <= spare_servers < len(self.server_nodes):
             raise ValueError("spare_servers must leave at least one "
                              "in-service RegionServer")
         spare_ids = [n.node_id for n in
                      self.server_nodes[len(self.server_nodes)
-                                       - spec.spare_servers:]]
+                                       - spare_servers:]]
 
-        self.regions = self._presplit()
+        self.regions = self._presplit(len(self.server_nodes) - spare_servers)
         #: Region start tokens, parallel to ``regions`` (which
         #: ``_presplit`` builds in token order).
         self._starts = [r.start_token for r in self.regions]
@@ -94,21 +80,16 @@ class HBaseCluster:
         #: failover or rebalance moves the region, not its range).
         self._region_of_key: dict[str, Region] = {}
         self.master = HMaster(cluster, self.master_node, self.regionservers,
-                              self.regions,
-                              detection_s=spec.failure_detection_s,
-                              recovery_s=spec.region_recovery_s,
-                              move_s=spec.region_move_s,
-                              standby=spare_ids)
+                              self.regions, standby=spare_ids)
         servers = [s for nid, s in sorted(self.regionservers.items())
                    if nid not in spare_ids]
         for i, region in enumerate(self.regions):
             server = servers[i % len(servers)]
-            region.open_on(server, spec.storage)
+            region.open_on(server, storage)
             self.master.assign(region, server)
 
-    def _presplit(self) -> list[Region]:
-        n_servers = len(self.server_nodes) - self.spec.spare_servers
-        n_regions = n_servers * self.spec.regions_per_server
+    def _presplit(self, n_servers: int) -> list[Region]:
+        n_regions = n_servers * self.config.regions_per_server
         step = KEY_DOMAIN // n_regions
         regions = []
         for i in range(n_regions):
@@ -151,9 +132,9 @@ class HBaseCluster:
         """Activate a standby server; regions rebalanced onto it pay the
         graceful close/reopen window before the transfer counts as done."""
         self.master.activate(node_id)
-        yield self.cluster.env.timeout(self.spec.region_move_s)
+        yield self.cluster.env.timeout(self.master.move_s)
 
     def apply_scale_in(self, node_id: int) -> Generator:
         """Drain a server back to standby (same move accounting)."""
         self.master.decommission(node_id)
-        yield self.cluster.env.timeout(self.spec.region_move_s)
+        yield self.cluster.env.timeout(self.master.move_s)

@@ -11,6 +11,17 @@ from repro.hbase.regionserver import RegionServer
 
 __all__ = ["HMaster"]
 
+#: How long a dead RegionServer goes unnoticed: the ZooKeeper session
+#: expiry the monitor waits out between its checks (seconds).
+DETECTION_S = 3.0
+#: Unavailability per region a crash failover moves (WAL replay).
+RECOVERY_S = 2.0
+#: Unavailability per *planned* region move (rebalance, activate,
+#: decommission): a graceful close flushes the MemStore and reopens on
+#: the target, so there is no WAL to replay — a sub-second window where
+#: crash failover pays ``RECOVERY_S``.
+MOVE_S = 0.25
+
 
 class HMaster:
     """Owns the region → RegionServer assignment.
@@ -30,12 +41,15 @@ class HMaster:
     ``standby`` servers are provisioned but out of service: they receive
     no regions until :meth:`activate` brings them in (scale-out), and
     :meth:`decommission` drains a server back to standby (scale-in).
+
+    The three windows start at the module's constants.  A test may
+    shorten them on the instance before the run starts: the monitor
+    reads ``detection_s`` each round, a failover ``recovery_s`` and a
+    planned move ``move_s``.
     """
 
     def __init__(self, cluster: Cluster, node: Node,
                  servers: dict[int, RegionServer], regions: list[Region],
-                 detection_s: float = 3.0, recovery_s: float = 2.0,
-                 move_s: float = 0.25,
                  standby: Iterable[int] = ()) -> None:
         self.cluster = cluster
         self.node = node
@@ -43,9 +57,9 @@ class HMaster:
         self.regions = {r.region_id: r for r in regions}
         #: region_id -> node_id of the serving RegionServer.
         self.assignment: dict[int, int] = {}
-        self.detection_s = detection_s
-        self.recovery_s = recovery_s
-        self.move_s = move_s
+        self.detection_s = DETECTION_S
+        self.recovery_s = RECOVERY_S
+        self.move_s = MOVE_S
         self.failovers: list[tuple[float, int, int]] = []
         #: (time, region_id, target_node_id) for every balancing move
         #: (rejoin rebalance, activate, decommission drain).

@@ -8,7 +8,7 @@ sequence number, event type, process name) into an incremental SHA-256.
 Two runs are byte-identical replicas iff their digests match.
 
 This is the foundation under the consistency seed explorer's
-"minimal reproducing seed" claim (:mod:`repro.consistency.explorer`):
+"minimal reproducing seed" claim (:mod:`repro.core.explorer`):
 a violation found at seed *s* can be replayed because seed *s* pins the
 entire kernel schedule, which the deterministic-replay pin tests verify
 against this digest.

@@ -85,12 +85,11 @@ class RunResult:
 class YcsbClient:
     """Drives one workload against one database binding."""
 
-    def __init__(self, env: Environment, db: DbBinding, workload: Workload,
-                 rng) -> None:
+    def __init__(self, env: Environment, db: DbBinding,
+                 workload: Workload) -> None:
         self.env = env
         self.db = db
         self.workload = workload
-        self._rng = rng
 
     # -- load phase ------------------------------------------------------
 

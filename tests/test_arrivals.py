@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.sim.rng import RngRegistry
 from repro.ycsb.arrivals import (
+    ArrivalConfig,
     DiurnalArrivals,
     FlashCrowdArrivals,
     PoissonArrivals,
@@ -105,16 +106,24 @@ class TestProperties:
 
     def test_make_arrivals_dispatch(self):
         rng = random.Random(0)
-        assert isinstance(make_arrivals("poisson", 10.0, rng),
+        assert isinstance(make_arrivals(ArrivalConfig(rate=10.0), rng),
                           PoissonArrivals)
-        assert isinstance(make_arrivals("diurnal", 10.0, rng),
-                          DiurnalArrivals)
-        assert isinstance(make_arrivals("flash_crowd", 10.0, rng),
-                          FlashCrowdArrivals)
+        diurnal = make_arrivals(ArrivalConfig(
+            process="diurnal", rate=10.0, period_s=7.0, peak_factor=3.0), rng)
+        assert isinstance(diurnal, DiurnalArrivals)
+        assert (diurnal.period_s, diurnal.peak_rate) == (7.0, 30.0)
+        crowd = make_arrivals(ArrivalConfig(
+            process="flash_crowd", rate=10.0, spike_at_s=2.0,
+            spike_factor=4.0, spike_duration_s=1.5), rng)
+        assert isinstance(crowd, FlashCrowdArrivals)
+        assert (crowd.spike_at_s, crowd.peak_rate,
+                crowd.spike_duration_s) == (2.0, 40.0, 1.5)
 
     def test_make_arrivals_rejects_unknown(self):
+        """An unknown process never reaches ``make_arrivals``: its
+        config refuses it."""
         try:
-            make_arrivals("meteor", 10.0, random.Random(0))
+            ArrivalConfig(process="meteor")
         except ValueError as exc:
             assert "meteor" in str(exc)
         else:

@@ -6,11 +6,12 @@ from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel, UnavailableError
 from repro.cassandra.coordinator import (ReadTimeoutError, WriteTimeoutError,
                                          wait_for_k)
-from repro.cassandra.deployment import CassandraCluster, CassandraSpec
-from repro.cluster.topology import Cluster, ClusterSpec
+from repro.cassandra.deployment import CassandraCluster, CassandraConfig
+from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.keyspace import key_for_index
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
+from repro.storage.lsm import StorageSpec
 
 
 def drive(env, generator):
@@ -191,8 +192,9 @@ class TestCoordinatorEdgeCases:
     def build(self, **kwargs):
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=5), RngRegistry(77))
-        cassandra = CassandraCluster(cluster, CassandraSpec(
-            replication=3, **kwargs))
+        cassandra = CassandraCluster(
+            cluster, CassandraConfig(replication=3, **kwargs), StorageSpec(),
+            TailDefenseConfig())
         session = CassandraSession(cassandra, cassandra.client_node)
         return env, cluster, cassandra, session
 
@@ -294,8 +296,9 @@ class TestReadRepairLatencyPath:
     def build(self, **kwargs):
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=5), RngRegistry(77))
-        cassandra = CassandraCluster(cluster, CassandraSpec(
-            replication=3, **kwargs))
+        cassandra = CassandraCluster(
+            cluster, CassandraConfig(replication=3, **kwargs), StorageSpec(),
+            TailDefenseConfig())
         session = CassandraSession(cassandra, cassandra.client_node)
         return env, cluster, cassandra, session
 
@@ -375,10 +378,12 @@ class TestPerRequestClOverride:
     def build(self):
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=5), RngRegistry(77))
-        cassandra = CassandraCluster(cluster, CassandraSpec(replication=3))
-        session = CassandraSession(cassandra, cassandra.client_node,
-                                   read_cl=ConsistencyLevel.ONE,
-                                   write_cl=ConsistencyLevel.ONE)
+        cassandra = CassandraCluster(
+            cluster, CassandraConfig(replication=3,
+                                     read_cl=ConsistencyLevel.ONE,
+                                     write_cl=ConsistencyLevel.ONE),
+            StorageSpec(), TailDefenseConfig())
+        session = CassandraSession(cassandra, cassandra.client_node)
         return env, cluster, cassandra, session
 
     def test_read_override_reaches_coordinator(self):
@@ -465,8 +470,9 @@ class TestHedgedReads:
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=6), RngRegistry(99))
         kwargs.setdefault("read_repair_chance", 0.0)
-        cassandra = CassandraCluster(cluster, CassandraSpec(
-            replication=3, speculative_retry="5ms", **kwargs))
+        cassandra = CassandraCluster(
+            cluster, CassandraConfig(replication=3, **kwargs), StorageSpec(),
+            TailDefenseConfig(hedge="5ms"))
         session = CassandraSession(cassandra, cassandra.client_node)
         return env, cluster, cassandra, session
 

@@ -10,22 +10,23 @@ import pytest
 
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cassandra.deployment import CassandraCluster, CassandraSpec
-from repro.cluster.topology import Cluster, ClusterSpec
+from repro.cassandra.deployment import CassandraCluster, CassandraConfig
+from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.keyspace import key_for_index, token_of
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec
 
 
-def build(n_nodes=7, spare_nodes=1, replication=3, **spec_kwargs):
+def build(n_nodes=7, spare_nodes=1, replication=3):
     env = Environment()
     cluster = Cluster(env, ClusterSpec(n_nodes=n_nodes), RngRegistry(91))
-    spec_kwargs.setdefault("storage", StorageSpec(
-        memtable_flush_bytes=8192, block_bytes=1024, block_cache_bytes=8192))
-    cassandra = CassandraCluster(cluster, CassandraSpec(
-        replication=replication, spare_nodes=spare_nodes,
-        read_repair_chance=0.0, **spec_kwargs))
+    cassandra = CassandraCluster(
+        cluster, CassandraConfig(replication=replication,
+                                 read_repair_chance=0.0),
+        StorageSpec(memtable_flush_bytes=8192, block_bytes=1024,
+                    block_cache_bytes=8192),
+        TailDefenseConfig(), spare_nodes=spare_nodes)
     session = CassandraSession(cassandra, cassandra.client_node)
     return env, cluster, cassandra, session
 

@@ -4,21 +4,22 @@ import pytest
 
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel, UnavailableError
-from repro.cassandra.deployment import CassandraCluster, CassandraSpec
-from repro.cluster.topology import Cluster, ClusterSpec
+from repro.cassandra.deployment import CassandraCluster, CassandraConfig
+from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.keyspace import key_for_index
 from repro.sim.kernel import AllOf, Environment
 from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec
 
 
-def build(n_nodes=6, replication=3, seed=23, **spec_kwargs):
+def build(n_nodes=6, replication=3, seed=23, **config):
     env = Environment()
     cluster = Cluster(env, ClusterSpec(n_nodes=n_nodes), RngRegistry(seed))
-    spec_kwargs.setdefault("storage", StorageSpec(
-        memtable_flush_bytes=8192, block_bytes=1024, block_cache_bytes=8192))
-    cassandra = CassandraCluster(cluster, CassandraSpec(
-        replication=replication, **spec_kwargs))
+    cassandra = CassandraCluster(
+        cluster, CassandraConfig(replication=replication, **config),
+        StorageSpec(memtable_flush_bytes=8192, block_bytes=1024,
+                    block_cache_bytes=8192),
+        TailDefenseConfig())
     session = CassandraSession(cassandra, cassandra.client_node)
     return env, cluster, cassandra, session
 

@@ -1,9 +1,9 @@
 """Edge cases for hinted handoff and eventual delivery."""
 
 from repro.cassandra.client import CassandraSession
-from repro.cassandra.deployment import CassandraCluster, CassandraSpec
+from repro.cassandra.deployment import CassandraCluster, CassandraConfig
 from repro.cassandra.hints import Hint
-from repro.cluster.topology import Cluster, ClusterSpec
+from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.keyspace import key_for_index
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
@@ -13,10 +13,11 @@ from repro.storage.lsm import StorageSpec
 def build(seed=37):
     env = Environment()
     cluster = Cluster(env, ClusterSpec(n_nodes=6), RngRegistry(seed))
-    cassandra = CassandraCluster(cluster, CassandraSpec(
-        replication=3, hint_replay_interval_s=0.5,
-        storage=StorageSpec(memtable_flush_bytes=8192, block_bytes=1024,
-                            block_cache_bytes=8192)))
+    cassandra = CassandraCluster(
+        cluster, CassandraConfig(replication=3, hint_replay_interval_s=0.5),
+        StorageSpec(memtable_flush_bytes=8192, block_bytes=1024,
+                    block_cache_bytes=8192),
+        TailDefenseConfig())
     session = CassandraSession(cassandra, cassandra.client_node)
     return env, cluster, cassandra, session
 

@@ -48,7 +48,6 @@ class TestTokenBucket:
         assert level(bucket) == 3.0
         assert bucket.try_take() and bucket.try_take() and bucket.try_take()
         assert not bucket.try_take()
-        assert bucket.granted == 3 and bucket.denied == 1
 
     def test_refills_at_rate_capped_at_burst(self):
         clock = FakeClock()
@@ -85,23 +84,22 @@ class TestTokenBucket:
            rate=st.floats(0.0, 10.0), burst=st.floats(0.5, 20.0))
     @settings(max_examples=50, deadline=None)
     def test_level_invariants_and_determinism(self, ops, rate, burst):
-        """The level never leaves [0, burst], granted + denied counts
-        every withdrawal, and an identical op sequence replays to an
+        """The level never leaves [0, burst], and an identical op
+        sequence replays to identical withdrawal outcomes and an
         identical final state (the bucket is wall-clock-free)."""
         def run():
             clock = FakeClock()
             bucket = TokenBucket(rate=rate, burst=burst, clock=clock)
+            takes = []
             for op, amount in ops:
                 if op == "take":
-                    bucket.try_take(amount)
+                    takes.append(bucket.try_take(amount))
                 elif op == "deposit":
                     bucket.deposit(amount)
                 else:
                     clock.advance(amount)
                 assert 0.0 <= level(bucket) <= burst
-            assert bucket.granted + bucket.denied == \
-                sum(1 for op, _ in ops if op == "take")
-            return (level(bucket), bucket.granted, bucket.denied)
+            return level(bucket), takes
 
         assert run() == run()
 
@@ -197,7 +195,6 @@ class TestRetryBudget:
             budget.record_request()
         assert budget.try_retry()
         assert not budget.try_retry()
-        assert budget._bucket.denied == 2 and budget._bucket.granted == 3
 
     def test_trickle_refills(self):
         clock = FakeClock()

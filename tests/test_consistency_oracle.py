@@ -20,7 +20,7 @@ import pytest
 
 from repro.cluster.failure import FailureInjector, FaultSpec
 from repro.consistency.checkers import check_history, check_linearizable_key
-from repro.consistency.explorer import check_sweep
+from repro.core.explorer import check_sweep
 from repro.consistency.history import History, HistoryOp, HistoryRecorder
 from repro.core.experiment import ExperimentSession
 from repro.core.failover import StalenessProbe

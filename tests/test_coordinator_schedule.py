@@ -23,9 +23,9 @@ import pytest
 
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cassandra.deployment import CassandraCluster, CassandraSpec
+from repro.cassandra.deployment import CassandraCluster, CassandraConfig
 from repro.cluster.geo import GeoCluster, GeoSpec
-from repro.cluster.topology import Cluster, ClusterSpec
+from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.keyspace import key_for_index
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
@@ -39,14 +39,16 @@ _STORE = StorageSpec(memtable_flush_bytes=64 * 1024, block_bytes=512,
                      block_cache_bytes=1 << 20)
 
 
-def _ring(replication=3, **spec):
+def _ring(replication=3, read_repair_chance=0.1, **tail):
     """Five servers and the client on the default rack (seed 17), a
     tracer attached from the start."""
     env = Environment()
     tracer = KernelTracer(env)
     cluster = Cluster(env, ClusterSpec(n_nodes=6), RngRegistry(17))
-    return env, CassandraCluster(cluster, CassandraSpec(
-        replication=replication, storage=_STORE, **spec)), tracer
+    return env, CassandraCluster(
+        cluster, CassandraConfig(replication=replication,
+                                 read_repair_chance=read_repair_chance),
+        _STORE, TailDefenseConfig(**tail)), tracer
 
 
 def _seed(env, cassandra, keys):
@@ -172,9 +174,9 @@ def _each_quorum_writes():
     tracer = KernelTracer(env)
     geo = GeoCluster(env, GeoSpec(datacenters={
         "eu-west": 3, "us-west": 3, "ap-southeast": 3}), RngRegistry(42))
-    cassandra = CassandraCluster(geo, CassandraSpec(
-        replication=3, storage=_STORE, replication_per_dc={
-            "eu-west": 2, "us-west": 2, "ap-southeast": 2}))
+    cassandra = CassandraCluster(
+        geo, CassandraConfig(replication=3), _STORE, TailDefenseConfig(),
+        replication_per_dc={"eu-west": 2, "us-west": 2, "ap-southeast": 2})
     _seed(env, cassandra, [KEY])
     replicas = cassandra.replicas_of(KEY)
     log = []
@@ -210,8 +212,7 @@ def _scans(pooled):
 def _hedged_reads():
     """Rapid read protection with a stalled data replica: one read whose
     spare is remote, one whose spare is its coordinator's own node."""
-    env, cassandra, tracer = _ring(read_repair_chance=0.0,
-                                   speculative_retry="5ms")
+    env, cassandra, tracer = _ring(read_repair_chance=0.0, hedge="5ms")
     _seed(env, cassandra, [KEY])
     replicas, outsider = _placement(cassandra, KEY)
     _stall(env, cassandra, replicas[0], "c.read_data", 1.0)
@@ -248,7 +249,7 @@ def _ending(case):
         "replica shed": {"handler_slots": 1, "max_handler_queue": 0},
         "sole replica shed": {"replication": 1, "handler_slots": 1,
                               "max_handler_queue": 0},
-        "admission shed": {"coordinator_max_inflight": 1},
+        "admission shed": {"max_inflight": 1},
     }.get(case, {}))
     _seed(env, cassandra, [KEY])
     replicas, outsider = _placement(cassandra, KEY)
@@ -314,7 +315,7 @@ def test_a_waiter_may_send_the_next_request_at_once():
     """A coordinator admitting one request at a time: whoever hears an
     answer finds the request out of flight already, so the next one it
     sends from that very callback is admitted, not shed."""
-    env, cassandra, _ = _ring(coordinator_max_inflight=1)
+    env, cassandra, _ = _ring(max_inflight=1)
     _seed(env, cassandra, [KEY])
     _, outsider = _placement(cassandra, KEY)
     coordinator = cassandra.nodes[outsider].coordinator

@@ -49,7 +49,7 @@ import pytest
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.cassandra.coordinator import Coordinator
-from repro.cassandra.deployment import CassandraCluster, CassandraSpec
+from repro.cassandra.deployment import CassandraCluster, CassandraConfig
 from repro.cassandra.partitioner import TokenRing
 from repro.cluster.node import Node
 from repro.cluster.topology import (ENVELOPE_BYTES, AsyncCall, Cluster,
@@ -60,7 +60,7 @@ from repro.core.config import (ArrivalConfig, ClientTierConfig,
 from repro.core.experiment import ExperimentSession, summarize_run
 from repro.energy.power import PowerManager, PowerSpec
 from repro.hbase.client import HBaseClient
-from repro.hbase.deployment import HBaseCluster, HBaseSpec
+from repro.hbase.deployment import HBaseCluster, HBaseConfig
 from repro.hbase.regionserver import NotServingRegion
 from repro.hdfs.datanode import PACKET_CPU_S, DataNode
 from repro.hdfs.pipeline import ACK_BYTES, pipeline_write
@@ -430,9 +430,11 @@ def _hbase_rows():
     of one block each, all in the block cache, plus the memtable."""
     env = Environment()
     cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(5))
-    hbase = HBaseCluster(cluster, HBaseSpec(replication=2, storage=StorageSpec(
-        memtable_flush_bytes=20_000, block_bytes=1 << 20,
-        block_cache_bytes=16 << 20)))
+    hbase = HBaseCluster(
+        cluster, HBaseConfig(replication=2),
+        StorageSpec(memtable_flush_bytes=20_000, block_bytes=1 << 20,
+                    block_cache_bytes=16 << 20),
+        TailDefenseConfig())
     binding = HBaseBinding(HBaseClient(hbase, hbase.master_node))
     keys = [key_for_token(token) for token in range(1, 61)]
 
@@ -450,7 +452,7 @@ def _hbase_rows():
 
 def _one_operation(env, binding, workload):
     """One operation of ``workload``, run by a YCSB worker."""
-    client = YcsbClient(env, binding, workload, None)
+    client = YcsbClient(env, binding, workload)
     return env.run(until=env.process(client.run(1, n_threads=1,
                                                 warmup_fraction=0.0)))
 
@@ -501,10 +503,11 @@ def _cassandra_rows(max_handler_queue):
     addressed once; ``max_handler_queue`` bounds the replica stage."""
     env = Environment()
     cluster = Cluster(env, ClusterSpec(n_nodes=6), RngRegistry(5))
-    cassandra = CassandraCluster(cluster, CassandraSpec(
-        replication=3, max_handler_queue=max_handler_queue,
-        storage=StorageSpec(memtable_flush_bytes=20_000, block_bytes=1 << 20,
-                            block_cache_bytes=16 << 20)))
+    cassandra = CassandraCluster(
+        cluster, CassandraConfig(replication=3),
+        StorageSpec(memtable_flush_bytes=20_000, block_bytes=1 << 20,
+                    block_cache_bytes=16 << 20),
+        TailDefenseConfig(max_handler_queue=max_handler_queue))
     binding = CassandraBinding(CassandraSession(cassandra,
                                                 cassandra.client_node))
     keys = [key_for_index(index) for index in range(60)]
@@ -660,9 +663,9 @@ def test_pooled_replica(local, golden):
     the slot being free before the deadline is looked at; over the wire
     it is never sent, so never counted by the replica."""
     env, cluster = _rack(5)
-    cassandra = CassandraCluster(cluster, CassandraSpec(
-        replication=2, handler_slots=1, max_handler_queue=2,
-        storage=_SMALL_STORE))
+    cassandra = CassandraCluster(
+        cluster, CassandraConfig(replication=2), _SMALL_STORE,
+        TailDefenseConfig(handler_slots=1, max_handler_queue=2))
     src = cassandra.client_node
     cnode = cassandra.nodes[cassandra.server_nodes[0].node_id]
     log, calls = [], []
@@ -716,9 +719,9 @@ def _region_of(hbase, key):
 
 def test_pooled_region_server(golden):
     env, cluster = _rack(4)
-    hbase = HBaseCluster(cluster, HBaseSpec(
-        replication=2, regions_per_server=1, handler_slots=1,
-        max_handler_queue=2, storage=_SMALL_STORE))
+    hbase = HBaseCluster(
+        cluster, HBaseConfig(replication=2, regions_per_server=1),
+        _SMALL_STORE, TailDefenseConfig(handler_slots=1, max_handler_queue=2))
     client = HBaseClient(hbase, hbase.master_node)
     key = key_for_index(3)
     region, rs = _region_of(hbase, key)
@@ -758,8 +761,9 @@ def test_pooled_region_server(golden):
 
 def test_unpooled_region_server_waits_for_a_reopening_region(golden):
     env, cluster = _rack(4)
-    hbase = HBaseCluster(cluster, HBaseSpec(replication=2,
-                                            regions_per_server=1))
+    hbase = HBaseCluster(
+        cluster, HBaseConfig(replication=2, regions_per_server=1),
+        StorageSpec(), TailDefenseConfig())
     client = HBaseClient(hbase, hbase.master_node)
     key = key_for_index(3)
     region, rs = _region_of(hbase, key)
@@ -852,8 +856,9 @@ def test_plain_function_handler_raising_is_a_failed_outcome():
     has an event to return; that is the handler failing, traceback-free
     once delivered, not a crash of the request leg's dispatch."""
     env, cluster = _rack(4)
-    hbase = HBaseCluster(cluster, HBaseSpec(replication=2,
-                                            regions_per_server=1))
+    hbase = HBaseCluster(
+        cluster, HBaseConfig(replication=2, regions_per_server=1),
+        StorageSpec(), TailDefenseConfig())
     rs = next(iter(hbase.regionservers.values()))
     call = cluster.call_async(hbase.master_node, rs.node, "rs.get",
                               (10_000, key_for_index(1)), timeout=1.0)
@@ -885,8 +890,9 @@ def test_hedged_read_with_a_coordinator_local_contender(slow, golden):
     it reads its block once the disk frees (instants, event counts and
     disk time are golden)."""
     env, cluster = _rack(6, seed=99)
-    cassandra = CassandraCluster(cluster, CassandraSpec(
-        replication=3, read_repair_chance=0.0, speculative_retry="5ms"))
+    cassandra = CassandraCluster(
+        cluster, CassandraConfig(replication=3, read_repair_chance=0.0),
+        StorageSpec(), TailDefenseConfig(hedge="5ms"))
     session = CassandraSession(cassandra, cassandra.client_node)
     key = key_for_index(5)
     first, second, _ = cassandra.replicas_of(key)
@@ -965,9 +971,9 @@ def test_put_applies_before_the_response_leg_is_booked():
     issue time the request leg's ``Timeout`` is allocated before the
     shared wheel's."""
     env, cluster = _rack(5)
-    cassandra = CassandraCluster(cluster, CassandraSpec(
-        replication=2, storage=replace(_SMALL_STORE,
-                                       memtable_flush_bytes=300)))
+    cassandra = CassandraCluster(
+        cluster, CassandraConfig(replication=2),
+        replace(_SMALL_STORE, memtable_flush_bytes=300), TailDefenseConfig())
     src = cassandra.client_node
     cnode = cassandra.nodes[cassandra.server_nodes[0].node_id]
     tree = cnode.tree
@@ -1010,9 +1016,10 @@ def test_put_applies_before_the_response_leg_is_booked():
 
 def test_hsync_wal_put(golden):
     env, cluster = _rack(4)
-    hbase = HBaseCluster(cluster, HBaseSpec(replication=2,
-                                            regions_per_server=1,
-                                            wal_sync=True))
+    hbase = HBaseCluster(
+        cluster,
+        HBaseConfig(replication=2, regions_per_server=1, wal_sync=True),
+        StorageSpec(), TailDefenseConfig())
     client = HBaseClient(hbase, hbase.master_node)
     key = key_for_index(3)
     region, rs = _region_of(hbase, key)
@@ -1038,11 +1045,11 @@ def test_multi_chunk_flush_among_wal_rounds(golden):
     booked on arrival) while WAL rounds of all three servers overtake
     it on the same NICs."""
     env, cluster = _rack(4)
-    hbase = HBaseCluster(cluster, HBaseSpec(
-        replication=2, regions_per_server=1,
-        storage=StorageSpec(memtable_flush_bytes=96 * 1024,
-                            block_bytes=8 * 1024,
-                            block_cache_bytes=256 * 1024)))
+    hbase = HBaseCluster(
+        cluster, HBaseConfig(replication=2, regions_per_server=1),
+        StorageSpec(memtable_flush_bytes=96 * 1024, block_bytes=8 * 1024,
+                    block_cache_bytes=256 * 1024),
+        TailDefenseConfig())
     client = HBaseClient(hbase, hbase.master_node)
     tracer = KernelTracer(env)
     acked = []
@@ -1141,9 +1148,9 @@ def test_acks_precede_the_slot_grant(golden):
 
 def test_pooled_region_server_puts(golden):
     env, cluster = _rack(4)
-    hbase = HBaseCluster(cluster, HBaseSpec(
-        replication=2, regions_per_server=1, handler_slots=1,
-        max_handler_queue=2, storage=_SMALL_STORE))
+    hbase = HBaseCluster(
+        cluster, HBaseConfig(replication=2, regions_per_server=1),
+        _SMALL_STORE, TailDefenseConfig(handler_slots=1, max_handler_queue=2))
     client = HBaseClient(hbase, hbase.master_node)
     key = key_for_index(3)
     region, rs = _region_of(hbase, key)
@@ -1179,8 +1186,9 @@ def test_pooled_region_server_puts(golden):
 
 def test_put_to_a_reopening_region(golden):
     env, cluster = _rack(4)
-    hbase = HBaseCluster(cluster, HBaseSpec(replication=2,
-                                            regions_per_server=1))
+    hbase = HBaseCluster(
+        cluster, HBaseConfig(replication=2, regions_per_server=1),
+        StorageSpec(), TailDefenseConfig())
     client = HBaseClient(hbase, hbase.master_node)
     key = key_for_index(3)
     region, rs = _region_of(hbase, key)
@@ -1263,9 +1271,9 @@ def test_file_grows_before_the_ack_and_only_on_success(golden):
 
 def test_hbase_put_is_counted_and_applied_before_the_response_leg(golden):
     env, cluster = _rack(4)
-    hbase = HBaseCluster(cluster, HBaseSpec(
-        replication=2, regions_per_server=1,
-        storage=replace(_SMALL_STORE, memtable_flush_bytes=300)))
+    hbase = HBaseCluster(
+        cluster, HBaseConfig(replication=2, regions_per_server=1),
+        replace(_SMALL_STORE, memtable_flush_bytes=300), TailDefenseConfig())
     client_node = hbase.master_node
     key = key_for_index(3)
     region, rs = _region_of(hbase, key)

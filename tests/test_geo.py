@@ -4,11 +4,12 @@ import pytest
 
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cassandra.deployment import CassandraCluster, CassandraSpec
+from repro.cassandra.deployment import CassandraCluster, CassandraConfig
 from repro.cassandra.multidc import NetworkTopologyStrategy, SimpleStrategy
 from repro.cassandra.partitioner import TokenRing
+from repro.cluster.failure import FailureInjector, FaultSpec
 from repro.cluster.geo import GeoCluster, GeoSpec
-from repro.cluster.topology import Cluster, ClusterSpec
+from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.keyspace import key_for_index
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
@@ -22,20 +23,25 @@ def build_geo(replication_per_dc=None, seed=42):
     rngs = RngRegistry(seed)
     geo = GeoCluster(env, GeoSpec(datacenters={"eu-west": 3, "us-west": 3,
                                                "ap-southeast": 3}), rngs)
-    spec = CassandraSpec(
-        replication=3,
+    cassandra = CassandraCluster(
+        geo, CassandraConfig(replication=3),
+        StorageSpec(memtable_flush_bytes=64 * 1024, block_bytes=4096,
+                    block_cache_bytes=512 * 1024),
+        TailDefenseConfig(),
         replication_per_dc=replication_per_dc or {"eu-west": 2, "us-west": 2,
-                                                  "ap-southeast": 2},
-        storage=StorageSpec(memtable_flush_bytes=64 * 1024,
-                            block_bytes=4096,
-                            block_cache_bytes=512 * 1024))
-    cassandra = CassandraCluster(geo, spec)
+                                                  "ap-southeast": 2})
     session = CassandraSession(cassandra, cassandra.client_node)
     return env, geo, cassandra, session
 
 
 def drive(env, generator):
     return env.run(until=env.process(generator))
+
+
+def _cut_off(geo, datacenter):
+    """Kill every server of ``datacenter``."""
+    for node_id in geo.servers_in(datacenter):
+        geo.kill(node_id)
 
 
 class TestGeoCluster:
@@ -75,15 +81,18 @@ class TestGeoCluster:
         assert remote > 0.1  # ~2 x 75 ms one-way
 
     def test_partition_and_heal(self):
+        """A ``dc_partition`` fault takes its datacenter's servers down
+        for its window and brings them back."""
         env = Environment()
         geo = GeoCluster(env, GeoSpec(datacenters={"a": 2, "b": 2},
                                       client_datacenters=("a",)),
                          RngRegistry(3))
-        cut = geo.partition_datacenter("b")
-        assert cut == [2, 3]
-        assert not geo.node(2).alive
-        geo.heal_datacenter("b")
-        assert geo.node(2).alive
+        FailureInjector(geo).inject([FaultSpec(
+            kind="dc_partition", datacenter="b", at_s=1.0, duration_s=2.0)])
+        env.run(until=2.0)
+        assert [n.node_id for n in geo.nodes if not n.alive] == [2, 3]
+        env.run(until=4.0)
+        assert all(n.alive for n in geo.nodes)
 
 
 class TestNetworkTopologyStrategy:
@@ -191,7 +200,7 @@ class TestGeoCassandra:
         env, geo, _, session = build_geo()
 
         def scenario():
-            geo.partition_datacenter("ap-southeast")
+            _cut_off(geo, "ap-southeast")
             key = key_for_index(6)
             yield from session.insert(key, "still-works", 200,
                                       cl=ConsistencyLevel.LOCAL_QUORUM)
@@ -206,7 +215,7 @@ class TestGeoCassandra:
         env, geo, _, session = build_geo()
 
         def scenario():
-            geo.partition_datacenter("ap-southeast")
+            _cut_off(geo, "ap-southeast")
             try:
                 yield from session.insert(key_for_index(6), "x", 200,
                                           cl=ConsistencyLevel.ALL)
@@ -219,5 +228,6 @@ class TestGeoCassandra:
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(4))
         with pytest.raises(ValueError):
-            CassandraCluster(cluster, CassandraSpec(
-                replication_per_dc={"dc1": 2}))
+            CassandraCluster(
+                cluster, CassandraConfig(), StorageSpec(), TailDefenseConfig(),
+                replication_per_dc={"dc1": 2})

@@ -35,11 +35,11 @@ import pytest
 from repro.cassandra import coordinator
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cassandra.deployment import CassandraCluster, CassandraSpec
+from repro.cassandra.deployment import CassandraCluster, CassandraConfig
 from repro.cluster.geo import GeoCluster, GeoSpec
-from repro.cluster.topology import Cluster, ClusterSpec
+from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.hbase.client import HBaseClient
-from repro.hbase.deployment import HBaseCluster, HBaseSpec
+from repro.hbase.deployment import HBaseCluster, HBaseConfig
 from repro.hdfs.block import DfsFile
 from repro.hdfs.client import DfsClient
 from repro.hdfs.datanode import DataNode
@@ -48,6 +48,7 @@ from repro.hdfs.pipeline import pipeline_write
 from repro.keyspace import key_for_index, token_of
 from repro.sim.kernel import Environment, Event, Timeout, _finish
 from repro.sim.rng import RngRegistry
+from repro.storage.lsm import StorageSpec
 from repro.storage.sstable import SSTable
 from tests.conftest import build_wal
 
@@ -97,8 +98,9 @@ def _counted(verb):
 def _cassandra(pooled):
     env = Environment()
     cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(5))
-    cassandra = CassandraCluster(cluster, CassandraSpec(
-        replication=2, **(POOL if pooled else {})))
+    cassandra = CassandraCluster(
+        cluster, CassandraConfig(replication=2), StorageSpec(),
+        TailDefenseConfig(**(POOL if pooled else {})))
     cnode = cassandra.nodes[cassandra.server_nodes[0].node_id]
     return env, cluster, cassandra.client_node, cnode
 
@@ -165,8 +167,9 @@ def test_cassandra_verb(verb, pooled, route):
 def test_hbase_verb(verb, pooled):
     env = Environment()
     cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(5))
-    hbase = HBaseCluster(cluster, HBaseSpec(
-        replication=2, regions_per_server=1, **(POOL if pooled else {})))
+    hbase = HBaseCluster(
+        cluster, HBaseConfig(replication=2, regions_per_server=1),
+        StorageSpec(), TailDefenseConfig(**(POOL if pooled else {})))
     region = hbase.region_for_token(token_of(KEY))
     rs = hbase.regionservers[hbase.master.assignment[region.region_id]]
     engine_verb = verb[3:]
@@ -197,8 +200,9 @@ def test_scan_collect_step(db, pooled, monkeypatch):
     else:
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(5))
-        hbase = HBaseCluster(cluster, HBaseSpec(
-            replication=2, regions_per_server=1, **(POOL if pooled else {})))
+        hbase = HBaseCluster(
+            cluster, HBaseConfig(replication=2, regions_per_server=1),
+            StorageSpec(), TailDefenseConfig(**(POOL if pooled else {})))
         region = hbase.region_for_token(token_of(KEY))
         rs = hbase.regionservers[hbase.master.assignment[region.region_id]]
         tree, node, pool = region.tree, rs.node, rs.handler_pool
@@ -278,7 +282,9 @@ SESSION_OPS = {
 def test_coordinator_verb_through_the_session(verb):
     env = Environment()
     cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(5))
-    cassandra = CassandraCluster(cluster, CassandraSpec(replication=2))
+    cassandra = CassandraCluster(
+        cluster, CassandraConfig(replication=2), StorageSpec(),
+        TailDefenseConfig())
     session = CassandraSession(cassandra, cassandra.client_node, retries=1)
     raising, calls = _counted(verb)
     for cnode in cassandra.nodes.values():
@@ -296,17 +302,19 @@ def test_coordinator_verb_through_the_session(verb):
 
 # -- the coordinator's own callbacks --------------------------------------
 
+#: case -> (``CassandraConfig`` fields, ``TailDefenseConfig`` fields,
+#: the operation).
 COORDINATED = {
-    "ONE read": ({}, lambda session: session.read(KEY)),
+    "ONE read": ({}, {}, lambda session: session.read(KEY)),
     "QUORUM read, reconciled": (
-        {"read_repair_chance": 0.0},
+        {"read_repair_chance": 0.0}, {},
         lambda session: session.read(KEY, cl=ConsistencyLevel.QUORUM)),
-    "read, repair chance": ({"read_repair_chance": 1.0},
+    "read, repair chance": ({"read_repair_chance": 1.0}, {},
                             lambda session: session.read(KEY)),
-    "hedged read": ({"read_repair_chance": 0.0, "speculative_retry": "0ms"},
+    "hedged read": ({"read_repair_chance": 0.0}, {"hedge": "0ms"},
                     lambda session: session.read(KEY)),
-    "ONE write": ({}, lambda session: session.insert(KEY, "w", 100)),
-    "scan": ({}, lambda session: session.scan(KEY, 5)),
+    "ONE write": ({}, {}, lambda session: session.insert(KEY, "w", 100)),
+    "scan": ({}, {}, lambda session: session.scan(KEY, 5)),
 }
 
 
@@ -315,11 +323,12 @@ def test_coordinator_callback(case):
     """A bug raised where a coordinated request goes on after a wait —
     answering it, or spawning the background repair — stops the run from
     that callback's dispatch, once, whichever replica answered first."""
-    spec, operation = COORDINATED[case]
+    config, tail, operation = COORDINATED[case]
     env = Environment()
     cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(5))
-    cassandra = CassandraCluster(cluster, CassandraSpec(replication=2,
-                                                        **spec))
+    cassandra = CassandraCluster(
+        cluster, CassandraConfig(replication=2, **config), StorageSpec(),
+        TailDefenseConfig(**tail))
     session = CassandraSession(cassandra, cassandra.client_node, retries=1)
     raising, calls = _counted(case)
     newer = cassandra.nodes[cassandra.replicas_of(KEY)[1]]
@@ -350,9 +359,10 @@ def test_request_ending_in_the_verb_call_with_nobody_waiting():
     env = Environment()
     geo = GeoCluster(env, GeoSpec(datacenters={"eu-west": 2, "us-west": 2}),
                      RngRegistry(5))
-    cassandra = CassandraCluster(geo, CassandraSpec(
-        replication=2, replication_per_dc={"eu-west": 1, "us-west": 1},
-        handler_slots=1, max_handler_queue=0))
+    cassandra = CassandraCluster(
+        geo, CassandraConfig(replication=2), StorageSpec(),
+        TailDefenseConfig(handler_slots=1, max_handler_queue=0),
+        replication_per_dc={"eu-west": 1, "us-west": 1})
     local = next(r for r in cassandra.replicas_of(KEY)
                  if geo.node_datacenter[r] == "eu-west")
     cassandra.nodes[local].replica_pool.request()
@@ -368,8 +378,9 @@ def test_replica_failing_with_nobody_waiting():
     request leg's dispatch."""
     env = Environment()
     cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(5))
-    cassandra = CassandraCluster(cluster, CassandraSpec(
-        replication=2, read_repair_chance=0.0))
+    cassandra = CassandraCluster(
+        cluster, CassandraConfig(replication=2, read_repair_chance=0.0),
+        StorageSpec(), TailDefenseConfig())
     session = CassandraSession(cassandra, cassandra.client_node, retries=1)
     raising, calls = _counted("c.read_digest")
     digest_node = cassandra.nodes[cassandra.replicas_of(KEY)[1]].node
@@ -386,8 +397,9 @@ def test_replica_failing_with_nobody_waiting():
 
 def test_master_locate_through_the_client():
     env, cluster = _rack()
-    hbase = HBaseCluster(cluster, HBaseSpec(replication=2,
-                                            regions_per_server=1))
+    hbase = HBaseCluster(
+        cluster, HBaseConfig(replication=2, regions_per_server=1),
+        StorageSpec(), TailDefenseConfig())
     client = HBaseClient(hbase, hbase.master_node)
     raising, calls = _counted("master.locate")
     hbase.master.node.cpu_work = raising

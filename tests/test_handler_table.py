@@ -9,11 +9,12 @@ A handler wrapped in that table sees both paths.
 import pytest
 
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cassandra.deployment import CassandraCluster, CassandraSpec
-from repro.cluster.topology import Cluster, ClusterSpec
+from repro.cassandra.deployment import CassandraCluster, CassandraConfig
+from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.keyspace import key_for_index
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
+from repro.storage.lsm import StorageSpec
 
 pytestmark = pytest.mark.hashseed
 
@@ -51,8 +52,9 @@ def test_local_and_remote_calls_reach_the_registered_handler(verb, pooled):
     env = Environment()
     cluster = Cluster(env, ClusterSpec(n_nodes=6), RngRegistry(99))
     bounds = {"handler_slots": 2, "max_handler_queue": 4} if pooled else {}
-    cassandra = CassandraCluster(cluster, CassandraSpec(
-        replication=3, read_repair_chance=0.0, **bounds))
+    cassandra = CassandraCluster(
+        cluster, CassandraConfig(replication=3, read_repair_chance=0.0),
+        StorageSpec(), TailDefenseConfig(**bounds))
     replicas = cassandra.replicas_of(KEY)
     index, request = VERBS[verb]
     replica = cassandra.nodes[replicas[index]]

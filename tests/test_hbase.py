@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.cluster.topology import Cluster, ClusterSpec
+from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.keyspace import KEY_DOMAIN, key_for_index, key_for_token, token_of
 from repro.hbase.client import HBaseClient, backoff_delay
-from repro.hbase.deployment import HBaseCluster, HBaseSpec
+from repro.hbase.deployment import HBaseCluster, HBaseConfig
 from repro.hbase.region import Region
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
@@ -21,8 +21,9 @@ def small_storage():
 def hbase():
     env = Environment()
     cluster = Cluster(env, ClusterSpec(n_nodes=5), RngRegistry(13))
-    deployment = HBaseCluster(cluster, HBaseSpec(
-        replication=2, regions_per_server=2, storage=small_storage()))
+    deployment = HBaseCluster(
+        cluster, HBaseConfig(replication=2, regions_per_server=2),
+        small_storage(), TailDefenseConfig())
     client = HBaseClient(deployment, deployment.master_node)
     return env, cluster, deployment, client
 
@@ -74,7 +75,8 @@ class TestDeployment:
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=1), RngRegistry(1))
         with pytest.raises(ValueError):
-            HBaseCluster(cluster, HBaseSpec())
+            HBaseCluster(
+                cluster, HBaseConfig(), StorageSpec(), TailDefenseConfig())
 
 
 class TestClientOperations:
@@ -161,8 +163,9 @@ class TestReplicationBehaviour:
     def _write_latency(self, rf):
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=6), RngRegistry(29))
-        deployment = HBaseCluster(cluster, HBaseSpec(
-            replication=rf, storage=small_storage()))
+        deployment = HBaseCluster(
+            cluster, HBaseConfig(replication=rf), small_storage(),
+            TailDefenseConfig())
         client = HBaseClient(deployment, deployment.master_node)
 
         def scenario():
@@ -185,8 +188,9 @@ class TestReplicationBehaviour:
     def _read_latency(self, rf):
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=6), RngRegistry(31))
-        deployment = HBaseCluster(cluster, HBaseSpec(
-            replication=rf, storage=small_storage()))
+        deployment = HBaseCluster(
+            cluster, HBaseConfig(replication=rf), small_storage(),
+            TailDefenseConfig())
         client = HBaseClient(deployment, deployment.master_node)
 
         def scenario():
@@ -263,9 +267,10 @@ class TestFailover:
     def test_regions_move_after_crash(self):
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=5), RngRegistry(17))
-        deployment = HBaseCluster(cluster, HBaseSpec(
-            replication=2, storage=small_storage(),
-            failure_detection_s=1.0, region_recovery_s=0.5))
+        deployment = HBaseCluster(cluster, HBaseConfig(replication=2),
+                                  small_storage(), TailDefenseConfig())
+        deployment.master.detection_s = 1.0
+        deployment.master.recovery_s = 0.5
         client = HBaseClient(deployment, deployment.master_node)
         victim = deployment.server_nodes[0].node_id
 
@@ -290,9 +295,11 @@ class TestFailover:
     def test_moved_region_loses_locality(self):
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(19))
-        deployment = HBaseCluster(cluster, HBaseSpec(
-            replication=2, regions_per_server=1, storage=small_storage(),
-            failure_detection_s=1.0, region_recovery_s=0.1))
+        deployment = HBaseCluster(
+            cluster, HBaseConfig(replication=2, regions_per_server=1),
+            small_storage(), TailDefenseConfig())
+        deployment.master.detection_s = 1.0
+        deployment.master.recovery_s = 0.1
         client = HBaseClient(deployment, deployment.master_node)
         victim = deployment.server_nodes[0].node_id
 

@@ -2,21 +2,26 @@
 
 import pytest
 
-from repro.cluster.topology import Cluster, ClusterSpec
-from repro.hbase.deployment import HBaseCluster, HBaseSpec
+from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
+from repro.hbase.deployment import HBaseCluster, HBaseConfig
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec
 
 
-def build(n_nodes=5, **spec_kwargs):
+def build(n_nodes=5, regions_per_server=2, spare_servers=0):
+    """A deployment whose HMaster detects a death within 1 s, recovers a
+    region in 0.5 s and moves one in 0.2 s."""
     env = Environment()
     cluster = Cluster(env, ClusterSpec(n_nodes=n_nodes), RngRegistry(61))
-    spec_kwargs.setdefault("storage", StorageSpec(
-        memtable_flush_bytes=8192, block_bytes=1024, block_cache_bytes=8192))
-    deployment = HBaseCluster(cluster, HBaseSpec(
-        replication=2, failure_detection_s=1.0, region_recovery_s=0.5,
-        region_move_s=0.2, **spec_kwargs))
+    deployment = HBaseCluster(
+        cluster, HBaseConfig(replication=2,
+                             regions_per_server=regions_per_server),
+        StorageSpec(memtable_flush_bytes=8192, block_bytes=1024,
+                    block_cache_bytes=8192),
+        TailDefenseConfig(), spare_servers=spare_servers)
+    master = deployment.master
+    master.detection_s, master.recovery_s, master.move_s = 1.0, 0.5, 0.2
     return env, cluster, deployment
 
 

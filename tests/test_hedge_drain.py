@@ -5,6 +5,7 @@ straggles and takes the first successful answer.  The read it no longer
 needs goes on to its end like any abandoned request: a remote one over
 the wire, and the coordinator's own local read too — it keeps its slot
 and its place in the disk queue, reads its block, and releases both.
+Only a loser that breaks (a bug in its handler) does not go unheard.
 """
 
 import gc
@@ -12,14 +13,17 @@ import gc
 import pytest
 
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cassandra.deployment import CassandraCluster, CassandraSpec
-from repro.cluster.topology import AsyncCall, Cluster, ClusterSpec
+from repro.cassandra.deployment import CassandraCluster, CassandraConfig
+from repro.cluster.hedging import HedgePolicy
+from repro.cluster.topology import (AsyncCall, Cluster, ClusterSpec,
+                                    TailDefenseConfig)
 from repro.hbase.client import HBaseClient
-from repro.hbase.deployment import HBaseCluster, HBaseSpec
+from repro.hbase.deployment import HBaseCluster, HBaseConfig
 from repro.keyspace import key_for_index, token_of
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.storage.cache import BlockCache
+from repro.storage.lsm import StorageSpec
 
 pytestmark = pytest.mark.hashseed
 
@@ -43,9 +47,9 @@ def test_local_primary_loses_and_drains(pooled):
     env = Environment()
     cluster = Cluster(env, ClusterSpec(n_nodes=6), RngRegistry(99))
     bounds = {"handler_slots": 1, "max_handler_queue": 4} if pooled else {}
-    cassandra = CassandraCluster(cluster, CassandraSpec(
-        replication=3, read_repair_chance=0.0, speculative_retry="5ms",
-        **bounds))
+    cassandra = CassandraCluster(
+        cluster, CassandraConfig(replication=3, read_repair_chance=0.0),
+        StorageSpec(), TailDefenseConfig(hedge="5ms", **bounds))
     first, second, _ = cassandra.replicas_of(KEY)
     cnode = cassandra.nodes[first]
     coordinator, tree, disk = cnode.coordinator, cnode.tree, cnode.node.disk
@@ -106,8 +110,9 @@ def test_remote_primary_loses_and_drains():
     answer its replica sent."""
     env = Environment()
     cluster = Cluster(env, ClusterSpec(n_nodes=6), RngRegistry(99))
-    cassandra = CassandraCluster(cluster, CassandraSpec(
-        replication=3, read_repair_chance=0.0, speculative_retry="5ms"))
+    cassandra = CassandraCluster(
+        cluster, CassandraConfig(replication=3, read_repair_chance=0.0),
+        StorageSpec(), TailDefenseConfig(hedge="5ms"))
     first, second, _ = cassandra.replicas_of(KEY)
     coordinator = cassandra.nodes[second].coordinator
     node = cassandra.nodes[first].node
@@ -150,9 +155,10 @@ def test_hbase_spare_win_leaves_the_primary_to_settle():
     primary ``AsyncCall`` to settle with its own response."""
     env = Environment()
     cluster = Cluster(env, ClusterSpec(n_nodes=5), RngRegistry(17))
-    hbase = HBaseCluster(cluster, HBaseSpec(replication=2,
-                                            regions_per_server=2))
-    client = HBaseClient(hbase, hbase.master_node, speculative_retry="5ms")
+    hbase = HBaseCluster(
+        cluster, HBaseConfig(replication=2, regions_per_server=2),
+        StorageSpec(), TailDefenseConfig(hedge="5ms"))
+    client = HBaseClient(hbase, hbase.master_node)
     region = hbase.region_for_token(token_of(KEY))
     rs = hbase.regionservers[hbase.master.assignment[region.region_id]]
     handlers = rs.node.handlers
@@ -190,3 +196,38 @@ def test_hbase_spare_win_leaves_the_primary_to_settle():
     assert primary.value[0] == "value"
     assert not _failed_calls(env)
     assert all(not table for _, table in cluster._wheel._pending.values())
+
+
+def test_a_loser_whose_handler_breaks_stops_the_run():
+    """A hedge's losing contender is left to finish on its own, but a
+    bug in its handler — an exception that is no modelled failure — is
+    not a settled outcome to drop: it stops ``env.run()`` once the race
+    is long decided."""
+    env = Environment()
+    cluster = Cluster(env, ClusterSpec(n_nodes=3), RngRegistry(5))
+    client, slow, fast = cluster.nodes
+
+    def broken(payload):
+        yield env.timeout(0.5)
+        return 1 / 0
+
+    def quick(payload):
+        yield env.timeout(0.001)
+        return "spare"
+
+    slow.register("get", broken)
+    fast.register("get", quick)
+
+    def launch_spare():
+        return cluster.call_async(client, fast, "get", None, timeout=2.0)
+        yield  # pragma: no cover - a generator, as race() expects
+
+    def race():
+        primary = cluster.call_async(client, slow, "get", None, timeout=2.0)
+        return (yield from HedgePolicy("10ms").race(env, primary,
+                                                    launch_spare))
+
+    assert env.run(until=env.process(race())) == ("spare", True)
+    with pytest.raises(ZeroDivisionError):
+        env.run()
+    assert env.now == pytest.approx(0.5, abs=0.01)

@@ -1,9 +1,10 @@
-"""Package layout: a package ``__init__`` is its docstring and nothing else.
+"""Package layout: a package ``__init__`` is its docstring and nothing else,
+and only the harness imports the harness.
 
 Callers import from the defining module (``repro.sim.kernel``, not
 ``repro.sim``).  A re-export layer hides import cycles and lets two
 names for one object drift apart, so this test keeps it from growing
-back.
+back.  No module outside ``repro/core`` imports ``repro.core``.
 """
 
 import ast
@@ -24,3 +25,28 @@ def test_init_is_docstring_only(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert ast.get_docstring(tree)
     assert len(tree.body) == 1, f"{path.parent.name}/__init__.py has code"
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_components_do_not_import_the_harness():
+    """The harness (``repro.core``) imports the components, never the
+    other way round: a component takes the record the harness hands it
+    and knows nothing of cells, campaigns or the CLI."""
+    offending = {}
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        where = path.relative_to(PACKAGE_ROOT)
+        if where.parts[0] == "core":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [name for name in _imported_modules(tree)
+                 if name == "repro.core" or name.startswith("repro.core.")]
+        if names:
+            offending[str(where)] = names
+    assert offending == {}

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.cassandra.multidc import NetworkTopologyStrategy
 from repro.cassandra.partitioner import TokenRing
-from repro.cluster.topology import Cluster, ClusterSpec
-from repro.hbase.deployment import HBaseCluster, HBaseSpec
+from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
+from repro.hbase.deployment import HBaseCluster, HBaseConfig
 from repro.keyspace import KEY_DOMAIN, key_for_index, key_for_token, token_of
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.storage.bloom import BloomFilter
 from repro.storage.cache import BlockCache
 from repro.storage.compaction import merge_tables
+from repro.storage.lsm import StorageSpec
 from repro.storage.memtable import Memtable
 from repro.storage.sstable import BLOOM_FP_RATE, SSTable
 from repro.ycsb.generators import DiscreteGenerator, ZipfianGenerator
@@ -146,8 +147,9 @@ class TestRegionMemo:
     def test_equals_token_lookup_across_a_move(self, addressed):
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=5), RngRegistry(3))
-        hbase = HBaseCluster(cluster, HBaseSpec(replication=2,
-                                                spare_servers=1))
+        hbase = HBaseCluster(
+            cluster, HBaseConfig(replication=2), StorageSpec(),
+            TailDefenseConfig(), spare_servers=1)
 
         def lookups():
             return [hbase.region_for_token(token_of(key))

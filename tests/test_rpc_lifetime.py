@@ -21,14 +21,14 @@ import pytest
 
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cassandra.deployment import CassandraCluster, CassandraSpec
+from repro.cassandra.deployment import CassandraCluster, CassandraConfig
 from repro.cluster.topology import (AsyncCall, Cluster, ClusterSpec,
                                     DeadlineExceeded, DeadNodeError,
-                                    RpcTimeout)
+                                    RpcTimeout, TailDefenseConfig)
 from repro.core.config import default_stress_config, scaled_stress_storage
 from repro.core.experiment import ExperimentSession
 from repro.hbase.client import HBaseClient
-from repro.hbase.deployment import HBaseCluster, HBaseSpec
+from repro.hbase.deployment import HBaseCluster, HBaseConfig
 from repro.hbase.regionserver import _Round
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.pipeline import _PipelineWrite, pipeline_write
@@ -306,9 +306,9 @@ class TestCoordinatedRequestsAreReleased:
                              ids=["plain", "hedged"])
     def test_after_settle(self, hedged):
         env, cluster = make(6)
-        cassandra = CassandraCluster(cluster, CassandraSpec(
-            replication=3, read_repair_chance=0.5,
-            speculative_retry="0ms" if hedged else None))
+        cassandra = CassandraCluster(
+            cluster, CassandraConfig(replication=3, read_repair_chance=0.5),
+            StorageSpec(), TailDefenseConfig(hedge="0ms" if hedged else None))
         session = CassandraSession(cassandra, cassandra.client_node)
         keys = [key_for_index(i) for i in range(N)]
         assert self.closures() == 0
@@ -448,14 +448,16 @@ class TestScansAreReleased:
         storage = StorageSpec(memtable_flush_bytes=2048, block_bytes=512,
                               block_cache_bytes=(1 << 20) if cached else 0)
         if db == "cassandra":
-            cassandra = CassandraCluster(cluster, CassandraSpec(
-                replication=2, storage=storage))
+            cassandra = CassandraCluster(
+                cluster, CassandraConfig(replication=2), storage,
+                TailDefenseConfig())
             trees = [cnode.tree for cnode in cassandra.nodes.values()]
             driver = CassandraSession(cassandra, cassandra.client_node)
             write = driver.insert
         else:
-            hbase = HBaseCluster(cluster, HBaseSpec(
-                replication=2, regions_per_server=2, storage=storage))
+            hbase = HBaseCluster(
+                cluster, HBaseConfig(replication=2, regions_per_server=2),
+                storage, TailDefenseConfig())
             trees = [region.tree for region in hbase.regions]
             driver = HBaseClient(hbase, hbase.master_node)
             write = driver.put

@@ -24,10 +24,10 @@ from typing import Any, Optional
 import pytest
 
 from repro.cassandra.client import CassandraSession
-from repro.cassandra.deployment import CassandraCluster, CassandraSpec
-from repro.cluster.topology import Cluster, ClusterSpec
+from repro.cassandra.deployment import CassandraCluster, CassandraConfig
+from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.hbase.client import HBaseClient
-from repro.hbase.deployment import HBaseCluster, HBaseSpec
+from repro.hbase.deployment import HBaseCluster, HBaseConfig
 from repro.keyspace import key_for_index, token_of
 from repro.sim.kernel import Environment, Event
 from repro.sim.rng import RngRegistry
@@ -61,15 +61,15 @@ class _Deployment:
     hbase: Optional[HBaseCluster] = None
 
 
-def _deploy(db, speculative_retry=None, **spec):
+def _deploy(db, **tail):
     """Four servers and a client or master (seed 17), RF 2, a tracer
     attached from the start."""
     env = Environment()
     tracer = KernelTracer(env)
     cluster = Cluster(env, ClusterSpec(n_nodes=5), RngRegistry(17))
     if db == "cassandra":
-        cassandra = CassandraCluster(cluster, CassandraSpec(
-            replication=2, storage=_STORE, **spec))
+        cassandra = CassandraCluster(cluster, CassandraConfig(replication=2),
+                                     _STORE, TailDefenseConfig(**tail))
         cnode = cassandra.nodes[cassandra.replicas_of(KEY)[0]]
         return _Deployment(
             env, tracer, cluster,
@@ -78,14 +78,14 @@ def _deploy(db, speculative_retry=None, **spec):
             cnode.tree, cnode.node, cnode.replica_pool, "c.scan",
             lambda start, limit, *deadline: (start, limit, *deadline),
             cassandra.client_node)
-    hbase = HBaseCluster(cluster, HBaseSpec(
-        replication=2, regions_per_server=2, storage=_STORE, **spec))
+    hbase = HBaseCluster(
+        cluster, HBaseConfig(replication=2, regions_per_server=2), _STORE,
+        TailDefenseConfig(**tail))
     region = hbase.region_for_token(token_of(KEY))
     rs = hbase.regionservers[hbase.master.assignment[region.region_id]]
     return _Deployment(
         env, tracer, cluster,
-        HBaseBinding(HBaseClient(hbase, hbase.master_node,
-                                 speculative_retry=speculative_retry)),
+        HBaseBinding(HBaseClient(hbase, hbase.master_node)),
         region.tree, rs.node, rs.handler_pool, "rs.scan",
         lambda start, limit, *deadline: (region.region_id, start, limit,
                                          *deadline),
@@ -251,7 +251,7 @@ def _hedged():
     server: after 5 ms the client looks the region up again and sends the
     spare, which wins; the primary's scan drains server-side and its
     call settles with its own late answer."""
-    dep = _deploy("hbase", speculative_retry="5ms")
+    dep = _deploy("hbase", hedge="5ms")
     _load(dep)
     handlers = dep.node.handlers
     plain = handlers["rs.scan"]

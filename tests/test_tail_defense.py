@@ -9,13 +9,13 @@ spent budget is never retried.
 import pytest
 
 from repro.cassandra.client import CassandraSession
-from repro.cassandra.deployment import CassandraCluster, CassandraSpec
+from repro.cassandra.deployment import CassandraCluster, CassandraConfig
 from repro.cluster.hedging import parse_hedge_spec
 from repro.cluster.topology import (Cluster, ClusterSpec, DeadlineExceeded,
-                                    RpcTimeout)
+                                    RpcTimeout, TailDefenseConfig)
 from repro.core.experiment import ExperimentSession
 from repro.core.sweep import CAMPAIGNS, TAIL_SCENARIOS, campaign_cells
-from repro.hbase.deployment import HBaseCluster, HBaseSpec
+from repro.hbase.deployment import HBaseCluster, HBaseConfig
 from repro.keyspace import key_for_index
 from repro.sim.kernel import Environment
 from repro.sim.resources import Overloaded
@@ -125,11 +125,11 @@ class TestSessionDeadlineBudget:
     def test_spent_budget_is_never_retried(self):
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=5), RngRegistry(11))
-        cassandra = CassandraCluster(cluster, CassandraSpec(
-            replication=3, read_repair_chance=0.0,
-            storage=small_storage()))
+        cassandra = CassandraCluster(
+            cluster, CassandraConfig(replication=3, read_repair_chance=0.0),
+            small_storage(), TailDefenseConfig(deadline_s=0.05))
         session = CassandraSession(cassandra, cassandra.client_node,
-                                   retries=2, deadline_s=0.05)
+                                   retries=2)
 
         def delay(node, verb):
             # A generator handler serves remote callers only; the client
@@ -164,9 +164,9 @@ class TestBoundedPoolWiring:
     def test_cassandra_replica_pool_sheds_overflow(self):
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(7))
-        cassandra = CassandraCluster(cluster, CassandraSpec(
-            replication=2, handler_slots=1, max_handler_queue=1,
-            storage=small_storage()))
+        cassandra = CassandraCluster(
+            cluster, CassandraConfig(replication=2), small_storage(),
+            TailDefenseConfig(handler_slots=1, max_handler_queue=1))
         cnode = cassandra.nodes[cassandra.server_nodes[0].node_id]
         outcomes = []
 
@@ -188,17 +188,19 @@ class TestBoundedPoolWiring:
     def test_cassandra_pool_off_by_default(self):
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(7))
-        cassandra = CassandraCluster(cluster, CassandraSpec(
-            replication=2, storage=small_storage()))
+        cassandra = CassandraCluster(
+            cluster, CassandraConfig(replication=2), small_storage(),
+            TailDefenseConfig())
         for cnode in cassandra.nodes.values():
             assert cnode.replica_pool is None
 
     def test_hbase_handler_pool_sheds_overflow(self):
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=3), RngRegistry(9))
-        hbase = HBaseCluster(cluster, HBaseSpec(
-            replication=2, regions_per_server=1, handler_slots=1,
-            max_handler_queue=0, storage=small_storage()))
+        hbase = HBaseCluster(
+            cluster, HBaseConfig(replication=2, regions_per_server=1),
+            small_storage(),
+            TailDefenseConfig(handler_slots=1, max_handler_queue=0))
         server_id, rs = next(iter(hbase.regionservers.items()))
         region_id = next(rid for rid, nid in hbase.master.assignment.items()
                          if nid == server_id)
@@ -221,8 +223,9 @@ class TestBoundedPoolWiring:
     def test_hbase_pool_off_by_default(self):
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=3), RngRegistry(9))
-        hbase = HBaseCluster(cluster, HBaseSpec(
-            replication=2, storage=small_storage()))
+        hbase = HBaseCluster(
+            cluster, HBaseConfig(replication=2), small_storage(),
+            TailDefenseConfig())
         for rs in hbase.regionservers.values():
             assert rs.handler_pool is None
 
@@ -231,9 +234,9 @@ class TestBoundedPoolWiring:
         # its propagated deadline passes — the queued work never runs.
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(7))
-        cassandra = CassandraCluster(cluster, CassandraSpec(
-            replication=2, handler_slots=1, max_handler_queue=4,
-            storage=small_storage()))
+        cassandra = CassandraCluster(
+            cluster, CassandraConfig(replication=2), small_storage(),
+            TailDefenseConfig(handler_slots=1, max_handler_queue=4))
         cnode = cassandra.nodes[cassandra.server_nodes[0].node_id]
         pool = cnode.replica_pool
         hold = pool.request()  # occupy the only slot out-of-band
@@ -259,9 +262,9 @@ class TestCoordinatorAdmission:
     def test_second_inflight_read_is_shed(self):
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=5), RngRegistry(3))
-        cassandra = CassandraCluster(cluster, CassandraSpec(
-            replication=3, read_repair_chance=0.0,
-            coordinator_max_inflight=1, storage=small_storage()))
+        cassandra = CassandraCluster(
+            cluster, CassandraConfig(replication=3, read_repair_chance=0.0),
+            small_storage(), TailDefenseConfig(max_inflight=1))
         cnode = cassandra.nodes[cassandra.server_nodes[0].node_id]
         outcomes = []
 
@@ -283,8 +286,9 @@ class TestCoordinatorAdmission:
     def test_admission_off_by_default(self):
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=5), RngRegistry(3))
-        cassandra = CassandraCluster(cluster, CassandraSpec(
-            replication=3, storage=small_storage()))
+        cassandra = CassandraCluster(
+            cluster, CassandraConfig(replication=3), small_storage(),
+            TailDefenseConfig())
         cnode = cassandra.nodes[cassandra.server_nodes[0].node_id]
         assert cnode.coordinator.max_inflight is None
 

@@ -4,12 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cluster.topology import Cluster, ClusterSpec
+from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.core.config import default_stress_config
 from repro.core.experiment import ExperimentSession
 from repro.keyspace import key_for_index
 from repro.hbase.client import HBaseClient
-from repro.hbase.deployment import HBaseCluster, HBaseSpec
+from repro.hbase.deployment import HBaseCluster, HBaseConfig
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec
@@ -24,14 +24,15 @@ def build_client(workload_spec=None, records=500, seed=3):
     env = Environment()
     rngs = RngRegistry(seed)
     cluster = Cluster(env, ClusterSpec(n_nodes=5), rngs)
-    hbase = HBaseCluster(cluster, HBaseSpec(
-        replication=2,
-        storage=StorageSpec(memtable_flush_bytes=16384, block_bytes=2048,
-                            block_cache_bytes=16384)))
+    hbase = HBaseCluster(
+        cluster, HBaseConfig(replication=2),
+        StorageSpec(memtable_flush_bytes=16384, block_bytes=2048,
+                    block_cache_bytes=16384),
+        TailDefenseConfig())
     binding = HBaseBinding(HBaseClient(hbase, hbase.master_node))
     spec = workload_spec or STRESS_WORKLOADS["read_update"]
     workload = Workload(spec, records, rngs.stream("wl"))
-    client = YcsbClient(env, binding, workload, rngs.stream("cl"))
+    client = YcsbClient(env, binding, workload)
     return env, client, workload
 
 
@@ -223,7 +224,7 @@ UPDATE_ONLY = WorkloadSpec(name="update_only", update_proportion=1.0,
 def build_throttled(env, binding, n_ops, n_threads, target):
     rngs = RngRegistry(11)
     workload = Workload(UPDATE_ONLY, 100, rngs.stream("wl"))
-    client = YcsbClient(env, binding, workload, rngs.stream("cl"))
+    client = YcsbClient(env, binding, workload)
     return client.run(n_ops, n_threads=n_threads, target_throughput=target,
                       warmup_fraction=0.0)
 
@@ -246,7 +247,7 @@ class TestTargetThrottle:
         binding = StubBinding(env, default_latency=0.001)
         rngs = RngRegistry(11)
         workload = Workload(UPDATE_ONLY, 100, rngs.stream("wl"))
-        client = YcsbClient(env, binding, workload, rngs.stream("cl"))
+        client = YcsbClient(env, binding, workload)
         result = drive(env, client.run(400, n_threads=4,
                                        target_throughput=None,
                                        warmup_fraction=0.0))
