@@ -20,7 +20,7 @@ Run:  python examples/geo_replication.py
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel, UnavailableError
 from repro.cassandra.deployment import CassandraCluster, CassandraConfig
-from repro.cluster.geo import GeoCluster, GeoSpec
+from repro.cluster.geo import GeoCluster, GeoConfig
 from repro.cluster.topology import TailDefenseConfig
 from repro.core.report import render_table
 from repro.keyspace import key_for_index
@@ -31,13 +31,13 @@ from repro.storage.lsm import StorageSpec
 
 def build():
     env = Environment()
-    geo = GeoCluster(env, GeoSpec(
-        datacenters={"eu-west": 5, "us-west": 5, "ap-southeast": 5}),
-        RngRegistry(7))
+    geo = GeoCluster(env, GeoConfig(
+        datacenters=(("eu-west", 5), ("us-west", 5), ("ap-southeast", 5)),
+        replication_per_dc=(("eu-west", 2), ("us-west", 2),
+                            ("ap-southeast", 2))), RngRegistry(7))
     cassandra = CassandraCluster(
         geo, CassandraConfig(replication=3), StorageSpec(),
-        TailDefenseConfig(),
-        replication_per_dc={"eu-west": 2, "us-west": 2, "ap-southeast": 2})
+        TailDefenseConfig())
     session = CassandraSession(cassandra, cassandra.client_node)
     return env, geo, cassandra, session
 

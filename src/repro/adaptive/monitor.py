@@ -31,7 +31,11 @@ from typing import Callable, Optional
 
 from repro.ycsb.measurements import percentile
 
-__all__ = ["Monitor", "RecentWrites", "SloSpec", "WindowStats"]
+__all__ = ["Monitor", "RecentWrites", "SKETCH_CAPACITY", "SloSpec",
+           "WindowStats"]
+
+#: Keys a :class:`RecentWrites` sketch remembers before it prunes.
+SKETCH_CAPACITY = 4096
 
 #: Coordinator counters whose per-window deltas feed the risk score.
 SIGNAL_KEYS = ("read_repairs", "repair_mutations", "background_repairs",
@@ -83,7 +87,8 @@ class RecentWrites:
     deterministic: expired entries go first, then the oldest survivors.
     """
 
-    def __init__(self, bound_s: float, capacity: int = 4096) -> None:
+    def __init__(self, bound_s: float,
+                 capacity: int = SKETCH_CAPACITY) -> None:
         if bound_s <= 0 or capacity < 1:
             raise ValueError("bound_s must be positive, capacity >= 1")
         self.bound_s = bound_s
@@ -179,13 +184,11 @@ class Monitor:
     """
 
     def __init__(self, slo: SloSpec, clock: Callable[[], float],
-                 signal_source: Optional[Callable[[], dict]] = None,
-                 sketch_capacity: int = 4096) -> None:
+                 signal_source: Optional[Callable[[], dict]] = None) -> None:
         self.slo = slo
         self.clock = clock
         self.signal_source = signal_source
-        self.recent_writes = RecentWrites(slo.staleness_s,
-                                          capacity=sketch_capacity)
+        self.recent_writes = RecentWrites(slo.staleness_s)
         #: Closed windows, oldest first.
         self.windows: list[WindowStats] = []
         self._current: Optional[WindowStats] = None

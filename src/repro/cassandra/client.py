@@ -8,9 +8,8 @@ from repro.cassandra.consistency import ConsistencyLevel
 from repro.cassandra.coordinator import ReadTimeoutError, WriteTimeoutError
 from repro.cassandra.deployment import CassandraCluster
 from repro.cluster.node import Node
-from repro.cluster.topology import (DEFAULT_CLIENT_OVERHEAD_S,
-                                    DeadlineExceeded, DeadNodeError,
-                                    RpcTimeout)
+from repro.cluster.topology import (CLIENT_OVERHEAD_S, DeadlineExceeded,
+                                    DeadNodeError, RpcTimeout)
 from repro.sim.resources import Overloaded
 
 __all__ = ["CassandraSession"]
@@ -32,16 +31,16 @@ class CassandraSession:
     """Client-side session (the DataStax-driver analogue).
 
     Requests round-robin over the live ring members, as the paper's YCSB
-    client did; read and write consistency levels are set separately
+    client did — on a geo cluster, over those in the client's own
+    datacenter first (the driver's DCAwareRoundRobinPolicy default).
+    Read and write consistency levels are set separately
     (paper §2): they start at the deployment's ``CassandraConfig``, and
     can be set on the session or overridden per request.
     """
 
     def __init__(self, cassandra: CassandraCluster, client_node: Node,
                  op_timeout_s: float = 10.0,
-                 dc_aware: bool = True,
-                 retries: int = 1,
-                 client_overhead_s: float = DEFAULT_CLIENT_OVERHEAD_S) -> None:
+                 retries: int = 1) -> None:
         self.cassandra = cassandra
         self.cluster = cassandra.cluster
         self.client_node = client_node
@@ -59,15 +58,7 @@ class CassandraSession:
         #: next round-robin coordinator (the DataStax driver's default
         #: RetryPolicy next-host behaviour).
         self.retries = retries
-        #: Driver-side CPU per operation (serialization, bookkeeping),
-        #: charged on the client node ahead of the first attempt's request
-        #: serialization — fused into the RPC's own core reservation so it
-        #: costs no extra kernel event (see ``cluster.topology.AsyncCall``).
-        self.client_overhead_s = client_overhead_s
         self._rr_index = 0
-        #: On geo clusters, prefer coordinators in the client's own
-        #: datacenter (the driver's DCAwareRoundRobinPolicy default).
-        self.dc_aware = dc_aware
         #: Node id -> datacenter name on a geo cluster (fixed per
         #: cluster); ``None`` on a single rack, where every ring member
         #: is a candidate coordinator.
@@ -77,8 +68,6 @@ class CassandraSession:
         """Candidate coordinators on a geo cluster."""
         members = self.cassandra.coordinator_nodes
         datacenters = self._datacenters
-        if not self.dc_aware:
-            return members
         my_dc = datacenters.get(self.client_node.node_id)
         local = [n for n in members
                  if datacenters.get(n.node_id) == my_dc and n.alive]
@@ -127,7 +116,7 @@ class CassandraSession:
                     request_bytes=request_bytes,
                     response_bytes=response_bytes,
                     timeout=self.op_timeout_s, deadline=deadline,
-                    src_cpu_s=self.client_overhead_s if attempt == 0 else 0.0)
+                    src_cpu_s=CLIENT_OVERHEAD_S if attempt == 0 else 0.0)
                 if isinstance(result, Exception):
                     raise result
             except DeadlineExceeded:

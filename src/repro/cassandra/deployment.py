@@ -51,57 +51,43 @@ class CassandraConfig:
 class CassandraCluster:
     """A Cassandra ring deployed over a :class:`~repro.cluster.topology.Cluster`.
 
-    The last cluster node is reserved for the YCSB client (mirroring the
-    paper's 15-server + 1-client layout); every other node joins the ring.
+    The cluster's servers join the ring and its first client node hosts
+    the driver (the paper's 15-server + 1-client layout on a rack).  On a
+    geo cluster the placement is NetworkTopologyStrategy with
+    ``cluster.geo.replication_per_dc``; on a rack it is SimpleStrategy
+    with ``config.replication``.
     """
 
     def __init__(self, cluster: Cluster, config: CassandraConfig,
                  storage: StorageSpec, tail: TailDefenseConfig,
-                 replication_per_dc: Optional[dict] = None,
                  spare_nodes: int = 0) -> None:
-        if len(cluster.nodes) < 2:
+        if not cluster.server_ids:
             raise ValueError("Cassandra needs at least one server + client node")
         self.cluster = cluster
         self.config = config
         self.storage = storage
         self.tail = tail
-        #: Geo deployments: datacenter name -> replicas in that datacenter
-        #: (NetworkTopologyStrategy).  ``None`` = SimpleStrategy with
-        #: ``config.replication`` over the whole ring.  Requires a cluster
-        #: that reports node datacenters (see
-        #: :class:`repro.cluster.geo.GeoCluster`).
-        self.replication_per_dc = replication_per_dc
-        # Geo clusters may host several client nodes (one per region);
-        # they report the split explicitly.  Single-rack clusters keep
-        # the last-node-is-client convention.
-        if cluster.server_ids is not None:
-            self.server_nodes = [cluster.node(nid)
-                                 for nid in cluster.server_ids]
-            self.client_node = cluster.node(cluster.client_ids[0])
-        else:
-            self.client_node = cluster.node(len(cluster.nodes) - 1)
-            self.server_nodes = cluster.nodes[:-1]
+        self.server_nodes = [cluster.node(nid) for nid in cluster.server_ids]
+        self.client_node = cluster.node(cluster.client_ids[0])
         # Trailing servers provisioned outside the initial ring: the
         # elasticity campaign bootstraps them at runtime.
         if not 0 <= spare_nodes < len(self.server_nodes):
             raise ValueError("spare_nodes must leave at least one "
                              "in-service server")
-        if spare_nodes and replication_per_dc is not None:
+        geo = cluster.geo
+        if spare_nodes and geo is not None:
             raise ValueError("spare nodes require SimpleStrategy "
                              "(elasticity is single-ring)")
         members = (self.server_nodes[:len(self.server_nodes) - spare_nodes]
                    if spare_nodes else self.server_nodes)
         self.ring = TokenRing([n.node_id for n in members], VNODES,
                               cluster.rngs.stream("ring"))
-        if replication_per_dc is not None:
+        if geo is not None:
             datacenter_of = cluster.node_datacenter
-            if datacenter_of is None:
-                raise ValueError("replication_per_dc needs a geo cluster "
-                                 "(one that maps nodes to datacenters)")
-            server_dcs = {n.node_id: datacenter_of[n.node_id]
-                          for n in self.server_nodes}
             self.placement = NetworkTopologyStrategy(
-                self.ring, server_dcs, replication_per_dc)
+                self.ring, {n.node_id: datacenter_of[n.node_id]
+                            for n in self.server_nodes},
+                dict(geo.replication_per_dc))
         else:
             self.placement = SimpleStrategy(self.ring, config.replication)
         # Spare nodes get no CassandraNode yet: verb handlers register
@@ -178,7 +164,7 @@ class CassandraCluster:
         replicas — which still hold everything — so no acknowledged
         write is lost across the topology change.
         """
-        if self.replication_per_dc is not None:
+        if self.cluster.geo is not None:
             raise ValueError("bootstrap requires SimpleStrategy")
         if node_id in self.ring.node_ids:
             raise ValueError(f"node {node_id} is already in the ring")
@@ -203,7 +189,7 @@ class CassandraCluster:
         """Gracefully remove ``node_id`` (a sim process): survivors
         inheriting its arcs double-receive writes while the data streams
         off the leaving node, then the ring commits without it."""
-        if self.replication_per_dc is not None:
+        if self.cluster.geo is not None:
             raise ValueError("decommission requires SimpleStrategy")
         if node_id not in self.ring.node_ids:
             raise ValueError(f"node {node_id} is not in the ring")

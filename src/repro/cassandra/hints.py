@@ -10,7 +10,7 @@ partition accumulates thousands of hints per coordinator, and replaying
 them one at a time over a ~75 ms WAN round trip would take minutes of
 simulated time.  Replay therefore ships hints in bounded concurrent
 batches, and targets that fail delivery back off exponentially (doubling
-from ``base_backoff_s`` up to ``max_backoff_s``) instead of being
+from :data:`BASE_BACKOFF_S` up to :data:`MAX_BACKOFF_S`) instead of being
 hammered every interval.  Hints are never dropped: an acknowledged write
 stays durable until the healed replica has taken the mutation.
 """
@@ -23,7 +23,16 @@ from typing import TYPE_CHECKING, Generator
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cassandra.node import CassandraNode
 
-__all__ = ["Hint", "HintStore"]
+__all__ = ["BASE_BACKOFF_S", "Hint", "HintStore", "MAX_BACKOFF_S",
+           "REPLAY_BATCH"]
+
+#: Max concurrent deliveries per replay wave (bounds WAN fan-in on a
+#: freshly healed datacenter).
+REPLAY_BATCH = 32
+#: A target's first backoff after a failed delivery (seconds); it doubles
+#: per further failure up to :data:`MAX_BACKOFF_S`.
+BASE_BACKOFF_S = 0.5
+MAX_BACKOFF_S = 8.0
 
 
 class _BatchIncomplete(Exception):
@@ -42,17 +51,10 @@ class Hint:
 class HintStore:
     """Per-coordinator hint queue with a periodic delivery loop."""
 
-    def __init__(self, owner: "CassandraNode", replay_interval_s: float,
-                 replay_batch: int = 32,
-                 base_backoff_s: float = 0.5,
-                 max_backoff_s: float = 8.0) -> None:
+    def __init__(self, owner: "CassandraNode",
+                 replay_interval_s: float) -> None:
         self.owner = owner
         self.replay_interval_s = replay_interval_s
-        #: Max concurrent deliveries per replay wave (bounds WAN fan-in
-        #: on a freshly healed datacenter).
-        self.replay_batch = replay_batch
-        self.base_backoff_s = base_backoff_s
-        self.max_backoff_s = max_backoff_s
         self._hints: list[Hint] = []
         #: target node id -> earliest next delivery attempt (sim time).
         self._not_before: dict[int, float] = {}
@@ -99,8 +101,8 @@ class HintStore:
             while index < len(deliverable):
                 if not self.owner.node.alive:
                     break  # owner crashed mid-replay
-                batch = deliverable[index:index + self.replay_batch]
-                index += self.replay_batch
+                batch = deliverable[index:index + REPLAY_BATCH]
+                index += REPLAY_BATCH
                 calls = [cluster.call_async(
                     self.owner.node, cluster.node(h.target_node_id),
                     "c.mutate", (h.key, h.value, h.size, h.timestamp),
@@ -130,10 +132,10 @@ class HintStore:
                         # hint, back the target off exponentially.
                         self.failures += 1
                         backoff = self._backoff.get(
-                            target, self.base_backoff_s)
+                            target, BASE_BACKOFF_S)
                         self._not_before[target] = env.now + backoff
                         self._backoff[target] = min(
-                            backoff * 2.0, self.max_backoff_s)
+                            backoff * 2.0, MAX_BACKOFF_S)
                 if delivered:
                     # One pass, by identity: ``list.remove`` per hint is
                     # a scan through the dataclass ``__eq__``, quadratic

@@ -24,12 +24,12 @@ The client composes the tier's defenses:
   every arrival spawns its own in-flight process (the undefended mode's
   unbounded concurrency);
 - the binding stack (cache-aside → retries → breaker → driver), built
-  by :func:`build_client_stack` from a
-  :class:`~repro.core.config.ClientTierConfig`.
+  by :func:`build_client_stack` from a :class:`ClientTierConfig`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.clienttier.breaker import BreakerBinding, BreakerOpen, CircuitBreaker
@@ -44,12 +44,52 @@ from repro.ycsb.db import DbBinding
 from repro.ycsb.measurements import Measurements
 from repro.ycsb.workload import OperationType, Workload
 
-__all__ = ["CLIENT_TIER_ERRORS", "ClientTier", "OpenLoopClient",
-           "build_client_stack"]
+__all__ = ["CLIENT_TIER_ERRORS", "ClientTier", "ClientTierConfig",
+           "OpenLoopClient", "build_client_stack"]
 
 #: Client-side refusals, recorded under their own names next to the
 #: store-side :data:`~repro.ycsb.client.OPERATION_ERRORS`.
 CLIENT_TIER_ERRORS = (BreakerOpen,)
+
+
+@dataclass(frozen=True)
+class ClientTierConfig:
+    """Resilient client-tier knobs (see :mod:`repro.clienttier`).
+
+    The all-defaults instance is inert: no retries, no breaker, no rate
+    limiter, no leveler, no cache — the raw driver behaviour every
+    closed-loop sweep keeps.  Only consulted when a run goes through
+    the open-loop client (``run_cell(open_loop=True)``: every measured
+    run of a cell whose config sets ``arrivals``).
+    """
+
+    #: Extra client-tier attempts per operation (0 = the tier's retry
+    #: layer is off; the drivers' own internal retries still apply).
+    retries: int = 0
+    retry_backoff_s: float = 0.05
+    #: Retry-budget earn ratio (Finagle-style): each first attempt earns
+    #: this fraction of a retry token.  ``None`` = uncapped retries —
+    #: the naive client whose amplification the surge campaign measures.
+    retry_budget_ratio: Optional[float] = None
+    #: Circuit breaker trip threshold (failure fraction in the sliding
+    #: window).  ``None`` = no breaker.
+    breaker_failure_rate: Optional[float] = None
+    breaker_cooldown_s: float = 1.0
+    #: Per-tenant admission rate (requests/s).  ``None`` = no limiter.
+    rate_limit_per_tenant: Optional[float] = None
+    rate_limit_burst: float = 10.0
+    #: Fixed worker-pool size for queue-based load leveling.  ``None`` =
+    #: spawn one in-flight operation per arrival (unbounded concurrency).
+    leveling_workers: Optional[int] = None
+    leveling_queue: int = 64
+    #: Cache-aside read-cache TTL (the declared staleness budget the
+    #: oracle prices).  ``None`` = no cache.
+    cache_ttl_s: Optional[float] = None
+    cache_capacity: int = 1024
+    #: Override the driver's per-operation timeout (both engines) so an
+    #: overloaded store fails fast enough for client-side defenses to
+    #: react within a short campaign.  ``None`` = driver defaults.
+    op_timeout_s: Optional[float] = None
 
 
 class ClientTier:
@@ -85,8 +125,8 @@ class ClientTier:
 
 
 def build_client_stack(inner: DbBinding, env: Environment, rngs,
-                       tier_config) -> ClientTier:
-    """Wrap ``inner`` per a :class:`~repro.core.config.ClientTierConfig`.
+                       cfg: ClientTierConfig) -> ClientTier:
+    """Wrap ``inner`` per a :class:`ClientTierConfig`.
 
     Stack order, innermost out: driver → circuit breaker → retries →
     cache-aside.  The breaker sits closest to the store so every
@@ -96,7 +136,6 @@ def build_client_stack(inner: DbBinding, env: Environment, rngs,
     are not bindings — they act at dispatch and are handed to the
     :class:`OpenLoopClient` separately.
     """
-    cfg = tier_config
     clock = lambda: env.now  # noqa: E731
     binding = inner
     breaker = retry = cache = limiter = leveler = None

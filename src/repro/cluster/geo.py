@@ -7,22 +7,22 @@ module provides one: nodes are grouped into named datacenters, and
 message latency between two nodes is looked up from a WAN latency matrix
 instead of the in-rack constant.
 
-Distances default to the three regions of Bermbach et al.'s experiment
+Distances are those of the three regions of Bermbach et al.'s experiment
 (the consistency-measurement work the paper cites in §5): Western Europe,
 Northern California, Singapore.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.nic import Nic
-from repro.cluster.node import Node, NodeSpec
-from repro.cluster.topology import Cluster, TimerWheel
+from repro.cluster.topology import Cluster, ClusterSpec
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 
-__all__ = ["GeoCluster", "GeoSpec", "DEFAULT_REGION_RTTS"]
+__all__ = ["DEFAULT_REGION_RTTS", "GeoCluster", "GeoConfig",
+           "LOCAL_LATENCY_S", "WAN_BANDWIDTH_BPS"]
 
 #: One-way latencies (seconds) between the example regions, roughly the
 #: public round-trip figures halved: EU <-> US-West ~ 150 ms RTT,
@@ -32,27 +32,73 @@ DEFAULT_REGION_RTTS: dict[frozenset, float] = {
     frozenset({"eu-west", "ap-southeast"}): 0.090,
     frozenset({"us-west", "ap-southeast"}): 0.085,
 }
+#: One-way latency between nodes of the same datacenter (in-rack).
+LOCAL_LATENCY_S = 0.00003
+#: Inter-DC usable bandwidth per flow (bytes/s) — WAN links are far
+#: thinner than the in-rack GigE.
+WAN_BANDWIDTH_BPS = 30e6
 
 
 @dataclass(frozen=True)
-class GeoSpec:
-    """A multi-datacenter deployment description."""
+class GeoConfig:
+    """A multi-datacenter deployment: the one record a
+    :class:`GeoCluster` and the cell that runs on it share.
 
-    #: Datacenter name -> number of server nodes in it.
-    datacenters: dict = field(default_factory=lambda: {
-        "eu-west": 5, "us-west": 5, "ap-southeast": 5})
-    #: One client node per listed datacenter, appended after the
-    #: servers in this order.
-    client_datacenters: tuple = ("eu-west",)
-    #: One-way inter-DC latency (seconds), keyed by frozenset of DC names.
-    region_latency_s: dict = field(
-        default_factory=lambda: dict(DEFAULT_REGION_RTTS))
-    #: One-way latency between nodes of the same DC (in-rack).
-    local_latency_s: float = 0.00003
-    #: Inter-DC usable bandwidth per flow (bytes/s) — WAN links are far
-    #: thinner than the in-rack GigE.
-    wan_bandwidth_bps: float = 30e6
-    node: NodeSpec = field(default_factory=NodeSpec)
+    Dict-like fields are ``(key, value)`` pair tuples, so the record
+    hashes into the cell-cache fingerprint as it is.  The rest of the
+    layout is fixed: the WAN latencies are :data:`DEFAULT_REGION_RTTS`,
+    the in-datacenter hop :data:`LOCAL_LATENCY_S`, the WAN bandwidth
+    :data:`WAN_BANDWIDTH_BPS`, every node the default
+    :class:`~repro.cluster.node.NodeSpec`, and every datacenter hosts one
+    client node (appended after the servers, in datacenter order; runs
+    pick their region via ``RunSpec.client_dc``).  Cassandra-only — the
+    geo campaign exercises per-DC replica placement and the DC-aware
+    consistency levels, which are Cassandra concepts.
+    """
+
+    #: ``(datacenter, server_count)`` pairs, in node-id order.
+    datacenters: tuple = (("eu-west", 3), ("us-west", 3),
+                          ("ap-southeast", 3))
+    #: ``(datacenter, replicas)`` pairs (NetworkTopologyStrategy).
+    replication_per_dc: tuple = (("eu-west", 3), ("us-west", 3),
+                                 ("ap-southeast", 3))
+
+    def __post_init__(self) -> None:
+        names = [dc for dc, _ in self.datacenters]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate datacenters in {names}")
+        legal = sorted(set().union(*DEFAULT_REGION_RTTS))
+        for dc, count in self.datacenters:
+            if dc not in legal:
+                raise ValueError(f"GeoConfig.datacenters: {dc!r} has no WAN "
+                                 f"latencies; choose from {legal}")
+            if count < 1:
+                raise ValueError(f"GeoConfig.datacenters: {dc!r} has "
+                                 f"{count} servers; must be >= 1")
+        counts = dict(self.datacenters)
+        seen = set()
+        for dc, rf in self.replication_per_dc:
+            if dc not in counts:
+                raise ValueError(f"GeoConfig.replication_per_dc: replication "
+                                 f"configured for unknown datacenter "
+                                 f"{dc!r}")
+            if dc in seen:
+                raise ValueError(f"GeoConfig.replication_per_dc: {dc!r} is "
+                                 f"listed twice")
+            seen.add(dc)
+            if rf < 0:
+                raise ValueError(f"GeoConfig.replication_per_dc: {dc!r} has "
+                                 f"replication {rf}; must be >= 0")
+            if rf > counts[dc]:
+                raise ValueError(f"GeoConfig.replication_per_dc: datacenter "
+                                 f"{dc!r} has {counts[dc]} servers but "
+                                 f"replication {rf} requested")
+
+    @property
+    def total_nodes(self) -> int:
+        """Servers plus one client node per datacenter."""
+        return (sum(count for _, count in self.datacenters)
+                + len(self.datacenters))
 
 
 class _GeoNetwork:
@@ -64,93 +110,67 @@ class _GeoNetwork:
     RPC layer and the databases work unmodified on a geo cluster.
     """
 
-    def __init__(self, env: Environment, geo: "GeoCluster", rng) -> None:
+    def __init__(self, env: Environment, cluster: "GeoCluster",
+                 rng) -> None:
         self.env = env
-        self.geo = geo
+        self.cluster = cluster
         self._rng = rng
         self.messages = 0
 
     def sample_latency(self, src: Nic, dst: Nic, size: int = 0) -> float:
         """One hop delay draw, priced by the endpoints' datacenters.
 
-        Cross-DC hops pay the configured region latency plus WAN
-        serialization at the thinner inter-DC bandwidth.
+        Cross-DC hops pay the region latency plus WAN serialization at
+        the thinner inter-DC bandwidth.
         """
-        src_dc = self.geo.datacenter_of_nic(src)
-        dst_dc = self.geo.datacenter_of_nic(dst)
-        spec = self.geo.spec
+        src_dc = self.cluster.datacenter_of_nic(src)
+        dst_dc = self.cluster.datacenter_of_nic(dst)
         if src_dc == dst_dc:
-            base = spec.local_latency_s
+            base = LOCAL_LATENCY_S
             extra = 0.0
         else:
             # A degraded WAN stretches propagation and thins bandwidth
             # by the cluster's current wan_factor (1.0 = healthy).
-            wan = self.geo.wan_factor
-            base = spec.region_latency_s[frozenset({src_dc, dst_dc})] * wan
+            wan = self.cluster.wan_factor
+            base = DEFAULT_REGION_RTTS[frozenset({src_dc, dst_dc})] * wan
             # WAN serialization at the thinner inter-DC bandwidth.
-            extra = size * wan / spec.wan_bandwidth_bps
+            extra = size * wan / WAN_BANDWIDTH_BPS
         factor = 0.7 + self._rng.expovariate(1.0 / 0.6)
         return base * factor + extra
 
 
 class GeoCluster(Cluster):
-    """A :class:`~repro.cluster.topology.Cluster` spread over datacenters.
+    """A :class:`~repro.cluster.topology.Cluster` spread over the
+    datacenters of a :class:`GeoConfig` (kept as ``geo``).
 
-    Node ids are assigned datacenter by datacenter in the order of
-    ``spec.datacenters``; the client node comes last (mirroring the
-    single-rack layout, where the last node hosts the YCSB client).
-    It builds its own nodes and fabric (so ``Cluster.__init__`` does not
-    run) and inherits the transport unchanged: ``Cluster.leg`` books a
-    leg's receiving half on arrival wherever ``node_datacenter`` says it
-    crosses the WAN.
+    :meth:`Cluster.__init__` builds the nodes; the layout names them
+    datacenter by datacenter in the order of ``geo.datacenters``, then
+    one client node per datacenter in the same order (as on a rack, the
+    clients come last).  On top it adds the datacenter maps and the WAN
+    fabric, and inherits the transport unchanged: ``Cluster.leg`` books
+    a leg's receiving half on arrival wherever ``node_datacenter`` says
+    it crosses the WAN.
     """
 
-    def __init__(self, env: Environment, spec: GeoSpec,
+    def __init__(self, env: Environment, geo: GeoConfig,
                  rngs: RngRegistry) -> None:
-        self.env = env
-        self.spec = spec
-        self.rngs = rngs
-        self.nodes: list[Node] = []
+        super().__init__(env, ClusterSpec(n_nodes=geo.total_nodes), rngs)
+        self.geo = geo
+        regions = [dc for dc, _ in geo.datacenters]
+        n_servers = len(self.nodes) - len(regions)
+        self.server_ids = list(range(n_servers))
+        self.client_ids = list(range(n_servers, len(self.nodes)))
         #: node_id -> datacenter name.
-        self.node_datacenter: dict[int, str] = {}
-        self._nic_datacenter: dict[int, str] = {}
-        node_id = 0
-        for dc_name, count in spec.datacenters.items():
-            for _ in range(count):
-                node = Node(env, node_id, spec.node,
-                            rngs.stream(f"disk.{node_id}"))
-                self.nodes.append(node)
-                self.node_datacenter[node_id] = dc_name
-                self._nic_datacenter[id(node.nic)] = dc_name
-                node_id += 1
-        self.server_ids: list[int] = list(range(node_id))
-        self.client_ids: list[int] = []
-        #: Datacenter name -> its client node id (multi-region layouts).
-        self._client_by_dc: dict[str, int] = {}
-        for dc_name in spec.client_datacenters:
-            if dc_name not in spec.datacenters:
-                raise ValueError(f"client datacenter {dc_name!r} is not a "
-                                 f"configured datacenter")
-            if dc_name in self._client_by_dc:
-                raise ValueError(f"duplicate client datacenter {dc_name!r}")
-            client = Node(env, node_id, spec.node,
-                          rngs.stream(f"disk.{node_id}"))
-            self.nodes.append(client)
-            self.node_datacenter[node_id] = dc_name
-            self._nic_datacenter[id(client.nic)] = dc_name
-            self.client_ids.append(node_id)
-            self._client_by_dc[dc_name] = node_id
-            node_id += 1
-
+        self.node_datacenter = dict(enumerate(
+            [dc for dc, count in geo.datacenters for _ in range(count)]
+            + regions))
+        self._nic_datacenter = {id(self.nodes[node_id].nic): dc
+                                for node_id, dc
+                                in self.node_datacenter.items()}
         #: WAN degradation multiplier applied to cross-DC latency and
         #: serialization (fault hook, like Nic.slowdown).  1.0 = healthy.
         self.wan_factor = 1.0
         self.network = _GeoNetwork(env, self, rngs.stream("geo.network"))
-        self.rpc_count = 0
-        #: Requests whose propagated deadline expired before the server
-        #: started them (see :class:`repro.cluster.topology.Cluster`).
-        self.abandoned_rpcs = 0
-        self._wheel = TimerWheel(env)
 
     def datacenter_of(self, node_id: int) -> str:
         return self.node_datacenter[node_id]
@@ -160,15 +180,8 @@ class GeoCluster(Cluster):
 
     def servers_in(self, dc_name: str) -> list[int]:
         """Server node ids of one datacenter (excludes client nodes)."""
-        clients = set(self.client_ids)
-        return [nid for nid, dc in self.node_datacenter.items()
-                if dc == dc_name and nid not in clients]
-
-    def client_in(self, dc_name: str) -> Node:
-        """The client node hosted in ``dc_name``."""
-        if dc_name not in self._client_by_dc:
-            raise ValueError(f"no client node in datacenter {dc_name!r}")
-        return self.nodes[self._client_by_dc[dc_name]]
+        return [nid for nid in self.server_ids
+                if self.node_datacenter[nid] == dc_name]
 
     def degrade_wan(self, factor: float) -> None:
         """Stretch every cross-DC link by ``factor`` (fault hook)."""

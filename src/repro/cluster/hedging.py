@@ -10,7 +10,7 @@ percentile of the table's recent read latency ("p99").
 coordinator and the HBase client: callers feed completed-request
 latencies into :meth:`observe` and ask :meth:`delay` when to fire the
 hedge; :meth:`race` is the hedged wait itself, written once for both.
-Percentile policies warm up — before ``min_samples``
+Percentile policies warm up — before :data:`MIN_SAMPLES`
 observations they return ``None`` (no hedging), matching how a fresh
 table has no latency history to speculate from.
 """
@@ -22,7 +22,10 @@ from typing import Callable, Generator, Optional
 from repro.sim.kernel import AnyOf, Environment, Event, Timeout
 from repro.ycsb.measurements import percentile
 
-__all__ = ["HedgePolicy", "parse_hedge_spec"]
+__all__ = ["HedgePolicy", "MIN_SAMPLES", "parse_hedge_spec"]
+
+#: Latencies a percentile policy observes before it hedges at all.
+MIN_SAMPLES = 16
 
 
 def parse_hedge_spec(spec: str) -> tuple[str, float]:
@@ -57,17 +60,12 @@ class HedgePolicy:
         ``"NNms"`` (fixed) or ``"pNN"`` (percentile).
     window:
         How many recent latencies the percentile form remembers.
-    min_samples:
-        Percentile policies return ``None`` (no hedge) until this many
-        latencies have been observed.
     """
 
-    def __init__(self, spec: str, window: int = 256,
-                 min_samples: int = 16) -> None:
+    def __init__(self, spec: str, window: int = 256) -> None:
         self.spec = spec
         self.kind, self.value = parse_hedge_spec(spec)
         self.window = window
-        self.min_samples = min_samples
         self._latencies: list[float] = []
         self._next = 0  # ring-buffer cursor once the window is full
 
@@ -85,7 +83,7 @@ class HedgePolicy:
         """Seconds to wait before hedging; ``None`` = do not hedge yet."""
         if self.kind == "fixed":
             return self.value
-        if len(self._latencies) < self.min_samples:
+        if len(self._latencies) < MIN_SAMPLES:
             return None
         return percentile(sorted(self._latencies), self.value)
 

@@ -36,8 +36,8 @@ from repro.sim.kernel import (Environment, Event, ModelledFailure, Process,
 from repro.sim.resources import Overloaded, Served
 from repro.sim.rng import RngRegistry
 
-__all__ = ["AsyncCall", "Cluster", "ClusterSpec", "DeadNodeError",
-           "DeadlineExceeded", "DEFAULT_CLIENT_OVERHEAD_S", "ENVELOPE_BYTES",
+__all__ = ["AsyncCall", "CLIENT_OVERHEAD_S", "Cluster", "ClusterSpec",
+           "DeadNodeError", "DeadlineExceeded", "ENVELOPE_BYTES",
            "RPC_CPU_S", "RpcTimeout", "TailDefenseConfig", "TimerWheel"]
 
 #: Client-side CPU per operation (driver serialization, thread wake-up).
@@ -49,7 +49,7 @@ __all__ = ["AsyncCall", "Cluster", "ClusterSpec", "DeadNodeError",
 #: ``call_async(..., src_cpu_s=...)`` so it costs no extra kernel event.
 #: Defined here (not in ``repro.ycsb.client``) because both database
 #: driver packages need it and importing from ycsb would be circular.
-DEFAULT_CLIENT_OVERHEAD_S = 2e-4
+CLIENT_OVERHEAD_S = 2e-4
 
 #: Fixed CPU time charged per RPC message on each side (request
 #: handling, serialization, kernel crossings).
@@ -347,15 +347,20 @@ class ClusterSpec:
 
 
 class Cluster:
-    """Builds nodes and provides the RPC transport between them."""
+    """Builds nodes and provides the RPC transport between them.
+
+    The cluster names its own layout: ``server_ids`` run the database,
+    ``client_ids`` host the YCSB clients.  A rack's last node is its one
+    client (the paper's 15 servers + 1 client); a
+    :class:`~repro.cluster.geo.GeoCluster` names one per datacenter.
+    """
 
     #: node_id -> datacenter name on a multi-datacenter cluster; ``None``
     #: on a single rack.  :meth:`leg` reads it to tell a WAN leg.
     node_datacenter: Optional[dict] = None
-    #: The server node ids where the cluster names its client nodes
-    #: (``client_ids``) itself, as a geo cluster does; ``None`` on a
-    #: single rack, whose last node is the client.
-    server_ids: Optional[list] = None
+    #: The :class:`~repro.cluster.geo.GeoConfig` of a multi-datacenter
+    #: cluster; ``None`` on a single rack.
+    geo = None
 
     def __init__(self, env: Environment, spec: ClusterSpec,
                  rngs: RngRegistry) -> None:
@@ -367,6 +372,8 @@ class Cluster:
             Node(env, i, spec.node, rngs.stream(f"disk.{i}"))
             for i in range(spec.n_nodes)
         ]
+        self.server_ids: list[int] = list(range(spec.n_nodes - 1))
+        self.client_ids: list[int] = [spec.n_nodes - 1]
         self.rpc_count = 0
         #: Requests that arrived at the callee after their deadline and
         #: were abandoned before the handler ran.

@@ -1,8 +1,8 @@
 """Experiment configuration: one object per benchmark cell.
 
 An ingredient a component takes whole (an engine's knobs, the tail
-defenses, the arrival stream, the SLO, a fault, an elasticity plan) is
-defined beside that component and re-exported here, so the component
+defenses, the arrival stream, the client tier, the SLO, a fault, an
+elasticity plan, the geo layout) is defined beside that component and re-exported here, so the component
 receives the very record the cell carries.
 """
 
@@ -14,11 +14,11 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from repro.adaptive.monitor import SloSpec
-from repro.cassandra.consistency import ConsistencyLevel
 from repro.cassandra.deployment import CassandraConfig
+from repro.clienttier.openloop import ClientTierConfig
 from repro.cluster.elasticity import ElasticityConfig, ScaleEventSpec
 from repro.cluster.failure import FaultSpec
-from repro.cluster.geo import DEFAULT_REGION_RTTS
+from repro.cluster.geo import GeoConfig
 from repro.cluster.topology import TailDefenseConfig
 from repro.energy.cost import CostSpec
 from repro.energy.power import POWER_MODES, PowerSpec
@@ -41,53 +41,12 @@ __all__ = [
     "TailDefenseConfig",
     "config_to_dict",
     "config_to_json",
-    "default_geo_config",
     "default_micro_config",
     "default_scale_config",
     "default_stress_config",
     "default_surge_config",
     "disk_exposed_storage",
 ]
-
-
-@dataclass(frozen=True)
-class ClientTierConfig:
-    """Resilient client-tier knobs (see :mod:`repro.clienttier`).
-
-    The all-defaults instance is inert: no retries, no breaker, no rate
-    limiter, no leveler, no cache — the raw driver behaviour every
-    closed-loop sweep keeps.  Only consulted when a run goes through
-    the open-loop client (``run_cell(open_loop=True)``: every measured
-    run of a cell whose config sets ``arrivals``).
-    """
-
-    #: Extra client-tier attempts per operation (0 = the tier's retry
-    #: layer is off; the drivers' own internal retries still apply).
-    retries: int = 0
-    retry_backoff_s: float = 0.05
-    #: Retry-budget earn ratio (Finagle-style): each first attempt earns
-    #: this fraction of a retry token.  ``None`` = uncapped retries —
-    #: the naive client whose amplification the surge campaign measures.
-    retry_budget_ratio: Optional[float] = None
-    #: Circuit breaker trip threshold (failure fraction in the sliding
-    #: window).  ``None`` = no breaker.
-    breaker_failure_rate: Optional[float] = None
-    breaker_cooldown_s: float = 1.0
-    #: Per-tenant admission rate (requests/s).  ``None`` = no limiter.
-    rate_limit_per_tenant: Optional[float] = None
-    rate_limit_burst: float = 10.0
-    #: Fixed worker-pool size for queue-based load leveling.  ``None`` =
-    #: spawn one in-flight operation per arrival (unbounded concurrency).
-    leveling_workers: Optional[int] = None
-    leveling_queue: int = 64
-    #: Cache-aside read-cache TTL (the declared staleness budget the
-    #: oracle prices).  ``None`` = no cache.
-    cache_ttl_s: Optional[float] = None
-    cache_capacity: int = 1024
-    #: Override the driver's per-operation timeout (both engines) so an
-    #: overloaded store fails fast enough for client-side defenses to
-    #: react within a short campaign.  ``None`` = driver defaults.
-    op_timeout_s: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -118,54 +77,6 @@ class EnergyConfig:
             raise ValueError(
                 f"unknown power mode {self.power_mode!r}; choose from "
                 f"{POWER_MODES + ('policy',)}")
-
-
-@dataclass(frozen=True)
-class GeoConfig:
-    """Multi-datacenter deployment description for one cell.
-
-    JSON-safe mirror of the variable part of
-    :class:`repro.cluster.geo.GeoSpec`: dict-like fields are ``(key,
-    value)`` pair tuples, so the whole config hashes into the cell-cache
-    fingerprint unchanged.  The rest of the layout is fixed: the WAN
-    latencies are :data:`repro.cluster.geo.DEFAULT_REGION_RTTS`, the WAN
-    bandwidth is ``GeoSpec``'s, and every datacenter hosts one client
-    node (appended after the servers, in datacenter order; runs pick
-    their region via ``RunSpec.client_dc``).  Cassandra-only — the geo
-    campaign exercises per-DC replica placement and the DC-aware
-    consistency levels, which are Cassandra concepts.
-    """
-
-    #: ``(datacenter, server_count)`` pairs, in node-id order.
-    datacenters: tuple = (("eu-west", 3), ("us-west", 3),
-                          ("ap-southeast", 3))
-    #: ``(datacenter, replicas)`` pairs (NetworkTopologyStrategy).
-    replication_per_dc: tuple = (("eu-west", 3), ("us-west", 3),
-                                 ("ap-southeast", 3))
-
-    def __post_init__(self) -> None:
-        names = [dc for dc, _ in self.datacenters]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate datacenters in {names}")
-        legal = sorted(set().union(*DEFAULT_REGION_RTTS))
-        for dc in names:
-            if dc not in legal:
-                raise ValueError(f"GeoConfig.datacenters: {dc!r} has no WAN "
-                                 f"latencies; choose from {legal}")
-        counts = dict(self.datacenters)
-        for dc, rf in self.replication_per_dc:
-            if dc not in counts:
-                raise ValueError(f"replication configured for unknown "
-                                 f"datacenter {dc!r}")
-            if rf > counts[dc]:
-                raise ValueError(f"datacenter {dc!r} has {counts[dc]} "
-                                 f"servers but replication {rf} requested")
-
-    @property
-    def total_nodes(self) -> int:
-        """Servers plus one client node per datacenter."""
-        return (sum(count for _, count in self.datacenters)
-                + len(self.datacenters))
 
 
 def check_run_pacing(owner: str, target_throughput: Optional[float],
@@ -395,51 +306,6 @@ def disk_exposed_storage(db: str, record_count: int, n_servers: int,
         memtable_flush_bytes=max(32 * 1024, per_tree // 8),
         block_bytes=8 * 1024,
         block_cache_bytes=max(64 * 1024, int(per_tree * cache_fraction)),
-    )
-
-
-def default_geo_config(read_cl: ConsistencyLevel = ConsistencyLevel.LOCAL_QUORUM,
-                       write_cl: ConsistencyLevel = ConsistencyLevel.LOCAL_QUORUM,
-                       servers_per_dc: int = 3,
-                       replicas_per_dc: int = 3,
-                       record_count: int = 3_000,
-                       operation_count: int = 6_000,
-                       n_threads: int = 16,
-                       target_throughput: Optional[float] = 1_200.0,
-                       seed: int = 42,
-                       no_repair: bool = False,
-                       hint_replay_interval_s: float = 1.0,
-                       faults: tuple = ()) -> ExperimentConfig:
-    """One geo-replication cell: the default three regions (EU, US-West,
-    Singapore), ``servers_per_dc`` Cassandra servers and one client node
-    per region, NetworkTopologyStrategy with ``replicas_per_dc``.
-
-    ``no_repair`` disables read repair (and is typically paired with a
-    long ``hint_replay_interval_s``) so LOCAL_ONE's staleness window
-    stays open for the oracle to observe.
-    """
-    regions = ("eu-west", "us-west", "ap-southeast")
-    geo = GeoConfig(
-        datacenters=tuple((dc, servers_per_dc) for dc in regions),
-        replication_per_dc=tuple((dc, replicas_per_dc) for dc in regions))
-    return ExperimentConfig(
-        db="cassandra",
-        workload=STRESS_WORKLOADS["read_update"],
-        record_count=record_count,
-        operation_count=operation_count,
-        n_threads=n_threads,
-        target_throughput=target_throughput,
-        n_nodes=geo.total_nodes,
-        seed=seed,
-        storage=scaled_stress_storage(record_count, 1000,
-                                      servers_per_dc * len(regions)),
-        cassandra=CassandraConfig(
-            read_cl=read_cl, write_cl=write_cl,
-            read_repair_chance=0.0 if no_repair else 0.1,
-            blocking_read_repair=not no_repair,
-            hint_replay_interval_s=hint_replay_interval_s),
-        geo=geo,
-        faults=tuple(faults),
     )
 
 

@@ -26,6 +26,7 @@ from repro.clienttier.openloop import (ClientTier, OpenLoopClient,
                                        build_client_stack)
 from repro.cluster.elasticity import ScaleEngine, build_scale_report
 from repro.cluster.failure import FailureInjector
+from repro.cluster.geo import GeoCluster
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.consistency.history import HistoryRecorder
 from repro.consistency.oracle import build_consistency_report
@@ -323,17 +324,15 @@ class ExperimentSession:
         self.rngs = RngRegistry(config.seed)
         geo = config.geo
         if geo is not None:
-            from repro.cluster.geo import GeoCluster, GeoSpec
-            regions = tuple(dc for dc, _ in geo.datacenters)
-            self.cluster = GeoCluster(self.env, GeoSpec(
-                datacenters=dict(geo.datacenters),
-                client_datacenters=regions), self.rngs)
-            client_nodes = {dc: self.cluster.client_in(dc) for dc in regions}
+            self.cluster = GeoCluster(self.env, geo, self.rngs)
+            regions = [dc for dc, _ in geo.datacenters]
         else:
             self.cluster = Cluster(self.env,
                                    ClusterSpec(n_nodes=config.n_nodes),
                                    self.rngs)
-            client_nodes = {None: self.cluster.node(config.n_nodes - 1)}
+            regions = [None]
+        client_nodes = {dc: self.cluster.node(node_id) for dc, node_id
+                        in zip(regions, self.cluster.client_ids)}
         self.client_node = next(iter(client_nodes.values()))
         if config.energy.power_mode != "always_on":
             # Power management covers the servers only — the client
@@ -370,7 +369,6 @@ class ExperimentSession:
         else:
             self.cassandra = CassandraCluster(
                 self.cluster, config.cassandra, config.storage, config.tail,
-                replication_per_dc=geo and dict(geo.replication_per_dc),
                 spare_nodes=spares)
         #: Who can drive a run: ``{datacenter: (node, Cassandra session
         #: or None, binding)}`` — one client per region on a geo

@@ -41,11 +41,11 @@ from repro.core.config import (MICRO_STORAGE,
                                ElasticityConfig,
                                EnergyConfig,
                                ExperimentConfig,
+                               GeoConfig,
                                HBaseConfig,
                                ScaleEventSpec,
                                SloSpec,
                                TailDefenseConfig,
-                               default_geo_config,
                                default_micro_config,
                                default_scale_config,
                                default_stress_config,
@@ -120,13 +120,15 @@ class Scale:
     :data:`GEO_SCENARIOS`, ``_ARRIVAL_SHAPE``) name the fields of it a
     mode or scenario keeps.  A field the cell's code path never reads
     stays at its class default, so a cell's identity (cache fingerprint,
-    pinned digest) carries only the knobs that shape it.
+    pinned digest) carries only the knobs that shape it.  The ``geo``
+    fragment is the layout itself: a geo cell carries it whole, and it
+    sizes the cluster.
     """
 
     # -- sizing --------------------------------------------------------------
     record_count: int
     #: Machines including the client node.  ``None`` where the topology
-    #: sizes itself (geo: ``servers_per_dc`` plus one client per region).
+    #: sizes itself (geo: ``geo.total_nodes``).
     n_nodes: Optional[int] = None
     n_threads: int = 16
     #: Closed-loop run length.  ``None`` where the length follows from
@@ -161,15 +163,14 @@ class Scale:
     energy: EnergyConfig = EnergyConfig()
     #: adaptive: the engine knobs its cells run with.
     cassandra: CassandraConfig = CassandraConfig()
+    #: geo: the datacenters and the replicas placed in each.
+    geo: GeoConfig = GeoConfig()
 
     # -- campaign-specific leftovers -----------------------------------------
     #: tail, scenario ``overload``: closed-loop threads and run length
     #: of the unthrottled cell.
     overload_threads: Optional[int] = None
     overload_operations: Optional[int] = None
-    #: geo: Cassandra servers / replicas in each of the three regions.
-    servers_per_dc: int = 3
-    replicas_per_dc: int = 3
 
 
 # -- shared ingredients ------------------------------------------------------
@@ -936,14 +937,22 @@ GEO_SCENARIOS = {
 #: convergence check judges.
 _GEO = Scale(
     record_count=3_000, operation_count=6_000, n_threads=16,
-    servers_per_dc=3, replicas_per_dc=3, targets=(1_200.0,),
+    targets=(1_200.0,),
     fault=FaultSpec(at_s=1.0, duration_s=2.0, severity=6.0,
-                    datacenter="ap-southeast"))
+                    datacenter="ap-southeast"),
+    geo=GeoConfig(
+        datacenters=(("eu-west", 3), ("us-west", 3), ("ap-southeast", 3)),
+        replication_per_dc=(("eu-west", 3), ("us-west", 3),
+                            ("ap-southeast", 3))))
 
 _GEO_QUICK = replace(
     _GEO, record_count=400, operation_count=800, n_threads=6,
-    servers_per_dc=2, replicas_per_dc=2, targets=(600.0,),
-    fault=replace(_GEO.fault, at_s=0.4, duration_s=0.8))
+    targets=(600.0,),
+    fault=replace(_GEO.fault, at_s=0.4, duration_s=0.8),
+    geo=GeoConfig(
+        datacenters=(("eu-west", 2), ("us-west", 2), ("ap-southeast", 2)),
+        replication_per_dc=(("eu-west", 2), ("us-west", 2),
+                            ("ap-southeast", 2))))
 
 
 def _geo_cells(db: str, scale: Scale, modes: Sequence[str],
@@ -953,23 +962,28 @@ def _geo_cells(db: str, scale: Scale, modes: Sequence[str],
     load through its local coordinators).  Each summary's
     ``consistency`` entry carries the cross-DC oracle verdict (staleness
     lag, convergence after heal, which guarantees held) and — for the
-    faulted scenarios — a ``failover`` availability report."""
+    faulted scenarios — a ``failover`` availability report.
+
+    The cells are the shared stress cell on ``scale.geo``'s layout, with
+    storage sized to its servers and LOCAL_QUORUM as the deployment's
+    default consistency levels (each run names its own)."""
     target = scale.targets[0]
+    geo = scale.geo
+    base = _stress(db, scale, "read_update", n_nodes=geo.total_nodes,
+                   storage=scaled_stress_storage(
+                       scale.record_count, 1000,
+                       geo.total_nodes - len(geo.datacenters)),
+                   cassandra=CassandraConfig(
+                       read_cl=ConsistencyLevel.LOCAL_QUORUM,
+                       write_cl=ConsistencyLevel.LOCAL_QUORUM),
+                   geo=geo)
     cells = []
     for mode in modes:
         read_cl, write_cl = GEO_CL_MODES[mode]
         for scenario in scenarios:
             shape = GEO_SCENARIOS[scenario]
-            config = default_geo_config(
-                servers_per_dc=scale.servers_per_dc,
-                replicas_per_dc=scale.replicas_per_dc,
-                record_count=scale.record_count,
-                operation_count=scale.operation_count,
-                n_threads=scale.n_threads,
-                target_throughput=target,
-                seed=scale.seed,
-                faults=(() if shape is None
-                        else _fault(scale, scenario, *shape)))
+            config = replace(base, faults=(
+                () if shape is None else _fault(scale, scenario, *shape)))
             cells.append(CellSpec(
                 key=(mode, scenario),
                 label=f"geo/{db}/{mode}/{scenario}",

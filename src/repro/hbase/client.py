@@ -7,7 +7,7 @@ from typing import Any, Generator, Optional
 
 from repro.cluster.hedging import HedgePolicy
 from repro.cluster.node import Node
-from repro.cluster.topology import (Cluster, DEFAULT_CLIENT_OVERHEAD_S,
+from repro.cluster.topology import (CLIENT_OVERHEAD_S, Cluster,
                                     DeadlineExceeded, DeadNodeError,
                                     RpcTimeout)
 from repro.keyspace import KEY_DOMAIN, key_for_token, token_of
@@ -15,7 +15,13 @@ from repro.hbase.deployment import HBaseCluster
 from repro.hbase.regionserver import NotServingRegion
 from repro.sim.resources import Overloaded
 
-__all__ = ["HBaseClient", "backoff_delay"]
+__all__ = ["BACKOFF_CAP_S", "HBaseClient", "MAX_RETRIES", "backoff_delay"]
+
+#: Retries per operation after the first attempt, each against a region
+#: map refreshed from the HMaster.
+MAX_RETRIES = 4
+#: Ceiling of the exponential retry backoff (seconds).
+BACKOFF_CAP_S = 5.0
 
 
 def backoff_delay(base_s: float, attempt: int, cap_s: float,
@@ -48,18 +54,14 @@ class HBaseClient:
     """
 
     def __init__(self, hbase: HBaseCluster, client_node: Node,
-                 op_timeout_s: float = 5.0, max_retries: int = 4,
+                 op_timeout_s: float = 5.0,
                  retry_backoff_s: float = 0.5,
-                 backoff_cap_s: float = 5.0,
-                 rng=None,
-                 client_overhead_s: float = DEFAULT_CLIENT_OVERHEAD_S) -> None:
+                 rng=None) -> None:
         self.hbase = hbase
         self.cluster: Cluster = hbase.cluster
         self.client_node = client_node
         self.op_timeout_s = op_timeout_s
-        self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
-        self.backoff_cap_s = backoff_cap_s
         #: Sim RNG stream for backoff jitter (``None`` = no jitter).
         self._rng = rng
         tail = hbase.tail
@@ -68,11 +70,6 @@ class HBaseClient:
         #: End-to-end per-operation budget (covers retries); ``None`` =
         #: no deadline propagation.
         self.deadline_s = tail.deadline_s
-        #: Client-side CPU per operation (serialization, bookkeeping),
-        #: charged ahead of the first attempt's request serialization —
-        #: fused into the RPC's own core reservation so it costs no extra
-        #: kernel event (see ``cluster.topology.AsyncCall``).
-        self.client_overhead_s = client_overhead_s
         #: region_id -> node_id (META cache).
         self._assignment = dict(hbase.master.assignment)
         self.retries = 0
@@ -103,11 +100,11 @@ class HBaseClient:
             payload = (*payload, deadline)
         hedge = self.hedge if verb != "rs.put" else None
         last_error: Optional[Exception] = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 self.retries += 1
                 delay = backoff_delay(self.retry_backoff_s, attempt,
-                                      self.backoff_cap_s, self._rng)
+                                      BACKOFF_CAP_S, self._rng)
                 if deadline is not None:
                     remaining = deadline - env._now
                     if remaining <= 0:
@@ -123,7 +120,7 @@ class HBaseClient:
                     self.cluster.nodes[self._assignment[region_id]], verb,
                     payload, request_bytes, response_bytes,
                     timeout=self.op_timeout_s, deadline=deadline,
-                    src_cpu_s=self.client_overhead_s if attempt == 0 else 0.0)
+                    src_cpu_s=CLIENT_OVERHEAD_S if attempt == 0 else 0.0)
                 if hedge is None:
                     result = yield call
                 else:
@@ -141,7 +138,7 @@ class HBaseClient:
                     NotServingRegion) as exc:
                 last_error = exc
         raise RpcTimeout(f"{verb} on region {region_id} failed after "
-                         f"{self.max_retries} retries") from last_error
+                         f"{MAX_RETRIES} retries") from last_error
 
     def _duplicate(self, region_id: int, verb: str, payload: Any,
                    request_bytes: int, response_bytes: int,

@@ -1,8 +1,8 @@
 """Wires a full HBase deployment onto a simulated cluster.
 
-Topology per the paper: the last node runs HMaster + NameNode and hosts
-the YCSB client; every other node runs a RegionServer co-located with a
-DataNode.
+Topology per the paper: the cluster's client node (a rack's last node)
+runs HMaster + NameNode and hosts the YCSB client; every server node
+runs a RegionServer co-located with a DataNode.
 """
 
 from __future__ import annotations
@@ -41,13 +41,13 @@ class HBaseCluster:
     def __init__(self, cluster: Cluster, config: HBaseConfig,
                  storage: StorageSpec, tail: TailDefenseConfig,
                  spare_servers: int = 0) -> None:
-        if cluster.spec.n_nodes < 2:
+        if not cluster.server_ids:
             raise ValueError("HBase needs at least one server + one master node")
         self.cluster = cluster
         self.config = config
         self.tail = tail
-        self.master_node = cluster.node(cluster.spec.n_nodes - 1)
-        self.server_nodes = cluster.nodes[:-1]
+        self.master_node = cluster.node(cluster.client_ids[0])
+        self.server_nodes = [cluster.node(nid) for nid in cluster.server_ids]
 
         self.datanodes = {n.node_id: DataNode(n) for n in self.server_nodes}
         self.namenode = NameNode(self.master_node, list(self.datanodes),

@@ -201,11 +201,11 @@ class TestDcFaultValidation:
     when they name targets the cluster does not have."""
 
     def _geo_cluster(self):
-        from repro.cluster.geo import GeoCluster, GeoSpec
+        from repro.cluster.geo import GeoCluster, GeoConfig
         env = Environment()
-        return GeoCluster(env, GeoSpec(datacenters={"eu-west": 2,
-                                                    "us-west": 2}),
-                          RngRegistry(3))
+        return GeoCluster(env, GeoConfig(
+            datacenters=(("eu-west", 2), ("us-west", 2)),
+            replication_per_dc=()), RngRegistry(3))
 
     def test_dc_fault_spec_requires_a_datacenter(self):
         with pytest.raises(ValueError, match="needs a datacenter"):

@@ -24,7 +24,7 @@ import pytest
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.cassandra.deployment import CassandraCluster, CassandraConfig
-from repro.cluster.geo import GeoCluster, GeoSpec
+from repro.cluster.geo import GeoCluster, GeoConfig
 from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.keyspace import key_for_index
 from repro.sim.kernel import Environment
@@ -172,11 +172,12 @@ def _each_quorum_writes():
     each: every leg out of the client's datacenter lands on arrival."""
     env = Environment()
     tracer = KernelTracer(env)
-    geo = GeoCluster(env, GeoSpec(datacenters={
-        "eu-west": 3, "us-west": 3, "ap-southeast": 3}), RngRegistry(42))
+    geo = GeoCluster(env, GeoConfig(
+        datacenters=(("eu-west", 3), ("us-west", 3), ("ap-southeast", 3)),
+        replication_per_dc=(("eu-west", 2), ("us-west", 2),
+                            ("ap-southeast", 2))), RngRegistry(42))
     cassandra = CassandraCluster(
-        geo, CassandraConfig(replication=3), _STORE, TailDefenseConfig(),
-        replication_per_dc={"eu-west": 2, "us-west": 2, "ap-southeast": 2})
+        geo, CassandraConfig(replication=3), _STORE, TailDefenseConfig())
     _seed(env, cassandra, [KEY])
     replicas = cassandra.replicas_of(KEY)
     log = []

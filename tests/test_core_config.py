@@ -81,6 +81,15 @@ def _cell(**overrides):
                        replication_per_dc=()),
      r"'mars' has no WAN latencies; choose from \['ap-southeast', "
      r"'eu-west', 'us-west'\]"),
+    (lambda: GeoConfig(replication_per_dc=(("eu-west", -1), ("us-west", 3),
+                                           ("ap-southeast", 3))),
+     r"GeoConfig.replication_per_dc: 'eu-west' has replication -1"),
+    (lambda: GeoConfig(replication_per_dc=(("eu-west", 3), ("us-west", 3),
+                                           ("eu-west", 2))),
+     r"GeoConfig.replication_per_dc: 'eu-west' is listed twice"),
+    (lambda: GeoConfig(datacenters=(("eu-west", 3), ("us-west", 0)),
+                       replication_per_dc=()),
+     r"GeoConfig.datacenters: 'us-west' has 0 servers"),
     (lambda: ExperimentSession(_cell()).run_cell(target_throughput=0.0),
      r"run_cell.target_throughput=0.0: must be None \(full speed\) or > 0"),
     (lambda: ExperimentSession(_cell()).run_cell(n_threads=0),
@@ -88,7 +97,9 @@ def _cell(**overrides):
 ], ids=["memtable", "block", "cache", "min_batch", "max_batch", "records",
         "operations", "nodes", "rate", "arrivals", "process", "threads",
         "load_threads", "warmup", "warmup_negative", "settle", "target",
-        "geo_datacenter", "run_target", "run_threads"])
+        "geo_datacenter", "geo_negative_replication",
+        "geo_repeated_replication", "geo_empty_datacenter", "run_target",
+        "run_threads"])
 def test_config_errors_name_the_field_and_value(build, names):
     with pytest.raises(ValueError, match=names):
         build()

@@ -4,7 +4,9 @@
 ``config.storage`` and ``config.tail`` to the engine as they are; the
 engine's nodes, coordinators and drivers read their knobs from those
 objects.  Every value below is off its default, so a knob dropped or
-copied wrong on the way shows.
+copied wrong on the way shows.  A geo cell's ``config.geo`` is its
+cluster's layout record as it is, and every cluster names its own
+servers and clients.
 """
 
 from dataclasses import replace
@@ -13,10 +15,14 @@ import pytest
 
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.cassandra.deployment import CassandraConfig
-from repro.cluster.topology import TailDefenseConfig
+from repro.cluster.geo import GeoCluster, GeoConfig
+from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.core.config import default_stress_config
 from repro.core.experiment import ExperimentSession
+from repro.core.sweep import CAMPAIGNS, campaign_cells
 from repro.hbase.deployment import HBaseConfig
+from repro.sim.kernel import Environment
+from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec
 
 pytestmark = pytest.mark.hashseed
@@ -77,3 +83,42 @@ def test_hbase_servers_read_the_cells_records():
     driver = session.binding.client
     assert driver.hedge.spec == "p90"
     assert driver.deadline_s == 0.75
+
+
+# -- the cluster's layout -----------------------------------------------------
+
+def test_a_geo_session_runs_on_the_cells_geo_record():
+    config = campaign_cells("geo", scale=CAMPAIGNS["geo"].quick,
+                            modes=("LOCAL_QUORUM",),
+                            scenarios=("healthy",))[0].config
+    session = ExperimentSession(config)
+    cluster = session.cluster
+    assert cluster.geo is config.geo
+    assert session.client_node is cluster.node(cluster.client_ids[0])
+    assert session.cassandra.placement.replication_per_dc \
+        == dict(config.geo.replication_per_dc)
+
+
+def test_a_rack_names_its_servers_and_its_client():
+    cluster = Cluster(Environment(), ClusterSpec(n_nodes=5), RngRegistry(1))
+    assert cluster.server_ids == [0, 1, 2, 3]
+    assert cluster.client_ids == [4]
+    assert cluster.geo is None
+
+
+def test_a_one_node_rack_is_its_client():
+    cluster = Cluster(Environment(), ClusterSpec(n_nodes=1), RngRegistry(1))
+    assert (cluster.server_ids, cluster.client_ids) == ([], [0])
+
+
+def test_a_geo_layout_comes_out_in_datacenter_order():
+    geo = GeoConfig(datacenters=(("us-west", 1), ("eu-west", 2)),
+                    replication_per_dc=())
+    cluster = GeoCluster(Environment(), geo, RngRegistry(1))
+    assert cluster.geo is geo
+    assert cluster.server_ids == [0, 1, 2]
+    assert cluster.client_ids == [3, 4]
+    assert cluster.node_datacenter == {0: "us-west", 1: "eu-west",
+                                       2: "eu-west", 3: "us-west",
+                                       4: "eu-west"}
+    assert [node.node_id for node in cluster.nodes] == [0, 1, 2, 3, 4]

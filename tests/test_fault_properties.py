@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.cluster.failure import (DC_FAULT_KINDS, FAULT_ACTIONS,
                                    FAULT_KINDS, FailureInjector, FaultSpec,
                                    UnknownFaultTargetError)
-from repro.cluster.geo import GeoCluster, GeoSpec
+from repro.cluster.geo import GeoCluster, GeoConfig
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
@@ -33,7 +33,9 @@ def rack() -> Cluster:
 
 def geo() -> GeoCluster:
     return GeoCluster(Environment(),
-                      GeoSpec(datacenters={dc: 3 for dc in DATACENTERS}),
+                      GeoConfig(datacenters=tuple((dc, 3)
+                                                  for dc in DATACENTERS),
+                                replication_per_dc=()),
                       RngRegistry(5))
 
 

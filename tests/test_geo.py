@@ -8,8 +8,8 @@ from repro.cassandra.deployment import CassandraCluster, CassandraConfig
 from repro.cassandra.multidc import NetworkTopologyStrategy, SimpleStrategy
 from repro.cassandra.partitioner import TokenRing
 from repro.cluster.failure import FailureInjector, FaultSpec
-from repro.cluster.geo import GeoCluster, GeoSpec
-from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
+from repro.cluster.geo import GeoCluster, GeoConfig
+from repro.cluster.topology import TailDefenseConfig
 from repro.keyspace import key_for_index
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
@@ -18,18 +18,24 @@ from repro.storage.lsm import StorageSpec
 import random
 
 
-def build_geo(replication_per_dc=None, seed=42):
+def two_datacenters():
+    """eu-west and us-west, two servers and one client each."""
+    return GeoConfig(datacenters=(("eu-west", 2), ("us-west", 2)),
+                     replication_per_dc=())
+
+
+def build_geo(seed=42):
     env = Environment()
     rngs = RngRegistry(seed)
-    geo = GeoCluster(env, GeoSpec(datacenters={"eu-west": 3, "us-west": 3,
-                                               "ap-southeast": 3}), rngs)
+    geo = GeoCluster(env, GeoConfig(
+        datacenters=(("eu-west", 3), ("us-west", 3), ("ap-southeast", 3)),
+        replication_per_dc=(("eu-west", 2), ("us-west", 2),
+                            ("ap-southeast", 2))), rngs)
     cassandra = CassandraCluster(
         geo, CassandraConfig(replication=3),
         StorageSpec(memtable_flush_bytes=64 * 1024, block_bytes=4096,
                     block_cache_bytes=512 * 1024),
-        TailDefenseConfig(),
-        replication_per_dc=replication_per_dc or {"eu-west": 2, "us-west": 2,
-                                                  "ap-southeast": 2})
+        TailDefenseConfig())
     session = CassandraSession(cassandra, cassandra.client_node)
     return env, geo, cassandra, session
 
@@ -47,19 +53,20 @@ def _cut_off(geo, datacenter):
 class TestGeoCluster:
     def test_node_layout(self):
         env = Environment()
-        geo = GeoCluster(env, GeoSpec(datacenters={"a": 2, "b": 3},
-                                      client_datacenters=("a",)),
-                         RngRegistry(1))
-        assert len(geo.nodes) == 6  # 5 servers + client
-        assert geo.datacenter_of(0) == "a"
-        assert geo.datacenter_of(4) == "b"
-        assert geo.datacenter_of(5) == "a"  # the client
-        assert geo.servers_in("b") == [2, 3, 4]
+        geo = GeoCluster(env, GeoConfig(
+            datacenters=(("eu-west", 2), ("us-west", 3)),
+            replication_per_dc=()), RngRegistry(1))
+        assert len(geo.nodes) == 7  # 5 servers + one client per DC
+        assert geo.datacenter_of(0) == "eu-west"
+        assert geo.datacenter_of(4) == "us-west"
+        assert (geo.server_ids, geo.client_ids) == ([0, 1, 2, 3, 4], [5, 6])
+        assert geo.datacenter_of(5) == "eu-west"  # the clients
+        assert geo.datacenter_of(6) == "us-west"
+        assert geo.servers_in("us-west") == [2, 3, 4]
 
     def test_cross_dc_latency_dominates(self):
         env = Environment()
-        spec = GeoSpec(datacenters={"eu-west": 2, "us-west": 2})
-        geo = GeoCluster(env, spec, RngRegistry(2))
+        geo = GeoCluster(env, two_datacenters(), RngRegistry(2))
 
         def echo(payload):
             return payload
@@ -84,11 +91,10 @@ class TestGeoCluster:
         """A ``dc_partition`` fault takes its datacenter's servers down
         for its window and brings them back."""
         env = Environment()
-        geo = GeoCluster(env, GeoSpec(datacenters={"a": 2, "b": 2},
-                                      client_datacenters=("a",)),
-                         RngRegistry(3))
+        geo = GeoCluster(env, two_datacenters(), RngRegistry(3))
         FailureInjector(geo).inject([FaultSpec(
-            kind="dc_partition", datacenter="b", at_s=1.0, duration_s=2.0)])
+            kind="dc_partition", datacenter="us-west", at_s=1.0,
+            duration_s=2.0)])
         env.run(until=2.0)
         assert [n.node_id for n in geo.nodes if not n.alive] == [2, 3]
         env.run(until=4.0)
@@ -223,11 +229,3 @@ class TestGeoCassandra:
                 return "unavailable"
 
         assert drive(env, scenario()) == "unavailable"
-
-    def test_replication_per_dc_requires_geo_cluster(self):
-        env = Environment()
-        cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(4))
-        with pytest.raises(ValueError):
-            CassandraCluster(
-                cluster, CassandraConfig(), StorageSpec(), TailDefenseConfig(),
-                replication_per_dc={"dc1": 2})

@@ -36,7 +36,7 @@ from repro.cassandra import coordinator
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.cassandra.deployment import CassandraCluster, CassandraConfig
-from repro.cluster.geo import GeoCluster, GeoSpec
+from repro.cluster.geo import GeoCluster, GeoConfig
 from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.hbase.client import HBaseClient
 from repro.hbase.deployment import HBaseCluster, HBaseConfig
@@ -357,12 +357,12 @@ def test_request_ending_in_the_verb_call_with_nobody_waiting():
     fails right there, and with nobody waiting for the coordinator's
     answer the failure stops the run, as the request's process did."""
     env = Environment()
-    geo = GeoCluster(env, GeoSpec(datacenters={"eu-west": 2, "us-west": 2}),
-                     RngRegistry(5))
+    geo = GeoCluster(env, GeoConfig(
+        datacenters=(("eu-west", 2), ("us-west", 2)),
+        replication_per_dc=(("eu-west", 1), ("us-west", 1))), RngRegistry(5))
     cassandra = CassandraCluster(
         geo, CassandraConfig(replication=2), StorageSpec(),
-        TailDefenseConfig(handler_slots=1, max_handler_queue=0),
-        replication_per_dc={"eu-west": 1, "us-west": 1})
+        TailDefenseConfig(handler_slots=1, max_handler_queue=0))
     local = next(r for r in cassandra.replicas_of(KEY)
                  if geo.node_datacenter[r] == "eu-west")
     cassandra.nodes[local].replica_pool.request()

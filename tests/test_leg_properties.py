@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.geo import GeoCluster, GeoSpec
+from repro.cluster.geo import (DEFAULT_REGION_RTTS, LOCAL_LATENCY_S,
+                               WAN_BANDWIDTH_BPS, GeoCluster, GeoConfig)
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.energy.power import PowerManager, PowerSpec
@@ -48,8 +49,8 @@ LEGS = st.lists(
 class _RefNode:
     """The accumulators of one machine, as DESIGN.md §3 names them."""
 
-    def __init__(self, slowdown):
-        self.cores = [0.0] * NODE.cores
+    def __init__(self, slowdown, cores=NODE.cores):
+        self.cores = [0.0] * cores
         self.egress = self.ingress = self.busy_s = self.cpu_time = 0.0
         self.sent = self.received = 0
         self.slowdown = slowdown
@@ -161,10 +162,13 @@ def test_rack_legs_match_the_five_stage_definition(script, seed, slow):
 @given(script=LEGS, seed=st.integers(0, 2**16))
 @settings(max_examples=100, deadline=None)
 def test_geo_legs_defer_exactly_the_cross_datacenter_ones(script, seed):
-    spec = GeoSpec(datacenters={"a": 2, "b": 1}, client_datacenters=("b",),
-                   region_latency_s={frozenset({"a", "b"}): 0.04}, node=NODE)
-    cluster = GeoCluster(Environment(), spec, RngRegistry(seed))
+    # One server and one client in each datacenter: nodes 0 and 2 in
+    # eu-west, 1 and 3 in us-west, each the default NodeSpec.
+    geo = GeoConfig(datacenters=(("eu-west", 1), ("us-west", 1)),
+                    replication_per_dc=())
+    cluster = GeoCluster(Environment(), geo, RngRegistry(seed))
     assert len(cluster.nodes) == N_NODES
+    wan_s = DEFAULT_REGION_RTTS[frozenset({"eu-west", "us-west"})]
     datacenter = cluster.node_datacenter
     rng = RngRegistry(seed).stream("geo.network")
 
@@ -174,10 +178,10 @@ def test_geo_legs_defer_exactly_the_cross_datacenter_ones(script, seed):
     def hop(s, d, size):
         factor = 0.7 + rng.expovariate(1.0 / 0.6)
         if crosses(s, d):
-            return 0.04 * factor + size / spec.wan_bandwidth_bps
-        return spec.local_latency_s * factor + 0.0
+            return wan_s * factor + size / WAN_BANDWIDTH_BPS
+        return LOCAL_LATENCY_S * factor + 0.0
 
-    nodes = [_RefNode(1.0) for _ in range(N_NODES)]
+    nodes = [_RefNode(1.0, cluster.spec.node.cores) for _ in range(N_NODES)]
     expected = reference(script, nodes, hop, crosses)
     events, done = drive(cluster, script)
     assert done == expected

@@ -4,13 +4,17 @@ and only the harness imports the harness.
 Callers import from the defining module (``repro.sim.kernel``, not
 ``repro.sim``).  A re-export layer hides import cycles and lets two
 names for one object drift apart, so this test keeps it from growing
-back.  No module outside ``repro/core`` imports ``repro.core``.
+back.  No module outside ``repro/core`` imports ``repro.core``, and a
+record a component takes is defined beside that component.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from repro.core import config
 
 PACKAGE_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 INITS = sorted(PACKAGE_ROOT.glob("*/__init__.py"))
@@ -50,3 +54,16 @@ def test_components_do_not_import_the_harness():
         if names:
             offending[str(where)] = names
     assert offending == {}
+
+
+def test_the_harness_re_exports_the_components_records():
+    """Every record ``core/config.py`` re-exports is defined beside the
+    component that takes it; only the cell itself and the energy model
+    the harness reads are the harness's own."""
+    records = [getattr(config, name) for name in config.__all__]
+    records = [r for r in records
+               if isinstance(r, type) and dataclasses.is_dataclass(r)]
+    own = {r.__name__ for r in records
+           if r.__module__.startswith("repro.core.")}
+    assert len(records) > 2
+    assert own == {"ExperimentConfig", "EnergyConfig"}

@@ -388,18 +388,16 @@ class TestGeoStalenessShapes:
         # region's own run is where staleness shows: once its DC dies,
         # LOCAL_ONE falls back over the WAN to replicas that never saw
         # its locally-acknowledged writes.
-        from repro.core.config import default_geo_config
+        # The quick campaign's partitioned cell, with read repair off
+        # and LOCAL_ONE as the deployment's default levels.
         from repro.core.experiment import ExperimentSession
-        from repro.cluster.failure import FaultSpec
-        config = default_geo_config(
-            read_cl=ConsistencyLevel.LOCAL_ONE,
-            write_cl=ConsistencyLevel.LOCAL_ONE,
-            servers_per_dc=2, replicas_per_dc=2,
-            record_count=400, operation_count=800, n_threads=6,
-            target_throughput=600.0, seed=42, no_repair=True,
-            faults=(FaultSpec(kind="dc_partition",
-                              datacenter="ap-southeast",
-                              at_s=0.4, duration_s=0.8),))
+        config = campaign_cells("geo", scale=CAMPAIGNS["geo"].quick,
+                                modes=("LOCAL_ONE",),
+                                scenarios=("dc_partition",))[0].config
+        config = replace(config, cassandra=replace(
+            config.cassandra, read_cl=ConsistencyLevel.LOCAL_ONE,
+            write_cl=ConsistencyLevel.LOCAL_ONE, read_repair_chance=0.0,
+            blocking_read_repair=False))
         session = ExperimentSession(config)
         session.load()
         reports = {}

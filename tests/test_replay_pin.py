@@ -58,11 +58,12 @@ class TestReplayPin:
 
 
 def _geo_config():
-    from repro.core.config import default_geo_config
-    return default_geo_config(
-        servers_per_dc=2, replicas_per_dc=2, record_count=200,
-        operation_count=400, n_threads=4, target_throughput=600.0,
-        seed=13,
+    config = campaign_cells("geo", scale=CAMPAIGNS["geo"].quick,
+                            modes=("LOCAL_QUORUM",),
+                            scenarios=("dc_partition",))[0].config
+    return replace(
+        config, record_count=200, operation_count=400, n_threads=4,
+        seed=13, storage=scaled_stress_storage(200, 1000, 6),
         faults=(FaultSpec(kind="dc_partition", datacenter="ap-southeast",
                           at_s=0.2, duration_s=0.4),))
 
@@ -96,7 +97,7 @@ class TestGeoReplayPin:
         from repro.core.runner import CellRunner
         full = CAMPAIGNS["geo"].full
         scale = replace(full, record_count=200, operation_count=400,
-                        n_threads=4, servers_per_dc=2, replicas_per_dc=2,
+                        n_threads=4, geo=CAMPAIGNS["geo"].quick.geo,
                         targets=(600.0,),
                         fault=replace(full.fault, at_s=0.2, duration_s=0.4))
         cells = campaign_cells("geo", scale=scale,

@@ -17,10 +17,10 @@ from repro.cassandra.consistency import ConsistencyLevel
 from repro.cluster.failure import FaultSpec
 from repro.core.config import (ArrivalConfig, ClientTierConfig,
                                ElasticityConfig, ScaleEventSpec,
-                               default_geo_config, default_scale_config,
-                               default_surge_config, scaled_stress_storage)
+                               default_scale_config, default_surge_config,
+                               scaled_stress_storage)
 from repro.core.experiment import ExperimentSession, summarize_run
-from repro.core.sweep import campaign_cells
+from repro.core.sweep import CAMPAIGNS, campaign_cells
 from tests.conftest import traced_run
 
 pytestmark = pytest.mark.hashseed
@@ -39,12 +39,14 @@ def _closed(db):
 
 
 def _geo(_db):
-    config = default_geo_config(
-        servers_per_dc=2, replicas_per_dc=2, record_count=200,
-        operation_count=400, n_threads=4, target_throughput=600.0, seed=13,
+    config = campaign_cells("geo", scale=CAMPAIGNS["geo"].quick,
+                            modes=("LOCAL_QUORUM",),
+                            scenarios=("dc_partition",))[0].config
+    return replace(
+        config, record_count=200, operation_count=400, n_threads=4, seed=13,
+        settle_s=1.0, storage=scaled_stress_storage(200, 1000, 6),
         faults=(FaultSpec(kind="dc_partition", datacenter="ap-southeast",
                           at_s=0.2, duration_s=0.4),))
-    return replace(config, settle_s=1.0)
 
 
 def _open(db):
