@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Generator
 
+from repro.sim.kernel import ModelledFailure
 from repro.ycsb.db import DbBinding
 
 __all__ = ["BreakerBinding", "BreakerOpen", "CircuitBreaker"]
@@ -140,23 +141,21 @@ class CircuitBreaker:
 class BreakerBinding:
     """A :class:`~repro.ycsb.db.DbBinding` guarded by one breaker.
 
-    ``failure_errors`` is the tuple of exception types that count as
-    store failures (timeouts, sheds, dead nodes); anything else —
-    including :class:`BreakerOpen` itself — passes through without
-    touching the window.
+    A :class:`~repro.sim.kernel.ModelledFailure` (a timeout, a shed, a
+    dead node) counts as a store failure; anything else — including
+    :class:`BreakerOpen` itself — passes through without touching the
+    window.
     """
 
-    def __init__(self, inner: DbBinding, breaker: CircuitBreaker,
-                 failure_errors: tuple) -> None:
+    def __init__(self, inner: DbBinding, breaker: CircuitBreaker) -> None:
         self.inner = inner
         self.breaker = breaker
-        self.failure_errors = failure_errors
 
     def _guard(self, method, *args) -> Generator:
         self.breaker.before()
         try:
             result = yield from method(*args)
-        except self.failure_errors:
+        except ModelledFailure:
             self.breaker.record_failure()
             raise
         self.breaker.record_success()

@@ -37,19 +37,15 @@ from repro.clienttier.cache import CacheAsideBinding
 from repro.clienttier.leveling import LoadLeveler
 from repro.clienttier.ratelimit import RateLimited, TenantRateLimiter
 from repro.clienttier.retry import RetryBinding, RetryBudget
-from repro.sim.kernel import Environment, Event
+from repro.sim.kernel import Environment, Event, ModelledFailure
 from repro.ycsb.arrivals import ArrivalProcess, UserSessions
-from repro.ycsb.client import OPERATION_ERRORS, RunResult, _execute
+from repro.ycsb.client import RunResult, _execute
 from repro.ycsb.db import DbBinding
 from repro.ycsb.measurements import Measurements
 from repro.ycsb.workload import OperationType, Workload
 
-__all__ = ["CLIENT_TIER_ERRORS", "ClientTier", "ClientTierConfig",
-           "OpenLoopClient", "build_client_stack"]
-
-#: Client-side refusals, recorded under their own names next to the
-#: store-side :data:`~repro.ycsb.client.OPERATION_ERRORS`.
-CLIENT_TIER_ERRORS = (BreakerOpen,)
+__all__ = ["ClientTier", "ClientTierConfig", "OpenLoopClient",
+           "build_client_stack"]
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,8 @@ class ClientTierConfig:
     limiter, no leveler, no cache — the raw driver behaviour every
     closed-loop sweep keeps.  Only consulted when a run goes through
     the open-loop client (``run_cell(open_loop=True)``: every measured
-    run of a cell whose config sets ``arrivals``).
+    run of a cell whose config sets ``arrivals``).  Retries and breaker
+    act on any :class:`~repro.sim.kernel.ModelledFailure`.
     """
 
     #: Extra client-tier attempts per operation (0 = the tier's retry
@@ -134,7 +131,8 @@ def build_client_stack(inner: DbBinding, env: Environment, rngs,
     open circuit short-circuits retries too; the cache sits outermost
     so hits skip the whole pipeline.  The rate limiter and load leveler
     are not bindings — they act at dispatch and are handed to the
-    :class:`OpenLoopClient` separately.
+    :class:`OpenLoopClient` separately.  Both bindings act on any
+    :class:`~repro.sim.kernel.ModelledFailure`.
     """
     clock = lambda: env.now  # noqa: E731
     binding = inner
@@ -143,15 +141,13 @@ def build_client_stack(inner: DbBinding, env: Environment, rngs,
         breaker = CircuitBreaker(
             clock, failure_rate=cfg.breaker_failure_rate,
             cooldown_s=cfg.breaker_cooldown_s)
-        binding = BreakerBinding(binding, breaker,
-                                 failure_errors=OPERATION_ERRORS)
+        binding = BreakerBinding(binding, breaker)
     if cfg.retries > 0:
         budget = None
         if cfg.retry_budget_ratio is not None:
             budget = RetryBudget(clock, ratio=cfg.retry_budget_ratio)
         retry = RetryBinding(binding, env,
                              rngs.stream("clienttier.retry.backoff"),
-                             retry_errors=OPERATION_ERRORS,
                              retries=cfg.retries,
                              backoff_s=cfg.retry_backoff_s,
                              budget=budget)
@@ -191,7 +187,6 @@ class OpenLoopClient:
         self.arrivals = arrivals
         self.sessions = sessions
         self.tier = tier
-        self._errors = OPERATION_ERRORS + CLIENT_TIER_ERRORS
 
     def run(self, max_arrivals: int,
             offered_rate: Optional[float] = None,
@@ -277,8 +272,10 @@ class OpenLoopClient:
 
         Latency is ``completion - arrived_at``: when the thunk sat in
         the leveling queue first, that wait is part of the number (the
-        coordinated-omission fix).  All errors are absorbed here — the
-        leveler's shared workers must never die on one bad request.
+        coordinated-omission fix).  Every modelled failure, and an open
+        breaker's refusal (client-side, never retried), is recorded here
+        by class name, so the leveler's shared workers never die on one
+        failed request; only a bug escapes.
         """
         env = self.env
 
@@ -287,7 +284,7 @@ class OpenLoopClient:
             try:
                 result = yield from _execute(self.db, self.workload, op,
                                              read_key)
-            except self._errors as exc:
+            except (ModelledFailure, BreakerOpen) as exc:
                 measurements.record_error(op._value_,
                                           kind=type(exc).__name__,
                                           at=env._now)

@@ -19,6 +19,7 @@ from typing import Generator, Optional
 from repro.clienttier.tokens import TokenBucket
 from repro.cluster.topology import DeadlineExceeded
 from repro.hbase.client import backoff_delay
+from repro.sim.kernel import ModelledFailure
 from repro.ycsb.db import DbBinding
 
 __all__ = ["RetryBinding", "RetryBudget"]
@@ -53,7 +54,8 @@ class RetryBudget:
 class RetryBinding:
     """A :class:`~repro.ycsb.db.DbBinding` that retries failures.
 
-    Up to ``retries`` extra attempts per operation on ``retry_errors``,
+    Up to ``retries`` extra attempts per operation that fails with a
+    :class:`~repro.sim.kernel.ModelledFailure` (never a spent deadline),
     each preceded by equal-jitter exponential backoff
     (:func:`repro.hbase.client.backoff_delay` with the injected sim RNG
     stream, so the schedule is deterministic per seed).  With
@@ -63,8 +65,8 @@ class RetryBinding:
     ``budget_denied``), so accounting stays by true failure kind.
     """
 
-    def __init__(self, inner: DbBinding, env, rng, retry_errors: tuple,
-                 retries: int = 3, backoff_s: float = 0.05,
+    def __init__(self, inner: DbBinding, env, rng, retries: int = 3,
+                 backoff_s: float = 0.05,
                  backoff_cap_s: float = 1.0,
                  budget: Optional[RetryBudget] = None) -> None:
         if retries < 0:
@@ -72,7 +74,6 @@ class RetryBinding:
         self.inner = inner
         self.env = env
         self._rng = rng
-        self.retry_errors = retry_errors
         self.retries = retries
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
@@ -91,7 +92,7 @@ class RetryBinding:
         for attempt in range(self.retries + 1):
             try:
                 result = yield from method(*args)
-            except self.retry_errors as exc:
+            except ModelledFailure as exc:
                 if isinstance(exc, DeadlineExceeded):
                     # The op's end-to-end budget is spent; retrying
                     # cannot help (the deadline covers all attempts).

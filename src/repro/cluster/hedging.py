@@ -96,9 +96,11 @@ class HedgePolicy:
         as soon as it has failed — ``launch_spare()`` sends the duplicate
         (a generator: the HBase client re-locates the region through the
         HMaster first) and the first contender to complete with a
-        non-exception value wins.  Nothing cancels the loser: it goes on
-        to its end and settles unobserved, as any abandoned request
-        does — unless it fails outright, which raises out of the run
+        non-exception value wins; a modelled failure (a shed, a region
+        that moved) is such a value and never raises past the race.
+        Nothing cancels the loser: it goes on to its end and settles
+        unobserved, as any abandoned request does — unless it fails
+        outright (a bug in its handler), which raises out of the run
         (:func:`_raise_failure`).  When both fail the value is the
         primary's exception.  No delay yet (a percentile policy warming
         up) or no ``launch_spare`` (no spare replica) means a plain

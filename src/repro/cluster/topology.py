@@ -15,10 +15,11 @@ semantics the database models need:
   before the handler runs (the callee computes nothing a caller will
   never read), and the caller observes :class:`DeadlineExceeded` the
   moment the budget runs out,
-- every failure is the call's *value*, never a raise: a caller raises
-  it itself (:meth:`Cluster.call` does just that).  Handlers that queue behind bounded
-  resources receive the deadline too (see the database models) and
-  withdraw their queue slot when it expires.
+- every modelled failure (:class:`~repro.sim.kernel.ModelledFailure`)
+  is the call's *value*, never a raise: a caller raises it itself
+  (:meth:`Cluster.call` does just that).  Handlers that queue behind
+  bounded resources receive the deadline too (see the database models)
+  and withdraw their queue slot when it expires.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.cluster.nic import Network, NetworkSpec
 from repro.cluster.node import Node, NodeSpec
 from repro.sim.kernel import (Environment, Event, ModelledFailure, Process,
                               Timeout, _PENDING, _finish, _settled)
-from repro.sim.resources import Overloaded, Served
+from repro.sim.resources import Served
 from repro.sim.rng import RngRegistry
 
 __all__ = ["AsyncCall", "CLIENT_OVERHEAD_S", "Cluster", "ClusterSpec",
@@ -124,15 +125,15 @@ class AsyncCall(Event):
     A handler returns its completion :class:`Event`, or a generator —
     only that is wrapped in a :class:`Process`.
 
-    Always *succeeds*; failures arrive as exception **values** — so a
+    Every modelled failure arrives as an exception **value** — so a
     condition over many replicas never crashes on one slow callee:
     :class:`RpcTimeout`/:class:`DeadlineExceeded` when the timer wins,
     :class:`DeadNodeError` when a dead callee has no timer to wait out,
-    :class:`~repro.sim.resources.Overloaded` when the callee shed the
-    request.  A caller that stops waiting (a timeout, the loser of a
-    hedge) cancels nothing: the round trip goes on server-side to its
-    end, which is what lets late replica writes land and keep the
-    staleness/hinted-handoff semantics honest.
+    and any :class:`~repro.sim.kernel.ModelledFailure` the handler ends
+    with; only a bug fails the call.  A caller that stops waiting (a
+    timeout, the loser of a hedge) cancels nothing: the round trip goes
+    on server-side to its end, which is what lets late replica writes
+    land and keep the staleness/hinted-handoff semantics honest.
 
     Completion is settled *inline* from the transport's (or the shared
     timer's) dispatch, so the result itself never costs a queue event;
@@ -232,7 +233,9 @@ class AsyncCall(Event):
 
     def _outcome(self, ok: bool, value: Any) -> bool:
         """The callee is done with the request, one way or another.
-        Returns whether a failure was taken off the handler's hands."""
+        Returns whether a failure was taken off the handler's hands: a
+        :class:`~repro.sim.kernel.ModelledFailure` always is, as the
+        call's value; a bug only when someone waits."""
         if self._value is not _PENDING:
             return True  # timed out; the late outcome is noise
         if ok:
@@ -244,7 +247,7 @@ class AsyncCall(Event):
                     f"(no timeout set)"))
             # else: dead callee or server-side abandonment — the caller
             # still waits out its own timer, so the watch stays.
-        elif isinstance(value, (RpcTimeout, DeadNodeError, Overloaded)):
+        elif ModelledFailure in value.__class__.__mro__:
             self._settle(value)
         elif self.callbacks:
             # Unexpected failure (e.g. a replica process crashing
@@ -529,8 +532,8 @@ class Cluster:
     def call(self, *args: Any, **kwargs: Any) -> Generator:
         """:meth:`call_async`, raising its failure value (``yield from``
         this): returns the handler's result, or raises the
-        :class:`RpcTimeout` / :class:`DeadlineExceeded` /
-        :class:`DeadNodeError` / shed the call settled with."""
+        :class:`~repro.sim.kernel.ModelledFailure` the call settled
+        with."""
         result = yield self.call_async(*args, **kwargs)
         if isinstance(result, Exception):
             try:
@@ -546,14 +549,14 @@ class Cluster:
                    src_cpu_s: float = 0.0) -> AsyncCall:
         """Send an RPC; returns the :class:`AsyncCall` to wait on.
 
-        Its value is the handler's result or, when ``timeout`` elapses
-        first, the absolute ``deadline`` passes first or the callee is
-        dead and neither bound was given, an :class:`RpcTimeout`,
-        :class:`DeadlineExceeded` or :class:`DeadNodeError` *value* — a
-        modelled failure never raises (a bug in the handler still fails
-        the call), so one dead or shedding callee cannot crash a fan-out
-        condition (``yield AllOf(...)`` / ``AnyOf(...)`` over several
-        calls), and a single caller raises it itself.
+        Its value is the handler's result or a
+        :class:`~repro.sim.kernel.ModelledFailure` — the handler's, or
+        an :class:`RpcTimeout`, :class:`DeadlineExceeded` or
+        :class:`DeadNodeError` when ``timeout`` or ``deadline`` runs out
+        or the callee is dead and neither was given.  It never raises,
+        waiter or not (a bug in the handler still fails the call), so no
+        fan-out condition (``AllOf`` / ``AnyOf`` over several calls)
+        crashes on one callee, and a single caller raises it itself.
         ``src_cpu_s`` is extra caller-side CPU charged ahead of the
         request serialization.  Costs no process of its own — the round
         trip, the timeout race and the failure-to-value conversion are
@@ -622,13 +625,14 @@ class Cluster:
         ``handlers``, the one the transport runs for a remote caller, and
         must return an event (a :func:`~repro.sim.resources.serve`
         result does).  It comes back as it is — no process — with the
-        fan-out convention kept where a bounded stage can refuse: a shed,
-        and a deadline spent before or in the stage's queue, arrive as
+        fan-out convention kept: a
+        :class:`~repro.sim.kernel.ModelledFailure` the handler raises,
+        and a deadline spent in a bounded stage's queue, arrive as
         *values*, exactly as they would from a remote replica.
         """
         try:
             work = handler(*args)
-        except (Overloaded, DeadlineExceeded) as refusal:
+        except ModelledFailure as refusal:
             refusal.__traceback__ = None  # as Process._finalize does
             return _settled(self.env, refusal)
         if work.__class__ is Served:

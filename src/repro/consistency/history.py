@@ -7,7 +7,8 @@ anything driving them — YCSB workers, probes) and logs one
 simulated time, the session (the issuing process's name, e.g.
 ``ycsb-3``), the consistency level in force, and the outcome.
 
-Outcome classification is the part correctness hinges on:
+Outcome classification (of a :class:`~repro.sim.kernel.ModelledFailure`;
+a bug is not recorded) is the part correctness hinges on:
 
 - ``ok`` — the database acknowledged the operation;
 - ``fail`` — the operation definitively did not take effect.  For
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
 from repro.cassandra.consistency import UnavailableError
-from repro.ycsb.client import OPERATION_ERRORS
+from repro.sim.kernel import ModelledFailure
 
 __all__ = ["History", "HistoryOp", "HistoryRecorder"]
 
@@ -156,7 +157,7 @@ class HistoryRecorder:
         invoke = self.env._now
         try:
             result = yield from self.inner.write(key, tag, size)
-        except OPERATION_ERRORS as exc:
+        except ModelledFailure as exc:
             # UnavailableError is raised before any replica mutation is
             # issued — a definitive no.  Every other failure leaves the
             # write's effect unknown: it may have landed on some
@@ -179,7 +180,7 @@ class HistoryRecorder:
         invoke = self.env._now
         try:
             result = yield from self.inner.read(key, size)
-        except OPERATION_ERRORS as exc:
+        except ModelledFailure as exc:
             # A failed read has no effect on the register.
             self._record(op_id=op_id, session=session, kind="read", key=key,
                          invoke_s=invoke, outcome="fail", cl=cl,
@@ -199,7 +200,7 @@ class HistoryRecorder:
         invoke = self.env._now
         try:
             rows = yield from self.inner.scan(start_key, limit, record_bytes)
-        except OPERATION_ERRORS as exc:
+        except ModelledFailure as exc:
             self._record(op_id=op_id, session=session, kind="scan",
                          key=start_key, invoke_s=invoke, outcome="fail",
                          cl=cl, error=type(exc).__name__)

@@ -33,7 +33,8 @@ def _quorum(n: int) -> int:
 
 def _geo_strong(read_cl: ConsistencyLevel, write_cl: ConsistencyLevel,
                 per_dc: dict, client_dc: Optional[str]) -> bool:
-    """Overlap classification for DC-aware levels on a geo deployment.
+    """Overlap classification for a Cassandra deployment, ``per_dc``
+    its replicas per datacenter (a single rack: one entry).
 
     The session's coordinators sit in ``client_dc`` (DC-aware driver),
     so LOCAL_* levels count replicas of that datacenter.  The read
@@ -91,24 +92,21 @@ def build_consistency_report(history: History, *, db: str,
     one serving owner, so its reads are trivially linearizable — the
     checker then guards the client/failover path, not quorum math.
 
-    On a geo deployment (the placement carries per-DC replication),
-    ``client_dc`` names the datacenter whose client drove this history;
-    the strong/weak classification then uses the DC-aware overlap rule
-    (:func:`_geo_strong`) — e.g. LOCAL_QUORUM+LOCAL_QUORUM from one
-    region is strong, LOCAL_ONE never is, and EACH_QUORUM writes make
+    Strong or weak is one overlap rule, :func:`_geo_strong`; a single
+    rack is one datacenter of ``replication`` replicas.  On a geo
+    deployment ``client_dc`` names the datacenter whose client drove
+    this history — e.g. LOCAL_QUORUM+LOCAL_QUORUM from one region is
+    strong, LOCAL_ONE never is, and EACH_QUORUM writes make
     LOCAL_QUORUM reads strong from *any* region.
     """
-    per_dc = (cassandra.placement.replication_per_dc
-              if cassandra is not None else None)
     if db == "hbase":
         strong = True
-    elif per_dc:
+    else:
+        per_dc = (cassandra.placement.replication_per_dc
+                  if cassandra is not None else None)
         strong = _geo_strong(read_cl or ConsistencyLevel.ONE,
                              write_cl or ConsistencyLevel.ONE,
-                             per_dc, client_dc)
-    else:
-        strong = (read_cl or ConsistencyLevel.ONE).is_strong_with(
-            write_cl or ConsistencyLevel.ONE, replication)
+                             per_dc or {client_dc: replication}, client_dc)
 
     outcome = check_history(history, strong=strong)
     violations = list(outcome.violations)

@@ -28,6 +28,7 @@ from typing import Generator, Optional, Sequence
 
 from repro.cluster.failure import FAULT_ACTIONS
 from repro.keyspace import key_for_token
+from repro.sim.kernel import ModelledFailure
 from repro.ycsb.measurements import Measurements
 
 __all__ = ["StalenessProbe", "build_failover_report"]
@@ -78,7 +79,6 @@ class StalenessProbe:
 
     def run(self) -> Generator:
         """The probe loop (a simulation process)."""
-        from repro.ycsb.client import OPERATION_ERRORS
         while not self._stopped:
             yield self.env.timeout(self.interval_s)
             if self._stopped:
@@ -88,14 +88,14 @@ class StalenessProbe:
             try:
                 yield from self.db.write(self.key, seq, self.record_bytes)
                 self._acked = max(self._acked, seq)
-            except OPERATION_ERRORS:
+            except ModelledFailure:
                 pass
             acked = self._acked
             if not acked:
                 continue
             try:
                 result = yield from self.db.read(self.key, self.record_bytes)
-            except OPERATION_ERRORS:
+            except ModelledFailure:
                 continue
             value = result[0] if result is not None else None
             stale = value is None or value < acked

@@ -8,12 +8,10 @@ from typing import Any, Generator, Optional
 from repro.cluster.hedging import HedgePolicy
 from repro.cluster.node import Node
 from repro.cluster.topology import (CLIENT_OVERHEAD_S, Cluster,
-                                    DeadlineExceeded, DeadNodeError,
-                                    RpcTimeout)
+                                    DeadlineExceeded, RpcTimeout)
 from repro.keyspace import KEY_DOMAIN, key_for_token, token_of
 from repro.hbase.deployment import HBaseCluster
-from repro.hbase.regionserver import NotServingRegion
-from repro.sim.resources import Overloaded
+from repro.sim.kernel import ModelledFailure
 
 __all__ = ["BACKOFF_CAP_S", "HBaseClient", "MAX_RETRIES", "backoff_delay"]
 
@@ -134,8 +132,7 @@ class HBaseClient:
             except DeadlineExceeded:
                 # The end-to-end budget covers retries; it is spent.
                 raise
-            except (RpcTimeout, DeadNodeError, Overloaded,
-                    NotServingRegion) as exc:
+            except ModelledFailure as exc:
                 last_error = exc
         raise RpcTimeout(f"{verb} on region {region_id} failed after "
                          f"{MAX_RETRIES} retries") from last_error

@@ -59,6 +59,11 @@ class ModelledFailure(Exception):
     """Marker base for failures the simulation *models* (a timeout, a
     shed request, a withdrawn wait) rather than bugs.
 
+    The one list of what an operation can fail with: every layer, the
+    transport (which settles a call with one as its value, waiter or
+    not) up to the YCSB clients, decides by this marker; anything else
+    is a bug.  A new failure kind subclasses it and needs no other edit.
+
     They travel as values, so :meth:`Process._finalize` drops their
     traceback once delivered: it names no defect, and it would keep every
     frame it crossed — and through those the failed process itself —

@@ -17,25 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
-from repro.cassandra.consistency import UnavailableError
-from repro.cassandra.coordinator import ReadTimeoutError, WriteTimeoutError
-from repro.cluster.topology import DeadNodeError, RpcTimeout
 from repro.keyspace import key_for_index
-from repro.sim.kernel import AllOf, Environment
-from repro.sim.resources import Overloaded
+from repro.sim.kernel import AllOf, Environment, ModelledFailure
 from repro.ycsb.db import DbBinding
 from repro.ycsb.measurements import Measurements
 from repro.ycsb.workload import OperationType, Workload
 
 __all__ = ["LoadResult", "RunResult", "YcsbClient"]
-
-#: Exceptions recorded as failed operations rather than crashing the run.
-#: ``Overloaded`` is a bounded queue shedding load — an explicit error in
-#: place of unbounded queueing latency; ``DeadlineExceeded`` (a
-#: ``RpcTimeout`` subclass) is a spent end-to-end budget.  Both show up
-#: under their own names in ``errors_by_type``.
-OPERATION_ERRORS = (UnavailableError, ReadTimeoutError, WriteTimeoutError,
-                    RpcTimeout, DeadNodeError, Overloaded)
 
 
 @dataclass(frozen=True)
@@ -114,7 +102,7 @@ class YcsbClient:
             payload, _ = self.workload.next_value()
             try:
                 yield from self.db.write(key_for_index(index), payload, size)
-            except OPERATION_ERRORS:
+            except ModelledFailure:
                 continue
 
     # -- run phase ------------------------------------------------------
@@ -177,7 +165,7 @@ class YcsbClient:
             t0 = env._now
             try:
                 result = yield from _execute(self.db, self.workload, op)
-            except OPERATION_ERRORS as exc:
+            except ModelledFailure as exc:  # else a bug: stop the run
                 if not warm:
                     # ``op._value_``: ``op.value`` is two property frames.
                     measurements.record_error(op._value_,

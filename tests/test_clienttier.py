@@ -243,7 +243,7 @@ def _retry_binding(env, inner, **kwargs):
     defaults = dict(retries=3, backoff_s=0.01, backoff_cap_s=0.1)
     defaults.update(kwargs)
     return RetryBinding(inner, env, RngRegistry(1).stream("retry"),
-                        retry_errors=(RpcTimeout,), **defaults)
+                        **defaults)
 
 
 class TestRetryBinding:
@@ -483,8 +483,7 @@ class TestBreakerBinding:
                                  window_s=10.0, min_volume=2,
                                  cooldown_s=1.0)
         inner = FlakyBinding(env, fail_times=10)
-        binding = BreakerBinding(inner, breaker,
-                                 failure_errors=(RpcTimeout,))
+        binding = BreakerBinding(inner, breaker)
 
         def scenario():
             for _ in range(2):

@@ -853,8 +853,9 @@ def test_generator_handler_failing_in_its_first_segment_is_a_value():
 
 def test_plain_function_handler_raising_is_a_failed_outcome():
     """(b) ``rs.get`` for a region that is not there raises before it
-    has an event to return; that is the handler failing, traceback-free
-    once delivered, not a crash of the request leg's dispatch."""
+    has an event to return; that is the handler failing, not a crash of
+    the request leg's dispatch.  ``NotServingRegion`` is a modelled
+    failure, so the call settles with it as its value, traceback-free."""
     env, cluster = _rack(4)
     hbase = HBaseCluster(
         cluster, HBaseConfig(replication=2, regions_per_server=1),
@@ -863,9 +864,9 @@ def test_plain_function_handler_raising_is_a_failed_outcome():
     call = cluster.call_async(hbase.master_node, rs.node, "rs.get",
                               (10_000, key_for_index(1)), timeout=1.0)
     seen = []
-    call.callbacks.append(seen.append)   # a waiter: the failure propagates
+    call.callbacks.append(seen.append)   # a waiter hears the failure value
     env.run(until=0.5)
-    assert seen == [call] and not call._ok
+    assert seen == [call] and call._ok
     assert type(call._value) is NotServingRegion
     assert call._value.__traceback__ is None
 

@@ -23,9 +23,11 @@ on reaches ``env.run()`` through them, once, and no retry loop takes it
 for a modelled failure.
 
 And for a coordinated Cassandra request, which is callbacks on its
-replica calls: a bug where it goes on after a wait, a failure settled
-inside the verb call with nobody waiting for the answer, and a replica
-breaking before anyone subscribed to its call all stop the run.
+replica calls: a bug where it goes on after a wait and a replica
+breaking before anyone subscribed to its call both stop the run.  A
+request that ends in a modelled failure inside the verb call, with
+nobody waiting for the answer, does not: that failure is the call's
+value, as every :class:`ModelledFailure` is.
 """
 
 import traceback
@@ -354,8 +356,10 @@ def test_coordinator_callback(case):
 def test_request_ending_in_the_verb_call_with_nobody_waiting():
     """An EACH_QUORUM write whose first datacenter's one replica is its
     coordinator, shedding the mutation inside the verb call: the request
-    fails right there, and with nobody waiting for the coordinator's
-    answer the failure stops the run, as the request's process did."""
+    fails right there.  Its ``WriteTimeoutError`` is a modelled failure,
+    so with nobody waiting for the coordinator's answer the call settles
+    with it as its value, the run goes on, and the request leaves
+    flight."""
     env = Environment()
     geo = GeoCluster(env, GeoConfig(
         datacenters=(("eu-west", 2), ("us-west", 2)),
@@ -366,10 +370,14 @@ def test_request_ending_in_the_verb_call_with_nobody_waiting():
     local = next(r for r in cassandra.replicas_of(KEY)
                  if geo.node_datacenter[r] == "eu-west")
     cassandra.nodes[local].replica_pool.request()
-    geo.call_async(cassandra.client_node, geo.node(local), "c.coord_write",
-                   (KEY, "v", 100, 0.0, "EACH_QUORUM"), timeout=1.0)
-    with pytest.raises(coordinator.WriteTimeoutError):
-        env.run(until=1.0)
+    call = geo.call_async(cassandra.client_node, geo.node(local),
+                          "c.coord_write", (KEY, "v", 100, 0.0, "EACH_QUORUM"),
+                          timeout=1.0)
+    env.run(until=1.0)
+    assert call.callbacks is None and call._ok
+    assert type(call._value) is coordinator.WriteTimeoutError
+    assert call._value.__traceback__ is None
+    assert cassandra.nodes[local].coordinator.inflight == 0
 
 
 def test_replica_failing_with_nobody_waiting():

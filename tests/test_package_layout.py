@@ -67,3 +67,25 @@ def test_the_harness_re_exports_the_components_records():
            if r.__module__.startswith("repro.core.")}
     assert len(records) > 2
     assert own == {"ExperimentConfig", "EnergyConfig"}
+
+
+def _imports_of(where):
+    path = PACKAGE_ROOT / where
+    return set(_imported_modules(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_the_ycsb_client_imports_no_engine():
+    """The YCSB client tells a failed operation from a bug by the
+    :class:`~repro.sim.kernel.ModelledFailure` marker alone, so it
+    imports no database engine, no transport and no bounded stage."""
+    forbidden = ("repro.cassandra", "repro.hbase", "repro.cluster")
+    offending = sorted(
+        name for name in _imports_of("ycsb/client.py")
+        if name == "repro.sim.resources"
+        or any(name == pkg or name.startswith(pkg + ".")
+               for pkg in forbidden))
+    assert offending == []
+
+
+def test_the_history_recorder_does_not_import_the_ycsb_client():
+    assert "repro.ycsb.client" not in _imports_of("consistency/history.py")

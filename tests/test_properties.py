@@ -11,6 +11,7 @@ from repro.cassandra.consistency import ConsistencyLevel
 from repro.cassandra.multidc import NetworkTopologyStrategy
 from repro.cassandra.partitioner import TokenRing
 from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
+from repro.consistency.oracle import _geo_strong
 from repro.hbase.deployment import HBaseCluster, HBaseConfig
 from repro.keyspace import KEY_DOMAIN, key_for_index, key_for_token, token_of
 from repro.sim.kernel import Environment
@@ -426,6 +427,17 @@ class TestConsistencyArithmetic:
         except Exception:
             return  # level impossible at this rf
         assert read_cl.is_strong_with(write_cl, rf) == (r + w > rf)
+
+    @given(st.sampled_from(list(ConsistencyLevel)),
+           st.sampled_from(list(ConsistencyLevel)),
+           st.integers(min_value=1, max_value=9),
+           st.sampled_from([None, "rack"]))
+    def test_one_datacenter_overlap_rule_is_r_plus_w(self, read_cl, write_cl,
+                                                     rf, client_dc):
+        """The oracle's one overlap rule, on a one-datacenter layout (a
+        single rack), classifies every pair as R + W > N does."""
+        assert (_geo_strong(read_cl, write_cl, {client_dc: rf}, client_dc)
+                == read_cl.is_strong_with(write_cl, rf))
 
     @given(st.integers(min_value=1, max_value=100))
     def test_quorum_majority(self, rf):
