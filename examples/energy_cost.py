@@ -18,6 +18,7 @@ The full campaign (db x CL x RF x power mode, parallel, cached) is
 Run:  python examples/energy_cost.py
 """
 
+from repro.adaptive.monitor import STALENESS_S
 from repro.core.experiment import ExperimentSession
 from repro.core.report import render_table
 from repro.core.sweep import CAMPAIGNS, campaign_cells
@@ -47,7 +48,7 @@ def main() -> None:
              for cell in campaign_cells("energy", "cassandra", SCALE)}
     print(f"cassandra, RF = 3, {cells[SHOWCASE[0]].runs[0].workload} at "
           f"{SCALE.targets[0]:g} ops/s offered for {SCALE.duration_s:g}s; "
-          f"staleness budget {SCALE.slo.staleness_s:g}s")
+          f"staleness budget {STALENESS_S:g}s")
     print()
     rows = []
     parked = None

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Generator
 
-from repro.adaptive.monitor import Monitor
+from repro.adaptive.monitor import STALENESS_S, WINDOW_S, Monitor
 from repro.adaptive.policy import Policy
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel
@@ -158,12 +158,12 @@ class AdaptiveController:
         slo = self.monitor.slo
         return {
             "policy": self.policy.name,
-            "slo": {"p95_ms": slo.p95_ms, "staleness_s": slo.staleness_s,
-                    "risk_rate": slo.risk_rate, "window_s": slo.window_s},
+            "slo": {"p95_ms": slo.p95_ms, "staleness_s": STALENESS_S,
+                    "risk_rate": slo.risk_rate, "window_s": WINDOW_S},
             "decisions": len(self.log),
             "by_cl": self.log.counts(),
             "policy_counters": self.policy.counters(),
             "windows": [w.to_dict() for w in self.monitor.windows],
-            "timeline": self.log.timeline(slo.window_s),
+            "timeline": self.log.timeline(WINDOW_S),
             "digest": self.log.digest(),
         }

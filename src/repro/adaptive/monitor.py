@@ -10,7 +10,8 @@ windows at identical simulated times.
 Three pieces:
 
 - :class:`SloSpec` — the declared objective: "p95 read latency <= L ms
-  AND staleness <= S s / read-your-writes risk rate <= v".
+  AND staleness <= :data:`STALENESS_S` / read-your-writes risk rate
+  <= v", judged per :data:`WINDOW_S` window.
 - :class:`RecentWrites` — a bounded client-side sketch of keys written
   within the staleness bound.  At CL ONE there are no blocking digests,
   so the server gives no staleness signal at all; the sketch is how the
@@ -31,8 +32,17 @@ from typing import Callable, Optional
 
 from repro.ycsb.measurements import percentile
 
-__all__ = ["Monitor", "RecentWrites", "SKETCH_CAPACITY", "SloSpec",
-           "WindowStats"]
+__all__ = ["DECAY_WINDOWS", "Monitor", "RecentWrites", "SKETCH_CAPACITY",
+           "STALENESS_S", "SloSpec", "WINDOW_S", "WindowStats"]
+
+#: Staleness half of every SLO: reads must not observe versions older
+#: than this bound (seconds), and a read of a key written inside it is
+#: *at risk*.
+STALENESS_S = 0.25
+#: Monitoring window length, simulated seconds.
+WINDOW_S = 0.5
+#: StepwisePolicy hysteresis: clean windows before decaying a level.
+DECAY_WINDOWS = 3
 
 #: Keys a :class:`RecentWrites` sketch remembers before it prunes.
 SKETCH_CAPACITY = 4096
@@ -48,32 +58,24 @@ GAUGE_KEYS = ("hint_backlog",)
 @dataclass(frozen=True)
 class SloSpec:
     """The declared service-level objective the controller steers by:
-    "p95 read latency <= ``p95_ms`` AND staleness <= ``staleness_s`` /
-    exposed-read rate <= ``risk_rate``".  An experiment's
-    ``config.adaptive``; only consulted when a run names a policy
-    (:attr:`repro.core.runner.RunSpec.adaptive`), otherwise inert.
+    "p95 read latency <= ``p95_ms`` AND staleness <=
+    :data:`STALENESS_S` / exposed-read rate <= ``risk_rate``".  An
+    experiment's ``config.adaptive``; only consulted when a run names a
+    policy (:attr:`repro.core.runner.RunSpec.adaptive`), otherwise
+    inert.
     """
 
     #: Latency half: p95 read latency must stay at or below this.
     p95_ms: float = 10.0
-    #: Staleness half: reads must not observe versions older than this
-    #: bound, and no more than ``risk_rate`` of a window's reads may be
-    #: *exposed* to that risk (an at-risk read served at a weak CL).
-    staleness_s: float = 0.25
+    #: No more than this fraction of a window's reads may be *exposed*
+    #: to the staleness bound (an at-risk read served at a weak CL).
     risk_rate: float = 0.01
-    #: Monitoring window length, simulated seconds.
-    window_s: float = 0.5
-    #: StepwisePolicy hysteresis: clean windows before decaying a level.
-    decay_windows: int = 3
 
     def __post_init__(self) -> None:
-        if self.p95_ms <= 0 or self.staleness_s <= 0 or self.window_s <= 0:
-            raise ValueError("p95_ms, staleness_s and window_s must be "
-                             "positive")
+        if self.p95_ms <= 0:
+            raise ValueError("p95_ms must be positive")
         if not 0 <= self.risk_rate <= 1:
             raise ValueError("risk_rate must be in [0, 1]")
-        if self.decay_windows < 1:
-            raise ValueError("decay_windows must be >= 1")
 
 
 class RecentWrites:
@@ -178,7 +180,7 @@ class Monitor:
 
     Window rolling is lazy: :meth:`roll` closes every window boundary
     the clock has passed, so windows align to multiples of
-    ``slo.window_s`` regardless of when operations complete.  Empty
+    :data:`WINDOW_S` regardless of when operations complete.  Empty
     windows are not materialized (an idle gap produces no windows:
     nothing to decide on).
     """
@@ -188,7 +190,7 @@ class Monitor:
         self.slo = slo
         self.clock = clock
         self.signal_source = signal_source
-        self.recent_writes = RecentWrites(slo.staleness_s)
+        self.recent_writes = RecentWrites(STALENESS_S)
         #: Closed windows, oldest first.
         self.windows: list[WindowStats] = []
         self._current: Optional[WindowStats] = None
@@ -199,15 +201,14 @@ class Monitor:
     # -- window plumbing -------------------------------------------------
 
     def _window_start(self, now_s: float) -> float:
-        width = self.slo.window_s
-        return (now_s // width) * width
+        return (now_s // WINDOW_S) * WINDOW_S
 
     def roll(self) -> None:
         """Close every window boundary the clock has passed."""
         now = self.clock()
         current = self._current
         if current is not None \
-                and now >= current.start_s + self.slo.window_s:
+                and now >= current.start_s + WINDOW_S:
             self._close_current()
 
     def _close_current(self) -> None:
@@ -231,7 +232,7 @@ class Monitor:
     def _window(self) -> WindowStats:
         now = self.clock()
         if self._current is not None \
-                and now >= self._current.start_s + self.slo.window_s:
+                and now >= self._current.start_s + WINDOW_S:
             self._close_current()
         if self._current is None:
             if self.signal_source is not None and not self._last_signals:

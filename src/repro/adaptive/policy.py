@@ -11,7 +11,8 @@ mirroring the related work:
 - :class:`StepwisePolicy` — Zhu et al.'s latency-bounding ladder run in
   reverse: escalate ONE -> QUORUM -> ALL when a window shows staleness
   exposure beyond the SLO's tolerated rate, decay one level back after
-  ``decay_windows`` consecutive clean windows, and step *down* a level
+  :data:`~repro.adaptive.monitor.DECAY_WINDOWS` consecutive clean
+  windows, and step *down* a level
   when the latency half of the SLO breaks while staleness is clean.
 - :class:`StalenessBoundPolicy` — Garcia-Recuero et al.'s
   quality-of-data bound per key: writes always at QUORUM, reads at
@@ -29,7 +30,7 @@ a run's decision sequence is reproducible bit for bit — the property
 from __future__ import annotations
 
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.adaptive.monitor import SloSpec, WindowStats
+from repro.adaptive.monitor import DECAY_WINDOWS, SloSpec, WindowStats
 
 __all__ = [
     "ADAPTIVE_POLICIES",
@@ -108,7 +109,7 @@ class StepwisePolicy(Policy):
     a weak CL exceeds ``slo.risk_rate``, or when the window's
     anti-entropy signals show the cluster actively repairing divergence
     (foreground read repairs, stored hints).  Breach -> one step up.
-    ``slo.decay_windows`` consecutive clean windows -> one step down (the
+    :data:`DECAY_WINDOWS` consecutive clean windows -> one step down (the
     hysteresis that keeps the ladder from thrashing).  A latency-only
     breach (window p95 above the SLO with staleness clean) also steps
     down — Zhu et al.'s trade of consistency for latency.
@@ -116,9 +117,9 @@ class StepwisePolicy(Policy):
     The steady-state shape this produces: under a read-only phase the
     ladder sits at ONE (nothing at risk); under sustained write traffic
     it oscillates — exposure detected at ONE escalates to QUORUM, the
-    exposure vanishes (QUORUM covers it), ``decay_windows`` clean
+    exposure vanishes (QUORUM covers it), :data:`DECAY_WINDOWS` clean
     windows later it probes ONE again — so the duty cycle at QUORUM is
-    about ``decay_windows / (decay_windows + 1)``, and the latency
+    about ``DECAY_WINDOWS / (DECAY_WINDOWS + 1)``, and the latency
     distribution is the corresponding mixture of the two levels.
     """
 
@@ -179,7 +180,7 @@ class StepwisePolicy(Policy):
             self.latency_steps += 1
             return
         self._clean_streak += 1
-        if self._clean_streak >= self.slo.decay_windows \
+        if self._clean_streak >= DECAY_WINDOWS \
                 and self.level_index > 0:
             self.level_index -= 1
             self.decays += 1
@@ -198,8 +199,9 @@ class StalenessBoundPolicy(Policy):
     """QoD-style per-key freshness bound.
 
     Writes always run at QUORUM; a read runs at QUORUM iff its key was
-    written inside the declared staleness bound (``slo.staleness_s``,
-    per the shared recent-writes sketch), ONE otherwise.  QUORUM reads
+    written inside the declared staleness bound
+    (:data:`~repro.adaptive.monitor.STALENESS_S`, per the shared
+    recent-writes sketch), ONE otherwise.  QUORUM reads
     over QUORUM writes are strong at any RF (R + W > N), so at-risk
     reads can never observe staleness; a risk-free read's key has been
     quiet for the whole bound — every replica long since applied the

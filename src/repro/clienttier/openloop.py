@@ -44,8 +44,11 @@ from repro.ycsb.db import DbBinding
 from repro.ycsb.measurements import Measurements
 from repro.ycsb.workload import OperationType, Workload
 
-__all__ = ["ClientTier", "ClientTierConfig", "OpenLoopClient",
-           "build_client_stack"]
+__all__ = ["BREAKER_COOLDOWN_S", "ClientTier", "ClientTierConfig",
+           "OpenLoopClient", "build_client_stack"]
+
+#: How long an open breaker refuses before it half-opens, seconds.
+BREAKER_COOLDOWN_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -69,9 +72,9 @@ class ClientTierConfig:
     #: the naive client whose amplification the surge campaign measures.
     retry_budget_ratio: Optional[float] = None
     #: Circuit breaker trip threshold (failure fraction in the sliding
-    #: window).  ``None`` = no breaker.
+    #: window).  ``None`` = no breaker; an open one cools down for
+    #: :data:`BREAKER_COOLDOWN_S`.
     breaker_failure_rate: Optional[float] = None
-    breaker_cooldown_s: float = 1.0
     #: Per-tenant admission rate (requests/s).  ``None`` = no limiter.
     rate_limit_per_tenant: Optional[float] = None
     rate_limit_burst: float = 10.0
@@ -140,7 +143,7 @@ def build_client_stack(inner: DbBinding, env: Environment, rngs,
     if cfg.breaker_failure_rate is not None:
         breaker = CircuitBreaker(
             clock, failure_rate=cfg.breaker_failure_rate,
-            cooldown_s=cfg.breaker_cooldown_s)
+            cooldown_s=BREAKER_COOLDOWN_S)
         binding = BreakerBinding(binding, breaker)
     if cfg.retries > 0:
         budget = None

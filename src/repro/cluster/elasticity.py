@@ -17,13 +17,14 @@ Three modes:
 
 - ``static`` — never scales; the control every elastic run is judged
   against.
-- ``manual`` — a declarative :class:`ScaleEventSpec` schedule, offsets
-  resolved against the measured run's start exactly like
-  :class:`~repro.cluster.failure.FaultSpec`.
+- ``manual`` — scale out one node at each instant of a declarative
+  schedule, offsets resolved against the measured run's start exactly
+  like :class:`~repro.cluster.failure.FaultSpec`.
 - ``auto`` — a deterministic policy loop: scale out after
-  ``breach_windows`` consecutive windows whose p95 exceeds
-  ``p95_breach_ms``, scale in after ``idle_windows`` consecutive
-  windows below ``p95_relax_ms``, with a cooldown between actions.
+  :data:`BREACH_WINDOWS` consecutive :data:`WINDOW_S` windows whose p95
+  exceeds :data:`P95_BREACH_MS`, scale in after :data:`IDLE_WINDOWS`
+  consecutive windows below :data:`P95_RELAX_MS`, with a cooldown
+  between actions.
 
 :func:`build_scale_report` projects a run's measurements over the
 engine's event log into per-phase (before / during / after transfer)
@@ -37,74 +38,59 @@ from typing import Generator, Optional, Sequence
 
 from repro.ycsb.measurements import Measurements, mean, percentile, total
 
-__all__ = ["ElasticityConfig", "SCALE_ACTIONS", "SCALE_MODES",
-           "ScaleEngine", "ScaleEventSpec", "build_scale_report"]
+__all__ = ["BREACH_WINDOWS", "ElasticityConfig", "IDLE_WINDOWS",
+           "P95_BREACH_MS", "P95_RELAX_MS", "SCALE_MODES", "SPARE_NODES",
+           "ScaleEngine", "WINDOW_S", "build_scale_report"]
 
-SCALE_ACTIONS = ("out", "in")
 SCALE_MODES = ("static", "manual", "auto")
 
-
-@dataclass(frozen=True)
-class ScaleEventSpec:
-    """One declarative scale step (manual mode), JSON-safe.
-
-    ``at_s`` is relative to the measured run's start — the engine
-    offsets it by the run's base time when armed, exactly like
-    :meth:`repro.cluster.failure.FailureInjector.inject`.
-    """
-
-    action: str = "out"
-    at_s: float = 2.0
-    count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.action not in SCALE_ACTIONS:
-            raise ValueError(f"unknown scale action {self.action!r}; "
-                             f"choose from {SCALE_ACTIONS}")
-        if self.at_s < 0:
-            raise ValueError("at_s must be >= 0")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+#: Trailing server nodes an elastic cell provisions outside the serving
+#: set at build time — the pool scale-out draws from.
+SPARE_NODES = 1
+# -- the autoscaler policy (mode="auto") --------------------------------
+#: Sampling window for the policy loop, seconds.
+WINDOW_S = 0.5
+#: Scale out after this many consecutive windows at or above the breach.
+P95_BREACH_MS = 60.0
+BREACH_WINDOWS = 2
+#: Scale in after this many consecutive windows at or below the relax
+#: threshold.  Campaign cells serve from a bimodal latency mix (sub-ms
+#: cache hits vs ~10 ms disk reads), so the bar sits below the cache-hit
+#: floor: a window only counts as idle when *everything* in it was
+#: trivial — a lull, not a healthy mix.
+P95_RELAX_MS = 0.5
+IDLE_WINDOWS = 8
 
 
 @dataclass(frozen=True)
 class ElasticityConfig:
-    """JSON-safe elasticity plan carried by an ExperimentConfig."""
+    """JSON-safe elasticity plan carried by an ExperimentConfig: who
+    decides to scale, when the operator does, and how long the
+    autoscaler waits between actions.  The spare pool and the
+    autoscaler's window, thresholds and streaks are this module's
+    constants."""
 
     #: "static" (control), "manual" (event schedule) or "auto"
     #: (p95-driven policy loop).
     mode: str = "manual"
-    #: Trailing server nodes provisioned outside the serving set at
-    #: build time — the pool scale-out draws from.
-    spare_nodes: int = 1
-    #: Manual mode's schedule.
-    events: tuple[ScaleEventSpec, ...] = (ScaleEventSpec(),)
-    # -- autoscaler policy (mode="auto") --------------------------------
-    #: Sampling window for the policy loop.
-    window_s: float = 1.0
-    #: Scale out after this many consecutive windows above the breach.
-    p95_breach_ms: float = 50.0
-    breach_windows: int = 2
-    #: Scale in after this many consecutive windows below the relax
-    #: threshold (hysteresis: relax < breach, so the loop cannot flap).
-    p95_relax_ms: float = 10.0
-    idle_windows: int = 6
-    #: Minimum time between two actions (covers the streaming window).
+    #: Manual mode's schedule: the instants, relative to the measured
+    #: run's start, at which one spare node scales out.
+    events: tuple[float, ...] = (2.0,)
+    #: Minimum time between two autoscaler actions (covers the
+    #: streaming window).
     cooldown_s: float = 8.0
 
     def __post_init__(self) -> None:
         if self.mode not in SCALE_MODES:
             raise ValueError(f"unknown elasticity mode {self.mode!r}; "
                              f"choose from {SCALE_MODES}")
-        if self.spare_nodes < 0:
-            raise ValueError("spare_nodes must be >= 0")
-        if self.window_s <= 0 or self.cooldown_s < 0:
-            raise ValueError("window_s must be > 0 and cooldown_s >= 0")
-        if self.breach_windows < 1 or self.idle_windows < 1:
-            raise ValueError("breach_windows and idle_windows must be >= 1")
-        if self.p95_relax_ms >= self.p95_breach_ms:
-            raise ValueError("p95_relax_ms must sit below p95_breach_ms "
-                             "(hysteresis)")
+        for at_s in self.events:
+            if at_s < 0:
+                raise ValueError(f"ElasticityConfig.events: at_s={at_s} "
+                                 f"must be >= 0")
+        if self.cooldown_s < 0:
+            raise ValueError(f"ElasticityConfig.cooldown_s="
+                             f"{self.cooldown_s}: must be >= 0")
 
 
 class ScaleEngine:
@@ -133,9 +119,9 @@ class ScaleEngine:
         """Start the mode's processes; offsets resolve against ``base_s``."""
         cfg = self.config
         if cfg.mode == "manual":
-            for i, event in enumerate(cfg.events):
-                self.env.process(self._fire(event, base_s),
-                                 name=f"scale-{event.action}-{i}")
+            for i, at_s in enumerate(cfg.events):
+                self.env.process(self._fire(base_s + at_s),
+                                 name=f"scale-out-{i}")
         elif cfg.mode == "auto":
             if self.measurements is None:
                 raise ValueError("autoscaler mode needs live measurements")
@@ -148,12 +134,10 @@ class ScaleEngine:
         """Finish the policy loop at its next wake-up."""
         self._stopped = True
 
-    def _fire(self, event: ScaleEventSpec, base_s: float) -> Generator:
-        at = base_s + event.at_s
+    def _fire(self, at: float) -> Generator:
         if at > self.env.now:
             yield self.env.timeout(at - self.env.now)
-        for _ in range(event.count):
-            yield from self._step(event.action)
+        yield from self._step("out")
 
     def _step(self, action: str) -> Generator:
         dep = self.deployment
@@ -182,26 +166,26 @@ class ScaleEngine:
         cfg = self.config
         breaches = idles = 0
         while not self._stopped:
-            yield self.env.timeout(cfg.window_s)
+            yield self.env.timeout(WINDOW_S)
             if self._stopped:
                 return
             cut, self._last_cut = self._last_cut, self.env.now
             p95_ms = self._window_p95_ms(cut)
             if p95_ms is None:
                 continue
-            if p95_ms >= cfg.p95_breach_ms:
+            if p95_ms >= P95_BREACH_MS:
                 breaches, idles = breaches + 1, 0
-            elif p95_ms <= cfg.p95_relax_ms:
+            elif p95_ms <= P95_RELAX_MS:
                 breaches, idles = 0, idles + 1
             else:
                 breaches = idles = 0
             if self.env.now < self._cooldown_until:
                 continue
-            if breaches >= cfg.breach_windows:
+            if breaches >= BREACH_WINDOWS:
                 breaches = idles = 0
                 self._cooldown_until = self.env.now + cfg.cooldown_s
                 yield from self._step("out")
-            elif idles >= cfg.idle_windows:
+            elif idles >= IDLE_WINDOWS:
                 breaches = idles = 0
                 self._cooldown_until = self.env.now + cfg.cooldown_s
                 yield from self._step("in")

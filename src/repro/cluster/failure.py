@@ -40,6 +40,8 @@ __all__ = [
     "DC_FAULT_KINDS",
     "FAULT_ACTIONS",
     "FAULT_KINDS",
+    "FLAP_CYCLES",
+    "FLAP_UP_S",
     "FailureInjector",
     "FaultSpec",
     "UnknownFaultTargetError",
@@ -68,6 +70,10 @@ DC_FAULT_KINDS = ("dc_partition", "wan_degrade", "dc_slow_nic")
 #: The kinds whose ``severity`` is a service-time multiplier.
 _SEVERITY_KINDS = ("slow_nic", "slow_disk", "wan_degrade", "dc_slow_nic")
 
+#: A flap's down/up rounds, and the uptime between its down periods.
+FLAP_CYCLES = 3
+FLAP_UP_S = 1.0
+
 
 class UnknownFaultTargetError(ValueError):
     """A fault names a node id or datacenter the cluster does not have."""
@@ -86,12 +92,10 @@ class FaultSpec:
     node_id: int = 0
     at_s: float = 4.0
     #: Fault duration.  crash/partition/slow_*: how long the fault lasts
-    #: (None = never cleared).  flap: the *per-cycle* downtime.
+    #: (None = never cleared).  flap: the *per-cycle* downtime (None =
+    #: 1 s) of each of its :data:`FLAP_CYCLES` rounds, :data:`FLAP_UP_S`
+    #: apart.
     duration_s: Optional[float] = 10.0
-    #: flap only: number of down/up rounds.
-    cycles: int = 3
-    #: flap only: uptime between down periods.
-    up_s: float = 1.0
     #: slow_nic / slow_disk / dc_slow_nic / wan_degrade: multiplier.
     severity: float = 8.0
     #: partition only: how many consecutive node ids (from ``node_id``)
@@ -111,9 +115,11 @@ class FaultSpec:
         if kind in _SEVERITY_KINDS and self.severity < 1.0:
             raise ValueError(f"FaultSpec.severity must be >= 1 for kind "
                              f"{kind!r}, got {self.severity!r}")
-        if kind == "flap" and self.cycles < 1:
-            raise ValueError(f"FaultSpec.cycles must be >= 1 for kind "
-                             f"'flap', got {self.cycles!r}")
+        if self.at_s < 0:
+            raise ValueError(f"FaultSpec.at_s={self.at_s!r}: must be >= 0")
+        if self.duration_s is not None and not self.duration_s > 0:
+            raise ValueError(f"FaultSpec.duration_s={self.duration_s!r}: "
+                             f"must be None (never cleared) or > 0")
         if kind == "partition" and self.span < 1:
             raise ValueError(f"FaultSpec.span must be >= 1 for kind "
                              f"'partition', got {self.span!r}")
@@ -130,15 +136,15 @@ class FaultSpec:
     @property
     def hold_s(self) -> Optional[float]:
         """How long each round stays degraded (None = never healed)."""
-        if self.kind == "flap":
-            return self.duration_s or 1.0
+        if self.kind == "flap" and self.duration_s is None:
+            return 1.0
         return self.duration_s
 
     def window(self, base_s: float = 0.0) -> tuple[float, float]:
         """``(start, end)`` of the fault when armed at ``base_s``."""
         at = base_s + self.at_s
         if self.kind == "flap":
-            return (at, at + self.cycles * (self.hold_s + self.up_s))
+            return (at, at + FLAP_CYCLES * (self.hold_s + FLAP_UP_S))
         if self.duration_s is None:
             return (at, float("inf"))
         return (at, at + self.duration_s)
@@ -217,7 +223,7 @@ class FailureInjector:
         if at > env.now:
             yield env.timeout(at - env.now)
         hold = spec.hold_s
-        for _ in range(spec.cycles if spec.kind == "flap" else 1):
+        for _ in range(FLAP_CYCLES if spec.kind == "flap" else 1):
             for target in self._targets(spec):
                 self._set(spec, target, degraded=True)
             if hold is None:
@@ -226,7 +232,7 @@ class FailureInjector:
             for target in self._targets(spec):
                 self._set(spec, target, degraded=False)
             if spec.kind == "flap":
-                yield env.timeout(spec.up_s)
+                yield env.timeout(FLAP_UP_S)
 
     def _targets(self, spec: FaultSpec) -> Sequence[int]:
         if spec.kind == "wan_degrade":

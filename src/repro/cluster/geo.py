@@ -143,13 +143,14 @@ class GeoCluster(Cluster):
     """A :class:`~repro.cluster.topology.Cluster` spread over the
     datacenters of a :class:`GeoConfig` (kept as ``geo``).
 
-    :meth:`Cluster.__init__` builds the nodes; the layout names them
-    datacenter by datacenter in the order of ``geo.datacenters``, then
-    one client node per datacenter in the same order (as on a rack, the
-    clients come last).  On top it adds the datacenter maps and the WAN
-    fabric, and inherits the transport unchanged: ``Cluster.leg`` books
-    a leg's receiving half on arrival wherever ``node_datacenter`` says
-    it crosses the WAN.
+    :meth:`Cluster.__init__` builds the nodes and, through
+    :meth:`_fabric`, the WAN fabric in place of the rack's switch; the
+    layout names the nodes datacenter by datacenter in the order of
+    ``geo.datacenters``, then one client node per datacenter in the same
+    order (as on a rack, the clients come last).  On top it adds the
+    datacenter maps, and inherits the transport unchanged:
+    ``Cluster.leg`` books a leg's receiving half on arrival wherever
+    ``node_datacenter`` says it crosses the WAN.
     """
 
     def __init__(self, env: Environment, geo: GeoConfig,
@@ -170,7 +171,9 @@ class GeoCluster(Cluster):
         #: WAN degradation multiplier applied to cross-DC latency and
         #: serialization (fault hook, like Nic.slowdown).  1.0 = healthy.
         self.wan_factor = 1.0
-        self.network = _GeoNetwork(env, self, rngs.stream("geo.network"))
+
+    def _fabric(self) -> _GeoNetwork:
+        return _GeoNetwork(self.env, self, self.rngs.stream("geo.network"))
 
     def datacenter_of(self, node_id: int) -> str:
         return self.node_datacenter[node_id]

@@ -370,7 +370,7 @@ class Cluster:
         self.env = env
         self.spec = spec
         self.rngs = rngs
-        self.network = Network(spec.node.network, rngs.stream("network"))
+        self.network = self._fabric()
         self.nodes: list[Node] = [
             Node(env, i, spec.node, rngs.stream(f"disk.{i}"))
             for i in range(spec.n_nodes)
@@ -382,6 +382,11 @@ class Cluster:
         #: were abandoned before the handler ran.
         self.abandoned_rpcs = 0
         self._wheel = TimerWheel(env)
+
+    def _fabric(self) -> Network:
+        """The switch fabric :meth:`leg` prices the hop by (and that
+        counts messages): the rack's one switch."""
+        return Network(self.spec.node.network, self.rngs.stream("network"))
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]

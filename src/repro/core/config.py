@@ -2,8 +2,11 @@
 
 An ingredient a component takes whole (an engine's knobs, the tail
 defenses, the arrival stream, the client tier, the SLO, a fault, an
-elasticity plan, the geo layout) is defined beside that component and re-exported here, so the component
-receives the very record the cell carries.
+elasticity plan, the geo layout) is defined beside that component and
+re-exported here, so the component receives the very record the cell
+carries.  A value every cell agrees on is not a field of any record but
+a constant beside the code that reads it (``tests/test_config_census.py``
+checks that every leaf takes two values over the product cells).
 """
 
 from __future__ import annotations
@@ -11,16 +14,15 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 from repro.adaptive.monitor import SloSpec
 from repro.cassandra.deployment import CassandraConfig
 from repro.clienttier.openloop import ClientTierConfig
-from repro.cluster.elasticity import ElasticityConfig, ScaleEventSpec
+from repro.cluster.elasticity import SPARE_NODES, ElasticityConfig
 from repro.cluster.failure import FaultSpec
 from repro.cluster.geo import GeoConfig
 from repro.cluster.topology import TailDefenseConfig
-from repro.energy.cost import CostSpec
 from repro.energy.power import POWER_MODES, PowerSpec
 from repro.hbase.deployment import HBaseConfig
 from repro.storage.lsm import StorageSpec
@@ -36,7 +38,6 @@ __all__ = [
     "ExperimentConfig",
     "GeoConfig",
     "HBaseConfig",
-    "ScaleEventSpec",
     "SloSpec",
     "TailDefenseConfig",
     "config_to_dict",
@@ -55,7 +56,9 @@ class EnergyConfig:
 
     The all-defaults instance is inert: every node stays always-on, no
     wake latency anywhere, and the meter prices exactly the historical
-    utilization integral.  ``power_mode`` arms power management:
+    utilization integral at the fixed wattages of
+    :mod:`repro.energy.power` and the tariffs of
+    :mod:`repro.energy.cost`.  ``power_mode`` arms power management:
 
     - ``"race_to_sleep"`` — every server parks unconditionally after
       its idle threshold (DVFS P-state, then deep sleep), paying
@@ -67,10 +70,8 @@ class EnergyConfig:
     """
 
     power_mode: str = "always_on"
-    #: Wattages and power-state thresholds (defaults: the testbed's).
+    #: Power-state thresholds (defaults: a datacenter's time scale).
     power: PowerSpec = field(default_factory=PowerSpec)
-    #: $/kWh and $/instance-hour the meter's joules are priced at.
-    cost: CostSpec = field(default_factory=CostSpec)
 
     def __post_init__(self) -> None:
         if self.power_mode not in POWER_MODES + ("policy",):
@@ -80,7 +81,7 @@ class EnergyConfig:
 
 
 def check_run_pacing(owner: str, target_throughput: Optional[float],
-                     n_threads: Optional[int]) -> None:
+                     n_threads: Optional[int] = None) -> None:
     """Reject a closed-loop pacing that would silently run another
     experiment: a target of 0 runs unthrottled, zero threads measure
     nothing.  ``None`` means "not given" for both."""
@@ -95,6 +96,10 @@ def check_run_pacing(owner: str, target_throughput: Optional[float],
 class ExperimentConfig:
     """Everything needed to run one benchmark cell reproducibly."""
 
+    #: The leading share of a closed-loop run the client leaves out of
+    #: its measurements.
+    warmup_fraction: ClassVar[float] = 0.1
+
     #: "hbase" or "cassandra".
     db: str
     workload: WorkloadSpec
@@ -103,13 +108,13 @@ class ExperimentConfig:
     n_threads: int = 16
     #: Offered load cap, ops/s (None = full speed).
     target_throughput: Optional[float] = None
-    warmup_fraction: float = 0.1
-    #: Machines including the client node (paper: 16).
-    n_nodes: int = 16
+    #: Machines including the client node on a rack; ``None`` there is
+    #: the paper's 16.  A geo cell's size is its layout's
+    #: (``geo.total_nodes``) and the field stays ``None``.
+    n_nodes: Optional[int] = None
     seed: int = 42
     #: Simulated seconds to let background work settle after loading.
     settle_s: float = 5.0
-    load_threads: int = 32
     hbase: HBaseConfig = field(default_factory=HBaseConfig)
     cassandra: CassandraConfig = field(default_factory=CassandraConfig)
     storage: StorageSpec = field(default_factory=StorageSpec)
@@ -135,12 +140,12 @@ class ExperimentConfig:
     #: every measured run (never for a warm-up).
     faults: tuple[FaultSpec, ...] = ()
     #: Multi-datacenter deployment (Cassandra only).  ``None`` = the
-    #: usual single-rack cluster.  When set, ``n_nodes`` must equal
-    #: ``geo.total_nodes`` so the cell fingerprint stays honest.
+    #: usual single-rack cluster.
     geo: Optional[GeoConfig] = None
     #: Elasticity plan (``repro-bench scale``): provisions
-    #: ``elasticity.spare_nodes`` trailing servers outside the serving
-    #: set and describes how (if at all) a run scales the cluster.
+    #: :data:`~repro.cluster.elasticity.SPARE_NODES` trailing servers
+    #: outside the serving set and describes how (if at all) a run
+    #: scales the cluster.
     #: ``None`` = the usual fixed-size deployment.  Only armed when the
     #: caller runs the cell with scaling enabled, as a campaign cell does
     #: for every measured run (never for a warm-up).
@@ -149,43 +154,43 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.db not in ("hbase", "cassandra"):
             raise ValueError(f"unknown db {self.db!r}")
-        for name in ("record_count", "operation_count", "load_threads"):
+        for name in ("record_count", "operation_count"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"ExperimentConfig.{name}={value}: "
                                  f"must be >= 1")
         check_run_pacing("ExperimentConfig", self.target_throughput,
                          self.n_threads)
-        if not 0 <= self.warmup_fraction < 1:
-            raise ValueError(f"ExperimentConfig.warmup_fraction="
-                             f"{self.warmup_fraction}: must be in [0, 1)")
         if not self.settle_s >= 0:
             raise ValueError(f"ExperimentConfig.settle_s={self.settle_s}: "
                              f"must be >= 0")
-        if self.n_nodes < 2:
-            raise ValueError(f"ExperimentConfig.n_nodes={self.n_nodes}: "
-                             f"need at least one server node plus the "
-                             f"client (>= 2)")
-        if self.elasticity is not None:
-            if self.geo is not None:
-                raise ValueError("elasticity and geo are mutually "
-                                 "exclusive (scaling is single-ring)")
-            # n_nodes - 1 servers; spares must leave one in service.
-            if self.elasticity.spare_nodes >= self.n_nodes - 1:
-                raise ValueError(
-                    f"elasticity.spare_nodes={self.elasticity.spare_nodes} "
-                    f"must leave at least one in-service server "
-                    f"(n_nodes={self.n_nodes} has {self.n_nodes - 1} servers)")
         if self.geo is not None:
             if self.db != "cassandra":
                 raise ValueError("geo deployments support Cassandra only "
                                  "(per-DC placement and LOCAL_*/EACH_QUORUM "
                                  "are Cassandra concepts)")
-            if self.n_nodes != self.geo.total_nodes:
+            if self.elasticity is not None:
+                raise ValueError("elasticity and geo are mutually "
+                                 "exclusive (scaling is single-ring)")
+            if self.n_nodes not in (None, self.geo.total_nodes):
                 raise ValueError(
                     f"n_nodes={self.n_nodes} does not match the geo "
                     f"layout's {self.geo.total_nodes} nodes "
                     f"(servers + one client per datacenter)")
+            object.__setattr__(self, "n_nodes", None)
+            return
+        if self.n_nodes is None:
+            object.__setattr__(self, "n_nodes", 16)
+        if self.n_nodes < 2:
+            raise ValueError(f"ExperimentConfig.n_nodes={self.n_nodes}: "
+                             f"need at least one server node plus the "
+                             f"client (>= 2)")
+        # n_nodes - 1 servers; the spares must leave one in service.
+        if self.elasticity is not None and SPARE_NODES >= self.n_nodes - 1:
+            raise ValueError(
+                f"n_nodes={self.n_nodes} has {self.n_nodes - 1} servers: "
+                f"an elastic cell keeps {SPARE_NODES} spare and needs at "
+                f"least one in service")
 
     @property
     def replication(self) -> int:
@@ -353,7 +358,7 @@ def default_scale_config(db: str,
     """One elasticity cell (``repro-bench scale``).
 
     A read-mostly open-loop cell on a small cluster whose *serving* set
-    is ``n_nodes - 1 - spare_nodes`` servers: the spares sit provisioned
+    is ``n_nodes - 1 - SPARE_NODES`` servers: the spares sit provisioned
     but idle until a scale-out bootstraps (Cassandra) or activates
     (HBase) them.  Storage is sized to the serving set, so the initial
     members run close to their cache ceiling and added capacity is
@@ -364,9 +369,7 @@ def default_scale_config(db: str,
     arrivals = arrivals or ArrivalConfig(process="diurnal", rate=800.0,
                                          max_arrivals=8_000, period_s=20.0,
                                          peak_factor=3.0)
-    serving = n_nodes - 1 - elasticity.spare_nodes
-    if serving < 1:
-        raise ValueError("spare_nodes must leave at least one server")
+    serving = n_nodes - 1 - SPARE_NODES
     return ExperimentConfig(
         db=db,
         workload=STRESS_WORKLOADS["read_mostly"],

@@ -24,7 +24,8 @@ from repro.cassandra.coordinator import REPLICA_TIMEOUT_S
 from repro.cassandra.deployment import CassandraCluster
 from repro.clienttier.openloop import (ClientTier, OpenLoopClient,
                                        build_client_stack)
-from repro.cluster.elasticity import ScaleEngine, build_scale_report
+from repro.cluster.elasticity import (SPARE_NODES, ScaleEngine,
+                                      build_scale_report)
 from repro.cluster.failure import FailureInjector
 from repro.cluster.geo import GeoCluster
 from repro.cluster.topology import Cluster, ClusterSpec
@@ -32,6 +33,7 @@ from repro.consistency.history import HistoryRecorder
 from repro.consistency.oracle import build_consistency_report
 from repro.core.config import ExperimentConfig, check_run_pacing
 from repro.core.failover import StalenessProbe, build_failover_report
+from repro.energy.cost import price
 from repro.energy.meter import EnergyMeter
 from repro.energy.power import PowerManager
 from repro.hbase.client import HBaseClient
@@ -44,8 +46,11 @@ from repro.ycsb.db import CassandraBinding, DbBinding, HBaseBinding
 from repro.ycsb.measurements import Measurements, mean
 from repro.ycsb.workload import STRESS_WORKLOADS, Workload, WorkloadSpec
 
-__all__ = ["ExperimentResult", "ExperimentSession", "run_experiment",
-           "summarize_run"]
+__all__ = ["LOAD_THREADS", "ExperimentResult", "ExperimentSession",
+           "run_experiment", "summarize_run"]
+
+#: Client threads inserting the record population.
+LOAD_THREADS = 32
 
 
 def summarize_run(result: "RunResult") -> dict:
@@ -109,7 +114,6 @@ class _Run:
     exp: "ExperimentSession"
     #: The driving client: its key and entry in the session's client map.
     dc: Optional[str]
-    node: object
     session: Optional[CassandraSession]
     binding: DbBinding
     #: The live sample store, handed to the driver and to whoever polls
@@ -292,19 +296,18 @@ def _scale(run: _Run, switch, binding: DbBinding) -> Generator:
 
 def _energy(run: _Run, switch, binding: DbBinding) -> Generator:
     """Always on: meters the cluster's energy over the run and prices
-    it with the cell's ``CostSpec``.  Reports ``energy``, ``cost``,
+    it (:func:`repro.energy.cost.price`).  Reports ``energy``, ``cost``,
     ``joules_per_op`` and ``usd_per_mops``."""
     exp = run.exp
     yield binding
     # Re-read the topology at stop so elasticity joins/leaves over the
     # window bill correctly.
-    meter = EnergyMeter(spec=exp.config.energy.power,
-                        nodes_source=lambda: exp.cluster.nodes)
+    meter = EnergyMeter(nodes_source=lambda: exp.cluster.nodes)
     meter.start()
     yield
     energy = meter.stop()
     yield
-    cost = exp.config.energy.cost.price(energy)
+    cost = price(energy)
     ops = run.measurements.total_ops
     jop, upm = energy.joules_per_op(ops), cost.usd_per_mops(ops)
     # JSON has no inf: an all-errors window stores None (renderers show
@@ -360,8 +363,7 @@ class ExperimentSession:
 
         #: Trailing servers provisioned outside the serving set, the
         #: elasticity campaign's scale-out pool (0 = classic layout).
-        spares = (config.elasticity.spare_nodes
-                  if config.elasticity is not None else 0)
+        spares = SPARE_NODES if config.elasticity is not None else 0
         if config.db == "hbase":
             self.hbase = HBaseCluster(self.cluster, config.hbase,
                                       config.storage, config.tail,
@@ -370,14 +372,14 @@ class ExperimentSession:
             self.cassandra = CassandraCluster(
                 self.cluster, config.cassandra, config.storage, config.tail,
                 spare_nodes=spares)
-        #: Who can drive a run: ``{datacenter: (node, Cassandra session
-        #: or None, binding)}`` — one client per region on a geo
+        #: Who can drive a run: ``{datacenter: (Cassandra session or
+        #: None, binding)}`` — one client per region on a geo
         #: deployment (``run_cell(client_dc=...)`` measures from that
         #: region's client node, the first being the default), else the
         #: single key ``None``.
         self._clients = {dc: self._new_client(node)
                          for dc, node in client_nodes.items()}
-        _, self._session, self.binding = next(iter(self._clients.values()))
+        self._session, self.binding = next(iter(self._clients.values()))
 
     def _new_client(self, node) -> tuple:
         """A driver on ``node``; it takes its consistency levels, hedge
@@ -391,12 +393,12 @@ class ExperimentSession:
         if op_timeout_s is not None:
             driver_kwargs["op_timeout_s"] = op_timeout_s
         if self.hbase is not None:
-            return node, None, HBaseBinding(HBaseClient(
+            return None, HBaseBinding(HBaseClient(
                 self.hbase, node,
                 rng=self.rngs.stream("hbase.client.backoff"),
                 **driver_kwargs))
         session = CassandraSession(self.cassandra, node, **driver_kwargs)
-        return node, session, CassandraBinding(session)
+        return session, CassandraBinding(session)
 
     @property
     def cassandra_session(self) -> CassandraSession:
@@ -417,7 +419,7 @@ class ExperimentSession:
         workload = self._new_workload(self.config.workload)
         client = YcsbClient(self.env, self.binding, workload)
         process = self.env.process(
-            client.load(self.config.record_count, self.config.load_threads),
+            client.load(self.config.record_count, LOAD_THREADS),
             name="load")
         result: LoadResult = self.env.run(until=process)
         self._settle()
@@ -454,13 +456,12 @@ class ExperimentSession:
                 for n in nodes):
             env.run(until=env.now + step)
 
-    def warm(self, operations: Optional[int] = None,
-             workload: Optional[WorkloadSpec] = None) -> None:
+    def warm(self, operations: Optional[int] = None) -> None:
         """Run an unmeasured cache-warming mix (the paper's §6 cold-start
         countermeasure: "run the tests for a long time" before trusting
-        latency numbers).  Uses a read-heavy mix by default so block
-        caches reach steady state before the first measured cell."""
-        self.run_cell(workload=workload or STRESS_WORKLOADS["read_mostly"],
+        latency numbers).  A read-heavy mix, so block caches reach
+        steady state before the first measured cell."""
+        self.run_cell(workload=STRESS_WORKLOADS["read_mostly"],
                       operation_count=operations)  # result discarded
 
     def _new_run(self, client_dc: Optional[str]) -> _Run:
@@ -494,7 +495,6 @@ class ExperimentSession:
     def run_cell(self, workload: Optional[WorkloadSpec] = None,
                  operation_count: Optional[int] = None,
                  target_throughput: Optional[float] = None,
-                 n_threads: Optional[int] = None,
                  read_cl: Optional[ConsistencyLevel] = None,
                  write_cl: Optional[ConsistencyLevel] = None,
                  inject_faults: bool = False,
@@ -506,9 +506,9 @@ class ExperimentSession:
         """Run one measured workload cell on the loaded deployment.
 
         - ``workload``: the mix to run (default ``config.workload``).
-        - ``operation_count``, ``target_throughput``, ``n_threads``:
-          closed-loop size, offered-load cap and client threads
-          (defaults from the config; refused on ``open_loop`` runs).
+        - ``operation_count``, ``target_throughput``: closed-loop size
+          and offered-load cap (defaults from the config; refused on
+          ``open_loop`` runs).
         - ``read_cl``, ``write_cl``: set the session's consistency
           levels from this run on (Cassandra only).
         - ``client_dc``: on a geo deployment, the region whose client
@@ -524,13 +524,12 @@ class ExperimentSession:
         if open_loop:
             for name, value in (("operation_count", operation_count),
                                 ("target_throughput", target_throughput),
-                                ("n_threads", n_threads),
                                 ("adaptive", adaptive)):
                 if value is not None:
                     raise ValueError(
                         f"{name} is closed-loop only: an open_loop run is "
                         "sized and paced by config.arrivals")
-        check_run_pacing("run_cell", target_throughput, n_threads)
+        check_run_pacing("run_cell", target_throughput)
         run = self._new_run(client_dc)
         if (read_cl or write_cl) and run.session is None:
             raise ValueError("consistency levels only apply to Cassandra")
@@ -562,7 +561,7 @@ class ExperimentSession:
                           else self.config.target_throughput)
             client = YcsbClient(self.env, binding, runtime_workload)
             driver = client.run(run.ops,
-                                n_threads=n_threads or self.config.n_threads,
+                                n_threads=self.config.n_threads,
                                 target_throughput=run.target,
                                 warmup_fraction=self.config.warmup_fraction,
                                 measurements=run.measurements)

@@ -43,7 +43,6 @@ from repro.core.config import (MICRO_STORAGE,
                                ExperimentConfig,
                                GeoConfig,
                                HBaseConfig,
-                               ScaleEventSpec,
                                SloSpec,
                                TailDefenseConfig,
                                default_micro_config,
@@ -620,7 +619,7 @@ def _check_cells(db: str, scale: Scale, cl: str = "QUORUM",
 # -- Flash-crowd survival: the open-loop client tier ------------------------
 
 _RETRYING = ("retries", "retry_backoff_s", "op_timeout_s")
-_BREAKER = _RETRYING + ("breaker_failure_rate", "breaker_cooldown_s")
+_BREAKER = _RETRYING + ("breaker_failure_rate",)
 _LEVELED = _BREAKER + ("retry_budget_ratio", "leveling_workers",
                        "leveling_queue")
 
@@ -672,7 +671,7 @@ _SURGE = Scale(
         # p99.9.
         op_timeout_s=0.25, retries=3, retry_backoff_s=0.05,
         retry_budget_ratio=0.2, breaker_failure_rate=0.5,
-        breaker_cooldown_s=1.0, leveling_workers=48, leveling_queue=256,
+        leveling_workers=48, leveling_queue=256,
         # Edge cache: a couple of spike-lengths of staleness tolerance
         # on the zipf head absorbs most repeat reads during the surge
         # (the oracle still prices every stale serve;
@@ -767,17 +766,9 @@ _ELASTIC = Scale(
         period_s=16.0, peak_factor=3.0,
         spike_at_s=4.0, spike_factor=6.0, spike_duration_s=6.0),
     elasticity=ElasticityConfig(
-        spare_nodes=1,
         # Manual mode: when the operator scales out, relative to the
         # run's start — inside the busy window for both shapes.
-        events=(ScaleEventSpec(action="out", at_s=5.0),),
-        window_s=0.5, p95_breach_ms=60.0, breach_windows=2,
-        # Scale-in threshold.  Campaign cells serve from a bimodal
-        # latency mix (sub-ms cache hits vs ~10 ms disk reads), so the
-        # relax bar sits below the cache-hit floor: a window only counts
-        # as idle when *everything* in it was trivial — a lull, not a
-        # healthy mix.
-        p95_relax_ms=0.5, idle_windows=8, cooldown_s=6.0))
+        events=(5.0,), cooldown_s=6.0))
 
 #: Arrivals are sized so several seconds of traffic land *after* the
 #: transfer finishes — the "after" phase the recovery claim is read from.
@@ -790,9 +781,7 @@ _ELASTIC_QUICK = replace(
     arrivals=replace(_ELASTIC.arrivals, rate=500.0, max_arrivals=6_000,
                      period_s=10.0, peak_factor=4.0,
                      spike_at_s=2.5, spike_duration_s=4.0),
-    elasticity=replace(_ELASTIC.elasticity,
-                       events=(ScaleEventSpec(action="out", at_s=4.0),),
-                       cooldown_s=4.0))
+    elasticity=replace(_ELASTIC.elasticity, events=(4.0,), cooldown_s=4.0))
 
 
 def _scale_cells(db: str, scale: Scale, modes: Sequence[str],
@@ -833,8 +822,7 @@ def _scale_cells(db: str, scale: Scale, modes: Sequence[str],
 #: The SLO the adaptive and energy campaigns declare.  Its ``p95_ms``
 #: sits *between* the disk-exposed p95 of CL ONE and of QUORUM (~35 vs
 #: ~105 ms at the adaptive campaign's default load).
-_SLO = SloSpec(p95_ms=50.0, staleness_s=0.25, risk_rate=0.002,
-               window_s=0.5, decay_windows=3)
+_SLO = SloSpec(p95_ms=50.0, risk_rate=0.002)
 
 #: The scenario is calibrated so the three SLO forces all actively pull
 #: on the controller:
@@ -969,7 +957,7 @@ def _geo_cells(db: str, scale: Scale, modes: Sequence[str],
     default consistency levels (each run names its own)."""
     target = scale.targets[0]
     geo = scale.geo
-    base = _stress(db, scale, "read_update", n_nodes=geo.total_nodes,
+    base = _stress(db, scale, "read_update",
                    storage=scaled_stress_storage(
                        scale.record_count, 1000,
                        geo.total_nodes - len(geo.datacenters)),
@@ -1042,7 +1030,6 @@ _ENERGY = Scale(
     # few-second run.
     energy=EnergyConfig(power=PowerSpec(idle_after_s=0.005,
                                         sleep_after_s=0.25,
-                                        pstate_wake_s=0.002,
                                         sleep_wake_s=0.2)),
     # Seed 3 + runs long enough that the replication-axis energy delta
     # clears the closed-loop drain-tail jitter (the last op's latency

@@ -13,6 +13,6 @@ same way:
 - :mod:`repro.energy.meter` — :class:`EnergyMeter` integrates the model
   over a measured window into an :class:`EnergyReport` (joules by
   component, joules/op), tolerating nodes joining mid-run;
-- :mod:`repro.energy.cost` — :class:`CostSpec` prices a report in
-  dollars ($/kWh + per-instance-hour), yielding $/Mops.
+- :mod:`repro.energy.cost` — :func:`~repro.energy.cost.price` prices a
+  report in dollars ($/kWh + per-instance-hour), yielding $/Mops.
 """

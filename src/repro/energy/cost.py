@@ -2,8 +2,8 @@
 
 Two bills add up: the electricity behind the measured joules (what a
 datacenter owner pays) and the instance-hours the cluster occupied
-(what a cloud tenant pays).  Defaults: $0.12/kWh — a typical
-industrial-power rate — and $0.10 per instance-hour, an on-demand
+(what a cloud tenant pays): :data:`USD_PER_KWH`, a typical
+industrial-power rate, and :data:`USD_PER_NODE_HOUR`, an on-demand
 price of the paper's era.
 """
 
@@ -13,10 +13,14 @@ from dataclasses import dataclass
 
 from repro.energy.meter import EnergyReport
 
-__all__ = ["CostReport", "CostSpec"]
+__all__ = ["CostReport", "USD_PER_KWH", "USD_PER_NODE_HOUR", "price"]
 
 #: Joules per kilowatt-hour.
 _J_PER_KWH = 3.6e6
+#: Electricity tariff, $/kWh.
+USD_PER_KWH = 0.12
+#: Instance price, $ per node-hour.
+USD_PER_NODE_HOUR = 0.10
 
 
 @dataclass(frozen=True)
@@ -45,13 +49,8 @@ class CostReport:
         }
 
 
-@dataclass(frozen=True)
-class CostSpec:
-    usd_per_kwh: float = 0.12
-    usd_per_node_hour: float = 0.10
-
-    def price(self, report: EnergyReport) -> CostReport:
-        return CostReport(
-            energy_usd=report.total_j / _J_PER_KWH * self.usd_per_kwh,
-            instance_usd=report.node_seconds / 3600.0
-            * self.usd_per_node_hour)
+def price(report: EnergyReport) -> CostReport:
+    """``report``'s joules and node-seconds at the two tariffs."""
+    return CostReport(
+        energy_usd=report.total_j / _J_PER_KWH * USD_PER_KWH,
+        instance_usd=report.node_seconds / 3600.0 * USD_PER_NODE_HOUR)

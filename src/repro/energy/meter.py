@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.energy.power import PowerSpec
+from repro.energy.power import (CPU_W, DISK_W, IDLE_W, NIC_W,
+                                PSTATE_IDLE_W, SLEEP_W)
 
 __all__ = ["EnergyMeter", "EnergyReport"]
 
@@ -27,7 +28,7 @@ class EnergyReport:
     """Joules consumed by the cluster over one measured window."""
 
     duration_s: float
-    #: Awake-baseline energy (full ``idle_w`` draw while on/awake).
+    #: Awake-baseline energy (full ``IDLE_W`` draw while on/awake).
     idle_j: float
     cpu_j: float
     disk_j: float
@@ -78,9 +79,8 @@ class EnergyMeter:
     at every snapshot so elasticity topology changes bill correctly.
     """
 
-    def __init__(self, nodes_source, spec: PowerSpec = PowerSpec()) -> None:
+    def __init__(self, nodes_source) -> None:
         self._nodes_source = nodes_source
-        self.spec = spec
         self._start_time: float | None = None
         self._env = None
         #: node_id -> (node, cpu0, disk0, nic0, power-ledger snapshot).
@@ -122,7 +122,6 @@ class EnergyMeter:
         for node in self._nodes_source():
             if node.node_id not in billed:
                 billed[node.node_id] = (node, 0.0, 0.0, 0.0, None)
-        spec = self.spec
         idle_j = cpu_j = disk_j = nic_j = sleep_j = 0.0
         node_seconds = 0.0
         wakes = 0
@@ -134,19 +133,19 @@ class EnergyMeter:
                 continue
             node_seconds += node_duration
             # core-seconds / cores = average utilization * duration
-            cpu_j += (spec.cpu_w * max(0.0, node.cpu_time - cpu0)
+            cpu_j += (CPU_W * max(0.0, node.cpu_time - cpu0)
                       / node.spec.cores)
-            disk_j += spec.disk_w * max(0.0, node.disk.busy_time - disk0)
-            nic_j += spec.nic_w * max(0.0, node.nic.busy_s - nic0)
+            disk_j += DISK_W * max(0.0, node.disk.busy_time - disk0)
+            nic_j += NIC_W * max(0.0, node.nic.busy_s - nic0)
             power = node.power
             if power is None:
-                idle_j += spec.idle_w * node_duration
+                idle_j += IDLE_W * node_duration
                 continue
             power.settle(now)
             a0, p0, s0, w0, wl0 = ledger0 or (0.0, 0.0, 0.0, 0, 0.0)
-            idle_j += spec.idle_w * max(0.0, power.awake_s - a0)
-            sleep_j += (spec.pstate_idle_w * max(0.0, power.pstate_s - p0)
-                        + spec.sleep_w * max(0.0, power.sleep_s - s0))
+            idle_j += IDLE_W * max(0.0, power.awake_s - a0)
+            sleep_j += (PSTATE_IDLE_W * max(0.0, power.pstate_s - p0)
+                        + SLEEP_W * max(0.0, power.sleep_s - s0))
             wakes += power.wakes - w0
             wake_latency_s += power.wake_latency_s - wl0
         return EnergyReport(duration_s=duration, idle_j=idle_j, cpu_j=cpu_j,

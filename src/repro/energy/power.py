@@ -1,20 +1,21 @@
 """Per-node power model: utilization draws + a lazy power-state machine.
 
-Model: each machine draws ``idle_w`` watts while awake, plus a
-utilization-proportional share of ``cpu_w`` (all cores busy), ``disk_w``
-(spindle busy) and ``nic_w`` (a NIC channel serializing).  Defaults
-approximate a dual-socket Xeon L5640 server of the paper's era (~120 W
-idle, ~80 W CPU swing, ~10 W disk, ~5 W NIC).
+Model: each machine draws :data:`IDLE_W` watts while awake, plus a
+utilization-proportional share of :data:`CPU_W` (all cores busy),
+:data:`DISK_W` (spindle busy) and :data:`NIC_W` (a NIC channel
+serializing).  The wattages approximate a dual-socket Xeon L5640 server
+of the paper's era (~120 W idle, ~80 W CPU swing, ~10 W disk, ~5 W NIC).
 
 Power management (``race_to_sleep`` mode) layers a three-state machine
 on top of the awake baseline:
 
-- **awake** — full ``idle_w`` baseline; entered by any work, held for
-  ``idle_after_s`` past the last activity;
+- **awake** — full :data:`IDLE_W` baseline; entered by any work, held
+  for ``idle_after_s`` past the last activity;
 - **p-state** — DVFS-dropped cores + spun-down disk at
-  ``pstate_idle_w``; reached ``idle_after_s`` after the last activity,
-  left after a deterministic ``pstate_wake_s`` clock-ramp latency;
-- **deep sleep** — suspend-to-RAM at ``sleep_w``; reached
+  :data:`PSTATE_IDLE_W`; reached ``idle_after_s`` after the last
+  activity, left after a deterministic :data:`PSTATE_WAKE_S` clock-ramp
+  latency;
+- **deep sleep** — suspend-to-RAM at :data:`SLEEP_W`; reached
   ``sleep_after_s`` after the last activity, left after ``sleep_wake_s``
   (disk spin-up dominates).
 
@@ -34,7 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["POWER_MODES", "PowerManager", "PowerSpec"]
+__all__ = ["CPU_W", "DISK_W", "IDLE_W", "NIC_W", "POWER_MODES",
+           "PSTATE_IDLE_W", "PSTATE_WAKE_S", "PowerManager", "PowerSpec",
+           "SLEEP_W"]
 
 #: ``always_on`` — the meter's historical behavior: full idle draw
 #: whenever the machine is on, no wake latency anywhere.
@@ -42,27 +45,34 @@ __all__ = ["POWER_MODES", "PowerManager", "PowerSpec"]
 POWER_MODES = ("always_on", "race_to_sleep")
 
 
+#: Awake baseline draw, watts.
+IDLE_W = 120.0
+#: Draw of all cores busy, on top of the baseline.
+CPU_W = 80.0
+#: Draw of a busy spindle.
+DISK_W = 10.0
+#: Per-channel serialization draw; a saturated full-duplex NIC (egress
+#: + ingress both busy) draws twice this.
+NIC_W = 5.0
+#: Baseline draw in the DVFS P-state (cores clocked down, disk spun
+#: down, NIC in low-power idle).
+PSTATE_IDLE_W = 70.0
+#: Baseline draw in deep sleep (suspend-to-RAM).
+SLEEP_W = 12.0
+#: Deterministic wake latency out of the p-state (clock ramp), seconds.
+PSTATE_WAKE_S = 0.002
+
+
 @dataclass(frozen=True)
 class PowerSpec:
-    """Power-model parameters (watts, seconds)."""
+    """The power-state thresholds a cell tunes to its time scale
+    (seconds); the wattages and the p-state wake are the constants
+    above."""
 
-    idle_w: float = 120.0
-    cpu_w: float = 80.0
-    disk_w: float = 10.0
-    #: Per-channel serialization draw; a saturated full-duplex NIC
-    #: (egress + ingress both busy) draws twice this.
-    nic_w: float = 5.0
-    #: Baseline draw in the DVFS P-state (cores clocked down, disk
-    #: spun down, NIC in low-power idle).
-    pstate_idle_w: float = 70.0
-    #: Baseline draw in deep sleep (suspend-to-RAM).
-    sleep_w: float = 12.0
     #: Idle time before dropping awake -> p-state.
     idle_after_s: float = 0.01
     #: Idle time before dropping p-state -> deep sleep.
     sleep_after_s: float = 0.5
-    #: Deterministic wake latency out of the p-state (clock ramp).
-    pstate_wake_s: float = 0.002
     #: Deterministic wake latency out of deep sleep (disk spin-up).
     sleep_wake_s: float = 0.3
 
@@ -165,7 +175,7 @@ class PowerManager:
         gap = at - self.busy_until
         if gap < self.spec.idle_after_s:
             return at
-        penalty = (self.spec.pstate_wake_s
+        penalty = (PSTATE_WAKE_S
                    if gap < self.spec.sleep_after_s
                    else self.spec.sleep_wake_s)
         self._account(at)
@@ -196,7 +206,7 @@ class PowerManager:
         if mode == "always_on":
             gap = at - self.busy_until
             if gap >= self.spec.idle_after_s:
-                penalty = (self.spec.pstate_wake_s
+                penalty = (PSTATE_WAKE_S
                            if gap < self.spec.sleep_after_s
                            else self.spec.sleep_wake_s)
                 self.wakes += 1

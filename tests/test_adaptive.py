@@ -13,7 +13,8 @@ from dataclasses import replace
 import pytest
 
 from repro.adaptive.controller import DecisionLog
-from repro.adaptive.monitor import Monitor, RecentWrites, SloSpec
+from repro.adaptive.monitor import (DECAY_WINDOWS, STALENESS_S, Monitor,
+                                    RecentWrites, SloSpec)
 from repro.adaptive.policy import (ADAPTIVE_POLICIES, StalenessBoundPolicy,
                                    StaticPolicy, StepwisePolicy, make_policy)
 from repro.adaptive.monitor import WindowStats
@@ -23,7 +24,7 @@ from repro.core.sweep import CAMPAIGNS, campaign_cells, run_campaign
 
 QUICK = CAMPAIGNS["adaptive"].quick
 
-SLO = SloSpec(p95_ms=10.0, staleness_s=0.25, risk_rate=0.01, window_s=0.5)
+SLO = SloSpec(p95_ms=10.0, risk_rate=0.01)
 
 
 class TestRecentWrites:
@@ -146,16 +147,16 @@ class TestStepwisePolicy:
         assert policy.latency_steps == 1
 
     def test_decay_after_clean_windows(self):
-        policy = StepwisePolicy(replace(SLO, decay_windows=2),
-                                start=ConsistencyLevel.QUORUM)
-        policy.on_window(window())
-        assert policy.level is ConsistencyLevel.QUORUM  # streak 1 of 2
+        policy = StepwisePolicy(SLO, start=ConsistencyLevel.QUORUM)
+        for _ in range(DECAY_WINDOWS - 1):
+            policy.on_window(window())
+        assert policy.level is ConsistencyLevel.QUORUM  # one short
         policy.on_window(window())
         assert policy.level is ConsistencyLevel.ONE
         assert policy.decays == 1
 
     def test_breach_resets_clean_streak(self):
-        policy = StepwisePolicy(replace(SLO, decay_windows=2))
+        policy = StepwisePolicy(SLO)
         policy.on_window(window(exposed=5))  # -> QUORUM
         policy.on_window(window())
         policy.on_window(window(exposed=5))  # breach: exposure at QUORUM?
@@ -210,14 +211,11 @@ class TestPolicyRegistry:
             make_policy("vibes", SLO)
 
     def test_stepwise_decays_after_the_slos_clean_windows(self):
-        policy = make_policy("stepwise", replace(SLO, decay_windows=1))
+        policy = make_policy("stepwise", SLO)
         policy.on_window(window(exposed=5))  # -> QUORUM
-        policy.on_window(window())
+        for _ in range(DECAY_WINDOWS):
+            policy.on_window(window())
         assert policy.level is ConsistencyLevel.ONE
-
-    def test_slo_rejects_no_decay_window(self):
-        with pytest.raises(ValueError, match="decay_windows"):
-            replace(SLO, decay_windows=0)
 
 
 class TestDecisionLog:
@@ -282,7 +280,7 @@ class TestPaperShape:
         # ...and the violations are deep: the restarted replica served
         # state far staler than the declared bound.
         assert static_one["consistency"]["max_staleness_lag_s"] \
-            > QUICK.slo.staleness_s
+            > STALENESS_S
 
     def test_staleness_bound_zero_violations_beats_quorum(self, quick_sweep):
         bounded = quick_sweep["staleness-bound"][self.TARGET]
@@ -291,7 +289,7 @@ class TestPaperShape:
         assert consistency["violations_by_kind"]["read_your_writes"] == 0
         assert consistency["violations_by_kind"]["stale_read"] == 0
         assert consistency["max_staleness_lag_s"] \
-            <= QUICK.slo.staleness_s
+            <= STALENESS_S
         assert bounded["decisions"]["read_p95_ms"] \
             < quorum["decisions"]["read_p95_ms"]
         # Only risk-free reads took the weak fast path.

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.energy.meter import EnergyMeter, EnergyReport
-from repro.energy.power import PowerSpec
+from repro.energy.power import (IDLE_W, NIC_W, PSTATE_IDLE_W, SLEEP_W,
+                                PowerManager, PowerSpec)
 
 
 class TestEnergyMeter:
@@ -79,7 +80,7 @@ class TestEnergyMeter:
         report = meter.stop()
         assert nic.busy_s > 0
         assert report.nic_j == pytest.approx(
-            meter.spec.nic_w * (nic.busy_s + dst.nic.busy_s))
+            NIC_W * (nic.busy_s + dst.nic.busy_s))
         assert report.total_j == pytest.approx(
             report.idle_j + report.cpu_j + report.disk_j + report.nic_j
             + report.sleep_j)
@@ -122,11 +123,17 @@ class TestEnergyMeter:
             EnergyMeter(lambda: []).start()
 
     def test_custom_power_spec(self, small_cluster):
+        # A cell's thresholds decide how long each idle node spends in
+        # each state; the meter bills those spans at the fixed draws.
         env = small_cluster.env
-        meter = EnergyMeter(lambda: small_cluster.nodes,
-                            PowerSpec(idle_w=10.0, cpu_w=1.0, disk_w=1.0))
+        spec = PowerSpec(idle_after_s=0.25, sleep_after_s=0.5)
+        for node in small_cluster.nodes:
+            node.power = PowerManager(spec, now=env.now)
+        meter = EnergyMeter(lambda: small_cluster.nodes)
         meter.start()
         env.timeout(1.0)
         env.run()
         report = meter.stop()
-        assert report.idle_j == pytest.approx(40.0)
+        assert report.idle_j == pytest.approx(4 * IDLE_W * 0.25)
+        assert report.sleep_j == pytest.approx(
+            4 * (PSTATE_IDLE_W * 0.25 + SLEEP_W * 0.5))

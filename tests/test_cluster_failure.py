@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cluster.failure import (FAULT_ACTIONS, FailureInjector, FaultSpec,
+from repro.cluster.failure import (FAULT_ACTIONS, FLAP_CYCLES, FLAP_UP_S,
+                                   FailureInjector, FaultSpec,
                                    UnknownFaultTargetError)
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.sim.kernel import Environment
@@ -82,8 +83,10 @@ class TestFaultTypes:
         env = small_cluster.env
         injector = FailureInjector(small_cluster)
         injector.inject([FaultSpec(kind="flap", node_id=1, at_s=1.0,
-                                   cycles=3, duration_s=0.5, up_s=0.5)])
-        env.run(until=2.2)  # mid second downtime
+                                   duration_s=0.5)])
+        # FLAP_CYCLES rounds of 0.5 s down, FLAP_UP_S up.
+        assert FLAP_CYCLES == 3 and FLAP_UP_S == 1.0
+        env.run(until=2.7)  # mid second downtime
         assert not small_cluster.node(1).alive
         env.run(until=10.0)
         assert small_cluster.node(1).alive
@@ -166,13 +169,17 @@ class TestFaultSpec:
                               RngRegistry(1))
             injector = FailureInjector(cluster)
             injector.inject([FaultSpec(kind=kind, node_id=1, at_s=1.0,
-                                       duration_s=1.0, cycles=1)])
+                                       duration_s=1.0)])
             cluster.env.run(until=10.0)
             degrade, heal = FAULT_ACTIONS[kind]
             targets = (1, 2) if kind == "partition" else (1,)  # span=2
-            assert injector.log == (
-                [(1.0, node, degrade) for node in targets]
-                + [(2.0, node, heal) for node in targets])
+            rounds = FLAP_CYCLES if kind == "flap" else 1
+            # A flap's rounds start every 1 s down + FLAP_UP_S up.
+            assert injector.log == [
+                entry for start in (1.0 + 2.0 * i for i in range(rounds))
+                for entry in ([(start, node, degrade) for node in targets]
+                              + [(start + 1.0, node, heal)
+                                 for node in targets])]
 
     def test_schedule_from_specs_validates(self, small_cluster):
         injector = FailureInjector(small_cluster)
@@ -184,7 +191,7 @@ class TestFaultSpec:
     @pytest.mark.parametrize("kind,field,value", [
         ("slow_nic", "severity", 0.5), ("slow_disk", "severity", 0.0),
         ("wan_degrade", "severity", 0.9), ("dc_slow_nic", "severity", -1.0),
-        ("flap", "cycles", 0), ("partition", "span", 0)])
+        ("partition", "span", 0)])
     def test_bad_shape_names_the_field_kind_and_range(self, kind, field,
                                                      value):
         with pytest.raises(ValueError,
@@ -193,7 +200,7 @@ class TestFaultSpec:
             FaultSpec(kind=kind, datacenter="eu-west", **{field: value})
 
     def test_fields_a_kind_does_not_read_are_not_checked(self):
-        FaultSpec(kind="crash", severity=0.0, cycles=0, span=0)
+        FaultSpec(kind="crash", severity=0.0, span=0)
 
 
 class TestDcFaultValidation:

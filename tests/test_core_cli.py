@@ -273,13 +273,12 @@ class TestOneScale:
         surge = CAMPAIGNS["surge"]
         quick = surge.quick
         changed = replace(quick, clienttier=replace(
-            quick.clienttier, breaker_cooldown_s=7.5))
-        cooldowns = {cell.key[1]: cell.config.clienttier.breaker_cooldown_s
-                     for cell in _cells(surge, changed,
-                                        scenarios=("steady",))}
-        assert cooldowns == {
-            "undefended": ClientTierConfig().breaker_cooldown_s,
-            "breaker": 7.5, "breaker+budget+leveling": 7.5, "full": 7.5}
+            quick.clienttier, breaker_failure_rate=0.75))
+        rates = {cell.key[1]: cell.config.clienttier.breaker_failure_rate
+                 for cell in _cells(surge, changed, scenarios=("steady",))}
+        assert rates == {
+            "undefended": ClientTierConfig().breaker_failure_rate,
+            "breaker": 0.75, "breaker+budget+leveling": 0.75, "full": 0.75}
 
     def test_arrival_shape_a_process_never_reads_stays_at_class_default(
             self):

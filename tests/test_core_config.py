@@ -6,9 +6,11 @@ import typing
 import pytest
 
 from repro.cassandra.consistency import ConsistencyLevel
+from repro.cluster.failure import FaultSpec
 from repro.core.config import (
     ArrivalConfig,
     CassandraConfig,
+    ElasticityConfig,
     ExperimentConfig,
     GeoConfig,
     default_micro_config,
@@ -39,7 +41,7 @@ def test_settable_value_count():
     """A new setting is a deliberate edit of this number: one a campaign
     never varies is a constant, not a field."""
     leaves = list(_leaves(ExperimentConfig))
-    assert len(leaves) == 91, "\n".join(leaves)
+    assert len(leaves) == 70, "\n".join(leaves)
 
 
 _WORKLOAD = STRESS_WORKLOADS["read_mostly"]
@@ -69,11 +71,6 @@ def _cell(**overrides):
     (lambda: ArrivalConfig(max_arrivals=0), "max_arrivals=0"),
     (lambda: ArrivalConfig(process="bursty"), "flash_crowd"),
     (lambda: _cell(n_threads=0), r"n_threads=0: must be >= 1"),
-    (lambda: _cell(load_threads=0), r"load_threads=0: must be >= 1"),
-    (lambda: _cell(warmup_fraction=1.0),
-     r"warmup_fraction=1.0: must be in \[0, 1\)"),
-    (lambda: _cell(warmup_fraction=-0.1),
-     r"warmup_fraction=-0.1: must be in \[0, 1\)"),
     (lambda: _cell(settle_s=-1.0), r"settle_s=-1.0: must be >= 0"),
     (lambda: _cell(target_throughput=0.0),
      r"target_throughput=0.0: must be None \(full speed\) or > 0"),
@@ -92,14 +89,31 @@ def _cell(**overrides):
      r"GeoConfig.datacenters: 'us-west' has 0 servers"),
     (lambda: ExperimentSession(_cell()).run_cell(target_throughput=0.0),
      r"run_cell.target_throughput=0.0: must be None \(full speed\) or > 0"),
-    (lambda: ExperimentSession(_cell()).run_cell(n_threads=0),
-     r"run_cell.n_threads=0: must be >= 1"),
+    (lambda: FaultSpec(kind="crash", at_s=-2.0),
+     r"FaultSpec.at_s=-2.0: must be >= 0"),
+    (lambda: FaultSpec(kind="crash", duration_s=-1.0),
+     r"FaultSpec.duration_s=-1.0: must be None \(never cleared\) or > 0"),
+    (lambda: FaultSpec(kind="flap", duration_s=0.0),
+     r"FaultSpec.duration_s=0.0: must be None \(never cleared\) or > 0"),
+    (lambda: ElasticityConfig(events=(1.0, -0.5)),
+     r"ElasticityConfig.events: at_s=-0.5 must be >= 0"),
+    (lambda: ElasticityConfig(cooldown_s=-1.0),
+     r"ElasticityConfig.cooldown_s=-1.0: must be >= 0"),
+    (lambda: _cell(n_nodes=2, elasticity=ElasticityConfig()),
+     r"n_nodes=2 has 1 servers: an elastic cell keeps 1 spare"),
+    (lambda: ExperimentConfig(db="cassandra", workload=_WORKLOAD,
+                              record_count=10, operation_count=10,
+                              n_nodes=16, geo=GeoConfig()),
+     r"n_nodes=16 does not match the geo layout's 12 nodes"),
 ], ids=["memtable", "block", "cache", "min_batch", "max_batch", "records",
         "operations", "nodes", "rate", "arrivals", "process", "threads",
-        "load_threads", "warmup", "warmup_negative", "settle", "target",
+        "settle", "target",
         "geo_datacenter", "geo_negative_replication",
         "geo_repeated_replication", "geo_empty_datacenter", "run_target",
-        "run_threads"])
+        "fault_negative_start", "fault_negative_duration",
+        "flap_zero_duration", "scale_negative_instant",
+        "scale_negative_cooldown", "elastic_no_server",
+        "geo_conflicting_size"])
 def test_config_errors_name_the_field_and_value(build, names):
     with pytest.raises(ValueError, match=names):
         build()
@@ -117,6 +131,23 @@ class TestExperimentConfig:
             ExperimentConfig(db="hbase",
                              workload=STRESS_WORKLOADS["read_mostly"],
                              record_count=0, operation_count=10)
+
+    def test_geo_cell_takes_its_size_from_the_layout(self):
+        geo = GeoConfig()
+        config = ExperimentConfig(db="cassandra", workload=_WORKLOAD,
+                                  record_count=10, operation_count=10,
+                                  geo=geo)
+        assert config.n_nodes is None
+        # Naming the layout's own size is no conflict; the record is the
+        # same cell either way, and a new layout replaces the old one.
+        assert dataclasses.replace(config, n_nodes=geo.total_nodes) == config
+        smaller = GeoConfig(datacenters=(("eu-west", 1), ("us-west", 1)),
+                            replication_per_dc=(("eu-west", 1),
+                                                ("us-west", 1)))
+        assert dataclasses.replace(config, geo=smaller).geo == smaller
+
+    def test_rack_size_defaults_to_the_papers(self):
+        assert _cell().n_nodes == 16
 
     def test_node_count_validated(self):
         with pytest.raises(ValueError):

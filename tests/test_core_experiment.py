@@ -15,14 +15,14 @@ from repro.ycsb.workload import MICRO_WORKLOADS, STRESS_WORKLOADS
 def tiny_micro(db, rf=2, seed=42):
     config = default_micro_config(db, "read", replication=rf, seed=seed)
     return replace(config, record_count=1500, operation_count=300,
-                   n_nodes=5, n_threads=4, settle_s=1.0, load_threads=8)
+                   n_nodes=5, n_threads=4, settle_s=1.0)
 
 
 def tiny_stress(db, rf=2, seed=42):
     config = default_stress_config(db, "read_update", replication=rf,
                                    seed=seed)
     return replace(config, record_count=1500, operation_count=300,
-                   n_nodes=5, n_threads=8, settle_s=1.0, load_threads=8,
+                   n_nodes=5, n_threads=8, settle_s=1.0,
                    storage=StorageSpec(memtable_flush_bytes=32 * 1024,
                                        block_bytes=4096,
                                        block_cache_bytes=64 * 1024))

@@ -9,9 +9,9 @@ cutting without paying for a cluster.
 
 import pytest
 
-from repro.cluster.elasticity import (ElasticityConfig, ScaleEngine,
-                                      ScaleEventSpec, _transfer_windows,
-                                      build_scale_report)
+from repro.cluster.elasticity import (P95_BREACH_MS, P95_RELAX_MS,
+                                      ElasticityConfig, ScaleEngine,
+                                      _transfer_windows, build_scale_report)
 from repro.sim.kernel import Environment
 from repro.ycsb.measurements import Measurements
 
@@ -44,33 +44,21 @@ class StubDeployment:
 
 
 class TestSpecValidation:
-    def test_unknown_action_rejected(self):
-        with pytest.raises(ValueError, match="unknown scale action"):
-            ScaleEventSpec(action="sideways")
-
     def test_negative_offset_rejected(self):
         with pytest.raises(ValueError, match="at_s"):
-            ScaleEventSpec(at_s=-1.0)
+            ElasticityConfig(events=(-1.0,))
 
-    def test_zero_count_rejected(self):
-        with pytest.raises(ValueError, match="count"):
-            ScaleEventSpec(count=0)
+    def test_hysteresis_enforced(self):
+        # Relax sits below breach, so the policy loop cannot flap.
+        assert P95_RELAX_MS < P95_BREACH_MS
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown elasticity mode"):
             ElasticityConfig(mode="magic")
 
-    def test_hysteresis_enforced(self):
-        with pytest.raises(ValueError, match="hysteresis"):
-            ElasticityConfig(p95_relax_ms=50.0, p95_breach_ms=50.0)
-
-    def test_window_and_counts_validated(self):
-        with pytest.raises(ValueError):
-            ElasticityConfig(window_s=0.0)
-        with pytest.raises(ValueError):
-            ElasticityConfig(breach_windows=0)
-        with pytest.raises(ValueError):
-            ElasticityConfig(spare_nodes=-1)
+    def test_cooldown_validated(self):
+        with pytest.raises(ValueError, match="cooldown_s"):
+            ElasticityConfig(cooldown_s=-1.0)
 
 
 class TestManualMode:
@@ -78,30 +66,17 @@ class TestManualMode:
         env = Environment()
         dep = StubDeployment(env, delay=0.5)
         engine = ScaleEngine(env, dep, ElasticityConfig(
-            mode="manual", events=(ScaleEventSpec(action="out", at_s=2.0),)))
+            mode="manual", events=(2.0,)))
         engine.arm(base_s=1.0)
         env.run(until=10.0)
         assert dep.applied == [("out", 7, 3.0)]
         assert engine.log == [(3.0, "out_start", 7), (3.5, "out_done", 7)]
 
-    def test_count_fires_sequentially(self):
-        env = Environment()
-        dep = StubDeployment(env, out_ids=(7, 8), delay=0.5)
-        engine = ScaleEngine(env, dep, ElasticityConfig(
-            mode="manual",
-            events=(ScaleEventSpec(action="out", at_s=1.0, count=2),)))
-        engine.arm(base_s=0.0)
-        env.run(until=10.0)
-        # The second activation starts only after the first's transfer.
-        assert [e for _, e, _ in engine.log] == \
-            ["out_start", "out_done", "out_start", "out_done"]
-        assert [n for _, _, n in engine.log] == [7, 7, 8, 8]
-
     def test_exhausted_pool_logs_skip(self):
         env = Environment()
         dep = StubDeployment(env, out_ids=(), delay=0.5)
         engine = ScaleEngine(env, dep, ElasticityConfig(
-            mode="manual", events=(ScaleEventSpec(action="out", at_s=1.0),)))
+            mode="manual", events=(1.0,)))
         engine.arm(base_s=0.0)
         env.run(until=5.0)
         assert engine.log == [(1.0, "out_skipped", -1)]
@@ -126,11 +101,10 @@ def _feed(env, measurements, latency_s, rate_per_s=20.0, until=60.0):
 
 
 def _auto_config(**overrides):
-    base = dict(mode="auto", window_s=0.5, p95_breach_ms=50.0,
-                breach_windows=2, p95_relax_ms=1.0, idle_windows=4,
-                cooldown_s=5.0)
-    base.update(overrides)
-    return ElasticityConfig(**base)
+    """The autoscaler with its constants: 0.5 s windows, out after two
+    at or above 60 ms, in after eight at or below 0.5 ms."""
+    return ElasticityConfig(**{"mode": "auto", "cooldown_s": 5.0,
+                               **overrides})
 
 
 class TestAutoscaler:
@@ -143,7 +117,7 @@ class TestAutoscaler:
         engine.arm(base_s=0.0)
         env.run(until=3.0)
         engine.stop()
-        # Two consecutive 0.5s windows over the 50ms breach -> out at 1.0.
+        # Two consecutive 0.5s windows over the 60ms breach -> out at 1.0.
         assert dep.applied[0][:2] == ("out", 7)
         assert dep.applied[0][2] == pytest.approx(1.0)
 
@@ -154,11 +128,11 @@ class TestAutoscaler:
         _feed(env, m, latency_s=0.0002)
         engine = ScaleEngine(env, dep, _auto_config(), measurements=m)
         engine.arm(base_s=0.0)
-        env.run(until=4.0)
+        env.run(until=6.0)
         engine.stop()
-        # Four consecutive idle windows -> in at 2.0.
+        # Eight consecutive idle windows -> in at 4.0.
         assert dep.applied[0][:2] == ("in", 3)
-        assert dep.applied[0][2] == pytest.approx(2.0)
+        assert dep.applied[0][2] == pytest.approx(4.0)
 
     def test_cooldown_separates_actions(self):
         env = Environment()
@@ -178,7 +152,7 @@ class TestAutoscaler:
         env = Environment()
         dep = StubDeployment(env)
         m = Measurements()
-        # 10ms sits between relax (1ms) and breach (50ms): never acts.
+        # 10ms sits between relax (0.5ms) and breach (60ms): never acts.
         _feed(env, m, latency_s=0.010)
         engine = ScaleEngine(env, dep, _auto_config(), measurements=m)
         engine.arm(base_s=0.0)

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.adaptive.monitor import STALENESS_S
 from repro.consistency.oracle import unexpected_violations
 from repro.core.sweep import (CAMPAIGNS, ENERGY_MODES, campaign_cells,
                               render_campaign, run_campaign)
@@ -108,7 +109,7 @@ class TestPaperShapes:
         assert aware["usd_per_mops"] < quorum["usd_per_mops"]
         assert aware["joules_per_op"] < quorum["joules_per_op"]
         lag = aware["consistency"]["max_staleness_lag_s"]
-        assert lag <= QUICK.slo.staleness_s
+        assert lag <= STALENESS_S
         assert unexpected_violations(aware["consistency"]) == 0
 
     def test_energy_aware_actually_parked(self, sweeps):

@@ -9,7 +9,7 @@ from repro.core.experiment import ExperimentSession, summarize_run
 def test_run_cell_reports_energy_and_cost():
     config = default_stress_config("cassandra", "read_mostly")
     config = replace(config, record_count=1200, operation_count=300,
-                     n_nodes=5, n_threads=6, settle_s=0.5, load_threads=8)
+                     n_nodes=5, n_threads=6, settle_s=0.5)
     session = ExperimentSession(config)
     session.load()
     result = session.run_cell()
@@ -35,8 +35,7 @@ def test_throttled_cell_burns_more_energy_per_op():
         config = default_stress_config("hbase", "read_mostly",
                                        target_throughput=target)
         config = replace(config, record_count=1200, operation_count=400,
-                         n_nodes=5, n_threads=8, settle_s=0.5,
-                         load_threads=8)
+                         n_nodes=5, n_threads=8, settle_s=0.5)
         session = ExperimentSession(config)
         session.load()
         result = session.run_cell()

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.energy.meter import EnergyMeter, EnergyReport
-from repro.energy.power import PowerManager, PowerSpec
+from repro.energy.power import (IDLE_W, PSTATE_IDLE_W, PSTATE_WAKE_S,
+                                SLEEP_W, PowerManager, PowerSpec)
 
 #: Inter-arrival gaps: from sub-threshold busy bursts to deep-sleep
 #: stretches, all well-behaved floats.
@@ -110,7 +111,7 @@ class TestPowerLedgerProperties:
             manager.note_busy(end)
             now = end
         assert manager.wakes == pstate_wakes + sleep_wakes
-        expected = (pstate_wakes * spec.pstate_wake_s
+        expected = (pstate_wakes * PSTATE_WAKE_S
                     + sleep_wakes * spec.sleep_wake_s)
         assert abs(manager.wake_latency_s - expected) < 1e-9
 
@@ -134,12 +135,11 @@ class TestEnergyReportProperties:
         """A longer idle window can only cost more joules."""
 
         def bill(seconds: float) -> float:
-            spec = PowerSpec()
-            manager = PowerManager(spec, mode="race_to_sleep")
+            manager = PowerManager(PowerSpec(), mode="race_to_sleep")
             manager.settle(seconds)
-            return (spec.idle_w * manager.awake_s
-                    + spec.pstate_idle_w * manager.pstate_s
-                    + spec.sleep_w * manager.sleep_s)
+            return (IDLE_W * manager.awake_s
+                    + PSTATE_IDLE_W * manager.pstate_s
+                    + SLEEP_W * manager.sleep_s)
 
         assert bill(duration * factor) >= bill(duration) - 1e-9
 

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.failure import (DC_FAULT_KINDS, FAULT_ACTIONS,
-                                   FAULT_KINDS, FailureInjector, FaultSpec,
+                                   FAULT_KINDS, FLAP_CYCLES, FLAP_UP_S,
+                                   FailureInjector, FaultSpec,
                                    UnknownFaultTargetError)
 from repro.cluster.geo import GeoCluster, GeoConfig
 from repro.cluster.topology import Cluster, ClusterSpec
@@ -41,8 +42,8 @@ def geo() -> GeoCluster:
 
 @st.composite
 def specs(draw):
-    # Each list leads with the value hypothesis should favour: several
-    # flap rounds with a gap, a fault that heals, a real slowdown.
+    # Each list leads with the value hypothesis should favour: a fault
+    # that heals, a real slowdown.
     kind = draw(st.sampled_from(FAULT_KINDS))
     span = draw(st.integers(1, 3))
     return FaultSpec(
@@ -52,8 +53,6 @@ def specs(draw):
         at_s=draw(st.sampled_from([0.25, 1.0, 2.5, 0.0])),
         duration_s=draw(st.one_of(st.sampled_from([0.1, 0.5, 1.0, 3.0]),
                                   st.none())),
-        cycles=draw(st.sampled_from([3, 2, 4, 1])),
-        up_s=draw(st.sampled_from([0.2, 1.0, 0.0])),
         severity=draw(st.sampled_from([8.0, 2.0, 1.0])),
         span=span,
         datacenter=draw(st.sampled_from(DATACENTERS)))
@@ -113,11 +112,11 @@ def reference_log(spec: FaultSpec, hit: tuple, current: dict) -> list:
 
     now = spec.at_s
     if spec.kind == "flap":
-        for _ in range(spec.cycles):
+        for _ in range(FLAP_CYCLES):
             step(now, degraded, degrade)
-            now += spec.duration_s or 1.0
+            now += 1.0 if spec.duration_s is None else spec.duration_s
             step(now, healthy, heal)
-            now += spec.up_s
+            now += FLAP_UP_S
         return log
     step(now, degraded, degrade)
     if spec.duration_s is not None:

@@ -4,11 +4,11 @@ Each row pairs two runs of one tiny cell where one side only adds an
 ingredient that must change nothing: any consistency level at RF 1
 (R = W = 1 there), a hedge policy at RF 1 (no spare replica, so the
 race is a plain wait), the oracle that only records, a static adaptive
-policy against the levels it pins, and power management that never
-parks.  Both sides must give the same kernel trace digest, the same
-event count and the same measurement fields of the run summary.  A row
-that fails is an observer effect or a wrong equivalence, not a number
-to re-pin.
+policy against the levels it pins, power management that never parks,
+and a manual scaling plan with no scale-out in it.  Both sides must
+give the same kernel trace digest, the same event count and the same
+measurement fields of the run summary.  A row that fails is an observer
+effect or a wrong equivalence, not a number to re-pin.
 """
 
 import json
@@ -18,10 +18,11 @@ from functools import lru_cache
 import pytest
 
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.core.config import EnergyConfig, TailDefenseConfig
+from repro.core.config import (ElasticityConfig, EnergyConfig,
+                               TailDefenseConfig)
 from repro.ycsb.workload import STRESS_WORKLOADS
 from tests.conftest import traced_run
-from tests.test_run_assembly import BASE_KEYS, _closed
+from tests.test_run_assembly import BASE_KEYS, _closed, _elastic
 
 pytestmark = pytest.mark.hashseed
 
@@ -47,6 +48,10 @@ def _run(cell, run_kwargs=()):
     measured = {key: value for key, value in json.loads(summary).items()
                 if key in BASE_KEYS}
     return digest, events, measured
+
+
+#: The keywords of an elastic cell's measured run.
+SCALED = {"open_loop": True, "scale": True}
 
 
 def _row(name, plain, plain_kwargs, neutral, neutral_kwargs):
@@ -77,6 +82,12 @@ ROWS = [
     *(_row(f"{db}-power-policy-unparked", _cell(db), {},
            _cell(db, power_mode="policy"), {})
       for db in ("hbase", "cassandra")),
+    _row("manual-scaling-without-events",
+         replace(_elastic("cassandra"),
+                 elasticity=ElasticityConfig(mode="static")), SCALED,
+         replace(_elastic("cassandra"),
+                 elasticity=ElasticityConfig(mode="manual", events=())),
+         SCALED),
 ]
 
 

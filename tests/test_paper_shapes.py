@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cassandra.consistency import ConsistencyLevel
+from repro.cluster.elasticity import P95_BREACH_MS
 from repro.core.sweep import CAMPAIGNS, campaign_cells, run_campaign
 
 SCALE = replace(CAMPAIGNS["fig1"].full, record_count=6_000,
@@ -532,41 +533,39 @@ class TestElasticityShapes:
     SEEDS = (42, 43, 44)
 
     @staticmethod
-    def _session(db, mode, events=None, seed=None):
+    def _session(db, mode, seed=None):
         from repro.core.experiment import ExperimentSession
-        from repro.cluster.elasticity import ElasticityConfig
         scale = QUICK_ELASTIC
         if seed is not None:
             scale = replace(scale, seed=seed)
-        if events is not None:
-            scale = replace(scale, elasticity=ElasticityConfig(
-                spare_nodes=scale.elasticity.spare_nodes, events=events))
         config = campaign_cells("scale", db, scale, modes=(mode,),
                                 scenarios=("diurnal",))[0].config
         session = ExperimentSession(config)
         session.load()
         return session
 
-    @classmethod
-    def _run(cls, db, mode, events=None, seed=None):
+    @staticmethod
+    def _measure(session):
         from repro.core.experiment import summarize_run
-        session = cls._session(db, mode, events=events, seed=seed)
         kwargs = {}
-        if db == "cassandra":
+        if session.cassandra is not None:
             kwargs = dict(read_cl=session.config.cassandra.read_cl,
                           write_cl=session.config.cassandra.write_cl)
-        result = session.run_cell(open_loop=True, scale=True,
-                                  check_consistency=True, **kwargs)
-        return session, summarize_run(result)
+        return summarize_run(session.run_cell(
+            open_loop=True, scale=True, check_consistency=True, **kwargs))
+
+    @classmethod
+    def _run(cls, db, mode, seed=None):
+        return cls._measure(cls._session(db, mode, seed=seed))
 
     @pytest.fixture(scope="class")
     def diurnal(self):
         """``(db, mode, seed) -> summary``: HBase at every seed of
         ``SEEDS``, Cassandra at the scale's own."""
         modes = ("static", "manual", "auto")
-        cells = {("hbase", mode, seed): self._run("hbase", mode, seed=seed)[1]
+        cells = {("hbase", mode, seed): self._run("hbase", mode, seed=seed)
                  for seed in self.SEEDS for mode in modes}
-        cells.update({("cassandra", mode, 42): self._run("cassandra", mode)[1]
+        cells.update({("cassandra", mode, 42): self._run("cassandra", mode)
                       for mode in modes})
         return cells
 
@@ -576,7 +575,7 @@ class TestElasticityShapes:
             # The ramp saturates the static cluster far past the breach
             # bar — five to ten times, not by one unlucky compaction.
             assert static["p95_ms"] \
-                > 3 * QUICK_ELASTIC.elasticity.p95_breach_ms, seed
+                > 3 * P95_BREACH_MS, seed
 
     def test_elastic_restores_goodput(self, diurnal):
         # An HBase scale-out moves one region of eight, picked by count
@@ -624,13 +623,19 @@ class TestElasticityShapes:
     def test_decommission_under_load_is_safe(self):
         """Scale-in mid-run: the leaver streams its ranges to the
         gainers before leaving the ring; QUORUM holds throughout."""
-        from repro.cluster.elasticity import ScaleEventSpec
         from repro.consistency.oracle import unexpected_violations
-        session, summary = self._run(
-            "cassandra", "manual",
-            events=(ScaleEventSpec(action="in", at_s=4.0),))
-        report = summary["scale"]
-        assert [e for _, e, _ in report["events"]] == \
-            ["in_start", "in_done"]
-        assert report["streamed_bytes"] > 0
+        session = self._session("cassandra", "static")
+        cassandra, env = session.cassandra, session.env
+        left = []
+
+        def decommission():
+            yield env.timeout(4.0)
+            node_id = cassandra.scale_in_candidate()
+            yield from cassandra.apply_scale_in(node_id)
+            left.append(node_id)
+
+        env.process(decommission(), name="decommission")
+        summary = self._measure(session)
+        assert len(left) == 1 and left[0] not in cassandra.ring.node_ids
+        assert summary["scale"]["streamed_bytes"] > 0
         assert unexpected_violations(summary["consistency"]) == 0

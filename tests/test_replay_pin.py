@@ -13,8 +13,7 @@ import json
 from dataclasses import replace
 
 from repro.cluster.failure import FaultSpec
-from repro.core.config import (ScaleEventSpec, default_micro_config,
-                               scaled_stress_storage)
+from repro.core.config import default_micro_config, scaled_stress_storage
 from repro.core.sweep import CAMPAIGNS, campaign_cells
 from tests.conftest import traced_run
 
@@ -116,7 +115,7 @@ def _elastic_scale():
         arrivals=replace(full.arrivals, rate=400.0, max_arrivals=2_500,
                          period_s=8.0),
         elasticity=replace(full.elasticity, cooldown_s=3.0,
-                           events=(ScaleEventSpec(action="out", at_s=2.0),)))
+                           events=(2.0,)))
 
 
 def _elastic_config(mode):

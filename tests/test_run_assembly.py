@@ -16,9 +16,8 @@ import pytest
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.cluster.failure import FaultSpec
 from repro.core.config import (ArrivalConfig, ClientTierConfig,
-                               ElasticityConfig, ScaleEventSpec,
-                               default_scale_config, default_surge_config,
-                               scaled_stress_storage)
+                               ElasticityConfig, default_scale_config,
+                               default_surge_config, scaled_stress_storage)
 from repro.core.experiment import ExperimentSession, summarize_run
 from repro.core.sweep import CAMPAIGNS, campaign_cells
 from tests.conftest import traced_run
@@ -61,9 +60,8 @@ def _open(db):
 def _elastic(db):
     config = default_scale_config(
         db, arrivals=replace(ARRIVALS, max_arrivals=800), record_count=300,
-        n_nodes=5, seed=17, elasticity=ElasticityConfig(
-            mode="manual", spare_nodes=1,
-            events=(ScaleEventSpec(action="out", at_s=0.5),)))
+        n_nodes=5, seed=17,
+        elasticity=ElasticityConfig(mode="manual", events=(0.5,)))
     return replace(config, settle_s=1.0)
 
 
@@ -143,8 +141,8 @@ REFUSALS = [
     ("cassandra", _closed, {"open_loop": True}, "need config.arrivals"),
     ("cassandra", _open, {"open_loop": True, "adaptive": "stepwise"},
      "adaptive is closed-loop only"),
-    ("cassandra", _open, {"open_loop": True, "n_threads": 4},
-     "n_threads is closed-loop only"),
+    ("hbase", _closed, {"read_cl": ConsistencyLevel.ONE},
+     "consistency levels only apply to Cassandra"),
     ("cassandra", _open, {"open_loop": True, "target_throughput": 100.0},
      "target_throughput is closed-loop only"),
     ("cassandra", _open, {"open_loop": True, "operation_count": 10},
@@ -169,22 +167,23 @@ def test_refusals_name_the_problem(db, make, kwargs, message):
     assert session.env.processed_events == events
 
 
-def test_run_cell_keywords_are_the_frozen_twelve():
-    """``warmup_fraction=`` is gone (it was a tri-state whose explicit
-    ``0.0`` silently meant "the config's"); the rest is what
-    ``bench/adapter.py`` and ``execute_cell`` pass by name."""
+def test_run_cell_keywords_are_the_frozen_eleven():
+    """What ``bench/adapter.py`` and ``execute_cell`` pass by name; a
+    closed run's client threads and warm-up share are the config's."""
     import inspect
     parameters = inspect.signature(ExperimentSession.run_cell).parameters
     assert list(parameters)[1:] == [
-        "workload", "operation_count", "target_throughput", "n_threads",
+        "workload", "operation_count", "target_throughput",
         "read_cl", "write_cl", "inject_faults", "check_consistency",
         "adaptive", "client_dc", "open_loop", "scale"]
 
 
 def test_warm_returns_nothing_and_measured_runs_use_the_configs_fraction():
-    config = replace(_closed("hbase"), warmup_fraction=0.25)
+    config = _closed("hbase")
     session = ExperimentSession(config)
     session.load()
     assert session.warm(operations=200) is None
     result = session.run_cell()
-    assert result.operations + result.measurements.total_errors == 600
+    # 800 operations less the config's 10 % warm-up share.
+    assert config.warmup_fraction == 0.1
+    assert result.operations + result.measurements.total_errors == 720

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.core.config import default_stress_config
+from repro.core import experiment
 from repro.core.experiment import ExperimentSession
 from repro.keyspace import key_for_index
 from repro.hbase.client import HBaseClient
@@ -157,7 +158,7 @@ def stress_outcomes(db: str) -> dict:
     config = replace(
         default_stress_config(db, "read_update", replication=3, seed=7),
         record_count=1000, operation_count=1000, n_nodes=5, n_threads=32,
-        settle_s=1.0, load_threads=8,
+        settle_s=1.0,
         storage=StorageSpec(memtable_flush_bytes=32 * 1024, block_bytes=4096,
                             block_cache_bytes=64 * 1024))
     session = ExperimentSession(config)
@@ -182,7 +183,10 @@ class TestNotFoundPinned:
     it."""
 
     @pytest.mark.parametrize("db", ["hbase", "cassandra"])
-    def test_stress_workloads(self, db, golden):
+    def test_stress_workloads(self, db, golden, monkeypatch):
+        # The pin is of a population inserted by 8 client threads: the
+        # load's schedule decides where each later run starts.
+        monkeypatch.setattr(experiment, "LOAD_THREADS", 8)
         outcomes = stress_outcomes(db)
         golden(outcomes)
         # Reads of just-inserted records are the ones that miss.
