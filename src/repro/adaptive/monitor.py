@@ -85,16 +85,15 @@ class RecentWrites:
     staleness bound?" — the QoD-style freshness test.  The sketch is
     shared by every workload thread (one controller per run), so it
     sees *all* client writes, which is exactly the population a
-    read-your-writes / fresh-read race can involve.  Pruning is
-    deterministic: expired entries go first, then the oldest survivors.
+    read-your-writes / fresh-read race can involve.  It holds at most
+    :data:`SKETCH_CAPACITY` keys; pruning is deterministic: expired
+    entries go first, then the oldest survivors.
     """
 
-    def __init__(self, bound_s: float,
-                 capacity: int = SKETCH_CAPACITY) -> None:
-        if bound_s <= 0 or capacity < 1:
-            raise ValueError("bound_s must be positive, capacity >= 1")
+    def __init__(self, bound_s: float) -> None:
+        if bound_s <= 0:
+            raise ValueError("bound_s must be positive")
         self.bound_s = bound_s
-        self.capacity = capacity
         #: insertion-ordered (dict) key -> last write invocation time.
         self._writes: dict[str, float] = {}
 
@@ -103,7 +102,7 @@ class RecentWrites:
         # dict ordered by last-write time (never decreasing).
         self._writes.pop(key, None)
         self._writes[key] = at_s
-        if len(self._writes) > self.capacity:
+        if len(self._writes) > SKETCH_CAPACITY:
             self._prune(at_s)
 
     def written_within(self, key: str, now_s: float) -> bool:
@@ -113,11 +112,11 @@ class RecentWrites:
     def _prune(self, now_s: float) -> None:
         cutoff = now_s - self.bound_s
         fresh = {k: t for k, t in self._writes.items() if t >= cutoff}
-        if len(fresh) > self.capacity:
+        if len(fresh) > SKETCH_CAPACITY:
             # Still over budget: drop the oldest fresh entries.  Order is
             # last-write order, so slicing the tail keeps the newest.
             items = list(fresh.items())
-            fresh = dict(items[len(items) - self.capacity:])
+            fresh = dict(items[len(items) - SKETCH_CAPACITY:])
         self._writes = fresh
 
 

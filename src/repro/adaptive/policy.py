@@ -104,7 +104,7 @@ class StepwisePolicy(Policy):
     """Escalate on staleness exposure, decay back after clean windows.
 
     State is one index into :data:`LADDER`, applied to reads and writes
-    alike.  A window *breaches* when the fraction of its reads that were
+    alike; it starts at the bottom, ONE.  A window *breaches* when the fraction of its reads that were
     both at risk (key written inside the staleness bound) and served at
     a weak CL exceeds ``slo.risk_rate``, or when the window's
     anti-entropy signals show the cluster actively repairing divergence
@@ -125,10 +125,9 @@ class StepwisePolicy(Policy):
 
     name = "stepwise"
 
-    def __init__(self, slo: SloSpec,
-                 start: ConsistencyLevel = ConsistencyLevel.ONE) -> None:
+    def __init__(self, slo: SloSpec) -> None:
         super().__init__(slo)
-        self.level_index = LADDER.index(start)
+        self.level_index = 0
         self._clean_streak = 0
 
     @property

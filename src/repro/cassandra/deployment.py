@@ -133,15 +133,22 @@ class CassandraCluster:
         return rng
 
     def scale_out_candidate(self) -> Optional[int]:
-        """The next spare node a scale-out would bootstrap (lowest id)."""
+        """The next spare node a scale-out would bootstrap (lowest id),
+        or ``None`` while a range movement is streaming: like Cassandra
+        2.0's consistent range movement, one bootstrap or decommission
+        at a time."""
+        if self.placement.pending:
+            return None
         spares = sorted(n.node_id for n in self.server_nodes
                         if n.node_id not in self.ring.node_ids and n.alive)
         return spares[0] if spares else None
 
     def scale_in_candidate(self) -> Optional[int]:
         """The node a scale-in would decommission (highest live id), or
-        ``None`` when removing one would drop the ring to (or below) RF."""
-        if len(self.ring.node_ids) <= self.config.replication:
+        ``None`` when removing one would drop the ring to (or below) RF
+        or while a range movement is streaming."""
+        if self.placement.pending \
+                or len(self.ring.node_ids) <= self.config.replication:
             return None
         members = sorted(nid for nid in self.ring.node_ids
                          if self.cluster.node(nid).alive)

@@ -20,6 +20,13 @@ from repro.ycsb.db import DbBinding
 
 __all__ = ["BreakerBinding", "BreakerOpen", "CircuitBreaker"]
 
+#: Seconds of outcomes the closed breaker's failure rate is taken over.
+WINDOW_S = 1.0
+#: Outcomes the window must hold before the breaker may trip.
+MIN_VOLUME = 10
+#: Concurrent trial requests half-open admits; as many successes close.
+HALF_OPEN_PROBES = 3
+
 
 class BreakerOpen(Exception):
     """The circuit is open: the request was failed fast, never sent."""
@@ -29,14 +36,14 @@ class CircuitBreaker:
     """Failure-rate breaker with a time-sliding observation window.
 
     - **closed** — requests flow; outcomes land in a window of the last
-      ``window_s`` seconds.  When the window holds at least
-      ``min_volume`` outcomes and the failure fraction reaches
+      :data:`WINDOW_S` seconds.  When the window holds at least
+      :data:`MIN_VOLUME` outcomes and the failure fraction reaches
       ``failure_rate``, the breaker trips.
     - **open** — every request raises :class:`BreakerOpen` for
       ``cooldown_s`` seconds.
-    - **half-open** — up to ``half_open_probes`` concurrent trial
+    - **half-open** — up to :data:`HALF_OPEN_PROBES` concurrent trial
       requests pass through; the rest still fail fast.  One probe
-      failure re-opens (fresh cooldown); ``half_open_probes`` probe
+      failure re-opens (fresh cooldown); :data:`HALF_OPEN_PROBES` probe
       successes close and clear the window.
 
     The clock is the simulation's (``clock=lambda: env.now``), so the
@@ -44,20 +51,14 @@ class CircuitBreaker:
     """
 
     def __init__(self, clock, failure_rate: float = 0.5,
-                 window_s: float = 1.0, min_volume: int = 10,
-                 cooldown_s: float = 1.0, half_open_probes: int = 3) -> None:
+                 cooldown_s: float = 1.0) -> None:
         if not 0.0 < failure_rate <= 1.0:
             raise ValueError("failure_rate must be in (0, 1]")
-        if window_s <= 0 or cooldown_s <= 0:
-            raise ValueError("window_s and cooldown_s must be positive")
-        if min_volume < 1 or half_open_probes < 1:
-            raise ValueError("min_volume and half_open_probes must be >= 1")
+        if cooldown_s <= 0:
+            raise ValueError("cooldown_s must be positive")
         self._clock = clock
         self.failure_rate = failure_rate
-        self.window_s = window_s
-        self.min_volume = min_volume
         self.cooldown_s = cooldown_s
-        self.half_open_probes = half_open_probes
         self.state = "closed"
         #: (time, ok) outcomes inside the sliding window (closed state).
         self._window: deque[tuple[float, bool]] = deque()
@@ -71,7 +72,7 @@ class CircuitBreaker:
         self.probes = 0
 
     def _trim(self, now: float) -> None:
-        horizon = now - self.window_s
+        horizon = now - WINDOW_S
         window = self._window
         while window and window[0][0] <= horizon:
             _, ok = window.popleft()
@@ -96,7 +97,7 @@ class CircuitBreaker:
             self._probes_inflight = 0
             self._probe_successes = 0
         if self.state == "half_open":
-            if self._probes_inflight >= self.half_open_probes:
+            if self._probes_inflight >= HALF_OPEN_PROBES:
                 self.fast_fails += 1
                 raise BreakerOpen("circuit half-open, probes saturated")
             self._probes_inflight += 1
@@ -109,7 +110,7 @@ class CircuitBreaker:
             # is a probe's.
             self._probes_inflight -= 1
             self._probe_successes += 1
-            if self._probe_successes >= self.half_open_probes:
+            if self._probe_successes >= HALF_OPEN_PROBES:
                 self.state = "closed"
             return
         if self.state == "closed":
@@ -128,7 +129,7 @@ class CircuitBreaker:
             self._window.append((now, False))
             self._failures_in_window += 1
             self._trim(now)
-            if (len(self._window) >= self.min_volume
+            if (len(self._window) >= MIN_VOLUME
                     and self._failures_in_window
                     >= self.failure_rate * len(self._window)):
                 self._trip(now)

@@ -24,22 +24,29 @@ from repro.ycsb.db import DbBinding
 
 __all__ = ["RetryBinding", "RetryBudget"]
 
+#: The retry budget's unconditional trickle, in retries per second.
+MIN_RETRIES_PER_S = 1.0
+#: The most unused retry budget that can accumulate (the bucket starts
+#: full).
+BURST = 20.0
+#: The longest backoff before a retry, in seconds.
+BACKOFF_CAP_S = 1.0
+
 
 class RetryBudget:
     """Token-bucket cap on the client's retry rate.
 
     ``ratio`` is the fraction of first attempts earned back as retry
     permission (0.2 = at most ~20% extra load from retries);
-    ``min_retries_per_s`` is the unconditional trickle; ``burst`` caps
-    how much unused budget can accumulate.
+    :data:`MIN_RETRIES_PER_S` is the unconditional trickle;
+    :data:`BURST` caps how much unused budget can accumulate.
     """
 
-    def __init__(self, clock, ratio: float = 0.2,
-                 min_retries_per_s: float = 1.0, burst: float = 20.0) -> None:
+    def __init__(self, clock, ratio: float = 0.2) -> None:
         if ratio < 0:
             raise ValueError("ratio must be >= 0")
         self.ratio = ratio
-        self._bucket = TokenBucket(rate=min_retries_per_s, burst=burst,
+        self._bucket = TokenBucket(rate=MIN_RETRIES_PER_S, burst=BURST,
                                    clock=clock)
 
     def record_request(self) -> None:
@@ -56,7 +63,8 @@ class RetryBinding:
 
     Up to ``retries`` extra attempts per operation that fails with a
     :class:`~repro.sim.kernel.ModelledFailure` (never a spent deadline),
-    each preceded by equal-jitter exponential backoff
+    each preceded by equal-jitter exponential backoff from ``backoff_s``
+    capped at :data:`BACKOFF_CAP_S`
     (:func:`repro.hbase.client.backoff_delay` with the injected sim RNG
     stream, so the schedule is deterministic per seed).  With
     ``budget=None`` retries are uncapped — the naive client the surge
@@ -67,7 +75,6 @@ class RetryBinding:
 
     def __init__(self, inner: DbBinding, env, rng, retries: int = 3,
                  backoff_s: float = 0.05,
-                 backoff_cap_s: float = 1.0,
                  budget: Optional[RetryBudget] = None) -> None:
         if retries < 0:
             raise ValueError("retries must be >= 0")
@@ -76,7 +83,6 @@ class RetryBinding:
         self._rng = rng
         self.retries = retries
         self.backoff_s = backoff_s
-        self.backoff_cap_s = backoff_cap_s
         self.budget = budget
         #: First attempts / extra attempts actually issued / retries the
         #: budget refused / operations that failed after all attempts.
@@ -107,7 +113,7 @@ class RetryBinding:
                     raise
                 self.retried += 1
                 yield self.env.timeout(backoff_delay(
-                    self.backoff_s, attempt + 1, self.backoff_cap_s,
+                    self.backoff_s, attempt + 1, BACKOFF_CAP_S,
                     self._rng))
                 continue
             return result

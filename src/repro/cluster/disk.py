@@ -27,6 +27,9 @@ from repro.sim.resources import Resource
 
 __all__ = ["Disk", "DiskSpec", "FOREGROUND", "BACKGROUND"]
 
+#: Seconds between the background flusher's writes of the dirty bytes.
+FLUSH_INTERVAL_S = 1.0
+
 #: Priority for latency-critical accesses (client reads).
 FOREGROUND = 0
 #: Priority for asynchronous work (flush, compaction, repair).
@@ -59,10 +62,10 @@ class DiskSpec:
 
 
 class Disk:
-    """One spindle: a priority queue of accesses plus a dirty-page buffer."""
+    """One spindle: a priority queue of accesses plus a dirty-page buffer
+    that a background flusher writes out every :data:`FLUSH_INTERVAL_S`."""
 
-    def __init__(self, env: Environment, spec: DiskSpec, rng,
-                 flush_interval_s: float = 1.0) -> None:
+    def __init__(self, env: Environment, spec: DiskSpec, rng) -> None:
         self.env = env
         self.spec = spec
         self._rng = rng
@@ -82,7 +85,6 @@ class Disk:
         #: slower (the ``slow_disk`` kind of
         #: :class:`repro.cluster.failure.FaultSpec`).
         self.slowdown = 1.0
-        self._flush_interval_s = flush_interval_s
         self._flush_kick = None
         env.process(self._flusher(), name="disk-flusher")
 
@@ -145,7 +147,7 @@ class Disk:
                 self._flush_kick = Event(self.env)
                 yield self._flush_kick
                 self._flush_kick = None
-            yield self.env.timeout(self._flush_interval_s)
+            yield self.env.timeout(FLUSH_INTERVAL_S)
             if self.dirty_bytes:
                 size, self.dirty_bytes = self.dirty_bytes, 0
                 self.bytes_written += size

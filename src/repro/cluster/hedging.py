@@ -26,6 +26,8 @@ __all__ = ["HedgePolicy", "MIN_SAMPLES", "parse_hedge_spec"]
 
 #: Latencies a percentile policy observes before it hedges at all.
 MIN_SAMPLES = 16
+#: How many recent latencies the percentile form remembers.
+WINDOW = 256
 
 
 def parse_hedge_spec(spec: str) -> tuple[str, float]:
@@ -54,18 +56,13 @@ def parse_hedge_spec(spec: str) -> tuple[str, float]:
 class HedgePolicy:
     """When to duplicate a straggling request to another server.
 
-    Parameters
-    ----------
-    spec:
-        ``"NNms"`` (fixed) or ``"pNN"`` (percentile).
-    window:
-        How many recent latencies the percentile form remembers.
+    ``spec`` is ``"NNms"`` (fixed) or ``"pNN"`` (a percentile of the
+    last :data:`WINDOW` latencies).
     """
 
-    def __init__(self, spec: str, window: int = 256) -> None:
+    def __init__(self, spec: str) -> None:
         self.spec = spec
         self.kind, self.value = parse_hedge_spec(spec)
-        self.window = window
         self._latencies: list[float] = []
         self._next = 0  # ring-buffer cursor once the window is full
 
@@ -73,11 +70,11 @@ class HedgePolicy:
         """Record one completed request's latency (percentile history)."""
         if self.kind != "percentile":
             return
-        if len(self._latencies) < self.window:
+        if len(self._latencies) < WINDOW:
             self._latencies.append(latency_s)
         else:
             self._latencies[self._next] = latency_s
-            self._next = (self._next + 1) % self.window
+            self._next = (self._next + 1) % WINDOW
 
     def delay(self) -> Optional[float]:
         """Seconds to wait before hedging; ``None`` = do not hedge yet."""

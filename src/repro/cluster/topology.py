@@ -30,7 +30,7 @@ from heapq import heapreplace
 from math import ceil, log
 from typing import Any, Callable, Generator, Optional
 
-from repro.cluster.nic import Network, NetworkSpec
+from repro.cluster.nic import Network
 from repro.cluster.node import Node, NodeSpec
 from repro.sim.kernel import (Environment, Event, ModelledFailure, Process,
                               Timeout, _PENDING, _finish, _settled)

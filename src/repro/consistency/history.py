@@ -115,16 +115,18 @@ class HistoryRecorder:
     client.  ``read_cl``/``write_cl`` are zero-argument callables
     returning the CL name in force (Cassandra's session can change CLs
     per run); leave them ``None`` for engines without per-request CLs.
+    Each recorder fills its own :attr:`history`.  ``tag_writes=False``
+    records write values as given (see the module docstring): the
+    staleness probe compares its own integer sequence values.
     """
 
-    def __init__(self, inner, env, history: Optional[History] = None,
-                 tag_writes: bool = True,
+    def __init__(self, inner, env, tag_writes: bool = True,
                  read_cl: Optional[Callable[[], str]] = None,
                  write_cl: Optional[Callable[[], str]] = None,
                  tag_prefix: str = "h") -> None:
         self.inner = inner
         self.env = env
-        self.history = history if history is not None else History()
+        self.history = History()
         self.tag_writes = tag_writes
         #: Tag namespace.  When several recorded runs share one database
         #: (a geo cell measures once per client region), a bare ``h<id>``

@@ -51,6 +51,8 @@ __all__ = ["LOAD_THREADS", "ExperimentResult", "ExperimentSession",
 
 #: Client threads inserting the record population.
 LOAD_THREADS = 32
+#: The longest a post-run hint drain keeps the clock running, seconds.
+HINT_DRAIN_S = 30.0
 
 
 def summarize_run(result: "RunResult") -> dict:
@@ -431,7 +433,7 @@ class ExperimentSession:
         if self.config.settle_s > 0:
             self.env.run(until=self.env.now + self.config.settle_s)
 
-    def _drain_hints(self, max_wait_s: float = 30.0) -> None:
+    def _drain_hints(self) -> None:
         """Run the clock until hinted handoff has fully replayed.
 
         A write acknowledged during a partition may only become a hint
@@ -440,7 +442,7 @@ class ExperimentSession:
         tick, then keeps running while any live coordinator still holds
         hints for a live target.  Hints for still-dead targets do not
         block (a dead replica is invisible to the convergence check
-        too); ``max_wait_s`` bounds the wait either way.
+        too); :data:`HINT_DRAIN_S` bounds the wait either way.
         """
         cassandra = self.cassandra
         if cassandra is None:
@@ -448,7 +450,7 @@ class ExperimentSession:
         env = self.env
         replay_s = cassandra.config.hint_replay_interval_s
         env.run(until=env.now + REPLICA_TIMEOUT_S + replay_s + 0.1)
-        deadline = env.now + max_wait_s
+        deadline = env.now + HINT_DRAIN_S
         nodes = list(cassandra.nodes.values())
         step = max(0.25, replay_s / 2.0)
         while env.now < deadline and any(
@@ -613,18 +615,15 @@ def _mean(values) -> float:
     return mean(items) if items else 0.0
 
 
-def run_experiment(config: ExperimentConfig,
-                   warm: bool = True) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Convenience: build, load, warm, run one cell, collect stats.
 
-    ``warm`` runs an unmeasured read-heavy pass first so caches reach
-    steady state (the paper's cold-start countermeasure); disable it to
-    measure cold-cache behaviour deliberately.
+    The unmeasured read-heavy warm pass brings caches to steady state
+    first (the paper's cold-start countermeasure).
     """
     session = ExperimentSession(config)
     load = session.load()
-    if warm:
-        session.warm()
+    session.warm()
     run = session.run_cell()
     return ExperimentResult(config=config, load=load, run=run,
                             db_stats=session.db_stats())

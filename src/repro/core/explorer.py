@@ -35,14 +35,13 @@ def check_sweep(db: str, mode: str = "QUORUM",
                 fault: Optional[str] = None,
                 no_repair: bool = False,
                 scale=None,
-                runner: Optional[CellRunner] = None,
-                verify_replay: bool = True) -> dict:
+                runner: Optional[CellRunner] = None) -> dict:
     """Explore ``seeds`` schedules and aggregate the violation verdict.
 
     Returns a JSON-safe dict; see the module docstring for the shape.
-    With ``verify_replay`` the minimal violating seed is re-executed
-    from scratch (no cache, in-process) and ``replay_verified`` records
-    whether the fresh report matched the sweep's bit for bit.
+    The minimal violating seed is re-executed from scratch (no cache,
+    in-process) and ``replay_verified`` records whether the fresh report
+    matched the sweep's bit for bit.
     """
     cells = campaign_cells("check", db, scale, cl=mode, seeds=seeds,
                            fault=fault, no_repair=no_repair)
@@ -67,7 +66,7 @@ def check_sweep(db: str, mode: str = "QUORUM",
 
     min_repro = min(violating) if violating else None
     replay_verified: Optional[bool] = None
-    if verify_replay and min_repro is not None:
+    if min_repro is not None:
         spec = cells[[cell.key for cell in cells].index(min_repro)]
         fresh = execute_cell(spec)
         replay_verified = (fresh["runs"][0]["consistency"]

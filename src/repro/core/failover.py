@@ -37,6 +37,17 @@ __all__ = ["StalenessProbe", "build_failover_report"]
 #: rate counts as degraded (the dip detector's threshold).
 DIP_FRACTION = 0.5
 
+#: Width of the timeline buckets the dip detector compares, in seconds.
+BUCKET_S = 1.0
+
+#: Seconds between the staleness probe's write-then-read rounds.
+PROBE_INTERVAL_S = 0.25
+#: Size of the probe's record, in bytes.
+PROBE_RECORD_BYTES = 100
+#: The probe's key: token 0 routes like any record key but collides with
+#: no workload key (those are FNV-scrambled insertion indexes).
+PROBE_KEY = key_for_token(0)
+
 #: The log actions that end a fault on a target rather than start it.
 _HEAL_ACTIONS = frozenset(heal for _, heal in FAULT_ACTIONS.values())
 
@@ -44,23 +55,18 @@ _HEAL_ACTIONS = frozenset(heal for _, heal in FAULT_ACTIONS.values())
 class StalenessProbe:
     """Read-your-writes probe running alongside a degraded workload.
 
-    Every ``interval_s`` the probe writes a monotonically increasing
-    sequence number to one key, then reads the key back.  A read that
+    Every :data:`PROBE_INTERVAL_S` the probe writes a monotonically
+    increasing sequence number to :data:`PROBE_KEY`, then reads the key
+    back.  A read that
     returns less than the highest *acknowledged* write is a
     read-your-writes violation — exactly what a client sees when a weak
     CL accepts a write whose only live replica then serves a stale value
     (e.g. Cassandra CL=ONE during hinted handoff, before replay).
     """
 
-    def __init__(self, env, db, key: Optional[str] = None,
-                 interval_s: float = 0.25, record_bytes: int = 100) -> None:
+    def __init__(self, env, db) -> None:
         self.env = env
         self.db = db
-        # Token 0 routes like any record key but collides with no
-        # workload key (those are FNV-scrambled insertion indexes).
-        self.key = key if key is not None else key_for_token(0)
-        self.interval_s = interval_s
-        self.record_bytes = record_bytes
         #: (time, stale) per successful probe read.
         self.reads: list[tuple[float, bool]] = []
         self.probe_reads = 0
@@ -80,13 +86,13 @@ class StalenessProbe:
     def run(self) -> Generator:
         """The probe loop (a simulation process)."""
         while not self._stopped:
-            yield self.env.timeout(self.interval_s)
+            yield self.env.timeout(PROBE_INTERVAL_S)
             if self._stopped:
                 return
             self._seq += 1
             seq = self._seq
             try:
-                yield from self.db.write(self.key, seq, self.record_bytes)
+                yield from self.db.write(PROBE_KEY, seq, PROBE_RECORD_BYTES)
                 self._acked = max(self._acked, seq)
             except ModelledFailure:
                 pass
@@ -94,7 +100,8 @@ class StalenessProbe:
             if not acked:
                 continue
             try:
-                result = yield from self.db.read(self.key, self.record_bytes)
+                result = yield from self.db.read(PROBE_KEY,
+                                                 PROBE_RECORD_BYTES)
             except ModelledFailure:
                 continue
             value = result[0] if result is not None else None
@@ -104,14 +111,14 @@ class StalenessProbe:
             self.reads.append((self.env.now, stale))
 
 
-def _expected_ops_per_bucket(timeline: Sequence[tuple], bucket_s: float,
+def _expected_ops_per_bucket(timeline: Sequence[tuple],
                              target_throughput: Optional[float],
                              fault_at: float) -> float:
     """Baseline throughput the dip detector compares buckets against."""
     if target_throughput:
-        return target_throughput * bucket_s
+        return target_throughput * BUCKET_S
     healthy = [ops for start, ops, _, _ in timeline
-               if start + bucket_s <= fault_at]
+               if start + BUCKET_S <= fault_at]
     if healthy:
         return sum(healthy) / len(healthy)
     all_ops = [ops for _, ops, _, _ in timeline]
@@ -121,11 +128,11 @@ def _expected_ops_per_bucket(timeline: Sequence[tuple], bucket_s: float,
 def build_failover_report(
         measurements: Measurements,
         injector_log: Sequence[tuple[float, int, str]],
-        bucket_s: float = 1.0,
         target_throughput: Optional[float] = None,
         expected_end: Optional[float] = None,
         probe: Optional[StalenessProbe] = None) -> dict:
-    """Compute the availability report for one degraded run.
+    """Compute the availability report for one degraded run, over a
+    timeline of :data:`BUCKET_S`-wide buckets.
 
     Parameters
     ----------
@@ -133,8 +140,6 @@ def build_failover_report(
         The run's measurements (error events included).
     injector_log:
         ``(time, node_id, action)`` entries from the injector.
-    bucket_s:
-        Timeline bucket width for dip detection.
     target_throughput:
         The run's offered-load cap; the dip baseline when given.
     expected_end:
@@ -154,7 +159,7 @@ def build_failover_report(
     fault_at = min(fault_times) if fault_times else None
     cleared_at = max(heal_times) if heal_times else None
 
-    timeline = measurements.timeline_with_errors(bucket_s)
+    timeline = measurements.timeline_with_errors(BUCKET_S)
     error_times = sorted(t for t, _, _ in measurements.error_events)
     error_window_s = (error_times[-1] - error_times[0]
                       if len(error_times) > 1 else 0.0)
@@ -162,14 +167,14 @@ def build_failover_report(
     time_to_detection: Optional[float] = None
     time_to_recovery = 0.0
     if fault_at is not None and timeline:
-        expected = _expected_ops_per_bucket(timeline, bucket_s,
-                                            target_throughput, fault_at)
-        window_end = measurements.finished_at or timeline[-1][0] + bucket_s
+        expected = _expected_ops_per_bucket(timeline, target_throughput,
+                                            fault_at)
+        window_end = measurements.finished_at or timeline[-1][0] + BUCKET_S
         if expected_end is not None:
             window_end = min(window_end, expected_end)
         impacts: list[tuple[float, float]] = []  # (start, end) of impact
         for start, ops, _, errors in timeline:
-            end = start + bucket_s
+            end = start + BUCKET_S
             if end <= fault_at:
                 continue
             if errors:
@@ -208,5 +213,5 @@ def build_failover_report(
         "injections": [[t, n, a] for t, n, a in injector_log],
         "timeline": [[start, ops, mean * 1000.0, errors]
                      for start, ops, mean, errors in timeline],
-        "bucket_s": bucket_s,
+        "bucket_s": BUCKET_S,
     }

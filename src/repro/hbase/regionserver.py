@@ -18,6 +18,8 @@ __all__ = ["GroupCommitWal", "NotServingRegion", "RegionServer"]
 
 #: CPU charged per request on the RegionServer (handler bookkeeping).
 _HANDLER_CPU_S = 1.2e-5
+#: WAL rounds that may travel the HDFS pipeline at once.
+PIPELINE_DEPTH = 4
 
 
 class NotServingRegion(ModelledFailure):
@@ -35,7 +37,7 @@ class GroupCommitWal:
     Appends from concurrent handlers are batched: the writer drains
     everything that accumulated since the last round and pushes it as one
     append (HBase's FSHLog ring-buffer sync batching), and up to
-    ``pipeline_depth`` rounds travel the HDFS pipeline concurrently (the
+    :data:`PIPELINE_DEPTH` rounds travel the HDFS pipeline concurrently (the
     real WAL streams packets without waiting for the previous ack).
     Batching plus in-flight overlap is why HBase's *throughput* stays flat
     as the replication factor grows even though each individual ack chain
@@ -50,7 +52,7 @@ class GroupCommitWal:
     """
 
     def __init__(self, env: Environment, dfs: DfsClient, name: str,
-                 sync: bool = False, pipeline_depth: int = 4) -> None:
+                 sync: bool = False) -> None:
         self.env = env
         self.dfs = dfs
         self.name = name
@@ -61,7 +63,7 @@ class GroupCommitWal:
         self._pending_bytes = 0
         self._kick: Optional[Event] = None
         self._wal_file: Optional[DfsFile] = None
-        self._in_flight = Resource(env, capacity=pipeline_depth)
+        self._in_flight = Resource(env, capacity=PIPELINE_DEPTH)
         self.batches = 0
         self.appends = 0
         # The writer starts like the process it used to be: urgently,

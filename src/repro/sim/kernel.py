@@ -426,10 +426,10 @@ class AnyOf(Condition):
 
 
 class Environment:
-    """Owns simulated time and the time-ordered event queue."""
+    """Owns simulated time, from 0, and the time-ordered event queue."""
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         #: The process running now, if any: what the consistency
@@ -465,20 +465,21 @@ class Environment:
         """A fresh untriggered event owned by this environment."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None,
-                callback: Optional[Callable[[Event], None]] = None) -> Timeout:
-        """An event that triggers ``delay`` time units from now."""
-        return Timeout(self, delay, value, callback)
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        """An event that triggers ``delay`` time units from now, with
+        ``value`` (a callback subscribed at construction is
+        :class:`Timeout`'s own ``callback`` argument)."""
+        return Timeout(self, delay, value)
 
-    def process(self, generator: Generator, name: Optional[str] = None,
-                eager: bool = False) -> Process:
+    def process(self, generator: Generator,
+                name: Optional[str] = None) -> Process:
         """Register ``generator`` as a new process starting "now".
 
-        ``eager=True`` runs the body's first segment inline (see
-        :class:`Process`) — same simulated time, different
-        intra-timestep ordering; reserve it for hot per-RPC spawns.
+        An eager spawn, whose first segment runs inline (same simulated
+        time, different intra-timestep ordering; for hot per-RPC spawns),
+        is ``Process(env, generator, name, True)``.
         """
-        return Process(self, generator, name=name, eager=eager)
+        return Process(self, generator, name=name)
 
     # -- scheduling --------------------------------------------------
 

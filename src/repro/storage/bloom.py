@@ -12,19 +12,21 @@ import math
 import zlib
 from typing import Iterable
 
-__all__ = ["BloomFilter"]
+__all__ = ["BloomFilter", "FP_RATE"]
+
+#: The false-positive rate every filter is sized for.
+FP_RATE = 0.01
 
 
 class BloomFilter:
-    """Fixed-size bloom filter sized for a target false-positive rate."""
+    """Fixed-size bloom filter sized for :data:`FP_RATE` at
+    ``expected_items`` keys."""
 
-    def __init__(self, expected_items: int, fp_rate: float = 0.01) -> None:
+    def __init__(self, expected_items: int) -> None:
         if expected_items < 1:
             expected_items = 1
-        if not 0 < fp_rate < 1:
-            raise ValueError(f"fp_rate must be in (0, 1), got {fp_rate}")
         # Standard sizing: m = -n ln p / (ln 2)^2 ; k = (m/n) ln 2
-        self.n_bits = max(8, int(-expected_items * math.log(fp_rate)
+        self.n_bits = max(8, int(-expected_items * math.log(FP_RATE)
                                  / (math.log(2) ** 2)))
         self.n_hashes = max(1, round(self.n_bits / expected_items * math.log(2)))
         #: Bit ``i`` lives at ``_bits[i >> 3] >> (i & 7) & 1`` — a probe

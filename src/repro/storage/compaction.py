@@ -13,15 +13,17 @@ from repro.storage.sstable import SSTable
 
 __all__ = ["merge_tables", "pick_compaction"]
 
+#: Tables within this factor of a bucket's smallest member join it.
+BUCKET_RATIO = 2.0
+
 
 def pick_compaction(sstables: list[SSTable], min_batch: int = 4,
-                    max_batch: int = 10,
-                    bucket_ratio: float = 2.0) -> Optional[list[SSTable]]:
+                    max_batch: int = 10) -> Optional[list[SSTable]]:
     """Choose a batch of similar-sized tables to merge, or None.
 
     Size-tiered selection: sort by size, walk buckets of tables whose
-    sizes are within ``bucket_ratio`` of the bucket's smallest member, and
-    return the first bucket with at least ``min_batch`` members.
+    sizes are within :data:`BUCKET_RATIO` of the bucket's smallest member,
+    and return the first bucket with at least ``min_batch`` members.
     """
     if len(sstables) < min_batch:
         return None
@@ -31,7 +33,7 @@ def pick_compaction(sstables: list[SSTable], min_batch: int = 4,
         if not bucket:
             bucket = [table]
             continue
-        if table.size_bytes <= bucket[0].size_bytes * bucket_ratio or \
+        if table.size_bytes <= bucket[0].size_bytes * BUCKET_RATIO or \
                 bucket[0].size_bytes == 0:
             bucket.append(table)
             if len(bucket) == max_batch:

@@ -19,9 +19,6 @@ from repro.storage.bloom import BloomFilter
 
 __all__ = ["SSTable"]
 
-#: Bloom filter false-positive rate of every run.
-BLOOM_FP_RATE = 0.01
-
 
 class SSTable:
     """One immutable sorted run, split into fixed-size blocks."""
@@ -65,7 +62,7 @@ class SSTable:
             block_fill += size
         self.n_blocks = block_no + 1 if entries else 0
         self.size_bytes = sum(sizes)
-        self.bloom = BloomFilter(max(1, len(entries)), BLOOM_FP_RATE)
+        self.bloom = BloomFilter(max(1, len(entries)))
         self.bloom.add_all(keys)
 
     def might_contain(self, key: str) -> bool:

@@ -60,17 +60,17 @@ class ZipfianGenerator:
 
     Implements the Gray et al. rejection-free method YCSB uses, with the
     zeta constant computed once for the item count (kept fixed per run,
-    as YCSB's ScrambledZipfian does).
+    as YCSB's ScrambledZipfian does) and YCSB's skew,
+    :attr:`ZIPFIAN_CONSTANT`.
     """
 
     ZIPFIAN_CONSTANT = 0.99
 
-    def __init__(self, n_items: int, rng,
-                 theta: float = ZIPFIAN_CONSTANT) -> None:
+    def __init__(self, n_items: int, rng) -> None:
         if n_items < 1:
             raise ValueError("need at least one item")
+        theta = self.ZIPFIAN_CONSTANT
         self.n_items = n_items
-        self.theta = theta
         self._rng = rng
         self._zeta = self._zeta_static(n_items, theta)
         self._zeta2 = self._zeta_static(2, theta)
@@ -105,7 +105,7 @@ class ZipfianGenerator:
         uz = u * self._zeta
         if uz < 1.0:
             return 0
-        if uz < 1.0 + 0.5 ** self.theta:
+        if uz < 1.0 + 0.5 ** self.ZIPFIAN_CONSTANT:
             return 1
         # As u -> 1 the base (eta*u - eta + 1) can round up to exactly
         # 1.0, making the product n_items itself — outside the
@@ -196,8 +196,8 @@ class DiscreteGenerator(Generic[_Outcome]):
         return self._labels[-1]  # pragma: no cover - float guard
 
 
-def zipfian_pmf(n_items: int, theta: float = ZipfianGenerator.ZIPFIAN_CONSTANT) \
-        -> list[float]:
+def zipfian_pmf(n_items: int) -> list[float]:
     """Exact zipfian probabilities (testing aid, O(n))."""
+    theta = ZipfianGenerator.ZIPFIAN_CONSTANT
     zeta = ZipfianGenerator._zeta_static(n_items, theta)
     return [1.0 / (i ** theta) / zeta for i in range(1, n_items + 1)]

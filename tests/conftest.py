@@ -46,7 +46,7 @@ def flat_cluster(n_nodes: int = 2, seed: int = 3) -> Cluster:
     return Cluster(Environment(), spec, RngRegistry(seed))
 
 
-def build_wal(n_dns=3, rf=2, pipeline_depth=4, sync=False):
+def build_wal(n_dns=3, rf=2, sync=False):
     """One group-commit WAL on node 0 of a default rack (seed 55) with
     ``n_dns`` datanodes and the NameNode on the node after them; returns
     ``(env, cluster, wal)``."""
@@ -58,8 +58,7 @@ def build_wal(n_dns=3, rf=2, pipeline_depth=4, sync=False):
                         rngs.stream("nn"))
     dfs = DfsClient(cluster, namenode, datanodes, cluster.node(0), rf,
                     rngs.stream("dfs"))
-    wal = GroupCommitWal(env, dfs, "test", sync=sync,
-                         pipeline_depth=pipeline_depth)
+    wal = GroupCommitWal(env, dfs, "test", sync=sync)
     return env, cluster, wal
 
 

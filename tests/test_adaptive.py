@@ -13,8 +13,9 @@ from dataclasses import replace
 import pytest
 
 from repro.adaptive.controller import DecisionLog
-from repro.adaptive.monitor import (DECAY_WINDOWS, STALENESS_S, Monitor,
-                                    RecentWrites, SloSpec)
+from repro.adaptive.monitor import (DECAY_WINDOWS, SKETCH_CAPACITY,
+                                    STALENESS_S, Monitor, RecentWrites,
+                                    SloSpec)
 from repro.adaptive.policy import (ADAPTIVE_POLICIES, StalenessBoundPolicy,
                                    StaticPolicy, StepwisePolicy, make_policy)
 from repro.adaptive.monitor import WindowStats
@@ -42,13 +43,25 @@ class TestRecentWrites:
         assert sketch.written_within("k", 2.2)
 
     def test_capacity_prunes_expired_then_oldest(self):
-        sketch = RecentWrites(bound_s=10.0, capacity=3)
-        for i, at in enumerate((1.0, 2.0, 3.0, 4.0)):
+        sketch = RecentWrites(bound_s=10.0)
+        # Every write inside the bound: one key too many for the sketch.
+        times = [1.0 + i * 1e-3 for i in range(SKETCH_CAPACITY + 1)]
+        for i, at in enumerate(times):
             sketch.note_write(f"k{i}", at)
-        assert len(sketch._writes) == 3
+        assert len(sketch._writes) == SKETCH_CAPACITY
         # The oldest fresh entry was evicted, the newest survive.
-        assert not sketch.written_within("k0", 4.0)
-        assert sketch.written_within("k3", 4.0)
+        now = times[-1]
+        assert not sketch.written_within("k0", now)
+        assert sketch.written_within("k1", now)
+        assert sketch.written_within(f"k{SKETCH_CAPACITY}", now)
+
+    def test_capacity_prunes_expired_entries_first(self):
+        sketch = RecentWrites(bound_s=0.25)
+        for i in range(SKETCH_CAPACITY):
+            sketch.note_write(f"k{i}", 1.0)
+        # One key over, a second past the bound: every old entry expired.
+        sketch.note_write("late", 2.0)
+        assert list(sketch._writes) == ["late"]
 
 
 class FakeClock:
@@ -140,14 +153,21 @@ class TestStepwisePolicy:
         assert policy.level is ConsistencyLevel.QUORUM
         assert policy.escalations == 1
 
+    def _at_quorum(self):
+        policy = StepwisePolicy(SLO)
+        assert policy.level is ConsistencyLevel.ONE
+        policy.on_window(window(exposed=5))
+        assert policy.level is ConsistencyLevel.QUORUM
+        return policy
+
     def test_latency_breach_steps_down(self):
-        policy = StepwisePolicy(SLO, start=ConsistencyLevel.QUORUM)
+        policy = self._at_quorum()
         policy.on_window(window(p95_ms=SLO.p95_ms * 2))
         assert policy.level is ConsistencyLevel.ONE
         assert policy.latency_steps == 1
 
     def test_decay_after_clean_windows(self):
-        policy = StepwisePolicy(SLO, start=ConsistencyLevel.QUORUM)
+        policy = self._at_quorum()
         for _ in range(DECAY_WINDOWS - 1):
             policy.on_window(window())
         assert policy.level is ConsistencyLevel.QUORUM  # one short

@@ -1,7 +1,5 @@
 """Unit tests for coordinator plumbing: wait_for_k and scan routing."""
 
-import pytest
-
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel, UnavailableError
 from repro.cassandra.coordinator import (ReadTimeoutError, WriteTimeoutError,

@@ -1,7 +1,5 @@
 """Integration tests for the Cassandra engine: CLs, repair, hints."""
 
-import pytest
-
 from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel, UnavailableError
 from repro.cassandra.deployment import CassandraCluster, CassandraConfig

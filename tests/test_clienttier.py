@@ -13,11 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clienttier.breaker import BreakerBinding, BreakerOpen, CircuitBreaker
+from repro.clienttier.breaker import (
+    HALF_OPEN_PROBES, MIN_VOLUME, WINDOW_S, BreakerBinding, BreakerOpen,
+    CircuitBreaker)
 from repro.clienttier.cache import CacheAsideBinding
 from repro.clienttier.leveling import LoadLeveler
 from repro.clienttier.ratelimit import RateLimited, TenantRateLimiter
-from repro.clienttier.retry import RetryBinding, RetryBudget
+from repro.clienttier.retry import (
+    BURST, MIN_RETRIES_PER_S, RetryBinding, RetryBudget)
 from repro.clienttier.tokens import TokenBucket
 from repro.cluster.topology import DeadlineExceeded, RpcTimeout
 
@@ -105,16 +108,22 @@ class TestTokenBucket:
 
 
 class TestCircuitBreaker:
-    def _breaker(self, clock, **kwargs):
-        defaults = dict(failure_rate=0.5, window_s=1.0, min_volume=4,
-                        cooldown_s=1.0, half_open_probes=2)
-        defaults.update(kwargs)
-        return CircuitBreaker(clock, **defaults)
+    """Against the module's constants: a window of ``WINDOW_S`` seconds
+    that must hold ``MIN_VOLUME`` outcomes, ``HALF_OPEN_PROBES`` trial
+    requests; failure rate 0.5 and a 1 s cooldown."""
+
+    def _breaker(self, clock):
+        return CircuitBreaker(clock, failure_rate=0.5, cooldown_s=1.0)
+
+    def _trip(self, breaker):
+        for _ in range(MIN_VOLUME):
+            breaker.record_failure()
+        assert breaker.state == "open"
 
     def test_stays_closed_under_min_volume(self):
         clock = FakeClock()
         breaker = self._breaker(clock)
-        for _ in range(3):
+        for _ in range(MIN_VOLUME - 1):
             breaker.record_failure()
         assert breaker.state == "closed"
         breaker.before()  # does not raise
@@ -122,11 +131,13 @@ class TestCircuitBreaker:
     def test_trips_at_failure_rate(self):
         clock = FakeClock()
         breaker = self._breaker(clock)
-        breaker.record_success()
-        breaker.record_success()
-        breaker.record_failure()
+        half = MIN_VOLUME // 2
+        for _ in range(MIN_VOLUME - half):
+            breaker.record_success()
+        for _ in range(half - 1):
+            breaker.record_failure()
         assert breaker.state == "closed"
-        breaker.record_failure()  # 2/4 failures >= 0.5 with volume 4
+        breaker.record_failure()  # half failures >= 0.5 at full volume
         assert breaker.state == "open" and breaker.opens == 1
         with pytest.raises(BreakerOpen):
             breaker.before()
@@ -134,39 +145,42 @@ class TestCircuitBreaker:
 
     def test_old_outcomes_age_out_of_window(self):
         clock = FakeClock()
-        breaker = self._breaker(clock, window_s=0.5)
+        breaker = self._breaker(clock)
         breaker.record_failure()
         breaker.record_failure()
-        clock.advance(1.0)  # both failures age out
-        breaker.record_success()
-        breaker.record_success()
+        clock.advance(2 * WINDOW_S)  # both failures age out
+        half = MIN_VOLUME // 2
+        for _ in range(MIN_VOLUME - half):
+            breaker.record_success()
+        for _ in range(half - 1):
+            breaker.record_failure()
+        # With the stale failures the window would already hold enough
+        # volume at a failure rate of 0.5 and have tripped.
+        assert breaker.state == "closed"
         breaker.record_failure()
-        breaker.record_failure()
-        # 2/4 in the live window would trip — but only if the stale
-        # failures were dropped; with them it would have tripped sooner.
         assert breaker.state == "open" and breaker.opens == 1
 
     def test_half_open_probe_success_closes(self):
         clock = FakeClock()
         breaker = self._breaker(clock)
-        for _ in range(4):
-            breaker.record_failure()
-        assert breaker.state == "open"
+        self._trip(breaker)
         clock.advance(1.5)  # cooldown elapsed
         breaker.before()
         assert breaker.state == "half_open"
-        breaker.before()  # second concurrent probe allowed
+        for _ in range(HALF_OPEN_PROBES - 1):
+            breaker.before()  # further concurrent probes allowed
         with pytest.raises(BreakerOpen):
             breaker.before()  # probes saturated
-        breaker.record_success()
+        for _ in range(HALF_OPEN_PROBES - 1):
+            breaker.record_success()
+        assert breaker.state == "half_open"
         breaker.record_success()
         assert breaker.state == "closed"
 
     def test_half_open_probe_failure_reopens(self):
         clock = FakeClock()
         breaker = self._breaker(clock)
-        for _ in range(4):
-            breaker.record_failure()
+        self._trip(breaker)
         clock.advance(1.5)
         breaker.before()
         breaker.record_failure()
@@ -179,17 +193,18 @@ class TestCircuitBreaker:
         with pytest.raises(ValueError):
             CircuitBreaker(clock, failure_rate=0.0)
         with pytest.raises(ValueError):
-            CircuitBreaker(clock, window_s=0.0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(clock, min_volume=0)
+            CircuitBreaker(clock, cooldown_s=0.0)
 
 
 class TestRetryBudget:
+    """Against the module's constants: the bucket starts full at
+    ``BURST`` and trickles ``MIN_RETRIES_PER_S``."""
+
     def test_burst_then_earned_retries(self):
-        clock = FakeClock()
-        budget = RetryBudget(clock, ratio=0.2, min_retries_per_s=0.0,
-                             burst=2.0)
-        assert budget.try_retry() and budget.try_retry()
+        clock = FakeClock()  # never advanced: no trickle
+        budget = RetryBudget(clock, ratio=0.2)
+        for _ in range(int(BURST)):
+            assert budget.try_retry()
         assert not budget.try_retry()
         for _ in range(5):  # 5 first attempts earn 1 retry at ratio 0.2
             budget.record_request()
@@ -198,12 +213,13 @@ class TestRetryBudget:
 
     def test_trickle_refills(self):
         clock = FakeClock()
-        budget = RetryBudget(clock, ratio=0.0, min_retries_per_s=1.0,
-                             burst=1.0)
+        budget = RetryBudget(clock, ratio=0.0)
+        for _ in range(int(BURST)):
+            assert budget.try_retry()
+        assert not budget.try_retry()
+        clock.advance(1.0 / MIN_RETRIES_PER_S)
         assert budget.try_retry()
         assert not budget.try_retry()
-        clock.advance(1.0)
-        assert budget.try_retry()
 
     def test_negative_ratio_rejected(self):
         with pytest.raises(ValueError):
@@ -240,7 +256,7 @@ def _drive(env, gen):
 
 def _retry_binding(env, inner, **kwargs):
     from repro.sim.rng import RngRegistry
-    defaults = dict(retries=3, backoff_s=0.01, backoff_cap_s=0.1)
+    defaults = dict(retries=3, backoff_s=0.01)
     defaults.update(kwargs)
     return RetryBinding(inner, env, RngRegistry(1).stream("retry"),
                         **defaults)
@@ -275,14 +291,16 @@ class TestRetryBinding:
         assert binding.retried == 0 and binding.exhausted == 1
 
     def test_budget_denial_surfaces_original_error(self, env):
-        budget = RetryBudget(lambda: env.now, ratio=0.0,
-                             min_retries_per_s=0.0, burst=1.0)
+        budget = RetryBudget(lambda: env.now, ratio=0.0)
+        for _ in range(int(BURST) - 1):  # one token left
+            assert budget.try_retry()
         inner = FlakyBinding(env, fail_times=10)
         binding = _retry_binding(env, inner, budget=budget)
         with pytest.raises(RpcTimeout):
             _drive(env, binding.read("k", 100))
-        # Burst allowed one retry; the second withdrawal was denied and
-        # the op failed with its own error, not a budget error.
+        # The last token allowed one retry; the trickle had refilled
+        # only a few hundredths of one by the second withdrawal, which
+        # was denied: the op failed with its own error, not a budget's.
         assert inner.calls == 2
         assert binding.retried == 1 and binding.budget_denied == 1
 
@@ -480,13 +498,13 @@ class TestCacheAside:
 class TestBreakerBinding:
     def test_failures_trip_then_fail_fast(self, env):
         breaker = CircuitBreaker(lambda: env.now, failure_rate=0.5,
-                                 window_s=10.0, min_volume=2,
                                  cooldown_s=1.0)
-        inner = FlakyBinding(env, fail_times=10)
+        # Each call takes 0.01 s, so all MIN_VOLUME land in one window.
+        inner = FlakyBinding(env, fail_times=MIN_VOLUME + 5)
         binding = BreakerBinding(inner, breaker)
 
         def scenario():
-            for _ in range(2):
+            for _ in range(MIN_VOLUME):
                 try:
                     yield from binding.read("k", 100)
                 except RpcTimeout:
@@ -499,7 +517,8 @@ class TestBreakerBinding:
 
         assert _drive(env, scenario()) == "fast-failed"
         assert breaker.state == "open"
-        assert inner.calls == 2  # the third request never reached the store
+        # The request after the tripping one never reached the store.
+        assert inner.calls == MIN_VOLUME
 
 
 # -- Integration pins: the open-loop cell is deterministic -------------------

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from repro.cluster.disk import BACKGROUND, FOREGROUND, Disk, DiskSpec
+from repro.cluster.disk import (
+    BACKGROUND, FLUSH_INTERVAL_S, FOREGROUND, Disk, DiskSpec)
 from repro.sim.kernel import Environment
 
 
-def make_disk(env, jitter=0.0, flush_interval_s=1.0, **kwargs):
-    return Disk(env, DiskSpec(jitter=jitter, **kwargs), random.Random(0),
-                flush_interval_s=flush_interval_s)
+def make_disk(env, jitter=0.0, **kwargs):
+    return Disk(env, DiskSpec(jitter=jitter, **kwargs), random.Random(0))
 
 
 class TestDiskSpec:
@@ -89,16 +89,18 @@ class TestDisk:
         assert disk.dirty_bytes == 10_000
 
     def test_flusher_drains_dirty_bytes(self, env):
-        disk = make_disk(env, flush_interval_s=1.0)
+        disk = make_disk(env)
         disk.append_buffered(50_000)
-        env.run(until=2.5)
+        env.run(until=FLUSH_INTERVAL_S / 2)
+        assert disk.dirty_bytes == 50_000
+        env.run(until=2.5 * FLUSH_INTERVAL_S)
         assert disk.dirty_bytes == 0
         assert disk.bytes_written == 50_000
 
     def test_flush_consumes_disk_bandwidth(self, env):
-        disk = make_disk(env, flush_interval_s=0.5)
+        disk = make_disk(env)
         disk.append_buffered(10 * 1024 * 1024)
-        env.run(until=2.0)
+        env.run(until=2.0 * FLUSH_INTERVAL_S)
         assert disk.busy_time > 0
 
     def test_utilization_tracks_busy_fraction(self, env):

@@ -23,7 +23,7 @@ from repro.consistency.checkers import check_history, check_linearizable_key
 from repro.core.explorer import check_sweep
 from repro.consistency.history import History, HistoryOp, HistoryRecorder
 from repro.core.experiment import ExperimentSession
-from repro.core.failover import StalenessProbe
+from repro.core.failover import PROBE_KEY, StalenessProbe
 from repro.core.sweep import CAMPAIGNS, campaign_cells
 
 pytestmark = pytest.mark.hashseed
@@ -149,7 +149,7 @@ class TestPaperShapes:
 
     def test_quorum_is_linearizable_across_seeds(self):
         sweep = check_sweep("cassandra", mode="QUORUM", seeds=30,
-                            scale=QUICK, verify_replay=False)
+                            scale=QUICK)
         assert sweep["violations_by_kind"]["linearizability"] == 0
         assert sweep["unexpected_violations"] == 0
         # The linearizability check ran on every seed.
@@ -158,13 +158,13 @@ class TestPaperShapes:
 
     def test_write_all_read_one_is_linearizable_across_seeds(self):
         sweep = check_sweep("cassandra", mode="ALL", seeds=20,
-                            scale=QUICK, verify_replay=False)
+                            scale=QUICK)
         assert sweep["violations_by_kind"]["linearizability"] == 0
         assert sweep["unexpected_violations"] == 0
 
     def test_hbase_is_strong_under_crash(self):
         sweep = check_sweep("hbase", seeds=10, fault="crash",
-                            scale=QUICK, verify_replay=False)
+                            scale=QUICK)
         assert sweep["unexpected_violations"] == 0
 
     def test_one_under_partition_violates_sessions_reproducibly(self):
@@ -185,7 +185,7 @@ class TestPaperShapes:
         hint replay + read repair close every divergence by settle."""
         sweep = check_sweep("cassandra", mode="ONE", seeds=6,
                             fault="partition", no_repair=False,
-                            scale=QUICK, verify_replay=False)
+                            scale=QUICK)
         assert sweep["violations_by_kind"]["convergence"] == 0
         assert sweep["unexpected_violations"] == 0
 
@@ -230,7 +230,7 @@ class TestProbeCheckerAgreement:
         env = Environment()
         recorder = HistoryRecorder(_StaleEveryThirdStore(env), env,
                                    tag_writes=False)
-        probe = StalenessProbe(env, recorder, interval_s=0.25)
+        probe = StalenessProbe(env, recorder)
         env.process(probe.run(), name="staleness-probe")
         env.run(until=10.0)
         probe.stop()
@@ -252,7 +252,7 @@ class TestProbeCheckerAgreement:
         # No tagging: the probe compares its own integer sequence values.
         recorder = HistoryRecorder(session.binding, env, tag_writes=False)
         probe = StalenessProbe(env, recorder)
-        target = session.cassandra.replicas_of(probe.key)[0]
+        target = session.cassandra.replicas_of(PROBE_KEY)[0]
         injector = FailureInjector(session.cluster)
         injector.inject([FaultSpec(kind="partition", node_id=target,
                                    at_s=0.5, duration_s=2.0, span=1)],

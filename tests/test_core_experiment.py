@@ -9,7 +9,7 @@ from repro.core.config import default_micro_config, default_stress_config
 from repro.core.experiment import ExperimentSession, run_experiment
 from repro.core.sweep import CAMPAIGNS, run_campaign
 from repro.storage.lsm import StorageSpec
-from repro.ycsb.workload import MICRO_WORKLOADS, STRESS_WORKLOADS
+from repro.ycsb.workload import STRESS_WORKLOADS
 
 
 def tiny_micro(db, rf=2, seed=42):

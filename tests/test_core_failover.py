@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.core.failover import StalenessProbe, build_failover_report
+from repro.core.failover import (
+    PROBE_INTERVAL_S, StalenessProbe, build_failover_report)
 from repro.sim.kernel import Environment
 from repro.ycsb.measurements import Measurements
 
@@ -134,34 +135,37 @@ class FakeDb:
 
 
 class TestStalenessProbe:
+    """Times in probe rounds of ``PROBE_INTERVAL_S``."""
+
     def test_healthy_store_never_stale(self):
         env = Environment()
         db = FakeDb(env)
-        probe = StalenessProbe(env, db, interval_s=0.1)
+        probe = StalenessProbe(env, db)
         env.process(probe.run(), name="probe")
-        env.run(until=2.0)
+        env.run(until=20 * PROBE_INTERVAL_S)
         assert probe.probe_reads > 10
         assert probe.stale_reads == 0
 
     def test_lagging_store_counts_stale_reads(self):
         env = Environment()
         db = FakeDb(env)
-        probe = StalenessProbe(env, db, interval_s=0.1)
+        probe = StalenessProbe(env, db)
         env.process(probe.run(), name="probe")
-        env.run(until=1.0)
+        lag_from = 10 * PROBE_INTERVAL_S
+        env.run(until=lag_from)
         db.lag = 1  # every read now trails the acknowledged write
-        env.run(until=2.0)
+        env.run(until=2 * lag_from)
         assert probe.stale_reads > 0
-        assert probe.stale_since(1.0) == probe.stale_reads
+        assert probe.stale_since(lag_from) == probe.stale_reads
 
     def test_stop_halts_the_loop(self):
         env = Environment()
         db = FakeDb(env)
-        probe = StalenessProbe(env, db, interval_s=0.1)
+        probe = StalenessProbe(env, db)
         env.process(probe.run(), name="probe")
-        env.run(until=1.0)
+        env.run(until=10 * PROBE_INTERVAL_S)
         probe.stop()
-        env.run(until=1.5)
+        env.run(until=15 * PROBE_INTERVAL_S)
         count = probe.probe_reads
-        env.run(until=3.0)
+        env.run(until=30 * PROBE_INTERVAL_S)
         assert probe.probe_reads == count

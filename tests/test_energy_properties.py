@@ -11,7 +11,7 @@ are the invariants this file drives with generated schedules.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.energy.meter import EnergyMeter, EnergyReport
+from repro.energy.meter import EnergyReport
 from repro.energy.power import (IDLE_W, PSTATE_IDLE_W, PSTATE_WAKE_S,
                                 SLEEP_W, PowerManager, PowerSpec)
 

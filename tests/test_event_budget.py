@@ -61,7 +61,7 @@ from repro.core.experiment import ExperimentSession, summarize_run
 from repro.energy.power import PowerManager, PowerSpec
 from repro.hbase.client import HBaseClient
 from repro.hbase.deployment import HBaseCluster, HBaseConfig
-from repro.hbase.regionserver import NotServingRegion
+from repro.hbase.regionserver import PIPELINE_DEPTH, NotServingRegion
 from repro.hdfs.datanode import PACKET_CPU_S, DataNode
 from repro.hdfs.pipeline import ACK_BYTES, pipeline_write
 from repro.keyspace import key_for_index, key_for_token, token_of
@@ -1096,7 +1096,7 @@ def test_wal_segment_roll_in_the_middle_of_a_burst(golden):
 
 
 def test_pipeline_depth_saturated(golden):
-    env, _, wal = build_wal(rf=3, pipeline_depth=4)
+    env, _, wal = build_wal(rf=3)
     tracer = KernelTracer(env)
     # The segment open, one append every 20 us: the first four each
     # start a round at once; the fifth round waits for a slot, and
@@ -1128,18 +1128,33 @@ def test_pipeline_depth_saturated(golden):
 
 
 def test_acks_precede_the_slot_grant(golden):
-    """The same trap, spelled out: one slot, and a round waiting for it.
-    When the round ahead is acked, the waiting round's grant is scheduled
-    after that batch's acks — by sequence number, all at one instant."""
-    env, _, wal = build_wal(pipeline_depth=1)
+    """The same trap, spelled out: every slot held, and a round waiting
+    for one.  When the oldest round is acked, the waiting round's grant
+    is scheduled after that batch's acks — by sequence number, all at
+    one instant."""
+    env, _, wal = build_wal()
     tracer = KernelTracer(env, keep_lines=True)
-    log = schedule_appends(env, wal, [(0.0, 50), (0.001, 100), (0.001, 101),
-                                      (0.00102, 102)])
+    # The segment open, appends 1 and 2 share a round; 3 to 5 each start
+    # one, filling the PIPELINE_DEPTH slots; 6's round waits.
+    log = schedule_appends(env, wal, [
+        (0.0, 50), (0.001, 100), (0.001, 101), (0.00101, 102),
+        (0.00102, 103), (0.00103, 104), (0.00104, 105)])
+    held = []
+    plain_request = wal._in_flight.request
+
+    def spying_request():
+        slot = plain_request()
+        held.append((len(wal._in_flight.users), wal._in_flight.queue_len))
+        return slot
+
+    wal._in_flight.request = spying_request
     env.run()
+    assert held[-1] == (PIPELINE_DEPTH, 1)
     acked_at = log[1][1]
     golden(acked_at, "acked_at")
     assert [(index, at) for index, at, *_ in log[1:3]] \
         == [(1, acked_at), (2, acked_at)]
+    assert all(at > acked_at for _, at, *_ in log[3:])
     # (priority, sequence number, event): the last ack leg; both puts of
     # the batch; the slot's grant; then — urgent, but scheduled by the
     # grant's dispatch — the waiting round's start.

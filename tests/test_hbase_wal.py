@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hbase.regionserver import PIPELINE_DEPTH
 from repro.sim.kernel import AllOf
 from tests.conftest import build_wal, schedule_appends
 
@@ -45,38 +46,12 @@ class TestGroupCommitWal:
         assert wal.batches < 20
 
     def test_rounds_overlap_under_load(self):
-        """Sustained append streams keep several rounds in flight, so the
-        aggregate rate beats one-round-at-a-time serialization."""
-        env, _, wal = build_wal(pipeline_depth=4)
-        done = []
-
-        def appender(n):
-            for _ in range(n):
-                yield from wal.append(200)
-            done.append(env.now)
-
-        def scenario():
-            procs = [env.process(appender(30)) for _ in range(8)]
-            yield AllOf(env, procs)
-            return env.now
-
-        elapsed_deep = drive(env, scenario())
-
-        env2, _, wal2 = build_wal(pipeline_depth=1)
-        done2 = []
-
-        def appender2(n):
-            for _ in range(n):
-                yield from wal2.append(200)
-            done2.append(env2.now)
-
-        def scenario2():
-            procs = [env2.process(appender2(30)) for _ in range(8)]
-            yield AllOf(env2, procs)
-            return env2.now
-
-        elapsed_shallow = env2.run(until=env2.process(scenario2()))
-        assert elapsed_deep <= elapsed_shallow
+        """Appends arriving faster than a round is acked keep several
+        rounds in flight at once — up to the depth, never past it — so
+        the aggregate rate beats one-round-at-a-time serialization."""
+        _, acks, _, rounds, peak = run_appends([(2e-5, 200)] * 200)
+        assert peak == PIPELINE_DEPTH > 1
+        assert len(acks) == 200 and len(rounds) < 200
 
     def test_wal_rolls_segments(self):
         env, _, wal = build_wal()
@@ -93,13 +68,13 @@ class TestGroupCommitWal:
 
 # -- group commit semantics as properties ----------------------------------
 
-def run_appends(arrivals, rf=2, pipeline_depth=4):
+def run_appends(arrivals, rf=2):
     """Run ``(gap_s, size)`` arrivals — each ``gap_s`` after the one
     before — to quiescence.  Returns the WAL, the ack log ``[(append
     index, ack instant)]`` in ack order, the arrival instants by index,
     the sizes of the pipeline rounds in start order, and the most rounds
     that were ever in flight at once."""
-    env, _, wal = build_wal(rf=rf, pipeline_depth=pipeline_depth)
+    env, _, wal = build_wal(rf=rf)
     rounds, in_flight = [], [0]
     plain_append = wal.dfs.append
 
@@ -133,35 +108,34 @@ def recorded_arrivals(seed):
 class TestGroupCommitProperties:
     @given(st.lists(st.tuples(st.integers(0, 400), st.integers(1, 3_000_000)),
                     min_size=1, max_size=25),
-           st.integers(1, 3), st.integers(1, 4))
+           st.integers(1, 3))
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_every_append_is_acked_once_within_the_depth(
-            self, arrivals, rf, pipeline_depth):
+            self, arrivals, rf):
         """Any sizes — multi-chunk rounds, segment rolls — at any pace."""
         arrivals = [(gap_us * 1e-6, size) for gap_us, size in arrivals]
-        wal, acks, arrived, rounds, peak = run_appends(
-            arrivals, rf, pipeline_depth)
+        wal, acks, arrived, rounds, peak = run_appends(arrivals, rf)
         assert sorted(index for index, _ in acks) \
             == list(range(len(arrivals)))
         assert all(at > arrived[index] for index, at in acks)
-        assert 1 <= peak <= pipeline_depth
+        assert 1 <= peak <= PIPELINE_DEPTH
         assert len(wal._in_flight.users) == 0 and not wal._pending
         assert (wal.batches, wal.appends) == (len(rounds), len(acks))
         assert sum(rounds) == sum(size for _, size in arrivals)
 
     @given(st.lists(st.tuples(st.integers(0, 400), st.integers(1, 2_000)),
                     min_size=1, max_size=30),
-           st.integers(1, 3), st.integers(1, 4))
+           st.integers(1, 3))
     @settings(max_examples=100, deadline=None, derandomize=True)
-    def test_acks_are_fifo(self, arrivals, rf, pipeline_depth):
+    def test_acks_are_fifo(self, arrivals, rf):
         """One-packet rounds down one pipeline cannot overtake each other
         (every channel they share is booked first come, first served), so
         appends are acked in arrival order, batch by batch."""
         arrivals = [(gap_us * 1e-6, size) for gap_us, size in arrivals]
-        wal, acks, _, rounds, peak = run_appends(arrivals, rf, pipeline_depth)
+        wal, acks, _, rounds, peak = run_appends(arrivals, rf)
         assert [index for index, _ in acks] == list(range(len(arrivals)))
         assert [at for _, at in acks] == sorted(at for _, at in acks)
-        assert peak <= pipeline_depth
+        assert peak <= PIPELINE_DEPTH
         # One ack instant per round: a batch is acked as a whole.
         assert len({at for _, at in acks}) == len(rounds) == wal.batches
 

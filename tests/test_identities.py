@@ -5,7 +5,8 @@ ingredient that must change nothing: any consistency level at RF 1
 (R = W = 1 there), a hedge policy at RF 1 (no spare replica, so the
 race is a plain wait), the oracle that only records, a static adaptive
 policy against the levels it pins, power management that never parks,
-and a manual scaling plan with no scale-out in it.  Both sides must
+a manual scaling plan with no scale-out in it, and a circuit breaker
+that cannot trip on a fault-free cell.  Both sides must
 give the same kernel trace digest, the same event count and the same
 measurement fields of the run summary.  A row that fails is an observer
 effect or a wrong equivalence, not a number to re-pin.
@@ -18,11 +19,11 @@ from functools import lru_cache
 import pytest
 
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.core.config import (ElasticityConfig, EnergyConfig,
-                               TailDefenseConfig)
+from repro.core.config import (ClientTierConfig, ElasticityConfig,
+                               EnergyConfig, TailDefenseConfig)
 from repro.ycsb.workload import STRESS_WORKLOADS
 from tests.conftest import traced_run
-from tests.test_run_assembly import BASE_KEYS, _closed, _elastic
+from tests.test_run_assembly import BASE_KEYS, _closed, _elastic, _open
 
 pytestmark = pytest.mark.hashseed
 
@@ -52,6 +53,13 @@ def _run(cell, run_kwargs=()):
 
 #: The keywords of an elastic cell's measured run.
 SCALED = {"open_loop": True, "scale": True}
+#: An open-loop run through the client tier.
+OPEN = {"open_loop": True}
+
+
+def _open_cell(clienttier):
+    """The open-loop cell with no faults and only ``clienttier``."""
+    return replace(_open("cassandra"), faults=(), clienttier=clienttier)
 
 
 def _row(name, plain, plain_kwargs, neutral, neutral_kwargs):
@@ -88,6 +96,9 @@ ROWS = [
          replace(_elastic("cassandra"),
                  elasticity=ElasticityConfig(mode="manual", events=())),
          SCALED),
+    # Trips only on a window of nothing but failures: never, here.
+    _row("breaker-that-cannot-trip", _open_cell(ClientTierConfig()), OPEN,
+         _open_cell(ClientTierConfig(breaker_failure_rate=1.0)), OPEN),
 ]
 
 

@@ -1,5 +1,6 @@
 """Package layout: a package ``__init__`` is its docstring and nothing else,
-and only the harness imports the harness.
+only the harness imports the harness, and no module imports a name it
+never uses.
 
 Callers import from the defining module (``repro.sim.kernel``, not
 ``repro.sim``).  A re-export layer hides import cycles and lets two
@@ -10,6 +11,7 @@ record a component takes is defined beside that component.
 
 import ast
 import dataclasses
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,12 @@ from repro.core import config
 
 PACKAGE_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 INITS = sorted(PACKAGE_ROOT.glob("*/__init__.py"))
+TESTS_ROOT = Path(__file__).resolve().parent
+
+
+@lru_cache(maxsize=None)
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def test_the_packages_are_found():
@@ -48,8 +56,7 @@ def test_components_do_not_import_the_harness():
         where = path.relative_to(PACKAGE_ROOT)
         if where.parts[0] == "core":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        names = [name for name in _imported_modules(tree)
+        names = [name for name in _imported_modules(_tree(path))
                  if name == "repro.core" or name.startswith("repro.core.")]
         if names:
             offending[str(where)] = names
@@ -70,8 +77,7 @@ def test_the_harness_re_exports_the_components_records():
 
 
 def _imports_of(where):
-    path = PACKAGE_ROOT / where
-    return set(_imported_modules(ast.parse(path.read_text(encoding="utf-8"))))
+    return set(_imported_modules(_tree(PACKAGE_ROOT / where)))
 
 
 def test_the_ycsb_client_imports_no_engine():
@@ -89,3 +95,73 @@ def test_the_ycsb_client_imports_no_engine():
 
 def test_the_history_recorder_does_not_import_the_ycsb_client():
     assert "repro.ycsb.client" not in _imports_of("consistency/history.py")
+
+
+def _bound_names(node):
+    """The names an import statement binds (none for ``__future__``)."""
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.partition(".")[0]
+                for alias in node.names]
+    if node.module == "__future__":
+        return []
+    return [alias.asname or alias.name for alias in node.names]
+
+
+def _module_level(tree):
+    """The statements at module level, into ``if`` / ``try`` bodies."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        yield node
+        if isinstance(node, (ast.If, ast.Try)):
+            pending += node.body + node.orelse + getattr(
+                node, "finalbody", []) + [
+                stmt for handler in getattr(node, "handlers", [])
+                for stmt in handler.body]
+
+
+def _referenced_names(tree):
+    """Every name the module reads: loaded names, the strings of
+    ``__all__``, and the names inside string annotations."""
+    names, annotations = set(), []
+    for node in ast.walk(tree):
+        kind = type(node)
+        if kind is ast.Name:
+            if type(node.ctx) is not ast.Store:
+                names.add(node.id)
+        elif kind is ast.arg or kind is ast.AnnAssign:
+            annotations.append(node.annotation)
+        elif kind is ast.FunctionDef or kind is ast.AsyncFunctionDef:
+            annotations.append(node.returns)
+        elif kind is ast.Assign and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            names.update(item.value for item in ast.walk(node.value)
+                         if isinstance(item, ast.Constant))
+    for annotation in filter(None, annotations):
+        for item in ast.walk(annotation):
+            if isinstance(item, ast.Constant) and isinstance(item.value, str):
+                names |= _referenced_names(ast.parse(item.value, mode="eval"))
+    return names
+
+
+def _unused_imports(path):
+    tree = _tree(path)
+    used = _referenced_names(tree)
+    return sorted(name for node in _module_level(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  for name in _bound_names(node) if name not in used)
+
+
+@pytest.mark.hashseed
+def test_no_module_imports_a_name_it_never_uses():
+    """An unused import is left behind by a deletion: it keeps a
+    dependency the code no longer has and hides from a reader what the
+    module really uses."""
+    offending = {}
+    for root in (PACKAGE_ROOT, TESTS_ROOT):
+        for path in sorted(root.rglob("*.py")):
+            unused = _unused_imports(path)
+            if unused:
+                offending[str(path.relative_to(root.parent))] = unused
+    assert offending == {}

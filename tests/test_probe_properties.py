@@ -119,10 +119,9 @@ def test_probe_matches_the_reference_walk(runs, anchor_at, memtable_keys,
 
 
 @given(added=st.sets(st.text(max_size=12), max_size=60),
-       probed=st.sets(st.text(max_size=12), max_size=60),
-       fp_rate=st.sampled_from([0.01, 0.2, 0.6]))
-def test_a_hashed_lookup_is_the_plain_one(added, probed, fp_rate):
-    bloom = BloomFilter(len(added), fp_rate)
+       probed=st.sets(st.text(max_size=12), max_size=60))
+def test_a_hashed_lookup_is_the_plain_one(added, probed):
+    bloom = BloomFilter(len(added))
     bloom.add_all(added)
     for key in added | probed:
         data = key.encode()

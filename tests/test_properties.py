@@ -21,7 +21,7 @@ from repro.storage.cache import BlockCache
 from repro.storage.compaction import merge_tables
 from repro.storage.lsm import StorageSpec
 from repro.storage.memtable import Memtable
-from repro.storage.sstable import BLOOM_FP_RATE, SSTable
+from repro.storage.sstable import SSTable
 from repro.ycsb.generators import DiscreteGenerator, ZipfianGenerator
 from repro.ycsb.measurements import percentile
 from tests.conftest import ownership_fractions
@@ -116,7 +116,7 @@ class _PerEntrySSTable:
 
     def __init__(self, entries, block_bytes: int) -> None:
         self.keys, self.values, self.key_block = [], {}, []
-        probe = BloomFilter(max(1, len(entries)), BLOOM_FP_RATE)
+        probe = BloomFilter(max(1, len(entries)))
         self.bloom = _BigIntBloom(probe.n_bits, probe.n_hashes)
         self.size_bytes = block_no = block_fill = 0
         for key, value, ts, size in entries:
@@ -166,18 +166,17 @@ class TestRegionMemo:
 class TestBloomProperty:
     @given(st.sets(keys, min_size=1, max_size=200))
     def test_no_false_negatives(self, added):
-        bloom = BloomFilter(len(added), 0.01)
+        bloom = BloomFilter(len(added))
         for key in added:
             bloom.add(key)
         assert all(bloom.might_contain(k) for k in added)
 
-    @given(st.sets(keys, max_size=200), st.sets(keys, max_size=200),
-           st.sampled_from([0.001, 0.01, 0.2]))
-    def test_answers_equal_the_big_int_reference(self, added, probed, fp):
+    @given(st.sets(keys, max_size=200), st.sets(keys, max_size=200))
+    def test_answers_equal_the_big_int_reference(self, added, probed):
         # The filter used to be one Python integer; the bytearray keeps
         # the same hash positions, so every answer — each false positive
         # included — is the one the integer gave.
-        bloom = BloomFilter(len(added), fp)
+        bloom = BloomFilter(len(added))
         reference = _BigIntBloom(bloom.n_bits, bloom.n_hashes)
         for key in added:
             bloom.add(key)

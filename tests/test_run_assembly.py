@@ -187,3 +187,18 @@ def test_warm_returns_nothing_and_measured_runs_use_the_configs_fraction():
     # 800 operations less the config's 10 % warm-up share.
     assert config.warmup_fraction == 0.1
     assert result.operations + result.measurements.total_errors == 720
+
+
+@pytest.mark.parametrize("db", BOTH)
+def test_a_scale_step_during_a_transfer_is_skipped(db):
+    """A manual instant inside the first scale-out's transfer finds a
+    range movement (Cassandra) or a rebalance (HBase) in flight: the
+    step is skipped, never a second concurrent join of the same spare."""
+    config = replace(_elastic(db), elasticity=ElasticityConfig(
+        mode="manual", events=(0.5, 0.6)))
+    session = ExperimentSession(config)
+    session.load()
+    events = summarize_run(session.run_cell(open_loop=True, scale=True))[
+        "scale"]["events"]
+    assert [(event, node) for _, event, node in events] == [
+        ("out_start", 3), ("out_skipped", -1), ("out_done", 3)]

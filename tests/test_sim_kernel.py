@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.sim.kernel import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    SimulationError,
-    Timeout,
-)
+from repro.sim.kernel import AllOf, AnyOf, Environment, SimulationError
 
 
 class TestEvent:

@@ -2,21 +2,22 @@
 
 import pytest
 
-from repro.storage.bloom import BloomFilter
+from repro.storage.bloom import FP_RATE, BloomFilter
 
 pytestmark = pytest.mark.hashseed
 
 
 class TestBloomFilter:
     def test_no_false_negatives(self):
-        bloom = BloomFilter(expected_items=500, fp_rate=0.01)
+        bloom = BloomFilter(expected_items=500)
         keys = [f"user{i:06d}" for i in range(500)]
         for key in keys:
             bloom.add(key)
         assert all(bloom.might_contain(k) for k in keys)
 
     def test_false_positive_rate_near_target(self):
-        bloom = BloomFilter(expected_items=2000, fp_rate=0.01)
+        assert FP_RATE == 0.01
+        bloom = BloomFilter(expected_items=2000)
         for i in range(2000):
             bloom.add(f"present{i}")
         false_positives = sum(
@@ -27,21 +28,10 @@ class TestBloomFilter:
         bloom = BloomFilter(expected_items=10)
         assert not bloom.might_contain("anything")
 
-    def test_invalid_fp_rate_rejected(self):
-        with pytest.raises(ValueError):
-            BloomFilter(10, fp_rate=0.0)
-        with pytest.raises(ValueError):
-            BloomFilter(10, fp_rate=1.5)
-
     def test_sizing_grows_with_items(self):
-        small = BloomFilter(100, 0.01)
-        large = BloomFilter(10_000, 0.01)
+        small = BloomFilter(100)
+        large = BloomFilter(10_000)
         assert large.n_bits > small.n_bits
-
-    def test_tighter_fp_rate_uses_more_bits(self):
-        loose = BloomFilter(1000, 0.1)
-        tight = BloomFilter(1000, 0.001)
-        assert tight.n_bits > loose.n_bits
 
     def test_counts_items(self):
         bloom = BloomFilter(10)

@@ -1,6 +1,7 @@
 """Unit tests for compaction policy and merge logic."""
 
-from repro.storage.compaction import merge_tables, pick_compaction
+from repro.storage.compaction import (
+    BUCKET_RATIO, merge_tables, pick_compaction)
 from repro.storage.sstable import SSTable
 
 
@@ -23,8 +24,15 @@ class TestPickCompaction:
         assert batch is not None and len(batch) == 5
 
     def test_dissimilar_sizes_not_batched(self):
+        # Each table ten times the last: past BUCKET_RATIO, no bucket.
         tables = [sized_table(10), sized_table(100), sized_table(1000)]
-        assert pick_compaction(tables, min_batch=2, bucket_ratio=1.5) is None
+        assert pick_compaction(tables, min_batch=2) is None
+
+    def test_sizes_within_the_ratio_batched(self):
+        tables = [sized_table(10), sized_table(int(10 * BUCKET_RATIO)),
+                  sized_table(int(10 * BUCKET_RATIO) + 1)]
+        batch = pick_compaction(tables, min_batch=2)
+        assert [t.size_bytes for t in batch] == [1_000, 2_000]
 
     def test_max_batch_respected(self):
         tables = [sized_table(10) for _ in range(20)]
