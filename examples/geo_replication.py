@@ -18,9 +18,11 @@ Run:  python examples/geo_replication.py
 """
 
 from repro.cassandra.client import CassandraSession
+from repro.cassandra.config import CassandraConfig
 from repro.cassandra.consistency import ConsistencyLevel, UnavailableError
-from repro.cassandra.deployment import CassandraCluster, CassandraConfig
-from repro.cluster.geo import GeoCluster, GeoConfig
+from repro.cassandra.deployment import CassandraCluster
+from repro.cluster.config import GeoConfig
+from repro.cluster.geo import GeoCluster
 from repro.cluster.topology import TailDefenseConfig
 from repro.core.report import render_table
 from repro.keyspace import key_for_index

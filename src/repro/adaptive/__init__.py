@@ -9,7 +9,7 @@ latency-bounded CL stepping):
 - :mod:`repro.adaptive.monitor` — windowed latency percentiles,
   staleness-risk sensing, and the recent-writes sketch;
 - :mod:`repro.adaptive.policy` — Static / Stepwise / StalenessBound
-  policies over a declared :class:`~repro.adaptive.monitor.SloSpec`;
+  policies over a declared :class:`~repro.adaptive.config.SloSpec`;
 - :mod:`repro.adaptive.controller` — the DbBinding wrapper applying
   per-request CL overrides and logging every decision.
 

@@ -24,12 +24,14 @@ across ``--jobs`` settings.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Generator
+from typing import TYPE_CHECKING, Any, Generator
 
 from repro.adaptive.monitor import STALENESS_S, WINDOW_S, Monitor
 from repro.adaptive.policy import Policy
-from repro.cassandra.client import CassandraSession
 from repro.cassandra.consistency import ConsistencyLevel
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only, no engine
+    from repro.cassandra.client import CassandraSession
 
 __all__ = ["AdaptiveController", "DecisionLog"]
 

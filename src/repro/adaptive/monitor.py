@@ -9,9 +9,9 @@ windows at identical simulated times.
 
 Three pieces:
 
-- :class:`SloSpec` — the declared objective: "p95 read latency <= L ms
-  AND staleness <= :data:`STALENESS_S` / read-your-writes risk rate
-  <= v", judged per :data:`WINDOW_S` window.
+- :data:`STALENESS_S` and :data:`WINDOW_S` — the staleness bound of
+  every SLO (:class:`~repro.adaptive.config.SloSpec`) and the window
+  it is judged over.
 - :class:`RecentWrites` — a bounded client-side sketch of keys written
   within the staleness bound.  At CL ONE there are no blocking digests,
   so the server gives no staleness signal at all; the sketch is how the
@@ -30,10 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.adaptive.config import SloSpec
 from repro.ycsb.measurements import percentile
 
 __all__ = ["DECAY_WINDOWS", "Monitor", "RecentWrites", "SKETCH_CAPACITY",
-           "STALENESS_S", "SloSpec", "WINDOW_S", "WindowStats"]
+           "STALENESS_S", "WINDOW_S", "WindowStats"]
 
 #: Staleness half of every SLO: reads must not observe versions older
 #: than this bound (seconds), and a read of a key written inside it is
@@ -53,29 +54,6 @@ SIGNAL_KEYS = ("read_repairs", "repair_mutations", "background_repairs",
 
 #: Gauges sampled at window close (levels, not monotone counters).
 GAUGE_KEYS = ("hint_backlog",)
-
-
-@dataclass(frozen=True)
-class SloSpec:
-    """The declared service-level objective the controller steers by:
-    "p95 read latency <= ``p95_ms`` AND staleness <=
-    :data:`STALENESS_S` / exposed-read rate <= ``risk_rate``".  An
-    experiment's ``config.adaptive``; only consulted when a run names a
-    policy (:attr:`repro.core.runner.RunSpec.adaptive`), otherwise
-    inert.
-    """
-
-    #: Latency half: p95 read latency must stay at or below this.
-    p95_ms: float = 10.0
-    #: No more than this fraction of a window's reads may be *exposed*
-    #: to the staleness bound (an at-risk read served at a weak CL).
-    risk_rate: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.p95_ms <= 0:
-            raise ValueError("p95_ms must be positive")
-        if not 0 <= self.risk_rate <= 1:
-            raise ValueError("risk_rate must be in [0, 1]")
 
 
 class RecentWrites:

@@ -29,12 +29,11 @@ a run's decision sequence is reproducible bit for bit — the property
 
 from __future__ import annotations
 
+from repro.adaptive.config import ALL_POLICIES, SloSpec
+from repro.adaptive.monitor import DECAY_WINDOWS, WindowStats
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.adaptive.monitor import DECAY_WINDOWS, SloSpec, WindowStats
 
 __all__ = [
-    "ADAPTIVE_POLICIES",
-    "ALL_POLICIES",
     "EnergyAwarePolicy",
     "Policy",
     "StalenessBoundPolicy",
@@ -309,17 +308,6 @@ class EnergyAwarePolicy(StalenessBoundPolicy):
         counters["unparks"] = self.unparks
         counters["parked"] = self.parked
         return counters
-
-
-#: Policy names ``repro-bench adaptive`` sweeps (stable order: the two
-#: static baselines first, then the adaptive contenders).
-ADAPTIVE_POLICIES = ("static-one", "static-quorum", "stepwise",
-                     "staleness-bound")
-
-#: Every registered policy name (``repro-bench energy`` adds the
-#: energy-aware contender; the adaptive campaign keeps its stable
-#: four-policy matrix).
-ALL_POLICIES = ADAPTIVE_POLICIES + ("energy-aware",)
 
 
 def make_policy(name: str, slo: SloSpec) -> Policy:

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, Optional
 
-from repro.cassandra.consistency import ConsistencyLevel
+from repro.cassandra.config import CassandraConfig
 from repro.cassandra.multidc import NetworkTopologyStrategy, SimpleStrategy
 from repro.cassandra.node import CassandraNode
 from repro.cassandra.partitioner import TokenRange, TokenRing
@@ -14,7 +13,7 @@ from repro.cluster.topology import Cluster, TailDefenseConfig
 from repro.keyspace import token_of
 from repro.storage.lsm import StorageSpec
 
-__all__ = ["CassandraCluster", "CassandraConfig"]
+__all__ = ["CassandraCluster"]
 
 #: Virtual nodes per physical node (Cassandra 2.0 defaults to 256;
 #: scaled down with everything else — placement statistics are already
@@ -22,30 +21,6 @@ __all__ = ["CassandraCluster", "CassandraConfig"]
 VNODES = 16
 #: Streaming granularity for bootstrap/decommission transfers.
 STREAM_CHUNK_BYTES = 1 << 20
-
-
-@dataclass(frozen=True)
-class CassandraConfig:
-    """Cassandra-side knobs of one experiment cell."""
-
-    #: SimpleStrategy replication factor — the paper's replication knob.
-    replication: int = 3
-    #: The driver's default consistency levels.
-    read_cl: ConsistencyLevel = ConsistencyLevel.ONE
-    write_cl: ConsistencyLevel = ConsistencyLevel.ONE
-    #: Probability that a read involves all replicas for repair
-    #: (Cassandra 2.0's table default, cited by the paper §4.1).
-    read_repair_chance: float = 0.1
-    #: Whether a digest mismatch within the CL-blocking set holds the
-    #: response until the repair mutations are acknowledged (the
-    #: paper-faithful default); False lets the response go once the
-    #: full-data reads have answered (ablation).
-    blocking_read_repair: bool = True
-    #: How often each coordinator's hint replayer wakes (seconds).  A
-    #: larger interval models throttled hinted handoff: a restarted
-    #: replica stays stale for up to one interval, which is the window
-    #: the adaptive-consistency campaigns study.
-    hint_replay_interval_s: float = 1.0
 
 
 class CassandraCluster:

@@ -17,8 +17,8 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.clienttier.tokens import TokenBucket
+from repro.cluster.hedging import backoff_delay
 from repro.cluster.topology import DeadlineExceeded
-from repro.hbase.client import backoff_delay
 from repro.sim.kernel import ModelledFailure
 from repro.ycsb.db import DbBinding
 
@@ -65,7 +65,7 @@ class RetryBinding:
     :class:`~repro.sim.kernel.ModelledFailure` (never a spent deadline),
     each preceded by equal-jitter exponential backoff from ``backoff_s``
     capped at :data:`BACKOFF_CAP_S`
-    (:func:`repro.hbase.client.backoff_delay` with the injected sim RNG
+    (:func:`repro.cluster.hedging.backoff_delay` with the injected sim RNG
     stream, so the schedule is deterministic per seed).  With
     ``budget=None`` retries are uncapped — the naive client the surge
     campaign's "undefended" mode measures; with a budget, a denied

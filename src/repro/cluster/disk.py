@@ -83,7 +83,7 @@ class Disk:
         #: Fault-injection hook: service-time multiplier (>= 1).  A
         #: gray-failing disk serves every access, just ``slowdown``-times
         #: slower (the ``slow_disk`` kind of
-        #: :class:`repro.cluster.failure.FaultSpec`).
+        #: :class:`repro.cluster.config.FaultSpec`).
         self.slowdown = 1.0
         self._flush_kick = None
         env.process(self._flusher(), name="disk-flusher")

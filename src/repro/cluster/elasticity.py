@@ -19,7 +19,7 @@ Three modes:
   against.
 - ``manual`` — scale out one node at each instant of a declarative
   schedule, offsets resolved against the measured run's start exactly
-  like :class:`~repro.cluster.failure.FaultSpec`.
+  like :class:`~repro.cluster.config.FaultSpec`.
 - ``auto`` — a deterministic policy loop: scale out after
   :data:`BREACH_WINDOWS` consecutive :data:`WINDOW_S` windows whose p95
   exceeds :data:`P95_BREACH_MS`, scale in after :data:`IDLE_WINDOWS`
@@ -33,20 +33,14 @@ latency and staleness columns — the table the campaign prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, Optional, Sequence
 
+from repro.cluster.config import ElasticityConfig
 from repro.ycsb.measurements import Measurements, mean, percentile, total
 
-__all__ = ["BREACH_WINDOWS", "ElasticityConfig", "IDLE_WINDOWS",
-           "P95_BREACH_MS", "P95_RELAX_MS", "SCALE_MODES", "SPARE_NODES",
+__all__ = ["BREACH_WINDOWS", "IDLE_WINDOWS", "P95_BREACH_MS", "P95_RELAX_MS",
            "ScaleEngine", "WINDOW_S", "build_scale_report"]
 
-SCALE_MODES = ("static", "manual", "auto")
-
-#: Trailing server nodes an elastic cell provisions outside the serving
-#: set at build time — the pool scale-out draws from.
-SPARE_NODES = 1
 # -- the autoscaler policy (mode="auto") --------------------------------
 #: Sampling window for the policy loop, seconds.
 WINDOW_S = 0.5
@@ -60,37 +54,6 @@ BREACH_WINDOWS = 2
 #: trivial — a lull, not a healthy mix.
 P95_RELAX_MS = 0.5
 IDLE_WINDOWS = 8
-
-
-@dataclass(frozen=True)
-class ElasticityConfig:
-    """JSON-safe elasticity plan carried by an ExperimentConfig: who
-    decides to scale, when the operator does, and how long the
-    autoscaler waits between actions.  The spare pool and the
-    autoscaler's window, thresholds and streaks are this module's
-    constants."""
-
-    #: "static" (control), "manual" (event schedule) or "auto"
-    #: (p95-driven policy loop).
-    mode: str = "manual"
-    #: Manual mode's schedule: the instants, relative to the measured
-    #: run's start, at which one spare node scales out.
-    events: tuple[float, ...] = (2.0,)
-    #: Minimum time between two autoscaler actions (covers the
-    #: streaming window).
-    cooldown_s: float = 8.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in SCALE_MODES:
-            raise ValueError(f"unknown elasticity mode {self.mode!r}; "
-                             f"choose from {SCALE_MODES}")
-        for at_s in self.events:
-            if at_s < 0:
-                raise ValueError(f"ElasticityConfig.events: at_s={at_s} "
-                                 f"must be >= 0")
-        if self.cooldown_s < 0:
-            raise ValueError(f"ElasticityConfig.cooldown_s="
-                             f"{self.cooldown_s}: must be >= 0")
 
 
 class ScaleEngine:

@@ -3,10 +3,10 @@
 The paper's related-work section (Pokluda et al.) benchmarks failover by
 killing a node mid-run and watching latency/throughput.  This module
 generalizes that probe into eight fault kinds, each one a
-:class:`FaultSpec`: crash/restart, node flapping, network partitions
-(the single-rack analogue of ``dc_partition`` below), NIC degradation
-(packet loss / latency, modelled as an effective-bandwidth
-multiplier), slow-disk gray failures (a throttled
+:class:`~repro.cluster.config.FaultSpec`: crash/restart, node flapping,
+network partitions (the single-rack analogue of ``dc_partition``
+below), NIC degradation (packet loss / latency, modelled as an
+effective-bandwidth multiplier), slow-disk gray failures (a throttled
 :class:`~repro.cluster.disk.Disk` service-time multiplier) and the three
 datacenter kinds below.
 
@@ -31,123 +31,17 @@ and ``dc_slow_nic`` degrades the NICs of one datacenter's servers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, Optional, Sequence
+from typing import Generator, Sequence
 
+from repro.cluster.config import (DC_FAULT_KINDS, FAULT_ACTIONS, FLAP_CYCLES,
+                                  FLAP_UP_S, SEVERITY_KINDS, FaultSpec)
 from repro.cluster.topology import Cluster
 
-__all__ = [
-    "DC_FAULT_KINDS",
-    "FAULT_ACTIONS",
-    "FAULT_KINDS",
-    "FLAP_CYCLES",
-    "FLAP_UP_S",
-    "FailureInjector",
-    "FaultSpec",
-    "UnknownFaultTargetError",
-]
-
-#: kind -> (degrade action, heal action): what the injector logs when a
-#: fault of that kind hits a target and when it lets the target go.
-FAULT_ACTIONS = {
-    "crash": ("crash", "restart"),
-    "flap": ("crash", "restart"),
-    "partition": ("partition", "heal"),
-    "slow_nic": ("nic_degrade", "nic_heal"),
-    "slow_disk": ("disk_degrade", "disk_heal"),
-    "dc_partition": ("dc_partition", "dc_heal"),
-    "wan_degrade": ("wan_degrade", "wan_heal"),
-    "dc_slow_nic": ("nic_degrade", "nic_heal"),
-}
-
-#: The declarative fault kinds a :class:`FaultSpec` can name.
-FAULT_KINDS = tuple(FAULT_ACTIONS)
-
-#: The kinds that target a datacenter (or the WAN fabric) rather than a
-#: node id; they require a geo cluster.
-DC_FAULT_KINDS = ("dc_partition", "wan_degrade", "dc_slow_nic")
-
-#: The kinds whose ``severity`` is a service-time multiplier.
-_SEVERITY_KINDS = ("slow_nic", "slow_disk", "wan_degrade", "dc_slow_nic")
-
-#: A flap's down/up rounds, and the uptime between its down periods.
-FLAP_CYCLES = 3
-FLAP_UP_S = 1.0
+__all__ = ["FailureInjector", "UnknownFaultTargetError"]
 
 
 class UnknownFaultTargetError(ValueError):
     """A fault names a node id or datacenter the cluster does not have."""
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """One fault, JSON-safe, carried by an ``ExperimentConfig``.
-
-    ``at_s`` is relative to the base time the injector arms it at (the
-    simulation time at which the measured run begins), so the same spec
-    is reusable across cells and is part of the cell-cache fingerprint.
-    """
-
-    kind: str = "crash"
-    node_id: int = 0
-    at_s: float = 4.0
-    #: Fault duration.  crash/partition/slow_*: how long the fault lasts
-    #: (None = never cleared).  flap: the *per-cycle* downtime (None =
-    #: 1 s) of each of its :data:`FLAP_CYCLES` rounds, :data:`FLAP_UP_S`
-    #: apart.
-    duration_s: Optional[float] = 10.0
-    #: slow_nic / slow_disk / dc_slow_nic / wan_degrade: multiplier.
-    severity: float = 8.0
-    #: partition only: how many consecutive node ids (from ``node_id``)
-    #: land on the minority side of the split.
-    span: int = 2
-    #: dc_partition / dc_slow_nic only: which datacenter the fault hits.
-    datacenter: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        kind = self.kind
-        if kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {kind!r}; "
-                             f"choose from {FAULT_KINDS}")
-        if kind in ("dc_partition", "dc_slow_nic") \
-                and self.datacenter is None:
-            raise ValueError(f"fault kind {kind!r} needs a datacenter")
-        if kind in _SEVERITY_KINDS and self.severity < 1.0:
-            raise ValueError(f"FaultSpec.severity must be >= 1 for kind "
-                             f"{kind!r}, got {self.severity!r}")
-        if self.at_s < 0:
-            raise ValueError(f"FaultSpec.at_s={self.at_s!r}: must be >= 0")
-        if self.duration_s is not None and not self.duration_s > 0:
-            raise ValueError(f"FaultSpec.duration_s={self.duration_s!r}: "
-                             f"must be None (never cleared) or > 0")
-        if kind == "partition" and self.span < 1:
-            raise ValueError(f"FaultSpec.span must be >= 1 for kind "
-                             f"'partition', got {self.span!r}")
-
-    def node_ids(self) -> tuple[int, ...]:
-        """The nodes a node-scoped kind hits; ``()`` for the datacenter
-        kinds, whose servers resolve when the fault fires and heals."""
-        if self.kind in DC_FAULT_KINDS:
-            return ()
-        if self.kind == "partition":
-            return tuple(range(self.node_id, self.node_id + self.span))
-        return (self.node_id,)
-
-    @property
-    def hold_s(self) -> Optional[float]:
-        """How long each round stays degraded (None = never healed)."""
-        if self.kind == "flap" and self.duration_s is None:
-            return 1.0
-        return self.duration_s
-
-    def window(self, base_s: float = 0.0) -> tuple[float, float]:
-        """``(start, end)`` of the fault when armed at ``base_s``."""
-        at = base_s + self.at_s
-        if self.kind == "flap":
-            return (at, at + FLAP_CYCLES * (self.hold_s + FLAP_UP_S))
-        if self.duration_s is None:
-            return (at, float("inf"))
-        return (at, at + self.duration_s)
 
 
 class FailureInjector:
@@ -252,7 +146,7 @@ class FailureInjector:
             changed = self._set_wan(level)
         elif kind == "slow_disk":
             changed = _set_slowdown(self.cluster.node(target).disk, level)
-        elif kind in _SEVERITY_KINDS:
+        elif kind in SEVERITY_KINDS:
             changed = _set_slowdown(self.cluster.node(target).nic, level)
         else:
             changed = self._set_alive(target, not degraded)

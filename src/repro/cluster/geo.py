@@ -14,91 +14,19 @@ Northern California, Singapore.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.cluster.config import DEFAULT_REGION_RTTS, GeoConfig
 from repro.cluster.nic import Nic
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 
-__all__ = ["DEFAULT_REGION_RTTS", "GeoCluster", "GeoConfig",
-           "LOCAL_LATENCY_S", "WAN_BANDWIDTH_BPS"]
+__all__ = ["GeoCluster", "LOCAL_LATENCY_S", "WAN_BANDWIDTH_BPS"]
 
-#: One-way latencies (seconds) between the example regions, roughly the
-#: public round-trip figures halved: EU <-> US-West ~ 150 ms RTT,
-#: EU <-> Singapore ~ 180 ms, US-West <-> Singapore ~ 170 ms.
-DEFAULT_REGION_RTTS: dict[frozenset, float] = {
-    frozenset({"eu-west", "us-west"}): 0.075,
-    frozenset({"eu-west", "ap-southeast"}): 0.090,
-    frozenset({"us-west", "ap-southeast"}): 0.085,
-}
 #: One-way latency between nodes of the same datacenter (in-rack).
 LOCAL_LATENCY_S = 0.00003
 #: Inter-DC usable bandwidth per flow (bytes/s) — WAN links are far
 #: thinner than the in-rack GigE.
 WAN_BANDWIDTH_BPS = 30e6
-
-
-@dataclass(frozen=True)
-class GeoConfig:
-    """A multi-datacenter deployment: the one record a
-    :class:`GeoCluster` and the cell that runs on it share.
-
-    Dict-like fields are ``(key, value)`` pair tuples, so the record
-    hashes into the cell-cache fingerprint as it is.  The rest of the
-    layout is fixed: the WAN latencies are :data:`DEFAULT_REGION_RTTS`,
-    the in-datacenter hop :data:`LOCAL_LATENCY_S`, the WAN bandwidth
-    :data:`WAN_BANDWIDTH_BPS`, every node the default
-    :class:`~repro.cluster.node.NodeSpec`, and every datacenter hosts one
-    client node (appended after the servers, in datacenter order; runs
-    pick their region via ``RunSpec.client_dc``).  Cassandra-only — the
-    geo campaign exercises per-DC replica placement and the DC-aware
-    consistency levels, which are Cassandra concepts.
-    """
-
-    #: ``(datacenter, server_count)`` pairs, in node-id order.
-    datacenters: tuple = (("eu-west", 3), ("us-west", 3),
-                          ("ap-southeast", 3))
-    #: ``(datacenter, replicas)`` pairs (NetworkTopologyStrategy).
-    replication_per_dc: tuple = (("eu-west", 3), ("us-west", 3),
-                                 ("ap-southeast", 3))
-
-    def __post_init__(self) -> None:
-        names = [dc for dc, _ in self.datacenters]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate datacenters in {names}")
-        legal = sorted(set().union(*DEFAULT_REGION_RTTS))
-        for dc, count in self.datacenters:
-            if dc not in legal:
-                raise ValueError(f"GeoConfig.datacenters: {dc!r} has no WAN "
-                                 f"latencies; choose from {legal}")
-            if count < 1:
-                raise ValueError(f"GeoConfig.datacenters: {dc!r} has "
-                                 f"{count} servers; must be >= 1")
-        counts = dict(self.datacenters)
-        seen = set()
-        for dc, rf in self.replication_per_dc:
-            if dc not in counts:
-                raise ValueError(f"GeoConfig.replication_per_dc: replication "
-                                 f"configured for unknown datacenter "
-                                 f"{dc!r}")
-            if dc in seen:
-                raise ValueError(f"GeoConfig.replication_per_dc: {dc!r} is "
-                                 f"listed twice")
-            seen.add(dc)
-            if rf < 0:
-                raise ValueError(f"GeoConfig.replication_per_dc: {dc!r} has "
-                                 f"replication {rf}; must be >= 0")
-            if rf > counts[dc]:
-                raise ValueError(f"GeoConfig.replication_per_dc: datacenter "
-                                 f"{dc!r} has {counts[dc]} servers but "
-                                 f"replication {rf} requested")
-
-    @property
-    def total_nodes(self) -> int:
-        """Servers plus one client node per datacenter."""
-        return (sum(count for _, count in self.datacenters)
-                + len(self.datacenters))
 
 
 class _GeoNetwork:

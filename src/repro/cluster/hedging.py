@@ -1,4 +1,5 @@
-"""Speculative-retry (hedged request) delay policies.
+"""Client retry delay policies: speculative retries (hedged requests)
+and exponential backoff.
 
 Cassandra 2.0.2 introduced *rapid read protection* (``speculative_retry``
 per table): when the primary replica has not answered after a delay, the
@@ -13,6 +14,11 @@ hedge; :meth:`race` is the hedged wait itself, written once for both.
 Percentile policies warm up — before :data:`MIN_SAMPLES`
 observations they return ``None`` (no hedging), matching how a fresh
 table has no latency history to speculate from.
+
+:func:`backoff_delay` is the jittered exponential backoff between two
+attempts, shared by the HBase client's failover retries and the client
+tier's :class:`~repro.clienttier.retry.RetryBinding`; it lives here so
+that the tier compiles no engine.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Callable, Generator, Optional
 from repro.sim.kernel import AnyOf, Environment, Event, Timeout
 from repro.ycsb.measurements import percentile
 
-__all__ = ["HedgePolicy", "MIN_SAMPLES", "parse_hedge_spec"]
+__all__ = ["HedgePolicy", "MIN_SAMPLES", "backoff_delay", "parse_hedge_spec"]
 
 #: Latencies a percentile policy observes before it hedges at all.
 MIN_SAMPLES = 16
@@ -141,3 +147,19 @@ def _raise_failure(loser: Event) -> None:
     by now, and nothing else waits for it."""
     if not loser._ok:
         raise loser._value
+
+
+def backoff_delay(base_s: float, attempt: int, cap_s: float,
+                  rng=None) -> float:
+    """Exponential backoff for retry ``attempt`` (1-based), with jitter.
+
+    The uncapped delay doubles per attempt (``base_s * 2**(attempt-1)``),
+    is clamped to ``cap_s``, then equal-jittered into
+    ``[delay/2, delay)`` when an ``rng`` is supplied — drawn from the sim
+    RNG so the schedule is deterministic per seed.  ``rng=None`` gives
+    the pure exponential schedule (used by the pinning unit test).
+    """
+    delay = min(cap_s, base_s * (2 ** (attempt - 1)))
+    if rng is not None:
+        delay *= 0.5 + rng.random() / 2
+    return delay

@@ -66,7 +66,7 @@ class Nic:
         #: Packet loss and added latency both surface to flows as a lower
         #: effective bandwidth, so a degraded NIC is modelled as a slower
         #: one (the ``slow_nic`` / ``dc_slow_nic`` kinds of
-        #: :class:`repro.cluster.failure.FaultSpec`).
+        #: :class:`repro.cluster.config.FaultSpec`).
         #: Read at booking time: messages already queued keep the rate
         #: they were booked under.
         self.slowdown = 1.0

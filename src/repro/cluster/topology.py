@@ -361,7 +361,7 @@ class Cluster:
     #: node_id -> datacenter name on a multi-datacenter cluster; ``None``
     #: on a single rack.  :meth:`leg` reads it to tell a WAN leg.
     node_datacenter: Optional[dict] = None
-    #: The :class:`~repro.cluster.geo.GeoConfig` of a multi-datacenter
+    #: The :class:`~repro.cluster.config.GeoConfig` of a multi-datacenter
     #: cluster; ``None`` on a single rack.
     geo = None
 

@@ -4,9 +4,13 @@ An ingredient a component takes whole (an engine's knobs, the tail
 defenses, the arrival stream, the client tier, the SLO, a fault, an
 elasticity plan, the geo layout) is defined beside that component and
 re-exported here, so the component receives the very record the cell
-carries.  A value every cell agrees on is not a field of any record but
-a constant beside the code that reads it (``tests/test_config_census.py``
-checks that every leaf takes two values over the product cells).
+carries.  Where the component's machinery is armed only by the cells
+that carry it, the record sits in the component package's own
+``config`` module, so that naming a cell compiles no engine and no
+instrument (DESIGN.md §3, "What a process imports").  A value every
+cell agrees on is not a field of any record but a constant beside the
+code that reads it (``tests/test_config_census.py`` checks that every
+leaf takes two values over the product cells).
 """
 
 from __future__ import annotations
@@ -16,17 +20,16 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar, Optional
 
-from repro.adaptive.monitor import SloSpec
-from repro.cassandra.deployment import CassandraConfig
-from repro.clienttier.openloop import ClientTierConfig
-from repro.cluster.elasticity import SPARE_NODES, ElasticityConfig
-from repro.cluster.failure import FaultSpec
-from repro.cluster.geo import GeoConfig
+from repro.adaptive.config import SloSpec
+from repro.cassandra.config import CassandraConfig
+from repro.clienttier.config import ClientTierConfig
+from repro.cluster.config import (SPARE_NODES, ElasticityConfig, FaultSpec,
+                                  GeoConfig)
 from repro.cluster.topology import TailDefenseConfig
 from repro.energy.power import POWER_MODES, PowerSpec
-from repro.hbase.deployment import HBaseConfig
+from repro.hbase.config import HBaseConfig
 from repro.storage.lsm import StorageSpec
-from repro.ycsb.arrivals import ArrivalConfig
+from repro.ycsb.config import ArrivalConfig
 from repro.ycsb.workload import MICRO_WORKLOADS, STRESS_WORKLOADS, WorkloadSpec
 
 __all__ = [
@@ -143,7 +146,7 @@ class ExperimentConfig:
     #: usual single-rack cluster.
     geo: Optional[GeoConfig] = None
     #: Elasticity plan (``repro-bench scale``): provisions
-    #: :data:`~repro.cluster.elasticity.SPARE_NODES` trailing servers
+    #: :data:`~repro.cluster.config.SPARE_NODES` trailing servers
     #: outside the serving set and describes how (if at all) a run
     #: scales the cluster.
     #: ``None`` = the usual fixed-size deployment.  Only armed when the

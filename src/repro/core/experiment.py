@@ -7,52 +7,81 @@ Two entry points:
   several measured cells against it (the paper runs the five stress
   workloads back-to-back on the same loaded cluster per replication
   factor, and the consistency rounds back-to-back at RF 3).
+
+This module imports at module level only what every cell runs: the
+kernel, the transport, the YCSB client and bindings, the energy meter
+and the consistency oracle.  The engine, the geo layout, power
+management, the open-loop tier, the fault injector and the scale engine
+are imported by the session whose config carries them, at build
+(:func:`import_ingredients`); the adaptive controller by the run that
+names a policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
-from repro.adaptive.controller import AdaptiveController
-from repro.adaptive.monitor import Monitor
-from repro.adaptive.policy import EnergyAwarePolicy, make_policy
-from repro.cassandra.client import CassandraSession
-from repro.cassandra.consistency import ConsistencyLevel
-from repro.cassandra.coordinator import REPLICA_TIMEOUT_S
-from repro.cassandra.deployment import CassandraCluster
-from repro.clienttier.openloop import (ClientTier, OpenLoopClient,
-                                       build_client_stack)
-from repro.cluster.elasticity import (SPARE_NODES, ScaleEngine,
-                                      build_scale_report)
-from repro.cluster.failure import FailureInjector
-from repro.cluster.geo import GeoCluster
+from repro.cluster.config import SPARE_NODES
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.consistency.history import HistoryRecorder
 from repro.consistency.oracle import build_consistency_report
 from repro.core.config import ExperimentConfig, check_run_pacing
-from repro.core.failover import StalenessProbe, build_failover_report
 from repro.energy.cost import price
 from repro.energy.meter import EnergyMeter
-from repro.energy.power import PowerManager
-from repro.hbase.client import HBaseClient
-from repro.hbase.deployment import HBaseCluster
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
-from repro.ycsb.arrivals import UserSessions, make_arrivals
 from repro.ycsb.client import LoadResult, RunResult, YcsbClient
 from repro.ycsb.db import CassandraBinding, DbBinding, HBaseBinding
 from repro.ycsb.measurements import Measurements, mean
 from repro.ycsb.workload import STRESS_WORKLOADS, Workload, WorkloadSpec
 
+if TYPE_CHECKING:  # pragma: no cover - annotations only, no engine
+    from repro.cassandra.client import CassandraSession
+    from repro.cassandra.consistency import ConsistencyLevel
+    from repro.cassandra.deployment import CassandraCluster
+    from repro.clienttier.openloop import ClientTier
+    from repro.core.failover import StalenessProbe
+    from repro.hbase.deployment import HBaseCluster
+
 __all__ = ["LOAD_THREADS", "ExperimentResult", "ExperimentSession",
-           "run_experiment", "summarize_run"]
+           "import_ingredients", "run_experiment", "summarize_run"]
 
 #: Client threads inserting the record population.
 LOAD_THREADS = 32
 #: The longest a post-run hint drain keeps the clock running, seconds.
 HINT_DRAIN_S = 30.0
+
+
+def import_ingredients(config: ExperimentConfig, adaptive: bool) -> None:
+    """Import the modules a session of ``config`` arms: the engine
+    ``config.db`` names, the geo layout, and the machinery its measured
+    runs switch on (open-loop arrivals, faults, elasticity); with
+    ``adaptive``, also the controller a run that names a policy arms.
+
+    :class:`ExperimentSession` calls it at build, so that no measured
+    run compiles a module; :class:`~repro.core.runner.CellRunner` calls
+    it before it forks a pool, so that its workers inherit the modules
+    instead of each compiling them.
+    """
+    if config.db == "hbase":
+        import repro.hbase.client  # noqa: F401
+    else:
+        import repro.cassandra.client  # noqa: F401
+    if config.geo is not None:
+        import repro.cluster.geo  # noqa: F401
+    if config.arrivals is not None:
+        import repro.clienttier.openloop  # noqa: F401
+    if config.faults:
+        import repro.cluster.failure  # noqa: F401
+    if config.elasticity is not None:
+        import repro.cluster.elasticity  # noqa: F401
+    if config.faults or config.elasticity is not None:
+        # The read-your-writes probe both arm, and the failover report.
+        import repro.core.failover  # noqa: F401
+    if adaptive:
+        import repro.adaptive.controller  # noqa: F401
 
 
 def summarize_run(result: "RunResult") -> dict:
@@ -137,6 +166,7 @@ class _Run:
         binding — its measurements must not be cache-served, and an open
         breaker must not kill the probe process."""
         if self._probe is None:
+            from repro.core.failover import StalenessProbe
             self._probe = StalenessProbe(self.exp.env, self.binding)
             self.exp.env.process(self._probe.run(), name="staleness-probe")
         return self._probe
@@ -152,6 +182,7 @@ def _client_tier(run: _Run, switch, binding: DbBinding) -> Generator:
     exp = run.exp
     if exp.config.arrivals is None:
         raise ValueError("open_loop runs need config.arrivals")
+    from repro.clienttier.openloop import build_client_stack
     run.tier = build_client_stack(binding, exp.env, exp.rngs,
                                   exp.config.clienttier)
     yield run.tier.binding
@@ -197,6 +228,9 @@ def _adaptive(run: _Run, switch, binding: DbBinding) -> Generator:
     exp, session, cassandra = run.exp, run.session, run.exp.cassandra
     if session is None or cassandra is None:
         raise ValueError("adaptive consistency control requires Cassandra")
+    from repro.adaptive.controller import AdaptiveController
+    from repro.adaptive.monitor import Monitor
+    from repro.adaptive.policy import EnergyAwarePolicy, make_policy
     slo, env = exp.config.adaptive, exp.env
 
     def coordinator_signals() -> dict:
@@ -242,6 +276,8 @@ def _faults(run: _Run, switch, binding: DbBinding) -> Generator:
     """``inject_faults`` (and a non-empty ``config.faults``): the fault
     specs are armed relative to the run's start and a read-your-writes
     probe runs alongside the workload.  Reports ``failover``."""
+    from repro.cluster.failure import FailureInjector
+    from repro.core.failover import build_failover_report
     yield binding
     started = run.exp.env.now
     injector = FailureInjector(run.exp.cluster)
@@ -268,6 +304,7 @@ def _scale(run: _Run, switch, binding: DbBinding) -> Generator:
     exp, hbase, cassandra = run.exp, run.exp.hbase, run.exp.cassandra
     if exp.config.elasticity is None:
         raise ValueError("scale runs need config.elasticity")
+    from repro.cluster.elasticity import ScaleEngine, build_scale_report
     yield binding
     engine = ScaleEngine(exp.env, hbase if hbase is not None else cassandra,
                          exp.config.elasticity,
@@ -321,14 +358,24 @@ def _energy(run: _Run, switch, binding: DbBinding) -> Generator:
 
 
 class ExperimentSession:
-    """One deployed + loaded database, ready to run measured cells."""
+    """One deployed + loaded database, ready to run measured cells.
+
+    Building a session imports what its config arms
+    (:func:`import_ingredients`): the engine ``config.db`` names, the
+    geo layout, power management, and the machinery of the open-loop
+    tier, the faults and the elasticity plan its measured runs switch
+    on.  A run therefore compiles nothing, except the adaptive
+    controller of the first run that names a policy.
+    """
 
     def __init__(self, config: ExperimentConfig) -> None:
+        import_ingredients(config, adaptive=False)
         self.config = config
         self.env = Environment()
         self.rngs = RngRegistry(config.seed)
         geo = config.geo
         if geo is not None:
+            from repro.cluster.geo import GeoCluster
             self.cluster = GeoCluster(self.env, geo, self.rngs)
             regions = [dc for dc, _ in geo.datacenters]
         else:
@@ -340,6 +387,7 @@ class ExperimentSession:
                         in zip(regions, self.cluster.client_ids)}
         self.client_node = next(iter(client_nodes.values()))
         if config.energy.power_mode != "always_on":
+            from repro.energy.power import PowerManager
             # Power management covers the servers only — the client
             # machine is the workload generator, not part of the system
             # under test.  ``"policy"`` mode starts everything awake and
@@ -367,10 +415,12 @@ class ExperimentSession:
         #: elasticity campaign's scale-out pool (0 = classic layout).
         spares = SPARE_NODES if config.elasticity is not None else 0
         if config.db == "hbase":
+            from repro.hbase.deployment import HBaseCluster
             self.hbase = HBaseCluster(self.cluster, config.hbase,
                                       config.storage, config.tail,
                                       spare_servers=spares)
         else:
+            from repro.cassandra.deployment import CassandraCluster
             self.cassandra = CassandraCluster(
                 self.cluster, config.cassandra, config.storage, config.tail,
                 spare_nodes=spares)
@@ -395,10 +445,12 @@ class ExperimentSession:
         if op_timeout_s is not None:
             driver_kwargs["op_timeout_s"] = op_timeout_s
         if self.hbase is not None:
+            from repro.hbase.client import HBaseClient
             return None, HBaseBinding(HBaseClient(
                 self.hbase, node,
                 rng=self.rngs.stream("hbase.client.backoff"),
                 **driver_kwargs))
+        from repro.cassandra.client import CassandraSession
         session = CassandraSession(self.cassandra, node, **driver_kwargs)
         return session, CassandraBinding(session)
 
@@ -447,6 +499,7 @@ class ExperimentSession:
         cassandra = self.cassandra
         if cassandra is None:
             return
+        from repro.cassandra.coordinator import REPLICA_TIMEOUT_S
         env = self.env
         replay_s = cassandra.config.hint_replay_interval_s
         env.run(until=env.now + REPLICA_TIMEOUT_S + replay_s + 0.1)
@@ -483,6 +536,8 @@ class ExperimentSession:
 
     def _open_driver(self, run: _Run, binding: DbBinding,
                      workload: Workload) -> Generator:
+        from repro.clienttier.openloop import OpenLoopClient
+        from repro.ycsb.arrivals import UserSessions, make_arrivals
         cfg, now = self.config.arrivals, self.env.now
         arrivals = make_arrivals(cfg, self.rngs.stream(f"arrivals.{now}"))
         sessions = UserSessions(cfg.n_users,

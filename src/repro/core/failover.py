@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional, Sequence
 
-from repro.cluster.failure import FAULT_ACTIONS
+from repro.cluster.config import FAULT_ACTIONS
 from repro.keyspace import key_for_token
 from repro.sim.kernel import ModelledFailure
 from repro.ycsb.measurements import Measurements

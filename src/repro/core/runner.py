@@ -37,7 +37,8 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.core.config import ExperimentConfig, config_to_dict
-from repro.core.experiment import ExperimentSession, summarize_run
+from repro.core.experiment import (ExperimentSession, import_ingredients,
+                                   summarize_run)
 from repro.ycsb.workload import MICRO_WORKLOADS, STRESS_WORKLOADS
 
 __all__ = [
@@ -318,7 +319,14 @@ class CellRunner:
                                        duration_s=duration_s))
 
     def run(self, cells: Sequence[CellSpec]) -> list[dict]:
-        """Execute ``cells``; returns their payloads in input order."""
+        """Execute ``cells``; returns their payloads in input order.
+
+        Before it forks a pool, the parent imports the engine and
+        instruments every pending cell arms
+        (:func:`~repro.core.experiment.import_ingredients`), so that
+        the workers inherit them instead of each compiling them; a
+        serial run imports them cell by cell, as each session builds.
+        """
         total = len(cells)
         payloads: list[Optional[dict]] = [None] * total
         fingerprints: list[Optional[str]] = [None] * total
@@ -352,6 +360,11 @@ class CellRunner:
             # the pool machinery.
             from concurrent.futures import ProcessPoolExecutor, as_completed
             from concurrent.futures.process import BrokenProcessPool
+            # Compiled once, here: forked workers inherit the modules.
+            for index in pending:
+                spec = cells[index]
+                import_ingredients(spec.config, any(
+                    run.adaptive for run in spec.warm + spec.runs))
             workers = min(self.jobs, len(pending))
             with ProcessPoolExecutor(max_workers=workers,
                                      mp_context=_pool_context()) as pool:

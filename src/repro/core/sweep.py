@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
-from repro.adaptive.policy import ADAPTIVE_POLICIES
+from repro.adaptive.config import ADAPTIVE_POLICIES
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cluster.elasticity import SCALE_MODES
-from repro.cluster.failure import DC_FAULT_KINDS, FAULT_KINDS, FaultSpec
+from repro.cluster.config import (DC_FAULT_KINDS, FAULT_KINDS, SCALE_MODES,
+                                  FaultSpec)
 from repro.core import report
 from repro.core.config import (MICRO_STORAGE,
                                ArrivalConfig,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Generator, Optional
 
-from repro.cluster.hedging import HedgePolicy
+from repro.cluster.hedging import HedgePolicy, backoff_delay
 from repro.cluster.node import Node
 from repro.cluster.topology import (CLIENT_OVERHEAD_S, Cluster,
                                     DeadlineExceeded, RpcTimeout)
@@ -13,29 +13,13 @@ from repro.keyspace import KEY_DOMAIN, key_for_token, token_of
 from repro.hbase.deployment import HBaseCluster
 from repro.sim.kernel import ModelledFailure
 
-__all__ = ["BACKOFF_CAP_S", "HBaseClient", "MAX_RETRIES", "backoff_delay"]
+__all__ = ["BACKOFF_CAP_S", "HBaseClient", "MAX_RETRIES"]
 
 #: Retries per operation after the first attempt, each against a region
 #: map refreshed from the HMaster.
 MAX_RETRIES = 4
 #: Ceiling of the exponential retry backoff (seconds).
 BACKOFF_CAP_S = 5.0
-
-
-def backoff_delay(base_s: float, attempt: int, cap_s: float,
-                  rng=None) -> float:
-    """Exponential backoff for retry ``attempt`` (1-based), with jitter.
-
-    The uncapped delay doubles per attempt (``base_s * 2**(attempt-1)``),
-    is clamped to ``cap_s``, then equal-jittered into
-    ``[delay/2, delay)`` when an ``rng`` is supplied — drawn from the sim
-    RNG so the schedule is deterministic per seed.  ``rng=None`` gives
-    the pure exponential schedule (used by the pinning unit test).
-    """
-    delay = min(cap_s, base_s * (2 ** (attempt - 1)))
-    if rng is not None:
-        delay *= 0.5 + rng.random() / 2
-    return delay
 
 
 class HBaseClient:

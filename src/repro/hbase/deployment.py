@@ -8,10 +8,10 @@ runs a RegionServer co-located with a DataNode.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.cluster.topology import Cluster, TailDefenseConfig
+from repro.hbase.config import HBaseConfig
 from repro.keyspace import KEY_DOMAIN, token_of
 from repro.hbase.master import HMaster
 from repro.hbase.region import Region
@@ -21,18 +21,7 @@ from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
 from repro.storage.lsm import StorageSpec
 
-__all__ = ["HBaseCluster", "HBaseConfig"]
-
-
-@dataclass(frozen=True)
-class HBaseConfig:
-    """HBase-side knobs of one experiment cell."""
-
-    #: HDFS replication factor — the paper's replication knob for HBase.
-    replication: int = 3
-    regions_per_server: int = 2
-    #: Durability ablation: ack WAL pipeline packets from disk, not memory.
-    wal_sync: bool = False
+__all__ = ["HBaseCluster"]
 
 
 class HBaseCluster:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Generator, Protocol
+from typing import TYPE_CHECKING, Any, Generator, Protocol
 
-from repro.cassandra.client import CassandraSession
-from repro.hbase.client import HBaseClient
+if TYPE_CHECKING:  # pragma: no cover - annotations only, no engine
+    from repro.cassandra.client import CassandraSession
+    from repro.hbase.client import HBaseClient
 
 __all__ = ["CassandraBinding", "DbBinding", "HBaseBinding"]
 

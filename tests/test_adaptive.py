@@ -12,13 +12,13 @@ from dataclasses import replace
 
 import pytest
 
+from repro.adaptive.config import ADAPTIVE_POLICIES, SloSpec
 from repro.adaptive.controller import DecisionLog
 from repro.adaptive.monitor import (DECAY_WINDOWS, SKETCH_CAPACITY,
                                     STALENESS_S, Monitor, RecentWrites,
-                                    SloSpec)
-from repro.adaptive.policy import (ADAPTIVE_POLICIES, StalenessBoundPolicy,
-                                   StaticPolicy, StepwisePolicy, make_policy)
-from repro.adaptive.monitor import WindowStats
+                                    WindowStats)
+from repro.adaptive.policy import (StalenessBoundPolicy, StaticPolicy,
+                                   StepwisePolicy, make_policy)
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.core.runner import CellRunner, cell_fingerprint, execute_cell
 from repro.core.sweep import CAMPAIGNS, campaign_cells, run_campaign

@@ -14,14 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.rng import RngRegistry
-from repro.ycsb.arrivals import (
-    ArrivalConfig,
-    DiurnalArrivals,
-    FlashCrowdArrivals,
-    PoissonArrivals,
-    UserSessions,
-    make_arrivals,
-)
+from repro.ycsb.arrivals import (DiurnalArrivals, FlashCrowdArrivals,
+                                 PoissonArrivals, UserSessions, make_arrivals)
+from repro.ycsb.config import ArrivalConfig
 
 
 def _take(process, n):

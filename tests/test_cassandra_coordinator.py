@@ -1,10 +1,11 @@
 """Unit tests for coordinator plumbing: wait_for_k and scan routing."""
 
 from repro.cassandra.client import CassandraSession
+from repro.cassandra.config import CassandraConfig
 from repro.cassandra.consistency import ConsistencyLevel, UnavailableError
 from repro.cassandra.coordinator import (ReadTimeoutError, WriteTimeoutError,
                                          wait_for_k)
-from repro.cassandra.deployment import CassandraCluster, CassandraConfig
+from repro.cassandra.deployment import CassandraCluster
 from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.keyspace import key_for_index
 from repro.sim.kernel import Environment

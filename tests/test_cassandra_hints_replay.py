@@ -1,7 +1,8 @@
 """Edge cases for hinted handoff and eventual delivery."""
 
 from repro.cassandra.client import CassandraSession
-from repro.cassandra.deployment import CassandraCluster, CassandraConfig
+from repro.cassandra.config import CassandraConfig
+from repro.cassandra.deployment import CassandraCluster
 from repro.cassandra.hints import Hint
 from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.keyspace import key_for_index

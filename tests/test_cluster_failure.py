@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.cluster.failure import (FAULT_ACTIONS, FLAP_CYCLES, FLAP_UP_S,
-                                   FailureInjector, FaultSpec,
-                                   UnknownFaultTargetError)
+from repro.cluster.config import (FAULT_ACTIONS, FLAP_CYCLES, FLAP_UP_S,
+                                  FaultSpec)
+from repro.cluster.failure import FailureInjector, UnknownFaultTargetError
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
@@ -208,7 +208,8 @@ class TestDcFaultValidation:
     when they name targets the cluster does not have."""
 
     def _geo_cluster(self):
-        from repro.cluster.geo import GeoCluster, GeoConfig
+        from repro.cluster.config import GeoConfig
+        from repro.cluster.geo import GeoCluster
         env = Environment()
         return GeoCluster(env, GeoConfig(
             datacenters=(("eu-west", 2), ("us-west", 2)),

@@ -18,7 +18,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cluster.failure import FailureInjector, FaultSpec
+from repro.cluster.config import FaultSpec
+from repro.cluster.failure import FailureInjector
 from repro.consistency.checkers import check_history, check_linearizable_key
 from repro.core.explorer import check_sweep
 from repro.consistency.history import History, HistoryOp, HistoryRecorder

@@ -22,9 +22,11 @@ its outcome, as when a generator's ``finally`` ran.
 import pytest
 
 from repro.cassandra.client import CassandraSession
+from repro.cassandra.config import CassandraConfig
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cassandra.deployment import CassandraCluster, CassandraConfig
-from repro.cluster.geo import GeoCluster, GeoConfig
+from repro.cassandra.deployment import CassandraCluster
+from repro.cluster.config import GeoConfig
+from repro.cluster.geo import GeoCluster
 from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.keyspace import key_for_index
 from repro.sim.kernel import Environment

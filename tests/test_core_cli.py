@@ -8,15 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster.failure import FaultSpec
+from repro.cluster.config import FaultSpec
 from repro.core.cli import build_parser, campaign_args, main
 from repro.core.config import (ArrivalConfig, ClientTierConfig,
                                TailDefenseConfig, default_micro_config)
 from repro.core.report import ENERGY_COLUMNS
 from repro.core.runner import CellSpec, RunSpec
-from repro.core.sweep import (_ARRIVAL_SHAPE, CAMPAIGNS, GEO_SCENARIOS,
-                              SURGE_MODES, TAIL_MODES, Axis, Campaign, Scale,
-                              campaign_cells, render_campaign, run_campaign)
+from repro.core.sweep import (CAMPAIGNS, GEO_SCENARIOS, SURGE_MODES,
+                              TAIL_MODES, _ARRIVAL_SHAPE, Axis, Campaign,
+                              Scale, campaign_cells, render_campaign,
+                              run_campaign)
 
 
 class TestParser:

@@ -6,16 +6,10 @@ import typing
 import pytest
 
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cluster.failure import FaultSpec
-from repro.core.config import (
-    ArrivalConfig,
-    CassandraConfig,
-    ElasticityConfig,
-    ExperimentConfig,
-    GeoConfig,
-    default_micro_config,
-    default_stress_config,
-)
+from repro.cluster.config import FaultSpec
+from repro.core.config import (ArrivalConfig, CassandraConfig,
+                               ElasticityConfig, ExperimentConfig, GeoConfig,
+                               default_micro_config, default_stress_config)
 from repro.core.experiment import ExperimentSession
 from repro.storage.lsm import StorageSpec
 from repro.ycsb.workload import STRESS_WORKLOADS

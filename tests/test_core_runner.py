@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster.failure import FailureInjector, FaultSpec
+from repro.cluster.config import FaultSpec
+from repro.cluster.failure import FailureInjector
 from repro.core import runner as runner_module
 from repro.core.config import (config_to_dict, config_to_json,
                                default_micro_config, default_stress_config)

@@ -9,8 +9,8 @@ cutting without paying for a cluster.
 
 import pytest
 
-from repro.cluster.elasticity import (P95_BREACH_MS, P95_RELAX_MS,
-                                      ElasticityConfig, ScaleEngine,
+from repro.cluster.config import ElasticityConfig
+from repro.cluster.elasticity import (P95_BREACH_MS, P95_RELAX_MS, ScaleEngine,
                                       _transfer_windows, build_scale_report)
 from repro.sim.kernel import Environment
 from repro.ycsb.measurements import Measurements

@@ -13,14 +13,15 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cassandra.config import CassandraConfig
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cassandra.deployment import CassandraConfig
-from repro.cluster.geo import GeoCluster, GeoConfig
+from repro.cluster.config import GeoConfig
+from repro.cluster.geo import GeoCluster
 from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.core.config import default_stress_config
 from repro.core.experiment import ExperimentSession
 from repro.core.sweep import CAMPAIGNS, campaign_cells
-from repro.hbase.deployment import HBaseConfig
+from repro.hbase.config import HBaseConfig
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec

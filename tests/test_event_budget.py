@@ -47,9 +47,10 @@ from dataclasses import replace
 import pytest
 
 from repro.cassandra.client import CassandraSession
+from repro.cassandra.config import CassandraConfig
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.cassandra.coordinator import Coordinator
-from repro.cassandra.deployment import CassandraCluster, CassandraConfig
+from repro.cassandra.deployment import CassandraCluster
 from repro.cassandra.partitioner import TokenRing
 from repro.cluster.node import Node
 from repro.cluster.topology import (ENVELOPE_BYTES, AsyncCall, Cluster,
@@ -60,7 +61,8 @@ from repro.core.config import (ArrivalConfig, ClientTierConfig,
 from repro.core.experiment import ExperimentSession, summarize_run
 from repro.energy.power import PowerManager, PowerSpec
 from repro.hbase.client import HBaseClient
-from repro.hbase.deployment import HBaseCluster, HBaseConfig
+from repro.hbase.config import HBaseConfig
+from repro.hbase.deployment import HBaseCluster
 from repro.hbase.regionserver import PIPELINE_DEPTH, NotServingRegion
 from repro.hdfs.datanode import PACKET_CPU_S, DataNode
 from repro.hdfs.pipeline import ACK_BYTES, pipeline_write

@@ -12,12 +12,14 @@ loop.
 import pytest
 
 from repro.cassandra.client import CassandraSession
+from repro.cassandra.config import CassandraConfig
 from repro.cassandra.consistency import ConsistencyLevel, UnavailableError
 from repro.cassandra.coordinator import WriteTimeoutError
-from repro.cassandra.deployment import CassandraCluster, CassandraConfig
+from repro.cassandra.deployment import CassandraCluster
 from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.hbase.client import HBaseClient
-from repro.hbase.deployment import HBaseCluster, HBaseConfig
+from repro.hbase.config import HBaseConfig
+from repro.hbase.deployment import HBaseCluster
 from repro.hbase.regionserver import NotServingRegion
 from repro.keyspace import key_for_index, token_of
 from repro.sim.kernel import Environment, Event, ModelledFailure

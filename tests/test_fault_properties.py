@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.failure import (DC_FAULT_KINDS, FAULT_ACTIONS,
-                                   FAULT_KINDS, FLAP_CYCLES, FLAP_UP_S,
-                                   FailureInjector, FaultSpec,
-                                   UnknownFaultTargetError)
-from repro.cluster.geo import GeoCluster, GeoConfig
+from repro.cluster.config import (DC_FAULT_KINDS, FAULT_ACTIONS, FAULT_KINDS,
+                                  FLAP_CYCLES, FLAP_UP_S, FaultSpec, GeoConfig)
+from repro.cluster.failure import FailureInjector, UnknownFaultTargetError
+from repro.cluster.geo import GeoCluster
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry

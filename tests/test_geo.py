@@ -3,12 +3,14 @@
 import pytest
 
 from repro.cassandra.client import CassandraSession
+from repro.cassandra.config import CassandraConfig
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cassandra.deployment import CassandraCluster, CassandraConfig
+from repro.cassandra.deployment import CassandraCluster
 from repro.cassandra.multidc import NetworkTopologyStrategy, SimpleStrategy
 from repro.cassandra.partitioner import TokenRing
-from repro.cluster.failure import FailureInjector, FaultSpec
-from repro.cluster.geo import GeoCluster, GeoConfig
+from repro.cluster.config import FaultSpec, GeoConfig
+from repro.cluster.failure import FailureInjector
+from repro.cluster.geo import GeoCluster
 from repro.cluster.topology import TailDefenseConfig
 from repro.keyspace import key_for_index
 from repro.sim.kernel import Environment

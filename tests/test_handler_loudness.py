@@ -36,12 +36,15 @@ import pytest
 
 from repro.cassandra import coordinator
 from repro.cassandra.client import CassandraSession
+from repro.cassandra.config import CassandraConfig
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cassandra.deployment import CassandraCluster, CassandraConfig
-from repro.cluster.geo import GeoCluster, GeoConfig
+from repro.cassandra.deployment import CassandraCluster
+from repro.cluster.config import GeoConfig
+from repro.cluster.geo import GeoCluster
 from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.hbase.client import HBaseClient
-from repro.hbase.deployment import HBaseCluster, HBaseConfig
+from repro.hbase.config import HBaseConfig
+from repro.hbase.deployment import HBaseCluster
 from repro.hdfs.block import DfsFile
 from repro.hdfs.client import DfsClient
 from repro.hdfs.datanode import DataNode

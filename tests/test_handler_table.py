@@ -8,8 +8,9 @@ A handler wrapped in that table sees both paths.
 
 import pytest
 
+from repro.cassandra.config import CassandraConfig
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cassandra.deployment import CassandraCluster, CassandraConfig
+from repro.cassandra.deployment import CassandraCluster
 from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.keyspace import key_for_index
 from repro.sim.kernel import Environment

@@ -4,8 +4,10 @@ import pytest
 
 from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.keyspace import KEY_DOMAIN, key_for_index, key_for_token, token_of
-from repro.hbase.client import HBaseClient, backoff_delay
-from repro.hbase.deployment import HBaseCluster, HBaseConfig
+from repro.cluster.hedging import backoff_delay
+from repro.hbase.client import HBaseClient
+from repro.hbase.config import HBaseConfig
+from repro.hbase.deployment import HBaseCluster
 from repro.hbase.region import Region
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry

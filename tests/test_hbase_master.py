@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
-from repro.hbase.deployment import HBaseCluster, HBaseConfig
+from repro.hbase.config import HBaseConfig
+from repro.hbase.deployment import HBaseCluster
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec

@@ -12,13 +12,15 @@ import gc
 
 import pytest
 
+from repro.cassandra.config import CassandraConfig
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cassandra.deployment import CassandraCluster, CassandraConfig
+from repro.cassandra.deployment import CassandraCluster
 from repro.cluster.hedging import HedgePolicy
 from repro.cluster.topology import (AsyncCall, Cluster, ClusterSpec,
                                     TailDefenseConfig)
 from repro.hbase.client import HBaseClient
-from repro.hbase.deployment import HBaseCluster, HBaseConfig
+from repro.hbase.config import HBaseConfig
+from repro.hbase.deployment import HBaseCluster
 from repro.keyspace import key_for_index, token_of
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry

@@ -10,6 +10,10 @@ that cannot trip on a fault-free cell.  Both sides must
 give the same kernel trace digest, the same event count and the same
 measurement fields of the run summary.  A row that fails is an observer
 effect or a wrong equivalence, not a number to re-pin.
+
+The last row is the runner itself: a pool of two worker processes,
+whose parent imports the cells' engines and instruments before it
+forks, runs those neutral cells to the payloads a serial runner gives.
 """
 
 import json
@@ -21,6 +25,7 @@ import pytest
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.core.config import (ClientTierConfig, ElasticityConfig,
                                EnergyConfig, TailDefenseConfig)
+from repro.core.runner import CellRunner, CellSpec, RunSpec
 from repro.ycsb.workload import STRESS_WORKLOADS
 from tests.conftest import traced_run
 from tests.test_run_assembly import BASE_KEYS, _closed, _elastic, _open
@@ -123,3 +128,30 @@ def test_a_non_neutral_ingredient_shows(plain, changed):
     because their ingredient is neutral, not because it never reached
     the run."""
     assert _run(plain)[0] != _run(changed)[0]
+
+
+def test_a_pool_runs_the_cells_a_serial_runner_runs():
+    """``--jobs 2`` against ``--jobs 1`` on cells with the neutral
+    ingredients on: both engines, the oracle, a static policy, power
+    management that never parks, a breaker that cannot trip, and a
+    manual scaling plan with no events.  The payloads, kernel event
+    counts included, must be equal."""
+    checked = RunSpec("read_update", check=True)
+    cells = [
+        CellSpec("hbase", "hbase/oracle", _cell("hbase"), (checked,)),
+        CellSpec("cassandra", "cassandra/static-one",
+                 _cell("cassandra", power_mode="policy"),
+                 (RunSpec("read_update", check=True,
+                          adaptive="static-one"),)),
+        CellSpec("open", "cassandra/breaker",
+                 _open_cell(ClientTierConfig(breaker_failure_rate=1.0)),
+                 (RunSpec("read_mostly"),)),
+        CellSpec("elastic", "cassandra/no-scale-out",
+                 replace(_elastic("cassandra"),
+                         elasticity=ElasticityConfig(mode="manual",
+                                                     events=())),
+                 (RunSpec("read_mostly"),)),
+    ]
+    serial = CellRunner(jobs=1).run(cells)
+    assert all(payload["kernel"]["events"] > 0 for payload in serial)
+    assert CellRunner(jobs=2).run(cells) == serial

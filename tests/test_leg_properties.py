@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.geo import (DEFAULT_REGION_RTTS, LOCAL_LATENCY_S,
-                               WAN_BANDWIDTH_BPS, GeoCluster, GeoConfig)
+from repro.cluster.config import DEFAULT_REGION_RTTS, GeoConfig
+from repro.cluster.geo import LOCAL_LATENCY_S, WAN_BANDWIDTH_BPS, GeoCluster
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.energy.power import PowerManager, PowerSpec

@@ -208,7 +208,7 @@ class TestFailoverShapes:
         # replica become hints and land after restart.
         from dataclasses import replace as dc_replace
 
-        from repro.cluster.failure import FaultSpec
+        from repro.cluster.config import FaultSpec
         from repro.core.config import default_stress_config
         from repro.core.experiment import ExperimentSession
 

@@ -12,7 +12,8 @@ from repro.cassandra.multidc import NetworkTopologyStrategy
 from repro.cassandra.partitioner import TokenRing
 from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.consistency.oracle import _geo_strong
-from repro.hbase.deployment import HBaseCluster, HBaseConfig
+from repro.hbase.config import HBaseConfig
+from repro.hbase.deployment import HBaseCluster
 from repro.keyspace import KEY_DOMAIN, key_for_index, key_for_token, token_of
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry

@@ -12,7 +12,7 @@ cell and a fault-injected failover cell.
 import json
 from dataclasses import replace
 
-from repro.cluster.failure import FaultSpec
+from repro.cluster.config import FaultSpec
 from repro.core.config import default_micro_config, scaled_stress_storage
 from repro.core.sweep import CAMPAIGNS, campaign_cells
 from tests.conftest import traced_run

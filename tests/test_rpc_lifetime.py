@@ -20,15 +20,17 @@ from types import FunctionType
 import pytest
 
 from repro.cassandra.client import CassandraSession
+from repro.cassandra.config import CassandraConfig
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cassandra.deployment import CassandraCluster, CassandraConfig
+from repro.cassandra.deployment import CassandraCluster
 from repro.cluster.topology import (AsyncCall, Cluster, ClusterSpec,
-                                    DeadlineExceeded, DeadNodeError,
+                                    DeadNodeError, DeadlineExceeded,
                                     RpcTimeout, TailDefenseConfig)
 from repro.core.config import default_stress_config, scaled_stress_storage
 from repro.core.experiment import ExperimentSession
 from repro.hbase.client import HBaseClient
-from repro.hbase.deployment import HBaseCluster, HBaseConfig
+from repro.hbase.config import HBaseConfig
+from repro.hbase.deployment import HBaseCluster
 from repro.hbase.regionserver import _Round
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.pipeline import _PipelineWrite, pipeline_write

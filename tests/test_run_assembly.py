@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cassandra.consistency import ConsistencyLevel
-from repro.cluster.failure import FaultSpec
+from repro.cluster.config import FaultSpec
 from repro.core.config import (ArrivalConfig, ClientTierConfig,
                                ElasticityConfig, default_scale_config,
                                default_surge_config, scaled_stress_storage)

@@ -9,13 +9,15 @@ spent budget is never retried.
 import pytest
 
 from repro.cassandra.client import CassandraSession
-from repro.cassandra.deployment import CassandraCluster, CassandraConfig
+from repro.cassandra.config import CassandraConfig
+from repro.cassandra.deployment import CassandraCluster
 from repro.cluster.hedging import parse_hedge_spec
 from repro.cluster.topology import (Cluster, ClusterSpec, DeadlineExceeded,
                                     RpcTimeout, TailDefenseConfig)
 from repro.core.experiment import ExperimentSession
 from repro.core.sweep import CAMPAIGNS, TAIL_SCENARIOS, campaign_cells
-from repro.hbase.deployment import HBaseCluster, HBaseConfig
+from repro.hbase.config import HBaseConfig
+from repro.hbase.deployment import HBaseCluster
 from repro.keyspace import key_for_index
 from repro.sim.kernel import Environment
 from repro.sim.resources import Overloaded

@@ -10,7 +10,8 @@ from repro.core import experiment
 from repro.core.experiment import ExperimentSession
 from repro.keyspace import key_for_index
 from repro.hbase.client import HBaseClient
-from repro.hbase.deployment import HBaseCluster, HBaseConfig
+from repro.hbase.config import HBaseConfig
+from repro.hbase.deployment import HBaseCluster
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec
