@@ -81,9 +81,8 @@ class Policy:
 class StaticPolicy(Policy):
     """Fixed CLs — the non-adaptive baseline."""
 
-    def __init__(self, slo: SloSpec,
-                 read_cl: ConsistencyLevel = ConsistencyLevel.ONE,
-                 write_cl: ConsistencyLevel = ConsistencyLevel.ONE) -> None:
+    def __init__(self, slo: SloSpec, read_cl: ConsistencyLevel,
+                 write_cl: ConsistencyLevel) -> None:
         super().__init__(slo)
         self.read_cl = read_cl
         self.write_cl = write_cl

@@ -50,8 +50,8 @@ class CircuitBreaker:
     breaker is as deterministic as everything else in the kernel.
     """
 
-    def __init__(self, clock, failure_rate: float = 0.5,
-                 cooldown_s: float = 1.0) -> None:
+    def __init__(self, clock, failure_rate: float,
+                 cooldown_s: float) -> None:
         if not 0.0 < failure_rate <= 1.0:
             raise ValueError("failure_rate must be in (0, 1]")
         if cooldown_s <= 0:

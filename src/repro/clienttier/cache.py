@@ -40,7 +40,7 @@ class CacheAsideBinding:
     """
 
     def __init__(self, inner: DbBinding, env: Environment,
-                 ttl_s: float = 0.5, capacity: int = 1024) -> None:
+                 ttl_s: float, capacity: int) -> None:
         if ttl_s <= 0 or capacity < 1:
             raise ValueError("ttl_s must be positive and capacity >= 1")
         self.inner = inner

@@ -35,8 +35,8 @@ class LoadLeveler:
     escaping error would kill a pool worker for every later request.
     """
 
-    def __init__(self, env: Environment, workers: int = 8,
-                 max_queue: int = 64) -> None:
+    def __init__(self, env: Environment, workers: int,
+                 max_queue: int) -> None:
         if workers < 1 or max_queue < 1:
             raise ValueError("workers and max_queue must be >= 1")
         self.env = env

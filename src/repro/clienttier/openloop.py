@@ -55,11 +55,11 @@ class ClientTier:
     """One run's assembled defense stack plus its accounting handles."""
 
     def __init__(self, binding: DbBinding,
-                 breaker: Optional[CircuitBreaker] = None,
-                 retry: Optional[RetryBinding] = None,
-                 limiter: Optional[TenantRateLimiter] = None,
-                 leveler: Optional[LoadLeveler] = None,
-                 cache: Optional[CacheAsideBinding] = None) -> None:
+                 breaker: Optional[CircuitBreaker],
+                 retry: Optional[RetryBinding],
+                 limiter: Optional[TenantRateLimiter],
+                 leveler: Optional[LoadLeveler],
+                 cache: Optional[CacheAsideBinding]) -> None:
         self.binding = binding
         self.breaker = breaker
         self.retry = retry
@@ -141,8 +141,8 @@ class OpenLoopClient:
 
     def __init__(self, env: Environment, db: DbBinding, workload: Workload,
                  arrivals: ArrivalProcess,
-                 sessions: Optional[UserSessions] = None,
-                 tier: Optional[ClientTier] = None) -> None:
+                 sessions: Optional[UserSessions],
+                 tier: Optional[ClientTier]) -> None:
         self.env = env
         self.db = db
         self.workload = workload
@@ -229,7 +229,7 @@ class OpenLoopClient:
 
     def _op_thunk(self, op: OperationType, arrived_at: float,
                   measurements: Measurements, state: dict,
-                  read_key: Optional[str] = None):
+                  read_key: Optional[str]):
         """One operation as a zero-argument generator factory.
 
         Latency is ``completion - arrived_at``: when the thunk sat in

@@ -30,7 +30,7 @@ class TenantRateLimiter:
     """
 
     def __init__(self, clock, rate_per_tenant: float,
-                 burst: float = 10.0) -> None:
+                 burst: float) -> None:
         if rate_per_tenant <= 0:
             raise ValueError("rate_per_tenant must be positive")
         self._clock = clock

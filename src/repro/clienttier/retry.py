@@ -42,7 +42,7 @@ class RetryBudget:
     :data:`BURST` caps how much unused budget can accumulate.
     """
 
-    def __init__(self, clock, ratio: float = 0.2) -> None:
+    def __init__(self, clock, ratio: float) -> None:
         if ratio < 0:
             raise ValueError("ratio must be >= 0")
         self.ratio = ratio
@@ -73,9 +73,8 @@ class RetryBinding:
     ``budget_denied``), so accounting stays by true failure kind.
     """
 
-    def __init__(self, inner: DbBinding, env, rng, retries: int = 3,
-                 backoff_s: float = 0.05,
-                 budget: Optional[RetryBudget] = None) -> None:
+    def __init__(self, inner: DbBinding, env, rng, retries: int,
+                 backoff_s: float, budget: Optional[RetryBudget]) -> None:
         if retries < 0:
             raise ValueError("retries must be >= 0")
         self.inner = inner

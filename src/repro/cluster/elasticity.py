@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Generator, Optional, Sequence
 
 from repro.cluster.config import ElasticityConfig
-from repro.ycsb.measurements import Measurements, mean, percentile, total
+from repro.ycsb.measurements import Measurements, summarize, total
 
 __all__ = ["BREACH_WINDOWS", "IDLE_WINDOWS", "P95_BREACH_MS", "P95_RELAX_MS",
            "ScaleEngine", "WINDOW_S", "build_scale_report"]
@@ -123,7 +123,7 @@ class ScaleEngine:
                         for (t, lat) in m.samples[op] if t > cut)
         if not window:
             return None
-        return percentile(window, 0.95) * 1000.0
+        return summarize(window, 0).p95 * 1000.0
 
     def _autoscale(self) -> Generator:
         cfg = self.config
@@ -171,15 +171,9 @@ def _transfer_windows(log: Sequence[tuple[float, str, int]],
 
 
 def _phase_stats(latencies: list[float]) -> dict:
-    if not latencies:
-        return {"ops": 0, "mean_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0}
-    ordered = sorted(latencies)
-    return {
-        "ops": len(ordered),
-        "mean_ms": mean(ordered) * 1000.0,
-        "p95_ms": percentile(ordered, 0.95) * 1000.0,
-        "p99_ms": percentile(ordered, 0.99) * 1000.0,
-    }
+    stats = summarize(sorted(latencies), 0)
+    return {"ops": stats.count, "mean_ms": stats.mean_ms,
+            "p95_ms": stats.p95 * 1000.0, "p99_ms": stats.p99_ms}
 
 
 def build_scale_report(measurements: Measurements,

@@ -45,7 +45,7 @@ class _GeoNetwork:
         self._rng = rng
         self.messages = 0
 
-    def sample_latency(self, src: Nic, dst: Nic, size: int = 0) -> float:
+    def sample_latency(self, src: Nic, dst: Nic, size: int) -> float:
         """One hop delay draw, priced by the endpoints' datacenters.
 
         Cross-DC hops pay the region latency plus WAN serialization at

@@ -96,7 +96,6 @@ class CheckOutcome:
     """Everything one history check produced."""
 
     violations: list[Violation] = field(default_factory=list)
-    keys_checked: int = 0
 
     def count(self, kind: str) -> int:
         return sum(1 for v in self.violations if v.kind == kind)
@@ -315,7 +314,6 @@ def check_history(history: History, *, strong: bool) -> CheckOutcome:
     """
     outcome = CheckOutcome()
     for key, ops in sorted(history.per_key().items()):
-        outcome.keys_checked += 1
         reads = _ok_reads(ops)
         writes = _acked_writes(ops)
         outcome.violations.extend(

@@ -317,12 +317,9 @@ def disk_exposed_storage(db: str, record_count: int, n_servers: int,
     )
 
 
-def default_surge_config(db: str,
-                         arrivals: Optional[ArrivalConfig] = None,
-                         clienttier: Optional[ClientTierConfig] = None,
-                         record_count: int = 4_000,
-                         n_nodes: int = 8,
-                         seed: int = 42) -> ExperimentConfig:
+def default_surge_config(db: str, arrivals: ArrivalConfig,
+                         clienttier: ClientTierConfig, record_count: int,
+                         n_nodes: int, seed: int) -> ExperimentConfig:
     """One flash-crowd survival cell (``repro-bench surge``).
 
     A read-mostly zipfian mix (the profile a cache-aside tier can help)
@@ -333,7 +330,6 @@ def default_surge_config(db: str,
     absorb.  ``operation_count`` only sizes the closed-loop warm-up;
     measured runs draw their length from ``arrivals.max_arrivals``.
     """
-    arrivals = arrivals or ArrivalConfig()
     return ExperimentConfig(
         db=db,
         workload=STRESS_WORKLOADS["read_mostly"],
@@ -347,17 +343,14 @@ def default_surge_config(db: str,
         # ceiling, with ~10% of that tree cached.
         storage=disk_exposed_storage("cassandra", record_count,
                                      n_nodes - 1, 0.10),
-        clienttier=clienttier or ClientTierConfig(),
+        clienttier=clienttier,
         arrivals=arrivals,
     )
 
 
-def default_scale_config(db: str,
-                         elasticity: Optional[ElasticityConfig] = None,
-                         arrivals: Optional[ArrivalConfig] = None,
-                         record_count: int = 3_000,
-                         n_nodes: int = 8,
-                         seed: int = 42) -> ExperimentConfig:
+def default_scale_config(db: str, elasticity: ElasticityConfig,
+                         arrivals: ArrivalConfig, record_count: int,
+                         n_nodes: int, seed: int) -> ExperimentConfig:
     """One elasticity cell (``repro-bench scale``).
 
     A read-mostly open-loop cell on a small cluster whose *serving* set
@@ -368,10 +361,6 @@ def default_scale_config(db: str,
     visible in the latency profile — which is what the autoscaler's
     breach/relax thresholds key on.
     """
-    elasticity = elasticity or ElasticityConfig()
-    arrivals = arrivals or ArrivalConfig(process="diurnal", rate=800.0,
-                                         max_arrivals=8_000, period_s=20.0,
-                                         peak_factor=3.0)
     serving = n_nodes - 1 - SPARE_NODES
     return ExperimentConfig(
         db=db,

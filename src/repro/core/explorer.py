@@ -30,11 +30,9 @@ from repro.core.sweep import campaign_cells
 __all__ = ["check_sweep"]
 
 
-def check_sweep(db: str, mode: str = "QUORUM",
-                seeds: Union[int, Sequence[int]] = 25,
-                fault: Optional[str] = None,
+def check_sweep(db: str, mode: str, seeds: Union[int, Sequence[int]],
+                scale, fault: Optional[str] = None,
                 no_repair: bool = False,
-                scale=None,
                 runner: Optional[CellRunner] = None) -> dict:
     """Explore ``seeds`` schedules and aggregate the violation verdict.
 

@@ -61,16 +61,11 @@ def energy_rollup(parts: Iterable[tuple[float, float, int]]) -> dict:
     return {"joules_per_op": total_j / ops,
             "usd_per_mops": usd / (ops / 1e6)}
 
-def render_progress(event, completed: Optional[int] = None) -> str:
-    """One line per finished sweep cell (a :class:`CellProgress`).
-
-    ``completed`` is the caller's running completion count; without it
-    the cell's submission index stands in (exact for serial runs, merely
-    indicative when cells finish out of order under ``--jobs``).
-    """
-    n = (event.index + 1) if completed is None else completed
+def render_progress(event, completed: int) -> str:
+    """One line per finished sweep cell (a :class:`CellProgress`);
+    ``completed`` is the caller's running completion count."""
     status = "cached" if event.cached else f"{event.duration_s:.1f}s"
-    return f"[{n}/{event.total}] {event.label} ({status})"
+    return f"[{completed}/{event.total}] {event.label} ({status})"
 
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence],

@@ -112,14 +112,16 @@ class Scale:
     one fragment per ingredient, typed by the config dataclass the cells
     carry.  Each campaign's ``full`` and ``quick`` literals sit beside
     its cell builder, which reads the fields its cells need and ignores
-    the rest.
+    the rest.  A field is here because some campaign's ``quick`` changes
+    it (``seed`` too: ``check`` varies it per cell); a value every scale
+    of a campaign shares is a constant beside its builder.
 
     An ingredient fragment holds the campaign's *full stack*; the axis
-    tables (:data:`TAIL_MODES`, :data:`SURGE_MODES`,
-    :data:`GEO_SCENARIOS`, ``_ARRIVAL_SHAPE``) name the fields of it a
-    mode or scenario keeps.  A field the cell's code path never reads
-    stays at its class default, so a cell's identity (cache fingerprint,
-    pinned digest) carries only the knobs that shape it.  The ``geo``
+    tables (:data:`SURGE_MODES`, :data:`GEO_SCENARIOS`,
+    ``_ARRIVAL_SHAPE``) name the fields of it a mode or scenario keeps.
+    A field the cell's code path never reads stays at its class default,
+    so a cell's identity (cache fingerprint, pinned digest) carries only
+    the knobs that shape it.  The ``geo``
     fragment is the layout itself: a geo cell carries it whole, and it
     sizes the cluster.
     """
@@ -143,23 +145,16 @@ class Scale:
     #: Simulated seconds each run spans where ``operation_count`` is
     #: derived from the target.
     duration_s: Optional[float] = None
-    #: Replication factors, where the campaign sweeps them itself
-    #: (fig1/fig2 take theirs from ``--max-rf``).
-    rfs: tuple = ()
 
     # -- ingredients: the campaign's full stack of each ----------------------
     #: When the fault fires and how long it lasts, relative to the
     #: measured run's start, plus its shape; the scenario names the kind
     #: and which shape fields (severity / span / datacenter) apply.
     fault: FaultSpec = FaultSpec()
-    #: The scenario names ``process``, the scale mode ``mode`` and the
-    #: power mode ``power_mode``.
+    #: The scenario names ``process`` and the scale mode ``mode``.
     arrivals: ArrivalConfig = ArrivalConfig()
     clienttier: ClientTierConfig = ClientTierConfig()
-    tail: TailDefenseConfig = TailDefenseConfig()
-    slo: SloSpec = SloSpec()
     elasticity: ElasticityConfig = ElasticityConfig()
-    energy: EnergyConfig = EnergyConfig()
     #: adaptive: the engine knobs its cells run with.
     cassandra: CassandraConfig = CassandraConfig()
     #: geo: the datacenters and the replicas placed in each.
@@ -467,16 +462,18 @@ def _failover_cells(db: str, scale: Scale, faults: Sequence[str],
 
 # -- Tail-latency defense campaigns: db x scenario x defense mode -----------
 
-_DEADLINE_STACK = ("deadline_s", "handler_slots", "max_handler_queue",
-                   "max_inflight")
+_DEADLINE = TailDefenseConfig(deadline_s=0.25, handler_slots=4,
+                              max_handler_queue=8, max_inflight=48)
 
-#: Defense stacks in the order the campaign compares them, as the fields
-#: of the scale's ``tail`` each keeps: no defense, deadline propagation +
-#: bounded queues + admission control, and the same plus hedged reads.
+#: Defense stacks in the order the campaign compares them: no defense,
+#: deadline propagation + bounded queues + admission control, and the
+#: same plus hedged reads.  The hedge trigger sits above the healthy
+#: cache-miss latency so speculation targets the gray replica's
+#: stragglers, not every disk read.
 TAIL_MODES = {
-    "none": (),
-    "deadline": _DEADLINE_STACK,
-    "hedge": _DEADLINE_STACK + ("hedge",),
+    "none": TailDefenseConfig(),
+    "deadline": _DEADLINE,
+    "hedge": replace(_DEADLINE, hedge="p95"),
 }
 
 #: The two stress scenarios the defenses are judged under: one
@@ -498,12 +495,7 @@ _TAIL = Scale(
     # closed-loop threads — deliberately past the bounded queues' total
     # capacity, so shedding (not hedging) is the operative defense.
     overload_threads=96, overload_operations=12_000,
-    fault=FaultSpec(at_s=2.0, duration_s=8.0, severity=8.0),
-    # Modes "deadline" and "hedge".  The hedge trigger sits above the
-    # healthy cache-miss latency so speculation targets the gray
-    # replica's stragglers, not every disk read.
-    tail=TailDefenseConfig(deadline_s=0.25, hedge="p95", handler_slots=4,
-                           max_handler_queue=8, max_inflight=48))
+    fault=FaultSpec(at_s=2.0, duration_s=8.0, severity=8.0))
 
 _TAIL_QUICK = replace(
     _TAIL, record_count=3_000, operation_count=8_000, n_threads=16,
@@ -527,7 +519,7 @@ def _tail_cells(db: str, scale: Scale, modes: Sequence[str],
                 # all replicas into the read path, which leaves no spare
                 # replica to hedge to for that request.
                 cassandra=CassandraConfig(read_repair_chance=0.0),
-                tail=_keep(scale.tail, *TAIL_MODES[mode]))
+                tail=TAIL_MODES[mode])
             run = RunSpec(workload="read_mostly",
                           target_throughput=scale.targets[0])
             if scenario == "slow_replica":
@@ -642,6 +634,17 @@ SURGE_MODES = {
                         "cache_ttl_s", "cache_capacity"),
 }
 
+#: The server RPC threadpool, bounded in *every* surge mode (a real
+#: server's handler count is finite — this is what couples a disk-miss
+#: pileup to the cached fast path and lets overload collapse goodput
+#: rather than only stretch latency).
+_SURGE_TAIL = TailDefenseConfig(handler_slots=16, max_handler_queue=32)
+#: Mode "full" additionally propagates a deadline with each RPC (the
+#: tail campaign's defense, composed with the client tier): replica-side
+#: work is abandoned once the budget is spent, so a timed-out request
+#: stops wasting capacity.
+_SURGE_FULL_TAIL = replace(_SURGE_TAIL, deadline_s=0.5)
+
 #: Arrival scenarios: a steady Poisson control, a 10x flash crowd, and
 #: the same flash crowd landing on a cluster with one gray-degraded
 #: replica (the compound failure where breakers must trip *and* the
@@ -680,17 +683,7 @@ _SURGE = Scale(
         cache_ttl_s=2.0, cache_capacity=4_096,
         # Six times the fair steady share (``rate / n_tenants`` = 75/s):
         # admits normal traffic with slack, clips the spike at the door.
-        rate_limit_per_tenant=450.0, rate_limit_burst=450.0),
-    tail=TailDefenseConfig(
-        # Server RPC threadpool, bounded in *every* mode (a real
-        # server's handler count is finite — this is what couples a
-        # disk-miss pileup to the cached fast path and lets overload
-        # collapse goodput rather than only stretch latency).
-        handler_slots=16, max_handler_queue=32,
-        # Mode "full" additionally propagates a deadline with each RPC
-        # (PR-3 composition): replica-side work is abandoned once the
-        # budget is spent, so a timed-out request stops wasting capacity.
-        deadline_s=0.5))
+        rate_limit_per_tenant=450.0, rate_limit_burst=450.0))
 
 _SURGE_QUICK = replace(
     _SURGE, n_nodes=6,
@@ -723,9 +716,8 @@ def _surge_cells(db: str, scale: Scale, modes: Sequence[str],
                 clienttier=_keep(scale.clienttier, *SURGE_MODES[mode]),
                 record_count=scale.record_count, n_nodes=scale.n_nodes,
                 seed=scale.seed)
-            config = replace(config, tail=_keep(
-                scale.tail, "handler_slots", "max_handler_queue",
-                *(("deadline_s",) if mode == "full" else ())))
+            config = replace(config, tail=(_SURGE_FULL_TAIL if mode == "full"
+                                           else _SURGE_TAIL))
             check = db == "cassandra"
             if scenario == "flash_crowd+slow_replica":
                 config = replace(config, faults=_fault(scale, "slow_disk",
@@ -847,7 +839,7 @@ _ADAPTIVE = Scale(
     # (``target x duration_s``) so every run spans the same simulated
     # time — and therefore the same fault schedule.
     targets=(600.0, 1_200.0, 2_400.0), duration_s=4.0,
-    slo=_SLO, fault=FaultSpec(at_s=0.5, duration_s=1.5),
+    fault=FaultSpec(at_s=0.5, duration_s=1.5),
     cassandra=CassandraConfig(read_repair_chance=0.0,
                               blocking_read_repair=False,
                               hint_replay_interval_s=3.0))
@@ -877,7 +869,7 @@ def _adaptive_cells(db: str, scale: Scale,
         db, scale,
         operation_count=int(scale.targets[0] * scale.duration_s),
         storage=MICRO_STORAGE,  # disk-exposed reads (see _ADAPTIVE)
-        cassandra=scale.cassandra, adaptive=scale.slo,
+        cassandra=scale.cassandra, adaptive=_SLO,
         faults=_fault(scale, "crash"))
     cells = []
     for policy in policies:
@@ -1005,6 +997,18 @@ ENERGY_MODES = {
 #: of drowning in idle draw the way a read-mostly mix would.
 _ENERGY_WORKLOAD = "read_update"
 
+#: The paper-shape axis: more replicas, more fan-out work, more joules
+#: per op.
+_ENERGY_RFS = (1, 3)
+
+#: The parking thresholds are shrunk to the campaign's time scale
+#: (sub-second windows instead of a datacenter's seconds-to-minutes) so
+#: race-to-sleep visibly trades wake latency for joules within a
+#: few-second run.
+_ENERGY_POWER = EnergyConfig(power=PowerSpec(idle_after_s=0.005,
+                                             sleep_after_s=0.25,
+                                             sleep_wake_s=0.2))
+
 #: The load is throttled well below peak on purpose: energy efficiency
 #: is about what the *idle* capacity costs, so the interesting regime is
 #: the one where power management has slack to harvest.  Storage runs at
@@ -1017,20 +1021,10 @@ _ENERGY = Scale(
     # — which is itself part of the energy story (a slower CL burns
     # fleet idle watts for longer per op).
     n_threads=16,
-    # The paper-shape axis: more replicas, more fan-out work, more
-    # joules per op.
-    rfs=(1, 3),
     # Closed-loop throttled.  Kept well under the knee on purpose: past
     # it, RF 1's single-replica hotspots collapse throughput and the run
     # measures queueing, not power.
-    targets=(600.0,), duration_s=12.0, slo=_SLO,
-    # The parking thresholds are shrunk to the campaign's time scale
-    # (sub-second windows instead of a datacenter's seconds-to-minutes)
-    # so race-to-sleep visibly trades wake latency for joules within a
-    # few-second run.
-    energy=EnergyConfig(power=PowerSpec(idle_after_s=0.005,
-                                        sleep_after_s=0.25,
-                                        sleep_wake_s=0.2)),
+    targets=(600.0,), duration_s=12.0,
     # Seed 3 + runs long enough that the replication-axis energy delta
     # clears the closed-loop drain-tail jitter (the last op's latency
     # times the fleet's idle watts, ~±15 J either way).
@@ -1047,7 +1041,7 @@ def _energy_cells(db: str, scale: Scale) -> list[CellSpec]:
     cells = []
     target = scale.targets[0]
     ops = int(target * scale.duration_s)
-    for rf in scale.rfs:
+    for rf in _ENERGY_RFS:
         for cl, power in ENERGY_MODES[db]:
             adaptive = "energy-aware" if power == "energy_aware" else None
             level = (ConsistencyLevel.QUORUM if cl == "QUORUM"
@@ -1073,8 +1067,8 @@ def _energy_cells(db: str, scale: Scale) -> list[CellSpec]:
                     read_cl=level, write_cl=level,
                     read_repair_chance=0.0,
                     blocking_read_repair=False),
-                adaptive=scale.slo,
-                energy=replace(scale.energy,
+                adaptive=_SLO,
+                energy=replace(_ENERGY_POWER,
                                power_mode=("policy" if power == "energy_aware"
                                            else power)))
             cells.append(CellSpec(

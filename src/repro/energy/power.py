@@ -91,7 +91,7 @@ class PowerManager:
     power while ramping up).
     """
 
-    def __init__(self, spec: PowerSpec, mode: str = "race_to_sleep",
+    def __init__(self, spec: PowerSpec, mode: str,
                  now: float = 0.0) -> None:
         if mode not in POWER_MODES:
             raise ValueError(

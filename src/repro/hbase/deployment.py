@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 from typing import Generator, Optional
 
+import repro.hbase.master as hmaster
 from repro.cluster.topology import Cluster, TailDefenseConfig
 from repro.hbase.config import HBaseConfig
 from repro.keyspace import KEY_DOMAIN, token_of
@@ -121,9 +122,9 @@ class HBaseCluster:
         """Activate a standby server; regions rebalanced onto it pay the
         graceful close/reopen window before the transfer counts as done."""
         self.master.activate(node_id)
-        yield self.cluster.env.timeout(self.master.move_s)
+        yield self.cluster.env.timeout(hmaster.MOVE_S)
 
     def apply_scale_in(self, node_id: int) -> Generator:
         """Drain a server back to standby (same move accounting)."""
         self.master.decommission(node_id)
-        yield self.cluster.env.timeout(self.master.move_s)
+        yield self.cluster.env.timeout(hmaster.MOVE_S)

@@ -28,12 +28,12 @@ class HMaster:
 
     A background monitor plays the ZooKeeper session-expiry role: when a
     RegionServer's node dies, its regions are redistributed round-robin
-    over the survivors after ``detection_s``, and each moved region pays
-    ``recovery_s`` of WAL-replay unavailability.  When a dead server
+    over the survivors after :data:`DETECTION_S`, and each moved region
+    pays :data:`RECOVERY_S` of WAL-replay unavailability.  When a dead server
     *returns*, the monitor rebalances regions back onto it — without
     that, every failover permanently piles regions onto the survivors.
 
-    Planned moves (rebalance, activate, decommission) pay ``move_s``
+    Planned moves (rebalance, activate, decommission) pay :data:`MOVE_S`
     instead: a graceful move closes the region — flushing its MemStore,
     so nothing is left to replay — and reopens it on the target, a
     sub-second window rather than a crash recovery.
@@ -42,24 +42,20 @@ class HMaster:
     no regions until :meth:`activate` brings them in (scale-out), and
     :meth:`decommission` drains a server back to standby (scale-in).
 
-    The three windows start at the module's constants.  A test may
-    shorten them on the instance before the run starts: the monitor
-    reads ``detection_s`` each round, a failover ``recovery_s`` and a
-    planned move ``move_s``.
+    Every reader looks the three windows up in this module when it
+    waits (the monitor each round, a move when it starts), so a test
+    shortens them by patching the module's constants.
     """
 
     def __init__(self, cluster: Cluster, node: Node,
                  servers: dict[int, RegionServer], regions: list[Region],
-                 standby: Iterable[int] = ()) -> None:
+                 standby: Iterable[int]) -> None:
         self.cluster = cluster
         self.node = node
         self.servers = servers
         self.regions = {r.region_id: r for r in regions}
         #: region_id -> node_id of the serving RegionServer.
         self.assignment: dict[int, int] = {}
-        self.detection_s = DETECTION_S
-        self.recovery_s = RECOVERY_S
-        self.move_s = MOVE_S
         self.failovers: list[tuple[float, int, int]] = []
         #: (time, region_id, target_node_id) for every balancing move
         #: (rejoin rebalance, activate, decommission drain).
@@ -88,7 +84,7 @@ class HMaster:
 
     def _monitor(self) -> Generator:
         while True:
-            yield self.cluster.env.timeout(self.detection_s)
+            yield self.cluster.env.timeout(DETECTION_S)
             for node_id, server in self.servers.items():
                 if server.node.alive:
                     if node_id in self._handled_deaths:
@@ -110,7 +106,7 @@ class HMaster:
                  if nid == dead.node.node_id]
         for i, region in enumerate(moved):
             target = survivors[i % len(survivors)]
-            region.move_to(target, self.recovery_s)
+            region.move_to(target, RECOVERY_S)
             self.assign(region, target)
             self.failovers.append(
                 (self.cluster.env.now, region.region_id, target.node.node_id))
@@ -127,7 +123,7 @@ class HMaster:
         return counts
 
     def _move(self, region: Region, target: RegionServer) -> None:
-        region.move_to(target, self.move_s)
+        region.move_to(target, MOVE_S)
         self.assign(region, target)
         self.rebalances.append(
             (self.cluster.env.now, region.region_id, target.node.node_id))
@@ -139,7 +135,7 @@ class HMaster:
         ideal ``total/servers`` distribution go to the currently fullest
         servers (so already-balanced servers never trade regions), then
         donors shed their highest-id regions down to target and
-        receivers fill in node-id order.  Each move pays ``move_s`` of
+        receivers fill in node-id order.  Each move pays :data:`MOVE_S` of
         region unavailability (a graceful close/flush/reopen, not a
         WAL replay).  Returns the number of moves.
         """

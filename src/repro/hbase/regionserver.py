@@ -52,7 +52,7 @@ class GroupCommitWal:
     """
 
     def __init__(self, env: Environment, dfs: DfsClient, name: str,
-                 sync: bool = False) -> None:
+                 sync: bool) -> None:
         self.env = env
         self.dfs = dfs
         self.name = name
@@ -166,8 +166,8 @@ class RegionServer:
     """Serves get/put/scan for the regions assigned to it."""
 
     def __init__(self, env: Environment, node: Node, dfs: DfsClient,
-                 wal_sync: bool = False, handler_slots: int = 16,
-                 max_handler_queue: Optional[int] = None) -> None:
+                 wal_sync: bool, handler_slots: int,
+                 max_handler_queue: Optional[int]) -> None:
         self.env = env
         self.node = node
         self.dfs = dfs

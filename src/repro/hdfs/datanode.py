@@ -43,8 +43,8 @@ class DataNode:
         self.node.disk.append_buffered(size)
         return None
 
-    def read_local(self, size: int, sequential: bool = False,
-                   priority: int = FOREGROUND) -> Generator:
+    def read_local(self, size: int, sequential: bool,
+                   priority: int) -> Generator:
         """Short-circuit read executed by a co-located client."""
         yield from self.node.disk.read(size, sequential=sequential,
                                        priority=priority)

@@ -34,8 +34,7 @@ import heapq
 from typing import Any, Callable, Optional
 
 from repro.sim.kernel import (AnyOf, Environment, Event, ModelledFailure,
-                              Process, SimulationError, Timeout, _PENDING,
-                              _finish)
+                              SimulationError, Timeout, _PENDING, _finish)
 
 __all__ = ["Admission", "BoundedResource", "Overloaded", "Request",
            "Resource", "Served", "serve"]
@@ -92,7 +91,7 @@ class Resource:
     """``capacity`` identical slots; waiters are served lowest
     ``priority`` first, FIFO among equals."""
 
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
+    def __init__(self, env: Environment, capacity: int) -> None:
         if capacity < 1:
             raise SimulationError(f"capacity must be >= 1, got {capacity}")
         self.env = env
@@ -169,8 +168,8 @@ class BoundedResource(Resource):
     latency; ``shed`` counts the rejections.
     """
 
-    def __init__(self, env: Environment, capacity: int = 1,
-                 max_queue: int = 0) -> None:
+    def __init__(self, env: Environment, capacity: int,
+                 max_queue: int) -> None:
         if max_queue < 0:
             raise SimulationError(f"max_queue must be >= 0, got {max_queue}")
         super().__init__(env, capacity)
@@ -255,8 +254,8 @@ class Served(Event):
     ``claim`` is the request's :class:`Admission`, or ``None`` where
     nothing bounds the stage; ``gate`` anything whose ``available_at``
     the operation must not start before (a reopening region), looked at
-    once the slot is held.  ``operate`` returns its completion event or a
-    generator — only that becomes a process, and only now.  ``then`` sees
+    once the slot is held.  ``operate`` returns its completion event
+    (every engine verb does; none is a generator).  ``then`` sees
     the finished operation first, as a first subscriber would, to count
     it or rewrite its value.  The slot goes back before the waiters
     hear, so the next grant is scheduled ahead of whatever they schedule.
@@ -268,7 +267,7 @@ class Served(Event):
                  "failure_as_value")
 
     def __init__(self, env: Environment, claim: Optional[Admission],
-                 operate: Callable[..., Any], args: tuple,
+                 operate: Callable[..., Event], args: tuple,
                  then: Optional[Callable[[Event], None]] = None,
                  gate: Any = None) -> None:
         self.env = env
@@ -308,9 +307,7 @@ class Served(Event):
         except BaseException:
             self._release()
             raise
-        if Event not in work.__class__.__mro__:
-            Process(self.env, work, None, True, self._operated)
-        elif work.callbacks is None:
+        if work.callbacks is None:
             self._operated(work)
         else:
             work.callbacks.append(self._operated)

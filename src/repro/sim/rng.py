@@ -25,7 +25,7 @@ class RngRegistry:
     True
     """
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self, seed: int) -> None:
         self.seed = int(seed)
         self._streams: dict[str, random.Random] = {}
 

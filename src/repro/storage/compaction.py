@@ -17,8 +17,8 @@ __all__ = ["merge_tables", "pick_compaction"]
 BUCKET_RATIO = 2.0
 
 
-def pick_compaction(sstables: list[SSTable], min_batch: int = 4,
-                    max_batch: int = 10) -> Optional[list[SSTable]]:
+def pick_compaction(sstables: list[SSTable], min_batch: int,
+                    max_batch: int) -> Optional[list[SSTable]]:
     """Choose a batch of similar-sized tables to merge, or None.
 
     Size-tiered selection: sort by size, walk buckets of tables whose
@@ -45,8 +45,9 @@ def pick_compaction(sstables: list[SSTable], min_batch: int = 4,
     return bucket if len(bucket) >= min_batch else None
 
 
-def merge_tables(tables: list[SSTable]) -> list[tuple[str, Any, float, int]]:
-    """Merge entries of ``tables`` (any order) with last-write-wins.
+def merge_tables(tables: list) -> list[tuple[str, Any, float, int]]:
+    """Merge entries of ``tables`` (SSTables or memtables: anything with
+    ``items_sorted()``, in any order) with last-write-wins.
 
     Returns entries sorted by key; for duplicate keys the entry with the
     greatest timestamp survives (ties broken by later table in the list,

@@ -269,7 +269,7 @@ class LsmTree:
     # -- read path --------------------------------------------------------
 
     def _load_block(self, table: SSTable, block_no: int,
-                    priority: int = FOREGROUND) -> Generator:
+                    priority: int) -> Generator:
         """Read one block the cache does not hold (callers check first)."""
         yield from self.medium.read_block(self.spec.block_bytes, priority,
                                           table.file_handle)
@@ -524,18 +524,9 @@ class LsmTree:
         Logical (no I/O charged): range streaming charges the bulk
         disk/NIC I/O for the bytes it ships itself.
         """
-        merged: dict[str, tuple[Any, float, int]] = {}
-        for table in reversed(self.sstables):  # oldest first: LWW ties
-            for key, value, ts, size in table.items_sorted():
-                existing = merged.get(key)
-                if existing is None or ts >= existing[1]:
-                    merged[key] = (value, ts, size)
-        for memtable in [*reversed(self.flushing), self.active]:
-            for key, value, ts, size in memtable.items_sorted():
-                existing = merged.get(key)
-                if existing is None or ts >= existing[1]:
-                    merged[key] = (value, ts, size)
-        return [(k, *merged[k]) for k in sorted(merged)]
+        # Oldest first: a timestamp tie goes to the newer source.
+        return merge_tables([*reversed(self.sstables),
+                             *reversed(self.flushing), self.active])
 
     def ingest_run(self, entries: list[tuple[str, Any, float, int]]) -> None:
         """Adopt a pre-sorted run (a streamed range).

@@ -84,8 +84,8 @@ class DiurnalArrivals(ArrivalProcess):
     into its busy period.
     """
 
-    def __init__(self, base_rate: float, rng, period_s: float = 60.0,
-                 peak_factor: float = 2.0) -> None:
+    def __init__(self, base_rate: float, rng, period_s: float,
+                 peak_factor: float) -> None:
         super().__init__(rng)
         if base_rate <= 0 or period_s <= 0:
             raise ValueError("base_rate and period_s must be positive")
@@ -112,8 +112,7 @@ class FlashCrowdArrivals(ArrivalProcess):
     """
 
     def __init__(self, base_rate: float, rng, spike_at_s: float,
-                 spike_factor: float = 10.0,
-                 spike_duration_s: float = 5.0) -> None:
+                 spike_factor: float, spike_duration_s: float) -> None:
         super().__init__(rng)
         if base_rate <= 0:
             raise ValueError("base_rate must be positive")
@@ -146,7 +145,7 @@ class UserSessions:
     meaningful defense rather than a uniform tax.
     """
 
-    def __init__(self, n_users: int, rng, n_tenants: int = 1) -> None:
+    def __init__(self, n_users: int, rng, n_tenants: int) -> None:
         if n_users < 1:
             raise ValueError("need at least one user")
         if n_tenants < 1:

@@ -74,7 +74,7 @@ def total(values: Iterable[float]) -> float:
     return reduce(operator.add, values, 0)
 
 
-def _summarize(latencies: list[float], errors: int) -> LatencyStats:
+def summarize(latencies: list[float], errors: int) -> LatencyStats:
     """:class:`LatencyStats` of pre-sorted ``latencies`` (all zeros when
     there are none)."""
     if not latencies:
@@ -197,7 +197,7 @@ class Measurements:
         return offered / (self.last_arrival_at - self.first_arrival_at)
 
     def stats(self, op: str) -> LatencyStats:
-        return _summarize(self._sorted_latencies(op), self.errors.get(op, 0))
+        return summarize(self._sorted_latencies(op), self.errors.get(op, 0))
 
     def overall_stats(self) -> LatencyStats:
         merged: list[float] = []
@@ -206,7 +206,7 @@ class Measurements:
             # re-sort in near-linear time (timsort run detection).
             merged.extend(self._sorted_latencies(op))
         merged.sort()
-        return _summarize(merged, self.total_errors)
+        return summarize(merged, self.total_errors)
 
     def timeline_with_errors(
             self, bucket_s: float) -> list[tuple[float, int, float, int]]:

@@ -21,7 +21,7 @@ from repro.adaptive.policy import (StalenessBoundPolicy, StaticPolicy,
                                    StepwisePolicy, make_policy)
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.core.runner import CellRunner, cell_fingerprint, execute_cell
-from repro.core.sweep import CAMPAIGNS, campaign_cells, run_campaign
+from repro.core.sweep import _SLO, CAMPAIGNS, campaign_cells, run_campaign
 
 QUICK = CAMPAIGNS["adaptive"].quick
 
@@ -287,7 +287,7 @@ class TestPaperShape:
         quorum = quick_sweep["static-quorum"][self.TARGET]
         assert stepwise["decisions"]["read_p95_ms"] \
             < quorum["decisions"]["read_p95_ms"]
-        assert _ryw_rate(stepwise) <= QUICK.slo.risk_rate
+        assert _ryw_rate(stepwise) <= _SLO.risk_rate
         # The ladder actually moved: escalations under the crash, steps
         # back down once the latency half of the SLO took over.
         counters = stepwise["decisions"]["policy_counters"]
@@ -296,7 +296,7 @@ class TestPaperShape:
 
     def test_static_one_violates_declared_bound(self, quick_sweep):
         static_one = quick_sweep["static-one"][self.TARGET]
-        assert _ryw_rate(static_one) > QUICK.slo.risk_rate
+        assert _ryw_rate(static_one) > _SLO.risk_rate
         # ...and the violations are deep: the restarted replica served
         # state far staler than the declared bound.
         assert static_one["consistency"]["max_staleness_lag_s"] \

@@ -72,7 +72,8 @@ class TestProperties:
     @settings(max_examples=20, deadline=None)
     def test_times_strictly_increasing(self, seed):
         times = _take(FlashCrowdArrivals(100.0, random.Random(seed),
-                                         spike_at_s=1.0), 500)
+                                         spike_at_s=1.0, spike_factor=10.0,
+                                         spike_duration_s=5.0), 500)
         assert all(b > a for a, b in zip(times, times[1:]))
         assert times[0] > 0.0
 
@@ -128,12 +129,17 @@ class TestProperties:
         rng = random.Random(0)
         for build in (
                 lambda: PoissonArrivals(0.0, rng),
-                lambda: DiurnalArrivals(10.0, rng, period_s=0.0),
-                lambda: DiurnalArrivals(10.0, rng, peak_factor=0.5),
-                lambda: FlashCrowdArrivals(10.0, rng, spike_at_s=-1.0),
+                lambda: DiurnalArrivals(10.0, rng, period_s=0.0,
+                                        peak_factor=2.0),
+                lambda: DiurnalArrivals(10.0, rng, period_s=60.0,
+                                        peak_factor=0.5),
+                lambda: FlashCrowdArrivals(10.0, rng, spike_at_s=-1.0,
+                                           spike_factor=10.0,
+                                           spike_duration_s=5.0),
                 lambda: FlashCrowdArrivals(10.0, rng, spike_at_s=1.0,
-                                           spike_factor=0.5),
-                lambda: UserSessions(0, rng),
+                                           spike_factor=0.5,
+                                           spike_duration_s=5.0),
+                lambda: UserSessions(0, rng, n_tenants=8),
         ):
             try:
                 build()

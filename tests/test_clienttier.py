@@ -191,9 +191,9 @@ class TestCircuitBreaker:
     def test_invalid_parameters_rejected(self):
         clock = FakeClock()
         with pytest.raises(ValueError):
-            CircuitBreaker(clock, failure_rate=0.0)
+            CircuitBreaker(clock, failure_rate=0.0, cooldown_s=1.0)
         with pytest.raises(ValueError):
-            CircuitBreaker(clock, cooldown_s=0.0)
+            CircuitBreaker(clock, failure_rate=0.5, cooldown_s=0.0)
 
 
 class TestRetryBudget:
@@ -254,12 +254,10 @@ def _drive(env, gen):
     return env.run(until=proc)
 
 
-def _retry_binding(env, inner, **kwargs):
+def _retry_binding(env, inner, retries=3, budget=None):
     from repro.sim.rng import RngRegistry
-    defaults = dict(retries=3, backoff_s=0.01)
-    defaults.update(kwargs)
     return RetryBinding(inner, env, RngRegistry(1).stream("retry"),
-                        **defaults)
+                        retries=retries, backoff_s=0.01, budget=budget)
 
 
 class TestRetryBinding:
@@ -351,7 +349,7 @@ class TestLoadLeveler:
 
     def test_invalid_parameters_rejected(self, env):
         with pytest.raises(ValueError):
-            LoadLeveler(env, workers=0)
+            LoadLeveler(env, workers=0, max_queue=64)
         with pytest.raises(ValueError):
             LoadLeveler(env, workers=1, max_queue=0)
 
@@ -384,7 +382,7 @@ class TestTenantRateLimiter:
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
-            TenantRateLimiter(FakeClock(), rate_per_tenant=0.0)
+            TenantRateLimiter(FakeClock(), rate_per_tenant=0.0, burst=10.0)
 
 
 class CountingBinding:

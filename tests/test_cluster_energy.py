@@ -128,7 +128,8 @@ class TestEnergyMeter:
         env = small_cluster.env
         spec = PowerSpec(idle_after_s=0.25, sleep_after_s=0.5)
         for node in small_cluster.nodes:
-            node.power = PowerManager(spec, now=env.now)
+            node.power = PowerManager(spec, mode="race_to_sleep",
+                                      now=env.now)
         meter = EnergyMeter(lambda: small_cluster.nodes)
         meter.start()
         env.timeout(1.0)

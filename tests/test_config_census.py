@@ -7,8 +7,13 @@ values each leaf takes.  A leaf with one value everywhere is a constant
 of the code that reads it, not a field of the record: the cell cache,
 the identity pins and every composition test would otherwise carry it
 for nothing.  No simulation runs.
+
+The campaigns' :class:`~repro.core.sweep.Scale` gets the same check one
+level up: a field that no campaign's ``quick`` changes from its ``full``
+is a constant of the builder that reads it, not a scale knob.
 """
 
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -19,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import config_to_dict
+from repro.core.sweep import CAMPAIGNS, Scale
 from tests.test_campaign_cells_pin import CASES, _cells
 
 pytestmark = pytest.mark.hashseed
@@ -98,3 +104,26 @@ def test_every_allowance_is_still_needed():
                     if (path.startswith(name) if name.endswith(".")
                         else path == name)]
         assert any(len(values[path]) < 2 for path in matching), name
+
+
+#: ``Scale`` fields allowed to agree between every campaign's ``full``
+#: and ``quick``, each with its reason.
+SCALE_ALLOWED = {
+    "seed": "the check campaign varies it per cell, and --seeds N runs "
+            "every campaign at several",
+}
+
+
+def test_every_scale_field_differs_between_full_and_quick():
+    """``Scale`` carries what ``--quick`` changes; a field every
+    campaign's ``quick`` shares with its ``full`` is a constant beside
+    the builder that reads it.  An allowance whose field now differs
+    (or is gone) is stale."""
+    scaled = [c for c in CAMPAIGNS.values() if c.full is not None]
+    fixed = [field.name for field in dataclasses.fields(Scale)
+             if all(getattr(c.full, field.name)
+                    == getattr(c.quick, field.name) for c in scaled)]
+    unexplained = [name for name in fixed if name not in SCALE_ALLOWED]
+    assert unexplained == [], "scale fields --quick never changes: " \
+        + ", ".join(unexplained)
+    assert set(SCALE_ALLOWED) <= set(fixed), "stale allowance"

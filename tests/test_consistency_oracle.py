@@ -164,7 +164,7 @@ class TestPaperShapes:
         assert sweep["unexpected_violations"] == 0
 
     def test_hbase_is_strong_under_crash(self):
-        sweep = check_sweep("hbase", seeds=10, fault="crash",
+        sweep = check_sweep("hbase", mode="QUORUM", seeds=10, fault="crash",
                             scale=QUICK)
         assert sweep["unexpected_violations"] == 0
 

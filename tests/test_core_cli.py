@@ -11,13 +11,12 @@ import pytest
 from repro.cluster.config import FaultSpec
 from repro.core.cli import build_parser, campaign_args, main
 from repro.core.config import (ArrivalConfig, ClientTierConfig,
-                               TailDefenseConfig, default_micro_config)
+                               default_micro_config)
 from repro.core.report import ENERGY_COLUMNS
 from repro.core.runner import CellSpec, RunSpec
 from repro.core.sweep import (CAMPAIGNS, GEO_SCENARIOS, SURGE_MODES,
-                              TAIL_MODES, _ARRIVAL_SHAPE, Axis, Campaign,
-                              Scale, campaign_cells, render_campaign,
-                              run_campaign)
+                              _ARRIVAL_SHAPE, Axis, Campaign, Scale,
+                              campaign_cells, render_campaign, run_campaign)
 
 
 class TestParser:
@@ -295,9 +294,9 @@ class TestOneScale:
                          "flash_crowd": ArrivalConfig().peak_factor}
 
     @pytest.mark.parametrize("table,config_class", [
-        (TAIL_MODES, TailDefenseConfig), (SURGE_MODES, ClientTierConfig),
-        (GEO_SCENARIOS, FaultSpec), (_ARRIVAL_SHAPE, ArrivalConfig)],
-        ids=["TAIL_MODES", "SURGE_MODES", "GEO_SCENARIOS", "_ARRIVAL_SHAPE"])
+        (SURGE_MODES, ClientTierConfig), (GEO_SCENARIOS, FaultSpec),
+        (_ARRIVAL_SHAPE, ArrivalConfig)],
+        ids=["SURGE_MODES", "GEO_SCENARIOS", "_ARRIVAL_SHAPE"])
     def test_axis_tables_name_real_fields(self, table, config_class):
         legal = {field.name for field in fields(config_class)}
         for value, kept in table.items():

@@ -11,6 +11,7 @@ from repro.core.config import (ArrivalConfig, CassandraConfig,
                                ElasticityConfig, ExperimentConfig, GeoConfig,
                                default_micro_config, default_stress_config)
 from repro.core.experiment import ExperimentSession
+from repro.core.sweep import Scale
 from repro.storage.lsm import StorageSpec
 from repro.ycsb.workload import STRESS_WORKLOADS
 
@@ -36,6 +37,14 @@ def test_settable_value_count():
     never varies is a constant, not a field."""
     leaves = list(_leaves(ExperimentConfig))
     assert len(leaves) == 70, "\n".join(leaves)
+
+
+def test_scale_value_count():
+    """A campaign scale carries what ``--quick`` changes (and the seed);
+    the rest are constants beside the builder that reads them."""
+    leaves = list(_leaves(Scale))
+    assert len(dataclasses.fields(Scale)) == 15
+    assert len(leaves) == 48, "\n".join(leaves)
 
 
 _WORKLOAD = STRESS_WORKLOADS["read_mostly"]

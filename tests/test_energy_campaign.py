@@ -15,8 +15,8 @@ import pytest
 
 from repro.adaptive.monitor import STALENESS_S
 from repro.consistency.oracle import unexpected_violations
-from repro.core.sweep import (CAMPAIGNS, ENERGY_MODES, campaign_cells,
-                              render_campaign, run_campaign)
+from repro.core.sweep import (_ENERGY_RFS, CAMPAIGNS, ENERGY_MODES,
+                              campaign_cells, render_campaign, run_campaign)
 
 QUICK = CAMPAIGNS["energy"].quick
 
@@ -31,12 +31,12 @@ class TestEnergyCells:
     def test_grid_covers_modes(self):
         keys = {cell.key for cell in campaign_cells(
             "energy", "cassandra", QUICK)}
-        for rf in QUICK.rfs:
+        for rf in _ENERGY_RFS:
             for cl in ("ONE", "QUORUM"):
                 assert (rf, cl, "always_on") in keys
                 assert (rf, cl, "race_to_sleep") in keys
             assert (rf, "adaptive", "energy_aware") in keys
-        assert keys == {(rf, cl, power) for rf in QUICK.rfs
+        assert keys == {(rf, cl, power) for rf in _ENERGY_RFS
                         for cl, power in ENERGY_MODES["cassandra"]}
 
     def test_hbase_has_no_cl_axis(self):

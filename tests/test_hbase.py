@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.keyspace import KEY_DOMAIN, key_for_index, key_for_token, token_of
 from repro.cluster.hedging import backoff_delay
+from repro.hbase import master as hmaster
 from repro.hbase.client import HBaseClient
 from repro.hbase.config import HBaseConfig
 from repro.hbase.deployment import HBaseCluster
@@ -266,13 +267,13 @@ class TestRegionMedium:
 
 
 class TestFailover:
-    def test_regions_move_after_crash(self):
+    def test_regions_move_after_crash(self, monkeypatch):
+        monkeypatch.setattr(hmaster, "DETECTION_S", 1.0)
+        monkeypatch.setattr(hmaster, "RECOVERY_S", 0.5)
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=5), RngRegistry(17))
         deployment = HBaseCluster(cluster, HBaseConfig(replication=2),
                                   small_storage(), TailDefenseConfig())
-        deployment.master.detection_s = 1.0
-        deployment.master.recovery_s = 0.5
         client = HBaseClient(deployment, deployment.master_node)
         victim = deployment.server_nodes[0].node_id
 
@@ -294,14 +295,14 @@ class TestFailover:
         assert all(node_id != victim
                    for node_id in deployment.master.assignment.values())
 
-    def test_moved_region_loses_locality(self):
+    def test_moved_region_loses_locality(self, monkeypatch):
+        monkeypatch.setattr(hmaster, "DETECTION_S", 1.0)
+        monkeypatch.setattr(hmaster, "RECOVERY_S", 0.1)
         env = Environment()
         cluster = Cluster(env, ClusterSpec(n_nodes=4), RngRegistry(19))
         deployment = HBaseCluster(
             cluster, HBaseConfig(replication=2, regions_per_server=1),
             small_storage(), TailDefenseConfig())
-        deployment.master.detection_s = 1.0
-        deployment.master.recovery_s = 0.1
         client = HBaseClient(deployment, deployment.master_node)
         victim = deployment.server_nodes[0].node_id
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
+from repro.hbase import master as hmaster
 from repro.hbase.config import HBaseConfig
 from repro.hbase.deployment import HBaseCluster
 from repro.sim.kernel import Environment
@@ -10,9 +11,16 @@ from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec
 
 
+@pytest.fixture(autouse=True)
+def short_windows(monkeypatch):
+    """Every HMaster here detects a death within 1 s, recovers a region
+    in 0.5 s and moves one in 0.2 s."""
+    monkeypatch.setattr(hmaster, "DETECTION_S", 1.0)
+    monkeypatch.setattr(hmaster, "RECOVERY_S", 0.5)
+    monkeypatch.setattr(hmaster, "MOVE_S", 0.2)
+
+
 def build(n_nodes=5, regions_per_server=2, spare_servers=0):
-    """A deployment whose HMaster detects a death within 1 s, recovers a
-    region in 0.5 s and moves one in 0.2 s."""
     env = Environment()
     cluster = Cluster(env, ClusterSpec(n_nodes=n_nodes), RngRegistry(61))
     deployment = HBaseCluster(
@@ -21,8 +29,6 @@ def build(n_nodes=5, regions_per_server=2, spare_servers=0):
         StorageSpec(memtable_flush_bytes=8192, block_bytes=1024,
                     block_cache_bytes=8192),
         TailDefenseConfig(), spare_servers=spare_servers)
-    master = deployment.master
-    master.detection_s, master.recovery_s, master.move_s = 1.0, 0.5, 0.2
     return env, cluster, deployment
 
 

@@ -5,8 +5,9 @@ ingredient that must change nothing: any consistency level at RF 1
 (R = W = 1 there), a hedge policy at RF 1 (no spare replica, so the
 race is a plain wait), the oracle that only records, a static adaptive
 policy against the levels it pins, power management that never parks,
-a manual scaling plan with no scale-out in it, and a circuit breaker
-that cannot trip on a fault-free cell.  Both sides must
+a manual scaling plan with no scale-out in it, a circuit breaker that
+cannot trip on a fault-free cell, and a retry budget whose ratio is
+infinite on a cell that never retries.  Both sides must
 give the same kernel trace digest, the same event count and the same
 measurement fields of the run summary.  A row that fails is an observer
 effect or a wrong equivalence, not a number to re-pin.
@@ -104,6 +105,14 @@ ROWS = [
     # Trips only on a window of nothing but failures: never, here.
     _row("breaker-that-cannot-trip", _open_cell(ClientTierConfig()), OPEN,
          _open_cell(ClientTierConfig(breaker_failure_rate=1.0)), OPEN),
+    # Every request earns the bucket full; no request here fails, so no
+    # retry ever asks it.  (Where retries storm, the bucket's burst cap
+    # denies some: an infinite ratio is not "no budget" there.)
+    _row("retry-budget-of-infinite-ratio",
+         _open_cell(ClientTierConfig(retries=3)), OPEN,
+         _open_cell(ClientTierConfig(retries=3,
+                                     retry_budget_ratio=float("inf"))),
+         OPEN),
 ]
 
 

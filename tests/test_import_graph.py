@@ -54,7 +54,7 @@ CELLS = textwrap.dedent("""
                                    spike_factor=5.0, spike_duration_s=0.3),
             clienttier=ClientTierConfig(retries=3, retry_backoff_s=0.05,
                                         op_timeout_s=0.25),
-            record_count=300, n_nodes=5)
+            record_count=300, n_nodes=5, seed=42)
         return replace(config, settle_s=0.5,
                        tail=TailDefenseConfig(handler_slots=16,
                                               max_handler_queue=32))

@@ -9,8 +9,13 @@ product path: it is a constant of the code that reads it, not a
 parameter, even when a unit test passes a second value.  Calls in tests
 and examples do not count; a callable handed on as a value (a callback,
 a table entry) counts as passed everything, since its calls are out of
-sight.  ``ALLOWED`` names the parameters kept anyway, with reasons.  No
-simulation runs.
+sight.  ``ALLOWED`` names the parameters kept anyway, with reasons.
+
+The converse holds too: a default that every call overrides — in the
+product, the benchmark, the tests and the examples alike — is a second
+copy of a value its callers (or the record they read) already declare.
+There a ``*``/``**`` call or a callable handed on as a value counts as
+leaving every default out.  No simulation runs.
 """
 
 import ast
@@ -25,6 +30,8 @@ pytestmark = pytest.mark.hashseed
 ROOT = Path(__file__).resolve().parents[1]
 PRODUCT = ROOT / "src" / "repro"
 CALLERS = (ROOT / "bench" / "adapter.py", ROOT / "bench" / "drive.py")
+#: Callers whose calls count only as relying on a default.
+EVERYWHERE = (ROOT / "tests", ROOT / "examples")
 
 #: Parameters allowed to take only their default on product paths, each
 #: with its reason, as ``"Callable(parameter)"``.
@@ -160,21 +167,20 @@ def _reference(node, functions):
         else None
 
 
-@lru_cache(maxsize=None)
-def census() -> dict:
-    """``"Callable(parameter)" -> True`` for every defaulted parameter,
-    the value saying whether some product call passes it."""
-    product = _trees(sorted(PRODUCT.rglob("*.py")))
-    signatures, functions = _callables(product)
-    passed = defaultdict(set)
+def _calls(trees, signatures, functions):
+    """``name -> (passed, omitted)``: the parameters some call in
+    ``trees`` passes and the defaulted ones some call leaves out.  A
+    ``*``/``**`` call or a callable handed on as a value (a callback, a
+    table entry: its calls are out of sight) counts as both, ``"*"``."""
+    passed, omitted = defaultdict(set), defaultdict(set)
 
     def visit(node, cls=None):
         for child in ast.iter_child_nodes(node):
             visit(child, child if isinstance(child, ast.ClassDef) else cls)
             if _handed_on(node, child):
-                # A callback or a table entry: its calls are out of
-                # sight, so every parameter counts as passed.
-                passed[_reference(child, functions)].add("*")
+                name = _reference(child, functions)
+                passed[name].add("*")
+                omitted[name].add("*")
         if not isinstance(node, ast.Call):
             return
         name = _callee(node)
@@ -182,20 +188,46 @@ def census() -> dict:
             name = _super_init(node, cls) or name
         if name not in signatures:
             return
-        positional, _ = signatures[name]
+        positional, defaulted = signatures[name]
         if any(isinstance(a, ast.Starred) for a in node.args) \
                 or any(k.arg is None for k in node.keywords):
             passed[name].add("*")
+            omitted[name].add("*")
             return
-        passed[name].update(positional[:len(node.args)])
-        passed[name].update(k.arg for k in node.keywords)
+        given = set(positional[:len(node.args)]) \
+            | {k.arg for k in node.keywords}
+        passed[name].update(given)
+        omitted[name].update(set(defaulted) - given)
 
-    for tree in product + _trees(CALLERS):
+    for tree in trees:
         visit(tree)
-    return {f"{name}({param})":
-            "*" in passed[name] or param in passed[name]
+    return passed, omitted
+
+
+def _tally(paths, which: int) -> dict:
+    """``"Callable(parameter)" -> True`` for every defaulted parameter,
+    the value saying whether some call in ``paths`` passes it (``which``
+    0) or leaves it out (1)."""
+    product = sorted(PRODUCT.rglob("*.py"))
+    signatures, functions = _callables(_trees(product))
+    seen = _calls(_trees(product + paths), signatures, functions)[which]
+    return {f"{name}({param})": "*" in seen[name] or param in seen[name]
             for name, (_, defaulted) in signatures.items()
             for param in defaulted}
+
+
+@lru_cache(maxsize=None)
+def census() -> dict:
+    """Whether some product or benchmark call passes each default."""
+    return _tally(list(CALLERS), 0)
+
+
+@lru_cache(maxsize=None)
+def default_census() -> dict:
+    """Whether some call in the product, the benchmark, the tests or the
+    examples leaves each default out (relies on it)."""
+    return _tally(list(CALLERS) + sorted(
+        path for tree in EVERYWHERE for path in tree.rglob("*.py")), 1)
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
@@ -210,3 +242,11 @@ def test_every_allowance_is_still_needed():
     knobs = census()
     for knob in ALLOWED:
         assert knobs.get(knob) is False, knob
+
+
+def test_every_default_is_relied_on_somewhere():
+    """A default every call overrides is dead: the value lives in the
+    callers (or the record they read), not in the signature."""
+    dead = sorted(knob for knob, omitted in default_census().items()
+                  if not omitted)
+    assert dead == [], "defaults no call relies on: " + ", ".join(dead)

@@ -16,22 +16,22 @@ def sized_table(n, size=100, prefix="k"):
 class TestPickCompaction:
     def test_no_batch_below_min(self):
         tables = [sized_table(10) for _ in range(3)]
-        assert pick_compaction(tables, min_batch=4) is None
+        assert pick_compaction(tables, min_batch=4, max_batch=10) is None
 
     def test_similar_sizes_batched(self):
         tables = [sized_table(10) for _ in range(5)]
-        batch = pick_compaction(tables, min_batch=4)
+        batch = pick_compaction(tables, min_batch=4, max_batch=10)
         assert batch is not None and len(batch) == 5
 
     def test_dissimilar_sizes_not_batched(self):
         # Each table ten times the last: past BUCKET_RATIO, no bucket.
         tables = [sized_table(10), sized_table(100), sized_table(1000)]
-        assert pick_compaction(tables, min_batch=2) is None
+        assert pick_compaction(tables, min_batch=2, max_batch=10) is None
 
     def test_sizes_within_the_ratio_batched(self):
         tables = [sized_table(10), sized_table(int(10 * BUCKET_RATIO)),
                   sized_table(int(10 * BUCKET_RATIO) + 1)]
-        batch = pick_compaction(tables, min_batch=2)
+        batch = pick_compaction(tables, min_batch=2, max_batch=10)
         assert [t.size_bytes for t in batch] == [1_000, 2_000]
 
     def test_max_batch_respected(self):
@@ -41,7 +41,7 @@ class TestPickCompaction:
 
     def test_bucket_of_small_tables_found_among_large(self):
         tables = [sized_table(1000)] + [sized_table(10) for _ in range(4)]
-        batch = pick_compaction(tables, min_batch=4)
+        batch = pick_compaction(tables, min_batch=4, max_batch=10)
         assert batch is not None
         assert all(t.size_bytes == 10 * 100 for t in batch)
 
