@@ -15,8 +15,6 @@ both come down to read repair.  This example makes the mechanism visible:
 Run:  python examples/read_repair_demo.py
 """
 
-from dataclasses import replace
-
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.core.config import CassandraConfig, ExperimentConfig
 from repro.core.experiment import ExperimentSession
@@ -30,13 +28,12 @@ def build(read_repair_chance: float, blocking: bool, seed: int = 7):
     """Deploy through the shared config path (same as the CLI campaigns),
     overriding only the read-repair knobs under study."""
     config = ExperimentConfig(
-        db="cassandra",
+        engine=CassandraConfig(replication=3,
+                               read_repair_chance=read_repair_chance,
+                               blocking_read_repair=blocking),
         workload=STRESS_WORKLOADS["read_mostly"],
         record_count=1_000, operation_count=1_000,
-        n_nodes=8, seed=seed,
-        cassandra=replace(CassandraConfig(replication=3),
-                          read_repair_chance=read_repair_chance,
-                          blocking_read_repair=blocking))
+        n_nodes=8, seed=seed)
     experiment = ExperimentSession(config)
     return experiment.env, experiment.cassandra, experiment.cassandra_session
 

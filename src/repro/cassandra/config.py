@@ -9,6 +9,7 @@ imports the ring, the coordinators and the driver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.cassandra.consistency import ConsistencyLevel
 
@@ -19,6 +20,7 @@ __all__ = ["CassandraConfig"]
 class CassandraConfig:
     """Cassandra-side knobs of one experiment cell."""
 
+    db: ClassVar[str] = "cassandra"  # the name a cell's ``db`` reads
     #: SimpleStrategy replication factor — the paper's replication knob.
     replication: int = 3
     #: The driver's default consistency levels.

@@ -209,7 +209,14 @@ def build_parser(campaigns: Optional[Iterable[Campaign]] = None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # An RF sweep stops at the servers of the scale it runs at.
+    servers = _scale(args).n_nodes - 1 if hasattr(args, "rfs") else None
+    if servers is not None and not 1 <= args.rfs.stop - 1 <= servers:
+        parser.exit(2, f"repro-bench {args.command}: error: --max-rf "
+                       f"{args.rfs.stop - 1}: choose 1..{servers}, the "
+                       f"servers at this scale\n")
     return args.func(args)
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "default_stress_config",
     "default_surge_config",
     "disk_exposed_storage",
+    "engine_config",
 ]
 
 
@@ -95,6 +96,14 @@ def check_run_pacing(owner: str, target_throughput: Optional[float],
         raise ValueError(f"{owner}.n_threads={n_threads}: must be >= 1")
 
 
+def engine_config(db: str, **knobs) -> HBaseConfig | CassandraConfig:
+    """The engine record ``db`` names, with ``knobs`` off its defaults."""
+    for engine in (HBaseConfig, CassandraConfig):
+        if engine.db == db:
+            return engine(**knobs)
+    raise ValueError(f"unknown db {db!r}; choose 'hbase' or 'cassandra'")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to run one benchmark cell reproducibly."""
@@ -103,8 +112,8 @@ class ExperimentConfig:
     #: its measurements.
     warmup_fraction: ClassVar[float] = 0.1
 
-    #: "hbase" or "cassandra".
-    db: str
+    #: The engine the cell runs, with its knobs; the record names it.
+    engine: HBaseConfig | CassandraConfig
     workload: WorkloadSpec
     record_count: int
     operation_count: int
@@ -118,8 +127,6 @@ class ExperimentConfig:
     seed: int = 42
     #: Simulated seconds to let background work settle after loading.
     settle_s: float = 5.0
-    hbase: HBaseConfig = field(default_factory=HBaseConfig)
-    cassandra: CassandraConfig = field(default_factory=CassandraConfig)
     storage: StorageSpec = field(default_factory=StorageSpec)
     #: Tail-latency defenses (deadline propagation, hedged reads,
     #: bounded queues + shedding).  Defaults to all-off.
@@ -155,8 +162,9 @@ class ExperimentConfig:
     elasticity: Optional[ElasticityConfig] = None
 
     def __post_init__(self) -> None:
-        if self.db not in ("hbase", "cassandra"):
-            raise ValueError(f"unknown db {self.db!r}")
+        if not isinstance(self.engine, (HBaseConfig, CassandraConfig)):
+            raise ValueError(f"ExperimentConfig.engine={self.engine!r}: "
+                             f"must be an HBaseConfig or a CassandraConfig")
         for name in ("record_count", "operation_count"):
             value = getattr(self, name)
             if value < 1:
@@ -188,24 +196,30 @@ class ExperimentConfig:
             raise ValueError(f"ExperimentConfig.n_nodes={self.n_nodes}: "
                              f"need at least one server node plus the "
                              f"client (>= 2)")
-        # n_nodes - 1 servers; the spares must leave one in service.
-        if self.elasticity is not None and SPARE_NODES >= self.n_nodes - 1:
+        # n_nodes - 1 servers, less an elastic cell's spares, hold data.
+        spares = 0 if self.elasticity is None else SPARE_NODES
+        if spares >= self.n_nodes - 1:
             raise ValueError(
                 f"n_nodes={self.n_nodes} has {self.n_nodes - 1} servers: "
                 f"an elastic cell keeps {SPARE_NODES} spare and needs at "
                 f"least one in service")
+        if self.replication > self.n_nodes - 1 - spares:
+            raise ValueError(f"replication={self.replication} exceeds the "
+                             f"{self.n_nodes - 1 - spares} servers holding "
+                             f"the data")
+
+    @property
+    def db(self) -> str:
+        return self.engine.db
 
     @property
     def replication(self) -> int:
-        return (self.hbase.replication if self.db == "hbase"
-                else self.cassandra.replication)
+        return self.engine.replication
 
     def with_replication(self, replication: int) -> "ExperimentConfig":
         """A copy of this config at a different replication factor."""
-        return replace(
-            self,
-            hbase=replace(self.hbase, replication=replication),
-            cassandra=replace(self.cassandra, replication=replication))
+        return replace(self, engine=replace(self.engine,
+                                            replication=replication))
 
 
 def _jsonify(value):
@@ -224,9 +238,12 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
     Used by the cell cache (:mod:`repro.core.runner`) as the identity of
     a benchmark cell: two configs with equal dicts run identical
-    simulations (given equal code).
+    simulations (given equal code).  The engine record sits under its
+    own name, beside ``db``.
     """
-    return _jsonify(asdict(config))
+    out = _jsonify(asdict(config))
+    out.update(db=config.db, **{config.db: out.pop("engine")})
+    return out
 
 
 def config_to_json(config: ExperimentConfig) -> str:
@@ -257,8 +274,11 @@ def default_micro_config(db: str, micro_op: str = "read",
     if micro_op not in MICRO_WORKLOADS:
         raise ValueError(f"unknown micro workload {micro_op!r}; "
                          f"choose from {sorted(MICRO_WORKLOADS)}")
-    config = ExperimentConfig(
-        db=db,
+    engine = engine_config(db, replication=replication)
+    if db == "hbase":
+        engine = replace(engine, regions_per_server=1)
+    return ExperimentConfig(
+        engine=engine,
         workload=MICRO_WORKLOADS[micro_op],
         record_count=30_000,
         operation_count=4_000,
@@ -266,9 +286,7 @@ def default_micro_config(db: str, micro_op: str = "read",
         target_throughput=None,
         seed=seed,
         storage=MICRO_STORAGE,
-        hbase=HBaseConfig(regions_per_server=1),
     )
-    return config.with_replication(replication)
 
 
 def scaled_stress_storage(record_count: int, record_bytes: int,
@@ -331,7 +349,7 @@ def default_surge_config(db: str, arrivals: ArrivalConfig,
     measured runs draw their length from ``arrivals.max_arrivals``.
     """
     return ExperimentConfig(
-        db=db,
+        engine=engine_config(db),
         workload=STRESS_WORKLOADS["read_mostly"],
         record_count=record_count,
         operation_count=max(1_000, arrivals.max_arrivals // 4),
@@ -353,31 +371,24 @@ def default_scale_config(db: str, elasticity: ElasticityConfig,
                          n_nodes: int, seed: int) -> ExperimentConfig:
     """One elasticity cell (``repro-bench scale``).
 
-    A read-mostly open-loop cell on a small cluster whose *serving* set
-    is ``n_nodes - 1 - SPARE_NODES`` servers: the spares sit provisioned
-    but idle until a scale-out bootstraps (Cassandra) or activates
-    (HBase) them.  Storage is sized to the serving set, so the initial
-    members run close to their cache ceiling and added capacity is
-    visible in the latency profile — which is what the autoscaler's
-    breach/relax thresholds key on.
+    The surge cell's read-mostly open-loop mix, with no client tier, on
+    a small cluster whose *serving* set is ``n_nodes - 1 - SPARE_NODES``
+    servers: the spares sit provisioned but idle until a scale-out
+    bootstraps (Cassandra) or activates (HBase) them.  Storage is sized
+    to the serving set, so the initial members run close to their cache
+    ceiling and added capacity is visible in the latency profile — which
+    is what the autoscaler's breach/relax thresholds key on.
     """
     serving = n_nodes - 1 - SPARE_NODES
-    return ExperimentConfig(
-        db=db,
-        workload=STRESS_WORKLOADS["read_mostly"],
-        record_count=record_count,
-        operation_count=max(1_000, arrivals.max_arrivals // 4),
-        n_threads=16,
-        n_nodes=n_nodes,
-        seed=seed,
+    return replace(
+        default_surge_config(db, arrivals, ClientTierConfig(), record_count,
+                             n_nodes, seed),
         # Cache ~60% of a serving member's tree: the knee sits just
         # past the base rate, so the peak of a diurnal cycle (or a
         # flash crowd) pushes the initial members over it while the
         # widened ring after a scale-out is comfortable again.
         storage=disk_exposed_storage(db, record_count, serving, 0.6),
-        arrivals=arrivals,
-        elasticity=elasticity,
-    )
+        elasticity=elasticity)
 
 
 def default_stress_config(db: str, workload_name: str = "read_mostly",
@@ -388,8 +399,8 @@ def default_stress_config(db: str, workload_name: str = "read_mostly",
     if workload_name not in STRESS_WORKLOADS:
         raise ValueError(f"unknown stress workload {workload_name!r}; "
                          f"choose from {sorted(STRESS_WORKLOADS)}")
-    config = ExperimentConfig(
-        db=db,
+    return ExperimentConfig(
+        engine=engine_config(db, replication=replication),
         workload=STRESS_WORKLOADS[workload_name],
         record_count=40_000,
         operation_count=6_000,
@@ -398,4 +409,3 @@ def default_stress_config(db: str, workload_name: str = "read_mostly",
         seed=seed,
         storage=scaled_stress_storage(40_000, 1000, 15),
     )
-    return config.with_replication(replication)

@@ -20,6 +20,7 @@ names a policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from math import isfinite
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
@@ -65,10 +66,7 @@ def import_ingredients(config: ExperimentConfig, adaptive: bool) -> None:
     it before it forks a pool, so that its workers inherit the modules
     instead of each compiling them.
     """
-    if config.db == "hbase":
-        import repro.hbase.client  # noqa: F401
-    else:
-        import repro.cassandra.client  # noqa: F401
+    import_module(f"repro.{config.db}.client")
     if config.geo is not None:
         import repro.cluster.geo  # noqa: F401
     if config.arrivals is not None:
@@ -313,24 +311,19 @@ def _scale(run: _Run, switch, binding: DbBinding) -> Generator:
     # Scale runs always probe read-your-writes so the report can
     # attribute staleness to the transfer windows.
     probe = run.probe()
-    # Session-lifetime counters: snapshot so the report only covers
-    # this run's transfers.
-    pre_streams = pre_rebalances = 0
-    if cassandra is not None:
-        pre_streams = len(cassandra.streams)
-    if hbase is not None:
-        pre_rebalances = len(hbase.master.rebalances)
+    # Session-lifetime logs: snapshot so the report only covers this
+    # run's transfers.
+    streams = cassandra.streams if cassandra is not None else []
+    rebalances = hbase.master.rebalances if hbase is not None else []
+    pre_streams, pre_rebalances = len(streams), len(rebalances)
     yield
     probe.stop()
     engine.stop()
     yield
     yield {"scale": build_scale_report(
         run.measurements, engine.log, config=exp.config.elasticity,
-        streams=(cassandra.streams[pre_streams:]
-                 if cassandra is not None else ()),
-        rebalances=(len(hbase.master.rebalances) - pre_rebalances
-                    if hbase is not None else 0),
-        probe=probe)}
+        streams=streams[pre_streams:],
+        rebalances=len(rebalances) - pre_rebalances, probe=probe)}
 
 
 def _energy(run: _Run, switch, binding: DbBinding) -> Generator:
@@ -416,13 +409,13 @@ class ExperimentSession:
         spares = SPARE_NODES if config.elasticity is not None else 0
         if config.db == "hbase":
             from repro.hbase.deployment import HBaseCluster
-            self.hbase = HBaseCluster(self.cluster, config.hbase,
+            self.hbase = HBaseCluster(self.cluster, config.engine,
                                       config.storage, config.tail,
                                       spare_servers=spares)
         else:
             from repro.cassandra.deployment import CassandraCluster
             self.cassandra = CassandraCluster(
-                self.cluster, config.cassandra, config.storage, config.tail,
+                self.cluster, config.engine, config.storage, config.tail,
                 spare_nodes=spares)
         #: Who can drive a run: ``{datacenter: (Cassandra session or
         #: None, binding)}`` — one client per region on a geo

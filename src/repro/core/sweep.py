@@ -42,7 +42,6 @@ from repro.core.config import (MICRO_STORAGE,
                                EnergyConfig,
                                ExperimentConfig,
                                GeoConfig,
-                               HBaseConfig,
                                SloSpec,
                                TailDefenseConfig,
                                default_micro_config,
@@ -187,6 +186,11 @@ def _stress(db: str, scale: Scale, workload: str = "read_mostly",
                                    target_throughput=scale.targets[0],
                                    seed=scale.seed)
     return _sized(config, scale, **overrides)
+
+
+def _tuned(config: ExperimentConfig, **knobs) -> ExperimentConfig:
+    """``config`` with ``knobs`` set on its engine record."""
+    return replace(config, engine=replace(config.engine, **knobs))
 
 
 def _stress_storage(scale: Scale, cache_units: float = 3.2) -> StorageSpec:
@@ -393,8 +397,7 @@ def _ablation_cells(db: str, scale: Scale) -> list[CellSpec]:
                 cells.append(CellSpec(
                     key=(rf, f"wal={mode}"),
                     label=f"ablation/{db}/rf={rf}/{mode}",
-                    config=replace(config, hbase=replace(config.hbase,
-                                                         wal_sync=sync)),
+                    config=_tuned(config, wal_sync=sync),
                     runs=(RunSpec(workload="insert"),)))
         return cells
     config = _micro(db, scale, "read", 5)
@@ -402,8 +405,7 @@ def _ablation_cells(db: str, scale: Scale) -> list[CellSpec]:
         cells.append(CellSpec(
             key=(5, f"read_repair_chance={chance}"),
             label=f"ablation/{db}/rf=5/chance={chance}",
-            config=replace(config, cassandra=replace(
-                config.cassandra, read_repair_chance=chance)),
+            config=_tuned(config, read_repair_chance=chance),
             # The measured reads follow the warm reads and an unmeasured
             # round of updates.
             warm=(RunSpec(workload="read",
@@ -515,11 +517,12 @@ def _tail_cells(db: str, scale: Scale, modes: Sequence[str],
                 db, scale,
                 storage=disk_exposed_storage(db, scale.record_count,
                                              scale.n_nodes - 1, 0.4),
+                tail=TAIL_MODES[mode])
+            if db == "cassandra":
                 # Keep every read hedgeable: a background repair pulls
                 # all replicas into the read path, which leaves no spare
                 # replica to hedge to for that request.
-                cassandra=CassandraConfig(read_repair_chance=0.0),
-                tail=TAIL_MODES[mode])
+                config = _tuned(config, read_repair_chance=0.0)
             run = RunSpec(workload="read_mostly",
                           target_throughput=scale.targets[0])
             if scenario == "slow_replica":
@@ -583,25 +586,24 @@ def _check_cells(db: str, scale: Scale, cl: str = "QUORUM",
         raise ValueError(f"unknown consistency mode {cl!r}; "
                          f"choose from {sorted(CHECK_CL_MODES)}")
     levels = CHECK_CL_MODES.get(cl)
-    cassandra = CassandraConfig()
+    knobs = {}
     if levels is not None:
-        cassandra = replace(cassandra, read_cl=levels[0], write_cl=levels[1])
-    if no_repair:
+        knobs.update(read_cl=levels[0], write_cl=levels[1])
+    if no_repair and db == "cassandra":
         # Zero chance and no blocking repair: a weak CL's staleness
         # window stays open for the session checkers to observe instead
         # of being quietly closed by the anti-entropy path under test.
-        cassandra = replace(cassandra, read_repair_chance=0.0,
-                            blocking_read_repair=False)
+        knobs.update(read_repair_chance=0.0, blocking_read_repair=False)
     cells = []
     for seed in range(seeds) if isinstance(seeds, int) else seeds:
         cells.append(CellSpec(
             key=seed,
             label=f"check/{db}/cl={cl}/{fault or 'healthy'}/seed={seed}",
-            config=_stress(
+            config=_tuned(_stress(
                 db, replace(scale, seed=seed), "read_update",
-                storage=_stress_storage(scale), cassandra=cassandra,
+                storage=_stress_storage(scale),
                 faults=(_fault(scale, fault, "severity", "span")
-                        if fault else ())),
+                        if fault else ())), **knobs),
             runs=(RunSpec(workload="read_update",
                           target_throughput=scale.targets[0], check=True,
                           **_cl_values(levels)),)))
@@ -869,7 +871,7 @@ def _adaptive_cells(db: str, scale: Scale,
         db, scale,
         operation_count=int(scale.targets[0] * scale.duration_s),
         storage=MICRO_STORAGE,  # disk-exposed reads (see _ADAPTIVE)
-        cassandra=scale.cassandra, adaptive=_SLO,
+        engine=scale.cassandra, adaptive=_SLO,
         faults=_fault(scale, "crash"))
     cells = []
     for policy in policies:
@@ -953,7 +955,7 @@ def _geo_cells(db: str, scale: Scale, modes: Sequence[str],
                    storage=scaled_stress_storage(
                        scale.record_count, 1000,
                        geo.total_nodes - len(geo.datacenters)),
-                   cassandra=CassandraConfig(
+                   engine=CassandraConfig(
                        read_cl=ConsistencyLevel.LOCAL_QUORUM,
                        write_cl=ConsistencyLevel.LOCAL_QUORUM),
                    geo=geo)
@@ -1044,9 +1046,20 @@ def _energy_cells(db: str, scale: Scale) -> list[CellSpec]:
     for rf in _ENERGY_RFS:
         for cl, power in ENERGY_MODES[db]:
             adaptive = "energy-aware" if power == "energy_aware" else None
-            level = (ConsistencyLevel.QUORUM if cl == "QUORUM"
-                     else ConsistencyLevel.ONE)
-            config = _stress(
+            if db == "hbase":
+                # Durable WAL: energy is priced on the durable path, so
+                # every pipeline packet hits each replica's spindle and
+                # the HDFS replication factor shows up in the joules
+                # (foreground throughput still barely moves — the
+                # paper's finding F2).
+                knobs = dict(regions_per_server=1, wal_sync=True)
+            else:
+                level = (ConsistencyLevel.QUORUM if cl == "QUORUM"
+                         else ConsistencyLevel.ONE)
+                knobs = dict(read_cl=level, write_cl=level,
+                             read_repair_chance=0.0,
+                             blocking_read_repair=False)
+            config = _tuned(_stress(
                 db, scale, _ENERGY_WORKLOAD, rf, operation_count=ops,
                 # Disk-exposed reads (the micro tuning's tiny block
                 # cache) but a gentler flush threshold than the adaptive
@@ -1055,22 +1068,10 @@ def _energy_cells(db: str, scale: Scale) -> list[CellSpec]:
                 # load, all billed at fleet idle watts — pure tail noise.
                 storage=replace(MICRO_STORAGE,
                                 memtable_flush_bytes=128 * 1024),
-                # Durable WAL: energy is priced on the durable path, so
-                # every pipeline packet hits each replica's spindle and
-                # the HDFS replication factor shows up in the joules
-                # (foreground throughput still barely moves — the
-                # paper's finding F2).
-                hbase=HBaseConfig(replication=rf, regions_per_server=1,
-                                  wal_sync=True),
-                cassandra=CassandraConfig(
-                    replication=rf,
-                    read_cl=level, write_cl=level,
-                    read_repair_chance=0.0,
-                    blocking_read_repair=False),
                 adaptive=_SLO,
                 energy=replace(_ENERGY_POWER,
                                power_mode=("policy" if power == "energy_aware"
-                                           else power)))
+                                           else power))), **knobs)
             cells.append(CellSpec(
                 key=(rf, cl, power),
                 label=f"energy/{db}/rf={rf}/{cl}/{power}",

@@ -9,6 +9,7 @@ imports them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = ["HBaseConfig"]
 
@@ -17,6 +18,7 @@ __all__ = ["HBaseConfig"]
 class HBaseConfig:
     """HBase-side knobs of one experiment cell."""
 
+    db: ClassVar[str] = "hbase"  # the name a cell's ``db`` reads
     #: HDFS replication factor — the paper's replication knob for HBase.
     replication: int = 3
     regions_per_server: int = 2

@@ -69,20 +69,33 @@ def _flatten(value, path, into):
 
 
 @lru_cache(maxsize=None)
+def configs() -> tuple:
+    """Every product cell's config and the benchmark's."""
+    return tuple([cell.config for _, name, scale, db in CASES
+                  for cell in _cells(name, db, scale)] + _bench_configs())
+
+
+@lru_cache(maxsize=None)
 def census() -> dict:
     """``leaf path -> distinct values`` over the product cells and the
     benchmark's; a path that is a record anywhere (``arrivals``, when
     other cells leave it ``None``) is not a leaf."""
-    configs = [cell.config for _, name, scale, db in CASES
-               for cell in _cells(name, db, scale)]
-    configs += _bench_configs()
     values = defaultdict(set)
-    for config in configs:
+    for config in configs():
         _flatten(config_to_dict(config), "", values)
     records = {path[:end].removesuffix("[]") for path in values
                for end, char in enumerate(path) if char == "."}
     return {path: found for path, found in values.items()
             if path not in records}
+
+
+def test_every_cell_carries_one_engine():
+    """A cell's identity holds the record of the engine it runs, under
+    that engine's name, and no other engine's."""
+    engines = {"hbase", "cassandra"}
+    for config in configs():
+        carried = engines & set(config_to_dict(config))
+        assert carried == {config.db}, (config.db, sorted(carried))
 
 
 def _allowed(path: str) -> bool:

@@ -39,6 +39,27 @@ class TestParser:
             build_parser().parse_args(["fig3", "--max-rf", "3"])
         assert "--max-rf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, limit", [
+        ("fig1 --quick --max-rf 8", "--max-rf 8: choose 1..7"),
+        ("fig2 --quick --db cassandra --max-rf 9", "--max-rf 9: choose 1..7"),
+        ("fig1 --max-rf 16", "--max-rf 16: choose 1..15"),
+        ("fig2 --max-rf 0", "--max-rf 0: choose 1..15"),
+        ("fig1 --quick --max-rf -1", "--max-rf -1: choose 1..7"),
+    ], ids=["fig1_quick_over", "fig2_quick_over", "fig1_full_over",
+            "fig2_zero", "fig1_negative"])
+    def test_max_rf_outside_the_servers_is_a_usage_error(
+            self, argv, limit, capsys, monkeypatch):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("repro.core.cli.run_campaign", no_cell)
+        with pytest.raises(SystemExit) as exit_:
+            main(argv.split())
+        out, err = capsys.readouterr()
+        assert exit_.value.code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and limit in err, err
+
     def test_db_filter(self):
         args = build_parser().parse_args(["fig1", "--db", "hbase"])
         assert args.dbs == ["hbase"]

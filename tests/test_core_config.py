@@ -9,7 +9,8 @@ from repro.cassandra.consistency import ConsistencyLevel
 from repro.cluster.config import FaultSpec
 from repro.core.config import (ArrivalConfig, CassandraConfig,
                                ElasticityConfig, ExperimentConfig, GeoConfig,
-                               default_micro_config, default_stress_config)
+                               HBaseConfig, default_micro_config,
+                               default_stress_config, engine_config)
 from repro.core.experiment import ExperimentSession
 from repro.core.sweep import Scale
 from repro.storage.lsm import StorageSpec
@@ -18,16 +19,17 @@ from repro.ycsb.workload import STRESS_WORKLOADS
 
 def _leaves(cls, prefix=""):
     """Dotted paths of every settable value under dataclass ``cls``:
-    nested (and ``Optional``) dataclass fields are walked, anything else
-    — a number, a string, a tuple of fault or scale specs — is a leaf."""
+    nested (``Optional``, or one of several records) dataclass fields
+    are walked, each path once; anything else — a number, a string, a
+    tuple of fault or scale specs — is a leaf."""
     hints = typing.get_type_hints(cls)
     for field in dataclasses.fields(cls):
-        kind = hints[field.name]
-        inner = [a for a in typing.get_args(kind) if a is not type(None)]
-        if typing.get_origin(kind) is typing.Union and len(inner) == 1:
-            kind = inner[0]
-        if dataclasses.is_dataclass(kind):
-            yield from _leaves(kind, f"{prefix}{field.name}.")
+        kinds = [a for a in typing.get_args(hints[field.name])
+                 if a is not type(None)] or [hints[field.name]]
+        if all(dataclasses.is_dataclass(kind) for kind in kinds):
+            yield from dict.fromkeys(
+                path for kind in kinds
+                for path in _leaves(kind, f"{prefix}{field.name}."))
         else:
             yield prefix + field.name
 
@@ -36,7 +38,8 @@ def test_settable_value_count():
     """A new setting is a deliberate edit of this number: one a campaign
     never varies is a constant, not a field."""
     leaves = list(_leaves(ExperimentConfig))
-    assert len(leaves) == 70, "\n".join(leaves)
+    assert len(dataclasses.fields(ExperimentConfig)) == 18
+    assert len(leaves) == 68, "\n".join(leaves)
 
 
 def test_scale_value_count():
@@ -51,8 +54,9 @@ _WORKLOAD = STRESS_WORKLOADS["read_mostly"]
 
 
 def _cell(**overrides):
-    return ExperimentConfig(db="hbase", workload=_WORKLOAD, record_count=10,
-                            operation_count=10, **overrides)
+    return ExperimentConfig(**{"engine": HBaseConfig(), "workload": _WORKLOAD,
+                               "record_count": 10, "operation_count": 10,
+                               **overrides})
 
 
 @pytest.mark.parametrize("build, names", [
@@ -61,15 +65,9 @@ def _cell(**overrides):
     (lambda: StorageSpec(block_cache_bytes=-1), "block_cache_bytes=-1"),
     (lambda: StorageSpec(compaction_min_batch=1), "compaction_min_batch=1"),
     (lambda: StorageSpec(compaction_max_batch=2), "compaction_max_batch=2"),
-    (lambda: ExperimentConfig(db="hbase", workload=_WORKLOAD,
-                              record_count=0, operation_count=10),
-     "record_count=0"),
-    (lambda: ExperimentConfig(db="hbase", workload=_WORKLOAD,
-                              record_count=10, operation_count=0),
-     "operation_count=0"),
-    (lambda: ExperimentConfig(db="hbase", workload=_WORKLOAD,
-                              record_count=10, operation_count=10,
-                              n_nodes=1), "n_nodes=1"),
+    (lambda: _cell(record_count=0), "record_count=0"),
+    (lambda: _cell(operation_count=0), "operation_count=0"),
+    (lambda: _cell(n_nodes=1), "n_nodes=1"),
     (lambda: ArrivalConfig(rate=0.0), "rate=0.0"),
     (lambda: ArrivalConfig(max_arrivals=0), "max_arrivals=0"),
     (lambda: ArrivalConfig(process="bursty"), "flash_crowd"),
@@ -104,10 +102,14 @@ def _cell(**overrides):
      r"ElasticityConfig.cooldown_s=-1.0: must be >= 0"),
     (lambda: _cell(n_nodes=2, elasticity=ElasticityConfig()),
      r"n_nodes=2 has 1 servers: an elastic cell keeps 1 spare"),
-    (lambda: ExperimentConfig(db="cassandra", workload=_WORKLOAD,
-                              record_count=10, operation_count=10,
-                              n_nodes=16, geo=GeoConfig()),
+    (lambda: _cell(engine=CassandraConfig(), n_nodes=16, geo=GeoConfig()),
      r"n_nodes=16 does not match the geo layout's 12 nodes"),
+    (lambda: _cell(engine=CassandraConfig(replication=4), n_nodes=4),
+     r"replication=4 exceeds the 3 servers"),
+    (lambda: _cell(n_nodes=4, elasticity=ElasticityConfig()),
+     r"replication=3 exceeds the 2 servers"),
+    (lambda: default_micro_config("hbase", replication=16),
+     r"replication=16 exceeds the 15 servers"),
 ], ids=["memtable", "block", "cache", "min_batch", "max_batch", "records",
         "operations", "nodes", "rate", "arrivals", "process", "threads",
         "settle", "target",
@@ -116,7 +118,8 @@ def _cell(**overrides):
         "fault_negative_start", "fault_negative_duration",
         "flap_zero_duration", "scale_negative_instant",
         "scale_negative_cooldown", "elastic_no_server",
-        "geo_conflicting_size"])
+        "geo_conflicting_size", "replication_over_servers",
+        "replication_over_serving_set", "replication_over_the_rack"])
 def test_config_errors_name_the_field_and_value(build, names):
     with pytest.raises(ValueError, match=names):
         build()
@@ -124,22 +127,18 @@ def test_config_errors_name_the_field_and_value(build, names):
 
 class TestExperimentConfig:
     def test_unknown_db_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(db="mongodb",
-                             workload=STRESS_WORKLOADS["read_mostly"],
-                             record_count=10, operation_count=10)
+        with pytest.raises(ValueError, match="unknown db 'mongodb'"):
+            engine_config("mongodb")
+        with pytest.raises(ValueError, match="must be an HBaseConfig or"):
+            _cell(engine="mongodb")
 
     def test_counts_validated(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(db="hbase",
-                             workload=STRESS_WORKLOADS["read_mostly"],
-                             record_count=0, operation_count=10)
+            _cell(record_count=0)
 
     def test_geo_cell_takes_its_size_from_the_layout(self):
         geo = GeoConfig()
-        config = ExperimentConfig(db="cassandra", workload=_WORKLOAD,
-                                  record_count=10, operation_count=10,
-                                  geo=geo)
+        config = _cell(engine=CassandraConfig(), geo=geo)
         assert config.n_nodes is None
         # Naming the layout's own size is no conflict; the record is the
         # same cell either way, and a new layout replaces the old one.
@@ -154,23 +153,17 @@ class TestExperimentConfig:
 
     def test_node_count_validated(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(db="hbase",
-                             workload=STRESS_WORKLOADS["read_mostly"],
-                             record_count=10, operation_count=10, n_nodes=1)
+            _cell(n_nodes=1)
 
     def test_replication_property_tracks_db(self):
-        config = ExperimentConfig(
-            db="cassandra", workload=STRESS_WORKLOADS["read_mostly"],
-            record_count=10, operation_count=10,
-            cassandra=CassandraConfig(replication=5))
-        assert config.replication == 5
+        config = _cell(engine=CassandraConfig(replication=5))
+        assert (config.db, config.replication) == ("cassandra", 5)
 
-    def test_with_replication_updates_both_sides(self):
+    def test_with_replication_updates_the_engine(self):
         config = default_stress_config("hbase")
         updated = config.with_replication(6)
-        assert updated.hbase.replication == 6
-        assert updated.cassandra.replication == 6
-        assert config.hbase.replication == 3  # original untouched
+        assert updated.engine == HBaseConfig(replication=6)
+        assert config.engine.replication == 3  # original untouched
 
 
 class TestFactories:
@@ -200,5 +193,5 @@ class TestFactories:
 
     def test_default_cls_are_one(self):
         config = default_stress_config("cassandra")
-        assert config.cassandra.read_cl is ConsistencyLevel.ONE
-        assert config.cassandra.write_cl is ConsistencyLevel.ONE
+        assert config.engine.read_cl is ConsistencyLevel.ONE
+        assert config.engine.write_cl is ConsistencyLevel.ONE

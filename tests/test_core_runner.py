@@ -59,6 +59,7 @@ class TestConfigSerialization:
         config = default_stress_config("cassandra")
         as_dict = config_to_dict(config)
         assert as_dict["cassandra"]["read_cl"] == "ONE"
+        assert "hbase" not in as_dict
 
     def test_replication_reflected(self):
         config = default_stress_config("hbase")

@@ -1,6 +1,6 @@
 """Each engine runs on the records its cell's config carries.
 
-``ExperimentSession`` hands ``config.cassandra`` / ``config.hbase``,
+``ExperimentSession`` hands ``config.engine``,
 ``config.storage`` and ``config.tail`` to the engine as they are; the
 engine's nodes, coordinators and drivers read their knobs from those
 objects.  Every value below is off its default, so a knob dropped or
@@ -34,26 +34,26 @@ STORAGE = StorageSpec(memtable_flush_bytes=48 * 1024, block_bytes=2048,
                       block_cache_bytes=96 * 1024)
 
 
-def _session(db, **engine):
-    config = replace(default_stress_config(db, replication=2),
+def _session(engine):
+    config = replace(default_stress_config(engine.db, replication=2),
                      record_count=100, n_nodes=6, storage=STORAGE,
-                     tail=TAIL, **engine)
+                     tail=TAIL, engine=engine)
     return config, ExperimentSession(config)
 
 
 def test_cassandra_nodes_read_the_cells_records():
-    config, session = _session("cassandra", cassandra=CassandraConfig(
+    config, session = _session(CassandraConfig(
         replication=2, read_cl=ConsistencyLevel.QUORUM,
         write_cl=ConsistencyLevel.ALL, read_repair_chance=0.25,
         blocking_read_repair=False, hint_replay_interval_s=1.5))
     cassandra = session.cassandra
-    assert cassandra.config is config.cassandra
+    assert cassandra.config is config.engine
     assert cassandra.storage is config.storage
     assert cassandra.tail is config.tail
     assert cassandra.placement.replication == 2
     assert len(cassandra.nodes) == 5
     for node in cassandra.nodes.values():
-        assert node.config is config.cassandra
+        assert node.config is config.engine
         assert node.tree.spec is config.storage
         assert node.hints.replay_interval_s == 1.5
         pool = node.replica_pool
@@ -68,10 +68,10 @@ def test_cassandra_nodes_read_the_cells_records():
 
 
 def test_hbase_servers_read_the_cells_records():
-    config, session = _session("hbase", hbase=HBaseConfig(
+    config, session = _session(HBaseConfig(
         replication=2, regions_per_server=3, wal_sync=True))
     hbase = session.hbase
-    assert hbase.config is config.hbase
+    assert hbase.config is config.engine
     assert hbase.tail is config.tail
     assert len(hbase.regions) == 5 * 3
     assert all(region.tree.spec is config.storage

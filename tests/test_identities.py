@@ -40,12 +40,13 @@ ONE, QUORUM, ALL = (ConsistencyLevel.ONE, ConsistencyLevel.QUORUM,
 def _cell(db, workload="read_update", rf=3, read_cl=ONE, write_cl=ONE,
           power_mode="always_on", tail=TailDefenseConfig()):
     config = _closed(db)
+    engine = replace(config.engine, replication=rf)
+    if db == "cassandra":
+        engine = replace(engine, read_cl=read_cl, write_cl=write_cl)
     return replace(
         config, workload=STRESS_WORKLOADS[workload], operation_count=1_500,
         faults=(), energy=EnergyConfig(power_mode=power_mode), tail=tail,
-        hbase=replace(config.hbase, replication=rf),
-        cassandra=replace(config.cassandra, replication=rf, read_cl=read_cl,
-                          write_cl=write_cl))
+        engine=engine)
 
 
 @lru_cache(maxsize=None)

@@ -395,8 +395,8 @@ class TestGeoStalenessShapes:
         config = campaign_cells("geo", scale=CAMPAIGNS["geo"].quick,
                                 modes=("LOCAL_ONE",),
                                 scenarios=("dc_partition",))[0].config
-        config = replace(config, cassandra=replace(
-            config.cassandra, read_cl=ConsistencyLevel.LOCAL_ONE,
+        config = replace(config, engine=replace(
+            config.engine, read_cl=ConsistencyLevel.LOCAL_ONE,
             write_cl=ConsistencyLevel.LOCAL_ONE, read_repair_chance=0.0,
             blocking_read_repair=False))
         session = ExperimentSession(config)
@@ -549,8 +549,8 @@ class TestElasticityShapes:
         from repro.core.experiment import summarize_run
         kwargs = {}
         if session.cassandra is not None:
-            kwargs = dict(read_cl=session.config.cassandra.read_cl,
-                          write_cl=session.config.cassandra.write_cl)
+            kwargs = dict(read_cl=session.config.engine.read_cl,
+                          write_cl=session.config.engine.write_cl)
         return summarize_run(session.run_cell(
             open_loop=True, scale=True, check_consistency=True, **kwargs))
 

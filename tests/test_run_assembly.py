@@ -131,7 +131,7 @@ def test_adaptive_run_restores_the_session_cls():
                      read_cl=ConsistencyLevel.ONE)
     cql = session.cassandra_session
     assert (cql.read_cl, cql.write_cl) == (ConsistencyLevel.ONE,
-                                           config.cassandra.write_cl)
+                                           config.engine.write_cl)
     summary = summarize_run(session.run_cell(check_consistency=True))
     assert (summary["consistency"]["read_cl"],
             summary["consistency"]["write_cl"]) == ("ONE", "QUORUM")
