@@ -44,7 +44,7 @@ def measure_latency(env, session, cl):
         for i in range(PROBES):
             key = key_for_index(i % RECORDS)
             start = env.now
-            yield from session.insert(key, i, 1000, cl=cl)
+            yield from session.write(key, i, 1000, cl=cl)
             write_lat.append(env.now - start)
             start = env.now
             yield from session.read(key, 1000, cl=cl)
@@ -61,7 +61,7 @@ def measure_staleness(env, session, write_cl, read_cl):
         for i in range(PROBES):
             key = key_for_index(i % 50)  # hot keys maximize races
             marker = f"probe-{i}"
-            yield from session.insert(key, marker, 1000, cl=write_cl)
+            yield from session.write(key, marker, 1000, cl=write_cl)
             result = yield from session.read(key, 1000, cl=read_cl)
             if result is None or result[0] != marker:
                 stale += 1
@@ -75,7 +75,7 @@ def main() -> None:
 
     def load():
         for i in range(RECORDS):
-            yield from session.insert(key_for_index(i), i, 1000)
+            yield from session.write(key_for_index(i), i, 1000)
 
     env.run(until=env.process(load()))
 

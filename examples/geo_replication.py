@@ -53,7 +53,7 @@ def geo_read_latency(env, session) -> None:
             for i in range(60):
                 key = key_for_index(i)
                 start = env.now
-                yield from session.insert(key, i, 500, cl=cl)
+                yield from session.write(key, i, 500, cl=cl)
                 write_lat.append(env.now - start)
                 start = env.now
                 yield from session.read(key, 500, cl=cl)
@@ -80,15 +80,15 @@ def partition_test(env, geo, session) -> None:
         outcomes = []
         try:
             start = env.now
-            yield from session.insert(key, "local", 500,
-                                      cl=ConsistencyLevel.LOCAL_QUORUM)
+            yield from session.write(key, "local", 500,
+                                     cl=ConsistencyLevel.LOCAL_QUORUM)
             outcomes.append(["LOCAL_QUORUM write", "OK",
                              f"{(env.now - start) * 1000:.2f} ms"])
         except UnavailableError:
             outcomes.append(["LOCAL_QUORUM write", "UNAVAILABLE", ""])
         try:
-            yield from session.insert(key, "global", 500,
-                                      cl=ConsistencyLevel.ALL)
+            yield from session.write(key, "global", 500,
+                                     cl=ConsistencyLevel.ALL)
             outcomes.append(["ALL write", "OK", ""])
         except UnavailableError:
             outcomes.append(["ALL write", "UNAVAILABLE", ""])
@@ -106,8 +106,8 @@ def partition_test(env, geo, session) -> None:
 def staleness_test(env, geo, cassandra, session) -> None:
     def scenario():
         key = key_for_index(2000)
-        yield from session.insert(key, "fresh-from-europe", 500,
-                                  cl=ConsistencyLevel.LOCAL_ONE)
+        yield from session.write(key, "fresh-from-europe", 500,
+                                 cl=ConsistencyLevel.LOCAL_ONE)
         singapore = [r for r in cassandra.replicas_of(key)
                      if geo.datacenter_of(r) == "ap-southeast"]
         immediately = [cassandra.nodes[r].newest_timestamp(key) is not None
@@ -133,8 +133,8 @@ def main() -> None:
 
     def load():
         for i in range(2000):
-            yield from session.insert(key_for_index(i), i, 500,
-                                      cl=ConsistencyLevel.LOCAL_QUORUM)
+            yield from session.write(key_for_index(i), i, 500,
+                                     cl=ConsistencyLevel.LOCAL_QUORUM)
 
     env.run(until=env.process(load()))
     env.run(until=env.now + 3)

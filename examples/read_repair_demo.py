@@ -35,7 +35,7 @@ def build(read_repair_chance: float, blocking: bool, seed: int = 7):
         record_count=1_000, operation_count=1_000,
         n_nodes=8, seed=seed)
     experiment = ExperimentSession(config)
-    return experiment.env, experiment.cassandra, experiment.cassandra_session
+    return experiment.env, experiment.deployment, experiment.client
 
 
 def show_divergence_and_repair() -> None:
@@ -44,7 +44,7 @@ def show_divergence_and_repair() -> None:
     replicas = cassandra.replicas_of(key)
 
     def scenario():
-        yield from session.insert(key, "v1", 1000)
+        yield from session.write(key, "v1", 1000)
         yield env.timeout(1)
         # Inject divergence: a newer version lands on the main replica
         # only (as if an earlier coordinator died mid-write).
@@ -89,7 +89,7 @@ def compare_repair_cost() -> None:
 
         def writer():
             for i in range(800):
-                yield from session.insert(key_for_index(i % 40), i, 1000)
+                yield from session.write(key_for_index(i % 40), i, 1000)
 
         def reader():
             for i in range(800):

@@ -5,7 +5,7 @@
 binding stack::
 
     YcsbClient -> AdaptiveController -> [HistoryRecorder] ->
-        CassandraBinding -> CassandraSession
+        CassandraSession
 
 For every operation it (1) rolls the monitor's window, (2) asks the
 policy for a consistency level, (3) applies it as the session's

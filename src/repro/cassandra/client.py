@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.cassandra.consistency import ConsistencyLevel
 from repro.cassandra.coordinator import ReadTimeoutError, WriteTimeoutError
-from repro.cassandra.deployment import CassandraCluster
 from repro.cluster.node import Node
 from repro.cluster.topology import (CLIENT_OVERHEAD_S, DeadlineExceeded,
                                     DeadNodeError, RpcTimeout)
 from repro.sim.resources import Overloaded
+
+if TYPE_CHECKING:  # pragma: no cover - the deployment builds its sessions
+    from repro.cassandra.deployment import CassandraCluster
 
 __all__ = ["CassandraSession"]
 
@@ -35,7 +37,8 @@ class CassandraSession:
     datacenter first (the driver's DCAwareRoundRobinPolicy default).
     Read and write consistency levels are set separately
     (paper §2): they start at the deployment's ``CassandraConfig``, and
-    can be set on the session or overridden per request.
+    can be set on the session or overridden per request.  The session is
+    a cell's :class:`~repro.ycsb.db.DbBinding` as it stands.
     """
 
     def __init__(self, cassandra: CassandraCluster, client_node: Node,
@@ -131,8 +134,8 @@ class CassandraSession:
 
     # -- operations -----------------------------------------------------
 
-    def insert(self, key: str, value: Any, size: int,
-               cl: Optional[ConsistencyLevel] = None) -> Generator:
+    def write(self, key: str, value: Any, size: int,
+              cl: Optional[ConsistencyLevel] = None) -> Generator:
         """Write one row at the session's (or given) write CL.
 
         Like :meth:`read` and :meth:`scan`, returns :meth:`_call`'s

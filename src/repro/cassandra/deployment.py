@@ -4,14 +4,16 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
+from repro.cassandra.client import CassandraSession
 from repro.cassandra.config import CassandraConfig
 from repro.cassandra.multidc import NetworkTopologyStrategy, SimpleStrategy
 from repro.cassandra.node import CassandraNode
 from repro.cassandra.partitioner import TokenRange, TokenRing
 from repro.cluster.disk import BACKGROUND
+from repro.cluster.node import Node
 from repro.cluster.topology import Cluster, TailDefenseConfig
 from repro.keyspace import token_of
-from repro.storage.lsm import StorageSpec
+from repro.storage.lsm import StorageSpec, tree_stats
 
 __all__ = ["CassandraCluster"]
 
@@ -95,6 +97,19 @@ class CassandraCluster:
             for stat, count in node.coordinator.stats.items():
                 totals[stat] = totals.get(stat, 0) + count
         return totals
+
+    def driver(self, node: Node, **kwargs) -> CassandraSession:
+        """A driver session on ``node``."""
+        return CassandraSession(self, node, **kwargs)
+
+    def db_stats(self) -> dict:
+        """Engine counters: the coordinators' totals and the storage."""
+        return {"cassandra": self.total_stats(),
+                **tree_stats([n.tree for n in self.nodes.values()])}
+
+    def transfer_logs(self) -> tuple[list, list]:
+        """``(range streams, region rebalances)`` so far: data streams."""
+        return self.streams, []
 
     # -- elasticity --------------------------------------------------------
 

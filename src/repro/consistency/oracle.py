@@ -78,18 +78,17 @@ def _geo_strong(read_cl: ConsistencyLevel, write_cl: ConsistencyLevel,
     return read_cl.required(total) + write_global_min > total
 
 
-def build_consistency_report(history: History, *, db: str,
-                             read_cl: Optional[ConsistencyLevel] = None,
-                             write_cl: Optional[ConsistencyLevel] = None,
-                             replication: int = 3,
-                             cassandra=None,
-                             client_dc: Optional[str] = None) -> dict:
+def build_consistency_report(history: History, deployment, *,
+                             read_cl: Optional[ConsistencyLevel],
+                             write_cl: Optional[ConsistencyLevel],
+                             client_dc: Optional[str]) -> dict:
     """Check one recorded run and summarize the verdict.
 
-    ``cassandra`` (the deployment, when there is one) enables the
-    convergence check; call after the session has settled so repair and
-    hint replay have drained.  HBase is always ``strong``: a region has
-    one serving owner, so its reads are trivially linearizable — the
+    ``deployment`` is the engine the history ran on: its config names
+    the database and the replication, and a Cassandra ring is checked
+    for convergence too; call after the session has settled so repair
+    and hint replay have drained.  HBase is always ``strong``: a region
+    has one serving owner, so its reads are trivially linearizable — the
     checker then guards the client/failover path, not quorum math.
 
     Strong or weak is one overlap rule, :func:`_geo_strong`; a single
@@ -97,13 +96,17 @@ def build_consistency_report(history: History, *, db: str,
     deployment ``client_dc`` names the datacenter whose client drove
     this history — e.g. LOCAL_QUORUM+LOCAL_QUORUM from one region is
     strong, LOCAL_ONE never is, and EACH_QUORUM writes make
-    LOCAL_QUORUM reads strong from *any* region.
+    LOCAL_QUORUM reads strong from *any* region — and the report's
+    ``replication`` is that datacenter's replica count.
     """
-    if db == "hbase":
+    db, replication = deployment.config.db, deployment.config.replication
+    cassandra = deployment if db == "cassandra" else None
+    if cassandra is None:
         strong = True
     else:
-        per_dc = (cassandra.placement.replication_per_dc
-                  if cassandra is not None else None)
+        per_dc = cassandra.placement.replication_per_dc
+        if per_dc:
+            replication = per_dc.get(client_dc, 0)
         strong = _geo_strong(read_cl or ConsistencyLevel.ONE,
                              write_cl or ConsistencyLevel.ONE,
                              per_dc or {client_dc: replication}, client_dc)

@@ -211,12 +211,19 @@ def build_parser(campaigns: Optional[Iterable[Campaign]] = None
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # An RF sweep stops at the servers of the scale it runs at.
+    # Values a flag's type admits but no run can take.  An RF sweep
+    # stops at the servers of the scale it runs at.
     servers = _scale(args).n_nodes - 1 if hasattr(args, "rfs") else None
+    problem = None
     if servers is not None and not 1 <= args.rfs.stop - 1 <= servers:
-        parser.exit(2, f"repro-bench {args.command}: error: --max-rf "
-                       f"{args.rfs.stop - 1}: choose 1..{servers}, the "
-                       f"servers at this scale\n")
+        problem = (f"--max-rf {args.rfs.stop - 1}: choose 1..{servers}, "
+                   "the servers at this scale")
+    elif getattr(args, "jobs", 0) < 0:
+        problem = f"--jobs {args.jobs}: choose 0 (one per CPU core) or more"
+    elif getattr(args, "seeds", 1) < 1:
+        problem = f"--seeds {args.seeds}: choose 1 or more"
+    if problem is not None:
+        parser.exit(2, f"repro-bench {args.command}: error: {problem}\n")
     return args.func(args)
 
 

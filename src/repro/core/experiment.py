@@ -9,8 +9,8 @@ Two entry points:
   factor, and the consistency rounds back-to-back at RF 3).
 
 This module imports at module level only what every cell runs: the
-kernel, the transport, the YCSB client and bindings, the energy meter
-and the consistency oracle.  The engine, the geo layout, power
+kernel, the transport, the YCSB client, the energy meter and the
+consistency oracle.  The engine, the geo layout, power
 management, the open-loop tier, the fault injector and the scale engine
 are imported by the session whose config carries them, at build
 (:func:`import_ingredients`); the adaptive controller by the run that
@@ -34,17 +34,14 @@ from repro.energy.meter import EnergyMeter
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.ycsb.client import LoadResult, RunResult, YcsbClient
-from repro.ycsb.db import CassandraBinding, DbBinding, HBaseBinding
-from repro.ycsb.measurements import Measurements, mean
+from repro.ycsb.db import DbBinding
+from repro.ycsb.measurements import Measurements
 from repro.ycsb.workload import STRESS_WORKLOADS, Workload, WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only, no engine
-    from repro.cassandra.client import CassandraSession
     from repro.cassandra.consistency import ConsistencyLevel
-    from repro.cassandra.deployment import CassandraCluster
     from repro.clienttier.openloop import ClientTier
     from repro.core.failover import StalenessProbe
-    from repro.hbase.deployment import HBaseCluster
 
 __all__ = ["LOAD_THREADS", "ExperimentResult", "ExperimentSession",
            "import_ingredients", "run_experiment", "summarize_run"]
@@ -66,7 +63,7 @@ def import_ingredients(config: ExperimentConfig, adaptive: bool) -> None:
     it before it forks a pool, so that its workers inherit the modules
     instead of each compiling them.
     """
-    import_module(f"repro.{config.db}.client")
+    import_module(f"repro.{config.db}.deployment")
     if config.geo is not None:
         import repro.cluster.geo  # noqa: F401
     if config.arrivals is not None:
@@ -143,8 +140,7 @@ class _Run:
     exp: "ExperimentSession"
     #: The driving client: its key and entry in the session's client map.
     dc: Optional[str]
-    session: Optional[CassandraSession]
-    binding: DbBinding
+    client: DbBinding
     #: The live sample store, handed to the driver and to whoever polls
     #: it mid-run (the autoscaler reads per-window p95 from it).
     measurements: Measurements
@@ -161,11 +157,11 @@ class _Run:
     def probe(self) -> StalenessProbe:
         """The run's read-your-writes probe, started on first request
         (the fault and scale reports both read it).  It uses the raw
-        binding — its measurements must not be cache-served, and an open
+        driver — its measurements must not be cache-served, and an open
         breaker must not kill the probe process."""
         if self._probe is None:
             from repro.core.failover import StalenessProbe
-            self._probe = StalenessProbe(self.exp.env, self.binding)
+            self._probe = StalenessProbe(self.exp.env, self.client)
             self.exp.env.process(self._probe.run(), name="staleness-probe")
         return self._probe
 
@@ -194,12 +190,12 @@ def _oracle(run: _Run, switch, binding: DbBinding) -> Generator:
     a Jepsen-style history (writes tagged with unique values).  Reports
     ``consistency``, built after the post-run settle so the convergence
     check sees a quiescent cluster."""
-    exp, session = run.exp, run.session
+    exp, client = run.exp, run.client
     read_cl_of = write_cl_of = None
-    if session is not None:
+    if exp.config.db == "cassandra":  # the session carries the CLs
         # ``cl._value_``: ``cl.value`` is two property frames.
-        read_cl_of = lambda: session.read_cl._value_  # noqa: E731
-        write_cl_of = lambda: session.write_cl._value_  # noqa: E731
+        read_cl_of = lambda: client.read_cl._value_  # noqa: E731
+        write_cl_of = lambda: client.write_cl._value_  # noqa: E731
     exp._recorded_runs += 1
     recorder = HistoryRecorder(binding, exp.env, read_cl=read_cl_of,
                                write_cl=write_cl_of,
@@ -210,12 +206,11 @@ def _oracle(run: _Run, switch, binding: DbBinding) -> Generator:
     read_cl = write_cl = None
     if run.classify_by is not None:
         read_cl, write_cl = run.classify_by()
-    elif session is not None:
-        read_cl, write_cl = session.read_cl, session.write_cl
+    elif read_cl_of is not None:
+        read_cl, write_cl = client.read_cl, client.write_cl
     yield {"consistency": build_consistency_report(
-        recorder.history, db=exp.config.db, read_cl=read_cl,
-        write_cl=write_cl, replication=exp.config.replication,
-        cassandra=exp.cassandra, client_dc=run.dc)}
+        recorder.history, exp.deployment, read_cl=read_cl,
+        write_cl=write_cl, client_dc=run.dc)}
 
 
 def _adaptive(run: _Run, switch, binding: DbBinding) -> Generator:
@@ -223,8 +218,8 @@ def _adaptive(run: _Run, switch, binding: DbBinding) -> Generator:
     :mod:`repro.adaptive` policy picks the consistency level per request
     under ``config.adaptive``'s SLO.  Reports ``decisions`` (the
     decision log); the session's own CLs are back in force afterwards."""
-    exp, session, cassandra = run.exp, run.session, run.exp.cassandra
-    if session is None or cassandra is None:
+    exp, session, cassandra = run.exp, run.client, run.exp.deployment
+    if exp.config.db != "cassandra":
         raise ValueError("adaptive consistency control requires Cassandra")
     from repro.adaptive.controller import AdaptiveController
     from repro.adaptive.monitor import Monitor
@@ -299,13 +294,12 @@ def _scale(run: _Run, switch, binding: DbBinding) -> Generator:
     and a read-your-writes probe runs alongside the workload.  Reports
     ``scale``: per-phase (before/during/after transfer) latency and
     staleness."""
-    exp, hbase, cassandra = run.exp, run.exp.hbase, run.exp.cassandra
+    exp = run.exp
     if exp.config.elasticity is None:
         raise ValueError("scale runs need config.elasticity")
     from repro.cluster.elasticity import ScaleEngine, build_scale_report
     yield binding
-    engine = ScaleEngine(exp.env, hbase if hbase is not None else cassandra,
-                         exp.config.elasticity,
+    engine = ScaleEngine(exp.env, exp.deployment, exp.config.elasticity,
                          measurements=run.measurements)
     engine.arm(exp.env.now)
     # Scale runs always probe read-your-writes so the report can
@@ -313,8 +307,7 @@ def _scale(run: _Run, switch, binding: DbBinding) -> Generator:
     probe = run.probe()
     # Session-lifetime logs: snapshot so the report only covers this
     # run's transfers.
-    streams = cassandra.streams if cassandra is not None else []
-    rebalances = hbase.master.rebalances if hbase is not None else []
+    streams, rebalances = exp.deployment.transfer_logs()
     pre_streams, pre_rebalances = len(streams), len(rebalances)
     yield
     probe.stop()
@@ -366,19 +359,14 @@ class ExperimentSession:
         self.config = config
         self.env = Environment()
         self.rngs = RngRegistry(config.seed)
-        geo = config.geo
-        if geo is not None:
+        if config.geo is not None:
             from repro.cluster.geo import GeoCluster
-            self.cluster = GeoCluster(self.env, geo, self.rngs)
-            regions = [dc for dc, _ in geo.datacenters]
+            self.cluster = GeoCluster(self.env, config.geo, self.rngs)
         else:
             self.cluster = Cluster(self.env,
                                    ClusterSpec(n_nodes=config.n_nodes),
                                    self.rngs)
-            regions = [None]
-        client_nodes = {dc: self.cluster.node(node_id) for dc, node_id
-                        in zip(regions, self.cluster.client_ids)}
-        self.client_node = next(iter(client_nodes.values()))
+        client_ids = self.cluster.client_ids
         if config.energy.power_mode != "always_on":
             from repro.energy.power import PowerManager
             # Power management covers the servers only — the client
@@ -390,15 +378,13 @@ class ExperimentSession:
                     if config.energy.power_mode == "race_to_sleep"
                     else "always_on")
             for node in self.cluster.nodes:
-                if node in client_nodes.values():
+                if node.node_id in client_ids:
                     continue
                 manager = PowerManager(config.energy.power, mode=mode,
                                        now=self.env.now)
                 node.power = manager
                 node.disk.power = manager
         self._loaded = False
-        self.hbase: Optional[HBaseCluster] = None
-        self.cassandra: Optional[CassandraCluster] = None
         #: Recorded (``check_consistency``) runs so far — namespaces each
         #: run's write tags so values surviving in the store from an
         #: earlier run can never alias a later run's op ids.
@@ -407,53 +393,30 @@ class ExperimentSession:
         #: Trailing servers provisioned outside the serving set, the
         #: elasticity campaign's scale-out pool (0 = classic layout).
         spares = SPARE_NODES if config.elasticity is not None else 0
+        #: The engine ``config.db`` names, deployed on the cell's records.
         if config.db == "hbase":
             from repro.hbase.deployment import HBaseCluster
-            self.hbase = HBaseCluster(self.cluster, config.engine,
-                                      config.storage, config.tail,
-                                      spare_servers=spares)
+            self.deployment = HBaseCluster(
+                self.cluster, config.engine, config.storage, config.tail,
+                spare_servers=spares)
         else:
             from repro.cassandra.deployment import CassandraCluster
-            self.cassandra = CassandraCluster(
+            self.deployment = CassandraCluster(
                 self.cluster, config.engine, config.storage, config.tail,
                 spare_nodes=spares)
-        #: Who can drive a run: ``{datacenter: (Cassandra session or
-        #: None, binding)}`` — one client per region on a geo
-        #: deployment (``run_cell(client_dc=...)`` measures from that
-        #: region's client node, the first being the default), else the
-        #: single key ``None``.
-        self._clients = {dc: self._new_client(node)
-                         for dc, node in client_nodes.items()}
-        self._session, self.binding = next(iter(self._clients.values()))
-
-    def _new_client(self, node) -> tuple:
-        """A driver on ``node``; it takes its consistency levels, hedge
-        and deadline from the deployment's records."""
-        driver_kwargs: dict = {}
-        #: Client-tier driver override: a short per-operation timeout
-        #: makes an overloaded store fail fast enough for client-side
-        #: defenses (breaker windows, retry budgets) to react within a
-        #: short surge campaign.
-        op_timeout_s = self.config.clienttier.op_timeout_s
-        if op_timeout_s is not None:
-            driver_kwargs["op_timeout_s"] = op_timeout_s
-        if self.hbase is not None:
-            from repro.hbase.client import HBaseClient
-            return None, HBaseBinding(HBaseClient(
-                self.hbase, node,
-                rng=self.rngs.stream("hbase.client.backoff"),
-                **driver_kwargs))
-        from repro.cassandra.client import CassandraSession
-        session = CassandraSession(self.cassandra, node, **driver_kwargs)
-        return session, CassandraBinding(session)
-
-    @property
-    def cassandra_session(self) -> CassandraSession:
-        """The driver session of a Cassandra deployment (for examples and
-        probes that drive operations outside the YCSB client)."""
-        if self._session is None:
-            raise ValueError("not a Cassandra deployment")
-        return self._session
+        # The client tier may shorten a driver's per-operation timeout,
+        # so that an overloaded store fails fast enough for client-side
+        # defenses (breaker windows, retry budgets) to react.
+        timeout = config.clienttier.op_timeout_s
+        driver_kwargs = {} if timeout is None else {"op_timeout_s": timeout}
+        #: Who can drive a run: ``{datacenter: driver}``, one per client
+        #: node — per region on a geo deployment (``run_cell(client_dc=
+        #: ...)`` measures from there), else the single key ``None``.
+        regions = self.cluster.node_datacenter or {}
+        self._clients = {regions.get(i): self.deployment.driver(
+            self.cluster.node(i), **driver_kwargs) for i in client_ids}
+        #: The default driver (also for scripts that drive it by hand).
+        self.client = next(iter(self._clients.values()))
 
     def _new_workload(self, spec: WorkloadSpec) -> Workload:
         return Workload(spec, self.config.record_count,
@@ -464,7 +427,7 @@ class ExperimentSession:
         if self._loaded:
             raise RuntimeError("session already loaded")
         workload = self._new_workload(self.config.workload)
-        client = YcsbClient(self.env, self.binding, workload)
+        client = YcsbClient(self.env, self.client, workload)
         process = self.env.process(
             client.load(self.config.record_count, LOAD_THREADS),
             name="load")
@@ -489,11 +452,10 @@ class ExperimentSession:
         block (a dead replica is invisible to the convergence check
         too); :data:`HINT_DRAIN_S` bounds the wait either way.
         """
-        cassandra = self.cassandra
-        if cassandra is None:
+        if self.config.db != "cassandra":
             return
         from repro.cassandra.coordinator import REPLICA_TIMEOUT_S
-        env = self.env
+        cassandra, env = self.deployment, self.env
         replay_s = cassandra.config.hint_replay_interval_s
         env.run(until=env.now + REPLICA_TIMEOUT_S + replay_s + 0.1)
         deadline = env.now + HINT_DRAIN_S
@@ -524,7 +486,7 @@ class ExperimentSession:
             raise ValueError(
                 f"no client in datacenter {client_dc!r}; configured: "
                 f"{list(self._clients)}")
-        return _Run(self, client_dc, *self._clients[client_dc],
+        return _Run(self, client_dc, self._clients[client_dc],
                     Measurements())
 
     def _open_driver(self, run: _Run, binding: DbBinding,
@@ -581,19 +543,19 @@ class ExperimentSession:
                         "sized and paced by config.arrivals")
         check_run_pacing("run_cell", target_throughput)
         run = self._new_run(client_dc)
-        if (read_cl or write_cl) and run.session is None:
+        if (read_cl or write_cl) and self.config.db != "cassandra":
             raise ValueError("consistency levels only apply to Cassandra")
         if read_cl is not None:
-            run.session.read_cl = read_cl
+            run.client.read_cl = read_cl
         if write_cl is not None:
-            run.session.write_cl = write_cl
+            run.client.write_cl = write_cl
         runtime_workload = self._new_workload(workload or self.config.workload)
         # Every observer a run can carry, in wrap order (innermost
         # first), each switched by its keyword.  The recorder wraps
         # *outside* the tier — a cache hit is an observation the oracle
         # must price, not skip — and *inside* the controller, which sets
         # the session CL before delegating.
-        instruments, binding = [], run.binding
+        instruments, binding = [], run.client
         for instrument, switch in ((_client_tier, open_loop),
                                    (_oracle, check_consistency),
                                    (_adaptive, adaptive),
@@ -635,32 +597,8 @@ class ExperimentSession:
 
     def db_stats(self) -> dict:
         """Engine-internal counters for reports and tests."""
-        stats: dict = {"rpc_count": self.cluster.rpc_count}
-        if self.cassandra is not None:
-            stats["cassandra"] = self.cassandra.total_stats()
-            stats["cache_hit_rate"] = _mean(
-                n.tree.cache.hit_rate for n in self.cassandra.nodes.values())
-            stats["sstables"] = sum(
-                n.tree.n_sstables for n in self.cassandra.nodes.values())
-        if self.hbase is not None:
-            ops = {"put": 0, "get": 0, "scan": 0}
-            for server in self.hbase.regionservers.values():
-                for op, count in server.ops.items():
-                    ops[op] += count
-            stats["hbase"] = ops
-            trees = [r.tree for r in self.hbase.regions if r.tree is not None]
-            stats["cache_hit_rate"] = _mean(t.cache.hit_rate for t in trees)
-            stats["sstables"] = sum(t.n_sstables for t in trees)
-            stats["wal_batches"] = sum(
-                s.wal.batches for s in self.hbase.regionservers.values())
-            stats["wal_appends"] = sum(
-                s.wal.appends for s in self.hbase.regionservers.values())
-        return stats
-
-
-def _mean(values) -> float:
-    items = list(values)
-    return mean(items) if items else 0.0
+        return {"rpc_count": self.cluster.rpc_count,
+                **self.deployment.db_stats()}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

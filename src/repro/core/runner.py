@@ -368,9 +368,12 @@ class CellRunner:
             workers = min(self.jobs, len(pending))
             with ProcessPoolExecutor(max_workers=workers,
                                      mp_context=_pool_context()) as pool:
-                futures = {pool.submit(_execute_cell_timed, cells[i]): i
-                           for i in pending}
+                futures = {}
                 try:
+                    # A worker that dies while later cells are still being
+                    # submitted breaks the pool under ``submit`` itself.
+                    for i in pending:
+                        futures[pool.submit(_execute_cell_timed, cells[i])] = i
                     for future in as_completed(futures):
                         if isinstance(future.exception(), BrokenProcessPool):
                             # Not this cell's fault: see just below.

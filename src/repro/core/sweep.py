@@ -580,6 +580,8 @@ def _check_cells(db: str, scale: Scale, cl: str = "QUORUM",
     """One oracle-checked cell per seed: same template (CL round, fault
     kind), different schedule.  :func:`check_sweep` turns their reports
     into the verdict."""
+    if isinstance(seeds, int) and seeds < 1:
+        raise ValueError(f"seeds={seeds}: explore at least one seed")
     if db != "cassandra":
         cl = "n/a"
     elif cl not in CHECK_CL_MODES:

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.cluster.hedging import HedgePolicy, backoff_delay
 from repro.cluster.node import Node
 from repro.cluster.topology import (CLIENT_OVERHEAD_S, Cluster,
                                     DeadlineExceeded, RpcTimeout)
 from repro.keyspace import KEY_DOMAIN, key_for_token, token_of
-from repro.hbase.deployment import HBaseCluster
 from repro.sim.kernel import ModelledFailure
+
+if TYPE_CHECKING:  # pragma: no cover - the deployment builds its clients
+    from repro.hbase.deployment import HBaseCluster
 
 __all__ = ["BACKOFF_CAP_S", "HBaseClient", "MAX_RETRIES"]
 
@@ -23,7 +25,7 @@ BACKOFF_CAP_S = 5.0
 
 
 class HBaseClient:
-    """Issues get/put/scan against the owning RegionServer.
+    """Issues reads, writes and scans against the owning RegionServer.
 
     The region map is cached client-side (as the real client caches META)
     and refreshed from the HMaster when an operation times out — which is
@@ -32,7 +34,8 @@ class HBaseClient:
     defenses reach the client too: reads are hedged (speculatively
     duplicated after ``tail.hedge``'s delay) and every operation carries
     ``tail.deadline_s``, an end-to-end deadline that replica-side work
-    honours.
+    honours.  The client is a cell's :class:`~repro.ycsb.db.DbBinding`
+    as it stands (a put is an upsert).
     """
 
     def __init__(self, hbase: HBaseCluster, client_node: Node,
@@ -135,7 +138,7 @@ class HBaseClient:
 
     # -- operations -----------------------------------------------------
 
-    def put(self, key: str, value: Any, size: int) -> Generator:
+    def write(self, key: str, value: Any, size: int) -> Generator:
         """Insert or update one row (the retry loop's own generator)."""
         region = self.hbase.region_of(key)
         payload = (region.region_id, key, value, size,
@@ -143,7 +146,7 @@ class HBaseClient:
         return self._call_region(region.region_id, "rs.put", payload,
                                  request_bytes=size + 60, response_bytes=20)
 
-    def get(self, key: str, expected_bytes: int = 1024) -> Generator:
+    def read(self, key: str, expected_bytes: int = 1024) -> Generator:
         """Read one row; returns ``(value, timestamp)`` or None."""
         region = self.hbase.region_of(key)
         return self._call_region(region.region_id, "rs.get",

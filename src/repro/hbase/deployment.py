@@ -11,7 +11,9 @@ import bisect
 from typing import Generator, Optional
 
 import repro.hbase.master as hmaster
+from repro.cluster.node import Node
 from repro.cluster.topology import Cluster, TailDefenseConfig
+from repro.hbase.client import HBaseClient
 from repro.hbase.config import HBaseConfig
 from repro.keyspace import KEY_DOMAIN, token_of
 from repro.hbase.master import HMaster
@@ -20,7 +22,7 @@ from repro.hbase.regionserver import RegionServer
 from repro.hdfs.client import DfsClient
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
-from repro.storage.lsm import StorageSpec
+from repro.storage.lsm import StorageSpec, tree_stats
 
 __all__ = ["HBaseCluster"]
 
@@ -102,6 +104,25 @@ class HBaseCluster:
         region = self.regions[index]
         assert region.contains(token), (token, region)
         return region
+
+    def driver(self, node: Node, **kwargs) -> HBaseClient:
+        """A client on ``node``, its retries jittered from one stream."""
+        rng = self.cluster.rngs.stream("hbase.client.backoff")
+        return HBaseClient(self, node, rng=rng, **kwargs)
+
+    def db_stats(self) -> dict:
+        """Engine counters: RegionServer ops, storage and WAL commits."""
+        servers = self.regionservers.values()
+        return {"hbase": {op: sum(s.ops[op] for s in servers)
+                          for op in ("put", "get", "scan")},
+                **tree_stats([r.tree for r in self.regions
+                              if r.tree is not None]),
+                "wal_batches": sum(s.wal.batches for s in servers),
+                "wal_appends": sum(s.wal.appends for s in servers)}
+
+    def transfer_logs(self) -> tuple[list, list]:
+        """``(range streams, region rebalances)`` so far: regions move."""
+        return [], self.master.rebalances
 
     # -- elasticity --------------------------------------------------------
 

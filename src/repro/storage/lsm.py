@@ -25,8 +25,10 @@ from repro.storage.cache import BlockCache
 from repro.storage.compaction import merge_tables, pick_compaction
 from repro.storage.memtable import Memtable
 from repro.storage.sstable import SSTable
+from repro.ycsb.measurements import mean
 
-__all__ = ["LocalDiskMedium", "LsmTree", "StorageMedium", "StorageSpec"]
+__all__ = ["LocalDiskMedium", "LsmTree", "StorageMedium", "StorageSpec",
+           "tree_stats"]
 
 # -- CPU costs (seconds) ---------------------------------------------------
 CPU_PUT_S = 3e-6
@@ -547,3 +549,10 @@ class LsmTree:
     @property
     def n_sstables(self) -> int:
         return len(self.sstables)
+
+
+def tree_stats(trees: list[LsmTree]) -> dict:
+    """Mean block-cache hit rate (0.0 over no tree) and SSTable count."""
+    rates = [tree.cache.hit_rate for tree in trees]
+    return {"cache_hit_rate": mean(rates) if rates else 0.0,
+            "sstables": sum(tree.n_sstables for tree in trees)}

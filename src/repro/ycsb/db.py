@@ -1,14 +1,11 @@
-"""Database bindings: the YCSB ``DB`` interface for both systems."""
+"""The YCSB ``DB`` interface: each engine's driver, and every wrapper a
+run stacks on it, has these verbs."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Protocol
+from typing import Any, Generator, Protocol
 
-if TYPE_CHECKING:  # pragma: no cover - annotations only, no engine
-    from repro.cassandra.client import CassandraSession
-    from repro.hbase.client import HBaseClient
-
-__all__ = ["CassandraBinding", "DbBinding", "HBaseBinding"]
+__all__ = ["DbBinding"]
 
 
 class DbBinding(Protocol):
@@ -27,38 +24,3 @@ class DbBinding(Protocol):
 
     def scan(self, start_key: str, limit: int, record_bytes: int) -> Generator:
         ...
-
-
-class HBaseBinding:
-    """YCSB binding for the HBase model (puts are upserts).
-
-    The verbs *are* the driver's bound methods, whose positional
-    signatures match :class:`DbBinding`: an operation enters no binding
-    frame, and callers ``yield from`` the driver's own generator.
-    """
-
-    name = "hbase"
-
-    def __init__(self, client: HBaseClient) -> None:
-        self.client = client
-        self.write = client.put
-        self.read = client.get
-        self.scan = client.scan
-
-
-class CassandraBinding:
-    """YCSB binding for the Cassandra model; its verbs are the session's
-    bound methods, as :class:`HBaseBinding`'s are the client's.
-
-    Consistency levels ride on the session (the paper's §4.3 method:
-    "Cassandra allows specifying the consistency level in request
-    time"), which callers set there.
-    """
-
-    name = "cassandra"
-
-    def __init__(self, session: CassandraSession) -> None:
-        self.session = session
-        self.write = session.insert
-        self.read = session.read
-        self.scan = session.scan

@@ -203,7 +203,7 @@ class TestCoordinatorEdgeCases:
 
         def scenario():
             key = key_for_index(0)
-            yield from session.insert(key, "x", 100)
+            yield from session.write(key, "x", 100)
             for replica in cassandra.replicas_of(key)[1:]:
                 cluster.kill(replica)
             try:
@@ -223,7 +223,7 @@ class TestCoordinatorEdgeCases:
             for i in range(10):
                 key = key_for_index(i)
                 try:
-                    yield from session.insert(key, i, 100)
+                    yield from session.write(key, i, 100)
                     results.append(True)
                 except Exception:
                     results.append(False)
@@ -236,7 +236,7 @@ class TestCoordinatorEdgeCases:
 
         def scenario():
             for i in range(100):
-                yield from session.insert(key_for_index(i), i, 50)
+                yield from session.write(key_for_index(i), i, 50)
             yield env.timeout(2)
             before = {r: node.ops["scan"]
                       for r, node in cassandra.nodes.items()}
@@ -267,7 +267,7 @@ class TestCoordinatorEdgeCases:
         victim.handlers["c.mutate"] = crashing_mutate
 
         def scenario():
-            result = yield from session.insert(key, "value", 100)
+            result = yield from session.write(key, "value", 100)
             return result
 
         assert drive(env, scenario()) is True
@@ -278,7 +278,7 @@ class TestCoordinatorEdgeCases:
 
         def scenario():
             for i in range(20):
-                yield from session.insert(key_for_index(i), i, 100)
+                yield from session.write(key_for_index(i), i, 100)
             for i in range(20):
                 yield from session.read(key_for_index(i), 100)
 
@@ -311,8 +311,8 @@ class TestReadRepairLatencyPath:
         exactly the case the old code mishandled).
         """
         def setup():
-            yield from session.insert(key, "v0", 100,
-                                      cl=ConsistencyLevel.ALL)
+            yield from session.write(key, "v0", 100,
+                                     cl=ConsistencyLevel.ALL)
             yield env.timeout(1.0)
             replicas = cassandra.replicas_of(key)
             owner = cassandra.nodes[replicas[1]]
@@ -390,7 +390,7 @@ class TestPerRequestClOverride:
 
         def scenario():
             key = key_for_index(0)
-            yield from session.insert(key, "x", 100)
+            yield from session.write(key, "x", 100)
             yield from session.read(key, 100)  # session default: ONE
             yield from session.read(key, 100, cl=ConsistencyLevel.QUORUM)
 
@@ -406,9 +406,9 @@ class TestPerRequestClOverride:
 
         def scenario():
             key = key_for_index(0)
-            yield from session.insert(key, "x", 100)
-            yield from session.insert(key, "y", 100,
-                                      cl=ConsistencyLevel.ALL)
+            yield from session.write(key, "x", 100)
+            yield from session.write(key, "y", 100,
+                                     cl=ConsistencyLevel.ALL)
 
         drive(env, scenario())
         stats = cassandra.total_stats()
@@ -420,7 +420,7 @@ class TestPerRequestClOverride:
 
         def scenario():
             key = key_for_index(0)
-            yield from session.insert(key, "x", 100)
+            yield from session.write(key, "x", 100)
             # Leave one replica alive: ONE is satisfiable, QUORUM is not.
             for replica in cassandra.replicas_of(key)[1:]:
                 cluster.kill(replica)
@@ -448,12 +448,12 @@ class TestPerRequestClOverride:
 
         def scenario():
             key = key_for_index(0)
-            yield from session.insert(key, "x", 100)
+            yield from session.write(key, "x", 100)
             for replica in cassandra.replicas_of(key)[1:]:
                 cluster.kill(replica)
             try:
-                yield from session.insert(key, "y", 100,
-                                          cl=ConsistencyLevel.QUORUM)
+                yield from session.write(key, "y", 100,
+                                         cl=ConsistencyLevel.QUORUM)
             except UnavailableError as exc:
                 return str(exc)
             return "quorum write silently acked"
@@ -490,7 +490,7 @@ class TestHedgedReads:
     def setup_read(self, env, cassandra, session, key):
         """Insert ``key`` and pick a non-replica coordinator for it."""
         def seed():
-            yield from session.insert(key, "value", 100)
+            yield from session.write(key, "value", 100)
             yield env.timeout(1.0)
 
         drive(env, seed())

@@ -39,7 +39,7 @@ def drive(env, generator):
 def load_keys(env, session, count, prefix=0):
     def loader():
         for i in range(count):
-            yield from session.insert(key_for_index(prefix + i), i, 200)
+            yield from session.write(key_for_index(prefix + i), i, 200)
 
     drive(env, loader())
 
@@ -93,7 +93,7 @@ class TestBootstrap:
             # double-write into the joiner's pending ranges.
             for i in range(40, 80):
                 key = key_for_index(i)
-                yield from session.insert(key, i, 200)
+                yield from session.write(key, i, 200)
                 acked[key] = i
 
         proc = env.process(cassandra.bootstrap(spare))

@@ -32,7 +32,7 @@ class TestBasicOperations:
         env, _, _, session = build()
 
         def scenario():
-            yield from session.insert(key_for_index(1), "hello", 100)
+            yield from session.write(key_for_index(1), "hello", 100)
             result = yield from session.read(key_for_index(1), 100)
             return result
 
@@ -52,7 +52,7 @@ class TestBasicOperations:
 
         def scenario():
             for i in range(200):
-                yield from session.insert(key_for_index(i), i, 50)
+                yield from session.write(key_for_index(i), i, 50)
             rows = yield from session.scan(key_for_index(3), 10, 50)
             return rows
 
@@ -66,7 +66,7 @@ class TestBasicOperations:
 
         def scenario():
             key = key_for_index(5)
-            yield from session.insert(key, "v", 100)
+            yield from session.write(key, "v", 100)
             yield env.timeout(2)  # async mutations drain
             replicas = cassandra.replicas_of(key)
             present = [cassandra.nodes[r].newest_timestamp(key) is not None
@@ -86,7 +86,7 @@ class TestConsistencyLevels:
             stale = 0
             for i in range(100):
                 key = key_for_index(i % 20)
-                yield from session.insert(key, f"gen{i}", 100)
+                yield from session.write(key, f"gen{i}", 100)
                 result = yield from session.read(key, 100)
                 if result is None or result[0] != f"gen{i}":
                     stale += 1
@@ -103,7 +103,7 @@ class TestConsistencyLevels:
             stale = 0
             for i in range(100):
                 key = key_for_index(i % 20)
-                yield from session.insert(key, f"gen{i}", 100)
+                yield from session.write(key, f"gen{i}", 100)
                 result = yield from session.read(key, 100)
                 if result is None or result[0] != f"gen{i}":
                     stale += 1
@@ -120,7 +120,7 @@ class TestConsistencyLevels:
                 latencies = []
                 for i in range(200):
                     start = env.now
-                    yield from session.insert(key_for_index(i), i, 500)
+                    yield from session.write(key_for_index(i), i, 500)
                     latencies.append(env.now - start)
                 tail = latencies[50:]
                 return sum(tail) / len(tail)
@@ -140,7 +140,7 @@ class TestConsistencyLevels:
             victim = cassandra.replicas_of(key)[1]
             cluster.kill(victim)
             try:
-                yield from session.insert(key, "x", 100)
+                yield from session.write(key, "x", 100)
             except UnavailableError:
                 return "unavailable"
 
@@ -153,7 +153,7 @@ class TestConsistencyLevels:
             key = key_for_index(0)
             victim = cassandra.replicas_of(key)[1]
             cluster.kill(victim)
-            result = yield from session.insert(key, "x", 100)
+            result = yield from session.write(key, "x", 100)
             return result
 
         assert drive(env, scenario()) is True
@@ -167,7 +167,7 @@ class TestConsistencyLevels:
             key = key_for_index(0)
             victim = cassandra.replicas_of(key)[2]
             cluster.kill(victim)
-            yield from session.insert(key, "survives", 100)
+            yield from session.write(key, "survives", 100)
             result = yield from session.read(key, 100)
             return result
 
@@ -181,7 +181,7 @@ class TestReadRepair:
         def scenario():
             key = key_for_index(3)
             replicas = cassandra.replicas_of(key)
-            yield from session.insert(key, "v1", 100)
+            yield from session.write(key, "v1", 100)
             yield env.timeout(1)
             # Manufacture staleness: write v2 directly to the main replica
             # only (bypassing the coordinator).
@@ -207,7 +207,7 @@ class TestReadRepair:
         def scenario():
             key = key_for_index(4)
             replicas = cassandra.replicas_of(key)
-            yield from session.insert(key, "v1", 100)
+            yield from session.write(key, "v1", 100)
             yield env.timeout(1)
             main = cassandra.nodes[replicas[0]]
             yield main._handle_mutate((key, "v2", 100, env.now))
@@ -227,8 +227,8 @@ class TestReadRepair:
         def scenario():
             key = key_for_index(4)
             replicas = cassandra.replicas_of(key)
-            yield from session.insert(key, "v1", 100,
-                                      cl=ConsistencyLevel.ALL)
+            yield from session.write(key, "v1", 100,
+                                     cl=ConsistencyLevel.ALL)
             yield env.timeout(1)
             blocking = cassandra.nodes[replicas[1]]
             yield blocking._handle_mutate((key, "v2", 100, env.now))
@@ -247,7 +247,7 @@ class TestReadRepair:
 
         def scenario():
             for i in range(50):
-                yield from session.insert(key_for_index(i), i, 100)
+                yield from session.write(key_for_index(i), i, 100)
             for i in range(50):
                 yield from session.read(key_for_index(i), 100)
 
@@ -261,7 +261,7 @@ class TestReadRepair:
         def scenario():
             key = key_for_index(6)
             replicas = cassandra.replicas_of(key)
-            yield from session.insert(key, "v1", 100)
+            yield from session.write(key, "v1", 100)
             yield env.timeout(1)
             main = cassandra.nodes[replicas[0]]
             yield main._handle_mutate((key, "v2", 100, env.now))
@@ -283,7 +283,7 @@ class TestHintedHandoff:
             replicas = cassandra.replicas_of(key)
             victim = replicas[-1]
             cluster.kill(victim)
-            yield from session.insert(key, "hinted-value", 100)
+            yield from session.write(key, "hinted-value", 100)
             yield env.timeout(1)
             assert cassandra.nodes[victim].newest_timestamp(key) is None
             cluster.restart(victim)
@@ -299,7 +299,7 @@ class TestHintedHandoff:
             key = key_for_index(2)
             victim = cassandra.replicas_of(key)[-1]
             cluster.kill(victim)
-            yield from session.insert(key, "x", 100)
+            yield from session.write(key, "x", 100)
 
         drive(env, scenario())
         assert cassandra.total_stats()["hints_stored"] == 1
@@ -316,7 +316,7 @@ class TestEventualConsistency:
             # Burst of concurrent writers and readers on one hot key.
             def writer(n):
                 for i in range(n):
-                    yield from session.insert(key, f"w{i}", 100)
+                    yield from session.write(key, f"w{i}", 100)
 
             def reader(out):
                 for _ in range(30):

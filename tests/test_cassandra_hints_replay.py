@@ -37,7 +37,7 @@ class TestHintReplay:
             cluster.kill(victim)
             # Several writes pile up hints for the dead replica.
             for i in range(10):
-                yield from session.insert(key, f"v{i}", 100)
+                yield from session.write(key, f"v{i}", 100)
             yield env.timeout(1)
             cluster.restart(victim)
             yield env.timeout(3)
@@ -55,7 +55,7 @@ class TestHintReplay:
             key = key_for_index(2)
             victim = cassandra.replicas_of(key)[-1]
             cluster.kill(victim)
-            yield from session.insert(key, "held", 100)
+            yield from session.write(key, "held", 100)
             # Flap: back up briefly, down again before replay can land...
             cluster.restart(victim)
             cluster.kill(victim)
@@ -74,8 +74,8 @@ class TestHintReplay:
             key = key_for_index(3)
             victim = cassandra.replicas_of(key)[-1]
             cluster.kill(victim)
-            yield from session.insert(key, "first", 100)
-            yield from session.insert(key, "second", 100)
+            yield from session.write(key, "first", 100)
+            yield from session.write(key, "second", 100)
             cluster.restart(victim)
             yield env.timeout(3)
             # The victim must converge to the *newest* version.
@@ -95,7 +95,7 @@ class TestHintReplay:
             key = key_for_index(4)
             victim = cassandra.replicas_of(key)[-1]
             cluster.kill(victim)
-            yield from session.insert(key, "held", 100)
+            yield from session.write(key, "held", 100)
             owners = [n.node.node_id for n in cassandra.nodes.values()
                       if len(n.hints)]
             assert owners, "the write should have stored a hint"
@@ -126,7 +126,7 @@ class TestHintReplay:
 
         def scenario():
             for i in range(20):
-                yield from session.insert(key_for_index(i), i, 100)
+                yield from session.write(key_for_index(i), i, 100)
 
         drive(env, scenario())
         assert cassandra.total_stats()["hints_stored"] == 0

@@ -251,9 +251,9 @@ class TestProbeCheckerAgreement:
         session.load()
         env = session.env
         # No tagging: the probe compares its own integer sequence values.
-        recorder = HistoryRecorder(session.binding, env, tag_writes=False)
+        recorder = HistoryRecorder(session.client, env, tag_writes=False)
         probe = StalenessProbe(env, recorder)
-        target = session.cassandra.replicas_of(PROBE_KEY)[0]
+        target = session.deployment.replicas_of(PROBE_KEY)[0]
         injector = FailureInjector(session.cluster)
         injector.inject([FaultSpec(kind="partition", node_id=target,
                                    at_s=0.5, duration_s=2.0, span=1)],

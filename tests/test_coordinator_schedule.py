@@ -59,8 +59,8 @@ def _seed(env, cassandra, keys):
 
     def script():
         for key in keys:
-            yield from session.insert(key, "v0", 100,
-                                      cl=ConsistencyLevel.ALL)
+            yield from session.write(key, "v0", 100,
+                                     cl=ConsistencyLevel.ALL)
         yield env.timeout(1.0)
 
     env.run(until=env.process(script()))

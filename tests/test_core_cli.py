@@ -45,20 +45,33 @@ class TestParser:
         ("fig1 --max-rf 16", "--max-rf 16: choose 1..15"),
         ("fig2 --max-rf 0", "--max-rf 0: choose 1..15"),
         ("fig1 --quick --max-rf -1", "--max-rf -1: choose 1..7"),
+        # Every flag whose legal range its type does not know fails alike.
+        ("check --quick --seeds 0 --strict", "--seeds 0: choose 1 or more"),
+        ("check --seeds -2", "--seeds -2: choose 1 or more"),
+        ("check --quick --jobs -1", "--jobs -1: choose 0"),
+        ("fig2 --quick --jobs -3", "--jobs -3: choose 0"),
     ], ids=["fig1_quick_over", "fig2_quick_over", "fig1_full_over",
-            "fig2_zero", "fig1_negative"])
+            "fig2_zero", "fig1_negative", "check_seeds_zero",
+            "check_seeds_negative", "check_jobs_negative",
+            "fig2_jobs_negative"])
     def test_max_rf_outside_the_servers_is_a_usage_error(
             self, argv, limit, capsys, monkeypatch):
         def no_cell(*args, **kwargs):
             raise AssertionError("a cell ran")
 
         monkeypatch.setattr("repro.core.cli.run_campaign", no_cell)
+        monkeypatch.setattr("repro.core.cli.check_sweep", no_cell)
         with pytest.raises(SystemExit) as exit_:
             main(argv.split())
         out, err = capsys.readouterr()
         assert exit_.value.code == 2
         assert out == ""
         assert err.count("\n") == 1 and limit in err, err
+
+    @pytest.mark.parametrize("seeds", [0, -2])
+    def test_a_check_without_seeds_is_refused(self, seeds):
+        with pytest.raises(ValueError, match="at least one seed"):
+            campaign_cells("check", "cassandra", seeds=seeds)
 
     def test_db_filter(self):
         args = build_parser().parse_args(["fig1", "--db", "hbase"])

@@ -83,7 +83,7 @@ class TestExperimentSession:
         session.load()
         session.run_cell(read_cl=ConsistencyLevel.QUORUM,
                          write_cl=ConsistencyLevel.QUORUM)
-        assert session.cassandra_session.read_cl is ConsistencyLevel.QUORUM
+        assert session.client.read_cl is ConsistencyLevel.QUORUM
 
     def test_target_override(self):
         session = ExperimentSession(tiny_stress("hbase"))

@@ -291,6 +291,31 @@ class TestFailingCell:
         assert DYING_LABEL in named
         assert named == {cell.label for cell in cells} - finished
 
+    def test_a_pool_that_breaks_while_submitting_names_every_cell(
+            self, monkeypatch):
+        """A worker can die before the last cell is submitted; then
+        ``submit`` itself raises, and the sweep still fails by name."""
+        from concurrent.futures import ProcessPoolExecutor
+        submit, submitted = ProcessPoolExecutor.submit, []
+
+        def breaks_on_the_second(pool, fn, *args):
+            submitted.append(fn)
+            if len(submitted) == 2:
+                raise BrokenProcessPool("A child process terminated")
+            return submit(pool, fn, *args)
+
+        monkeypatch.setattr(runner_module, "_execute_cell_timed",
+                            _die_on_dying_label)
+        monkeypatch.setattr(ProcessPoolExecutor, "submit",
+                            breaks_on_the_second)
+        cells = [replace(small_cell(seed=s), label=f"sweep/{s}")
+                 for s in (1, 2, 3)]
+        with pytest.raises(RuntimeError, match="a worker process died") \
+                as info:
+            CellRunner(jobs=2).run(cells)
+        assert type(info.value.__cause__) is BrokenProcessPool
+        assert all(repr(cell.label) in str(info.value) for cell in cells[1:])
+
 
 class TestPoolImport:
     def test_the_cli_imports_no_process_pool(self):

@@ -13,18 +13,23 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cassandra.client import CassandraSession
 from repro.cassandra.config import CassandraConfig
 from repro.cassandra.consistency import ConsistencyLevel
+from repro.cassandra.deployment import CassandraCluster
 from repro.cluster.config import GeoConfig
 from repro.cluster.geo import GeoCluster
 from repro.cluster.topology import Cluster, ClusterSpec, TailDefenseConfig
 from repro.core.config import default_stress_config
 from repro.core.experiment import ExperimentSession
 from repro.core.sweep import CAMPAIGNS, campaign_cells
+from repro.hbase.client import HBaseClient
 from repro.hbase.config import HBaseConfig
+from repro.hbase.deployment import HBaseCluster
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec
+from repro.ycsb import db
 
 pytestmark = pytest.mark.hashseed
 
@@ -46,7 +51,7 @@ def test_cassandra_nodes_read_the_cells_records():
         replication=2, read_cl=ConsistencyLevel.QUORUM,
         write_cl=ConsistencyLevel.ALL, read_repair_chance=0.25,
         blocking_read_repair=False, hint_replay_interval_s=1.5))
-    cassandra = session.cassandra
+    cassandra = session.deployment
     assert cassandra.config is config.engine
     assert cassandra.storage is config.storage
     assert cassandra.tail is config.tail
@@ -61,7 +66,7 @@ def test_cassandra_nodes_read_the_cells_records():
         coordinator = node.coordinator
         assert coordinator.max_inflight == 11
         assert coordinator.hedge.spec == "p90"
-    driver = session.cassandra_session
+    driver = session.client
     assert (driver.read_cl, driver.write_cl) == (ConsistencyLevel.QUORUM,
                                                  ConsistencyLevel.ALL)
     assert driver.deadline_s == 0.75
@@ -70,7 +75,7 @@ def test_cassandra_nodes_read_the_cells_records():
 def test_hbase_servers_read_the_cells_records():
     config, session = _session(HBaseConfig(
         replication=2, regions_per_server=3, wal_sync=True))
-    hbase = session.hbase
+    hbase = session.deployment
     assert hbase.config is config.engine
     assert hbase.tail is config.tail
     assert len(hbase.regions) == 5 * 3
@@ -81,9 +86,34 @@ def test_hbase_servers_read_the_cells_records():
                 server.handler_pool.max_queue) == (3, 7)
         assert server.wal.sync is True
         assert server.dfs.replication == 2
-    driver = session.binding.client
+    driver = session.client
     assert driver.hedge.spec == "p90"
     assert driver.deadline_s == 0.75
+
+
+# -- one engine, one driver --------------------------------------------------
+
+@pytest.mark.parametrize("engine", [CassandraConfig(replication=2),
+                                    HBaseConfig(replication=2)],
+                         ids=["cassandra", "hbase"])
+def test_a_session_drives_its_engine_through_the_driver_itself(engine):
+    """The session deploys the one engine its cell carries, and the YCSB
+    verbs a run calls are the driver's own methods: no adapter sits
+    between a workload thread and the driver."""
+    _, session = _session(engine)
+    deployment, driver = {
+        "cassandra": (CassandraCluster, CassandraSession),
+        "hbase": (HBaseCluster, HBaseClient)}[engine.db]
+    assert type(session.deployment) is deployment
+    assert type(session.client) is driver
+    assert session.client.client_node \
+        is session.cluster.node(session.cluster.client_ids[0])
+    for verb in ("write", "read", "scan"):
+        assert getattr(session.client, verb).__func__ \
+            is getattr(driver, verb)
+    for gone in ("hbase", "cassandra", "binding", "cassandra_session"):
+        assert not hasattr(session, gone), gone
+    assert db.__all__ == ["DbBinding"]
 
 
 # -- the cluster's layout -----------------------------------------------------
@@ -95,8 +125,10 @@ def test_a_geo_session_runs_on_the_cells_geo_record():
     session = ExperimentSession(config)
     cluster = session.cluster
     assert cluster.geo is config.geo
-    assert session.client_node is cluster.node(cluster.client_ids[0])
-    assert session.cassandra.placement.replication_per_dc \
+    assert [driver.client_node for driver in session._clients.values()] \
+        == [cluster.node(node_id) for node_id in cluster.client_ids]
+    assert list(session._clients) == [dc for dc, _ in config.geo.datacenters]
+    assert session.deployment.placement.replication_per_dc \
         == dict(config.geo.replication_per_dc)
 
 

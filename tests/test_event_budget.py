@@ -76,7 +76,6 @@ from repro.storage.lsm import LocalDiskMedium, LsmTree, StorageSpec
 from repro.ycsb import client as ycsb_client
 from repro.ycsb import db as ycsb_db
 from repro.ycsb.client import YcsbClient
-from repro.ycsb.db import CassandraBinding, HBaseBinding
 from repro.ycsb.workload import STRESS_WORKLOADS, OperationType
 from tests.conftest import build_wal, flat_cluster, schedule_appends
 
@@ -164,9 +163,9 @@ def test_resumes_per_op_stay_under_the_ceiling(db, monkeypatch):
 
 
 def _storage_trees(session):
-    if session.cassandra is not None:
-        return [cnode.tree for cnode in session.cassandra.nodes.values()]
-    return [region.tree for region in session.hbase.regions]
+    if session.config.db == "cassandra":
+        return [cnode.tree for cnode in session.deployment.nodes.values()]
+    return [region.tree for region in session.deployment.regions]
 
 
 #: ``Process`` constructions per engine scan of a cache-resident
@@ -264,9 +263,10 @@ def test_overloaded_cell_stays_under_the_ceilings(db, monkeypatch, golden):
     assert len(spawned) / arrivals <= 1.05 * LANDED_OVERLOADED_PROCESSES.get(
         db, landed["processes"])
     assert len(resumed) / arrivals <= 1.05 * landed["resumes"]
-    pools = ([node.replica_pool for node in session.cassandra.nodes.values()]
+    deployment = session.deployment
+    pools = ([node.replica_pool for node in deployment.nodes.values()]
              if db == "cassandra" else
-             [rs.handler_pool for rs in session.hbase.regionservers.values()])
+             [rs.handler_pool for rs in deployment.regionservers.values()])
     golden((session.env.processed_events - before, summary["errors_by_type"],
             sum(pool.shed for pool in pools), tracer.digest()))
 
@@ -437,7 +437,7 @@ def _hbase_rows():
         StorageSpec(memtable_flush_bytes=20_000, block_bytes=1 << 20,
                     block_cache_bytes=16 << 20),
         TailDefenseConfig())
-    binding = HBaseBinding(HBaseClient(hbase, hbase.master_node))
+    binding = HBaseClient(hbase, hbase.master_node)
     keys = [key_for_token(token) for token in range(1, 61)]
 
     def write_all():
@@ -510,8 +510,7 @@ def _cassandra_rows(max_handler_queue):
         StorageSpec(memtable_flush_bytes=20_000, block_bytes=1 << 20,
                     block_cache_bytes=16 << 20),
         TailDefenseConfig(max_handler_queue=max_handler_queue))
-    binding = CassandraBinding(CassandraSession(cassandra,
-                                                cassandra.client_node))
+    binding = CassandraSession(cassandra, cassandra.client_node)
     keys = [key_for_index(index) for index in range(60)]
 
     def write_all():
@@ -565,7 +564,7 @@ def _scripted_work(db: str) -> dict:
                                          block_bytes=8 * 1024,
                                          block_cache_bytes=256 * 1024))
     session = ExperimentSession(config)
-    env, binding, size = session.env, session.binding, 16_000
+    env, binding, size = session.env, session.client, 16_000
 
     def script():
         for i in range(200):
@@ -738,7 +737,7 @@ def test_pooled_region_server(golden):
             response_bytes=130, timeout=2.0, deadline=deadline))
 
     def script():
-        yield from client.put(key, "v", 100)
+        yield from client.write(key, "v", 100)
         for i in range(40):
             yield from region.tree.put(f"{key}-{i:02d}", i, 100, 1.0)
         yield env.timeout(2.0)
@@ -772,10 +771,10 @@ def test_unpooled_region_server_waits_for_a_reopening_region(golden):
     log = []
 
     def script():
-        yield from client.put(key, "v", 100)
+        yield from client.write(key, "v", 100)
         region.available_at = env.now + 0.05
         for label in ("reopening", "open"):
-            found = yield from client.get(key, 100)
+            found = yield from client.read(key, 100)
             log.append((label, found, env.now, rs.ops["get"]))
 
     env.run(until=env.process(script()))
@@ -913,7 +912,7 @@ def test_hedged_read_with_a_coordinator_local_contender(slow, golden):
         node.handlers["c.read_data"] = slow_read
 
     def scenario():
-        yield from session.insert(key, "value", 100)
+        yield from session.write(key, "value", 100)
         yield env.timeout(1.0)
         if slow == "remote":
             # Coordinator = the spare: its local read wins the hedge and
@@ -1030,10 +1029,10 @@ def test_hsync_wal_put(golden):
 
     def script():
         for i in range(3):
-            reply = yield from client.put(key, f"v{i}", 100)
+            reply = yield from client.write(key, f"v{i}", 100)
             log.append((reply, env.now, rs.ops["put"], rs.wal.batches,
                         region.tree.active.get(key)))
-        log.append(((yield from client.get(key, 100)), env.now))
+        log.append(((yield from client.read(key, 100)), env.now))
 
     env.run(until=env.process(script()))
     golden(log, "log")
@@ -1059,7 +1058,7 @@ def test_multi_chunk_flush_among_wal_rounds(golden):
 
     def writer(w):
         for i in range(12):
-            yield from client.put(key_for_index(w * 100 + i), i, 16_000)
+            yield from client.write(key_for_index(w * 100 + i), i, 16_000)
             acked.append((w, i, env.now))
 
     for w in range(4):
@@ -1183,7 +1182,7 @@ def test_pooled_region_server_puts(golden):
             response_bytes=20, timeout=2.0, deadline=deadline))
 
     def script():
-        yield from client.put(key, "first", 100)   # opens the WAL segment
+        yield from client.write(key, "first", 100)   # opens the WAL segment
         yield env.timeout(1.0)
         put("slot free")
         put("expires queued", deadline=env.now + 0.0004)
@@ -1213,10 +1212,10 @@ def test_put_to_a_reopening_region(golden):
     log = []
 
     def script():
-        yield from client.put(key, "v0", 100)
+        yield from client.write(key, "v0", 100)
         region.available_at = env.now + 0.05
         for label in ("reopening", "open"):
-            reply = yield from client.put(key, label, 100)
+            reply = yield from client.write(key, label, 100)
             log.append((label, reply, env.now, rs.ops["put"],
                         region.tree.active.get(key)))
 

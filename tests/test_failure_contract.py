@@ -26,7 +26,6 @@ from repro.sim.kernel import Environment, Event, ModelledFailure
 from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec
 from repro.ycsb.client import YcsbClient
-from repro.ycsb.db import CassandraBinding
 from repro.ycsb.workload import STRESS_WORKLOADS, Workload
 
 pytestmark = pytest.mark.hashseed
@@ -110,7 +109,7 @@ def test_an_unlisted_failure_kind_is_an_operation_error():
     workload = Workload(STRESS_WORKLOADS["read_update"], 100,
                         RngRegistry(3).stream("wl"))
     session = CassandraSession(cassandra, cassandra.client_node)
-    client = YcsbClient(env, CassandraBinding(session), workload)
+    client = YcsbClient(env, session, workload)
     env.run(until=env.process(client.load(100, n_threads=4)))
     for node in cassandra.server_nodes:
         node.handlers["c.coord_read"] = fenced
@@ -144,11 +143,11 @@ def test_refused_hedged_read_is_answered_by_the_spare():
         return calls[-1]
 
     def scenario():
-        yield from client.put(KEY, "value", 100)
+        yield from client.write(KEY, "value", 100)
         client._assignment[region_id] = stranger
         cluster.call_async = spying_call
         start = env.now
-        found = yield from client.get(KEY, 100)
+        found = yield from client.read(KEY, 100)
         cluster.call_async = plain_call
         return found, env.now - start
 

@@ -1,5 +1,7 @@
 """Tests for the geo-distributed extension (paper §6 future work)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cassandra.client import CassandraSession
@@ -12,10 +14,13 @@ from repro.cluster.config import FaultSpec, GeoConfig
 from repro.cluster.failure import FailureInjector
 from repro.cluster.geo import GeoCluster
 from repro.cluster.topology import TailDefenseConfig
+from repro.core.experiment import ExperimentSession, summarize_run
+from repro.core.sweep import CAMPAIGNS, campaign_cells
 from repro.keyspace import key_for_index
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec
+from repro.ycsb.workload import STRESS_WORKLOADS
 
 import random
 
@@ -153,8 +158,8 @@ class TestGeoCassandra:
 
         def scenario():
             key = key_for_index(3)
-            yield from session.insert(key, "v", 200,
-                                      cl=ConsistencyLevel.LOCAL_QUORUM)
+            yield from session.write(key, "v", 200,
+                                     cl=ConsistencyLevel.LOCAL_QUORUM)
             yield env.timeout(2)
             start = env.now
             yield from session.read(key, 200,
@@ -176,12 +181,12 @@ class TestGeoCassandra:
         def scenario():
             key = key_for_index(9)
             start = env.now
-            yield from session.insert(key, "v", 200,
-                                      cl=ConsistencyLevel.LOCAL_QUORUM)
+            yield from session.write(key, "v", 200,
+                                     cl=ConsistencyLevel.LOCAL_QUORUM)
             local_write = env.now - start
             start = env.now
-            yield from session.insert(key, "v2", 200,
-                                      cl=ConsistencyLevel.ALL)
+            yield from session.write(key, "v2", 200,
+                                     cl=ConsistencyLevel.ALL)
             global_write = env.now - start
             return local_write, global_write
 
@@ -194,8 +199,8 @@ class TestGeoCassandra:
 
         def scenario():
             key = key_for_index(4)
-            yield from session.insert(key, "geo-value", 200,
-                                      cl=ConsistencyLevel.LOCAL_ONE)
+            yield from session.write(key, "geo-value", 200,
+                                     cl=ConsistencyLevel.LOCAL_ONE)
             yield env.timeout(2)  # one-way WAN + settle
             remote = [r for r in cassandra.replicas_of(key)
                       if geo.datacenter_of(r) == "ap-southeast"]
@@ -210,8 +215,8 @@ class TestGeoCassandra:
         def scenario():
             _cut_off(geo, "ap-southeast")
             key = key_for_index(6)
-            yield from session.insert(key, "still-works", 200,
-                                      cl=ConsistencyLevel.LOCAL_QUORUM)
+            yield from session.write(key, "still-works", 200,
+                                     cl=ConsistencyLevel.LOCAL_QUORUM)
             result = yield from session.read(
                 key, 200, cl=ConsistencyLevel.LOCAL_QUORUM)
             return result
@@ -225,9 +230,31 @@ class TestGeoCassandra:
         def scenario():
             _cut_off(geo, "ap-southeast")
             try:
-                yield from session.insert(key_for_index(6), "x", 200,
-                                          cl=ConsistencyLevel.ALL)
+                yield from session.write(key_for_index(6), "x", 200,
+                                         cl=ConsistencyLevel.ALL)
             except UnavailableError:
                 return "unavailable"
 
         assert drive(env, scenario()) == "unavailable"
+
+
+def test_a_geo_report_states_the_replicas_it_checked():
+    """The oracle classifies a geo run by the client datacenter's
+    replicas (two at ``--quick``), and its report says that count, not
+    the rack replication the cell's engine record also carries."""
+    cell = campaign_cells("geo", scale=CAMPAIGNS["geo"].quick,
+                          modes=("LOCAL_QUORUM",), scenarios=("healthy",))[0]
+    config = replace(cell.config, record_count=200, operation_count=300,
+                     settle_s=0.5)
+    assert config.replication == 3
+    session = ExperimentSession(config)
+    session.load()
+    report = summarize_run(session.run_cell(
+        workload=STRESS_WORKLOADS["read_update"],
+        read_cl=ConsistencyLevel.LOCAL_QUORUM,
+        write_cl=ConsistencyLevel.LOCAL_QUORUM, check_consistency=True,
+        client_dc="us-west"))["consistency"]
+    assert report["client_dc"] == "us-west"
+    assert report["replication"] == 2 \
+        == dict(config.geo.replication_per_dc)["us-west"]
+    assert report["strong"] is True

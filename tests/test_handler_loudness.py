@@ -277,7 +277,7 @@ def test_round_trip_response():
 # -- callers that raise their call's failure themselves --------------------
 
 SESSION_OPS = {
-    "c.coord_write": lambda session: session.insert(KEY, "v", 100),
+    "c.coord_write": lambda session: session.write(KEY, "v", 100),
     "c.coord_read": lambda session: session.read(KEY),
     "c.coord_scan": lambda session: session.scan(KEY, 5),
 }
@@ -318,7 +318,7 @@ COORDINATED = {
                             lambda session: session.read(KEY)),
     "hedged read": ({"read_repair_chance": 0.0}, {"hedge": "0ms"},
                     lambda session: session.read(KEY)),
-    "ONE write": ({}, {}, lambda session: session.insert(KEY, "w", 100)),
+    "ONE write": ({}, {}, lambda session: session.write(KEY, "w", 100)),
     "scan": ({}, {}, lambda session: session.scan(KEY, 5)),
 }
 
@@ -339,7 +339,7 @@ def test_coordinator_callback(case):
     newer = cassandra.nodes[cassandra.replicas_of(KEY)[1]]
 
     def script():
-        yield from session.insert(KEY, "v", 100, cl=ConsistencyLevel.ALL)
+        yield from session.write(KEY, "v", 100, cl=ConsistencyLevel.ALL)
         yield newer._handle_mutate((KEY, "v1", 100, env.now))  # a digest
         for cnode in cassandra.nodes.values():                 # mismatch
             cnode.coordinator._complete = raising
@@ -397,7 +397,7 @@ def test_replica_failing_with_nobody_waiting():
     digest_node = cassandra.nodes[cassandra.replicas_of(KEY)[1]].node
 
     def script():
-        yield from session.insert(KEY, "v", 100, cl=ConsistencyLevel.ALL)
+        yield from session.write(KEY, "v", 100, cl=ConsistencyLevel.ALL)
         digest_node.handlers["c.read_digest"] = raising
         yield from session.read(KEY, cl=ConsistencyLevel.QUORUM)
 
@@ -422,7 +422,7 @@ def test_master_locate_through_the_client():
 
     def script():
         yield Timeout(env, 1e-3)
-        yield from client.get(KEY)
+        yield from client.read(KEY)
 
     env.process(script())
     assert "_refresh_assignment" in _stops_at_the_bug(env)

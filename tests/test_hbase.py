@@ -87,8 +87,8 @@ class TestClientOperations:
         env, _, _, client = hbase
 
         def scenario():
-            yield from client.put(key_for_index(1), "value", 100)
-            result = yield from client.get(key_for_index(1), 100)
+            yield from client.write(key_for_index(1), "value", 100)
+            result = yield from client.read(key_for_index(1), 100)
             return result
 
         value, _ts = drive(env, scenario())
@@ -98,7 +98,7 @@ class TestClientOperations:
         env, _, _, client = hbase
 
         def scenario():
-            result = yield from client.get(key_for_index(77), 100)
+            result = yield from client.read(key_for_index(77), 100)
             return result
 
         assert drive(env, scenario()) is None
@@ -107,9 +107,9 @@ class TestClientOperations:
         env, _, _, client = hbase
 
         def scenario():
-            yield from client.put(key_for_index(2), "v1", 100)
-            yield from client.put(key_for_index(2), "v2", 100)
-            result = yield from client.get(key_for_index(2), 100)
+            yield from client.write(key_for_index(2), "v1", 100)
+            yield from client.write(key_for_index(2), "v2", 100)
+            result = yield from client.read(key_for_index(2), 100)
             return result
 
         assert drive(env, scenario())[0] == "v2"
@@ -119,7 +119,7 @@ class TestClientOperations:
 
         def scenario():
             for i in range(300):
-                yield from client.put(key_for_index(i), i, 50)
+                yield from client.write(key_for_index(i), i, 50)
             rows = yield from client.scan(key_for_index(5), 25, 50)
             return rows
 
@@ -134,7 +134,7 @@ class TestClientOperations:
 
         def scenario():
             for i in range(400):
-                yield from client.put(key_for_index(i), i, 50)
+                yield from client.write(key_for_index(i), i, 50)
             # Start near the end of the first region.
             first_region = deployment.regions[0]
             start_key = key_for_token(first_region.end_token - 1000)
@@ -153,8 +153,8 @@ class TestClientOperations:
         def scenario():
             failures = []
             for i in range(100):
-                yield from client.put(key_for_index(i), f"gen{i}", 50)
-                result = yield from client.get(key_for_index(i), 50)
+                yield from client.write(key_for_index(i), f"gen{i}", 50)
+                result = yield from client.read(key_for_index(i), 50)
                 if result is None or result[0] != f"gen{i}":
                     failures.append(i)
             return failures
@@ -175,7 +175,7 @@ class TestReplicationBehaviour:
             latencies = []
             for i in range(300):
                 start = env.now
-                yield from client.put(key_for_index(i), i, 500)
+                yield from client.write(key_for_index(i), i, 500)
                 latencies.append(env.now - start)
             tail = latencies[100:]
             return sum(tail) / len(tail)
@@ -198,12 +198,12 @@ class TestReplicationBehaviour:
 
         def scenario():
             for i in range(400):
-                yield from client.put(key_for_index(i), i, 200)
+                yield from client.write(key_for_index(i), i, 200)
             yield env.timeout(10)
             latencies = []
             for i in range(200):
                 start = env.now
-                yield from client.get(key_for_index(i % 400), 200)
+                yield from client.read(key_for_index(i % 400), 200)
                 latencies.append(env.now - start)
             return sum(latencies) / len(latencies)
 
@@ -219,7 +219,7 @@ class TestReplicationBehaviour:
 
         def scenario():
             for i in range(50):
-                yield from client.put(key_for_index(i), i, 400)
+                yield from client.write(key_for_index(i), i, 400)
 
         drive(env, scenario())
         dirty_nodes = sum(
@@ -279,12 +279,12 @@ class TestFailover:
 
         def scenario():
             for i in range(100):
-                yield from client.put(key_for_index(i), i, 100)
+                yield from client.write(key_for_index(i), i, 100)
             cluster.kill(victim)
             yield env.timeout(5.0)  # detection + recovery
             hits = 0
             for i in range(100):
-                result = yield from client.get(key_for_index(i), 100)
+                result = yield from client.read(key_for_index(i), 100)
                 if result is not None:
                     hits += 1
             return hits
@@ -308,13 +308,13 @@ class TestFailover:
 
         def scenario():
             for i in range(300):
-                yield from client.put(key_for_index(i), i, 300)
+                yield from client.write(key_for_index(i), i, 300)
             yield env.timeout(5)
             cluster.kill(victim)
             yield env.timeout(3)
             before = cluster.rpc_count
             for i in range(50):
-                yield from client.get(key_for_index(i), 300)
+                yield from client.read(key_for_index(i), 300)
             return cluster.rpc_count - before
 
         rpcs = drive(env, scenario())

@@ -182,10 +182,10 @@ def test_hbase_spare_win_leaves_the_primary_to_settle():
         return calls[-1]
 
     def scenario():
-        yield from client.put(KEY, "value", 100)
+        yield from client.write(KEY, "value", 100)
         handlers["rs.get"] = stall_first
         cluster.call_async = spying_call
-        found = yield from client.get(KEY, 100)
+        found = yield from client.read(KEY, 100)
         cluster.call_async = plain_call
         return found
 

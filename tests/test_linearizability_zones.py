@@ -160,9 +160,9 @@ def hot_key():
     histories = []
     plain = experiment.build_consistency_report
 
-    def capture(history, **kwargs):
+    def capture(history, *args, **kwargs):
         histories.append(history)
-        return plain(history, **kwargs)
+        return plain(history, *args, **kwargs)
 
     cell = campaign_cells("check", "cassandra", CAMPAIGNS["check"].quick,
                           cl="QUORUM", seeds=(1,))[0]

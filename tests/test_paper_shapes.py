@@ -222,13 +222,13 @@ class TestFailoverShapes:
         session = ExperimentSession(config)
         session.load()
         session.run_cell(inject_faults=True)
-        stats = session.cassandra.total_stats()
+        stats = session.deployment.total_stats()
         assert stats["hints_stored"] > 0
         delivered = sum(n.hints.delivered
-                        for n in session.cassandra.nodes.values())
+                        for n in session.deployment.nodes.values())
         assert delivered > 0
         outstanding = sum(len(n.hints)
-                          for n in session.cassandra.nodes.values())
+                          for n in session.deployment.nodes.values())
         assert outstanding == 0
 
     def test_hbase_crash_shows_recovery_window(self, hbase_crash):
@@ -548,7 +548,7 @@ class TestElasticityShapes:
     def _measure(session):
         from repro.core.experiment import summarize_run
         kwargs = {}
-        if session.cassandra is not None:
+        if session.config.db == "cassandra":
             kwargs = dict(read_cl=session.config.engine.read_cl,
                           write_cl=session.config.engine.write_cl)
         return summarize_run(session.run_cell(
@@ -625,7 +625,7 @@ class TestElasticityShapes:
         gainers before leaving the ring; QUORUM holds throughout."""
         from repro.consistency.oracle import unexpected_violations
         session = self._session("cassandra", "static")
-        cassandra, env = session.cassandra, session.env
+        cassandra, env = session.deployment, session.env
         left = []
 
         def decommission():

@@ -317,14 +317,14 @@ class TestCoordinatedRequestsAreReleased:
 
         def client():
             for key in keys:
-                yield from session.insert(key, "v0", 100)
+                yield from session.write(key, "v0", 100)
             stale = cassandra.nodes[cassandra.replicas_of(keys[0])[1]]
             yield stale._handle_mutate((keys[0], "v1", 100, env.now))
             for key in keys:
                 yield from session.read(key, cl=ConsistencyLevel.QUORUM)
                 yield from session.read(key)
-                yield from session.insert(key, "v2", 100,
-                                          cl=ConsistencyLevel.QUORUM)
+                yield from session.write(key, "v2", 100,
+                                         cl=ConsistencyLevel.QUORUM)
             yield from session.scan(keys[0], 5)
 
         process = env.process(client())
@@ -392,7 +392,7 @@ class TestHBaseWritePathIsReleased:
                 patch.setattr(cls, "__init__", counting(cls))
             session.load()
             session.run_cell()
-        wals = [rs.wal for rs in session.hbase.regionservers.values()]
+        wals = [rs.wal for rs in session.deployment.regionservers.values()]
         assert born[_LoggedPut] == sum(wal.appends for wal in wals) >= 500
         assert born[_Round] == sum(wal.batches for wal in wals) >= 100
         assert born[_PipelineWrite] >= born[_Round]   # + the flushes
@@ -455,19 +455,17 @@ class TestScansAreReleased:
                 TailDefenseConfig())
             trees = [cnode.tree for cnode in cassandra.nodes.values()]
             driver = CassandraSession(cassandra, cassandra.client_node)
-            write = driver.insert
         else:
             hbase = HBaseCluster(
                 cluster, HBaseConfig(replication=2, regions_per_server=2),
                 storage, TailDefenseConfig())
             trees = [region.tree for region in hbase.regions]
             driver = HBaseClient(hbase, hbase.master_node)
-            write = driver.put
         keys = [key_for_index(i) for i in range(N)]
 
         def load():
             for key in keys:
-                yield from write(key, "v", 1000)
+                yield from driver.write(key, "v", 1000)
 
         def scan():
             for key in keys:

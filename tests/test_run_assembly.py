@@ -129,7 +129,7 @@ def test_adaptive_run_restores_the_session_cls():
     session.load()
     session.run_cell(adaptive="stepwise", check_consistency=True,
                      read_cl=ConsistencyLevel.ONE)
-    cql = session.cassandra_session
+    cql = session.client
     assert (cql.read_cl, cql.write_cl) == (ConsistencyLevel.ONE,
                                            config.engine.write_cl)
     summary = summarize_run(session.run_cell(check_consistency=True))

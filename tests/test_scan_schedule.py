@@ -35,7 +35,6 @@ from repro.sim.kernel import Environment, Event
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import KernelTracer
 from repro.storage.lsm import StorageSpec
-from repro.ycsb.db import CassandraBinding, HBaseBinding
 
 pytestmark = pytest.mark.hashseed
 
@@ -51,7 +50,7 @@ class _Deployment:
     env: Environment
     tracer: KernelTracer
     cluster: Cluster
-    binding: Any
+    driver: Any
     #: The tree that serves ``KEY``, its node, and that node's pool.
     tree: Any
     node: Any
@@ -75,8 +74,7 @@ def _deploy(db, **tail):
         cnode = cassandra.nodes[cassandra.replicas_of(KEY)[0]]
         return _Deployment(
             env, tracer, cluster,
-            CassandraBinding(CassandraSession(cassandra,
-                                              cassandra.client_node)),
+            CassandraSession(cassandra, cassandra.client_node),
             cnode.tree, cnode.node, cnode.replica_pool, "c.scan",
             lambda start, limit, *deadline: (start, limit, *deadline),
             cassandra.client_node)
@@ -87,7 +85,7 @@ def _deploy(db, **tail):
     rs = hbase.regionservers[hbase.master.assignment[region.region_id]]
     return _Deployment(
         env, tracer, cluster,
-        HBaseBinding(HBaseClient(hbase, hbase.master_node)),
+        HBaseClient(hbase, hbase.master_node),
         region.tree, rs.node, rs.handler_pool, "rs.scan",
         lambda start, limit, *deadline: (region.region_id, start, limit,
                                          *deadline),
@@ -100,7 +98,7 @@ def _load(dep, n_keys=60, size=300):
     land)."""
     def script():
         for i in range(n_keys):
-            yield from dep.binding.write(key_for_index(i), f"v{i}", size)
+            yield from dep.driver.write(key_for_index(i), f"v{i}", size)
         yield dep.env.timeout(1.0)
 
     dep.env.run(until=dep.env.process(script()))
@@ -116,7 +114,7 @@ def _drive_scan(dep, log, label, start_key, limit):
     """One scan through the driver; ``(label, instant, rows)`` joins
     ``log`` when it returns."""
     def script():
-        rows = yield from dep.binding.scan(start_key, limit, 100)
+        rows = yield from dep.driver.scan(start_key, limit, 100)
         log.append((label, dep.env.now, _rows(rows)))
 
     dep.env.process(script())

@@ -147,7 +147,7 @@ class TestSessionDeadlineBudget:
 
         def scenario():
             seeder = CassandraSession(cassandra, cassandra.client_node)
-            yield from seeder.insert(key_for_index(0), "v", 100)
+            yield from seeder.write(key_for_index(0), "v", 100)
             for node in cassandra.server_nodes:
                 delay(node, "c.read_data")
             start = env.now
@@ -313,7 +313,7 @@ class TestNoSlotLeaks:
                          inject_faults=True)
         session.env.run(until=session.env.now + 2.0)
         assert any(cnode.coordinator.stats["hedged_reads"]
-                   for cnode in session.cassandra.nodes.values())
-        for cnode in session.cassandra.nodes.values():
+                   for cnode in session.deployment.nodes.values())
+        for cnode in session.deployment.nodes.values():
             pool = cnode.replica_pool
             assert (len(pool.users), pool.queue_len) == (0, 0), cnode.node.node_id

@@ -16,7 +16,6 @@ from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.storage.lsm import StorageSpec
 from repro.ycsb.client import YcsbClient
-from repro.ycsb.db import HBaseBinding
 from repro.ycsb.workload import STRESS_WORKLOADS, Workload, WorkloadSpec
 
 pytestmark = pytest.mark.hashseed
@@ -31,10 +30,9 @@ def build_client(workload_spec=None, records=500, seed=3):
         StorageSpec(memtable_flush_bytes=16384, block_bytes=2048,
                     block_cache_bytes=16384),
         TailDefenseConfig())
-    binding = HBaseBinding(HBaseClient(hbase, hbase.master_node))
     spec = workload_spec or STRESS_WORKLOADS["read_update"]
     workload = Workload(spec, records, rngs.stream("wl"))
-    client = YcsbClient(env, binding, workload)
+    client = YcsbClient(env, HBaseClient(hbase, hbase.master_node), workload)
     return env, client, workload
 
 
