@@ -29,6 +29,7 @@ The client composes the tier's defenses:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Generator, Optional
 
 from repro.clienttier.breaker import BreakerBinding, BreakerOpen, CircuitBreaker
@@ -169,6 +170,9 @@ class OpenLoopClient:
             measurements = Measurements()
         epoch = env.now
         measurements.started_at = epoch
+        # ``outstanding`` counts the arrivals running on their own
+        # processes; ``drained`` fires once the intake has closed and the
+        # last of them has finished.
         state = {"not_found": 0, "outstanding": 0, "closed": False,
                  "drained": Event(env)}
         times = self.arrivals.times()
@@ -196,10 +200,9 @@ class OpenLoopClient:
                 read_key = self.workload.next_read_key()
                 if cache.fresh(read_key):
                     state["outstanding"] += 1
-                    env.process(
-                        self._op_thunk(op, at, measurements, state,
-                                       read_key=read_key)(),
-                        name=f"arrival-{issued}")
+                    env.process(self._op(op, at, measurements, state,
+                                         read_key, True),
+                                name=f"arrival-{issued}")
                     continue
             if limiter is not None and tenant is not None:
                 try:
@@ -208,31 +211,35 @@ class OpenLoopClient:
                     measurements.record_error(op._value_,
                                               kind="RateLimited", at=at)
                     continue
-            thunk = self._op_thunk(op, at, measurements, state,
-                                   read_key=read_key)
             if leveler is not None:
-                if not leveler.try_submit(thunk):
+                if not leveler.try_submit(partial(
+                        self._op, op, at, measurements, state, read_key,
+                        False)):
                     measurements.record_error(op._value_,
                                               kind="LoadShed", at=at)
             else:
                 state["outstanding"] += 1
-                env.process(thunk(), name=f"arrival-{issued}")
-        # Intake closed: wait for everything already admitted.
+                env.process(self._op(op, at, measurements, state, read_key,
+                                     True),
+                            name=f"arrival-{issued}")
+        # Intake closed: wait for the leveler's backlog, then for every
+        # arrival still running on its own process.
         state["closed"] = True
         if leveler is not None:
             yield from leveler.drain()
-        elif state["outstanding"] > 0:
+        if state["outstanding"]:
             yield state["drained"]
         measurements.finished_at = env.now
         return RunResult.of(self.workload, measurements, state["not_found"],
                             offered_rate, offered=measurements.offered_total)
 
-    def _op_thunk(self, op: OperationType, arrived_at: float,
-                  measurements: Measurements, state: dict,
-                  read_key: Optional[str]):
-        """One operation as a zero-argument generator factory.
+    def _op(self, op: OperationType, arrived_at: float,
+            measurements: Measurements, state: dict,
+            read_key: Optional[str], spawned: bool) -> Generator:
+        """One arrival's operation, run on its own process (``spawned``)
+        or on a leveler worker.
 
-        Latency is ``completion - arrived_at``: when the thunk sat in
+        Latency is ``completion - arrived_at``: when the arrival sat in
         the leveling queue first, that wait is part of the number (the
         coordinated-omission fix).  Every modelled failure, and an open
         breaker's refusal (client-side, never retried), is recorded here
@@ -240,29 +247,25 @@ class OpenLoopClient:
         failed request; only a bug escapes.
         """
         env = self.env
-
-        def thunk() -> Generator:
-            # ``env._now``: ``env.now`` is a property frame per read.
-            try:
-                result = yield from _execute(self.db, self.workload, op,
-                                             read_key)
-            except (ModelledFailure, BreakerOpen) as exc:
-                measurements.record_error(op._value_,
-                                          kind=type(exc).__name__,
-                                          at=env._now)
-            else:
-                # Found-ness as in ``YcsbClient._run_worker``.
-                if (op is OperationType.READ and result is None
-                        or (op is OperationType.SCAN
-                            or op is OperationType.READ_MODIFY_WRITE)
-                        and not result):
-                    state["not_found"] += 1
-                measurements.record(op._value_, env._now,
-                                    env._now - arrived_at)
-            finally:
-                if state["outstanding"]:
-                    state["outstanding"] -= 1
-                    if state["closed"] and state["outstanding"] == 0:
-                        state["drained"].succeed()
-
-        return thunk
+        # ``env._now``: ``env.now`` is a property frame per read.
+        try:
+            result = yield from _execute(self.db, self.workload, op,
+                                         read_key)
+        except (ModelledFailure, BreakerOpen) as exc:
+            measurements.record_error(op._value_,
+                                      kind=type(exc).__name__,
+                                      at=env._now)
+        else:
+            # Found-ness as in ``YcsbClient._run_worker``.
+            if (op is OperationType.READ and result is None
+                    or (op is OperationType.SCAN
+                        or op is OperationType.READ_MODIFY_WRITE)
+                    and not result):
+                state["not_found"] += 1
+            measurements.record(op._value_, env._now,
+                                env._now - arrived_at)
+        finally:
+            if spawned:
+                state["outstanding"] -= 1
+                if state["closed"] and not state["outstanding"]:
+                    state["drained"].succeed()

@@ -119,8 +119,8 @@ class ScaleEngine:
     def _window_p95_ms(self, cut: float) -> Optional[float]:
         """p95 over samples completed since ``cut`` (None = no traffic)."""
         m = self.measurements
-        window = sorted(lat for op in sorted(m.samples)
-                        for (t, lat) in m.samples[op] if t > cut)
+        window = sorted(lat for op in sorted(m.columns)
+                        for t, lat in zip(*m.columns[op]) if t > cut)
         if not window:
             return None
         return summarize(window, 0).p95 * 1000.0
@@ -208,8 +208,8 @@ def build_scale_report(measurements: Measurements,
 
     latencies: dict[str, list[float]] = {
         "before": [], "during": [], "between": [], "after": []}
-    for op in sorted(measurements.samples):
-        for t, lat in measurements.samples[op]:
+    for op in sorted(measurements.columns):
+        for t, lat in zip(*measurements.columns[op]):
             latencies[phase_of(t)].append(lat)
     phases = {name: _phase_stats(vals) for name, vals in latencies.items()}
 

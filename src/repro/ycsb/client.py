@@ -137,10 +137,10 @@ class YcsbClient:
         ]
         yield AllOf(self.env, workers)
         measurements.finished_at = self.env.now
-        if measurements.samples:
+        if measurements.columns:
             measurements.started_at = min([
-                t - lat for samples in measurements.samples.values()
-                for t, lat in samples])
+                t - lat for columns in measurements.columns.values()
+                for t, lat in zip(*columns)])
         return RunResult.of(self.workload, measurements, state["not_found"],
                             target_throughput)
 

@@ -7,6 +7,7 @@ surge campaign's headline determinism claim — an open-loop cell replays
 bit-identically in-process and across ``--jobs`` worker processes.
 """
 
+import gc
 import json
 
 import pytest
@@ -18,11 +19,15 @@ from repro.clienttier.breaker import (
     CircuitBreaker)
 from repro.clienttier.cache import CacheAsideBinding
 from repro.clienttier.leveling import LoadLeveler
+from repro.clienttier.openloop import ClientTier, OpenLoopClient
 from repro.clienttier.ratelimit import RateLimited, TenantRateLimiter
 from repro.clienttier.retry import (
     BURST, MIN_RETRIES_PER_S, RetryBinding, RetryBudget)
 from repro.clienttier.tokens import TokenBucket
 from repro.cluster.topology import DeadlineExceeded, RpcTimeout
+from repro.sim.kernel import Process
+from repro.sim.rng import RngRegistry
+from repro.ycsb.workload import Workload, WorkloadSpec
 
 pytestmark = pytest.mark.hashseed
 
@@ -386,26 +391,28 @@ class TestTenantRateLimiter:
 
 
 class CountingBinding:
-    """Scripted store: counts reads, returns (value, write_time)."""
+    """Scripted store: counts reads, returns (value, write_time); every
+    verb takes ``delay_s``."""
 
-    def __init__(self, env):
+    def __init__(self, env, delay_s=0.01):
         self.env = env
+        self.delay_s = delay_s
         self.reads = 0
         self.missing = set()
 
     def read(self, key, size):
         self.reads += 1
-        yield self.env.timeout(0.01)
+        yield self.env.timeout(self.delay_s)
         if key in self.missing:
             return None
         return (f"v:{key}", 0.0)
 
     def write(self, key, value, size):
-        yield self.env.timeout(0.01)
+        yield self.env.timeout(self.delay_s)
         return None
 
     def scan(self, start_key, limit, record_bytes):
-        yield self.env.timeout(0.01)
+        yield self.env.timeout(self.delay_s)
         return []
 
 
@@ -491,6 +498,64 @@ class TestCacheAside:
 
         _drive(env, scenario())
         assert inner.reads == 2 and cache.hits == 0
+
+
+class AlwaysFresh:
+    """A cache tier that can answer every read at the edge."""
+
+    def fresh(self, key):
+        return True
+
+
+class EvenArrivals:
+    """One arrival every ``gap_s`` seconds."""
+
+    def __init__(self, gap_s):
+        self.gap_s = gap_s
+
+    def times(self):
+        n = 0
+        while True:
+            n += 1
+            yield n * self.gap_s
+
+
+def _open_loop(env, db, tier=None, read_proportion=1.0):
+    spec = WorkloadSpec(name="probe", read_proportion=read_proportion,
+                        update_proportion=1.0 - read_proportion)
+    workload = Workload(spec, 100, RngRegistry(1).stream("workload"))
+    return OpenLoopClient(env, db, workload, EvenArrivals(0.01),
+                          sessions=None, tier=tier)
+
+
+class TestOpenLoopClient:
+    @pytest.mark.parametrize("read_proportion", [1.0, 0.5])
+    def test_drain_waits_for_arrivals_served_beside_the_leveler(
+            self, env, read_proportion):
+        """A read the cache answers runs on its own process, not on a
+        leveler worker; the run still counts it before it returns."""
+        db = CountingBinding(env, 1.0)
+        tier = ClientTier(db, breaker=None, retry=None, limiter=None,
+                          leveler=LoadLeveler(env, workers=2, max_queue=10),
+                          cache=AlwaysFresh())
+        client = _open_loop(env, db, tier, read_proportion)
+        result = _drive(env, client.run(5))
+        assert result.operations == 5 and result.offered == 5
+        assert env.now >= 1.05
+
+    def test_an_arrival_in_flight_is_one_generator_without_a_closure(
+            self, env):
+        n = 40
+        client = _open_loop(env, CountingBinding(env, 1000.0))
+        env.process(client.run(n))
+        env.run(until=1.0)
+        gc.collect()
+        arrivals = [obj._generator for obj in gc.get_objects()
+                    if isinstance(obj, Process) and obj.env is env
+                    and obj.name.startswith("arrival-")]
+        assert len(arrivals) == n
+        assert all(gen.gi_frame is not None for gen in arrivals)
+        assert [gen.gi_code.co_freevars for gen in arrivals] == [()] * n
 
 
 class TestBreakerBinding:

@@ -45,3 +45,14 @@ class TestKeyspace:
         # Quartiles of a uniform spread.
         assert tokens[250] > KEY_DOMAIN // 8
         assert tokens[750] < KEY_DOMAIN * 7 // 8
+
+    def test_a_key_is_memoised_once(self):
+        """``key_for_index`` holds each rendered key; its hash goes
+        through no second memo."""
+        n = 500
+        fnv64.cache_clear()
+        key_for_index.cache_clear()
+        keys = [key_for_index(i) for i in range(n)]
+        assert key_for_index.cache_info().currsize == n
+        assert fnv64.cache_info().currsize == 0
+        assert keys == [key_for_index.__wrapped__(i) for i in range(n)]

@@ -168,8 +168,8 @@ def stress_outcomes(db: str) -> dict:
         measurements = result.measurements
         outcomes[name] = (
             result.not_found,
-            {op: len(samples)
-             for op, samples in sorted(measurements.samples.items())},
+            {op: len(times)
+             for op, (times, _) in sorted(measurements.columns.items())},
             dict(sorted(measurements.errors.items())))
     return outcomes
 

@@ -1,8 +1,16 @@
 """Unit tests for latency measurement."""
 
-import pytest
+import tracemalloc
 
-from repro.ycsb.measurements import Measurements, percentile
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.config import ElasticityConfig
+from repro.cluster.elasticity import ScaleEngine
+from repro.sim.kernel import Environment
+from repro.ycsb.measurements import (
+    Measurements, mean, percentile, summarize)
 
 
 class TestPercentile:
@@ -201,3 +209,117 @@ class TestOpenLoopAccounting:
             m.record_arrival("read", at=at)
         assert m.first_arrival_at == 1.0
         assert m.last_arrival_at == 3.0
+
+
+class TupleReference:
+    """The sample store as a list of (completion time, latency) tuples
+    per operation type, with the readers written against it."""
+
+    def __init__(self) -> None:
+        self.samples: dict[str, list[tuple[float, float]]] = {}
+
+    def record(self, op: str, completed_at: float, latency: float) -> None:
+        self.samples.setdefault(op, []).append((completed_at, latency))
+
+    def stats(self, op: str, errors: int):
+        return summarize(sorted(lat for _, lat in self.samples.get(op, [])),
+                         errors)
+
+    def overall_stats(self, errors: int):
+        return summarize(sorted(lat for samples in self.samples.values()
+                                for _, lat in samples), errors)
+
+    def total_ops(self) -> int:
+        return sum(len(samples) for samples in self.samples.values())
+
+    def window_p95_ms(self, cut: float):
+        window = sorted(lat for samples in self.samples.values()
+                        for t, lat in samples if t > cut)
+        return summarize(window, 0).p95 * 1000.0 if window else None
+
+    def timeline(self, bucket_s: float, error_times: list[float],
+                 finished_at: float):
+        samples = sorted(sample for samples in self.samples.values()
+                         for sample in samples)
+        errors = sorted(error_times)
+        stamps = [t for t, _ in samples] + errors
+        if not stamps:
+            return []
+        first, last = min(stamps), max(stamps + [finished_at])
+        out = []
+        start = (first // bucket_s) * bucket_s
+        while start <= last:
+            end = start + bucket_s
+            lats = [lat for t, lat in samples if start <= t < end]
+            n_errors = sum(1 for t in errors if start <= t < end)
+            out.append((start, len(lats), mean(lats) if lats else 0.0,
+                        n_errors))
+            start = end
+        return out
+
+
+OPS = ("read", "update", "scan")
+#: (op, time since the previous event, latency, an error instead).
+EVENTS = st.lists(
+    st.tuples(st.sampled_from(OPS),
+              st.floats(min_value=0.0, max_value=1.5),
+              st.floats(min_value=0.0, max_value=0.4),
+              st.booleans()),
+    max_size=60)
+
+
+@pytest.mark.hashseed
+class TestColumnsEqualTuples:
+    """The two ``array('d')`` columns per operation type answer every
+    reader exactly as the (time, latency) tuples they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(events=EVENTS,
+           bucket_s=st.sampled_from([0.1, 0.25, 1.0, 3.0]),
+           cut=st.floats(min_value=0.0, max_value=20.0))
+    def test_readers_match_a_tuple_reference(self, events, bucket_s, cut):
+        m, ref = Measurements(), TupleReference()
+        t = 0.0
+        error_times = []
+        for op, dt, latency, failed in events:
+            t += dt
+            if failed:
+                m.record_error(op, kind="RpcTimeout", at=t)
+                error_times.append(t)
+            else:
+                m.record(op, t, latency)
+                ref.record(op, t, latency)
+        m.started_at, m.finished_at = 0.0, t + 0.5
+        errors = len(error_times)
+        for op in OPS:
+            assert m.stats(op) == ref.stats(op, m.errors.get(op, 0))
+        assert m.overall_stats() == ref.overall_stats(errors)
+        assert m.total_ops == ref.total_ops()
+        assert m.throughput == ref.total_ops() / (t + 0.5)
+        assert m.timeline_with_errors(bucket_s) == \
+            ref.timeline(bucket_s, error_times, t + 0.5)
+        engine = ScaleEngine(Environment(), None,
+                             ElasticityConfig(mode="static"), measurements=m)
+        assert engine._window_p95_ms(cut) == ref.window_p95_ms(cut)
+
+    def test_a_sample_costs_under_forty_bytes(self):
+        """Two unboxed doubles and the arrays' growth slack: a boxed
+        (time, latency) tuple in a list held 112 bytes."""
+        m = Measurements()
+        record = m.record
+        m.record("read", 0.0, 0.0)
+        m.record("update", 0.0, 0.0)
+        samples = 20_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            t = 0.0
+            for i in range(samples):
+                t += 0.0001
+                record("read" if i % 3 else "update", t,
+                       0.001 + (i % 97) * 1e-6)
+            per_sample = (tracemalloc.get_traced_memory()[0] - before) / samples
+        finally:
+            tracemalloc.stop()
+        assert m.total_ops == samples + 2
+        assert per_sample < 40, f"{per_sample:.1f} B per sample"
