@@ -21,7 +21,7 @@ __all__ = ["CassandraCluster"]
 #: scaled down with everything else — placement statistics are already
 #: uniform at 16).
 VNODES = 16
-#: Streaming granularity for bootstrap/decommission transfers.
+#: Streaming granularity for bootstrap transfers.
 STREAM_CHUNK_BYTES = 1 << 20
 
 
@@ -69,7 +69,7 @@ class CassandraCluster:
             self.placement = SimpleStrategy(self.ring, config.replication)
         # Spare nodes get no CassandraNode yet: verb handlers register
         # once per node, so the instance is created lazily on first
-        # bootstrap and reused across later re-bootstraps.
+        # bootstrap and reused by a retried bootstrap.
         self.nodes: dict[int, CassandraNode] = {
             n.node_id: CassandraNode(
                 self, n, cluster.rngs.stream(f"cassandra.coord.{n.node_id}"))
@@ -77,10 +77,10 @@ class CassandraCluster:
         }
         #: Nodes clients may coordinate through: the ring members.
         #: Bootstrap appends the joiner (new coordinator capacity is
-        #: part of scale-out's payoff); decommission removes the leaver.
+        #: part of scale-out's payoff).
         self.coordinator_nodes = list(members)
         #: (time, source_node_id, dest_node_id, bytes) per completed
-        #: range stream (bootstrap/decommission transfers).
+        #: range stream (bootstrap transfers).
         self.streams: list[tuple[float, int, int, int]] = []
         #: The elasticity RNG stream, created on first use
         #: (:meth:`_elastic_rng`).
@@ -125,32 +125,15 @@ class CassandraCluster:
     def scale_out_candidate(self) -> Optional[int]:
         """The next spare node a scale-out would bootstrap (lowest id),
         or ``None`` while a range movement is streaming: like Cassandra
-        2.0's consistent range movement, one bootstrap or decommission
-        at a time."""
+        2.0's consistent range movement, one bootstrap at a time."""
         if self.placement.pending:
             return None
         spares = sorted(n.node_id for n in self.server_nodes
                         if n.node_id not in self.ring.node_ids and n.alive)
         return spares[0] if spares else None
 
-    def scale_in_candidate(self) -> Optional[int]:
-        """The node a scale-in would decommission (highest live id), or
-        ``None`` when removing one would drop the ring to (or below) RF
-        or while a range movement is streaming."""
-        if self.placement.pending \
-                or len(self.ring.node_ids) <= self.config.replication:
-            return None
-        members = sorted(nid for nid in self.ring.node_ids
-                         if self.cluster.node(nid).alive)
-        if len(members) <= 1:
-            return None
-        return members[-1]
-
     def apply_scale_out(self, node_id: int) -> Generator:
         yield from self.bootstrap(node_id)
-
-    def apply_scale_in(self, node_id: int) -> Generator:
-        yield from self.decommission(node_id)
 
     def bootstrap(self, node_id: int) -> Generator:
         """Live-join ``node_id`` (a sim process): plan on a ring clone,
@@ -178,26 +161,7 @@ class CassandraCluster:
         moved = target.add_node(node_id, self._elastic_rng(),
                                 self.config.replication)
         yield from self._stream_and_commit(target, moved)
-        if all(n.node_id != node_id for n in self.coordinator_nodes):
-            self.coordinator_nodes.append(node)
-        return node_id
-
-    def decommission(self, node_id: int) -> Generator:
-        """Gracefully remove ``node_id`` (a sim process): survivors
-        inheriting its arcs double-receive writes while the data streams
-        off the leaving node, then the ring commits without it."""
-        if self.cluster.geo is not None:
-            raise ValueError("decommission requires SimpleStrategy")
-        if node_id not in self.ring.node_ids:
-            raise ValueError(f"node {node_id} is not in the ring")
-        if len(self.ring.node_ids) <= self.config.replication:
-            raise ValueError("decommission would drop the ring below the "
-                             "replication factor")
-        target = self.ring.clone()
-        moved = target.remove_node(node_id, self.config.replication)
-        yield from self._stream_and_commit(target, moved)
-        self.coordinator_nodes = [n for n in self.coordinator_nodes
-                                  if n.node_id != node_id]
+        self.coordinator_nodes.append(node)
         return node_id
 
     def _stream_and_commit(self, target: TokenRing,

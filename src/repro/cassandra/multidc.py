@@ -27,7 +27,7 @@ class SimpleStrategy:
     def __init__(self, ring: TokenRing, replication: int) -> None:
         self.ring = ring
         self.replication = replication
-        #: Armed during bootstrap/decommission streaming: extra write
+        #: Armed during bootstrap streaming: extra write
         #: targets that never count toward the consistency level.
         self.pending = PendingRanges()
         self._memo = ring.key_memo()

@@ -43,12 +43,6 @@ class TokenRange:
         return tuple(n for n in self.new_replicas
                      if n not in self.old_replicas)
 
-    @property
-    def losers(self) -> tuple[int, ...]:
-        """Nodes that stop replicating this arc after the change."""
-        return tuple(n for n in self.old_replicas
-                     if n not in self.new_replicas)
-
     def contains(self, token: int) -> bool:
         return (token - self.start) % KEY_DOMAIN < self.width
 
@@ -56,12 +50,12 @@ class TokenRange:
 class PendingRanges:
     """Extra write targets while a topology change streams data.
 
-    Cassandra's pending ranges: while a gainer (a bootstrapping joiner,
-    or a survivor inheriting a leaving node's arc) streams historical
-    data, every write whose token falls in a moved arc is *also* sent to
-    that arc's gainers.  The gainers never count toward the consistency
-    level — the ack quorum stays on the pre-change replica set — so no
-    acknowledged write can be missing from the post-change replicas.
+    Cassandra's pending ranges: while a gainer (the bootstrapping
+    joiner) streams historical data, every write whose token falls in a
+    moved arc is *also* sent to that arc's gainers.  The gainers never
+    count toward the consistency level — the ack quorum stays on the
+    pre-change replica set — so no acknowledged write can be missing
+    from the post-change replicas.
     """
 
     def __init__(self) -> None:
@@ -109,12 +103,11 @@ class TokenRing:
         self._tokens = [t for t, _ in pairs]
         self._owners = [o for _, o in pairs]
         #: (primary ring index, replication) -> replica list.  Placement
-        #: per segment only changes on :meth:`add_node` /
-        #: :meth:`remove_node` / :meth:`adopt`, which clear the cache
-        #: (:meth:`_placement_changed`); between topology
-        #: changes it is bounded by vnode count x distinct RFs.  Callers
-        #: treat the returned list as read-only (they copy or comprehend,
-        #: never mutate).
+        #: per segment only changes on :meth:`add_node` / :meth:`adopt`,
+        #: which clear the cache (:meth:`_placement_changed`); between
+        #: topology changes it is bounded by vnode count x distinct RFs.
+        #: Callers treat the returned list as read-only (they copy or
+        #: comprehend, never mutate).
         self._replica_cache: dict[tuple[int, int], list[int]] = {}
         #: The placement strategies' key -> replica-list memos
         #: (:meth:`key_memo`), emptied wherever ``_replica_cache`` is.
@@ -122,9 +115,9 @@ class TokenRing:
 
     def key_memo(self) -> dict[str, list[int]]:
         """A key -> replica-list memo for one placement strategy on this
-        ring: valid until placement changes, i.e. until :meth:`add_node`,
-        :meth:`remove_node` or :meth:`adopt`, which empty it together with
-        the segment cache.  At most one entry per key ever addressed."""
+        ring: valid until placement changes, i.e. until :meth:`add_node`
+        or :meth:`adopt`, which empty it together with the segment cache.
+        At most one entry per key ever addressed."""
         memo: dict[str, list[int]] = {}
         self._key_memos.append(memo)
         return memo
@@ -168,10 +161,10 @@ class TokenRing:
     def clone(self) -> "TokenRing":
         """A detached copy for *planning* a topology change.
 
-        Apply :meth:`add_node`/:meth:`remove_node` to the clone to learn
-        the moved arcs, stream data accordingly, then :meth:`adopt` the
-        clone so every holder of this ring object switches to the new
-        placement in one step.
+        Apply :meth:`add_node` to the clone to learn the moved arcs,
+        stream data accordingly, then :meth:`adopt` the clone so every
+        holder of this ring object switches to the new placement in one
+        step.
         """
         twin = TokenRing.__new__(TokenRing)
         twin.node_ids = list(self.node_ids)
@@ -215,13 +208,6 @@ class TokenRing:
                 self.replicas_for_token(start, replication))
         return out
 
-    def _moved(self, before: dict[tuple[int, int], tuple[int, ...]],
-               after: dict[tuple[int, int], tuple[int, ...]],
-               ) -> list[TokenRange]:
-        return [TokenRange(start, end, before[start, end], after[start, end])
-                for (start, end) in before
-                if before[start, end] != after[start, end]]
-
     def add_node(self, node_id: int, rng, replication: int,
                  ) -> list[TokenRange]:
         """Bootstrap ``node_id`` into the ring; return the moved arcs.
@@ -250,28 +236,7 @@ class TokenRing:
             self._owners.insert(idx, node_id)
         self.node_ids.append(node_id)
         self._placement_changed()
-        return self._moved(before,
-                           self.range_replicas(replication, boundaries))
-
-    def remove_node(self, node_id: int, replication: int,
-                    ) -> list[TokenRange]:
-        """Decommission ``node_id``; return the arcs that moved.
-
-        The departing node's vnodes leave the ring and their arcs fall
-        to the clockwise successors; the returned :class:`TokenRange`
-        list names, per arc, which survivors must take over its data.
-        """
-        if node_id not in self.node_ids:
-            raise ValueError(f"node {node_id} is not in the ring")
-        if len(self.node_ids) == 1:
-            raise ValueError("cannot remove the last ring node")
-        boundaries = list(self._tokens)
-        before = self.range_replicas(replication, boundaries)
-        kept = [(t, o) for t, o in zip(self._tokens, self._owners)
-                if o != node_id]
-        self._tokens = [t for t, _ in kept]
-        self._owners = [o for _, o in kept]
-        self.node_ids.remove(node_id)
-        self._placement_changed()
-        return self._moved(before,
-                           self.range_replicas(replication, boundaries))
+        after = self.range_replicas(replication, boundaries)
+        return [TokenRange(start, end, before[start, end], after[start, end])
+                for (start, end) in before
+                if before[start, end] != after[start, end]]

@@ -1,17 +1,15 @@
 """Elasticity: scale the cluster while it serves.
 
 The campaign counterpart of :mod:`repro.cluster.failure` — instead of
-breaking nodes, a :class:`ScaleEngine` adds and removes them mid-run.
-Both deployments expose the same four-method surface
-(``scale_out_candidate`` / ``scale_in_candidate`` /
-``apply_scale_out`` / ``apply_scale_in``):
+breaking nodes, a :class:`ScaleEngine` adds them mid-run.  The cluster
+only scales out: both deployments expose the same two-method surface
+(``scale_out_candidate`` / ``apply_scale_out``):
 
 - **Cassandra** bootstraps a spare node into the token ring (pending
   double-writes + range streaming, see
-  :meth:`repro.cassandra.deployment.CassandraCluster.bootstrap`) or
-  decommissions the highest live member;
+  :meth:`repro.cassandra.deployment.CassandraCluster.bootstrap`);
 - **HBase** activates a standby RegionServer (the HMaster rebalances
-  regions onto it) or drains one back to standby.
+  regions onto it).
 
 Three modes:
 
@@ -22,9 +20,7 @@ Three modes:
   like :class:`~repro.cluster.config.FaultSpec`.
 - ``auto`` — a deterministic policy loop: scale out after
   :data:`BREACH_WINDOWS` consecutive :data:`WINDOW_S` windows whose p95
-  exceeds :data:`P95_BREACH_MS`, scale in after :data:`IDLE_WINDOWS`
-  consecutive windows below :data:`P95_RELAX_MS`, with a cooldown
-  between actions.
+  reaches :data:`P95_BREACH_MS`, with a cooldown between actions.
 
 :func:`build_scale_report` projects a run's measurements over the
 engine's event log into per-phase (before / during / after transfer)
@@ -38,8 +34,8 @@ from typing import Generator, Optional, Sequence
 from repro.cluster.config import ElasticityConfig
 from repro.ycsb.measurements import Measurements, summarize, total
 
-__all__ = ["BREACH_WINDOWS", "IDLE_WINDOWS", "P95_BREACH_MS", "P95_RELAX_MS",
-           "ScaleEngine", "WINDOW_S", "build_scale_report"]
+__all__ = ["BREACH_WINDOWS", "P95_BREACH_MS", "ScaleEngine", "WINDOW_S",
+           "build_scale_report"]
 
 # -- the autoscaler policy (mode="auto") --------------------------------
 #: Sampling window for the policy loop, seconds.
@@ -47,23 +43,15 @@ WINDOW_S = 0.5
 #: Scale out after this many consecutive windows at or above the breach.
 P95_BREACH_MS = 60.0
 BREACH_WINDOWS = 2
-#: Scale in after this many consecutive windows at or below the relax
-#: threshold.  Campaign cells serve from a bimodal latency mix (sub-ms
-#: cache hits vs ~10 ms disk reads), so the bar sits below the cache-hit
-#: floor: a window only counts as idle when *everything* in it was
-#: trivial — a lull, not a healthy mix.
-P95_RELAX_MS = 0.5
-IDLE_WINDOWS = 8
 
 
 class ScaleEngine:
     """Executes one elasticity plan against one deployment.
 
-    Every action is logged as a ``(time, event, node_id)`` pair of
-    ``{action}_start`` / ``{action}_done`` entries (or one
-    ``{action}_skipped`` with node ``-1`` when no candidate exists);
-    the start→done spans are the "during transfer" windows the
-    per-phase report cuts the run by.
+    Every scale-out is logged as a ``(time, event, node_id)`` pair of
+    ``out_start`` / ``out_done`` entries (or one ``out_skipped`` with
+    node ``-1`` when no candidate exists); the start→done spans are the
+    "during transfer" windows the per-phase report cuts the run by.
     """
 
     def __init__(self, env, deployment, config: ElasticityConfig,
@@ -100,21 +88,16 @@ class ScaleEngine:
     def _fire(self, at: float) -> Generator:
         if at > self.env.now:
             yield self.env.timeout(at - self.env.now)
-        yield from self._step("out")
+        yield from self._scale_out()
 
-    def _step(self, action: str) -> Generator:
-        dep = self.deployment
-        node_id = (dep.scale_out_candidate() if action == "out"
-                   else dep.scale_in_candidate())
+    def _scale_out(self) -> Generator:
+        node_id = self.deployment.scale_out_candidate()
         if node_id is None:
-            self.log.append((self.env.now, f"{action}_skipped", -1))
+            self.log.append((self.env.now, "out_skipped", -1))
             return
-        self.log.append((self.env.now, f"{action}_start", node_id))
-        if action == "out":
-            yield from dep.apply_scale_out(node_id)
-        else:
-            yield from dep.apply_scale_in(node_id)
-        self.log.append((self.env.now, f"{action}_done", node_id))
+        self.log.append((self.env.now, "out_start", node_id))
+        yield from self.deployment.apply_scale_out(node_id)
+        self.log.append((self.env.now, "out_done", node_id))
 
     def _window_p95_ms(self, cut: float) -> Optional[float]:
         """p95 over samples completed since ``cut`` (None = no traffic)."""
@@ -127,7 +110,7 @@ class ScaleEngine:
 
     def _autoscale(self) -> Generator:
         cfg = self.config
-        breaches = idles = 0
+        breaches = 0
         while not self._stopped:
             yield self.env.timeout(WINDOW_S)
             if self._stopped:
@@ -136,22 +119,13 @@ class ScaleEngine:
             p95_ms = self._window_p95_ms(cut)
             if p95_ms is None:
                 continue
-            if p95_ms >= P95_BREACH_MS:
-                breaches, idles = breaches + 1, 0
-            elif p95_ms <= P95_RELAX_MS:
-                breaches, idles = 0, idles + 1
-            else:
-                breaches = idles = 0
+            breaches = breaches + 1 if p95_ms >= P95_BREACH_MS else 0
             if self.env.now < self._cooldown_until:
                 continue
             if breaches >= BREACH_WINDOWS:
-                breaches = idles = 0
+                breaches = 0
                 self._cooldown_until = self.env.now + cfg.cooldown_s
-                yield from self._step("out")
-            elif idles >= IDLE_WINDOWS:
-                breaches = idles = 0
-                self._cooldown_until = self.env.now + cfg.cooldown_s
-                yield from self._step("in")
+                yield from self._scale_out()
 
 
 def _transfer_windows(log: Sequence[tuple[float, str, int]],

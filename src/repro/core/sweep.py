@@ -786,7 +786,7 @@ def _scale_cells(db: str, scale: Scale, modes: Sequence[str],
 
     Every cell records a Jepsen-style history for the oracle: the
     elasticity safety contract — no acknowledged write lost across a
-    bootstrap/decommission/rebalance — is checked *through* the
+    bootstrap or rebalance — is checked *through* the
     topology change, not just asserted by unit tests.  Cassandra cells
     run at QUORUM/QUORUM (pending double-writes must preserve the
     quorum guarantee mid-stream); HBase's single-master model is strong
@@ -1295,7 +1295,7 @@ CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in (
         gate=True, report=True),
     Campaign(
         "scale",
-        "elasticity campaign: live scale-out/in while serving, "
+        "elasticity campaign: live scale-out while serving, "
         "oracle-checked across every topology change",
         full=_ELASTIC, quick=_ELASTIC_QUICK,
         axes=(Axis("modes", SCALE_MODES, "--mode",
@@ -1306,7 +1306,7 @@ CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in (
         cells=_scale_cells,
         keys=("scenario", "mode"), columns=report.SCALE_COLUMNS,
         title="Elasticity ({db}): per-phase latency across live "
-              "scale-out/in, vs the static control",
+              "scale-out, vs the static control",
         gate=True, report=True),
     # --strict: a power mode that saved joules by serving staler reads
     # than the guarantee allows is a bug, not a saving.

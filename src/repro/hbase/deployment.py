@@ -132,20 +132,8 @@ class HBaseCluster:
                          if self.cluster.node(nid).alive)
         return standby[0] if standby else None
 
-    def scale_in_candidate(self) -> Optional[int]:
-        """The server a scale-in would drain (highest live id), or
-        ``None`` when only one in-service server would remain."""
-        active = sorted(nid for nid, s in self.regionservers.items()
-                        if s.node.alive and nid not in self.master.standby)
-        return active[-1] if len(active) > 1 else None
-
     def apply_scale_out(self, node_id: int) -> Generator:
         """Activate a standby server; regions rebalanced onto it pay the
         graceful close/reopen window before the transfer counts as done."""
         self.master.activate(node_id)
-        yield self.cluster.env.timeout(hmaster.MOVE_S)
-
-    def apply_scale_in(self, node_id: int) -> Generator:
-        """Drain a server back to standby (same move accounting)."""
-        self.master.decommission(node_id)
         yield self.cluster.env.timeout(hmaster.MOVE_S)

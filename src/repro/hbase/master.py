@@ -16,10 +16,10 @@ __all__ = ["HMaster"]
 DETECTION_S = 3.0
 #: Unavailability per region a crash failover moves (WAL replay).
 RECOVERY_S = 2.0
-#: Unavailability per *planned* region move (rebalance, activate,
-#: decommission): a graceful close flushes the MemStore and reopens on
-#: the target, so there is no WAL to replay — a sub-second window where
-#: crash failover pays ``RECOVERY_S``.
+#: Unavailability per *planned* region move (rebalance, activate): a
+#: graceful close flushes the MemStore and reopens on the target, so
+#: there is no WAL to replay — a sub-second window where crash failover
+#: pays ``RECOVERY_S``.
 MOVE_S = 0.25
 
 
@@ -33,14 +33,14 @@ class HMaster:
     *returns*, the monitor rebalances regions back onto it — without
     that, every failover permanently piles regions onto the survivors.
 
-    Planned moves (rebalance, activate, decommission) pay :data:`MOVE_S`
+    Planned moves (rebalance, activate) pay :data:`MOVE_S`
     instead: a graceful move closes the region — flushing its MemStore,
     so nothing is left to replay — and reopens it on the target, a
     sub-second window rather than a crash recovery.
 
     ``standby`` servers are provisioned but out of service: they receive
-    no regions until :meth:`activate` brings them in (scale-out), and
-    :meth:`decommission` drains a server back to standby (scale-in).
+    no regions until :meth:`activate` brings them in (scale-out); an
+    active server never returns to standby.
 
     Every reader looks the three windows up in this module when it
     waits (the monitor each round, a move when it starts), so a test
@@ -58,7 +58,7 @@ class HMaster:
         self.assignment: dict[int, int] = {}
         self.failovers: list[tuple[float, int, int]] = []
         #: (time, region_id, target_node_id) for every balancing move
-        #: (rejoin rebalance, activate, decommission drain).
+        #: (rejoin rebalance, activate).
         self.rebalances: list[tuple[float, int, int]] = []
         #: Provisioned-but-idle servers (see class docstring).
         self.standby: set[int] = set(standby)
@@ -114,14 +114,6 @@ class HMaster:
 
     # -- balancing / elasticity -------------------------------------------
 
-    def _region_counts(self,
-                       servers: list[RegionServer]) -> dict[int, int]:
-        counts = {s.node.node_id: 0 for s in servers}
-        for nid in self.assignment.values():
-            if nid in counts:
-                counts[nid] += 1
-        return counts
-
     def _move(self, region: Region, target: RegionServer) -> None:
         region.move_to(target, MOVE_S)
         self.assign(region, target)
@@ -142,7 +134,10 @@ class HMaster:
         alive = self._alive_servers()
         if not alive:
             return 0
-        counts = self._region_counts(alive)
+        counts = {s.node.node_id: 0 for s in alive}
+        for nid in self.assignment.values():
+            if nid in counts:
+                counts[nid] += 1
         base, extra = divmod(sum(counts.values()), len(alive))
         order = sorted(alive, key=lambda s: (-counts[s.node.node_id],
                                              s.node.node_id))
@@ -173,26 +168,3 @@ class HMaster:
             raise ValueError(f"unknown RegionServer node {node_id}")
         self.standby.discard(node_id)
         return self.rebalance()
-
-    def decommission(self, node_id: int) -> int:
-        """Gracefully drain a server back to standby (scale-in).
-
-        Its regions move to the least-loaded remaining servers; returns
-        the number of regions moved.
-        """
-        if node_id not in self.servers:
-            raise ValueError(f"unknown RegionServer node {node_id}")
-        self.standby.add(node_id)
-        targets = self._alive_servers()
-        if not targets:
-            self.standby.discard(node_id)
-            raise ValueError("cannot decommission the last active server")
-        counts = self._region_counts(targets)
-        moved = sorted(rid for rid, nid in self.assignment.items()
-                       if nid == node_id)
-        for region_id in moved:
-            target = min(targets, key=lambda s: (counts[s.node.node_id],
-                                                 s.node.node_id))
-            self._move(self.regions[region_id], target)
-            counts[target.node.node_id] += 1
-        return len(moved)

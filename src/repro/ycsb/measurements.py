@@ -120,11 +120,6 @@ class Measurements:
         self.error_events: list[tuple[float, str, str]] = []
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        #: op -> (sample count covered, sorted latencies).  ``columns``
-        #: are append-only, so a cache entry stays valid as long as the
-        #: count matches: a run's report asks for the same op's
-        #: statistics more than once, after the run.
-        self._sorted_cache: dict[str, tuple[int, list[float]]] = {}
 
     def record(self, op: str, completed_at: float, latency: float) -> None:
         # A subscript, not ``dict.get``: one call fewer per operation.
@@ -148,17 +143,6 @@ class Measurements:
             self.first_arrival_at = at
         if self.last_arrival_at is None or at > self.last_arrival_at:
             self.last_arrival_at = at
-
-    def _sorted_latencies(self, op: str) -> list[float]:
-        columns = self.columns.get(op)
-        if columns is None:
-            return []
-        latencies = columns[1]
-        cached = self._sorted_cache.get(op)
-        if cached is None or cached[0] != len(latencies):
-            cached = (len(latencies), sorted(latencies))
-            self._sorted_cache[op] = cached
-        return cached[1]
 
     def record_error(self, op: str, kind: str = "error",
                      at: Optional[float] = None) -> None:
@@ -208,15 +192,18 @@ class Measurements:
             return 0.0
         return offered / (self.last_arrival_at - self.first_arrival_at)
 
+    # The sorted latencies are built per request and not kept: a run
+    # asks for them once or twice, after it ends, and a kept copy would
+    # hold twice the columns' memory for the rest of the run.
     def stats(self, op: str) -> LatencyStats:
-        return summarize(self._sorted_latencies(op), self.errors.get(op, 0))
+        columns = self.columns.get(op)
+        return summarize(sorted(columns[1]) if columns else [],
+                         self.errors.get(op, 0))
 
     def overall_stats(self) -> LatencyStats:
         merged: list[float] = []
-        for op in self.columns:
-            # Reuse the per-op sorted caches; concatenated sorted runs
-            # re-sort in near-linear time (timsort run detection).
-            merged.extend(self._sorted_latencies(op))
+        for _, latencies in self.columns.values():
+            merged.extend(latencies)
         merged.sort()
         return summarize(merged, self.total_errors)
 

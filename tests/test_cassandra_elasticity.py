@@ -1,4 +1,4 @@
-"""Unit tests for live Cassandra bootstrap/decommission.
+"""Unit tests for live Cassandra bootstrap.
 
 The safety contract under test: across a topology change, no
 acknowledged write is ever lost — the pending double-write window plus
@@ -117,51 +117,6 @@ class TestBootstrap:
         cluster.kill(spare)
         with pytest.raises(ValueError):
             drive(env, cassandra.bootstrap(spare))
-
-    def test_rebootstrap_reuses_node_instance(self):
-        env, _, cassandra, session = build(n_nodes=8, spare_nodes=1,
-                                           replication=2)
-        load_keys(env, session, 20)
-        spare = cassandra.scale_out_candidate()
-        drive(env, cassandra.bootstrap(spare))
-        first = cassandra.nodes[spare]
-        drive(env, cassandra.decommission(spare))
-        assert spare not in cassandra.ring.node_ids
-        drive(env, cassandra.bootstrap(spare))
-        # Verb handlers register once per node: the instance is reused.
-        assert cassandra.nodes[spare] is first
-
-
-class TestDecommission:
-    def test_survivors_inherit_the_leavers_data(self):
-        env, _, cassandra, session = build(n_nodes=7, spare_nodes=0,
-                                           replication=2)
-        session.read_cl = ConsistencyLevel.ALL
-        load_keys(env, session, 60)
-        leaver = cassandra.scale_in_candidate()
-        assert leaver in cassandra.ring.node_ids
-        drive(env, cassandra.decommission(leaver))
-        assert leaver not in cassandra.ring.node_ids
-
-        def read_all():
-            for i in range(60):
-                key = key_for_index(i)
-                assert leaver not in cassandra.replicas_of(key)
-                result = yield from session.read(key, 200)
-                assert result is not None and result[0] == i
-
-        drive(env, read_all())
-
-    def test_decommission_refuses_to_drop_below_rf(self):
-        env, _, cassandra, _ = build(n_nodes=5, spare_nodes=0,
-                                     replication=3)
-        # 4 ring members at RF 3: one decommission is legal...
-        leaver = cassandra.scale_in_candidate()
-        drive(env, cassandra.decommission(leaver))
-        # ...the next would leave RF-1 members.
-        assert cassandra.scale_in_candidate() is None
-        with pytest.raises(ValueError):
-            drive(env, cassandra.decommission(cassandra.ring.node_ids[0]))
 
     def test_pending_window_closes_after_commit(self):
         env, _, cassandra, session = build()

@@ -1,45 +1,36 @@
 """Unit tests for the ScaleEngine policy loop and the per-phase report.
 
 The deployment behind the engine is a stub exposing the same
-four-method surface as the real Cassandra/HBase deployments, so these
-tests pin the *decision* logic (manual schedule resolution, breach /
-idle hysteresis, cooldown, candidate exhaustion) and the report's phase
-cutting without paying for a cluster.
+two-method scale-out surface as the real Cassandra/HBase deployments,
+so these tests pin the *decision* logic (manual schedule resolution,
+the breach streak, cooldown, candidate exhaustion) and the report's
+phase cutting without paying for a cluster.
 """
 
 import pytest
 
 from repro.cluster.config import ElasticityConfig
-from repro.cluster.elasticity import (P95_BREACH_MS, P95_RELAX_MS, ScaleEngine,
-                                      _transfer_windows, build_scale_report)
+from repro.cluster.elasticity import (ScaleEngine, _transfer_windows,
+                                      build_scale_report)
 from repro.sim.kernel import Environment
 from repro.ycsb.measurements import Measurements
 
 
 class StubDeployment:
-    """Four-method scale surface over two candidate pools."""
+    """Two-method scale-out surface over one candidate pool."""
 
-    def __init__(self, env, out_ids=(7,), in_ids=(3,), delay=0.5):
+    def __init__(self, env, out_ids=(7,), delay=0.5):
         self.env = env
         self._out = list(out_ids)
-        self._in = list(in_ids)
         self.delay = delay
         self.applied = []
 
     def scale_out_candidate(self):
         return self._out[0] if self._out else None
 
-    def scale_in_candidate(self):
-        return self._in[0] if self._in else None
-
     def apply_scale_out(self, node_id):
         self._out.remove(node_id)
         self.applied.append(("out", node_id, self.env.now))
-        yield self.env.timeout(self.delay)
-
-    def apply_scale_in(self, node_id):
-        self._in.remove(node_id)
-        self.applied.append(("in", node_id, self.env.now))
         yield self.env.timeout(self.delay)
 
 
@@ -47,10 +38,6 @@ class TestSpecValidation:
     def test_negative_offset_rejected(self):
         with pytest.raises(ValueError, match="at_s"):
             ElasticityConfig(events=(-1.0,))
-
-    def test_hysteresis_enforced(self):
-        # Relax sits below breach, so the policy loop cannot flap.
-        assert P95_RELAX_MS < P95_BREACH_MS
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown elasticity mode"):
@@ -102,7 +89,7 @@ def _feed(env, measurements, latency_s, rate_per_s=20.0, until=60.0):
 
 def _auto_config(**overrides):
     """The autoscaler with its constants: 0.5 s windows, out after two
-    at or above 60 ms, in after eight at or below 0.5 ms."""
+    at or above 60 ms."""
     return ElasticityConfig(**{"mode": "auto", "cooldown_s": 5.0,
                                **overrides})
 
@@ -121,7 +108,7 @@ class TestAutoscaler:
         assert dep.applied[0][:2] == ("out", 7)
         assert dep.applied[0][2] == pytest.approx(1.0)
 
-    def test_idle_scales_in(self):
+    def test_quiet_windows_never_scale_in(self):
         env = Environment()
         dep = StubDeployment(env, delay=0.5)
         m = Measurements()
@@ -130,9 +117,9 @@ class TestAutoscaler:
         engine.arm(base_s=0.0)
         env.run(until=6.0)
         engine.stop()
-        # Eight consecutive idle windows -> in at 4.0.
-        assert dep.applied[0][:2] == ("in", 3)
-        assert dep.applied[0][2] == pytest.approx(4.0)
+        # Eleven windows of sub-ms traffic: the cluster only scales out.
+        assert engine.log == []
+        assert dep.applied == []
 
     def test_cooldown_separates_actions(self):
         env = Environment()
@@ -152,7 +139,7 @@ class TestAutoscaler:
         env = Environment()
         dep = StubDeployment(env)
         m = Measurements()
-        # 10ms sits between relax (0.5ms) and breach (60ms): never acts.
+        # 10ms sits below the 60ms breach: never acts.
         _feed(env, m, latency_s=0.010)
         engine = ScaleEngine(env, dep, _auto_config(), measurements=m)
         engine.arm(base_s=0.0)
@@ -181,7 +168,7 @@ class TestAutoscaler:
 class TestTransferWindows:
     def test_pairs_by_node(self):
         log = [(1.0, "out_start", 7), (2.0, "out_done", 7),
-               (5.0, "in_start", 3), (6.5, "in_done", 3)]
+               (5.0, "out_start", 8), (6.5, "out_done", 8)]
         assert _transfer_windows(log, run_end=10.0) == \
             [(1.0, 2.0), (5.0, 6.5)]
 
@@ -223,7 +210,7 @@ class TestScaleReport:
     def test_between_phase_separates_two_transfers(self):
         m = self._measurements([4.0])
         log = [(1.0, "out_start", 7), (2.0, "out_done", 7),
-               (5.0, "in_start", 3), (6.0, "in_done", 3)]
+               (5.0, "out_start", 8), (6.0, "out_done", 8)]
         report = build_scale_report(m, log, config=ElasticityConfig())
         assert report["phases"]["between"]["ops"] == 1
 

@@ -1,11 +1,11 @@
 """Property-based tests (hypothesis) for token-ring elasticity.
 
-The invariants a live bootstrap/decommission relies on: ownership always
-partitions the ring, every token keeps exactly ``min(rf, n)`` distinct
-replicas, and the moved-range list returned by ``add_node`` /
-``remove_node`` is *exactly* the symmetric difference of before/after
-placement — no arc missing (data would silently drop below RF) and no
-arc extra (streaming would copy bytes nobody needs).
+The invariants a live bootstrap relies on: ownership always partitions
+the ring, every token keeps exactly ``min(rf, n)`` distinct replicas,
+and the moved-range list returned by ``add_node`` is *exactly* the
+symmetric difference of before/after placement — no arc missing (data
+would silently drop below RF) and no arc extra (streaming would copy
+bytes nobody needs).
 """
 
 import random
@@ -31,40 +31,32 @@ def clone_ring(ring: TokenRing) -> TokenRing:
     return copy
 
 
-#: A ring shape plus a script of topology changes.  ``True`` = add a
-#: fresh node, ``False`` = remove one (skipped when only one node is
-#: left, mirroring the ring's own refusal).
+#: A ring shape plus the number of fresh nodes that join it, one by one.
 ring_scripts = st.tuples(
     st.integers(min_value=1, max_value=6),    # initial nodes
     st.integers(min_value=1, max_value=8),    # vnodes
     st.integers(min_value=1, max_value=5),    # replication factor
     st.integers(),                            # seed
-    st.lists(st.booleans(), min_size=1, max_size=6))
+    st.integers(min_value=1, max_value=6))    # joins
 
 
-def _apply(ring, op_is_add, next_id, rng, rf, chooser):
-    if op_is_add or len(ring.node_ids) == 1:
-        node_id = next_id
-        moved = ring.add_node(node_id, rng, rf)
-        return moved, next_id + 1, node_id, True
-    node_id = chooser.choice(sorted(ring.node_ids))
-    moved = ring.remove_node(node_id, rf)
-    return moved, next_id, node_id, False
+def _ring(script):
+    """The script's starting ring, its RNG, RF and joiner ids."""
+    n_nodes, vnodes, rf, seed, joins = script
+    rng = random.Random(seed)
+    ring = TokenRing(list(range(n_nodes)), vnodes, rng)
+    return ring, rng, rf, range(n_nodes, n_nodes + joins)
 
 
 class TestElasticityOwnership:
-    """Ownership stays a partition of the ring through any script."""
+    """Ownership stays a partition of the ring through every join."""
 
     @given(ring_scripts)
     @settings(max_examples=60, deadline=None)
     def test_fractions_sum_to_one(self, script):
-        n_nodes, vnodes, rf, seed, ops = script
-        rng = random.Random(seed)
-        chooser = random.Random(seed + 1)
-        ring = TokenRing(list(range(n_nodes)), vnodes, rng)
-        next_id = n_nodes
-        for op in ops:
-            _, next_id, _, _ = _apply(ring, op, next_id, rng, rf, chooser)
+        ring, rng, rf, joiners = _ring(script)
+        for node_id in joiners:
+            ring.add_node(node_id, rng, rf)
             fractions = ownership_fractions(ring)
             assert set(fractions) == set(ring.node_ids)
             assert all(f >= 0.0 for f in fractions.values())
@@ -76,13 +68,9 @@ class TestElasticityOwnership:
            st.integers(min_value=0, max_value=KEY_DOMAIN - 1))
     @settings(max_examples=60, deadline=None)
     def test_every_token_keeps_full_replication(self, script, token):
-        n_nodes, vnodes, rf, seed, ops = script
-        rng = random.Random(seed)
-        chooser = random.Random(seed + 1)
-        ring = TokenRing(list(range(n_nodes)), vnodes, rng)
-        next_id = n_nodes
-        for op in ops:
-            _, next_id, _, _ = _apply(ring, op, next_id, rng, rf, chooser)
+        ring, rng, rf, joiners = _ring(script)
+        for node_id in joiners:
+            ring.add_node(node_id, rng, rf)
             replicas = ring.replicas_for_token(token, rf)
             assert len(replicas) == min(rf, len(ring.node_ids))
             assert len(set(replicas)) == len(replicas)
@@ -90,20 +78,15 @@ class TestElasticityOwnership:
 
 
 class TestMovedRangesAreTheSymmetricDifference:
-    """``add_node``/``remove_node`` return exactly the placement diff."""
+    """``add_node`` returns exactly the placement diff."""
 
     @given(ring_scripts)
     @settings(max_examples=50, deadline=None)
     def test_moved_equals_independent_diff(self, script):
-        n_nodes, vnodes, rf, seed, ops = script
-        rng = random.Random(seed)
-        chooser = random.Random(seed + 1)
-        ring = TokenRing(list(range(n_nodes)), vnodes, rng)
-        next_id = n_nodes
-        for op in ops:
+        ring, rng, rf, joiners = _ring(script)
+        for node_id in joiners:
             before_ring = clone_ring(ring)
-            moved, next_id, node_id, added = _apply(
-                ring, op, next_id, rng, rf, chooser)
+            moved = ring.add_node(node_id, rng, rf)
             # Recompute the diff from scratch over the union of both
             # rings' boundaries (each arc homogeneous in both rings).
             boundaries = sorted(set(before_ring._tokens)
@@ -115,29 +98,20 @@ class TestMovedRangesAreTheSymmetricDifference:
             got = {(r.start, r.end): (r.old_replicas, r.new_replicas)
                    for r in moved}
             assert got == expected
-            # The changed node appears in every moved arc's delta.
+            # The joiner is the one gainer of every moved arc.
             for arc in moved:
-                if added:
-                    assert arc.gainers == (node_id,)
-                else:
-                    assert node_id in arc.losers
-                assert not (set(arc.gainers) & set(arc.losers))
+                assert arc.gainers == (node_id,)
 
     @given(ring_scripts)
     @settings(max_examples=50, deadline=None)
     def test_arc_membership_matches_replica_change(self, script):
         """Token-level view: a token lies in a moved arc iff its replica
         set changed — the guarantee streaming plans are built on."""
-        n_nodes, vnodes, rf, seed, ops = script
-        rng = random.Random(seed)
-        chooser = random.Random(seed + 1)
-        probe = random.Random(seed + 2)
-        ring = TokenRing(list(range(n_nodes)), vnodes, rng)
-        next_id = n_nodes
-        for op in ops:
+        ring, rng, rf, joiners = _ring(script)
+        probe = random.Random(script[3] + 2)
+        for node_id in joiners:
             before_ring = clone_ring(ring)
-            moved, next_id, _, _ = _apply(ring, op, next_id, rng, rf,
-                                          chooser)
+            moved = ring.add_node(node_id, rng, rf)
             tokens = [probe.randrange(KEY_DOMAIN) for _ in range(20)]
             tokens += [arc.start for arc in moved]
             tokens += [(arc.end - 1) % KEY_DOMAIN for arc in moved]
@@ -180,23 +154,3 @@ class TestElasticityErrors:
         ring = TokenRing([0, 1], vnodes=4, rng=random.Random(7))
         with pytest.raises(ValueError):
             ring.add_node(1, random.Random(8), 2)
-
-    def test_remove_unknown_raises(self):
-        ring = TokenRing([0, 1], vnodes=4, rng=random.Random(7))
-        with pytest.raises(ValueError):
-            ring.remove_node(9, 2)
-
-    def test_remove_last_node_raises(self):
-        ring = TokenRing([3], vnodes=4, rng=random.Random(7))
-        with pytest.raises(ValueError):
-            ring.remove_node(3, 1)
-
-    def test_add_then_remove_roundtrip_restores_placement(self):
-        rng = random.Random(11)
-        ring = TokenRing([0, 1, 2], vnodes=8, rng=rng)
-        snapshot = clone_ring(ring)
-        ring.add_node(3, rng, 3)
-        ring.remove_node(3, 3)
-        assert ring._tokens == snapshot._tokens
-        assert ring._owners == snapshot._owners
-        assert sorted(ring.node_ids) == sorted(snapshot.node_ids)

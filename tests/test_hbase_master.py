@@ -187,27 +187,16 @@ class TestStandbyAndDecommission:
         assert any(nid == spare
                    for nid in deployment.master.assignment.values())
 
-    def test_decommission_drains_and_failover_skips_standby(self):
-        env, cluster, deployment = build(n_nodes=6, spare_servers=0)
+    def test_failover_skips_standby(self):
+        env, cluster, deployment = build(n_nodes=6, spare_servers=1)
+        spare = deployment.server_nodes[-1].node_id
         victim = deployment.server_nodes[0].node_id
-        moved = deployment.master.decommission(victim)
-        assert moved > 0
-        assert all(nid != victim
-                   for nid in deployment.master.assignment.values())
-        # A later failover never lands regions on the drained server.
-        other = deployment.server_nodes[1].node_id
-        cluster.kill(other)
+        cluster.kill(victim)
         env.run(until=3.0)
-        assert all(nid != victim
+        # The victim's regions failed over, none onto the standby spare.
+        assert deployment.master.failovers
+        assert all(nid not in (victim, spare)
                    for nid in deployment.master.assignment.values())
-
-    def test_cannot_decommission_last_server(self):
-        _, _, deployment = build(n_nodes=3)
-        first = deployment.server_nodes[0].node_id
-        second = deployment.server_nodes[1].node_id
-        deployment.master.decommission(first)
-        with pytest.raises(ValueError):
-            deployment.master.decommission(second)
 
     def test_spare_count_validation(self):
         with pytest.raises(ValueError):

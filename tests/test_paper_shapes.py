@@ -520,8 +520,8 @@ class TestFlashCrowdShapes:
 
 class TestElasticityShapes:
     """The elasticity story: scaling while serving is *safe* (the
-    oracle certifies no acknowledged write is lost to a bootstrap,
-    decommission or region rebalance) and the autoscaler *decides from what
+    oracle certifies no acknowledged write is lost to a bootstrap or a
+    region rebalance) and the autoscaler *decides from what
     it observes* (a diurnal ramp breaches the static cluster's p95 at
     every seed, and the policy loop answers each breach with the
     scale-out an operator would have scheduled).  Cells run without a
@@ -619,23 +619,3 @@ class TestElasticityShapes:
         from repro.consistency.oracle import unexpected_violations
         for cell, summary in diurnal.items():
             assert unexpected_violations(summary["consistency"]) == 0, cell
-
-    def test_decommission_under_load_is_safe(self):
-        """Scale-in mid-run: the leaver streams its ranges to the
-        gainers before leaving the ring; QUORUM holds throughout."""
-        from repro.consistency.oracle import unexpected_violations
-        session = self._session("cassandra", "static")
-        cassandra, env = session.deployment, session.env
-        left = []
-
-        def decommission():
-            yield env.timeout(4.0)
-            node_id = cassandra.scale_in_candidate()
-            yield from cassandra.apply_scale_in(node_id)
-            left.append(node_id)
-
-        env.process(decommission(), name="decommission")
-        summary = self._measure(session)
-        assert len(left) == 1 and left[0] not in cassandra.ring.node_ids
-        assert summary["scale"]["streamed_bytes"] > 0
-        assert unexpected_violations(summary["consistency"]) == 0

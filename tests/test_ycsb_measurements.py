@@ -323,3 +323,23 @@ class TestColumnsEqualTuples:
             tracemalloc.stop()
         assert m.total_ops == samples + 2
         assert per_sample < 40, f"{per_sample:.1f} B per sample"
+
+    def test_a_report_leaves_no_sorted_copy_behind(self):
+        """``stats`` and ``overall_stats`` sort per request: after a
+        report the run still holds only its columns, not a sorted list
+        of boxed floats (32 more bytes a sample) beside them."""
+        samples = 20_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            m = Measurements()
+            for i in range(samples):
+                m.record("read" if i % 3 else "update", i * 1e-4,
+                         0.001 + (i % 97) * 1e-6)
+            for op in ("read", "update"):
+                m.stats(op)
+            assert m.overall_stats().count == samples
+            per_sample = (tracemalloc.get_traced_memory()[0] - before) / samples
+        finally:
+            tracemalloc.stop()
+        assert per_sample < 24, f"{per_sample:.1f} B per sample"
